@@ -16,7 +16,7 @@
 
 use crate::agg::Aggregation;
 use crate::proxy::TOKEN_SECRET_LABEL;
-use crate::wire::Msg;
+use crate::wire::{self, Msg};
 use deta_bignum::BigUint;
 use deta_crypto::{DetRng, SigningKey};
 use deta_paillier::{Ciphertext, PublicKey as PaillierPk};
@@ -466,36 +466,37 @@ impl AggregatorNode {
             return;
         };
         // Deterministic party order: sorted by name.
-        let mut names: Vec<&String> = uploads.keys().collect();
-        names.sort();
-        let inputs: Vec<Vec<f32>> = names.iter().map(|n| uploads[*n].clone()).collect();
-        let weights: Vec<f32> = names
+        let mut uploads: Vec<(String, Vec<f32>)> = uploads.into_iter().collect();
+        uploads.sort_by(|a, b| a.0.cmp(&b.0));
+        let weights: Vec<f32> = uploads
             .iter()
-            .map(|n| self.registered.get(*n).copied().unwrap_or(1.0))
+            .map(|(n, _)| self.registered.get(n).copied().unwrap_or(1.0))
             .collect();
         // Record the fragments in CVM guest memory: this is precisely what
         // a breach of this aggregator leaks. Length-prefixed records of
         // (party name, Upload message).
         let mut mem = Vec::new();
-        for (name, input) in names.iter().zip(inputs.iter()) {
+        for (name, input) in &uploads {
             let name_bytes = name.as_bytes();
-            let msg = Msg::Upload {
-                round,
-                fragment: input.clone(),
-            };
-            let (Ok(name_len), Ok(encoded)) = (u32::try_from(name_bytes.len()), msg.encode())
-            else {
+            let (Ok(name_len), Ok(encoded)) = (
+                u32::try_from(name_bytes.len()),
+                wire::encode_upload(round, input),
+            ) else {
                 continue;
             };
             let Ok(msg_len) = u32::try_from(encoded.len()) else {
                 continue;
             };
+            // Exact growth: the record set is the aggregator's largest
+            // allocation, and amortized doubling would overshoot it.
+            mem.reserve_exact(8 + name_bytes.len() + encoded.len());
             mem.extend_from_slice(&name_len.to_le_bytes());
             mem.extend_from_slice(name_bytes);
             mem.extend_from_slice(&msg_len.to_le_bytes());
             mem.extend_from_slice(&encoded);
         }
-        self.cvm.guest().write(&mem);
+        let inputs: Vec<Vec<f32>> = uploads.into_iter().map(|(_, frag)| frag).collect();
+        self.cvm.guest().write(mem);
         let t0 = Instant::now();
         let agg_span = deta_telemetry::span("aggregate")
             .with_field("round", TelemetryValue::from(round))

@@ -17,7 +17,7 @@
 use crate::dp::{gaussian_mechanism, LdpConfig, PrivacyAccountant};
 use crate::mapper::ModelMapper;
 use crate::session::SyncMode;
-use crate::transform::Transformer;
+use crate::transform::{RoundPermutations, Transformer};
 use crate::wire::Msg;
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::{batch_gradient, train_local, LabeledData};
@@ -129,6 +129,11 @@ pub struct Party {
     registration_sent: bool,
     /// First aggregator that failed challenge-response, if any.
     auth_failure: Option<String>,
+    /// The open round's permutations, derived when its upload is
+    /// transformed (or replayed) and consumed by `finish_round`, so the
+    /// keyed derivation runs once per round rather than once per
+    /// direction. Dropped whenever the mapper changes.
+    round_perms: Option<RoundPermutations>,
     /// Parameters snapshot at round start (FedSGD applies deltas to it).
     round_base: Vec<f32>,
     /// Optional Paillier fusion material.
@@ -200,6 +205,7 @@ impl Party {
             last_finished_round: 0,
             registration_sent: false,
             auth_failure: None,
+            round_perms: None,
             round_base: Vec::new(),
             paillier: None,
             timers: PartyTimers::default(),
@@ -327,6 +333,8 @@ impl Party {
             return false;
         }
         self.transformer = self.transformer.with_mapper(mapper);
+        // Permutations of the old partition have the wrong lengths.
+        self.round_perms = None;
         let keep: HashSet<&String> = aggs.iter().collect();
         self.channels.retain(|k, _| keep.contains(k));
         self.acks.retain(|k| keep.contains(k));
@@ -355,7 +363,13 @@ impl Party {
         if r != round || self.paillier.is_some() {
             return false;
         }
-        let fragments = self.transformer.transform(&update, &tid);
+        let perms = self.take_permutations(&tid);
+        let fragments = self.transformer.transform_with(&update, &perms);
+        if self.current_round == Some((round, tid)) {
+            // Still open: `finish_round` will want them. A replay of a
+            // round already synchronized must not leave them behind.
+            self.round_perms = Some(perms);
+        }
         for (j, frag) in fragments.into_iter().enumerate() {
             let Some(agg) = self.aggregators.get(j).cloned() else {
                 return false;
@@ -518,13 +532,15 @@ impl Party {
         if self.record_updates {
             self.update_log.push((round, update.clone()));
         }
-        self.last_upload = Some((round, tid, update.clone()));
         let t1 = Instant::now();
         let transform_span =
             deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
-        let fragments = self.transformer.transform(&update, &tid);
+        let perms = self.take_permutations(&tid);
+        let fragments = self.transformer.transform_with(&update, &perms);
+        self.round_perms = Some(perms);
         drop(transform_span);
         self.timers.transform_s += t1.elapsed().as_secs_f64();
+        self.last_upload = Some((round, tid, update));
         if self.paillier.is_some() {
             self.upload_encrypted(round, &fragments)?;
         } else {
@@ -564,6 +580,16 @@ impl Party {
         }
         self.round_base = self.model.flat_params();
         Ok(())
+    }
+
+    /// Takes the held permutations if they belong to round `tid`, and
+    /// derives them otherwise (first use in the round, a remap since, or
+    /// a round this party sat out).
+    fn take_permutations(&mut self, tid: &[u8; 16]) -> RoundPermutations {
+        match self.round_perms.take() {
+            Some(perms) if perms.training_id() == tid => perms,
+            _ => self.transformer.permutations(tid),
+        }
     }
 
     fn upload_encrypted(&mut self, round: u64, fragments: &[Vec<f32>]) -> Result<(), PartyError> {
@@ -619,7 +645,6 @@ impl Party {
         let Some((round, tid)) = self.current_round else {
             return true;
         };
-        let k = self.aggregators.len();
         if self.paillier.is_some() {
             let complete = self
                 .aggregators
@@ -630,19 +655,26 @@ impl Party {
             }
             self.apply_encrypted_round(round, tid);
         } else {
-            let mut fragments: Vec<Vec<f32>> = Vec::with_capacity(k);
-            for a in &self.aggregators {
-                match self.collected.get(a) {
-                    Some((r, frag)) if *r == round => fragments.push(frag.clone()),
-                    _ => return false,
-                }
+            let complete = self
+                .aggregators
+                .iter()
+                .all(|a| matches!(self.collected.get(a), Some((r, _)) if *r == round));
+            if !complete {
+                return false;
             }
+            let fragments: Vec<Vec<f32>> = self
+                .aggregators
+                .iter()
+                .filter_map(|a| self.collected.remove(a))
+                .map(|(_, frag)| frag)
+                .collect();
             // Keep any fragments that raced ahead for a later round.
             self.collected.retain(|_, (r, _)| *r > round);
             let t0 = Instant::now();
             let unshuffle_span =
                 deta_telemetry::span("unshuffle").with_field("round", TelemetryValue::from(round));
-            let merged = self.transformer.inverse(&fragments, &tid);
+            let perms = self.take_permutations(&tid);
+            let merged = self.transformer.inverse_with(&fragments, &perms);
             drop(unshuffle_span);
             self.timers.transform_s += t0.elapsed().as_secs_f64();
             self.apply_update(&merged);
@@ -683,7 +715,8 @@ impl Party {
         let t1 = Instant::now();
         let unshuffle_span =
             deta_telemetry::span("unshuffle").with_field("round", TelemetryValue::from(round));
-        let merged = self.transformer.inverse(&fragments, &tid);
+        let perms = self.take_permutations(&tid);
+        let merged = self.transformer.inverse_with(&fragments, &perms);
         drop(unshuffle_span);
         self.timers.transform_s += t1.elapsed().as_secs_f64();
         self.apply_update(&merged);
@@ -871,5 +904,125 @@ impl Party {
     /// Evaluates the current model on a dataset.
     pub fn evaluate(&mut self, data: &LabeledData, batch_size: usize) -> (f32, f32) {
         deta_nn::train::evaluate(&mut self.model, data, batch_size)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::{DetaConfig, DetaSession};
+    use deta_datasets::{iid_partition, DatasetSpec};
+    use deta_nn::models::mlp;
+
+    const TID: [u8; 16] = [0x5a; 16];
+
+    fn session(n_parties: usize, participation: Option<usize>) -> (DetaSession, LabeledData) {
+        let spec = DatasetSpec::mnist_like().at_resolution(8);
+        let shards = iid_partition(&spec.generate(20 * n_parties, 1), n_parties, 2);
+        let mut cfg = DetaConfig::deta(n_parties, 2);
+        cfg.seed = 11;
+        cfg.participation = participation;
+        let (dim, classes) = (spec.dim(), spec.classes);
+        let s = DetaSession::setup(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards)
+            .expect("session sets up");
+        (s, spec.generate(16, 9))
+    }
+
+    /// Announces `round` under `tid` and lets party 0 train and upload.
+    fn open_round_and_upload(s: &mut DetaSession, round: u64, tid: [u8; 16]) {
+        s.aggregator_mut(0)
+            .begin_round(round, tid)
+            .expect("initiator");
+        for j in 0..3 {
+            s.aggregator_mut(j).pump();
+        }
+        let p = s.party_mut(0);
+        p.record_updates = true;
+        assert_eq!(p.poll_round_start(), Some((round, tid)));
+        p.run_local_round().expect("announced round runs");
+    }
+
+    #[test]
+    fn permutations_are_held_from_upload_to_finish_only() {
+        let (mut s, _test) = session(2, None);
+        assert!(s.party_mut(0).round_perms.is_none());
+        open_round_and_upload(&mut s, 1, TID);
+        let held = s
+            .party_mut(0)
+            .round_perms
+            .as_ref()
+            .expect("held after upload");
+        assert_eq!(held.training_id(), &TID);
+        // Nothing about the slot order is printable.
+        assert_eq!(
+            format!("{held:?}"),
+            "RoundPermutations { fragments: 3, .. }"
+        );
+        // Party 1 joins and the round completes.
+        let p1 = s.party_mut(1);
+        p1.poll_round_start();
+        p1.run_local_round().expect("announced round runs");
+        for j in 0..3 {
+            s.aggregator_mut(j).pump();
+        }
+        for i in 0..2 {
+            assert!(s.party_mut(i).try_finish_round());
+            assert!(s.party_mut(i).round_perms.is_none(), "dropped at finish");
+        }
+        assert_eq!(s.party_params(0), s.party_params(1));
+        // The next round holds its own set, under its own training id.
+        open_round_and_upload(&mut s, 2, [0x33; 16]);
+        let held = s.party_mut(0).round_perms.as_ref().expect("held again");
+        assert_eq!(held.training_id(), &[0x33; 16]);
+    }
+
+    #[test]
+    fn replay_after_remap_matches_a_fresh_transformer() {
+        let (mut s, _test) = session(2, None);
+        open_round_and_upload(&mut s, 1, TID);
+        let update = s.party_mut(0).update_log[0].1.clone();
+        let old_lens: Vec<usize> = (0..3)
+            .map(|j| s.party_mut(0).transformer().mapper().fragment_len(j))
+            .collect();
+
+        // Aggregator 2 dies: the survivors take over under a fresh
+        // two-way partition and the round is replayed.
+        let survivors: Vec<String> = s.party_mut(0).aggregators[..2].to_vec();
+        let remapped = ModelMapper::generate(update.len(), 2, None, &mut DetRng::from_u64(99));
+        // What a party that never saw the old mapper would upload.
+        let fresh = s.party_mut(0).transformer().with_mapper(remapped.clone());
+        let expected = fresh.transform(&update, &TID);
+        for j in 0..2 {
+            s.aggregator_mut(j).reopen_round(1);
+        }
+        let p = s.party_mut(0);
+        assert!(p.apply_remap(1, &remapped.to_bytes(), &survivors));
+        assert!(p.round_perms.is_none(), "old-length permutations dropped");
+        assert!(p.replay_upload(1));
+        assert!(p.round_perms.is_some(), "re-derived for the open round");
+
+        for (j, want) in expected.iter().enumerate() {
+            s.aggregator_mut(j).pump();
+            let pending = s.aggregator_mut(j).pending_uploads();
+            assert_eq!(pending.len(), 1);
+            assert_eq!(pending[0].1, "party-0");
+            assert_ne!(want.len(), old_lens[j]);
+            assert_eq!(&pending[0].2, want, "fragment {j}");
+        }
+    }
+
+    #[test]
+    fn a_party_that_skips_the_local_step_still_finishes() {
+        // One of two parties trains each round; the other derives its
+        // permutations for the first time in `finish_round`.
+        let (mut s, test) = session(2, Some(1));
+        for _ in 0..2 {
+            s.step(&test);
+            assert_eq!(s.party_params(0), s.party_params(1));
+            for i in 0..2 {
+                assert_eq!(s.party_mut(i).last_finished_round(), s.completed_rounds());
+                assert!(s.party_mut(i).round_perms.is_none());
+            }
+        }
     }
 }

@@ -120,16 +120,25 @@ impl Transformer {
         self.mapper.n_aggregators()
     }
 
-    fn permutation(
-        &self,
-        training_id: &[u8; 16],
-        fragment_idx: u32,
-        len: usize,
-    ) -> RoundPermutation {
-        if self.config.shuffle {
-            RoundPermutation::derive(&self.perm_key, training_id, fragment_idx, len)
-        } else {
-            RoundPermutation::identity(len)
+    /// Derives the `k` permutations of the round `training_id`, one per
+    /// fragment of the current mapper. Deriving is the expensive part of
+    /// both directions (a keyed Fisher-Yates draw per parameter), so a
+    /// party does it once per round and lends the result to
+    /// [`Transformer::transform_with`] and [`Transformer::inverse_with`].
+    pub fn permutations(&self, training_id: &[u8; 16]) -> RoundPermutations {
+        let perms = (0..self.n_fragments())
+            .map(|j| {
+                let len = self.mapper.fragment_len(j);
+                if self.config.shuffle {
+                    RoundPermutation::derive(&self.perm_key, training_id, j as u32, len)
+                } else {
+                    RoundPermutation::identity(len)
+                }
+            })
+            .collect();
+        RoundPermutations {
+            training_id: *training_id,
+            perms,
         }
     }
 
@@ -139,14 +148,22 @@ impl Transformer {
     ///
     /// Panics if `update.len()` mismatches the mapper.
     pub fn transform(&self, update: &[f32], training_id: &[u8; 16]) -> Vec<Vec<f32>> {
+        self.transform_with(update, &self.permutations(training_id))
+    }
+
+    /// [`Transformer::transform`] under permutations derived earlier by
+    /// [`Transformer::permutations`] on this transformer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `update.len()` or `perms` mismatch the mapper.
+    pub fn transform_with(&self, update: &[f32], perms: &RoundPermutations) -> Vec<Vec<f32>> {
         let fragments = self.mapper.partition(update);
+        assert_eq!(fragments.len(), perms.perms.len(), "permutation count");
         fragments
-            .into_iter()
-            .enumerate()
-            .map(|(j, frag)| {
-                self.permutation(training_id, j as u32, frag.len())
-                    .apply(&frag)
-            })
+            .iter()
+            .zip(&perms.perms)
+            .map(|(frag, perm)| perm.apply(frag))
             .collect()
     }
 
@@ -156,15 +173,53 @@ impl Transformer {
     ///
     /// Panics if fragment counts/lengths mismatch the mapper.
     pub fn inverse(&self, fragments: &[Vec<f32>], training_id: &[u8; 16]) -> Vec<f32> {
+        self.inverse_with(fragments, &self.permutations(training_id))
+    }
+
+    /// [`Transformer::inverse`] under permutations derived earlier by
+    /// [`Transformer::permutations`] on this transformer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fragment counts/lengths or `perms` mismatch the mapper.
+    pub fn inverse_with(&self, fragments: &[Vec<f32>], perms: &RoundPermutations) -> Vec<f32> {
+        assert_eq!(
+            fragments.len(),
+            perms.perms.len(),
+            "fragment count mismatch"
+        );
         let unshuffled: Vec<Vec<f32>> = fragments
             .iter()
-            .enumerate()
-            .map(|(j, frag)| {
-                self.permutation(training_id, j as u32, frag.len())
-                    .invert(frag)
-            })
+            .zip(&perms.perms)
+            .map(|(frag, perm)| perm.invert(frag))
             .collect();
         self.mapper.merge(&unshuffled)
+    }
+}
+
+/// One round's permutations, fragment by fragment, as derived by
+/// [`Transformer::permutations`].
+///
+/// The slot order is exactly what the permutation key protects, so the
+/// type is opaque: it has no accessor for the indices and its `Debug`
+/// prints only how many fragments it covers.
+pub struct RoundPermutations {
+    training_id: [u8; 16],
+    perms: Vec<RoundPermutation>,
+}
+
+impl RoundPermutations {
+    /// The round these permutations were derived for.
+    pub fn training_id(&self) -> &[u8; 16] {
+        &self.training_id
+    }
+}
+
+impl std::fmt::Debug for RoundPermutations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RoundPermutations")
+            .field("fragments", &self.perms.len())
+            .finish_non_exhaustive()
     }
 }
 

@@ -146,10 +146,27 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> Result<(), EncodeError> {
 
 fn put_f32s(out: &mut Vec<u8>, v: &[f32]) -> Result<(), EncodeError> {
     put_len(out, v.len())?;
+    out.reserve(4 * v.len());
     for &x in v {
         out.extend_from_slice(&x.to_le_bytes());
     }
     Ok(())
+}
+
+/// Encodes a fragment-carrying message (`tag`, round, values) into a
+/// buffer sized for it up front.
+fn encode_fragment(tag: u8, round: u64, fragment: &[f32]) -> Result<Vec<u8>, EncodeError> {
+    let mut out = Vec::with_capacity(1 + 8 + 4 + 4 * fragment.len());
+    out.push(tag);
+    out.extend_from_slice(&round.to_le_bytes());
+    put_f32s(&mut out, fragment)?;
+    Ok(out)
+}
+
+/// The encoding of [`Msg::Upload`] from a borrowed fragment, for callers
+/// that hold the values and have no use for an owned message.
+pub fn encode_upload(round: u64, fragment: &[f32]) -> Result<Vec<u8>, EncodeError> {
+    encode_fragment(TAG_UPLOAD, round, fragment)
 }
 
 fn put_vec_bytes(out: &mut Vec<u8>, v: &[Vec<u8>]) -> Result<(), EncodeError> {
@@ -210,10 +227,11 @@ impl<'a> Reader<'a> {
 
     fn f32s(&mut self) -> Result<Vec<f32>, DecodeError> {
         let n = self.u32()? as usize;
-        if self.pos + n.checked_mul(4).ok_or(DecodeError)? > self.buf.len() {
-            return Err(DecodeError);
-        }
-        (0..n).map(|_| self.f32()).collect()
+        let raw = self.take(n.checked_mul(4).ok_or(DecodeError)?)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
     }
 
     fn vec_bytes(&mut self) -> Result<Vec<Vec<u8>>, DecodeError> {
@@ -290,9 +308,7 @@ impl Msg {
                 out.extend_from_slice(training_id);
             }
             Msg::Upload { round, fragment } => {
-                out.push(TAG_UPLOAD);
-                out.extend_from_slice(&round.to_le_bytes());
-                put_f32s(&mut out, fragment)?;
+                return encode_fragment(TAG_UPLOAD, *round, fragment);
             }
             Msg::UploadEncrypted {
                 round,
@@ -305,9 +321,7 @@ impl Msg {
                 put_vec_bytes(&mut out, ciphertexts)?;
             }
             Msg::Aggregated { round, fragment } => {
-                out.push(TAG_AGGREGATED);
-                out.extend_from_slice(&round.to_le_bytes());
-                put_f32s(&mut out, fragment)?;
+                return encode_fragment(TAG_AGGREGATED, *round, fragment);
             }
             Msg::AggregatedEncrypted {
                 round,

@@ -80,7 +80,9 @@ fn compute_tag(pk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
 ///
 /// Returns `ciphertext || tag`.
 pub fn seal(key: &Key, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = plaintext.to_vec();
+    // Sized for the tag up front, so appending it never reallocates.
+    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+    out.extend_from_slice(plaintext);
     chacha::xor_stream(&key.0, 1, &nonce.0, &mut out);
     let pk = poly_key(key, nonce);
     let tag = compute_tag(&pk, aad, &out);
@@ -121,6 +123,51 @@ mod tests {
         let sealed = seal(&key(), &n, b"header", b"secret payload");
         let opened = open(&key(), &n, b"header", &sealed).unwrap();
         assert_eq!(opened, b"secret payload");
+    }
+
+    #[test]
+    fn rfc8439_aead_vector() {
+        // RFC 8439 section 2.8.2.
+        let key = Key(core::array::from_fn(|i| 0x80 + i as u8));
+        let nonce = Nonce([7, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47]);
+        let aad = [
+            0x50, 0x51, 0x52, 0x53, 0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7,
+        ];
+        let msg = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+                    only one tip for the future, sunscreen would be it.";
+        let sealed = seal(&key, &nonce, &aad, msg);
+        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6\
+             3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36\
+             92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc\
+             3ff4def08e4b7a9de576d26586cec64b6116\
+             1ae10b594f09e26a7e902ecbd0600691"
+        );
+        assert_eq!(open(&key, &nonce, &aad, &sealed).unwrap(), msg);
+    }
+
+    #[test]
+    fn flipped_bit_anywhere_in_a_large_record_is_rejected() {
+        // Three megabytes: thousands of wide keystream calls and Poly1305
+        // block pairs. `open` authenticates the whole ciphertext before it
+        // decrypts any of it, so a late flip cannot leak an early prefix:
+        // the only thing that comes back is the error.
+        let n = Nonce::from_parts(3, 9);
+        let msg: Vec<u8> = (0..3_000_003u32).map(|i| (i >> 3) as u8).collect();
+        let sealed = seal(&key(), &n, b"deta-record", &msg);
+        let body = sealed.len() - TAG_LEN;
+        for at in [0, body / 2, body - 1] {
+            let mut bad = sealed.clone();
+            bad[at] ^= 0x10;
+            assert_eq!(
+                open(&key(), &n, b"deta-record", &bad),
+                Err(AeadError::BadTag),
+                "byte {at}"
+            );
+        }
+        assert_eq!(open(&key(), &n, b"deta-record", &sealed).unwrap(), msg);
     }
 
     #[test]

@@ -11,23 +11,27 @@ use crate::sha256::{hkdf, hmac_sha256, sha256};
 /// A deterministic random number generator.
 ///
 /// The keystream is ChaCha20 under a 256-bit seed key with an all-zero
-/// nonce and an incrementing block counter. [`DetRng::fork`] derives an
+/// nonce and an incrementing block counter, drawn eight blocks at a time
+/// through [`chacha::keystream8`]. [`DetRng::fork`] derives an
 /// independent generator for a labeled sub-task, which keeps parallel
 /// components decoupled: adding draws to one component does not shift the
 /// stream seen by another.
 #[derive(Clone)]
 pub struct DetRng {
     key: [u8; 32],
+    /// Next block to generate; blocks below it are in `buf` or consumed.
     counter: u64,
-    buf: [u8; chacha::BLOCK_LEN],
+    buf: [u8; chacha::WIDE_LEN],
     buf_pos: usize,
 }
 
 impl std::fmt::Debug for DetRng {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The key is intentionally not printed.
+        // The key is intentionally not printed. `counter` is the number
+        // of keystream blocks drawn from so far, not the refill position.
+        let unread = ((chacha::WIDE_LEN - self.buf_pos) / chacha::BLOCK_LEN) as u64;
         f.debug_struct("DetRng")
-            .field("counter", &self.counter)
+            .field("counter", &self.counter.wrapping_sub(unread))
             .finish()
     }
 }
@@ -38,8 +42,8 @@ impl DetRng {
         DetRng {
             key: seed,
             counter: 0,
-            buf: [0u8; chacha::BLOCK_LEN],
-            buf_pos: chacha::BLOCK_LEN,
+            buf: [0u8; chacha::WIDE_LEN],
+            buf_pos: chacha::WIDE_LEN,
         }
     }
 
@@ -74,8 +78,8 @@ impl DetRng {
         // Use the low 32 bits as the ChaCha counter and fold the high bits
         // into the key stream position by allowing wrap-around; a single
         // generator never draws anywhere near 2^32 blocks in this codebase.
-        self.buf = chacha::block(&self.key, self.counter as u32, &nonce);
-        self.counter = self.counter.wrapping_add(1);
+        chacha::keystream8(&self.key, self.counter as u32, &nonce, &mut self.buf);
+        self.counter = self.counter.wrapping_add(chacha::WIDE_BLOCKS as u64);
         self.buf_pos = 0;
     }
 
@@ -83,28 +87,39 @@ impl DetRng {
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut pos = 0;
         while pos < dest.len() {
-            if self.buf_pos == chacha::BLOCK_LEN {
+            if self.buf_pos == chacha::WIDE_LEN {
                 self.refill();
             }
-            let take = (chacha::BLOCK_LEN - self.buf_pos).min(dest.len() - pos);
+            let take = (chacha::WIDE_LEN - self.buf_pos).min(dest.len() - pos);
             dest[pos..pos + take].copy_from_slice(&self.buf[self.buf_pos..self.buf_pos + take]);
             self.buf_pos += take;
             pos += take;
         }
     }
 
+    /// The next `N` stream bytes, read straight out of the buffer unless
+    /// they straddle a refill.
+    #[inline]
+    fn next_array<const N: usize>(&mut self) -> [u8; N] {
+        let mut out = [0u8; N];
+        match self.buf.get(self.buf_pos..self.buf_pos + N) {
+            Some(src) => {
+                out.copy_from_slice(src);
+                self.buf_pos += N;
+            }
+            None => self.fill_bytes(&mut out),
+        }
+        out
+    }
+
     /// Returns the next random `u64`.
     pub fn next_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.fill_bytes(&mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.next_array())
     }
 
     /// Returns the next random `u32`.
     pub fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill_bytes(&mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.next_array())
     }
 
     /// Returns a uniformly random value in `[0, bound)` without modulo bias.
@@ -114,12 +129,15 @@ impl DetRng {
     /// Panics if `bound == 0`.
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range with zero bound");
-        // Lemire-style rejection on the widening multiply.
-        let threshold = bound.wrapping_neg() % bound;
+        // Lemire-style rejection on the widening multiply: reject when
+        // the low word is below `2^64 mod bound`. That threshold is itself
+        // below `bound`, so the divide is only needed for a low word that
+        // small.
         loop {
             let x = self.next_u64();
             let m = (x as u128) * (bound as u128);
-            if (m as u64) >= threshold {
+            let low = m as u64;
+            if low >= bound || low >= bound.wrapping_neg() % bound {
                 return (m >> 64) as u64;
             }
         }
@@ -281,15 +299,85 @@ mod tests {
 
     #[test]
     fn fill_bytes_chunking_consistent() {
+        // 1500 bytes span three 512-byte refills; 13 divides neither the
+        // block nor the buffer length, so chunks straddle both.
         let mut a = DetRng::from_u64(9);
         let mut b = DetRng::from_u64(9);
-        let mut buf_a = vec![0u8; 200];
+        let mut buf_a = vec![0u8; 1500];
         a.fill_bytes(&mut buf_a);
-        let mut buf_b = vec![0u8; 200];
+        let mut buf_b = vec![0u8; 1500];
         for chunk in buf_b.chunks_mut(13) {
             b.fill_bytes(chunk);
         }
         assert_eq!(buf_a, buf_b);
+        // The same stream through the word readers, which take the
+        // straight-from-buffer path except across a refill.
+        let mut c = DetRng::from_u64(9);
+        let mut buf_c = Vec::with_capacity(1500);
+        buf_c.extend_from_slice(&c.next_u32().to_le_bytes());
+        while buf_c.len() + 8 <= 1500 {
+            buf_c.extend_from_slice(&c.next_u64().to_le_bytes());
+        }
+        assert_eq!(buf_c[..], buf_a[..buf_c.len()]);
+    }
+
+    #[test]
+    fn clone_mid_buffer_continues_the_same_stream() {
+        let mut a = DetRng::from_u64(9);
+        let mut skip = [0u8; 300];
+        a.fill_bytes(&mut skip);
+        // The clone carries the half-read buffer with it, and both copies
+        // cross the next refill independently.
+        let mut b = a.clone();
+        let from_a: Vec<u64> = (0..100).map(|_| a.next_u64()).collect();
+        let from_b: Vec<u64> = (0..100).map(|_| b.next_u64()).collect();
+        assert_eq!(from_a, from_b);
+        let mut whole = DetRng::from_u64(9);
+        let mut all = vec![0u8; 300 + 800];
+        whole.fill_bytes(&mut all);
+        let tail: Vec<u8> = from_a.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(tail[..], all[300..]);
+    }
+
+    #[test]
+    fn debug_counts_blocks_drawn_from_not_blocks_buffered() {
+        let mut rng = DetRng::from_u64(9);
+        assert_eq!(format!("{rng:?}"), "DetRng { counter: 0 }");
+        rng.next_u64();
+        assert_eq!(format!("{rng:?}"), "DetRng { counter: 1 }");
+        rng.fill_bytes(&mut [0u8; 57]);
+        assert_eq!(format!("{rng:?}"), "DetRng { counter: 2 }");
+    }
+
+    #[test]
+    fn gen_range_matches_the_always_divide_form() {
+        // The reference computes the rejection threshold on every draw;
+        // `gen_range` only when the low product word is below `bound`.
+        // Bounds just above 2^63 reject almost half of all draws.
+        for bound in [
+            1u64,
+            2,
+            3,
+            7,
+            1 << 32,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut fast = DetRng::from_u64(bound);
+            let mut reference = DetRng::from_u64(bound);
+            for _ in 0..500 {
+                let threshold = bound.wrapping_neg() % bound;
+                let want = loop {
+                    let m = (reference.next_u64() as u128) * (bound as u128);
+                    if (m as u64) >= threshold {
+                        break (m >> 64) as u64;
+                    }
+                };
+                assert_eq!(fast.gen_range(bound), want, "bound={bound}");
+            }
+            assert_eq!(fast.next_u64(), reference.next_u64(), "same draw count");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests for the cryptographic primitives.
 
+use deta_crypto::chacha;
 use deta_crypto::dh::EphemeralSecret;
 use deta_crypto::sha256::{hkdf, hmac_sha256, sha256};
 use deta_crypto::{open, seal, AeadKey, DetRng, Nonce, Signature, SigningKey};
-use deta_proptest::{cases, Gen};
+use deta_proptest::cases;
 
 #[test]
 fn sha256_is_deterministic_and_sensitive() {
@@ -41,6 +42,42 @@ fn hkdf_prefix_property() {
         let shorter = hkdf(&salt, &ikm, b"ctx", short);
         assert_eq!(&long[..short], &shorter[..]);
     });
+}
+
+#[test]
+fn wide_keystream_is_the_scalar_blocks_concatenated() {
+    cases(
+        "wide_keystream_is_the_scalar_blocks_concatenated",
+        24,
+        |g| {
+            let key = g.array::<32>();
+            let nonce = g.array::<12>();
+            // Half the cases start within 8 of the top of the counter space,
+            // so some lane (and some later call) must wrap to 0 exactly as
+            // the scalar `wrapping_add` does.
+            let counter = if g.bool() {
+                u32::MAX - g.u32() % 9
+            } else {
+                g.u32()
+            };
+            let scalar: Vec<u8> = (0..18u32)
+                .flat_map(|i| chacha::block(&key, counter.wrapping_add(i), &nonce))
+                .collect();
+
+            let mut wide = [0u8; chacha::WIDE_LEN];
+            chacha::keystream8(&key, counter, &nonce, &mut wide);
+            assert_eq!(wide[..], scalar[..chacha::WIDE_LEN]);
+
+            // Every length up to two wide calls and a ragged third.
+            let msg = g.bytes(1100, 1101);
+            for len in 0..=1100 {
+                let mut data = msg[..len].to_vec();
+                chacha::xor_stream(&key, counter, &nonce, &mut data);
+                let want: Vec<u8> = msg[..len].iter().zip(&scalar).map(|(m, k)| m ^ k).collect();
+                assert_eq!(data, want, "len={len} counter={counter:#x}");
+            }
+        },
+    );
 }
 
 #[test]

@@ -650,8 +650,8 @@ impl GuestView<'_> {
     }
 
     /// Replaces guest memory contents.
-    pub fn write(&self, data: &[u8]) {
-        lock(&self.cvm.inner).memory = data.to_vec();
+    pub fn write(&self, data: Vec<u8>) {
+        lock(&self.cvm.inner).memory = data;
     }
 
     /// Appends to guest memory.
@@ -839,7 +839,7 @@ mod tests {
         let (ctx, _report) = platform.launch_measure(&image);
         let cvm = ctx.finish();
         assert_eq!(cvm.guest().read(), b"aggregator-v1");
-        cvm.guest().write(b"model-update-fragment");
+        cvm.guest().write(b"model-update-fragment".to_vec());
         assert_eq!(cvm.guest().read(), b"model-update-fragment");
         cvm.guest().append(b"-more");
         assert_eq!(cvm.guest().read(), b"model-update-fragment-more");
@@ -853,7 +853,7 @@ mod tests {
         let blob = SealedSecret::seal_to(&report, "auth-token", b"token-123", &mut rng).unwrap();
         ctx.inject_secret(&blob, &report.nonce).unwrap();
         let cvm = ctx.finish();
-        cvm.guest().write(b"fragmented-shuffled-update");
+        cvm.guest().write(b"fragmented-shuffled-update".to_vec());
         let dump = cvm.breach();
         assert_eq!(dump.memory, b"fragmented-shuffled-update");
         assert_eq!(

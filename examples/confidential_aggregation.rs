@@ -43,7 +43,7 @@ fn main() {
     println!("6. The CVM runs; a party's fragment lands in guest memory.");
     let cvm = prov.cvm;
     cvm.guest()
-        .write(b"[fragment of a shuffled model update: 0.12 -0.07 0.31 ...]");
+        .write(b"[fragment of a shuffled model update: 0.12 -0.07 0.31 ...]".to_vec());
 
     println!("7. The hypervisor (host administrator) dumps VM memory:");
     let host_view = cvm.host_memory_image();

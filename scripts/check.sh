@@ -11,6 +11,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q -p deta-crypto -p deta-core (crate-level suites)"
+# The root `cargo test` runs only the root package's tests/; the cipher,
+# MAC and RNG known answers, the wide-keystream property, the wire codec
+# properties and the party permutation-cache tests live in these crates.
+cargo test -q -p deta-crypto -p deta-core
+
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
 # Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);
 # the corpus in results/SIM_SEEDS.json is verified, not rewritten — set
