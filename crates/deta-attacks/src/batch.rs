@@ -246,7 +246,7 @@ mod tests {
         let batch_g = batch_mean_gradient(&spec, &params, &images, &labels);
         let mut acc = vec![0.0f32; spec.param_count()];
         for (img, &l) in images.iter().zip(labels.iter()) {
-            let g = batch_mean_gradient(&spec, &params, &[img.clone()], &[l]);
+            let g = batch_mean_gradient(&spec, &params, std::slice::from_ref(img), &[l]);
             for (a, v) in acc.iter_mut().zip(g.iter()) {
                 *a += v / 3.0;
             }

@@ -403,7 +403,7 @@ mod tests {
             &[0.0; 4],
             &at.hard_label_logits(1),
             &vec![0.1; spec.param_count()],
-            &vec![0.0; 10],
+            &[0.0; 10],
         );
         assert_eq!(inputs.len(), at.tape.input_count());
     }

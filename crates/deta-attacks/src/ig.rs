@@ -242,7 +242,7 @@ mod tests {
         let x = tape.inputs(16);
         let tv = tv_prior(&mut tape, &x, (1, 4, 4));
         let mut ev = tape.evaluator();
-        ev.eval(&tape, &vec![0.5; 16]);
+        ev.eval(&tape, &[0.5; 16]);
         let flat = ev.value(tv);
         let checker: Vec<f64> = (0..16)
             .map(|i| if (i / 4 + i % 4) % 2 == 0 { 1.0 } else { 0.0 })

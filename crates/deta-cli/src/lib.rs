@@ -29,6 +29,10 @@ use deta_nn::Sequential;
 use deta_transport::LinkModel;
 use std::collections::HashMap;
 
+/// A deterministic model constructor, as [`Config::model_builder`]
+/// returns it.
+pub type ModelBuilder = Box<dyn Fn(&mut DetRng) -> Sequential>;
+
 /// A parsed `key = value` configuration.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Config {
@@ -149,10 +153,7 @@ impl Config {
     }
 
     /// Builds the model constructor (`model`).
-    pub fn model_builder(
-        &self,
-        spec: &DatasetSpec,
-    ) -> Result<Box<dyn Fn(&mut DetRng) -> Sequential>, ConfigError> {
+    pub fn model_builder(&self, spec: &DatasetSpec) -> Result<ModelBuilder, ConfigError> {
         let hw = spec.height;
         let c = spec.channels;
         let classes = spec.classes;
@@ -364,7 +365,7 @@ pub struct Prepared {
     /// The session configuration.
     pub session: DetaConfig,
     /// The model constructor.
-    pub builder: Box<dyn Fn(&mut DetRng) -> Sequential>,
+    pub builder: ModelBuilder,
     /// One training shard per party.
     pub shards: Vec<LabeledData>,
     /// The shared test set.

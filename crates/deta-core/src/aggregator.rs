@@ -22,6 +22,7 @@ use deta_crypto::{DetRng, SigningKey};
 use deta_paillier::{Ciphertext, PublicKey as PaillierPk};
 use deta_sev_sim::Cvm;
 use deta_telemetry::TelemetryValue;
+use deta_transport::wire::{put_bytes, Reader};
 use deta_transport::{secure, Endpoint, SecureChannel};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -301,18 +302,6 @@ impl AggregatorNode {
         handled
     }
 
-    /// Blocks up to `timeout` for the next message, then drains the
-    /// queue. The service loop for a threaded deployment.
-    pub fn pump_blocking(&mut self, timeout: std::time::Duration) -> usize {
-        match self.endpoint.recv_timeout(timeout) {
-            Err(_) => 0,
-            Ok(msg) => {
-                self.handle_wire(&msg.from, &msg.payload);
-                1 + self.pump()
-            }
-        }
-    }
-
     /// Adversarial-drill hook: sends an arbitrary protocol message to a
     /// registered party over this node's established secure channel —
     /// what a *compromised* aggregator (the paper's threat model) can do
@@ -477,23 +466,19 @@ impl AggregatorNode {
         // (party name, Upload message).
         let mut mem = Vec::new();
         for (name, input) in &uploads {
-            let name_bytes = name.as_bytes();
-            let (Ok(name_len), Ok(encoded)) = (
-                u32::try_from(name_bytes.len()),
-                wire::encode_upload(round, input),
-            ) else {
-                continue;
-            };
-            let Ok(msg_len) = u32::try_from(encoded.len()) else {
+            let Ok(encoded) = wire::encode_upload(round, input) else {
                 continue;
             };
             // Exact growth: the record set is the aggregator's largest
             // allocation, and amortized doubling would overshoot it.
-            mem.reserve_exact(8 + name_bytes.len() + encoded.len());
-            mem.extend_from_slice(&name_len.to_le_bytes());
-            mem.extend_from_slice(name_bytes);
-            mem.extend_from_slice(&msg_len.to_le_bytes());
-            mem.extend_from_slice(&encoded);
+            mem.reserve_exact(8 + name.len() + encoded.len());
+            let record_start = mem.len();
+            if put_bytes(&mut mem, name.as_bytes())
+                .and_then(|()| put_bytes(&mut mem, &encoded))
+                .is_err()
+            {
+                mem.truncate(record_start);
+            }
         }
         let inputs: Vec<Vec<f32>> = uploads.into_iter().map(|(_, frag)| frag).collect();
         self.cvm.guest().write(mem);
@@ -591,35 +576,10 @@ impl AggregatorNode {
 /// ignored.
 pub fn parse_breached_memory(memory: &[u8]) -> Vec<(String, u64, Vec<f32>)> {
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    let read_u32 = |buf: &[u8], pos: usize| -> Option<usize> {
-        let b = buf.get(pos..pos + 4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Some(u32::from_le_bytes(a) as usize)
-    };
-    while pos + 4 <= memory.len() {
-        let Some(name_len) = read_u32(memory, pos) else {
-            break;
-        };
-        pos += 4;
-        let Some(name_bytes) = memory.get(pos..pos + name_len) else {
-            break;
-        };
-        let Ok(name) = String::from_utf8(name_bytes.to_vec()) else {
-            break;
-        };
-        pos += name_len;
-        let Some(msg_len) = read_u32(memory, pos) else {
-            break;
-        };
-        pos += 4;
-        let Some(msg_bytes) = memory.get(pos..pos + msg_len) else {
-            break;
-        };
-        pos += msg_len;
+    let mut r = Reader::new(memory);
+    while let (Ok(name), Ok(msg_bytes)) = (r.str(), r.bytes()) {
         if let Ok(Msg::Upload { round, fragment }) = Msg::decode(msg_bytes) {
-            out.push((name, round, fragment));
+            out.push((name.to_string(), round, fragment));
         }
     }
     out

@@ -36,7 +36,6 @@
 pub mod agg;
 pub mod aggregator;
 pub mod baseline;
-pub mod cluster;
 pub mod dp;
 pub mod keybroker;
 pub mod latency;

@@ -1,5 +1,5 @@
-//! deta-lint / deta-flow: a dependency-free static analyzer enforcing
-//! DeTA's threat-model invariants across the workspace.
+//! deta-lint / deta-flow: a static analyzer, with no dependency outside
+//! the workspace, enforcing DeTA's threat-model invariants across it.
 //!
 //! The DeTA design rests on code-level properties no type system checks:
 //! secrets must not reach logs, authentication comparisons must be
@@ -34,6 +34,7 @@ pub mod taint;
 pub use allow::{parse_allowlist, AllowEntry, MAX_ALLOW_ENTRIES};
 pub use rules::{check_source, check_tokens, Violation};
 
+use deta_obs::Json;
 use std::path::{Path, PathBuf};
 
 /// Result of linting a workspace.
@@ -111,251 +112,31 @@ impl LintReport {
     }
 }
 
-/// Minimal JSON value, just rich enough to validate the report schema.
-#[derive(Debug, PartialEq)]
-enum Json {
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// Hand-rolled JSON reader for [`validate_report_json`] (the workspace
-/// is dependency-free by design). Accepts the subset the report emits:
-/// objects, arrays, strings with the escapes [`json_str`] produces,
-/// non-negative integers, and booleans.
-struct JsonReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonReader<'a> {
-    fn new(text: &'a str) -> JsonReader<'a> {
-        JsonReader {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == byte => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "byte {}: expected {:?}, found {:?}",
-                self.pos,
-                byte as char,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn document(&mut self) -> Result<Json, String> {
-        let value = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("byte {}: trailing content", self.pos));
-        }
-        Ok(value)
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b) if b.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "byte {}: unexpected {:?}",
-                self.pos,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("byte {}: expected `{word}`", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse()
-            .map(Json::Num)
-            .map_err(|_| format!("byte {start}: bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(format!("byte {}: unterminated string", self.pos)),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let escaped = self.bytes.get(self.pos + 1).copied();
-                    self.pos += 2;
-                    match escaped {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            // \uXXXX — the report only emits these for
-                            // control characters; decode and move on.
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            let Some(c) = hex else {
-                                return Err(format!("byte {}: bad \\u escape", self.pos));
-                            };
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!(
-                                "byte {}: bad escape {:?}",
-                                self.pos,
-                                other.map(|b| b as char)
-                            ))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through untouched.
-                    let c = std::str::from_utf8(&self.bytes[self.pos..])
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                        .ok_or_else(|| format!("byte {}: bad UTF-8", self.pos))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected `,` or `]`, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected `,` or `}}`, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-}
-
-fn field<'j>(fields: &'j [(String, Json)], ctx: &str, key: &str) -> Result<&'j Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
+fn field<'j>(obj: &'j Json, ctx: &str, key: &str) -> Result<&'j Json, String> {
+    obj.get(key)
         .ok_or_else(|| format!("{ctx}: missing key `{key}`"))
 }
 
-fn str_field<'j>(fields: &'j [(String, Json)], ctx: &str, key: &str) -> Result<&'j str, String> {
-    match field(fields, ctx, key)? {
-        Json::Str(s) => Ok(s),
-        other => Err(format!(
-            "{ctx}: key `{key}` must be a string, got {other:?}"
-        )),
-    }
+fn str_field<'j>(obj: &'j Json, ctx: &str, key: &str) -> Result<&'j str, String> {
+    let value = field(obj, ctx, key)?;
+    value
+        .as_str()
+        .ok_or_else(|| format!("{ctx}: key `{key}` must be a string, got {value:?}"))
 }
 
-fn num_field(fields: &[(String, Json)], ctx: &str, key: &str) -> Result<f64, String> {
-    match field(fields, ctx, key)? {
-        Json::Num(n) => Ok(*n),
-        other => Err(format!(
-            "{ctx}: key `{key}` must be a number, got {other:?}"
-        )),
-    }
+fn num_field(obj: &Json, ctx: &str, key: &str) -> Result<u64, String> {
+    let value = field(obj, ctx, key)?;
+    value
+        .as_u64()
+        .ok_or_else(|| format!("{ctx}: key `{key}` must be a number, got {value:?}"))
 }
 
-fn obj_items<'j>(value: &'j Json, ctx: &str) -> Result<&'j [(String, Json)], String> {
-    match value {
-        Json::Obj(fields) => Ok(fields),
-        other => Err(format!("{ctx}: expected an object, got {other:?}")),
+fn arr_field<'j>(obj: &'j Json, ctx: &str, key: &str) -> Result<&'j [Json], String> {
+    match field(obj, ctx, key)? {
+        Json::Arr(items) => Ok(items),
+        other => Err(format!(
+            "{ctx}: key `{key}` must be an array, got {other:?}"
+        )),
     }
 }
 
@@ -371,49 +152,31 @@ fn obj_items<'j>(value: &'j Json, ctx: &str) -> Result<&'j [(String, Json)], Str
 ///
 /// A message naming the offending key, field, or rule.
 pub fn validate_report_json(text: &str) -> Result<(), String> {
-    let value = JsonReader::new(text).document()?;
-    let top = obj_items(&value, "report")?;
-    num_field(top, "report", "files_scanned")?;
-    num_field(top, "report", "suppressed")?;
-    let clean = match field(top, "report", "clean")? {
+    let top = Json::parse(text).ok_or("report: not well-formed JSON")?;
+    num_field(&top, "report", "files_scanned")?;
+    num_field(&top, "report", "suppressed")?;
+    let clean = match field(&top, "report", "clean")? {
         Json::Bool(b) => *b,
         other => return Err(format!("report: key `clean` must be a bool, got {other:?}")),
     };
-    let violations = match field(top, "report", "violations")? {
-        Json::Arr(items) => items,
-        other => {
-            return Err(format!(
-                "report: key `violations` must be an array, got {other:?}"
-            ))
-        }
-    };
+    let violations = arr_field(&top, "report", "violations")?;
     for (i, v) in violations.iter().enumerate() {
         let ctx = format!("violations[{i}]");
-        let fields = obj_items(v, &ctx)?;
-        let rule = str_field(fields, &ctx, "rule")?;
+        let rule = str_field(v, &ctx, "rule")?;
         if !rules::ALL_RULES.contains(&rule) {
             return Err(format!("{ctx}: unknown rule `{rule}`"));
         }
-        str_field(fields, &ctx, "path")?;
-        num_field(fields, &ctx, "line")?;
-        str_field(fields, &ctx, "ident")?;
-        str_field(fields, &ctx, "message")?;
+        str_field(v, &ctx, "path")?;
+        num_field(v, &ctx, "line")?;
+        str_field(v, &ctx, "ident")?;
+        str_field(v, &ctx, "message")?;
     }
-    let stale = match field(top, "report", "stale_allows")? {
-        Json::Arr(items) => items,
-        other => {
-            return Err(format!(
-                "report: key `stale_allows` must be an array, got {other:?}"
-            ))
-        }
-    };
+    let stale = arr_field(&top, "report", "stale_allows")?;
     for (i, e) in stale.iter().enumerate() {
         let ctx = format!("stale_allows[{i}]");
-        let fields = obj_items(e, &ctx)?;
-        str_field(fields, &ctx, "rule")?;
-        str_field(fields, &ctx, "path")?;
-        str_field(fields, &ctx, "identifier")?;
-        str_field(fields, &ctx, "reason")?;
+        for key in ["rule", "path", "identifier", "reason"] {
+            str_field(e, &ctx, key)?;
+        }
     }
     if clean && (!violations.is_empty() || !stale.is_empty()) {
         return Err("report: `clean` is true but findings are present".to_string());
@@ -421,23 +184,9 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// JSON string literal with the escapes the report can actually contain.
+/// A JSON string literal.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", deta_obs::json::escape(s))
 }
 
 impl std::fmt::Display for LintReport {

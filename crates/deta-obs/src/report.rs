@@ -331,7 +331,7 @@ mod tests {
     fn nested_spans_attribute_to_the_innermost() {
         // An outer span [0,100) with an inner [40,60): inner wins its
         // window.
-        let spans = vec![
+        let spans = [
             rec(0, "n", "aggregate", 100, 1, &[]),
             rec(40, "n", "seal", 20, 1, &[]),
         ];

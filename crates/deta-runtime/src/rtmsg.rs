@@ -7,7 +7,10 @@
 //! discipline: a tag byte plus length-prefixed fields, total in both
 //! directions — decoding never panics on malformed bytes, and encoding
 //! refuses fields that would overflow their `u32` length prefix instead
-//! of truncating.
+//! of truncating. The field primitives are [`deta_transport::wire`]'s,
+//! shared with the wire codec; this module owns the tags and field order.
+
+use deta_transport::wire::{put_bytes, put_f32s, put_len, Malformed, Reader, TooLong};
 
 /// The supervisor's endpoint name. Reserved: no party or aggregator is
 /// ever named this, so the sender check is unambiguous.
@@ -188,27 +191,19 @@ impl std::fmt::Display for CtlEncodeError {
 
 impl std::error::Error for CtlEncodeError {}
 
-fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), CtlEncodeError> {
-    let len = u32::try_from(len).map_err(|_| CtlEncodeError)?;
-    out.extend_from_slice(&len.to_le_bytes());
-    Ok(())
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> Result<(), CtlEncodeError> {
-    put_len(out, b.len())?;
-    out.extend_from_slice(b);
-    Ok(())
-}
-
-fn put_f32s(out: &mut Vec<u8>, v: &[f32]) -> Result<(), CtlEncodeError> {
-    put_len(out, v.len())?;
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
+impl From<Malformed> for CtlDecodeError {
+    fn from(_: Malformed) -> CtlDecodeError {
+        CtlDecodeError
     }
-    Ok(())
 }
 
-fn put_strings(out: &mut Vec<u8>, v: &[String]) -> Result<(), CtlEncodeError> {
+impl From<TooLong> for CtlEncodeError {
+    fn from(_: TooLong) -> CtlEncodeError {
+        CtlEncodeError
+    }
+}
+
+fn put_names(out: &mut Vec<u8>, v: &[String]) -> Result<(), TooLong> {
     put_len(out, v.len())?;
     for s in v {
         put_bytes(out, s.as_bytes())?;
@@ -216,95 +211,10 @@ fn put_strings(out: &mut Vec<u8>, v: &[String]) -> Result<(), CtlEncodeError> {
     Ok(())
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CtlDecodeError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CtlDecodeError);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CtlDecodeError> {
-        let s = self.take(N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(s);
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CtlDecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CtlDecodeError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, CtlDecodeError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f32(&mut self) -> Result<f32, CtlDecodeError> {
-        Ok(f32::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, CtlDecodeError> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, CtlDecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CtlDecodeError),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, CtlDecodeError> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| CtlDecodeError)
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, CtlDecodeError> {
-        let n = self.u32()? as usize;
-        if self.pos + n.checked_mul(4).ok_or(CtlDecodeError)? > self.buf.len() {
-            return Err(CtlDecodeError);
-        }
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, CtlDecodeError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn strings(&mut self) -> Result<Vec<String>, CtlDecodeError> {
-        let n = self.u32()? as usize;
-        // Each entry costs at least a 4-byte length prefix; reject counts
-        // the buffer cannot possibly hold before allocating.
-        if self.pos + n.checked_mul(4).ok_or(CtlDecodeError)? > self.buf.len() {
-            return Err(CtlDecodeError);
-        }
-        (0..n).map(|_| self.string()).collect()
-    }
-
-    fn finish(self) -> Result<(), CtlDecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CtlDecodeError)
-        }
-    }
+fn names(r: &mut Reader<'_>) -> Result<Vec<String>, Malformed> {
+    // Each entry costs at least its own length prefix.
+    let n = r.count(4)?;
+    (0..n).map(|_| Ok(r.str()?.to_string())).collect()
 }
 
 impl CtlMsg {
@@ -408,7 +318,7 @@ impl CtlMsg {
                 out.push(TAG_REMAP);
                 out.extend_from_slice(&round.to_le_bytes());
                 put_bytes(&mut out, mapper)?;
-                put_strings(&mut out, aggs)?;
+                put_names(&mut out, aggs)?;
             }
             CtlMsg::Replay { round } => {
                 out.push(TAG_REPLAY);
@@ -421,7 +331,7 @@ impl CtlMsg {
             CtlMsg::Topology { initiator, aggs } => {
                 out.push(TAG_TOPOLOGY);
                 put_bytes(&mut out, initiator.as_bytes())?;
-                put_strings(&mut out, aggs)?;
+                put_names(&mut out, aggs)?;
             }
             CtlMsg::Deregister { party } => {
                 out.push(TAG_DEREGISTER);
@@ -441,7 +351,7 @@ impl CtlMsg {
         let msg = match r.u8()? {
             TAG_READY => CtlMsg::Ready,
             TAG_FAILED => CtlMsg::Failed {
-                reason: r.string()?,
+                reason: r.str()?.to_string(),
             },
             TAG_HEARTBEAT => CtlMsg::Heartbeat { seq: r.u64()? },
             TAG_TRIGGER => CtlMsg::Trigger {
@@ -468,34 +378,33 @@ impl CtlMsg {
             },
             TAG_SHUTDOWN => CtlMsg::Shutdown,
             TAG_REBIND => {
-                let n = r.u32()? as usize;
-                // Each entry costs at least 12 bytes of fixed prefixes.
-                if r.pos + n.checked_mul(12).ok_or(CtlDecodeError)? > r.buf.len() {
-                    return Err(CtlDecodeError);
-                }
+                // Each entry costs at least its index and two prefixes.
+                let n = r.count(12)?;
                 let rebinds = (0..n)
                     .map(|_| {
                         Ok(RebindEntry {
                             index: r.u32()?,
-                            name: r.string()?,
-                            verifying_key: r.bytes()?,
+                            name: r.str()?.to_string(),
+                            verifying_key: r.bytes()?.to_vec(),
                         })
                     })
-                    .collect::<Result<Vec<_>, CtlDecodeError>>()?;
+                    .collect::<Result<Vec<_>, Malformed>>()?;
                 CtlMsg::Rebind { rebinds }
             }
             TAG_REMAP => CtlMsg::Remap {
                 round: r.u64()?,
-                mapper: r.bytes()?,
-                aggs: r.strings()?,
+                mapper: r.bytes()?.to_vec(),
+                aggs: names(&mut r)?,
             },
             TAG_REPLAY => CtlMsg::Replay { round: r.u64()? },
             TAG_REOPEN => CtlMsg::Reopen { round: r.u64()? },
             TAG_TOPOLOGY => CtlMsg::Topology {
-                initiator: r.string()?,
-                aggs: r.strings()?,
+                initiator: r.str()?.to_string(),
+                aggs: names(&mut r)?,
             },
-            TAG_DEREGISTER => CtlMsg::Deregister { party: r.string()? },
+            TAG_DEREGISTER => CtlMsg::Deregister {
+                party: r.str()?.to_string(),
+            },
             _ => return Err(CtlDecodeError),
         };
         r.finish()?;
@@ -505,101 +414,19 @@ impl CtlMsg {
 
 #[cfg(test)]
 mod tests {
+    // Golden bytes and the round-trip / truncation / trailing-byte /
+    // allocation laws for every variant live in `tests/wire_laws.rs` at
+    // the workspace root, shared with the other message layers.
     use super::*;
 
-    fn roundtrip(msg: CtlMsg) {
-        let bytes = msg.encode().expect("encode");
-        assert_eq!(CtlMsg::decode(&bytes).expect("decode"), msg);
+    #[test]
+    fn empty_and_unknown_tag_rejected() {
+        assert_eq!(CtlMsg::decode(&[]), Err(CtlDecodeError));
+        assert_eq!(CtlMsg::decode(&[99]), Err(CtlDecodeError));
     }
 
     #[test]
-    fn all_variants_roundtrip() {
-        roundtrip(CtlMsg::Ready);
-        roundtrip(CtlMsg::Failed {
-            reason: "agg-1 failed authentication".to_string(),
-        });
-        roundtrip(CtlMsg::Heartbeat { seq: 42 });
-        roundtrip(CtlMsg::Trigger {
-            round: 7,
-            training_id: [9u8; 16],
-        });
-        roundtrip(CtlMsg::RoundPlan {
-            round: 3,
-            train: true,
-            report_params: false,
-        });
-        roundtrip(CtlMsg::PartyDone {
-            round: 3,
-            trained: true,
-            train_loss: 0.25,
-            train_s: 1.5,
-            transform_s: 0.125,
-            crypto_s: 0.0,
-            params: Some(vec![1.0, -2.5, 3.25]),
-        });
-        roundtrip(CtlMsg::PartyDone {
-            round: 4,
-            trained: false,
-            train_loss: 0.0,
-            train_s: 0.0,
-            transform_s: 0.0,
-            crypto_s: 0.0,
-            params: None,
-        });
-        roundtrip(CtlMsg::AggDone {
-            round: 3,
-            aggregate_s: 0.5,
-        });
-        roundtrip(CtlMsg::Shutdown);
-        roundtrip(CtlMsg::Rebind {
-            rebinds: vec![
-                RebindEntry {
-                    index: 2,
-                    name: "agg-2#r1".to_string(),
-                    verifying_key: vec![1, 2, 3, 4],
-                },
-                RebindEntry {
-                    index: 0,
-                    name: "agg-0#r3".to_string(),
-                    verifying_key: vec![9; 32],
-                },
-            ],
-        });
-        roundtrip(CtlMsg::Rebind {
-            rebinds: Vec::new(),
-        });
-        roundtrip(CtlMsg::Remap {
-            round: 5,
-            mapper: vec![0, 0, 1, 0, 0, 0],
-            aggs: vec!["agg-0".to_string(), "agg-2".to_string()],
-        });
-        roundtrip(CtlMsg::Replay { round: 5 });
-        roundtrip(CtlMsg::Reopen { round: 5 });
-        roundtrip(CtlMsg::Topology {
-            initiator: "agg-2".to_string(),
-            aggs: vec!["agg-2".to_string(), "agg-0#r1".to_string()],
-        });
-        roundtrip(CtlMsg::Remap {
-            round: 1,
-            mapper: Vec::new(),
-            aggs: Vec::new(),
-        });
-        roundtrip(CtlMsg::Deregister {
-            party: "party-3".to_string(),
-        });
-    }
-
-    #[test]
-    fn malformed_inputs_are_rejected_not_panicked() {
-        assert!(CtlMsg::decode(&[]).is_err());
-        assert!(CtlMsg::decode(&[99]).is_err());
-        // Truncated Failed payload.
-        assert!(CtlMsg::decode(&[TAG_FAILED, 10, 0, 0, 0, b'x']).is_err());
-        // Trailing garbage after a valid frame.
-        let mut ok = CtlMsg::Ready.encode().expect("encode");
-        ok.push(0);
-        assert!(CtlMsg::decode(&ok).is_err());
-        // Out-of-range bool.
+    fn out_of_range_flag_rejected() {
         let mut plan = CtlMsg::RoundPlan {
             round: 1,
             train: true,
@@ -607,26 +434,16 @@ mod tests {
         }
         .encode()
         .expect("encode");
-        let last = plan.len() - 2;
-        plan[last] = 7;
-        assert!(CtlMsg::decode(&plan).is_err());
-        // Truncated Rebind token.
-        let mut rebind = CtlMsg::Rebind {
-            rebinds: vec![RebindEntry {
-                index: 0,
-                name: "agg-0#r1".to_string(),
-                verifying_key: vec![9; 32],
-            }],
-        }
-        .encode()
-        .expect("encode");
-        rebind.truncate(rebind.len() - 1);
-        assert!(CtlMsg::decode(&rebind).is_err());
-        // String-list count larger than the remaining buffer.
-        let mut topo = vec![TAG_TOPOLOGY];
-        topo.extend_from_slice(&1u32.to_le_bytes());
-        topo.push(b'a');
-        topo.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(CtlMsg::decode(&topo).is_err());
+        let train = plan.len() - 2;
+        plan[train] = 7;
+        assert_eq!(CtlMsg::decode(&plan), Err(CtlDecodeError));
+    }
+
+    #[test]
+    fn non_utf8_reason_rejected() {
+        let mut bytes = vec![TAG_FAILED];
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&[0xff, 0xfe]);
+        assert_eq!(CtlMsg::decode(&bytes), Err(CtlDecodeError));
     }
 }

@@ -34,17 +34,14 @@
 //! and is replayed to late (re)connectors — so each child mirrors the
 //! closure into its local replica.
 
-use crate::link::{LinkSender, SecureLink};
-use crate::wire::{
-    auth_transcript, retransmit_enabled, ReplayWindow, SeqTracker, SocketFrame,
-    RETRANSMIT_MAX_BYTES, RETRANSMIT_MAX_FRAMES,
-};
+use crate::link::{LinkSender, RetransmitBuffer, SecureLink};
+use crate::wire::{auth_transcript, ReplayWindow, SeqTracker, SocketFrame};
 use crate::{hub_identity, party_link_key, SocketError};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_runtime::DetachedNodes;
 use deta_telemetry::{FlightRecorder, TelemetryValue};
 use deta_transport::{Endpoint, NetError, Network, RecvError};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -111,19 +108,14 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// Per-seat egress state: the live writer queue (absent while parked)
 /// plus the bounded retransmit buffer holding every stamped frame not
 /// yet known to be delivered.
+#[derive(Default)]
 struct NodeEgress {
     /// The live connection's writer queue; `None` while the seat is
     /// parked — frames then only accumulate in `buffer`.
     tx: Option<Sender<SocketFrame>>,
-    /// Stamped `Data` frames toward this node, oldest first, retained
-    /// until a resume's claims prove delivery.
-    buffer: VecDeque<SocketFrame>,
-    /// Total buffered payload bytes (the byte-cap accounting).
-    buffer_bytes: usize,
-    /// Per-(src, dst) seq of the oldest frame still retransmittable;
-    /// an entry appears only once eviction has discarded something on
-    /// that link.
-    floor: BTreeMap<(String, String), u64>,
+    /// Stamped `Data` frames toward this node, retained until a resume's
+    /// claims prove delivery.
+    buffer: RetransmitBuffer,
     /// Whether any connection ever served this seat (a later
     /// connection is a *resume*, counted as a reconnect).
     ever_connected: bool,
@@ -133,86 +125,15 @@ struct NodeEgress {
 }
 
 impl NodeEgress {
-    fn new() -> NodeEgress {
-        NodeEgress {
-            tx: None,
-            buffer: VecDeque::new(),
-            buffer_bytes: 0,
-            floor: BTreeMap::new(),
-            ever_connected: false,
-            ingress_frames: 0,
-        }
-    }
-
-    fn frame_bytes(frame: &SocketFrame) -> usize {
-        match frame {
-            SocketFrame::Data { payload, .. } => payload.len(),
-            _ => 0,
-        }
-    }
-
-    /// Buffers a stamped frame for retransmission — evicting from the
-    /// front and advancing the per-link floor when over either cap —
-    /// and forwards it to the live writer, if any.
+    /// Forwards a stamped frame to the live writer, if any, and retains
+    /// it for retransmission.
     fn push(&mut self, frame: SocketFrame) {
         if let Some(tx) = &self.tx {
             // A failed send means the writer died with the connection;
             // the frame stays buffered for the resume.
             let _ = tx.send(frame.clone());
-            // Bench knob: with buffering off, a frame a live link took
-            // is not retained. Pre-connect frames still buffer — that
-            // is first-connect delivery, not crash recovery.
-            if !retransmit_enabled() {
-                return;
-            }
         }
-        self.buffer_bytes += Self::frame_bytes(&frame);
-        self.buffer.push_back(frame);
-        while self.buffer.len() > RETRANSMIT_MAX_FRAMES || self.buffer_bytes > RETRANSMIT_MAX_BYTES
-        {
-            let Some(old) = self.buffer.pop_front() else {
-                break;
-            };
-            self.buffer_bytes = self.buffer_bytes.saturating_sub(Self::frame_bytes(&old));
-            if let SocketFrame::Data { src, dst, seq, .. } = old {
-                self.floor.insert((src, dst), seq + 1);
-            }
-        }
-    }
-
-    /// Prunes the buffer to the frames a resuming peer still needs,
-    /// per its claimed delivered state (absent links claim 0).
-    ///
-    /// # Errors
-    ///
-    /// [`SocketError::Resync`] when a needed frame was already evicted;
-    /// the seat must then be retired, not resumed.
-    fn prune(&mut self, claims: &BTreeMap<(String, String), u64>) -> Result<(), SocketError> {
-        for ((src, dst), floor) in &self.floor {
-            let claimed = claims
-                .get(&(src.clone(), dst.clone()))
-                .copied()
-                .unwrap_or(0);
-            if claimed < *floor {
-                return Err(SocketError::Resync {
-                    link: format!("{src}->{dst}"),
-                    wanted: claimed,
-                    oldest: *floor,
-                });
-            }
-        }
-        self.buffer.retain(|f| match f {
-            SocketFrame::Data { src, dst, seq, .. } => {
-                let claimed = claims
-                    .get(&(src.clone(), dst.clone()))
-                    .copied()
-                    .unwrap_or(0);
-                *seq >= claimed
-            }
-            _ => true,
-        });
-        self.buffer_bytes = self.buffer.iter().map(Self::frame_bytes).sum();
-        Ok(())
+        self.buffer.push(frame);
     }
 }
 
@@ -324,7 +245,7 @@ impl SocketHub {
         let seat_names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
         let egress = seat_names
             .iter()
-            .map(|n| (n.clone(), NodeEgress::new()))
+            .map(|n| (n.clone(), NodeEgress::default()))
             .collect();
         let shared = Arc::new(HubShared {
             network,
@@ -570,7 +491,7 @@ fn serve(
     // on a first connection); any other first frame is an implicit
     // empty resume — a fresh-windowed peer expecting every link from
     // seq 0 — and is then processed as normal ingress.
-    let mut claims: BTreeMap<(String, String), u64> = BTreeMap::new();
+    let mut claims = Vec::new();
     let mut send_ack = false;
     let mut pending: Option<SocketFrame> = None;
     match link.recv(None, Some(&shared.stop)) {
@@ -582,7 +503,7 @@ fn serve(
                 });
                 return;
             }
-            claims = windows.into_iter().map(|(s, d, n)| ((s, d), n)).collect();
+            claims = windows;
             send_ack = true;
         }
         Ok(Some(frame)) => pending = Some(frame),
@@ -619,7 +540,7 @@ fn serve(
         let Some(entry) = egress.get_mut(&name) else {
             return;
         };
-        if let Err(e) = entry.prune(&claims) {
+        if let Err(e) = entry.buffer.prune(claims) {
             // The frames this peer needs are gone: retire the seat.
             drop(egress);
             shared.record_error(e);
@@ -628,12 +549,8 @@ fn serve(
             return;
         }
         let replayed = entry.buffer.len() as u64;
-        for frame in &entry.buffer {
+        for frame in entry.buffer.frames() {
             let _ = tx.send(frame.clone());
-        }
-        if !retransmit_enabled() {
-            entry.buffer.clear();
-            entry.buffer_bytes = 0;
         }
         // Closures missed while parked (or before the first connect)
         // are replayed idempotently, after the Data backlog.

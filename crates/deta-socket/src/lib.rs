@@ -47,7 +47,7 @@ mod link;
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use hub::{HubSeat, SocketHub, TraceHarvest};
 pub use node::run_node;
-pub use wire::{set_retransmit_buffering, ReplayWindow, SeqTracker, SocketFrame};
+pub use wire::{ReplayWindow, SeqTracker, SocketFrame};
 
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use std::fmt;

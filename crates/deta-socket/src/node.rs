@@ -30,11 +30,8 @@
 //! with a structured [`SocketError::Disconnected`] and closes its own
 //! mailbox, so the hosted actor exits instead of hanging.
 
-use crate::link::{LinkReceiver, LinkSender, SecureLink};
-use crate::wire::{
-    auth_transcript, retransmit_enabled, ReplayWindow, SeqTracker, SocketFrame,
-    RETRANSMIT_MAX_BYTES, RETRANSMIT_MAX_FRAMES,
-};
+use crate::link::{LinkReceiver, LinkSender, RetransmitBuffer, SecureLink};
+use crate::wire::{auth_transcript, ReplayWindow, SeqTracker, SocketFrame};
 use crate::{hub_verifying_key, party_link_key, SocketError};
 use deta_core::aggregator::AggregatorNode;
 use deta_core::party::Party;
@@ -46,7 +43,6 @@ use deta_runtime::actor::{run_aggregator, run_party, ActorContext};
 use deta_runtime::SUPERVISOR;
 use deta_telemetry::FlightRecorder;
 use deta_transport::{FaultPolicy, NetTap, Network, SendVerdict};
-use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -137,6 +133,7 @@ impl NetTap for NullTap {
 
 /// Link state that must survive reconnections, shared by the writer
 /// (stamping and sending) and the reader (reconnecting and resuming).
+#[derive(Default)]
 struct LinkState {
     /// Live write half; `None` while parked or reconnecting.
     sender: Option<LinkSender>,
@@ -146,14 +143,9 @@ struct LinkState {
     /// Ingress window. Connection-independent, so a replay of an
     /// already-delivered frame still dies after any number of resumes.
     window: ReplayWindow,
-    /// Unacknowledged egress frames, oldest first, bounded by
-    /// [`RETRANSMIT_MAX_FRAMES`]/[`RETRANSMIT_MAX_BYTES`].
-    buffer: VecDeque<SocketFrame>,
-    /// Total buffered payload bytes.
-    buffer_bytes: usize,
-    /// Per-(src, dst) seq of the oldest retransmittable frame; entries
-    /// appear only once eviction has discarded something.
-    floor: BTreeMap<(String, String), u64>,
+    /// Unacknowledged egress frames, retained until the hub's
+    /// `ResumeAck` proves delivery.
+    buffer: RetransmitBuffer,
     /// Set once the link is gone for good (budget exhausted, fatal
     /// violation, or orderly shutdown).
     retired: bool,
@@ -168,86 +160,16 @@ struct LinkShared {
 }
 
 impl LinkState {
-    fn new() -> LinkState {
-        LinkState {
-            sender: None,
-            seqs: SeqTracker::new(),
-            window: ReplayWindow::new(),
-            buffer: VecDeque::new(),
-            buffer_bytes: 0,
-            floor: BTreeMap::new(),
-            retired: false,
-        }
-    }
-
-    fn frame_bytes(frame: &SocketFrame) -> usize {
-        match frame {
-            SocketFrame::Data { payload, .. } => payload.len(),
-            _ => 0,
-        }
-    }
-
     /// Sends a stamped frame on the live link (a send failure parks the
     /// write half; the reader notices the same death and reconnects)
-    /// and retains it for retransmission, evicting past the caps.
+    /// and retains it for retransmission.
     fn push(&mut self, frame: SocketFrame) {
         if let Some(sender) = self.sender.as_mut() {
             if sender.send(&frame).is_err() {
                 self.sender = None;
-            } else if !retransmit_enabled() {
-                // Bench knob: a frame the live link took is not
-                // retained. Pre-connect frames still buffer — that is
-                // first-connect delivery, not crash recovery.
-                return;
             }
         }
-        self.buffer_bytes += Self::frame_bytes(&frame);
-        self.buffer.push_back(frame);
-        while self.buffer.len() > RETRANSMIT_MAX_FRAMES || self.buffer_bytes > RETRANSMIT_MAX_BYTES
-        {
-            let Some(old) = self.buffer.pop_front() else {
-                break;
-            };
-            self.buffer_bytes = self.buffer_bytes.saturating_sub(Self::frame_bytes(&old));
-            if let SocketFrame::Data { src, dst, seq, .. } = old {
-                self.floor.insert((src, dst), seq + 1);
-            }
-        }
-    }
-
-    /// Prunes the buffer to the frames the hub still needs, per its
-    /// `ResumeAck` claims (absent links claim 0).
-    ///
-    /// # Errors
-    ///
-    /// [`SocketError::Resync`] when a needed frame was already evicted;
-    /// the link cannot be resumed without a silent gap.
-    fn prune(&mut self, claims: &BTreeMap<(String, String), u64>) -> Result<(), SocketError> {
-        for ((src, dst), floor) in &self.floor {
-            let claimed = claims
-                .get(&(src.clone(), dst.clone()))
-                .copied()
-                .unwrap_or(0);
-            if claimed < *floor {
-                return Err(SocketError::Resync {
-                    link: format!("{src}->{dst}"),
-                    wanted: claimed,
-                    oldest: *floor,
-                });
-            }
-        }
-        self.buffer.retain(|f| match f {
-            SocketFrame::Data { src, dst, seq, .. } => {
-                let claimed = claims
-                    .get(&(src.clone(), dst.clone()))
-                    .copied()
-                    .unwrap_or(0);
-                *seq >= claimed
-            }
-            _ => true,
-        });
-        self.buffer_bytes = self.buffer.iter().map(Self::frame_bytes).sum();
-        Ok(())
+        self.buffer.push(frame);
     }
 }
 
@@ -318,10 +240,8 @@ impl Reconnector {
             src: self.name.clone(),
             windows: st.window.snapshot(),
         })?;
-        let claims: BTreeMap<(String, String), u64> = match link.recv(deadline, None)? {
-            Some(SocketFrame::ResumeAck { windows }) => {
-                windows.into_iter().map(|(s, d, n)| ((s, d), n)).collect()
-            }
+        let claims = match link.recv(deadline, None)? {
+            Some(SocketFrame::ResumeAck { windows }) => windows,
             _ => {
                 return Err(SocketError::Auth {
                     peer: self.name.clone(),
@@ -329,14 +249,10 @@ impl Reconnector {
                 })
             }
         };
-        st.prune(&claims)?;
+        st.buffer.prune(claims)?;
         let (mut sender, receiver) = link.split()?;
-        for frame in &st.buffer {
+        for frame in st.buffer.frames() {
             sender.send(frame)?;
-        }
-        if !retransmit_enabled() {
-            st.buffer.clear();
-            st.buffer_bytes = 0;
         }
         st.sender = Some(sender);
         shared.live.notify_all();
@@ -413,7 +329,7 @@ pub fn run_node(
             .fork(name.as_bytes()),
     };
     let shared = Arc::new(LinkShared {
-        state: Mutex::new(LinkState::new()),
+        state: Mutex::new(LinkState::default()),
         live: Condvar::new(),
     });
     let receiver = reconnector.connect(&shared)?;

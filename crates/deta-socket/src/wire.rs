@@ -9,6 +9,7 @@
 //! frame, or delivering frames out of order, is caught by the strict
 //! per-link window and rejected with an error naming the link.
 
+use deta_transport::wire::{put_bytes, put_len, put_str16, Malformed, Reader, TooLong};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -105,32 +106,6 @@ pub enum SocketFrame {
 /// here can never be confused with a protocol-layer signature.
 pub const AUTH_DOMAIN: &[u8] = b"deta-socket-auth-v1";
 
-/// Retransmit-buffer cap, in frames, per endpoint. Both bridge sides
-/// bound their unacknowledged-frame buffers identically; past either
-/// cap the oldest frames are evicted and the per-link floor advances,
-/// so a later resume needing them fails with a structured `Resync`
-/// error instead of a silent gap.
-pub(crate) const RETRANSMIT_MAX_FRAMES: usize = 1024;
-
-/// Retransmit-buffer cap, in buffered payload bytes, per endpoint. The
-/// byte cap is the one that matters for model uploads: a count-only
-/// bound would happily pin hundreds of megabytes per seat.
-pub(crate) const RETRANSMIT_MAX_BYTES: usize = 8 * 1024 * 1024;
-
-static RETRANSMIT_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Bench-only toggle: with buffering off, frames are forwarded but not
-/// retained, so a resume after an outage cannot replay them. Used to
-/// measure the fault-free overhead of the retransmit buffer; never
-/// disable it in a deployment that expects link churn.
-pub fn set_retransmit_buffering(on: bool) {
-    RETRANSMIT_ENABLED.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-pub(crate) fn retransmit_enabled() -> bool {
-    RETRANSMIT_ENABLED.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// The message an [`SocketFrame::AuthProof`] signature covers.
 pub fn auth_transcript(nonce: &[u8; 32], name: &str) -> Vec<u8> {
     let mut msg = Vec::with_capacity(AUTH_DOMAIN.len() + 32 + name.len());
@@ -152,110 +127,37 @@ const TAG_TRACE_SHIP: u8 = 9;
 const TAG_RESUME: u8 = 10;
 const TAG_RESUME_ACK: u8 = 11;
 
-fn put_windows(out: &mut Vec<u8>, windows: &[(String, String, u64)]) {
-    // Link counts are bounded by the session roster squared; the clamp
-    // keeps the encoder total instead of panicking.
-    let len = u32::try_from(windows.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&len.to_le_bytes());
-    for (src, dst, next) in windows.iter().take(len as usize) {
-        put_str(out, src);
-        put_str(out, dst);
+fn put_windows(out: &mut Vec<u8>, windows: &[(String, String, u64)]) -> Result<(), TooLong> {
+    put_len(out, windows.len())?;
+    for (src, dst, next) in windows {
+        put_str16(out, src)?;
+        put_str16(out, dst)?;
         out.extend_from_slice(&next.to_le_bytes());
     }
+    Ok(())
 }
 
-fn read_windows(r: &mut Reader<'_>) -> Option<Vec<(String, String, u64)>> {
-    let len = r.u32()? as usize;
-    // Each entry consumes at least 12 bytes (two length prefixes plus
-    // the counter); a length prefix that promises more entries than the
-    // buffer could hold is rejected before any allocation.
-    if len > r.remaining() / 12 {
-        return None;
-    }
-    let mut windows = Vec::with_capacity(len);
-    for _ in 0..len {
-        windows.push((r.str()?, r.str()?, r.u64()?));
-    }
-    Some(windows)
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    // Endpoint names are short; anything longer is clamped rather than
-    // silently truncated by a narrowing cast.
-    let len = u16::try_from(s.len()).unwrap_or(u16::MAX);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..usize::from(len)]);
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    // Payloads above 4 GiB cannot exist (MAX_FRAME is far smaller); the
-    // clamp keeps the encoder total instead of panicking.
-    let len = u32::try_from(b.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&b[..len as usize]);
-}
-
-/// Bounds-checked sequential reader over an untrusted buffer.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        let b = self.take(2)?;
-        Some(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Some(u64::from_le_bytes(a))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).ok()
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let len = self.u32()? as usize;
-        self.take(len).map(<[u8]>::to_vec)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
+fn read_windows(r: &mut Reader<'_>) -> Result<Vec<(String, String, u64)>, Malformed> {
+    // Each entry costs at least two length prefixes plus the counter.
+    let n = r.count(12)?;
+    (0..n)
+        .map(|_| Ok((r.str16()?.to_string(), r.str16()?.to_string(), r.u64()?)))
+        .collect()
 }
 
 impl SocketFrame {
     /// Serializes the frame (the secure channel seals the result).
+    ///
+    /// A field too long for its prefix — a name over 65,535 bytes, a
+    /// payload over 4 GiB; neither can occur, names come from the roster
+    /// and [`crate::MAX_FRAME`] is far smaller — yields an empty
+    /// encoding, which every decoder rejects, never a truncated field
+    /// that would decode as a different frame.
     pub fn encode(&self) -> Vec<u8> {
+        self.try_encode().unwrap_or_default()
+    }
+
+    fn try_encode(&self) -> Result<Vec<u8>, TooLong> {
         let mut out = Vec::new();
         match self {
             SocketFrame::Data {
@@ -265,14 +167,14 @@ impl SocketFrame {
                 payload,
             } => {
                 out.push(TAG_DATA);
-                put_str(&mut out, src);
-                put_str(&mut out, dst);
+                put_str16(&mut out, src)?;
+                put_str16(&mut out, dst)?;
                 out.extend_from_slice(&seq.to_le_bytes());
-                put_bytes(&mut out, payload);
+                put_bytes(&mut out, payload)?;
             }
             SocketFrame::Close { name } => {
                 out.push(TAG_CLOSE);
-                put_str(&mut out, name);
+                put_str16(&mut out, name)?;
             }
             SocketFrame::Challenge { nonce } => {
                 out.push(TAG_CHALLENGE);
@@ -280,8 +182,8 @@ impl SocketFrame {
             }
             SocketFrame::AuthProof { name, sig } => {
                 out.push(TAG_AUTH_PROOF);
-                put_str(&mut out, name);
-                put_bytes(&mut out, sig);
+                put_str16(&mut out, name)?;
+                put_bytes(&mut out, sig)?;
             }
             SocketFrame::Welcome => out.push(TAG_WELCOME),
             SocketFrame::Bye => out.push(TAG_BYE),
@@ -303,45 +205,46 @@ impl SocketFrame {
                 jsonl,
             } => {
                 out.push(TAG_TRACE_SHIP);
-                put_str(&mut out, name);
+                put_str16(&mut out, name)?;
                 out.extend_from_slice(&dropped.to_le_bytes());
-                put_bytes(&mut out, jsonl);
+                put_bytes(&mut out, jsonl)?;
             }
             SocketFrame::Resume { src, windows } => {
                 out.push(TAG_RESUME);
-                put_str(&mut out, src);
-                put_windows(&mut out, windows);
+                put_str16(&mut out, src)?;
+                put_windows(&mut out, windows)?;
             }
             SocketFrame::ResumeAck { windows } => {
                 out.push(TAG_RESUME_ACK);
-                put_windows(&mut out, windows);
+                put_windows(&mut out, windows)?;
             }
         }
-        out
+        Ok(out)
     }
 
     /// Parses a frame; `None` on any malformed input (truncated,
     /// trailing bytes, unknown tag, invalid UTF-8). Total — never
     /// panics.
     pub fn decode(buf: &[u8]) -> Option<SocketFrame> {
-        let mut r = Reader { buf, pos: 0 };
+        SocketFrame::try_decode(buf).ok()
+    }
+
+    fn try_decode(buf: &[u8]) -> Result<SocketFrame, Malformed> {
+        let mut r = Reader::new(buf);
         let frame = match r.u8()? {
             TAG_DATA => SocketFrame::Data {
-                src: r.str()?,
-                dst: r.str()?,
+                src: r.str16()?.to_string(),
+                dst: r.str16()?.to_string(),
                 seq: r.u64()?,
-                payload: r.bytes()?,
+                payload: r.bytes()?.to_vec(),
             },
-            TAG_CLOSE => SocketFrame::Close { name: r.str()? },
-            TAG_CHALLENGE => {
-                let b = r.take(32)?;
-                let mut nonce = [0u8; 32];
-                nonce.copy_from_slice(b);
-                SocketFrame::Challenge { nonce }
-            }
+            TAG_CLOSE => SocketFrame::Close {
+                name: r.str16()?.to_string(),
+            },
+            TAG_CHALLENGE => SocketFrame::Challenge { nonce: r.array()? },
             TAG_AUTH_PROOF => SocketFrame::AuthProof {
-                name: r.str()?,
-                sig: r.bytes()?,
+                name: r.str16()?.to_string(),
+                sig: r.bytes()?.to_vec(),
             },
             TAG_WELCOME => SocketFrame::Welcome,
             TAG_BYE => SocketFrame::Bye,
@@ -351,24 +254,21 @@ impl SocketFrame {
                 t_peer_ns: r.u64()?,
             },
             TAG_TRACE_SHIP => SocketFrame::TraceShip {
-                name: r.str()?,
+                name: r.str16()?.to_string(),
                 dropped: r.u64()?,
-                jsonl: r.bytes()?,
+                jsonl: r.bytes()?.to_vec(),
             },
             TAG_RESUME => SocketFrame::Resume {
-                src: r.str()?,
+                src: r.str16()?.to_string(),
                 windows: read_windows(&mut r)?,
             },
             TAG_RESUME_ACK => SocketFrame::ResumeAck {
                 windows: read_windows(&mut r)?,
             },
-            _ => return None,
+            _ => return Err(Malformed),
         };
-        if r.done() {
-            Some(frame)
-        } else {
-            None
-        }
+        r.finish()?;
+        Ok(frame)
     }
 }
 

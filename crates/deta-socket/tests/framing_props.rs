@@ -1,14 +1,14 @@
-//! Property tests for the bridge's byte-stream layers: the outer
-//! length-prefixed framing ([`FrameDecoder`]) and the inner tagged
-//! frame codec ([`SocketFrame`]).
+//! Property tests for the bridge's outer length-prefixed framing
+//! ([`FrameDecoder`]); the inner tagged frame codec's laws are in
+//! `tests/wire_laws.rs` at the workspace root.
 //!
 //! The decoder sits directly on attacker-reachable bytes (a TCP peer
 //! controls them before any authentication), so the properties here are
-//! totality properties: no input, however mangled, may panic either
-//! layer, and honest encodings must survive arbitrary re-chunking.
+//! totality properties: no input, however mangled, may panic it, and
+//! honest encodings must survive arbitrary re-chunking.
 
 use deta_proptest::{cases, Gen};
-use deta_socket::{encode_frame, FrameDecoder, SocketFrame, MAX_FRAME};
+use deta_socket::{encode_frame, FrameDecoder, MAX_FRAME};
 
 /// Drains every decodable frame, stopping at a framing error.
 fn drain(decoder: &mut FrameDecoder) -> Result<Vec<Vec<u8>>, usize> {
@@ -75,98 +75,5 @@ fn encode_then_rechunk_round_trips_exactly() {
         }
         assert_eq!(decoded, frames, "re-chunking must not alter frames");
         assert_eq!(decoder.buffered(), 0, "no bytes may be left behind");
-    });
-}
-
-fn arbitrary_name(g: &mut Gen) -> String {
-    g.string_of("abcdefghijklmnopqrstuvwxyz-0123456789", 0, 24)
-}
-
-fn arbitrary_windows(g: &mut Gen) -> Vec<(String, String, u64)> {
-    g.vec_of(0, 6, |g| (arbitrary_name(g), arbitrary_name(g), g.u64()))
-}
-
-fn arbitrary_socket_frame(g: &mut Gen) -> SocketFrame {
-    match g.usize_in(0, 11) {
-        0 => SocketFrame::Data {
-            src: arbitrary_name(g),
-            dst: arbitrary_name(g),
-            seq: g.u64(),
-            payload: g.bytes(0, 400),
-        },
-        1 => SocketFrame::Close {
-            name: arbitrary_name(g),
-        },
-        2 => SocketFrame::Challenge { nonce: g.array() },
-        3 => SocketFrame::AuthProof {
-            name: arbitrary_name(g),
-            sig: g.bytes(0, 96),
-        },
-        4 => SocketFrame::Welcome,
-        5 => SocketFrame::ClockProbe { t_hub_ns: g.u64() },
-        6 => SocketFrame::ClockEcho {
-            t_hub_ns: g.u64(),
-            t_peer_ns: g.u64(),
-        },
-        7 => SocketFrame::TraceShip {
-            name: arbitrary_name(g),
-            dropped: g.u64(),
-            jsonl: g.bytes(0, 400),
-        },
-        8 => SocketFrame::Resume {
-            src: arbitrary_name(g),
-            windows: arbitrary_windows(g),
-        },
-        9 => SocketFrame::ResumeAck {
-            windows: arbitrary_windows(g),
-        },
-        _ => SocketFrame::Bye,
-    }
-}
-
-#[test]
-fn resume_window_count_cannot_force_allocation() {
-    // A Resume whose length prefix promises far more entries than the
-    // buffer holds must be rejected before any proportional allocation.
-    let mut evil = vec![10u8]; // TAG_RESUME
-    evil.extend_from_slice(&2u16.to_le_bytes());
-    evil.extend_from_slice(b"p0");
-    evil.extend_from_slice(&u32::MAX.to_le_bytes());
-    assert_eq!(SocketFrame::decode(&evil), None);
-}
-
-#[test]
-fn socket_frame_codec_round_trips() {
-    cases("socket/wire-roundtrip", 400, |g: &mut Gen| {
-        let frame = arbitrary_socket_frame(g);
-        let encoded = frame.encode();
-        let decoded = SocketFrame::decode(&encoded).expect("own encoding must decode");
-        assert_eq!(decoded, frame, "decode must invert encode");
-    });
-}
-
-#[test]
-fn socket_frame_decode_is_total() {
-    cases("socket/wire-total", 400, |g: &mut Gen| {
-        // Raw garbage: decode may reject, must not panic.
-        let garbage = g.bytes(0, 256);
-        let _ = SocketFrame::decode(&garbage);
-        // Mutated honest encodings: still no panics, and any successful
-        // decode of a truncation/extension must itself re-encode.
-        let mut encoded = arbitrary_socket_frame(g).encode();
-        if !encoded.is_empty() && g.bool() {
-            let idx = g.usize_in(0, encoded.len());
-            encoded[idx] ^= g.u8() | 1;
-        }
-        if g.bool() {
-            encoded.truncate(g.usize_in(0, encoded.len() + 1));
-        } else {
-            let extra = g.bytes(1, 16);
-            encoded.extend_from_slice(&extra);
-        }
-        if let Some(frame) = SocketFrame::decode(&encoded) {
-            let again = SocketFrame::decode(&frame.encode()).expect("re-encode must decode");
-            assert_eq!(again, frame);
-        }
     });
 }

@@ -11,6 +11,8 @@
 //!   signed Diffie-Hellman handshake, standing in for TLS. The responder
 //!   authenticates with its provisioned token key, which is exactly how
 //!   DeTA parties confirm they talk to attested aggregators.
+//! * [`wire`] — the length-prefix writers and the bounds-checked
+//!   [`wire::Reader`] under every message codec in the workspace.
 //!
 //! The network is synchronous and deterministic: messages are delivered in
 //! send order, and "latency" is an accounting quantity derived from
@@ -48,6 +50,7 @@
 //! ```
 
 pub mod secure;
+pub mod wire;
 
 pub use secure::{HandshakeInitiator, SecureChannel, TransportError};
 

@@ -11,11 +11,14 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q -p deta-crypto -p deta-core (crate-level suites)"
+echo "==> crate-level suites (crypto, transport, core, runtime, socket, lint, obs)"
 # The root `cargo test` runs only the root package's tests/; the cipher,
-# MAC and RNG known answers, the wide-keystream property, the wire codec
-# properties and the party permutation-cache tests live in these crates.
-cargo test -q -p deta-crypto -p deta-core
+# MAC and RNG known answers, the wire layer's unit tests, the transform
+# and party permutation-cache properties, the control-plane codec's
+# rejection cases, the framing / replay-window / resume properties, the
+# lint fixtures and the trace-merge properties live in these crates.
+cargo test -q -p deta-crypto -p deta-transport -p deta-core -p deta-runtime \
+  -p deta-socket -p deta-lint -p deta-obs
 
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
 # Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);
@@ -34,17 +37,11 @@ echo "==> recovery latency (4 parties x 4 aggregators, gate: <3% checkpoint over
 # FailoverPolicy::Restart and reports the healing latency.
 cargo run --release -q -p deta-bench --bin recovery_latency
 
-echo "==> socket throughput (in-process vs TCP loopback at k=1/2/4, parity-gated)"
-# Writes BENCH_socket.json to a temp dir (DETA_BENCH_REWRITE=1 to
-# refresh results/); every TCP sample is asserted bit-identical to its
-# in-process twin before timing is reported.
-cargo run --release -q -p deta-bench --bin socket_throughput
-
-echo "==> reconnect latency (retransmit-buffer gate: <2% fault-free overhead, parity-gated severs)"
+echo "==> reconnect latency (parity-gated TCP severs)"
 # Writes BENCH_reconnect.json to a temp dir (DETA_BENCH_REWRITE=1 to
-# refresh results/); runs the bridged session with buffering on/off and
-# under injected TCP severs, asserting bit-exact metrics throughout and
-# exiting non-zero if the fault-free buffering overhead reaches 2%.
+# refresh results/); runs the bridged session fault-free and under
+# injected TCP severs, asserting bit-exact metrics throughout, and
+# reports the recovery cost per reconnect.
 cargo run --release -q -p deta-bench --bin reconnect_latency
 
 echo "==> adversarial drills (>=10 attacks, each must be rejected with the right error)"
@@ -178,7 +175,7 @@ cargo run --release -q -p deta-lint -- --json > results/lint-report.json
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> all checks passed"
