@@ -6,7 +6,8 @@
 
 use crate::Layer;
 use deta_crypto::DetRng;
-use deta_tensor::{col2im, im2col, ConvGeom, Tensor};
+use deta_tensor::gemm::{gemm, Mat};
+use deta_tensor::{col2im_into, im2col_into, ConvGeom, Tensor};
 
 /// A fully connected layer `y = x W^T + b`.
 pub struct Linear {
@@ -95,8 +96,15 @@ impl Layer for Linear {
     }
 
     fn zero_grad(&mut self) {
-        self.gw.scale_mut(0.0);
-        self.gb.scale_mut(0.0);
+        // Not `scale_mut(0.0)`: NaN x 0 is NaN, and a gradient poisoned
+        // in one round must not outlive it.
+        self.gw.data_mut().fill(0.0);
+        self.gb.data_mut().fill(0.0);
+    }
+
+    fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
+        f(&mut self.w, &self.gw);
+        f(&mut self.b, &self.gb);
     }
 
     fn name(&self) -> &'static str {
@@ -118,8 +126,8 @@ pub struct Conv2d {
     b: Tensor,
     gw: Tensor,
     gb: Tensor,
-    /// Cached im2col matrices, one per batch image.
-    cached_cols: Vec<Tensor>,
+    /// The im2col matrices of the last training batch, image after image.
+    cached_cols: Vec<f32>,
     frozen: bool,
 }
 
@@ -180,64 +188,68 @@ impl Layer for Conv2d {
         let batch = input.shape()[0];
         let feat = self.geom.in_c * self.geom.in_h * self.geom.in_w;
         debug_assert_eq!(input.shape()[1], feat, "conv input feature mismatch");
-        let cols_n = self.geom.cols();
-        let mut out = vec![0.0f32; batch * self.out_c * cols_n];
-        if train {
-            self.cached_cols.clear();
-        }
-        for bi in 0..batch {
-            let img = Tensor::from_vec(input.data()[bi * feat..(bi + 1) * feat].to_vec(), &[feat]);
-            let cols = im2col(&img, &self.geom);
+        let (rows, cols_n) = (self.geom.rows(), self.geom.cols());
+        let out_feat = self.out_c * cols_n;
+        let mut out = vec![0.0f32; batch * out_feat];
+        // Training keeps every image's patch matrix for `backward`;
+        // evaluation lowers each image into the same one.
+        let (slots, step) = if train {
+            (batch, rows * cols_n)
+        } else {
+            (1, 0)
+        };
+        let mut cols = vec![0.0f32; slots * rows * cols_n];
+        let images = input.data().chunks_exact(feat);
+        for (bi, (img, y)) in images.zip(out.chunks_exact_mut(out_feat)).enumerate() {
+            let cols = &mut cols[bi * step..][..rows * cols_n];
+            im2col_into(img, &self.geom, cols);
             // y = W * cols + b, shape [out_c, cols_n].
-            let mut y = self.w.matmul(&cols);
-            {
-                let yd = y.data_mut();
-                for c in 0..self.out_c {
-                    let bias = self.b.data()[c];
-                    for v in &mut yd[c * cols_n..(c + 1) * cols_n] {
-                        *v += bias;
-                    }
+            gemm(self.w.mat(), Mat::new(cols, rows, cols_n), y);
+            for (y_row, &bias) in y.chunks_exact_mut(cols_n).zip(self.b.data()) {
+                for v in y_row {
+                    *v += bias;
                 }
             }
-            out[bi * self.out_c * cols_n..(bi + 1) * self.out_c * cols_n].copy_from_slice(y.data());
-            if train {
-                self.cached_cols.push(cols);
-            }
         }
-        Tensor::from_vec(out, &[batch, self.out_c * cols_n])
+        if train {
+            self.cached_cols = cols;
+        }
+        Tensor::from_vec(out, &[batch, out_feat])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let batch = grad_out.shape()[0];
+        let (rows, cols_n) = (self.geom.rows(), self.geom.cols());
+        let cols = std::mem::take(&mut self.cached_cols);
         assert_eq!(
-            self.cached_cols.len(),
-            batch,
+            cols.len(),
+            batch * rows * cols_n,
             "backward without matching forward(train=true)"
         );
-        let cols_n = self.geom.cols();
         let feat = self.geom.in_c * self.geom.in_h * self.geom.in_w;
+        let out_feat = self.out_c * cols_n;
         let mut grad_in = vec![0.0f32; batch * feat];
-        for bi in 0..batch {
-            let gy = Tensor::from_vec(
-                grad_out.data()[bi * self.out_c * cols_n..(bi + 1) * self.out_c * cols_n].to_vec(),
-                &[self.out_c, cols_n],
-            );
-            let cols = &self.cached_cols[bi];
-            // dW += gy * cols^T.
-            self.gw.axpy(1.0, &gy.matmul_nt(cols));
+        // One image's dW and dCols, overwritten image after image.
+        let mut dw = Tensor::zeros(&[self.out_c, rows]);
+        let mut dcols = vec![0.0f32; rows * cols_n];
+        let per_image = grad_out
+            .data()
+            .chunks_exact(out_feat)
+            .zip(cols.chunks_exact(rows * cols_n))
+            .zip(grad_in.chunks_exact_mut(feat));
+        for ((gy, cols), dimg) in per_image {
+            let gy_mat = Mat::new(gy, self.out_c, cols_n);
+            // dW += gy * cols^T, each image's product summed from zero.
+            gemm(gy_mat, Mat::new(cols, rows, cols_n).t(), dw.data_mut());
+            self.gw.axpy(1.0, &dw);
             // db += row sums of gy.
-            {
-                let gbd = self.gb.data_mut();
-                for (c, g) in gbd.iter_mut().enumerate().take(self.out_c) {
-                    *g += gy.data()[c * cols_n..(c + 1) * cols_n].iter().sum::<f32>();
-                }
+            for (g, gy_row) in self.gb.data_mut().iter_mut().zip(gy.chunks_exact(cols_n)) {
+                *g += gy_row.iter().sum::<f32>();
             }
             // dCols = W^T gy; dX = col2im(dCols).
-            let dcols = self.w.matmul_tn(&gy);
-            let dimg = col2im(&dcols, &self.geom);
-            grad_in[bi * feat..(bi + 1) * feat].copy_from_slice(dimg.data());
+            gemm(self.w.mat().t(), gy_mat, &mut dcols);
+            col2im_into(&dcols, &self.geom, dimg);
         }
-        self.cached_cols.clear();
         Tensor::from_vec(grad_in, &[batch, feat])
     }
 
@@ -254,8 +266,15 @@ impl Layer for Conv2d {
     }
 
     fn zero_grad(&mut self) {
-        self.gw.scale_mut(0.0);
-        self.gb.scale_mut(0.0);
+        // Not `scale_mut(0.0)`: NaN x 0 is NaN, and a gradient poisoned
+        // in one round must not outlive it.
+        self.gw.data_mut().fill(0.0);
+        self.gb.data_mut().fill(0.0);
+    }
+
+    fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
+        f(&mut self.w, &self.gw);
+        f(&mut self.b, &self.gb);
     }
 
     fn name(&self) -> &'static str {
@@ -733,6 +752,44 @@ mod tests {
             .push(AvgPool2d::new(1, 4, 4))
             .push(Linear::new(4, 2, &mut rng));
         gradient_check(m, 16);
+    }
+
+    /// Gradients of one `zero_grad` + `forward` + `backward` on `x`.
+    fn grads_of_a_clean_step(layer: &mut dyn Layer, x: &Tensor) -> Vec<Tensor> {
+        layer.zero_grad();
+        let y = layer.forward(x, true);
+        layer.backward(&Tensor::full(y.shape(), 1.0));
+        layer.grads().into_iter().cloned().collect()
+    }
+
+    #[test]
+    fn zero_grad_clears_non_finite_gradients() {
+        // One poisoned round must not outlive its `zero_grad`: NaN x 0
+        // is NaN, so the reset has to overwrite, not scale.
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let plant = |t: &mut Tensor| {
+            for (v, p) in t.data_mut().iter_mut().zip(poison.iter().cycle()) {
+                *v = *p;
+            }
+        };
+        let mut rng = DetRng::from_u64(12);
+        let x = Tensor::randn(&[2, 16], 1.0, &mut rng);
+
+        let mut linear = Linear::new(16, 3, &mut DetRng::from_u64(13));
+        plant(&mut linear.gw);
+        plant(&mut linear.gb);
+        let got = grads_of_a_clean_step(&mut linear, &x);
+        assert!(got.iter().all(|g| !g.has_non_finite()));
+        let mut fresh = Linear::new(16, 3, &mut DetRng::from_u64(13));
+        assert_eq!(got, grads_of_a_clean_step(&mut fresh, &x));
+
+        let mut conv = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut DetRng::from_u64(14));
+        plant(&mut conv.gw);
+        plant(&mut conv.gb);
+        let got = grads_of_a_clean_step(&mut conv, &x);
+        assert!(got.iter().all(|g| !g.has_non_finite()));
+        let mut fresh = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut DetRng::from_u64(14));
+        assert_eq!(got, grads_of_a_clean_step(&mut fresh, &x));
     }
 
     #[test]

@@ -55,6 +55,11 @@ pub trait Layer: Send {
     /// Clears accumulated gradients.
     fn zero_grad(&mut self);
 
+    /// Calls `f` on every parameter together with its gradient, in the
+    /// order of [`Layer::params`], so an optimizer can update in place.
+    /// Layers without parameters keep this default.
+    fn update_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &Tensor)) {}
+
     /// Human-readable layer name for diagnostics.
     fn name(&self) -> &'static str;
 
@@ -94,8 +99,14 @@ impl Sequential {
 
     /// Runs the forward pass over all layers.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        // The first layer reads the caller's batch; only an empty model
+        // has to copy it.
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, train);
+        for layer in layers {
             x = layer.forward(&x, train);
         }
         x
@@ -103,8 +114,12 @@ impl Sequential {
 
     /// Runs the backward pass over all layers in reverse.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad_out.clone();
+        };
+        let mut g = last.backward(grad_out);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g
@@ -206,6 +221,14 @@ impl Sequential {
                 }
                 off += n;
             }
+        }
+    }
+
+    /// Calls `f` on every trainable parameter together with its
+    /// accumulated gradient, in [`Sequential::flat_params`] order.
+    pub fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
+        for layer in self.layers.iter_mut().filter(|l| !l.frozen()) {
+            layer.update_params(f);
         }
     }
 

@@ -27,20 +27,31 @@ impl Sgd {
         self
     }
 
-    /// Applies one update step from the model's accumulated gradients.
+    /// Applies one update step from the model's accumulated gradients,
+    /// parameter tensor by parameter tensor, without gathering them.
     pub fn step(&mut self, model: &mut Sequential) {
-        let grads = model.flat_grads();
+        let lr = self.lr;
         if self.momentum == 0.0 {
-            model.apply_flat_grads(&grads, self.lr);
+            model.update_params(&mut |p, g| {
+                for (w, g) in p.data_mut().iter_mut().zip(g.data()) {
+                    *w -= lr * g;
+                }
+            });
             return;
         }
-        let v = self.velocity.get_or_insert_with(|| vec![0.0; grads.len()]);
-        assert_eq!(v.len(), grads.len(), "model size changed mid-training");
-        for (vi, gi) in v.iter_mut().zip(grads.iter()) {
-            *vi = self.momentum * *vi + gi;
-        }
-        let update = v.clone();
-        model.apply_flat_grads(&update, self.lr);
+        let momentum = self.momentum;
+        let n = model.param_count();
+        let v = self.velocity.get_or_insert_with(|| vec![0.0; n]);
+        assert_eq!(v.len(), n, "model size changed mid-training");
+        let mut rest = v.as_mut_slice();
+        model.update_params(&mut |p, g| {
+            let (v, tail) = std::mem::take(&mut rest).split_at_mut(p.numel());
+            rest = tail;
+            for ((w, vi), gi) in p.data_mut().iter_mut().zip(v).zip(g.data()) {
+                *vi = momentum * *vi + gi;
+                *w -= lr * *vi;
+            }
+        });
     }
 }
 
@@ -90,5 +101,46 @@ mod tests {
         let p1 = m1.flat_params();
         let p2 = m2.flat_params();
         assert!(p2[0] < p1[0]);
+    }
+
+    #[test]
+    fn in_place_step_equals_gather_and_scatter() {
+        // The step visits parameters layer by layer; gathering every
+        // gradient and scattering the update (what `step` used to do)
+        // must give the same bits, through a frozen layer, a residual
+        // block and a convolution, with and without momentum.
+        use crate::layers::{Conv2d, Tanh};
+        use crate::Residual;
+        let build = || {
+            let mut rng = DetRng::from_u64(21);
+            Sequential::new()
+                .push(Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut rng))
+                .push(Linear::new(32, 6, &mut rng).freeze())
+                .push(Residual::new(
+                    Sequential::new()
+                        .push(Linear::new(6, 6, &mut rng))
+                        .push(Tanh::new()),
+                ))
+                .push(Linear::new(6, 3, &mut rng))
+        };
+        let x = Tensor::randn(&[5, 16], 1.0, &mut DetRng::from_u64(22));
+        for momentum in [0.0, 0.9] {
+            let (mut stepped, mut reference) = (build(), build());
+            let mut opt = Sgd::new(0.1).with_momentum(momentum);
+            let mut velocity = vec![0.0f32; reference.param_count()];
+            for _ in 0..3 {
+                for model in [&mut stepped, &mut reference] {
+                    let y = model.forward(&x, true);
+                    model.zero_grad();
+                    model.backward(&Tensor::full(y.shape(), 1.0));
+                }
+                opt.step(&mut stepped);
+                for (v, g) in velocity.iter_mut().zip(reference.flat_grads()) {
+                    *v = momentum * *v + g;
+                }
+                reference.apply_flat_grads(&velocity, 0.1);
+                assert_eq!(stepped.flat_params(), reference.flat_params());
+            }
+        }
     }
 }

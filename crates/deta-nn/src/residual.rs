@@ -80,6 +80,10 @@ impl Layer for Residual {
         self.inner.zero_grad();
     }
 
+    fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
+        self.inner.update_params(f);
+    }
+
     fn name(&self) -> &'static str {
         "Residual"
     }

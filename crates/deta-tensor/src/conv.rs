@@ -5,6 +5,7 @@
 //! All tensors use NCHW layout.
 
 use crate::Tensor;
+use std::ops::Range;
 
 /// Convolution geometry for a single spatial configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +44,22 @@ impl ConvGeom {
     pub fn rows(&self) -> usize {
         self.in_c * self.k * self.k
     }
+
+    /// Along one axis, at kernel offset `k_off`: the output positions
+    /// whose input coordinate `o * stride + k_off - pad` lies inside
+    /// `0..in_len`, and the coordinate the first of them reads. Every
+    /// other output position reads the zero padding.
+    fn inside(&self, k_off: usize, in_len: usize, out_len: usize) -> (Range<usize>, usize) {
+        let lo = self.pad.saturating_sub(k_off).div_ceil(self.stride);
+        let hi = (in_len + self.pad)
+            .saturating_sub(k_off)
+            .div_ceil(self.stride)
+            .min(out_len);
+        if lo >= hi {
+            return (0..0, 0);
+        }
+        (lo..hi, lo * self.stride + k_off - self.pad)
+    }
 }
 
 /// Lowers one image `[C, H, W]` (flattened) to a patch matrix
@@ -52,40 +69,50 @@ impl ConvGeom {
 ///
 /// Panics if `input.numel()` does not match the geometry.
 pub fn im2col(input: &Tensor, g: &ConvGeom) -> Tensor {
-    assert_eq!(
-        input.numel(),
-        g.in_c * g.in_h * g.in_w,
-        "input size mismatch"
-    );
+    let mut out = vec![0.0f32; g.rows() * g.cols()];
+    im2col_into(input.data(), g, &mut out);
+    Tensor::from_vec(out, &[g.rows(), g.cols()])
+}
+
+/// [`im2col`] between slices: overwrites every element of `out`, so one
+/// buffer serves every image of a batch.
+///
+/// # Panics
+///
+/// Panics if either length does not match the geometry.
+pub fn im2col_into(data: &[f32], g: &ConvGeom, out: &mut [f32]) {
+    assert_eq!(data.len(), g.in_c * g.in_h * g.in_w, "input size mismatch");
     let (out_h, out_w) = (g.out_h(), g.out_w());
+    assert_eq!(out.len(), g.rows() * g.cols(), "cols size mismatch");
     let cols = out_h * out_w;
-    let mut out = vec![0.0f32; g.rows() * cols];
-    let data = input.data();
     for c in 0..g.in_c {
         for ky in 0..g.k {
+            let (oys, iy_lo) = g.inside(ky, g.in_h, out_h);
             for kx in 0..g.k {
+                let (oxs, ix_lo) = g.inside(kx, g.in_w, out_w);
                 let row = (c * g.k + ky) * g.k + kx;
-                for oy in 0..out_h {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    for ox in 0..out_w {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        let col = oy * out_w + ox;
-                        let v = if iy >= 0
-                            && (iy as usize) < g.in_h
-                            && ix >= 0
-                            && (ix as usize) < g.in_w
-                        {
-                            data[(c * g.in_h + iy as usize) * g.in_w + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        out[row * cols + col] = v;
+                let row = &mut out[row * cols..(row + 1) * cols];
+                for (oy, dst) in row.chunks_exact_mut(out_w).enumerate() {
+                    if !oys.contains(&oy) {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let iy = c * g.in_h + iy_lo + (oy - oys.start) * g.stride;
+                    let src = &data[iy * g.in_w + ix_lo..(iy + 1) * g.in_w];
+                    dst[..oxs.start].fill(0.0);
+                    dst[oxs.end..].fill(0.0);
+                    let dst = &mut dst[oxs.clone()];
+                    if g.stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, s) in dst.iter_mut().zip(src.iter().step_by(g.stride)) {
+                            *d = *s;
+                        }
                     }
                 }
             }
         }
     }
-    Tensor::from_vec(out, &[g.rows(), cols])
 }
 
 /// Scatters a patch-matrix gradient `[C*k*k, out_h*out_w]` back to an image
@@ -102,33 +129,47 @@ pub fn col2im(cols_mat: &Tensor, g: &ConvGeom) -> Tensor {
         &[g.rows(), g.cols()],
         "cols shape mismatch"
     );
-    let (out_h, out_w) = (g.out_h(), g.out_w());
-    let cols = out_h * out_w;
     let mut out = vec![0.0f32; g.in_c * g.in_h * g.in_w];
-    let data = cols_mat.data();
+    col2im_into(cols_mat.data(), g, &mut out);
+    Tensor::from_vec(out, &[g.in_c * g.in_h * g.in_w])
+}
+
+/// [`col2im`] between slices: *adds* the scattered patches to `out`, which
+/// the caller zeroes (or not) first.
+///
+/// # Panics
+///
+/// Panics if either length does not match the geometry.
+pub fn col2im_into(data: &[f32], g: &ConvGeom, out: &mut [f32]) {
+    let (out_h, out_w) = (g.out_h(), g.out_w());
+    assert_eq!(data.len(), g.rows() * g.cols(), "cols size mismatch");
+    assert_eq!(out.len(), g.in_c * g.in_h * g.in_w, "image size mismatch");
+    let cols = out_h * out_w;
     for c in 0..g.in_c {
         for ky in 0..g.k {
+            let (oys, iy_lo) = g.inside(ky, g.in_h, out_h);
             for kx in 0..g.k {
+                let (oxs, ix_lo) = g.inside(kx, g.in_w, out_w);
                 let row = (c * g.k + ky) * g.k + kx;
-                for oy in 0..out_h {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    if iy < 0 || iy as usize >= g.in_h {
-                        continue;
-                    }
-                    for ox in 0..out_w {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        if ix < 0 || ix as usize >= g.in_w {
-                            continue;
+                let row = &data[row * cols..(row + 1) * cols];
+                let inside = row.chunks_exact(out_w).skip(oys.start).take(oys.len());
+                for (i, src) in inside.enumerate() {
+                    let iy = c * g.in_h + iy_lo + i * g.stride;
+                    let dst = &mut out[iy * g.in_w + ix_lo..(iy + 1) * g.in_w];
+                    let src = &src[oxs.clone()];
+                    if g.stride == 1 {
+                        for (d, s) in dst[..src.len()].iter_mut().zip(src) {
+                            *d += *s;
                         }
-                        let col = oy * out_w + ox;
-                        out[(c * g.in_h + iy as usize) * g.in_w + ix as usize] +=
-                            data[row * cols + col];
+                    } else {
+                        for (d, s) in dst.iter_mut().step_by(g.stride).zip(src) {
+                            *d += *s;
+                        }
                     }
                 }
             }
         }
     }
-    Tensor::from_vec(out, &[g.in_c * g.in_h * g.in_w])
 }
 
 #[cfg(test)]
@@ -218,6 +259,91 @@ mod tests {
         // Kernel center at output (0,0) reads pixel (0,0).
         let center_row = 4; // ky=1, kx=1
         assert_eq!(cols.data()[center_row * 4], 1.0);
+    }
+
+    /// The lowering by its definition, one bounds test per element.
+    fn naive_im2col(x: &[f32], g: &ConvGeom) -> Vec<f32> {
+        let mut out = Vec::new();
+        for (c, ky, kx) in kernel_taps(g) {
+            for oy in 0..g.out_h() {
+                for ox in 0..g.out_w() {
+                    let iy = (oy * g.stride + ky).wrapping_sub(g.pad);
+                    let ix = (ox * g.stride + kx).wrapping_sub(g.pad);
+                    let inside = iy < g.in_h && ix < g.in_w;
+                    out.push(if inside {
+                        x[(c * g.in_h + iy) * g.in_w + ix]
+                    } else {
+                        0.0
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The scatter by its definition, in the same element order.
+    fn naive_col2im(cols: &[f32], g: &ConvGeom) -> Vec<f32> {
+        let mut out = vec![0.0f32; g.in_c * g.in_h * g.in_w];
+        let mut cols = cols.iter();
+        for (c, ky, kx) in kernel_taps(g) {
+            for oy in 0..g.out_h() {
+                for ox in 0..g.out_w() {
+                    let v = cols.next().unwrap();
+                    let iy = (oy * g.stride + ky).wrapping_sub(g.pad);
+                    let ix = (ox * g.stride + kx).wrapping_sub(g.pad);
+                    if iy < g.in_h && ix < g.in_w {
+                        out[(c * g.in_h + iy) * g.in_w + ix] += v;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn kernel_taps(g: &ConvGeom) -> impl Iterator<Item = (usize, usize, usize)> {
+        let k = g.k;
+        (0..g.in_c).flat_map(move |c| (0..k).flat_map(move |ky| (0..k).map(move |kx| (c, ky, kx))))
+    }
+
+    #[test]
+    fn lowering_matches_its_definition_bit_for_bit() {
+        // Includes kernels wider than the padded image reaches (whole
+        // rows of taps in the padding) and strides that skip the edge.
+        let mut rng = DetRng::from_u64(11);
+        for (in_h, in_w) in [(1, 1), (1, 4), (4, 5), (7, 3)] {
+            for k in 1..=5 {
+                for stride in 1..=3 {
+                    for pad in 0..=3 {
+                        if in_h + 2 * pad < k || in_w + 2 * pad < k {
+                            continue;
+                        }
+                        let g = ConvGeom {
+                            in_c: 2,
+                            in_h,
+                            in_w,
+                            k,
+                            stride,
+                            pad,
+                        };
+                        let x = Tensor::randn(&[2 * in_h * in_w], 1.0, &mut rng);
+                        let y = Tensor::randn(&[g.rows(), g.cols()], 1.0, &mut rng);
+                        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        let cols = im2col(&x, &g);
+                        assert_eq!(
+                            bits(cols.data()),
+                            bits(&naive_im2col(x.data(), &g)),
+                            "{g:?}"
+                        );
+                        let image = col2im(&y, &g);
+                        assert_eq!(
+                            bits(image.data()),
+                            bits(&naive_col2im(y.data(), &g)),
+                            "{g:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! ```
 
 mod conv;
+pub mod gemm;
 mod ops;
 
-pub use conv::{col2im, im2col, ConvGeom};
+pub use conv::{col2im, col2im_into, im2col, im2col_into, ConvGeom};
 
 use deta_crypto::DetRng;
 

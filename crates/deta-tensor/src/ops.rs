@@ -1,6 +1,16 @@
 //! Element-wise operations, matrix products, and reductions.
 
+use crate::gemm::{gemm, Mat};
 use crate::Tensor;
+
+/// `a x b` as a fresh tensor; the three `matmul` variants differ only in
+/// which operand they view transposed.
+fn product(a: Mat, b: Mat) -> Tensor {
+    let shape = vec![a.rows(), b.cols()];
+    let mut data = vec![0.0f32; a.rows() * b.cols()];
+    gemm(a, b, &mut data);
+    Tensor { data, shape }
+}
 
 impl Tensor {
     /// Element-wise addition.
@@ -107,92 +117,35 @@ impl Tensor {
         best
     }
 
+    /// Borrows a 2-D tensor as a strided matrix for [`gemm`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not 2-D.
+    pub fn mat(&self) -> Mat<'_> {
+        assert_eq!(self.shape.len(), 2, "matrix operand must be 2-D");
+        Mat::new(&self.data, self.shape[0], self.shape[1])
+    }
+
     /// Matrix product of two 2-D tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
     /// # Panics
     ///
     /// Panics if either tensor is not 2-D or inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be 2-D");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        // i-k-j loop order: the inner loop is a contiguous axpy over `out`
-        // and `other`, which vectorizes well.
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                let row = &other.data[p * n..(p + 1) * n];
-                let dst = &mut out[i * n..(i + 1) * n];
-                for (d, &b) in dst.iter_mut().zip(row.iter()) {
-                    *d += a * b;
-                }
-            }
-        }
-        Tensor {
-            data: out,
-            shape: vec![m, n],
-        }
+        product(self.mat(), other.mat())
     }
 
     /// Computes `self^T x other`: `[k, m]^T x [k, n] -> [m, n]`.
     ///
     /// Used by backward passes; avoids materializing the transpose.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2);
-        assert_eq!(other.shape.len(), 2);
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "inner dimension mismatch");
-        let mut out = vec![0.0f32; m * n];
-        for p in 0..k {
-            let lhs_row = &self.data[p * m..(p + 1) * m];
-            let rhs_row = &other.data[p * n..(p + 1) * n];
-            for i in 0..m {
-                let a = lhs_row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                let dst = &mut out[i * n..(i + 1) * n];
-                for (d, &b) in dst.iter_mut().zip(rhs_row.iter()) {
-                    *d += a * b;
-                }
-            }
-        }
-        Tensor {
-            data: out,
-            shape: vec![m, n],
-        }
+        product(self.mat().t(), other.mat())
     }
 
     /// Computes `self x other^T`: `[m, k] x [n, k]^T -> [m, n]`.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2);
-        assert_eq!(other.shape.len(), 2);
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "inner dimension mismatch");
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let lhs_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let rhs_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (a, b) in lhs_row.iter().zip(rhs_row.iter()) {
-                    acc += a * b;
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        Tensor {
-            data: out,
-            shape: vec![m, n],
-        }
+        product(self.mat(), other.mat().t())
     }
 
     /// Transposes a 2-D tensor.

@@ -1,7 +1,8 @@
 //! Property tests for the tensor kernels.
 
 use deta_crypto::DetRng;
-use deta_proptest::cases;
+use deta_proptest::{cases, Gen};
+use deta_tensor::gemm::{gemm_avx2, gemm_portable, MR, NR};
 use deta_tensor::{col2im, im2col, ConvGeom, Tensor};
 
 fn close(a: f32, b: f32) -> bool {
@@ -56,6 +57,127 @@ fn matmul_variants_agree() {
             assert!(close(*x, *y) && close(*x, *z));
         }
     });
+}
+
+/// The scalar product the packed GEMM replaced, kept as the reference:
+/// one dot product per output element, `p` upward, from `+0.0`.
+fn reference_product(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a.data()[i * k + p] * b.data()[p * n + j];
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// A Gaussian matrix with about 38 % of its entries replaced by exact
+/// zeros of either sign, the share a ReLU and a max-pool leave behind.
+fn sparse_randn(rows: usize, cols: usize, rng: &mut DetRng) -> Tensor {
+    let mut t = Tensor::randn(&[rows, cols], 1.0, rng);
+    for v in t.data_mut() {
+        match rng.gen_range(16) {
+            0..=4 => *v = 0.0,
+            5 => *v = -0.0,
+            _ => {}
+        }
+    }
+    t
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts that `matmul`, `matmul_tn` and `matmul_nt` all give the
+/// reference's bits for the logical product `[m, k] x [k, n]`.
+fn assert_products_match_reference(m: usize, k: usize, n: usize, rng: &mut DetRng) {
+    let a = sparse_randn(m, k, rng);
+    let b = sparse_randn(k, n, rng);
+    let want = bits(&reference_product(&a, &b));
+    let shape = format!("[{m}, {k}] x [{k}, {n}]");
+    assert_eq!(bits(a.matmul(&b).data()), want, "matmul {shape}");
+    let tn = a.transpose2().matmul_tn(&b);
+    assert_eq!(bits(tn.data()), want, "matmul_tn {shape}");
+    let nt = a.matmul_nt(&b.transpose2());
+    assert_eq!(bits(nt.data()), want, "matmul_nt {shape}");
+    assert_eq!(nt.shape(), &[m, n]);
+}
+
+fn dim(g: &mut Gen) -> usize {
+    g.usize_in(0, 71)
+}
+
+#[test]
+fn products_match_scalar_reference_bit_for_bit() {
+    cases("products_match_scalar_reference_bit_for_bit", 256, |g| {
+        let (m, k, n) = (dim(g), dim(g), dim(g));
+        let mut rng = DetRng::from_u64(g.u64());
+        assert_products_match_reference(m, k, n, &mut rng);
+    });
+}
+
+#[test]
+fn products_match_reference_at_every_tile_remainder() {
+    // Zero dimensions, `k = 1`, and every remainder modulo the register
+    // tile on both sides of a full tile.
+    let mut rng = DetRng::from_u64(0x71e);
+    for m in 0..=2 * MR + 1 {
+        for n in 0..=2 * NR + 1 {
+            for k in [0, 1, 2, 5] {
+                assert_products_match_reference(m, k, n, &mut rng);
+            }
+        }
+    }
+    // Across the edge of a packed block of rows.
+    for m in [63, 64, 65, 129] {
+        assert_products_match_reference(m, 3, NR + 1, &mut rng);
+    }
+}
+
+#[test]
+fn portable_and_avx2_bodies_agree_bit_for_bit() {
+    cases("portable_and_avx2_bodies_agree_bit_for_bit", 256, |g| {
+        let (m, k, n) = (dim(g), dim(g), dim(g));
+        let mut rng = DetRng::from_u64(g.u64());
+        let a = sparse_randn(m, k, &mut rng);
+        let b = sparse_randn(k, n, &mut rng);
+        let bt = b.transpose2();
+        // `b` once with unit column stride and once transposed, so both
+        // packing walks run under both bodies.
+        for b in [b.mat(), bt.mat().t()] {
+            let mut portable = vec![f32::NAN; m * n];
+            gemm_portable(a.mat(), b, &mut portable);
+            let mut avx2 = vec![f32::NAN; m * n];
+            if !gemm_avx2(a.mat(), b, &mut avx2) {
+                return; // this CPU has only the portable body
+            }
+            assert_eq!(bits(&portable), bits(&avx2));
+        }
+    });
+}
+
+#[test]
+fn zero_times_non_finite_is_nan() {
+    // The scalar `matmul` / `matmul_tn` skipped a zero on the left and so
+    // left the element alone; the one GEMM multiplies it like any value.
+    for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+        let a = Tensor::from_vec(vec![0.0, 1.0], &[1, 2]);
+        let b = Tensor::from_vec(vec![poison, 3.0, 2.0, 4.0], &[2, 2]);
+        for out in [
+            a.matmul(&b),
+            a.transpose2().matmul_tn(&b),
+            a.matmul_nt(&b.transpose2()),
+        ] {
+            assert!(out.data()[0].is_nan(), "0 x {poison}");
+            assert_eq!(out.data()[1], 4.0);
+        }
+    }
 }
 
 #[test]

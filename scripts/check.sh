@@ -11,14 +11,22 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> crate-level suites (crypto, transport, core, runtime, socket, lint, obs)"
+echo "==> crate-level suites (crypto, tensor, nn, transport, core, runtime, socket, lint, obs)"
 # The root `cargo test` runs only the root package's tests/; the cipher,
-# MAC and RNG known answers, the wire layer's unit tests, the transform
-# and party permutation-cache properties, the control-plane codec's
-# rejection cases, the framing / replay-window / resume properties, the
-# lint fixtures and the trace-merge properties live in these crates.
-cargo test -q -p deta-crypto -p deta-transport -p deta-core -p deta-runtime \
-  -p deta-socket -p deta-lint -p deta-obs
+# MAC and RNG known answers, the GEMM's bit-for-bit properties and the
+# tensor proptests, the layers' gradient checks and allocation count,
+# the wire layer's unit tests, the transform and party permutation-cache
+# properties, the control-plane codec's rejection cases, the framing /
+# replay-window / resume properties, the lint fixtures and the
+# trace-merge properties live in these crates.
+cargo test -q -p deta-crypto -p deta-tensor -p deta-nn -p deta-transport -p deta-core \
+  -p deta-runtime -p deta-socket -p deta-lint -p deta-obs
+
+echo "==> deta-tensor under optimisation (the GEMM's vector body only exists there)"
+# The tile is plain arithmetic the compiler vectorises; a debug build
+# runs it scalar, so the AVX2-vs-portable and reference properties only
+# meet the real vector code in a release build.
+cargo test --release -q -p deta-tensor
 
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
 # Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);
