@@ -116,7 +116,10 @@ mod tests {
         PoisonKind::SignFlip { scale: 50.0 }.apply(&mut poisoned);
         let mut inputs = honest.clone();
         inputs.push(poisoned);
-        let out = AggKind::Krum { f: 1 }.build().aggregate(&inputs, &[1.0; 5]);
+        let out = AggKind::Krum { f: 1 }
+            .build()
+            .aggregate(&inputs, &[1.0; 5])
+            .unwrap();
         assert!(
             honest.contains(&out),
             "krum picked the poisoned update: {out:?}"
@@ -134,7 +137,8 @@ mod tests {
         inputs.push(poisoned);
         let out = AggKind::IterativeAveraging
             .build()
-            .aggregate(&inputs, &[1.0; 5]);
+            .aggregate(&inputs, &[1.0; 5])
+            .unwrap();
         assert!(
             out.iter().all(|&v| v < 0.0),
             "a 5x-weighted sign flip must drag the mean negative: {out:?}"

@@ -56,6 +56,7 @@ fn bench_aggregation() {
         let alg = kind.build();
         g.bench(&format!("8 parties x 50k/{}", kind.name()), || {
             alg.aggregate(&inputs, &weights)
+                .expect("equal-length inputs")
         });
     }
     g.finish();

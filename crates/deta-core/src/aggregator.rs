@@ -314,13 +314,18 @@ impl AggregatorNode {
     }
 
     fn send_sealed(&mut self, to: &str, msg: &Msg) {
+        if let Ok(plain) = msg.encode() {
+            self.seal_and_send(to, &plain);
+        }
+    }
+
+    /// Seals an already encoded message for `to`'s channel and sends the
+    /// record; a fan-out encodes its message once and calls this per party.
+    fn seal_and_send(&mut self, to: &str, plain: &[u8]) {
         let Some(chan) = self.channels.get_mut(to) else {
             return;
         };
-        let Ok(plain) = msg.encode() else {
-            return;
-        };
-        let sealed = chan.seal_msg(&plain);
+        let sealed = chan.seal_msg(plain);
         if let Ok(frame) = (Msg::Record { sealed }).encode() {
             let _ = self.endpoint.send(to, frame);
         }
@@ -378,6 +383,24 @@ impl AggregatorNode {
     fn handle_inner(&mut self, from: &str, msg: Msg) {
         match msg {
             Msg::Register { party, weight } => {
+                // Uploads are keyed by the authenticated sender, so a
+                // registration under any other name would be waited for
+                // forever; and the weight goes straight into the weighted
+                // mean, where one NaN or non-positive sum spoils the round.
+                if party != from || !weight.is_finite() || weight <= 0.0 {
+                    deta_telemetry::metrics::counter_add("deta_wire_rejected_total", "Register", 1);
+                    if deta_telemetry::enabled() {
+                        deta_telemetry::event(
+                            "register_rejected",
+                            &[
+                                ("from", TelemetryValue::from(from)),
+                                ("claimed", TelemetryValue::from(party)),
+                                ("weight", TelemetryValue::from(weight)),
+                            ],
+                        );
+                    }
+                    return;
+                }
                 self.registered.insert(party, weight);
                 self.send_sealed(from, &Msg::RegisterAck);
             }
@@ -463,19 +486,16 @@ impl AggregatorNode {
             .collect();
         // Record the fragments in CVM guest memory: this is precisely what
         // a breach of this aggregator leaks. Length-prefixed records of
-        // (party name, Upload message).
-        let mut mem = Vec::new();
+        // (party name, Upload message), written into one buffer reserved
+        // for all of them: it is the aggregator's largest allocation.
+        let record_bytes = |(name, input): &(String, Vec<f32>)| {
+            8 + name.len() + wire::FRAGMENT_HEADER + 4 * input.len()
+        };
+        let mut mem = Vec::with_capacity(uploads.iter().map(record_bytes).sum());
         for (name, input) in &uploads {
-            let Ok(encoded) = wire::encode_upload(round, input) else {
-                continue;
-            };
-            // Exact growth: the record set is the aggregator's largest
-            // allocation, and amortized doubling would overshoot it.
-            mem.reserve_exact(8 + name.len() + encoded.len());
             let record_start = mem.len();
-            if put_bytes(&mut mem, name.as_bytes())
-                .and_then(|()| put_bytes(&mut mem, &encoded))
-                .is_err()
+            if put_bytes(&mut mem, name.as_bytes()).is_err()
+                || wire::put_upload(&mut mem, round, input).is_err()
             {
                 mem.truncate(record_start);
             }
@@ -489,18 +509,39 @@ impl AggregatorNode {
         let aggregated = self.algorithm.aggregate(&inputs, &weights);
         drop(agg_span);
         self.aggregate_time_s += t0.elapsed().as_secs_f64();
+        let fragment = match aggregated {
+            Ok(fragment) => fragment,
+            Err(e) => return self.aggregate_failed(round, &e),
+        };
+        // One plaintext for the whole fan-out; each channel seals its own
+        // record of it.
+        let plain = match (Msg::Aggregated { round, fragment }).encode() {
+            Ok(plain) => plain,
+            Err(e) => return self.aggregate_failed(round, &e),
+        };
         let parties: Vec<String> = self.registered.keys().cloned().collect();
         for p in parties {
-            self.send_sealed(
-                &p,
-                &Msg::Aggregated {
-                    round,
-                    fragment: aggregated.clone(),
-                },
-            );
+            self.seal_and_send(&p, &plain);
         }
         self.completed_rounds = self.completed_rounds.max(round);
         self.notify_initiator(round);
+    }
+
+    /// A round whose uploads could not be aggregated: counted and named,
+    /// never a panic. The attempt's uploads are spent and the round stays
+    /// open; the supervisor's recovery budget decides whether it is
+    /// replayed or given up.
+    fn aggregate_failed(&self, round: u64, cause: &dyn std::fmt::Display) {
+        deta_telemetry::metrics::counter_add("deta_aggregate_failed_total", &self.name, 1);
+        if deta_telemetry::enabled() {
+            deta_telemetry::event(
+                "aggregate_failed",
+                &[
+                    ("round", TelemetryValue::from(round)),
+                    ("cause", TelemetryValue::from(cause.to_string())),
+                ],
+            );
+        }
     }
 
     /// Runs homomorphic aggregation once the expected number of parties

@@ -49,7 +49,7 @@ pub mod shuffle;
 pub mod transform;
 pub mod wire;
 
-pub use agg::{AggKind, Aggregation};
+pub use agg::{AggKind, AggregateError, Aggregation};
 pub use mapper::ModelMapper;
 pub use session::{DetaConfig, DetaSession, RoundMetrics, SessionParts, SyncMode};
 pub use transform::{TransformConfig, Transformer};

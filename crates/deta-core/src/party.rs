@@ -232,6 +232,17 @@ impl Party {
         self.update_tamper = Some(tamper);
     }
 
+    /// Adversarial-drill hook: sends an arbitrary protocol message to an
+    /// aggregator over this party's established secure channel — what a
+    /// malicious insider holding a genuine registration can do, e.g. a
+    /// second `Register` with a hostile weight or somebody else's name.
+    /// No-op when no channel to `to` exists. Drill/test-harness hook,
+    /// like `AggregatorNode::drill_send_sealed`; never called in
+    /// production.
+    pub fn drill_send_sealed(&mut self, to: &str, msg: &Msg) {
+        self.send_sealed(to, msg);
+    }
+
     /// Swaps the destination aggregators of fragments `a` and `b`: after
     /// this, fragment `a` is uploaded to aggregator `b` and vice versa —
     /// a deliberate violation of the paper's partition/aggregator

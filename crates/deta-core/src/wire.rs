@@ -147,20 +147,38 @@ impl From<TooLong> for EncodeError {
     }
 }
 
-/// Encodes a fragment-carrying message (`tag`, round, values) into a
-/// buffer sized for it up front.
-fn encode_fragment(tag: u8, round: u64, fragment: &[f32]) -> Result<Vec<u8>, EncodeError> {
-    let mut out = Vec::with_capacity(1 + 8 + 4 + 4 * fragment.len());
+/// Bytes a fragment-carrying message spends before its values: tag,
+/// round and value count.
+pub const FRAGMENT_HEADER: usize = 1 + 8 + 4;
+
+/// Appends a fragment-carrying message (`tag`, round, values).
+fn put_fragment(out: &mut Vec<u8>, tag: u8, round: u64, fragment: &[f32]) -> Result<(), TooLong> {
     out.push(tag);
     out.extend_from_slice(&round.to_le_bytes());
-    put_f32s(&mut out, fragment)?;
+    put_f32s(out, fragment)
+}
+
+/// Encodes a fragment-carrying message into a buffer sized for it up
+/// front.
+fn encode_fragment(tag: u8, round: u64, fragment: &[f32]) -> Result<Vec<u8>, EncodeError> {
+    let mut out = Vec::with_capacity(FRAGMENT_HEADER + 4 * fragment.len());
+    put_fragment(&mut out, tag, round, fragment)?;
     Ok(out)
 }
 
-/// The encoding of [`Msg::Upload`] from a borrowed fragment, for callers
-/// that hold the values and have no use for an owned message.
-pub fn encode_upload(round: u64, fragment: &[f32]) -> Result<Vec<u8>, EncodeError> {
-    encode_fragment(TAG_UPLOAD, round, fragment)
+/// Appends the encoding of [`Msg::Upload`] behind a `u32` length prefix
+/// — the form a breach-memory record holds it in — straight from a
+/// borrowed fragment, with no buffer of its own. Writes nothing when it
+/// refuses.
+pub fn put_upload(out: &mut Vec<u8>, round: u64, fragment: &[f32]) -> Result<(), EncodeError> {
+    // A length that fits the prefix bounds the value count below its own.
+    let encoded = fragment
+        .len()
+        .checked_mul(4)
+        .and_then(|values| values.checked_add(FRAGMENT_HEADER))
+        .ok_or(EncodeError)?;
+    put_len(out, encoded)?;
+    Ok(put_fragment(out, TAG_UPLOAD, round, fragment)?)
 }
 
 fn put_vec_bytes(out: &mut Vec<u8>, v: &[Vec<u8>]) -> Result<(), TooLong> {

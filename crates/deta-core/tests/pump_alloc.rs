@@ -1,0 +1,108 @@
+//! What one aggregating pump allocates: the round's `Aggregated`
+//! plaintext exists once, not once per party, and the breach-memory
+//! records are written into one buffer reserved for all of them.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use common::{aggregator, RawParty};
+use deta_core::agg::AggKind;
+use deta_core::wire::Msg;
+use deta_crypto::DetRng;
+use deta_transport::{LinkModel, Network};
+
+thread_local! {
+    /// Bytes requested by this thread (the test harness's other threads
+    /// must not leak into the count).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` without a destructor, so touching it never
+// allocates or re-enters the allocator. `realloc` is the trait's
+// default, which asks `alloc` for the whole new size: a buffer that
+// grows is charged again each time it does.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BYTES.with(|n| n.set(n.get() + layout.size()));
+        // SAFETY: the caller's obligations are passed on as they came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn an_aggregating_pump_allocates_one_plaintext_and_one_record_buffer() {
+    const PARTIES: usize = 8;
+    const VALUES: usize = 16 * 1024;
+    let fragment = 4 * VALUES;
+    let net = Network::new(LinkModel::lan());
+    let mut rng = DetRng::from_u64(0xa110c);
+    let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
+    let mut parties: Vec<RawParty> = (0..PARTIES)
+        .map(|i| RawParty::join(&net, &mut agg, &format!("party-{i}"), &mut rng))
+        .collect();
+    for (i, party) in parties.iter_mut().enumerate() {
+        party.send(&Msg::Register {
+            party: format!("party-{i}"),
+            weight: 1.0,
+        });
+    }
+    agg.pump();
+    let upload = Msg::Upload {
+        round: 1,
+        fragment: vec![0.5; VALUES],
+    };
+    let (last, rest) = parties.split_last_mut().expect("eight parties");
+    for party in rest.iter_mut() {
+        assert_eq!(party.recv(), Some(Msg::RegisterAck));
+        party.send(&upload);
+    }
+    agg.pump();
+    assert_eq!(agg.completed_rounds, 0);
+
+    // The pump measured is the one that opens the last upload,
+    // aggregates and fans out.
+    assert_eq!(last.recv(), Some(Msg::RegisterAck));
+    last.send(&upload);
+    let before = BYTES.with(Cell::get);
+    agg.pump();
+    let allocated = BYTES.with(Cell::get) - before;
+    assert_eq!(agg.completed_rounds, 1);
+
+    // Aggregation proper: the record buffer holds every upload once, the
+    // weighted mean accumulates in `f64` (two fragments' worth) and
+    // returns one fragment, and one plaintext serves the whole fan-out.
+    let aggregation = (PARTIES + 4) * fragment;
+    // The hops on either side of it, each still a buffer of its own:
+    // frame, opened record and decoded values of the last upload; a
+    // sealed record and its frame per party.
+    let hops = 3 * fragment + 2 * PARTIES * fragment;
+    let small = 16 * 1024;
+    assert!(
+        allocated <= aggregation + hops + small,
+        "{allocated} bytes allocated, {} more than budgeted",
+        allocated - aggregation - hops
+    );
+    for party in &mut parties {
+        assert_eq!(
+            party.recv(),
+            Some(Msg::Aggregated {
+                round: 1,
+                fragment: vec![0.5; VALUES],
+            })
+        );
+    }
+}

@@ -20,6 +20,7 @@ pub mod channel;
 pub mod common;
 pub mod failover;
 pub mod poisoning;
+pub mod registration;
 pub mod socket;
 pub mod stale;
 
@@ -63,6 +64,7 @@ pub fn catalog() -> Vec<Drill> {
     out.extend(failover::drills());
     out.extend(stale::drills());
     out.extend(poisoning::drills());
+    out.extend(registration::drills());
     out
 }
 

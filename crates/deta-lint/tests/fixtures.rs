@@ -185,6 +185,48 @@ pub fn handle(&mut self) {
     assert!(idents.contains(&"unreachable"));
 }
 
+const ASSERTING_KERNEL: &str = r#"
+fn validate(inputs: &[Vec<f32>], weights: &[f32]) -> usize {
+    assert!(!inputs.is_empty(), "no inputs to aggregate");
+    assert_eq!(weights.len(), inputs.len(), "weight count mismatch");
+    inputs[0].len()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        assert_eq!(super::validate(&[vec![1.0]], &[1.0]), 1);
+    }
+}
+"#;
+
+#[test]
+fn asserts_in_the_aggregation_kernels_are_flagged() {
+    // no-panic-in-aggregation, positive: every input of agg.rs is a
+    // party's, so an assert there is a remote kill switch.
+    let v = check_source("crates/deta-core/src/agg.rs", ASSERTING_KERNEL);
+    let idents: Vec<&str> = v
+        .iter()
+        .filter(|v| v.rule == "no-panic-in-aggregation")
+        .map(|v| v.ident.as_str())
+        .collect();
+    assert_eq!(idents, ["assert", "assert_eq"], "test-module asserts stay");
+}
+
+#[test]
+fn asserts_elsewhere_in_scope_stay_allowed() {
+    // no-panic-in-aggregation, negative: the same source in a file that
+    // does have internal invariants to assert.
+    for path in [
+        "crates/deta-core/src/aggregator.rs",
+        "crates/deta-core/src/mapper.rs",
+        "crates/deta-transport/src/wire.rs",
+    ] {
+        assert!(rules_hit(path, ASSERTING_KERNEL).is_empty(), "{path}");
+    }
+}
+
 #[test]
 fn test_code_asserts_and_nonpanicking_variants_are_fine() {
     // unwrap inside #[cfg(test)] mod tests is excluded.

@@ -40,7 +40,9 @@ fn main() {
         AggKind::FlameLite,
     ] {
         let alg = kind.build();
-        let plain = alg.aggregate(&updates, &weights);
+        let plain = alg
+            .aggregate(&updates, &weights)
+            .expect("equal-length updates");
 
         // The DeTA path: 3 aggregators, partition + shuffle, aggregate
         // each fragment independently, merge.
@@ -52,7 +54,10 @@ fn main() {
         let mut agg_frags = Vec::new();
         for j in 0..3 {
             let inputs: Vec<Vec<f32>> = transformed.iter().map(|f| f[j].clone()).collect();
-            agg_frags.push(alg.aggregate(&inputs, &weights));
+            agg_frags.push(
+                alg.aggregate(&inputs, &weights)
+                    .expect("equal-length fragments"),
+            );
         }
         let deta = t.inverse(&agg_frags, &tid);
 

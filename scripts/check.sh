@@ -16,9 +16,11 @@ echo "==> crate-level suites (crypto, tensor, nn, transport, core, runtime, sock
 # MAC and RNG known answers, the GEMM's bit-for-bit properties and the
 # tensor proptests, the layers' gradient checks and allocation count,
 # the wire layer's unit tests, the transform and party permutation-cache
-# properties, the control-plane codec's rejection cases, the framing /
-# replay-window / resume properties, the lint fixtures and the
-# trace-merge properties live in these crates.
+# properties, the aggregation kernels' laws and reference properties, the
+# hostile-registration and pump-allocation tests, the control-plane
+# codec's rejection cases, the framing / replay-window / resume
+# properties, the lint fixtures and the trace-merge properties live in
+# these crates.
 cargo test -q -p deta-crypto -p deta-tensor -p deta-nn -p deta-transport -p deta-core \
   -p deta-runtime -p deta-socket -p deta-lint -p deta-obs
 
@@ -27,6 +29,13 @@ echo "==> deta-tensor under optimisation (the GEMM's vector body only exists the
 # runs it scalar, so the AVX2-vs-portable and reference properties only
 # meet the real vector code in a release build.
 cargo test --release -q -p deta-tensor
+
+echo "==> deta-core under optimisation (the sorting network's vector body only exists there)"
+# The compare-exchange over a tile's lanes is a scalar loop in a debug
+# build; the reference properties and the known answers only meet the
+# vectorised kernel in a release build.
+cargo test --release -q -p deta-core
+cargo test --release -q --test agg_kat
 
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
 # Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);

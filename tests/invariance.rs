@@ -32,7 +32,10 @@ fn aggregate_via_deta(
     let mut agg_fragments = Vec::with_capacity(n_aggs);
     for j in 0..n_aggs {
         let inputs: Vec<Vec<f32>> = per_party.iter().map(|f| f[j].clone()).collect();
-        agg_fragments.push(alg.aggregate(&inputs, weights));
+        agg_fragments.push(
+            alg.aggregate(&inputs, weights)
+                .expect("fragments aggregate"),
+        );
     }
     t.inverse(&agg_fragments, &tid)
 }
@@ -56,7 +59,9 @@ fn averaging_invariant() {
         let seed = g.u64_in(0, 1000);
         let shuffle = g.bool();
         let alg = AggKind::IterativeAveraging.build();
-        let plain = alg.aggregate(&updates, &weights);
+        let plain = alg
+            .aggregate(&updates, &weights)
+            .expect("updates aggregate");
         let via = aggregate_via_deta(&updates, &weights, alg.as_ref(), n_aggs, seed, shuffle);
         assert_eq!(plain, via);
     });
@@ -69,7 +74,9 @@ fn sum_invariant() {
         let n_aggs = g.usize_in(1, 5);
         let seed = g.u64_in(0, 1000);
         let alg = AggKind::GradientSum.build();
-        let plain = alg.aggregate(&updates, &weights);
+        let plain = alg
+            .aggregate(&updates, &weights)
+            .expect("updates aggregate");
         let via = aggregate_via_deta(&updates, &weights, alg.as_ref(), n_aggs, seed, true);
         assert_eq!(plain, via);
     });
@@ -83,7 +90,9 @@ fn median_invariant() {
         let seed = g.u64_in(0, 1000);
         let shuffle = g.bool();
         let alg = AggKind::CoordinateMedian.build();
-        let plain = alg.aggregate(&updates, &weights);
+        let plain = alg
+            .aggregate(&updates, &weights)
+            .expect("updates aggregate");
         let via = aggregate_via_deta(&updates, &weights, alg.as_ref(), n_aggs, seed, shuffle);
         assert_eq!(plain, via);
     });
@@ -98,7 +107,9 @@ fn trimmed_mean_invariant() {
         let shuffle = g.bool();
         let trim = (updates.len() - 1) / 2;
         let alg = AggKind::TrimmedMean { trim }.build();
-        let plain = alg.aggregate(&updates, &weights);
+        let plain = alg
+            .aggregate(&updates, &weights)
+            .expect("updates aggregate");
         let via = aggregate_via_deta(&updates, &weights, alg.as_ref(), n_aggs, seed, shuffle);
         assert_eq!(plain, via);
     });

@@ -509,10 +509,13 @@ fn model_sized_fragments_golden_digests() {
     }
     .to_wire();
     assert_eq!(upload.len(), 1 + 8 + 4 + 400_000);
+    let mut record = vec![0xEE];
+    deta::core::wire::put_upload(&mut record, 11, &fragment).expect("fits");
+    assert_eq!(record[1..5], (upload.len() as u32).to_le_bytes());
     assert_eq!(
-        deta::core::wire::encode_upload(11, &fragment).expect("fits"),
-        upload,
-        "the borrowed encoder must agree with Msg::Upload"
+        record[5..],
+        upload[..],
+        "the borrowed writer must agree with Msg::Upload"
     );
     let aggregated = Msg::Aggregated {
         round: 11,
