@@ -19,9 +19,7 @@ use deta_core::{DetaConfig, RoundMetrics};
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
-use deta_runtime::{RuntimeConfig, RuntimeError, ThreadedSession};
-use deta_socket::hub::seats_for;
-use deta_socket::SocketHub;
+use deta_runtime::RuntimeConfig;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -53,12 +51,22 @@ fn run_socket(
     classes: usize,
     chaos: HashMap<String, Vec<u64>>,
 ) -> (Vec<RoundMetrics>, f64) {
-    let seed = cfg.seed;
     let t0 = Instant::now();
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children = Vec::new();
-    let child_cfg = cfg.clone();
-    let child_shards = shards.to_vec();
+    let (child_cfg, child_shards) = (cfg.clone(), shards.to_vec());
+    let host = |name: &str, addr| {
+        let (name, cfg, shards) = (name.to_string(), child_cfg.clone(), child_shards.clone());
+        Ok(std::thread::spawn(move || {
+            let builder = move |rng: &mut deta_crypto::DetRng| mlp(&[dim, 16, classes], rng);
+            deta_socket::run_node(
+                addr,
+                &name,
+                cfg,
+                &builder,
+                shards,
+                Duration::from_millis(10),
+            )
+        }))
+    };
     // Retries past the deadline horizon, like the cluster deployment:
     // the bridge is lossless, and a load-timed duplicate fan-out would
     // break byte parity between the chaos and fault-free arms.
@@ -67,47 +75,17 @@ fn run_socket(
         retry_max: Duration::from_secs(3600),
         ..RuntimeConfig::default()
     };
-    let mut session = ThreadedSession::setup_detached(
-        cfg,
-        &move |rng| mlp(&[dim, 16, classes], rng),
-        shards.to_vec(),
-        rt,
-        |nodes, network| {
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind_chaos(network.clone(), seats, seed, chaos)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr();
-            for name in names {
-                let cfg = child_cfg.clone();
-                let shards = child_shards.clone();
-                children.push(std::thread::spawn(move || {
-                    let builder =
-                        move |rng: &mut deta_crypto::DetRng| mlp(&[dim, 16, classes], rng);
-                    deta_socket::run_node(
-                        addr,
-                        &name,
-                        cfg,
-                        &builder,
-                        shards,
-                        Duration::from_millis(10),
-                    )
-                }));
-            }
-            hub_slot = Some(hub);
-            Ok(())
-        },
-    )
-    .expect("socket setup");
-    let metrics = session.run(test).expect("socket run");
-    for child in children {
+    let builder = move |rng: &mut deta_crypto::DetRng| mlp(&[dim, 16, classes], rng);
+    let mut bridged =
+        deta_socket::launch(cfg, &builder, shards.to_vec(), rt, chaos, host).expect("socket setup");
+    let metrics = bridged.session.run(test).expect("socket run");
+    for child in bridged.hosts {
         child
             .join()
             .expect("child thread")
             .expect("child exited cleanly");
     }
-    let err = hub_slot.expect("hub bound").join();
+    let err = bridged.hub.join();
     assert!(err.is_none(), "hub error: {err:?}");
     (metrics, t0.elapsed().as_secs_f64())
 }

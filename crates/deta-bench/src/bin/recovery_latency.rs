@@ -1,35 +1,23 @@
-//! Recovery gate: wall-clock cost of round checkpointing on the
-//! fault-free threaded deployment, plus the latency of healing one
-//! mid-session aggregator failure under `FailoverPolicy::Restart`, at
-//! the 4-party / 4-aggregator configuration. Emits
-//! `BENCH_recovery.json` (to a temp directory; into the committed
-//! `results/` tree only under `DETA_BENCH_REWRITE=1`) and exits
-//! non-zero when the fault-free checkpointing overhead exceeds 3% (or
-//! the faulted run fails to heal every round).
+//! Recovery latency: the cost of healing one mid-session aggregator
+//! failure under `FailoverPolicy::Restart`, at the 4-party /
+//! 4-aggregator configuration. Emits `BENCH_recovery.json` (to a temp
+//! directory; into the committed `results/` tree only under
+//! `DETA_BENCH_REWRITE=1`) and exits non-zero when the faulted run
+//! fails to heal every round.
 //!
 //! ```text
 //! cargo run --release -p deta-bench --bin recovery_latency
 //! ```
 //!
-//! Three measured modes, each the *median* of `--runs` wall times —
-//! on a loaded CI box a single descheduled run can double one sample,
-//! and the median absorbs that where a minimum biases the comparison
-//! (it hides load on whichever side got lucky). The overhead gate
-//! itself is the median of *paired* ratios: each trial interleaves one
-//! checkpoint-off run with one checkpoint-on run back to back, so slow
-//! drift in machine load (which would otherwise inflate whichever mode
-//! was measured later) cancels inside every pair. If the gate still
-//! trips, the whole trial is re-measured once (nothing here is sticky,
-//! unlike the telemetry gate) and the lower overhead stands.
+//! Two measured modes, each the *median* of `--runs` wall times — on a
+//! loaded CI box a single descheduled run can double one sample, and
+//! the median absorbs that where a minimum biases the comparison:
 //!
-//! The modes:
-//!
-//! 1. checkpointing off, fault-free — the baseline,
-//! 2. checkpointing on, fault-free — the <3% overhead gate,
-//! 3. checkpointing on, one follower aggregator stalled mid-session
-//!    with `Restart` armed — reports rounds-to-heal (the failover
-//!    count; each failover replays exactly one round) and the healing
-//!    latency over the checkpointed baseline.
+//! 1. fault-free — the baseline,
+//! 2. one follower aggregator stalled mid-session with `Restart` armed
+//!    — reports rounds-to-heal (the failover count; each failover
+//!    replays exactly one round) and the healing latency over the
+//!    baseline.
 //!
 //! The faulted mode's round deadline is derived from the measured
 //! baseline round time (3x + margin) rather than fixed: recovery
@@ -69,7 +57,7 @@ fn run_once(
     let metrics = session.run(test).expect("threaded run");
     let wall = t0.elapsed().as_secs_f64();
     assert_eq!(metrics.len(), rounds, "every round must complete");
-    (wall, session.failover_count())
+    (wall, session.view().failovers)
 }
 
 fn main() {
@@ -91,96 +79,42 @@ fn main() {
     cfg.n_aggregators = aggregators;
     cfg.seed = seed;
 
-    let plain = |checkpoint: bool| RuntimeConfig {
-        checkpoint,
-        failover: FailoverPolicy::None,
-        ..RuntimeConfig::default()
-    };
-
     let stall_round = (rounds as u64 / 2).max(1);
 
-    // One complete measurement pass over all three modes; retryable
-    // wholesale because nothing here is process-sticky.
-    let trial = || {
-        // Interleaved pairs: the ratio inside one (off, on) pair sees
-        // the same few seconds of machine load, so the gate statistic
-        // is immune to drift across the measurement window.
-        let mut nockpt_samples = Vec::with_capacity(runs);
-        let mut ckpt_samples = Vec::with_capacity(runs);
-        let mut pair_ratios = Vec::with_capacity(runs);
-        for _ in 0..runs {
-            let off = run_once(&cfg, &shards, &test, dim, classes, plain(false), rounds).0;
-            let on = run_once(&cfg, &shards, &test, dim, classes, plain(true), rounds).0;
-            nockpt_samples.push(off);
-            ckpt_samples.push(on);
-            pair_ratios.push(on / off);
-        }
-        let wall_nockpt_s = deta_bench::median(&nockpt_samples);
-        let wall_ckpt_s = deta_bench::median(&ckpt_samples);
-        let ckpt_ratio = deta_bench::median(&pair_ratios);
+    // Warm-up (page cache, thread pools), then the fault-free baseline.
+    let plain = RuntimeConfig::default();
+    run_once(&cfg, &shards, &test, dim, classes, plain.clone(), rounds);
+    let baseline: Vec<f64> = (0..runs)
+        .map(|_| run_once(&cfg, &shards, &test, dim, classes, plain.clone(), rounds).0)
+        .collect();
+    let wall_baseline_s = deta_bench::median(&baseline);
 
-        // Faulted mode: a follower stalls when the mid-session round is
-        // announced; the supervisor must detect it (one round-deadline
-        // wait), respawn it, and replay the round.
-        let round_deadline = Duration::from_secs_f64((wall_ckpt_s / rounds as f64 * 3.0) + 2.0);
-        let faulted = RuntimeConfig {
-            checkpoint: true,
-            failover: FailoverPolicy::Restart,
-            round_deadline,
-            stalls: vec![StallFault {
-                node: "agg-1".to_string(),
-                round: stall_round,
-            }],
-            ..RuntimeConfig::default()
-        };
-        let mut faulted_runs: Vec<(f64, u64)> = (0..runs)
-            .map(|_| run_once(&cfg, &shards, &test, dim, classes, faulted.clone(), rounds))
-            .collect();
-        faulted_runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite wall times"));
-        let wall_faulted_s =
-            deta_bench::median(&faulted_runs.iter().map(|r| r.0).collect::<Vec<_>>());
-        // The replay count from the median run — every run should heal
-        // identically, so this is just the representative sample.
-        let rounds_to_heal = faulted_runs[faulted_runs.len() / 2].1;
-        (
-            wall_nockpt_s,
-            wall_ckpt_s,
-            ckpt_ratio,
-            wall_faulted_s,
-            round_deadline,
-            rounds_to_heal,
-        )
+    // Faulted mode: a follower stalls when the mid-session round is
+    // announced; the supervisor must detect it (one round-deadline
+    // wait), respawn it, and replay the round.
+    let round_deadline = Duration::from_secs_f64((wall_baseline_s / rounds as f64 * 3.0) + 2.0);
+    let faulted = RuntimeConfig {
+        failover: FailoverPolicy::Restart,
+        round_deadline,
+        stalls: vec![StallFault {
+            node: "agg-1".to_string(),
+            round: stall_round,
+        }],
+        ..plain
     };
-
-    // Warm-up (page cache, thread pools), then the measurement pass —
-    // retried once if the overhead gate would trip on a loaded box.
-    run_once(&cfg, &shards, &test, dim, classes, plain(false), rounds);
-    let gate_ckpt_pct = 3.0;
-    let mut best = trial();
-    let mut retried = false;
-    if (best.2 - 1.0) * 100.0 > gate_ckpt_pct {
-        retried = true;
-        let second = trial();
-        if second.2 < best.2 {
-            best = second;
-        }
-    }
-    let (wall_nockpt_s, wall_ckpt_s, ckpt_ratio, wall_faulted_s, round_deadline, rounds_to_heal) =
-        best;
-
-    let ckpt_overhead_pct = (ckpt_ratio - 1.0) * 100.0;
-    let heal_latency_s = wall_faulted_s - wall_ckpt_s;
-    let pass = ckpt_overhead_pct <= gate_ckpt_pct && rounds_to_heal > 0;
+    let mut faulted_runs: Vec<(f64, u64)> = (0..runs)
+        .map(|_| run_once(&cfg, &shards, &test, dim, classes, faulted.clone(), rounds))
+        .collect();
+    faulted_runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite wall times"));
+    let wall_faulted_s = deta_bench::median(&faulted_runs.iter().map(|r| r.0).collect::<Vec<_>>());
+    // The replay count from the median run — every run should heal
+    // identically, so this is just the representative sample.
+    let rounds_to_heal = faulted_runs[faulted_runs.len() / 2].1;
+    let heal_latency_s = wall_faulted_s - wall_baseline_s;
+    let pass = rounds_to_heal > 0;
 
     println!("\n=== recovery latency ({parties} parties, k={aggregators}, {rounds} rounds) ===");
-    println!(
-        "baseline (no checkpoint):  {wall_nockpt_s:8.3}s  (median of {runs}{})",
-        if retried { ", retried once" } else { "" }
-    );
-    println!("checkpointing on:          {wall_ckpt_s:8.3}s  (median of {runs})");
-    println!(
-        "checkpoint overhead:       {ckpt_overhead_pct:8.3}%  (gate {gate_ckpt_pct}%, median of {runs} paired ratios)"
-    );
+    println!("fault-free baseline:       {wall_baseline_s:8.3}s  (median of {runs})");
     println!("faulted + restart:         {wall_faulted_s:8.3}s  (deadline {round_deadline:?})");
     println!("rounds to heal:            {rounds_to_heal}  (replayed rounds)");
     println!("healing latency:           {heal_latency_s:8.3}s  (detect + respawn + replay)");
@@ -194,13 +128,7 @@ fn main() {
     let _ = writeln!(json, "  \"examples_per_party\": {per_party},");
     let _ = writeln!(json, "  \"seed\": {seed},");
     let _ = writeln!(json, "  \"runs_per_mode\": {runs},");
-    let _ = writeln!(json, "  \"retried\": {retried},");
-    let _ = writeln!(json, "  \"wall_no_checkpoint_s\": {wall_nockpt_s:.6},");
-    let _ = writeln!(json, "  \"wall_checkpoint_s\": {wall_ckpt_s:.6},");
-    let _ = writeln!(
-        json,
-        "  \"checkpoint_overhead_pct\": {ckpt_overhead_pct:.4},"
-    );
+    let _ = writeln!(json, "  \"wall_baseline_s\": {wall_baseline_s:.6},");
     let _ = writeln!(json, "  \"wall_faulted_s\": {wall_faulted_s:.6},");
     let _ = writeln!(
         json,
@@ -210,7 +138,6 @@ fn main() {
     let _ = writeln!(json, "  \"stall_round\": {stall_round},");
     let _ = writeln!(json, "  \"rounds_to_heal\": {rounds_to_heal},");
     let _ = writeln!(json, "  \"heal_latency_s\": {heal_latency_s:.6},");
-    let _ = writeln!(json, "  \"gate_checkpoint_pct\": {gate_ckpt_pct},");
     let _ = writeln!(json, "  \"pass\": {pass}");
     let _ = writeln!(json, "}}");
     let path = bench_output_dir().join("BENCH_recovery.json");

@@ -20,8 +20,6 @@ use deta_core::DetaSession;
 use deta_crypto::DetRng;
 use deta_datasets::{iid_partition, noniid_skew_partition, DatasetSpec};
 use deta_runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
-use deta_socket::hub::seats_for;
-use deta_socket::SocketHub;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -240,11 +238,43 @@ fn cluster_runtime(config: &Config) -> Result<RuntimeConfig, deta_cli::ConfigErr
 /// party, after the round lines (which stay byte-identical to a
 /// full-participation run up to the drop round).
 fn print_dropped(session: &ThreadedSession) {
-    let mut dropped: Vec<&String> = session.dropped_parties().iter().collect();
+    let mut dropped: Vec<&String> = session.view().dropped_parties.iter().collect();
     dropped.sort();
     for party in dropped {
         println!("partial participation: dropped {party} (link lost past its reconnect budget)");
     }
+}
+
+/// A launched cluster: one `deta-cli node` child process per seat.
+type Cluster = deta_socket::Launched<std::process::Child>;
+
+/// Launches `prepared` behind the socket hub with one `deta-cli node`
+/// child process per seat (`--trace` added for traced runs); returns the
+/// test set next to the deployment.
+fn launch_processes(
+    path: &str,
+    prepared: deta_cli::Prepared,
+    rt: RuntimeConfig,
+    chaos: std::collections::HashMap<String, Vec<u64>>,
+    trace: bool,
+) -> Result<(Cluster, deta_nn::train::LabeledData), Box<dyn std::error::Error>> {
+    let exe = std::env::current_exe()?;
+    let host = |name: &str, addr: std::net::SocketAddr| {
+        std::process::Command::new(&exe)
+            .args(["node", path, "--name", name, "--addr", &addr.to_string()])
+            .args(trace.then_some("--trace"))
+            .spawn()
+            .map_err(RuntimeError::Spawn)
+    };
+    let cluster = deta_socket::launch(
+        prepared.session,
+        prepared.builder.as_ref(),
+        prepared.shards,
+        rt,
+        chaos,
+        host,
+    )?;
+    Ok((cluster, prepared.test))
 }
 
 fn cmd_cluster(path: &str, inprocess: bool) -> Result<(), Box<dyn std::error::Error>> {
@@ -264,47 +294,20 @@ fn cmd_cluster(path: &str, inprocess: bool) -> Result<(), Box<dyn std::error::Er
         print_dropped(&session);
         return Ok(());
     }
-    let chaos = config.chaos_severs()?;
-    let exe = std::env::current_exe()?;
-    let seed = prepared.session.seed;
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let mut session = ThreadedSession::setup_detached(
-        prepared.session,
-        prepared.builder.as_ref(),
-        prepared.shards,
-        rt,
-        |nodes, network| {
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind_chaos(network.clone(), seats, seed, chaos)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr().to_string();
-            for name in &names {
-                let child = std::process::Command::new(&exe)
-                    .args(["node", path, "--name", name, "--addr", &addr])
-                    .spawn()
-                    .map_err(RuntimeError::Spawn)?;
-                children.push(child);
-            }
-            hub_slot = Some(hub);
-            Ok(())
-        },
-    )?;
-    let outcome = session.run(&prepared.test);
-    reap_children(&mut children);
+    let (mut cluster, test) = launch_processes(path, prepared, rt, config.chaos_severs()?, false)?;
+    let outcome = cluster.session.run(&test);
+    reap_children(&mut cluster.hosts);
     // Join the hub either way, but let the session outcome win: a dead
     // node process must surface as the supervisor's structured
     // RuntimeError (a timeout naming the node), never as the hub's
     // secondary disconnect fallout.
-    let hub_err = hub_slot.and_then(SocketHub::join);
+    let hub_err = cluster.hub.join();
     let metrics = outcome?;
     if let Some(e) = hub_err {
         return Err(Box::new(e));
     }
     print_rounds(&metrics);
-    print_dropped(&session);
+    print_dropped(&cluster.session);
     Ok(())
 }
 
@@ -349,39 +352,11 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
     // window.
     rt.telemetry.ring_capacity = 1 << 16;
     let trace_dir = rt.telemetry.trace_dir.clone();
-    let exe = std::env::current_exe()?;
-    let seed = prepared.session.seed;
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let mut session = ThreadedSession::setup_detached(
-        prepared.session,
-        prepared.builder.as_ref(),
-        prepared.shards,
-        rt,
-        |nodes, network| {
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind(network.clone(), seats, seed)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr().to_string();
-            for name in &names {
-                let child = std::process::Command::new(&exe)
-                    .args(["node", path, "--name", name, "--addr", &addr, "--trace"])
-                    .spawn()
-                    .map_err(RuntimeError::Spawn)?;
-                children.push(child);
-            }
-            hub_slot = Some(hub);
-            Ok(())
-        },
-    )?;
-    let outcome = session.run(&prepared.test);
-    reap_children(&mut children);
-    let (hub_err, harvest) = match hub_slot {
-        Some(hub) => hub.join_harvest(),
-        None => (None, deta_socket::TraceHarvest::default()),
-    };
+    let (mut cluster, test) = launch_processes(path, prepared, rt, Default::default(), true)?;
+    let mut session = cluster.session;
+    let outcome = session.run(&test);
+    reap_children(&mut cluster.hosts);
+    let (hub_err, harvest) = cluster.hub.join_harvest();
 
     // Coordinator rings: on a fault the supervisor already dumped them
     // (with the implicated nodes in the meta line); otherwise force a

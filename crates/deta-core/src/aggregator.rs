@@ -42,6 +42,20 @@ pub enum AggRole {
     },
 }
 
+impl AggRole {
+    /// `name`'s role in the aggregator set `aggs` coordinated by
+    /// `initiator`.
+    pub fn among(name: &str, initiator: &str, aggs: &[String]) -> AggRole {
+        if name == initiator {
+            let followers = aggs.iter().filter(|a| *a != name).cloned().collect();
+            AggRole::Initiator { followers }
+        } else {
+            let initiator = initiator.to_string();
+            AggRole::Follower { initiator }
+        }
+    }
+}
+
 /// Errors from the aggregator runtime.
 #[derive(Debug)]
 pub enum AggError {
@@ -87,8 +101,6 @@ pub struct AggregatorNode {
     pub completed_rounds: u64,
     /// Measured aggregation compute seconds (for the latency model).
     pub aggregate_time_s: f64,
-    /// Sync acknowledgements received (initiator only).
-    sync_done: HashMap<u64, usize>,
     /// Per-round upload quorum (None = wait for every registered party).
     quorum: Option<usize>,
 }
@@ -128,7 +140,6 @@ impl AggregatorNode {
             paillier_pk: None,
             completed_rounds: 0,
             aggregate_time_s: 0.0,
-            sync_done: HashMap::new(),
             quorum: None,
         })
     }
@@ -173,7 +184,6 @@ impl AggregatorNode {
         self.completed_rounds = self.completed_rounds.min(round - 1);
         self.pending.retain(|&r, _| r < round);
         self.pending_enc.retain(|&r, _| r < round);
-        self.sync_done.retain(|&r, _| r < round);
     }
 
     /// Every decrypted-but-not-yet-aggregated plain upload this node
@@ -286,12 +296,6 @@ impl AggregatorNode {
         Ok(())
     }
 
-    /// Initiator only: number of follower round-completion acks received
-    /// for `round`.
-    pub fn sync_acks(&self, round: u64) -> usize {
-        self.sync_done.get(&round).copied().unwrap_or(0)
-    }
-
     /// Processes all queued messages; returns how many were handled.
     pub fn pump(&mut self) -> usize {
         let mut handled = 0;
@@ -369,9 +373,9 @@ impl AggregatorNode {
                     let _ = self.begin_round(round, training_id);
                 }
             }
-            Msg::SyncDone { round } => {
-                *self.sync_done.entry(round).or_insert(0) += 1;
-            }
+            // A follower's completion ack. Nothing waits on it: whoever
+            // schedules the round reads `completed_rounds` (or `AggDone`).
+            Msg::SyncDone { .. } => {}
             // Party-bound replies and messages that must arrive inside a
             // sealed Record; the drop is deliberate and counted.
             other => {

@@ -32,6 +32,8 @@
 //!   baseline used for every comparison in the paper's evaluation.
 //! * [`latency`] — the latency accounting model combining measured compute
 //!   with simulated network transfer.
+//! * [`round`] — the round ledger both session types own: cohort
+//!   selection, byte windows, timer deltas and metric assembly.
 
 pub mod agg;
 pub mod aggregator;
@@ -44,6 +46,7 @@ pub mod paillier_fusion;
 pub mod party;
 pub mod proxy;
 pub mod recovery;
+pub mod round;
 pub mod session;
 pub mod shuffle;
 pub mod transform;

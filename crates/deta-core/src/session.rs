@@ -17,12 +17,13 @@ use crate::agg::AggKind;
 use crate::aggregator::{AggError, AggRole, AggregatorNode};
 use crate::dp::LdpConfig;
 use crate::keybroker::KeyBroker;
-use crate::latency::{LatencyModel, RoundInputs, RoundLatency};
+use crate::latency::{LatencyModel, RoundLatency};
 use crate::mapper::ModelMapper;
 use crate::paillier_fusion::{PaillierFusion, PaillierFusionConfig};
-use crate::party::{Party, PartyConfig, PartyError, PartyTimers};
+use crate::party::{Party, PartyConfig, PartyError};
 use crate::proxy::AttestationProxy;
 use crate::recovery::RecoveryKit;
+use crate::round::{OpenRound, RoundLedger};
 use crate::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
@@ -282,15 +283,7 @@ impl SessionParts {
             );
             let prov = proxy.verify_and_provision(&mut platform, &image)?;
             tokens.insert(name.clone(), prov.token_key.clone());
-            let role = if j == 0 {
-                AggRole::Initiator {
-                    followers: agg_names[1..].to_vec(),
-                }
-            } else {
-                AggRole::Follower {
-                    initiator: agg_names[0].clone(),
-                }
-            };
+            let role = AggRole::among(name, &agg_names[0], &agg_names);
             let mut node = AggregatorNode::new(
                 name,
                 prov.cvm,
@@ -398,11 +391,7 @@ pub struct DetaSession {
     parties: Vec<Party>,
     aggregators: Vec<AggregatorNode>,
     broker: KeyBroker,
-    latency_model: LatencyModel,
-    next_round: u64,
-    cumulative_latency_s: f64,
-    prev_party_timers: Vec<PartyTimers>,
-    prev_agg_times: Vec<f64>,
+    ledger: RoundLedger,
     offline: HashSet<usize>,
 }
 
@@ -430,9 +419,7 @@ impl DetaSession {
             broker,
             latency_model,
             tokens,
-            eval_model: _,
-            transformer: _,
-            recovery: _,
+            ..
         } = SessionParts::build(config, model_builder, party_data)?;
 
         // --- Phase II: verify aggregators, register, open channels. ---
@@ -456,19 +443,14 @@ impl DetaSession {
             }
         }
 
-        let n_parties = parties.len();
-        let n_aggs = aggregators.len();
+        let party_names = parties.iter().map(|p| p.name.clone()).collect();
         Ok(DetaSession {
+            ledger: RoundLedger::new(&config, network.clone(), latency_model, party_names),
             config,
             network,
             parties,
             aggregators,
             broker,
-            latency_model,
-            next_round: 1,
-            cumulative_latency_s: 0.0,
-            prev_party_timers: vec![PartyTimers::default(); n_parties],
-            prev_agg_times: vec![0.0; n_aggs],
             offline: HashSet::new(),
         })
     }
@@ -500,16 +482,20 @@ impl DetaSession {
         self.parties.len() - self.offline.len()
     }
 
-    /// Runs one training round, returning the latency inputs measured.
+    /// Schedules one training round — every node driven inline, phase by
+    /// phase — and returns it still open; what the round selects and
+    /// reports is the ledger's.
     ///
     /// # Panics
     ///
     /// Panics on protocol desynchronization (a bug, not an input error).
-    fn run_round(&mut self) -> (f32, RoundInputs, u64, u64) {
-        let round = self.next_round;
-        self.next_round += 1;
+    fn run_round(&mut self) -> OpenRound {
+        let online: Vec<usize> = (0..self.parties.len())
+            .filter(|i| !self.offline.contains(i))
+            .collect();
+        let mut open = self.ledger.open(&online);
+        let round = open.round;
         let tid = self.broker.training_id(round);
-        self.network.reset_stats();
 
         // Initiator announces the round to followers and parties.
         self.aggregators[0]
@@ -518,39 +504,18 @@ impl DetaSession {
         for a in &mut self.aggregators {
             a.pump();
         }
-        let s0 = self.network.stats();
 
-        // Select this round's participants (partial participation).
-        let offline = self.offline.clone();
-        let online: Vec<usize> = (0..self.parties.len())
-            .filter(|i| !offline.contains(i))
-            .collect();
-        let participants: std::collections::HashSet<usize> = match self.config.participation {
-            Some(q) if q < online.len() => {
-                let mut pool = online.clone();
-                let mut rng =
-                    DetRng::from_u64(self.config.seed).fork_indexed(b"participation", round);
-                rng.shuffle(&mut pool);
-                pool.into_iter().take(q).collect()
-            }
-            _ => online.iter().copied().collect(),
-        };
         // Participants train and upload; the rest only synchronize.
-        let mut train_loss_sum = 0.0f32;
-        for (i, p) in self.parties.iter_mut().enumerate() {
-            if offline.contains(&i) {
-                continue;
-            }
+        for &i in &online {
+            let p = &mut self.parties[i];
             let started = p.poll_round_start();
             assert!(started.is_some(), "party missed round start");
-            if participants.contains(&i) {
+            if open.trains(i) {
                 p.run_local_round().expect("party runs announced round");
-                train_loss_sum += p.last_train_loss;
             } else {
                 p.skip_local_round().expect("party skips announced round");
             }
         }
-        let s1 = self.network.stats();
 
         // Aggregators aggregate and dispatch; loop until all complete.
         loop {
@@ -564,52 +529,20 @@ impl DetaSession {
             }
             assert!(progress > 0, "aggregation deadlock at round {round}");
         }
-        let s2 = self.network.stats();
 
         // Parties merge and synchronize.
-        for (i, p) in self.parties.iter_mut().enumerate() {
-            if offline.contains(&i) {
-                continue;
-            }
+        for &i in &online {
+            let p = &mut self.parties[i];
             assert!(p.try_finish_round(), "party could not finish round {round}");
+            let loss = open.trains(i).then_some(p.last_train_loss);
+            open.party_done(i, p.timers, loss);
         }
         // Initiator absorbs follower completion acks.
         self.aggregators[0].pump();
-
-        // Latency inputs from measured deltas.
-        let mut max_train = 0.0f64;
-        let mut max_transform = 0.0f64;
-        let mut max_crypto = 0.0f64;
-        for (p, prev) in self.parties.iter().zip(self.prev_party_timers.iter_mut()) {
-            // Offline parties contribute zero deltas automatically.
-            max_train = max_train.max(p.timers.train_s - prev.train_s);
-            max_transform = max_transform.max(p.timers.transform_s - prev.transform_s);
-            max_crypto = max_crypto.max(p.timers.crypto_s - prev.crypto_s);
-            *prev = p.timers;
+        for a in &self.aggregators {
+            open.aggregator_done(&a.name, a.aggregate_time_s);
         }
-        let mut max_agg = 0.0f64;
-        for (a, prev) in self.aggregators.iter().zip(self.prev_agg_times.iter_mut()) {
-            max_agg = max_agg.max(a.aggregate_time_s - *prev);
-            *prev = a.aggregate_time_s;
-        }
-        let upload_total = s1.bytes - s0.bytes;
-        let download_total = s2.bytes - s1.bytes;
-        let online = (self.parties.len() - offline.len()) as u64;
-        let inputs = RoundInputs {
-            max_party_train_s: max_train,
-            max_party_transform_s: max_transform,
-            max_party_crypto_s: max_crypto,
-            upload_bytes_per_party: upload_total / online,
-            download_bytes_per_party: download_total / online,
-            max_aggregate_s: max_agg,
-            n_aggregators: self.aggregators.len(),
-        };
-        (
-            train_loss_sum / participants.len() as f32,
-            inputs,
-            upload_total,
-            download_total,
-        )
+        open
     }
 
     /// Runs all configured rounds, evaluating on `test` after each.
@@ -624,31 +557,24 @@ impl DetaSession {
 
     /// Runs a single round and evaluates.
     pub fn step(&mut self, test: &LabeledData) -> RoundMetrics {
-        let round = self.next_round;
-        let (train_loss, inputs, up, down) = self.run_round();
-        let latency = self.latency_model.round(&inputs);
-        let round_latency_s = latency.total();
-        self.cumulative_latency_s += round_latency_s;
+        let open = self.run_round();
         let eval_idx = (0..self.parties.len())
             .find(|i| !self.offline.contains(i))
             .expect("at least one online party");
         let (test_loss, test_accuracy) = self.parties[eval_idx].evaluate(test, 128);
-        RoundMetrics {
-            round,
-            train_loss,
-            test_loss,
-            test_accuracy,
-            latency,
-            round_latency_s,
-            cumulative_latency_s: self.cumulative_latency_s,
-            upload_bytes: up,
-            download_bytes: down,
-        }
+        let agg_names: Vec<String> = self.aggregators.iter().map(|a| a.name.clone()).collect();
+        self.ledger
+            .close(open, &agg_names, test_loss, test_accuracy)
     }
 
     /// Number of completed rounds.
     pub fn completed_rounds(&self) -> u64 {
-        self.next_round - 1
+        self.ledger.completed_rounds()
+    }
+
+    /// The session's network (e.g. to install a tap).
+    pub fn network(&self) -> &Network {
+        &self.network
     }
 
     /// Flat parameters of party `i`'s model replica (for tests asserting
@@ -673,10 +599,5 @@ impl DetaSession {
     /// fragments through `AggregatorNode::drill_send_sealed`).
     pub fn aggregator_mut(&mut self, j: usize) -> &mut AggregatorNode {
         &mut self.aggregators[j]
-    }
-
-    /// The transform configuration in effect.
-    pub fn transform_config(&self) -> TransformConfig {
-        self.config.transform
     }
 }

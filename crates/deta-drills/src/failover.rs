@@ -9,7 +9,7 @@ use deta_core::proxy::TOKEN_SECRET_LABEL;
 use deta_core::session::DetaConfig;
 use deta_crypto::{DetRng, SigningKey};
 use deta_nn::models::mlp;
-use deta_runtime::{FailoverPolicy, RuntimeConfig, StallFault, ThreadedSession};
+use deta_runtime::{FailoverPolicy, Node, RuntimeConfig, StallFault, ThreadedSession};
 use deta_transport::secure::{respond, HandshakeInitiator, TransportError};
 use std::time::Duration;
 
@@ -51,16 +51,17 @@ fn retired_token_is_dead() -> Result<String, String> {
     session
         .run(&test)
         .map_err(|e| format!("restart failover failed to heal: {e}"))?;
-    if session.failover_count() == 0 {
+    let view = session.view();
+    if view.failovers == 0 {
         return Err("no failover occurred; nothing was retired".to_string());
     }
-    let retired_name = session
-        .retired_agg_names()
+    let retired_name = view
+        .retired_aggs
         .first()
         .cloned()
         .ok_or("failover retired no incarnation")?;
     let replacement_name = format!("{retired_name}#r1");
-    let directory = session.token_directory();
+    let directory = view.tokens;
     let retired_vk = directory
         .get(&retired_name)
         .cloned()
@@ -74,9 +75,9 @@ fn retired_token_is_dead() -> Result<String, String> {
     }
 
     // Breach the dead CVM, as the paper's adversary may.
-    let node = session
-        .recovered_aggregator_named(&retired_name)
-        .ok_or("retired incarnation unreachable for breach")?;
+    let Some(Node::Aggregator(node)) = view.node(&retired_name) else {
+        return Err("retired incarnation unreachable for breach".to_string());
+    };
     let dump = node.cvm().breach();
     let stolen_bytes = dump
         .secrets

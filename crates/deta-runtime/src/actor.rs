@@ -46,13 +46,45 @@ impl ActorContext {
     }
 }
 
-/// What a node thread returns when it exits: the node itself, so the
-/// supervisor can inspect final state (e.g. model parameters) after join.
-pub enum NodeExit {
-    /// A party's final state.
+/// A node, as a host holds it: the value [`Node::run`] serves and hands
+/// back when its loop exits, final state intact, so the host can inspect
+/// it (model parameters, breached memory) after the join.
+pub enum Node {
+    /// A party.
     Party(Box<Party>),
-    /// An aggregator's final state.
+    /// An aggregator.
     Aggregator(Box<AggregatorNode>),
+}
+
+impl Node {
+    /// The node's endpoint name.
+    pub fn name(&self) -> &str {
+        match self {
+            Node::Party(p) => &p.name,
+            Node::Aggregator(a) => &a.name,
+        }
+    }
+
+    /// Serves the node on the calling thread until an exit condition
+    /// holds. A party runs Phase II against `tokens` first; an
+    /// aggregator given `stall_at_round` stops servicing its mailbox
+    /// once it sees that round announced (fault injection). Every span
+    /// and event the thread emits meanwhile (including deep inside
+    /// deta-core) lands in `recorder`.
+    pub fn run(
+        mut self,
+        tokens: &HashMap<String, VerifyingKey>,
+        stall_at_round: Option<u64>,
+        ctx: &ActorContext,
+        recorder: Arc<FlightRecorder>,
+    ) -> Node {
+        let _telemetry = deta_telemetry::attach(recorder);
+        match &mut self {
+            Node::Party(p) => run_party(p, tokens, ctx),
+            Node::Aggregator(a) => run_aggregator(a, stall_at_round, ctx),
+        }
+        self
+    }
 }
 
 fn send_ctl(endpoint: &Endpoint, msg: &CtlMsg) {
@@ -79,15 +111,7 @@ fn stall_until_stop(ctx: &ActorContext) {
 /// supervisor's `Trigger` on the initiator, or the initiator's
 /// `SyncRound` fan-out on a follower) — fault injection for supervisor
 /// tests.
-pub fn run_aggregator(
-    mut agg: AggregatorNode,
-    stall_at_round: Option<u64>,
-    ctx: ActorContext,
-    recorder: Arc<FlightRecorder>,
-) -> NodeExit {
-    // Held for the loop's lifetime: every span/event this thread emits
-    // (including deep inside deta-core) lands in this node's ring.
-    let _telemetry = deta_telemetry::attach(recorder);
+fn run_aggregator(agg: &mut AggregatorNode, stall_at_round: Option<u64>, ctx: &ActorContext) {
     let endpoint = agg.endpoint();
     let mut hb_seq = 0u64;
     let mut last_reported = 0u64;
@@ -109,7 +133,7 @@ pub fn run_aggregator(
                                     "stall_injected",
                                     &[("round", TelemetryValue::from(round))],
                                 );
-                                stall_until_stop(&ctx);
+                                stall_until_stop(ctx);
                                 break;
                             }
                             if let Err(e) = agg.begin_round(round, training_id) {
@@ -130,18 +154,7 @@ pub fn run_aggregator(
                             last_reported = last_reported.min(round.saturating_sub(1));
                         }
                         Ok(CtlMsg::Topology { initiator, aggs }) => {
-                            let role = if agg.name == initiator {
-                                AggRole::Initiator {
-                                    followers: aggs
-                                        .iter()
-                                        .filter(|a| **a != agg.name)
-                                        .cloned()
-                                        .collect(),
-                                }
-                            } else {
-                                AggRole::Follower { initiator }
-                            };
-                            agg.set_role(role);
+                            agg.set_role(AggRole::among(&agg.name, &initiator, &aggs));
                         }
                         Ok(CtlMsg::Deregister { party }) => {
                             deta_telemetry::event(
@@ -188,7 +201,7 @@ pub fn run_aggregator(
                                     "stall_injected",
                                     &[("round", TelemetryValue::from(round))],
                                 );
-                                stall_until_stop(&ctx);
+                                stall_until_stop(ctx);
                                 break;
                             }
                         }
@@ -218,7 +231,6 @@ pub fn run_aggregator(
             );
         }
     }
-    NodeExit::Aggregator(Box::new(agg))
 }
 
 /// The party service loop.
@@ -228,16 +240,9 @@ pub fn run_aggregator(
 /// every aggregator acked registration, then executes one round per
 /// supervisor `RoundPlan`: train-or-skip when the matching `RoundStart`
 /// arrives, and `PartyDone` once every aggregated fragment is applied.
-pub fn run_party(
-    mut party: Party,
-    tokens: HashMap<String, VerifyingKey>,
-    ctx: ActorContext,
-    recorder: Arc<FlightRecorder>,
-) -> NodeExit {
-    // Held for the loop's lifetime (see `run_aggregator`).
-    let _telemetry = deta_telemetry::attach(recorder);
+fn run_party(party: &mut Party, tokens: &HashMap<String, VerifyingKey>, ctx: &ActorContext) {
     let endpoint = party.endpoint();
-    party.send_hellos(&tokens);
+    party.send_hellos(tokens);
     let mut hb_seq = 0u64;
     let mut ready_sent = false;
     let mut failed = false;
@@ -406,5 +411,4 @@ pub fn run_party(
             }
         }
     }
-    NodeExit::Party(Box::new(party))
 }

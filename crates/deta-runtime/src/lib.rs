@@ -37,8 +37,9 @@ pub mod rtmsg;
 pub mod session;
 pub mod supervisor;
 
+pub use actor::Node;
 pub use rtmsg::{CtlMsg, RebindEntry, SUPERVISOR};
-pub use session::{DetachedNodes, MapperEpoch, RoundCheckpoint, ThreadedSession};
+pub use session::{DetachedNodes, MapperEpoch, SessionView, ThreadedSession};
 pub use supervisor::Supervisor;
 
 /// Telemetry wiring for a threaded deployment (see `deta-telemetry` and
@@ -89,7 +90,7 @@ pub enum FailoverPolicy {
     /// Respawn each dead aggregator as a freshly attested CVM under a
     /// new endpoint name, rebind every party to it (re-running the
     /// Phase II challenge-response against the proxy's new token), and
-    /// replay the failed round from the checkpoint.
+    /// replay the failed round from the parties' sealed uploads.
     Restart,
     /// Drop the dead aggregators and rebuild the model partition over
     /// the survivors: the failed round is discarded (never merged), a
@@ -125,10 +126,6 @@ pub struct RuntimeConfig {
     /// its base name across reincarnations) may consume before the
     /// session degrades to a terminal [`RuntimeError`].
     pub recovery_attempts: u32,
-    /// Maintain per-round checkpoints (global model, round counter,
-    /// mapper bytes, training id). Required for any failover policy;
-    /// cheap enough to default on.
-    pub checkpoint: bool,
     /// Graceful degradation to partial participation: when a *party*
     /// (never an aggregator) misses a round deadline — e.g. its
     /// transport link exhausted its reconnect budget — drop it from the
@@ -151,7 +148,6 @@ impl Default for RuntimeConfig {
             telemetry: TelemetryConfig::default(),
             failover: FailoverPolicy::default(),
             recovery_attempts: 2,
-            checkpoint: true,
             party_drop: false,
         }
     }

@@ -6,24 +6,22 @@
 //! byte-identical nodes; from there every numeric path is driven by
 //! per-node state (independent RNG forks, name-sorted aggregation),
 //! which is what makes the final model parameters bit-identical
-//! regardless of thread scheduling. Byte accounting is exact: the
-//! transport keeps a monotonic per-link delivered-byte counter
-//! ([`Network::link_bytes`]), and each round's upload (party→aggregator)
-//! and download (aggregator→party) totals are window deltas over those
-//! links — control-plane and inter-aggregator traffic never enters
-//! either figure (DESIGN.md §7).
+//! regardless of thread scheduling. What a round selects and reports —
+//! cohort, byte windows, timer deltas, the loss mean — is the
+//! [`RoundLedger`]'s, the same one the sequential session owns
+//! (DESIGN.md §7); this module is the message-driven scheduler around
+//! it, plus failover.
 
-use crate::actor::NodeExit;
+use crate::actor::Node;
 use crate::rtmsg::{CtlMsg, RebindEntry};
 use crate::supervisor::{implicated_nodes, Supervisor};
 use crate::{FailoverPolicy, Phase, RuntimeConfig, RuntimeError};
 use deta_core::agg::AggKind;
 use deta_core::aggregator::{AggRole, AggregatorNode};
 use deta_core::keybroker::KeyBroker;
-use deta_core::latency::{LatencyModel, RoundInputs};
 use deta_core::mapper::ModelMapper;
-use deta_core::party::Party;
-use deta_core::recovery::RecoveryKit;
+use deta_core::party::{Party, PartyTimers};
+use deta_core::round::{OpenRound, RoundLedger};
 use deta_core::session::{DetaConfig, RoundMetrics, SessionParts};
 use deta_core::transform::Transformer;
 use deta_crypto::{DetRng, VerifyingKey};
@@ -31,27 +29,8 @@ use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
 use deta_telemetry::TelemetryValue;
 use deta_transport::Network;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-
-/// The minimal per-round state a failover replays from (DESIGN.md §12).
-///
-/// The checkpoint is refreshed after every successful round; a failed
-/// round is replayed *on top of* the checkpointed state — parties hold
-/// their last sealed upload for idempotent re-upload, so no private data
-/// ever leaves a party twice in different forms.
-#[derive(Clone, Debug)]
-pub struct RoundCheckpoint {
-    /// The last successfully completed round (0 right after setup).
-    pub round: u64,
-    /// Global model parameters after that round.
-    pub params: Vec<f32>,
-    /// The serialized [`ModelMapper`] in effect (current epoch).
-    pub mapper_bytes: Vec<u8>,
-    /// The broker's permutation round id used by that round (zero for
-    /// the setup checkpoint).
-    pub training_id: [u8; 16],
-}
 
 /// One model-partition epoch: the transformer (mapper + keyed shuffle)
 /// and aggregator set in effect from [`MapperEpoch::from_round`] until
@@ -73,26 +52,13 @@ pub struct MapperEpoch {
 
 /// A DeTA session deployed as concurrent, supervised node threads.
 pub struct ThreadedSession {
-    /// The active configuration.
-    pub config: DetaConfig,
-    network: Network,
-    broker: KeyBroker,
-    transformer: Transformer,
-    latency_model: LatencyModel,
-    eval_model: Sequential,
+    /// What `SessionParts::build` produced, less the nodes (they moved to
+    /// their hosts). `tokens` also holds the keys of incarnations retired
+    /// by a failover next to their replacements' fresh ones.
+    parts: SessionParts,
     supervisor: Supervisor,
-    party_names: Vec<String>,
+    ledger: RoundLedger,
     agg_names: Vec<String>,
-    /// Phase II token verifying keys by aggregator endpoint name.
-    /// Incarnations retired by a failover keep their (now-dead) entries
-    /// alongside their replacements' fresh ones.
-    tokens: HashMap<String, VerifyingKey>,
-    next_round: u64,
-    cumulative_latency_s: f64,
-    prev_party_timers: HashMap<String, (f64, f64, f64)>,
-    prev_agg_times: HashMap<String, f64>,
-    recovery: RecoveryKit,
-    checkpoint: Option<RoundCheckpoint>,
     epochs: Vec<MapperEpoch>,
     retired_aggs: Vec<String>,
     failovers: u64,
@@ -100,11 +66,52 @@ pub struct ThreadedSession {
     /// share one allowance).
     budget_used: HashMap<String, u32>,
     /// Parties dropped to partial participation (`RuntimeConfig::
-    /// party_drop`): they receive no further round plans, are expected
-    /// in no completion wait, and every aggregator has deregistered
-    /// them. Names stay in `party_names` so participant selection and
-    /// byte attribution keep their deterministic shape.
+    /// party_drop`): they receive no further round plans, are in no
+    /// later cohort, are expected in no completion wait, and every
+    /// aggregator has deregistered them.
     dropped_parties: HashSet<String>,
+}
+
+/// A read-only view of a session's bookkeeping and — once their threads
+/// are joined — its nodes' final state, for audits and drills
+/// ([`ThreadedSession::view`]).
+pub struct SessionView<'a> {
+    /// Party endpoint names, in index order.
+    pub party_names: &'a [String],
+    /// Aggregator endpoint names in effect, index 0 the initiator.
+    pub agg_names: &'a [String],
+    /// Endpoint names of aggregator incarnations retired by failovers,
+    /// in retirement order.
+    pub retired_aggs: &'a [String],
+    /// Parties dropped to partial participation so far (empty unless
+    /// `RuntimeConfig::party_drop` engaged).
+    pub dropped_parties: &'a HashSet<String>,
+    /// Every model-partition epoch so far, oldest first. A session that
+    /// never re-partitioned has exactly one.
+    pub epochs: &'a [MapperEpoch],
+    /// Phase II token verifying keys by aggregator endpoint name —
+    /// exactly what the attestation proxy published (and re-published
+    /// on every failover re-attestation). Retired incarnations keep
+    /// their entries next to their replacements', so adversarial drills
+    /// can prove a retired incarnation's key is dead: it must differ
+    /// from (and fail verification against) the live entry.
+    pub tokens: &'a HashMap<String, VerifyingKey>,
+    /// The key broker (per-round training ids and the permutation key).
+    pub broker: &'a KeyBroker,
+    /// Number of failovers performed so far.
+    pub failovers: u64,
+    supervisor: &'a Supervisor,
+}
+
+impl<'a> SessionView<'a> {
+    /// A node's final state by endpoint name, recovered from its joined
+    /// thread: available after shutdown, and for a dropped party or an
+    /// aggregator incarnation retired by a failover from the moment it
+    /// was killed. `None` before that, for an unknown name, or if the
+    /// thread panicked.
+    pub fn node(&self, name: &str) -> Option<&'a Node> {
+        self.supervisor.recovered(name)
+    }
 }
 
 impl ThreadedSession {
@@ -146,20 +153,16 @@ impl ThreadedSession {
         rt: RuntimeConfig,
         instrument: impl FnOnce(&mut SessionParts),
     ) -> Result<ThreadedSession, RuntimeError> {
-        if rt.telemetry.enabled {
-            deta_telemetry::enable();
-        }
-        let mut parts = SessionParts::build(config, model_builder, party_data)?;
-        instrument(&mut parts);
-        let (pending, nodes) = PendingSession::split(parts);
-        let mut supervisor = Supervisor::new(pending.network.clone(), rt);
-        for agg in nodes.aggregators {
-            supervisor.spawn_aggregator(agg)?;
-        }
-        for party in nodes.parties {
-            supervisor.spawn_party(party, nodes.tokens.clone())?;
-        }
-        pending.finish(supervisor)
+        let place = |supervisor: &mut Supervisor, nodes: DetachedNodes, _: &Network| {
+            for agg in nodes.aggregators {
+                supervisor.spawn(Node::Aggregator(Box::new(agg)), &nodes.tokens)?;
+            }
+            for party in nodes.parties {
+                supervisor.spawn(Node::Party(Box::new(party)), &nodes.tokens)?;
+            }
+            Ok(())
+        };
+        Self::bootstrap(config, model_builder, party_data, rt, instrument, place)
     }
 
     /// [`ThreadedSession::setup`] for externally hosted nodes: the nodes
@@ -176,9 +179,9 @@ impl ThreadedSession {
     /// network, and must arrange for each node's frames to flow through
     /// that network — [`Network::send_as`] is the injection seam.
     ///
-    /// Failover policies that respawn nodes are not supported over a
-    /// bridge (the supervisor cannot re-home a remote process), so runs
-    /// should use [`FailoverPolicy::None`].
+    /// The supervisor cannot re-home a remote process, so a failover
+    /// policy that respawns nodes cannot heal a bridged session;
+    /// `deta_socket::launch` refuses one.
     ///
     /// # Errors
     ///
@@ -191,20 +194,73 @@ impl ThreadedSession {
         rt: RuntimeConfig,
         host: impl FnOnce(DetachedNodes, &Network) -> Result<(), RuntimeError>,
     ) -> Result<ThreadedSession, RuntimeError> {
+        let place = |supervisor: &mut Supervisor, nodes: DetachedNodes, network: &Network| {
+            for a in &nodes.aggregators {
+                supervisor.adopt(&a.name);
+            }
+            for p in &nodes.parties {
+                supervisor.adopt(&p.name);
+            }
+            host(nodes, network)
+        };
+        Self::bootstrap(config, model_builder, party_data, rt, |_| {}, place)
+    }
+
+    /// The bootstrap every `setup*` shares: build, instrument, hand the
+    /// nodes to `place` (spawn them here, or adopt them and let a bridge
+    /// host them), then wait for every node's `Ready`.
+    fn bootstrap(
+        config: DetaConfig,
+        model_builder: &dyn Fn(&mut DetRng) -> Sequential,
+        party_data: Vec<LabeledData>,
+        rt: RuntimeConfig,
+        instrument: impl FnOnce(&mut SessionParts),
+        place: impl FnOnce(&mut Supervisor, DetachedNodes, &Network) -> Result<(), RuntimeError>,
+    ) -> Result<ThreadedSession, RuntimeError> {
         if rt.telemetry.enabled {
             deta_telemetry::enable();
         }
-        let parts = SessionParts::build(config, model_builder, party_data)?;
-        let (pending, nodes) = PendingSession::split(parts);
-        let mut supervisor = Supervisor::new(pending.network.clone(), rt);
-        for name in pending.agg_names.iter().chain(pending.party_names.iter()) {
-            supervisor.adopt(name);
-        }
-        if let Err(e) = host(nodes, &pending.network) {
+        let mut parts = SessionParts::build(config, model_builder, party_data)?;
+        instrument(&mut parts);
+        let nodes = DetachedNodes {
+            parties: std::mem::take(&mut parts.parties),
+            aggregators: std::mem::take(&mut parts.aggregators),
+            tokens: parts.tokens.clone(),
+        };
+        let party_names: Vec<String> = nodes.parties.iter().map(|p| p.name.clone()).collect();
+        let agg_names: Vec<String> = nodes.aggregators.iter().map(|a| a.name.clone()).collect();
+        let expected: HashSet<String> = agg_names.iter().chain(&party_names).cloned().collect();
+        let mut supervisor = Supervisor::new(parts.network.clone(), rt);
+        let deadline = supervisor.config().setup_deadline;
+        let ready = place(&mut supervisor, nodes, &parts.network).and_then(|()| {
+            supervisor.wait(Phase::Setup, 0, deadline, expected, None, |_, msg| {
+                matches!(msg, CtlMsg::Ready)
+            })
+        });
+        if let Err(e) = ready {
             let _ = supervisor.shutdown();
             return Err(e);
         }
-        pending.finish(supervisor)
+        Ok(ThreadedSession {
+            ledger: RoundLedger::new(
+                &parts.config,
+                parts.network.clone(),
+                parts.latency_model,
+                party_names,
+            ),
+            epochs: vec![MapperEpoch {
+                from_round: 1,
+                transformer: parts.transformer.clone(),
+                agg_names: agg_names.clone(),
+            }],
+            parts,
+            supervisor,
+            agg_names,
+            retired_aggs: Vec::new(),
+            failovers: 0,
+            budget_used: HashMap::new(),
+            dropped_parties: HashSet::new(),
+        })
     }
 
     /// Runs all configured rounds, evaluating on `test` after each, then
@@ -216,7 +272,7 @@ impl ThreadedSession {
     /// run; the deployment is shut down before the error is returned, so
     /// no threads leak on any path.
     pub fn run(&mut self, test: &LabeledData) -> Result<Vec<RoundMetrics>, RuntimeError> {
-        let rounds = self.config.rounds;
+        let rounds = self.parts.config.rounds;
         let mut out = Vec::with_capacity(rounds);
         for _ in 0..rounds {
             match self.run_round(test) {
@@ -237,10 +293,17 @@ impl ThreadedSession {
     /// the completions already collected, until the round finishes or
     /// the failure is terminal.
     fn run_round(&mut self, test: &LabeledData) -> Result<RoundMetrics, RuntimeError> {
-        let round = self.next_round;
-        self.next_round += 1;
-        let tid = self.broker.training_id(round);
-        let n = self.party_names.len();
+        let names = self.ledger.party_names();
+        let online: Vec<usize> = (0..names.len())
+            .filter(|i| !self.dropped_parties.contains(&names[*i]))
+            .collect();
+        let mut progress = RoundProgress {
+            open: self.ledger.open(&online),
+            done: HashSet::new(),
+            params: None,
+        };
+        let round = progress.open.round;
+        let tid = self.parts.broker.training_id(round);
 
         // Round-scoped trace: everything this driver thread sends from
         // here on carries trace id `round + 1` (0 means untraced), and
@@ -250,54 +313,26 @@ impl ThreadedSession {
         self.supervisor
             .note("round_begin", &[("round", TelemetryValue::from(round))]);
 
-        // This round's participants: the sequential session's selection,
-        // replicated exactly (same RNG fork, same shuffle).
-        let online: Vec<usize> = (0..n).collect();
-        let participants: HashSet<usize> = match self.config.participation {
-            Some(q) if q < online.len() => {
-                let mut pool = online.clone();
-                let mut rng =
-                    DetRng::from_u64(self.config.seed).fork_indexed(b"participation", round);
-                rng.shuffle(&mut pool);
-                pool.into_iter().take(q).collect()
-            }
-            _ => online.iter().copied().collect(),
-        };
-
-        // Byte attribution window: per-link delivered-byte counters are
-        // snapshotted around the round, so the upload/download figures
-        // are exact sums over party↔aggregator links (control-plane and
-        // inter-aggregator traffic rides other links).
-        let links0 = self.network.link_bytes();
-
-        // Marching orders to every party (sent once — a failover
-        // re-enters the completion wait without re-planning, so no party
-        // can be told to train the same round twice), then the round
-        // trigger to the initiator (retried with capped backoff —
-        // idempotent).
-        // The designated parameter reporter is the first party still in
-        // the session — party 0 unless partial participation dropped it.
-        let reporter = self
-            .party_names
-            .iter()
-            .position(|n| !self.dropped_parties.contains(n));
-        for (i, name) in self.party_names.iter().enumerate() {
-            if self.dropped_parties.contains(name) {
-                continue;
-            }
+        // Marching orders to every party still in the session (sent once
+        // — a failover re-enters the completion wait without
+        // re-planning, so no party can be told to train the same round
+        // twice), then the round trigger to the initiator (retried with
+        // capped backoff — idempotent). The first of them is the
+        // designated parameter reporter.
+        for &i in &online {
             let plan = CtlMsg::RoundPlan {
                 round,
-                train: participants.contains(&i),
-                report_params: Some(i) == reporter,
+                train: progress.open.trains(i),
+                report_params: Some(&i) == online.first(),
             };
-            self.supervisor.send_ctl(name, &plan);
+            self.supervisor
+                .send_ctl(&self.ledger.party_names()[i], &plan);
         }
 
         // Collect completions: every aggregator's AggDone and every
         // party's PartyDone, under the round deadline. A recoverable
         // failure runs a failover and re-enters the wait for whoever has
         // not finished yet.
-        let mut progress = RoundProgress::default();
         loop {
             let Some(initiator) = self.agg_names.first().cloned() else {
                 return Err(self
@@ -309,10 +344,11 @@ impl ThreadedSession {
                 training_id: tid,
             };
             self.supervisor.send_ctl(&initiator, &trigger);
+            let party_names = self.ledger.party_names();
             let expected: HashSet<String> = self
                 .agg_names
                 .iter()
-                .chain(self.party_names.iter())
+                .chain(party_names)
                 .filter(|name| {
                     !progress.done.contains(*name) && !self.dropped_parties.contains(*name)
                 })
@@ -325,70 +361,13 @@ impl ThreadedSession {
                 deadline,
                 expected,
                 Some((initiator, trigger)),
-                |from, msg| progress.absorb(round, from, msg),
+                |from, msg| progress.absorb(party_names, from, msg),
             );
             match attempt {
                 Ok(()) => break,
-                Err(err) => self.failover(err, round, &mut progress)?,
+                Err(err) => self.failover(err, &mut progress)?,
             }
         }
-
-        // Byte attribution: exact window deltas over the per-link
-        // counters. Uploads are party→aggregator deliveries, downloads
-        // aggregator→party; everything else (control plane, follower
-        // sync) is on disjoint links and never counted.
-        let links1 = self.network.link_bytes();
-        let upload_total = link_window(&links0, &links1, &self.party_names, &self.agg_names);
-        let download_total = link_window(&links0, &links1, &self.agg_names, &self.party_names);
-
-        // Latency inputs from per-node cumulative timer deltas.
-        let k = self.agg_names.len();
-        let mut max_train = 0.0f64;
-        let mut max_transform = 0.0f64;
-        let mut max_crypto = 0.0f64;
-        for name in &self.party_names {
-            let cum = progress.party_cum.get(name).copied().unwrap_or_default();
-            let prev = self
-                .prev_party_timers
-                .get(name)
-                .copied()
-                .unwrap_or_default();
-            max_train = max_train.max(cum.0 - prev.0);
-            max_transform = max_transform.max(cum.1 - prev.1);
-            max_crypto = max_crypto.max(cum.2 - prev.2);
-            self.prev_party_timers.insert(name.clone(), cum);
-        }
-        let mut max_agg = 0.0f64;
-        for name in &self.agg_names {
-            let cum = progress.agg_cum.get(name).copied().unwrap_or_default();
-            let prev = self.prev_agg_times.get(name).copied().unwrap_or_default();
-            max_agg = max_agg.max(cum - prev);
-            self.prev_agg_times.insert(name.clone(), cum);
-        }
-        // Mean training loss, summed in party-index order so the float
-        // reduction matches the sequential session bit for bit.
-        let mut train_loss_sum = 0.0f32;
-        for name in &self.party_names {
-            if let Some(l) = progress.losses.get(name) {
-                train_loss_sum += *l;
-            }
-        }
-        // Per-party figures average over the parties still in the
-        // session; the quorum floor keeps this nonzero, but divide
-        // defensively anyway.
-        let active = (n - self.dropped_parties.len()).max(1);
-        let inputs = RoundInputs {
-            max_party_train_s: max_train,
-            max_party_transform_s: max_transform,
-            max_party_crypto_s: max_crypto,
-            upload_bytes_per_party: upload_total / active as u64,
-            download_bytes_per_party: download_total / active as u64,
-            max_aggregate_s: max_agg,
-            n_aggregators: k,
-        };
-        let latency = self.latency_model.round(&inputs);
-        let round_latency_s = latency.total();
-        self.cumulative_latency_s += round_latency_s;
 
         // Evaluate on the supervisor's replica of the (synchronized,
         // therefore identical) party model.
@@ -397,83 +376,51 @@ impl ThreadedSession {
                 .supervisor
                 .record_failure(RuntimeError::Protocol("missing parameter snapshot")));
         };
-        // Refresh the round checkpoint: the state the *next* round's
-        // failover would replay on top of.
-        if self.supervisor.config().checkpoint {
-            let _cp_span =
-                deta_telemetry::span("checkpoint").with_field("round", TelemetryValue::from(round));
-            self.checkpoint = Some(RoundCheckpoint {
-                round,
-                params: params.clone(),
-                mapper_bytes: self.transformer.mapper().to_bytes(),
-                training_id: tid,
-            });
-        }
         // Driver-side work is on the round's blocking path too; span it
         // so critical-path reports name it instead of charging it to
         // idle.
         let (test_loss, test_accuracy) = {
             let _eval_span =
                 deta_telemetry::span("eval").with_field("round", TelemetryValue::from(round));
-            self.eval_model.set_flat_params(&params);
-            deta_nn::train::evaluate(&mut self.eval_model, test, 128)
+            self.parts.eval_model.set_flat_params(&params);
+            deta_nn::train::evaluate(&mut self.parts.eval_model, test, 128)
         };
-        // Loss averages over the participants that actually trained: a
-        // party dropped mid-round contributed no loss, so it must not
-        // inflate the denominator. Without drops this is exactly
-        // `participants.len()`, preserving bit-parity with the
-        // sequential session.
-        let trained = participants
-            .iter()
-            .filter(|i| !self.dropped_parties.contains(&self.party_names[**i]))
-            .count()
-            .max(1);
-        Ok(RoundMetrics {
-            round,
-            train_loss: train_loss_sum / trained as f32,
-            test_loss,
-            test_accuracy,
-            latency,
-            round_latency_s,
-            cumulative_latency_s: self.cumulative_latency_s,
-            upload_bytes: upload_total,
-            download_bytes: download_total,
-        })
+        Ok(self
+            .ledger
+            .close(progress.open, &self.agg_names, test_loss, test_accuracy))
     }
 
     /// Attempts to heal a failed round attempt. On success the caller
     /// re-enters the completion wait; any error returned here is
     /// terminal (the session degrades to today's structured failure).
     ///
-    /// Recoverable means: a failover policy is configured, a checkpoint
-    /// exists, the fault implicates at least one aggregator (parties own
-    /// private data no replacement could re-create), the Paillier path
-    /// is off (a replayed upload must be byte-identical, and
-    /// re-encrypting would consume party RNG state), and every target is
-    /// within its recovery budget.
+    /// Recoverable means: a failover policy is configured, the fault
+    /// implicates at least one aggregator (parties own private data no
+    /// replacement could re-create), the Paillier path is off (a
+    /// replayed upload must be byte-identical, and re-encrypting would
+    /// consume party RNG state), and every target is within its
+    /// recovery budget.
     fn failover(
         &mut self,
         err: RuntimeError,
-        round: u64,
         progress: &mut RoundProgress,
     ) -> Result<(), RuntimeError> {
+        let round = progress.open.round;
         // Partial participation first: a lost *party* holds private data
         // no replacement could re-create, so the only recovery is to
         // drop it and continue with the survivors. Aggregator faults
         // fall through to the failover policies below unchanged.
-        let err = match self.drop_parties(err, round, progress) {
+        let err = match self.drop_parties(err, progress) {
             Ok(()) => return Ok(()),
             Err(e) => e,
         };
         let policy = self.supervisor.config().failover;
         let budget = self.supervisor.config().recovery_attempts;
-        if policy == FailoverPolicy::None
-            || self.checkpoint.is_none()
-            || self.config.paillier.is_some()
-        {
+        if policy == FailoverPolicy::None || self.parts.config.paillier.is_some() {
             return Err(err);
         }
-        if policy == FailoverPolicy::Repartition && !partition_commutative(self.config.algorithm) {
+        let algorithm = self.parts.config.algorithm;
+        if policy == FailoverPolicy::Repartition && !partition_commutative(algorithm) {
             // Krum / FLAME-lite score whole fragments, so survivors
             // re-aggregating under a new partition would select
             // differently than the original epoch — re-partition would
@@ -521,10 +468,10 @@ impl ThreadedSession {
             self.retired_aggs.push(t.clone());
             progress.done.remove(t);
         }
-        match policy {
-            FailoverPolicy::None => return Err(err),
-            FailoverPolicy::Restart => self.failover_restart(&targets, round, progress)?,
-            FailoverPolicy::Repartition => self.failover_repartition(&targets, round, progress)?,
+        if policy == FailoverPolicy::Repartition {
+            self.failover_repartition(&targets, progress)?;
+        } else {
+            self.failover_restart(&targets, progress)?;
         }
         self.supervisor
             .note("round_replayed", &[("round", TelemetryValue::from(round))]);
@@ -549,7 +496,6 @@ impl ThreadedSession {
     fn drop_parties(
         &mut self,
         err: RuntimeError,
-        round: u64,
         progress: &mut RoundProgress,
     ) -> Result<(), RuntimeError> {
         if !self.supervisor.config().party_drop {
@@ -560,7 +506,8 @@ impl ThreadedSession {
             return Err(err);
         }
         let lost: Vec<String> = self
-            .party_names
+            .ledger
+            .party_names()
             .iter()
             .filter(|n| implicated.contains(n) && !self.dropped_parties.contains(*n))
             .cloned()
@@ -568,22 +515,23 @@ impl ThreadedSession {
         if lost.is_empty() {
             return Err(err);
         }
-        let survivors = self.party_names.len() - self.dropped_parties.len() - lost.len();
-        let floor = participation_floor(self.config.algorithm);
+        let survivors = self.ledger.party_names().len() - self.dropped_parties.len() - lost.len();
+        let floor = participation_floor(self.parts.config.algorithm);
         if survivors < floor {
             return Err(self.supervisor.record_failure(RuntimeError::NodeFailed {
                 node: lost[0].clone(),
                 reason: format!(
                     "lost mid-round; dropping it would leave {survivors} of {} parties, \
                      below the quorum floor of {floor} for {:?}",
-                    self.party_names.len(),
-                    self.config.algorithm
+                    self.ledger.party_names().len(),
+                    self.parts.config.algorithm
                 ),
             }));
         }
         if progress.params.is_none() {
             if let Some(rep) = self
-                .party_names
+                .ledger
+                .party_names()
                 .iter()
                 .find(|n| !self.dropped_parties.contains(*n))
             {
@@ -611,7 +559,7 @@ impl ThreadedSession {
             self.supervisor.note(
                 "party_dropped",
                 &[
-                    ("round", TelemetryValue::from(round)),
+                    ("round", TelemetryValue::from(progress.open.round)),
                     ("party", TelemetryValue::from(party.as_str())),
                     ("survivors", TelemetryValue::from(survivors)),
                 ],
@@ -628,9 +576,9 @@ impl ThreadedSession {
     fn failover_restart(
         &mut self,
         targets: &[String],
-        round: u64,
         progress: &mut RoundProgress,
     ) -> Result<(), RuntimeError> {
+        let round = progress.open.round;
         // New incarnation names, preserving each target's mapper slot.
         let mut new_names = self.agg_names.clone();
         let mut replaced: Vec<(usize, String)> = Vec::new();
@@ -650,19 +598,12 @@ impl ThreadedSession {
         // AP, token provisioning into the fresh CVM), then its thread.
         let mut rebinds: Vec<RebindEntry> = Vec::new();
         for (slot, name) in &replaced {
-            let role = if *slot == 0 {
-                AggRole::Initiator {
-                    followers: new_names.iter().filter(|n| *n != name).cloned().collect(),
-                }
-            } else {
-                AggRole::Follower {
-                    initiator: initiator.clone(),
-                }
-            };
-            let endpoint = self.network.register(name);
-            let (node, token) = self.recovery.respawn(name, endpoint, role)?;
-            self.tokens.insert(name.clone(), token.clone());
-            self.supervisor.spawn_aggregator(node)?;
+            let role = AggRole::among(name, &initiator, &new_names);
+            let endpoint = self.parts.network.register(name);
+            let (node, token) = self.parts.recovery.respawn(name, endpoint, role)?;
+            self.parts.tokens.insert(name.clone(), token.clone());
+            self.supervisor
+                .spawn(Node::Aggregator(Box::new(node)), &self.parts.tokens)?;
             self.supervisor.note(
                 "reattested",
                 &[
@@ -696,7 +637,8 @@ impl ThreadedSession {
         // Every party re-runs Phase II against the replacements. The
         // rebind is one batched message so no party can report readiness
         // between two rebinds of the same failover.
-        for p in &self.party_names {
+        let parties = self.active_parties();
+        for p in &parties {
             self.supervisor.send_ctl(
                 p,
                 &CtlMsg::Rebind {
@@ -707,34 +649,8 @@ impl ThreadedSession {
         // Barrier: every replacement's service loop up AND every party
         // re-registered before any replay flows — a replacement must
         // never aggregate over a partially re-registered party set.
-        let expected: HashSet<String> = replaced
-            .iter()
-            .map(|(_, n)| n.clone())
-            .chain(self.party_names.iter().cloned())
-            .collect();
-        let deadline = self.supervisor.config().setup_deadline;
-        self.supervisor.wait(
-            Phase::Setup,
-            round,
-            deadline,
-            expected,
-            None,
-            |from, msg| match msg {
-                CtlMsg::Ready => true,
-                other => {
-                    // Completions racing in from survivors mid-failover
-                    // still count toward the round.
-                    progress.absorb(round, from, other);
-                    false
-                }
-            },
-        )?;
-        self.agg_names = new_names;
-        // Idempotent re-upload of the failed round's sealed fragments.
-        for p in &self.party_names {
-            self.supervisor.send_ctl(p, &CtlMsg::Replay { round });
-        }
-        Ok(())
+        let replacements = replaced.into_iter().map(|(_, name)| name).collect();
+        self.resume_round(parties, replacements, new_names, progress)
     }
 
     /// `FailoverPolicy::Repartition`: drop the dead aggregators and
@@ -749,9 +665,9 @@ impl ThreadedSession {
     fn failover_repartition(
         &mut self,
         targets: &[String],
-        round: u64,
         progress: &mut RoundProgress,
     ) -> Result<(), RuntimeError> {
+        let round = progress.open.round;
         let survivors: Vec<String> = self
             .agg_names
             .iter()
@@ -782,15 +698,17 @@ impl ThreadedSession {
         // function of (seed, e), so a replay of the whole session
         // rebuilds it bit-exactly.
         let epoch_index = self.epochs.len() as u64;
-        let n_params = self.transformer.mapper().n_params();
-        let mut rng = DetRng::from_u64(self.config.seed).fork_indexed(b"mapper-epoch", epoch_index);
+        let n_params = self.parts.transformer.mapper().n_params();
+        let mut rng =
+            DetRng::from_u64(self.parts.config.seed).fork_indexed(b"mapper-epoch", epoch_index);
         let mapper = ModelMapper::generate(n_params, survivors.len(), None, &mut rng);
         let mapper_bytes = mapper.to_bytes();
-        self.transformer = self.transformer.with_mapper(mapper);
+        self.parts.transformer = self.parts.transformer.with_mapper(mapper);
         // Re-point every party at the new partition (drops dead
         // channels, discards this round's old-epoch downloads) and make
         // them re-prove readiness.
-        for p in &self.party_names {
+        let parties = self.active_parties();
+        for p in &parties {
             self.supervisor.send_ctl(
                 p,
                 &CtlMsg::Remap {
@@ -800,31 +718,57 @@ impl ThreadedSession {
                 },
             );
         }
-        let expected: HashSet<String> = self.party_names.iter().cloned().collect();
+        self.resume_round(parties, Vec::new(), survivors.clone(), progress)?;
+        // The boundary round belongs to BOTH epochs for audit: its
+        // failed attempt put old-epoch fragments in flight.
+        self.epochs.push(MapperEpoch {
+            from_round: round,
+            transformer: self.parts.transformer.clone(),
+            agg_names: survivors,
+        });
+        Ok(())
+    }
+
+    /// Names of the parties still in the session, in index order.
+    fn active_parties(&self) -> Vec<String> {
+        let names = self.ledger.party_names().iter();
+        names
+            .filter(|n| !self.dropped_parties.contains(*n))
+            .cloned()
+            .collect()
+    }
+
+    /// The tail both failover policies share: a readiness barrier over
+    /// `parties` and the `replacements` just spawned (completions racing
+    /// in from survivors meanwhile still count toward the round), then
+    /// `agg_names` takes effect and every party re-uploads the failed
+    /// round's sealed fragments — idempotently, the bytes are the same.
+    fn resume_round(
+        &mut self,
+        parties: Vec<String>,
+        replacements: Vec<String>,
+        agg_names: Vec<String>,
+        progress: &mut RoundProgress,
+    ) -> Result<(), RuntimeError> {
+        let round = progress.open.round;
+        let expected = parties.iter().cloned().chain(replacements).collect();
         let deadline = self.supervisor.config().setup_deadline;
+        let party_names = self.ledger.party_names();
         self.supervisor.wait(
             Phase::Setup,
             round,
             deadline,
             expected,
             None,
-            |from, msg| match msg {
-                CtlMsg::Ready => true,
-                other => {
-                    progress.absorb(round, from, other);
+            |from, msg| {
+                matches!(msg, CtlMsg::Ready) || {
+                    progress.absorb(party_names, from, msg);
                     false
                 }
             },
         )?;
-        // The boundary round belongs to BOTH epochs for audit: its
-        // failed attempt put old-epoch fragments in flight.
-        self.epochs.push(MapperEpoch {
-            from_round: round,
-            transformer: self.transformer.clone(),
-            agg_names: survivors.clone(),
-        });
-        self.agg_names = survivors;
-        for p in &self.party_names {
+        self.agg_names = agg_names;
+        for p in &parties {
             self.supervisor.send_ctl(p, &CtlMsg::Replay { round });
         }
         Ok(())
@@ -850,110 +794,40 @@ impl ThreadedSession {
 
     /// Number of completed rounds.
     pub fn completed_rounds(&self) -> u64 {
-        self.next_round - 1
+        self.ledger.completed_rounds()
     }
 
     /// Flat parameters of party `i`'s final model replica. Available
     /// after shutdown (nodes are recovered from their threads at join);
     /// `None` before that, or for an unknown index.
     pub fn party_params(&self, i: usize) -> Option<Vec<f32>> {
-        Some(self.recovered_party(i)?.model.flat_params())
-    }
-
-    /// Party `i`'s final node state, recovered from its joined thread.
-    /// Available after shutdown; `None` before that, for an unknown
-    /// index, or if the thread panicked.
-    pub fn recovered_party(&self, i: usize) -> Option<&Party> {
-        let name = self.party_names.get(i)?;
-        match self.supervisor.recovered(name)? {
-            NodeExit::Party(p) => Some(p),
-            NodeExit::Aggregator(_) => None,
+        match self
+            .supervisor
+            .recovered(self.ledger.party_names().get(i)?)?
+        {
+            Node::Party(p) => Some(p.model.flat_params()),
+            Node::Aggregator(_) => None,
         }
     }
 
-    /// Aggregator `j`'s final node state, recovered from its joined
-    /// thread (same availability as [`ThreadedSession::recovered_party`]).
-    pub fn recovered_aggregator(&self, j: usize) -> Option<&AggregatorNode> {
-        let name = self.agg_names.get(j)?;
-        match self.supervisor.recovered(name)? {
-            NodeExit::Aggregator(a) => Some(a),
-            NodeExit::Party(_) => None,
+    /// The session's bookkeeping and recovered nodes, read-only.
+    pub fn view(&self) -> SessionView<'_> {
+        SessionView {
+            party_names: self.ledger.party_names(),
+            agg_names: &self.agg_names,
+            retired_aggs: &self.retired_aggs,
+            dropped_parties: &self.dropped_parties,
+            epochs: &self.epochs,
+            tokens: &self.parts.tokens,
+            broker: &self.parts.broker,
+            failovers: self.failovers,
+            supervisor: &self.supervisor,
         }
-    }
-
-    /// The latest round checkpoint (`None` while checkpointing is
-    /// disabled).
-    pub fn checkpoint(&self) -> Option<&RoundCheckpoint> {
-        self.checkpoint.as_ref()
-    }
-
-    /// Every model-partition epoch so far, oldest first. A session that
-    /// never re-partitioned has exactly one.
-    pub fn epochs(&self) -> &[MapperEpoch] {
-        &self.epochs
-    }
-
-    /// Number of failovers performed so far.
-    pub fn failover_count(&self) -> u64 {
-        self.failovers
-    }
-
-    /// Endpoint names of aggregator incarnations retired by failovers,
-    /// in retirement order.
-    pub fn retired_agg_names(&self) -> &[String] {
-        &self.retired_aggs
-    }
-
-    /// An aggregator's final node state looked up by endpoint name.
-    /// Unlike [`ThreadedSession::recovered_aggregator`], this also
-    /// reaches incarnations retired by a failover — those are joined
-    /// (and therefore recoverable) the moment the failover kills them.
-    pub fn recovered_aggregator_named(&self, name: &str) -> Option<&AggregatorNode> {
-        match self.supervisor.recovered(name)? {
-            NodeExit::Aggregator(a) => Some(a),
-            NodeExit::Party(_) => None,
-        }
-    }
-
-    /// The key broker (per-round training ids and the permutation key).
-    pub fn broker(&self) -> &KeyBroker {
-        &self.broker
-    }
-
-    /// The shared transform every party uploads through.
-    pub fn transformer(&self) -> &Transformer {
-        &self.transformer
     }
 
     /// The deployment's network (e.g. for traffic stats).
     pub fn network(&self) -> &Network {
-        &self.network
-    }
-
-    /// Parties dropped to partial participation so far (empty unless
-    /// `RuntimeConfig::party_drop` engaged).
-    pub fn dropped_parties(&self) -> &HashSet<String> {
-        &self.dropped_parties
-    }
-
-    /// Party endpoint names, in index order.
-    pub fn party_names(&self) -> &[String] {
-        &self.party_names
-    }
-
-    /// Aggregator endpoint names, index 0 is the initiator.
-    pub fn agg_names(&self) -> &[String] {
-        &self.agg_names
-    }
-
-    /// Phase II token verifying keys by aggregator endpoint name —
-    /// exactly what the attestation proxy published (and re-published
-    /// on every failover re-attestation). Retired incarnations keep
-    /// their entries next to their replacements', so adversarial drills
-    /// can prove a retired incarnation's key is dead: it must differ
-    /// from (and fail verification against) the live entry.
-    pub fn token_directory(&self) -> &HashMap<String, VerifyingKey> {
-        &self.tokens
+        &self.parts.network
     }
 
     /// The flight-recorder dump written for the first fault verdict (if
@@ -985,180 +859,51 @@ pub struct DetachedNodes {
     pub tokens: HashMap<String, VerifyingKey>,
 }
 
-/// Everything [`ThreadedSession`] needs beyond the node values
-/// themselves: the shared bootstrap tail between thread hosting and
-/// detached (bridged) hosting.
-struct PendingSession {
-    config: DetaConfig,
-    network: Network,
-    broker: KeyBroker,
-    latency_model: LatencyModel,
-    eval_model: Sequential,
-    transformer: Transformer,
-    recovery: RecoveryKit,
-    party_names: Vec<String>,
-    agg_names: Vec<String>,
-    tokens: HashMap<String, VerifyingKey>,
-}
-
-impl PendingSession {
-    /// Splits built session parts into the session skeleton and the node
-    /// values a host must take ownership of.
-    fn split(parts: SessionParts) -> (PendingSession, DetachedNodes) {
-        let SessionParts {
-            config,
-            network,
-            parties,
-            aggregators,
-            broker,
-            latency_model,
-            tokens,
-            eval_model,
-            transformer,
-            recovery,
-        } = parts;
-        let agg_names: Vec<String> = aggregators.iter().map(|a| a.name.clone()).collect();
-        let party_names: Vec<String> = parties.iter().map(|p| p.name.clone()).collect();
-        (
-            PendingSession {
-                config,
-                network,
-                broker,
-                latency_model,
-                eval_model,
-                transformer,
-                recovery,
-                party_names,
-                agg_names,
-                tokens: tokens.clone(),
-            },
-            DetachedNodes {
-                parties,
-                aggregators,
-                tokens,
-            },
-        )
-    }
-
-    /// Waits for every node to report `Ready`, seeds the round-0
-    /// checkpoint, and assembles the session.
-    fn finish(self, mut supervisor: Supervisor) -> Result<ThreadedSession, RuntimeError> {
-        let PendingSession {
-            config,
-            network,
-            broker,
-            latency_model,
-            eval_model,
-            transformer,
-            recovery,
-            party_names,
-            agg_names,
-            tokens,
-        } = self;
-        let expected: HashSet<String> = agg_names
-            .iter()
-            .chain(party_names.iter())
-            .cloned()
-            .collect();
-        let deadline = supervisor.config().setup_deadline;
-        let readiness = supervisor.wait(Phase::Setup, 0, deadline, expected, None, |_, msg| {
-            matches!(msg, CtlMsg::Ready)
-        });
-        if let Err(e) = readiness {
-            let _ = supervisor.shutdown();
-            return Err(e);
-        }
-        // The setup checkpoint (round 0): the freshly initialized global
-        // model under the initial partition, so even a first-round fault
-        // has a replay basis.
-        let checkpoint = if supervisor.config().checkpoint {
-            Some(RoundCheckpoint {
-                round: 0,
-                params: eval_model.flat_params(),
-                mapper_bytes: transformer.mapper().to_bytes(),
-                training_id: [0u8; 16],
-            })
-        } else {
-            None
-        };
-        let epochs = vec![MapperEpoch {
-            from_round: 1,
-            transformer: transformer.clone(),
-            agg_names: agg_names.clone(),
-        }];
-        Ok(ThreadedSession {
-            config,
-            network,
-            broker,
-            transformer,
-            latency_model,
-            eval_model,
-            supervisor,
-            party_names,
-            agg_names,
-            tokens,
-            next_round: 1,
-            cumulative_latency_s: 0.0,
-            prev_party_timers: HashMap::new(),
-            prev_agg_times: HashMap::new(),
-            recovery,
-            checkpoint,
-            epochs,
-            retired_aggs: Vec::new(),
-            failovers: 0,
-            budget_used: HashMap::new(),
-            dropped_parties: HashSet::new(),
-        })
-    }
-}
-
 /// Completion state for one round, carried across failover attempts so
 /// a healed wait doesn't forget who already finished.
-#[derive(Default)]
 struct RoundProgress {
+    /// What the completions reported, for the ledger to close over.
+    open: OpenRound,
     /// Nodes whose round obligation is fulfilled.
     done: HashSet<String>,
-    losses: HashMap<String, f32>,
-    party_cum: HashMap<String, (f64, f64, f64)>,
-    agg_cum: HashMap<String, f64>,
     params: Option<Vec<f32>>,
 }
 
 impl RoundProgress {
-    /// Records a completion message for `round`; returns whether it
-    /// fulfilled the sender's obligation.
-    fn absorb(&mut self, round: u64, from: &str, msg: CtlMsg) -> bool {
+    /// Records a completion message for the open round; returns whether
+    /// it fulfilled the sender's obligation.
+    fn absorb(&mut self, party_names: &[String], from: &str, msg: CtlMsg) -> bool {
         match msg {
-            CtlMsg::AggDone {
-                round: r,
-                aggregate_s,
-            } if r >= round => {
-                self.agg_cum.insert(from.to_string(), aggregate_s);
-                self.done.insert(from.to_string());
-                true
+            CtlMsg::AggDone { round, aggregate_s } if round >= self.open.round => {
+                self.open.aggregator_done(from, aggregate_s);
             }
             CtlMsg::PartyDone {
-                round: r,
+                round,
                 trained,
                 train_loss,
                 train_s,
                 transform_s,
                 crypto_s,
                 params,
-            } if r == round => {
-                if trained {
-                    self.losses.insert(from.to_string(), train_loss);
-                }
-                self.party_cum
-                    .insert(from.to_string(), (train_s, transform_s, crypto_s));
+            } if round == self.open.round => {
+                let Some(i) = party_names.iter().position(|n| n == from) else {
+                    return false;
+                };
+                let timers = PartyTimers {
+                    train_s,
+                    transform_s,
+                    crypto_s,
+                };
+                self.open
+                    .party_done(i, timers, trained.then_some(train_loss));
                 if let Some(p) = params {
                     self.params = Some(p);
                 }
-                self.done.insert(from.to_string());
-                true
             }
-            _ => false,
+            _ => return false,
         }
+        self.done.insert(from.to_string());
+        true
     }
 }
 
@@ -1180,9 +925,6 @@ fn policy_tag(policy: FailoverPolicy) -> &'static str {
     }
 }
 
-/// Whether an aggregation algorithm commutes with re-partitioning: its
-/// output at each coordinate depends only on the parties' values at
-/// that coordinate, never on whole-fragment geometry.
 /// The minimum surviving-party count each aggregation rule needs to
 /// keep its guarantees once partial participation shrinks the session:
 /// Krum scores each update against its `n - f - 2` nearest neighbours
@@ -1200,21 +942,9 @@ fn participation_floor(algorithm: AggKind) -> usize {
     }
 }
 
+/// Whether an aggregation algorithm commutes with re-partitioning: its
+/// output at each coordinate depends only on the parties' values at
+/// that coordinate, never on whole-fragment geometry.
 fn partition_commutative(algorithm: AggKind) -> bool {
     !matches!(algorithm, AggKind::Krum { .. } | AggKind::FlameLite)
-}
-
-/// Sums the delivered-byte delta between two [`Network::link_bytes`]
-/// snapshots over every `froms`→`tos` link.
-fn link_window(
-    before: &BTreeMap<(String, String), u64>,
-    after: &BTreeMap<(String, String), u64>,
-    froms: &[String],
-    tos: &[String],
-) -> u64 {
-    after
-        .iter()
-        .filter(|((from, to), _)| froms.contains(from) && tos.contains(to))
-        .map(|(link, bytes)| bytes - before.get(link).copied().unwrap_or(0))
-        .sum()
 }

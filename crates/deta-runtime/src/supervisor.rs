@@ -2,11 +2,9 @@
 //! retries idempotent requests with capped backoff, reaps panicked
 //! threads, and shuts the deployment down cleanly.
 
-use crate::actor::{self, ActorContext, NodeExit};
+use crate::actor::{ActorContext, Node};
 use crate::rtmsg::{CtlMsg, SUPERVISOR};
 use crate::{Phase, RuntimeConfig, RuntimeError};
-use deta_core::aggregator::AggregatorNode;
-use deta_core::party::Party;
 use deta_crypto::VerifyingKey;
 use deta_telemetry::{FlightRecorder, TelemetryRecord, TelemetryValue, TraceDump};
 use deta_transport::{Endpoint, Network, RecvError};
@@ -26,19 +24,14 @@ pub struct Supervisor {
     /// Per-node halt flags (see [`ActorContext::halt`]): lets the
     /// supervisor retire exactly one node during a failover.
     halts: HashMap<String, Arc<AtomicBool>>,
-    nodes: HashMap<String, JoinHandle<NodeExit>>,
+    nodes: HashMap<String, JoinHandle<Node>>,
     /// Nodes hosted outside this process (see [`Supervisor::adopt`]):
     /// no join handle, but shutdown still sends them `Shutdown` and
     /// closes their mailboxes so a transport bridge can propagate the
     /// stop signal.
     remote: HashSet<String>,
-    recovered: HashMap<String, NodeExit>,
+    recovered: HashMap<String, Node>,
     last_seen: HashMap<String, Instant>,
-    /// Control-plane payload bytes observed (sent by the supervisor plus
-    /// received from nodes) — the control-plane share of the network's
-    /// aggregate byte counter (round bandwidth itself is attributed from
-    /// per-link counters, see [`Network::link_bytes`]).
-    pub ctl_bytes: u64,
     /// Every node's flight recorder, plus the supervisor's own (first).
     recorders: Vec<Arc<FlightRecorder>>,
     /// The supervisor's own ring: verdicts, retries, reaps, deadlines.
@@ -62,7 +55,6 @@ impl Supervisor {
             remote: HashSet::new(),
             recovered: HashMap::new(),
             last_seen: HashMap::new(),
-            ctl_bytes: 0,
             recorders: vec![Arc::clone(&own)],
             own,
             trace_dump_path: None,
@@ -74,72 +66,40 @@ impl Supervisor {
         &self.cfg
     }
 
-    /// Names of the nodes still running (not yet joined).
-    pub fn running_nodes(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.nodes.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    fn context_for(&mut self, name: &str) -> ActorContext {
-        let halt = Arc::new(AtomicBool::new(false));
-        self.halts.insert(name.to_string(), Arc::clone(&halt));
-        ActorContext {
-            stop: Arc::clone(&self.stop),
-            halt,
-            tick: self.cfg.tick,
-        }
-    }
-
-    fn spawn(
-        &mut self,
-        name: String,
-        f: impl FnOnce() -> NodeExit + Send + 'static,
-    ) -> Result<(), RuntimeError> {
-        let handle = std::thread::Builder::new()
-            .name(name.clone())
-            .spawn(f)
-            .map_err(RuntimeError::Spawn)?;
-        self.nodes.insert(name, handle);
-        Ok(())
-    }
-
-    /// Spawns an aggregator node on its own thread. Any stall configured
-    /// for this node name in [`RuntimeConfig::stalls`] is armed here.
+    /// Spawns `node` on its own thread. A party runs Phase II against
+    /// `tokens` immediately; any stall configured for this node name in
+    /// [`RuntimeConfig::stalls`] is armed here.
     ///
     /// # Errors
     ///
     /// Fails if the OS refuses the thread.
-    pub fn spawn_aggregator(&mut self, agg: AggregatorNode) -> Result<(), RuntimeError> {
-        let name = agg.name.clone();
+    pub fn spawn(
+        &mut self,
+        node: Node,
+        tokens: &HashMap<String, VerifyingKey>,
+    ) -> Result<(), RuntimeError> {
+        let name = node.name().to_string();
         let stall = self
             .cfg
             .stalls
             .iter()
             .find(|s| s.node == name)
             .map(|s| s.round);
-        let ctx = self.context_for(&name);
+        let halt = Arc::new(AtomicBool::new(false));
+        self.halts.insert(name.clone(), Arc::clone(&halt));
+        let ctx = ActorContext {
+            stop: Arc::clone(&self.stop),
+            halt,
+            tick: self.cfg.tick,
+        };
         let recorder = self.recorder_for(&name);
-        self.spawn(name, move || {
-            actor::run_aggregator(agg, stall, ctx, recorder)
-        })
-    }
-
-    /// Spawns a party node on its own thread; it runs Phase II against
-    /// `tokens` immediately.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the OS refuses the thread.
-    pub fn spawn_party(
-        &mut self,
-        party: Party,
-        tokens: HashMap<String, VerifyingKey>,
-    ) -> Result<(), RuntimeError> {
-        let name = party.name.clone();
-        let ctx = self.context_for(&name);
-        let recorder = self.recorder_for(&name);
-        self.spawn(name, move || actor::run_party(party, tokens, ctx, recorder))
+        let tokens = tokens.clone();
+        let handle = std::thread::Builder::new()
+            .name(name.clone())
+            .spawn(move || node.run(&tokens, stall, &ctx, recorder))
+            .map_err(RuntimeError::Spawn)?;
+        self.nodes.insert(name, handle);
+        Ok(())
     }
 
     /// Creates and registers the flight recorder a node thread will
@@ -163,10 +123,9 @@ impl Supervisor {
         self.remote.insert(name.to_string());
     }
 
-    /// Sends a control message to a node, counting its bytes.
+    /// Sends a control message to a node.
     pub fn send_ctl(&mut self, to: &str, msg: &CtlMsg) {
         if let Ok(frame) = msg.encode() {
-            self.ctl_bytes += frame.len() as u64;
             let _ = self.ctl.send(to, frame);
         }
     }
@@ -310,7 +269,6 @@ impl Supervisor {
             }
             match self.ctl.recv_timeout(self.cfg.tick) {
                 Ok(m) => {
-                    self.ctl_bytes += m.payload.len() as u64;
                     let from = m.from.to_string();
                     let seen = Instant::now();
                     let gap = self.last_seen.get(&from).map(|t| seen.duration_since(*t));
@@ -432,10 +390,9 @@ impl Supervisor {
                 Err(_) => panicked = Some(name),
             }
         }
-        // Drain any control messages still queued for us.
-        for m in self.ctl.drain() {
-            self.ctl_bytes += m.payload.len() as u64;
-        }
+        // Drop any control messages still queued for us (a late
+        // `PartyDone` can hold a whole parameter snapshot).
+        self.ctl.drain();
         match panicked {
             Some(node) => {
                 let err = self.record_failure(RuntimeError::NodePanicked { node });
@@ -511,7 +468,7 @@ impl Supervisor {
 
     /// The final state of a node recovered at shutdown (or after an early
     /// exit was reaped).
-    pub fn recovered(&self, name: &str) -> Option<&NodeExit> {
+    pub fn recovered(&self, name: &str) -> Option<&Node> {
         self.recovered.get(name)
     }
 }

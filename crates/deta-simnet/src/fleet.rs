@@ -28,8 +28,8 @@ use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
 use deta_runtime::{
-    FailoverPolicy, MapperEpoch, RuntimeConfig, RuntimeError, TelemetryConfig, ThreadedSession,
-    SUPERVISOR,
+    FailoverPolicy, MapperEpoch, Node, RuntimeConfig, RuntimeError, TelemetryConfig,
+    ThreadedSession, SUPERVISOR,
 };
 use deta_transport::FaultPolicy;
 use std::collections::BTreeSet;
@@ -132,7 +132,6 @@ impl SimSpec {
             },
             failover: self.failover,
             recovery_attempts: 2,
-            checkpoint: true,
             party_drop: false,
         }
     }
@@ -373,7 +372,7 @@ impl SimFleet {
                         }
                         if !parity {
                             (Verdict::Failed { dark: Vec::new() }, None)
-                        } else if thr.failover_count() > 0 {
+                        } else if thr.view().failovers > 0 {
                             (Verdict::Recovered, None)
                         } else {
                             (Verdict::Parity, None)
@@ -436,19 +435,20 @@ impl SimFleet {
     /// that would mean some aggregator saw a slice of the model it was
     /// never entitled to under any partition of the session.
     fn privacy_check(&self, thr: &ThreadedSession, tap: &TapLog, violations: &mut Vec<String>) {
-        let perm_key = thr.broker().permutation_key();
-        let party_names = thr.party_names();
-        let agg_names = thr.agg_names();
-        let epochs = thr.epochs();
+        let thr = thr.view();
+        let perm_key = thr.broker.permutation_key();
+        let party_names = thr.party_names;
+        let agg_names = thr.agg_names;
+        let epochs = thr.epochs;
         // Every incarnation that ever held uploads: the final aggregator
         // set plus everything a failover retired.
         let incarnations: Vec<&str> = agg_names
             .iter()
-            .chain(thr.retired_agg_names())
+            .chain(thr.retired_aggs)
             .map(String::as_str)
             .collect();
         for agg_name in &incarnations {
-            let Some(agg) = thr.recovered_aggregator_named(agg_name) else {
+            let Some(Node::Aggregator(agg)) = thr.node(agg_name) else {
                 continue; // panicked thread: state unrecoverable
             };
             let mut materialized: Vec<(String, u64, Vec<f32>)> =
@@ -457,13 +457,13 @@ impl SimFleet {
                 materialized.push((party, round, frag));
             }
             for (party, round, frag) in &materialized {
-                let Some(i) = party_names.iter().position(|n| n == party) else {
+                if !party_names.contains(party) {
                     violations.push(format!(
                         "privacy: {agg_name} holds a fragment from unknown sender {party:?}"
                     ));
                     continue;
-                };
-                let Some(node) = thr.recovered_party(i) else {
+                }
+                let Some(Node::Party(node)) = thr.node(party) else {
                     continue; // panicked thread: no log to audit against
                 };
                 let Some((_, update)) = node.update_log.iter().find(|(r, _)| r == round) else {
@@ -481,7 +481,7 @@ impl SimFleet {
                     ));
                     continue;
                 }
-                let tid = thr.broker().training_id(*round);
+                let tid = thr.broker.training_id(*round);
                 let entitled_somewhere = views.iter().any(|(j, transformer)| {
                     let entitled = entitled_fragment(transformer, update, *j, &tid, &perm_key);
                     bits(&entitled) == bits(frag)

@@ -37,8 +37,11 @@
 use crate::link::{LinkSender, RetransmitBuffer, SecureLink};
 use crate::wire::{auth_transcript, ReplayWindow, SeqTracker, SocketFrame};
 use crate::{hub_identity, party_link_key, SocketError};
+use deta_core::session::{DetaConfig, SetupError};
 use deta_crypto::{DetRng, VerifyingKey};
-use deta_runtime::DetachedNodes;
+use deta_nn::train::LabeledData;
+use deta_nn::Sequential;
+use deta_runtime::{DetachedNodes, FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
 use deta_telemetry::{FlightRecorder, TelemetryValue};
 use deta_transport::{Endpoint, NetError, Network, RecvError};
 use std::collections::HashMap;
@@ -99,6 +102,83 @@ pub fn seats_for(nodes: &DetachedNodes, seed: u64) -> Vec<HubSeat> {
         });
     }
     seats
+}
+
+/// A hub-bridged deployment: the session, the bound hub, and what the
+/// caller's `host` returned for each seat (a child process, a thread
+/// handle), in seat order.
+pub struct Launched<H> {
+    /// The session driving the bridged nodes.
+    pub session: ThreadedSession,
+    /// The bound hub.
+    pub hub: SocketHub,
+    /// One host per seat.
+    pub hosts: Vec<H>,
+}
+
+/// Launches a session whose every node runs behind a [`SocketHub`]:
+/// builds the nodes, seats them, binds the hub on the session network
+/// (under `chaos`, see [`SocketHub::bind_chaos`]; empty for none), calls
+/// `host(name, hub address)` once per seat to start whatever will
+/// [`run_node`](crate::run_node) it, and waits for every node's `Ready`.
+///
+/// Once the session is over, join the hosts, then the hub, and let the
+/// session's outcome win over the hub's: a dead node must surface as the
+/// supervisor's structured error, not as the hub's secondary disconnect
+/// fallout.
+///
+/// # Errors
+///
+/// A failover policy other than [`FailoverPolicy::None`] is refused as
+/// [`SetupError::Config`] — the supervisor cannot respawn a remote node.
+/// Otherwise the contract of [`ThreadedSession::setup_detached`]; the hub
+/// is joined before any error is returned.
+pub fn launch<H>(
+    config: DetaConfig,
+    model_builder: &dyn Fn(&mut DetRng) -> Sequential,
+    party_data: Vec<LabeledData>,
+    rt: RuntimeConfig,
+    chaos: HashMap<String, Vec<u64>>,
+    mut host: impl FnMut(&str, SocketAddr) -> Result<H, RuntimeError>,
+) -> Result<Launched<H>, RuntimeError> {
+    if rt.failover != FailoverPolicy::None {
+        return Err(RuntimeError::Setup(SetupError::Config(
+            "a hub-bridged session cannot respawn nodes: failover must be FailoverPolicy::None",
+        )));
+    }
+    let seed = config.seed;
+    let mut bound = None;
+    let setup =
+        ThreadedSession::setup_detached(config, model_builder, party_data, rt, |nodes, network| {
+            let seats = seats_for(&nodes, seed);
+            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
+            // Every host rebuilds its own node from the seed.
+            drop(nodes);
+            let hub = SocketHub::bind_chaos(network.clone(), seats, seed, chaos)
+                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
+            let (hub, hosts) = bound.insert((hub, Vec::new()));
+            for name in &names {
+                hosts.push(host(name, hub.addr())?);
+            }
+            Ok(())
+        });
+    let Some((hub, hosts)) = bound else {
+        return Err(setup
+            .err()
+            .unwrap_or(RuntimeError::Protocol("socket hub failed to bind")));
+    };
+    match setup {
+        Ok(session) => Ok(Launched {
+            session,
+            hub,
+            hosts,
+        }),
+        Err(e) => {
+            // Hosts already started find no listener and exit.
+            let _ = hub.join();
+            Err(e)
+        }
+    }
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {

@@ -9,7 +9,7 @@
 //! ## Topology: hub star over loopback
 //!
 //! The coordinator process runs the [`deta_runtime::ThreadedSession`]
-//! driver (via `setup_detached`) and a [`hub::SocketHub`]: one TCP
+//! driver and a [`hub::SocketHub`] — [`launch`] sets up both — one TCP
 //! listener plus one hub-side proxy [`deta_transport::Endpoint`] per
 //! node. Each child process hosts exactly one node — it rebuilds the
 //! full deterministic `SessionParts` from the shared seed, keeps its
@@ -45,7 +45,7 @@ pub mod wire;
 mod link;
 
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
-pub use hub::{HubSeat, SocketHub, TraceHarvest};
+pub use hub::{launch, HubSeat, Launched, SocketHub, TraceHarvest};
 pub use node::run_node;
 pub use wire::{ReplayWindow, SeqTracker, SocketFrame};
 

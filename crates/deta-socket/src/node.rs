@@ -33,14 +33,12 @@
 use crate::link::{LinkReceiver, LinkSender, RetransmitBuffer, SecureLink};
 use crate::wire::{auth_transcript, ReplayWindow, SeqTracker, SocketFrame};
 use crate::{hub_verifying_key, party_link_key, SocketError};
-use deta_core::aggregator::AggregatorNode;
-use deta_core::party::Party;
 use deta_core::session::{DetaConfig, SessionParts};
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
-use deta_runtime::actor::{run_aggregator, run_party, ActorContext};
-use deta_runtime::SUPERVISOR;
+use deta_runtime::actor::ActorContext;
+use deta_runtime::{Node, SUPERVISOR};
 use deta_telemetry::FlightRecorder;
 use deta_transport::{FaultPolicy, NetTap, Network, SendVerdict};
 use std::net::SocketAddr;
@@ -73,12 +71,6 @@ const SIGNOFF_WAIT: Duration = Duration::from_secs(10);
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The one node this process hosts.
-enum OwnNode {
-    Party(Box<Party>),
-    Agg(Box<AggregatorNode>),
 }
 
 /// Delivers only frames addressed to the hosted node; everything else
@@ -290,18 +282,11 @@ pub fn run_node(
         tokens,
         ..
     } = parts;
-    let mut own = None;
-    for p in parties {
-        if p.name == name {
-            own = Some(OwnNode::Party(Box::new(p)));
-        }
-    }
-    for a in aggregators {
-        if a.name == name {
-            own = Some(OwnNode::Agg(Box::new(a)));
-        }
-    }
-    let Some(own) = own else {
+    let parties = parties.into_iter().map(|p| Node::Party(Box::new(p)));
+    let aggregators = aggregators
+        .into_iter()
+        .map(|a| Node::Aggregator(Box::new(a)));
+    let Some(own) = parties.chain(aggregators).find(|n| n.name() == name) else {
         return Err(SocketError::Build {
             detail: format!("no node named {name} in the session"),
         });
@@ -310,8 +295,8 @@ pub fn run_node(
     // actor consumes), because every reconnection must prove the SAME
     // key — the hub's roster is fixed at bind time.
     let link_key = match &own {
-        OwnNode::Agg(a) => a.link_signing_key(),
-        OwnNode::Party(_) => party_link_key(seed, name),
+        Node::Aggregator(a) => a.link_signing_key(),
+        Node::Party(_) => party_link_key(seed, name),
     };
     // The supervisor lives on the hub; register a proxy so local sends
     // to it pass the destination check (the policy routes them out).
@@ -377,14 +362,7 @@ pub fn run_node(
         halt: Arc::new(AtomicBool::new(false)),
         tick,
     };
-    match own {
-        OwnNode::Party(p) => {
-            run_party(*p, tokens, ctx, recorder);
-        }
-        OwnNode::Agg(a) => {
-            run_aggregator(*a, None, ctx, recorder);
-        }
-    }
+    own.run(&tokens, None, &ctx, recorder);
 
     // Teardown: dropping the tap closes the egress queue; the writer
     // drains it, signs off with Bye, and exits.

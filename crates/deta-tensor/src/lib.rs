@@ -116,11 +116,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Panics

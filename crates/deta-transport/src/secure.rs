@@ -88,11 +88,6 @@ impl SecureChannel {
         self.recv_seq += 1;
         Ok(out)
     }
-
-    /// Number of records sent so far.
-    pub fn records_sent(&self) -> u64 {
-        self.send_seq
-    }
 }
 
 const HELLO_MAGIC: &[u8; 8] = b"DETAHELO";

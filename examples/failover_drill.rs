@@ -61,11 +61,10 @@ fn main() {
             m.round_latency_s,
         );
     }
+    let view = faulted.view();
     println!(
         "\nfailovers: {}   retired incarnations: {:?}   final aggregators: {:?}",
-        faulted.failover_count(),
-        faulted.retired_agg_names(),
-        faulted.agg_names(),
+        view.failovers, view.retired_aggs, view.agg_names,
     );
 
     println!("\n== fault-free reference ==");

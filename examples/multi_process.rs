@@ -20,8 +20,6 @@ use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
 use deta::runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
-use deta::socket::hub::seats_for;
-use deta::socket::SocketHub;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -110,36 +108,26 @@ fn coordinator() -> ExitCode {
         "== multi-process deployment: {PARTIES} parties + {AGGREGATORS} aggregators, \
          one OS process each, TCP loopback =="
     );
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let mut session = ThreadedSession::setup_detached(
+    let host = |name: &str, addr: std::net::SocketAddr| {
+        println!("   spawning process for {name}");
+        std::process::Command::new(&exe)
+            .args(["--node", name, &addr.to_string()])
+            .spawn()
+            .map_err(RuntimeError::Spawn)
+    };
+    let no_chaos = Default::default();
+    let mut cluster = deta::socket::launch(
         config(),
         &builder,
         shards.clone(),
         runtime(),
-        |nodes, network| {
-            let seats = seats_for(&nodes, SEED);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind(network.clone(), seats, SEED)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr().to_string();
-            for name in &names {
-                println!("   spawning process for {name}");
-                let c = std::process::Command::new(&exe)
-                    .args(["--node", name, &addr])
-                    .spawn()
-                    .map_err(RuntimeError::Spawn)?;
-                children.push(c);
-            }
-            hub_slot = Some(hub);
-            Ok(())
-        },
+        no_chaos,
+        host,
     )
     .expect("socket setup");
-    let metrics = session.run(&test).expect("socket run");
-    reap(&mut children);
-    if let Some(e) = hub_slot.expect("hub bound").join() {
+    let metrics = cluster.session.run(&test).expect("socket run");
+    reap(&mut cluster.hosts);
+    if let Some(e) = cluster.hub.join() {
         eprintln!("hub error: {e}");
         return ExitCode::FAILURE;
     }

@@ -21,7 +21,7 @@ use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
 use deta::runtime::{
-    FailoverPolicy, Phase, RuntimeConfig, RuntimeError, StallFault, TelemetryConfig,
+    FailoverPolicy, Node, Phase, RuntimeConfig, RuntimeError, StallFault, TelemetryConfig,
     ThreadedSession,
 };
 use deta::transport::{FaultPolicy, SendVerdict};
@@ -397,7 +397,7 @@ fn run_healed(seed: u64, plan: FaultPlan) {
     );
     assert_eq!(metrics.len(), 2, "every configured round must complete");
     assert!(
-        session.failover_count() > 0,
+        session.view().failovers > 0,
         "healing this fault requires at least one failover"
     );
     assert_failover_events(&mut session);
@@ -428,7 +428,7 @@ fn stalled_follower_heals_under_restart() {
         .run(&test)
         .expect("restart heals a stalled follower");
     assert_eq!(metrics.len(), 2);
-    assert!(session.failover_count() > 0);
+    assert!(session.view().failovers > 0);
     assert_failover_events(&mut session);
 }
 
@@ -453,7 +453,7 @@ fn stalled_initiator_heals_under_restart() {
         .run(&test)
         .expect("restart heals a stalled initiator");
     assert_eq!(metrics.len(), 2);
-    assert!(session.failover_count() > 0);
+    assert!(session.view().failovers > 0);
     assert_failover_events(&mut session);
 }
 
@@ -558,7 +558,7 @@ fn shutdown_after_failover_is_prompt() {
     )
     .expect("faults strike after setup");
     session.run(&test).expect("restart heals the crash");
-    assert!(session.failover_count() > 0);
+    assert!(session.view().failovers > 0);
     let t0 = Instant::now();
     session.shutdown().expect("clean shutdown");
     assert!(
@@ -620,7 +620,7 @@ fn exhausted_recovery_budget_degrades_to_structured_error() {
         t0.elapsed()
     );
     assert_eq!(
-        session.failover_count(),
+        session.view().failovers,
         1,
         "exactly one failover fits the budget"
     );
@@ -649,4 +649,134 @@ fn healthy_deployment_does_not_false_positive() {
     let metrics = session.run(&test).expect("healthy run");
     assert_eq!(metrics.len(), 2);
     assert_eq!(session.completed_rounds(), 2);
+}
+
+// --- Partial participation after a drop. ---
+
+/// `party_drop` × `participation`: once a party is dropped, every later
+/// cohort must be drawn from the parties still in the session. agg-1's
+/// link to party-3 is severed one way from its round-1 download on, so
+/// party-3 cannot finish round 1 and is dropped; with a quorum of three
+/// and three survivors, every later round trains exactly the survivors.
+/// Drawing the cohort from all four names instead leaves the first later
+/// round that picks party-3 one upload short of the aggregators' quorum.
+#[test]
+fn dropped_party_leaves_later_cohorts_to_the_survivors() {
+    let (shards, test, dim, classes) = data(4);
+    let mut cfg = DetaConfig::deta(4, 4);
+    cfg.n_aggregators = 2;
+    cfg.participation = Some(3);
+    cfg.seed = 31;
+    let plan = FaultPlan::from_faults(vec![Fault {
+        kind: FaultKind::Partition,
+        from: "agg-1".into(),
+        to: "party-3".into(),
+        at: 2,
+    }]);
+    let policy = Arc::new(SimPolicy::new(&plan));
+    let rt = RuntimeConfig {
+        party_drop: true,
+        ..sim_rt()
+    };
+    let mut session = ThreadedSession::setup_with(
+        cfg,
+        &move |rng| mlp(&[dim, 12, classes], rng),
+        shards,
+        rt,
+        |parts| {
+            parts.network.set_fault_policy(policy);
+            for p in &mut parts.parties {
+                p.record_updates = true;
+            }
+        },
+    )
+    .expect("the partition strikes after setup");
+    let metrics = session
+        .run(&test)
+        .expect("the survivors must carry every remaining round");
+    assert_eq!(metrics.len(), 4, "every configured round must complete");
+    let view = session.view();
+    let dropped: Vec<&str> = view.dropped_parties.iter().map(String::as_str).collect();
+    assert_eq!(dropped, ["party-3"]);
+
+    let party = |i: usize| match view.node(&format!("party-{i}")) {
+        Some(Node::Party(p)) => p,
+        _ => panic!("party-{i} must have been joined"),
+    };
+    let lost = party(3);
+    let lost_at = lost.last_finished_round() + 1;
+    assert!(
+        lost.update_log.iter().all(|(round, _)| *round <= lost_at),
+        "a dropped party must never be planned to train again"
+    );
+    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let first = session.party_params(0).expect("recovered party-0");
+    for i in 0..3 {
+        let survivor = party(i);
+        assert_eq!(survivor.last_finished_round(), 4);
+        let trained: Vec<u64> = survivor.update_log.iter().map(|(r, _)| *r).collect();
+        for round in lost_at + 1..=4 {
+            assert!(
+                trained.contains(&round),
+                "party-{i} must be in round {round}'s cohort, trained {trained:?}"
+            );
+        }
+        assert_eq!(
+            bits(&first),
+            bits(&survivor.model.flat_params()),
+            "survivors' replicas must be bit-identical"
+        );
+    }
+}
+
+/// `party_drop` × failover: a failover's readiness barrier and replay
+/// must address the parties still in the session. party-3 is dropped in
+/// round 1 (as above); agg-1 stalls at round 2 with `Restart` armed.
+/// Waiting for the dropped party to re-register would hold the barrier
+/// to its deadline and end the session.
+#[test]
+fn failover_after_a_drop_addresses_only_the_survivors() {
+    let (shards, test, dim, classes) = data(4);
+    let mut cfg = DetaConfig::deta(4, 3);
+    cfg.n_aggregators = 2;
+    cfg.seed = 32;
+    let plan = FaultPlan::from_faults(vec![Fault {
+        kind: FaultKind::Partition,
+        from: "agg-1".into(),
+        to: "party-3".into(),
+        at: 2,
+    }]);
+    let policy = Arc::new(SimPolicy::new(&plan));
+    let rt = RuntimeConfig {
+        party_drop: true,
+        failover: FailoverPolicy::Restart,
+        stalls: vec![StallFault {
+            node: "agg-1".to_string(),
+            round: 2,
+        }],
+        ..sim_rt()
+    };
+    let mut session = ThreadedSession::setup_with(
+        cfg,
+        &move |rng| mlp(&[dim, 12, classes], rng),
+        shards,
+        rt,
+        |parts| parts.network.set_fault_policy(policy),
+    )
+    .expect("faults strike after setup");
+    let t0 = Instant::now();
+    let metrics = session
+        .run(&test)
+        .expect("a drop, then a failover, must both heal");
+    assert!(
+        t0.elapsed() < Duration::from_secs(9),
+        "the failover barrier waited on a dropped party: {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(metrics.len(), 3);
+    let view = session.view();
+    assert_eq!(view.failovers, 1);
+    assert_eq!(view.agg_names, ["agg-0", "agg-1#r1"]);
+    let dropped: Vec<&str> = view.dropped_parties.iter().map(String::as_str).collect();
+    assert_eq!(dropped, ["party-3"]);
 }

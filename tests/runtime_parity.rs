@@ -9,7 +9,7 @@
 //! to another; and aggregators order uploads by party name before
 //! aggregating, so arrival order never reaches the arithmetic.
 
-use deta::core::{DetaConfig, DetaSession, SyncMode};
+use deta::core::{DetaConfig, DetaSession, RoundMetrics, SyncMode};
 use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
@@ -34,7 +34,8 @@ type PartyParams = Vec<Vec<f32>>;
 
 /// Runs the same config through both deployments and returns
 /// (sequential params, threaded params, sequential accs, threaded accs)
-/// for every party.
+/// for every party. The rounds' byte counts and the bits of their losses
+/// are compared here: the ledger both sessions own defines them once.
 fn both(config: DetaConfig) -> (PartyParams, PartyParams, Vec<f32>, Vec<f32>) {
     let n = config.n_parties;
     let (shards, test, dim, classes) = data(160, n);
@@ -61,6 +62,19 @@ fn both(config: DetaConfig) -> (PartyParams, PartyParams, Vec<f32>, Vec<f32>) {
         .map(|i| thr.party_params(i).expect("recovered party"))
         .collect();
 
+    let accounted = |metrics: &[RoundMetrics]| -> Vec<(u64, u64, u32, u32)> {
+        let row = |m: &RoundMetrics| {
+            let (train, test) = (m.train_loss.to_bits(), m.test_loss.to_bits());
+            (m.upload_bytes, m.download_bytes, train, test)
+        };
+        metrics.iter().map(row).collect()
+    };
+    assert_eq!(
+        accounted(&seq_metrics),
+        accounted(&thr_metrics),
+        "per-round (upload_bytes, download_bytes, train_loss bits, test_loss bits) must not \
+         depend on the deployment"
+    );
     (
         seq_params,
         thr_params,
@@ -104,43 +118,24 @@ fn threaded_equals_sequential_k3_with_partial_participation() {
     );
 }
 
-/// Byte-accounting ground truth: the per-round `upload_bytes` /
-/// `download_bytes` metrics (taken from the transport's per-link
-/// delivered-byte counters) must equal the sum of the payload sizes of
-/// the frames a `NetTap` observed on the party→aggregator (resp.
-/// aggregator→party) links over the same window — byte for byte, no
-/// control-plane or follower-sync traffic leaking into either figure.
-#[test]
-fn byte_accounting_matches_tap_observed_frames() {
-    let n = 3;
-    let (shards, test, dim, classes) = data(120, n);
-    let mut cfg = DetaConfig::deta(n, 3);
-    cfg.n_aggregators = 2;
-    cfg.seed = 21;
-    let tap = Arc::new(TapLog::new());
-    let tap_for_setup = tap.clone();
-    let mut thr = ThreadedSession::setup_with(
-        cfg,
-        &move |rng| mlp(&[dim, 16, classes], rng),
-        shards,
-        RuntimeConfig::default(),
-        |parts| parts.network.set_tap(tap_for_setup),
-    )
-    .expect("threaded setup");
-    // Setup traffic (hellos, handshakes, registration) is outside every
-    // round window; skip what the tap saw so far.
-    let n0 = tap.delivered().len();
-    let metrics = thr.run(&test).expect("threaded run");
-
+/// Byte-accounting ground truth, for either deployment: the per-round
+/// `upload_bytes` / `download_bytes` metrics (taken from the transport's
+/// per-link delivered-byte counters) must equal the sum of the payload
+/// sizes of the frames a `NetTap` observed on the party→aggregator
+/// (resp. aggregator→party) links over the same window — byte for byte,
+/// no control-plane or follower-sync traffic leaking into either figure.
+/// Setup traffic (hellos, handshakes, registration) is outside every
+/// round window, so `tap` must have gone in once setup was over.
+fn assert_metrics_match_tap(tap: &TapLog, metrics: &[RoundMetrics]) {
     let records = tap.delivered();
     let is_party = |name: &str| name.starts_with("party-");
     let is_agg = |name: &str| name.starts_with("agg-");
-    let tap_upload: u64 = records[n0..]
+    let tap_upload: u64 = records
         .iter()
         .filter(|r| is_party(&r.from) && is_agg(&r.to))
         .map(|r| r.payload.len() as u64)
         .sum();
-    let tap_download: u64 = records[n0..]
+    let tap_download: u64 = records
         .iter()
         .filter(|r| is_agg(&r.from) && is_party(&r.to))
         .map(|r| r.payload.len() as u64)
@@ -156,6 +151,32 @@ fn byte_accounting_matches_tap_observed_frames() {
         metric_download, tap_download,
         "download_bytes must equal the tap-observed aggregator->party frame bytes"
     );
+}
+
+#[test]
+fn byte_accounting_matches_tap_observed_frames() {
+    let n = 3;
+    let (shards, test, dim, classes) = data(120, n);
+    let mut cfg = DetaConfig::deta(n, 3);
+    cfg.n_aggregators = 2;
+    cfg.seed = 21;
+    let builder = move |rng: &mut deta::crypto::DetRng| mlp(&[dim, 16, classes], rng);
+
+    let mut thr = ThreadedSession::setup(
+        cfg.clone(),
+        &builder,
+        shards.clone(),
+        RuntimeConfig::default(),
+    )
+    .expect("threaded setup");
+    let tap = Arc::new(TapLog::new());
+    thr.network().set_tap(tap.clone());
+    assert_metrics_match_tap(&tap, &thr.run(&test).expect("threaded run"));
+
+    let mut seq = DetaSession::setup(cfg, &builder, shards).expect("sequential setup");
+    let tap = Arc::new(TapLog::new());
+    seq.network().set_tap(tap.clone());
+    assert_metrics_match_tap(&tap, &seq.run(&test));
 }
 
 #[test]

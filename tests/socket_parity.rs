@@ -10,16 +10,15 @@
 //! `crates/deta-cli/tests/multi_process.rs` covers the real-process
 //! variant end to end.
 
+use deta::core::session::SetupError;
 use deta::core::{AggKind, DetaConfig, RoundMetrics};
 use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
-use deta::runtime::{RuntimeConfig, RuntimeError, ThreadedSession};
-use deta::socket::hub::seats_for;
-use deta::socket::{run_node, SocketError, SocketHub};
+use deta::runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
+use deta::socket::{launch, run_node};
 use deta::transport::{FaultPolicy, Network, SendVerdict};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn data(n: usize, parties: usize) -> (Vec<LabeledData>, LabeledData, usize, usize) {
@@ -78,8 +77,9 @@ fn run_inprocess(
 }
 
 /// Runs the same session with every node detached behind the TCP
-/// bridge. `instrument` gets the hub network before any child connects
-/// (for fault-seam tests). Panics on any child or hub error.
+/// bridge. `instrument` gets the hub network once every node is ready
+/// and before any round runs (for fault-seam tests). Panics on any child
+/// or hub error.
 fn run_socket(
     cfg: DetaConfig,
     shards: Vec<LabeledData>,
@@ -88,53 +88,39 @@ fn run_socket(
     classes: usize,
     instrument: impl FnOnce(&Network),
 ) -> Vec<RoundMetrics> {
-    let seed = cfg.seed;
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children: Vec<JoinHandle<Result<(), SocketError>>> = Vec::new();
-    let child_cfg = cfg.clone();
-    let child_shards = shards.clone();
-    let mut session = ThreadedSession::setup_detached(
+    let (child_cfg, child_shards) = (cfg.clone(), shards.clone());
+    let host = |name: &str, addr| {
+        let (name, cfg, shards) = (name.to_string(), child_cfg.clone(), child_shards.clone());
+        Ok(std::thread::spawn(move || {
+            let builder = move |rng: &mut deta::crypto::DetRng| mlp(&[dim, 16, classes], rng);
+            run_node(
+                addr,
+                &name,
+                cfg,
+                &builder,
+                shards,
+                Duration::from_millis(10),
+            )
+        }))
+    };
+    let mut bridged = launch(
         cfg,
         &move |rng| mlp(&[dim, 16, classes], rng),
         shards,
         RuntimeConfig::default(),
-        |nodes, network| {
-            instrument(network);
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind(network.clone(), seats, seed)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr();
-            for name in names {
-                let cfg = child_cfg.clone();
-                let shards = child_shards.clone();
-                children.push(std::thread::spawn(move || {
-                    let builder =
-                        move |rng: &mut deta::crypto::DetRng| mlp(&[dim, 16, classes], rng);
-                    run_node(
-                        addr,
-                        &name,
-                        cfg,
-                        &builder,
-                        shards,
-                        Duration::from_millis(10),
-                    )
-                }));
-            }
-            hub_slot = Some(hub);
-            Ok(())
-        },
+        Default::default(),
+        host,
     )
     .expect("socket setup");
-    let metrics = session.run(test).expect("socket run");
-    for child in children {
+    instrument(bridged.session.network());
+    let metrics = bridged.session.run(test).expect("socket run");
+    for child in bridged.hosts {
         child
             .join()
             .expect("child thread must not panic")
             .expect("child must exit cleanly");
     }
-    let hub_err = hub_slot.expect("hub must have been bound").join();
+    let hub_err = bridged.hub.join();
     assert!(hub_err.is_none(), "hub observed an error: {hub_err:?}");
     metrics
 }
@@ -203,5 +189,28 @@ fn socket_duplicated_uploads_are_idempotent() {
         learning_fingerprint(&clean),
         learning_fingerprint(&faulted),
         "duplicated uploads over sockets must not change the model"
+    );
+}
+
+/// A bridged session cannot respawn a remote node, so `launch` refuses a
+/// failover policy up front — structurally, before anything is built or
+/// any host started.
+#[test]
+fn launch_refuses_a_failover_policy() {
+    let cfg = DetaConfig::deta(3, 1);
+    let (shards, _, dim, classes) = data(30, cfg.n_parties);
+    let rt = RuntimeConfig {
+        failover: FailoverPolicy::Restart,
+        ..RuntimeConfig::default()
+    };
+    let host = |name: &str, _| -> Result<(), RuntimeError> { panic!("host started for {name}") };
+    let builder = move |rng: &mut deta::crypto::DetRng| mlp(&[dim, 16, classes], rng);
+    let refused = launch(cfg, &builder, shards, rt, Default::default(), host);
+    assert!(
+        matches!(
+            refused,
+            Err(RuntimeError::Setup(SetupError::Config(why))) if why.contains("failover")
+        ),
+        "expected a structured configuration error"
     );
 }
