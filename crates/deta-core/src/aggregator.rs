@@ -16,7 +16,7 @@
 
 use crate::agg::Aggregation;
 use crate::proxy::TOKEN_SECRET_LABEL;
-use crate::wire::{self, Msg};
+use crate::wire::{self, Msg, RecordFrame};
 use deta_bignum::BigUint;
 use deta_crypto::{DetRng, SigningKey};
 use deta_paillier::{Ciphertext, PublicKey as PaillierPk};
@@ -300,7 +300,7 @@ impl AggregatorNode {
     pub fn pump(&mut self) -> usize {
         let mut handled = 0;
         while let Some(msg) = self.endpoint.recv() {
-            self.handle_wire(&msg.from, &msg.payload);
+            self.handle_wire(&msg.from, msg.payload);
             handled += 1;
         }
         handled
@@ -318,27 +318,33 @@ impl AggregatorNode {
     }
 
     fn send_sealed(&mut self, to: &str, msg: &Msg) {
-        if let Ok(plain) = msg.encode() {
-            self.seal_and_send(to, &plain);
+        if let Ok(frame) = RecordFrame::of(msg) {
+            self.seal_and_send(to, frame);
         }
     }
 
-    /// Seals an already encoded message for `to`'s channel and sends the
-    /// record; a fan-out encodes its message once and calls this per party.
-    fn seal_and_send(&mut self, to: &str, plain: &[u8]) {
-        let Some(chan) = self.channels.get_mut(to) else {
-            return;
-        };
-        let sealed = chan.seal_msg(plain);
-        if let Ok(frame) = (Msg::Record { sealed }).encode() {
-            let _ = self.endpoint.send(to, frame);
+    /// Seals `frame` for `to`'s channel, where it lies, and sends it.
+    fn seal_and_send(&mut self, to: &str, frame: RecordFrame) {
+        if let Some(chan) = self.channels.get_mut(to) {
+            let _ = self.endpoint.send(to, frame.seal(chan));
         }
     }
 
     /// Dispatches one raw wire frame. Public so an actor loop (which owns
     /// the endpoint and routes every message itself) can drive the node.
-    pub fn handle_wire(&mut self, from: &str, payload: &[u8]) {
-        let Ok(msg) = Msg::decode(payload) else {
+    /// The payload comes by value so that a sealed record is opened in
+    /// the buffer it arrived in.
+    pub fn handle_wire(&mut self, from: &str, payload: Vec<u8>) {
+        if wire::is_record(&payload) {
+            let Some(chan) = self.channels.get_mut(from) else {
+                return;
+            };
+            if let Some(inner) = wire::open_record(chan, payload) {
+                self.handle_inner(from, inner);
+            }
+            return;
+        }
+        let Ok(msg) = Msg::decode(&payload) else {
             return; // Malformed traffic is dropped.
         };
         match msg {
@@ -350,18 +356,6 @@ impl AggregatorNode {
                         let _ = self.endpoint.send(from, frame);
                     }
                 }
-            }
-            Msg::Record { sealed } => {
-                let Some(chan) = self.channels.get_mut(from) else {
-                    return;
-                };
-                let Ok(plain) = chan.open_msg(&sealed) else {
-                    return;
-                };
-                let Ok(inner) = Msg::decode(&plain) else {
-                    return;
-                };
-                self.handle_inner(from, inner);
             }
             Msg::SyncRound { round, training_id } => {
                 // On a follower the training id is opaque (the permutation
@@ -517,15 +511,17 @@ impl AggregatorNode {
             Ok(fragment) => fragment,
             Err(e) => return self.aggregate_failed(round, &e),
         };
-        // One plaintext for the whole fan-out; each channel seals its own
-        // record of it.
+        // One plaintext for the whole fan-out, copied into each party's
+        // frame and sealed there.
         let plain = match (Msg::Aggregated { round, fragment }).encode() {
             Ok(plain) => plain,
             Err(e) => return self.aggregate_failed(round, &e),
         };
         let parties: Vec<String> = self.registered.keys().cloned().collect();
         for p in parties {
-            self.seal_and_send(&p, &plain);
+            if let Ok(frame) = RecordFrame::of_encoded(&plain) {
+                self.seal_and_send(&p, frame);
+            }
         }
         self.completed_rounds = self.completed_rounds.max(round);
         self.notify_initiator(round);

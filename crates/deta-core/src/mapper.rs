@@ -104,7 +104,13 @@ impl ModelMapper {
             .copied()
             .max()
             .map_or(0, |m| m as usize + 1);
-        let mut positions: Vec<Vec<u32>> = vec![Vec::new(); k];
+        // Sized by a count first: grown by `push`, each table would end up
+        // with up to twice the capacity it needs, at model size.
+        let mut sizes = vec![0usize; k];
+        for &j in &assignment {
+            sizes[j as usize] += 1;
+        }
+        let mut positions: Vec<Vec<u32>> = sizes.into_iter().map(Vec::with_capacity).collect();
         for (i, &j) in assignment.iter().enumerate() {
             positions[j as usize].push(i as u32);
         }
@@ -147,11 +153,23 @@ impl ModelMapper {
     ///
     /// Panics if `update.len()` differs from [`ModelMapper::n_params`].
     pub fn partition(&self, update: &[f32]) -> Vec<Vec<f32>> {
-        assert_eq!(update.len(), self.n_params(), "update length mismatch");
-        self.positions
-            .iter()
-            .map(|pos| pos.iter().map(|&i| update[i as usize]).collect())
+        (0..self.n_aggregators())
+            .map(|j| self.fragment_values(update, j).collect())
             .collect()
+    }
+
+    /// Fragment `j` of [`ModelMapper::partition`], value by value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `update.len()` differs from [`ModelMapper::n_params`].
+    pub fn fragment_values<'a>(
+        &'a self,
+        update: &'a [f32],
+        j: usize,
+    ) -> impl ExactSizeIterator<Item = f32> + 'a {
+        assert_eq!(update.len(), self.n_params(), "update length mismatch");
+        self.positions[j].iter().map(move |&i| update[i as usize])
     }
 
     /// Re-stitches fragments back into a flat update.

@@ -18,7 +18,7 @@ use crate::dp::{gaussian_mechanism, LdpConfig, PrivacyAccountant};
 use crate::mapper::ModelMapper;
 use crate::session::SyncMode;
 use crate::transform::{RoundPermutations, Transformer};
-use crate::wire::Msg;
+use crate::wire::{self, Msg, RecordFrame};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::{batch_gradient, train_local, LabeledData};
 use deta_nn::Sequential;
@@ -375,34 +375,13 @@ impl Party {
             return false;
         }
         let perms = self.take_permutations(&tid);
-        let fragments = self.transformer.transform_with(&update, &perms);
+        let sent = self.upload_fragments(round, &update, &perms, "upload_replayed");
         if self.current_round == Some((round, tid)) {
             // Still open: `finish_round` will want them. A replay of a
             // round already synchronized must not leave them behind.
             self.round_perms = Some(perms);
         }
-        for (j, frag) in fragments.into_iter().enumerate() {
-            let Some(agg) = self.aggregators.get(j).cloned() else {
-                return false;
-            };
-            let values = frag.len();
-            self.send_sealed(
-                &agg,
-                &Msg::Upload {
-                    round,
-                    fragment: frag,
-                },
-            );
-            deta_telemetry::event(
-                "upload_replayed",
-                &[
-                    ("round", TelemetryValue::from(round)),
-                    ("fragment", TelemetryValue::from(j)),
-                    ("values", TelemetryValue::from(values)),
-                ],
-            );
-        }
-        true
+        sent
     }
 
     /// Phase II step 2: completes handshakes from queued replies, then
@@ -479,7 +458,7 @@ impl Party {
         let Some((round, tid)) = self.current_round else {
             return Err(PartyError::Protocol("no active round"));
         };
-        self.round_base = self.model.flat_params();
+        self.snapshot_round_base();
         let t0 = Instant::now();
         let train_span =
             deta_telemetry::span("local_train").with_field("round", TelemetryValue::from(round));
@@ -543,39 +522,69 @@ impl Party {
         if self.record_updates {
             self.update_log.push((round, update.clone()));
         }
-        let t1 = Instant::now();
-        let transform_span =
-            deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
         let perms = self.take_permutations(&tid);
-        let fragments = self.transformer.transform_with(&update, &perms);
-        self.round_perms = Some(perms);
-        drop(transform_span);
-        self.timers.transform_s += t1.elapsed().as_secs_f64();
-        self.last_upload = Some((round, tid, update));
         if self.paillier.is_some() {
+            let t1 = Instant::now();
+            let transform_span =
+                deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
+            let fragments = self.transformer.transform_with(&update, &perms);
+            drop(transform_span);
+            self.timers.transform_s += t1.elapsed().as_secs_f64();
             self.upload_encrypted(round, &fragments)?;
         } else {
-            for (j, frag) in fragments.into_iter().enumerate() {
-                let agg = self.aggregators[j].clone();
-                let values = frag.len();
-                self.send_sealed(
-                    &agg,
-                    &Msg::Upload {
-                        round,
-                        fragment: frag,
-                    },
-                );
-                deta_telemetry::event(
-                    "upload",
-                    &[
-                        ("round", TelemetryValue::from(round)),
-                        ("fragment", TelemetryValue::from(j)),
-                        ("values", TelemetryValue::from(values)),
-                    ],
-                );
-            }
+            self.upload_fragments(round, &update, &perms, "upload");
         }
+        self.round_perms = Some(perms);
+        self.last_upload = Some((round, tid, update));
         Ok(())
+    }
+
+    /// `Trans(update)` and its upload: each fragment's permuted values
+    /// are gathered straight into the `Record` frame that is then sealed
+    /// where it lies and sent, so a fragment exists once on this side of
+    /// the wire. All frames are filled before the first is sealed, so the
+    /// transform keeps one span and one timer. Returns `false` when a
+    /// fragment has no aggregator to go to.
+    fn upload_fragments(
+        &mut self,
+        round: u64,
+        update: &[f32],
+        perms: &RoundPermutations,
+        event: &'static str,
+    ) -> bool {
+        let t0 = Instant::now();
+        let transform_span =
+            deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
+        let frames: Vec<_> = {
+            let mut scratch = Vec::new();
+            (0..self.transformer.n_fragments())
+                .map(|j| {
+                    let values = self
+                        .transformer
+                        .fragment_values(update, perms, j, &mut scratch);
+                    (values.len(), RecordFrame::upload(round, values))
+                })
+                .collect()
+        };
+        drop(transform_span);
+        self.timers.transform_s += t0.elapsed().as_secs_f64();
+        for (j, (values, frame)) in frames.into_iter().enumerate() {
+            let Some(agg) = self.aggregators.get(j).cloned() else {
+                return false;
+            };
+            if let Ok(frame) = frame {
+                self.seal_and_send(&agg, frame);
+            }
+            deta_telemetry::event(
+                event,
+                &[
+                    ("round", TelemetryValue::from(round)),
+                    ("fragment", TelemetryValue::from(j)),
+                    ("values", TelemetryValue::from(values)),
+                ],
+            );
+        }
+        true
     }
 
     /// Skips local training for the announced round (partial
@@ -589,8 +598,17 @@ impl Party {
         if self.current_round.is_none() {
             return Err(PartyError::Protocol("no active round"));
         }
-        self.round_base = self.model.flat_params();
+        self.snapshot_round_base();
         Ok(())
+    }
+
+    /// Keeps the parameters the round starts from, for the two readers
+    /// there are: FedSGD's step and the LDP delta. A plain FedAvg round
+    /// replaces its parameters wholesale and never looks back.
+    fn snapshot_round_base(&mut self) {
+        if self.cfg.mode == SyncMode::FedSgd || self.cfg.ldp.is_some() {
+            self.round_base = self.model.flat_params();
+        }
     }
 
     /// Takes the held permutations if they belong to round `tid`, and
@@ -757,27 +775,29 @@ impl Party {
     /// [`Party::handle_wire`].
     fn drain_wire(&mut self) {
         for msg in self.endpoint.drain() {
-            self.handle_wire(&msg.from, &msg.payload);
+            self.handle_wire(&msg.from, msg.payload);
         }
     }
 
     /// Processes one wire message. This is the party's entire reactive
     /// surface: the synchronous session drains the queue into it, and the
     /// threaded runtime's mailbox loop feeds it one message at a time.
-    /// Malformed or out-of-protocol traffic is dropped.
-    pub fn handle_wire(&mut self, from: &str, payload: &[u8]) {
-        let Ok(msg) = Msg::decode(payload) else {
-            return;
-        };
-        match msg {
-            Msg::HelloReply { handshake } => self.handle_hello_reply(from, &handshake),
-            Msg::Record { sealed } => self.handle_record(from, &sealed),
+    /// The payload comes by value so that a sealed record is opened in
+    /// the buffer it arrived in. Malformed or out-of-protocol traffic is
+    /// dropped.
+    pub fn handle_wire(&mut self, from: &str, payload: Vec<u8>) {
+        if wire::is_record(&payload) {
+            return self.handle_record(from, payload);
+        }
+        match Msg::decode(&payload) {
+            Ok(Msg::HelloReply { handshake }) => self.handle_hello_reply(from, &handshake),
             // Everything else is aggregator-bound or must arrive inside
             // a sealed Record; dropping it is correct, but the drop is
             // counted so misrouted traffic shows up in metrics.
-            other => {
+            Ok(other) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
+            Err(_) => {}
         }
     }
 
@@ -826,15 +846,13 @@ impl Party {
         }
     }
 
-    /// Opens a sealed record and dispatches the inner message.
-    fn handle_record(&mut self, from: &str, sealed: &[u8]) {
+    /// Opens a `Record` frame where it arrived and dispatches the inner
+    /// message.
+    fn handle_record(&mut self, from: &str, frame: Vec<u8>) {
         let Some(chan) = self.channels.get_mut(from) else {
             return;
         };
-        let Ok(plain) = chan.open_msg(sealed) else {
-            return;
-        };
-        let Ok(inner) = Msg::decode(&plain) else {
+        let Some(inner) = wire::open_record(chan, frame) else {
             return;
         };
         match inner {
@@ -898,18 +916,20 @@ impl Party {
     }
 
     fn send_sealed(&mut self, to: &str, msg: &Msg) {
+        if let Ok(frame) = RecordFrame::of(msg) {
+            self.seal_and_send(to, frame);
+        }
+    }
+
+    /// Seals `frame` for `to`'s channel, where it lies, and sends it.
+    fn seal_and_send(&mut self, to: &str, frame: RecordFrame) {
         let Some(chan) = self.channels.get_mut(to) else {
             return;
         };
-        let Ok(plain) = msg.encode() else {
-            return;
-        };
         let seal_span = deta_telemetry::span("seal");
-        let sealed = chan.seal_msg(&plain);
+        let frame = frame.seal(chan);
         drop(seal_span);
-        if let Ok(frame) = (Msg::Record { sealed }).encode() {
-            let _ = self.endpoint.send(to, frame);
-        }
+        let _ = self.endpoint.send(to, frame);
     }
 
     /// Evaluates the current model on a dataset.

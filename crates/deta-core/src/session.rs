@@ -28,7 +28,7 @@ use crate::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
-use deta_sev_sim::{AmdRas, BreachDump, GuestImage, Platform, SevError};
+use deta_sev_sim::{AmdRas, BreachDump, Cvm, GuestImage, Platform, SevError};
 use deta_transport::{LinkModel, Network};
 use std::collections::{HashMap, HashSet};
 
@@ -223,22 +223,42 @@ pub struct SessionParts {
     pub recovery: RecoveryKit,
 }
 
-impl SessionParts {
-    /// Builds every node of a session deterministically from the seed.
-    ///
-    /// `model_builder` must be deterministic in its RNG; every party's
-    /// model is built from the same fork so replicas start identical.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any aggregator cannot be attested or the configuration is
-    /// inconsistent.
-    pub fn build(
+/// What every process of a session derives identically from the seed
+/// before it builds a single node: the checked configuration, Phase I
+/// for every aggregator (the proxy's challenge stream is sequential, so
+/// the token directory only comes out the same if everyone attests the
+/// whole fleet), the network, and the RNG forks the nodes are cut from.
+/// [`SessionParts::build`] constructs every node from one and
+/// [`NodeParts::build`] exactly one — through the same constructors, so
+/// a node built alone is bit-identical to its twin in the full build.
+struct Blueprint<'a> {
+    config: DetaConfig,
+    model_builder: &'a dyn Fn(&mut DetRng) -> Sequential,
+    root: DetRng,
+    sev_rng: DetRng,
+    network: Network,
+    agg_names: Vec<String>,
+    /// The provisioned CVMs, by aggregator index, until a caller hands
+    /// each to its node's constructor.
+    cvms: Vec<Cvm>,
+    tokens: HashMap<String, VerifyingKey>,
+    paillier: Option<PaillierFusion>,
+    ras: AmdRas,
+    image: GuestImage,
+    proxy: AttestationProxy,
+}
+
+fn party_name(i: usize) -> String {
+    format!("party-{i}")
+}
+
+impl<'a> Blueprint<'a> {
+    fn new(
         config: DetaConfig,
-        model_builder: &dyn Fn(&mut DetRng) -> Sequential,
-        party_data: Vec<LabeledData>,
-    ) -> Result<SessionParts, SetupError> {
-        if party_data.len() != config.n_parties {
+        model_builder: &'a dyn Fn(&mut DetRng) -> Sequential,
+        party_shards: usize,
+    ) -> Result<Blueprint<'a>, SetupError> {
+        if party_shards != config.n_parties {
             return Err(SetupError::Config("party_data count != n_parties"));
         }
         if config.n_aggregators == 0 {
@@ -269,12 +289,11 @@ impl SessionParts {
         let image = GuestImage::new(b"deta-ovmf-v1".to_vec(), b"deta-aggregator-v1".to_vec());
         let mut proxy =
             AttestationProxy::new(ras.root_certs(), image.clone(), sev_rng.fork(b"proxy"));
-        let network = Network::new(config.link);
-        let mut aggregators = Vec::with_capacity(config.n_aggregators);
-        let mut tokens: HashMap<String, VerifyingKey> = HashMap::new();
         let agg_names: Vec<String> = (0..config.n_aggregators)
             .map(|j| format!("agg-{j}"))
             .collect();
+        let mut cvms = Vec::with_capacity(agg_names.len());
+        let mut tokens: HashMap<String, VerifyingKey> = HashMap::new();
         for (j, name) in agg_names.iter().enumerate() {
             let mut platform = Platform::genuine(
                 &ras,
@@ -282,45 +301,78 @@ impl SessionParts {
                 &mut sev_rng.fork_indexed(b"platform", j as u64),
             );
             let prov = proxy.verify_and_provision(&mut platform, &image)?;
-            tokens.insert(name.clone(), prov.token_key.clone());
-            let role = AggRole::among(name, &agg_names[0], &agg_names);
-            let mut node = AggregatorNode::new(
-                name,
-                prov.cvm,
-                network.register(name),
-                config.algorithm.build(),
-                role,
-                sev_rng.fork_indexed(b"agg-rng", j as u64),
-            )?;
-            node.set_quorum(config.participation);
-            aggregators.push(node);
+            tokens.insert(name.clone(), prov.token_key);
+            cvms.push(prov.cvm);
         }
-
-        // --- Shared model mapper and permutation key. ---
-        let model_rng = root.fork(b"model-init");
-        let template = model_builder(&mut model_rng.clone());
-        let n_params = template.param_count();
-        let mapper = ModelMapper::generate(
-            n_params,
-            config.n_aggregators,
-            config.proportions.as_deref(),
-            &mut root.fork(b"mapper"),
-        );
-        let broker = KeyBroker::new(&mut root.fork(b"keybroker"));
-        let transformer = Transformer::new(mapper, broker.permutation_key(), config.transform);
 
         // --- Optional Paillier fusion material. ---
         let paillier = config
             .paillier
             .as_ref()
             .map(|pc| PaillierFusion::setup(pc, config.n_parties, &mut root.fork(b"paillier")));
-        if let Some(ref fusion) = paillier {
-            for agg in &mut aggregators {
-                agg.set_paillier_key(fusion.aggregator_key());
-            }
-        }
+        Ok(Blueprint {
+            network: Network::new(config.link),
+            config,
+            model_builder,
+            root,
+            sev_rng,
+            agg_names,
+            cvms,
+            tokens,
+            paillier,
+            ras,
+            image,
+            proxy,
+        })
+    }
 
-        // --- Build parties. ---
+    /// Aggregator `j`, around the CVM Phase I provisioned for it. No
+    /// model, no mapper: an aggregator only ever sees fragments.
+    fn aggregator(&self, j: usize, cvm: Cvm) -> Result<AggregatorNode, SetupError> {
+        let name = &self.agg_names[j];
+        let mut node = AggregatorNode::new(
+            name,
+            cvm,
+            self.network.register(name),
+            self.config.algorithm.build(),
+            AggRole::among(name, &self.agg_names[0], &self.agg_names),
+            self.sev_rng.fork_indexed(b"agg-rng", j as u64),
+        )?;
+        node.set_quorum(self.config.participation);
+        if let Some(fusion) = &self.paillier {
+            node.set_paillier_key(fusion.aggregator_key());
+        }
+        Ok(node)
+    }
+
+    /// The starting model: every call returns the same replica.
+    fn model(&self) -> Sequential {
+        (self.model_builder)(&mut self.root.fork(b"model-init"))
+    }
+
+    /// The key broker and the transform every party uploads through,
+    /// for a model of `n_params` parameters.
+    fn transformer(&self, n_params: usize) -> (KeyBroker, Transformer) {
+        let mapper = ModelMapper::generate(
+            n_params,
+            self.config.n_aggregators,
+            self.config.proportions.as_deref(),
+            &mut self.root.fork(b"mapper"),
+        );
+        let broker = KeyBroker::new(&mut self.root.fork(b"keybroker"));
+        let transformer = Transformer::new(mapper, broker.permutation_key(), self.config.transform);
+        (broker, transformer)
+    }
+
+    /// Party `i` over `data`, with a model replica of its own.
+    fn party(
+        &self,
+        i: usize,
+        model: Sequential,
+        data: LabeledData,
+        transformer: Transformer,
+    ) -> Party {
+        let config = &self.config;
         let grad_scale = match config.algorithm {
             AggKind::GradientSum => 1.0 / config.n_parties as f32,
             _ => 1.0,
@@ -334,51 +386,163 @@ impl SessionParts {
             grad_scale,
             ldp: config.ldp,
         };
-        let mut parties = Vec::with_capacity(config.n_parties);
-        for (i, data) in party_data.into_iter().enumerate() {
-            let name = format!("party-{i}");
-            let model = model_builder(&mut model_rng.clone());
-            let mut party = Party::new(
-                &name,
-                network.register(&name),
-                model,
-                data,
-                transformer.clone(),
-                agg_names.clone(),
-                party_cfg.clone(),
-                root.fork_indexed(b"party-rng", i as u64),
-            );
-            if let Some(ref fusion) = paillier {
-                party.paillier = Some(fusion.party_material());
-            }
-            parties.push(party);
+        let name = party_name(i);
+        let mut party = Party::new(
+            &name,
+            self.network.register(&name),
+            model,
+            data,
+            transformer,
+            self.agg_names.clone(),
+            party_cfg,
+            self.root.fork_indexed(b"party-rng", i as u64),
+        );
+        if let Some(fusion) = &self.paillier {
+            party.paillier = Some(fusion.party_material());
         }
+        party
+    }
+}
 
+impl SessionParts {
+    /// Builds every node of a session deterministically from the seed.
+    ///
+    /// `model_builder` must be deterministic in its RNG; every party's
+    /// model is built from the same fork so replicas start identical.
+    ///
+    /// # Errors
+    ///
+    /// Fails if any aggregator cannot be attested or the configuration is
+    /// inconsistent.
+    pub fn build(
+        config: DetaConfig,
+        model_builder: &dyn Fn(&mut DetRng) -> Sequential,
+        party_data: Vec<LabeledData>,
+    ) -> Result<SessionParts, SetupError> {
+        let mut plan = Blueprint::new(config, model_builder, party_data.len())?;
+        let aggregators = std::mem::take(&mut plan.cvms)
+            .into_iter()
+            .enumerate()
+            .map(|(j, cvm)| plan.aggregator(j, cvm))
+            .collect::<Result<Vec<_>, _>>()?;
+        let eval_model = plan.model();
+        let (broker, transformer) = plan.transformer(eval_model.param_count());
+        let parties = party_data
+            .into_iter()
+            .enumerate()
+            .map(|(i, data)| plan.party(i, plan.model(), data, transformer.clone()))
+            .collect();
+
+        let config = plan.config;
         let latency_model = if config.cc_protected {
             LatencyModel::deta_default(config.link)
         } else {
             LatencyModel::ffl_default(config.link)
         };
         let recovery = RecoveryKit::new(
-            ras,
-            image,
-            proxy,
-            sev_rng.fork(b"respawn"),
+            plan.ras,
+            plan.image,
+            plan.proxy,
+            plan.sev_rng.fork(b"respawn"),
             config.algorithm,
             config.participation,
-            paillier.as_ref().map(|f| f.aggregator_key()),
+            plan.paillier.as_ref().map(|f| f.aggregator_key()),
         );
         Ok(SessionParts {
             config,
-            network,
+            network: plan.network,
             parties,
             aggregators,
             broker,
             latency_model,
-            tokens,
-            eval_model: template,
+            tokens: plan.tokens,
+            eval_model,
             transformer,
             recovery,
+        })
+    }
+}
+
+/// A node, as a host holds it: the value an actor loop serves and hands
+/// back when it exits, final state intact, so the host can inspect it
+/// (model parameters, breached memory) after the join.
+pub enum Node {
+    /// A party.
+    Party(Box<Party>),
+    /// An aggregator.
+    Aggregator(Box<AggregatorNode>),
+}
+
+impl Node {
+    /// The node's endpoint name.
+    pub fn name(&self) -> &str {
+        match self {
+            Node::Party(p) => &p.name,
+            Node::Aggregator(a) => &a.name,
+        }
+    }
+}
+
+/// One node of a session built on its own: everything a process that
+/// hosts a single node holds. A party comes with its model, transformer
+/// and shard; an aggregator with *no model and no mapper* — it is
+/// entitled to neither. Both come with the token directory of the whole
+/// fleet and a network replica on which every name of the session has a
+/// mailbox, so sends resolve and closures can be mirrored.
+pub struct NodeParts {
+    /// The local network replica.
+    pub network: Network,
+    /// The hosted node, Phase II not yet run.
+    pub node: Node,
+    /// Token verifying keys published by the attestation proxy, keyed by
+    /// aggregator name.
+    pub tokens: HashMap<String, VerifyingKey>,
+}
+
+impl NodeParts {
+    /// Builds the node `name` (`party-{i}` or `agg-{j}`) of the session
+    /// [`SessionParts::build`] would build from the same arguments, and
+    /// nothing else: the other shards are dropped, no other model is
+    /// initialised, nothing of the construction outlives the call. The
+    /// node is bit-identical to its twin in the full build.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionParts::build`], plus a `name` the session does not
+    /// have.
+    pub fn build(
+        config: DetaConfig,
+        model_builder: &dyn Fn(&mut DetRng) -> Sequential,
+        party_data: Vec<LabeledData>,
+        name: &str,
+    ) -> Result<NodeParts, SetupError> {
+        let mut plan = Blueprint::new(config, model_builder, party_data.len())?;
+        let parties = party_data.len();
+        let mut shards = party_data.into_iter().enumerate();
+        let node = if let Some(j) = plan.agg_names.iter().position(|a| a == name) {
+            let cvm = plan.cvms.swap_remove(j);
+            Node::Aggregator(Box::new(plan.aggregator(j, cvm)?))
+        } else if let Some((i, data)) = shards.find(|(i, _)| party_name(*i) == name) {
+            let model = plan.model();
+            let (_, transformer) = plan.transformer(model.param_count());
+            Node::Party(Box::new(plan.party(i, model, data, transformer)))
+        } else {
+            return Err(SetupError::Config("no node of that name in the session"));
+        };
+        // Everyone else's mailbox, so that sends to them resolve (a host
+        // routes them out) and their closures can be mirrored in.
+        let others = plan
+            .agg_names
+            .iter()
+            .cloned()
+            .chain((0..parties).map(party_name));
+        for other in others.filter(|other| other != name) {
+            let _ = plan.network.register(&other);
+        }
+        Ok(NodeParts {
+            network: plan.network,
+            node,
+            tokens: plan.tokens,
         })
     }
 }

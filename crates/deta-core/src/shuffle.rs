@@ -83,8 +83,22 @@ impl RoundPermutation {
     ///
     /// Panics on length mismatch.
     pub fn apply(&self, data: &[f32]) -> Vec<f32> {
+        self.permuted(data).collect()
+    }
+
+    /// [`RoundPermutation::apply`] value by value, in output order, for a
+    /// caller that writes the values where they are going instead of
+    /// into a vector of their own. Crate-private like the indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub(crate) fn permuted<'a>(
+        &'a self,
+        data: &'a [f32],
+    ) -> impl ExactSizeIterator<Item = f32> + 'a {
         assert_eq!(data.len(), self.perm.len(), "length mismatch");
-        self.perm.iter().map(|&s| data[s as usize]).collect()
+        self.perm.iter().map(move |&s| data[s as usize])
     }
 
     /// Inverts the permutation: recovers `data` from `self.apply(data)`.

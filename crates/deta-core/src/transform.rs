@@ -7,6 +7,7 @@
 
 use crate::mapper::ModelMapper;
 use crate::shuffle::RoundPermutation;
+use std::sync::Arc;
 
 /// Which defense layers are enabled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +62,10 @@ impl TransformConfig {
 /// ```
 #[derive(Clone)]
 pub struct Transformer {
-    mapper: ModelMapper,
+    /// Shared: the table is two index vectors the size of the model, and
+    /// every party of a process holds a clone of the transformer. A
+    /// re-partition swaps the whole `Arc`.
+    mapper: Arc<ModelMapper>,
     perm_key: [u8; 32],
     config: TransformConfig,
 }
@@ -85,7 +89,7 @@ impl Transformer {
             );
         }
         Transformer {
-            mapper,
+            mapper: Arc::new(mapper),
             perm_key,
             config,
         }
@@ -158,13 +162,38 @@ impl Transformer {
     ///
     /// Panics if `update.len()` or `perms` mismatch the mapper.
     pub fn transform_with(&self, update: &[f32], perms: &RoundPermutations) -> Vec<Vec<f32>> {
-        let fragments = self.mapper.partition(update);
-        assert_eq!(fragments.len(), perms.perms.len(), "permutation count");
-        fragments
-            .iter()
-            .zip(&perms.perms)
-            .map(|(frag, perm)| perm.apply(frag))
+        let mut scratch = Vec::new();
+        (0..self.n_fragments())
+            .map(|j| {
+                self.fragment_values(update, perms, j, &mut scratch)
+                    .collect()
+            })
             .collect()
+    }
+
+    /// Fragment `j` of `Trans(update)`, value by value in upload order,
+    /// for a caller that writes the values where they are going
+    /// ([`crate::wire::RecordFrame::upload`]);
+    /// [`Transformer::transform_with`] collects exactly this. The
+    /// partition goes through `scratch`, which callers reuse from one
+    /// fragment to the next: permuting out of a fragment-sized buffer
+    /// stays in cache, which gathering through both index tables at once
+    /// (half the speed, measured at 10⁶ parameters) does not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `update.len()`, `perms` or `j` mismatch the mapper.
+    pub fn fragment_values<'a>(
+        &'a self,
+        update: &[f32],
+        perms: &'a RoundPermutations,
+        j: usize,
+        scratch: &'a mut Vec<f32>,
+    ) -> impl ExactSizeIterator<Item = f32> + 'a {
+        assert_eq!(perms.perms.len(), self.n_fragments(), "permutation count");
+        scratch.clear();
+        scratch.extend(self.mapper.fragment_values(update, j));
+        perms.perms[j].permuted(scratch)
     }
 
     /// `Trans^-1(AU)`: un-shuffles and merges aggregated fragments.

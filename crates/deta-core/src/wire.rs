@@ -12,7 +12,9 @@
 //! truncating their length prefixes. The field primitives are
 //! [`deta_transport::wire`]'s; this module owns the tags and field order.
 
-use deta_transport::wire::{put_bytes, put_f32s, put_len, Malformed, Reader, TooLong};
+use deta_crypto::poly1305::TAG_LEN;
+use deta_transport::wire::{put_bytes, put_f32s_from, put_len, Malformed, Reader, TooLong};
+use deta_transport::SecureChannel;
 
 /// Protocol messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -151,19 +153,17 @@ impl From<TooLong> for EncodeError {
 /// round and value count.
 pub const FRAGMENT_HEADER: usize = 1 + 8 + 4;
 
-/// Appends a fragment-carrying message (`tag`, round, values).
-fn put_fragment(out: &mut Vec<u8>, tag: u8, round: u64, fragment: &[f32]) -> Result<(), TooLong> {
+/// Appends a fragment-carrying message (`tag`, round, values), the
+/// values written as they are yielded.
+fn put_fragment(
+    out: &mut Vec<u8>,
+    tag: u8,
+    round: u64,
+    values: impl ExactSizeIterator<Item = f32>,
+) -> Result<(), TooLong> {
     out.push(tag);
     out.extend_from_slice(&round.to_le_bytes());
-    put_f32s(out, fragment)
-}
-
-/// Encodes a fragment-carrying message into a buffer sized for it up
-/// front.
-fn encode_fragment(tag: u8, round: u64, fragment: &[f32]) -> Result<Vec<u8>, EncodeError> {
-    let mut out = Vec::with_capacity(FRAGMENT_HEADER + 4 * fragment.len());
-    put_fragment(&mut out, tag, round, fragment)?;
-    Ok(out)
+    put_f32s_from(out, values)
 }
 
 /// Appends the encoding of [`Msg::Upload`] behind a `u32` length prefix
@@ -178,7 +178,96 @@ pub fn put_upload(out: &mut Vec<u8>, round: u64, fragment: &[f32]) -> Result<(),
         .and_then(|values| values.checked_add(FRAGMENT_HEADER))
         .ok_or(EncodeError)?;
     put_len(out, encoded)?;
-    Ok(put_fragment(out, TAG_UPLOAD, round, fragment)?)
+    Ok(put_fragment(
+        out,
+        TAG_UPLOAD,
+        round,
+        fragment.iter().copied(),
+    )?)
+}
+
+/// Bytes a [`Msg::Record`] spends before its sealed payload: tag and
+/// length prefix.
+pub const RECORD_HEADER: usize = 1 + 4;
+
+/// A [`Msg::Record`] in the making: the frame that will go on the wire,
+/// header written, with the inner message still in the clear behind it.
+/// The only thing it can become is sealed ([`RecordFrame::seal`], in
+/// place), so a fragment exists once on the sending side and a
+/// plaintext body cannot be handed to an endpoint by mistake.
+pub struct RecordFrame(Vec<u8>);
+
+impl RecordFrame {
+    /// Reserves the whole frame — header, `body_len` bytes of inner
+    /// message, tag — lets `body` append the inner message, and writes
+    /// the header for what it appended.
+    fn build(
+        body_len: usize,
+        body: impl FnOnce(&mut Vec<u8>) -> Result<(), EncodeError>,
+    ) -> Result<RecordFrame, EncodeError> {
+        let mut frame = Vec::with_capacity(RECORD_HEADER + body_len + TAG_LEN);
+        frame.push(TAG_RECORD);
+        frame.extend_from_slice(&[0; 4]);
+        body(&mut frame)?;
+        let sealed_len =
+            u32::try_from(frame.len() - RECORD_HEADER + TAG_LEN).map_err(|_| EncodeError)?;
+        frame[1..RECORD_HEADER].copy_from_slice(&sealed_len.to_le_bytes());
+        Ok(RecordFrame(frame))
+    }
+
+    /// A record of `msg`.
+    pub fn of(msg: &Msg) -> Result<RecordFrame, EncodeError> {
+        RecordFrame::build(msg.encoded_len_hint(), |out| msg.encode_into(out))
+    }
+
+    /// A record of a message already encoded: a fan-out encodes once and
+    /// copies that plaintext into each recipient's frame.
+    pub fn of_encoded(plain: &[u8]) -> Result<RecordFrame, EncodeError> {
+        RecordFrame::build(plain.len(), |out| {
+            out.extend_from_slice(plain);
+            Ok(())
+        })
+    }
+
+    /// A record of [`Msg::Upload`] whose values are written as `values`
+    /// yields them — a party gathers its permuted fragment straight into
+    /// the frame.
+    pub fn upload(
+        round: u64,
+        values: impl ExactSizeIterator<Item = f32>,
+    ) -> Result<RecordFrame, EncodeError> {
+        RecordFrame::build(FRAGMENT_HEADER + 4 * values.len(), |out| {
+            Ok(put_fragment(out, TAG_UPLOAD, round, values)?)
+        })
+    }
+
+    /// Seals the inner message where it lies, as `chan`'s next record,
+    /// and returns the finished frame.
+    pub fn seal(mut self, chan: &mut SecureChannel) -> Vec<u8> {
+        chan.seal_in_place(&mut self.0, RECORD_HEADER);
+        self.0
+    }
+}
+
+/// Whether `frame` is the encoding of a [`Msg::Record`] — exactly the
+/// buffers [`Msg::decode`] would return one for.
+pub fn is_record(frame: &[u8]) -> bool {
+    let mut r = Reader::new(frame);
+    r.u8() == Ok(TAG_RECORD) && r.bytes().is_ok() && r.finish().is_ok()
+}
+
+/// Opens a [`Msg::Record`] frame where it arrived, as `chan`'s next
+/// record, and decodes the message inside: no copy of the sealed bytes,
+/// none of the plaintext, and a fragment's values are read out of it
+/// once. `None` when `frame` is no record ([`is_record`]), the record
+/// does not open (tampered, replayed, out of order — `chan` has then not
+/// advanced) or the inner bytes are no message.
+pub fn open_record(chan: &mut SecureChannel, mut frame: Vec<u8>) -> Option<Msg> {
+    if !is_record(&frame) {
+        return None;
+    }
+    chan.open_in_place(&mut frame, RECORD_HEADER).ok()?;
+    Msg::decode(&frame[RECORD_HEADER..]).ok()
 }
 
 fn put_vec_bytes(out: &mut Vec<u8>, v: &[Vec<u8>]) -> Result<(), TooLong> {
@@ -214,30 +303,54 @@ impl Msg {
         }
     }
 
-    /// Serializes the message.
+    /// Serializes the message into a buffer of its own.
     ///
     /// Fails (instead of truncating a length prefix) when a field holds
     /// 2^32 or more elements — unreachable for protocol-conforming
     /// senders but kept total so no caller can construct a frame that
     /// decodes to something else.
     pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len_hint());
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// How many bytes [`Msg::encode_into`] appends: exact for the
+    /// fragment-carrying messages (the ones worth reserving for), a
+    /// lower bound otherwise.
+    fn encoded_len_hint(&self) -> usize {
+        match self {
+            Msg::Upload { fragment, .. } | Msg::Aggregated { fragment, .. } => {
+                FRAGMENT_HEADER + 4 * fragment.len()
+            }
+            Msg::UploadEncrypted { ciphertexts, .. }
+            | Msg::AggregatedEncrypted { ciphertexts, .. } => {
+                ciphertexts.iter().map(|c| 4 + c.len()).sum()
+            }
+            _ => 0,
+        }
+    }
+
+    /// Appends the message's encoding to `out` — the one encoder;
+    /// [`Msg::encode`] and [`RecordFrame::of`] call it on buffers they
+    /// reserved. On failure `out` holds a partial encoding to discard.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), EncodeError> {
         match self {
             Msg::Hello { handshake } => {
                 out.push(TAG_HELLO);
-                put_bytes(&mut out, handshake)?;
+                put_bytes(out, handshake)?;
             }
             Msg::HelloReply { handshake } => {
                 out.push(TAG_HELLO_REPLY);
-                put_bytes(&mut out, handshake)?;
+                put_bytes(out, handshake)?;
             }
             Msg::Record { sealed } => {
                 out.push(TAG_RECORD);
-                put_bytes(&mut out, sealed)?;
+                put_bytes(out, sealed)?;
             }
             Msg::Register { party, weight } => {
                 out.push(TAG_REGISTER);
-                put_bytes(&mut out, party.as_bytes())?;
+                put_bytes(out, party.as_bytes())?;
                 out.extend_from_slice(&weight.to_le_bytes());
             }
             Msg::RegisterAck => out.push(TAG_REGISTER_ACK),
@@ -247,7 +360,7 @@ impl Msg {
                 out.extend_from_slice(training_id);
             }
             Msg::Upload { round, fragment } => {
-                return encode_fragment(TAG_UPLOAD, *round, fragment);
+                put_fragment(out, TAG_UPLOAD, *round, fragment.iter().copied())?;
             }
             Msg::UploadEncrypted {
                 round,
@@ -257,10 +370,10 @@ impl Msg {
                 out.push(TAG_UPLOAD_ENC);
                 out.extend_from_slice(&round.to_le_bytes());
                 out.extend_from_slice(&value_count.to_le_bytes());
-                put_vec_bytes(&mut out, ciphertexts)?;
+                put_vec_bytes(out, ciphertexts)?;
             }
             Msg::Aggregated { round, fragment } => {
-                return encode_fragment(TAG_AGGREGATED, *round, fragment);
+                put_fragment(out, TAG_AGGREGATED, *round, fragment.iter().copied())?;
             }
             Msg::AggregatedEncrypted {
                 round,
@@ -272,7 +385,7 @@ impl Msg {
                 out.extend_from_slice(&round.to_le_bytes());
                 out.extend_from_slice(&value_count.to_le_bytes());
                 out.extend_from_slice(&summands.to_le_bytes());
-                put_vec_bytes(&mut out, ciphertexts)?;
+                put_vec_bytes(out, ciphertexts)?;
             }
             Msg::SyncRound { round, training_id } => {
                 out.push(TAG_SYNC_ROUND);
@@ -284,7 +397,7 @@ impl Msg {
                 out.extend_from_slice(&round.to_le_bytes());
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Parses a message.

@@ -1,6 +1,8 @@
 //! What one aggregating pump allocates: the round's `Aggregated`
-//! plaintext exists once, not once per party, and the breach-memory
-//! records are written into one buffer reserved for all of them.
+//! plaintext exists once, not once per party, the breach-memory records
+//! are written into one buffer reserved for all of them, and a fragment
+//! crossing the node costs one buffer per hop — its values decoded out
+//! of the record it arrived in, one sealed frame per recipient.
 
 mod common;
 
@@ -86,10 +88,11 @@ fn an_aggregating_pump_allocates_one_plaintext_and_one_record_buffer() {
     // weighted mean accumulates in `f64` (two fragments' worth) and
     // returns one fragment, and one plaintext serves the whole fan-out.
     let aggregation = (PARTIES + 4) * fragment;
-    // The hops on either side of it, each still a buffer of its own:
-    // frame, opened record and decoded values of the last upload; a
-    // sealed record and its frame per party.
-    let hops = 3 * fragment + 2 * PARTIES * fragment;
+    // The hops on either side of it: the last upload is opened in the
+    // frame it arrived in and its values are decoded once (a `Vec<f32>`,
+    // for alignment); each party's frame is filled with the plaintext
+    // and sealed where it lies.
+    let hops = (1 + PARTIES) * fragment;
     let small = 16 * 1024;
     assert!(
         allocated <= aggregation + hops + small,

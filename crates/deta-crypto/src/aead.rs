@@ -35,7 +35,7 @@ impl Nonce {
     }
 }
 
-/// Errors returned by [`open`].
+/// Errors returned by [`open`] and [`open_in_place`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AeadError {
     /// The ciphertext is shorter than an authentication tag.
@@ -76,6 +76,54 @@ fn compute_tag(pk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
     mac.finalize()
 }
 
+/// Encrypts `buf[start..]` where it lies, authenticating it together
+/// with `aad`, and appends the tag: afterwards `buf[start..]` is
+/// `ciphertext || tag`. Bytes before `start` (a frame header the caller
+/// reserved) are neither read nor written. The one sealing routine:
+/// [`seal`] copies its plaintext into a fresh buffer and calls this.
+///
+/// # Panics
+///
+/// Panics if `start > buf.len()`.
+pub fn seal_in_place(key: &Key, nonce: &Nonce, aad: &[u8], buf: &mut Vec<u8>, start: usize) {
+    chacha::xor_stream(&key.0, 1, &nonce.0, &mut buf[start..]);
+    let tag = compute_tag(&poly_key(key, nonce), aad, &buf[start..]);
+    buf.extend_from_slice(&tag);
+}
+
+/// Verifies `buf[start..]` as `ciphertext || tag` and, only then,
+/// decrypts it where it lies and drops the tag: afterwards `buf[start..]`
+/// is the plaintext. The one opening routine: [`open`] copies its input
+/// and calls this.
+///
+/// # Errors
+///
+/// Verification happens before any byte is decrypted: on failure `buf`
+/// is exactly what came in (still ciphertext) and no plaintext exists.
+///
+/// # Panics
+///
+/// Panics if `start > buf.len()`.
+pub fn open_in_place(
+    key: &Key,
+    nonce: &Nonce,
+    aad: &[u8],
+    buf: &mut Vec<u8>,
+    start: usize,
+) -> Result<(), AeadError> {
+    let Some(body) = (buf.len() - start).checked_sub(TAG_LEN) else {
+        return Err(AeadError::Truncated);
+    };
+    let (ciphertext, tag) = buf[start..].split_at(body);
+    let expected = compute_tag(&poly_key(key, nonce), aad, ciphertext);
+    if !ct_eq(&expected, tag) {
+        return Err(AeadError::BadTag);
+    }
+    buf.truncate(start + body);
+    chacha::xor_stream(&key.0, 1, &nonce.0, &mut buf[start..]);
+    Ok(())
+}
+
 /// Encrypts `plaintext`, authenticating it together with `aad`.
 ///
 /// Returns `ciphertext || tag`.
@@ -83,10 +131,7 @@ pub fn seal(key: &Key, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
     // Sized for the tag up front, so appending it never reallocates.
     let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
     out.extend_from_slice(plaintext);
-    chacha::xor_stream(&key.0, 1, &nonce.0, &mut out);
-    let pk = poly_key(key, nonce);
-    let tag = compute_tag(&pk, aad, &out);
-    out.extend_from_slice(&tag);
+    seal_in_place(key, nonce, aad, &mut out, 0);
     out
 }
 
@@ -95,17 +140,8 @@ pub fn seal(key: &Key, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
 /// Verification happens before decryption output is released; on failure no
 /// plaintext is exposed.
 pub fn open(key: &Key, nonce: &Nonce, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, AeadError> {
-    if sealed.len() < TAG_LEN {
-        return Err(AeadError::Truncated);
-    }
-    let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    let pk = poly_key(key, nonce);
-    let expected = compute_tag(&pk, aad, ciphertext);
-    if !ct_eq(&expected, tag) {
-        return Err(AeadError::BadTag);
-    }
-    let mut out = ciphertext.to_vec();
-    chacha::xor_stream(&key.0, 1, &nonce.0, &mut out);
+    let mut out = sealed.to_vec();
+    open_in_place(key, nonce, aad, &mut out, 0)?;
     Ok(out)
 }
 

@@ -64,7 +64,7 @@ fn stale_aggregated_injection() -> Result<String, String> {
     let mut delivered = 0;
     while let Ok(msg) = mailbox.recv_timeout(Duration::from_millis(100)) {
         let from = msg.from.to_string();
-        session.party_mut(0).handle_wire(&from, &msg.payload);
+        session.party_mut(0).handle_wire(&from, msg.payload);
         delivered += 1;
     }
     if delivered == 0 {

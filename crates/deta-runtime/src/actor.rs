@@ -17,6 +17,7 @@
 use crate::rtmsg::{CtlMsg, SUPERVISOR};
 use deta_core::aggregator::{AggRole, AggregatorNode};
 use deta_core::party::Party;
+use deta_core::session::Node;
 use deta_core::wire::Msg;
 use deta_crypto::VerifyingKey;
 use deta_telemetry::{FlightRecorder, TelemetryValue};
@@ -46,45 +47,26 @@ impl ActorContext {
     }
 }
 
-/// A node, as a host holds it: the value [`Node::run`] serves and hands
-/// back when its loop exits, final state intact, so the host can inspect
-/// it (model parameters, breached memory) after the join.
-pub enum Node {
-    /// A party.
-    Party(Box<Party>),
-    /// An aggregator.
-    Aggregator(Box<AggregatorNode>),
-}
-
-impl Node {
-    /// The node's endpoint name.
-    pub fn name(&self) -> &str {
-        match self {
-            Node::Party(p) => &p.name,
-            Node::Aggregator(a) => &a.name,
-        }
+/// Serves `node` on the calling thread until an exit condition holds,
+/// then hands it back, final state intact, so the host can inspect it
+/// (model parameters, breached memory) after the join. A party runs
+/// Phase II against `tokens` first; an aggregator given `stall_at_round`
+/// stops servicing its mailbox once it sees that round announced (fault
+/// injection). Every span and event the thread emits meanwhile
+/// (including deep inside deta-core) lands in `recorder`.
+pub fn serve(
+    mut node: Node,
+    tokens: &HashMap<String, VerifyingKey>,
+    stall_at_round: Option<u64>,
+    ctx: &ActorContext,
+    recorder: Arc<FlightRecorder>,
+) -> Node {
+    let _telemetry = deta_telemetry::attach(recorder);
+    match &mut node {
+        Node::Party(p) => run_party(p, tokens, ctx),
+        Node::Aggregator(a) => run_aggregator(a, stall_at_round, ctx),
     }
-
-    /// Serves the node on the calling thread until an exit condition
-    /// holds. A party runs Phase II against `tokens` first; an
-    /// aggregator given `stall_at_round` stops servicing its mailbox
-    /// once it sees that round announced (fault injection). Every span
-    /// and event the thread emits meanwhile (including deep inside
-    /// deta-core) lands in `recorder`.
-    pub fn run(
-        mut self,
-        tokens: &HashMap<String, VerifyingKey>,
-        stall_at_round: Option<u64>,
-        ctx: &ActorContext,
-        recorder: Arc<FlightRecorder>,
-    ) -> Node {
-        let _telemetry = deta_telemetry::attach(recorder);
-        match &mut self {
-            Node::Party(p) => run_party(p, tokens, ctx),
-            Node::Aggregator(a) => run_aggregator(a, stall_at_round, ctx),
-        }
-        self
-    }
+    node
 }
 
 fn send_ctl(endpoint: &Endpoint, msg: &CtlMsg) {
@@ -211,7 +193,7 @@ fn run_aggregator(agg: &mut AggregatorNode, stall_at_round: Option<u64>, ctx: &A
                     // node's own compute spans.
                     let _handle = deta_telemetry::span("handle_wire")
                         .with_field("bytes", TelemetryValue::from(msg.payload.len()));
-                    agg.handle_wire(&msg.from, &msg.payload);
+                    agg.handle_wire(&msg.from, msg.payload);
                 }
             }
             Err(RecvError::Timeout) => {
@@ -332,7 +314,7 @@ fn run_party(party: &mut Party, tokens: &HashMap<String, VerifyingKey>, ctx: &Ac
                 } else {
                     let _handle = deta_telemetry::span("handle_wire")
                         .with_field("bytes", TelemetryValue::from(msg.payload.len()));
-                    party.handle_wire(&msg.from, &msg.payload);
+                    party.handle_wire(&msg.from, msg.payload);
                 }
             }
             Err(RecvError::Timeout) => {

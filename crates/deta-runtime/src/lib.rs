@@ -37,7 +37,7 @@ pub mod rtmsg;
 pub mod session;
 pub mod supervisor;
 
-pub use actor::Node;
+pub use deta_core::session::Node;
 pub use rtmsg::{CtlMsg, RebindEntry, SUPERVISOR};
 pub use session::{DetachedNodes, MapperEpoch, SessionView, ThreadedSession};
 pub use supervisor::Supervisor;

@@ -12,10 +12,9 @@
 //! (DESIGN.md §7); this module is the message-driven scheduler around
 //! it, plus failover.
 
-use crate::actor::Node;
 use crate::rtmsg::{CtlMsg, RebindEntry};
 use crate::supervisor::{implicated_nodes, Supervisor};
-use crate::{FailoverPolicy, Phase, RuntimeConfig, RuntimeError};
+use crate::{FailoverPolicy, Node, Phase, RuntimeConfig, RuntimeError};
 use deta_core::agg::AggKind;
 use deta_core::aggregator::{AggRole, AggregatorNode};
 use deta_core::keybroker::KeyBroker;

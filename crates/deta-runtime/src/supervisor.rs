@@ -2,9 +2,9 @@
 //! retries idempotent requests with capped backoff, reaps panicked
 //! threads, and shuts the deployment down cleanly.
 
-use crate::actor::{ActorContext, Node};
+use crate::actor::{self, ActorContext};
 use crate::rtmsg::{CtlMsg, SUPERVISOR};
-use crate::{Phase, RuntimeConfig, RuntimeError};
+use crate::{Node, Phase, RuntimeConfig, RuntimeError};
 use deta_crypto::VerifyingKey;
 use deta_telemetry::{FlightRecorder, TelemetryRecord, TelemetryValue, TraceDump};
 use deta_transport::{Endpoint, Network, RecvError};
@@ -96,7 +96,7 @@ impl Supervisor {
         let tokens = tokens.clone();
         let handle = std::thread::Builder::new()
             .name(name.clone())
-            .spawn(move || node.run(&tokens, stall, &ctx, recorder))
+            .spawn(move || actor::serve(node, &tokens, stall, &ctx, recorder))
             .map_err(RuntimeError::Spawn)?;
         self.nodes.insert(name, handle);
         Ok(())

@@ -192,7 +192,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 struct NodeEgress {
     /// The live connection's writer queue; `None` while the seat is
     /// parked — frames then only accumulate in `buffer`.
-    tx: Option<Sender<SocketFrame>>,
+    tx: Option<Sender<Arc<SocketFrame>>>,
     /// Stamped `Data` frames toward this node, retained until a resume's
     /// claims prove delivery.
     buffer: RetransmitBuffer,
@@ -206,12 +206,13 @@ struct NodeEgress {
 
 impl NodeEgress {
     /// Forwards a stamped frame to the live writer, if any, and retains
-    /// it for retransmission.
+    /// it for retransmission: one allocation, shared.
     fn push(&mut self, frame: SocketFrame) {
+        let frame = Arc::new(frame);
         if let Some(tx) = &self.tx {
             // A failed send means the writer died with the connection;
             // the frame stays buffered for the resume.
-            let _ = tx.send(frame.clone());
+            let _ = tx.send(Arc::clone(&frame));
         }
         self.buffer.push(frame);
     }
@@ -259,13 +260,14 @@ impl HubShared {
     /// Sends `frame` to every *live* link. Parked seats are skipped on
     /// purpose: closures (the only broadcast frame) are replayed to a
     /// seat when it resumes.
-    fn broadcast(&self, frame: &SocketFrame) {
-        let senders: Vec<Sender<SocketFrame>> = lock(&self.egress)
+    fn broadcast(&self, frame: SocketFrame) {
+        let frame = Arc::new(frame);
+        let senders: Vec<Sender<Arc<SocketFrame>>> = lock(&self.egress)
             .values()
             .filter_map(|e| e.tx.clone())
             .collect();
         for s in senders {
-            let _ = s.send(frame.clone());
+            let _ = s.send(Arc::clone(&frame));
         }
     }
 
@@ -463,7 +465,7 @@ fn pump(seat: HubSeat, shared: Arc<HubShared>) {
                 // Queue fully drained (closed mailboxes keep yielding
                 // queued messages first), so the closure is causally
                 // after everything the node was sent.
-                shared.broadcast(&SocketFrame::Close {
+                shared.broadcast(SocketFrame::Close {
                     name: seat.name.clone(),
                 });
                 return;
@@ -612,7 +614,7 @@ fn serve(
             return;
         }
     };
-    let (tx, rx) = channel::<SocketFrame>();
+    let (tx, rx) = channel::<Arc<SocketFrame>>();
     {
         // Prune, retransmit, and publish under one egress lock so the
         // pump cannot interleave a fresh frame among the replayed ones.
@@ -625,18 +627,18 @@ fn serve(
             drop(egress);
             shared.record_error(e);
             shared.network.close(&name);
-            shared.broadcast(&SocketFrame::Close { name: name.clone() });
+            shared.broadcast(SocketFrame::Close { name: name.clone() });
             return;
         }
         let replayed = entry.buffer.len() as u64;
         for frame in entry.buffer.frames() {
-            let _ = tx.send(frame.clone());
+            let _ = tx.send(Arc::clone(frame));
         }
         // Closures missed while parked (or before the first connect)
         // are replayed idempotently, after the Data backlog.
         for seat in &shared.seat_names {
             if shared.network.is_closed(seat) {
-                let _ = tx.send(SocketFrame::Close { name: seat.clone() });
+                let _ = tx.send(Arc::new(SocketFrame::Close { name: seat.clone() }));
             }
         }
         let resumed = entry.ever_connected;
@@ -819,7 +821,7 @@ fn serve(
         // Whatever ended the link for good: close the node's mailbox so
         // hub-side senders observe `Closed`, and tell every child.
         shared.network.close(&name);
-        shared.broadcast(&SocketFrame::Close { name: name.clone() });
+        shared.broadcast(SocketFrame::Close { name: name.clone() });
     }
     shared.park(&name);
     let _ = writer.join();
@@ -892,7 +894,7 @@ fn authenticate(
 
 /// Egress writer: drains the node's queue onto the socket, then signs
 /// off with `Bye` when the hub drops the queue.
-fn write_loop(mut sender: LinkSender, rx: Receiver<SocketFrame>) {
+fn write_loop(mut sender: LinkSender, rx: Receiver<Arc<SocketFrame>>) {
     while let Ok(frame) = rx.recv() {
         if sender.send(&frame).is_err() {
             return;

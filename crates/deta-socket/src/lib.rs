@@ -11,9 +11,10 @@
 //! The coordinator process runs the [`deta_runtime::ThreadedSession`]
 //! driver and a [`hub::SocketHub`] — [`launch`] sets up both — one TCP
 //! listener plus one hub-side proxy [`deta_transport::Endpoint`] per
-//! node. Each child process hosts exactly one node — it rebuilds the
-//! full deterministic `SessionParts` from the shared seed, keeps its
-//! own node, and connects back to the hub ([`node::run_node`]).
+//! node. Each child process hosts exactly one node — it builds that
+//! node alone from the shared seed (`NodeParts::build`: a party its
+//! model, transformer and shard, an aggregator no model at all) and
+//! connects back to the hub ([`node::run_node`]).
 //!
 //! Every logical frame is injected exactly once into the hub's
 //! `Network` via [`deta_transport::Network::send_as`], so the fault

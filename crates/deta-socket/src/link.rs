@@ -16,13 +16,14 @@
 //! both bridge sides keep so a resumed link can replay exactly the
 //! frames its peer never delivered.
 
-use crate::frame::{encode_frame, FrameDecoder};
+use crate::frame::{encode_frame, write_frame_header, FrameDecoder, FRAME_HEADER};
 use crate::wire::SocketFrame;
 use crate::SocketError;
+use deta_crypto::poly1305::TAG_LEN;
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use deta_transport::secure::{self, HandshakeInitiator, SecureChannel};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -52,9 +53,11 @@ const RETRANSMIT_MAX_BYTES: usize = 8 * 1024 * 1024;
 /// [`RETRANSMIT_MAX_FRAMES`] and [`RETRANSMIT_MAX_BYTES`]. The hub keeps
 /// one per seat, a child one for its link; it outlives connections, and
 /// it is always on — without it an abrupt TCP loss is unrecoverable.
+/// Frames are held behind `Arc`, so the copy retained here and the one
+/// queued for a link writer are the same allocation.
 #[derive(Default)]
 pub(crate) struct RetransmitBuffer {
-    frames: VecDeque<SocketFrame>,
+    frames: VecDeque<Arc<SocketFrame>>,
     /// Total buffered payload bytes (the byte-cap accounting).
     bytes: usize,
     /// Per-(src, dst) seq of the oldest frame still retransmittable; an
@@ -73,7 +76,7 @@ impl RetransmitBuffer {
 
     /// Retains a stamped frame, evicting from the front and advancing
     /// the per-link floor while over either cap.
-    pub fn push(&mut self, frame: SocketFrame) {
+    pub fn push(&mut self, frame: Arc<SocketFrame>) {
         self.bytes += Self::payload_len(&frame);
         self.frames.push_back(frame);
         while self.frames.len() > RETRANSMIT_MAX_FRAMES || self.bytes > RETRANSMIT_MAX_BYTES {
@@ -81,8 +84,8 @@ impl RetransmitBuffer {
                 break;
             };
             self.bytes = self.bytes.saturating_sub(Self::payload_len(&old));
-            if let SocketFrame::Data { src, dst, seq, .. } = old {
-                self.floor.insert((src, dst), seq + 1);
+            if let SocketFrame::Data { src, dst, seq, .. } = &*old {
+                self.floor.insert((src.clone(), dst.clone()), seq + 1);
             }
         }
     }
@@ -108,7 +111,7 @@ impl RetransmitBuffer {
                 });
             }
         }
-        self.frames.retain(|f| match f {
+        self.frames.retain(|f| match &**f {
             SocketFrame::Data { src, dst, seq, .. } => {
                 let claimed = claims
                     .get(&(src.clone(), dst.clone()))
@@ -118,12 +121,12 @@ impl RetransmitBuffer {
             }
             _ => true,
         });
-        self.bytes = self.frames.iter().map(Self::payload_len).sum();
+        self.bytes = self.frames.iter().map(|f| Self::payload_len(f)).sum();
         Ok(())
     }
 
     /// The retained frames, oldest first.
-    pub fn frames(&self) -> impl Iterator<Item = &SocketFrame> {
+    pub fn frames(&self) -> impl Iterator<Item = &Arc<SocketFrame>> {
         self.frames.iter()
     }
 
@@ -139,23 +142,35 @@ fn lock_channel(m: &Mutex<SecureChannel>) -> MutexGuard<'_, SecureChannel> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Seals one frame for the wire (encode then record-protect).
-fn seal_frame(channel: &Mutex<SecureChannel>, frame: &SocketFrame) -> Vec<u8> {
-    lock_channel(channel).seal_msg(&frame.encode())
+/// Builds one frame for the wire in `wire`, a buffer its link reuses for
+/// every frame: length prefix, the encoded frame, sealed where it lies.
+/// The buffer is reserved for exactly the frame in hand when it is too
+/// small, so it settles at the largest frame the link has carried.
+fn seal_frame(channel: &Mutex<SecureChannel>, frame: &SocketFrame, wire: &mut Vec<u8>) {
+    wire.clear();
+    wire.reserve_exact(FRAME_HEADER + frame.encoded_len_hint() + TAG_LEN);
+    wire.extend_from_slice(&[0; FRAME_HEADER]);
+    if frame.encode_into(wire).is_err() {
+        // The empty encoding of `SocketFrame::encode`: no decoder takes it.
+        wire.truncate(FRAME_HEADER);
+    }
+    lock_channel(channel).seal_in_place(wire, FRAME_HEADER);
+    write_frame_header(wire);
 }
 
-/// Opens one record and parses the frame inside it.
+/// Opens one record where the stream put it and parses the frame inside;
+/// a `Data` frame keeps that buffer as its payload.
 fn unseal_frame(
     channel: &Mutex<SecureChannel>,
     label: &str,
-    record: &[u8],
+    mut record: Vec<u8>,
 ) -> Result<SocketFrame, SocketError> {
-    let plain = lock_channel(channel)
-        .open_msg(record)
+    lock_channel(channel)
+        .open_in_place(&mut record, 0)
         .map_err(|_| SocketError::Record {
             link: label.to_string(),
         })?;
-    SocketFrame::decode(&plain).ok_or_else(|| SocketError::Malformed {
+    SocketFrame::decode_owned(record).ok_or_else(|| SocketError::Malformed {
         link: label.to_string(),
     })
 }
@@ -165,6 +180,9 @@ struct LinkIo {
     stream: TcpStream,
     decoder: FrameDecoder,
     label: String,
+    /// The outgoing frame buffer (see [`seal_frame`]); moves to the
+    /// [`LinkSender`] when the link splits.
+    wire: Vec<u8>,
 }
 
 impl LinkIo {
@@ -175,6 +193,7 @@ impl LinkIo {
             stream,
             decoder: FrameDecoder::new(),
             label,
+            wire: Vec::new(),
         })
     }
 
@@ -191,7 +210,6 @@ impl LinkIo {
         deadline: Option<Instant>,
         stop: Option<&AtomicBool>,
     ) -> Result<Option<Vec<u8>>, SocketError> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             if let Some(payload) = self.decoder.try_next().map_err(|e| SocketError::Frame {
                 link: self.label.clone(),
@@ -205,9 +223,9 @@ impl LinkIo {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(SocketError::Io(std::io::Error::from(ErrorKind::TimedOut)));
             }
-            match self.stream.read(&mut chunk) {
+            match self.decoder.read_from(&mut self.stream) {
                 Ok(0) => return Ok(None),
-                Ok(n) => self.decoder.push(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                 // A peer process exiting surfaces as a reset on some
                 // platforms and EOF on others; treat both as closure.
@@ -292,8 +310,9 @@ impl SecureLink {
 
     /// Seals and writes one frame.
     pub fn send(&mut self, frame: &SocketFrame) -> Result<(), SocketError> {
-        let record = seal_frame(&self.channel, frame);
-        self.io.write_frame(&record)
+        seal_frame(&self.channel, frame, &mut self.io.wire);
+        self.io.stream.write_all(&self.io.wire)?;
+        Ok(())
     }
 
     /// Blocks until the next frame, EOF/stop (`None`), or a deadline.
@@ -304,18 +323,19 @@ impl SecureLink {
     ) -> Result<Option<SocketFrame>, SocketError> {
         match self.io.read_frame(deadline, stop)? {
             None => Ok(None),
-            Some(record) => unseal_frame(&self.channel, &self.io.label, &record).map(Some),
+            Some(record) => unseal_frame(&self.channel, &self.io.label, record).map(Some),
         }
     }
 
     /// Splits into an independently-owned sender and receiver (the
     /// record counters stay shared, each direction strictly ordered by
     /// its single owning thread).
-    pub fn split(self) -> Result<(LinkSender, LinkReceiver), SocketError> {
+    pub fn split(mut self) -> Result<(LinkSender, LinkReceiver), SocketError> {
         let write_stream = self.io.stream.try_clone()?;
         let sender = LinkSender {
             stream: write_stream,
             channel: Arc::clone(&self.channel),
+            wire: std::mem::take(&mut self.io.wire),
         };
         let receiver = LinkReceiver {
             io: self.io,
@@ -329,13 +349,14 @@ impl SecureLink {
 pub(crate) struct LinkSender {
     stream: TcpStream,
     channel: Arc<Mutex<SecureChannel>>,
+    wire: Vec<u8>,
 }
 
 impl LinkSender {
     /// Seals and writes one frame.
     pub fn send(&mut self, frame: &SocketFrame) -> Result<(), SocketError> {
-        let record = seal_frame(&self.channel, frame);
-        self.stream.write_all(&encode_frame(&record))?;
+        seal_frame(&self.channel, frame, &mut self.wire);
+        self.stream.write_all(&self.wire)?;
         Ok(())
     }
 }
@@ -355,7 +376,7 @@ impl LinkReceiver {
     ) -> Result<Option<SocketFrame>, SocketError> {
         match self.io.read_frame(deadline, stop)? {
             None => Ok(None),
-            Some(record) => unseal_frame(&self.channel, &self.io.label, &record).map(Some),
+            Some(record) => unseal_frame(&self.channel, &self.io.label, record).map(Some),
         }
     }
 
@@ -375,20 +396,24 @@ impl LinkReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_FRAME;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::net::TcpListener;
 
-    fn data(dst: &str, seq: u64, len: usize) -> SocketFrame {
-        SocketFrame::Data {
+    fn data(dst: &str, seq: u64, len: usize) -> Arc<SocketFrame> {
+        Arc::new(SocketFrame::Data {
             src: "hub".to_string(),
             dst: dst.to_string(),
             seq,
             payload: vec![0; len],
-        }
+        })
     }
 
     fn seqs(buffer: &RetransmitBuffer) -> Vec<u64> {
         buffer
             .frames()
-            .map(|f| match f {
+            .map(|f| match &**f {
                 SocketFrame::Data { seq, .. } => *seq,
                 other => panic!("unexpected {other:?}"),
             })
@@ -445,5 +470,161 @@ mod tests {
         assert_eq!(seqs(&buffer), [1, 2]);
         assert_eq!(buffer.bytes, half + 1);
         assert!(buffer.prune(Vec::new()).is_err(), "seq 0 is gone");
+    }
+    // --- What crossing a link allocates. ---
+
+    thread_local! {
+        /// Bytes this thread has obtained from the allocator (the other
+        /// end of each link runs on a thread of its own and must not
+        /// leak into the count).
+        static BYTES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    // SAFETY: every call is forwarded unchanged to `System`, which
+    // upholds the `GlobalAlloc` contract; the counter is a
+    // const-initialised thread-local `Cell` without a destructor, so
+    // touching it never allocates or re-enters the allocator. A buffer
+    // that grows is charged its growth: what it holds in the end is what
+    // it cost, however many steps it took to get there.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            BYTES.with(|n| n.set(n.get() + layout.size()));
+            // SAFETY: the caller's obligations are passed on as they came.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            BYTES.with(|n| n.set(n.get() + new_size.saturating_sub(layout.size())));
+            // SAFETY: the caller's obligations are passed on as they came.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let before = BYTES.with(Cell::get);
+        let out = f();
+        (out, BYTES.with(Cell::get) - before)
+    }
+
+    /// One handshaken link over loopback: (connecting end, accepting end).
+    fn link_pair(seed: u64) -> (SecureLink, SecureLink) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let identity = SigningKey::generate(&mut DetRng::from_u64(seed));
+        let key = identity.verifying_key();
+        let connecting = std::thread::spawn(move || {
+            SecureLink::connect(addr, "child", &key, &mut DetRng::from_u64(seed + 1))
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        let accepted =
+            SecureLink::accept(stream, "hub", &identity, &mut DetRng::from_u64(seed + 2));
+        let connected = connecting.join().expect("connecting thread");
+        (connected.expect("connect"), accepted.expect("accept"))
+    }
+
+    /// Sends `frame` from a thread of its own while this thread receives
+    /// it; returns what arrived and what receiving it allocated.
+    fn receive_counted(
+        tx: &mut LinkSender,
+        rx: &mut LinkReceiver,
+        frame: &SocketFrame,
+    ) -> (SocketFrame, usize) {
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(frame).expect("send"));
+            let (got, cost) = allocated_by(|| rx.recv(None, None));
+            (got.expect("recv").expect("a frame"), cost)
+        })
+    }
+
+    /// Sends `frame` from this thread while a thread of its own receives
+    /// it; returns what sending it allocated.
+    fn send_counted(tx: &mut LinkSender, rx: &mut LinkReceiver, frame: &SocketFrame) -> usize {
+        std::thread::scope(|s| {
+            s.spawn(|| rx.recv(None, None).expect("recv").expect("a frame"));
+            allocated_by(|| tx.send(frame).expect("send")).1
+        })
+    }
+
+    #[test]
+    fn a_relayed_fragment_costs_each_receiver_one_buffer_and_a_warm_sender_nothing() {
+        const PAYLOAD: usize = 1 << 20;
+        // Names, the frame queue's first block, the decoder's first step.
+        const SLACK: usize = 32 * 1024;
+        let fragment = |seq: u64| SocketFrame::Data {
+            src: "party-0".to_string(),
+            dst: "agg-0".to_string(),
+            seq,
+            payload: (0..PAYLOAD).map(|i| (i as u64 * 31 + seq) as u8).collect(),
+        };
+        // child A -> hub -> child B, as two links.
+        let (child_a, hub_a) = link_pair(10);
+        let (hub_b, child_b) = link_pair(20);
+        let (mut a_tx, _a_rx) = child_a.split().expect("split");
+        let (_hub_a_tx, mut hub_a_rx) = hub_a.split().expect("split");
+        let (mut hub_b_tx, _hub_b_rx) = hub_b.split().expect("split");
+        let (_b_tx, mut b_rx) = child_b.split().expect("split");
+
+        let first = fragment(0);
+        let (at_hub, cost) = receive_counted(&mut a_tx, &mut hub_a_rx, &first);
+        assert!(cost <= PAYLOAD + SLACK, "hub ingress allocated {cost}");
+        assert_eq!(at_hub, first);
+        // The hub relays the frame it received, payload and all.
+        let (at_b, cost) = receive_counted(&mut hub_b_tx, &mut b_rx, &at_hub);
+        assert!(cost <= PAYLOAD + SLACK, "child ingress allocated {cost}");
+        assert_eq!(at_b, first);
+
+        // Both senders have now sized their wire buffer for a fragment.
+        let second = fragment(1);
+        assert_eq!(send_counted(&mut a_tx, &mut hub_a_rx, &second), 0);
+        assert_eq!(send_counted(&mut hub_b_tx, &mut b_rx, &second), 0);
+    }
+
+    #[test]
+    fn a_declared_length_reserves_only_what_the_peer_then_sends() {
+        // `accept` reads its first frame before anyone is authenticated.
+        // Declaring the largest frame there is must cost the reader what
+        // arrives behind the declaration, not the declaration.
+        let identity = SigningKey::generate(&mut DetRng::from_u64(5));
+        for sent in [0usize, 40 * 1024] {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let peer = std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                let mut bytes = (MAX_FRAME as u32).to_le_bytes().to_vec();
+                bytes.resize(4 + sent, 0xee);
+                stream.write_all(&bytes).expect("write");
+                // Dropped: the reader sees the end of the stream.
+            });
+            let (stream, _) = listener.accept().expect("accept");
+            peer.join().expect("peer thread");
+            let (outcome, cost) = allocated_by(|| {
+                SecureLink::accept(stream, "incoming", &identity, &mut DetRng::from_u64(6))
+            });
+            // A stream that ends inside its first frame: what it always was.
+            assert!(
+                matches!(
+                    outcome,
+                    Err(SocketError::Handshake {
+                        source: deta_transport::TransportError::Malformed,
+                        ..
+                    })
+                ),
+                "{sent} bytes sent"
+            );
+            assert!(
+                cost < 64 * 1024 + 2 * sent,
+                "{sent} bytes behind a 64 MiB declaration cost the reader {cost}"
+            );
+        }
     }
 }

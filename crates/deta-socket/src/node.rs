@@ -2,15 +2,16 @@
 //! deterministically from the shared seed, and relay all its traffic
 //! through one authenticated link to the hub.
 //!
-//! The child rebuilds the *entire* `SessionParts` — same seed, same
-//! construction order, so its node is bit-identical to the one the
-//! coordinator built and dropped — keeps its own node, and runs the
-//! stock actor loop ([`deta_runtime::actor`]) against its local network
-//! replica. The replica carries only this node's mailbox; a
+//! The child builds exactly the node it hosts ([`NodeParts::build`]:
+//! same seed, same constructors, so the node is bit-identical to the one
+//! the coordinator built and dropped) — a party its model, transformer
+//! and shard, an aggregator no model and no mapper — and runs the stock
+//! actor loop ([`deta_runtime::actor`]) against its local network
+//! replica. Only this node's mailbox there is ever read; a
 //! [`FaultPolicy`] delivers frames addressed to the hosted node and
-//! drops everything else, and the [`NetTap::on_drop`] callback — which
-//! fires under the network lock, in exact send order — feeds those
-//! "drops" to the link writer. One queue, one writer, one TCP stream:
+//! drops everything else, and the [`NetTap::on_drop_owned`] callback —
+//! which fires under the network lock, in exact send order — hands
+//! those "drops", by value, to the link writer. One queue, one writer, one TCP stream:
 //! the child's egress preserves the node's global causal send order,
 //! which is what makes hub-side byte accounting bit-exact with the
 //! in-process deployment.
@@ -33,11 +34,11 @@
 use crate::link::{LinkReceiver, LinkSender, RetransmitBuffer, SecureLink};
 use crate::wire::{auth_transcript, ReplayWindow, SeqTracker, SocketFrame};
 use crate::{hub_verifying_key, party_link_key, SocketError};
-use deta_core::session::{DetaConfig, SessionParts};
+use deta_core::session::{DetaConfig, NodeParts};
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
-use deta_runtime::actor::ActorContext;
+use deta_runtime::actor::{self, ActorContext};
 use deta_runtime::{Node, SUPERVISOR};
 use deta_telemetry::FlightRecorder;
 use deta_transport::{FaultPolicy, NetTap, Network, SendVerdict};
@@ -93,7 +94,9 @@ impl FaultPolicy for LocalOnlyPolicy {
 
 /// Forwards every non-local "drop" to the link writer. Called under the
 /// network lock in exact send order, so the egress queue is a faithful
-/// serialization of the node's outbound traffic.
+/// serialization of the node's outbound traffic — and with the payload
+/// by value, so nothing the size of a fragment is copied under that
+/// lock.
 struct EgressTap {
     own: String,
     egress: Mutex<Sender<(String, String, Vec<u8>)>>,
@@ -102,7 +105,7 @@ struct EgressTap {
 impl NetTap for EgressTap {
     fn on_deliver(&self, _from: &str, _to: &str, _payload: &[u8]) {}
 
-    fn on_drop(&self, from: &str, to: &str, payload: &[u8]) {
+    fn on_drop_owned(&self, from: &str, to: &str, payload: Vec<u8>) {
         // Drops *to* the hosted node are real losses (its mailbox
         // closed); everything else is egress.
         if to != self.own {
@@ -110,7 +113,7 @@ impl NetTap for EgressTap {
                 .egress
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = tx.send((from.to_string(), to.to_string(), payload.to_vec()));
+            let _ = tx.send((from.to_string(), to.to_string(), payload));
         }
     }
 }
@@ -161,7 +164,7 @@ impl LinkState {
                 self.sender = None;
             }
         }
-        self.buffer.push(frame);
+        self.buffer.push(Arc::new(frame));
     }
 }
 
@@ -252,13 +255,13 @@ impl Reconnector {
     }
 }
 
-/// Hosts the named node: rebuilds the session replica from `config`,
+/// Hosts the named node: builds it — and only it — from `config`,
 /// connects to the hub at `addr`, proves the node's identity, then runs
 /// the stock actor loop until shutdown. Blocks for the whole session.
 ///
 /// # Errors
 ///
-/// Structured [`SocketError`]s: replica build failures, handshake or
+/// Structured [`SocketError`]s: node build failures, handshake or
 /// auth rejection, and any link-level violation observed while the
 /// actor ran — including [`SocketError::Disconnected`] after the
 /// reconnect budget is exhausted.
@@ -271,26 +274,15 @@ pub fn run_node(
     tick: Duration,
 ) -> Result<(), SocketError> {
     let seed = config.seed;
-    let parts =
-        SessionParts::build(config, model_builder, party_data).map_err(|e| SocketError::Build {
-            detail: e.to_string(),
-        })?;
-    let SessionParts {
+    let NodeParts {
         network,
-        parties,
-        aggregators,
+        node: own,
         tokens,
-        ..
-    } = parts;
-    let parties = parties.into_iter().map(|p| Node::Party(Box::new(p)));
-    let aggregators = aggregators
-        .into_iter()
-        .map(|a| Node::Aggregator(Box::new(a)));
-    let Some(own) = parties.chain(aggregators).find(|n| n.name() == name) else {
-        return Err(SocketError::Build {
-            detail: format!("no node named {name} in the session"),
-        });
-    };
+    } = NodeParts::build(config, model_builder, party_data, name).map_err(|e| {
+        SocketError::Build {
+            detail: e.to_string(),
+        }
+    })?;
     // The node's link identity outlives the node itself (which the
     // actor consumes), because every reconnection must prove the SAME
     // key — the hub's roster is fixed at bind time.
@@ -362,7 +354,7 @@ pub fn run_node(
         halt: Arc::new(AtomicBool::new(false)),
         tick,
     };
-    own.run(&tokens, None, &ctx, recorder);
+    actor::serve(own, &tokens, None, &ctx, recorder);
 
     // Teardown: dropping the tap closes the egress queue; the writer
     // drains it, signs off with Bye, and exits.

@@ -146,7 +146,7 @@ fn read_windows(r: &mut Reader<'_>) -> Result<Vec<(String, String, u64)>, Malfor
 }
 
 impl SocketFrame {
-    /// Serializes the frame (the secure channel seals the result).
+    /// Serializes the frame into a buffer of its own.
     ///
     /// A field too long for its prefix — a name over 65,535 bytes, a
     /// payload over 4 GiB; neither can occur, names come from the roster
@@ -154,11 +154,34 @@ impl SocketFrame {
     /// encoding, which every decoder rejects, never a truncated field
     /// that would decode as a different frame.
     pub fn encode(&self) -> Vec<u8> {
-        self.try_encode().unwrap_or_default()
+        let mut out = Vec::with_capacity(self.encoded_len_hint());
+        match self.encode_into(&mut out) {
+            Ok(()) => out,
+            Err(TooLong) => Vec::new(),
+        }
     }
 
-    fn try_encode(&self) -> Result<Vec<u8>, TooLong> {
-        let mut out = Vec::new();
+    /// How many bytes [`SocketFrame::encode_into`] appends: exact for
+    /// `Data` (the frame worth reserving for), a lower bound otherwise.
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        match self {
+            SocketFrame::Data {
+                src, dst, payload, ..
+            } => 1 + 2 + src.len() + 2 + dst.len() + 8 + 4 + payload.len(),
+            SocketFrame::TraceShip { jsonl, .. } => jsonl.len(),
+            _ => 0,
+        }
+    }
+
+    /// Appends the frame's encoding to `out` — the one encoder; the link
+    /// calls it on its reused record buffer (the secure channel then
+    /// seals the bytes where they lie).
+    ///
+    /// # Errors
+    ///
+    /// [`TooLong`] as for [`SocketFrame::encode`]; `out` then holds a
+    /// partial encoding to discard.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), TooLong> {
         match self {
             SocketFrame::Data {
                 src,
@@ -167,14 +190,14 @@ impl SocketFrame {
                 payload,
             } => {
                 out.push(TAG_DATA);
-                put_str16(&mut out, src)?;
-                put_str16(&mut out, dst)?;
+                put_str16(out, src)?;
+                put_str16(out, dst)?;
                 out.extend_from_slice(&seq.to_le_bytes());
-                put_bytes(&mut out, payload)?;
+                put_bytes(out, payload)?;
             }
             SocketFrame::Close { name } => {
                 out.push(TAG_CLOSE);
-                put_str16(&mut out, name)?;
+                put_str16(out, name)?;
             }
             SocketFrame::Challenge { nonce } => {
                 out.push(TAG_CHALLENGE);
@@ -182,8 +205,8 @@ impl SocketFrame {
             }
             SocketFrame::AuthProof { name, sig } => {
                 out.push(TAG_AUTH_PROOF);
-                put_str16(&mut out, name)?;
-                put_bytes(&mut out, sig)?;
+                put_str16(out, name)?;
+                put_bytes(out, sig)?;
             }
             SocketFrame::Welcome => out.push(TAG_WELCOME),
             SocketFrame::Bye => out.push(TAG_BYE),
@@ -205,39 +228,67 @@ impl SocketFrame {
                 jsonl,
             } => {
                 out.push(TAG_TRACE_SHIP);
-                put_str16(&mut out, name)?;
+                put_str16(out, name)?;
                 out.extend_from_slice(&dropped.to_le_bytes());
-                put_bytes(&mut out, jsonl)?;
+                put_bytes(out, jsonl)?;
             }
             SocketFrame::Resume { src, windows } => {
                 out.push(TAG_RESUME);
-                put_str16(&mut out, src)?;
-                put_windows(&mut out, windows)?;
+                put_str16(out, src)?;
+                put_windows(out, windows)?;
             }
             SocketFrame::ResumeAck { windows } => {
                 out.push(TAG_RESUME_ACK);
-                put_windows(&mut out, windows)?;
+                put_windows(out, windows)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Parses a frame; `None` on any malformed input (truncated,
     /// trailing bytes, unknown tag, invalid UTF-8). Total — never
     /// panics.
     pub fn decode(buf: &[u8]) -> Option<SocketFrame> {
-        SocketFrame::try_decode(buf).ok()
+        let (mut frame, payload_at) = SocketFrame::parse(buf).ok()?;
+        if let SocketFrame::Data { payload, .. } = &mut frame {
+            *payload = buf[payload_at..].to_vec();
+        }
+        Some(frame)
     }
 
-    fn try_decode(buf: &[u8]) -> Result<SocketFrame, Malformed> {
+    /// [`SocketFrame::decode`] of a buffer the caller gives up: a `Data`
+    /// frame keeps the allocation as its payload (the header in front is
+    /// shifted out, nothing is copied to a new buffer), which is how a
+    /// relayed fragment stays in the buffer the stream filled.
+    pub(crate) fn decode_owned(mut buf: Vec<u8>) -> Option<SocketFrame> {
+        let (mut frame, payload_at) = SocketFrame::parse(&buf).ok()?;
+        if let SocketFrame::Data { payload, .. } = &mut frame {
+            buf.drain(..payload_at);
+            *payload = buf;
+        }
+        Some(frame)
+    }
+
+    /// The one parser. A `Data` frame comes back with an empty payload
+    /// and the offset its payload starts at (it runs to the end of
+    /// `buf`), so that the caller decides whether those bytes are copied
+    /// or kept.
+    fn parse(buf: &[u8]) -> Result<(SocketFrame, usize), Malformed> {
         let mut r = Reader::new(buf);
+        let mut payload_at = 0;
         let frame = match r.u8()? {
-            TAG_DATA => SocketFrame::Data {
-                src: r.str16()?.to_string(),
-                dst: r.str16()?.to_string(),
-                seq: r.u64()?,
-                payload: r.bytes()?.to_vec(),
-            },
+            TAG_DATA => {
+                let (src, dst) = (r.str16()?.to_string(), r.str16()?.to_string());
+                let seq = r.u64()?;
+                payload_at = r.position() + 4;
+                r.bytes()?;
+                SocketFrame::Data {
+                    src,
+                    dst,
+                    seq,
+                    payload: Vec::new(),
+                }
+            }
             TAG_CLOSE => SocketFrame::Close {
                 name: r.str16()?.to_string(),
             },
@@ -268,7 +319,7 @@ impl SocketFrame {
             _ => return Err(Malformed),
         };
         r.finish()?;
-        Ok(frame)
+        Ok((frame, payload_at))
     }
 }
 

@@ -254,6 +254,14 @@ pub trait NetTap: Send + Sync {
     /// (the original payload is reported lost), crash, or a held message
     /// whose destination closed before release.
     fn on_drop(&self, _from: &str, _to: &str, _payload: &[u8]) {}
+    /// What the network calls at every loss: it owns the payload it is
+    /// about to discard, so a tap that keeps lost payloads (a bridge
+    /// routing them elsewhere) overrides this and takes the buffer
+    /// instead of copying it under the network lock. Everyone else
+    /// inherits the loan to [`NetTap::on_drop`].
+    fn on_drop_owned(&self, from: &str, to: &str, payload: Vec<u8>) {
+        self.on_drop(from, to, &payload);
+    }
 }
 
 /// One endpoint's queue plus its liveness flag.
@@ -433,7 +441,7 @@ impl Network {
             if !deliverable {
                 // A held message can outlive its destination.
                 if let Some(t) = &tap {
-                    t.on_drop(&from, &to, &payload);
+                    t.on_drop_owned(&from, &to, payload);
                 }
                 note_loss(&from, &to, len);
                 continue;
@@ -512,10 +520,10 @@ impl Network {
                 Ok(())
             }
             SendVerdict::Drop => {
-                if let Some(t) = &tap {
-                    t.on_drop(from, to, &payload);
-                }
                 note_loss(from, to, payload.len());
+                if let Some(t) = &tap {
+                    t.on_drop_owned(from, to, payload);
+                }
                 Ok(())
             }
             SendVerdict::Duplicate => {
@@ -524,10 +532,10 @@ impl Network {
                 Ok(())
             }
             SendVerdict::Replace(alt) => {
-                if let Some(t) = &tap {
-                    t.on_drop(from, to, &payload);
-                }
                 note_loss(from, to, payload.len());
+                if let Some(t) = &tap {
+                    t.on_drop_owned(from, to, payload);
+                }
                 self.deliver_locked(&mut st, from, to, alt);
                 Ok(())
             }
@@ -556,10 +564,10 @@ impl Network {
                 Ok(())
             }
             SendVerdict::CrashSender => {
-                if let Some(t) = &tap {
-                    t.on_drop(from, to, &payload);
-                }
                 note_loss(from, to, payload.len());
+                if let Some(t) = &tap {
+                    t.on_drop_owned(from, to, payload);
+                }
                 if let Some(mb) = st.queues.get_mut(from.as_ref()) {
                     mb.closed = true;
                 }

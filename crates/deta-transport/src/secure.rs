@@ -16,9 +16,11 @@
 //! [`SecureChannel::open_msg`] with per-direction sequence numbers, which
 //! gives confidentiality, integrity, and replay protection in order.
 
+use deta_crypto::aead::{open_in_place, seal_in_place};
 use deta_crypto::dh::{EphemeralSecret, PublicKey as DhPublicKey};
+use deta_crypto::poly1305::TAG_LEN;
 use deta_crypto::sha256::{hkdf, sha256_concat};
-use deta_crypto::{open, seal, AeadKey, DetRng, Nonce, Signature, SigningKey, VerifyingKey};
+use deta_crypto::{AeadKey, DetRng, Nonce, Signature, SigningKey, VerifyingKey};
 
 /// Errors from handshakes and record protection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,25 +69,52 @@ impl std::fmt::Debug for SecureChannel {
     }
 }
 
+/// Associated data bound into every record.
+const RECORD_AAD: &[u8] = b"deta-record";
+
 impl SecureChannel {
-    /// Encrypts and authenticates one message.
-    pub fn seal_msg(&mut self, plaintext: &[u8]) -> Vec<u8> {
+    /// Seals `buf[start..]` where it lies as the next record in sequence
+    /// (see [`deta_crypto::aead::seal_in_place`]); bytes before `start`
+    /// are the caller's frame header and stay as they are.
+    pub fn seal_in_place(&mut self, buf: &mut Vec<u8>, start: usize) {
         let nonce = Nonce::from_parts(self.channel_id, self.send_seq);
         self.send_seq += 1;
-        seal(&self.send_key, &nonce, b"deta-record", plaintext)
+        seal_in_place(&self.send_key, &nonce, RECORD_AAD, buf, start);
     }
 
-    /// Decrypts and verifies the next message in sequence.
+    /// Opens `buf[start..]` where it lies as the next record in sequence,
+    /// leaving the plaintext there.
     ///
     /// # Errors
     ///
     /// Returns [`TransportError::BadRecord`] for tampered, reordered, or
-    /// replayed records.
-    pub fn open_msg(&mut self, sealed: &[u8]) -> Result<Vec<u8>, TransportError> {
+    /// replayed records; `buf` is then untouched and the receive sequence
+    /// has not advanced, so the genuine next record still opens.
+    pub fn open_in_place(&mut self, buf: &mut Vec<u8>, start: usize) -> Result<(), TransportError> {
         let nonce = Nonce::from_parts(self.channel_id, self.recv_seq);
-        let out = open(&self.recv_key, &nonce, b"deta-record", sealed)
+        open_in_place(&self.recv_key, &nonce, RECORD_AAD, buf, start)
             .map_err(|_| TransportError::BadRecord)?;
         self.recv_seq += 1;
+        Ok(())
+    }
+
+    /// Encrypts and authenticates one message into a buffer of its own.
+    pub fn seal_msg(&mut self, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        self.seal_in_place(&mut out, 0);
+        out
+    }
+
+    /// Decrypts and verifies the next message in sequence into a buffer
+    /// of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`SecureChannel::open_in_place`].
+    pub fn open_msg(&mut self, sealed: &[u8]) -> Result<Vec<u8>, TransportError> {
+        let mut out = sealed.to_vec();
+        self.open_in_place(&mut out, 0)?;
         Ok(out)
     }
 }

@@ -69,10 +69,20 @@ pub fn put_str16(out: &mut Vec<u8>, s: &str) -> Result<(), TooLong> {
 /// Writes `v` as a `u32` count and the values, little-endian, growing
 /// `out` once.
 pub fn put_f32s(out: &mut Vec<u8>, v: &[f32]) -> Result<(), TooLong> {
-    put_len(out, v.len())?;
-    out.reserve(4 * v.len());
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
+    put_f32s_from(out, v.iter().copied())
+}
+
+/// [`put_f32s`] for values that are computed as they are written (a
+/// gather through a permutation), so they need no slice of their own.
+pub fn put_f32s_from(
+    out: &mut Vec<u8>,
+    values: impl ExactSizeIterator<Item = f32>,
+) -> Result<(), TooLong> {
+    put_len(out, values.len())?;
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (slot, x) in out[start..].chunks_exact_mut(4).zip(values) {
+        slot.copy_from_slice(&x.to_le_bytes());
     }
     Ok(())
 }
@@ -89,6 +99,12 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
+    }
+
+    /// Bytes consumed so far: the offset of the next field in the buffer.
+    #[inline]
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     /// The next `n` bytes, borrowed from the buffer.

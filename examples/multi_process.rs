@@ -6,8 +6,8 @@
 //!
 //! The example re-executes its own binary for each node (the same trick
 //! `deta-cli cluster` uses): the parent runs the coordinator and the
-//! socket hub; each child rebuilds the deterministic session replica
-//! from the shared seed, keeps its one node, and dials back in. For a
+//! socket hub; each child builds its one node from the shared seed —
+//! bit-identical to the coordinator's copy — and dials back in. For a
 //! fixed seed the result is bit-identical to the fully in-process
 //! `ThreadedSession`; this example runs both and checks.
 //!

@@ -32,6 +32,19 @@ echo "==> deta-core under optimisation (the sorting network's vector body only e
 cargo test --release -q -p deta-core
 cargo test --release -q --test agg_kat
 
+echo "==> frozen bench/ against this workspace (builds and runs its contract tests)"
+# bench/ is a workspace of its own (BENCHMARK.json forbids editing it),
+# so tier-1 never compiles it — yet it calls the workspace's public API
+# by name: SecureChannel::{seal_msg,open_msg}, Msg::{encode,decode},
+# SocketFrame::{encode,decode}, encode_frame, FrameDecoder::{new,push,
+# try_next}, Transformer::{transform,inverse}, run_node, seats_for,
+# SocketHub::bind, setup_detached, SessionParts.eval_model and the
+# polling Party/AggregatorNode calls of level1.rs. A signature moved
+# from under it fails here, not in the driver after the PR is cut.
+# Building it rewrites its (stale, frozen) Cargo.lock; put that back.
+cargo test --offline -q --manifest-path bench/Cargo.toml
+git checkout -- bench/Cargo.lock 2>/dev/null || true
+
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
 # Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);
 # the corpus in results/SIM_SEEDS.json is verified, not rewritten — set

@@ -8,8 +8,11 @@
 //! is a function of this stream.
 
 use deta::core::shuffle::RoundPermutation;
+use deta::crypto::aead::{open_in_place, seal_in_place};
 use deta::crypto::sha256::sha256;
-use deta::crypto::{open, seal, AeadKey, DetRng, Nonce};
+use deta::crypto::{open, seal, AeadError, AeadKey, DetRng, Nonce, SigningKey};
+use deta::transport::secure::{respond, HandshakeInitiator};
+use deta::transport::TransportError;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -127,4 +130,131 @@ fn seal_of_a_megabyte_and_one() {
         "75307a2ee9041ad7ce306a171f8950f3"
     );
     assert_eq!(open(&key, &nonce, b"deta-record", &sealed).unwrap(), msg);
+}
+
+fn kat_message(len: usize) -> Vec<u8> {
+    (0..len as u32)
+        .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
+        .collect()
+}
+
+/// SHA-256 of `seal(key 00..1f, nonce (9, 77), "deta-record", message)`
+/// at the lengths where something changes hands — nothing, one byte, a
+/// Poly1305 block and its neighbours, a wide keystream call and its
+/// neighbours, one `fedavg` fragment record (1 356 829 bytes) — recorded
+/// with the allocating `seal` of the commit before in-place sealing
+/// existed. `seal` is now a wrapper over `seal_in_place`: comparing the
+/// two with each other would prove nothing, these rows do.
+const SEALED_SHA256: [(usize, &str); 9] = [
+    (
+        0,
+        "5c8830875695225d46d666120663e581749d3cde913744c2e664f1aca5b06b1e",
+    ),
+    (
+        1,
+        "ef5b08da59a8ab5dfe6d38167aaa4924ffb7a4ca3a53f992bd3bc4c9876440e5",
+    ),
+    (
+        15,
+        "7b1f4a1a4acb7dcb2eade812a7dbd750491082f16b60e00e7884980a6af4ab2a",
+    ),
+    (
+        16,
+        "56b409c683b3e04530be90b78b7c343af4eaf26c789f9007f8c0135ed721ee16",
+    ),
+    (
+        17,
+        "6e469fd7d2fe8f4bd37a11223f3f0543cd1217731f4ed9f067d104dc9444796f",
+    ),
+    (
+        511,
+        "5f37e2e97d6a320e09b1e159dabee6a53a31c4af45f608a40f1164ea71930aa0",
+    ),
+    (
+        512,
+        "5d3ddd2618ea2c42612a1022b59770e3d5084bb2164a282e56cbbf8345efe852",
+    ),
+    (
+        513,
+        "50f3eda7fbb1424a0d3de89bd40e7a8833f877364dc00d52b7c28716c1fe0e6a",
+    ),
+    (
+        1_356_829,
+        "0edf86def98ddbb65b1c2cf8228e3aa28f3538ea3ccd792d8c6868350bda57a2",
+    ),
+];
+
+#[test]
+fn sealed_bytes_at_block_edges_and_at_fragment_size() {
+    let key = AeadKey(core::array::from_fn(|i| i as u8));
+    let nonce = Nonce::from_parts(9, 77);
+    for (len, digest) in SEALED_SHA256 {
+        let msg = kat_message(len);
+        let sealed = seal(&key, &nonce, b"deta-record", &msg);
+        assert_eq!(hex(&sha256(&sealed)), digest, "{len} bytes");
+        // Behind a frame header, which it must leave alone, the in-place
+        // path writes those same bytes, and reads them back.
+        let mut frame = vec![0xa5; 5];
+        frame.extend_from_slice(&msg);
+        seal_in_place(&key, &nonce, b"deta-record", &mut frame, 5);
+        assert_eq!(frame[..5], [0xa5; 5], "{len} bytes");
+        assert_eq!(frame[5..], sealed, "{len} bytes");
+        open_in_place(&key, &nonce, b"deta-record", &mut frame, 5).expect("own record");
+        assert_eq!(frame[..5], [0xa5; 5], "{len} bytes");
+        assert_eq!(frame[5..], msg, "{len} bytes");
+    }
+}
+
+#[test]
+fn a_flipped_byte_leaves_an_in_place_open_its_ciphertext_and_its_place_in_line() {
+    // Verify before decrypt: the error comes back with the buffer still
+    // what arrived, bit for bit — no partially decrypted plaintext.
+    let key = AeadKey(core::array::from_fn(|i| i as u8));
+    let nonce = Nonce::from_parts(9, 77);
+    let msg = kat_message(100_003);
+    let mut frame = vec![0xa5; 5];
+    frame.extend_from_slice(&msg);
+    seal_in_place(&key, &nonce, b"deta-record", &mut frame, 5);
+    for at in [5, 5 + msg.len() / 2, frame.len() - 17, frame.len() - 1] {
+        let mut bad = frame.clone();
+        bad[at] ^= 0x04;
+        let arrived = bad.clone();
+        assert_eq!(
+            open_in_place(&key, &nonce, b"deta-record", &mut bad, 5),
+            Err(AeadError::BadTag),
+            "byte {at}"
+        );
+        assert_eq!(bad, arrived, "byte {at}");
+    }
+    let mut short = vec![0xa5; 5 + 15];
+    assert_eq!(
+        open_in_place(&key, &nonce, b"deta-record", &mut short, 5),
+        Err(AeadError::Truncated)
+    );
+    assert_eq!(short, [0xa5; 20]);
+
+    // One layer up: a record that fails leaves the buffer alone and does
+    // not use up its sequence number — the genuine record still opens.
+    let identity = SigningKey::generate(&mut DetRng::from_u64(1));
+    let initiator = HandshakeInitiator::new(&mut DetRng::from_u64(2));
+    let (response, mut rx) =
+        respond(initiator.hello(), &identity, &mut DetRng::from_u64(3)).expect("respond");
+    let mut tx = initiator
+        .complete(&response, &identity.verifying_key())
+        .expect("complete");
+    let mut record = vec![0xa5; 5];
+    record.extend_from_slice(&msg);
+    tx.seal_in_place(&mut record, 5);
+    let mut bad = record.clone();
+    bad[5 + 77] ^= 0x80;
+    let arrived = bad.clone();
+    assert_eq!(
+        rx.open_in_place(&mut bad, 5),
+        Err(TransportError::BadRecord)
+    );
+    assert_eq!(bad, arrived);
+    rx.open_in_place(&mut record, 5)
+        .expect("the failed open did not advance the sequence");
+    assert_eq!(record[5..], msg);
+    assert_eq!(record[..5], [0xa5; 5]);
 }
