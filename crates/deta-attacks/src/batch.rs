@@ -9,10 +9,10 @@
 //! quality degrades as `B` grows — one more reason FedAvg-style batching
 //! already raises the attack bar before DeTA's transforms apply.
 
+use crate::autograd::{Tape, Var};
 use crate::harness::{BreachedView, GraphModel};
 use crate::metrics::mse;
 use crate::optim::Lbfgs;
-use deta_autograd::{Tape, Var};
 use deta_crypto::DetRng;
 
 /// Batched attack configuration.

@@ -184,10 +184,10 @@ fn run_dlg_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autograd::Tape;
     use crate::graphnet::MlpSpec;
     use crate::harness::{breach_view, AttackView};
     use crate::metrics::mse;
-    use deta_autograd::Tape;
     use deta_crypto::DetRng;
 
     /// Computes the true single-example gradient via the graph (hard label).

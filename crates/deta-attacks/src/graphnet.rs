@@ -17,7 +17,7 @@
 //! *soft label*: the label enters as logit variables so DLG can optimize
 //! it, while iDLG/IG pin it by passing a one-hot value.
 
-use deta_autograd::{Tape, Var};
+use crate::autograd::{Tape, Var};
 
 /// A Tanh multi-layer perceptron specification.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -13,8 +13,8 @@
 //! paper evaluates (it may even query the unperturbed model as a black
 //! box; only the *target* gradients are transformed).
 
+use crate::autograd::{Tape, Var};
 use crate::graphnet::{loss_and_param_grad, ConvSpec, MlpSpec};
-use deta_autograd::{Tape, Var};
 use deta_core::mapper::ModelMapper;
 use deta_core::shuffle::RoundPermutation;
 use deta_crypto::DetRng;

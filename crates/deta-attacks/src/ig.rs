@@ -10,10 +10,10 @@
 //! converged (reconstruction succeeds); against DeTA's partitioned and
 //! shuffled views it stalls far above that.
 
+use crate::autograd::Var;
 use crate::harness::{AttackTape, BreachedView, GraphModel};
 use crate::metrics::cosine_distance;
 use crate::optim::Adam;
-use deta_autograd::Var;
 use deta_crypto::DetRng;
 
 /// IG attack configuration.
@@ -45,7 +45,7 @@ pub struct IgOutcome {
 }
 
 /// Emits the total-variation prior over an image laid out CHW.
-fn tv_prior(tape: &mut deta_autograd::Tape, x: &[Var], shape: (usize, usize, usize)) -> Var {
+fn tv_prior(tape: &mut crate::autograd::Tape, x: &[Var], shape: (usize, usize, usize)) -> Var {
     let (c, h, w) = shape;
     assert_eq!(x.len(), c * h * w, "image shape mismatch");
     let eps = tape.constant(1e-8);
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn tv_prior_penalizes_noise() {
         // TV of a constant image is ~0; of a checkerboard it is large.
-        let mut tape = deta_autograd::Tape::new();
+        let mut tape = crate::autograd::Tape::new();
         let x = tape.inputs(16);
         let tv = tv_prior(&mut tape, &x, (1, 4, 4));
         let mut ev = tape.evaluator();

@@ -13,8 +13,8 @@
 //!   Adam, box constraint.
 //!
 //! All three differentiate *through* the network's gradient computation,
-//! which is why they run on the higher-order [`deta_autograd`] tape via
-//! the graph builders in [`graphnet`].
+//! which is why they run on the higher-order [`autograd`] tape via the
+//! graph builders in [`graphnet`].
 //!
 //! [`harness`] wires the attacks to DeTA's defenses: it produces exactly
 //! the view an adversary obtains by breaching one CC-protected aggregator
@@ -32,6 +32,7 @@
 //! robust aggregation rules reject them (DESIGN.md §14).
 
 pub mod analytic;
+pub mod autograd;
 pub mod batch;
 pub mod dlg;
 pub mod graphnet;
@@ -45,3 +46,9 @@ pub mod poison;
 pub use harness::{AttackView, BreachedView};
 pub use metrics::{cosine_distance, mse};
 pub use poison::PoisonKind;
+
+// Mounted at the crate root, where the tape's tests keep the names they
+// are known by (`tests::…`) from when the tape was a crate of its own.
+#[cfg(test)]
+#[path = "autograd_tests.rs"]
+mod tests;

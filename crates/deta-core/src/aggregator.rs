@@ -15,6 +15,7 @@
 //!   announces rounds; followers acknowledge completion.
 
 use crate::agg::Aggregation;
+use crate::latency::timed;
 use crate::proxy::TOKEN_SECRET_LABEL;
 use crate::wire::{self, Msg, RecordFrame};
 use deta_bignum::BigUint;
@@ -24,8 +25,7 @@ use deta_sev_sim::Cvm;
 use deta_telemetry::TelemetryValue;
 use deta_transport::wire::{put_bytes, Reader};
 use deta_transport::{secure, Endpoint, SecureChannel};
-use std::collections::HashMap;
-use std::time::Instant;
+use std::collections::BTreeMap;
 
 /// Role in inter-aggregator synchronization.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,6 +79,27 @@ impl std::fmt::Display for AggError {
 
 impl std::error::Error for AggError {}
 
+/// What a node knows about one party.
+struct PartyPeer {
+    /// The secure channel its Phase II handshake opened.
+    channel: SecureChannel,
+    /// The weight it registered with: `None` before `Register` and after
+    /// [`AggregatorNode::deregister`], when the channel stays but rounds
+    /// neither wait for the party nor reach it.
+    weight: Option<f32>,
+}
+
+/// One party's upload, held until its round aggregates. Which kind a
+/// node holds is decided where uploads come in: plain fragments without
+/// a Paillier key, ciphertexts with one, never both.
+enum Upload {
+    /// A transformed fragment.
+    Plain(Vec<f32>),
+    /// A Paillier-encrypted fragment: its ciphertexts, and the number of
+    /// plaintext values they pack.
+    Encrypted(Vec<Ciphertext>, u64),
+}
+
 /// One aggregator node.
 pub struct AggregatorNode {
     /// Endpoint name.
@@ -87,14 +108,14 @@ pub struct AggregatorNode {
     token: SigningKey,
     endpoint: Endpoint,
     rng: DetRng,
-    channels: HashMap<String, SecureChannel>,
-    registered: HashMap<String, f32>,
+    /// Every party with a channel to this node. Ordered by name, and
+    /// that order is the order of every fan-out: two runs of one seed
+    /// put the same frames on the network in the same sequence.
+    parties: BTreeMap<String, PartyPeer>,
     algorithm: Box<dyn Aggregation>,
     role: AggRole,
-    /// Plain fragment uploads per round: party -> fragment.
-    pending: HashMap<u64, HashMap<String, Vec<f32>>>,
-    /// Encrypted uploads per round: party -> (ciphertexts, value count).
-    pending_enc: HashMap<u64, HashMap<String, (Vec<Ciphertext>, u64)>>,
+    /// Uploads waiting for their round to fill: round -> party -> upload.
+    pending: BTreeMap<u64, BTreeMap<String, Upload>>,
     /// Paillier public key when running encrypted fusion.
     paillier_pk: Option<PaillierPk>,
     /// Rounds whose aggregation this node has completed.
@@ -131,12 +152,10 @@ impl AggregatorNode {
             token,
             endpoint,
             rng,
-            channels: HashMap::new(),
-            registered: HashMap::new(),
+            parties: BTreeMap::new(),
             algorithm,
             role,
-            pending: HashMap::new(),
-            pending_enc: HashMap::new(),
+            pending: BTreeMap::new(),
             paillier_pk: None,
             completed_rounds: 0,
             aggregate_time_s: 0.0,
@@ -158,7 +177,7 @@ impl AggregatorNode {
 
     /// Registered party count.
     pub fn registered_parties(&self) -> usize {
-        self.registered.len()
+        self.parties.values().filter(|p| p.weight.is_some()).count()
     }
 
     /// Replaces this node's synchronization role — the failover topology
@@ -183,7 +202,6 @@ impl AggregatorNode {
         }
         self.completed_rounds = self.completed_rounds.min(round - 1);
         self.pending.retain(|&r, _| r < round);
-        self.pending_enc.retain(|&r, _| r < round);
     }
 
     /// Every decrypted-but-not-yet-aggregated plain upload this node
@@ -193,11 +211,12 @@ impl AggregatorNode {
     pub fn pending_uploads(&self) -> Vec<(u64, String, Vec<f32>)> {
         let mut out: Vec<(u64, String, Vec<f32>)> = Vec::new();
         for (&round, uploads) in &self.pending {
-            for (party, frag) in uploads {
-                out.push((round, party.clone(), frag.clone()));
+            for (party, upload) in uploads {
+                if let Upload::Plain(frag) = upload {
+                    out.push((round, party.clone(), frag.clone()));
+                }
             }
         }
-        out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         out
     }
 
@@ -208,24 +227,19 @@ impl AggregatorNode {
     /// because every algorithm here aggregates whatever the registered
     /// set contributed, removal is safe at round boundaries.
     pub fn deregister(&mut self, party: &str) {
-        self.registered.remove(party);
-        for uploads in self.pending.values_mut() {
-            uploads.remove(party);
+        if let Some(peer) = self.parties.get_mut(party) {
+            peer.weight = None;
         }
-        for uploads in self.pending_enc.values_mut() {
+        for uploads in self.pending.values_mut() {
             uploads.remove(party);
         }
         // The departed party may have been the last holdout for a round:
         // with the expected set shrunk, every pending round must be
         // re-examined, or aggregation would wait forever for an upload
         // that can no longer arrive.
-        let plain: Vec<u64> = self.pending.keys().copied().collect();
-        for round in plain {
+        let rounds: Vec<u64> = self.pending.keys().copied().collect();
+        for round in rounds {
             self.try_aggregate(round);
-        }
-        let enc: Vec<u64> = self.pending_enc.keys().copied().collect();
-        for round in enc {
-            self.try_aggregate_encrypted(round);
         }
     }
 
@@ -289,9 +303,8 @@ impl AggregatorNode {
                 let _ = self.endpoint.send(f, frame);
             }
         }
-        let parties: Vec<String> = self.registered.keys().cloned().collect();
-        for p in parties {
-            self.send_sealed(&p, &Msg::RoundStart { round, training_id });
+        if let Ok(plain) = (Msg::RoundStart { round, training_id }).encode() {
+            self.fan_out(&plain);
         }
         Ok(())
     }
@@ -318,15 +331,20 @@ impl AggregatorNode {
     }
 
     fn send_sealed(&mut self, to: &str, msg: &Msg) {
-        if let Ok(frame) = RecordFrame::of(msg) {
-            self.seal_and_send(to, frame);
+        if let (Ok(frame), Some(peer)) = (RecordFrame::of(msg), self.parties.get_mut(to)) {
+            let _ = self.endpoint.send(to, frame.seal(&mut peer.channel));
         }
     }
 
-    /// Seals `frame` for `to`'s channel, where it lies, and sends it.
-    fn seal_and_send(&mut self, to: &str, frame: RecordFrame) {
-        if let Some(chan) = self.channels.get_mut(to) {
-            let _ = self.endpoint.send(to, frame.seal(chan));
+    /// Sends one encoded message to every registered party, in name
+    /// order: a fan-out encodes once, and the plaintext is copied into
+    /// each party's frame and sealed where it lies.
+    fn fan_out(&mut self, plain: &[u8]) {
+        let registered = self.parties.iter_mut().filter(|(_, p)| p.weight.is_some());
+        for (name, peer) in registered {
+            if let Ok(frame) = RecordFrame::of_encoded(plain) {
+                let _ = self.endpoint.send(name, frame.seal(&mut peer.channel));
+            }
         }
     }
 
@@ -336,10 +354,10 @@ impl AggregatorNode {
     /// the buffer it arrived in.
     pub fn handle_wire(&mut self, from: &str, payload: Vec<u8>) {
         if wire::is_record(&payload) {
-            let Some(chan) = self.channels.get_mut(from) else {
+            let Some(peer) = self.parties.get_mut(from) else {
                 return;
             };
-            if let Some(inner) = wire::open_record(chan, payload) {
+            if let Some(inner) = wire::open_record(&mut peer.channel, payload) {
                 self.handle_inner(from, inner);
             }
             return;
@@ -350,8 +368,12 @@ impl AggregatorNode {
         match msg {
             Msg::Hello { handshake } => {
                 // Phase II: sign the handshake transcript with the token.
-                if let Ok((resp, chan)) = secure::respond(&handshake, &self.token, &mut self.rng) {
-                    self.channels.insert(from.to_string(), chan);
+                if let Ok((resp, channel)) = secure::respond(&handshake, &self.token, &mut self.rng)
+                {
+                    // A party that says hello again keeps its registration.
+                    let weight = self.parties.get(from).and_then(|p| p.weight);
+                    self.parties
+                        .insert(from.to_string(), PartyPeer { channel, weight });
                     if let Ok(frame) = (Msg::HelloReply { handshake: resp }).encode() {
                         let _ = self.endpoint.send(from, frame);
                     }
@@ -399,10 +421,12 @@ impl AggregatorNode {
                     }
                     return;
                 }
-                self.registered.insert(party, weight);
+                if let Some(peer) = self.parties.get_mut(from) {
+                    peer.weight = Some(weight);
+                }
                 self.send_sealed(from, &Msg::RegisterAck);
             }
-            Msg::Upload { round, fragment } => {
+            Msg::Upload { round, fragment } if self.paillier_pk.is_none() => {
                 deta_telemetry::event(
                     "upload_received",
                     &[
@@ -410,29 +434,13 @@ impl AggregatorNode {
                         ("values", TelemetryValue::from(fragment.len())),
                     ],
                 );
-                let slot = self.pending.entry(round).or_default();
-                if slot
-                    .values()
-                    .next()
-                    .is_some_and(|f| f.len() != fragment.len())
-                {
-                    // Fragment lengths can only differ at a reopened
-                    // round straddling a re-partition (a delayed
-                    // old-epoch upload meeting a replayed new-epoch
-                    // one). Never mix epochs in one aggregate: the
-                    // arriving length wins, stale fragments drop, and a
-                    // wedged round degrades to the bounded recovery
-                    // budget rather than a mixed-length aggregate.
-                    slot.clear();
-                }
-                slot.insert(from.to_string(), fragment);
-                self.try_aggregate(round);
+                self.hold_upload(from, round, Upload::Plain(fragment));
             }
             Msg::UploadEncrypted {
                 round,
                 ciphertexts,
                 value_count,
-            } => {
+            } if self.paillier_pk.is_some() => {
                 deta_telemetry::event(
                     "upload_received",
                     &[
@@ -441,15 +449,17 @@ impl AggregatorNode {
                         ("encrypted", TelemetryValue::from(true)),
                     ],
                 );
-                let cts: Vec<Ciphertext> = ciphertexts
+                let ciphertexts = ciphertexts
                     .iter()
                     .map(|b| Ciphertext(BigUint::from_bytes_be(b)))
                     .collect();
-                self.pending_enc
-                    .entry(round)
-                    .or_default()
-                    .insert(from.to_string(), (cts, value_count));
-                self.try_aggregate_encrypted(round);
+                self.hold_upload(from, round, Upload::Encrypted(ciphertexts, value_count));
+            }
+            // An upload of the kind this node does not aggregate — plain
+            // to a node with a Paillier key, encrypted to one without —
+            // would wait in `pending` for a round that can never use it.
+            other @ (Msg::Upload { .. } | Msg::UploadEncrypted { .. }) => {
+                deta_telemetry::metrics::counter_add("deta_wire_rejected_total", other.name(), 1);
             }
             // Inner frames other than registration and uploads are
             // out-of-protocol for the sealed channel; count each drop.
@@ -459,70 +469,95 @@ impl AggregatorNode {
         }
     }
 
-    /// Runs plain aggregation once the expected number of parties (the
-    /// quorum, or every registered party) has uploaded. Uploads arriving
-    /// after the round completed are discarded.
+    /// Holds `from`'s upload for `round`, and aggregates the round if it
+    /// was the last one expected.
+    fn hold_upload(&mut self, from: &str, round: u64, upload: Upload) {
+        let slot = self.pending.entry(round).or_default();
+        if let (Upload::Plain(arriving), Some(Upload::Plain(held))) =
+            (&upload, slot.values().next())
+        {
+            if held.len() != arriving.len() {
+                // Fragment lengths can only differ at a reopened
+                // round straddling a re-partition (a delayed
+                // old-epoch upload meeting a replayed new-epoch
+                // one). Never mix epochs in one aggregate: the
+                // arriving length wins, stale fragments drop, and a
+                // wedged round degrades to the bounded recovery
+                // budget rather than a mixed-length aggregate.
+                slot.clear();
+            }
+        }
+        slot.insert(from.to_string(), upload);
+        self.try_aggregate(round);
+    }
+
+    /// Aggregates `round` once the expected number of parties (the
+    /// quorum, or every registered party) has uploaded, and sends every
+    /// registered party the result. Uploads arriving after the round
+    /// completed are discarded.
     fn try_aggregate(&mut self, round: u64) {
         if round <= self.completed_rounds {
             self.pending.remove(&round);
             return;
         }
-        let n = self.registered.len();
+        let n = self.registered_parties();
         let expected = self.quorum.unwrap_or(n).min(n);
         if n == 0 || self.pending.get(&round).map_or(0, |m| m.len()) < expected {
             return;
         }
+        // Deterministic party order: the table's own, by name.
         let Some(uploads) = self.pending.remove(&round) else {
             return;
         };
-        // Deterministic party order: sorted by name.
-        let mut uploads: Vec<(String, Vec<f32>)> = uploads.into_iter().collect();
-        uploads.sort_by(|a, b| a.0.cmp(&b.0));
-        let weights: Vec<f32> = uploads
-            .iter()
-            .map(|(n, _)| self.registered.get(n).copied().unwrap_or(1.0))
-            .collect();
-        // Record the fragments in CVM guest memory: this is precisely what
-        // a breach of this aggregator leaks. Length-prefixed records of
-        // (party name, Upload message), written into one buffer reserved
-        // for all of them: it is the aggregator's largest allocation.
-        let record_bytes = |(name, input): &(String, Vec<f32>)| {
-            8 + name.len() + wire::FRAGMENT_HEADER + 4 * input.len()
-        };
-        let mut mem = Vec::with_capacity(uploads.iter().map(record_bytes).sum());
-        for (name, input) in &uploads {
-            let record_start = mem.len();
-            if put_bytes(&mut mem, name.as_bytes()).is_err()
-                || wire::put_upload(&mut mem, round, input).is_err()
-            {
-                mem.truncate(record_start);
+        let count = uploads.len();
+        let (mut names, mut fragments, mut encrypted) = (Vec::new(), Vec::new(), Vec::new());
+        for (name, upload) in uploads {
+            match upload {
+                Upload::Plain(fragment) => {
+                    names.push(name);
+                    fragments.push(fragment);
+                }
+                Upload::Encrypted(ciphertexts, value_count) => {
+                    encrypted.push((ciphertexts, value_count));
+                }
             }
         }
-        let inputs: Vec<Vec<f32>> = uploads.into_iter().map(|(_, frag)| frag).collect();
-        self.cvm.guest().write(mem);
-        let t0 = Instant::now();
-        let agg_span = deta_telemetry::span("aggregate")
-            .with_field("round", TelemetryValue::from(round))
-            .with_field("uploads", TelemetryValue::from(inputs.len()));
-        let aggregated = self.algorithm.aggregate(&inputs, &weights);
-        drop(agg_span);
-        self.aggregate_time_s += t0.elapsed().as_secs_f64();
-        let fragment = match aggregated {
-            Ok(fragment) => fragment,
-            Err(e) => return self.aggregate_failed(round, &e),
-        };
-        // One plaintext for the whole fan-out, copied into each party's
-        // frame and sealed there.
-        let plain = match (Msg::Aggregated { round, fragment }).encode() {
+        self.cvm
+            .guest()
+            .write(breach_records(round, &names, &fragments));
+        let aggregated = timed(&mut self.aggregate_time_s, || {
+            let span = deta_telemetry::span("aggregate")
+                .with_field("round", TelemetryValue::from(round))
+                .with_field("uploads", TelemetryValue::from(count));
+            match &self.paillier_pk {
+                None => {
+                    let _span = span;
+                    let weight = |name| self.parties.get(name).and_then(|p| p.weight);
+                    let weights: Vec<f32> =
+                        names.iter().map(|n| weight(n).unwrap_or(1.0)).collect();
+                    let fragment = self.algorithm.aggregate(&fragments, &weights);
+                    fragment
+                        .map(|fragment| Msg::Aggregated { round, fragment })
+                        .map_err(|e| e.to_string())
+                }
+                Some(pk) => {
+                    let _span = span.with_field("encrypted", TelemetryValue::from(true));
+                    let (sums, value_count) = sum_ciphertexts(pk, &encrypted)?;
+                    Ok(Msg::AggregatedEncrypted {
+                        round,
+                        ciphertexts: sums.iter().map(|c| c.0.to_bytes_be()).collect(),
+                        value_count,
+                        summands: n as u64,
+                    })
+                }
+            }
+        });
+        // One plaintext for the whole fan-out.
+        let plain = match aggregated.and_then(|msg| msg.encode().map_err(|e| e.to_string())) {
             Ok(plain) => plain,
-            Err(e) => return self.aggregate_failed(round, &e),
+            Err(cause) => return self.aggregate_failed(round, &cause),
         };
-        let parties: Vec<String> = self.registered.keys().cloned().collect();
-        for p in parties {
-            if let Ok(frame) = RecordFrame::of_encoded(&plain) {
-                self.seal_and_send(&p, frame);
-            }
-        }
+        self.fan_out(&plain);
         self.completed_rounds = self.completed_rounds.max(round);
         self.notify_initiator(round);
     }
@@ -531,73 +566,17 @@ impl AggregatorNode {
     /// never a panic. The attempt's uploads are spent and the round stays
     /// open; the supervisor's recovery budget decides whether it is
     /// replayed or given up.
-    fn aggregate_failed(&self, round: u64, cause: &dyn std::fmt::Display) {
+    fn aggregate_failed(&self, round: u64, cause: &str) {
         deta_telemetry::metrics::counter_add("deta_aggregate_failed_total", &self.name, 1);
         if deta_telemetry::enabled() {
             deta_telemetry::event(
                 "aggregate_failed",
                 &[
                     ("round", TelemetryValue::from(round)),
-                    ("cause", TelemetryValue::from(cause.to_string())),
+                    ("cause", TelemetryValue::from(cause)),
                 ],
             );
         }
-    }
-
-    /// Runs homomorphic aggregation once the expected number of parties
-    /// has uploaded.
-    fn try_aggregate_encrypted(&mut self, round: u64) {
-        if round <= self.completed_rounds {
-            self.pending_enc.remove(&round);
-            return;
-        }
-        let n = self.registered.len();
-        let expected = self.quorum.unwrap_or(n).min(n);
-        if n == 0 || self.pending_enc.get(&round).map_or(0, |m| m.len()) < expected {
-            return;
-        }
-        let Some(pk) = self.paillier_pk.clone() else {
-            return;
-        };
-        let Some(uploads) = self.pending_enc.remove(&round) else {
-            return;
-        };
-        let mut names: Vec<&String> = uploads.keys().collect();
-        names.sort();
-        let value_count = uploads[names[0]].1;
-        let ct_len = uploads[names[0]].0.len();
-        let t0 = Instant::now();
-        let agg_span = deta_telemetry::span("aggregate")
-            .with_field("round", TelemetryValue::from(round))
-            .with_field("uploads", TelemetryValue::from(names.len()))
-            .with_field("encrypted", TelemetryValue::from(true));
-        let mut acc: Vec<Ciphertext> = vec![pk.zero_ciphertext(); ct_len];
-        for name in &names {
-            let (cts, vc) = &uploads[*name];
-            if cts.len() != ct_len || *vc != value_count {
-                return; // Inconsistent upload; drop the round.
-            }
-            for (a, c) in acc.iter_mut().zip(cts.iter()) {
-                *a = a.add(c, &pk);
-            }
-        }
-        drop(agg_span);
-        self.aggregate_time_s += t0.elapsed().as_secs_f64();
-        let serialized: Vec<Vec<u8>> = acc.iter().map(|c| c.0.to_bytes_be()).collect();
-        let parties: Vec<String> = self.registered.keys().cloned().collect();
-        for p in parties {
-            self.send_sealed(
-                &p,
-                &Msg::AggregatedEncrypted {
-                    round,
-                    ciphertexts: serialized.clone(),
-                    value_count,
-                    summands: n as u64,
-                },
-            );
-        }
-        self.completed_rounds = self.completed_rounds.max(round);
-        self.notify_initiator(round);
     }
 
     fn notify_initiator(&mut self, round: u64) {
@@ -609,12 +588,55 @@ impl AggregatorNode {
     }
 }
 
+/// The homomorphic sum of encrypted `uploads`, ciphertext by ciphertext,
+/// with the value count they share. Uploads of different shapes pack
+/// different values into a slot and cannot be summed.
+fn sum_ciphertexts(
+    pk: &PaillierPk,
+    uploads: &[(Vec<Ciphertext>, u64)],
+) -> Result<(Vec<Ciphertext>, u64), &'static str> {
+    let Some((first, value_count)) = uploads.first() else {
+        return Err("no encrypted uploads");
+    };
+    let mut sums = vec![pk.zero_ciphertext(); first.len()];
+    for (ciphertexts, values) in uploads {
+        if ciphertexts.len() != first.len() || values != value_count {
+            return Err("encrypted uploads disagree on ciphertext or value count");
+        }
+        for (sum, c) in sums.iter_mut().zip(ciphertexts) {
+            *sum = sum.add(c, pk);
+        }
+    }
+    Ok((sums, *value_count))
+}
+
+/// What a breach of an aggregator about to aggregate the plain
+/// `fragments` of `names` leaks: length-prefixed records of (party name,
+/// `Upload` message) — under Paillier fusion, where the node holds only
+/// ciphertexts, nothing. Written into one buffer reserved for all the
+/// records: it is the aggregator's largest allocation.
+fn breach_records(round: u64, names: &[String], fragments: &[Vec<f32>]) -> Vec<u8> {
+    let record_bytes = |(name, fragment): (&String, &Vec<f32>)| {
+        8 + name.len() + wire::FRAGMENT_HEADER + 4 * fragment.len()
+    };
+    let records = || names.iter().zip(fragments);
+    let mut mem = Vec::with_capacity(records().map(record_bytes).sum());
+    for (name, fragment) in records() {
+        let record_start = mem.len();
+        if put_bytes(&mut mem, name.as_bytes()).is_err()
+            || wire::put_upload(&mut mem, round, fragment).is_err()
+        {
+            mem.truncate(record_start);
+        }
+    }
+    mem
+}
+
 /// Parses a breached aggregator's guest memory into the model-update
 /// fragments it held: `(party name, round, fragment)` records.
 ///
-/// This is the attacker-side counterpart of the record format written in
-/// [`AggregatorNode`]'s aggregation path; malformed trailing bytes are
-/// ignored.
+/// This is the attacker-side counterpart of the record format
+/// `breach_records` writes; malformed trailing bytes are ignored.
 pub fn parse_breached_memory(memory: &[u8]) -> Vec<(String, u64, Vec<f32>)> {
     let mut out = Vec::new();
     let mut r = Reader::new(memory);

@@ -25,6 +25,7 @@
 //!   DeTA (their Figure 5f).
 
 use deta_transport::LinkModel;
+use std::time::Instant;
 
 /// Latency model parameters.
 #[derive(Clone, Copy, Debug)]
@@ -64,6 +65,16 @@ impl LatencyModel {
             ..Self::deta_default(link)
         }
     }
+}
+
+/// The one stopwatch behind every measured compute term: runs `work` and
+/// adds its wall time to `timer_s`. A telemetry span meant to have the
+/// same extent is opened first thing inside `work`.
+pub(crate) fn timed<T>(timer_s: &mut f64, work: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = work();
+    *timer_s += t0.elapsed().as_secs_f64();
+    out
 }
 
 /// Measured inputs for one round.

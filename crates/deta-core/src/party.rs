@@ -15,18 +15,19 @@
 //! fragment and step 3 decrypts the homomorphic sums.
 
 use crate::dp::{gaussian_mechanism, LdpConfig, PrivacyAccountant};
+use crate::latency::timed;
 use crate::mapper::ModelMapper;
+use crate::paillier_fusion::PaillierFusion;
 use crate::session::SyncMode;
 use crate::transform::{RoundPermutations, Transformer};
 use crate::wire::{self, Msg, RecordFrame};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::{batch_gradient, train_local, LabeledData};
 use deta_nn::Sequential;
-use deta_paillier::{Ciphertext, KeyPair as PaillierKeyPair, VectorCodec};
+use deta_paillier::Ciphertext;
 use deta_telemetry::TelemetryValue;
 use deta_transport::{Endpoint, HandshakeInitiator, SecureChannel};
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use std::collections::HashMap;
 
 /// Party-side configuration for one FL session.
 #[derive(Clone, Debug)]
@@ -61,16 +62,6 @@ pub struct PartyTimers {
     pub crypto_s: f64,
 }
 
-/// Paillier material held by parties (aggregators never see the private
-/// key).
-pub struct PaillierParty {
-    /// Shared key pair (all parties hold it; the aggregator only gets the
-    /// public key).
-    pub keys: PaillierKeyPair,
-    /// Fixed-point packing codec.
-    pub codec: VectorCodec,
-}
-
 /// Errors in the party protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartyError {
@@ -97,6 +88,99 @@ impl std::error::Error for PartyError {}
 /// called with the round number and the post-LDP update about to upload.
 pub type UpdateTamper = Box<dyn FnMut(u64, &mut Vec<f32>) + Send>;
 
+/// The link to one aggregator: a Phase II handshake in flight, or the
+/// secure channel it verified into.
+enum Link {
+    Down,
+    /// Hello sent. The reply must verify against the token key the
+    /// attestation proxy published for the aggregator; without one it
+    /// cannot.
+    Handshaking(HandshakeInitiator, Option<VerifyingKey>),
+    Up(SecureChannel),
+}
+
+/// An aggregated fragment as an aggregator sent it. Which kind a party
+/// holds is decided where downloads come in: plain values without
+/// Paillier material, ciphertexts with it.
+enum Download {
+    /// The aggregate, in transformed coordinates.
+    Plain(Vec<f32>),
+    /// Its homomorphic sum, to decrypt and average.
+    Encrypted {
+        ciphertexts: Vec<Ciphertext>,
+        /// Number of packed plaintext values.
+        value_count: u64,
+        /// Number of party inputs summed.
+        summands: u64,
+    },
+}
+
+/// Everything a party knows about one aggregator. The records sit in
+/// fragment order: record `j` is where fragment `j` goes and comes from.
+struct AggPeer {
+    /// Endpoint name.
+    name: String,
+    link: Link,
+    /// Whether it acknowledged this party's registration.
+    acked: bool,
+    /// A failover replacement this party is re-handshaking with; once the
+    /// channel comes up the party re-registers with just this one.
+    rebinding: bool,
+    /// The aggregated fragment it sent last, tagged with its round.
+    /// Tagging (rather than keeping only the active round) makes
+    /// delivery order-tolerant: in a threaded deployment a follower's
+    /// aggregate can overtake the initiator's `RoundStart` announcement.
+    download: Option<(u64, Download)>,
+}
+
+impl AggPeer {
+    /// An aggregator this party has not spoken to yet.
+    fn new(name: &str) -> AggPeer {
+        AggPeer {
+            name: name.to_string(),
+            link: Link::Down,
+            acked: false,
+            rebinding: false,
+            download: None,
+        }
+    }
+
+    /// Starts a challenge-response handshake with this aggregator, to be
+    /// verified against `token`.
+    fn say_hello(&mut self, token: Option<VerifyingKey>, endpoint: &Endpoint, rng: &mut DetRng) {
+        let hs = HandshakeInitiator::new(rng);
+        let hello = Msg::Hello {
+            handshake: hs.hello().to_vec(),
+        };
+        if let Ok(frame) = hello.encode() {
+            let _ = endpoint.send(&self.name, frame);
+        }
+        self.link = Link::Handshaking(hs, token);
+    }
+
+    fn is_up(&self) -> bool {
+        matches!(self.link, Link::Up(_))
+    }
+
+    fn send_sealed(&mut self, endpoint: &Endpoint, msg: &Msg) {
+        if let Ok(frame) = RecordFrame::of(msg) {
+            self.seal_and_send(endpoint, frame);
+        }
+    }
+
+    /// Seals `frame` for this aggregator's channel, where it lies, and
+    /// sends it. No-op without a channel.
+    fn seal_and_send(&mut self, endpoint: &Endpoint, frame: RecordFrame) {
+        let Link::Up(chan) = &mut self.link else {
+            return;
+        };
+        let seal_span = deta_telemetry::span("seal");
+        let frame = frame.seal(chan);
+        drop(seal_span);
+        let _ = endpoint.send(&self.name, frame);
+    }
+}
+
 /// One FL party.
 pub struct Party {
     /// Endpoint name.
@@ -108,18 +192,8 @@ pub struct Party {
     pub model: Sequential,
     data: LabeledData,
     cfg: PartyConfig,
-    /// Aggregator endpoint names, index = fragment index.
-    aggregators: Vec<String>,
-    expected_tokens: HashMap<String, VerifyingKey>,
-    pending_handshakes: HashMap<String, HandshakeInitiator>,
-    channels: HashMap<String, SecureChannel>,
-    acks: HashSet<String>,
-    /// Aggregated fragments collected per aggregator, tagged with their
-    /// round. Tagging (rather than keeping only the active round) makes
-    /// delivery order-tolerant: in a threaded deployment a follower's
-    /// aggregate can overtake the initiator's `RoundStart` announcement.
-    collected: HashMap<String, (u64, Vec<f32>)>,
-    collected_enc: HashMap<String, (u64, Vec<Ciphertext>, u64, u64)>,
+    /// The aggregators, index = fragment index.
+    aggregators: Vec<AggPeer>,
     current_round: Option<(u64, [u8; 16])>,
     /// Highest round this party has fully synchronized; stale
     /// re-announcements of completed rounds are ignored (idempotent
@@ -136,8 +210,9 @@ pub struct Party {
     round_perms: Option<RoundPermutations>,
     /// Parameters snapshot at round start (FedSGD applies deltas to it).
     round_base: Vec<f32>,
-    /// Optional Paillier fusion material.
-    pub paillier: Option<PaillierParty>,
+    /// Optional Paillier fusion material (aggregators never see the
+    /// private key).
+    pub paillier: Option<PaillierFusion>,
     /// Compute timers.
     pub timers: PartyTimers,
     /// Per-round training statistics from the last local round.
@@ -158,9 +233,6 @@ pub struct Party {
     /// party randomness, so the stored update is bit-identical to what a
     /// re-run would produce).
     last_upload: Option<(u64, [u8; 16], Vec<f32>)>,
-    /// Aggregators we are re-handshaking with after a failover rebind;
-    /// once the channel comes up we re-register with just that one.
-    rebinding: HashSet<String>,
     /// Adversarial-drill hook (see [`Party::set_update_tamper`]):
     /// mutates the post-LDP update before it is logged, retained, and
     /// transformed, turning this party into an active model-poisoning
@@ -194,13 +266,7 @@ impl Party {
             model,
             data,
             cfg,
-            aggregators,
-            expected_tokens: HashMap::new(),
-            pending_handshakes: HashMap::new(),
-            channels: HashMap::new(),
-            acks: HashSet::new(),
-            collected: HashMap::new(),
-            collected_enc: HashMap::new(),
+            aggregators: aggregators.iter().map(|a| AggPeer::new(a)).collect(),
             current_round: None,
             last_finished_round: 0,
             registration_sent: false,
@@ -214,7 +280,6 @@ impl Party {
             record_updates: false,
             update_log: Vec::new(),
             last_upload: None,
-            rebinding: HashSet::new(),
             update_tamper: None,
         }
     }
@@ -240,7 +305,9 @@ impl Party {
     /// like `AggregatorNode::drill_send_sealed`; never called in
     /// production.
     pub fn drill_send_sealed(&mut self, to: &str, msg: &Msg) {
-        self.send_sealed(to, msg);
+        if let Some(agg) = self.aggregators.iter_mut().find(|a| a.name == to) {
+            agg.send_sealed(&self.endpoint, msg);
+        }
     }
 
     /// Swaps the destination aggregators of fragments `a` and `b`: after
@@ -277,26 +344,17 @@ impl Party {
     /// `tokens` maps aggregator endpoint names to the token verifying keys
     /// published by the attestation proxy.
     pub fn send_hellos(&mut self, tokens: &HashMap<String, VerifyingKey>) {
-        for agg in self.aggregators.clone() {
-            let hs = HandshakeInitiator::new(&mut self.rng);
-            let hello = Msg::Hello {
-                handshake: hs.hello().to_vec(),
-            };
-            if let Ok(frame) = hello.encode() {
-                let _ = self.endpoint.send(&agg, frame);
-            }
-            self.pending_handshakes.insert(agg.clone(), hs);
-            if let Some(k) = tokens.get(&agg) {
-                self.expected_tokens.insert(agg, k.clone());
-            }
+        for agg in &mut self.aggregators {
+            let token = tokens.get(&agg.name).cloned();
+            agg.say_hello(token, &self.endpoint, &mut self.rng);
         }
     }
 
     /// Failover rebind: replaces the aggregator at fragment `index` with
     /// a freshly attested replacement and starts a new challenge-response
-    /// handshake against its proxy-published token key. All state tied to
-    /// the old endpoint (channel, ack, collected fragments, token) is
-    /// dropped; once the new channel verifies, the party re-registers
+    /// handshake against its proxy-published token key. The old
+    /// endpoint's record (channel, ack, collected fragment, token) is
+    /// dropped whole; once the new channel verifies, the party re-registers
     /// with just that aggregator (see [`Party::handle_wire`]).
     ///
     /// No-op when `index` is out of range.
@@ -304,24 +362,9 @@ impl Party {
         let Some(slot) = self.aggregators.get_mut(index) else {
             return;
         };
-        let old = std::mem::replace(slot, name.to_string());
-        self.channels.remove(&old);
-        self.acks.remove(&old);
-        self.pending_handshakes.remove(&old);
-        self.collected.remove(&old);
-        self.collected_enc.remove(&old);
-        self.expected_tokens.remove(&old);
-        self.rebinding.remove(&old);
-        self.expected_tokens.insert(name.to_string(), token);
-        let hs = HandshakeInitiator::new(&mut self.rng);
-        let hello = Msg::Hello {
-            handshake: hs.hello().to_vec(),
-        };
-        if let Ok(frame) = hello.encode() {
-            let _ = self.endpoint.send(name, frame);
-        }
-        self.pending_handshakes.insert(name.to_string(), hs);
-        self.rebinding.insert(name.to_string());
+        *slot = AggPeer::new(name);
+        slot.rebinding = true;
+        slot.say_hello(Some(token), &self.endpoint, &mut self.rng);
     }
 
     /// Failover re-partition: swaps in a new mapper over the surviving
@@ -346,15 +389,17 @@ impl Party {
         self.transformer = self.transformer.with_mapper(mapper);
         // Permutations of the old partition have the wrong lengths.
         self.round_perms = None;
-        let keep: HashSet<&String> = aggs.iter().collect();
-        self.channels.retain(|k, _| keep.contains(k));
-        self.acks.retain(|k| keep.contains(k));
-        self.expected_tokens.retain(|k, _| keep.contains(k));
-        self.pending_handshakes.retain(|k, _| keep.contains(k));
-        self.rebinding.retain(|k| keep.contains(k));
-        self.aggregators = aggs.to_vec();
-        self.collected.retain(|_, (r, _)| *r < round);
-        self.collected_enc.retain(|_, (r, ..)| *r < round);
+        let mut old = std::mem::take(&mut self.aggregators);
+        self.aggregators = aggs
+            .iter()
+            .map(|name| match old.iter().position(|a| a.name == *name) {
+                Some(i) => old.swap_remove(i),
+                None => AggPeer::new(name),
+            })
+            .collect();
+        for agg in &mut self.aggregators {
+            agg.download.take_if(|(r, _)| *r >= round);
+        }
         true
     }
 
@@ -374,14 +419,14 @@ impl Party {
         if r != round || self.paillier.is_some() {
             return false;
         }
-        let perms = self.take_permutations(&tid);
-        let sent = self.upload_fragments(round, &update, &perms, "upload_replayed");
+        let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
+        self.upload_fragments(round, &update, &perms, "upload_replayed");
         if self.current_round == Some((round, tid)) {
             // Still open: `finish_round` will want them. A replay of a
             // round already synchronized must not leave them behind.
             self.round_perms = Some(perms);
         }
-        sent
+        true
     }
 
     /// Phase II step 2: completes handshakes from queued replies, then
@@ -393,7 +438,7 @@ impl Party {
     /// against its expected token key — the party refuses to share updates
     /// with it.
     pub fn complete_handshakes(&mut self) -> Result<(), PartyError> {
-        if !self.aggregators.is_empty() && self.channels.len() == self.aggregators.len() {
+        if self.handshakes_complete() {
             // Already done: stay idempotent so polling callers (e.g. the
             // threaded deployment) cannot drain unrelated records.
             return Ok(());
@@ -402,7 +447,7 @@ impl Party {
         if let Some(agg) = &self.auth_failure {
             return Err(PartyError::AuthenticationFailed(agg.clone()));
         }
-        if self.channels.len() != self.aggregators.len() {
+        if !self.aggregators.iter().all(AggPeer::is_up) {
             return Err(PartyError::Protocol("missing handshake replies"));
         }
         Ok(())
@@ -418,12 +463,12 @@ impl Party {
     /// Whether every aggregator has acknowledged registration (no drain —
     /// mailbox loops feed messages through [`Party::handle_wire`]).
     pub fn acks_complete(&self) -> bool {
-        self.acks.len() == self.aggregators.len()
+        self.aggregators.iter().all(|a| a.acked)
     }
 
     /// Whether a secure channel is up with every aggregator (no drain).
     pub fn handshakes_complete(&self) -> bool {
-        !self.aggregators.is_empty() && self.channels.len() == self.aggregators.len()
+        !self.aggregators.is_empty() && self.aggregators.iter().all(AggPeer::is_up)
     }
 
     /// The first aggregator that failed challenge-response, if any.
@@ -459,36 +504,34 @@ impl Party {
             return Err(PartyError::Protocol("no active round"));
         };
         self.snapshot_round_base();
-        let t0 = Instant::now();
-        let train_span =
-            deta_telemetry::span("local_train").with_field("round", TelemetryValue::from(round));
-        let update: Vec<f32> = match self.cfg.mode {
-            SyncMode::FedAvg => {
-                let stats = train_local(
-                    &mut self.model,
-                    &self.data,
-                    self.cfg.local_epochs,
-                    self.cfg.batch_size,
-                    self.cfg.lr,
-                );
-                self.last_train_loss = stats.loss;
-                self.model.flat_params()
+        let mut update: Vec<f32> = timed(&mut self.timers.train_s, || {
+            let _span = deta_telemetry::span("local_train")
+                .with_field("round", TelemetryValue::from(round));
+            match self.cfg.mode {
+                SyncMode::FedAvg => {
+                    let stats = train_local(
+                        &mut self.model,
+                        &self.data,
+                        self.cfg.local_epochs,
+                        self.cfg.batch_size,
+                        self.cfg.lr,
+                    );
+                    self.last_train_loss = stats.loss;
+                    self.model.flat_params()
+                }
+                SyncMode::FedSgd => {
+                    // One batch per round, cycling deterministically.
+                    let n_batches = self.data.len().div_ceil(self.cfg.batch_size);
+                    let b = (round as usize - 1) % n_batches;
+                    let start = b * self.cfg.batch_size;
+                    let end = (start + self.cfg.batch_size).min(self.data.len());
+                    let (x, y) = self.data.slice(start, end);
+                    let (loss, grad) = batch_gradient(&mut self.model, &x, y);
+                    self.last_train_loss = loss;
+                    grad
+                }
             }
-            SyncMode::FedSgd => {
-                // One batch per round, cycling deterministically.
-                let n_batches = self.data.len().div_ceil(self.cfg.batch_size);
-                let b = (round as usize - 1) % n_batches;
-                let start = b * self.cfg.batch_size;
-                let end = (start + self.cfg.batch_size).min(self.data.len());
-                let (x, y) = self.data.slice(start, end);
-                let (loss, grad) = batch_gradient(&mut self.model, &x, y);
-                self.last_train_loss = loss;
-                grad
-            }
-        };
-        drop(train_span);
-        self.timers.train_s += t0.elapsed().as_secs_f64();
-        let mut update = update;
+        });
         if let Some(ldp) = self.cfg.ldp {
             // LDP perturbation happens on the party's device, before any
             // transformation — aggregators only ever see noised values.
@@ -522,14 +565,13 @@ impl Party {
         if self.record_updates {
             self.update_log.push((round, update.clone()));
         }
-        let perms = self.take_permutations(&tid);
+        let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
         if self.paillier.is_some() {
-            let t1 = Instant::now();
-            let transform_span =
-                deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
-            let fragments = self.transformer.transform_with(&update, &perms);
-            drop(transform_span);
-            self.timers.transform_s += t1.elapsed().as_secs_f64();
+            let fragments = timed(&mut self.timers.transform_s, || {
+                let _span = deta_telemetry::span("transform")
+                    .with_field("round", TelemetryValue::from(round));
+                self.transformer.transform_with(&update, &perms)
+            });
             self.upload_encrypted(round, &fragments)?;
         } else {
             self.upload_fragments(round, &update, &perms, "upload");
@@ -543,19 +585,17 @@ impl Party {
     /// are gathered straight into the `Record` frame that is then sealed
     /// where it lies and sent, so a fragment exists once on this side of
     /// the wire. All frames are filled before the first is sealed, so the
-    /// transform keeps one span and one timer. Returns `false` when a
-    /// fragment has no aggregator to go to.
+    /// transform keeps one span and one timer.
     fn upload_fragments(
         &mut self,
         round: u64,
         update: &[f32],
         perms: &RoundPermutations,
         event: &'static str,
-    ) -> bool {
-        let t0 = Instant::now();
-        let transform_span =
-            deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
-        let frames: Vec<_> = {
+    ) {
+        let frames: Vec<_> = timed(&mut self.timers.transform_s, || {
+            let _span =
+                deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
             let mut scratch = Vec::new();
             (0..self.transformer.n_fragments())
                 .map(|j| {
@@ -565,15 +605,12 @@ impl Party {
                     (values.len(), RecordFrame::upload(round, values))
                 })
                 .collect()
-        };
-        drop(transform_span);
-        self.timers.transform_s += t0.elapsed().as_secs_f64();
-        for (j, (values, frame)) in frames.into_iter().enumerate() {
-            let Some(agg) = self.aggregators.get(j).cloned() else {
-                return false;
-            };
+        });
+        // Record `j` is fragment `j`'s aggregator.
+        let routed = self.aggregators.iter_mut().zip(frames);
+        for (j, (agg, (values, frame))) in routed.enumerate() {
             if let Ok(frame) = frame {
-                self.seal_and_send(&agg, frame);
+                agg.seal_and_send(&self.endpoint, frame);
             }
             deta_telemetry::event(
                 event,
@@ -584,7 +621,6 @@ impl Party {
                 ],
             );
         }
-        true
     }
 
     /// Skips local training for the announced round (partial
@@ -614,36 +650,40 @@ impl Party {
     /// Takes the held permutations if they belong to round `tid`, and
     /// derives them otherwise (first use in the round, a remap since, or
     /// a round this party sat out).
-    fn take_permutations(&mut self, tid: &[u8; 16]) -> RoundPermutations {
-        match self.round_perms.take() {
+    fn take_permutations(
+        held: &mut Option<RoundPermutations>,
+        transformer: &Transformer,
+        tid: &[u8; 16],
+    ) -> RoundPermutations {
+        match held.take() {
             Some(perms) if perms.training_id() == tid => perms,
-            _ => self.transformer.permutations(tid),
+            _ => transformer.permutations(tid),
         }
     }
 
     fn upload_encrypted(&mut self, round: u64, fragments: &[Vec<f32>]) -> Result<(), PartyError> {
-        let t0 = Instant::now();
-        let mut encrypted: Vec<(String, Vec<Vec<u8>>, u64)> = Vec::new();
-        {
-            let Some(p) = self.paillier.as_ref() else {
-                return Err(PartyError::Protocol("paillier material missing"));
+        let Some(p) = self.paillier.as_ref() else {
+            return Err(PartyError::Protocol("paillier material missing"));
+        };
+        let encrypted: Vec<Vec<Vec<u8>>> = timed(&mut self.timers.crypto_s, || {
+            fragments
+                .iter()
+                .map(|frag| {
+                    let cts = p.codec.encrypt_vector(&p.keys.public, frag, &mut self.rng);
+                    cts.iter().map(|c| c.0.to_bytes_be()).collect()
+                })
+                .collect()
+        });
+        // Record `j` is fragment `j`'s aggregator.
+        let routed = self.aggregators.iter_mut().zip(fragments).zip(encrypted);
+        for ((agg, frag), ciphertexts) in routed {
+            let value_count = frag.len() as u64;
+            let upload = Msg::UploadEncrypted {
+                round,
+                ciphertexts,
+                value_count,
             };
-            for (j, frag) in fragments.iter().enumerate() {
-                let cts = p.codec.encrypt_vector(&p.keys.public, frag, &mut self.rng);
-                let ser: Vec<Vec<u8>> = cts.iter().map(|c| c.0.to_bytes_be()).collect();
-                encrypted.push((self.aggregators[j].clone(), ser, frag.len() as u64));
-            }
-        }
-        self.timers.crypto_s += t0.elapsed().as_secs_f64();
-        for (agg, ciphertexts, value_count) in encrypted {
-            self.send_sealed(
-                &agg,
-                &Msg::UploadEncrypted {
-                    round,
-                    ciphertexts,
-                    value_count,
-                },
-            );
+            agg.send_sealed(&self.endpoint, &upload);
             deta_telemetry::event(
                 "upload",
                 &[
@@ -674,40 +714,44 @@ impl Party {
         let Some((round, tid)) = self.current_round else {
             return true;
         };
-        if self.paillier.is_some() {
-            let complete = self
-                .aggregators
-                .iter()
-                .all(|a| matches!(self.collected_enc.get(a), Some((r, ..)) if *r == round));
-            if !complete {
-                return false;
-            }
-            self.apply_encrypted_round(round, tid);
-        } else {
-            let complete = self
-                .aggregators
-                .iter()
-                .all(|a| matches!(self.collected.get(a), Some((r, _)) if *r == round));
-            if !complete {
-                return false;
-            }
-            let fragments: Vec<Vec<f32>> = self
-                .aggregators
-                .iter()
-                .filter_map(|a| self.collected.remove(a))
-                .map(|(_, frag)| frag)
-                .collect();
-            // Keep any fragments that raced ahead for a later round.
-            self.collected.retain(|_, (r, _)| *r > round);
-            let t0 = Instant::now();
-            let unshuffle_span =
-                deta_telemetry::span("unshuffle").with_field("round", TelemetryValue::from(round));
-            let perms = self.take_permutations(&tid);
-            let merged = self.transformer.inverse_with(&fragments, &perms);
-            drop(unshuffle_span);
-            self.timers.transform_s += t0.elapsed().as_secs_f64();
-            self.apply_update(&merged);
+        let arrived = |a: &AggPeer| matches!(a.download, Some((r, _)) if r == round);
+        if !self.aggregators.iter().all(arrived) {
+            return false;
         }
+        let (paillier, crypto_s) = (self.paillier.as_ref(), &mut self.timers.crypto_s);
+        let downloads = self
+            .aggregators
+            .iter_mut()
+            .filter_map(|a| a.download.take());
+        let fragments: Vec<Vec<f32>> = downloads
+            .filter_map(|(_, download)| match (download, paillier) {
+                (Download::Plain(fragment), None) => Some(fragment),
+                (
+                    Download::Encrypted {
+                        ciphertexts,
+                        value_count,
+                        summands,
+                    },
+                    Some(p),
+                ) => Some(timed(crypto_s, || {
+                    let (values, summands) = (value_count as usize, summands as usize);
+                    let sums = p
+                        .codec
+                        .decrypt_sum(&p.keys.private, &ciphertexts, values, summands);
+                    // Equal-weight average of the homomorphic sum.
+                    sums.iter().map(|&s| s / summands as f32).collect()
+                })),
+                // Refused where downloads come in.
+                _ => None,
+            })
+            .collect();
+        let merged = timed(&mut self.timers.transform_s, || {
+            let _span =
+                deta_telemetry::span("unshuffle").with_field("round", TelemetryValue::from(round));
+            let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
+            self.transformer.inverse_with(&fragments, &perms)
+        });
+        self.apply_update(&merged);
         deta_telemetry::event(
             "round_synchronized",
             &[("round", TelemetryValue::from(round))],
@@ -715,40 +759,6 @@ impl Party {
         self.last_finished_round = self.last_finished_round.max(round);
         self.current_round = None;
         true
-    }
-
-    fn apply_encrypted_round(&mut self, round: u64, tid: [u8; 16]) {
-        let mut fragments: Vec<Vec<f32>> = Vec::with_capacity(self.aggregators.len());
-        let t0 = Instant::now();
-        {
-            let Some(p) = self.paillier.as_ref() else {
-                // Unreachable: callers gate on `paillier.is_some()`. Keep
-                // the round pending rather than panicking on a bad state.
-                return;
-            };
-            for a in &self.aggregators {
-                let (_, cts, value_count, summands) = &self.collected_enc[a];
-                let sums = p.codec.decrypt_sum(
-                    &p.keys.private,
-                    cts,
-                    *value_count as usize,
-                    *summands as usize,
-                );
-                // Equal-weight average of the homomorphic sum.
-                let avg: Vec<f32> = sums.iter().map(|&s| s / *summands as f32).collect();
-                fragments.push(avg);
-            }
-        }
-        self.timers.crypto_s += t0.elapsed().as_secs_f64();
-        self.collected_enc.retain(|_, (r, ..)| *r > round);
-        let t1 = Instant::now();
-        let unshuffle_span =
-            deta_telemetry::span("unshuffle").with_field("round", TelemetryValue::from(round));
-        let perms = self.take_permutations(&tid);
-        let merged = self.transformer.inverse_with(&fragments, &perms);
-        drop(unshuffle_span);
-        self.timers.transform_s += t1.elapsed().as_secs_f64();
-        self.apply_update(&merged);
     }
 
     fn apply_update(&mut self, merged: &[f32]) {
@@ -804,44 +814,34 @@ impl Party {
     /// Phase II: verifies an aggregator's challenge response and, once the
     /// last channel is up, registers with every aggregator.
     fn handle_hello_reply(&mut self, from: &str, handshake: &[u8]) {
-        let Some(hs) = self.pending_handshakes.remove(from) else {
+        let register = Msg::Register {
+            party: self.name.clone(),
+            weight: self.weight(),
+        };
+        let Some(agg) = self.aggregators.iter_mut().find(|a| a.name == from) else {
             return;
         };
-        let Some(token) = self.expected_tokens.get(from) else {
+        let (hs, token) = match std::mem::replace(&mut agg.link, Link::Down) {
+            Link::Handshaking(hs, token) => (hs, token),
+            // No handshake in flight: nothing this reply could answer.
+            other => {
+                agg.link = other;
+                return;
+            }
+        };
+        let Some(chan) = token.and_then(|t| hs.complete(handshake, &t).ok()) else {
             self.auth_failure.get_or_insert_with(|| from.to_string());
             return;
         };
-        let Ok(chan) = hs.complete(handshake, token) else {
-            self.auth_failure.get_or_insert_with(|| from.to_string());
-            return;
-        };
-        self.channels.insert(from.to_string(), chan);
-        if self.rebinding.remove(from) {
+        agg.link = Link::Up(chan);
+        if std::mem::take(&mut agg.rebinding) {
             // Failover rebind: the original registration round already
             // happened, so re-register with just the replacement.
-            let weight = self.weight();
-            let name = self.name.clone();
-            self.send_sealed(
-                from,
-                &Msg::Register {
-                    party: name,
-                    weight,
-                },
-            );
-            return;
-        }
-        if self.handshakes_complete() && !self.registration_sent {
+            agg.send_sealed(&self.endpoint, &register);
+        } else if self.handshakes_complete() && !self.registration_sent {
             self.registration_sent = true;
-            let weight = self.weight();
-            let name = self.name.clone();
-            for agg in self.aggregators.clone() {
-                self.send_sealed(
-                    &agg,
-                    &Msg::Register {
-                        party: name.clone(),
-                        weight,
-                    },
-                );
+            for agg in &mut self.aggregators {
+                agg.send_sealed(&self.endpoint, &register);
             }
         }
     }
@@ -849,16 +849,17 @@ impl Party {
     /// Opens a `Record` frame where it arrived and dispatches the inner
     /// message.
     fn handle_record(&mut self, from: &str, frame: Vec<u8>) {
-        let Some(chan) = self.channels.get_mut(from) else {
+        let Some(agg) = self.aggregators.iter_mut().find(|a| a.name == from) else {
+            return;
+        };
+        let Link::Up(chan) = &mut agg.link else {
             return;
         };
         let Some(inner) = wire::open_record(chan, frame) else {
             return;
         };
         match inner {
-            Msg::RegisterAck => {
-                self.acks.insert(from.to_string());
-            }
+            Msg::RegisterAck => agg.acked = true,
             Msg::RoundStart { round, training_id }
                 // Re-announcements of already-synchronized rounds are
                 // dropped so supervisor retries stay idempotent.
@@ -870,7 +871,9 @@ impl Party {
                 // Guard against stale deliveries: aggregates for
                 // already-synchronized rounds are dropped; the live
                 // round's (or, transiently, the next round's) are kept.
-                if round > self.last_finished_round =>
+                // So is the kind this party cannot read: plain values
+                // under Paillier fusion, ciphertexts without it.
+                if round > self.last_finished_round && self.paillier.is_none() =>
             {
                 let values = fragment.len();
                 deta_telemetry::event(
@@ -880,17 +883,14 @@ impl Party {
                         ("values", TelemetryValue::from(values)),
                     ],
                 );
-                self.collected.insert(from.to_string(), (round, fragment));
+                agg.download = Some((round, Download::Plain(fragment)));
             }
             Msg::AggregatedEncrypted {
                 round,
                 ciphertexts,
                 value_count,
                 summands,
-            } => {
-                if round <= self.last_finished_round {
-                    return;
-                }
+            } if round > self.last_finished_round && self.paillier.is_some() => {
                 deta_telemetry::event(
                     "download",
                     &[
@@ -899,37 +899,25 @@ impl Party {
                         ("encrypted", TelemetryValue::from(true)),
                     ],
                 );
-                let cts: Vec<Ciphertext> = ciphertexts
+                let ciphertexts = ciphertexts
                     .iter()
                     .map(|b| Ciphertext(deta_bignum::BigUint::from_bytes_be(b)))
                     .collect();
-                self.collected_enc
-                    .insert(from.to_string(), (round, cts, value_count, summands));
+                let download = Download::Encrypted {
+                    ciphertexts,
+                    value_count,
+                    summands,
+                };
+                agg.download = Some((round, download));
             }
-            // Out-of-protocol inner messages and guard-failed stale
-            // rounds (RoundStart / Aggregated for already-synchronized
-            // rounds) land here; the drop is deliberate and counted.
+            // Out-of-protocol inner messages and guard-failed downloads
+            // (a stale round's RoundStart or aggregate, an aggregate of
+            // the wrong kind) land here; the drop is deliberate and
+            // counted.
             other => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
-    }
-
-    fn send_sealed(&mut self, to: &str, msg: &Msg) {
-        if let Ok(frame) = RecordFrame::of(msg) {
-            self.seal_and_send(to, frame);
-        }
-    }
-
-    /// Seals `frame` for `to`'s channel, where it lies, and sends it.
-    fn seal_and_send(&mut self, to: &str, frame: RecordFrame) {
-        let Some(chan) = self.channels.get_mut(to) else {
-            return;
-        };
-        let seal_span = deta_telemetry::span("seal");
-        let frame = frame.seal(chan);
-        drop(seal_span);
-        let _ = self.endpoint.send(to, frame);
     }
 
     /// Evaluates the current model on a dataset.
@@ -1018,7 +1006,10 @@ mod tests {
 
         // Aggregator 2 dies: the survivors take over under a fresh
         // two-way partition and the round is replayed.
-        let survivors: Vec<String> = s.party_mut(0).aggregators[..2].to_vec();
+        let survivors: Vec<String> = s.party_mut(0).aggregators[..2]
+            .iter()
+            .map(|a| a.name.clone())
+            .collect();
         let remapped = ModelMapper::generate(update.len(), 2, None, &mut DetRng::from_u64(99));
         // What a party that never saw the old mapper would upload.
         let fresh = s.party_mut(0).transformer().with_mapper(remapped.clone());

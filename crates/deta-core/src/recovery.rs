@@ -4,24 +4,25 @@
 //! through the exact same trust pipeline as the original fleet: Phase I
 //! attestation against the AMD root of trust, measurement verification
 //! against the reference guest image, and nonce-challenged token
-//! injection by the attestation proxy. [`RecoveryKit`] carries exactly
-//! the material needed to do that after setup has finished — the
-//! (simulated) RAS, the reference image, the proxy with its signing
-//! directory, and a dedicated RNG fork so respawns never perturb the
-//! deterministic streams of the original session (parity for fault-free
-//! runs is bit-exact whether or not a kit exists).
+//! injection by the attestation proxy. [`RecoveryKit`] *is* that
+//! pipeline — session setup attests and provisions the original fleet
+//! through it and then keeps it: the (simulated) RAS, the reference
+//! image, the proxy with its signing directory, and a dedicated RNG
+//! fork so respawns never perturb the deterministic streams of the
+//! original session (parity for fault-free runs is bit-exact whether or
+//! not a node is ever respawned).
 
 use crate::agg::AggKind;
-use crate::aggregator::{AggRole, AggregatorNode};
-use crate::proxy::AttestationProxy;
-use crate::session::SetupError;
+use crate::aggregator::{AggError, AggRole, AggregatorNode};
+use crate::proxy::{AttestationProxy, ProvisionedAggregator};
+use crate::session::{DetaConfig, SetupError};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_paillier::PublicKey as PaillierPk;
-use deta_sev_sim::{AmdRas, GuestImage, Platform};
+use deta_sev_sim::{AmdRas, Cvm, GuestImage, Platform, SevError};
 use deta_transport::Endpoint;
 
-/// Everything needed to attest and provision a replacement aggregator
-/// after the original session bootstrap.
+/// Everything needed to attest and provision an aggregator, at the
+/// session bootstrap and after it.
 pub struct RecoveryKit {
     ras: AmdRas,
     image: GuestImage,
@@ -36,28 +37,55 @@ pub struct RecoveryKit {
 }
 
 impl RecoveryKit {
-    /// Packs the post-setup attestation material. Internal to session
-    /// construction ([`crate::session::SessionParts::build`]).
-    #[allow(clippy::too_many_arguments)]
+    /// The session's root of trust, cut from `sev_rng`, with no
+    /// aggregator attested yet. Internal to session construction.
     pub(crate) fn new(
-        ras: AmdRas,
-        image: GuestImage,
-        proxy: AttestationProxy,
-        rng: DetRng,
-        algorithm: AggKind,
-        quorum: Option<usize>,
+        config: &DetaConfig,
+        sev_rng: &DetRng,
         paillier_pk: Option<PaillierPk>,
     ) -> RecoveryKit {
+        let ras = AmdRas::new(&mut sev_rng.fork(b"ras"));
+        let image = GuestImage::new(b"deta-ovmf-v1".to_vec(), b"deta-aggregator-v1".to_vec());
         RecoveryKit {
+            proxy: AttestationProxy::new(ras.root_certs(), image.clone(), sev_rng.fork(b"proxy")),
             ras,
             image,
-            proxy,
-            rng,
-            algorithm,
-            quorum,
+            rng: sev_rng.fork(b"respawn"),
+            algorithm: config.algorithm,
+            quorum: config.participation,
             paillier_pk,
             respawned: 0,
         }
+    }
+
+    /// Phase I for one aggregator: launches the genuine platform `chip`,
+    /// verifies its launch and provisions its token.
+    pub(crate) fn attest(
+        &mut self,
+        chip: &str,
+        rng: &mut DetRng,
+    ) -> Result<ProvisionedAggregator, SevError> {
+        let mut platform = Platform::genuine(&self.ras, chip, rng);
+        self.proxy.verify_and_provision(&mut platform, &self.image)
+    }
+
+    /// The node `name` around an attested `cvm`, provisioned as every
+    /// aggregator of the session is, original or replacement: algorithm,
+    /// upload quorum and, under Paillier fusion, the public key.
+    pub(crate) fn node(
+        &self,
+        name: &str,
+        cvm: Cvm,
+        endpoint: Endpoint,
+        role: AggRole,
+        rng: DetRng,
+    ) -> Result<AggregatorNode, AggError> {
+        let mut node = AggregatorNode::new(name, cvm, endpoint, self.algorithm.build(), role, rng)?;
+        node.set_quorum(self.quorum);
+        if let Some(pk) = &self.paillier_pk {
+            node.set_paillier_key(pk.clone());
+        }
+        Ok(node)
     }
 
     /// Number of replacements provisioned so far.
@@ -86,27 +114,10 @@ impl RecoveryKit {
     ) -> Result<(AggregatorNode, VerifyingKey), SetupError> {
         let generation = self.respawned;
         self.respawned += 1;
-        let mut platform = Platform::genuine(
-            &self.ras,
-            &format!("EPYC-7642-r{generation:03}"),
-            &mut self.rng.fork_indexed(b"platform", generation),
-        );
-        let prov = self
-            .proxy
-            .verify_and_provision(&mut platform, &self.image)?;
-        let token = prov.token_key.clone();
-        let mut node = AggregatorNode::new(
-            name,
-            prov.cvm,
-            endpoint,
-            self.algorithm.build(),
-            role,
-            self.rng.fork_indexed(b"agg-rng-r", generation),
-        )?;
-        node.set_quorum(self.quorum);
-        if let Some(pk) = self.paillier_pk.clone() {
-            node.set_paillier_key(pk);
-        }
-        Ok((node, token))
+        let mut rng = self.rng.fork_indexed(b"platform", generation);
+        let prov = self.attest(&format!("EPYC-7642-r{generation:03}"), &mut rng)?;
+        let rng = self.rng.fork_indexed(b"agg-rng-r", generation);
+        let node = self.node(name, prov.cvm, endpoint, role, rng)?;
+        Ok((node, prov.token_key))
     }
 }

@@ -21,14 +21,13 @@ use crate::latency::{LatencyModel, RoundLatency};
 use crate::mapper::ModelMapper;
 use crate::paillier_fusion::{PaillierFusion, PaillierFusionConfig};
 use crate::party::{Party, PartyConfig, PartyError};
-use crate::proxy::AttestationProxy;
 use crate::recovery::RecoveryKit;
 use crate::round::{OpenRound, RoundLedger};
 use crate::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
-use deta_sev_sim::{AmdRas, BreachDump, Cvm, GuestImage, Platform, SevError};
+use deta_sev_sim::{BreachDump, Cvm, SevError};
 use deta_transport::{LinkModel, Network};
 use std::collections::{HashMap, HashSet};
 
@@ -243,9 +242,9 @@ struct Blueprint<'a> {
     cvms: Vec<Cvm>,
     tokens: HashMap<String, VerifyingKey>,
     paillier: Option<PaillierFusion>,
-    ras: AmdRas,
-    image: GuestImage,
-    proxy: AttestationProxy,
+    /// The session's trust pipeline: it attested and provisions the
+    /// original fleet here, replacements after setup.
+    recovery: RecoveryKit,
 }
 
 fn party_name(i: usize) -> String {
@@ -283,33 +282,27 @@ impl<'a> Blueprint<'a> {
         }
         let root = DetRng::from_u64(config.seed);
 
+        // --- Optional Paillier fusion material. ---
+        let paillier = config
+            .paillier
+            .as_ref()
+            .map(|pc| PaillierFusion::setup(pc, config.n_parties, &mut root.fork(b"paillier")));
+
         // --- Phase I: attest and provision every aggregator. ---
         let sev_rng = root.fork(b"sev");
-        let ras = AmdRas::new(&mut sev_rng.fork(b"ras"));
-        let image = GuestImage::new(b"deta-ovmf-v1".to_vec(), b"deta-aggregator-v1".to_vec());
-        let mut proxy =
-            AttestationProxy::new(ras.root_certs(), image.clone(), sev_rng.fork(b"proxy"));
+        let aggregator_key = paillier.as_ref().map(|f| f.aggregator_key());
+        let mut recovery = RecoveryKit::new(&config, &sev_rng, aggregator_key);
         let agg_names: Vec<String> = (0..config.n_aggregators)
             .map(|j| format!("agg-{j}"))
             .collect();
         let mut cvms = Vec::with_capacity(agg_names.len());
         let mut tokens: HashMap<String, VerifyingKey> = HashMap::new();
         for (j, name) in agg_names.iter().enumerate() {
-            let mut platform = Platform::genuine(
-                &ras,
-                &format!("EPYC-7642-{j:03}"),
-                &mut sev_rng.fork_indexed(b"platform", j as u64),
-            );
-            let prov = proxy.verify_and_provision(&mut platform, &image)?;
+            let mut rng = sev_rng.fork_indexed(b"platform", j as u64);
+            let prov = recovery.attest(&format!("EPYC-7642-{j:03}"), &mut rng)?;
             tokens.insert(name.clone(), prov.token_key);
             cvms.push(prov.cvm);
         }
-
-        // --- Optional Paillier fusion material. ---
-        let paillier = config
-            .paillier
-            .as_ref()
-            .map(|pc| PaillierFusion::setup(pc, config.n_parties, &mut root.fork(b"paillier")));
         Ok(Blueprint {
             network: Network::new(config.link),
             config,
@@ -320,9 +313,7 @@ impl<'a> Blueprint<'a> {
             cvms,
             tokens,
             paillier,
-            ras,
-            image,
-            proxy,
+            recovery,
         })
     }
 
@@ -330,19 +321,10 @@ impl<'a> Blueprint<'a> {
     /// model, no mapper: an aggregator only ever sees fragments.
     fn aggregator(&self, j: usize, cvm: Cvm) -> Result<AggregatorNode, SetupError> {
         let name = &self.agg_names[j];
-        let mut node = AggregatorNode::new(
-            name,
-            cvm,
-            self.network.register(name),
-            self.config.algorithm.build(),
-            AggRole::among(name, &self.agg_names[0], &self.agg_names),
-            self.sev_rng.fork_indexed(b"agg-rng", j as u64),
-        )?;
-        node.set_quorum(self.config.participation);
-        if let Some(fusion) = &self.paillier {
-            node.set_paillier_key(fusion.aggregator_key());
-        }
-        Ok(node)
+        let endpoint = self.network.register(name);
+        let role = AggRole::among(name, &self.agg_names[0], &self.agg_names);
+        let rng = self.sev_rng.fork_indexed(b"agg-rng", j as u64);
+        Ok(self.recovery.node(name, cvm, endpoint, role, rng)?)
     }
 
     /// The starting model: every call returns the same replica.
@@ -397,9 +379,7 @@ impl<'a> Blueprint<'a> {
             party_cfg,
             self.root.fork_indexed(b"party-rng", i as u64),
         );
-        if let Some(fusion) = &self.paillier {
-            party.paillier = Some(fusion.party_material());
-        }
+        party.paillier = self.paillier.clone();
         party
     }
 }
@@ -439,15 +419,6 @@ impl SessionParts {
         } else {
             LatencyModel::ffl_default(config.link)
         };
-        let recovery = RecoveryKit::new(
-            plan.ras,
-            plan.image,
-            plan.proxy,
-            plan.sev_rng.fork(b"respawn"),
-            config.algorithm,
-            config.participation,
-            plan.paillier.as_ref().map(|f| f.aggregator_key()),
-        );
         Ok(SessionParts {
             config,
             network: plan.network,
@@ -458,7 +429,7 @@ impl SessionParts {
             tokens: plan.tokens,
             eval_model,
             transformer,
-            recovery,
+            recovery: plan.recovery,
         })
     }
 }

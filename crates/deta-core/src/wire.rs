@@ -316,17 +316,18 @@ impl Msg {
     }
 
     /// How many bytes [`Msg::encode_into`] appends: exact for the
-    /// fragment-carrying messages (the ones worth reserving for), a
-    /// lower bound otherwise.
+    /// fragment-carrying messages, plain and encrypted (the ones worth
+    /// reserving for), a lower bound otherwise.
     fn encoded_len_hint(&self) -> usize {
+        let prefixed = |ciphertexts: &[Vec<u8>]| -> usize {
+            4 + ciphertexts.iter().map(|c| 4 + c.len()).sum::<usize>()
+        };
         match self {
             Msg::Upload { fragment, .. } | Msg::Aggregated { fragment, .. } => {
                 FRAGMENT_HEADER + 4 * fragment.len()
             }
-            Msg::UploadEncrypted { ciphertexts, .. }
-            | Msg::AggregatedEncrypted { ciphertexts, .. } => {
-                ciphertexts.iter().map(|c| 4 + c.len()).sum()
-            }
+            Msg::UploadEncrypted { ciphertexts, .. } => 1 + 8 + 8 + prefixed(ciphertexts),
+            Msg::AggregatedEncrypted { ciphertexts, .. } => 1 + 8 + 8 + 8 + prefixed(ciphertexts),
             _ => 0,
         }
     }

@@ -1,15 +1,24 @@
 //! Inner messages a party controls must never stop an aggregator: a
-//! hostile registration is dropped, counted and attributed, and an
-//! aggregation the inputs cannot support is a structured failure of the
-//! round. The telemetry sink is on for this binary (it is sticky), so
-//! that the counters and events can be read back.
+//! hostile registration is dropped, counted and attributed, an upload of
+//! the kind the node does not aggregate is refused where it comes in,
+//! and an aggregation the inputs cannot support — plain or encrypted —
+//! is a structured failure of the round. Nor does a stale aggregate,
+//! of either kind, pass a party uncounted. The telemetry sink is on for
+//! this binary (it is sticky), so that the counters and events can be
+//! read back.
 
 mod common;
 
-use common::{aggregator, RawParty};
+use common::{aggregator, registered, RawParty};
+use deta_bignum::BigUint;
 use deta_core::agg::AggKind;
+use deta_core::paillier_fusion::PaillierFusionConfig;
 use deta_core::wire::Msg;
+use deta_core::{DetaConfig, DetaSession};
 use deta_crypto::DetRng;
+use deta_datasets::{iid_partition, DatasetSpec};
+use deta_nn::models::mlp;
+use deta_paillier::PublicKey;
 use deta_telemetry::metrics::counter_value;
 use deta_telemetry::{FlightRecorder, TelemetryValue};
 use deta_transport::{LinkModel, Network};
@@ -157,4 +166,148 @@ fn an_aggregation_the_inputs_cannot_support_fails_the_round_not_the_node() {
         "cause",
         TelemetryValue::from("trim 1 too large for 2 parties")
     )));
+}
+
+/// A public key is all an aggregator holds of the Paillier material, and
+/// summing needs no more of it than a modulus.
+fn paillier_key() -> PublicKey {
+    let n = BigUint::from_u64(0xffff_fffb);
+    PublicKey { n2: &n * &n, n }
+}
+
+fn encrypted_upload(ciphertexts: usize, value_count: u64) -> Msg {
+    Msg::UploadEncrypted {
+        round: 1,
+        ciphertexts: (1..=ciphertexts as u8).map(|c| vec![c]).collect(),
+        value_count,
+    }
+}
+
+#[test]
+fn encrypted_uploads_that_disagree_fail_the_round_like_plain_ones() {
+    deta_telemetry::enable();
+    let recorder = FlightRecorder::new("agg-0", 256);
+    let _attached = deta_telemetry::attach(recorder.clone());
+    let net = Network::new(LinkModel::lan());
+    let mut rng = DetRng::from_u64(0x4e8);
+    let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
+    agg.set_paillier_key(paillier_key());
+    // The failure counter is labelled with the node's name; this node
+    // takes one no other test of the binary counts under.
+    agg.name = "agg-paillier".to_string();
+    let mut parties = registered(&net, &mut agg, 0..2, &mut rng);
+
+    // Round 1: one ciphertext fewer; round 2: as many, packing fewer values.
+    let rounds = [
+        [encrypted_upload(3, 12), encrypted_upload(2, 12)],
+        [encrypted_upload(3, 12), encrypted_upload(3, 11)],
+    ];
+    for (failed, uploads) in rounds.iter().enumerate() {
+        for (party, upload) in parties.iter_mut().zip(uploads) {
+            party.send(upload);
+        }
+        agg.pump();
+        assert_eq!(agg.completed_rounds, 0);
+        for party in &mut parties {
+            assert_eq!(party.recv(), None, "a failed round was answered");
+        }
+        assert_eq!(
+            counter_value("deta_aggregate_failed_total", "agg-paillier"),
+            failed as u64 + 1
+        );
+    }
+    let (records, _) = recorder.drain();
+    let failures: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == "aggregate_failed")
+        .collect();
+    assert_eq!(failures.len(), 2);
+    for failure in failures {
+        assert!(failure
+            .fields
+            .contains(&("round", TelemetryValue::from(1u64))));
+        assert!(failure.fields.contains(&(
+            "cause",
+            TelemetryValue::from("encrypted uploads disagree on ciphertext or value count")
+        )));
+    }
+}
+
+#[test]
+fn an_upload_of_the_kind_a_node_does_not_aggregate_is_refused_at_the_door() {
+    deta_telemetry::enable();
+    let mut rng = DetRng::from_u64(0x4e9);
+    let plain = Msg::Upload {
+        round: 1,
+        fragment: vec![1.0, 2.0],
+    };
+    // Plain values to a node that sums ciphertexts, and ciphertexts to a
+    // node that has no key to sum them under.
+    for (key, refused, taken) in [
+        (Some(paillier_key()), &plain, &encrypted_upload(3, 12)),
+        (None, &encrypted_upload(3, 12), &plain),
+    ] {
+        let net = Network::new(LinkModel::lan());
+        let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
+        if let Some(key) = key {
+            agg.set_paillier_key(key);
+        }
+        let mut party = registered(&net, &mut agg, 0..1, &mut rng).remove(0);
+        party.send(refused);
+        agg.pump();
+        assert_eq!(counter_value("deta_wire_rejected_total", refused.name()), 1);
+        assert!(agg.pending_uploads().is_empty(), "a refused upload is held");
+        assert_eq!(agg.completed_rounds, 0, "a refused upload was aggregated");
+        assert_eq!(party.recv(), None);
+        // The round goes to the upload of the node's own kind, alone.
+        party.send(taken);
+        agg.pump();
+        assert_eq!(agg.completed_rounds, 1);
+        assert!(party.recv().is_some());
+    }
+}
+
+#[test]
+fn a_stale_aggregate_of_either_kind_is_counted_by_the_party_that_drops_it() {
+    deta_telemetry::enable();
+    let spec = DatasetSpec::mnist_like().at_resolution(8);
+    let shards = iid_partition(&spec.generate(16, 1), 2, 2);
+    let mut cfg = DetaConfig::deta(2, 1);
+    cfg.seed = 0x4ea;
+    cfg.paillier = Some(PaillierFusionConfig {
+        n_bits: 128,
+        clip: 4.0,
+        value_bits: 16,
+    });
+    let (dim, classes) = (spec.dim(), spec.classes);
+    let mut session = DetaSession::setup(cfg, &move |rng| mlp(&[dim, 2, classes], rng), shards)
+        .expect("session sets up");
+    session.step(&spec.generate(8, 2));
+    assert_eq!(session.party_mut(0).last_finished_round(), 1);
+
+    // A breached aggregator replays round 1 at a party that has moved on.
+    let stale = [
+        Msg::Aggregated {
+            round: 1,
+            fragment: vec![0.0; 4],
+        },
+        Msg::AggregatedEncrypted {
+            round: 1,
+            ciphertexts: vec![vec![1]],
+            value_count: 4,
+            summands: 2,
+        },
+    ];
+    for msg in &stale {
+        session.aggregator_mut(0).drill_send_sealed("party-0", msg);
+    }
+    assert_eq!(session.party_mut(0).poll_round_start(), None);
+    for msg in &stale {
+        assert_eq!(
+            counter_value("deta_wire_ignored_total", msg.name()),
+            1,
+            "{}",
+            msg.name()
+        );
+    }
 }

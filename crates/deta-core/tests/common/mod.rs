@@ -27,6 +27,32 @@ pub fn aggregator(net: &Network, kind: AggKind, rng: &mut DetRng) -> AggregatorN
     .unwrap()
 }
 
+/// `party-{i}` for each `i` of `order`, joined to `agg` in that order and
+/// registered with weight 1, acknowledgements read.
+pub fn registered(
+    net: &Network,
+    agg: &mut AggregatorNode,
+    order: impl Iterator<Item = usize>,
+    rng: &mut DetRng,
+) -> Vec<RawParty> {
+    let mut parties: Vec<RawParty> = order
+        .map(|i| {
+            let name = format!("party-{i}");
+            let mut party = RawParty::join(net, agg, &name, rng);
+            party.send(&Msg::Register {
+                party: name,
+                weight: 1.0,
+            });
+            party
+        })
+        .collect();
+    agg.pump();
+    for party in &mut parties {
+        assert_eq!(party.recv(), Some(Msg::RegisterAck));
+    }
+    parties
+}
+
 /// The party side of one secure channel to `agg-0`.
 pub struct RawParty {
     endpoint: Endpoint,

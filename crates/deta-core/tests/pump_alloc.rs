@@ -1,18 +1,21 @@
 //! What one aggregating pump allocates: the round's `Aggregated`
-//! plaintext exists once, not once per party, the breach-memory records
-//! are written into one buffer reserved for all of them, and a fragment
-//! crossing the node costs one buffer per hop — its values decoded out
-//! of the record it arrived in, one sealed frame per recipient.
+//! plaintext — or `AggregatedEncrypted`, under Paillier fusion — exists
+//! once, not once per party, the breach-memory records are written into
+//! one buffer reserved for all of them, and a fragment crossing the node
+//! costs one buffer per hop — its values decoded out of the record it
+//! arrived in, one sealed frame per recipient.
 
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use common::{aggregator, RawParty};
+use common::{aggregator, registered, RawParty};
+use deta_bignum::BigUint;
 use deta_core::agg::AggKind;
 use deta_core::wire::Msg;
 use deta_crypto::DetRng;
+use deta_paillier::{Ciphertext, PublicKey};
 use deta_transport::{LinkModel, Network};
 
 thread_local! {
@@ -107,5 +110,74 @@ fn an_aggregating_pump_allocates_one_plaintext_and_one_record_buffer() {
                 fragment: vec![0.5; VALUES],
             })
         );
+    }
+}
+
+#[test]
+fn an_encrypted_fan_out_allocates_its_plaintext_once() {
+    const PARTIES: usize = 8;
+    const CIPHERTEXTS: usize = 32;
+    /// Bytes of one ciphertext under a 1024-bit modulus.
+    const CIPHERTEXT: usize = 256;
+    let net = Network::new(LinkModel::lan());
+    let mut rng = DetRng::from_u64(0xa110d);
+    let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
+    // Summing needs no more of a key than its modulus.
+    let n = BigUint::from_bytes_be(&[0xff; CIPHERTEXT / 2]);
+    let pk = PublicKey { n2: &n * &n, n };
+    agg.set_paillier_key(pk.clone());
+    let mut parties = registered(&net, &mut agg, 0..PARTIES, &mut rng);
+    let ciphertext = vec![0x7f; CIPHERTEXT];
+    let upload = Msg::UploadEncrypted {
+        round: 1,
+        ciphertexts: vec![ciphertext.clone(); CIPHERTEXTS],
+        value_count: 1024,
+    };
+    let (last, rest) = parties.split_last_mut().expect("eight parties");
+    for party in rest.iter_mut() {
+        party.send(&upload);
+    }
+    agg.pump();
+    assert_eq!(agg.completed_rounds, 0);
+
+    // What the homomorphic sum itself allocates, measured on one
+    // ciphertext's chain of additions: it dwarfs the fan-out, and is not
+    // what this test is about.
+    let c = Ciphertext(BigUint::from_bytes_be(&ciphertext));
+    let before = BYTES.with(Cell::get);
+    let mut sum = pk.zero_ciphertext();
+    for _ in 0..PARTIES {
+        sum = sum.add(&c, &pk);
+    }
+    let arithmetic = CIPHERTEXTS * (BYTES.with(Cell::get) - before);
+
+    last.send(&upload);
+    let before = BYTES.with(Cell::get);
+    agg.pump();
+    let allocated = BYTES.with(Cell::get) - before;
+    assert_eq!(agg.completed_rounds, 1);
+
+    // The encoded message: tag, round, two counts, a length, and each
+    // ciphertext behind a length of its own.
+    let plaintext = 29 + CIPHERTEXTS * (4 + CIPHERTEXT);
+    // The last upload's ciphertexts are decoded out of the record it
+    // arrived in and parsed into integers; the sums are serialized; one
+    // plaintext is encoded; each party's frame is filled with it and
+    // sealed where it lies.
+    let hops = (4 + PARTIES) * plaintext;
+    let small = 16 * 1024;
+    assert!(
+        allocated <= arithmetic + hops + small,
+        "{allocated} bytes allocated, {} more than budgeted",
+        allocated - arithmetic - hops
+    );
+    let expected = Msg::AggregatedEncrypted {
+        round: 1,
+        ciphertexts: vec![sum.0.to_bytes_be(); CIPHERTEXTS],
+        value_count: 1024,
+        summands: PARTIES as u64,
+    };
+    for party in &mut parties {
+        assert_eq!(party.recv().as_ref(), Some(&expected));
     }
 }

@@ -1,7 +1,9 @@
 //! TCP-bridge drills: a hand-rolled rogue client (built from the public
 //! wire primitives, free to violate the discipline `run_node` enforces)
 //! replays frames, reorders frames, and impersonates an aggregator seat
-//! against a live [`SocketHub`].
+//! against a live [`SocketHub`]. The client and its hub are public: the
+//! workspace's socket fault tests (`tests/socket_faults.rs`) misbehave
+//! through the same one.
 
 use crate::Drill;
 use deta_crypto::{DetRng, SigningKey};
@@ -18,9 +20,10 @@ use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xD0D0;
 
-/// A hub with one connectable party seat and one plain hub-network
-/// endpoint (`agg-0`) kept for delivery assertions.
-fn start_hub() -> (SocketHub, Network, Endpoint, SigningKey) {
+/// A hub with one connectable party seat (`party-0`, whose link key is
+/// returned) and one plain hub-network endpoint (`agg-0`) kept for
+/// delivery assertions.
+pub fn start_hub() -> (SocketHub, Network, Endpoint, SigningKey) {
     let network = Network::new(LinkModel::lan());
     let agg = network.register("agg-0");
     let link = party_link_key(SEED, "party-0");
@@ -34,7 +37,7 @@ fn start_hub() -> (SocketHub, Network, Endpoint, SigningKey) {
 }
 
 /// A minimal bridge-protocol client that can misbehave at will.
-struct Rogue {
+pub struct Rogue {
     stream: TcpStream,
     decoder: FrameDecoder,
     channel: SecureChannel,
@@ -43,7 +46,7 @@ struct Rogue {
 impl Rogue {
     /// Handshakes and authenticates as `name`; `None` when the hub
     /// refuses the auth proof.
-    fn connect(addr: SocketAddr, name: &str, link: &SigningKey) -> Option<Rogue> {
+    pub fn connect(addr: SocketAddr, name: &str, link: &SigningKey) -> Option<Rogue> {
         let mut rng = DetRng::from_u64(SEED)
             .fork(b"rogue-client")
             .fork(name.as_bytes());
@@ -88,7 +91,8 @@ impl Rogue {
         Some(rogue)
     }
 
-    fn send(&mut self, frame: &SocketFrame) {
+    /// Seals and sends one frame.
+    pub fn send(&mut self, frame: &SocketFrame) {
         let record = self.channel.seal_msg(&frame.encode());
         self.stream
             .write_all(&encode_frame(&record))
@@ -97,7 +101,7 @@ impl Rogue {
 
     /// A data frame sealed as a *fresh* record but carrying an arbitrary
     /// logical sequence number — a byte-level-valid replay.
-    fn send_data(&mut self, dst: &str, seq: u64, payload: &[u8]) {
+    pub fn send_data(&mut self, dst: &str, seq: u64, payload: &[u8]) {
         self.send(&SocketFrame::Data {
             src: "party-0".to_string(),
             dst: dst.to_string(),
@@ -106,7 +110,8 @@ impl Rogue {
         });
     }
 
-    fn recv(&mut self) -> Option<SocketFrame> {
+    /// Next frame from the hub, or `None` on EOF.
+    pub fn recv(&mut self) -> Option<SocketFrame> {
         let record = read_raw(&mut self.stream, &mut self.decoder)?;
         let plain = self.channel.open_msg(&record).expect("open record");
         Some(SocketFrame::decode(&plain).expect("decode frame"))
@@ -133,7 +138,7 @@ fn read_raw(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Option<Vec<u8
 }
 
 /// Polls until the hub records its first structured error.
-fn wait_error(hub: &SocketHub) -> Result<SocketError, String> {
+pub fn wait_error(hub: &SocketHub) -> Result<SocketError, String> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         if let Some(e) = hub.first_error() {

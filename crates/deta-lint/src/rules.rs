@@ -360,6 +360,9 @@ const RULE3_FILES: &[&str] = &[
     "wire.rs",
     "transform.rs",
     "keybroker.rs",
+    // Its tables' iteration order is the order its fan-outs reach the
+    // network in.
+    "aggregator.rs",
 ];
 
 fn rule3_in_scope(path: &str) -> bool {
@@ -369,7 +372,9 @@ fn rule3_in_scope(path: &str) -> bool {
 /// Permutation derivation, partition layout, and wire encoding must be
 /// bit-reproducible across every party and aggregator; `HashMap` /
 /// `HashSet` iteration order is randomized per process and silently
-/// breaks `Trans`/`Trans^-1` symmetry. Use `BTreeMap` or vectors.
+/// breaks `Trans`/`Trans^-1` symmetry — or, in the aggregator, sends one
+/// seed's fan-outs in a different order every run. Use `BTreeMap` or
+/// vectors.
 pub fn deterministic_iteration(path: &str, toks: &[Tok]) -> Vec<Violation> {
     if !rule3_in_scope(path) {
         return Vec::new();

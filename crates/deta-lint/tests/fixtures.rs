@@ -144,10 +144,21 @@ fn hashset_in_shuffle_is_flagged() {
 fn btreemap_in_scope_and_hashmap_out_of_scope_are_fine() {
     let src = "use std::collections::BTreeMap;\npub struct M { parts: BTreeMap<u32, u32> }\n";
     assert!(rules_hit("crates/deta-core/src/mapper.rs", src).is_empty());
+    assert!(rules_hit("crates/deta-core/src/aggregator.rs", src).is_empty());
     // party.rs is allowed to use HashMap (its iteration never feeds the
     // permutation).
     let src2 = "use std::collections::HashMap;\n";
     assert!(rules_hit("crates/deta-core/src/party.rs", src2).is_empty());
+}
+
+#[test]
+fn hashmap_in_aggregator_is_flagged() {
+    // The party table's iteration order is the fan-out order.
+    let src = "pub struct Node { parties: HashMap<String, Peer> }\n";
+    let v = check_source("crates/deta-core/src/aggregator.rs", src);
+    assert!(v
+        .iter()
+        .any(|v| v.rule == "deterministic-iteration" && v.ident == "HashMap"));
 }
 
 // -------------------------------------------------------------------

@@ -13,7 +13,6 @@
 //! [`Sequential::set_flat_params`] restores it. DeTA's model mapper
 //! partitions and shuffles exactly this vector.
 
-pub mod checkpoint;
 pub mod layers;
 pub mod loss;
 pub mod models;

@@ -13,7 +13,7 @@
 //! * [`attacks`], [`autograd`] — the gradient-inversion attack suite.
 
 pub use deta_attacks as attacks;
-pub use deta_autograd as autograd;
+pub use deta_attacks::autograd;
 pub use deta_bignum as bignum;
 pub use deta_core as core;
 pub use deta_crypto as crypto;

@@ -1,7 +1,8 @@
 //! Adversarial and fault-path behaviour of the TCP bridge, tested
-//! against a bare [`SocketHub`] with a hand-rolled client built from the
-//! public wire primitives — the client can misbehave in ways
-//! [`deta_socket::run_node`] never would.
+//! against a bare `SocketHub` with the drill suite's hand-rolled client
+//! ([`deta_drills::socket::Rogue`]), built from the public wire
+//! primitives — the client can misbehave in ways `deta_socket::run_node`
+//! never would.
 //!
 //! Covered here:
 //! * a replayed data frame is rejected with a structured error naming
@@ -14,149 +15,11 @@
 //! * the `FaultPolicy` seam applies to socket-borne frames unchanged.
 
 use deta::crypto::{DetRng, SigningKey};
-use deta::socket::wire::auth_transcript;
-use deta::socket::{
-    encode_frame, hub_verifying_key, party_link_key, FrameDecoder, HubSeat, SocketError,
-    SocketFrame, SocketHub,
-};
-use deta::transport::secure::{HandshakeInitiator, SecureChannel};
-use deta::transport::{
-    Endpoint, FaultPolicy, LinkModel, NetError, Network, RecvError, SendVerdict,
-};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use deta::socket::{SocketError, SocketFrame};
+use deta::transport::{FaultPolicy, NetError, RecvError, SendVerdict};
+use deta_drills::socket::{start_hub, wait_error, Rogue};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const SEED: u64 = 4242;
-
-/// Hub with one connectable seat (`party-0`) and one plain hub-network
-/// endpoint (`agg-0`) the test keeps for delivery assertions.
-fn start_hub() -> (SocketHub, Network, Endpoint, SigningKey) {
-    let network = Network::new(LinkModel::lan());
-    let agg = network.register("agg-0");
-    let key = party_link_key(SEED, "party-0");
-    let seats = vec![HubSeat {
-        name: "party-0".to_string(),
-        key: key.verifying_key(),
-        endpoint: network.register("party-0"),
-    }];
-    let hub = SocketHub::bind(network.clone(), seats, SEED).expect("hub bind");
-    (hub, network, agg, key)
-}
-
-/// A minimal client speaking the bridge protocol, free to violate the
-/// sequence discipline `run_node` enforces.
-struct Rogue {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    channel: SecureChannel,
-}
-
-impl Rogue {
-    /// Handshakes and authenticates as `name` using `key`. Returns
-    /// `None` when the hub refuses the auth proof.
-    fn connect(addr: SocketAddr, name: &str, key: &SigningKey) -> Option<Rogue> {
-        let mut rng = DetRng::from_u64(0xDEFEC8)
-            .fork(b"rogue-client")
-            .fork(name.as_bytes());
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .expect("read timeout");
-        let mut decoder = FrameDecoder::new();
-        let init = HandshakeInitiator::new(&mut rng);
-        let mut s = stream.try_clone().expect("clone stream");
-        s.write_all(&encode_frame(init.hello())).expect("hello");
-        let response = read_raw(&mut s, &mut decoder).expect("handshake response");
-        let channel = init
-            .complete(&response, &hub_verifying_key(SEED))
-            .expect("handshake");
-        let mut rogue = Rogue {
-            stream,
-            decoder,
-            channel,
-        };
-        let Some(SocketFrame::Challenge { nonce }) = rogue.recv() else {
-            panic!("hub must open with a challenge");
-        };
-        let sig = key.sign(&auth_transcript(&nonce, name));
-        rogue.send(&SocketFrame::AuthProof {
-            name: name.to_string(),
-            sig: sig.to_bytes(),
-        });
-        match rogue.recv() {
-            Some(SocketFrame::Welcome) => {}
-            _ => return None,
-        }
-        // The hub aligns clocks right after Welcome and refuses data
-        // until the probe is echoed; even a rogue must answer it.
-        let Some(SocketFrame::ClockProbe { t_hub_ns }) = rogue.recv() else {
-            panic!("hub must probe the clock after Welcome");
-        };
-        rogue.send(&SocketFrame::ClockEcho {
-            t_hub_ns,
-            t_peer_ns: deta::telemetry::now_ns(),
-        });
-        Some(rogue)
-    }
-
-    fn send(&mut self, frame: &SocketFrame) {
-        let record = self.channel.seal_msg(&frame.encode());
-        self.stream
-            .write_all(&encode_frame(&record))
-            .expect("rogue send");
-    }
-
-    /// Sends a data frame sealed as a *fresh* record but carrying an
-    /// arbitrary logical sequence number — a byte-level-valid replay.
-    fn send_data(&mut self, dst: &str, seq: u64, payload: &[u8]) {
-        self.send(&SocketFrame::Data {
-            src: "party-0".to_string(),
-            dst: dst.to_string(),
-            seq,
-            payload: payload.to_vec(),
-        });
-    }
-
-    /// Next frame from the hub, or `None` on EOF.
-    fn recv(&mut self) -> Option<SocketFrame> {
-        let record = read_raw(&mut self.stream, &mut self.decoder)?;
-        let plain = self.channel.open_msg(&record).expect("open record");
-        Some(SocketFrame::decode(&plain).expect("decode frame"))
-    }
-}
-
-/// Blocks (short-poll) until one complete frame or EOF.
-fn read_raw(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Option<Vec<u8>> {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(frame) = decoder.try_next().expect("well-formed stream") {
-            return Some(frame);
-        }
-        assert!(Instant::now() < deadline, "hub went silent");
-        match stream.read(&mut chunk) {
-            Ok(0) => return None,
-            Ok(n) => decoder.push(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => return None,
-            Err(e) => panic!("rogue read failed: {e}"),
-        }
-    }
-}
-
-/// Polls until the hub records its first structured error.
-fn wait_error(hub: &SocketHub) -> SocketError {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        if let Some(e) = hub.first_error() {
-            return e;
-        }
-        assert!(Instant::now() < deadline, "hub recorded no error");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
 
 #[test]
 fn replayed_frame_rejected_with_link_name() {
@@ -172,7 +35,7 @@ fn replayed_frame_rejected_with_link_name() {
     // Same logical frame again, sealed as a fresh record: the secure
     // channel accepts the bytes, the replay window must not.
     rogue.send_data("agg-0", 0, b"upload");
-    match wait_error(&hub) {
+    match wait_error(&hub).expect("a structured error") {
         SocketError::Replay {
             link,
             seq,
@@ -201,7 +64,7 @@ fn reordered_frame_rejected_and_undelivered() {
     // First frame on the link claims sequence 5: a reorder (or a
     // truncation attack hiding frames 0..5).
     rogue.send_data("agg-0", 5, b"late");
-    match wait_error(&hub) {
+    match wait_error(&hub).expect("a structured error") {
         SocketError::Replay {
             link,
             seq,
@@ -290,7 +153,7 @@ fn wrong_key_never_authenticates() {
         Rogue::connect(hub.addr(), "party-0", &wrong_key).is_none(),
         "a signature under the wrong key must not be welcomed"
     );
-    match wait_error(&hub) {
+    match wait_error(&hub).expect("a structured error") {
         SocketError::Auth { peer, .. } => assert_eq!(peer, "party-0"),
         other => panic!("expected an auth rejection, got: {other}"),
     }
