@@ -849,14 +849,25 @@ impl Party {
     /// Opens a `Record` frame where it arrived and dispatches the inner
     /// message.
     fn handle_record(&mut self, from: &str, frame: Vec<u8>) {
-        let Some(agg) = self.aggregators.iter_mut().find(|a| a.name == from) else {
+        // Record `j` is fragment `j`'s aggregator.
+        let Some(j) = self.aggregators.iter().position(|a| a.name == from) else {
             return;
         };
+        let agg = &mut self.aggregators[j];
         let Link::Up(chan) = &mut agg.link else {
             return;
         };
         let Some(inner) = wire::open_record(chan, frame) else {
             return;
+        };
+        // A download is checked against the fragment this aggregator owes
+        // before it is kept: the merge and the decryption assert what
+        // they are given, and an aggregator must not be able to fail
+        // those assertions from afar. A refused one is counted and leaves
+        // the slot as it was, so the round times out on this aggregator.
+        let fragment_len = self.transformer.mapper().fragment_len(j);
+        let refuse = |kind: &str| {
+            deta_telemetry::metrics::counter_add("deta_wire_rejected_total", kind, 1);
         };
         match inner {
             Msg::RegisterAck => agg.acked = true,
@@ -876,6 +887,9 @@ impl Party {
                 if round > self.last_finished_round && self.paillier.is_none() =>
             {
                 let values = fragment.len();
+                if values != fragment_len {
+                    return refuse("Aggregated");
+                }
                 deta_telemetry::event(
                     "download",
                     &[
@@ -891,6 +905,17 @@ impl Party {
                 value_count,
                 summands,
             } if round > self.last_finished_round && self.paillier.is_some() => {
+                let ciphertexts: Vec<Ciphertext> = ciphertexts
+                    .iter()
+                    .map(|b| Ciphertext(deta_bignum::BigUint::from_bytes_be(b)))
+                    .collect();
+                let readable = self
+                    .paillier
+                    .as_ref()
+                    .is_some_and(|p| p.admits(&ciphertexts, value_count, fragment_len));
+                if !readable {
+                    return refuse("AggregatedEncrypted");
+                }
                 deta_telemetry::event(
                     "download",
                     &[
@@ -899,10 +924,6 @@ impl Party {
                         ("encrypted", TelemetryValue::from(true)),
                     ],
                 );
-                let ciphertexts = ciphertexts
-                    .iter()
-                    .map(|b| Ciphertext(deta_bignum::BigUint::from_bytes_be(b)))
-                    .collect();
                 let download = Download::Encrypted {
                     ciphertexts,
                     value_count,

@@ -65,6 +65,7 @@ pub fn catalog() -> Vec<Drill> {
     out.extend(stale::drills());
     out.extend(poisoning::drills());
     out.extend(registration::drills());
+    out.extend(socket::ack_drills());
     out
 }
 

@@ -1,7 +1,7 @@
 //! TCP-bridge drills: a hand-rolled rogue client (built from the public
 //! wire primitives, free to violate the discipline `run_node` enforces)
-//! replays frames, reorders frames, and impersonates an aggregator seat
-//! against a live [`SocketHub`]. The client and its hub are public: the
+//! replays frames, reorders frames, impersonates an aggregator seat and
+//! forges delivery acknowledgements against a live [`SocketHub`]. The client and its hub are public: the
 //! workspace's socket fault tests (`tests/socket_faults.rs`) misbehave
 //! through the same one.
 
@@ -26,14 +26,81 @@ const SEED: u64 = 0xD0D0;
 pub fn start_hub() -> (SocketHub, Network, Endpoint, SigningKey) {
     let network = Network::new(LinkModel::lan());
     let agg = network.register("agg-0");
-    let link = party_link_key(SEED, "party-0");
-    let seats = vec![HubSeat {
-        name: "party-0".to_string(),
-        key: link.verifying_key(),
-        endpoint: network.register("party-0"),
-    }];
-    let hub = SocketHub::bind(network.clone(), seats, SEED).expect("hub bind");
+    let (seat, link) = seat(&network, "party-0");
+    let hub = SocketHub::bind(network.clone(), vec![seat], SEED).expect("hub bind");
     (hub, network, agg, link)
+}
+
+/// Three frames in the hub's custody: `party-0` and `agg-0` both seated
+/// and linked, `party-0`'s frames 0..3 relayed to `agg-0` and read there
+/// — acknowledged by nobody, so the hub retains all three for `agg-0`.
+pub struct Custody {
+    /// The hub holding the frames.
+    pub hub: SocketHub,
+    /// The client that sent them.
+    pub party: Rogue,
+    /// The client they were relayed to.
+    pub agg: Rogue,
+    agg_link: SigningKey,
+}
+
+impl Custody {
+    /// Sets the scene.
+    ///
+    /// # Errors
+    ///
+    /// A refused client, or a relay that did not deliver 0, 1, 2.
+    pub fn start() -> Result<Custody, String> {
+        let network = Network::new(LinkModel::lan());
+        let (party_seat, party_link) = seat(&network, "party-0");
+        let (agg_seat, agg_link) = seat(&network, "agg-0");
+        let hub = SocketHub::bind(network, vec![party_seat, agg_seat], SEED)
+            .map_err(|e| format!("bind: {e}"))?;
+        let mut agg = Rogue::connect(hub.addr(), "agg-0", &agg_link).ok_or("agg-0 auth refused")?;
+        agg.resume("agg-0");
+        let mut party =
+            Rogue::connect(hub.addr(), "party-0", &party_link).ok_or("party-0 auth refused")?;
+        for seq in 0..3 {
+            party.send_data("agg-0", seq, b"upload");
+        }
+        if agg.recv_relayed(3)? != [0, 1, 2] {
+            return Err("the relay reordered agg-0's frames".to_string());
+        }
+        Ok(Custody {
+            hub,
+            party,
+            agg,
+            agg_link,
+        })
+    }
+
+    /// `agg-0` loses its connection abruptly and resumes claiming that
+    /// nothing was delivered: the sequence numbers of the first `n`
+    /// frames the hub then replays — everything it still retains for
+    /// `agg-0`, oldest first.
+    ///
+    /// # Errors
+    ///
+    /// A refused reconnection, or fewer than `n` frames replayed.
+    pub fn agg_resumes(&mut self, n: usize) -> Result<Vec<u64>, String> {
+        // No Bye: the hub sees the transport die, and parks the seat.
+        let _ = self.agg.stream.shutdown(std::net::Shutdown::Both);
+        self.agg = Rogue::connect(self.hub.addr(), "agg-0", &self.agg_link)
+            .ok_or("agg-0 could not resume")?;
+        self.agg.resume("agg-0");
+        self.agg.recv_relayed(n)
+    }
+}
+
+/// A seat for `name`, keyed by a link key derived from the drill seed.
+fn seat(network: &Network, name: &str) -> (HubSeat, SigningKey) {
+    let link = party_link_key(SEED, name);
+    let seat = HubSeat {
+        name: name.to_string(),
+        key: link.verifying_key(),
+        endpoint: network.register(name),
+    };
+    (seat, link)
 }
 
 /// A minimal bridge-protocol client that can misbehave at will.
@@ -47,26 +114,7 @@ impl Rogue {
     /// Handshakes and authenticates as `name`; `None` when the hub
     /// refuses the auth proof.
     pub fn connect(addr: SocketAddr, name: &str, link: &SigningKey) -> Option<Rogue> {
-        let mut rng = DetRng::from_u64(SEED)
-            .fork(b"rogue-client")
-            .fork(name.as_bytes());
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .expect("read timeout");
-        let mut decoder = FrameDecoder::new();
-        let init = HandshakeInitiator::new(&mut rng);
-        let mut s = stream.try_clone().expect("clone stream");
-        s.write_all(&encode_frame(init.hello())).expect("hello");
-        let response = read_raw(&mut s, &mut decoder).expect("handshake response");
-        let channel = init
-            .complete(&response, &hub_verifying_key(SEED))
-            .expect("handshake");
-        let mut rogue = Rogue {
-            stream,
-            decoder,
-            channel,
-        };
+        let mut rogue = Rogue::dial(addr, name);
         let Some(SocketFrame::Challenge { nonce }) = rogue.recv() else {
             panic!("hub must open with a challenge");
         };
@@ -91,6 +139,32 @@ impl Rogue {
         Some(rogue)
     }
 
+    /// The secure-channel handshake alone: the hub's `Challenge` is the
+    /// next frame, and nothing has been proved yet. `name` only salts
+    /// the client's randomness.
+    pub fn dial(addr: SocketAddr, name: &str) -> Rogue {
+        let mut rng = DetRng::from_u64(SEED)
+            .fork(b"rogue-client")
+            .fork(name.as_bytes());
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .expect("read timeout");
+        let mut decoder = FrameDecoder::new();
+        let init = HandshakeInitiator::new(&mut rng);
+        let mut s = stream.try_clone().expect("clone stream");
+        s.write_all(&encode_frame(init.hello())).expect("hello");
+        let response = read_raw(&mut s, &mut decoder).expect("handshake response");
+        let channel = init
+            .complete(&response, &hub_verifying_key(SEED))
+            .expect("handshake");
+        Rogue {
+            stream,
+            decoder,
+            channel,
+        }
+    }
+
     /// Seals and sends one frame.
     pub fn send(&mut self, frame: &SocketFrame) {
         let record = self.channel.seal_msg(&frame.encode());
@@ -110,11 +184,47 @@ impl Rogue {
         });
     }
 
+    /// Opens (or reopens) the link as `name` with a `Resume` that claims
+    /// nothing delivered; the hub relays to a seat only once its child
+    /// has said where to resume from.
+    pub fn resume(&mut self, name: &str) {
+        self.send(&SocketFrame::Resume {
+            src: name.to_string(),
+            windows: Vec::new(),
+        });
+    }
+
     /// Next frame from the hub, or `None` on EOF.
     pub fn recv(&mut self) -> Option<SocketFrame> {
         let record = read_raw(&mut self.stream, &mut self.decoder)?;
         let plain = self.channel.open_msg(&record).expect("open record");
         Some(SocketFrame::decode(&plain).expect("decode frame"))
+    }
+
+    /// The sequence numbers of the next `n` `Data` frames the hub relays
+    /// on the `party-0 -> agg-0` link, skipping control frames (the
+    /// hub's acknowledgements, a `ResumeAck`, closures).
+    ///
+    /// # Errors
+    ///
+    /// The stream ended first, or carried another link's data.
+    pub fn recv_relayed(&mut self, n: usize) -> Result<Vec<u64>, String> {
+        let mut seqs = Vec::new();
+        while seqs.len() < n {
+            match self.recv() {
+                Some(SocketFrame::Data { src, dst, seq, .. })
+                    if src == "party-0" && dst == "agg-0" =>
+                {
+                    seqs.push(seq)
+                }
+                Some(other @ SocketFrame::Data { .. }) => {
+                    return Err(format!("unexpected relay: {other:?}"))
+                }
+                Some(_) => {}
+                None => return Err(format!("stream ended after {seqs:?}")),
+            }
+        }
+        Ok(seqs)
     }
 }
 
@@ -204,6 +314,46 @@ pub fn drills() -> Vec<Drill> {
             run: rogue_aggregator,
         },
     ]
+}
+
+/// The delivery-acknowledgement drill. Apart from [`drills`] because the
+/// report numbers its rows by catalog position and this one came later.
+pub fn ack_drills() -> Vec<Drill> {
+    vec![Drill {
+        id: "socket-forged-ack",
+        claim: "the hub stops retaining a relayed frame only on the word \
+                of the seat the frame is addressed to; no other \
+                authenticated peer can make it forget what that seat may \
+                still need replayed (deta-socket delivery acknowledgement)",
+        attack: "party-0, authenticated, acknowledges delivery of its own \
+                 three frames on the link party-0->agg-0 in agg-0's place; \
+                 agg-0, which acknowledged none of them, then loses its \
+                 connection and resumes",
+        run: forged_ack,
+    }]
+}
+
+fn forged_ack() -> Result<String, String> {
+    let mut held = Custody::start()?;
+    held.party.send(&SocketFrame::Ack {
+        src: "party-0".to_string(),
+        dst: "agg-0".to_string(),
+        next: 3,
+    });
+    let err = wait_error(&held.hub)?;
+    let observed = format!("SocketError::Auth — {err}");
+    match err {
+        SocketError::Auth { peer, .. } if peer == "party-0" => {}
+        other => return Err(format!("wrong rejection: {other}")),
+    }
+    // The hub owes agg-0 every frame nobody entitled has acknowledged.
+    if held.agg_resumes(3)? != [0, 1, 2] {
+        return Err("the forged acknowledgement cost agg-0 a frame".to_string());
+    }
+    held.hub.join();
+    Ok(format!(
+        "{observed}; all three frames were replayed to agg-0 when it resumed"
+    ))
 }
 
 fn frame_replay() -> Result<String, String> {
@@ -306,10 +456,7 @@ fn resume_replay() -> Result<String, String> {
     drop(rogue);
     std::thread::sleep(Duration::from_millis(200));
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("reconnect auth refused")?;
-    rogue.send(&SocketFrame::Resume {
-        src: "party-0".to_string(),
-        windows: Vec::new(),
-    });
+    rogue.resume("party-0");
     match rogue.recv() {
         Some(SocketFrame::ResumeAck { windows }) => {
             let expected = ("party-0".to_string(), "agg-0".to_string(), 2u64);

@@ -138,6 +138,15 @@ impl PublicKey {
         Ciphertext(self.g_pow(m).mul_mod(&rn, &self.n2))
     }
 
+    /// Whether `c` is something [`PrivateKey::decrypt`] can take: below
+    /// `n^2`, and not a multiple of `n` — `c^lambda` would be zero there,
+    /// where `L` is undefined. Every ciphertext [`PublicKey::encrypt`] or
+    /// [`Ciphertext::add`] produces passes; one read off the wire is
+    /// checked with this before it is kept.
+    pub fn admits(&self, c: &Ciphertext) -> bool {
+        c.0 < self.n2 && !c.0.rem_ref(&self.n).is_zero()
+    }
+
     /// Returns the additive identity ciphertext Enc(0) with fixed
     /// randomness 1 (useful as a fold seed; not semantically hiding).
     pub fn zero_ciphertext(&self) -> Ciphertext {
@@ -150,7 +159,8 @@ impl PrivateKey {
     ///
     /// # Panics
     ///
-    /// Panics if the ciphertext is not in `Z_{n^2}`.
+    /// Panics if the ciphertext is not in `Z_{n^2}`, or is a multiple of
+    /// `n`: see [`PublicKey::admits`].
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
         assert!(c.0 < self.public.n2, "ciphertext out of range");
         let x = c.0.modpow(&self.lambda, &self.public.n2);

@@ -15,6 +15,17 @@
 //!   that node's [`NodeEgress`]: a bounded retransmit buffer plus, when
 //!   a connection is live, the link writer's queue.
 //!
+//! ## Custody
+//!
+//! A frame the ingress window accepts is from then on the *destination
+//! seat's* to retransmit, so acceptance is acknowledged to the child it
+//! came from ([`SocketFrame::Ack`], queued on that seat's writer — the
+//! serve thread reads and never writes to a socket) and the child stops
+//! retaining it. The destination's child acknowledges in turn, and the
+//! seat's buffer drops the frame: on a healthy link a buffer holds what
+//! is in flight. An acknowledgement is honoured only from the seat its
+//! link ends at, and never past what was stamped on that link.
+//!
 //! ## Link lifecycle
 //!
 //! A seat is *connected* while a serve thread holds its link. A child
@@ -35,7 +46,7 @@
 //! closure into its local replica.
 
 use crate::link::{LinkSender, RetransmitBuffer, SecureLink};
-use crate::wire::{auth_transcript, ReplayWindow, SeqTracker, SocketFrame};
+use crate::wire::{auth_transcript, ReplayWindow, SocketFrame};
 use crate::{hub_identity, party_link_key, SocketError};
 use deta_core::session::{DetaConfig, SetupError};
 use deta_crypto::{DetRng, VerifyingKey};
@@ -186,15 +197,15 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 /// Per-seat egress state: the live writer queue (absent while parked)
-/// plus the bounded retransmit buffer holding every stamped frame not
-/// yet known to be delivered.
+/// plus the bounded retransmit buffer holding every stamped frame the
+/// seat's child has not yet acknowledged.
 #[derive(Default)]
 struct NodeEgress {
     /// The live connection's writer queue; `None` while the seat is
     /// parked — frames then only accumulate in `buffer`.
     tx: Option<Sender<Arc<SocketFrame>>>,
-    /// Stamped `Data` frames toward this node, retained until a resume's
-    /// claims prove delivery.
+    /// `Data` frames toward this node, stamped here and retained until
+    /// its child acknowledges them or a resume's claims prove delivery.
     buffer: RetransmitBuffer,
     /// Whether any connection ever served this seat (a later
     /// connection is a *resume*, counted as a reconnect).
@@ -205,16 +216,13 @@ struct NodeEgress {
 }
 
 impl NodeEgress {
-    /// Forwards a stamped frame to the live writer, if any, and retains
-    /// it for retransmission: one allocation, shared.
-    fn push(&mut self, frame: SocketFrame) {
-        let frame = Arc::new(frame);
+    /// Queues `frame` on the live writer, if any. A failed send means the
+    /// writer died with the connection: a `Data` frame stays buffered for
+    /// the resume, a control frame is superseded by it.
+    fn forward(&self, frame: Arc<SocketFrame>) {
         if let Some(tx) = &self.tx {
-            // A failed send means the writer died with the connection;
-            // the frame stays buffered for the resume.
-            let _ = tx.send(Arc::clone(&frame));
+            let _ = tx.send(frame);
         }
-        self.buffer.push(frame);
     }
 }
 
@@ -379,6 +387,13 @@ impl SocketHub {
             .map(SocketError::duplicate)
     }
 
+    /// Cuts of the chaos plan that have not happened (yet). A harness
+    /// reads zero here before it credits a run with surviving them: a
+    /// threshold past the node's traffic never fires, silently.
+    pub fn pending_severs(&self) -> usize {
+        lock(&self.shared.chaos).values().map(Vec::len).sum()
+    }
+
     /// Stops every bridge thread and joins them. Call after the session
     /// has shut down (pumps will already have drained and broadcast the
     /// mailbox closures).
@@ -433,27 +448,24 @@ pub struct TraceHarvest {
 }
 
 /// Drains one node's proxy mailbox into its egress state: every frame
-/// is stamped once (the tracker outlives connections, so sequence
-/// numbers stay continuous across resumes), buffered for
-/// retransmission, and forwarded when a link is live. Exits when the
-/// mailbox closes (after broadcasting the closure) or on hub stop.
+/// is stamped once by the seat's buffer (which outlives connections, so
+/// sequence numbers stay continuous across resumes), retained there
+/// until acknowledged, and forwarded when a link is live — one
+/// allocation, shared. Exits when the mailbox closes (after broadcasting
+/// the closure) or on hub stop.
 fn pump(seat: HubSeat, shared: Arc<HubShared>) {
-    let mut seqs = SeqTracker::new();
     loop {
         // Raw receive: a trace envelope on the payload must cross the
         // process boundary intact, not be adopted by this relay thread.
         match seat.endpoint.recv_timeout_raw(TICK) {
             Ok(msg) => {
-                let src: String = msg.from.to_string();
-                let seq = seqs.next(&src, &seat.name);
-                let frame = SocketFrame::Data {
-                    src,
-                    dst: seat.name.clone(),
-                    seq,
-                    payload: msg.payload,
-                };
                 if let Some(entry) = lock(&shared.egress).get_mut(&seat.name) {
-                    entry.push(frame);
+                    let frame =
+                        entry
+                            .buffer
+                            .stamp(msg.from.to_string(), seat.name.clone(), msg.payload);
+                    entry.forward(frame);
+                    entry.buffer.observe_depth(&seat.name);
                 }
             }
             Err(RecvError::Timeout) => {
@@ -719,13 +731,22 @@ fn serve(
                         }
                     }
                 }
-                // Chaos: sever this node's connection abruptly once its
-                // cumulative accepted-frame count crosses the next
-                // planned threshold.
                 let mut sever_now = false;
                 {
                     let mut egress = lock(&shared.egress);
                     if let Some(entry) = egress.get_mut(&name) {
+                        // Custody: the frame is the destination seat's to
+                        // retransmit now, so its sender may let go of it.
+                        // Through the seat's writer — this thread never
+                        // waits on a socket write.
+                        entry.forward(Arc::new(SocketFrame::Ack {
+                            src,
+                            dst,
+                            next: seq + 1,
+                        }));
+                        // Chaos: sever this node's connection abruptly
+                        // once its cumulative accepted-frame count
+                        // crosses the next planned threshold.
                         entry.ingress_frames += 1;
                         let count = entry.ingress_frames;
                         let mut chaos = lock(&shared.chaos);
@@ -742,6 +763,26 @@ fn serve(
                     // observes EOF and parks the seat like any abrupt
                     // disconnect.
                     receiver.sever();
+                }
+            }
+            Ok(Some(SocketFrame::Ack { src, dst, next })) => {
+                // Only the seat a link ends at can say what arrived
+                // there: anyone else's word would make the hub drop
+                // frames their real receiver may still need replayed.
+                if dst != name {
+                    shared.record_error(SocketError::Auth {
+                        peer: name.clone(),
+                        detail: "acknowledgement for a link that ends at another node",
+                    });
+                    break;
+                }
+                let honoured = match lock(&shared.egress).get_mut(&name) {
+                    Some(entry) => entry.buffer.acknowledge(&src, &dst, next),
+                    None => Ok(()),
+                };
+                if let Err(e) = honoured {
+                    shared.record_error(e);
+                    break;
                 }
             }
             Ok(Some(SocketFrame::Bye)) => {

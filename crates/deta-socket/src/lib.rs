@@ -47,6 +47,7 @@ mod link;
 
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use hub::{launch, HubSeat, Launched, SocketHub, TraceHarvest};
+pub use link::RetransmitBuffer;
 pub use node::run_node;
 pub use wire::{ReplayWindow, SeqTracker, SocketFrame};
 
@@ -120,6 +121,19 @@ pub enum SocketError {
         /// The oldest seq still held for retransmission.
         oldest: u64,
     },
+    /// A delivery acknowledgement claimed more than its link ever
+    /// carried: `next` is past the highest sequence number stamped on it.
+    /// Nothing is pruned and the link dies, as on any other sequence
+    /// violation. (An acknowledgement for a link the peer is not an end
+    /// of is an [`SocketError::Auth`] naming that peer.)
+    Ack {
+        /// The acknowledged link as `src->dst`.
+        link: String,
+        /// The count of delivered frames the acknowledgement claimed.
+        next: u64,
+        /// The count of frames ever stamped on the link.
+        stamped: u64,
+    },
     /// The child could not rebuild its deterministic session replica.
     Build {
         /// Human-readable cause.
@@ -168,6 +182,17 @@ impl fmt::Display for SocketError {
                     f,
                     "link {link} cannot resync: peer needs seq {wanted} but the \
                      retransmit buffer starts at {oldest}"
+                )
+            }
+            SocketError::Ack {
+                link,
+                next,
+                stamped,
+            } => {
+                write!(
+                    f,
+                    "acknowledgement on link {link} claims {next} delivered frames \
+                     but only {stamped} were ever sent"
                 )
             }
             SocketError::Build { detail } => {
@@ -232,6 +257,15 @@ impl SocketError {
                 link: link.clone(),
                 wanted: *wanted,
                 oldest: *oldest,
+            },
+            SocketError::Ack {
+                link,
+                next,
+                stamped,
+            } => SocketError::Ack {
+                link: link.clone(),
+                next: *next,
+                stamped: *stamped,
             },
             SocketError::Build { detail } => SocketError::Build {
                 detail: detail.clone(),

@@ -14,10 +14,14 @@
 //!
 //! What outlives a connection lives here too: the [`RetransmitBuffer`]
 //! both bridge sides keep so a resumed link can replay exactly the
-//! frames its peer never delivered.
+//! frames its peer never delivered. A frame leaves it when the peer's
+//! [`SocketFrame::Ack`] says its replay window accepted it, so on a
+//! healthy link the buffer holds what is in flight, not the last 8 MiB
+//! sent; a resume's claims remain the authority after an outage, and a
+//! lost acknowledgement only means the frame waits for them.
 
 use crate::frame::{encode_frame, write_frame_header, FrameDecoder, FRAME_HEADER};
-use crate::wire::SocketFrame;
+use crate::wire::{SeqTracker, SocketFrame};
 use crate::SocketError;
 use deta_crypto::poly1305::TAG_LEN;
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
@@ -37,10 +41,11 @@ const POLL: Duration = Duration::from_millis(20);
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Retransmit-buffer cap, in frames, per endpoint. Both bridge sides
-/// bound their unacknowledged-frame buffers identically; past either
-/// cap the oldest frames are evicted and the per-link floor advances,
-/// so a later resume needing them fails with a structured `Resync`
-/// error instead of a silent gap.
+/// bound their unacknowledged-frame buffers identically — which, since
+/// delivery is acknowledged, is a bound on what a *parked* seat or a
+/// stalled consumer accumulates; past either cap the oldest frames are
+/// evicted and the per-link floor advances, so a later resume needing
+/// them fails with a structured `Resync` error instead of a silent gap.
 const RETRANSMIT_MAX_FRAMES: usize = 1024;
 
 /// Retransmit-buffer cap, in buffered payload bytes, per endpoint. The
@@ -48,15 +53,23 @@ const RETRANSMIT_MAX_FRAMES: usize = 1024;
 /// bound would happily pin hundreds of megabytes per seat.
 const RETRANSMIT_MAX_BYTES: usize = 8 * 1024 * 1024;
 
-/// Every stamped `Data` frame one endpoint has sent and does not yet
-/// know to be delivered, oldest first, bounded by
-/// [`RETRANSMIT_MAX_FRAMES`] and [`RETRANSMIT_MAX_BYTES`]. The hub keeps
-/// one per seat, a child one for its link; it outlives connections, and
+/// Every `Data` frame one endpoint has sent and its peer has not yet
+/// acknowledged, oldest first — what is *in flight* on a healthy link,
+/// what accumulated during the outage on a parked one, bounded by
+/// `RETRANSMIT_MAX_FRAMES` and `RETRANSMIT_MAX_BYTES` (1024 frames,
+/// 8 MiB). The hub keeps one per seat, a child one for its link; it outlives connections, and
 /// it is always on — without it an abrupt TCP loss is unrecoverable.
+///
+/// One frame's life is `stamp → retain → acknowledge → prune`, and all
+/// four are here: the buffer hands out the sequence numbers of the frames
+/// it retains ([`RetransmitBuffer::stamp`]), so it can refuse an
+/// acknowledgement for frames it never sent
+/// ([`RetransmitBuffer::acknowledge`]), and a resume's claims prune what
+/// no acknowledgement reached it for ([`RetransmitBuffer::prune`]).
 /// Frames are held behind `Arc`, so the copy retained here and the one
 /// queued for a link writer are the same allocation.
 #[derive(Default)]
-pub(crate) struct RetransmitBuffer {
+pub struct RetransmitBuffer {
     frames: VecDeque<Arc<SocketFrame>>,
     /// Total buffered payload bytes (the byte-cap accounting).
     bytes: usize,
@@ -64,6 +77,9 @@ pub(crate) struct RetransmitBuffer {
     /// entry appears only once eviction has discarded something on that
     /// link.
     floor: BTreeMap<(String, String), u64>,
+    /// The send counters. They outlive connections with the buffer, so a
+    /// retransmitted frame carries the seq of the original.
+    seqs: SeqTracker,
 }
 
 impl RetransmitBuffer {
@@ -74,9 +90,24 @@ impl RetransmitBuffer {
         }
     }
 
+    /// Makes `payload` the next `Data` frame of the (src, dst) link and
+    /// retains it; the caller forwards the returned frame if its link is
+    /// live.
+    pub fn stamp(&mut self, src: String, dst: String, payload: Vec<u8>) -> Arc<SocketFrame> {
+        let seq = self.seqs.next(&src, &dst);
+        let frame = Arc::new(SocketFrame::Data {
+            src,
+            dst,
+            seq,
+            payload,
+        });
+        self.push(Arc::clone(&frame));
+        frame
+    }
+
     /// Retains a stamped frame, evicting from the front and advancing
     /// the per-link floor while over either cap.
-    pub fn push(&mut self, frame: Arc<SocketFrame>) {
+    fn push(&mut self, frame: Arc<SocketFrame>) {
         self.bytes += Self::payload_len(&frame);
         self.frames.push_back(frame);
         while self.frames.len() > RETRANSMIT_MAX_FRAMES || self.bytes > RETRANSMIT_MAX_BYTES {
@@ -88,6 +119,49 @@ impl RetransmitBuffer {
                 self.floor.insert((src.clone(), dst.clone()), seq + 1);
             }
         }
+    }
+
+    /// Honours a [`SocketFrame::Ack`]: drops every retained frame of the
+    /// (src, dst) link below `next`. Cumulative and idempotent — a stale
+    /// or repeated acknowledgement drops nothing. Other links, and every
+    /// eviction floor, are untouched. The caller has already checked that
+    /// the acknowledging peer is an end of the link.
+    ///
+    /// # Errors
+    ///
+    /// [`SocketError::Ack`] when `next` is past every sequence number
+    /// stamped on the link; nothing is dropped.
+    pub fn acknowledge(&mut self, src: &str, dst: &str, next: u64) -> Result<(), SocketError> {
+        let stamped = self.seqs.issued(src, dst);
+        if next > stamped {
+            return Err(SocketError::Ack {
+                link: format!("{src}->{dst}"),
+                next,
+                stamped,
+            });
+        }
+        let mut freed = 0;
+        self.frames.retain(|f| match &**f {
+            SocketFrame::Data {
+                src: s,
+                dst: d,
+                seq,
+                payload,
+            } if s == src && d == dst && *seq < next => {
+                freed += payload.len();
+                false
+            }
+            _ => true,
+        });
+        self.bytes -= freed;
+        if deta_telemetry::enabled() {
+            deta_telemetry::metrics::counter_add(
+                "deta_socket_acks_total",
+                &format!("{src}->{dst}"),
+                1,
+            );
+        }
+        Ok(())
     }
 
     /// Prunes to the frames a resuming peer still needs, per the
@@ -133,6 +207,24 @@ impl RetransmitBuffer {
     /// Number of retained frames.
     pub fn len(&self) -> usize {
         self.frames.len()
+    }
+
+    /// Whether every frame sent has been acknowledged (or evicted).
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Observes the retained depth as `node`'s — after each retain, so
+    /// that a consumer falling behind shows as a rising depth before its
+    /// seat ever parks. Nothing without the telemetry sink.
+    pub(crate) fn observe_depth(&self, node: &str) {
+        if deta_telemetry::enabled() {
+            deta_telemetry::metrics::histogram_observe(
+                "deta_socket_unacked_depth",
+                node,
+                self.frames.len() as f64,
+            );
+        }
     }
 }
 
@@ -471,6 +563,79 @@ mod tests {
         assert_eq!(buffer.bytes, half + 1);
         assert!(buffer.prune(Vec::new()).is_err(), "seq 0 is gone");
     }
+
+    /// Stamps `n` frames of `len` bytes each on the hub -> `dst` link.
+    fn stamp_n(buffer: &mut RetransmitBuffer, dst: &str, n: usize, len: usize) {
+        for _ in 0..n {
+            buffer.stamp("hub".to_string(), dst.to_string(), vec![0; len]);
+        }
+    }
+
+    #[test]
+    fn an_acknowledgement_drops_its_link_below_next_and_nothing_else() {
+        let mut buffer = RetransmitBuffer::default();
+        stamp_n(&mut buffer, "a", 5, 10);
+        stamp_n(&mut buffer, "b", 2, 7);
+        buffer.acknowledge("hub", "a", 3).expect("three were sent");
+        assert_eq!(seqs(&buffer), [3, 4, 0, 1]);
+        assert_eq!(buffer.bytes, 2 * 10 + 2 * 7);
+        // Cumulative: said again, or said late, it drops nothing more.
+        buffer.acknowledge("hub", "a", 3).expect("idempotent");
+        buffer.acknowledge("hub", "a", 1).expect("stale");
+        assert_eq!(seqs(&buffer), [3, 4, 0, 1]);
+        assert_eq!(buffer.bytes, 2 * 10 + 2 * 7);
+        buffer.acknowledge("hub", "a", 5).expect("all five");
+        buffer.acknowledge("hub", "b", 2).expect("both");
+        assert!(buffer.is_empty());
+        assert_eq!(buffer.bytes, 0);
+        // The counters are not the buffer's contents: the link goes on.
+        stamp_n(&mut buffer, "a", 1, 4);
+        assert_eq!(seqs(&buffer), [5]);
+    }
+
+    #[test]
+    fn an_acknowledgement_past_what_was_stamped_is_refused_and_drops_nothing() {
+        let mut buffer = RetransmitBuffer::default();
+        stamp_n(&mut buffer, "a", 3, 10);
+        for (dst, claimed, sent) in [("a", 4, 3), ("a", u64::MAX, 3), ("never", 1, 0)] {
+            match buffer.acknowledge("hub", dst, claimed) {
+                Err(SocketError::Ack {
+                    link,
+                    next,
+                    stamped,
+                }) => assert_eq!(
+                    (link, next, stamped),
+                    (format!("hub->{dst}"), claimed, sent)
+                ),
+                other => panic!("expected an Ack refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(seqs(&buffer), [0, 1, 2]);
+        assert_eq!(buffer.bytes, 30);
+    }
+
+    #[test]
+    fn an_acknowledgement_leaves_eviction_floors_where_they_were() {
+        let mut buffer = RetransmitBuffer::default();
+        stamp_n(&mut buffer, "a", RETRANSMIT_MAX_FRAMES + 3, 1);
+        assert_eq!(seqs(&buffer)[0], 3);
+        // Below the floor there is nothing left to drop...
+        buffer.acknowledge("hub", "a", 2).expect("sent long ago");
+        assert_eq!(buffer.len(), RETRANSMIT_MAX_FRAMES);
+        // ...and above it the floor still records what eviction lost: a
+        // peer resuming from under it was never sent those frames again.
+        buffer.acknowledge("hub", "a", 10).expect("sent");
+        assert_eq!(seqs(&buffer)[0], 10);
+        assert_eq!(buffer.bytes, buffer.len());
+        assert!(matches!(
+            buffer.prune(claim("a", 2)),
+            Err(SocketError::Resync {
+                wanted: 2,
+                oldest: 3,
+                ..
+            })
+        ));
+    }
     // --- What crossing a link allocates. ---
 
     thread_local! {
@@ -587,6 +752,104 @@ mod tests {
         let second = fragment(1);
         assert_eq!(send_counted(&mut a_tx, &mut hub_a_rx, &second), 0);
         assert_eq!(send_counted(&mut hub_b_tx, &mut b_rx, &second), 0);
+    }
+
+    #[test]
+    fn acknowledged_links_retain_what_is_in_flight_not_what_was_sent() {
+        const PAYLOAD: usize = 1 << 20;
+        // Four times the byte cap crosses each link.
+        const FRAMES: u64 = 32;
+        fn held(buffer: &Mutex<RetransmitBuffer>) -> MutexGuard<'_, RetransmitBuffer> {
+            buffer.lock().expect("no holder panics")
+        }
+        fn data(frame: Option<SocketFrame>) -> (String, String, u64, Vec<u8>) {
+            match frame {
+                Some(SocketFrame::Data {
+                    src,
+                    dst,
+                    seq,
+                    payload,
+                }) => (src, dst, seq, payload),
+                other => panic!("expected a Data frame, got {other:?}"),
+            }
+        }
+        // child A -> hub -> child B, as two links. Each receiver
+        // acknowledges what its window accepts; each sender prunes on it.
+        let (child_a, hub_a) = link_pair(30);
+        let (hub_b, child_b) = link_pair(40);
+        let (mut a_tx, mut a_rx) = child_a.split().expect("split");
+        let (mut hub_a_tx, mut hub_a_rx) = hub_a.split().expect("split");
+        let (mut hub_b_tx, mut hub_b_rx) = hub_b.split().expect("split");
+        let (mut b_tx, mut b_rx) = child_b.split().expect("split");
+        let (at_a, at_hub) = (Mutex::default(), Mutex::default());
+        let (last_ack_in, settled) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            // Hub: accept, acknowledge to A, take custody, relay to B.
+            s.spawn(|| {
+                let mut window = crate::wire::ReplayWindow::new();
+                for _ in 0..FRAMES {
+                    let (src, dst, seq, payload) = data(hub_a_rx.recv(None, None).expect("recv"));
+                    window.accept(&src, &dst, seq).expect("in order");
+                    let relayed = held(&at_hub).stamp(src.clone(), dst.clone(), payload);
+                    let next = seq + 1;
+                    hub_a_tx
+                        .send(&SocketFrame::Ack { src, dst, next })
+                        .expect("ack");
+                    hub_b_tx.send(&relayed).expect("relay");
+                }
+            });
+            // Child B: accept, acknowledge to the hub.
+            s.spawn(|| {
+                let mut window = crate::wire::ReplayWindow::new();
+                for _ in 0..FRAMES {
+                    let (src, dst, seq, _) = data(b_rx.recv(None, None).expect("recv"));
+                    window.accept(&src, &dst, seq).expect("in order");
+                    let next = seq + 1;
+                    b_tx.send(&SocketFrame::Ack { src, dst, next })
+                        .expect("ack");
+                }
+            });
+            // Both senders' readers: honour acknowledgements up to the last.
+            for (rx, buffer) in [(&mut a_rx, &at_a), (&mut hub_b_rx, &at_hub)] {
+                let last_ack_in = last_ack_in.clone();
+                s.spawn(move || loop {
+                    match rx.recv(None, None).expect("recv") {
+                        Some(SocketFrame::Ack { src, dst, next }) => {
+                            held(buffer)
+                                .acknowledge(&src, &dst, next)
+                                .expect("honoured");
+                            if next == FRAMES {
+                                last_ack_in.send(()).expect("the test is waiting");
+                                return;
+                            }
+                        }
+                        other => panic!("expected an Ack, got {other:?}"),
+                    }
+                });
+            }
+            // Child A's writer, on this thread: what it allocates counts.
+            for i in 0..FRAMES {
+                let frame =
+                    held(&at_a).stamp("party-0".into(), "agg-0".into(), vec![i as u8; PAYLOAD]);
+                let ((), cost) = allocated_by(|| a_tx.send(&frame).expect("send"));
+                // The first frame sized the wire buffer.
+                assert!(i == 0 || cost == 0, "sending frame {i} allocated {cost}");
+            }
+            for _ in 0..2 {
+                settled
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("the last acknowledgement arrives");
+            }
+        });
+        for (side, buffer) in [("child", &at_a), ("hub", &at_hub)] {
+            let buffer = held(buffer);
+            assert!(buffer.len() <= 1, "{side} retains {} frames", buffer.len());
+            assert!(
+                buffer.bytes <= PAYLOAD,
+                "{side} retains {} bytes",
+                buffer.bytes
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,19 @@
 //! which is what makes hub-side byte accounting bit-exact with the
 //! in-process deployment.
 //!
+//! ## Who waits on what
+//!
+//! Only the writer thread writes to the socket once the link is up, and
+//! it may hold [`LinkState`] across a 1 MB seal-and-write. The reader
+//! therefore never touches that lock while a connection lives: the
+//! ingress window is its own, an acknowledgement it owes the hub
+//! ([`SocketFrame::Ack`], one per accepted frame) is *queued* for the
+//! writer, and an acknowledgement it receives prunes the
+//! [`RetransmitBuffer`] under a lock of its own that nobody holds across
+//! IO. A reader that waited on a write would, with the hub's reader doing
+//! the same, close a cycle — child reader → child writer → hub reader →
+//! hub writer → child reader — the first time both sockets filled.
+//!
 //! ## Link restarts
 //!
 //! The TCP connection is *not* the session: when it dies without a
@@ -32,7 +45,7 @@
 //! mailbox, so the hosted actor exits instead of hanging.
 
 use crate::link::{LinkReceiver, LinkSender, RetransmitBuffer, SecureLink};
-use crate::wire::{auth_transcript, ReplayWindow, SeqTracker, SocketFrame};
+use crate::wire::{auth_transcript, ReplayWindow, SocketFrame};
 use crate::{hub_verifying_key, party_link_key, SocketError};
 use deta_core::session::{DetaConfig, NodeParts};
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
@@ -92,6 +105,22 @@ impl FaultPolicy for LocalOnlyPolicy {
     }
 }
 
+/// What the writer thread is asked to put on the link, in queue order.
+enum Outbound {
+    /// A message the hosted node sent: stamp, retain, send.
+    Data {
+        src: String,
+        dst: String,
+        payload: Vec<u8>,
+    },
+    /// The reader's window accepted every frame of (src, dst) below
+    /// `next`: tell the hub. Neither stamped nor retained.
+    Ack { src: String, dst: String, next: u64 },
+    /// The actor has exited and everything it sent is queued ahead of
+    /// this: ship the trace, say `Bye`.
+    SignOff,
+}
+
 /// Forwards every non-local "drop" to the link writer. Called under the
 /// network lock in exact send order, so the egress queue is a faithful
 /// serialization of the node's outbound traffic — and with the payload
@@ -99,7 +128,7 @@ impl FaultPolicy for LocalOnlyPolicy {
 /// lock.
 struct EgressTap {
     own: String,
-    egress: Mutex<Sender<(String, String, Vec<u8>)>>,
+    egress: Mutex<Sender<Outbound>>,
 }
 
 impl NetTap for EgressTap {
@@ -113,59 +142,50 @@ impl NetTap for EgressTap {
                 .egress
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = tx.send((from.to_string(), to.to_string(), payload));
+            let _ = tx.send(Outbound::Data {
+                src: from.to_string(),
+                dst: to.to_string(),
+                payload,
+            });
         }
     }
 }
 
-/// A no-op tap installed at teardown so dropping the [`EgressTap`]
-/// closes the egress queue and releases the writer thread.
-struct NullTap;
-
-impl NetTap for NullTap {
-    fn on_deliver(&self, _from: &str, _to: &str, _payload: &[u8]) {}
-}
-
-/// Link state that must survive reconnections, shared by the writer
-/// (stamping and sending) and the reader (reconnecting and resuming).
+/// The write half of the link, shared by the writer (sending) and the
+/// reader (which replaces it when it reconnects). Whoever writes holds
+/// this across the write.
 #[derive(Default)]
 struct LinkState {
     /// Live write half; `None` while parked or reconnecting.
     sender: Option<LinkSender>,
-    /// Per-(src, dst) egress sequence counters. Connection-independent,
-    /// so a retransmitted frame carries the same seq as the original.
-    seqs: SeqTracker,
-    /// Ingress window. Connection-independent, so a replay of an
-    /// already-delivered frame still dies after any number of resumes.
-    window: ReplayWindow,
-    /// Unacknowledged egress frames, retained until the hub's
-    /// `ResumeAck` proves delivery.
-    buffer: RetransmitBuffer,
     /// Set once the link is gone for good (budget exhausted, fatal
     /// violation, or orderly shutdown).
     retired: bool,
 }
 
-/// [`LinkState`] plus the condvar the writer uses to wait for a resume
-/// at sign-off time.
+impl LinkState {
+    /// Writes `frame` on the live link, if any. A send failure parks the
+    /// write half; the reader notices the same death and reconnects.
+    fn send(&mut self, frame: &SocketFrame) {
+        if let Some(sender) = self.sender.as_mut() {
+            if sender.send(frame).is_err() {
+                self.sender = None;
+            }
+        }
+    }
+}
+
+/// What of the link outlives a connection and both bridge threads use.
+/// Lock order: `state`, then `buffer`.
 struct LinkShared {
     state: Mutex<LinkState>,
     /// Notified when `sender` goes live or the link retires.
     live: Condvar,
-}
-
-impl LinkState {
-    /// Sends a stamped frame on the live link (a send failure parks the
-    /// write half; the reader notices the same death and reconnects)
-    /// and retains it for retransmission.
-    fn push(&mut self, frame: SocketFrame) {
-        if let Some(sender) = self.sender.as_mut() {
-            if sender.send(&frame).is_err() {
-                self.sender = None;
-            }
-        }
-        self.buffer.push(Arc::new(frame));
-    }
+    /// Egress frames the hub has not acknowledged, stamped here. Locked
+    /// for as long as a stamp, an acknowledgement or a prune takes and
+    /// never across IO, so the reader can honour an `Ack` while the
+    /// writer is mid-write.
+    buffer: Mutex<RetransmitBuffer>,
 }
 
 /// Everything needed to (re)establish an authenticated link to the hub
@@ -176,6 +196,11 @@ struct Reconnector {
     hub_key: VerifyingKey,
     link_key: SigningKey,
     rng: DetRng,
+    /// Ingress window: what a `Resume` claims. Connection-independent, so
+    /// a replay of an already-delivered frame still dies after any number
+    /// of resumes, and the reader's alone — the one thread that accepts
+    /// frames is the one that resumes.
+    window: ReplayWindow,
 }
 
 impl Reconnector {
@@ -229,11 +254,11 @@ impl Reconnector {
             }
         }
         // Resume exchange, under the state lock so the writer cannot
-        // interleave a fresh frame among the retransmitted backlog.
+        // stamp or send a fresh frame among the retransmitted backlog.
         let mut st = lock(&shared.state);
         link.send(&SocketFrame::Resume {
             src: self.name.clone(),
-            windows: st.window.snapshot(),
+            windows: self.window.snapshot(),
         })?;
         let claims = match link.recv(deadline, None)? {
             Some(SocketFrame::ResumeAck { windows }) => windows,
@@ -244,9 +269,13 @@ impl Reconnector {
                 })
             }
         };
-        st.buffer.prune(claims)?;
+        let backlog: Vec<Arc<SocketFrame>> = {
+            let mut buffer = lock(&shared.buffer);
+            buffer.prune(claims)?;
+            buffer.frames().cloned().collect()
+        };
         let (mut sender, receiver) = link.split()?;
-        for frame in st.buffer.frames() {
+        for frame in &backlog {
             sender.send(frame)?;
         }
         st.sender = Some(sender);
@@ -304,22 +333,26 @@ pub fn run_node(
         rng: DetRng::from_u64(seed)
             .fork(b"deta-socket/child")
             .fork(name.as_bytes()),
+        window: ReplayWindow::new(),
     };
     let shared = Arc::new(LinkShared {
         state: Mutex::new(LinkState::default()),
         live: Condvar::new(),
+        buffer: Mutex::new(RetransmitBuffer::default()),
     });
     let receiver = reconnector.connect(&shared)?;
 
     // Bridge threads: writer (egress queue -> shared link state) and
-    // reader (socket -> local injection, plus reconnection).
-    let (egress_tx, egress_rx) = channel::<(String, String, Vec<u8>)>();
+    // reader (socket -> local injection, plus reconnection). The queue
+    // has three feeders: the tap (the node's traffic), the reader (the
+    // acknowledgements it owes) and this thread (the sign-off).
+    let (egress_tx, egress_rx) = channel::<Outbound>();
     network.set_fault_policy(Arc::new(LocalOnlyPolicy {
         own: name.to_string(),
     }));
     network.set_tap(Arc::new(EgressTap {
         own: name.to_string(),
-        egress: Mutex::new(egress_tx),
+        egress: Mutex::new(egress_tx.clone()),
     }));
     // With tracing on, the ring must hold a whole session's spans for
     // shipping — overflow is reported but a deep ring avoids it.
@@ -341,9 +374,9 @@ pub fn run_node(
         let stop = Arc::clone(&reader_stop);
         let slot = Arc::clone(&reader_error);
         let shared = Arc::clone(&shared);
-        let own_name = name.to_string();
+        let acks = egress_tx.clone();
         std::thread::spawn(move || {
-            read_loop(receiver, network, own_name, reconnector, shared, stop, slot);
+            read_loop(receiver, network, acks, reconnector, shared, stop, slot);
         })
     };
 
@@ -356,9 +389,9 @@ pub fn run_node(
     };
     actor::serve(own, &tokens, None, &ctx, recorder);
 
-    // Teardown: dropping the tap closes the egress queue; the writer
-    // drains it, signs off with Bye, and exits.
-    network.set_tap(Arc::new(NullTap));
+    // Teardown: everything the actor sent is already queued, so the
+    // writer drains that, signs off with Bye, and exits.
+    let _ = egress_tx.send(Outbound::SignOff);
     let _ = writer.join();
     reader_stop.store(true, Ordering::Relaxed);
     let _ = reader.join();
@@ -372,26 +405,37 @@ pub fn run_node(
     }
 }
 
-/// Egress: stamps and sends each queued frame through the shared link
-/// state (buffering it for retransmission), then — with the telemetry
-/// sink enabled — ships the hosted node's drained flight recorder,
-/// then `Bye`. The sign-off waits briefly for an in-flight resume.
-fn write_loop(
-    shared: Arc<LinkShared>,
-    rx: Receiver<(String, String, Vec<u8>)>,
-    recorder: Arc<FlightRecorder>,
-) {
-    while let Ok((src, dst, payload)) = rx.recv() {
-        let mut st = lock(&shared.state);
-        let seq = st.seqs.next(&src, &dst);
-        st.push(SocketFrame::Data {
-            src,
-            dst,
-            seq,
-            payload,
-        });
+/// Egress: the one thread that writes to the link. A node's message is
+/// stamped and retained by the shared buffer, then sent; an
+/// acknowledgement the reader owes is sent as it is. Then — with the
+/// telemetry sink enabled — ships the hosted node's drained flight
+/// recorder, then `Bye`. The sign-off waits briefly for an in-flight
+/// resume.
+fn write_loop(shared: Arc<LinkShared>, rx: Receiver<Outbound>, recorder: Arc<FlightRecorder>) {
+    for outbound in &rx {
+        match outbound {
+            Outbound::Data { src, dst, payload } => {
+                // Stamped and sent under the state lock: a resume in
+                // between would replay the frame and this would send it
+                // a second time.
+                let mut st = lock(&shared.state);
+                let frame = {
+                    let mut buffer = lock(&shared.buffer);
+                    let frame = buffer.stamp(src, dst, payload);
+                    buffer.observe_depth(recorder.node());
+                    frame
+                };
+                st.send(&frame);
+            }
+            // On a parked link the acknowledgement is dropped: the
+            // resume's claims will say the same with authority.
+            Outbound::Ack { src, dst, next } => {
+                lock(&shared.state).send(&SocketFrame::Ack { src, dst, next });
+            }
+            Outbound::SignOff => break,
+        }
     }
-    // The queue only closes after the actor loop has exited, so the
+    // The sign-off is queued after the actor loop has exited, so the
     // ring is complete by the time it is drained here. The sign-off
     // needs a live link; a parked one may resume any moment.
     let deadline = Instant::now() + SIGNOFF_WAIT;
@@ -444,12 +488,13 @@ enum LinkEnd {
 fn read_loop(
     first: LinkReceiver,
     network: Network,
-    own: String,
+    acks: Sender<Outbound>,
     mut reconnector: Reconnector,
     shared: Arc<LinkShared>,
     stop: Arc<AtomicBool>,
     slot: Arc<Mutex<Option<SocketError>>>,
 ) {
+    let own = reconnector.name.clone();
     let record = |e: SocketError| {
         let mut s = slot
             .lock()
@@ -468,7 +513,8 @@ fn read_loop(
     let mut jitter = reconnector.rng.fork(b"reconnect-jitter");
     let mut receiver = first;
     loop {
-        match ingest(&mut receiver, &network, &shared, &stop) {
+        let window = &mut reconnector.window;
+        match ingest(&mut receiver, window, &network, &own, &acks, &shared, &stop) {
             LinkEnd::Shutdown => {
                 retire();
                 return;
@@ -528,10 +574,16 @@ fn read_loop(
     }
 }
 
-/// Drains one connection's ingress until it ends (see [`LinkEnd`]).
+/// Drains one connection's ingress until it ends (see [`LinkEnd`]): hub
+/// frames the `window` accepts are injected into the local replica and
+/// acknowledged through the writer's queue; the hub's own
+/// acknowledgements prune the retransmit buffer.
 fn ingest(
     receiver: &mut LinkReceiver,
+    window: &mut ReplayWindow,
     network: &Network,
+    own: &str,
+    acks: &Sender<Outbound>,
     shared: &LinkShared,
     stop: &AtomicBool,
 ) -> LinkEnd {
@@ -543,17 +595,27 @@ fn ingest(
                 seq,
                 payload,
             })) => {
-                let verdict = lock(&shared.state).window.accept(&src, &dst, seq);
-                if let Err(v) = verdict {
-                    return LinkEnd::Fatal(SocketError::Replay {
-                        link: format!("{src}->{dst}"),
-                        seq: v.seq,
-                        expected: v.expected,
-                    });
+                if let Err(e) = window.accept_named(&src, &dst, seq) {
+                    return LinkEnd::Fatal(e);
                 }
                 // Delivery failures mirror in-process semantics: a
                 // closed local mailbox means the actor is done.
                 let _ = network.send_as(&src, &dst, payload);
+                let next = seq + 1;
+                let _ = acks.send(Outbound::Ack { src, dst, next });
+            }
+            Ok(Some(SocketFrame::Ack { src, dst, next })) => {
+                // The hub answers for what it took from this node and
+                // for nothing else.
+                if src != own {
+                    return LinkEnd::Fatal(SocketError::Auth {
+                        peer: "hub".to_string(),
+                        detail: "acknowledgement for a link that starts at another node",
+                    });
+                }
+                if let Err(e) = lock(&shared.buffer).acknowledge(&src, &dst, next) {
+                    return LinkEnd::Fatal(e);
+                }
             }
             Ok(Some(SocketFrame::Close { name })) => {
                 network.close(&name);

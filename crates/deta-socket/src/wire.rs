@@ -100,6 +100,22 @@ pub enum SocketFrame {
         /// (link src, link dst, next expected seq) per known link.
         windows: Vec<(String, String, u64)>,
     },
+    /// Receiver → sender, on a live link: every frame of the (src, dst)
+    /// link below `next` has passed the receiver's [`ReplayWindow`], so
+    /// the sender may stop retaining it. Cumulative — a later
+    /// acknowledgement covers every earlier one, so a lost one costs
+    /// nothing but retention until the next (or until the next resume,
+    /// whose claims say the same thing with authority). A control frame:
+    /// never stamped, never retained, never injected into a `Network`.
+    Ack {
+        /// Link source, as on the acknowledged `Data` frames.
+        src: String,
+        /// Link destination, as on the acknowledged `Data` frames.
+        dst: String,
+        /// Count of frames accepted in order — the next `seq` the
+        /// receiver will take.
+        next: u64,
+    },
 }
 
 /// Domain separator for auth-proof signatures, so a signature produced
@@ -126,6 +142,7 @@ const TAG_CLOCK_ECHO: u8 = 8;
 const TAG_TRACE_SHIP: u8 = 9;
 const TAG_RESUME: u8 = 10;
 const TAG_RESUME_ACK: u8 = 11;
+const TAG_ACK: u8 = 12;
 
 fn put_windows(out: &mut Vec<u8>, windows: &[(String, String, u64)]) -> Result<(), TooLong> {
     put_len(out, windows.len())?;
@@ -241,6 +258,12 @@ impl SocketFrame {
                 out.push(TAG_RESUME_ACK);
                 put_windows(out, windows)?;
             }
+            SocketFrame::Ack { src, dst, next } => {
+                out.push(TAG_ACK);
+                put_str16(out, src)?;
+                put_str16(out, dst)?;
+                out.extend_from_slice(&next.to_le_bytes());
+            }
         }
         Ok(())
     }
@@ -316,6 +339,11 @@ impl SocketFrame {
             TAG_RESUME_ACK => SocketFrame::ResumeAck {
                 windows: read_windows(&mut r)?,
             },
+            TAG_ACK => SocketFrame::Ack {
+                src: r.str16()?.to_string(),
+                dst: r.str16()?.to_string(),
+                next: r.u64()?,
+            },
             _ => return Err(Malformed),
         };
         r.finish()?;
@@ -346,6 +374,16 @@ impl SeqTracker {
         let seq = *entry;
         *entry += 1;
         seq
+    }
+
+    /// How many sequence numbers (src, dst) has been handed so far: every
+    /// `seq` ever stamped on the link is below it, which makes it the
+    /// most a delivery acknowledgement can truthfully claim.
+    pub fn issued(&self, src: &str, dst: &str) -> u64 {
+        self.next
+            .get(&(src.to_string(), dst.to_string()))
+            .copied()
+            .unwrap_or(0)
     }
 }
 

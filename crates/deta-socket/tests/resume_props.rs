@@ -8,10 +8,12 @@
 //! delivers every link's payloads **exactly once, in order** (the
 //! sequence of accepted seqs is exactly `0..n`), and a rejected frame
 //! never advances the window — a replay cannot burn a live sequence
-//! number.
+//! number. The last property runs the same protocol on the real
+//! [`RetransmitBuffer`] with delivery acknowledged in between outages:
+//! pruning on an `Ack` must not cost a frame its retransmission.
 
 use deta_proptest::{cases, Gen};
-use deta_socket::{ReplayWindow, SeqTracker};
+use deta_socket::{ReplayWindow, RetransmitBuffer, SeqTracker, SocketFrame};
 
 const SRC: &str = "party-0";
 const DST: &str = "agg-0";
@@ -160,4 +162,96 @@ fn claimed_next_for(window: &ReplayWindow, src: &str, dst: &str) -> u64 {
         .find(|(_, d, _)| d == dst)
         .map(|(_, _, n)| n)
         .unwrap_or(0)
+}
+
+/// The sequence numbers `buffer` retains toward `dst`, oldest first.
+fn retained(buffer: &RetransmitBuffer, dst: &str) -> Vec<u64> {
+    buffer
+        .frames()
+        .filter_map(|f| match &**f {
+            SocketFrame::Data { dst: d, seq, .. } if d == dst => Some(*seq),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn ack_pruning_between_outages_keeps_exactly_once_and_empties_a_quiet_link() {
+    cases("socket/resume-ack-pruning", 300, |g: &mut Gen| {
+        let total = g.u64_in(1, 48);
+        let mut buffer = RetransmitBuffer::default();
+        let mut window = ReplayWindow::new();
+        let mut delivered: Vec<u64> = Vec::new();
+        let mut produced = 0u64;
+        // A second link through the same buffer that nobody acknowledges:
+        // nothing said about SRC -> DST may touch it.
+        let bystanders = g.usize_in(0, 4);
+        for _ in 0..bystanders {
+            buffer.stamp(SRC.to_string(), "agg-1".to_string(), vec![0xb5]);
+        }
+        while produced < total || !retained(&buffer, DST).is_empty() {
+            if produced < total {
+                for _ in 0..g.u64_in(1, total - produced + 1) {
+                    buffer.stamp(SRC.to_string(), DST.to_string(), vec![produced as u8]);
+                    produced += 1;
+                }
+            }
+            // Resume: the receiver's claims prune, what is left flies.
+            buffer
+                .prune(window.snapshot())
+                .expect("nothing this small is evicted");
+            let flight = retained(&buffer, DST);
+            // The outage truncates delivery to a prefix of the flight.
+            // Every accepted frame is acknowledged; each acknowledgement
+            // reaches the sender there and then — mid-flight — or dies
+            // with the connection, or is forged to claim the future.
+            let got = g.usize_in(0, flight.len() + 1);
+            for &seq in &flight[..got] {
+                window
+                    .accept(SRC, DST, seq)
+                    .expect("a pruned flight starts at the claim");
+                delivered.push(seq);
+                match g.usize_in(0, 4) {
+                    0 => {}
+                    1 => {
+                        let forged = produced + 1 + g.u64_in(0, 8);
+                        buffer
+                            .acknowledge(SRC, DST, forged)
+                            .expect_err("more than was ever sent");
+                    }
+                    _ => buffer
+                        .acknowledge(SRC, DST, seq + 1)
+                        .expect("accepted, so sent"),
+                }
+                // What the window has not accepted is all still there,
+                // in order: no frame is pruned before it was delivered.
+                let kept = retained(&buffer, DST);
+                let oldest = kept.first().copied().unwrap_or(produced);
+                assert!(kept.iter().copied().eq(oldest..produced), "kept {kept:?}");
+                assert!(
+                    oldest <= claimed_next(&window),
+                    "seq {oldest} would be due next, but the window is at {}",
+                    claimed_next(&window)
+                );
+                assert_eq!(retained(&buffer, "agg-1").len(), bystanders);
+            }
+        }
+        let expect: Vec<u64> = (0..total).collect();
+        assert_eq!(delivered, expect, "exactly once, in order");
+        // A healthy stretch: everything sent arrives, acknowledgements
+        // coalesce (any subset that ends with the last). Once the link
+        // is quiet its sender holds nothing of it.
+        let more = g.u64_in(1, 16);
+        for seq in total..total + more {
+            buffer.stamp(SRC.to_string(), DST.to_string(), vec![seq as u8]);
+            window.accept(SRC, DST, seq).expect("in order");
+            if seq + 1 == total + more || g.bool() {
+                buffer
+                    .acknowledge(SRC, DST, seq + 1)
+                    .expect("accepted, so sent");
+            }
+        }
+        assert!(retained(&buffer, DST).is_empty());
+        assert_eq!(buffer.len(), bystanders);
+    });
 }

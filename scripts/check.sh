@@ -112,12 +112,14 @@ if ! diff /tmp/deta-smoke-local.txt /tmp/deta-smoke-remote.txt; then
 fi
 echo "    parity ok: $(grep -c '^round ' /tmp/deta-smoke-local.txt) rounds bit-identical"
 
-echo "==> link-chaos smoke (hub severs a party's TCP link twice; run must stay bit-identical)"
+echo "==> link-chaos smoke (hub severs a party's TCP link twice and an aggregator's once; run must stay bit-identical)"
 # Same workload as the parity smoke plus a chaos plan: the hub cuts
 # party-1's connection abruptly (no Bye) after its 2nd and 5th ingress
-# frames. Reconnect + resume must make the severs invisible — the
-# stdout (every round's metrics and byte counts) is diffed byte-for-byte
-# against the fault-free multi-process run.
+# frames and agg-0's after its 3rd, so a resume runs in both directions
+# over buffers that acknowledgements have been pruning. Reconnect +
+# resume must make the severs invisible — the stdout (every round's
+# metrics and byte counts) is diffed byte-for-byte against the
+# fault-free multi-process run.
 CHAOS_CFG="$(mktemp /tmp/deta-chaos-XXXXXX.cfg)"
 cat > "$CHAOS_CFG" <<'CFG'
 dataset            = mnist
@@ -129,7 +131,7 @@ rounds             = 2
 algorithm          = avg
 seed               = 42
 examples_per_party = 40
-chaos_severs       = party-1@2,party-1@5
+chaos_severs       = party-1@2,party-1@5,agg-0@3
 CFG
 timeout 300 ./target/release/deta-cli cluster "$CHAOS_CFG" > /tmp/deta-chaos-smoke.txt
 rm -f "$CHAOS_CFG"
@@ -137,7 +139,7 @@ if ! diff /tmp/deta-smoke-remote.txt /tmp/deta-chaos-smoke.txt; then
   echo "FAIL: round metrics diverged under link chaos" >&2
   exit 1
 fi
-echo "    chaos ok: 2 severs of party-1 fully absorbed, output bit-identical"
+echo "    chaos ok: 2 severs of party-1 and 1 of agg-0 fully absorbed, output bit-identical"
 
 echo "==> multi-process trace smoke (deta-cli trace: merged timeline + critical path)"
 # The traced twin of the parity smoke at the paper's 4-party / k=2

@@ -12,12 +12,15 @@
 //!   mailbox open); only a graceful `Bye` surfaces as the simulator's
 //!   distinguishable [`NetError::Closed`];
 //! * a peer with the wrong key never gets past the auth challenge;
-//! * the `FaultPolicy` seam applies to socket-borne frames unchanged.
+//! * the `FaultPolicy` seam applies to socket-borne frames unchanged;
+//! * a delivery acknowledgement is honoured only from the seat its link
+//!   ends at, only up to what was sent on it, and only after auth — and
+//!   a refused one prunes nothing.
 
 use deta::crypto::{DetRng, SigningKey};
 use deta::socket::{SocketError, SocketFrame};
 use deta::transport::{FaultPolicy, NetError, RecvError, SendVerdict};
-use deta_drills::socket::{start_hub, wait_error, Rogue};
+use deta_drills::socket::{start_hub, wait_error, Custody, Rogue};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -198,4 +201,73 @@ fn fault_policy_applies_to_socket_frames() {
     );
     drop(rogue);
     hub.join();
+}
+
+fn ack(next: u64) -> SocketFrame {
+    SocketFrame::Ack {
+        src: "party-0".to_string(),
+        dst: "agg-0".to_string(),
+        next,
+    }
+}
+
+#[test]
+fn an_acknowledgement_for_another_seats_link_is_refused_and_prunes_nothing() {
+    let mut held = Custody::start().expect("three frames in custody");
+    // party-0 vouches for deliveries to agg-0.
+    held.party.send(&ack(3));
+    match wait_error(&held.hub).expect("a structured error") {
+        SocketError::Auth { peer, detail } => {
+            assert_eq!(peer, "party-0", "the error must name the forger");
+            assert!(detail.contains("acknowledgement"), "{detail}");
+        }
+        other => panic!("expected an attributed rejection, got: {other}"),
+    }
+    assert_eq!(held.agg_resumes(3).expect("replayed"), [0, 1, 2]);
+    held.hub.join();
+}
+
+#[test]
+fn an_acknowledgement_past_what_was_sent_is_refused_and_prunes_nothing() {
+    let mut held = Custody::start().expect("three frames in custody");
+    // The right seat, claiming frames the link never carried.
+    held.agg.send(&ack(9));
+    match wait_error(&held.hub).expect("a structured error") {
+        SocketError::Ack {
+            link,
+            next,
+            stamped,
+        } => assert_eq!((link.as_str(), next, stamped), ("party-0->agg-0", 9, 3)),
+        other => panic!("expected an Ack rejection, got: {other}"),
+    }
+    assert_eq!(held.agg_resumes(3).expect("replayed"), [0, 1, 2]);
+    held.hub.join();
+}
+
+#[test]
+fn an_acknowledgement_before_welcome_is_an_auth_failure() {
+    let (hub, _network, _agg, _key) = start_hub();
+    let mut rogue = Rogue::dial(hub.addr(), "party-0");
+    assert!(matches!(rogue.recv(), Some(SocketFrame::Challenge { .. })));
+    rogue.send(&ack(0));
+    match wait_error(&hub).expect("a structured error") {
+        SocketError::Auth { detail, .. } => {
+            assert_eq!(detail, "peer did not present an auth proof");
+        }
+        other => panic!("expected the auth rejection, got: {other}"),
+    }
+    hub.join();
+}
+
+/// The honest counterpart: what the entitled seat acknowledges is not
+/// replayed to it, and what it has not acknowledged is.
+#[test]
+fn an_honest_acknowledgement_prunes_exactly_what_it_names() {
+    let mut held = Custody::start().expect("three frames in custody");
+    // The connection that carries the acknowledgement dies right behind
+    // it; the hub reads one before the other, and serves the resume last.
+    held.agg.send(&ack(2));
+    assert_eq!(held.agg_resumes(1).expect("replayed"), [2]);
+    assert!(held.hub.first_error().is_none());
+    held.hub.join();
 }

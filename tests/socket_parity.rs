@@ -18,6 +18,7 @@ use deta::nn::train::LabeledData;
 use deta::runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
 use deta::socket::{launch, run_node};
 use deta::transport::{FaultPolicy, Network, SendVerdict};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,6 +89,30 @@ fn run_socket(
     classes: usize,
     instrument: impl FnOnce(&Network),
 ) -> Vec<RoundMetrics> {
+    let calm = Conditions::default();
+    run_socket_under(calm, cfg, shards, test, dim, classes, instrument).0
+}
+
+/// What a bridged run is subjected to: the supervisor's timers, and the
+/// hub's chaos plan — per node, the cumulative ingress frame counts at
+/// which the hub severs that node's link.
+#[derive(Default)]
+struct Conditions {
+    rt: RuntimeConfig,
+    chaos: HashMap<String, Vec<u64>>,
+}
+
+/// [`run_socket`] under `conditions`, also returning how many of the
+/// planned cuts never happened.
+fn run_socket_under(
+    conditions: Conditions,
+    cfg: DetaConfig,
+    shards: Vec<LabeledData>,
+    test: &LabeledData,
+    dim: usize,
+    classes: usize,
+    instrument: impl FnOnce(&Network),
+) -> (Vec<RoundMetrics>, usize) {
     let (child_cfg, child_shards) = (cfg.clone(), shards.clone());
     let host = |name: &str, addr| {
         let (name, cfg, shards) = (name.to_string(), child_cfg.clone(), child_shards.clone());
@@ -107,8 +132,8 @@ fn run_socket(
         cfg,
         &move |rng| mlp(&[dim, 16, classes], rng),
         shards,
-        RuntimeConfig::default(),
-        Default::default(),
+        conditions.rt,
+        conditions.chaos,
         host,
     )
     .expect("socket setup");
@@ -120,9 +145,10 @@ fn run_socket(
             .expect("child thread must not panic")
             .expect("child must exit cleanly");
     }
+    let unfired = bridged.hub.pending_severs();
     let hub_err = bridged.hub.join();
     assert!(hub_err.is_none(), "hub observed an error: {hub_err:?}");
-    metrics
+    (metrics, unfired)
 }
 
 #[test]
@@ -189,6 +215,52 @@ fn socket_duplicated_uploads_are_idempotent() {
         learning_fingerprint(&clean),
         learning_fingerprint(&faulted),
         "duplicated uploads over sockets must not change the model"
+    );
+}
+
+/// Both directions of a resume over buffers that acknowledgements have
+/// been pruning. Counting each node's ingress frames at the hub (setup
+/// is about six from a party, nine from the initiator), party-1's seventh
+/// is its first upload of round 1 — its link dies with the second upload
+/// stamped or about to be — and agg-0's fifteenth is the second of three
+/// `Aggregated` it fans out, so the hub -> child direction is cut with a
+/// download in flight too. Heartbeats move the counts by a frame or two;
+/// wherever the cuts land, nothing may be lost, doubled or billed twice.
+///
+/// Retries are pushed past the horizon in both arms, as in every
+/// byte-compared chaos harness of the workspace: the bridge loses
+/// nothing, so a retry cannot help, and a supervisor that re-triggers a
+/// round because an outage outlasted its 100 ms timer has the initiator
+/// fan `RoundStart` out again — 138 honest bytes that are the timer's
+/// doing, not the link's.
+#[test]
+fn severed_party_and_aggregator_links_resume_bit_exact() {
+    let mut cfg = DetaConfig::deta(3, 2);
+    cfg.n_aggregators = 2;
+    cfg.seed = 42;
+    let (shards, test, dim, classes) = data(120, cfg.n_parties);
+    let run = |chaos: &[(&str, u64)]| {
+        let conditions = Conditions {
+            rt: RuntimeConfig {
+                retry_initial: Duration::from_secs(3600),
+                retry_max: Duration::from_secs(3600),
+                ..RuntimeConfig::default()
+            },
+            chaos: chaos
+                .iter()
+                .map(|(node, at)| (node.to_string(), vec![*at]))
+                .collect(),
+        };
+        let (cfg, shards) = (cfg.clone(), shards.clone());
+        run_socket_under(conditions, cfg, shards, &test, dim, classes, |_| {})
+    };
+    let (clean, _) = run(&[]);
+    let (severed, unfired) = run(&[("party-1", 7), ("agg-0", 15)]);
+    assert_eq!(unfired, 0, "both planned cuts must have happened");
+    assert_eq!(
+        fingerprint(&clean),
+        fingerprint(&severed),
+        "a severed link must resume without a trace in the metrics"
     );
 }
 

@@ -405,7 +405,7 @@ impl Wire for CtlMsg {
 
 impl Wire for SocketFrame {
     const NAME: &'static str = "SocketFrame";
-    const VARIANTS: usize = 11;
+    const VARIANTS: usize = 12;
     const GOLDEN: &'static [(&'static str, &'static str)] = &[
         ("01070070617274792d3005006167672d31080706050403020103000000090807", "Data { src: \"party-0\", dst: \"agg-1\", seq: 72623859790382856, payload: [9, 8, 7] }"),
         ("0205006167672d31", "Close { name: \"agg-1\" }"),
@@ -418,6 +418,7 @@ impl Wire for SocketFrame {
         ("0905006167672d300300000000000000030000007b7d0a", "TraceShip { name: \"agg-0\", dropped: 3, jsonl: [123, 125, 10] }"),
         ("0a070070617274792d300200000005006167672d30070070617274792d30050000000000000005006167672d31070070617274792d300000000000000000", "Resume { src: \"party-0\", windows: [(\"agg-0\", \"party-0\", 5), (\"agg-1\", \"party-0\", 0)] }"),
         ("0b01000000070070617274792d3005006167672d300600000000000000", "ResumeAck { windows: [(\"party-0\", \"agg-0\", 6)] }"),
+        ("0c070070617274792d3005006167672d310807060504030201", "Ack { src: \"party-0\", dst: \"agg-1\", next: 72623859790382856 }"),
     ];
 
     fn arbitrary(g: &mut Gen) -> SocketFrame {
@@ -450,8 +451,13 @@ impl Wire for SocketFrame {
                 src: name(g),
                 windows: windows(g),
             },
-            _ => SocketFrame::ResumeAck {
+            10 => SocketFrame::ResumeAck {
                 windows: windows(g),
+            },
+            _ => SocketFrame::Ack {
+                src: name(g),
+                dst: name(g),
+                next: g.u64(),
             },
         }
     }
@@ -477,6 +483,7 @@ impl Wire for SocketFrame {
             SocketFrame::TraceShip { .. } => 8,
             SocketFrame::Resume { .. } => 9,
             SocketFrame::ResumeAck { .. } => 10,
+            SocketFrame::Ack { .. } => 11,
         }
     }
 }
