@@ -180,8 +180,8 @@ impl BigUint {
     }
 
     /// Best-effort secret erasure: overwrites every limb with volatile
-    /// writes before clearing. Used by `Drop` impls on key types in
-    /// `deta-crypto` and `deta-paillier`.
+    /// writes before clearing. `deta_crypto::Secret` calls it when a
+    /// wrapped scalar drops.
     pub fn zeroize(&mut self) {
         for limb in &mut self.limbs {
             // SAFETY: `limb` is a valid, aligned, exclusive reference.

@@ -6,19 +6,18 @@
 //! therefore cannot re-derive parameter order.
 
 use deta_crypto::sha256::hmac_sha256;
-use deta_crypto::DetRng;
+use deta_crypto::{DetRng, Secret};
 
 /// The key broker.
 pub struct KeyBroker {
-    perm_key: [u8; 32],
+    perm_key: Secret<[u8; 32]>,
     session_id: [u8; 16],
 }
 
 impl KeyBroker {
     /// Creates a broker with a fresh permutation key and session id.
     pub fn new(rng: &mut DetRng) -> KeyBroker {
-        let mut perm_key = [0u8; 32];
-        rng.fill_bytes(&mut perm_key);
+        let perm_key = Secret::filled(|key| rng.fill_bytes(key));
         let mut session_id = [0u8; 16];
         rng.fill_bytes(&mut session_id);
         KeyBroker {
@@ -29,8 +28,8 @@ impl KeyBroker {
 
     /// Dispatches the permutation key to a party (in the real system this
     /// travels over an out-of-band secure channel among participants).
-    pub fn permutation_key(&self) -> [u8; 32] {
-        self.perm_key
+    pub fn permutation_key(&self) -> Secret<[u8; 32]> {
+        self.perm_key.clone()
     }
 
     /// Returns the training identifier for a round.
@@ -71,7 +70,7 @@ mod tests {
     fn different_sessions_differ() {
         let b1 = KeyBroker::new(&mut DetRng::from_u64(1));
         let b2 = KeyBroker::new(&mut DetRng::from_u64(2));
-        assert_ne!(b1.permutation_key(), b2.permutation_key());
+        assert!(!b1.permutation_key().ct_eq(&b2.permutation_key()));
         assert_ne!(b1.training_id(0), b2.training_id(0));
     }
 }

@@ -863,11 +863,22 @@ impl Party {
         // A download is checked against the fragment this aggregator owes
         // before it is kept: the merge and the decryption assert what
         // they are given, and an aggregator must not be able to fail
-        // those assertions from afar. A refused one is counted and leaves
-        // the slot as it was, so the round times out on this aggregator.
+        // those assertions from afar. A refused one is counted, attributed
+        // and leaves the slot as it was, so the round times out on this
+        // aggregator.
         let fragment_len = self.transformer.mapper().fragment_len(j);
-        let refuse = |kind: &str| {
+        let refuse = |kind: &str, round: u64| {
             deta_telemetry::metrics::counter_add("deta_wire_rejected_total", kind, 1);
+            if deta_telemetry::enabled() {
+                deta_telemetry::event(
+                    "download_rejected",
+                    &[
+                        ("from", TelemetryValue::from(from)),
+                        ("kind", TelemetryValue::from(kind)),
+                        ("round", TelemetryValue::from(round)),
+                    ],
+                );
+            }
         };
         match inner {
             Msg::RegisterAck => agg.acked = true,
@@ -888,7 +899,7 @@ impl Party {
             {
                 let values = fragment.len();
                 if values != fragment_len {
-                    return refuse("Aggregated");
+                    return refuse("Aggregated", round);
                 }
                 deta_telemetry::event(
                     "download",
@@ -912,9 +923,9 @@ impl Party {
                 let readable = self
                     .paillier
                     .as_ref()
-                    .is_some_and(|p| p.admits(&ciphertexts, value_count, fragment_len));
+                    .is_some_and(|p| p.admits(&ciphertexts, value_count, summands, fragment_len));
                 if !readable {
-                    return refuse("AggregatedEncrypted");
+                    return refuse("AggregatedEncrypted", round);
                 }
                 deta_telemetry::event(
                     "download",

@@ -7,6 +7,7 @@
 
 use crate::mapper::ModelMapper;
 use crate::shuffle::RoundPermutation;
+use deta_crypto::Secret;
 use std::sync::Arc;
 
 /// Which defense layers are enabled.
@@ -66,7 +67,7 @@ pub struct Transformer {
     /// every party of a process holds a clone of the transformer. A
     /// re-partition swaps the whole `Arc`.
     mapper: Arc<ModelMapper>,
-    perm_key: [u8; 32],
+    perm_key: Secret<[u8; 32]>,
     config: TransformConfig,
 }
 
@@ -76,11 +77,19 @@ impl Transformer {
     /// When `config.partition` is false the mapper must describe a single
     /// aggregator (fragment 0 carries the whole update).
     ///
+    /// `perm_key` is the broker's [`Secret`], or a bare array where a test
+    /// or benchmark makes up a key: the array's moved-from copy is then
+    /// out of the wrapper's reach.
+    ///
     /// # Panics
     ///
     /// Panics if partitioning is disabled but the mapper has more than one
     /// aggregator.
-    pub fn new(mapper: ModelMapper, perm_key: [u8; 32], config: TransformConfig) -> Transformer {
+    pub fn new(
+        mapper: ModelMapper,
+        perm_key: impl Into<Secret<[u8; 32]>>,
+        config: TransformConfig,
+    ) -> Transformer {
         if !config.partition {
             assert_eq!(
                 mapper.n_aggregators(),
@@ -90,7 +99,7 @@ impl Transformer {
         }
         Transformer {
             mapper: Arc::new(mapper),
-            perm_key,
+            perm_key: perm_key.into(),
             config,
         }
     }
@@ -111,7 +120,7 @@ impl Transformer {
     /// Panics under the same single-aggregator constraint as
     /// [`Transformer::new`].
     pub fn with_mapper(&self, mapper: ModelMapper) -> Transformer {
-        Transformer::new(mapper, self.perm_key, self.config)
+        Transformer::new(mapper, self.perm_key.clone(), self.config)
     }
 
     /// The active configuration.
@@ -134,7 +143,7 @@ impl Transformer {
             .map(|j| {
                 let len = self.mapper.fragment_len(j);
                 if self.config.shuffle {
-                    RoundPermutation::derive(&self.perm_key, training_id, j as u32, len)
+                    RoundPermutation::derive(self.perm_key.expose(), training_id, j as u32, len)
                 } else {
                     RoundPermutation::identity(len)
                 }

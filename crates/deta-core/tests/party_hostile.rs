@@ -3,10 +3,11 @@
 //! asserts what it is handed — a ciphertext in `Z_{n^2}`, enough
 //! plaintexts for the values claimed — and the merge asserts every
 //! fragment's length, so a download from a breached aggregator is checked
-//! where it arrives: refused, counted, and the round left waiting on that
-//! aggregator. Every hostile case here used to be a panic in
-//! `Party::finish_round`. The telemetry sink is on for this binary (it is
-//! sticky), so that the counter can be read back.
+//! where it arrives: refused, counted, attributed to the aggregator that
+//! sent it, and the round left waiting on that aggregator. Every hostile
+//! case here used to be a panic in `Party::finish_round`, or parameters
+//! that are not numbers. The telemetry sink is on for this binary (it is
+//! sticky), so that the counter and the event can be read back.
 
 use deta_core::paillier_fusion::PaillierFusionConfig;
 use deta_core::wire::Msg;
@@ -14,6 +15,7 @@ use deta_core::{DetaConfig, DetaSession};
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_telemetry::metrics::counter_value;
+use deta_telemetry::{FlightRecorder, TelemetryValue};
 
 const TID: [u8; 16] = [0x3c; 16];
 
@@ -78,9 +80,12 @@ fn aggregate(ciphertexts: Vec<Vec<u8>>, value_count: u64) -> Msg {
 }
 
 /// Sends `hostile` from the breached aggregator and requires party-0 to
-/// refuse it: counted, the round still open, the party still standing —
-/// and still able to finish on `readable`, the same download put right.
+/// refuse it: counted, attributed, the round still open, the party still
+/// standing — and still able to finish on `readable`, the same download
+/// put right.
 fn refused_then(mut session: DetaSession, hostile: Msg, readable: Msg) {
+    let recorder = FlightRecorder::new("party-0", 64);
+    let _attached = deta_telemetry::attach(recorder.clone());
     let before = counter_value("deta_wire_rejected_total", hostile.name());
     session
         .aggregator_mut(0)
@@ -91,6 +96,19 @@ fn refused_then(mut session: DetaSession, hostile: Msg, readable: Msg) {
     );
     // Other cases of this binary count under the same label, in parallel.
     assert!(counter_value("deta_wire_rejected_total", hostile.name()) > before);
+    // The recorder is this thread's: the one rejection in it is this case's.
+    let (records, _) = recorder.drain();
+    let rejections: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == "download_rejected")
+        .collect();
+    assert_eq!(rejections.len(), 1);
+    let expected = [
+        ("from", TelemetryValue::from("agg-0")),
+        ("kind", TelemetryValue::from(hostile.name())),
+        ("round", TelemetryValue::from(1u64)),
+    ];
+    assert_eq!(rejections[0].fields, expected);
     session
         .aggregator_mut(0)
         .drill_send_sealed("party-0", &readable);
@@ -147,6 +165,21 @@ fn a_fragment_of_another_length_is_refused() {
     refused(0x5e4, |honest| {
         aggregate(vec![one(); honest.ciphertexts], honest.values - 1)
     });
+}
+
+#[test]
+fn a_summand_count_the_slot_was_not_sized_for_is_refused() {
+    // Two parties: two guard bits a slot, so 1..=3 summands decode. Zero
+    // divides every sum into NaN or an infinity; four and up carry into
+    // the next slot and subtract too many `+clip` offsets.
+    for summands in [0, 4, u64::MAX] {
+        refused(0x5e6, |honest| Msg::AggregatedEncrypted {
+            round: 1,
+            ciphertexts: vec![one(); honest.ciphertexts],
+            value_count: honest.values,
+            summands,
+        });
+    }
 }
 
 #[test]

@@ -4,19 +4,10 @@
 use crate::chacha;
 use crate::ct_eq;
 use crate::poly1305::{Poly1305, TAG_LEN};
+use crate::secret::Secret;
 
-/// AEAD key. Zeroized on drop (best effort).
-#[derive(Clone)]
-pub struct Key(pub [u8; 32]);
-
-impl Drop for Key {
-    fn drop(&mut self) {
-        for b in &mut self.0 {
-            // SAFETY: `b` is a valid, aligned, exclusive reference.
-            unsafe { std::ptr::write_volatile(b, 0) };
-        }
-    }
-}
+/// AEAD key.
+pub type Key = Secret<[u8; 32]>;
 
 /// AEAD nonce (96 bits). Must be unique per key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +49,7 @@ impl std::error::Error for AeadError {}
 
 /// Derives the one-time Poly1305 key from the cipher key and nonce.
 fn poly_key(key: &Key, nonce: &Nonce) -> [u8; 32] {
-    let block = chacha::block(&key.0, 0, &nonce.0);
+    let block = chacha::block(key.expose(), 0, &nonce.0);
     let mut pk = [0u8; 32];
     pk.copy_from_slice(&block[..32]);
     pk
@@ -86,7 +77,7 @@ fn compute_tag(pk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
 ///
 /// Panics if `start > buf.len()`.
 pub fn seal_in_place(key: &Key, nonce: &Nonce, aad: &[u8], buf: &mut Vec<u8>, start: usize) {
-    chacha::xor_stream(&key.0, 1, &nonce.0, &mut buf[start..]);
+    chacha::xor_stream(key.expose(), 1, &nonce.0, &mut buf[start..]);
     let tag = compute_tag(&poly_key(key, nonce), aad, &buf[start..]);
     buf.extend_from_slice(&tag);
 }
@@ -120,7 +111,7 @@ pub fn open_in_place(
         return Err(AeadError::BadTag);
     }
     buf.truncate(start + body);
-    chacha::xor_stream(&key.0, 1, &nonce.0, &mut buf[start..]);
+    chacha::xor_stream(key.expose(), 1, &nonce.0, &mut buf[start..]);
     Ok(())
 }
 
@@ -150,7 +141,7 @@ mod tests {
     use super::*;
 
     fn key() -> Key {
-        Key(core::array::from_fn(|i| i as u8))
+        Key::new(core::array::from_fn(|i| i as u8))
     }
 
     #[test]
@@ -164,7 +155,7 @@ mod tests {
     #[test]
     fn rfc8439_aead_vector() {
         // RFC 8439 section 2.8.2.
-        let key = Key(core::array::from_fn(|i| 0x80 + i as u8));
+        let key = Key::new(core::array::from_fn(|i| 0x80 + i as u8));
         let nonce = Nonce([7, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47]);
         let aad = [
             0x50, 0x51, 0x52, 0x53, 0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7,
@@ -251,7 +242,7 @@ mod tests {
     fn wrong_key_rejected() {
         let n = Nonce::from_parts(1, 1);
         let sealed = seal(&key(), &n, b"", b"payload");
-        let other = Key([0xffu8; 32]);
+        let other = Key::new([0xffu8; 32]);
         assert_eq!(open(&other, &n, b"", &sealed), Err(AeadError::BadTag));
     }
 

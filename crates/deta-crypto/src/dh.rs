@@ -6,12 +6,13 @@
 
 use crate::group::group;
 use crate::rng::DetRng;
+use crate::secret::Secret;
 use crate::sha256::hkdf;
 use deta_bignum::BigUint;
 
 /// An ephemeral DH secret.
 pub struct EphemeralSecret {
-    a: BigUint,
+    a: Secret<BigUint>,
     public: BigUint,
 }
 
@@ -38,8 +39,8 @@ impl EphemeralSecret {
     /// Generates a fresh ephemeral secret.
     pub fn generate(rng: &mut DetRng) -> EphemeralSecret {
         let g = group();
-        let a = g.random_scalar(rng);
-        let public = g.pow_g(&a);
+        let a = Secret::new(g.random_scalar(rng));
+        let public = g.pow_g(a.expose());
         EphemeralSecret { a, public }
     }
 
@@ -52,18 +53,18 @@ impl EphemeralSecret {
     /// `context` (e.g. a channel transcript hash).
     ///
     /// The shared group element is symmetric in the two parties, so both
-    /// sides derive identical keys for identical `context`.
-    pub fn agree(self, peer: &PublicKey, context: &[u8]) -> Result<[u8; 32], DhError> {
+    /// sides derive identical keys for identical `context`. The element,
+    /// its encoding and the HKDF output live in [`Secret`]s of their own
+    /// and are wiped when this returns, as is the consumed exponent.
+    pub fn agree(self, peer: &PublicKey, context: &[u8]) -> Result<Secret<[u8; 32]>, DhError> {
         let g = group();
         if !g.is_valid_element(&peer.0) {
             return Err(DhError::InvalidPeerKey);
         }
-        let shared = g.pow(&peer.0, &self.a);
-        let ikm = g.element_to_bytes(&shared);
-        let okm = hkdf(b"deta-dh-v1", &ikm, context, 32);
-        let mut key = [0u8; 32];
-        key.copy_from_slice(&okm);
-        Ok(key)
+        let shared = Secret::new(g.pow(&peer.0, self.a.expose()));
+        let ikm = Secret::new(g.element_to_bytes(shared.expose()));
+        let okm = Secret::new(hkdf(b"deta-dh-v1", ikm.expose(), context, 32));
+        Ok(Secret::filled(|key| key.copy_from_slice(okm.expose())))
     }
 }
 
@@ -100,7 +101,7 @@ mod tests {
         let bob_pub = bob.public_key();
         let ka = alice.agree(&bob_pub, b"ctx").unwrap();
         let kb = bob.agree(&alice_pub, b"ctx").unwrap();
-        assert_eq!(ka, kb);
+        assert!(ka.ct_eq(&kb));
     }
 
     #[test]
@@ -115,7 +116,7 @@ mod tests {
         };
         let k1 = alice.agree(&bob_pub, b"ctx1").unwrap();
         let k2 = alice2.agree(&bob_pub, b"ctx2").unwrap();
-        assert_ne!(k1, k2);
+        assert!(!k1.ct_eq(&k2));
     }
 
     #[test]
@@ -130,7 +131,7 @@ mod tests {
         let carol = EphemeralSecret::generate(&mut rng);
         let k1 = alice.agree(&bob.public_key(), b"c").unwrap();
         let k2 = alice2.agree(&carol.public_key(), b"c").unwrap();
-        assert_ne!(k1, k2);
+        assert!(!k1.ct_eq(&k2));
     }
 
     #[test]
@@ -139,7 +140,7 @@ mod tests {
         let alice = EphemeralSecret::generate(&mut rng);
         // The identity element would force a trivial shared secret.
         let bad = PublicKey(BigUint::one());
-        assert_eq!(alice.agree(&bad, b"c"), Err(DhError::InvalidPeerKey));
+        assert_eq!(alice.agree(&bad, b"c").err(), Some(DhError::InvalidPeerKey));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`group`] — a Schnorr group (prime-order subgroup of `Z_p*`).
 //! * [`sign`] — Schnorr signatures (stand-in for the paper's ECDSA tokens).
 //! * [`dh`] — Diffie-Hellman key agreement over the Schnorr group.
+//! * [`secret`] — [`Secret`], the wipe-on-drop, redacting holder every key
+//!   above lives in.
 //!
 //! # Security disclaimer
 //!
@@ -26,11 +28,13 @@ pub mod dh;
 pub mod group;
 pub mod poly1305;
 pub mod rng;
+pub mod secret;
 pub mod sha256;
 pub mod sign;
 
 pub use aead::{open, seal, AeadError, Key as AeadKey, Nonce};
 pub use rng::DetRng;
+pub use secret::{Secret, Wipe};
 pub use sign::{Signature, SigningKey, VerifyingKey};
 
 /// Compares two byte slices in constant time (with respect to contents).

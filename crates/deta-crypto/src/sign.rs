@@ -11,6 +11,7 @@
 
 use crate::group::{group, Group};
 use crate::rng::DetRng;
+use crate::secret::Secret;
 use crate::sha256::{hmac_sha256, sha256_concat};
 use deta_bignum::BigUint;
 
@@ -44,9 +45,9 @@ impl Signature {
 }
 
 /// A signing (secret) key.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SigningKey {
-    x: BigUint,
+    x: Secret<BigUint>,
     /// Cached public key `g^x`.
     y: BigUint,
 }
@@ -58,27 +59,12 @@ pub struct VerifyingKey {
     pub y: BigUint,
 }
 
-impl std::fmt::Debug for SigningKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The secret scalar is intentionally not printed.
-        f.debug_struct("SigningKey").finish_non_exhaustive()
-    }
-}
-
-impl Drop for SigningKey {
-    fn drop(&mut self) {
-        // Best-effort: wipe the secret scalar when the key leaves scope
-        // (e.g. a CVM shutting down).
-        self.x.zeroize();
-    }
-}
-
 impl SigningKey {
     /// Generates a key pair from the given RNG.
     pub fn generate(rng: &mut DetRng) -> SigningKey {
         let g = group();
-        let x = g.random_scalar(rng);
-        let y = g.pow_g(&x);
+        let x = Secret::new(g.random_scalar(rng));
+        let y = g.pow_g(x.expose());
         SigningKey { x, y }
     }
 
@@ -87,9 +73,11 @@ impl SigningKey {
         VerifyingKey { y: self.y.clone() }
     }
 
-    /// Serializes the secret scalar (for provisioning into a CVM).
+    /// Serializes the secret scalar (for provisioning into a CVM). The
+    /// result is raw bytes by design: this is where the key leaves
+    /// [`Secret`]'s protection, and the caller seals it before it travels.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.x.to_bytes_be_padded(32)
+        self.x.expose().to_bytes_be_padded(32)
     }
 
     /// Reconstructs a signing key from a serialized secret scalar.
@@ -105,7 +93,10 @@ impl SigningKey {
             return None;
         }
         let y = g.pow_g(&x);
-        Some(SigningKey { x, y })
+        Some(SigningKey {
+            x: Secret::new(x),
+            y,
+        })
     }
 
     /// Signs a message.
@@ -115,18 +106,18 @@ impl SigningKey {
         let r = g.pow_g(&k);
         let e = challenge(g, &r, &self.y, msg);
         // s = k + e * x (mod q).
-        let s = (&k + &e.mul_mod(&self.x, &g.q)).rem_ref(&g.q);
+        let s = (&k + &e.mul_mod(self.x.expose(), &g.q)).rem_ref(&g.q);
         Signature { e, s }
     }
 
     /// Derives a deterministic per-message nonce in `[1, q)`.
     fn derive_nonce(&self, g: &Group, msg: &[u8]) -> BigUint {
-        let key = self.x.to_bytes_be_padded(32);
+        let key = Secret::new(self.x.expose().to_bytes_be_padded(32));
         let mut ctr = 0u8;
         loop {
             let mut m = msg.to_vec();
             m.push(ctr);
-            let h = hmac_sha256(&key, &m);
+            let h = hmac_sha256(key.expose(), &m);
             let k = &BigUint::from_bytes_be(&h) % &g.q;
             if !k.is_zero() {
                 return k;

@@ -15,12 +15,8 @@ pub enum TokKind {
     Ident(String),
     /// A single punctuation character.
     Punct(char),
-    /// A string literal. Contents are deliberately opaque to the rules,
-    /// with one exception: inline format captures (`"{name}"`,
-    /// `"{name:?}"`) are recorded so dataflow passes can see an
-    /// identifier smuggled into a `format!`-family macro through its
-    /// format string.
-    Str(Vec<String>),
+    /// A string literal; its contents are opaque to the rules.
+    Str,
     /// A character literal.
     Char,
     /// A lifetime such as `'a` or `'static`.
@@ -51,56 +47,6 @@ impl Tok {
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
     }
-
-    /// The inline format captures, if this token is a string literal.
-    pub fn str_captures(&self) -> Option<&[String]> {
-        match &self.kind {
-            TokKind::Str(caps) => Some(caps.as_slice()),
-            _ => None,
-        }
-    }
-}
-
-/// Extracts inline format captures from a string literal's contents:
-/// the identifier of every `{name}` / `{name:spec}` segment. `{{` is the
-/// escape for a literal brace; positional (`{}`, `{0}`) segments carry no
-/// identifier and are skipped.
-fn format_captures(content: &str) -> Vec<String> {
-    let chars: Vec<char> = content.chars().collect();
-    let n = chars.len();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < n {
-        if chars[i] != '{' {
-            i += 1;
-            continue;
-        }
-        if i + 1 < n && chars[i + 1] == '{' {
-            i += 2; // Escaped literal `{{`.
-            continue;
-        }
-        let mut j = i + 1;
-        let mut name = String::new();
-        while j < n && chars[j] != '}' && chars[j] != ':' {
-            name.push(chars[j]);
-            j += 1;
-        }
-        let valid = !name.is_empty()
-            && name
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphabetic() || c == '_')
-            && name.chars().all(|c| c.is_alphanumeric() || c == '_');
-        if valid && !out.contains(&name) {
-            out.push(name);
-        }
-        // Skip to the closing brace (or end of a malformed segment).
-        while j < n && chars[j] != '}' {
-            j += 1;
-        }
-        i = j + 1;
-    }
-    out
 }
 
 /// Tokenizes Rust source, discarding comments and literal contents.
@@ -125,10 +71,9 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
             i = skip_block_comment(&chars, i, &mut line);
         } else if c == '"' {
             let start = line;
-            let (next, content) = skip_string(&chars, i, &mut line);
-            i = next;
+            i = skip_string(&chars, i, &mut line);
             toks.push(Tok {
-                kind: TokKind::Str(format_captures(&content)),
+                kind: TokKind::Str,
                 line: start,
             });
         } else if c == '\'' {
@@ -150,9 +95,9 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
             }
             let ident: String = chars[i..j].iter().collect();
             // Raw / byte string prefixes: r"..", r#".."#, b"..", br#".."#.
-            if let Some((end, content)) = string_after_prefix(&chars, j, &ident, &mut line) {
+            if let Some(end) = string_after_prefix(&chars, j, &ident, &mut line) {
                 toks.push(Tok {
-                    kind: TokKind::Str(format_captures(&content)),
+                    kind: TokKind::Str,
                     line: start_line,
                 });
                 i = end;
@@ -197,41 +142,28 @@ fn skip_block_comment(chars: &[char], mut i: usize, line: &mut u32) -> usize {
 }
 
 /// Skips a `"..."` string (with escapes) starting at the opening quote.
-/// Returns the index past the closing quote and the raw contents (with
-/// escape sequences kept verbatim; they never form a format capture).
-fn skip_string(chars: &[char], mut i: usize, line: &mut u32) -> (usize, String) {
+/// Returns the index past the closing quote.
+fn skip_string(chars: &[char], mut i: usize, line: &mut u32) -> usize {
     let n = chars.len();
-    let mut content = String::new();
     i += 1;
     while i < n {
         match chars[i] {
-            '\\' => {
-                if i + 1 < n {
-                    content.push(chars[i + 1]);
-                }
-                i += 2;
-            }
-            '"' => return (i + 1, content),
+            '\\' => i += 2,
+            '"' => return i + 1,
             c => {
                 if c == '\n' {
                     *line += 1;
                 }
-                content.push(c);
                 i += 1;
             }
         }
     }
-    (i, content)
+    i
 }
 
 /// If the identifier just read is a raw/byte string prefix and a literal
-/// follows at `j`, skips it and returns the end index and contents.
-fn string_after_prefix(
-    chars: &[char],
-    j: usize,
-    ident: &str,
-    line: &mut u32,
-) -> Option<(usize, String)> {
+/// follows at `j`, skips it and returns the end index.
+fn string_after_prefix(chars: &[char], j: usize, ident: &str, line: &mut u32) -> Option<usize> {
     let n = chars.len();
     match ident {
         // Escaped byte string: b"...".
@@ -249,28 +181,22 @@ fn string_after_prefix(
                 return None;
             }
             k += 1;
-            let mut content = String::new();
             // Scan for `"` followed by `hashes` hashes; no escapes.
             while k < n {
                 if chars[k] == '\n' {
                     *line += 1;
-                    content.push('\n');
-                    k += 1;
-                    continue;
-                }
-                if chars[k] == '"' {
+                } else if chars[k] == '"' {
                     let mut h = 0usize;
                     while k + 1 + h < n && h < hashes && chars[k + 1 + h] == '#' {
                         h += 1;
                     }
                     if h == hashes {
-                        return Some((k + 1 + hashes, content));
+                        return Some(k + 1 + hashes);
                     }
                 }
-                content.push(chars[k]);
                 k += 1;
             }
-            Some((k, content))
+            Some(k)
         }
         _ => None,
     }
@@ -518,18 +444,6 @@ mod tests {
         let chars_ = toks.iter().filter(|t| t.kind == TokKind::Char).count();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars_, 2);
-    }
-
-    #[test]
-    fn format_captures_are_extracted() {
-        let toks = tokenize(r#"format!("round {round}: {x:?} {} {{brace}} {0}")"#);
-        let caps: Vec<&[String]> = toks.iter().filter_map(|t| t.str_captures()).collect();
-        assert_eq!(caps.len(), 1);
-        assert_eq!(caps[0], ["round".to_string(), "x".to_string()]);
-        // Raw strings capture too; escaped braces and positionals don't.
-        let toks2 = tokenize(r##"let s = r#"{seed}"#;"##);
-        let caps2: Vec<&[String]> = toks2.iter().filter_map(|t| t.str_captures()).collect();
-        assert_eq!(caps2[0], ["seed".to_string()]);
     }
 
     #[test]

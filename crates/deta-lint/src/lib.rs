@@ -1,22 +1,20 @@
-//! deta-lint / deta-flow: a static analyzer, with no dependency outside
-//! the workspace, enforcing DeTA's threat-model invariants across it.
+//! deta-lint: a static analyzer, with no dependency outside the
+//! workspace, enforcing DeTA's threat-model invariants across it.
 //!
-//! The DeTA design rests on code-level properties no type system checks:
-//! secrets must not reach logs, authentication comparisons must be
-//! constant-time, permutation-critical code must iterate
-//! deterministically, protocol hot paths must not panic on attacker
-//! input, wire serialization must not truncate, and secret material
-//! must not flow into telemetry sinks. The analyzer has two layers:
+//! That a secret never reaches a log, a metric or the wire is a property
+//! of one type, `deta_crypto::Secret`; what is left for an analyzer is
+//! what no type checks: key bytes are read only where they are computed
+//! with, authentication comparisons must be constant-time,
+//! permutation-critical code must iterate deterministically, protocol
+//! hot paths must not panic on attacker input, wire serialization must
+//! not truncate, waits must be bounded and protocol matches exhaustive.
+//! The analyzer has two layers:
 //!
-//! * **Token rules** (1–6) over a hand-rolled token stream (see
-//!   [`lex`]): word-level heuristics that catch a secret *named* at a
-//!   sink.
-//! * **Flow passes** (7–9) over an item-level parse (see [`parse`]):
-//!   interprocedural secret-taint dataflow ([`taint`], with a per-crate
-//!   call graph in [`graph`]), channel-liveness (unbounded waits and
-//!   inconsistent lock order), and exhaustive protocol-message handling
-//!   — these catch the renamed, aliased, and cross-function flows the
-//!   token layer cannot see.
+//! * **Token rules** (`secret-expose`, 2–5) over a hand-rolled token
+//!   stream (see [`lex`]).
+//! * **Flow rules** (8–9) over an item-level parse (see [`parse`]):
+//!   channel-liveness (unbounded waits and inconsistent lock order) and
+//!   exhaustive protocol-message handling.
 //!
 //! Findings resolve against a checked-in `lint-allow.toml` of justified
 //! suppressions (see [`allow`]). Run it as `cargo run -p deta-lint`
@@ -25,11 +23,9 @@
 //! clean report in `cargo test`.
 
 pub mod allow;
-pub mod graph;
 pub mod lex;
 pub mod parse;
 pub mod rules;
-pub mod taint;
 
 pub use allow::{parse_allowlist, AllowEntry, MAX_ALLOW_ENTRIES};
 pub use rules::{check_source, check_tokens, Violation};
@@ -263,7 +259,6 @@ pub fn run_lint(root: &Path) -> Result<LintReport, String> {
         found.extend(rules::channel_liveness(fa));
         found.extend(rules::exhaustive_handling(fa));
     }
-    found.extend(taint::check_taint(&analyses));
     found.extend(rules::lock_order(&analyses.iter().collect::<Vec<_>>()));
     let mut used = vec![false; allows.len()];
     for v in found {
@@ -287,7 +282,7 @@ pub fn run_lint(root: &Path) -> Result<LintReport, String> {
     Ok(report)
 }
 
-/// The deta-flow self-check, run by `scripts/check.sh`: verifies the
+/// The self-check, run by `scripts/check.sh`: verifies the
 /// analyzer's own guardrails rather than the workspace's code.
 ///
 /// Fails when (a) any rule in [`rules::ALL_RULES`] appears fewer than

@@ -5,7 +5,7 @@
 //!
 //! * `--json` prints the report as stable machine-readable JSON (the CI
 //!   artifact format) instead of the human-readable listing.
-//! * `--self-check` runs the deta-flow meta-check (fixture coverage for
+//! * `--self-check` runs the meta-check (fixture coverage for
 //!   every rule, allowlist within budget) instead of linting.
 //!
 //! Without a root argument the workspace root is found by walking up

@@ -1,12 +1,11 @@
 //! A lightweight item-level parse over the lint token stream.
 //!
 //! This is deliberately not a Rust grammar: it recovers exactly the
-//! structure the flow passes need — function items with their parameter
-//! lists, `let`-bindings, call sites (plain, method, and macro), `match`
-//! expressions with their arms, and `return`/tail expressions — while
-//! staying total on arbitrary token soup. Everything is expressed as
-//! index ranges into the file's token vector so the passes can re-scan
-//! regions without copying.
+//! structure the flow rules need — function items, their call sites
+//! (plain, method, and macro) and their `match` expressions with their
+//! arms — while staying total on arbitrary token soup. Everything is
+//! expressed as index ranges into the file's token vector so the rules
+//! can re-scan regions without copying.
 
 use crate::lex::{strip_test_regions, tokenize, Tok, TokKind};
 
@@ -34,38 +33,6 @@ impl FileAnalysis {
             fns,
         }
     }
-
-    /// The crate this file belongs to (`crates/deta-core/src/x.rs` ->
-    /// `deta-core`; the root package's `src/` -> `deta`).
-    pub fn crate_name(&self) -> &str {
-        if let Some(rest) = self.path.strip_prefix("crates/") {
-            rest.split('/').next().unwrap_or("deta")
-        } else {
-            "deta"
-        }
-    }
-}
-
-/// One function parameter.
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// The bound name (`_` or the first pattern identifier); empty for
-    /// `self` receivers.
-    pub name: String,
-    /// Token range of the declared type.
-    pub ty: Range,
-}
-
-/// One `let` binding.
-#[derive(Debug, Clone)]
-pub struct LetBinding {
-    /// Every identifier the pattern binds (`let Ok((a, b)) = ..` binds
-    /// `a` and `b`).
-    pub names: Vec<String>,
-    /// Token range of the initializer expression.
-    pub init: Range,
-    /// Source line of the `let`.
-    pub line: u32,
 }
 
 /// One call site: `f(..)`, `recv.f(..)`, `Path::f(..)`, or `f!(..)`.
@@ -80,22 +47,10 @@ pub struct CallSite {
     /// The receiver identifier for a method call when it is a plain
     /// identifier or field path tail (`self.state.lock()` -> `state`).
     pub receiver: Option<String>,
-    /// The `Path` in `Path::f(..)`, when present.
-    pub qualifier: Option<String>,
     /// Token range of the arguments (inside the delimiters).
     pub args: Range,
     /// Source line of the callee token.
     pub line: u32,
-}
-
-impl CallSite {
-    /// Token index of the callee identifier.
-    pub fn callee_pos(&self) -> usize {
-        // Args start after `name(` or `name!(`.
-        self.args
-            .0
-            .saturating_sub(if self.is_macro { 3 } else { 2 })
-    }
 }
 
 /// One arm of a `match`.
@@ -127,50 +82,20 @@ impl MatchArm {
 /// One `match` expression.
 #[derive(Debug, Clone)]
 pub struct MatchExpr {
-    /// Token range of the scrutinee.
-    pub scrutinee: Range,
     /// The arms in source order.
     pub arms: Vec<MatchArm>,
-    /// Source line of the `match` keyword.
-    pub line: u32,
 }
 
-/// One function item.
+/// One function item: what `channel-liveness` and `exhaustive-handling`
+/// read of it.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     /// The function's name.
     pub name: String,
-    /// The `impl` type this function belongs to, when any (`None` for
-    /// free functions). Used for qualified-call resolution: `Foo::new()`
-    /// must not resolve to every `fn new` in the crate.
-    pub owner: Option<String>,
-    /// Source line of the name token.
-    pub line: u32,
-    /// Parameters in declaration order (`self` receivers included as
-    /// empty-named entries so argument indices line up with call sites).
-    pub params: Vec<Param>,
-    /// True when the signature declares a return type (`-> T`). A fn
-    /// returning `()` has no return value for dataflow to follow.
-    pub has_ret: bool,
-    /// Token range of the body (inside the braces).
-    pub body: Range,
-    /// `let` bindings anywhere in the body.
-    pub lets: Vec<LetBinding>,
     /// Call sites anywhere in the body.
     pub calls: Vec<CallSite>,
     /// `match` expressions anywhere in the body.
     pub matches: Vec<MatchExpr>,
-    /// Token ranges of `return <expr>` statements plus the tail
-    /// expression (tokens after the last top-level `;`), for return-taint
-    /// summaries.
-    pub returns: Vec<Range>,
-}
-
-impl FnItem {
-    /// True when this is a method (declared with a `self` receiver).
-    pub fn has_self(&self) -> bool {
-        self.params.first().is_some_and(|p| p.name.is_empty())
-    }
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -183,20 +108,13 @@ const CALLISH_KEYWORDS: &[&str] = &[
 /// discovered too, because scanning resumes at the body's first token).
 pub fn parse_fns(toks: &[Tok]) -> Vec<FnItem> {
     let n = toks.len();
-    let impls = impl_ranges(toks);
     let mut out = Vec::new();
     let mut i = 0;
     while i < n {
         if toks[i].ident() == Some("fn") && i + 1 < n {
-            if let Some(mut item) = parse_fn(toks, i) {
-                item.owner = impls
-                    .iter()
-                    .filter(|((s, e), _)| *s <= i && i < *e)
-                    .max_by_key(|((s, _), _)| *s)
-                    .map(|(_, name)| name.clone());
-                let resume = item.body.0;
+            if let Some((item, body_start)) = parse_fn(toks, i) {
                 out.push(item);
-                i = resume;
+                i = body_start;
                 continue;
             }
         }
@@ -205,73 +123,12 @@ pub fn parse_fns(toks: &[Tok]) -> Vec<FnItem> {
     out
 }
 
-/// Every `impl` block's body range paired with the implemented type's
-/// name (the last path segment: `impl fmt::Debug for wire::Msg` ->
-/// `Msg`, `impl<T> Store<T>` -> `Store`).
-fn impl_ranges(toks: &[Tok]) -> Vec<(Range, String)> {
-    let n = toks.len();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < n {
-        if toks[i].ident() != Some("impl") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if j < n && toks[j].is_punct('<') {
-            j = skip_angles(toks, j);
-        }
-        // The header runs to the body `{` at top level; the self type is
-        // the segment after a top-level `for` when present.
-        let mut ty_start = j;
-        let mut body = None;
-        let mut depth = 0i32;
-        let mut k = j;
-        while k < n {
-            match &toks[k].kind {
-                TokKind::Punct(c) if "([".contains(*c) => depth += 1,
-                TokKind::Punct(c) if ")]".contains(*c) => depth -= 1,
-                TokKind::Ident(id) if id == "for" && depth == 0 => ty_start = k + 1,
-                TokKind::Ident(id) if id == "where" && depth == 0 => {}
-                TokKind::Punct('{') if depth == 0 => {
-                    body = Some(k);
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let Some(body) = body else {
-            i += 1;
-            continue;
-        };
-        // Last identifier before the type's generics (or the body /
-        // where clause): the path's final segment.
-        let mut name = None;
-        for t in &toks[ty_start..body] {
-            match &t.kind {
-                TokKind::Punct('<') => break,
-                TokKind::Ident(id) if id == "where" => break,
-                TokKind::Ident(id) if id != "dyn" && id != "mut" => name = Some(id.clone()),
-                _ => {}
-            }
-        }
-        let end = balanced(toks, body, '{', '}');
-        if let Some(name) = name {
-            out.push(((body, end), name));
-        }
-        i = body + 1;
-    }
-    out
-}
-
-/// Parses one `fn` item whose `fn` keyword is at `i`. Returns `None` for
-/// bodyless declarations (trait methods, extern decls) and malformed
-/// streams.
-fn parse_fn(toks: &[Tok], i: usize) -> Option<FnItem> {
+/// Parses one `fn` item whose `fn` keyword is at `i`, returning it with
+/// the index of its body's first token. Returns `None` for bodyless
+/// declarations (trait methods, extern decls) and malformed streams.
+fn parse_fn(toks: &[Tok], i: usize) -> Option<(FnItem, usize)> {
     let n = toks.len();
     let name = toks.get(i + 1)?.ident()?.to_string();
-    let line = toks[i + 1].line;
     let mut j = i + 2;
     // Generic parameters: skip `<...>` (arrow `->` cannot appear here).
     if j < n && toks[j].is_punct('<') {
@@ -280,204 +137,31 @@ fn parse_fn(toks: &[Tok], i: usize) -> Option<FnItem> {
     if j >= n || !toks[j].is_punct('(') {
         return None;
     }
-    let params_end = balanced(toks, j, '(', ')');
-    let params = parse_params(toks, j + 1, params_end.saturating_sub(1));
     // Find the body `{`, skipping the return type and where clause.
     // Angle depth guards against `Result<A, B>`; a `>` preceded by `-`
     // is an arrow, not a closer.
-    let mut k = params_end;
+    let mut k = balanced(toks, j, '(', ')');
     let mut angle = 0i32;
-    let mut has_ret = false;
     loop {
         if k >= n {
             return None;
         }
         match &toks[k].kind {
             TokKind::Punct('<') => angle += 1,
-            TokKind::Punct('>') => {
-                if k > 0 && toks[k - 1].is_punct('-') {
-                    has_ret = true;
-                } else {
-                    angle -= 1;
-                }
-            }
+            TokKind::Punct('>') if !toks[k - 1].is_punct('-') => angle -= 1,
             TokKind::Punct('{') if angle <= 0 => break,
             TokKind::Punct(';') if angle <= 0 => return None,
             _ => {}
         }
         k += 1;
     }
-    let body_end = balanced(toks, k, '{', '}');
-    let body = (k + 1, body_end.saturating_sub(1));
-    let lets = parse_lets(toks, body);
-    let calls = parse_calls(toks, body);
-    let matches = parse_matches(toks, body);
-    let returns = parse_returns(toks, body);
-    Some(FnItem {
+    let body = (k + 1, balanced(toks, k, '{', '}').saturating_sub(1));
+    let item = FnItem {
         name,
-        owner: None, // Filled in by `parse_fns` from the impl map.
-        has_ret,
-        line,
-        params,
-        body,
-        lets,
-        calls,
-        matches,
-        returns,
-    })
-}
-
-/// Parses a parameter list in `toks[start..end]`.
-fn parse_params(toks: &[Tok], start: usize, end: usize) -> Vec<Param> {
-    let mut out = Vec::new();
-    for (seg_start, seg_end) in split_top_level(toks, start, end, ',') {
-        let seg = &toks[seg_start..seg_end];
-        if seg.is_empty() {
-            continue;
-        }
-        // `self`, `&self`, `&mut self`, `mut self`.
-        if seg
-            .iter()
-            .take(4)
-            .any(|t| t.ident() == Some("self") || matches!(&t.kind, TokKind::Lifetime))
-            && seg.iter().all(|t| !t.is_punct(':'))
-        {
-            out.push(Param {
-                name: String::new(),
-                ty: (seg_start, seg_end),
-            });
-            continue;
-        }
-        // Pattern runs to the top-level `:`; the type follows.
-        let colon = find_top_level(toks, seg_start, seg_end, ':');
-        let (pat_end, ty) = match colon {
-            Some(c) => (c, (c + 1, seg_end)),
-            None => (seg_end, (seg_end, seg_end)),
-        };
-        let name = toks[seg_start..pat_end]
-            .iter()
-            .filter_map(|t| t.ident())
-            .find(|id| !matches!(*id, "mut" | "ref"))
-            .unwrap_or("_")
-            .to_string();
-        out.push(Param { name, ty });
-    }
-    out
-}
-
-/// Parses every `let` binding inside `range` (at any nesting depth).
-fn parse_lets(toks: &[Tok], range: Range) -> Vec<LetBinding> {
-    let (start, end) = range;
-    let mut out = Vec::new();
-    let mut i = start;
-    while i < end {
-        if toks[i].ident() != Some("let") {
-            i += 1;
-            continue;
-        }
-        let line = toks[i].line;
-        // `if let` / `while let` conditions end at the block `{`; a
-        // plain `let`'s initializer may legitimately contain braces.
-        let is_cond_let = i > start && matches!(toks[i - 1].ident(), Some("if" | "while"));
-        // Find the binding `=` at relative depth 0, skipping comparison
-        // and arrow compounds (none can appear before the initializer).
-        let mut depth = 0i32;
-        let mut angle = 0i32;
-        let mut j = i + 1;
-        let mut eq = None;
-        while j < end {
-            match &toks[j].kind {
-                TokKind::Punct(c) if "([{".contains(*c) => depth += 1,
-                TokKind::Punct(c) if ")]}".contains(*c) => depth -= 1,
-                TokKind::Punct('<') => angle += 1,
-                TokKind::Punct('>') => angle -= 1,
-                TokKind::Punct('=') if depth == 0 && angle <= 0 => {
-                    // `<` and `>` are deliberately absent: a type
-                    // ascription ending in `>` (`let x: Vec<u8> = ..`)
-                    // is indistinguishable from `>=` at token level,
-                    // and comparisons cannot occur before the binding
-                    // `=` anyway.
-                    let prev_compound = j > 0
-                        && matches!(&toks[j - 1].kind,
-                            TokKind::Punct(c) if "!=+-*/%&|^".contains(*c));
-                    let next_compound =
-                        j + 1 < end && matches!(&toks[j + 1].kind, TokKind::Punct('=' | '>'));
-                    if !prev_compound && !next_compound {
-                        eq = Some(j);
-                        break;
-                    }
-                }
-                TokKind::Punct(';') if depth == 0 => break,
-                _ => {}
-            }
-            if depth < 0 {
-                break;
-            }
-            j += 1;
-        }
-        let Some(eq) = eq else {
-            i += 1;
-            continue;
-        };
-        // Bound names: pattern identifiers before any top-level type
-        // ascription, excluding keywords and constructor paths
-        // (uppercase-initial).
-        let pat_end = find_top_level(toks, i + 1, eq, ':').unwrap_or(eq);
-        let names: Vec<String> = toks[i + 1..pat_end]
-            .iter()
-            .filter_map(|t| t.ident())
-            .filter(|id| {
-                !matches!(*id, "mut" | "ref" | "_")
-                    && id
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_lowercase() || c == '_')
-            })
-            .map(str::to_string)
-            .collect();
-        // Initializer: from after `=` to the top-level `;`, or to a
-        // `let ... else` diverging block. An `else` preceded by `}` is an
-        // `if/else` inside the initializer and does not terminate it.
-        let mut k = eq + 1;
-        let mut depth = 0i32;
-        let mut init_end = end;
-        while k < end {
-            match &toks[k].kind {
-                TokKind::Punct('{') if depth == 0 && is_cond_let => {
-                    // The `if let` / `while let` body starts; the
-                    // condition expression is over (Rust forbids bare
-                    // struct literals in conditions).
-                    init_end = k;
-                    break;
-                }
-                TokKind::Punct(c) if "([{".contains(*c) => depth += 1,
-                TokKind::Punct(c) if ")]}".contains(*c) => depth -= 1,
-                TokKind::Punct(';') if depth == 0 => {
-                    init_end = k;
-                    break;
-                }
-                TokKind::Ident(id)
-                    if id == "else" && depth == 0 && k > 0 && !toks[k - 1].is_punct('}') =>
-                {
-                    init_end = k;
-                    break;
-                }
-                _ => {}
-            }
-            if depth < 0 {
-                init_end = k;
-                break;
-            }
-            k += 1;
-        }
-        out.push(LetBinding {
-            names,
-            init: (eq + 1, init_end),
-            line,
-        });
-        i = eq + 1;
-    }
-    out
+        calls: parse_calls(toks, body),
+        matches: parse_matches(toks, body),
+    };
+    Some((item, body.0))
 }
 
 /// Parses every call site inside `range`.
@@ -503,7 +187,6 @@ fn parse_calls(toks: &[Tok], range: Range) -> Vec<CallSite> {
                     is_method: false,
                     is_macro: true,
                     receiver: None,
-                    qualifier: None,
                     args: (i + 3, args_end.saturating_sub(1)),
                     line: toks[i].line,
                 });
@@ -524,17 +207,11 @@ fn parse_calls(toks: &[Tok], range: Range) -> Vec<CallSite> {
         } else {
             None
         };
-        let qualifier = if i >= 3 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':') {
-            toks[i - 3].ident().map(str::to_string)
-        } else {
-            None
-        };
         out.push(CallSite {
             callee: id.to_string(),
             is_method,
             is_macro: false,
             receiver,
-            qualifier,
             args: (i + 2, args_end.saturating_sub(1)),
             line: toks[i].line,
         });
@@ -552,7 +229,6 @@ fn parse_matches(toks: &[Tok], range: Range) -> Vec<MatchExpr> {
             i += 1;
             continue;
         }
-        let line = toks[i].line;
         // Scrutinee: to the first `{` at relative delimiter depth 0.
         let mut j = i + 1;
         let mut depth = 0i32;
@@ -569,14 +245,9 @@ fn parse_matches(toks: &[Tok], range: Range) -> Vec<MatchExpr> {
             i += 1;
             continue;
         }
-        let scrutinee = (i + 1, j);
         let body_end = balanced(toks, j, '{', '}').saturating_sub(1);
         let arms = parse_arms(toks, j + 1, body_end.min(end));
-        out.push(MatchExpr {
-            scrutinee,
-            arms,
-            line,
-        });
+        out.push(MatchExpr { arms });
         i = j + 1;
     }
     out
@@ -641,53 +312,6 @@ fn parse_arms(toks: &[Tok], start: usize, end: usize) -> Vec<MatchArm> {
     out
 }
 
-/// Collects `return <expr>` ranges plus the body's tail expression.
-fn parse_returns(toks: &[Tok], range: Range) -> Vec<Range> {
-    let (start, end) = range;
-    let mut out = Vec::new();
-    let mut i = start;
-    while i < end {
-        if toks[i].ident() == Some("return") {
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            while j < end {
-                match &toks[j].kind {
-                    TokKind::Punct(c) if "([{".contains(*c) => depth += 1,
-                    TokKind::Punct(c) if ")]}".contains(*c) => depth -= 1,
-                    TokKind::Punct(';') if depth == 0 => break,
-                    _ => {}
-                }
-                if depth < 0 {
-                    break;
-                }
-                j += 1;
-            }
-            if j > i + 1 {
-                out.push((i + 1, j));
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    // Tail expression: tokens after the last top-level `;`.
-    let mut last_semi = None;
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().take(end).skip(start) {
-        match &t.kind {
-            TokKind::Punct(c) if "([{".contains(*c) => depth += 1,
-            TokKind::Punct(c) if ")]}".contains(*c) => depth -= 1,
-            TokKind::Punct(';') if depth == 0 => last_semi = Some(k),
-            _ => {}
-        }
-    }
-    let tail_start = last_semi.map_or(start, |s| s + 1);
-    if tail_start < end {
-        out.push((tail_start, end));
-    }
-    out
-}
-
 /// Splits `toks[start..end]` at top-level occurrences of `sep`.
 pub fn split_top_level(toks: &[Tok], start: usize, end: usize, sep: char) -> Vec<Range> {
     let mut out = Vec::new();
@@ -711,28 +335,6 @@ pub fn split_top_level(toks: &[Tok], start: usize, end: usize, sep: char) -> Vec
         out.push((seg_start, end));
     }
     out
-}
-
-/// Finds the first top-level occurrence of punct `c` in the range.
-fn find_top_level(toks: &[Tok], start: usize, end: usize, c: char) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut angle = 0i32;
-    for (i, t) in toks
-        .iter()
-        .enumerate()
-        .take(end.min(toks.len()))
-        .skip(start)
-    {
-        match &t.kind {
-            TokKind::Punct(p) if "([{".contains(*p) => depth += 1,
-            TokKind::Punct(p) if ")]}".contains(*p) => depth -= 1,
-            TokKind::Punct('<') => angle += 1,
-            TokKind::Punct('>') => angle -= 1,
-            TokKind::Punct(p) if *p == c && depth == 0 && angle <= 0 => return Some(i),
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Given `i` at an `open` punct, returns the index just past its match.
@@ -799,42 +401,8 @@ mod tests {
         assert_eq!(fa.fns.len(), 1);
         let f = &fa.fns[0];
         assert_eq!(f.name, "seal");
-        assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[0].name, "key");
-        assert_eq!(f.params[1].name, "plain");
         assert_eq!(f.calls.len(), 1);
         assert_eq!(f.calls[0].callee, "body");
-    }
-
-    #[test]
-    fn self_methods_keep_argument_indices_aligned() {
-        let fa = analyze("impl X { fn go(&mut self, round: u64) -> bool { true } }");
-        let f = &fa.fns[0];
-        assert!(f.has_self());
-        assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[1].name, "round");
-    }
-
-    #[test]
-    fn lets_bind_pattern_names_and_initializers() {
-        let fa = analyze(
-            "fn f() {\n\
-             let mut a = source();\n\
-             let Ok((b, c)) = pair() else { return; };\n\
-             let d: Vec<u8> = if x { y } else { z };\n\
-             }",
-        );
-        let f = &fa.fns[0];
-        assert_eq!(f.lets.len(), 3);
-        assert_eq!(f.lets[0].names, ["a"]);
-        assert_eq!(f.lets[1].names, ["b", "c"]);
-        assert_eq!(f.lets[2].names, ["d"]);
-        // let-else stops at `else`; if/else inside an initializer does not.
-        let (s, e) = f.lets[1].init;
-        assert!(fa.toks[s..e].iter().any(|t| t.ident() == Some("pair")));
-        assert!(fa.toks[s..e].iter().all(|t| t.ident() != Some("return")));
-        let (s2, e2) = f.lets[2].init;
-        assert!(fa.toks[s2..e2].iter().any(|t| t.ident() == Some("z")));
     }
 
     #[test]
@@ -847,7 +415,7 @@ mod tests {
         let lock = by_name("lock");
         assert!(lock.is_method);
         assert_eq!(lock.receiver.as_deref(), Some("state"));
-        assert_eq!(by_name("decode").qualifier.as_deref(), Some("Msg"));
+        assert!(!by_name("decode").is_method);
         assert!(by_name("format").is_macro);
     }
 
@@ -871,21 +439,5 @@ mod tests {
         assert!(m.arms[2].is_bare_wildcard(&fa.toks));
         assert!(!m.arms[1].body_is_empty(&fa.toks));
         assert!(m.arms[2].body_is_empty(&fa.toks));
-    }
-
-    #[test]
-    fn returns_and_tail_expressions_are_collected() {
-        let fa = analyze("fn f() -> u32 { if x { return early; } tail_value }");
-        let f = &fa.fns[0];
-        assert_eq!(f.returns.len(), 2);
-        let has = |r: Range, id: &str| fa.toks[r.0..r.1].iter().any(|t| t.ident() == Some(id));
-        assert!(has(f.returns[0], "early"));
-        assert!(has(f.returns[1], "tail_value"));
-    }
-
-    #[test]
-    fn crate_names_resolve() {
-        assert_eq!(analyze("").crate_name(), "deta-core");
-        assert_eq!(FileAnalysis::new("src/lib.rs", "").crate_name(), "deta");
     }
 }

@@ -1,12 +1,14 @@
 //! The DeTA threat-model rules.
 //!
-//! Two layers live here. Rules 1–6 are *token* rules: standalone
-//! functions from `(workspace-relative path, token stream)` to
-//! violations. Rules 8–9 are *flow* rules over the item-level parse
-//! ([`crate::parse`]); rule 7 (`secret-taint-flow`) is the
-//! interprocedural pass in [`crate::taint`]. Fixture tests exercise
-//! every rule in isolation. Paths use forward slashes relative to the
-//! workspace root (e.g. `crates/deta-core/src/wire.rs`).
+//! Two layers live here. `secret-expose` and rules 2–5 are *token*
+//! rules: standalone functions from `(workspace-relative path, token
+//! stream)` to violations. Rules 8–9 are *flow* rules over the
+//! item-level parse ([`crate::parse`]). Numbers are historical — 6 and 7
+//! were word-list and taint heuristics that `deta_crypto::Secret`
+//! replaced — and names are what the allowlist and the report key on.
+//! Fixture tests exercise every rule in isolation. Paths use forward
+//! slashes relative to the workspace root (e.g.
+//! `crates/deta-core/src/wire.rs`).
 
 use crate::lex::{Tok, TokKind};
 use crate::parse::{split_top_level, FileAnalysis};
@@ -15,13 +17,11 @@ use crate::parse::{split_top_level, FileAnalysis};
 /// the JSON report treat this as the registry of record: a rule absent
 /// here is a rule CI cannot prove has fixture coverage.
 pub const ALL_RULES: &[&str] = &[
-    "no-secret-debug",
+    "secret-expose",
     "no-variable-time-eq",
     "deterministic-iteration",
     "no-panic-in-aggregation",
     "no-truncating-cast",
-    "no-secret-telemetry",
-    "secret-taint-flow",
     "channel-liveness",
     "exhaustive-handling",
 ];
@@ -54,12 +54,11 @@ impl std::fmt::Display for Violation {
 /// Runs every rule over one already-tokenized, test-stripped file.
 pub fn check_tokens(path: &str, toks: &[Tok]) -> Vec<Violation> {
     let mut out = Vec::new();
-    out.extend(no_secret_debug(path, toks));
+    out.extend(secret_expose(path, toks));
     out.extend(no_variable_time_eq(path, toks));
     out.extend(deterministic_iteration(path, toks));
     out.extend(no_panic_in_aggregation(path, toks));
     out.extend(no_truncating_cast(path, toks));
-    out.extend(no_secret_telemetry(path, toks));
     out
 }
 
@@ -71,7 +70,7 @@ pub fn check_source(path: &str, src: &str) -> Vec<Violation> {
 
 /// Splits an identifier into lowercase words at `_` and camel-case
 /// boundaries: `SigningKey` -> ["signing", "key"].
-pub(crate) fn words(ident: &str) -> Vec<String> {
+fn words(ident: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut cur = String::new();
     for c in ident.chars() {
@@ -92,188 +91,53 @@ pub(crate) fn words(ident: &str) -> Vec<String> {
     out
 }
 
-pub(crate) fn has_word(ident: &str, set: &[&str]) -> bool {
+fn has_word(ident: &str, set: &[&str]) -> bool {
     words(ident).iter().any(|w| set.contains(&w.as_str()))
 }
 
 // ---------------------------------------------------------------------
-// Rule 1: no-secret-debug
+// Rule 1: secret-expose
 // ---------------------------------------------------------------------
 
-/// Words that mark a struct *name* as holding secret material.
-const SECRET_NAME_WORDS: &[&str] = &["secret", "signing", "private", "seed", "sk"];
-/// Words that mark a *field* as secret when its type is raw bytes.
-const SECRET_FIELD_WORDS: &[&str] = &["secret", "seed", "key", "sk", "token", "private", "signing"];
+/// The files that may read a key's bytes: the wrapper itself, the
+/// primitives that compute with a key, the two derivations that turn
+/// one key into another, and simnet's privacy oracle — a reference
+/// implementation that recomputes what an aggregator was entitled to.
+const EXPOSE_FILES: &[&str] = &[
+    "crates/deta-crypto/src/secret.rs",
+    "crates/deta-crypto/src/aead.rs",
+    "crates/deta-crypto/src/sign.rs",
+    "crates/deta-crypto/src/dh.rs",
+    "crates/deta-transport/src/secure.rs",
+    "crates/deta-core/src/transform.rs",
+    "crates/deta-paillier/src/lib.rs",
+    "crates/deta-simnet/src/fleet.rs",
+];
 
-/// Secret-bearing structs must not `derive(Debug)`: key/seed bytes would
-/// flow into logs and breach dumps. Write a redacting manual impl (see
-/// `deta_paillier::PrivateKey`) instead. Applies to every source file.
-pub fn no_secret_debug(path: &str, toks: &[Tok]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let n = toks.len();
-    let mut i = 0;
-    while i < n {
-        // Find #[derive( .. Debug .. )].
-        if !(toks[i].is_punct('#')
-            && i + 2 < n
-            && toks[i + 1].is_punct('[')
-            && toks[i + 2].ident() == Some("derive"))
-        {
-            i += 1;
-            continue;
-        }
-        let close = balanced_end(toks, i + 3, '(', ')');
-        let derives_debug = toks[i + 3..close]
-            .iter()
-            .any(|t| t.ident() == Some("Debug"));
-        // Move past the attribute's closing `]`.
-        let mut j = close;
-        if j < n && toks[j].is_punct(']') {
-            j += 1;
-        }
-        i = j;
-        if !derives_debug {
-            continue;
-        }
-        // Skip further attributes / visibility to reach `struct Name`.
-        while j < n {
-            if toks[j].is_punct('#') && j + 1 < n && toks[j + 1].is_punct('[') {
-                j = balanced_end(toks, j + 1, '[', ']');
-                if j < n && toks[j].is_punct(']') {
-                    j += 1;
-                }
-            } else if toks[j].ident() == Some("pub") {
-                j += 1;
-                if j < n && toks[j].is_punct('(') {
-                    j = balanced_end(toks, j, '(', ')');
-                }
-            } else {
-                break;
-            }
-        }
-        if j + 1 >= n || toks[j].ident() != Some("struct") {
-            continue;
-        }
-        let Some(name) = toks[j + 1].ident() else {
-            continue;
-        };
-        let line = toks[j + 1].line;
-        if has_word(name, SECRET_NAME_WORDS) {
-            out.push(Violation {
-                rule: "no-secret-debug",
-                path: path.to_string(),
-                line,
-                ident: name.to_string(),
-                message: format!(
-                    "struct `{name}` holds secret material but derives Debug; \
-                     write a redacting manual impl"
-                ),
-            });
-            continue;
-        }
-        // Inspect fields: a secret-named field of raw-byte type also
-        // makes the derive dangerous.
-        let mut k = j + 2;
-        // Generics: skip `<...>` by angle-depth counting.
-        if k < n && toks[k].is_punct('<') {
-            let mut depth = 0i32;
-            while k < n {
-                if toks[k].is_punct('<') {
-                    depth += 1;
-                } else if toks[k].is_punct('>') {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                k += 1;
-            }
-        }
-        if k < n && toks[k].is_punct('{') {
-            let body_end = balanced_end(toks, k, '{', '}');
-            out.extend(check_named_fields(path, name, toks, k + 1, body_end));
-        } else if k < n && toks[k].is_punct('(') {
-            let body_end = balanced_end(toks, k, '(', ')');
-            if has_word(name, SECRET_FIELD_WORDS)
-                && !has_word(name, &["public", "verifying", "pub"])
-                && type_is_raw_bytes(&toks[k + 1..body_end])
-            {
-                out.push(Violation {
-                    rule: "no-secret-debug",
-                    path: path.to_string(),
-                    line,
-                    ident: name.to_string(),
-                    message: format!("tuple struct `{name}` wraps raw key bytes but derives Debug"),
-                });
-            }
-        }
+/// Every key lives in a `deta_crypto::Secret`, which cannot be printed,
+/// compared, copied or made a telemetry field; `expose` is the one way
+/// to its bytes. Outside [`EXPOSE_FILES`] nothing names it — as a method
+/// call or as the path `Secret::expose` — so a key reaching a log, a
+/// metric or the wire has to start in a file this list makes reviewable.
+pub fn secret_expose(path: &str, toks: &[Tok]) -> Vec<Violation> {
+    if EXPOSE_FILES.contains(&path) {
+        return Vec::new();
     }
-    out
-}
-
-/// Checks named fields in `toks[start..end]` (inside the struct braces).
-fn check_named_fields(
-    path: &str,
-    struct_name: &str,
-    toks: &[Tok],
-    start: usize,
-    end: usize,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut i = start;
-    let mut depth = 0i32;
-    while i + 1 < end {
-        match &toks[i].kind {
-            TokKind::Punct(c) if "([{<".contains(*c) => depth += 1,
-            TokKind::Punct(c) if ")]}>".contains(*c) => depth -= 1,
-            TokKind::Ident(field) if depth == 0 && toks[i + 1].is_punct(':') && field != "pub" => {
-                // Type tokens run to the next top-level comma.
-                let mut t = i + 2;
-                let mut tdepth = 0i32;
-                let ty_start = t;
-                while t < end {
-                    match &toks[t].kind {
-                        TokKind::Punct(c) if "([{<".contains(*c) => tdepth += 1,
-                        TokKind::Punct(c) if ")]}>".contains(*c) => tdepth -= 1,
-                        TokKind::Punct(',') if tdepth == 0 => break,
-                        _ => {}
-                    }
-                    t += 1;
-                }
-                if has_word(field, SECRET_FIELD_WORDS) && type_is_raw_bytes(&toks[ty_start..t]) {
-                    out.push(Violation {
-                        rule: "no-secret-debug",
-                        path: path.to_string(),
-                        line: toks[i].line,
-                        ident: field.clone(),
-                        message: format!(
-                            "field `{field}` of `{struct_name}` holds raw key bytes \
-                             but the struct derives Debug"
-                        ),
-                    });
-                }
-                i = t;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// True if a type token sequence is a raw byte container: `[u8; N]` or
-/// `Vec<u8>` (possibly behind `pub`).
-fn type_is_raw_bytes(ty: &[Tok]) -> bool {
-    let sig: Vec<&Tok> = ty.iter().filter(|t| t.ident() != Some("pub")).collect();
-    if sig.len() >= 2 && sig[0].is_punct('[') && sig[1].ident() == Some("u8") {
-        return true;
-    }
-    sig.len() >= 3
-        && sig[0].ident() == Some("Vec")
-        && sig[1].is_punct('<')
-        && sig[2].ident() == Some("u8")
+    toks.iter()
+        .enumerate()
+        .filter(|(i, t)| {
+            t.ident() == Some("expose") && !(*i > 0 && toks[i - 1].ident() == Some("fn"))
+        })
+        .map(|(_, t)| Violation {
+            rule: "secret-expose",
+            path: path.to_string(),
+            line: t.line,
+            ident: "expose".to_string(),
+            message: "`expose` reads a key's bytes outside the files that may; \
+                      pass the `Secret` to code in one of them instead"
+                .to_string(),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -511,88 +375,6 @@ pub fn no_truncating_cast(path: &str, toks: &[Tok]) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------
-// Rule 6: no-secret-telemetry
-// ---------------------------------------------------------------------
-
-/// Telemetry sink calls whose arguments leave the trust boundary: they
-/// land in flight-recorder rings, JSONL trace dumps, and Prometheus
-/// snapshots that operators read outside any CVM.
-const TELEMETRY_SINKS: &[&str] = &[
-    "event",
-    "span",
-    "counter_add",
-    "histogram_observe",
-    "with_field",
-];
-
-/// Identifier words that mark a value as secret or sealed material.
-const TELEMETRY_SECRET_WORDS: &[&str] = &[
-    "sealed",
-    "secret",
-    "signing",
-    "signature",
-    "sk",
-    "private",
-    "key",
-    "keys",
-    "token",
-    "seed",
-];
-
-/// Telemetry must stay secret-free *by construction*: field values are
-/// restricted to the closed `TelemetryValue` set, but nothing in the
-/// type system stops a caller from stringifying a sealed fragment or a
-/// signing key into one. This rule scans every telemetry sink call —
-/// `event`, `span`, `counter_add`, `histogram_observe`, `with_field` —
-/// and flags any argument identifier whose name marks it as secret
-/// material. A file is in scope once it names `deta_telemetry`; string
-/// literals (metric and field *names*) are opaque and never trigger.
-pub fn no_secret_telemetry(path: &str, toks: &[Tok]) -> Vec<Violation> {
-    if !toks.iter().any(|t| t.ident() == Some("deta_telemetry")) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let n = toks.len();
-    let mut i = 0;
-    while i < n {
-        let is_sink = toks[i]
-            .ident()
-            .is_some_and(|id| TELEMETRY_SINKS.contains(&id));
-        if !is_sink || i + 1 >= n || !toks[i + 1].is_punct('(') {
-            i += 1;
-            continue;
-        }
-        // `fn event(..)` defines a sink rather than feeding one.
-        if i > 0 && toks[i - 1].ident() == Some("fn") {
-            i += 1;
-            continue;
-        }
-        let sink = toks[i].ident().unwrap_or_default().to_string();
-        let close = balanced_end(toks, i + 1, '(', ')');
-        let args_end = close.saturating_sub(1).max(i + 2);
-        let mut seen: Vec<&str> = Vec::new();
-        for t in &toks[i + 2..args_end.min(n)] {
-            let Some(id) = t.ident() else { continue };
-            if has_word(id, TELEMETRY_SECRET_WORDS) && !seen.contains(&id) {
-                seen.push(id);
-                out.push(Violation {
-                    rule: "no-secret-telemetry",
-                    path: path.to_string(),
-                    line: t.line,
-                    ident: id.to_string(),
-                    message: format!(
-                        "`{id}` names secret material but flows into telemetry \
-                         sink `{sink}`; traces and metrics leave the CVM"
-                    ),
-                });
-            }
-        }
-        i = close.max(i + 1);
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // Rule 8: channel-liveness
 // ---------------------------------------------------------------------
 
@@ -779,31 +561,4 @@ pub fn exhaustive_handling(fa: &FileAnalysis) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// Shared balanced-delimiter scan (forwarded to the lexer's helper
-/// semantics, local to avoid exposing lexer internals).
-fn balanced_end(toks: &[Tok], i: usize, open: char, close: char) -> usize {
-    let n = toks.len();
-    let mut depth = 0usize;
-    let mut j = i;
-    // Allow being called either at the opening punct or just before it.
-    while j < n && !toks[j].is_punct(open) {
-        if j > i + 2 {
-            return j;
-        }
-        j += 1;
-    }
-    while j < n {
-        if toks[j].is_punct(open) {
-            depth += 1;
-        } else if toks[j].is_punct(close) {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    n
 }

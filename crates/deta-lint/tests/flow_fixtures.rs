@@ -1,259 +1,11 @@
-//! Fixtures for the three flow passes (rules 7–9): at least two
-//! positive and two negative cases each, plus the planted
-//! rename-evasion case that motivates the taint layer — caught by
-//! `secret-taint-flow`, provably missed by the token-level rule 1.
+//! Fixtures for the two flow rules (8–9): at least two positive and two
+//! negative cases each.
 
 use deta_lint::parse::FileAnalysis;
-use deta_lint::rules::{channel_liveness, exhaustive_handling, lock_order, no_secret_debug};
-use deta_lint::taint::check_taint;
-use deta_lint::Violation;
-
-fn taint(path: &str, src: &str) -> Vec<Violation> {
-    check_taint(&[FileAnalysis::new(path, src)])
-}
+use deta_lint::rules::{channel_liveness, exhaustive_handling, lock_order};
 
 const CORE: &str = "crates/deta-core/src/party.rs";
 const RUNTIME: &str = "crates/deta-runtime/src/actor.rs";
-
-// -------------------------------------------------------------------
-// Rule 7: secret-taint-flow
-// -------------------------------------------------------------------
-
-/// The planted evasion: one rename defeats the word-heuristic rules,
-/// but taint follows the binding.
-#[test]
-fn taint_positive_rename_evasion_caught_and_rule1_blind() {
-    let src = r#"
-fn report(signing_key: &[u8]) {
-    let leaked = signing_key;
-    let msg = format!("{leaked:?}");
-    log(msg);
-}
-"#;
-    let v = taint(CORE, src);
-    assert!(
-        v.iter().any(|v| v.rule == "secret-taint-flow"
-            && v.ident == "leaked"
-            && v.message.contains("signing_key")),
-        "taint must catch the renamed secret: {v:?}"
-    );
-    // The same source is invisible to the token layer: rule 1 keys on
-    // struct declarations and never sees a value flow.
-    let fa = FileAnalysis::new(CORE, src);
-    assert!(no_secret_debug(CORE, &fa.toks).is_empty());
-}
-
-#[test]
-fn taint_positive_chained_alias_into_telemetry() {
-    let src = r#"
-fn emit(sealed_fragment: &[u8]) {
-    let hop1 = sealed_fragment;
-    let hop2 = hop1;
-    deta_telemetry::event("upload", &[("payload", hop2)]);
-}
-"#;
-    let v = taint(CORE, src);
-    assert!(
-        v.iter().any(|v| v.rule == "secret-taint-flow"
-            && v.ident == "hop2"
-            && v.message.contains("sealed_fragment")),
-        "{v:?}"
-    );
-}
-
-#[test]
-fn taint_positive_interprocedural_leak() {
-    let src = r#"
-fn dump(buf: &[u8]) {
-    println!("{buf:?}");
-}
-fn upload(secret_share: &[u8]) {
-    let staged = secret_share;
-    dump(staged);
-}
-"#;
-    let v = taint(CORE, src);
-    assert!(
-        v.iter()
-            .any(|v| v.rule == "secret-taint-flow" && v.ident == "dump"),
-        "the call passing the tainted value must be flagged: {v:?}"
-    );
-}
-
-#[test]
-fn taint_negative_sanitized_length_and_public_values() {
-    let src = r#"
-fn report(signing_key: &[u8], verifying_key: &[u8]) {
-    let n = signing_key.len();
-    println!("key bytes: {n}");
-    println!("{verifying_key:?}");
-}
-"#;
-    assert!(taint(CORE, src).is_empty(), "{:?}", taint(CORE, src));
-}
-
-#[test]
-fn taint_negative_sealed_bytes_on_the_wire() {
-    let src = r#"
-fn seal(plain: &[u8]) -> Vec<u8> { plain.to_vec() }
-fn send(secret_update: &[u8]) {
-    let sealed_frame = seal(secret_update);
-    sealed_frame.encode();
-}
-"#;
-    assert!(taint(CORE, src).is_empty(), "{:?}", taint(CORE, src));
-}
-
-#[test]
-fn taint_negative_operator_tooling_out_of_scope() {
-    let src = r#"
-fn banner(secret: &[u8]) { println!("{secret:?}"); }
-"#;
-    assert!(taint("crates/deta-cli/src/main.rs", src).is_empty());
-}
-
-// -------------------------------------------------------------------
-// Rule 7 on the socket bridge: handshake and link keys must never
-// reach frame logs, telemetry, or the unsealed wire.
-// -------------------------------------------------------------------
-
-const SOCKET: &str = "crates/deta-socket/src/link.rs";
-
-#[test]
-fn taint_positive_socket_link_key_in_connection_log() {
-    // A hub logging the link signing key on a failed auth would hand the
-    // party identity to anyone reading the coordinator's output.
-    let src = r#"
-fn authenticate(link_signing_key: &[u8]) {
-    let staged = link_signing_key;
-    eprintln!("auth failed, key was {staged:?}");
-}
-"#;
-    let v = taint(SOCKET, src);
-    assert!(
-        v.iter().any(|v| v.rule == "secret-taint-flow"
-            && v.ident == "staged"
-            && v.message.contains("link_signing_key")),
-        "a link key reaching a connection log must be flagged: {v:?}"
-    );
-}
-
-#[test]
-fn taint_positive_socket_handshake_secret_framed_unsealed() {
-    // Encoding a handshake secret outside a sealing function puts raw
-    // key material on the wire — the exact leak the record layer exists
-    // to prevent.
-    let src = r#"
-fn frame(handshake_secret: &[u8]) {
-    let out = handshake_secret;
-    out.encode();
-}
-"#;
-    let v = taint(SOCKET, src);
-    assert!(
-        v.iter()
-            .any(|v| v.rule == "secret-taint-flow" && v.message.contains("handshake_secret")),
-        "an unsealed secret hitting the frame encoder must be flagged: {v:?}"
-    );
-}
-
-#[test]
-fn taint_positive_socket_secret_into_link_telemetry() {
-    let src = r#"
-fn serve(channel_secret: &[u8]) {
-    let hop = channel_secret;
-    deta_telemetry::event("link-up", &[("material", hop)]);
-}
-"#;
-    let v = taint(SOCKET, src);
-    assert!(
-        v.iter().any(|v| v.rule == "secret-taint-flow"
-            && v.ident == "hop"
-            && v.message.contains("channel_secret")),
-        "{v:?}"
-    );
-}
-
-#[test]
-fn taint_negative_socket_sealed_records_may_be_framed() {
-    // The bridge's real data path: seal first (inside a sealing-named
-    // function), then frame the sealed record. No taint may fire.
-    let src = r#"
-fn seal_frame(record_secret: &[u8]) -> Vec<u8> {
-    let sealed_record = protect(record_secret);
-    sealed_record.encode()
-}
-"#;
-    assert!(taint(SOCKET, src).is_empty(), "{:?}", taint(SOCKET, src));
-}
-
-#[test]
-fn taint_negative_socket_key_lengths_and_public_keys_loggable() {
-    let src = r#"
-fn authenticate(link_signing_key: &[u8], peer_verifying_key: &[u8]) {
-    let n = link_signing_key.len();
-    eprintln!("auth with {n}-byte key for peer {peer_verifying_key:?}");
-}
-"#;
-    assert!(taint(SOCKET, src).is_empty(), "{:?}", taint(SOCKET, src));
-}
-
-#[test]
-fn taint_positive_resume_reauth_key_in_reconnect_log() {
-    // The reconnect loop re-authenticates with the seat's original key;
-    // logging it on a failed resume would publish the one credential
-    // the park/resume machinery exists to keep binding the seat.
-    let src = r#"
-fn reconnect(seat_signing_key: &[u8], attempt: u32) {
-    let creds = seat_signing_key;
-    eprintln!("resume attempt {attempt} with {creds:?}");
-}
-"#;
-    let v = taint(SOCKET, src);
-    assert!(
-        v.iter().any(|v| v.rule == "secret-taint-flow"
-            && v.ident == "creds"
-            && v.message.contains("seat_signing_key")),
-        "a re-auth key reaching the reconnect log must be flagged: {v:?}"
-    );
-}
-
-#[test]
-fn taint_positive_resume_secret_in_resync_telemetry() {
-    // Resync telemetry may count replayed frames; it must never carry
-    // the channel secret the replayed records were sealed under.
-    let src = r#"
-fn resync(channel_secret: &[u8], replayed: u64) {
-    let material = channel_secret;
-    deta_telemetry::event(
-        "resync",
-        &[("replayed", replayed), ("under", material)],
-    );
-}
-"#;
-    let v = taint(SOCKET, src);
-    assert!(
-        v.iter().any(|v| v.rule == "secret-taint-flow"
-            && v.ident == "material"
-            && v.message.contains("channel_secret")),
-        "{v:?}"
-    );
-}
-
-#[test]
-fn taint_negative_resume_window_claims_are_public() {
-    // The resume exchange itself — link names and next-expected seqs —
-    // is plain protocol state, freely loggable and countable.
-    let src = r#"
-fn resume(windows: &[(String, String, u64)], reconnects: u64) {
-    for (src, dst, next) in windows {
-        eprintln!("resume {src}->{dst} from {next}");
-    }
-    deta_telemetry::event("link-resumed", &[("reconnects", reconnects)]);
-}
-"#;
-    assert!(taint(SOCKET, src).is_empty(), "{:?}", taint(SOCKET, src));
-}
 
 // -------------------------------------------------------------------
 // Rule 8: channel-liveness

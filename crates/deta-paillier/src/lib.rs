@@ -19,7 +19,7 @@
 //! exact key size.
 
 use deta_bignum::{gen_prime, prime::random_below, BigUint};
-use deta_crypto::DetRng;
+use deta_crypto::{DetRng, Secret};
 
 /// A Paillier public key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,31 +31,14 @@ pub struct PublicKey {
 }
 
 /// A Paillier private key.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct PrivateKey {
     /// Carmichael function `lambda = lcm(p - 1, q - 1)`.
-    lambda: BigUint,
+    lambda: Secret<BigUint>,
     /// Precomputed `mu = L(g^lambda mod n^2)^{-1} mod n`.
-    mu: BigUint,
+    mu: Secret<BigUint>,
     /// The public part.
     pub public: PublicKey,
-}
-
-impl std::fmt::Debug for PrivateKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Secret components are intentionally not printed.
-        f.debug_struct("PrivateKey")
-            .field("public", &self.public)
-            .finish()
-    }
-}
-
-impl Drop for PrivateKey {
-    fn drop(&mut self) {
-        // Best-effort secret erasure when key material leaves scope.
-        self.lambda.zeroize();
-        self.mu.zeroize();
-    }
 }
 
 /// A Paillier key pair.
@@ -90,14 +73,15 @@ impl KeyPair {
         let n = &p * &q;
         let n2 = &n * &n;
         let one = BigUint::one();
-        let lambda = (&p - &one).lcm(&(&q - &one));
+        let lambda = Secret::new((&p - &one).lcm(&(&q - &one)));
         let public = PublicKey { n: n.clone(), n2 };
         // mu = L(g^lambda mod n^2)^{-1} mod n, with g = n + 1.
-        let g_lambda = public.g_pow(&lambda);
+        let g_lambda = public.g_pow(lambda.expose());
         let l = public.l_function(&g_lambda);
-        let mu = l
-            .modinv(&n)
-            .expect("L(g^lambda) must be invertible for valid primes");
+        let mu = Secret::new(
+            l.modinv(&n)
+                .expect("L(g^lambda) must be invertible for valid primes"),
+        );
         KeyPair {
             private: PrivateKey {
                 lambda,
@@ -163,9 +147,9 @@ impl PrivateKey {
     /// `n`: see [`PublicKey::admits`].
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
         assert!(c.0 < self.public.n2, "ciphertext out of range");
-        let x = c.0.modpow(&self.lambda, &self.public.n2);
+        let x = c.0.modpow(self.lambda.expose(), &self.public.n2);
         let l = self.public.l_function(&x);
-        l.mul_mod(&self.mu, &self.public.n)
+        l.mul_mod(self.mu.expose(), &self.public.n)
     }
 }
 
@@ -481,5 +465,24 @@ mod tests {
         let k1 = KeyPair::generate(128, &mut r1);
         let k2 = KeyPair::generate(128, &mut r2);
         assert_ne!(k1.public.n, k2.public.n);
+    }
+
+    #[test]
+    fn debug_of_a_key_pair_shows_the_public_half_only() {
+        let kp = keypair();
+        for shown in [format!("{kp:?}"), format!("{kp:#?}")] {
+            assert!(shown.contains(&kp.public.n.to_string()), "{shown}");
+            let shown: String = shown.split_whitespace().collect();
+            for part in [kp.private.lambda.expose(), kp.private.mu.expose()] {
+                // Any four bytes in a row, in hex (how `BigUint` prints)
+                // or as a list of decimals.
+                for w in part.to_bytes_be_padded(32).windows(4) {
+                    let dec: Vec<String> = w.iter().map(|b| b.to_string()).collect();
+                    let hex: String = w.iter().map(|b| format!("{b:02x}")).collect();
+                    assert!(!shown.contains(&dec.join(",")), "{shown}");
+                    assert!(!shown.contains(&hex), "{shown}");
+                }
+            }
+        }
     }
 }

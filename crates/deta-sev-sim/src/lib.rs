@@ -405,8 +405,7 @@ impl Platform {
         let mut nonce = [0u8; 16];
         launch_rng.fill_bytes(&mut nonce);
         // Per-VM memory encryption key (the VEK, owned by the "SP").
-        let mut vek = [0u8; 32];
-        launch_rng.fill_bytes(&mut vek);
+        let vek = AeadKey::filled(|key| launch_rng.fill_bytes(key));
         let measurement = image.measurement();
         let body = report_signed_bytes(
             &self.chip_id,
@@ -430,7 +429,7 @@ impl Platform {
         };
         let ctx = LaunchContext {
             image: image.clone(),
-            vek: AeadKey(vek),
+            vek,
             pdh: Some(pdh),
             secrets: HashMap::new(),
             asid: self.launch_counter as u32,
@@ -495,12 +494,7 @@ impl SealedSecret {
         let key = eph
             .agree(&report.pdh_pub, &report.nonce)
             .map_err(|_| SevError::BadCertChain("report PDH key invalid"))?;
-        let sealed = seal(
-            &AeadKey(key),
-            &Nonce::from_parts(0x5ec, 0),
-            label.as_bytes(),
-            secret,
-        );
+        let sealed = seal(&key, &Nonce::from_parts(0x5ec, 0), label.as_bytes(), secret);
         Ok(SealedSecret {
             label: label.to_string(),
             sender_pub,
@@ -539,7 +533,7 @@ impl LaunchContext {
             .agree(&blob.sender_pub, report_nonce)
             .map_err(|_| SevError::SecretUnsealFailed)?;
         let secret = open(
-            &AeadKey(key),
+            &key,
             &Nonce::from_parts(0x5ec, 0),
             blob.label.as_bytes(),
             &blob.sealed,

@@ -24,6 +24,7 @@ use deta_core::session::{DetaConfig, DetaSession, SessionParts};
 use deta_core::shuffle::RoundPermutation;
 use deta_core::transform::Transformer;
 use deta_core::wire::Msg;
+use deta_crypto::Secret;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
@@ -531,7 +532,7 @@ fn entitled_fragment(
     update: &[f32],
     j: usize,
     tid: &[u8; 16],
-    perm_key: &[u8; 32],
+    perm_key: &Secret<[u8; 32]>,
 ) -> Vec<f32> {
     let tcfg = transformer.config();
     let entitled = if tcfg.partition {
@@ -540,7 +541,7 @@ fn entitled_fragment(
         update.to_vec()
     };
     if tcfg.shuffle {
-        RoundPermutation::derive(perm_key, tid, j as u32, entitled.len()).apply(&entitled)
+        RoundPermutation::derive(perm_key.expose(), tid, j as u32, entitled.len()).apply(&entitled)
     } else {
         entitled
     }

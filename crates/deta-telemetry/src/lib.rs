@@ -13,8 +13,8 @@
 //! * **Secret-free by construction.** Payloads are built from the
 //!   closed [`TelemetryValue`] set (bool/int/float/short string);
 //!   sealed records, keys, and signatures have no conversion into it,
-//!   and deta-lint rule 6 (`no-secret-telemetry`) flags call sites
-//!   whose arguments name secret-like identifiers.
+//!   and a key (`deta_crypto::Secret`) gives up its bytes only through
+//!   `expose`, which deta-lint admits in a fixed list of files.
 //! * **Per-node attribution without plumbing.** Each node thread
 //!   attaches its [`FlightRecorder`] thread-locally ([`attach`]);
 //!   instrumentation deep inside `deta-core`/`deta-transport` lands in

@@ -15,8 +15,7 @@
 //!   untouched.
 //! * **Secret-free by construction.** Only ids cross the boundary —
 //!   the sealed payload is carried opaquely and never inspected, so
-//!   lint rule 6's no-secret-telemetry invariant holds at this layer
-//!   by shape alone.
+//!   telemetry stays secret-free at this layer by shape alone.
 //! * **Bit-exact when disabled.** The transport wraps only while the
 //!   global sink is enabled; with telemetry off the bytes on the wire
 //!   are identical to a build without this module.

@@ -4,9 +4,9 @@
 //! conversions from booleans, integers, floats, and text — and nothing
 //! else. There is deliberately no `From<&[u8]>`, no `From<Vec<u8>>`, and
 //! no conversion from any crypto type, so sealed records, keys, and
-//! signatures cannot reach a trace without an explicit (and lintable —
-//! see deta-lint rule 6 `no-secret-telemetry`) re-encoding at the call
-//! site.
+//! signatures cannot reach a trace without an explicit re-encoding at
+//! the call site — which, for a key, starts at `Secret::expose`, a word
+//! deta-lint's `secret-expose` rule admits in a fixed list of files.
 
 /// One telemetry field value.
 #[derive(Clone, Debug, PartialEq)]

@@ -20,7 +20,7 @@ use deta_crypto::aead::{open_in_place, seal_in_place};
 use deta_crypto::dh::{EphemeralSecret, PublicKey as DhPublicKey};
 use deta_crypto::poly1305::TAG_LEN;
 use deta_crypto::sha256::{hkdf, sha256_concat};
-use deta_crypto::{AeadKey, DetRng, Nonce, Signature, SigningKey, VerifyingKey};
+use deta_crypto::{AeadKey, DetRng, Nonce, Secret, Signature, SigningKey, VerifyingKey};
 
 /// Errors from handshakes and record protection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,23 +50,13 @@ impl std::fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 /// Directional record protection state.
+#[derive(Debug)]
 pub struct SecureChannel {
     send_key: AeadKey,
     recv_key: AeadKey,
     send_seq: u64,
     recv_seq: u64,
     channel_id: u32,
-}
-
-impl std::fmt::Debug for SecureChannel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Keys are intentionally not printed.
-        f.debug_struct("SecureChannel")
-            .field("channel_id", &self.channel_id)
-            .field("send_seq", &self.send_seq)
-            .field("recv_seq", &self.recv_seq)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Associated data bound into every record.
@@ -207,26 +197,26 @@ fn transcript_hash(hello: &[u8], resp_prefix: &[u8]) -> [u8; 32] {
 }
 
 /// Derives the two directional keys and channel id from the DH secret.
-fn derive_channel(secret: &[u8; 32], nonce: &[u8; 16], initiator: bool) -> SecureChannel {
-    let okm = hkdf(b"deta-channel-v1", secret, nonce, 68);
-    let mut k_i2r = [0u8; 32];
-    let mut k_r2i = [0u8; 32];
-    k_i2r.copy_from_slice(&okm[..32]);
-    k_r2i.copy_from_slice(&okm[32..64]);
+/// The 68 bytes of HKDF output are wiped on return; each key is copied
+/// out of them straight into its [`Secret`].
+fn derive_channel(secret: &Secret<[u8; 32]>, nonce: &[u8; 16], initiator: bool) -> SecureChannel {
+    let okm = Secret::new(hkdf(b"deta-channel-v1", secret.expose(), nonce, 68));
+    let bytes = okm.expose();
+    let k_i2r = AeadKey::filled(|k| k.copy_from_slice(&bytes[..32]));
+    let k_r2i = AeadKey::filled(|k| k.copy_from_slice(&bytes[32..64]));
     let mut id_bytes = [0u8; 4];
-    id_bytes.copy_from_slice(&okm[64..68]);
-    let channel_id = u32::from_le_bytes(id_bytes);
-    let (send, recv) = if initiator {
+    id_bytes.copy_from_slice(&bytes[64..68]);
+    let (send_key, recv_key) = if initiator {
         (k_i2r, k_r2i)
     } else {
         (k_r2i, k_i2r)
     };
     SecureChannel {
-        send_key: AeadKey(send),
-        recv_key: AeadKey(recv),
+        send_key,
+        recv_key,
         send_seq: 0,
         recv_seq: 0,
-        channel_id,
+        channel_id: u32::from_le_bytes(id_bytes),
     }
 }
 
@@ -347,6 +337,25 @@ mod tests {
         let _i2 = init.complete(&resp, &id.verifying_key()).unwrap();
         let c = i1.seal_msg(b"cross");
         assert!(r2.open_msg(&c).is_err());
+    }
+
+    #[test]
+    fn debug_of_a_channel_shows_no_key_byte() {
+        let (chan, _) = handshake();
+        for shown in [format!("{chan:?}"), format!("{chan:#?}")] {
+            assert!(shown.contains("channel_id"), "{shown}");
+            let shown: String = shown.split_whitespace().collect();
+            for key in [chan.send_key.expose(), chan.recv_key.expose()] {
+                // Any four bytes in a row, the way `{:?}` or `{:x}` of a
+                // byte array would print them.
+                for w in key.windows(4) {
+                    let dec: Vec<String> = w.iter().map(|b| b.to_string()).collect();
+                    let hex: String = w.iter().map(|b| format!("{b:02x}")).collect();
+                    assert!(!shown.contains(&dec.join(",")), "{shown}");
+                    assert!(!shown.to_lowercase().contains(&hex), "{shown}");
+                }
+            }
+        }
     }
 
     #[test]

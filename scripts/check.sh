@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: build, tests (including the deta-lint clean check in
-# tests/lint_clean.rs), formatting, and clippy with warnings as errors.
+# tests/lint_clean.rs: seven rules, an allowlist with no entry — that a
+# key is never printed, compared or copied is deta_crypto::Secret's
+# compile_fail doctests, not a lint), formatting, and clippy with
+# warnings as errors.
 # Run from anywhere inside the workspace; requires no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
