@@ -125,6 +125,38 @@ impl AggKind {
             AggKind::TrimmedMean { .. } => "trimmed-mean",
         }
     }
+
+    /// The minimum surviving-party count the rule needs to keep its
+    /// guarantees once partial participation shrinks the session: Krum
+    /// scores each update against its `n - f - 2` nearest neighbours (so
+    /// `n >= 2f + 2` must hold for selection to be meaningful), the
+    /// trimmed mean must retain at least one value per coordinate after
+    /// discarding `trim` from each end, FLAME-lite's median-based
+    /// clipping needs three updates for a non-degenerate median, and the
+    /// plain averaging rules work with any non-empty set.
+    pub fn participation_floor(&self) -> usize {
+        match *self {
+            AggKind::Krum { f } => 2 * f + 2,
+            AggKind::TrimmedMean { trim } => 2 * trim + 1,
+            AggKind::FlameLite => 3,
+            AggKind::IterativeAveraging | AggKind::GradientSum | AggKind::CoordinateMedian => 1,
+        }
+    }
+
+    /// Whether the rule commutes with re-partitioning: its output at each
+    /// coordinate depends only on the parties' values at that coordinate,
+    /// never on whole-fragment geometry. Krum and FLAME-lite measure
+    /// distances between whole fragments, so a session running either
+    /// refuses `FailoverPolicy::Repartition`.
+    pub fn partition_commutative(&self) -> bool {
+        match self {
+            AggKind::Krum { .. } | AggKind::FlameLite => false,
+            AggKind::IterativeAveraging
+            | AggKind::GradientSum
+            | AggKind::CoordinateMedian
+            | AggKind::TrimmedMean { .. } => true,
+        }
+    }
 }
 
 /// The common length of `inputs`, one weight per input.

@@ -83,6 +83,11 @@ impl std::error::Error for AggError {}
 struct PartyPeer {
     /// The secure channel its Phase II handshake opened.
     channel: SecureChannel,
+    /// The `Hello` that channel was built from and the encoded
+    /// `HelloReply` that answered it: the same opener again is the same
+    /// handshake, not a new one.
+    opener: Vec<u8>,
+    reply: Vec<u8>,
     /// The weight it registered with: `None` before `Register` and after
     /// [`AggregatorNode::deregister`], when the channel stays but rounds
     /// neither wait for the party nor reach it.
@@ -367,16 +372,32 @@ impl AggregatorNode {
         };
         match msg {
             Msg::Hello { handshake } => {
+                // The opener this party's channel was built from, again (a
+                // duplicated frame, or a retry of a lost reply): the party
+                // is — or will be — on the channel its first copy opened.
+                // Answer as before; a fresh `respond` would move this node
+                // to a channel whose reply the party never adopts.
+                if let Some(peer) = self.parties.get(from).filter(|p| p.opener == handshake) {
+                    let _ = self.endpoint.send(from, peer.reply.clone());
+                    return;
+                }
                 // Phase II: sign the handshake transcript with the token.
-                if let Ok((resp, channel)) = secure::respond(&handshake, &self.token, &mut self.rng)
-                {
-                    // A party that says hello again keeps its registration.
+                let Ok((resp, channel)) = secure::respond(&handshake, &self.token, &mut self.rng)
+                else {
+                    return;
+                };
+                if let Ok(reply) = (Msg::HelloReply { handshake: resp }).encode() {
+                    // A party that says hello afresh (a rebind carries a new
+                    // share) keeps its registration.
                     let weight = self.parties.get(from).and_then(|p| p.weight);
-                    self.parties
-                        .insert(from.to_string(), PartyPeer { channel, weight });
-                    if let Ok(frame) = (Msg::HelloReply { handshake: resp }).encode() {
-                        let _ = self.endpoint.send(from, frame);
-                    }
+                    let peer = PartyPeer {
+                        channel,
+                        opener: handshake,
+                        reply: reply.clone(),
+                        weight,
+                    };
+                    self.parties.insert(from.to_string(), peer);
+                    let _ = self.endpoint.send(from, reply);
                 }
             }
             Msg::SyncRound { round, training_id } => {
@@ -470,21 +491,31 @@ impl AggregatorNode {
     }
 
     /// Holds `from`'s upload for `round`, and aggregates the round if it
-    /// was the last one expected.
+    /// was the last one expected. A plain upload whose length differs
+    /// from what *another* party holds for the round is refused: one odd
+    /// (hostile, or stale) arrival must not cost the round the uploads it
+    /// has. A party's own entry it may always replace — its channel is
+    /// ordered, so its latest word is its newest (a replayed new-epoch
+    /// upload overtaking its own old-epoch one, still in flight when
+    /// `reopen_round` emptied the slot).
     fn hold_upload(&mut self, from: &str, round: u64, upload: Upload) {
         let slot = self.pending.entry(round).or_default();
-        if let (Upload::Plain(arriving), Some(Upload::Plain(held))) =
-            (&upload, slot.values().next())
-        {
+        let other = slot.iter().find(|(party, _)| *party != from);
+        if let (Upload::Plain(arriving), Some((_, Upload::Plain(held)))) = (&upload, other) {
             if held.len() != arriving.len() {
-                // Fragment lengths can only differ at a reopened
-                // round straddling a re-partition (a delayed
-                // old-epoch upload meeting a replayed new-epoch
-                // one). Never mix epochs in one aggregate: the
-                // arriving length wins, stale fragments drop, and a
-                // wedged round degrades to the bounded recovery
-                // budget rather than a mixed-length aggregate.
-                slot.clear();
+                deta_telemetry::metrics::counter_add("deta_wire_rejected_total", "Upload", 1);
+                if deta_telemetry::enabled() {
+                    deta_telemetry::event(
+                        "upload_rejected",
+                        &[
+                            ("party", TelemetryValue::from(from)),
+                            ("round", TelemetryValue::from(round)),
+                            ("held", TelemetryValue::from(held.len())),
+                            ("arriving", TelemetryValue::from(arriving.len())),
+                        ],
+                    );
+                }
+                return;
             }
         }
         slot.insert(from.to_string(), upload);

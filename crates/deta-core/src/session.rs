@@ -385,6 +385,36 @@ impl<'a> Blueprint<'a> {
 }
 
 impl SessionParts {
+    /// Phase II, every node driven inline: parties verify the
+    /// aggregators, open their channels and register.
+    ///
+    /// # Errors
+    ///
+    /// An aggregator that fails authentication, or a registration an
+    /// aggregator never acknowledged.
+    pub fn phase_two(&mut self) -> Result<(), SetupError> {
+        for p in &mut self.parties {
+            p.send_hellos(&self.tokens);
+        }
+        for a in &mut self.aggregators {
+            a.pump();
+        }
+        for p in &mut self.parties {
+            p.complete_handshakes()?;
+        }
+        for a in &mut self.aggregators {
+            a.pump();
+        }
+        for p in &mut self.parties {
+            if !p.registration_complete() {
+                return Err(SetupError::Party(PartyError::Protocol(
+                    "registration incomplete",
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Builds every node of a session deterministically from the seed.
     ///
     /// `model_builder` must be deterministic in its RNG; every party's
@@ -546,37 +576,17 @@ impl DetaSession {
         model_builder: &dyn Fn(&mut DetRng) -> Sequential,
         party_data: Vec<LabeledData>,
     ) -> Result<DetaSession, SetupError> {
+        let mut parts = SessionParts::build(config, model_builder, party_data)?;
+        parts.phase_two()?;
         let SessionParts {
             config,
             network,
-            mut parties,
-            mut aggregators,
+            parties,
+            aggregators,
             broker,
             latency_model,
-            tokens,
             ..
-        } = SessionParts::build(config, model_builder, party_data)?;
-
-        // --- Phase II: verify aggregators, register, open channels. ---
-        for p in &mut parties {
-            p.send_hellos(&tokens);
-        }
-        for a in &mut aggregators {
-            a.pump();
-        }
-        for p in &mut parties {
-            p.complete_handshakes()?;
-        }
-        for a in &mut aggregators {
-            a.pump();
-        }
-        for p in &mut parties {
-            if !p.registration_complete() {
-                return Err(SetupError::Party(PartyError::Protocol(
-                    "registration incomplete",
-                )));
-            }
-        }
+        } = parts;
 
         let party_names = parties.iter().map(|p| p.name.clone()).collect();
         Ok(DetaSession {

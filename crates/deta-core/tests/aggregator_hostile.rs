@@ -1,6 +1,7 @@
 //! Inner messages a party controls must never stop an aggregator: a
 //! hostile registration is dropped, counted and attributed, an upload of
-//! the kind the node does not aggregate is refused where it comes in,
+//! the kind the node does not aggregate — or of a length the round does
+//! not hold — is refused where it comes in and costs nobody else theirs,
 //! and an aggregation the inputs cannot support — plain or encrypted —
 //! is a structured failure of the round. Nor does a stale aggregate,
 //! of either kind, pass a party uncounted. The telemetry sink is on for
@@ -264,6 +265,55 @@ fn an_upload_of_the_kind_a_node_does_not_aggregate_is_refused_at_the_door() {
         agg.pump();
         assert_eq!(agg.completed_rounds, 1);
         assert!(party.recv().is_some());
+    }
+    // Here rather than in a test of its own: it counts under the label
+    // asserted on above, and the registry is the process's.
+    an_upload_of_another_length_is_refused_and_erases_nothing(&mut rng);
+}
+
+/// One party's odd upload must not cost a round the uploads it holds.
+fn an_upload_of_another_length_is_refused_and_erases_nothing(rng: &mut DetRng) {
+    let recorder = FlightRecorder::new("agg-0", 64);
+    let _attached = deta_telemetry::attach(recorder.clone());
+    let net = Network::new(LinkModel::lan());
+    let mut agg = aggregator(&net, AggKind::IterativeAveraging, rng);
+    let mut parties = registered(&net, &mut agg, 0..3, rng);
+    let upload = |fragment: Vec<f32>| Msg::Upload { round: 1, fragment };
+    parties[0].send(&upload(vec![1.0; 4]));
+    parties[1].send(&upload(vec![3.0; 4]));
+    let rejected_before = counter_value("deta_wire_rejected_total", "Upload");
+    parties[2].send(&upload(vec![9.0; 7]));
+    agg.pump();
+    let held: Vec<String> = (agg.pending_uploads().into_iter())
+        .map(|(_, party, _)| party)
+        .collect();
+    assert_eq!(held, ["party-0", "party-1"], "the honest uploads stay held");
+    assert_eq!(
+        counter_value("deta_wire_rejected_total", "Upload") - rejected_before,
+        1
+    );
+    let (records, _) = recorder.drain();
+    let refusal: Vec<_> = (records.iter())
+        .filter(|r| r.name == "upload_rejected")
+        .collect();
+    assert_eq!(refusal.len(), 1);
+    let want = [
+        ("party", TelemetryValue::from("party-2")),
+        ("round", TelemetryValue::from(1u64)),
+        ("held", TelemetryValue::from(4usize)),
+        ("arriving", TelemetryValue::from(7usize)),
+    ];
+    assert_eq!(refusal[0].fields, want);
+    // The round is the one the honest parties opened.
+    parties[2].send(&upload(vec![5.0; 4]));
+    agg.pump();
+    assert_eq!(agg.completed_rounds, 1);
+    let aggregated = Msg::Aggregated {
+        round: 1,
+        fragment: vec![3.0; 4],
+    };
+    for party in &mut parties {
+        assert_eq!(party.recv(), Some(aggregated.clone()));
     }
 }
 

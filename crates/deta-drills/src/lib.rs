@@ -4,7 +4,8 @@
 //! Each [`Drill`] mounts one concrete attack from the paper's threat
 //! model — a tampered launch measurement, a replayed Phase II response,
 //! a re-sealed frame on the TCP bridge, a breached-and-retired token
-//! key, a model-poisoning party — against a *live* session or protocol
+//! key, a model-poisoning party, an upload that erases a round —
+//! against a *live* session or protocol
 //! object, and passes only when the system rejects the attack with the
 //! exact structured error the design promises. A drill that observes
 //! the wrong error, or sees the attack succeed, FAILs.
@@ -19,6 +20,7 @@ pub mod attest;
 pub mod channel;
 pub mod common;
 pub mod failover;
+pub mod hostile;
 pub mod poisoning;
 pub mod registration;
 pub mod socket;
@@ -66,6 +68,7 @@ pub fn catalog() -> Vec<Drill> {
     out.extend(poisoning::drills());
     out.extend(registration::drills());
     out.extend(socket::ack_drills());
+    out.extend(hostile::drills());
     out
 }
 

@@ -26,7 +26,7 @@ const SEED: u64 = 0xD0D0;
 pub fn start_hub() -> (SocketHub, Network, Endpoint, SigningKey) {
     let network = Network::new(LinkModel::lan());
     let agg = network.register("agg-0");
-    let (seat, link) = seat(&network, "party-0");
+    let (seat, link) = seat("party-0");
     let hub = SocketHub::bind(network.clone(), vec![seat], SEED).expect("hub bind");
     (hub, network, agg, link)
 }
@@ -52,8 +52,8 @@ impl Custody {
     /// A refused client, or a relay that did not deliver 0, 1, 2.
     pub fn start() -> Result<Custody, String> {
         let network = Network::new(LinkModel::lan());
-        let (party_seat, party_link) = seat(&network, "party-0");
-        let (agg_seat, agg_link) = seat(&network, "agg-0");
+        let (party_seat, party_link) = seat("party-0");
+        let (agg_seat, agg_link) = seat("agg-0");
         let hub = SocketHub::bind(network, vec![party_seat, agg_seat], SEED)
             .map_err(|e| format!("bind: {e}"))?;
         let mut agg = Rogue::connect(hub.addr(), "agg-0", &agg_link).ok_or("agg-0 auth refused")?;
@@ -93,12 +93,11 @@ impl Custody {
 }
 
 /// A seat for `name`, keyed by a link key derived from the drill seed.
-fn seat(network: &Network, name: &str) -> (HubSeat, SigningKey) {
+fn seat(name: &str) -> (HubSeat, SigningKey) {
     let link = party_link_key(SEED, name);
     let seat = HubSeat {
         name: name.to_string(),
         key: link.verifying_key(),
-        endpoint: network.register(name),
     };
     (seat, link)
 }
@@ -500,7 +499,6 @@ fn rogue_aggregator() -> Result<String, String> {
     let seats = vec![HubSeat {
         name: "agg-1".to_string(),
         key: attested.verifying_key(),
-        endpoint: network.register("agg-1"),
     }];
     let hub = SocketHub::bind(network.clone(), seats, SEED).map_err(|e| format!("bind: {e}"))?;
     let self_generated = SigningKey::generate(&mut rng.fork(b"rogue"));

@@ -378,8 +378,12 @@ pub fn no_truncating_cast(path: &str, toks: &[Tok]) -> Vec<Violation> {
 // Rule 8: channel-liveness
 // ---------------------------------------------------------------------
 
+/// The crates whose threads block on each other: the actor fabric, the
+/// network under it, and the bridge with its written `network → egress`.
 fn rule8_in_scope(path: &str) -> bool {
-    path.starts_with("crates/deta-runtime/src/") || path.starts_with("crates/deta-transport/src/")
+    ["runtime", "transport", "socket"]
+        .iter()
+        .any(|krate| path.starts_with(&format!("crates/deta-{krate}/src/")))
 }
 
 /// Blocking waits without a bound are how a lost wake-up becomes a hung

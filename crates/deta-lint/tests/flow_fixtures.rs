@@ -105,6 +105,64 @@ fn b(&self) {
     assert!(channel_liveness(&fa2).is_empty());
 }
 
+const BRIDGE: &str = "crates/deta-socket/src/hub.rs";
+
+#[test]
+fn liveness_positive_bridge_lock_inversion_and_unbounded_wait() {
+    // Two bridge functions take a pair of locks in opposite orders, and
+    // a sign-off parks on a bare condvar.
+    let src = r#"
+fn serve(shared: &HubShared) {
+    let seats = lock(&shared.egress);
+    let cuts = lock(&shared.chaos);
+}
+fn sever(shared: &HubShared) {
+    let cuts = lock(&shared.chaos);
+    let seats = lock(&shared.egress);
+}
+fn sign_off(shared: &LinkShared) {
+    let mut st = lock(&shared.state);
+    st = shared.live.wait(st).unwrap();
+}
+"#;
+    let fa = FileAnalysis::new(BRIDGE, src);
+    let v = lock_order(&[&fa]);
+    assert!(
+        v.iter()
+            .any(|v| v.rule == "channel-liveness" && v.message.contains("opposite order")),
+        "{v:?}"
+    );
+    let v = channel_liveness(&fa);
+    assert!(v.iter().any(|v| v.ident == "wait"), "{v:?}");
+}
+
+#[test]
+fn liveness_negative_bridge_one_order_and_bounded_waits() {
+    let src = r#"
+fn serve(shared: &HubShared) {
+    let seats = lock(&shared.egress);
+    let cuts = lock(&shared.chaos);
+}
+fn sever(shared: &HubShared) {
+    let seats = lock(&shared.egress);
+    let cuts = lock(&shared.chaos);
+}
+fn write_loop(rx: Receiver<Frame>, link: &mut LinkReceiver, stop: &AtomicBool) {
+    // Ended by its sender being dropped, and a polled socket read.
+    while let Ok(frame) = rx.recv() {
+        let next = link.recv(None, Some(stop));
+    }
+}
+"#;
+    let fa = FileAnalysis::new(BRIDGE, src);
+    assert!(lock_order(&[&fa]).is_empty(), "{:?}", lock_order(&[&fa]));
+    assert!(
+        channel_liveness(&fa).is_empty(),
+        "{:?}",
+        channel_liveness(&fa)
+    );
+}
+
 // -------------------------------------------------------------------
 // Rule 9: exhaustive-handling
 // -------------------------------------------------------------------

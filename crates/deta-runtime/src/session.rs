@@ -15,7 +15,6 @@
 use crate::rtmsg::{CtlMsg, RebindEntry};
 use crate::supervisor::{implicated_nodes, Supervisor};
 use crate::{FailoverPolicy, Node, Phase, RuntimeConfig, RuntimeError};
-use deta_core::agg::AggKind;
 use deta_core::aggregator::{AggRole, AggregatorNode};
 use deta_core::keybroker::KeyBroker;
 use deta_core::mapper::ModelMapper;
@@ -419,7 +418,7 @@ impl ThreadedSession {
             return Err(err);
         }
         let algorithm = self.parts.config.algorithm;
-        if policy == FailoverPolicy::Repartition && !partition_commutative(algorithm) {
+        if policy == FailoverPolicy::Repartition && !algorithm.partition_commutative() {
             // Krum / FLAME-lite score whole fragments, so survivors
             // re-aggregating under a new partition would select
             // differently than the original epoch — re-partition would
@@ -488,7 +487,7 @@ impl ThreadedSession {
     ///
     /// * the knob is off, or any implicated node is an aggregator,
     /// * the survivors would fall below the aggregation rule's quorum
-    ///   floor ([`participation_floor`]),
+    ///   floor ([`deta_core::agg::AggKind::participation_floor`]),
     /// * the lost party is this round's designated parameter reporter
     ///   and its snapshot has not arrived — no survivor was told to
     ///   report, so the round could never complete.
@@ -515,7 +514,7 @@ impl ThreadedSession {
             return Err(err);
         }
         let survivors = self.ledger.party_names().len() - self.dropped_parties.len() - lost.len();
-        let floor = participation_floor(self.parts.config.algorithm);
+        let floor = self.parts.config.algorithm.participation_floor();
         if survivors < floor {
             return Err(self.supervisor.record_failure(RuntimeError::NodeFailed {
                 node: lost[0].clone(),
@@ -922,28 +921,4 @@ fn policy_tag(policy: FailoverPolicy) -> &'static str {
         FailoverPolicy::Restart => "restart",
         FailoverPolicy::Repartition => "repartition",
     }
-}
-
-/// The minimum surviving-party count each aggregation rule needs to
-/// keep its guarantees once partial participation shrinks the session:
-/// Krum scores each update against its `n - f - 2` nearest neighbours
-/// (so `n >= 2f + 2` must hold for selection to be meaningful), the
-/// trimmed mean must retain at least one value per coordinate after
-/// discarding `trim` from each end, FLAME-lite's median-based clipping
-/// needs three updates for a non-degenerate median, and the plain
-/// averaging rules work with any non-empty set.
-fn participation_floor(algorithm: AggKind) -> usize {
-    match algorithm {
-        AggKind::Krum { f } => 2 * f + 2,
-        AggKind::TrimmedMean { trim } => 2 * trim + 1,
-        AggKind::FlameLite => 3,
-        AggKind::IterativeAveraging | AggKind::GradientSum | AggKind::CoordinateMedian => 1,
-    }
-}
-
-/// Whether an aggregation algorithm commutes with re-partitioning: its
-/// output at each coordinate depends only on the parties' values at
-/// that coordinate, never on whole-fragment geometry.
-fn partition_commutative(algorithm: AggKind) -> bool {
-    !matches!(algorithm, AggKind::Krum { .. } | AggKind::FlameLite)
 }

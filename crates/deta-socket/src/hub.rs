@@ -1,30 +1,36 @@
 //! Coordinator-side bridge: one TCP listener, one authenticated link
-//! per child process, one pump per hosted node.
+//! per child process, two threads per live link and one acceptor.
 //!
 //! The hub owns the *authoritative* [`Network`]: the supervisor, fault
 //! policy, tap, byte accounting, and telemetry all live there. Each
-//! remote node is represented on that network by its proxy mailbox (the
-//! node's own [`Endpoint`], surrendered by the child's coordinator-side
-//! twin). Traffic flows:
+//! remote node is a *forwarded name* on that network
+//! ([`Network::forward`]). Traffic flows:
 //!
 //! * **ingress** — a child's frames arrive on its link; after the
 //!   replay window accepts them they are injected with
 //!   [`Network::send_as`], so verdicts, taps, and per-link byte counts
 //!   apply exactly as for an in-process sender;
-//! * **egress** — a pump thread drains each node's proxy mailbox into
-//!   that node's [`NodeEgress`]: a bounded retransmit buffer plus, when
-//!   a connection is live, the link writer's queue.
+//! * **egress** — the network hands every delivery for a seat to that
+//!   seat's `Egress`, under the network lock and in send order: stamped
+//!   into a bounded retransmit buffer and, when a connection is live,
+//!   queued for the link's writer. No thread stands in between.
+//!
+//! Locks are taken `network → egress`, never the other way: nobody calls
+//! into the network — `close`, `is_closed`, `send_as` — while holding
+//! the egress lock, and it is never held across IO. A serve thread reads
+//! and never writes to a socket once its link is split; what it owes its
+//! peer goes through the seat's writer (DESIGN.md §16).
 //!
 //! ## Custody
 //!
 //! A frame the ingress window accepts is from then on the *destination
 //! seat's* to retransmit, so acceptance is acknowledged to the child it
-//! came from ([`SocketFrame::Ack`], queued on that seat's writer — the
-//! serve thread reads and never writes to a socket) and the child stops
-//! retaining it. The destination's child acknowledges in turn, and the
-//! seat's buffer drops the frame: on a healthy link a buffer holds what
-//! is in flight. An acknowledgement is honoured only from the seat its
-//! link ends at, and never past what was stamped on that link.
+//! came from ([`SocketFrame::Ack`], queued on that seat's writer) and the
+//! child stops retaining it. The destination's child acknowledges in
+//! turn, and the seat's buffer drops the frame: on a healthy link a
+//! buffer holds what is in flight. An acknowledgement is honoured only
+//! from the seat its link ends at, and never past what was stamped on
+//! that link.
 //!
 //! ## Link lifecycle
 //!
@@ -36,34 +42,35 @@
 //! [`SocketFrame::Resume`]/[`SocketFrame::ResumeAck`] so both sides
 //! retransmit exactly the frames the other never delivered. A resume
 //! that needs frames already evicted from the bounded buffer *retires*
-//! the seat (structured [`SocketError::Resync`], mailbox closed): the
+//! the seat (structured [`SocketError::Resync`], name closed): the
 //! gap cannot be hidden. Loss of a node that already said `Bye` stays
 //! a normal closure, exactly as before reconnection existed.
 //!
-//! A node's proxy mailbox closing (supervisor shutdown, kill, or seat
-//! retirement) broadcasts [`SocketFrame::Close`] to every live link —
-//! and is replayed to late (re)connectors — so each child mirrors the
-//! closure into its local replica.
+//! A seat's name closing on the network (supervisor shutdown, kill, or
+//! seat retirement) is told to the forwarder once, by
+//! [`Network::close`], and broadcast from there as
+//! [`SocketFrame::Close`] to every live link — and re-announced to late
+//! (re)connectors — so each child mirrors the closure into its local
+//! replica.
 
-use crate::link::{LinkSender, RetransmitBuffer, SecureLink};
+use crate::link::{count_link, lock, write_loop, Egress, LinkReceiver, LinkSender, SecureLink};
 use crate::wire::{auth_transcript, ReplayWindow, SocketFrame};
-use crate::{hub_identity, party_link_key, SocketError};
+use crate::{drain_ring, hub_identity, party_link_key, SocketError};
 use deta_core::session::{DetaConfig, SetupError};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
 use deta_runtime::{DetachedNodes, FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
 use deta_telemetry::{FlightRecorder, TelemetryValue};
-use deta_transport::{Endpoint, NetError, Network, RecvError};
+use deta_transport::{Forwarder, NetError, Network};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often pumps and the acceptor recheck stop/closure conditions.
+/// How often the acceptor and a rebinding connection recheck.
 const TICK: Duration = Duration::from_millis(20);
 
 /// Auth exchange deadline per connection.
@@ -74,9 +81,9 @@ const AUTH_DEADLINE: Duration = Duration::from_secs(10);
 /// *both* live past this window remain an auth error.
 const REBIND_WAIT: Duration = Duration::from_secs(1);
 
-/// One hosted node as the hub sees it: the name a peer must prove, the
-/// key that proof is verified against, and the node's proxy mailbox on
-/// the hub network.
+/// One hosted node as the hub sees it: the name a peer must prove — the
+/// name [`SocketHub::bind`] forwards on the hub network — and the key
+/// that proof is verified against.
 pub struct HubSeat {
     /// Node endpoint name (e.g. `party-0`, `agg-1`).
     pub name: String,
@@ -84,9 +91,6 @@ pub struct HubSeat {
     /// Phase II attestation token key for aggregators, the derived link
     /// key for parties.
     pub key: VerifyingKey,
-    /// The node's mailbox on the hub network (its coordinator-side
-    /// proxy).
-    pub endpoint: Endpoint,
 }
 
 /// Builds the seat list for every node of a detached session:
@@ -101,7 +105,6 @@ pub fn seats_for(nodes: &DetachedNodes, seed: u64) -> Vec<HubSeat> {
             seats.push(HubSeat {
                 name: agg.name.clone(),
                 key: key.clone(),
-                endpoint: agg.endpoint(),
             });
         }
     }
@@ -109,7 +112,6 @@ pub fn seats_for(nodes: &DetachedNodes, seed: u64) -> Vec<HubSeat> {
         seats.push(HubSeat {
             name: party.name.clone(),
             key: party_link_key(seed, &party.name).verifying_key(),
-            endpoint: party.endpoint(),
         });
     }
     seats
@@ -192,36 +194,36 @@ pub fn launch<H>(
     }
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Per-seat egress state: the live writer queue (absent while parked)
-/// plus the bounded retransmit buffer holding every stamped frame the
-/// seat's child has not yet acknowledged.
-#[derive(Default)]
-struct NodeEgress {
-    /// The live connection's writer queue; `None` while the seat is
-    /// parked — frames then only accumulate in `buffer`.
-    tx: Option<Sender<Arc<SocketFrame>>>,
-    /// `Data` frames toward this node, stamped here and retained until
-    /// its child acknowledges them or a resume's claims prove delivery.
-    buffer: RetransmitBuffer,
+/// What the hub keeps per seat: the egress toward the seat's child and
+/// the connection history the lifecycle needs.
+struct Seat {
+    egress: Egress,
     /// Whether any connection ever served this seat (a later
     /// connection is a *resume*, counted as a reconnect).
     ever_connected: bool,
-    /// Cumulative accepted ingress `Data` frames from this node,
-    /// across all its connections; drives chaos sever thresholds.
-    ingress_frames: u64,
 }
 
-impl NodeEgress {
-    /// Queues `frame` on the live writer, if any. A failed send means the
-    /// writer died with the connection: a `Data` frame stays buffered for
-    /// the resume, a control frame is superseded by it.
-    fn forward(&self, frame: Arc<SocketFrame>) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(frame);
+/// Every seat, under the hub's one egress lock; what the hub network
+/// forwards into (apart from [`HubShared`], which holds the network: the
+/// two must not keep each other alive). Entries exist from bind time, so
+/// frames sent before or between connections buffer rather than block.
+struct Seats(Mutex<HashMap<String, Seat>>);
+
+impl Forwarder for Seats {
+    fn forward(&self, from: &str, to: &str, payload: Vec<u8>) {
+        if let Some(seat) = lock(&self.0).get_mut(to) {
+            seat.egress.send(from, to, payload);
+        }
+    }
+
+    /// The one origin of closure broadcasts. Parked seats are skipped on
+    /// purpose: a closure is re-announced to a seat when it resumes.
+    fn closed(&self, name: &str) {
+        let frame = Arc::new(SocketFrame::Close {
+            name: name.to_string(),
+        });
+        for seat in lock(&self.0).values() {
+            seat.egress.control(Arc::clone(&frame));
         }
     }
 }
@@ -229,10 +231,8 @@ impl NodeEgress {
 /// State shared by every hub thread.
 struct HubShared {
     network: Network,
-    /// Per-seat egress state; entries exist from bind time, so frames
-    /// sent before (or between) connections buffer rather than block.
-    egress: Mutex<HashMap<String, NodeEgress>>,
-    /// Every seat name, for replaying missed closures to (re)connectors.
+    seats: Arc<Seats>,
+    /// Every seat name, for re-announcing closures to (re)connectors.
     seat_names: Vec<String>,
     /// Strict per-(src, dst) ingress window across all links — it
     /// survives reconnects, so a genuinely replayed old frame dies with
@@ -240,7 +240,7 @@ struct HubShared {
     window: Mutex<ReplayWindow>,
     /// First structured failure observed by any hub thread.
     error: Mutex<Option<SocketError>>,
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
     /// Connection counter, forked into each responder handshake RNG.
     conns: AtomicU64,
     /// Per-node clock offsets from the post-auth probe/echo exchange:
@@ -249,9 +249,10 @@ struct HubShared {
     /// Per-node shipped flight-recorder rings (JSONL text + overflow
     /// count), delivered by `TraceShip` just before each child's `Bye`.
     traces: Mutex<HashMap<String, (String, u64)>>,
-    /// Chaos plan: per node, ascending cumulative ingress-frame counts
-    /// after which the hub abruptly severs that node's connection.
-    chaos: Mutex<HashMap<String, Vec<u64>>>,
+    /// Chaos plan: per node, the accepted ingress `Data` frames seen from
+    /// it so far (across all its connections) and the ascending counts
+    /// after which the hub abruptly severs its connection.
+    chaos: Mutex<HashMap<String, (u64, Vec<u64>)>>,
     /// Hub-side lifecycle ring (`link_down` / `link_resumed` events),
     /// harvested into the merged trace so an outage window is visible.
     recorder: Arc<FlightRecorder>,
@@ -259,33 +260,13 @@ struct HubShared {
 
 impl HubShared {
     fn record_error(&self, e: SocketError) {
-        let mut slot = lock(&self.error);
-        if slot.is_none() {
-            *slot = Some(e);
-        }
+        lock(&self.error).get_or_insert(e);
     }
 
-    /// Sends `frame` to every *live* link. Parked seats are skipped on
-    /// purpose: closures (the only broadcast frame) are replayed to a
-    /// seat when it resumes.
-    fn broadcast(&self, frame: SocketFrame) {
-        let frame = Arc::new(frame);
-        let senders: Vec<Sender<Arc<SocketFrame>>> = lock(&self.egress)
-            .values()
-            .filter_map(|e| e.tx.clone())
-            .collect();
-        for s in senders {
-            let _ = s.send(Arc::clone(&frame));
-        }
-    }
-
-    /// Parks a seat: drops the live writer queue (the writer drains and
-    /// exits) while keeping the retransmit buffer, floors, and ingress
-    /// window for a future resume.
-    fn park(&self, name: &str) {
-        if let Some(e) = lock(&self.egress).get_mut(name) {
-            e.tx = None;
-        }
+    /// Runs `f` on `name`'s seat under the egress lock: `f` must not call
+    /// into the network.
+    fn with_seat<R>(&self, name: &str, f: impl FnOnce(&mut Seat) -> R) -> Option<R> {
+        lock(&self.seats.0).get_mut(name).map(f)
     }
 }
 
@@ -293,14 +274,15 @@ impl HubShared {
 pub struct SocketHub {
     addr: SocketAddr,
     shared: Arc<HubShared>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    /// Joins every serve thread before it exits.
+    acceptor: JoinHandle<()>,
 }
 
 impl SocketHub {
-    /// Binds a loopback listener, starts the acceptor and one pump per
-    /// seat, and returns immediately; children may connect at any time
-    /// after this.
+    /// Binds a loopback listener, forwards every seat's name on
+    /// `network`, starts the acceptor — the one thread a hub has until a
+    /// child connects — and returns immediately; children may connect at
+    /// any time after this.
     ///
     /// # Errors
     ///
@@ -331,23 +313,29 @@ impl SocketHub {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
         let seat_names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-        let egress = seat_names
-            .iter()
-            .map(|n| (n.clone(), NodeEgress::default()))
-            .collect();
+        let by_name = seat_names.iter().map(|name| {
+            let seat = Seat {
+                egress: Egress::new(name),
+                ever_connected: false,
+            };
+            (name.clone(), seat)
+        });
+        let seat_table = Arc::new(Seats(Mutex::new(by_name.collect())));
+        for name in &seat_names {
+            network.forward(name, Arc::clone(&seat_table) as Arc<dyn Forwarder>);
+        }
         let shared = Arc::new(HubShared {
             network,
-            egress: Mutex::new(egress),
+            seats: seat_table,
             seat_names,
             window: Mutex::new(ReplayWindow::new()),
             error: Mutex::new(None),
-            stop: Arc::clone(&stop),
+            stop: AtomicBool::new(false),
             conns: AtomicU64::new(0),
             offsets: Mutex::new(HashMap::new()),
             traces: Mutex::new(HashMap::new()),
-            chaos: Mutex::new(chaos),
+            chaos: Mutex::new(chaos.into_iter().map(|(n, cuts)| (n, (0, cuts))).collect()),
             recorder: FlightRecorder::new("hub", 4096),
         });
         let roster: Arc<HashMap<String, VerifyingKey>> = Arc::new(
@@ -356,22 +344,14 @@ impl SocketHub {
                 .map(|s| (s.name.clone(), s.key.clone()))
                 .collect(),
         );
-        let mut threads = Vec::new();
-        for seat in seats {
+        let acceptor = {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || pump(seat, shared)));
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                accept_loop(listener, shared, roster, seed);
-            }));
-        }
+            std::thread::spawn(move || accept_loop(listener, shared, roster, seed))
+        };
         Ok(SocketHub {
             addr,
             shared,
-            stop,
-            threads,
+            acceptor,
         })
     }
 
@@ -391,12 +371,15 @@ impl SocketHub {
     /// reads zero here before it credits a run with surviving them: a
     /// threshold past the node's traffic never fires, silently.
     pub fn pending_severs(&self) -> usize {
-        lock(&self.shared.chaos).values().map(Vec::len).sum()
+        lock(&self.shared.chaos)
+            .values()
+            .map(|(_, cuts)| cuts.len())
+            .sum()
     }
 
     /// Stops every bridge thread and joins them. Call after the session
-    /// has shut down (pumps will already have drained and broadcast the
-    /// mailbox closures).
+    /// has shut down (the seats' closures will already have been
+    /// broadcast).
     pub fn join(self) -> Option<SocketError> {
         self.join_harvest().0
     }
@@ -406,31 +389,26 @@ impl SocketHub {
     /// all bridge threads have drained, plus the hub's own link-lifecycle
     /// ring under the name `hub`. The trace merger (`deta-obs`) aligns
     /// the shipped timestamps with these offsets.
-    pub fn join_harvest(mut self) -> (Option<SocketError>, TraceHarvest) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Dropping every live writer queue lets writer threads drain,
-        // emit Bye, and exit; parked buffers are simply discarded.
-        for entry in lock(&self.shared.egress).values_mut() {
-            entry.tx = None;
+    pub fn join_harvest(self) -> (Option<SocketError>, TraceHarvest) {
+        let SocketHub {
+            shared, acceptor, ..
+        } = self;
+        shared.stop.store(true, Ordering::Relaxed);
+        // Every live writer drains its queue, says Bye, and exits; the
+        // buffers go when the network that forwards into them does.
+        for seat in lock(&shared.seats.0).values_mut() {
+            seat.egress.control(SocketFrame::Bye);
+            seat.egress.park();
         }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        let _ = acceptor.join();
+        let offsets = lock(&shared.offsets).clone();
+        let mut traces = std::mem::take(&mut *lock(&shared.traces));
+        if let Some(ring) = drain_ring(&shared.recorder) {
+            traces.insert("hub".to_string(), ring);
         }
-        let mut traces = std::mem::take(&mut *lock(&self.shared.traces));
-        let (records, dropped) = self.shared.recorder.drain();
-        if !records.is_empty() || dropped > 0 {
-            let mut jsonl = String::new();
-            for rec in &records {
-                jsonl.push_str(&rec.to_json(self.shared.recorder.node()));
-                jsonl.push('\n');
-            }
-            traces.insert("hub".to_string(), (jsonl, dropped));
-        }
-        let harvest = TraceHarvest {
-            offsets: lock(&self.shared.offsets).clone(),
-            traces,
-        };
-        (self.first_error(), harvest)
+        let harvest = TraceHarvest { offsets, traces };
+        let first_error = lock(&shared.error).take();
+        (first_error, harvest)
     }
 }
 
@@ -445,45 +423,6 @@ pub struct TraceHarvest {
     /// Per-node shipped ring: rendered JSONL (schema v2) plus the count
     /// of records lost to ring overflow.
     pub traces: HashMap<String, (String, u64)>,
-}
-
-/// Drains one node's proxy mailbox into its egress state: every frame
-/// is stamped once by the seat's buffer (which outlives connections, so
-/// sequence numbers stay continuous across resumes), retained there
-/// until acknowledged, and forwarded when a link is live — one
-/// allocation, shared. Exits when the mailbox closes (after broadcasting
-/// the closure) or on hub stop.
-fn pump(seat: HubSeat, shared: Arc<HubShared>) {
-    loop {
-        // Raw receive: a trace envelope on the payload must cross the
-        // process boundary intact, not be adopted by this relay thread.
-        match seat.endpoint.recv_timeout_raw(TICK) {
-            Ok(msg) => {
-                if let Some(entry) = lock(&shared.egress).get_mut(&seat.name) {
-                    let frame =
-                        entry
-                            .buffer
-                            .stamp(msg.from.to_string(), seat.name.clone(), msg.payload);
-                    entry.forward(frame);
-                    entry.buffer.observe_depth(&seat.name);
-                }
-            }
-            Err(RecvError::Timeout) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(RecvError::Closed) => {
-                // Queue fully drained (closed mailboxes keep yielding
-                // queued messages first), so the closure is causally
-                // after everything the node was sent.
-                shared.broadcast(SocketFrame::Close {
-                    name: seat.name.clone(),
-                });
-                return;
-            }
-        }
-    }
 }
 
 /// Accepts connections until stopped; each connection is served on its
@@ -519,8 +458,94 @@ fn accept_loop(
     }
 }
 
-/// Serves one connection: handshake, challenge auth, resume exchange,
-/// then the ingress loop (this thread) plus an egress writer thread.
+/// A connection whose peer proved a seat's key and said where to resume.
+struct Admitted {
+    name: String,
+    sender: LinkSender,
+    receiver: LinkReceiver,
+    /// The peer's delivered-so-far claims (empty on a first connection).
+    claims: Vec<(String, String, u64)>,
+    /// A first frame that was not a `Resume`: normal ingress.
+    pending: Option<SocketFrame>,
+}
+
+/// Takes a connection up to the point where it can be served: handshake,
+/// challenge auth, clock probe, seat rebind, resume exchange. `Ok(None)`
+/// when the peer is gone again (or the hub is stopping) before it has
+/// resumed: the seat simply stays parked — churn is not an error.
+fn admit(
+    stream: TcpStream,
+    shared: &HubShared,
+    roster: &HashMap<String, VerifyingKey>,
+    seed: u64,
+    idx: u64,
+) -> Result<Option<Admitted>, SocketError> {
+    // Unique responder randomness per connection; the identity key is
+    // the same for all (children pin its verifying half).
+    let identity = hub_identity(seed);
+    let mut rng = DetRng::from_u64(seed)
+        .fork(b"deta-socket/hub-conn")
+        .fork_indexed(b"conn", idx);
+    let mut link = SecureLink::accept(stream, "incoming", &identity, &mut rng)?;
+    // The roster is fixed at bind time, so a reconnect under a known
+    // name with a different key fails this verification exactly as any
+    // other impostor does.
+    let name = authenticate(&mut link, roster, &mut rng)?;
+    let offset = clock_exchange(&mut link, &name)?;
+    lock(&shared.offsets).insert(name.clone(), offset);
+    // Seat rebind: give the previous connection's serve thread a moment
+    // to observe its EOF and park the seat. Two connections both live
+    // past the window remain an auth error, as before.
+    let rebind_deadline = Instant::now() + REBIND_WAIT;
+    while shared.with_seat(&name, |seat| seat.egress.is_live()) == Some(true) {
+        if Instant::now() >= rebind_deadline {
+            return Err(SocketError::Auth {
+                peer: name,
+                detail: "second connection for an already-linked node",
+            });
+        }
+        std::thread::sleep(TICK);
+    }
+    // Resume exchange. Every child leads with `Resume` (empty windows
+    // on a first connection); any other first frame is an implicit
+    // empty resume — a fresh-windowed peer expecting every link from
+    // seq 0 — and is then processed as normal ingress.
+    let (claims, pending) = match link.recv(None, Some(&shared.stop)) {
+        Ok(Some(SocketFrame::Resume { src, windows })) => {
+            if src != name {
+                return Err(SocketError::Auth {
+                    peer: name,
+                    detail: "resume with spoofed source name",
+                });
+            }
+            // The hub's delivered-so-far state for the peer's own links,
+            // so the peer prunes its retransmit buffer symmetrically.
+            // Must precede any retransmitted Data.
+            let delivered = lock(&shared.window).snapshot_from(&name);
+            if link
+                .send(&SocketFrame::ResumeAck { windows: delivered })
+                .is_err()
+            {
+                return Ok(None);
+            }
+            (windows, None)
+        }
+        Ok(Some(frame)) => (Vec::new(), Some(frame)),
+        Ok(None) | Err(SocketError::Io(_)) => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let (sender, receiver) = link.split()?;
+    Ok(Some(Admitted {
+        name,
+        sender,
+        receiver,
+        claims,
+        pending,
+    }))
+}
+
+/// Serves one connection: admission, then the ingress loop (this thread)
+/// plus an egress writer thread.
 fn serve(
     stream: TcpStream,
     shared: Arc<HubShared>,
@@ -528,322 +553,82 @@ fn serve(
     seed: u64,
     idx: u64,
 ) {
-    // Unique responder randomness per connection; the identity key is
-    // the same for all (children pin its verifying half).
-    let identity = hub_identity(seed);
-    let mut rng = DetRng::from_u64(seed)
-        .fork(b"deta-socket/hub-conn")
-        .fork_indexed(b"conn", idx);
-    let mut link = match SecureLink::accept(stream, "incoming", &identity, &mut rng) {
-        Ok(l) => l,
-        Err(e) => {
-            shared.record_error(e);
-            return;
-        }
-    };
-    // The roster is fixed at bind time, so a reconnect under a known
-    // name with a different key fails this verification exactly as any
-    // other impostor does.
-    let name = match authenticate(&mut link, &roster, &mut rng) {
-        Ok(name) => name,
-        Err(e) => {
-            shared.record_error(e);
-            return;
-        }
-    };
-    match clock_exchange(&mut link, &name) {
-        Ok(offset) => {
-            lock(&shared.offsets).insert(name.clone(), offset);
-        }
-        Err(e) => {
-            shared.record_error(e);
-            return;
-        }
-    }
-    // Seat rebind: give the previous connection's serve thread a moment
-    // to observe its EOF and park the seat. Two connections both live
-    // past the window remain an auth error, as before.
-    let rebind_deadline = Instant::now() + REBIND_WAIT;
-    loop {
-        if lock(&shared.egress)
-            .get(&name)
-            .is_none_or(|e| e.tx.is_none())
-        {
-            break;
-        }
-        if Instant::now() >= rebind_deadline {
-            shared.record_error(SocketError::Auth {
-                peer: name,
-                detail: "second connection for an already-linked node",
-            });
-            return;
-        }
-        std::thread::sleep(TICK);
-    }
-
-    // Resume exchange. Every child leads with `Resume` (empty windows
-    // on a first connection); any other first frame is an implicit
-    // empty resume — a fresh-windowed peer expecting every link from
-    // seq 0 — and is then processed as normal ingress.
-    let mut claims = Vec::new();
-    let mut send_ack = false;
-    let mut pending: Option<SocketFrame> = None;
-    match link.recv(None, Some(&shared.stop)) {
-        Ok(Some(SocketFrame::Resume { src, windows })) => {
-            if src != name {
-                shared.record_error(SocketError::Auth {
-                    peer: name,
-                    detail: "resume with spoofed source name",
-                });
-                return;
-            }
-            claims = windows;
-            send_ack = true;
-        }
-        Ok(Some(frame)) => pending = Some(frame),
-        // Gone again (or hub stop) before resuming: the seat simply
-        // stays parked — churn during reconnection is not an error.
+    let admitted = match admit(stream, &shared, &roster, seed, idx) {
+        Ok(Some(admitted)) => admitted,
         Ok(None) => return,
-        Err(SocketError::Io(_)) => return,
-        Err(e) => {
-            shared.record_error(e);
-            return;
-        }
-    }
-    if send_ack {
-        // The hub's delivered-so-far state for the peer's own links,
-        // so the peer prunes its retransmit buffer symmetrically. Must
-        // precede any retransmitted Data.
-        let windows = lock(&shared.window).snapshot_from(&name);
-        if link.send(&SocketFrame::ResumeAck { windows }).is_err() {
-            return;
-        }
-    }
-    let (sender, mut receiver) = match link.split() {
-        Ok(pair) => pair,
-        Err(e) => {
-            shared.record_error(e);
-            return;
-        }
+        Err(e) => return shared.record_error(e),
     };
-    let (tx, rx) = channel::<Arc<SocketFrame>>();
-    {
-        // Prune, retransmit, and publish under one egress lock so the
-        // pump cannot interleave a fresh frame among the replayed ones.
-        let mut egress = lock(&shared.egress);
-        let Some(entry) = egress.get_mut(&name) else {
-            return;
-        };
-        if let Err(e) = entry.buffer.prune(claims) {
-            // The frames this peer needs are gone: retire the seat.
-            drop(egress);
+    let Admitted {
+        name,
+        sender,
+        mut receiver,
+        claims,
+        pending,
+    } = admitted;
+    // Prune, replay and go live under one egress lock, so the forwarder
+    // cannot land a fresh frame among the replayed ones.
+    let taken_over = shared.with_seat(&name, |seat| {
+        let rx = seat.egress.resume(claims)?;
+        let resumed = std::mem::replace(&mut seat.ever_connected, true);
+        Ok((rx, seat.egress.unacked() as u64, resumed))
+    });
+    let (rx, replayed, resumed) = match taken_over {
+        Some(Ok(live)) => live,
+        Some(Err(e)) => {
+            // The frames this peer needs are gone: retire the seat (and,
+            // through the forwarder, tell every child).
             shared.record_error(e);
             shared.network.close(&name);
-            shared.broadcast(SocketFrame::Close { name: name.clone() });
             return;
         }
-        let replayed = entry.buffer.len() as u64;
-        for frame in entry.buffer.frames() {
-            let _ = tx.send(Arc::clone(frame));
-        }
-        // Closures missed while parked (or before the first connect)
-        // are replayed idempotently, after the Data backlog.
-        for seat in &shared.seat_names {
-            if shared.network.is_closed(seat) {
-                let _ = tx.send(Arc::new(SocketFrame::Close { name: seat.clone() }));
-            }
-        }
-        let resumed = entry.ever_connected;
-        entry.ever_connected = true;
-        entry.tx = Some(tx);
-        if deta_telemetry::enabled() {
-            if resumed {
-                deta_telemetry::metrics::counter_add("deta_socket_reconnects_total", &name, 1);
-            }
-            deta_telemetry::metrics::counter_add(
-                "deta_socket_resync_replayed_frames",
-                &name,
-                replayed,
-            );
-        }
-        if resumed {
-            shared.recorder.event(
-                "link_resumed",
-                &[
-                    ("node", TelemetryValue::Str(name.clone())),
-                    ("replayed_frames", TelemetryValue::U64(replayed)),
-                ],
-            );
+        None => return,
+    };
+    let writer = std::thread::spawn(move || write_loop(sender, rx));
+    // Closures are broadcast to live links only, so whatever closed while
+    // this seat was parked (or before its first connection) is announced
+    // now that it is live — after the backlog, and with the egress lock
+    // released: asking the network under it would invert the lock order.
+    // One that lands meanwhile may be told twice; `Close` is idempotent.
+    for seat in &shared.seat_names {
+        if shared.network.is_closed(seat) {
+            shared.with_seat(&name, |live| {
+                live.egress
+                    .control(SocketFrame::Close { name: seat.clone() });
+            });
         }
     }
-    let writer = std::thread::spawn(move || write_loop(sender, rx));
-    // Ingress: inject every accepted frame into the hub network.
-    let mut clean_exit = false;
-    let mut parked = false;
-    loop {
-        let next = match pending.take() {
-            Some(frame) => Ok(Some(frame)),
-            None => receiver.recv(None, Some(&shared.stop)),
-        };
-        match next {
-            Ok(Some(SocketFrame::Data {
-                src,
-                dst,
-                seq,
-                payload,
-            })) => {
-                if src != name {
-                    shared.record_error(SocketError::Auth {
-                        peer: name.clone(),
-                        detail: "data frame with spoofed source name",
-                    });
-                    break;
-                }
-                if let Err(e) = lock(&shared.window).accept_named(&src, &dst, seq) {
-                    if deta_telemetry::enabled() {
-                        deta_telemetry::metrics::counter_add(
-                            "deta_socket_rejects_total",
-                            &format!("{src}->{dst}"),
-                            1,
-                        );
-                    }
-                    shared.record_error(e);
-                    break;
-                }
-                if deta_telemetry::enabled() {
-                    let link_name = format!("{src}->{dst}");
-                    deta_telemetry::metrics::counter_add("deta_socket_frames_total", &link_name, 1);
-                    deta_telemetry::metrics::counter_add(
-                        "deta_socket_bytes_total",
-                        &link_name,
-                        payload.len() as u64,
-                    );
-                }
-                match shared.network.send_as(&src, &dst, payload) {
-                    Ok(()) => {}
-                    Err(NetError::UnknownEndpoint(_)) | Err(NetError::Closed(_)) => {
-                        if deta_telemetry::enabled() {
-                            deta_telemetry::metrics::counter_add(
-                                "deta_socket_drops_total",
-                                &format!("{src}->{dst}"),
-                                1,
-                            );
-                        }
-                    }
-                }
-                let mut sever_now = false;
-                {
-                    let mut egress = lock(&shared.egress);
-                    if let Some(entry) = egress.get_mut(&name) {
-                        // Custody: the frame is the destination seat's to
-                        // retransmit now, so its sender may let go of it.
-                        // Through the seat's writer — this thread never
-                        // waits on a socket write.
-                        entry.forward(Arc::new(SocketFrame::Ack {
-                            src,
-                            dst,
-                            next: seq + 1,
-                        }));
-                        // Chaos: sever this node's connection abruptly
-                        // once its cumulative accepted-frame count
-                        // crosses the next planned threshold.
-                        entry.ingress_frames += 1;
-                        let count = entry.ingress_frames;
-                        let mut chaos = lock(&shared.chaos);
-                        if let Some(cuts) = chaos.get_mut(&name) {
-                            if cuts.first().is_some_and(|t| count >= *t) {
-                                cuts.remove(0);
-                                sever_now = true;
-                            }
-                        }
-                    }
-                }
-                if sever_now {
-                    // Both directions die without a Bye; the next read
-                    // observes EOF and parks the seat like any abrupt
-                    // disconnect.
-                    receiver.sever();
-                }
-            }
-            Ok(Some(SocketFrame::Ack { src, dst, next })) => {
-                // Only the seat a link ends at can say what arrived
-                // there: anyone else's word would make the hub drop
-                // frames their real receiver may still need replayed.
-                if dst != name {
-                    shared.record_error(SocketError::Auth {
-                        peer: name.clone(),
-                        detail: "acknowledgement for a link that ends at another node",
-                    });
-                    break;
-                }
-                let honoured = match lock(&shared.egress).get_mut(&name) {
-                    Some(entry) => entry.buffer.acknowledge(&src, &dst, next),
-                    None => Ok(()),
-                };
-                if let Err(e) = honoured {
-                    shared.record_error(e);
-                    break;
-                }
-            }
-            Ok(Some(SocketFrame::Bye)) => {
-                clean_exit = true;
-                break;
-            }
-            Ok(Some(SocketFrame::Close { .. })) => {
-                // The hub is authoritative for closures; a child telling
-                // us about one is harmless.
-            }
-            Ok(Some(SocketFrame::TraceShip {
-                name: ship_name,
-                dropped,
-                jsonl,
-            })) => {
-                // A node may only ship its own ring (same rule as Data
-                // source names).
-                if ship_name != name {
-                    shared.record_error(SocketError::Auth {
-                        peer: name.clone(),
-                        detail: "trace ship with spoofed node name",
-                    });
-                    break;
-                }
-                let Ok(text) = String::from_utf8(jsonl) else {
-                    shared.record_error(SocketError::Malformed {
-                        link: receiver.label().to_string(),
-                    });
-                    break;
-                };
-                lock(&shared.traces).insert(ship_name, (text, dropped));
-            }
-            Ok(Some(_)) => {
-                // Includes a mid-session Resume: the exchange happens
-                // exactly once, right after auth.
-                shared.record_error(SocketError::Malformed {
-                    link: receiver.label().to_string(),
-                });
-                break;
-            }
-            Ok(None) => {
-                // EOF without Bye. At shutdown, or for a seat whose
-                // mailbox is already closed, this is the old closure
-                // path; mid-session it parks the seat for a resume.
-                if !shared.stop.load(Ordering::Relaxed) && !shared.network.is_closed(&name) {
-                    parked = true;
-                }
-                break;
-            }
-            Err(e) => {
-                shared.record_error(e);
-                break;
-            }
+    if deta_telemetry::enabled() {
+        if resumed {
+            deta_telemetry::metrics::counter_add("deta_socket_reconnects_total", &name, 1);
         }
+        deta_telemetry::metrics::counter_add("deta_socket_resync_replayed_frames", &name, replayed);
+    }
+    if resumed {
+        shared.recorder.event(
+            "link_resumed",
+            &[
+                ("node", TelemetryValue::Str(name.clone())),
+                ("replayed_frames", TelemetryValue::U64(replayed)),
+            ],
+        );
+    }
+    let end = ingest(&shared, &name, &mut receiver, pending);
+    // EOF without Bye parks the seat for a resume — mid-session. At
+    // shutdown, or for a seat whose name is already closed, it is the old
+    // closure path.
+    let parked = matches!(end, Ok(LinkEnd::Lost))
+        && !shared.stop.load(Ordering::Relaxed)
+        && !shared.network.is_closed(&name);
+    let clean_exit = matches!(end, Ok(LinkEnd::Bye));
+    if let Err(e) = end {
+        shared.record_error(e);
     }
     if parked {
-        // Keep the mailbox open and tell no one: hub-side senders keep
+        // Keep the name open and tell no one: hub-side senders keep
         // buffering, and the child is expected back.
-        let depth = lock(&shared.egress)
-            .get(&name)
-            .map_or(0, |e| e.buffer.len());
+        let depth = shared
+            .with_seat(&name, |seat| seat.egress.unacked())
+            .unwrap_or(0);
         if deta_telemetry::enabled() {
             deta_telemetry::metrics::histogram_observe(
                 "deta_socket_parked_depth",
@@ -859,13 +644,146 @@ fn serve(
             ],
         );
     } else if !clean_exit || !shared.stop.load(Ordering::Relaxed) {
-        // Whatever ended the link for good: close the node's mailbox so
-        // hub-side senders observe `Closed`, and tell every child.
+        // Whatever ended the link for good: close the node's name so
+        // hub-side senders observe `Closed`; the forwarder tells every
+        // child, this one included.
         shared.network.close(&name);
-        shared.broadcast(SocketFrame::Close { name: name.clone() });
     }
-    shared.park(&name);
+    shared.with_seat(&name, |seat| {
+        // A link that did not just die under us is signed off.
+        if !parked {
+            seat.egress.control(SocketFrame::Bye);
+        }
+        seat.egress.park();
+    });
     let _ = writer.join();
+}
+
+/// How a connection's ingress ended, short of a violation.
+enum LinkEnd {
+    /// The child signed off.
+    Bye,
+    /// EOF (or hub stop) without `Bye`.
+    Lost,
+}
+
+/// Ingress of one connection: injects every frame the window accepts
+/// into the hub network as `name`'s, until the link ends.
+///
+/// # Errors
+///
+/// The violation that ended it: a spoofed name, a sequence or
+/// acknowledgement violation, a malformed or tampered frame.
+fn ingest(
+    shared: &HubShared,
+    name: &str,
+    receiver: &mut LinkReceiver,
+    mut pending: Option<SocketFrame>,
+) -> Result<LinkEnd, SocketError> {
+    let spoofed = |detail| SocketError::Auth {
+        peer: name.to_string(),
+        detail,
+    };
+    loop {
+        let next = match pending.take() {
+            Some(frame) => Some(frame),
+            None => receiver.recv(None, Some(&shared.stop))?,
+        };
+        match next {
+            Some(SocketFrame::Data {
+                src,
+                dst,
+                seq,
+                payload,
+            }) => {
+                if src != name {
+                    return Err(spoofed("data frame with spoofed source name"));
+                }
+                if let Err(e) = lock(&shared.window).accept_named(&src, &dst, seq) {
+                    count_link("deta_socket_rejects_total", &src, &dst, 1);
+                    return Err(e);
+                }
+                count_link("deta_socket_frames_total", &src, &dst, 1);
+                count_link("deta_socket_bytes_total", &src, &dst, payload.len() as u64);
+                match shared.network.send_as(&src, &dst, payload) {
+                    Ok(()) => {}
+                    Err(NetError::UnknownEndpoint(_)) | Err(NetError::Closed(_)) => {
+                        count_link("deta_socket_drops_total", &src, &dst, 1);
+                    }
+                }
+                // Custody: the frame is the destination seat's to
+                // retransmit now, so its sender may let go of it. Through
+                // the seat's writer — this thread never waits on a socket
+                // write.
+                shared.with_seat(name, |seat| {
+                    seat.egress.control(SocketFrame::Ack {
+                        src,
+                        dst,
+                        next: seq + 1,
+                    });
+                });
+                // Chaos: sever this node's connection abruptly once its
+                // cumulative accepted-frame count crosses the next planned
+                // threshold.
+                let sever_now = lock(&shared.chaos)
+                    .get_mut(name)
+                    .is_some_and(|(seen, cuts)| {
+                        *seen += 1;
+                        let due = cuts.first().is_some_and(|threshold| *seen >= *threshold);
+                        if due {
+                            cuts.remove(0);
+                        }
+                        due
+                    });
+                if sever_now {
+                    // Both directions die without a Bye; the next read
+                    // observes EOF and parks the seat like any abrupt
+                    // disconnect.
+                    receiver.sever();
+                }
+            }
+            Some(SocketFrame::Ack { src, dst, next }) => {
+                // Only the seat a link ends at can say what arrived
+                // there: anyone else's word would make the hub drop
+                // frames their real receiver may still need replayed.
+                if dst != name {
+                    return Err(spoofed(
+                        "acknowledgement for a link that ends at another node",
+                    ));
+                }
+                shared
+                    .with_seat(name, |seat| seat.egress.acknowledge(&src, &dst, next))
+                    .unwrap_or(Ok(()))?;
+            }
+            Some(SocketFrame::Bye) => return Ok(LinkEnd::Bye),
+            // The hub is authoritative for closures; a child telling us
+            // about one is harmless.
+            Some(SocketFrame::Close { .. }) => {}
+            Some(SocketFrame::TraceShip {
+                name: ship_name,
+                dropped,
+                jsonl,
+            }) => {
+                // A node may only ship its own ring (same rule as Data
+                // source names).
+                if ship_name != name {
+                    return Err(spoofed("trace ship with spoofed node name"));
+                }
+                let text = String::from_utf8(jsonl).map_err(|_| SocketError::Malformed {
+                    link: receiver.label().to_string(),
+                })?;
+                lock(&shared.traces).insert(ship_name, (text, dropped));
+            }
+            // Includes a mid-session Resume: the exchange happens exactly
+            // once, right after auth.
+            Some(_) => {
+                return Err(SocketError::Malformed {
+                    link: receiver.label().to_string(),
+                })
+            }
+            None => return Ok(LinkEnd::Lost),
+        }
+    }
 }
 
 /// Clock-alignment probe/echo: estimates the peer's monotonic-clock
@@ -931,15 +849,4 @@ fn authenticate(
             detail: "peer did not present an auth proof",
         }),
     }
-}
-
-/// Egress writer: drains the node's queue onto the socket, then signs
-/// off with `Bye` when the hub drops the queue.
-fn write_loop(mut sender: LinkSender, rx: Receiver<Arc<SocketFrame>>) {
-    while let Ok(frame) = rx.recv() {
-        if sender.send(&frame).is_err() {
-            return;
-        }
-    }
-    let _ = sender.send(&SocketFrame::Bye);
 }

@@ -10,8 +10,9 @@
 //!
 //! The coordinator process runs the [`deta_runtime::ThreadedSession`]
 //! driver and a [`hub::SocketHub`] — [`launch`] sets up both — one TCP
-//! listener plus one hub-side proxy [`deta_transport::Endpoint`] per
-//! node. Each child process hosts exactly one node — it builds that
+//! listener plus, per node, a name *forwarded* on the session network
+//! ([`deta_transport::Network::forward`]) into that node's seat. Each
+//! child process hosts exactly one node — it builds that
 //! node alone from the shared seed (`NodeParts::build`: a party its
 //! model, transformer and shard, an aggregator no model at all) and
 //! connects back to the hub ([`node::run_node`]).
@@ -22,6 +23,9 @@
 //! accounting, `deta_net_*` telemetry — applies to socket traffic
 //! unchanged. `deta-simnet`-style invariants (termination, privacy
 //! audit, idempotence) therefore run over sockets with zero changes.
+//! The bridge occupies neither slot, at the hub or in a child: a frame
+//! leaves a process as a delivery to a forwarded name, so a `net_drop`
+//! is always a loss.
 //!
 //! ## Identity binding
 //!
@@ -48,7 +52,7 @@ mod link;
 pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use hub::{launch, HubSeat, Launched, SocketHub, TraceHarvest};
 pub use link::RetransmitBuffer;
-pub use node::run_node;
+pub use node::{host_node, run_node};
 pub use wire::{ReplayWindow, SeqTracker, SocketFrame};
 
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
@@ -272,6 +276,16 @@ impl SocketError {
             },
         }
     }
+}
+
+/// Drains `recorder` into rendered JSONL (schema v2) plus the count of
+/// records its ring overwrote; `None` when there is nothing to report.
+pub(crate) fn drain_ring(recorder: &deta_telemetry::FlightRecorder) -> Option<(String, u64)> {
+    let (records, dropped) = recorder.drain();
+    let jsonl: String = (records.iter())
+        .map(|rec| rec.to_json(recorder.node()) + "\n")
+        .collect();
+    (!records.is_empty() || dropped > 0).then_some((jsonl, dropped))
 }
 
 /// The hub's responder identity, derived deterministically from the

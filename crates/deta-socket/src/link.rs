@@ -19,6 +19,12 @@
 //! healthy link the buffer holds what is in flight, not the last 8 MiB
 //! sent; a resume's claims remain the authority after an outage, and a
 //! lost acknowledgement only means the frame waits for them.
+//!
+//! Around the buffer, [`Egress`] is the one way a frame leaves a process:
+//! the hub keeps one per seat and a child one for its link, each fed by
+//! the `deta_transport::Forwarder` of the names it stands in for. It
+//! stamps at send, retains, and queues for the connection's writer
+//! ([`write_loop`]) when there is one.
 
 use crate::frame::{encode_frame, write_frame_header, FrameDecoder, FRAME_HEADER};
 use crate::wire::{SeqTracker, SocketFrame};
@@ -30,6 +36,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -154,13 +161,7 @@ impl RetransmitBuffer {
             _ => true,
         });
         self.bytes -= freed;
-        if deta_telemetry::enabled() {
-            deta_telemetry::metrics::counter_add(
-                "deta_socket_acks_total",
-                &format!("{src}->{dst}"),
-                1,
-            );
-        }
+        count_link("deta_socket_acks_total", src, dst, 1);
         Ok(())
     }
 
@@ -217,7 +218,7 @@ impl RetransmitBuffer {
     /// Observes the retained depth as `node`'s — after each retain, so
     /// that a consumer falling behind shows as a rising depth before its
     /// seat ever parks. Nothing without the telemetry sink.
-    pub(crate) fn observe_depth(&self, node: &str) {
+    fn observe_depth(&self, node: &str) {
         if deta_telemetry::enabled() {
             deta_telemetry::metrics::histogram_observe(
                 "deta_socket_unacked_depth",
@@ -228,9 +229,119 @@ impl RetransmitBuffer {
     }
 }
 
-/// Recovers a channel guard even if a peer thread panicked mid-seal;
-/// channel state is a pair of counters and keys, always consistent.
-fn lock_channel(m: &Mutex<SecureChannel>) -> MutexGuard<'_, SecureChannel> {
+/// Everything one end owes one peer process: the retransmit buffer that
+/// outlives connections and, while one lives, its writer's queue. Behind
+/// its owner's egress lock, which a `Forwarder` takes *under* the network
+/// lock: never held across IO or a call into the network.
+pub(crate) struct Egress {
+    /// The node whose retained depth this is (telemetry label).
+    node: String,
+    /// The live connection's writer queue; `None` while parked — frames
+    /// then only accumulate in `buffer`.
+    tx: Option<Sender<Arc<SocketFrame>>>,
+    /// `Data` frames stamped here and retained until the peer
+    /// acknowledges them or a resume's claims prove delivery.
+    buffer: RetransmitBuffer,
+}
+
+impl Egress {
+    /// A parked egress with nothing sent, observed as `node`'s.
+    pub fn new(node: &str) -> Egress {
+        Egress {
+            node: node.to_string(),
+            tx: None,
+            buffer: RetransmitBuffer::default(),
+        }
+    }
+
+    /// A message on its way out: stamped as the next `Data` frame of
+    /// (src, dst), retained, and queued for the writer if the link is
+    /// live — one allocation, shared.
+    pub fn send(&mut self, src: &str, dst: &str, payload: Vec<u8>) {
+        let frame = self.buffer.stamp(src.to_string(), dst.to_string(), payload);
+        self.control(frame);
+        self.buffer.observe_depth(&self.node);
+    }
+
+    /// Queues a frame that is neither stamped nor retained (`Ack`,
+    /// `Close`, the sign-off). A parked link drops it, as does a writer
+    /// that died with its connection: the resume that follows says the
+    /// same with authority.
+    pub fn control(&self, frame: impl Into<Arc<SocketFrame>>) {
+        if let Some(tx) = &self.tx {
+            let _ = tx.send(frame.into());
+        }
+    }
+
+    /// Whether a connection's writer is attached.
+    pub fn is_live(&self) -> bool {
+        self.tx.is_some()
+    }
+
+    /// Retained frames: what the peer has not acknowledged.
+    pub fn unacked(&self) -> usize {
+        self.buffer.len()
+    }
+
+    /// See [`RetransmitBuffer::acknowledge`].
+    pub fn acknowledge(&mut self, src: &str, dst: &str, next: u64) -> Result<(), SocketError> {
+        self.buffer.acknowledge(src, dst, next)
+    }
+
+    /// A new connection takes over: prunes to what the peer's `claims`
+    /// say it still needs, queues that backlog ([`Egress::unacked`]
+    /// frames) and goes live — under the caller's one lock, so no fresh
+    /// frame lands among the replayed. Returns the queue for the
+    /// connection's [`write_loop`].
+    ///
+    /// # Errors
+    ///
+    /// [`SocketError::Resync`], from [`RetransmitBuffer::prune`]; the
+    /// egress stays parked.
+    pub fn resume(
+        &mut self,
+        claims: Vec<(String, String, u64)>,
+    ) -> Result<Receiver<Arc<SocketFrame>>, SocketError> {
+        self.buffer.prune(claims)?;
+        let (tx, rx) = channel();
+        for frame in self.buffer.frames() {
+            let _ = tx.send(Arc::clone(frame));
+        }
+        self.tx = Some(tx);
+        Ok(rx)
+    }
+
+    /// Detaches the writer: it drains what is queued and exits. The
+    /// buffer, its floors and its counters stay for a resume.
+    pub fn park(&mut self) {
+        self.tx = None;
+    }
+}
+
+/// A connection's writer: puts its queue on the socket until the queue
+/// is dropped ([`Egress::park`]) or a write fails with the connection.
+/// The one thread that writes to the socket once the link is split.
+pub(crate) fn write_loop(mut sender: LinkSender, rx: Receiver<Arc<SocketFrame>>) {
+    while let Ok(frame) = rx.recv() {
+        if sender.send(&frame).is_err() {
+            return;
+        }
+    }
+}
+
+/// Counts `n` under `name{src->dst}`; the label is built only with the
+/// telemetry sink on.
+pub(crate) fn count_link(name: &'static str, src: &str, dst: &str, n: u64) {
+    if deta_telemetry::enabled() {
+        deta_telemetry::metrics::counter_add(name, &format!("{src}->{dst}"), n);
+    }
+}
+
+/// Recovers a guard even if a peer thread panicked while holding it:
+/// every critical section of the bridge leaves its state consistent (a
+/// channel is a pair of counters and keys, an egress a buffer and a
+/// queue).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -246,7 +357,7 @@ fn seal_frame(channel: &Mutex<SecureChannel>, frame: &SocketFrame, wire: &mut Ve
         // The empty encoding of `SocketFrame::encode`: no decoder takes it.
         wire.truncate(FRAME_HEADER);
     }
-    lock_channel(channel).seal_in_place(wire, FRAME_HEADER);
+    lock(channel).seal_in_place(wire, FRAME_HEADER);
     write_frame_header(wire);
 }
 
@@ -257,7 +368,7 @@ fn unseal_frame(
     label: &str,
     mut record: Vec<u8>,
 ) -> Result<SocketFrame, SocketError> {
-    lock_channel(channel)
+    lock(channel)
         .open_in_place(&mut record, 0)
         .map_err(|_| SocketError::Record {
             link: label.to_string(),

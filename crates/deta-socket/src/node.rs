@@ -7,32 +7,32 @@
 //! the coordinator built and dropped) — a party its model, transformer
 //! and shard, an aggregator no model and no mapper — and runs the stock
 //! actor loop ([`deta_runtime::actor`]) against its local network
-//! replica. Only this node's mailbox there is ever read; a
-//! [`FaultPolicy`] delivers frames addressed to the hosted node and
-//! drops everything else, and the [`NetTap::on_drop_owned`] callback —
-//! which fires under the network lock, in exact send order — hands
-//! those "drops", by value, to the link writer. One queue, one writer, one TCP stream:
-//! the child's egress preserves the node's global causal send order,
-//! which is what makes hub-side byte accounting bit-exact with the
-//! in-process deployment.
+//! replica. Only this node's name has a mailbox there that is ever read:
+//! every other name of the session, and the supervisor's, is *forwarded*
+//! ([`Network::forward`]) — a delivery to it is handed, by value, under
+//! the network lock and in exact send order, to the link's one `Egress`,
+//! which stamps it, retains it and queues it for the connection's
+//! writer. One queue, one writer, one TCP stream: the child's egress
+//! preserves the node's global causal send order, which is what makes
+//! hub-side byte accounting bit-exact with the in-process deployment.
+//! The replica's fault-policy and tap slots are free: a send is a
+//! delivery here too, counted in this process's own `deta_net_*` series.
 //!
 //! ## Who waits on what
 //!
-//! Only the writer thread writes to the socket once the link is up, and
-//! it may hold [`LinkState`] across a 1 MB seal-and-write. The reader
-//! therefore never touches that lock while a connection lives: the
-//! ingress window is its own, an acknowledgement it owes the hub
-//! ([`SocketFrame::Ack`], one per accepted frame) is *queued* for the
-//! writer, and an acknowledgement it receives prunes the
-//! [`RetransmitBuffer`] under a lock of its own that nobody holds across
-//! IO. A reader that waited on a write would, with the hub's reader doing
-//! the same, close a cycle — child reader → child writer → hub reader →
-//! hub writer → child reader — the first time both sockets filled.
+//! Only the connection's writer thread writes to the socket once the
+//! link is up, and it holds no lock while it does. The egress lock is
+//! held for a stamp, an acknowledgement or a resume's prune-and-replay —
+//! never across IO, and never while calling into the network (the
+//! forwarder takes it *under* the network lock). So the reader never
+//! waits on a write: with the hub's reader doing the same that would
+//! close a cycle — child reader → child writer → hub reader → hub
+//! writer → child reader — the first time both sockets filled.
 //!
 //! ## Link restarts
 //!
 //! The TCP connection is *not* the session: when it dies without a
-//! `Bye` from the hub, the reader thread parks the write half, then
+//! `Bye` from the hub, the reader thread parks the egress, then
 //! reconnects with capped exponential backoff plus seeded jitter,
 //! re-proves the same node identity, and exchanges
 //! [`SocketFrame::Resume`]/[`SocketFrame::ResumeAck`] with the hub so
@@ -44,9 +44,9 @@
 //! with a structured [`SocketError::Disconnected`] and closes its own
 //! mailbox, so the hosted actor exits instead of hanging.
 
-use crate::link::{LinkReceiver, LinkSender, RetransmitBuffer, SecureLink};
+use crate::link::{lock, write_loop, Egress, LinkReceiver, SecureLink};
 use crate::wire::{auth_transcript, ReplayWindow, SocketFrame};
-use crate::{hub_verifying_key, party_link_key, SocketError};
+use crate::{drain_ring, hub_verifying_key, party_link_key, SocketError};
 use deta_core::session::{DetaConfig, NodeParts};
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use deta_nn::train::LabeledData;
@@ -54,11 +54,11 @@ use deta_nn::Sequential;
 use deta_runtime::actor::{self, ActorContext};
 use deta_runtime::{Node, SUPERVISOR};
 use deta_telemetry::FlightRecorder;
-use deta_transport::{FaultPolicy, NetTap, Network, SendVerdict};
+use deta_transport::{Forwarder, Network};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Auth exchange deadline against the hub.
@@ -79,114 +79,28 @@ const BACKOFF_CAP: Duration = Duration::from_secs(2);
 /// Stop-flag poll granularity inside backoff sleeps.
 const SLEEP_STEP: Duration = Duration::from_millis(20);
 
-/// How long the writer waits at teardown for an in-flight resume
+/// How long the sign-off waits at teardown for an in-flight resume
 /// before giving up on the trace ship and `Bye`.
 const SIGNOFF_WAIT: Duration = Duration::from_secs(10);
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Delivers only frames addressed to the hosted node; everything else
-/// is "dropped" — which, combined with [`EgressTap`], means routed to
-/// the hub instead of enqueued locally. The sender still sees `Ok`,
-/// exactly as an in-process sender would.
-struct LocalOnlyPolicy {
-    own: String,
-}
-
-impl FaultPolicy for LocalOnlyPolicy {
-    fn on_send(&self, _from: &str, to: &str, _payload: &[u8]) -> SendVerdict {
-        if to == self.own {
-            SendVerdict::Deliver
-        } else {
-            SendVerdict::Drop
-        }
-    }
-}
-
-/// What the writer thread is asked to put on the link, in queue order.
-enum Outbound {
-    /// A message the hosted node sent: stamp, retain, send.
-    Data {
-        src: String,
-        dst: String,
-        payload: Vec<u8>,
-    },
-    /// The reader's window accepted every frame of (src, dst) below
-    /// `next`: tell the hub. Neither stamped nor retained.
-    Ack { src: String, dst: String, next: u64 },
-    /// The actor has exited and everything it sent is queued ahead of
-    /// this: ship the trace, say `Bye`.
-    SignOff,
-}
-
-/// Forwards every non-local "drop" to the link writer. Called under the
-/// network lock in exact send order, so the egress queue is a faithful
-/// serialization of the node's outbound traffic — and with the payload
-/// by value, so nothing the size of a fragment is copied under that
-/// lock.
-struct EgressTap {
-    own: String,
-    egress: Mutex<Sender<Outbound>>,
-}
-
-impl NetTap for EgressTap {
-    fn on_deliver(&self, _from: &str, _to: &str, _payload: &[u8]) {}
-
-    fn on_drop_owned(&self, from: &str, to: &str, payload: Vec<u8>) {
-        // Drops *to* the hosted node are real losses (its mailbox
-        // closed); everything else is egress.
-        if to != self.own {
-            let tx = self
-                .egress
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = tx.send(Outbound::Data {
-                src: from.to_string(),
-                dst: to.to_string(),
-                payload,
-            });
-        }
-    }
-}
-
-/// The write half of the link, shared by the writer (sending) and the
-/// reader (which replaces it when it reconnects). Whoever writes holds
-/// this across the write.
-#[derive(Default)]
-struct LinkState {
-    /// Live write half; `None` while parked or reconnecting.
-    sender: Option<LinkSender>,
+/// The child's end of the link: what outlives a connection and both
+/// the actor's sends (through the forwarder) and the reader use.
+struct ChildLink {
+    egress: Mutex<Egress>,
     /// Set once the link is gone for good (budget exhausted, fatal
-    /// violation, or orderly shutdown).
-    retired: bool,
+    /// violation, or orderly shutdown). Publishes nothing but itself.
+    retired: AtomicBool,
 }
 
-impl LinkState {
-    /// Writes `frame` on the live link, if any. A send failure parks the
-    /// write half; the reader notices the same death and reconnects.
-    fn send(&mut self, frame: &SocketFrame) {
-        if let Some(sender) = self.sender.as_mut() {
-            if sender.send(frame).is_err() {
-                self.sender = None;
-            }
-        }
+impl Forwarder for ChildLink {
+    fn forward(&self, from: &str, to: &str, payload: Vec<u8>) {
+        lock(&self.egress).send(from, to, payload);
     }
 }
 
-/// What of the link outlives a connection and both bridge threads use.
-/// Lock order: `state`, then `buffer`.
-struct LinkShared {
-    state: Mutex<LinkState>,
-    /// Notified when `sender` goes live or the link retires.
-    live: Condvar,
-    /// Egress frames the hub has not acknowledged, stamped here. Locked
-    /// for as long as a stamp, an acknowledgement or a prune takes and
-    /// never across IO, so the reader can honour an `Ack` while the
-    /// writer is mid-write.
-    buffer: Mutex<RetransmitBuffer>,
-}
+/// One connection: its read half, and the writer thread draining the
+/// egress onto its write half.
+type Connection = (LinkReceiver, JoinHandle<()>);
 
 /// Everything needed to (re)establish an authenticated link to the hub
 /// and run the resume exchange.
@@ -207,11 +121,16 @@ impl Reconnector {
     /// One full connection attempt: TCP connect, secure handshake,
     /// challenge auth under the *same* node key as every previous
     /// connection, clock echo, then the `Resume`/`ResumeAck` exchange.
-    /// On success the retransmit backlog has been replayed, the write
-    /// half is live in `shared`, and the read half is returned.
-    fn connect(&mut self, shared: &LinkShared) -> Result<LinkReceiver, SocketError> {
+    /// On success the retransmit backlog is queued ahead of anything
+    /// new, the egress is live on a fresh writer thread, and the read
+    /// half is returned with that thread's handle.
+    fn connect(&mut self, child: &ChildLink) -> Result<Connection, SocketError> {
         let mut link = SecureLink::connect(self.addr, &self.name, &self.hub_key, &mut self.rng)?;
         let deadline = Some(Instant::now() + AUTH_DEADLINE);
+        let refused = |detail| SocketError::Auth {
+            peer: self.name.clone(),
+            detail,
+        };
         match link.recv(deadline, None)? {
             Some(SocketFrame::Challenge { nonce }) => {
                 let msg = auth_transcript(&nonce, &self.name);
@@ -220,21 +139,11 @@ impl Reconnector {
                     sig: self.link_key.sign(&msg).to_bytes(),
                 })?;
             }
-            _ => {
-                return Err(SocketError::Auth {
-                    peer: self.name.clone(),
-                    detail: "hub did not issue a challenge",
-                })
-            }
+            _ => return Err(refused("hub did not issue a challenge")),
         }
         match link.recv(deadline, None)? {
             Some(SocketFrame::Welcome) => {}
-            _ => {
-                return Err(SocketError::Auth {
-                    peer: self.name.clone(),
-                    detail: "hub did not accept the auth proof",
-                })
-            }
+            _ => return Err(refused("hub did not accept the auth proof")),
         }
         // Clock alignment: echo the hub's probe with our own monotonic
         // timestamp so the coordinator can map this process's trace
@@ -246,41 +155,22 @@ impl Reconnector {
                     t_peer_ns: deta_telemetry::now_ns(),
                 })?;
             }
-            _ => {
-                return Err(SocketError::Auth {
-                    peer: self.name.clone(),
-                    detail: "hub did not send a clock probe",
-                })
-            }
+            _ => return Err(refused("hub did not send a clock probe")),
         }
-        // Resume exchange, under the state lock so the writer cannot
-        // stamp or send a fresh frame among the retransmitted backlog.
-        let mut st = lock(&shared.state);
+        // Resume exchange. The egress is parked, so what the node sends
+        // meanwhile is stamped and retained behind the backlog, in order.
         link.send(&SocketFrame::Resume {
             src: self.name.clone(),
             windows: self.window.snapshot(),
         })?;
         let claims = match link.recv(deadline, None)? {
             Some(SocketFrame::ResumeAck { windows }) => windows,
-            _ => {
-                return Err(SocketError::Auth {
-                    peer: self.name.clone(),
-                    detail: "hub did not acknowledge the resume",
-                })
-            }
+            _ => return Err(refused("hub did not acknowledge the resume")),
         };
-        let backlog: Vec<Arc<SocketFrame>> = {
-            let mut buffer = lock(&shared.buffer);
-            buffer.prune(claims)?;
-            buffer.frames().cloned().collect()
-        };
-        let (mut sender, receiver) = link.split()?;
-        for frame in &backlog {
-            sender.send(frame)?;
-        }
-        st.sender = Some(sender);
-        shared.live.notify_all();
-        Ok(receiver)
+        let (sender, receiver) = link.split()?;
+        let rx = lock(&child.egress).resume(claims)?;
+        let writer = std::thread::spawn(move || write_loop(sender, rx));
+        Ok((receiver, writer))
     }
 }
 
@@ -303,15 +193,33 @@ pub fn run_node(
     tick: Duration,
 ) -> Result<(), SocketError> {
     let seed = config.seed;
-    let NodeParts {
-        network,
-        node: own,
-        tokens,
-    } = NodeParts::build(config, model_builder, party_data, name).map_err(|e| {
+    let parts = NodeParts::build(config, model_builder, party_data, name).map_err(|e| {
         SocketError::Build {
             detail: e.to_string(),
         }
     })?;
+    host_node(addr, name, seed, parts, tick)
+}
+
+/// [`run_node`] for a node already built (from a session of seed `seed`).
+/// Whatever fault policy or tap `parts.network` carries stays in place —
+/// the bridge uses neither — so a fault plan can be placed at a child.
+///
+/// # Errors
+///
+/// As [`run_node`], short of the build.
+pub fn host_node(
+    addr: SocketAddr,
+    name: &str,
+    seed: u64,
+    parts: NodeParts,
+    tick: Duration,
+) -> Result<(), SocketError> {
+    let NodeParts {
+        network,
+        node: own,
+        tokens,
+    } = parts;
     // The node's link identity outlives the node itself (which the
     // actor consumes), because every reconnection must prove the SAME
     // key — the hub's roster is fixed at bind time.
@@ -319,10 +227,6 @@ pub fn run_node(
         Node::Aggregator(a) => a.link_signing_key(),
         Node::Party(_) => party_link_key(seed, name),
     };
-    // The supervisor lives on the hub; register a proxy so local sends
-    // to it pass the destination check (the policy routes them out).
-    let _supervisor_proxy = network.register(SUPERVISOR);
-
     // Link up before the actor starts. The first connection is
     // synchronous and fails fast; only mid-session losses retry.
     let mut reconnector = Reconnector {
@@ -335,25 +239,20 @@ pub fn run_node(
             .fork(name.as_bytes()),
         window: ReplayWindow::new(),
     };
-    let shared = Arc::new(LinkShared {
-        state: Mutex::new(LinkState::default()),
-        live: Condvar::new(),
-        buffer: Mutex::new(RetransmitBuffer::default()),
+    let link = Arc::new(ChildLink {
+        egress: Mutex::new(Egress::new(name)),
+        retired: AtomicBool::new(false),
     });
-    let receiver = reconnector.connect(&shared)?;
+    let connection = reconnector.connect(&link)?;
 
-    // Bridge threads: writer (egress queue -> shared link state) and
-    // reader (socket -> local injection, plus reconnection). The queue
-    // has three feeders: the tap (the node's traffic), the reader (the
+    // Everyone but the hosted node lives behind the hub: every other
+    // name the build registered, and the supervisor's. The egress has
+    // three feeders: this forwarder (the node's traffic), the reader (the
     // acknowledgements it owes) and this thread (the sign-off).
-    let (egress_tx, egress_rx) = channel::<Outbound>();
-    network.set_fault_policy(Arc::new(LocalOnlyPolicy {
-        own: name.to_string(),
-    }));
-    network.set_tap(Arc::new(EgressTap {
-        own: name.to_string(),
-        egress: Mutex::new(egress_tx.clone()),
-    }));
+    for peer in network.names().iter().filter(|peer| *peer != name) {
+        network.forward(peer, Arc::clone(&link) as Arc<dyn Forwarder>);
+    }
+    network.forward(SUPERVISOR, Arc::clone(&link) as Arc<dyn Forwarder>);
     // With tracing on, the ring must hold a whole session's spans for
     // shipping — overflow is reported but a deep ring avoids it.
     let ring_cap = if deta_telemetry::enabled() {
@@ -363,21 +262,10 @@ pub fn run_node(
     };
     let recorder = FlightRecorder::new(name, ring_cap);
     let ship = Arc::clone(&recorder);
-    let writer = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || write_loop(shared, egress_rx, ship))
-    };
     let reader_stop = Arc::new(AtomicBool::new(false));
-    let reader_error: Arc<Mutex<Option<SocketError>>> = Arc::new(Mutex::new(None));
     let reader = {
-        let network = network.clone();
-        let stop = Arc::clone(&reader_stop);
-        let slot = Arc::clone(&reader_error);
-        let shared = Arc::clone(&shared);
-        let acks = egress_tx.clone();
-        std::thread::spawn(move || {
-            read_loop(receiver, network, acks, reconnector, shared, stop, slot);
-        })
+        let (network, stop, link) = (network.clone(), reader_stop.clone(), link.clone());
+        std::thread::spawn(move || read_loop(connection, network, reconnector, link, stop))
     };
 
     // The actor runs on this thread, exactly as it would under the
@@ -389,159 +277,113 @@ pub fn run_node(
     };
     actor::serve(own, &tokens, None, &ctx, recorder);
 
-    // Teardown: everything the actor sent is already queued, so the
-    // writer drains that, signs off with Bye, and exits.
-    let _ = egress_tx.send(Outbound::SignOff);
-    let _ = writer.join();
+    // Teardown: everything the actor sent is already stamped, so the
+    // sign-off queues behind it; the reader, once stopped, parks the
+    // egress and joins the writer, which drains all of that first.
+    sign_off(&link, &ship);
     reader_stop.store(true, Ordering::Relaxed);
-    let _ = reader.join();
-    let first = reader_error
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take();
-    match first {
-        Some(e) => Err(e),
-        None => Ok(()),
+    match reader.join() {
+        Ok(Some(violation)) => Err(violation),
+        _ => Ok(()),
     }
 }
 
-/// Egress: the one thread that writes to the link. A node's message is
-/// stamped and retained by the shared buffer, then sent; an
-/// acknowledgement the reader owes is sent as it is. Then — with the
-/// telemetry sink enabled — ships the hosted node's drained flight
-/// recorder, then `Bye`. The sign-off waits briefly for an in-flight
-/// resume.
-fn write_loop(shared: Arc<LinkShared>, rx: Receiver<Outbound>, recorder: Arc<FlightRecorder>) {
-    for outbound in &rx {
-        match outbound {
-            Outbound::Data { src, dst, payload } => {
-                // Stamped and sent under the state lock: a resume in
-                // between would replay the frame and this would send it
-                // a second time.
-                let mut st = lock(&shared.state);
-                let frame = {
-                    let mut buffer = lock(&shared.buffer);
-                    let frame = buffer.stamp(src, dst, payload);
-                    buffer.observe_depth(recorder.node());
-                    frame
-                };
-                st.send(&frame);
-            }
-            // On a parked link the acknowledgement is dropped: the
-            // resume's claims will say the same with authority.
-            Outbound::Ack { src, dst, next } => {
-                lock(&shared.state).send(&SocketFrame::Ack { src, dst, next });
-            }
-            Outbound::SignOff => break,
-        }
-    }
-    // The sign-off is queued after the actor loop has exited, so the
-    // ring is complete by the time it is drained here. The sign-off
-    // needs a live link; a parked one may resume any moment.
+/// Queues the sign-off behind everything the node sent: with the
+/// telemetry sink enabled the hosted node's drained flight recorder —
+/// complete, since the actor loop has exited — then `Bye`. It needs a
+/// live link; a parked one may resume any moment, so it waits briefly.
+fn sign_off(link: &ChildLink, recorder: &FlightRecorder) {
+    let ring = deta_telemetry::enabled()
+        .then(|| drain_ring(recorder))
+        .flatten();
+    let ship = ring.map(|(jsonl, dropped)| SocketFrame::TraceShip {
+        name: recorder.node().to_string(),
+        dropped,
+        jsonl: jsonl.into_bytes(),
+    });
     let deadline = Instant::now() + SIGNOFF_WAIT;
-    let mut st = lock(&shared.state);
-    while st.sender.is_none() && !st.retired {
-        let now = Instant::now();
-        if now >= deadline {
+    loop {
+        {
+            let egress = lock(&link.egress);
+            if egress.is_live() {
+                if let Some(ship) = ship {
+                    egress.control(ship);
+                }
+                egress.control(SocketFrame::Bye);
+                return;
+            }
+        }
+        if link.retired.load(Ordering::Relaxed) || Instant::now() >= deadline {
             return;
         }
-        let (guard, _) = shared
-            .live
-            .wait_timeout(st, (deadline - now).min(Duration::from_millis(100)))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        st = guard;
+        std::thread::sleep(SLEEP_STEP);
     }
-    let Some(sender) = st.sender.as_mut() else {
-        return;
-    };
-    if deta_telemetry::enabled() {
-        let (records, dropped) = recorder.drain();
-        if !records.is_empty() || dropped > 0 {
-            let mut jsonl = String::new();
-            for rec in &records {
-                jsonl.push_str(&rec.to_json(recorder.node()));
-                jsonl.push('\n');
-            }
-            let _ = sender.send(&SocketFrame::TraceShip {
-                name: recorder.node().to_string(),
-                dropped,
-                jsonl: jsonl.into_bytes(),
-            });
-        }
-    }
-    let _ = sender.send(&SocketFrame::Bye);
 }
 
-/// How one connection's ingress ended.
+/// How one connection's ingress ended, short of a violation.
 enum LinkEnd {
     /// Abrupt loss without `Bye`: park and reconnect.
     Lost,
     /// Orderly end (hub `Bye` or local stop): retire quietly.
     Shutdown,
-    /// A protocol violation that must not be smoothed over.
-    Fatal(SocketError),
+}
+
+/// The reader thread: runs the link until it is gone for good, then
+/// retires it — the node's own mailbox closes, so the hosted actor exits
+/// instead of hanging. Returns the violation that ended it, if one did.
+fn read_loop(
+    first: Connection,
+    network: Network,
+    mut reconnector: Reconnector,
+    link: Arc<ChildLink>,
+    stop: Arc<AtomicBool>,
+) -> Option<SocketError> {
+    let violation = run_link(first, &network, &mut reconnector, &link, &stop).err();
+    // The egress is parked by now.
+    link.retired.store(true, Ordering::Relaxed);
+    network.close(&reconnector.name);
+    violation
 }
 
 /// Ingress + reconnection: injects hub frames into the local replica,
 /// mirrors remote closures, and — on abrupt connection loss — runs the
-/// backoff/reconnect/resume cycle until the budget is exhausted.
-fn read_loop(
-    first: LinkReceiver,
-    network: Network,
-    acks: Sender<Outbound>,
-    mut reconnector: Reconnector,
-    shared: Arc<LinkShared>,
-    stop: Arc<AtomicBool>,
-    slot: Arc<Mutex<Option<SocketError>>>,
-) {
-    let own = reconnector.name.clone();
-    let record = |e: SocketError| {
-        let mut s = slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if s.is_none() {
-            *s = Some(e);
-        }
-    };
-    let retire = || {
-        let mut st = lock(&shared.state);
-        st.sender = None;
-        st.retired = true;
-        shared.live.notify_all();
-        network.close(&own);
-    };
+/// backoff/reconnect/resume cycle. `Ok` is an orderly end.
+///
+/// # Errors
+///
+/// A protocol violation that must not be smoothed over, a
+/// [`SocketError::Resync`], or [`SocketError::Disconnected`] once the
+/// reconnect budget is exhausted.
+fn run_link(
+    first: Connection,
+    network: &Network,
+    reconnector: &mut Reconnector,
+    link: &ChildLink,
+    stop: &AtomicBool,
+) -> Result<(), SocketError> {
     let mut jitter = reconnector.rng.fork(b"reconnect-jitter");
-    let mut receiver = first;
+    let (mut receiver, mut writer) = first;
     loop {
-        let window = &mut reconnector.window;
-        match ingest(&mut receiver, window, &network, &own, &acks, &shared, &stop) {
-            LinkEnd::Shutdown => {
-                retire();
-                return;
-            }
-            LinkEnd::Fatal(e) => {
-                record(e);
-                retire();
-                return;
-            }
-            LinkEnd::Lost => {}
+        let end = ingest(&mut receiver, reconnector, network, link, stop);
+        // However it ended, this connection is over: park the egress (the
+        // socket is gone in both directions, or about to be) and let its
+        // writer drain what is queued.
+        lock(&link.egress).park();
+        let _ = writer.join();
+        if let LinkEnd::Shutdown = end? {
+            return Ok(());
         }
-        // Park the write half (the socket is gone in both directions)
-        // and reconnect: capped exponential backoff with seeded jitter,
+        // Reconnect: capped exponential backoff with seeded jitter,
         // bounded by the consecutive-failure budget.
-        lock(&shared.state).sender = None;
         let mut attempt = 0u32;
-        receiver = loop {
+        (receiver, writer) = loop {
             if stop.load(Ordering::Relaxed) {
-                retire();
-                return;
+                return Ok(());
             }
             if attempt >= RECONNECT_BUDGET {
-                record(SocketError::Disconnected {
+                return Err(SocketError::Disconnected {
                     peer: "hub".to_string(),
                 });
-                retire();
-                return;
             }
             let exp = BACKOFF_BASE.saturating_mul(1 << attempt.min(10));
             let base = exp.min(BACKOFF_CAP);
@@ -550,8 +392,7 @@ fn read_loop(
             let until = Instant::now() + delay;
             loop {
                 if stop.load(Ordering::Relaxed) {
-                    retire();
-                    return;
+                    return Ok(());
                 }
                 let now = Instant::now();
                 if now >= until {
@@ -559,15 +400,11 @@ fn read_loop(
                 }
                 std::thread::sleep((until - now).min(SLEEP_STEP));
             }
-            match reconnector.connect(&shared) {
-                Ok(r) => break r,
-                Err(e @ SocketError::Resync { .. }) => {
-                    // The hub needs frames this side evicted (or vice
-                    // versa); retrying cannot help — floors only grow.
-                    record(e);
-                    retire();
-                    return;
-                }
+            match reconnector.connect(link) {
+                Ok(connection) => break connection,
+                // The hub needs frames this side evicted (or vice versa);
+                // retrying cannot help — floors only grow.
+                Err(e @ SocketError::Resync { .. }) => return Err(e),
                 Err(_) => attempt += 1,
             }
         };
@@ -575,18 +412,22 @@ fn read_loop(
 }
 
 /// Drains one connection's ingress until it ends (see [`LinkEnd`]): hub
-/// frames the `window` accepts are injected into the local replica and
-/// acknowledged through the writer's queue; the hub's own
+/// frames the ingress window accepts are injected into the local replica
+/// and acknowledged through the writer's queue; the hub's own
 /// acknowledgements prune the retransmit buffer.
+///
+/// # Errors
+///
+/// Sequence, acknowledgement, record and framing violations: tampering
+/// evidence, unlike the transport-level errors that are connection churn
+/// (the resumed link re-proves integrity from scratch).
 fn ingest(
     receiver: &mut LinkReceiver,
-    window: &mut ReplayWindow,
+    reconnector: &mut Reconnector,
     network: &Network,
-    own: &str,
-    acks: &Sender<Outbound>,
-    shared: &LinkShared,
+    link: &ChildLink,
     stop: &AtomicBool,
-) -> LinkEnd {
+) -> Result<LinkEnd, SocketError> {
     loop {
         match receiver.recv(None, Some(stop)) {
             Ok(Some(SocketFrame::Data {
@@ -595,53 +436,40 @@ fn ingest(
                 seq,
                 payload,
             })) => {
-                if let Err(e) = window.accept_named(&src, &dst, seq) {
-                    return LinkEnd::Fatal(e);
-                }
+                reconnector.window.accept_named(&src, &dst, seq)?;
                 // Delivery failures mirror in-process semantics: a
                 // closed local mailbox means the actor is done.
                 let _ = network.send_as(&src, &dst, payload);
+                // Through the writer — this thread never waits on a
+                // socket write. On a parked link the acknowledgement is
+                // dropped: the resume's claims say the same with authority.
                 let next = seq + 1;
-                let _ = acks.send(Outbound::Ack { src, dst, next });
+                lock(&link.egress).control(SocketFrame::Ack { src, dst, next });
             }
             Ok(Some(SocketFrame::Ack { src, dst, next })) => {
                 // The hub answers for what it took from this node and
                 // for nothing else.
-                if src != own {
-                    return LinkEnd::Fatal(SocketError::Auth {
+                if src != reconnector.name {
+                    return Err(SocketError::Auth {
                         peer: "hub".to_string(),
                         detail: "acknowledgement for a link that starts at another node",
                     });
                 }
-                if let Err(e) = lock(&shared.buffer).acknowledge(&src, &dst, next) {
-                    return LinkEnd::Fatal(e);
-                }
+                lock(&link.egress).acknowledge(&src, &dst, next)?;
             }
-            Ok(Some(SocketFrame::Close { name })) => {
-                network.close(&name);
-            }
-            Ok(Some(SocketFrame::Bye)) => {
-                // Orderly hub sign-off: nothing further can arrive.
-                return LinkEnd::Shutdown;
-            }
-            Ok(None) => {
-                // EOF: a stop request reads as EOF too — that is the
-                // orderly teardown; a real EOF is an abrupt loss.
-                if stop.load(Ordering::Relaxed) {
-                    return LinkEnd::Shutdown;
-                }
-                return LinkEnd::Lost;
-            }
+            Ok(Some(SocketFrame::Close { name })) => network.close(&name),
+            // Orderly hub sign-off: nothing further can arrive.
+            Ok(Some(SocketFrame::Bye)) => return Ok(LinkEnd::Shutdown),
+            // EOF: a stop request reads as EOF too — that is the orderly
+            // teardown; a real EOF is an abrupt loss.
+            Ok(None) if stop.load(Ordering::Relaxed) => return Ok(LinkEnd::Shutdown),
+            Ok(None) | Err(SocketError::Io(_)) => return Ok(LinkEnd::Lost),
             Ok(Some(_)) => {
-                return LinkEnd::Fatal(SocketError::Malformed {
+                return Err(SocketError::Malformed {
                     link: receiver.label().to_string(),
-                });
+                })
             }
-            // Transport-level errors are connection churn (the resumed
-            // link re-proves integrity from scratch)...
-            Err(SocketError::Io(_)) => return LinkEnd::Lost,
-            // ...but record/framing violations are tampering evidence.
-            Err(e) => return LinkEnd::Fatal(e),
+            Err(e) => return Err(e),
         }
     }
 }

@@ -35,7 +35,12 @@
 //!   harnesses a complete per-link message log to replay.
 //!
 //! Both default to absent; production paths pay one `Option` check.
-
+//!
+//! A name whose mailbox is *somewhere else* — a node another process
+//! hosts, behind a bridge — is a kind of endpoint, not a fault:
+//! [`Network::forward`] hands what would be queued for it to a
+//! [`Forwarder`], verdict and accounting as for any delivery. A drop
+//! therefore always means a loss.
 //!
 //! # Examples
 //!
@@ -65,25 +70,6 @@ use std::time::Duration;
 /// consistent), so recovery is safe and keeps the network usable.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Gated telemetry for a frame that never reached a mailbox (fault
-/// drop, corrupted original, crash, dead destination): a per-link
-/// counter plus an event in the sending thread's flight recorder.
-/// Disabled cost: one branch + atomic load.
-fn note_loss(from: &str, to: &str, len: usize) {
-    if !deta_telemetry::enabled() {
-        return;
-    }
-    let link = format!("{from}->{to}");
-    deta_telemetry::metrics::counter_add("deta_net_drops_total", &link, 1);
-    deta_telemetry::event(
-        "net_drop",
-        &[
-            ("link", deta_telemetry::TelemetryValue::from(link.as_str())),
-            ("bytes", deta_telemetry::TelemetryValue::from(len)),
-        ],
-    );
 }
 
 /// A received message.
@@ -240,34 +226,57 @@ pub trait FaultPolicy: Send + Sync {
 }
 
 /// Observes the network: one callback per actual delivery (enqueue into
-/// the destination mailbox) and one per loss. Installed via
-/// [`Network::set_tap`].
+/// the destination mailbox, or hand-over to its [`Forwarder`]) and one
+/// per loss. Installed via [`Network::set_tap`].
 ///
 /// Called with the network lock held — same constraints as
 /// [`FaultPolicy`]. Delivery order as observed by the tap is exactly
 /// mailbox enqueue order, which makes tap logs replayable evidence of
 /// everything a node ever saw.
 pub trait NetTap: Send + Sync {
-    /// A payload was enqueued into `to`'s mailbox.
+    /// A payload was enqueued into `to`'s mailbox (or handed to its
+    /// forwarder).
     fn on_deliver(&self, from: &str, to: &str, payload: &[u8]);
     /// A send attempt did not enqueue anything: fault drop, corruption
     /// (the original payload is reported lost), crash, or a held message
     /// whose destination closed before release.
     fn on_drop(&self, _from: &str, _to: &str, _payload: &[u8]) {}
-    /// What the network calls at every loss: it owns the payload it is
-    /// about to discard, so a tap that keeps lost payloads (a bridge
-    /// routing them elsewhere) overrides this and takes the buffer
-    /// instead of copying it under the network lock. Everyone else
-    /// inherits the loan to [`NetTap::on_drop`].
-    fn on_drop_owned(&self, from: &str, to: &str, payload: Vec<u8>) {
-        self.on_drop(from, to, &payload);
-    }
+}
+
+/// Stands in for the mailbox of a name hosted elsewhere: a bridge to the
+/// process that does host it. Installed via [`Network::forward`].
+///
+/// Called with the network lock held, in the order a mailbox would have
+/// been filled — same constraints as [`FaultPolicy`] and [`NetTap`]:
+/// fast, no IO, no call back into the network.
+pub trait Forwarder: Send + Sync {
+    /// `payload` from `from` is `to`'s: all of the delivery has happened
+    /// (verdict, tap, stats, per-link bytes) but the enqueue. Verbatim —
+    /// a trace envelope stays on: a relay adopts nothing, records no
+    /// `net_recv`.
+    fn forward(&self, from: &str, to: &str, payload: Vec<u8>);
+    /// `name` was closed: told once, after everything forwarded to it.
+    fn closed(&self, _name: &str) {}
 }
 
 /// One endpoint's queue plus its liveness flag.
+#[derive(Default)]
 struct Mailbox {
     queue: VecDeque<Message>,
     closed: bool,
+    /// Set for a name hosted elsewhere: takes what `queue` would.
+    forwarder: Option<Arc<dyn Forwarder>>,
+}
+
+impl Mailbox {
+    /// Closes the mailbox; its forwarder hears of it the first time.
+    fn close(&mut self, name: &str) {
+        if !std::mem::replace(&mut self.closed, true) {
+            if let Some(f) = &self.forwarder {
+                f.closed(name);
+            }
+        }
+    }
 }
 
 /// A message held back by [`SendVerdict::Delay`] or
@@ -281,6 +290,7 @@ struct Held {
     any: bool,
 }
 
+#[derive(Default)]
 struct NetState {
     queues: HashMap<Arc<str>, Mailbox>,
     stats: NetStats,
@@ -293,6 +303,30 @@ struct NetState {
     policy: Option<Arc<dyn FaultPolicy>>,
     tap: Option<Arc<dyn NetTap>>,
     held: Vec<Held>,
+}
+
+impl NetState {
+    /// A frame that reached no mailbox (fault drop, corrupted original,
+    /// crash, dead destination): the tap's `on_drop`, a per-link counter
+    /// and a `net_drop` event in the sending thread's flight recorder.
+    /// Telemetry disabled, that part costs one branch + atomic load.
+    fn lose(&self, from: &str, to: &str, payload: &[u8]) {
+        if let Some(t) = &self.tap {
+            t.on_drop(from, to, payload);
+        }
+        if !deta_telemetry::enabled() {
+            return;
+        }
+        let link = format!("{from}->{to}");
+        deta_telemetry::metrics::counter_add("deta_net_drops_total", &link, 1);
+        deta_telemetry::event(
+            "net_drop",
+            &[
+                ("link", deta_telemetry::TelemetryValue::from(link.as_str())),
+                ("bytes", deta_telemetry::TelemetryValue::from(payload.len())),
+            ],
+        );
+    }
 }
 
 /// The shared simulated network.
@@ -308,14 +342,7 @@ impl Network {
     /// Creates a network with the given link model.
     pub fn new(link: LinkModel) -> Network {
         Network {
-            state: Arc::new(Mutex::new(NetState {
-                queues: HashMap::new(),
-                stats: NetStats::default(),
-                link_bytes: BTreeMap::new(),
-                policy: None,
-                tap: None,
-                held: Vec::new(),
-            })),
+            state: Arc::default(),
             arrivals: Arc::new(Condvar::new()),
             link,
         }
@@ -330,13 +357,7 @@ impl Network {
     pub fn register(&self, name: &str) -> Endpoint {
         let name: Arc<str> = Arc::from(name);
         let mut st = lock(&self.state);
-        let prev = st.queues.insert(
-            Arc::clone(&name),
-            Mailbox {
-                queue: VecDeque::new(),
-                closed: false,
-            },
-        );
+        let prev = st.queues.insert(Arc::clone(&name), Mailbox::default());
         assert!(prev.is_none(), "endpoint {name:?} already registered");
         Endpoint {
             name,
@@ -344,16 +365,43 @@ impl Network {
         }
     }
 
+    /// Declares `name` hosted elsewhere (registering it if it is not):
+    /// from now on every delivery to it is handed to `forwarder` instead
+    /// of queued — same [`FaultPolicy`] verdict, [`NetTap::on_deliver`],
+    /// [`NetStats`], [`Network::link_bytes`] and `deta_net_*` accounting,
+    /// in exact send order — and [`Network::close`] tells the forwarder
+    /// once. Anything already queued is handed over first.
+    pub fn forward(&self, name: &str, forwarder: Arc<dyn Forwarder>) {
+        let mut st = lock(&self.state);
+        let mb = st.queues.entry(Arc::from(name)).or_default();
+        for msg in mb.queue.drain(..) {
+            forwarder.forward(&msg.from, name, msg.payload);
+        }
+        mb.forwarder = Some(forwarder);
+    }
+
+    /// Every registered name, sorted.
+    pub fn names(&self) -> Vec<String> {
+        let mut names: Vec<String> = lock(&self.state)
+            .queues
+            .keys()
+            .map(|name| name.to_string())
+            .collect();
+        names.sort();
+        names
+    }
+
     /// Closes an endpoint: queued messages stay receivable, but new sends
     /// fail with [`NetError::Closed`] and receivers that drain the queue
     /// get [`RecvError::Closed`] instead of blocking. Wakes every thread
-    /// currently parked in a blocking receive.
+    /// currently parked in a blocking receive. A forwarded name's
+    /// [`Forwarder`] is told, the first time.
     ///
     /// Closing an unknown endpoint is a no-op; closing twice is idempotent.
     pub fn close(&self, name: &str) {
         let mut st = lock(&self.state);
         if let Some(mb) = st.queues.get_mut(name) {
-            mb.closed = true;
+            mb.close(name);
         }
         drop(st);
         deta_telemetry::metrics::counter_add("deta_net_closes_total", name, 1);
@@ -427,7 +475,8 @@ impl Network {
         self.send(&from, to, payload)
     }
 
-    /// Delivers `payload` into `to`'s mailbox (stats + tap), then releases
+    /// Delivers `payload` into `to`'s mailbox — or to its forwarder —
+    /// (stats + tap), then releases
     /// any held messages whose same-link delivery countdown reaches zero.
     /// Releases are themselves deliveries, so chained holds drain in FIFO
     /// order — a bounded worklist, not recursion.
@@ -440,10 +489,7 @@ impl Network {
             let deliverable = st.queues.get(to.as_str()).is_some_and(|mb| !mb.closed);
             if !deliverable {
                 // A held message can outlive its destination.
-                if let Some(t) = &tap {
-                    t.on_drop_owned(&from, &to, payload);
-                }
-                note_loss(&from, &to, len);
+                st.lose(&from, &to, &payload);
                 continue;
             }
             if let Some(t) = &tap {
@@ -451,11 +497,16 @@ impl Network {
             }
             let mut depth = 0usize;
             if let Some(mb) = st.queues.get_mut(to.as_str()) {
-                mb.queue.push_back(Message {
-                    from: Arc::clone(&from),
-                    payload,
-                });
-                depth = mb.queue.len();
+                match &mb.forwarder {
+                    Some(f) => f.forward(&from, &to, payload),
+                    None => {
+                        mb.queue.push_back(Message {
+                            from: Arc::clone(&from),
+                            payload,
+                        });
+                        depth = mb.queue.len();
+                    }
+                }
             }
             st.stats.messages += 1;
             st.stats.bytes += len as u64;
@@ -513,17 +564,15 @@ impl Network {
             Some(p) => p.on_send(from, to, &payload),
             None => SendVerdict::Deliver,
         };
-        let tap = st.tap.clone();
         let result = match verdict {
-            SendVerdict::Deliver => {
+            SendVerdict::Deliver
+            | SendVerdict::Delay { after: 0 }
+            | SendVerdict::Hold { after: 0 } => {
                 self.deliver_locked(&mut st, from, to, payload);
                 Ok(())
             }
             SendVerdict::Drop => {
-                note_loss(from, to, payload.len());
-                if let Some(t) = &tap {
-                    t.on_drop_owned(from, to, payload);
-                }
+                st.lose(from, to, &payload);
                 Ok(())
             }
             SendVerdict::Duplicate => {
@@ -532,44 +581,24 @@ impl Network {
                 Ok(())
             }
             SendVerdict::Replace(alt) => {
-                note_loss(from, to, payload.len());
-                if let Some(t) = &tap {
-                    t.on_drop_owned(from, to, payload);
-                }
+                st.lose(from, to, &payload);
                 self.deliver_locked(&mut st, from, to, alt);
                 Ok(())
             }
-            SendVerdict::Delay { after: 0 } | SendVerdict::Hold { after: 0 } => {
-                self.deliver_locked(&mut st, from, to, payload);
-                Ok(())
-            }
-            SendVerdict::Delay { after } => {
+            hold @ (SendVerdict::Delay { after } | SendVerdict::Hold { after }) => {
                 st.held.push(Held {
                     from: Arc::clone(from),
                     to: to.to_string(),
                     payload,
                     after,
-                    any: false,
-                });
-                Ok(())
-            }
-            SendVerdict::Hold { after } => {
-                st.held.push(Held {
-                    from: Arc::clone(from),
-                    to: to.to_string(),
-                    payload,
-                    after,
-                    any: true,
+                    any: matches!(hold, SendVerdict::Hold { .. }),
                 });
                 Ok(())
             }
             SendVerdict::CrashSender => {
-                note_loss(from, to, payload.len());
-                if let Some(t) = &tap {
-                    t.on_drop_owned(from, to, payload);
-                }
+                st.lose(from, to, &payload);
                 if let Some(mb) = st.queues.get_mut(from.as_ref()) {
-                    mb.closed = true;
+                    mb.close(from);
                 }
                 Err(NetError::Closed(from.to_string()))
             }
@@ -683,15 +712,6 @@ impl Endpoint {
         self.network
             .recv_timeout(&self.name, timeout)
             .map(|m| self.arrive(m))
-    }
-
-    /// [`Endpoint::recv_timeout`] without trace-envelope processing:
-    /// the payload comes back verbatim, envelope and all. Bridge relays
-    /// (the socket hub's pumps) use this so a trace context crosses the
-    /// process boundary intact instead of being adopted by the relay
-    /// thread.
-    pub fn recv_timeout_raw(&self, timeout: Duration) -> Result<Message, RecvError> {
-        self.network.recv_timeout(&self.name, timeout)
     }
 
     /// Unwraps a trace envelope, if present, from an arrived message:
@@ -1251,6 +1271,159 @@ mod tests {
             net.send_as("remote", "ghost", b"x".to_vec()),
             Err(NetError::UnknownEndpoint("ghost".to_string()))
         );
+    }
+
+    /// A forwarder that keeps what it is handed, and what it is told.
+    #[derive(Default)]
+    struct Relay {
+        forwarded: Mutex<Vec<(String, String, Vec<u8>)>>,
+        closed: Mutex<Vec<String>>,
+    }
+
+    impl Forwarder for Relay {
+        fn forward(&self, from: &str, to: &str, payload: Vec<u8>) {
+            lock(&self.forwarded).push((from.into(), to.into(), payload));
+        }
+        fn closed(&self, name: &str) {
+            lock(&self.closed).push(name.into());
+        }
+    }
+
+    impl Relay {
+        fn payloads(&self) -> Vec<Vec<u8>> {
+            lock(&self.forwarded)
+                .iter()
+                .map(|(_, _, p)| p.clone())
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_forwarded_delivery_is_accounted_like_a_queued_one() {
+        // The same traffic over two networks: `b` a mailbox on one, a
+        // forwarded name on the other.
+        let run = |relay: Option<Arc<Relay>>| {
+            let (net, tap) = fault_net(vec![]);
+            let a = net.register("a");
+            let b = net.register("b");
+            let c = net.register("c");
+            if let Some(relay) = relay {
+                net.forward("b", relay);
+            }
+            a.send("b", vec![1u8; 7]).unwrap();
+            a.send("c", vec![2u8; 3]).unwrap();
+            net.send_as("remote", "b", vec![3u8; 5]).unwrap();
+            c.send("b", vec![4u8; 2]).unwrap();
+            let delivered = lock(&tap.delivered).clone();
+            (net.stats(), net.link_bytes(), delivered, b.drain())
+        };
+        let relay = Arc::new(Relay::default());
+        let queued = run(None);
+        let forwarded = run(Some(Arc::clone(&relay)));
+        assert_eq!(queued.0, forwarded.0, "NetStats");
+        assert_eq!(queued.1, forwarded.1, "link_bytes");
+        assert_eq!(queued.2, forwarded.2, "tap order");
+        // What the mailbox held on one is what the forwarder was handed on
+        // the other, in the same order — and the mailbox there is empty.
+        let mailbox: Vec<(String, Vec<u8>)> = (queued.3.into_iter())
+            .map(|m| (m.from.to_string(), m.payload))
+            .collect();
+        let handed: Vec<(String, Vec<u8>)> = lock(&relay.forwarded)
+            .iter()
+            .map(|(from, to, p)| {
+                assert_eq!(to, "b");
+                (from.clone(), p.clone())
+            })
+            .collect();
+        assert_eq!(mailbox, handed);
+        assert!(forwarded.3.is_empty());
+    }
+
+    #[test]
+    fn verdicts_reach_a_forwarder_like_a_mailbox() {
+        let (net, tap) = fault_net(vec![
+            SendVerdict::Duplicate,
+            SendVerdict::Replace(b"bad".to_vec()),
+            SendVerdict::Drop,
+            SendVerdict::Delay { after: 2 },
+            SendVerdict::Deliver,
+            SendVerdict::Hold { after: 1 },
+        ]);
+        let relay = Arc::new(Relay::default());
+        let a = net.register("a");
+        let c = net.register("c");
+        let _other = net.register("other");
+        // An unknown name is registered by being forwarded.
+        net.forward("b", Arc::clone(&relay) as Arc<dyn Forwarder>);
+        assert!(net.names().contains(&"b".to_string()));
+        a.send("b", &b"twice"[..]).unwrap();
+        a.send("b", &b"good"[..]).unwrap();
+        a.send("b", &b"lost"[..]).unwrap();
+        a.send("b", &b"late"[..]).unwrap(); // held for two more on a->b
+        a.send("b", &b"1"[..]).unwrap();
+        a.send("b", &b"held"[..]).unwrap(); // held for one more anywhere
+                                            // Releases "held" — a->b's second delivery, which releases "late".
+        c.send("other", &b"elsewhere"[..]).unwrap();
+        a.send("b", &b"2"[..]).unwrap();
+        let want: Vec<Vec<u8>> = [
+            &b"twice"[..],
+            b"twice",
+            b"bad",
+            b"1",
+            b"held",
+            b"late",
+            b"2",
+        ]
+        .iter()
+        .map(|p| p.to_vec())
+        .collect();
+        assert_eq!(relay.payloads(), want);
+        let dropped: Vec<Vec<u8>> = lock(&tap.dropped).iter().map(|d| d.2.clone()).collect();
+        assert_eq!(dropped, vec![b"good".to_vec(), b"lost".to_vec()]);
+        assert_eq!(net.stats().messages, 8);
+    }
+
+    #[test]
+    fn close_tells_a_forwarder_once_and_later_frames_are_losses() {
+        let (net, tap) = fault_net(vec![SendVerdict::Hold { after: 1 }]);
+        let relay = Arc::new(Relay::default());
+        let a = net.register("a");
+        let c = net.register("c");
+        net.forward("b", Arc::clone(&relay) as Arc<dyn Forwarder>);
+        a.send("b", &b"held"[..]).unwrap();
+        net.close("b");
+        net.close("b");
+        assert_eq!(*lock(&relay.closed), ["b"]);
+        assert_eq!(
+            a.send("b", &b"after"[..]),
+            Err(NetError::Closed("b".to_string()))
+        );
+        // Released after its destination closed: lost, not forwarded.
+        a.send("c", &b"release"[..]).unwrap();
+        assert_eq!(c.drain().len(), 1);
+        assert!(relay.payloads().is_empty());
+        assert_eq!(lock(&tap.dropped)[0].2, b"held".to_vec());
+        // A mailbox of its own has no one to tell.
+        net.close("c");
+        assert_eq!(*lock(&relay.closed), ["b"]);
+    }
+
+    #[test]
+    fn a_crashed_forwarded_sender_is_a_closure_and_a_late_forwarder_inherits_the_queue() {
+        let (net, _tap) = fault_net(vec![SendVerdict::Deliver, SendVerdict::CrashSender]);
+        let relay = Arc::new(Relay::default());
+        let a = net.register("a");
+        let b = net.register("b");
+        a.send("b", &b"queued"[..]).unwrap();
+        net.forward("b", Arc::clone(&relay) as Arc<dyn Forwarder>);
+        assert_eq!(relay.payloads(), vec![b"queued".to_vec()]);
+        assert!(b.recv().is_none());
+        // `b` lives elsewhere and its frames come in through `send_as`.
+        assert_eq!(
+            net.send_as("b", "a", b"dying".to_vec()),
+            Err(NetError::Closed("b".to_string()))
+        );
+        assert_eq!(*lock(&relay.closed), ["b"]);
     }
 
     #[test]

@@ -149,8 +149,10 @@ echo "==> multi-process trace smoke (deta-cli trace: merged timeline + critical 
 # shape: spawns one traced process per node, harvests every
 # flight-recorder ring over the socket, clock-aligns them, and must
 # produce a non-empty merged JSONL + Perfetto trace plus the per-round
-# critical-path report. Outputs land in results/traces/ (gitignored;
-# CI uploads them as artifacts).
+# critical-path report. The run is fault-free and a bridged name is a
+# forwarded endpoint at both ends of its link, so the merged trace must
+# not hold a single net_drop: a drop means a loss. Outputs land in
+# results/traces/ (gitignored; CI uploads them as artifacts).
 TRACE_CFG="$(mktemp /tmp/deta-trace-XXXXXX.cfg)"
 cat > "$TRACE_CFG" <<'CFG'
 dataset            = mnist
@@ -178,7 +180,11 @@ if ! grep -q '^round 1 ' /tmp/deta-trace-smoke.txt || \
   cat /tmp/deta-trace-smoke.txt >&2
   exit 1
 fi
-echo "    merged trace ok: $(wc -l < "$MERGED_JSONL") records, perfetto $(wc -c < "$MERGED_PERFETTO") bytes"
+if grep -q '"net_drop"' "$MERGED_JSONL"; then
+  echo "FAIL: a fault-free trace recorded $(grep -c '"net_drop"' "$MERGED_JSONL") net_drop event(s)" >&2
+  exit 1
+fi
+echo "    merged trace ok: $(wc -l < "$MERGED_JSONL") records, no net_drop, perfetto $(wc -c < "$MERGED_PERFETTO") bytes"
 
 echo "==> bench regression history (diff BENCH_*.json vs results/BENCH_history.jsonl)"
 # Warn-by-default: drift beyond tolerance prints loudly but does not

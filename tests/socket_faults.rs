@@ -15,13 +15,14 @@
 //! * the `FaultPolicy` seam applies to socket-borne frames unchanged;
 //! * a delivery acknowledgement is honoured only from the seat its link
 //!   ends at, only up to what was sent on it, and only after auth — and
-//!   a refused one prunes nothing.
+//!   a refused one prunes nothing;
+//! * a seat's closure reaches a child that was resuming when it landed.
 
 use deta::crypto::{DetRng, SigningKey};
 use deta::socket::{SocketError, SocketFrame};
 use deta::transport::{FaultPolicy, NetError, RecvError, SendVerdict};
 use deta_drills::socket::{start_hub, wait_error, Custody, Rogue};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -270,4 +271,42 @@ fn an_honest_acknowledgement_prunes_exactly_what_it_names() {
     assert_eq!(held.agg_resumes(1).expect("replayed"), [2]);
     assert!(held.hub.first_error().is_none());
     held.hub.join();
+}
+
+/// A closure is broadcast to live links only and re-announced to a seat
+/// once its resume has made it live. The hub asks the network what is
+/// closed *after* it lets go of the egress lock (asking under it would
+/// invert `network -> egress`), so a closure may land before the resume,
+/// during it or after it: wherever it lands, the resuming child hears.
+/// The seat here hears of its own closure, announced like any other's.
+#[test]
+fn a_closure_that_lands_around_a_resume_still_reaches_the_resuming_child() {
+    for contend in std::iter::once(false).chain([true; 8]) {
+        let (hub, network, _agg, key) = start_hub();
+        // Authenticated, its `Resume` not yet sent: the seat is parked.
+        let mut party = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+        if contend {
+            // The barrier releases the closure and the resume together.
+            let go = Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    go.wait();
+                    network.close("party-0");
+                });
+                go.wait();
+                party.resume("party-0");
+            });
+        } else {
+            // Parked throughout: only the re-announcement can tell it.
+            network.close("party-0");
+            party.resume("party-0");
+        }
+        loop {
+            match party.recv().expect("the link outlives the closure") {
+                SocketFrame::Close { name } if name == "party-0" => break,
+                _ => {}
+            }
+        }
+        hub.join();
+    }
 }
