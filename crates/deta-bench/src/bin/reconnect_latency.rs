@@ -67,14 +67,7 @@ fn run_socket(
             )
         }))
     };
-    // Retries past the deadline horizon, like the cluster deployment:
-    // the bridge is lossless, and a load-timed duplicate fan-out would
-    // break byte parity between the chaos and fault-free arms.
-    let rt = RuntimeConfig {
-        retry_initial: Duration::from_secs(3600),
-        retry_max: Duration::from_secs(3600),
-        ..RuntimeConfig::default()
-    };
+    let rt = RuntimeConfig::default();
     let builder = move |rng: &mut deta_crypto::DetRng| mlp(&[dim, 16, classes], rng);
     let mut bridged =
         deta_socket::launch(cfg, &builder, shards.to_vec(), rt, chaos, host).expect("socket setup");

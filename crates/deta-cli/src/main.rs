@@ -222,14 +222,6 @@ fn cluster_runtime(config: &Config) -> Result<RuntimeConfig, deta_cli::ConfigErr
         failover: FailoverPolicy::None,
         round_deadline: Duration::from_secs_f64(config.round_deadline_s()?),
         party_drop: config.party_drop()?,
-        // Trigger retries pushed past the deadline horizon: the cluster
-        // transport is lossless (TCP plus the socket layer's own
-        // reconnect-and-replay), so a retry can never help — and a
-        // load-timed duplicate fan-out would leak the supervisor's
-        // retry cadence into the per-round byte attribution, breaking
-        // run-to-run byte parity.
-        retry_initial: Duration::from_secs(3600),
-        retry_max: Duration::from_secs(3600),
         ..RuntimeConfig::default()
     })
 }

@@ -111,7 +111,7 @@ pub struct AggregatorNode {
     pub name: String,
     cvm: Cvm,
     token: SigningKey,
-    endpoint: Endpoint,
+    pub(crate) endpoint: Endpoint,
     rng: DetRng,
     /// Every party with a channel to this node. Ordered by name, and
     /// that order is the order of every fan-out: two runs of one seed
@@ -125,6 +125,9 @@ pub struct AggregatorNode {
     paillier_pk: Option<PaillierPk>,
     /// Rounds whose aggregation this node has completed.
     pub completed_rounds: u64,
+    /// The last round this node reported done to the supervisor (see
+    /// [`crate::node`]).
+    pub(crate) reported: u64,
     /// Measured aggregation compute seconds (for the latency model).
     pub aggregate_time_s: f64,
     /// Per-round upload quorum (None = wait for every registered party).
@@ -163,6 +166,7 @@ impl AggregatorNode {
             pending: BTreeMap::new(),
             paillier_pk: None,
             completed_rounds: 0,
+            reported: 0,
             aggregate_time_s: 0.0,
             quorum: None,
         })
@@ -251,13 +255,6 @@ impl AggregatorNode {
     /// Access to the CVM (e.g. for breach experiments).
     pub fn cvm(&self) -> &Cvm {
         &self.cvm
-    }
-
-    /// A handle onto this node's mailbox (clones share the queue): an
-    /// actor loop receives on the clone and feeds
-    /// [`AggregatorNode::handle_wire`].
-    pub fn endpoint(&self) -> Endpoint {
-        self.endpoint.clone()
     }
 
     /// Signs `msg` with the Phase II attestation token key provisioned

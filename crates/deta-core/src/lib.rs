@@ -32,8 +32,10 @@
 //!   baseline used for every comparison in the paper's evaluation.
 //! * [`latency`] — the latency accounting model combining measured compute
 //!   with simulated network transfer.
-//! * [`round`] — the round ledger both session types own: cohort
-//!   selection, byte windows, timer deltas and metric assembly.
+//! * [`round`] — the round ledger both session types own: cohort,
+//!   plans, completions, byte windows, timer deltas and metrics.
+//! * [`node`] / [`rtmsg`] — the one step every host drives a node with,
+//!   and the control plane it answers.
 
 pub mod agg;
 pub mod aggregator;
@@ -42,11 +44,13 @@ pub mod dp;
 pub mod keybroker;
 pub mod latency;
 pub mod mapper;
+pub mod node;
 pub mod paillier_fusion;
 pub mod party;
 pub mod proxy;
 pub mod recovery;
 pub mod round;
+pub mod rtmsg;
 pub mod session;
 pub mod shuffle;
 pub mod transform;

@@ -17,6 +17,7 @@
 use crate::dp::{gaussian_mechanism, LdpConfig, PrivacyAccountant};
 use crate::latency::timed;
 use crate::mapper::ModelMapper;
+use crate::node::PartyControl;
 use crate::paillier_fusion::PaillierFusion;
 use crate::session::SyncMode;
 use crate::transform::{RoundPermutations, Transformer};
@@ -185,7 +186,10 @@ impl AggPeer {
 pub struct Party {
     /// Endpoint name.
     pub name: String,
-    endpoint: Endpoint,
+    pub(crate) endpoint: Endpoint,
+    /// What the supervisor asked of this party and what it reported
+    /// (see [`crate::node`]).
+    pub(crate) control: PartyControl,
     rng: DetRng,
     transformer: Transformer,
     /// The local model replica.
@@ -261,6 +265,7 @@ impl Party {
         Party {
             name: name.to_string(),
             endpoint,
+            control: PartyControl::default(),
             rng,
             transformer,
             model,
@@ -331,12 +336,6 @@ impl Party {
     /// Local dataset size (the FedAvg weight `n_i`).
     pub fn weight(&self) -> f32 {
         self.data.len() as f32
-    }
-
-    /// A handle onto this party's mailbox (clones share the queue): an
-    /// actor loop receives on the clone and feeds [`Party::handle_wire`].
-    pub fn endpoint(&self) -> Endpoint {
-        self.endpoint.clone()
     }
 
     /// Phase II step 1: sends handshake hellos to all aggregators.
@@ -438,11 +437,6 @@ impl Party {
     /// against its expected token key — the party refuses to share updates
     /// with it.
     pub fn complete_handshakes(&mut self) -> Result<(), PartyError> {
-        if self.handshakes_complete() {
-            // Already done: stay idempotent so polling callers (e.g. the
-            // threaded deployment) cannot drain unrelated records.
-            return Ok(());
-        }
         self.drain_wire();
         if let Some(agg) = &self.auth_failure {
             return Err(PartyError::AuthenticationFailed(agg.clone()));
@@ -790,8 +784,8 @@ impl Party {
     }
 
     /// Processes one wire message. This is the party's entire reactive
-    /// surface: the synchronous session drains the queue into it, and the
-    /// threaded runtime's mailbox loop feeds it one message at a time.
+    /// surface: every host's step ([`crate::node`]) feeds it one message
+    /// at a time, and the polling calls drain the queue into it.
     /// The payload comes by value so that a sealed record is opened in
     /// the buffer it arrived in. Malformed or out-of-protocol traffic is
     /// dropped.

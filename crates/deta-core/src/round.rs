@@ -3,30 +3,38 @@
 //! A DeTA round has one shape whichever way its nodes are scheduled, so
 //! what it selects and what it reports is decided here, once, and both
 //! the inline [`crate::DetaSession`] and the threaded runtime own a
-//! [`RoundLedger`]: which parties train (a seeded draw over the parties
-//! still in the session), what counts as uploaded and downloaded bytes
-//! (the party ↔ aggregator links' delivered-byte windows, from before
-//! the round is announced to after the last party has finished), how
-//! cumulative node timers become latency-model inputs, and how the
-//! training loss is averaged. A session is left with scheduling only:
-//! it opens a round, reports each node's completion into the
-//! [`OpenRound`], and closes it.
+//! [`RoundLedger`]: who is still in the session, which of them train (a
+//! seeded draw), the `RoundPlan` each is sent, which completions the
+//! round waits for and what each one carried, what counts as uploaded
+//! and downloaded bytes (the party ↔ aggregator links' delivered-byte
+//! windows, from before the round is announced to after the last party
+//! has finished), how cumulative node timers become latency-model
+//! inputs, and how the training loss is averaged. A session is left
+//! with scheduling only: it opens a round, hands out its plans, absorbs
+//! the nodes' reports into the [`OpenRound`] until nobody is awaited,
+//! and closes it.
 
 use crate::latency::{LatencyModel, RoundInputs};
 use crate::party::PartyTimers;
+use crate::rtmsg::CtlMsg;
 use crate::session::{DetaConfig, RoundMetrics};
 use deta_crypto::DetRng;
 use deta_transport::Network;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
-/// Round accounting that outlives a round: numbering, the cumulative
-/// latency, and each node's timers as of its previous report.
+/// Round accounting that outlives a round: numbering, who is still in
+/// the session, the cumulative latency, and each node's timers as of its
+/// previous report.
 pub struct RoundLedger {
     seed: u64,
     participation: Option<usize>,
     network: Network,
     latency_model: LatencyModel,
-    party_names: Vec<String>,
+    party_names: Arc<[String]>,
+    /// Parties that left the session: in no later cohort, awaited by no
+    /// completion wait.
+    left: HashSet<String>,
     next_round: u64,
     cumulative_latency_s: f64,
     party_timers: Vec<PartyTimers>,
@@ -37,6 +45,9 @@ pub struct RoundLedger {
 pub struct OpenRound {
     /// The round's number, starting at 1.
     pub round: u64,
+    party_names: Arc<[String]>,
+    /// Indices of the parties in the session when the round opened.
+    online: Vec<usize>,
     trains: Vec<bool>,
     links_before: BTreeMap<(String, String), u64>,
     /// Per party index: cumulative timers at completion, and the
@@ -44,6 +55,10 @@ pub struct OpenRound {
     parties: Vec<Option<(PartyTimers, Option<f32>)>>,
     /// Cumulative aggregation seconds by aggregator endpoint name.
     aggregators: BTreeMap<String, f64>,
+    /// Nodes whose completion of the round is in.
+    done: HashSet<String>,
+    /// The parameter snapshot a `PartyDone` carried, for evaluation.
+    pub params: Option<Vec<f32>>,
 }
 
 impl RoundLedger {
@@ -61,7 +76,8 @@ impl RoundLedger {
             network,
             latency_model,
             party_timers: vec![PartyTimers::default(); party_names.len()],
-            party_names,
+            party_names: party_names.into(),
+            left: HashSet::new(),
             next_round: 1,
             cumulative_latency_s: 0.0,
             aggregate_s: HashMap::new(),
@@ -78,15 +94,35 @@ impl RoundLedger {
         self.next_round - 1
     }
 
-    /// Opens the next round over `online`, the ascending indices of the
-    /// parties still in the session. With a participation quorum `q`
-    /// below their number, the round's cohort is the first `q` of a
-    /// shuffle of `online` seeded by the session seed and the round
-    /// number; otherwise everyone online trains.
-    pub fn open(&mut self, online: &[usize]) -> OpenRound {
+    /// `party` leaves the session: no later round plans for it, and no
+    /// wait, the open round's included, expects it.
+    pub fn leave(&mut self, party: &str) {
+        self.left.insert(party.to_string());
+    }
+
+    /// The parties that left the session.
+    pub fn left(&self) -> &HashSet<String> {
+        &self.left
+    }
+
+    /// Ascending indices of the parties still in the session.
+    pub fn online(&self) -> Vec<usize> {
+        let names = &self.party_names;
+        (0..names.len())
+            .filter(|&i| !self.left.contains(&names[i]))
+            .collect()
+    }
+
+    /// Opens the next round over the parties still in the session. With
+    /// a participation quorum `q` below their number, the round's cohort
+    /// is the first `q` of a shuffle of their indices seeded by the
+    /// session seed and the round number; otherwise everyone online
+    /// trains.
+    pub fn open(&mut self) -> OpenRound {
         let round = self.next_round;
         self.next_round += 1;
-        let mut cohort = online.to_vec();
+        let online = self.online();
+        let mut cohort = online.clone();
         if let Some(q) = self.participation.filter(|q| *q < online.len()) {
             DetRng::from_u64(self.seed)
                 .fork_indexed(b"participation", round)
@@ -99,11 +135,28 @@ impl RoundLedger {
         }
         OpenRound {
             round,
+            party_names: Arc::clone(&self.party_names),
+            online,
             trains,
             links_before: self.network.link_bytes(),
             parties: vec![None; self.party_names.len()],
             aggregators: BTreeMap::new(),
+            done: HashSet::new(),
+            params: None,
         }
+    }
+
+    /// The nodes `open` still waits on: every aggregator in `agg_names`
+    /// and every party still in the session, less those whose completion
+    /// is in.
+    pub fn awaiting(&self, open: &OpenRound, agg_names: &[String]) -> HashSet<String> {
+        let parties = self.online().into_iter().map(|i| &self.party_names[i]);
+        agg_names
+            .iter()
+            .chain(parties)
+            .filter(|name| !open.done.contains(*name))
+            .cloned()
+            .collect()
     }
 
     /// Closes `open` into its metrics. `agg_names` is the aggregator set
@@ -184,21 +237,59 @@ impl RoundLedger {
 }
 
 impl OpenRound {
-    /// Whether party `i` is in this round's cohort.
-    pub fn trains(&self, i: usize) -> bool {
-        self.trains[i]
+    /// The `RoundPlan` of every party in the round, by party index: train
+    /// or only synchronize, and — when `report_params` — the first of
+    /// them attaches its parameters to `PartyDone`.
+    pub fn plans(&self, report_params: bool) -> Vec<(usize, CtlMsg)> {
+        let plan = |k: usize, i: usize| CtlMsg::RoundPlan {
+            round: self.round,
+            train: self.trains[i],
+            report_params: report_params && k == 0,
+        };
+        let online = self.online.iter().enumerate();
+        online.map(|(k, &i)| (i, plan(k, i))).collect()
     }
 
-    /// Party `i` finished the round with these cumulative timers;
-    /// `train_loss` is set when it trained.
-    pub fn party_done(&mut self, i: usize, timers: PartyTimers, train_loss: Option<f32>) {
-        self.parties[i] = Some((timers, train_loss));
+    /// Takes in a node's report; returns whether it completed the
+    /// sender's part of the round — an `AggDone` for this round or a
+    /// later one, a `PartyDone` for this one.
+    pub fn absorb(&mut self, from: &str, report: CtlMsg) -> bool {
+        match report {
+            CtlMsg::AggDone { round, aggregate_s } if round >= self.round => {
+                self.aggregators.insert(from.to_string(), aggregate_s);
+            }
+            CtlMsg::PartyDone {
+                round,
+                trained,
+                train_loss,
+                train_s,
+                transform_s,
+                crypto_s,
+                params,
+            } if round == self.round => {
+                let Some(i) = self.party_names.iter().position(|n| n == from) else {
+                    return false;
+                };
+                let timers = PartyTimers {
+                    train_s,
+                    transform_s,
+                    crypto_s,
+                };
+                self.parties[i] = Some((timers, trained.then_some(train_loss)));
+                if params.is_some() {
+                    self.params = params;
+                }
+            }
+            _ => return false,
+        }
+        self.done.insert(from.to_string());
+        true
     }
 
-    /// Aggregator `name` completed the round having spent `aggregate_s`
-    /// seconds aggregating since it started.
-    pub fn aggregator_done(&mut self, name: &str, aggregate_s: f64) {
-        self.aggregators.insert(name.to_string(), aggregate_s);
+    /// `node`'s completion no longer counts: it was retired, or it
+    /// reopened the round.
+    pub fn expect_again(&mut self, node: &str) {
+        self.done.remove(node);
     }
 }
 
@@ -224,8 +315,22 @@ mod tests {
         )
     }
 
-    fn cohort(open: &OpenRound, parties: usize) -> Vec<usize> {
-        (0..parties).filter(|i| open.trains(*i)).collect()
+    fn cohort(open: &OpenRound) -> Vec<usize> {
+        let plans = open.plans(false).into_iter();
+        let trains = |plan: &CtlMsg| matches!(plan, CtlMsg::RoundPlan { train: true, .. });
+        plans.filter(|(_, p)| trains(p)).map(|(i, _)| i).collect()
+    }
+
+    fn party_done(round: u64, train_s: f64, loss: Option<f32>) -> CtlMsg {
+        CtlMsg::PartyDone {
+            round,
+            trained: loss.is_some(),
+            train_loss: loss.unwrap_or(0.0),
+            train_s,
+            transform_s: 0.0,
+            crypto_s: 0.0,
+            params: None,
+        }
     }
 
     /// The draw every healthy run has always made (recorded before the
@@ -234,22 +339,23 @@ mod tests {
     #[test]
     fn cohort_is_the_pinned_draw() {
         let mut ledger = new_ledger(5, Some(3), 1234);
-        let all = [0, 1, 2, 3, 4];
-        let drawn: Vec<Vec<usize>> = (0..3).map(|_| cohort(&ledger.open(&all), 5)).collect();
+        let drawn: Vec<Vec<usize>> = (0..3).map(|_| cohort(&ledger.open())).collect();
         assert_eq!(drawn, COHORTS_SEED_1234);
     }
 
     #[test]
     fn cohort_never_names_a_party_that_left() {
         let mut ledger = new_ledger(4, Some(3), 31);
+        ledger.leave("party-3");
         for _ in 0..20 {
-            assert_eq!(cohort(&ledger.open(&[0, 1, 2]), 4), [0, 1, 2]);
+            assert_eq!(cohort(&ledger.open()), [0, 1, 2]);
         }
         let mut ledger = new_ledger(4, Some(2), 31);
+        ledger.leave("party-1");
         for _ in 0..20 {
-            let open = ledger.open(&[0, 2, 3]);
-            assert_eq!(cohort(&open, 4).len(), 2);
-            assert!(!open.trains(1));
+            let open = ledger.open();
+            assert_eq!(cohort(&open).len(), 2);
+            assert!(open.plans(true).iter().all(|(i, _)| *i != 1));
         }
     }
 
@@ -267,19 +373,22 @@ mod tests {
         };
         send(0, "agg-0", 1_000); // before any round: in no window
 
-        let mut open = ledger.open(&[0, 1]);
+        let mut open = ledger.open();
         send(0, "agg-0", 10);
         send(1, "agg-1", 20);
         send(2, "party-0", 7);
         send(3, "agg-0", 100); // follower sync
         send(0, "supervisor", 500); // control plane
-        let timers = PartyTimers {
-            train_s: 1.5,
-            ..PartyTimers::default()
+        assert!(open.absorb("party-0", party_done(1, 1.5, Some(2.0))));
+        assert!(open.absorb("party-1", party_done(1, 0.0, None)));
+        let agg_done = CtlMsg::AggDone {
+            round: 1,
+            aggregate_s: 0.25,
         };
-        open.party_done(0, timers, Some(2.0));
-        open.party_done(1, PartyTimers::default(), None);
-        open.aggregator_done("agg-0", 0.25);
+        assert!(open.absorb("agg-0", agg_done));
+        assert!(!open.absorb("agg-1", CtlMsg::Ready), "not a completion");
+        let awaiting: Vec<String> = ledger.awaiting(&open, &aggs).into_iter().collect();
+        assert_eq!(awaiting, ["agg-1"]);
         let m = ledger.close(open, &aggs, 0.5, 0.75);
         assert_eq!((m.round, m.upload_bytes, m.download_bytes), (1, 30, 7));
         assert_eq!(
@@ -293,13 +402,15 @@ mod tests {
 
         // Timers are cumulative: the next round sees only its own delta,
         // and a party that left reports nothing and counts for nothing.
-        let mut open = ledger.open(&[0]);
+        ledger.leave("party-1");
+        let mut open = ledger.open();
         send(0, "agg-0", 4);
-        let timers = PartyTimers {
-            train_s: 2.0,
-            ..PartyTimers::default()
-        };
-        open.party_done(0, timers, Some(3.0));
+        assert!(
+            !open.absorb("party-0", party_done(1, 9.0, Some(9.0))),
+            "stale"
+        );
+        assert!(open.absorb("party-0", party_done(2, 2.0, Some(3.0))));
+        assert!(!ledger.awaiting(&open, &[]).contains("party-1"));
         let m = ledger.close(open, &aggs, 0.0, 0.0);
         assert_eq!((m.round, m.upload_bytes, m.download_bytes), (2, 4, 0));
         assert_eq!((m.train_loss, m.latency.train_s), (3.0, 0.5));

@@ -1,9 +1,10 @@
-//! Control-plane protocol between the supervisor and its actors.
+//! Control-plane protocol between the supervisor and the nodes.
 //!
 //! Control messages ride the same simulated network as the training
 //! protocol, distinguished purely by the sender: every node treats frames
 //! from [`SUPERVISOR`] as control traffic and everything else as wire
-//! protocol (`deta_core::wire::Msg`). The codec mirrors the wire codec's
+//! protocol ([`crate::wire::Msg`]). What a node does with each is
+//! [`crate::node::Actor::step`]. The codec mirrors the wire codec's
 //! discipline: a tag byte plus length-prefixed fields, total in both
 //! directions — decoding never panics on malformed bytes, and encoding
 //! refuses fields that would overflow their `u32` length prefix instead

@@ -19,10 +19,12 @@ use crate::dp::LdpConfig;
 use crate::keybroker::KeyBroker;
 use crate::latency::{LatencyModel, RoundLatency};
 use crate::mapper::ModelMapper;
+use crate::node::{Actor, Input};
 use crate::paillier_fusion::{PaillierFusion, PaillierFusionConfig};
 use crate::party::{Party, PartyConfig, PartyError};
 use crate::recovery::RecoveryKit;
-use crate::round::{OpenRound, RoundLedger};
+use crate::round::RoundLedger;
+use crate::rtmsg::CtlMsg;
 use crate::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
@@ -30,6 +32,8 @@ use deta_nn::Sequential;
 use deta_sev_sim::{BreachDump, Cvm, SevError};
 use deta_transport::{LinkModel, Network};
 use std::collections::{HashMap, HashSet};
+
+pub use crate::node::Node;
 
 /// Model-update synchronization mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -385,36 +389,6 @@ impl<'a> Blueprint<'a> {
 }
 
 impl SessionParts {
-    /// Phase II, every node driven inline: parties verify the
-    /// aggregators, open their channels and register.
-    ///
-    /// # Errors
-    ///
-    /// An aggregator that fails authentication, or a registration an
-    /// aggregator never acknowledged.
-    pub fn phase_two(&mut self) -> Result<(), SetupError> {
-        for p in &mut self.parties {
-            p.send_hellos(&self.tokens);
-        }
-        for a in &mut self.aggregators {
-            a.pump();
-        }
-        for p in &mut self.parties {
-            p.complete_handshakes()?;
-        }
-        for a in &mut self.aggregators {
-            a.pump();
-        }
-        for p in &mut self.parties {
-            if !p.registration_complete() {
-                return Err(SetupError::Party(PartyError::Protocol(
-                    "registration incomplete",
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Builds every node of a session deterministically from the seed.
     ///
     /// `model_builder` must be deterministic in its RNG; every party's
@@ -461,26 +435,6 @@ impl SessionParts {
             transformer,
             recovery: plan.recovery,
         })
-    }
-}
-
-/// A node, as a host holds it: the value an actor loop serves and hands
-/// back when it exits, final state intact, so the host can inspect it
-/// (model parameters, breached memory) after the join.
-pub enum Node {
-    /// A party.
-    Party(Box<Party>),
-    /// An aggregator.
-    Aggregator(Box<AggregatorNode>),
-}
-
-impl Node {
-    /// The node's endpoint name.
-    pub fn name(&self) -> &str {
-        match self {
-            Node::Party(p) => &p.name,
-            Node::Aggregator(a) => &a.name,
-        }
     }
 }
 
@@ -548,7 +502,8 @@ impl NodeParts {
     }
 }
 
-/// A fully bootstrapped FL session.
+/// A fully bootstrapped FL session, every node driven inline: each is
+/// stepped in turn (see [`crate::node`]) until no mailbox holds a frame.
 pub struct DetaSession {
     /// The active configuration.
     pub config: DetaConfig,
@@ -557,7 +512,6 @@ pub struct DetaSession {
     aggregators: Vec<AggregatorNode>,
     broker: KeyBroker,
     ledger: RoundLedger,
-    offline: HashSet<usize>,
 }
 
 impl DetaSession {
@@ -576,28 +530,74 @@ impl DetaSession {
         model_builder: &dyn Fn(&mut DetRng) -> Sequential,
         party_data: Vec<LabeledData>,
     ) -> Result<DetaSession, SetupError> {
-        let mut parts = SessionParts::build(config, model_builder, party_data)?;
-        parts.phase_two()?;
-        let SessionParts {
-            config,
-            network,
-            parties,
-            aggregators,
-            broker,
-            latency_model,
-            ..
-        } = parts;
+        Self::bootstrap(SessionParts::build(config, model_builder, party_data)?)
+    }
 
-        let party_names = parties.iter().map(|p| p.name.clone()).collect();
-        Ok(DetaSession {
-            ledger: RoundLedger::new(&config, network.clone(), latency_model, party_names),
-            config,
+    /// Phase II over nodes already built (and perhaps instrumented —
+    /// a fault policy or tap on `parts.network`): every node is started,
+    /// then stepped until each party is `Ready`, registered with every
+    /// aggregator.
+    ///
+    /// # Errors
+    ///
+    /// An aggregator that fails a party's authentication, or a
+    /// registration an aggregator never acknowledged.
+    pub fn bootstrap(parts: SessionParts) -> Result<DetaSession, SetupError> {
+        let party_names = parts.parties.iter().map(|p| p.name.clone()).collect();
+        let (network, latency) = (parts.network, parts.latency_model);
+        let mut session = DetaSession {
+            ledger: RoundLedger::new(&parts.config, network.clone(), latency, party_names),
+            config: parts.config,
             network,
-            parties,
-            aggregators,
-            broker,
-            offline: HashSet::new(),
-        })
+            parties: parts.parties,
+            aggregators: parts.aggregators,
+            broker: parts.broker,
+        };
+        let mut ready = HashSet::new();
+        let mut absorb = |from: &str, report: CtlMsg| {
+            if report == CtlMsg::Ready {
+                ready.insert(from.to_string());
+            }
+        };
+        for node in session.nodes() {
+            for report in node.start(&parts.tokens) {
+                absorb(node.endpoint().name(), report);
+            }
+        }
+        session.settle(&mut absorb);
+        match session.parties.iter().find(|p| !ready.contains(&p.name)) {
+            None => Ok(session),
+            Some(p) => Err(SetupError::Party(match p.auth_failure() {
+                Some(agg) => PartyError::AuthenticationFailed(agg.to_string()),
+                None => PartyError::Protocol("registration incomplete"),
+            })),
+        }
+    }
+
+    /// Every node, in the order a pass steps them: the aggregators, then
+    /// the parties, each by index.
+    fn nodes(&mut self) -> impl Iterator<Item = &mut dyn Actor> {
+        let aggregators = self.aggregators.iter_mut().map(|a| a as &mut dyn Actor);
+        aggregators.chain(self.parties.iter_mut().map(|p| p as &mut dyn Actor))
+    }
+
+    /// Steps every node on what its mailbox holds, pass after pass, until
+    /// no mailbox holds a frame; each report goes to `absorb` with the
+    /// name of the node that made it.
+    fn settle(&mut self, mut absorb: impl FnMut(&str, CtlMsg)) {
+        let mut quiet = false;
+        while !quiet {
+            quiet = true;
+            for node in self.nodes() {
+                let mailbox = node.endpoint();
+                while let Some(msg) = mailbox.recv() {
+                    quiet = false;
+                    for report in node.step(Input::Wire(msg)) {
+                        absorb(mailbox.name(), report);
+                    }
+                }
+            }
+        }
     }
 
     /// Takes party `i` offline at a round boundary (cross-silo dropout).
@@ -612,11 +612,11 @@ impl DetaSession {
     pub fn drop_party(&mut self, i: usize) {
         assert!(i < self.parties.len(), "no such party");
         assert!(
-            self.offline.len() + 1 < self.parties.len(),
+            self.online_parties() > 1,
             "cannot drop the last online party"
         );
-        self.offline.insert(i);
         let name = self.parties[i].name.clone();
+        self.ledger.leave(&name);
         for a in &mut self.aggregators {
             a.deregister(&name);
         }
@@ -624,70 +624,7 @@ impl DetaSession {
 
     /// Number of currently online parties.
     pub fn online_parties(&self) -> usize {
-        self.parties.len() - self.offline.len()
-    }
-
-    /// Schedules one training round — every node driven inline, phase by
-    /// phase — and returns it still open; what the round selects and
-    /// reports is the ledger's.
-    ///
-    /// # Panics
-    ///
-    /// Panics on protocol desynchronization (a bug, not an input error).
-    fn run_round(&mut self) -> OpenRound {
-        let online: Vec<usize> = (0..self.parties.len())
-            .filter(|i| !self.offline.contains(i))
-            .collect();
-        let mut open = self.ledger.open(&online);
-        let round = open.round;
-        let tid = self.broker.training_id(round);
-
-        // Initiator announces the round to followers and parties.
-        self.aggregators[0]
-            .begin_round(round, tid)
-            .expect("initiator announces the round");
-        for a in &mut self.aggregators {
-            a.pump();
-        }
-
-        // Participants train and upload; the rest only synchronize.
-        for &i in &online {
-            let p = &mut self.parties[i];
-            let started = p.poll_round_start();
-            assert!(started.is_some(), "party missed round start");
-            if open.trains(i) {
-                p.run_local_round().expect("party runs announced round");
-            } else {
-                p.skip_local_round().expect("party skips announced round");
-            }
-        }
-
-        // Aggregators aggregate and dispatch; loop until all complete.
-        loop {
-            let done = self.aggregators.iter().all(|a| a.completed_rounds >= round);
-            if done {
-                break;
-            }
-            let mut progress = 0;
-            for a in &mut self.aggregators {
-                progress += a.pump();
-            }
-            assert!(progress > 0, "aggregation deadlock at round {round}");
-        }
-
-        // Parties merge and synchronize.
-        for &i in &online {
-            let p = &mut self.parties[i];
-            assert!(p.try_finish_round(), "party could not finish round {round}");
-            let loss = open.trains(i).then_some(p.last_train_loss);
-            open.party_done(i, p.timers, loss);
-        }
-        // Initiator absorbs follower completion acks.
-        self.aggregators[0].pump();
-        for a in &self.aggregators {
-            open.aggregator_done(&a.name, a.aggregate_time_s);
-        }
-        open
+        self.ledger.online().len()
     }
 
     /// Runs all configured rounds, evaluating on `test` after each.
@@ -700,14 +637,45 @@ impl DetaSession {
         out
     }
 
-    /// Runs a single round and evaluates.
+    /// Runs a single round and evaluates: every online party gets its
+    /// plan, the initiator the trigger, and the nodes are stepped until
+    /// the round is quiet. What the round selects and reports is the
+    /// ledger's.
+    ///
+    /// # Panics
+    ///
+    /// Panics on protocol desynchronization (a bug, not an input error):
+    /// a node that fails, or one whose completion never came.
     pub fn step(&mut self, test: &LabeledData) -> RoundMetrics {
-        let open = self.run_round();
-        let eval_idx = (0..self.parties.len())
-            .find(|i| !self.offline.contains(i))
-            .expect("at least one online party");
-        let (test_loss, test_accuracy) = self.parties[eval_idx].evaluate(test, 128);
+        let mut open = self.ledger.open();
+        let round = open.round;
+        let plans = open.plans(false);
+        let mut absorb = |from: &str, report: CtlMsg| {
+            if let CtlMsg::Failed { reason } = &report {
+                panic!("{from} failed in round {round}: {reason}");
+            }
+            open.absorb(from, report);
+        };
+        for (i, plan) in plans {
+            let party = &mut self.parties[i];
+            for report in party.step(Input::Ctl(plan)) {
+                absorb(&party.name, report);
+            }
+        }
+        let training_id = self.broker.training_id(round);
+        let initiator = &mut self.aggregators[0];
+        for report in initiator.step(Input::Ctl(CtlMsg::Trigger { round, training_id })) {
+            absorb(&initiator.name, report);
+        }
+        self.settle(&mut absorb);
+
         let agg_names: Vec<String> = self.aggregators.iter().map(|a| a.name.clone()).collect();
+        let missing = self.ledger.awaiting(&open, &agg_names);
+        assert!(
+            missing.is_empty(),
+            "round {round}: no completion from {missing:?}"
+        );
+        let (test_loss, test_accuracy) = self.parties[self.ledger.online()[0]].evaluate(test, 128);
         self.ledger
             .close(open, &agg_names, test_loss, test_accuracy)
     }

@@ -36,8 +36,6 @@ fn retired_token_is_dead() -> Result<String, String> {
     let rt = RuntimeConfig {
         round_deadline: Duration::from_secs(2),
         tick: Duration::from_millis(10),
-        retry_initial: Duration::from_secs(3600),
-        retry_max: Duration::from_secs(3600),
         stalls: vec![StallFault {
             node: "agg-1".to_string(),
             round: 1,

@@ -1,11 +1,11 @@
-//! Hostile-input drills on a session's own nodes (`SessionParts`), driven
-//! inline: one message — an upload of an odd length, a duplicated
-//! Phase II opener — that used to cost everyone else the round, or the
-//! session its setup.
+//! Hostile-input drills on a session's own nodes, driven inline
+//! (`DetaSession::bootstrap`): one message — an upload of an odd length,
+//! a duplicated Phase II opener — that used to cost everyone else the
+//! round, or the session its setup.
 
 use crate::common;
 use crate::Drill;
-use deta_core::session::{DetaConfig, SessionParts};
+use deta_core::session::{DetaConfig, DetaSession, SessionParts};
 use deta_core::wire::Msg;
 use deta_nn::models::mlp;
 use deta_transport::{FaultPolicy, SendVerdict};
@@ -41,28 +41,29 @@ pub fn drills() -> Vec<Drill> {
     ]
 }
 
-/// The session's nodes after Phase II — run over `policy`, if any.
-fn nodes(seed: u64, policy: Option<Arc<dyn FaultPolicy>>) -> Result<SessionParts, String> {
+/// The session after Phase II — run over `policy`, if any.
+fn nodes(seed: u64, policy: Option<Arc<dyn FaultPolicy>>) -> Result<DetaSession, String> {
     let (shards, _test, dim, classes) = common::fl_data(PARTIES);
     let mut cfg = DetaConfig::deta(PARTIES, 1);
     cfg.seed = seed;
-    let mut parts = SessionParts::build(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards)
+    let parts = SessionParts::build(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards)
         .map_err(|e| format!("build failed: {e:?}"))?;
     if let Some(policy) = policy {
         parts.network.set_fault_policy(policy);
     }
-    parts
-        .phase_two()
-        .map_err(|e| format!("Phase II failed: {e:?}"))?;
-    Ok(parts)
+    DetaSession::bootstrap(parts).map_err(|e| format!("Phase II failed: {e:?}"))
 }
 
 fn upload_length_erasure() -> Result<String, String> {
-    let mut parts = nodes(21, None)?;
-    let aggs: Vec<String> = parts.aggregators.iter().map(|a| a.name.clone()).collect();
+    let mut session = nodes(21, None)?;
+    let n_aggs = session.config.n_aggregators;
+    let aggs: Vec<String> = (0..n_aggs)
+        .map(|j| session.aggregator_mut(j).name.clone())
+        .collect();
     // Over each party's genuine channels, in upload order; the last party
     // sends its odd upload first.
-    for (i, p) in parts.parties.iter_mut().enumerate() {
+    for i in 0..PARTIES {
+        let p = session.party_mut(i);
         let lengths: &[usize] = if i == PARTIES - 1 { &[7, 4] } else { &[4] };
         for (agg, &len) in aggs
             .iter()
@@ -72,7 +73,8 @@ fn upload_length_erasure() -> Result<String, String> {
             p.drill_send_sealed(agg, &Msg::Upload { round: 1, fragment });
         }
     }
-    for a in &mut parts.aggregators {
+    for j in 0..n_aggs {
+        let a = session.aggregator_mut(j);
         a.pump();
         if a.completed_rounds != 1 {
             let held: Vec<String> = (a.pending_uploads().into_iter())

@@ -5,6 +5,7 @@
 
 use crate::common;
 use crate::Drill;
+use deta_core::node::Actor;
 use deta_core::session::{DetaConfig, DetaSession};
 use deta_core::wire::Msg;
 use deta_nn::models::mlp;

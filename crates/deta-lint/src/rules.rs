@@ -273,12 +273,16 @@ const RULE4_FILES: &[&str] = &[
     "crates/deta-core/src/mapper.rs",
     "crates/deta-core/src/recovery.rs",
     "crates/deta-core/src/wire.rs",
+    // The control-plane codec and the step every host drives a node
+    // with: the supervisor's frames and every peer's pass through them.
+    "crates/deta-core/src/rtmsg.rs",
+    "crates/deta-core/src/node.rs",
 ];
 
 fn rule4_in_scope(path: &str) -> bool {
     RULE4_FILES.contains(&path)
         || path.starts_with("crates/deta-transport/src/")
-        // The runtime's actor loops and supervisor process frames from
+        // The runtime's mailbox loop and supervisor process frames from
         // every node; a reachable panic there takes down the deployment.
         || path.starts_with("crates/deta-runtime/src/")
         // The socket bridge parses attacker-reachable bytes straight off

@@ -256,7 +256,7 @@ fn runtime_crate_is_in_rule4_scope() {
     for path in [
         "crates/deta-runtime/src/actor.rs",
         "crates/deta-runtime/src/supervisor.rs",
-        "crates/deta-runtime/src/rtmsg.rs",
+        "crates/deta-runtime/src/lib.rs",
         "crates/deta-runtime/src/session.rs",
     ] {
         let v = check_source(path, src);
@@ -268,7 +268,28 @@ fn runtime_crate_is_in_rule4_scope() {
     }
     // Tests within the runtime crate stay exempt like everywhere else.
     let src2 = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u32>.unwrap(); }\n}\n";
-    assert!(rules_hit("crates/deta-runtime/src/rtmsg.rs", src2).is_empty());
+    assert!(rules_hit("crates/deta-runtime/src/actor.rs", src2).is_empty());
+}
+
+#[test]
+fn control_plane_in_core_is_in_rule4_scope() {
+    // The control codec and the node step moved down from deta-runtime
+    // into deta-core; what every host feeds them is still frames from the
+    // supervisor and from peers, so rule 4 follows them there.
+    let src = "pub fn step(&mut self, f: &[u8]) { let m = CtlMsg::decode(f).unwrap(); }\n";
+    for path in [
+        "crates/deta-core/src/node.rs",
+        "crates/deta-core/src/rtmsg.rs",
+    ] {
+        let v = check_source(path, src);
+        assert!(
+            v.iter()
+                .any(|v| v.rule == "no-panic-in-aggregation" && v.ident == "unwrap"),
+            "rule 4 must cover {path}"
+        );
+    }
+    // The inline session beside them may still assert its own invariants.
+    assert!(rules_hit("crates/deta-core/src/session.rs", src).is_empty());
 }
 
 #[test]

@@ -2,15 +2,18 @@
 //!
 //! The paper's prototype is a distributed system: parties and k
 //! CC-protected aggregators are separate processes exchanging messages.
-//! `DetaSession` reproduces the *protocol* but drives every node from one
+//! `DetaSession` reproduces the *protocol* but steps every node on one
 //! thread, so concurrency, timeouts, and partial failure never happen.
 //! This crate deploys the same nodes the way the paper does: each
 //! aggregator and each party runs on its own OS thread, owns its
-//! [`deta_transport::Endpoint`] mailbox, and is driven entirely by wire
+//! [`deta_transport::Endpoint`] mailbox, and is driven entirely by
 //! messages — round announcements, fragment uploads/downloads, follower
-//! sync, completion acks.
+//! sync, completion acks. What a node does with each message is
+//! `deta_core::node`'s step function, the one the inline session runs;
+//! a thread adds only its mailbox loop ([`actor`]).
 //!
-//! A supervisor thread (the operator) owns the control plane:
+//! A supervisor thread (the operator) owns the control plane
+//! (`deta_core::rtmsg`, re-exported here):
 //!
 //! * per-phase deadlines enforced with `recv_timeout` — a stalled or
 //!   panicked node surfaces as a structured [`RuntimeError`] within the
@@ -18,7 +21,8 @@
 //! * liveness via heartbeats (idle actors tick) and join handles
 //!   (panicked actors are reaped and reported),
 //! * idempotent retries with capped exponential backoff for round
-//!   triggers (re-announcing a round is a no-op at every node),
+//!   triggers, off unless configured (re-announcing a round is a no-op
+//!   at every node),
 //! * clean shutdown: a stop flag plus mailbox close wakes every actor,
 //!   and all threads are joined before [`ThreadedSession`] returns.
 //!
@@ -33,13 +37,12 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 pub mod actor;
-pub mod rtmsg;
 pub mod session;
 pub mod supervisor;
 
-pub use deta_core::session::Node;
-pub use rtmsg::{CtlMsg, RebindEntry, SUPERVISOR};
-pub use session::{DetachedNodes, MapperEpoch, SessionView, ThreadedSession};
+pub use deta_core::node::Node;
+pub use deta_core::rtmsg::{CtlMsg, RebindEntry, SUPERVISOR};
+pub use session::{base_name, DetachedNodes, MapperEpoch, SessionView, ThreadedSession};
 pub use supervisor::Supervisor;
 
 /// Telemetry wiring for a threaded deployment (see `deta-telemetry` and
@@ -111,7 +114,9 @@ pub struct RuntimeConfig {
     /// Actor mailbox poll tick; idle actors heartbeat at this cadence and
     /// the supervisor polls completion at this granularity.
     pub tick: Duration,
-    /// Initial retry backoff for idempotent round triggers.
+    /// Initial retry backoff for idempotent round triggers. The default,
+    /// an hour, is past every deadline: these transports lose no frame,
+    /// and a load-timed resend would re-fan `RoundStart` into the round.
     pub retry_initial: Duration,
     /// Backoff cap (doubling stops here).
     pub retry_max: Duration,
@@ -142,8 +147,8 @@ impl Default for RuntimeConfig {
             setup_deadline: Duration::from_secs(10),
             round_deadline: Duration::from_secs(60),
             tick: Duration::from_millis(20),
-            retry_initial: Duration::from_millis(100),
-            retry_max: Duration::from_secs(1),
+            retry_initial: Duration::from_secs(3600),
+            retry_max: Duration::from_secs(3600),
             stalls: Vec::new(),
             telemetry: TelemetryConfig::default(),
             failover: FailoverPolicy::default(),

@@ -12,14 +12,14 @@
 //! (DESIGN.md §7); this module is the message-driven scheduler around
 //! it, plus failover.
 
-use crate::rtmsg::{CtlMsg, RebindEntry};
 use crate::supervisor::{implicated_nodes, Supervisor};
 use crate::{FailoverPolicy, Node, Phase, RuntimeConfig, RuntimeError};
 use deta_core::aggregator::{AggRole, AggregatorNode};
 use deta_core::keybroker::KeyBroker;
 use deta_core::mapper::ModelMapper;
-use deta_core::party::{Party, PartyTimers};
+use deta_core::party::Party;
 use deta_core::round::{OpenRound, RoundLedger};
+use deta_core::rtmsg::{CtlMsg, RebindEntry};
 use deta_core::session::{DetaConfig, RoundMetrics, SessionParts};
 use deta_core::transform::Transformer;
 use deta_crypto::{DetRng, VerifyingKey};
@@ -63,11 +63,6 @@ pub struct ThreadedSession {
     /// Failovers consumed per aggregator *base* name (reincarnations
     /// share one allowance).
     budget_used: HashMap<String, u32>,
-    /// Parties dropped to partial participation (`RuntimeConfig::
-    /// party_drop`): they receive no further round plans, are in no
-    /// later cohort, are expected in no completion wait, and every
-    /// aggregator has deregistered them.
-    dropped_parties: HashSet<String>,
 }
 
 /// A read-only view of a session's bookkeeping and — once their threads
@@ -257,7 +252,6 @@ impl ThreadedSession {
             retired_aggs: Vec::new(),
             failovers: 0,
             budget_used: HashMap::new(),
-            dropped_parties: HashSet::new(),
         })
     }
 
@@ -291,17 +285,10 @@ impl ThreadedSession {
     /// the completions already collected, until the round finishes or
     /// the failure is terminal.
     fn run_round(&mut self, test: &LabeledData) -> Result<RoundMetrics, RuntimeError> {
-        let names = self.ledger.party_names();
-        let online: Vec<usize> = (0..names.len())
-            .filter(|i| !self.dropped_parties.contains(&names[*i]))
-            .collect();
-        let mut progress = RoundProgress {
-            open: self.ledger.open(&online),
-            done: HashSet::new(),
-            params: None,
-        };
-        let round = progress.open.round;
-        let tid = self.parts.broker.training_id(round);
+        let mut open = self.ledger.open();
+        let round = open.round;
+        let training_id = self.parts.broker.training_id(round);
+        let trigger = CtlMsg::Trigger { round, training_id };
 
         // Round-scoped trace: everything this driver thread sends from
         // here on carries trace id `round + 1` (0 means untraced), and
@@ -314,15 +301,9 @@ impl ThreadedSession {
         // Marching orders to every party still in the session (sent once
         // — a failover re-enters the completion wait without
         // re-planning, so no party can be told to train the same round
-        // twice), then the round trigger to the initiator (retried with
-        // capped backoff — idempotent). The first of them is the
-        // designated parameter reporter.
-        for &i in &online {
-            let plan = CtlMsg::RoundPlan {
-                round,
-                train: progress.open.trains(i),
-                report_params: Some(&i) == online.first(),
-            };
+        // twice), then the round trigger to the initiator. The first
+        // party is the designated parameter reporter.
+        for (i, plan) in open.plans(true) {
             self.supervisor
                 .send_ctl(&self.ledger.party_names()[i], &plan);
         }
@@ -337,39 +318,26 @@ impl ThreadedSession {
                     .supervisor
                     .record_failure(RuntimeError::Protocol("no aggregators deployed")));
             };
-            let trigger = CtlMsg::Trigger {
-                round,
-                training_id: tid,
-            };
             self.supervisor.send_ctl(&initiator, &trigger);
-            let party_names = self.ledger.party_names();
-            let expected: HashSet<String> = self
-                .agg_names
-                .iter()
-                .chain(party_names)
-                .filter(|name| {
-                    !progress.done.contains(*name) && !self.dropped_parties.contains(*name)
-                })
-                .cloned()
-                .collect();
+            let expected = self.ledger.awaiting(&open, &self.agg_names);
             let deadline = self.supervisor.config().round_deadline;
             let attempt = self.supervisor.wait(
                 Phase::Round,
                 round,
                 deadline,
                 expected,
-                Some((initiator, trigger)),
-                |from, msg| progress.absorb(party_names, from, msg),
+                Some((initiator, trigger.clone())),
+                |from, msg| open.absorb(from, msg),
             );
             match attempt {
                 Ok(()) => break,
-                Err(err) => self.failover(err, &mut progress)?,
+                Err(err) => self.failover(err, &mut open)?,
             }
         }
 
         // Evaluate on the supervisor's replica of the (synchronized,
         // therefore identical) party model.
-        let Some(params) = progress.params else {
+        let Some(params) = open.params.take() else {
             return Err(self
                 .supervisor
                 .record_failure(RuntimeError::Protocol("missing parameter snapshot")));
@@ -385,7 +353,7 @@ impl ThreadedSession {
         };
         Ok(self
             .ledger
-            .close(progress.open, &self.agg_names, test_loss, test_accuracy))
+            .close(open, &self.agg_names, test_loss, test_accuracy))
     }
 
     /// Attempts to heal a failed round attempt. On success the caller
@@ -398,17 +366,13 @@ impl ThreadedSession {
     /// replayed upload must be byte-identical, and re-encrypting would
     /// consume party RNG state), and every target is within its
     /// recovery budget.
-    fn failover(
-        &mut self,
-        err: RuntimeError,
-        progress: &mut RoundProgress,
-    ) -> Result<(), RuntimeError> {
-        let round = progress.open.round;
+    fn failover(&mut self, err: RuntimeError, open: &mut OpenRound) -> Result<(), RuntimeError> {
+        let round = open.round;
         // Partial participation first: a lost *party* holds private data
         // no replacement could re-create, so the only recovery is to
         // drop it and continue with the survivors. Aggregator faults
         // fall through to the failover policies below unchanged.
-        let err = match self.drop_parties(err, progress) {
+        let err = match self.drop_parties(err, open) {
             Ok(()) => return Ok(()),
             Err(e) => e,
         };
@@ -464,12 +428,12 @@ impl ThreadedSession {
         for t in &targets {
             self.supervisor.kill_node(t);
             self.retired_aggs.push(t.clone());
-            progress.done.remove(t);
+            open.expect_again(t);
         }
         if policy == FailoverPolicy::Repartition {
-            self.failover_repartition(&targets, progress)?;
+            self.failover_repartition(&targets, open)?;
         } else {
-            self.failover_restart(&targets, progress)?;
+            self.failover_restart(&targets, open)?;
         }
         self.supervisor
             .note("round_replayed", &[("round", TelemetryValue::from(round))]);
@@ -491,11 +455,7 @@ impl ThreadedSession {
     /// * the lost party is this round's designated parameter reporter
     ///   and its snapshot has not arrived — no survivor was told to
     ///   report, so the round could never complete.
-    fn drop_parties(
-        &mut self,
-        err: RuntimeError,
-        progress: &mut RoundProgress,
-    ) -> Result<(), RuntimeError> {
+    fn drop_parties(&mut self, err: RuntimeError, open: &OpenRound) -> Result<(), RuntimeError> {
         if !self.supervisor.config().party_drop {
             return Err(err);
         }
@@ -503,17 +463,16 @@ impl ThreadedSession {
         if implicated.is_empty() || implicated.iter().any(|n| self.agg_names.contains(n)) {
             return Err(err);
         }
-        let lost: Vec<String> = self
-            .ledger
-            .party_names()
+        let online = self.active_parties();
+        let lost: Vec<String> = online
             .iter()
-            .filter(|n| implicated.contains(n) && !self.dropped_parties.contains(*n))
+            .filter(|n| implicated.contains(n))
             .cloned()
             .collect();
         if lost.is_empty() {
             return Err(err);
         }
-        let survivors = self.ledger.party_names().len() - self.dropped_parties.len() - lost.len();
+        let survivors = online.len() - lost.len();
         let floor = self.parts.config.algorithm.participation_floor();
         if survivors < floor {
             return Err(self.supervisor.record_failure(RuntimeError::NodeFailed {
@@ -526,26 +485,21 @@ impl ThreadedSession {
                 ),
             }));
         }
-        if progress.params.is_none() {
-            if let Some(rep) = self
-                .ledger
-                .party_names()
-                .iter()
-                .find(|n| !self.dropped_parties.contains(*n))
-            {
-                if lost.contains(rep) {
-                    return Err(self.supervisor.record_failure(RuntimeError::NodeFailed {
-                        node: rep.clone(),
-                        reason: "lost mid-round while designated to report the parameter \
-                                 snapshot; no survivor was planned to report it"
-                            .to_string(),
-                    }));
-                }
+        // The first party still in the session is the one planned to
+        // report the parameter snapshot.
+        if let (None, Some(reporter)) = (&open.params, online.first()) {
+            if lost.contains(reporter) {
+                return Err(self.supervisor.record_failure(RuntimeError::NodeFailed {
+                    node: reporter.clone(),
+                    reason: "lost mid-round while designated to report the parameter \
+                             snapshot; no survivor was planned to report it"
+                        .to_string(),
+                }));
             }
         }
         for party in &lost {
             self.supervisor.kill_node(party);
-            self.dropped_parties.insert(party.clone());
+            self.ledger.leave(party);
             for agg in &self.agg_names {
                 self.supervisor.send_ctl(
                     agg,
@@ -557,7 +511,7 @@ impl ThreadedSession {
             self.supervisor.note(
                 "party_dropped",
                 &[
-                    ("round", TelemetryValue::from(progress.open.round)),
+                    ("round", TelemetryValue::from(open.round)),
                     ("party", TelemetryValue::from(party.as_str())),
                     ("survivors", TelemetryValue::from(survivors)),
                 ],
@@ -574,9 +528,9 @@ impl ThreadedSession {
     fn failover_restart(
         &mut self,
         targets: &[String],
-        progress: &mut RoundProgress,
+        open: &mut OpenRound,
     ) -> Result<(), RuntimeError> {
-        let round = progress.open.round;
+        let round = open.round;
         // New incarnation names, preserving each target's mapper slot.
         let mut new_names = self.agg_names.clone();
         let mut replaced: Vec<(usize, String)> = Vec::new();
@@ -648,7 +602,7 @@ impl ThreadedSession {
         // re-registered before any replay flows — a replacement must
         // never aggregate over a partially re-registered party set.
         let replacements = replaced.into_iter().map(|(_, name)| name).collect();
-        self.resume_round(parties, replacements, new_names, progress)
+        self.resume_round(parties, replacements, new_names, open)
     }
 
     /// `FailoverPolicy::Repartition`: drop the dead aggregators and
@@ -663,9 +617,9 @@ impl ThreadedSession {
     fn failover_repartition(
         &mut self,
         targets: &[String],
-        progress: &mut RoundProgress,
+        open: &mut OpenRound,
     ) -> Result<(), RuntimeError> {
-        let round = progress.open.round;
+        let round = open.round;
         let survivors: Vec<String> = self
             .agg_names
             .iter()
@@ -690,7 +644,7 @@ impl ThreadedSession {
                 },
             );
             // Reopened survivors must re-complete the round.
-            progress.done.remove(s);
+            open.expect_again(s);
         }
         // Deterministic replacement partition: epoch `e` is a pure
         // function of (seed, e), so a replay of the whole session
@@ -716,7 +670,7 @@ impl ThreadedSession {
                 },
             );
         }
-        self.resume_round(parties, Vec::new(), survivors.clone(), progress)?;
+        self.resume_round(parties, Vec::new(), survivors.clone(), open)?;
         // The boundary round belongs to BOTH epochs for audit: its
         // failed attempt put old-epoch fragments in flight.
         self.epochs.push(MapperEpoch {
@@ -729,11 +683,8 @@ impl ThreadedSession {
 
     /// Names of the parties still in the session, in index order.
     fn active_parties(&self) -> Vec<String> {
-        let names = self.ledger.party_names().iter();
-        names
-            .filter(|n| !self.dropped_parties.contains(*n))
-            .cloned()
-            .collect()
+        let (names, online) = (self.ledger.party_names(), self.ledger.online());
+        online.into_iter().map(|i| names[i].clone()).collect()
     }
 
     /// The tail both failover policies share: a readiness barrier over
@@ -746,12 +697,11 @@ impl ThreadedSession {
         parties: Vec<String>,
         replacements: Vec<String>,
         agg_names: Vec<String>,
-        progress: &mut RoundProgress,
+        open: &mut OpenRound,
     ) -> Result<(), RuntimeError> {
-        let round = progress.open.round;
+        let round = open.round;
         let expected = parties.iter().cloned().chain(replacements).collect();
         let deadline = self.supervisor.config().setup_deadline;
-        let party_names = self.ledger.party_names();
         self.supervisor.wait(
             Phase::Setup,
             round,
@@ -760,7 +710,7 @@ impl ThreadedSession {
             None,
             |from, msg| {
                 matches!(msg, CtlMsg::Ready) || {
-                    progress.absorb(party_names, from, msg);
+                    open.absorb(from, msg);
                     false
                 }
             },
@@ -814,7 +764,7 @@ impl ThreadedSession {
             party_names: self.ledger.party_names(),
             agg_names: &self.agg_names,
             retired_aggs: &self.retired_aggs,
-            dropped_parties: &self.dropped_parties,
+            dropped_parties: self.ledger.left(),
             epochs: &self.epochs,
             tokens: &self.parts.tokens,
             broker: &self.parts.broker,
@@ -857,61 +807,10 @@ pub struct DetachedNodes {
     pub tokens: HashMap<String, VerifyingKey>,
 }
 
-/// Completion state for one round, carried across failover attempts so
-/// a healed wait doesn't forget who already finished.
-struct RoundProgress {
-    /// What the completions reported, for the ledger to close over.
-    open: OpenRound,
-    /// Nodes whose round obligation is fulfilled.
-    done: HashSet<String>,
-    params: Option<Vec<f32>>,
-}
-
-impl RoundProgress {
-    /// Records a completion message for the open round; returns whether
-    /// it fulfilled the sender's obligation.
-    fn absorb(&mut self, party_names: &[String], from: &str, msg: CtlMsg) -> bool {
-        match msg {
-            CtlMsg::AggDone { round, aggregate_s } if round >= self.open.round => {
-                self.open.aggregator_done(from, aggregate_s);
-            }
-            CtlMsg::PartyDone {
-                round,
-                trained,
-                train_loss,
-                train_s,
-                transform_s,
-                crypto_s,
-                params,
-            } if round == self.open.round => {
-                let Some(i) = party_names.iter().position(|n| n == from) else {
-                    return false;
-                };
-                let timers = PartyTimers {
-                    train_s,
-                    transform_s,
-                    crypto_s,
-                };
-                self.open
-                    .party_done(i, timers, trained.then_some(train_loss));
-                if let Some(p) = params {
-                    self.params = Some(p);
-                }
-            }
-            _ => return false,
-        }
-        self.done.insert(from.to_string());
-        true
-    }
-}
-
 /// The stable base of an aggregator name across reincarnations
 /// (`agg-1#r2` → `agg-1`).
-fn base_name(name: &str) -> &str {
-    match name.split('#').next() {
-        Some(base) => base,
-        None => name,
-    }
+pub fn base_name(name: &str) -> &str {
+    name.split('#').next().unwrap_or(name)
 }
 
 /// A short static tag for a failover policy (telemetry fields).

@@ -3,8 +3,7 @@
 //! threads, and shuts the deployment down cleanly.
 
 use crate::actor::{self, ActorContext};
-use crate::rtmsg::{CtlMsg, SUPERVISOR};
-use crate::{Node, Phase, RuntimeConfig, RuntimeError};
+use crate::{CtlMsg, Node, Phase, RuntimeConfig, RuntimeError, SUPERVISOR};
 use deta_crypto::VerifyingKey;
 use deta_telemetry::{FlightRecorder, TelemetryRecord, TelemetryValue, TraceDump};
 use deta_transport::{Endpoint, Network, RecvError};

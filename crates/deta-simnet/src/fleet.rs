@@ -29,7 +29,7 @@ use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
 use deta_runtime::{
-    FailoverPolicy, MapperEpoch, Node, RuntimeConfig, RuntimeError, TelemetryConfig,
+    base_name, FailoverPolicy, MapperEpoch, Node, RuntimeConfig, RuntimeError, TelemetryConfig,
     ThreadedSession, SUPERVISOR,
 };
 use deta_transport::FaultPolicy;
@@ -116,24 +116,21 @@ impl SimSpec {
     }
 
     /// Runtime knobs for simulation: short deadlines (faults surface as
-    /// errors quickly), fast tick, and retries pushed past the deadline
-    /// horizon so every round trigger is single-shot — retries would
-    /// make which send-attempt a fault strikes depend on timing.
+    /// errors quickly) and a fast tick. Retries keep the default, past
+    /// the deadline horizon, so every round trigger is single-shot —
+    /// retries would make which send-attempt a fault strikes depend on
+    /// timing.
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
             setup_deadline: self.setup_deadline,
             round_deadline: self.round_deadline,
             tick: self.tick,
-            retry_initial: Duration::from_secs(3600),
-            retry_max: Duration::from_secs(3600),
-            stalls: Vec::new(),
             telemetry: TelemetryConfig {
                 enabled: self.trace,
                 ..TelemetryConfig::default()
             },
             failover: self.failover,
-            recovery_attempts: 2,
-            party_drop: false,
+            ..RuntimeConfig::default()
         }
     }
 
@@ -558,23 +555,18 @@ fn epoch_views<'a>(
     agg_name: &str,
     round: u64,
 ) -> Vec<(usize, &'a Transformer)> {
-    let base = base_of(agg_name);
+    let base = base_name(agg_name);
     let mut views = Vec::new();
     for (e, epoch) in epochs.iter().enumerate() {
         let upper = epochs.get(e + 1).map_or(u64::MAX, |next| next.from_round);
         if round < epoch.from_round || round > upper {
             continue;
         }
-        if let Some(j) = epoch.agg_names.iter().position(|n| base_of(n) == base) {
+        if let Some(j) = epoch.agg_names.iter().position(|n| base_name(n) == base) {
             views.push((j, &epoch.transformer));
         }
     }
     views
-}
-
-/// An incarnation's base endpoint name (`agg-1#r2` → `agg-1`).
-fn base_of(name: &str) -> &str {
-    name.split('#').next().unwrap_or(name)
 }
 
 /// Wire size of the sealed record that carries `fragment` for `round`:

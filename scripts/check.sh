@@ -42,8 +42,10 @@ echo "==> frozen bench/ against this workspace (builds and runs its contract tes
 # SocketFrame::{encode,decode}, encode_frame, FrameDecoder::{new,push,
 # try_next}, Transformer::{transform,inverse}, run_node, seats_for,
 # SocketHub::bind, setup_detached, SessionParts.eval_model and the
-# polling Party/AggregatorNode calls of level1.rs. A signature moved
-# from under it fails here, not in the driver after the PR is cut.
+# polling Party/AggregatorNode calls of level1.rs — which no session
+# calls any more (both step deta_core::node), so they are bench- and
+# test-only. A signature moved from under it fails here, not in the
+# driver after the PR is cut.
 # Building it rewrites its (stale, frozen) Cargo.lock; put that back.
 cargo test --offline -q --manifest-path bench/Cargo.toml
 git checkout -- bench/Cargo.lock 2>/dev/null || true

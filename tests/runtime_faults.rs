@@ -41,17 +41,15 @@ fn data(parties: usize) -> (Vec<LabeledData>, LabeledData, usize, usize) {
     )
 }
 
-/// Short deadlines, and retries pushed past them so every round trigger
-/// is single-shot — fault strike indices then count send attempts
-/// deterministically. Telemetry is on, with dumps kept out of the repo
+/// Short deadlines (retries stay at the default, past them, so every
+/// round trigger is single-shot — fault strike indices then count send
+/// attempts deterministically). Telemetry is on, with dumps kept out of the repo
 /// tree (the temp dir; unique per process so parallel test runs never
 /// collide).
 fn sim_rt() -> RuntimeConfig {
     RuntimeConfig {
         round_deadline: Duration::from_secs(2),
         tick: Duration::from_millis(10),
-        retry_initial: Duration::from_secs(3600),
-        retry_max: Duration::from_secs(3600),
         telemetry: TelemetryConfig {
             enabled: true,
             trace_dir: std::env::temp_dir()

@@ -16,6 +16,7 @@ use deta::nn::train::LabeledData;
 use deta::runtime::{RuntimeConfig, ThreadedSession};
 use deta_simnet::TapLog;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn data(n: usize, parties: usize) -> (Vec<LabeledData>, LabeledData, usize, usize) {
     let spec = DatasetSpec::mnist_like().at_resolution(8);
@@ -188,4 +189,42 @@ fn threaded_replicas_stay_consistent() {
     for p in &thr[1..] {
         assert_eq!(&thr[0], p, "all replicas must hold the same model");
     }
+}
+
+/// A round that outlasts a retry timer bills what the inline session
+/// does. Every party's upload is held back 300 ms; under the default
+/// runtime config a trigger is sent once, so no re-announced `RoundStart`
+/// (a sealed record to every party, and a `SyncRound` to the follower)
+/// lands inside the round's byte window. With a 100 ms retry the
+/// threaded `download_bytes` grew by one fan-out per resend.
+#[test]
+fn a_slow_round_bills_the_bytes_of_the_inline_session() {
+    let n = 3;
+    let (shards, test, dim, classes) = data(120, n);
+    let mut cfg = DetaConfig::deta(n, 2);
+    cfg.n_aggregators = 2;
+    cfg.seed = 21;
+    let builder = move |rng: &mut deta::crypto::DetRng| mlp(&[dim, 16, classes], rng);
+
+    let slow = |parts: &mut deta::core::SessionParts| {
+        for p in &mut parts.parties {
+            let hold = |_: u64, _: &mut Vec<f32>| std::thread::sleep(Duration::from_millis(300));
+            p.set_update_tamper(Box::new(hold));
+        }
+    };
+    let rt = RuntimeConfig::default();
+    let mut thr = ThreadedSession::setup_with(cfg.clone(), &builder, shards.clone(), rt, slow)
+        .expect("threaded setup");
+    let thr_metrics = thr.run(&test).expect("threaded run");
+    let seq_metrics = DetaSession::setup(cfg, &builder, shards)
+        .expect("sequential setup")
+        .run(&test);
+
+    let bytes = |metrics: &[RoundMetrics]| -> Vec<(u64, u64)> {
+        metrics
+            .iter()
+            .map(|m| (m.upload_bytes, m.download_bytes))
+            .collect()
+    };
+    assert_eq!(bytes(&thr_metrics), bytes(&seq_metrics));
 }

@@ -227,12 +227,11 @@ fn socket_duplicated_uploads_are_idempotent() {
 /// download in flight too. Heartbeats move the counts by a frame or two;
 /// wherever the cuts land, nothing may be lost, doubled or billed twice.
 ///
-/// Retries are pushed past the horizon in both arms, as in every
-/// byte-compared chaos harness of the workspace: the bridge loses
-/// nothing, so a retry cannot help, and a supervisor that re-triggers a
-/// round because an outage outlasted its 100 ms timer has the initiator
-/// fan `RoundStart` out again — 138 honest bytes that are the timer's
-/// doing, not the link's.
+/// Both arms run the default retry policy, a trigger sent once: the
+/// bridge loses nothing, so a retry cannot help, and a supervisor that
+/// re-triggered a round because an outage outlasted a timer would have
+/// the initiator fan `RoundStart` out again — honest bytes that are the
+/// timer's doing, not the link's.
 #[test]
 fn severed_party_and_aggregator_links_resume_bit_exact() {
     let mut cfg = DetaConfig::deta(3, 2);
@@ -241,11 +240,7 @@ fn severed_party_and_aggregator_links_resume_bit_exact() {
     let (shards, test, dim, classes) = data(120, cfg.n_parties);
     let run = |chaos: &[(&str, u64)]| {
         let conditions = Conditions {
-            rt: RuntimeConfig {
-                retry_initial: Duration::from_secs(3600),
-                retry_max: Duration::from_secs(3600),
-                ..RuntimeConfig::default()
-            },
+            rt: RuntimeConfig::default(),
             chaos: chaos
                 .iter()
                 .map(|(node, at)| (node.to_string(), vec![*at]))
