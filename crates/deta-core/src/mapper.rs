@@ -185,13 +185,25 @@ impl ModelMapper {
         );
         let mut out = vec![0.0f32; self.n_params()];
         for (j, frag) in fragments.iter().enumerate() {
-            let pos = &self.positions[j];
-            assert_eq!(frag.len(), pos.len(), "fragment {j} length mismatch");
-            for (t, &i) in pos.iter().enumerate() {
-                out[i as usize] = frag[t];
-            }
+            self.scatter_fragment(j, frag, &mut out);
         }
         out
+    }
+
+    /// Writes fragment `j`'s values back to their model positions in
+    /// `out`: the inverse of [`ModelMapper::fragment_values`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is not fragment `j`'s length or `out` not the
+    /// model's.
+    pub(crate) fn scatter_fragment(&self, j: usize, values: &[f32], out: &mut [f32]) {
+        let pos = &self.positions[j];
+        assert_eq!(values.len(), pos.len(), "fragment {j} length mismatch");
+        assert_eq!(out.len(), self.n_params(), "update length mismatch");
+        for (&i, &v) in pos.iter().zip(values) {
+            out[i as usize] = v;
+        }
     }
 
     /// Serializes the assignment (2 bytes per parameter, little-endian).

@@ -107,12 +107,24 @@ impl RoundPermutation {
     ///
     /// Panics on length mismatch.
     pub fn invert(&self, shuffled: &[f32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.invert_into(shuffled, &mut out);
+        out
+    }
+
+    /// [`RoundPermutation::invert`] into `out`, which a caller reuses from
+    /// one fragment to the next. Crate-private like the indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatch.
+    pub(crate) fn invert_into(&self, shuffled: &[f32], out: &mut Vec<f32>) {
         assert_eq!(shuffled.len(), self.perm.len(), "length mismatch");
-        let mut out = vec![0.0f32; shuffled.len()];
+        out.clear();
+        out.resize(shuffled.len(), 0.0);
         for (t, &s) in self.perm.iter().enumerate() {
             out[s as usize] = shuffled[t];
         }
-        out
     }
 }
 

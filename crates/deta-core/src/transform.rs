@@ -226,12 +226,20 @@ impl Transformer {
             perms.perms.len(),
             "fragment count mismatch"
         );
-        let unshuffled: Vec<Vec<f32>> = fragments
-            .iter()
-            .zip(&perms.perms)
-            .map(|(frag, perm)| perm.invert(frag))
-            .collect();
-        self.mapper.merge(&unshuffled)
+        assert_eq!(
+            fragments.len(),
+            self.n_fragments(),
+            "fragment count mismatch"
+        );
+        // One scratch for every fragment, as in `fragment_values`: each is
+        // un-shuffled into it and scattered straight to model positions.
+        let mut out = vec![0.0f32; self.mapper.n_params()];
+        let mut scratch = Vec::new();
+        for (j, (frag, perm)) in fragments.iter().zip(&perms.perms).enumerate() {
+            perm.invert_into(frag, &mut scratch);
+            self.mapper.scatter_fragment(j, &scratch, &mut out);
+        }
+        out
     }
 }
 

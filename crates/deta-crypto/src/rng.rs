@@ -11,17 +11,18 @@ use crate::sha256::{hkdf, hmac_sha256, sha256};
 /// A deterministic random number generator.
 ///
 /// The keystream is ChaCha20 under a 256-bit seed key with an all-zero
-/// nonce and an incrementing block counter, drawn eight blocks at a time
-/// through [`chacha::keystream8`]. [`DetRng::fork`] derives an
-/// independent generator for a labeled sub-task, which keeps parallel
-/// components decoupled: adding draws to one component does not shift the
-/// stream seen by another.
+/// nonce and an incrementing block counter, drawn sixteen blocks at a
+/// time through [`chacha::xor_keystream16`]; the stream is
+/// counter-addressed, so the refill size shows in no draw.
+/// [`DetRng::fork`] derives an independent generator for a labeled
+/// sub-task, which keeps parallel components decoupled: adding draws to
+/// one component does not shift the stream seen by another.
 #[derive(Clone)]
 pub struct DetRng {
     key: [u8; 32],
     /// Next block to generate; blocks below it are in `buf` or consumed.
     counter: u64,
-    buf: [u8; chacha::WIDE_LEN],
+    buf: [u8; chacha::WIDE16_LEN],
     buf_pos: usize,
 }
 
@@ -29,7 +30,7 @@ impl std::fmt::Debug for DetRng {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // The key is intentionally not printed. `counter` is the number
         // of keystream blocks drawn from so far, not the refill position.
-        let unread = ((chacha::WIDE_LEN - self.buf_pos) / chacha::BLOCK_LEN) as u64;
+        let unread = ((chacha::WIDE16_LEN - self.buf_pos) / chacha::BLOCK_LEN) as u64;
         f.debug_struct("DetRng")
             .field("counter", &self.counter.wrapping_sub(unread))
             .finish()
@@ -42,8 +43,8 @@ impl DetRng {
         DetRng {
             key: seed,
             counter: 0,
-            buf: [0u8; chacha::WIDE_LEN],
-            buf_pos: chacha::WIDE_LEN,
+            buf: [0u8; chacha::WIDE16_LEN],
+            buf_pos: chacha::WIDE16_LEN,
         }
     }
 
@@ -78,8 +79,10 @@ impl DetRng {
         // Use the low 32 bits as the ChaCha counter and fold the high bits
         // into the key stream position by allowing wrap-around; a single
         // generator never draws anywhere near 2^32 blocks in this codebase.
-        chacha::keystream8(&self.key, self.counter as u32, &nonce, &mut self.buf);
-        self.counter = self.counter.wrapping_add(chacha::WIDE_BLOCKS as u64);
+        // The keystream XORed into zeros is the keystream.
+        self.buf = [0u8; chacha::WIDE16_LEN];
+        chacha::xor_keystream16(&self.key, self.counter as u32, &nonce, &mut self.buf);
+        self.counter = self.counter.wrapping_add(chacha::WIDE16_BLOCKS as u64);
         self.buf_pos = 0;
     }
 
@@ -87,10 +90,10 @@ impl DetRng {
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut pos = 0;
         while pos < dest.len() {
-            if self.buf_pos == chacha::WIDE_LEN {
+            if self.buf_pos == chacha::WIDE16_LEN {
                 self.refill();
             }
-            let take = (chacha::WIDE_LEN - self.buf_pos).min(dest.len() - pos);
+            let take = (chacha::WIDE16_LEN - self.buf_pos).min(dest.len() - pos);
             dest[pos..pos + take].copy_from_slice(&self.buf[self.buf_pos..self.buf_pos + take]);
             self.buf_pos += take;
             pos += take;
@@ -299,7 +302,7 @@ mod tests {
 
     #[test]
     fn fill_bytes_chunking_consistent() {
-        // 1500 bytes span three 512-byte refills; 13 divides neither the
+        // 1500 bytes span two 1 024-byte refills; 13 divides neither the
         // block nor the buffer length, so chunks straddle both.
         let mut a = DetRng::from_u64(9);
         let mut b = DetRng::from_u64(9);

@@ -1,9 +1,11 @@
 //! Property-based tests for the cryptographic primitives.
 
+use deta_crypto::aead::{open_in_place, seal_in_place};
 use deta_crypto::chacha;
 use deta_crypto::dh::EphemeralSecret;
+use deta_crypto::poly1305::{poly1305, Poly1305};
 use deta_crypto::sha256::{hkdf, hmac_sha256, sha256};
-use deta_crypto::{open, seal, AeadKey, DetRng, Nonce, Signature, SigningKey};
+use deta_crypto::{open, seal, AeadError, AeadKey, DetRng, Nonce, Signature, SigningKey};
 use deta_proptest::cases;
 
 #[test]
@@ -52,32 +54,109 @@ fn wide_keystream_is_the_scalar_blocks_concatenated() {
         |g| {
             let key = g.array::<32>();
             let nonce = g.array::<12>();
-            // Half the cases start within 8 of the top of the counter space,
-            // so some lane (and some later call) must wrap to 0 exactly as
-            // the scalar `wrapping_add` does.
+            // Half the cases start within 16 of the top of the counter
+            // space, so some lane (and some later call) must wrap to 0
+            // exactly as the scalar `wrapping_add` does.
             let counter = if g.bool() {
-                u32::MAX - g.u32() % 9
+                u32::MAX - g.u32() % 16
             } else {
                 g.u32()
             };
-            let scalar: Vec<u8> = (0..18u32)
+            let scalar: Vec<u8> = (0..35u32)
                 .flat_map(|i| chacha::block(&key, counter.wrapping_add(i), &nonce))
                 .collect();
 
+            // Every body this CPU has, called directly, and the dispatch.
             let mut wide = [0u8; chacha::WIDE_LEN];
             chacha::keystream8(&key, counter, &nonce, &mut wide);
             assert_eq!(wide[..], scalar[..chacha::WIDE_LEN]);
+            let mut avx2 = [0u8; chacha::WIDE_LEN];
+            if chacha::keystream8_avx2(&key, counter, &nonce, &mut avx2) {
+                assert_eq!(avx2[..], scalar[..chacha::WIDE_LEN]);
+            }
+            let msg = g.bytes(2200, 2201);
+            let want: Vec<u8> = msg.iter().zip(&scalar).map(|(m, k)| m ^ k).collect();
+            let sixteen: [u8; chacha::WIDE16_LEN] = msg[..chacha::WIDE16_LEN].try_into().unwrap();
+            let mut wide16 = sixteen;
+            chacha::xor_keystream16(&key, counter, &nonce, &mut wide16);
+            assert_eq!(wide16[..], want[..chacha::WIDE16_LEN]);
+            let mut avx512 = sixteen;
+            if chacha::xor_keystream16_avx512(&key, counter, &nonce, &mut avx512) {
+                assert_eq!(avx512[..], want[..chacha::WIDE16_LEN]);
+            }
 
-            // Every length up to two wide calls and a ragged third.
-            let msg = g.bytes(1100, 1101);
-            for len in 0..=1100 {
+            // Every length up to two sixteen-block chunks and a ragged
+            // third.
+            for len in 0..=2200 {
                 let mut data = msg[..len].to_vec();
                 chacha::xor_stream(&key, counter, &nonce, &mut data);
-                let want: Vec<u8> = msg[..len].iter().zip(&scalar).map(|(m, k)| m ^ k).collect();
-                assert_eq!(data, want, "len={len} counter={counter:#x}");
+                assert_eq!(data, want[..len], "len={len} counter={counter:#x}");
             }
         },
     );
+}
+
+/// `r` clamped from all ones, and `s = 2^128 - 1`.
+const ALL_ONES_KEY: [u8; 32] = [0xff; 32];
+
+/// The tag of `msg` fed sixteen bytes at a time: no update is long enough
+/// to reach the AVX-512F body, so this is the scalar body alone.
+fn poly1305_scalar(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    let mut mac = Poly1305::new(key);
+    for block in msg.chunks(16) {
+        mac.update(block);
+    }
+    mac.finalize()
+}
+
+/// The tag of `msg` through the AVX-512F body, its first `head` bytes in
+/// an update of their own so a partial block waits in front of the bulk
+/// run; `None` on a CPU without AVX-512F.
+fn poly1305_avx512(key: &[u8; 32], msg: &[u8], head: usize) -> Option<[u8; 16]> {
+    let mut mac = Poly1305::new(key);
+    let (first, rest) = msg.split_at(head.min(msg.len()));
+    if !mac.update_avx512(first) {
+        return None;
+    }
+    assert!(mac.update_avx512(rest));
+    Some(mac.finalize())
+}
+
+#[test]
+fn poly1305_wide_body_is_the_scalar_one() {
+    cases("poly1305_wide_body_is_the_scalar_one", 64, |g| {
+        let key = if g.bool() {
+            ALL_ONES_KEY
+        } else {
+            g.array::<32>()
+        };
+        let len = g.usize_in(0, 4097);
+        let msg = if g.bool() {
+            vec![0xff; len]
+        } else {
+            g.bytes(len, len + 1)
+        };
+        let head = g.usize_in(1, 16);
+        let want = poly1305_scalar(&key, &msg);
+        assert_eq!(poly1305(&key, &msg), want, "dispatch, len={len}");
+        if let Some(got) = poly1305_avx512(&key, &msg, head) {
+            assert_eq!(got, want, "len={len} head={head}");
+        }
+    });
+}
+
+#[test]
+fn poly1305_wide_body_at_every_length_to_4_kib_and_at_fragment_size() {
+    // All-ones key and message: every limb of every step at its bound.
+    let msg = vec![0xffu8; 1_356_856];
+    for len in (0..=4096).chain([1_356_856]) {
+        let head = 1 + len % 15;
+        let want = poly1305_scalar(&ALL_ONES_KEY, &msg[..len]);
+        match poly1305_avx512(&ALL_ONES_KEY, &msg[..len], head) {
+            Some(got) => assert_eq!(got, want, "len={len} head={head}"),
+            None => return, // this CPU has only the scalar body
+        }
+    }
 }
 
 #[test]
@@ -103,6 +182,30 @@ fn aead_tamper_detected() {
         sealed[idx] ^= 0x5a;
         assert!(open(&k, &n, b"", &sealed).is_err());
     });
+}
+
+#[test]
+fn open_in_place_with_a_flipped_tag_leaves_the_record_alone() {
+    cases(
+        "open_in_place_with_a_flipped_tag_leaves_the_record_alone",
+        16,
+        |g| {
+            // At least 4 KiB, so the MAC's bulk run is long: verification
+            // still finishes before a byte is decrypted.
+            let k = AeadKey::new(g.array::<32>());
+            let n = Nonce::from_parts(g.u32(), g.u64());
+            let mut record = g.bytes(4096, 20_000);
+            let body = record.len();
+            seal_in_place(&k, &n, b"deta-record", &mut record, 0);
+            record[body + g.usize_in(0, 16)] ^= 1 << g.usize_in(0, 8);
+            let arrived = record.clone();
+            assert_eq!(
+                open_in_place(&k, &n, b"deta-record", &mut record, 0),
+                Err(AeadError::BadTag)
+            );
+            assert_eq!(record, arrived);
+        },
+    );
 }
 
 #[test]

@@ -35,6 +35,23 @@ echo "==> deta-core under optimisation (the sorting network's vector body only e
 cargo test --release -q -p deta-core
 cargo test --release -q --test agg_kat
 
+echo "==> deta-crypto under optimisation (the vector cipher and MAC bodies against their scalar references)"
+# Nothing but the CPU selects a ChaCha20 or Poly1305 body, so the
+# bodies-against-reference properties and the known answers exercise
+# only the bodies this host has. Say which, so a runner without
+# AVX-512F cannot pass this stage silently.
+CPU_FLAGS=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | cut -d: -f2) "
+BODIES="scalar"
+[[ "$CPU_FLAGS" == *" avx2 "* ]] && BODIES="$BODIES, avx2 (8-lane ChaCha20)"
+if [[ "$CPU_FLAGS" == *" avx512f "* ]]; then
+  echo "    bodies exercised on this host: $BODIES, avx512f (16-lane ChaCha20, 8-lane Poly1305)"
+else
+  echo "    bodies exercised on this host: $BODIES"
+  echo "    16-lane bodies not exercised: this CPU reports no avx512f"
+fi
+cargo test --release -q -p deta-crypto
+cargo test --release -q --test keystream_kat
+
 echo "==> frozen bench/ against this workspace (builds and runs its contract tests)"
 # bench/ is a workspace of its own (BENCHMARK.json forbids editing it),
 # so tier-1 never compiles it — yet it calls the workspace's public API

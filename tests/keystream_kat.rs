@@ -1,11 +1,14 @@
 //! Known answers for everything that hangs off the ChaCha20 keystream:
 //! the `DetRng` stream, a keyed round permutation, and a sealed record.
 //!
-//! The constants were produced by the scalar one-block-at-a-time cipher,
-//! the 26-bit-limb Poly1305 and the unconditional-`%` `gen_range`; any
-//! faster kernel has to reproduce them byte for byte, because every
-//! model init, synthetic shard, mapper and permutation in the repository
-//! is a function of this stream.
+//! The first five tests' constants were produced by the scalar
+//! one-block-at-a-time cipher, the 26-bit-limb Poly1305 and the
+//! unconditional-`%` `gen_range`; the draws across the 1 024-byte refill
+//! were recorded with the eight-lane body and the scalar Poly1305, before
+//! the sixteen-lane ChaCha20 and eight-lane Poly1305 bodies existed. Any
+//! faster kernel has to reproduce them byte for byte, because every model
+//! init, synthetic shard, mapper and permutation in the repository is a
+//! function of this stream, and every sealed record of the cipher and MAC.
 
 use deta::core::shuffle::RoundPermutation;
 use deta::crypto::aead::{open_in_place, seal_in_place};
@@ -90,6 +93,69 @@ fn det_rng_first_64_u64_of_seed_7() {
     let mut rng = DetRng::from_u64(7);
     let got: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
     assert_eq!(got, FIRST_64_OF_SEED_7);
+}
+
+/// Draws 120..=140 and 250..=260 of seed 7: draw 128 is byte 1 024 and
+/// draw 256 byte 2 048, so each run straddles one 1 024-byte refill.
+/// Recorded with the 512-byte refill, before the 16-lane body existed.
+const SEED_7_DRAWS_ACROSS_REFILLS: [(usize, u64); 32] = [
+    (120, 0x3139ab50f92304db),
+    (121, 0xf2b96a501618a732),
+    (122, 0xfcd87cbb7d171bb5),
+    (123, 0xb0beee1894904c0c),
+    (124, 0x1d0021b1d7d18ef1),
+    (125, 0x748d629ff2df098f),
+    (126, 0x3870149fc4772350),
+    (127, 0xb6a47d2128e9558d),
+    (128, 0x3e1c1f68969dc643),
+    (129, 0x82096f8513732766),
+    (130, 0x08d6ad1dfa2318ae),
+    (131, 0x922eef8a759bcc7f),
+    (132, 0x669ab2a7d9223bb6),
+    (133, 0x08dc00969212b6a7),
+    (134, 0x96871a5f5ecd8c65),
+    (135, 0x799e112c23d6ae2a),
+    (136, 0xda5a08d888113897),
+    (137, 0x198f0b195b02d144),
+    (138, 0x45ad5c8d4fceb415),
+    (139, 0x368f79fca2e25780),
+    (140, 0xcc64c47526ac1304),
+    (250, 0x0af0b53ecf5ed894),
+    (251, 0x0dd6281ddee1ef21),
+    (252, 0x4d9b3b53ab0b5e3c),
+    (253, 0xeb18389c11bd3be8),
+    (254, 0xc017eddd64b6623d),
+    (255, 0xb6c5fa9db5533ad9),
+    (256, 0x9fc4fc0f4509ac76),
+    (257, 0x68ffffe36b31d60b),
+    (258, 0xdba0ca3365bfcaba),
+    (259, 0x3ca92036169efd53),
+    (260, 0x943d9b2c756c4ef5),
+];
+
+#[test]
+fn det_rng_draws_across_the_1024_byte_refills_of_seed_7() {
+    let mut rng = DetRng::from_u64(7);
+    let draws: Vec<u64> = (0..=260).map(|_| rng.next_u64()).collect();
+    for (i, want) in SEED_7_DRAWS_ACROSS_REFILLS {
+        assert_eq!(draws[i], want, "draw {i}");
+    }
+}
+
+#[test]
+fn det_rng_fill_of_3000_bytes_after_one_u32() {
+    // Starts four bytes into the stream, so every refill it crosses
+    // (1 024 and 2 048) falls mid-request.
+    let mut rng = DetRng::from_u64(7);
+    assert_eq!(rng.next_u32(), 0xcd364cb6);
+    let mut buf = vec![0u8; 3000];
+    rng.fill_bytes(&mut buf);
+    assert_eq!(hex(&buf[..16]), "416dd5eb89c779f70400dd47d58dbf24");
+    assert_eq!(hex(&buf[2984..]), "a73de4379330ce2f0ac248caeea15017");
+    assert_eq!(
+        hex(&sha256(&buf)),
+        "f65cd90dd3f58393ae5ab56317c9888f076fb90c1a475936ddaf8e9d5f8ba24e"
+    );
 }
 
 #[test]
