@@ -210,7 +210,10 @@ pub struct Party {
     /// The open round's permutations, derived when its upload is
     /// transformed (or replayed) and consumed by `finish_round`, so the
     /// keyed derivation runs once per round rather than once per
-    /// direction. Dropped whenever the mapper changes.
+    /// direction. The hold is also what keeps the set alive in the
+    /// transformer's memo, so the other parties of this process borrow
+    /// it instead of deriving their own. Dropped whenever the mapper
+    /// changes.
     round_perms: Option<RoundPermutations>,
     /// Parameters snapshot at round start (FedSGD applies deltas to it).
     round_base: Vec<f32>,
@@ -642,8 +645,9 @@ impl Party {
     }
 
     /// Takes the held permutations if they belong to round `tid`, and
-    /// derives them otherwise (first use in the round, a remap since, or
-    /// a round this party sat out).
+    /// asks the transformer otherwise (first use in the round, a remap
+    /// since, or a round this party sat out), which derives them unless
+    /// another party of the process still holds them.
     fn take_permutations(
         held: &mut Option<RoundPermutations>,
         transformer: &Transformer,
@@ -1071,6 +1075,82 @@ mod tests {
                 assert_eq!(s.party_mut(i).last_finished_round(), s.completed_rounds());
                 assert!(s.party_mut(i).round_perms.is_none());
             }
+        }
+    }
+
+    /// Keyed derivations (one per fragment) that `f` runs on this thread.
+    fn derivations_in(f: impl FnOnce()) -> usize {
+        let before = crate::shuffle::derivations();
+        f();
+        crate::shuffle::derivations() - before
+    }
+
+    #[test]
+    fn a_round_derives_once_per_process_not_once_per_party() {
+        // Three fragments: the first upload derives, every later party
+        // borrows the set the first still holds.
+        for parties in [2, 4] {
+            let (mut s, test) = session(parties, None);
+            for _ in 0..2 {
+                let n = derivations_in(|| {
+                    s.step(&test);
+                });
+                assert_eq!(n, 3, "{parties} parties");
+            }
+        }
+    }
+
+    #[test]
+    fn a_party_that_sat_out_derives_only_once_the_holders_are_done() {
+        // One of two parties trains. The inline session steps party-0
+        // before party-1 in every pass, and both receive the aggregate in
+        // the same pass. When party-1 trained, it still holds the set
+        // while party-0, which sat out, finishes: 3. When party-0 trained,
+        // it finishes and drops the set before party-1 gets to it, so
+        // party-1 derives again: 6.
+        let (mut s, test) = session(2, Some(1));
+        let counts: Vec<(usize, bool)> = (0..4)
+            .map(|_| {
+                let n = derivations_in(|| {
+                    s.step(&test);
+                });
+                (
+                    n,
+                    s.party_mut(0).last_upload.as_ref().map(|u| u.0) == Some(s.completed_rounds()),
+                )
+            })
+            .collect();
+        for (n, party0_trained) in &counts {
+            assert_eq!(*n, if *party0_trained { 6 } else { 3 }, "{counts:?}");
+        }
+        assert!(
+            counts.iter().any(|c| c.1) && counts.iter().any(|c| !c.1),
+            "{counts:?}"
+        );
+    }
+
+    #[test]
+    fn a_replay_after_remap_derives_at_the_new_lengths() {
+        let (mut s, _test) = session(2, None);
+        assert_eq!(derivations_in(|| open_round_and_upload(&mut s, 1, TID)), 3);
+        let n = s.party_mut(0).update_log[0].1.len();
+        let survivors: Vec<String> = s.party_mut(0).aggregators[..2]
+            .iter()
+            .map(|a| a.name.clone())
+            .collect();
+        let remapped = ModelMapper::generate(n, 2, None, &mut DetRng::from_u64(99));
+        for j in 0..2 {
+            s.aggregator_mut(j).reopen_round(1);
+        }
+        let p = s.party_mut(0);
+        assert!(p.apply_remap(1, &remapped.to_bytes(), &survivors));
+        // The held set had the old lengths and went with the remap; the
+        // new transformer derives one permutation per new fragment.
+        assert_eq!(derivations_in(|| assert!(p.replay_upload(1))), 2);
+        for j in 0..2 {
+            s.aggregator_mut(j).pump();
+            let pending = s.aggregator_mut(j).pending_uploads();
+            assert_eq!(pending[0].2.len(), remapped.fragment_len(j));
         }
     }
 }

@@ -15,6 +15,19 @@
 use deta_crypto::sha256::hkdf;
 use deta_crypto::DetRng;
 
+#[cfg(test)]
+thread_local! {
+    /// How many times [`RoundPermutation::derive`] ran on this thread, so
+    /// the crate's tests can count derivations per round.
+    static DERIVATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The derivations this thread has run so far.
+#[cfg(test)]
+pub(crate) fn derivations() -> usize {
+    DERIVATIONS.with(std::cell::Cell::get)
+}
+
 /// A per-round, per-fragment keyed permutation.
 ///
 /// # Examples
@@ -47,10 +60,12 @@ impl RoundPermutation {
         fragment_idx: u32,
         len: usize,
     ) -> RoundPermutation {
-        let mut info = Vec::with_capacity(16 + 4 + 8);
-        info.extend_from_slice(training_id);
-        info.extend_from_slice(&fragment_idx.to_le_bytes());
-        info.extend_from_slice(&(len as u64).to_le_bytes());
+        #[cfg(test)]
+        DERIVATIONS.with(|n| n.set(n.get() + 1));
+        let mut info = [0u8; 16 + 4 + 8];
+        info[..16].copy_from_slice(training_id);
+        info[16..20].copy_from_slice(&fragment_idx.to_le_bytes());
+        info[20..].copy_from_slice(&(len as u64).to_le_bytes());
         let okm = hkdf(b"deta-shuffle-v1", perm_key, &info, 32);
         let mut seed = [0u8; 32];
         seed.copy_from_slice(&okm);

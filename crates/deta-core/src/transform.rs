@@ -8,7 +8,11 @@
 use crate::mapper::ModelMapper;
 use crate::shuffle::RoundPermutation;
 use deta_crypto::Secret;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
+/// The last round's permutations, by training id, as long as anybody
+/// still holds them.
+type Memo = Option<([u8; 16], Weak<[RoundPermutation]>)>;
 
 /// Which defense layers are enabled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,6 +73,11 @@ pub struct Transformer {
     mapper: Arc<ModelMapper>,
     perm_key: Secret<[u8; 32]>,
     config: TransformConfig,
+    /// Shared the same way: every party of a process permutes
+    /// identically, so the first to ask for a round's set derives it and
+    /// the rest borrow it. Held weakly, so the set lives exactly as long
+    /// as some party holds it (see [`Transformer::permutations`]).
+    memo: Arc<Mutex<Memo>>,
 }
 
 impl Transformer {
@@ -101,6 +110,7 @@ impl Transformer {
             mapper: Arc::new(mapper),
             perm_key: perm_key.into(),
             config,
+            memo: Arc::default(),
         }
     }
 
@@ -113,7 +123,8 @@ impl Transformer {
     /// a different mapper — the re-partition step of aggregator failover,
     /// where survivors absorb a dead aggregator's parameters under a
     /// freshly generated partition while the keyed shuffle stays bound to
-    /// the original session key.
+    /// the original session key. It starts a memo of its own: the
+    /// fragment lengths, and so the permutations, are new.
     ///
     /// # Panics
     ///
@@ -138,8 +149,27 @@ impl Transformer {
     /// both directions (a keyed Fisher-Yates draw per parameter), so a
     /// party does it once per round and lends the result to
     /// [`Transformer::transform_with`] and [`Transformer::inverse_with`].
+    ///
+    /// Every clone of this transformer shares one memo, so the parties of
+    /// a process derive a round's set once between them: while any of
+    /// them still holds the set for `training_id`, the others get that
+    /// set. The memo holds it only weakly, so once the last holder drops
+    /// it the memory goes and the next call derives again. The derivation
+    /// runs under the memo's lock; concurrent callers wait for it rather
+    /// than repeat it.
     pub fn permutations(&self, training_id: &[u8; 16]) -> RoundPermutations {
-        let perms = (0..self.n_fragments())
+        // Every write is one assignment of a pure function's result, so a
+        // panic elsewhere under the lock leaves the memo valid: a poisoned
+        // lock is used as it is.
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        let held = memo.as_ref().filter(|(tid, _)| tid == training_id);
+        if let Some(perms) = held.and_then(|(_, set)| set.upgrade()) {
+            return RoundPermutations {
+                training_id: *training_id,
+                perms,
+            };
+        }
+        let perms: Arc<[RoundPermutation]> = (0..self.n_fragments())
             .map(|j| {
                 let len = self.mapper.fragment_len(j);
                 if self.config.shuffle {
@@ -149,6 +179,7 @@ impl Transformer {
                 }
             })
             .collect();
+        *memo = Some((*training_id, Arc::downgrade(&perms)));
         RoundPermutations {
             training_id: *training_id,
             perms,
@@ -235,7 +266,7 @@ impl Transformer {
         // un-shuffled into it and scattered straight to model positions.
         let mut out = vec![0.0f32; self.mapper.n_params()];
         let mut scratch = Vec::new();
-        for (j, (frag, perm)) in fragments.iter().zip(&perms.perms).enumerate() {
+        for (j, (frag, perm)) in fragments.iter().zip(perms.perms.iter()).enumerate() {
             perm.invert_into(frag, &mut scratch);
             self.mapper.scatter_fragment(j, &scratch, &mut out);
         }
@@ -248,16 +279,23 @@ impl Transformer {
 ///
 /// The slot order is exactly what the permutation key protects, so the
 /// type is opaque: it has no accessor for the indices and its `Debug`
-/// prints only how many fragments it covers.
+/// prints only how many fragments it covers. A clone shares the set.
+#[derive(Clone)]
 pub struct RoundPermutations {
     training_id: [u8; 16],
-    perms: Vec<RoundPermutation>,
+    perms: Arc<[RoundPermutation]>,
 }
 
 impl RoundPermutations {
     /// The round these permutations were derived for.
     pub fn training_id(&self) -> &[u8; 16] {
         &self.training_id
+    }
+
+    /// Whether `self` and `other` are one derivation, not two equal ones.
+    #[cfg(test)]
+    pub(crate) fn shares_set_with(&self, other: &RoundPermutations) -> bool {
+        Arc::ptr_eq(&self.perms, &other.perms)
     }
 }
 
@@ -373,5 +411,100 @@ mod tests {
         for (m, e) in merged.iter().zip(expected.iter()) {
             assert!((m - e).abs() < 1e-6);
         }
+    }
+
+    fn memo_of(t: &Transformer) -> Memo {
+        t.memo.lock().unwrap().clone()
+    }
+
+    #[test]
+    fn clones_share_one_derivation_equal_to_a_fresh_one() {
+        let t = transformer(90, 3, TransformConfig::full());
+        let peer = t.clone();
+        let tid = [4u8; 16];
+        let before = crate::shuffle::derivations();
+        let a = t.permutations(&tid);
+        let b = peer.permutations(&tid);
+        assert_eq!(crate::shuffle::derivations() - before, 3);
+        assert!(a.shares_set_with(&b));
+        // A transformer built on its own, with its own memo, derives the
+        // same slots.
+        let fresh = transformer(90, 3, TransformConfig::full()).permutations(&tid);
+        assert!(!fresh.shares_set_with(&a));
+        assert_eq!(fresh.perms.len(), 3);
+        for (j, (x, y)) in a.perms.iter().zip(fresh.perms.iter()).enumerate() {
+            assert_eq!(x, y, "fragment {j}");
+        }
+    }
+
+    #[test]
+    fn another_round_gets_another_set() {
+        let t = transformer(90, 3, TransformConfig::full());
+        let a = t.permutations(&[1u8; 16]);
+        let b = t.clone().permutations(&[2u8; 16]);
+        assert!(!a.shares_set_with(&b));
+        assert_eq!(b.training_id(), &[2u8; 16]);
+        assert_ne!(a.perms[0], b.perms[0]);
+    }
+
+    #[test]
+    fn the_memo_keeps_nothing_alive_once_every_holder_drops() {
+        let t = transformer(90, 3, TransformConfig::full());
+        let tid = [6u8; 16];
+        let a = t.permutations(&tid);
+        let b = t.clone().permutations(&tid);
+        drop(a);
+        let (_, weak) = memo_of(&t).expect("memo set");
+        assert_eq!(weak.strong_count(), 1, "b still holds the set");
+        drop(b);
+        let (memo_tid, weak) = memo_of(&t).expect("memo set");
+        assert_eq!(memo_tid, tid);
+        assert_eq!(weak.strong_count(), 0, "the memo holds nothing alive");
+        let before = crate::shuffle::derivations();
+        let again = t.permutations(&tid);
+        assert_eq!(crate::shuffle::derivations() - before, 3, "derived again");
+        assert_eq!(again.perms.len(), 3);
+    }
+
+    #[test]
+    fn with_mapper_never_returns_a_set_of_the_old_lengths() {
+        let t = transformer(90, 3, TransformConfig::full());
+        let tid = [8u8; 16];
+        let old = t.permutations(&tid);
+        let remapped = t.with_mapper(ModelMapper::generate(90, 2, None, &mut DetRng::from_u64(2)));
+        let new = remapped.permutations(&tid);
+        assert!(!new.shares_set_with(&old));
+        assert_eq!(new.perms.len(), 2);
+        for (j, perm) in new.perms.iter().enumerate() {
+            assert_eq!(perm.len(), remapped.mapper().fragment_len(j));
+        }
+        // The old transformer's clones still share the old set.
+        assert!(t.clone().permutations(&tid).shares_set_with(&old));
+    }
+
+    #[test]
+    fn eight_threads_share_one_set() {
+        let t = transformer(5000, 3, TransformConfig::full());
+        let tid = [3u8; 16];
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let (t, start) = (t.clone(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let before = crate::shuffle::derivations();
+                    let perms = t.permutations(&tid);
+                    (perms, crate::shuffle::derivations() - before)
+                })
+            })
+            .collect();
+        let results: Vec<_> = threads.into_iter().map(|h| h.join().unwrap()).collect();
+        // Every result is still held here, so none of them can have gone
+        // before the last thread asked.
+        assert!(results
+            .iter()
+            .all(|(p, _)| p.shares_set_with(&results[0].0)));
+        let derived: usize = results.iter().map(|(_, n)| n).sum();
+        assert_eq!(derived, 3, "one thread derived, seven waited for it");
     }
 }

@@ -64,8 +64,16 @@ echo "==> frozen bench/ against this workspace (builds and runs its contract tes
 # test-only. A signature moved from under it fails here, not in the
 # driver after the PR is cut.
 # Building it rewrites its (stale, frozen) Cargo.lock; put that back.
+# Anything else that differs from the commit under bench/ or in
+# BENCHMARK.json is an edit to the frozen harness: fail here, by name.
 cargo test --offline -q --manifest-path bench/Cargo.toml
 git checkout -- bench/Cargo.lock 2>/dev/null || true
+FROZEN_EDITS="$(git status --porcelain -- bench BENCHMARK.json)"
+if [ -n "$FROZEN_EDITS" ]; then
+  echo "FAIL: the frozen benchmark harness differs from the commit:" >&2
+  echo "$FROZEN_EDITS" >&2
+  exit 1
+fi
 
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
 # Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);

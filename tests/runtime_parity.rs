@@ -119,6 +119,19 @@ fn threaded_equals_sequential_k3_with_partial_participation() {
     );
 }
 
+#[test]
+fn threaded_equals_sequential_with_eight_parties_sharing_one_derivation() {
+    // Eight party threads ask the transformers they share for the same
+    // round's permutations at about the same moment: one derives under
+    // the memo's lock while the others wait for it, and the set they get
+    // must be the one each would have derived alone.
+    let mut cfg = DetaConfig::deta(8, 3);
+    cfg.seed = 77;
+    let (seq, thr, seq_acc, thr_acc) = both(cfg);
+    assert_eq!(seq, thr, "eight-party params must be bit-identical");
+    assert_eq!(seq_acc, thr_acc);
+}
+
 /// Byte-accounting ground truth, for either deployment: the per-round
 /// `upload_bytes` / `download_bytes` metrics (taken from the transport's
 /// per-link delivered-byte counters) must equal the sum of the payload
