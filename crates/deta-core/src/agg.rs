@@ -9,6 +9,9 @@
 //! makes DeTA transparent to the training algorithm, and it is asserted by
 //! property tests in `tests/invariance.rs`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 /// Why an aggregation call was refused. Every input of an aggregation
 /// is shaped by remote parties, so a malformed one is an answer, never a
 /// panic.
@@ -541,6 +544,29 @@ mod tests {
             vec![2.0, 3.0, 4.0, 5.0],
             vec![3.0, 4.0, 5.0, 6.0],
         ]
+    }
+
+    /// Every input of the kernels — values, lengths, counts, weights — is
+    /// shaped by remote parties, so an `assert!` here could state no
+    /// internal invariant, only crash the aggregator from afar. Clippy
+    /// has no lint for it; this scan of the file is the check.
+    #[test]
+    fn the_kernels_assert_nothing() {
+        let src = include_str!("agg.rs");
+        let kernels = &src[..src.find("\n#[cfg(test)]\nmod tests").unwrap_or(src.len())];
+        for (n, line) in kernels.lines().enumerate() {
+            let code = line.split("//").next().unwrap_or_default();
+            for mac in ["assert!", "assert_eq!", "assert_ne!"] {
+                let called = code
+                    .match_indices(mac)
+                    .any(|(i, _)| !code[..i].ends_with(|c: char| c.is_alphanumeric() || c == '_'));
+                assert!(
+                    !called,
+                    "agg.rs:{}: `{mac}` in an aggregation kernel",
+                    n + 1
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! * participates in inter-aggregator synchronization: one initiator node
 //!   announces rounds; followers acknowledge completion.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::iter_over_hash_type)]
+
 use crate::agg::Aggregation;
 use crate::latency::timed;
 use crate::proxy::TOKEN_SECRET_LABEL;
@@ -354,6 +358,7 @@ impl AggregatorNode {
     /// the endpoint and routes every message itself) can drive the node.
     /// The payload comes by value so that a sealed record is opened in
     /// the buffer it arrived in.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn handle_wire(&mut self, from: &str, payload: Vec<u8>) {
         if wire::is_record(&payload) {
             let Some(peer) = self.parties.get_mut(from) else {
@@ -412,12 +417,21 @@ impl AggregatorNode {
             Msg::SyncDone { .. } => {}
             // Party-bound replies and messages that must arrive inside a
             // sealed Record; the drop is deliberate and counted.
-            other => {
+            other @ (Msg::HelloReply { .. }
+            | Msg::Record { .. }
+            | Msg::Register { .. }
+            | Msg::RegisterAck
+            | Msg::RoundStart { .. }
+            | Msg::Upload { .. }
+            | Msg::UploadEncrypted { .. }
+            | Msg::Aggregated { .. }
+            | Msg::AggregatedEncrypted { .. }) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn handle_inner(&mut self, from: &str, msg: Msg) {
         match msg {
             Msg::Register { party, weight } => {
@@ -481,7 +495,15 @@ impl AggregatorNode {
             }
             // Inner frames other than registration and uploads are
             // out-of-protocol for the sealed channel; count each drop.
-            other => {
+            other @ (Msg::Hello { .. }
+            | Msg::HelloReply { .. }
+            | Msg::Record { .. }
+            | Msg::RegisterAck
+            | Msg::RoundStart { .. }
+            | Msg::Aggregated { .. }
+            | Msg::AggregatedEncrypted { .. }
+            | Msg::SyncRound { .. }
+            | Msg::SyncDone { .. }) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }

@@ -5,6 +5,8 @@
 //! permutation key never reaches any aggregator; a breached aggregator
 //! therefore cannot re-derive parameter order.
 
+#![deny(clippy::iter_over_hash_type)]
+
 use deta_crypto::sha256::hmac_sha256;
 use deta_crypto::{DetRng, Secret};
 

@@ -8,6 +8,10 @@
 //! algorithms in scope are coordinate-wise, aggregating fragments and then
 //! merging is exactly equivalent to aggregating whole updates.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::iter_over_hash_type)]
+
 use deta_crypto::DetRng;
 
 /// A shared random assignment of parameter indices to aggregators.

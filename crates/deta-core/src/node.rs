@@ -12,6 +12,9 @@
 //! its open round. When a party trains, skips, is ready or is done, and
 //! when an aggregator reports a round, is decided here and nowhere else.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::aggregator::{AggRole, AggregatorNode};
 use crate::party::Party;
 use crate::rtmsg::CtlMsg;

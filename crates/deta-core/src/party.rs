@@ -14,6 +14,9 @@
 //! With the Paillier fusion algorithm, step 2 additionally encrypts each
 //! fragment and step 3 decrypts the homomorphic sums.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::dp::{gaussian_mechanism, LdpConfig, PrivacyAccountant};
 use crate::latency::timed;
 use crate::mapper::ModelMapper;
@@ -793,19 +796,32 @@ impl Party {
     /// The payload comes by value so that a sealed record is opened in
     /// the buffer it arrived in. Malformed or out-of-protocol traffic is
     /// dropped.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn handle_wire(&mut self, from: &str, payload: Vec<u8>) {
         if wire::is_record(&payload) {
             return self.handle_record(from, payload);
         }
-        match Msg::decode(&payload) {
-            Ok(Msg::HelloReply { handshake }) => self.handle_hello_reply(from, &handshake),
+        let Ok(msg) = Msg::decode(&payload) else {
+            return;
+        };
+        match msg {
+            Msg::HelloReply { handshake } => self.handle_hello_reply(from, &handshake),
             // Everything else is aggregator-bound or must arrive inside
             // a sealed Record; dropping it is correct, but the drop is
             // counted so misrouted traffic shows up in metrics.
-            Ok(other) => {
+            other @ (Msg::Hello { .. }
+            | Msg::Record { .. }
+            | Msg::Register { .. }
+            | Msg::RegisterAck
+            | Msg::RoundStart { .. }
+            | Msg::Upload { .. }
+            | Msg::UploadEncrypted { .. }
+            | Msg::Aggregated { .. }
+            | Msg::AggregatedEncrypted { .. }
+            | Msg::SyncRound { .. }
+            | Msg::SyncDone { .. }) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
-            Err(_) => {}
         }
     }
 
@@ -846,6 +862,7 @@ impl Party {
 
     /// Opens a `Record` frame where it arrived and dispatches the inner
     /// message.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn handle_record(&mut self, from: &str, frame: Vec<u8>) {
         // Record `j` is fragment `j`'s aggregator.
         let Some(j) = self.aggregators.iter().position(|a| a.name == from) else {
@@ -944,7 +961,17 @@ impl Party {
             // (a stale round's RoundStart or aggregate, an aggregate of
             // the wrong kind) land here; the drop is deliberate and
             // counted.
-            other => {
+            other @ (Msg::Hello { .. }
+            | Msg::HelloReply { .. }
+            | Msg::Record { .. }
+            | Msg::Register { .. }
+            | Msg::RoundStart { .. }
+            | Msg::Upload { .. }
+            | Msg::UploadEncrypted { .. }
+            | Msg::Aggregated { .. }
+            | Msg::AggregatedEncrypted { .. }
+            | Msg::SyncRound { .. }
+            | Msg::SyncDone { .. }) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }

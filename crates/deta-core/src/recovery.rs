@@ -12,6 +12,9 @@
 //! original session (parity for fault-free runs is bit-exact whether or
 //! not a node is ever respawned).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::agg::AggKind;
 use crate::aggregator::{AggError, AggRole, AggregatorNode};
 use crate::proxy::{AttestationProxy, ProvisionedAggregator};

@@ -280,6 +280,7 @@ impl OpenRound {
                     self.params = params;
                 }
             }
+            // Not a handler: any other report, or a stale one, completes nothing.
             _ => return false,
         }
         self.done.insert(from.to_string());

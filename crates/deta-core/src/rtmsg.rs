@@ -11,6 +11,10 @@
 //! of truncating. The field primitives are [`deta_transport::wire`]'s,
 //! shared with the wire codec; this module owns the tags and field order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::cast_possible_truncation)]
+
 use deta_transport::wire::{put_bytes, put_f32s, put_len, Malformed, Reader, TooLong};
 
 /// The supervisor's endpoint name. Reserved: no party or aggregator is

@@ -12,6 +12,8 @@
 //! permutation key faces an `O(2^|key| * T)` exhaustive order-recovery
 //! search (paper Section 4.2), independent of the parameter values.
 
+#![deny(clippy::iter_over_hash_type)]
+
 use deta_crypto::sha256::hkdf;
 use deta_crypto::DetRng;
 

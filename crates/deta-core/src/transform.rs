@@ -5,6 +5,12 @@
 //! permutation. On download it reverses both: un-shuffle each aggregated
 //! fragment, then merge fragments back to original positions.
 
+#![deny(clippy::iter_over_hash_type)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "derives permutations from the permutation key"
+)]
+
 use crate::mapper::ModelMapper;
 use crate::shuffle::RoundPermutation;
 use deta_crypto::Secret;

@@ -12,6 +12,10 @@
 //! truncating their length prefixes. The field primitives are
 //! [`deta_transport::wire`]'s; this module owns the tags and field order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::cast_possible_truncation, clippy::iter_over_hash_type)]
+
 use deta_crypto::poly1305::TAG_LEN;
 use deta_transport::wire::{put_bytes, put_f32s_from, put_len, Malformed, Reader, TooLong};
 use deta_transport::SecureChannel;
@@ -328,6 +332,7 @@ impl Msg {
             }
             Msg::UploadEncrypted { ciphertexts, .. } => 1 + 8 + 8 + prefixed(ciphertexts),
             Msg::AggregatedEncrypted { ciphertexts, .. } => 1 + 8 + 8 + 8 + prefixed(ciphertexts),
+            // Not a handler: the hint only sizes a reservation, so 0 is a bound.
             _ => 0,
         }
     }

@@ -1,6 +1,11 @@
 //! ChaCha20-Poly1305 authenticated encryption with associated data
 //! (RFC 8439 construction).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the cipher is keyed with the AEAD key"
+)]
+
 use crate::chacha;
 use crate::ct_eq;
 use crate::poly1305::{Poly1305, TAG_LEN};

@@ -4,6 +4,11 @@
 //! parties and aggregators after two-phase authentication, standing in for
 //! the TLS handshake in the paper's prototype.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "agreement computes with the secret scalars"
+)]
+
 use crate::group::group;
 use crate::rng::DetRng;
 use crate::secret::Secret;

@@ -13,8 +13,9 @@
 //!   compared in variable time, or duplicated by assignment;
 //! * the value is wiped when the wrapper drops, and every clone wipes
 //!   itself;
-//! * the only way to the bytes is [`Secret::expose`], which `deta-lint`'s
-//!   `secret-expose` rule admits in a fixed list of files.
+//! * the only way to the bytes is [`Secret::expose`], a method the
+//!   workspace's `clippy.toml` disallows everywhere but the few files
+//!   that compute with a key and say so with an `expect`.
 //!
 //! What the wrapper cannot reach: a value moved *into* [`Secret::new`]
 //! leaves its moved-from bytes wherever the caller built them, and moving
@@ -172,7 +173,7 @@ mod tests {
     #[test]
     fn byte_secret_is_zero_after_drop_in_place() {
         let mut slot = ManuallyDrop::new(Secret::filled(|k: &mut [u8; 32]| k.fill(0xA5)));
-        assert_eq!(slot.expose(), &[0xA5; 32]);
+        assert_eq!(slot.0, [0xA5; 32]);
         // SAFETY: dropped once, here; `ManuallyDrop` never drops it again,
         // and the slot stays a valid `[u8; 32]` bit pattern to read.
         unsafe { ManuallyDrop::drop(&mut slot) };

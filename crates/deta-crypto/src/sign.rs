@@ -9,6 +9,11 @@
 //! (RFC 6979 style), so signing never needs an external randomness source
 //! and can run inside the simulated CVM without an entropy device.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "signing computes with the secret scalar"
+)]
+
 use crate::group::{group, Group};
 use crate::rng::DetRng;
 use crate::secret::Secret;
@@ -16,7 +21,17 @@ use crate::sha256::{hmac_sha256, sha256_concat};
 use deta_bignum::BigUint;
 
 /// A Schnorr signature `(e, s)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// It has no `PartialEq`: a signature is checked with
+/// [`VerifyingKey::verify`], whose comparison is constant-time, never
+/// with `==`, which stops at the first differing limb:
+///
+/// ```compile_fail
+/// # use deta_crypto::{DetRng, SigningKey};
+/// let sk = SigningKey::generate(&mut DetRng::from_u64(1));
+/// let _ = sk.sign(b"m") == sk.sign(b"m");
+/// ```
+#[derive(Clone, Debug)]
 pub struct Signature {
     /// Challenge scalar.
     pub e: BigUint,
@@ -240,8 +255,8 @@ mod tests {
     #[test]
     fn deterministic_signatures() {
         let (sk, _) = keypair(1);
-        assert_eq!(sk.sign(b"msg"), sk.sign(b"msg"));
-        assert_ne!(sk.sign(b"msg"), sk.sign(b"msg2"));
+        assert_eq!(sk.sign(b"msg").to_bytes(), sk.sign(b"msg").to_bytes());
+        assert_ne!(sk.sign(b"msg").to_bytes(), sk.sign(b"msg2").to_bytes());
     }
 
     #[test]
@@ -251,7 +266,7 @@ mod tests {
         let bytes = sig.to_bytes();
         assert_eq!(bytes.len(), 64);
         let back = Signature::from_bytes(&bytes).unwrap();
-        assert_eq!(back, sig);
+        assert_eq!(back.to_bytes(), bytes);
         assert!(vk.verify(b"serialize me", &back));
         assert!(Signature::from_bytes(&bytes[..63]).is_none());
     }

@@ -89,7 +89,7 @@ fn tampered_image() -> Result<String, String> {
         b"deta-aggregator-v1-collusion".to_vec(),
     );
     match proxy.verify_and_provision(&mut platform, &evil) {
-        Err(e @ SevError::MeasurementMismatch { .. }) => Ok(format!(
+        Err(e @ SevError::MeasurementMismatch) => Ok(format!(
             "SevError::MeasurementMismatch — {e}: the collusion build's \
              digest differs from the reference image"
         )),

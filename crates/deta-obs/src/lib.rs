@@ -20,8 +20,9 @@
 //! * [`perfetto`] — export the merged trace as a chrome-trace-event
 //!   document loadable in Perfetto for visual inspection.
 //!
-//! Sealed payloads never appear in traces (deta-lint rule 6); the
-//! analysis here consequently sees only ids, sizes, and timings.
+//! Sealed payloads never appear in traces (a `TelemetryValue` has no
+//! byte variant); the analysis here consequently sees only ids, sizes,
+//! and timings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

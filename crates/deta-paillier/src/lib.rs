@@ -18,6 +18,11 @@
 //! averaging is reproduced by the benchmark harness regardless of the
 //! exact key size.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "keygen and decryption compute with lambda, mu"
+)]
+
 use deta_bignum::{gen_prime, prime::random_below, BigUint};
 use deta_crypto::{DetRng, Secret};
 

@@ -33,6 +33,9 @@
 //! independent forks, and aggregation orders uploads by party name, so
 //! thread scheduling cannot reach any numeric path.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::path::PathBuf;
 use std::time::Duration;
 

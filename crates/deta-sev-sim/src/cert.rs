@@ -9,7 +9,18 @@
 use deta_crypto::{Signature, SigningKey, VerifyingKey};
 
 /// A signed binding of a subject name to public key material.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// It has no `PartialEq`: it carries a [`Signature`], which has none, and
+/// a certificate is checked by verifying it, not by comparing it:
+///
+/// ```compile_fail
+/// # use deta_crypto::{DetRng, SigningKey};
+/// # use deta_sev_sim::Certificate;
+/// let key = SigningKey::generate(&mut DetRng::from_u64(1));
+/// let root = Certificate::self_signed("root", &key);
+/// let _ = root == root.clone();
+/// ```
+#[derive(Clone, Debug)]
 pub struct Certificate {
     /// Subject name (e.g. a chip id, "AMD-ARK").
     pub subject: String,

@@ -71,12 +71,7 @@ pub enum SevError {
     /// The attestation report signature is invalid.
     BadReportSignature,
     /// The launch measurement does not match the expected guest image.
-    MeasurementMismatch {
-        /// Measurement the verifier expected.
-        expected: [u8; 32],
-        /// Measurement the platform reported.
-        reported: [u8; 32],
-    },
+    MeasurementMismatch,
     /// A sealed secret failed to decrypt during injection.
     SecretUnsealFailed,
     /// The platform reports an unsupported API version.
@@ -90,7 +85,7 @@ impl std::fmt::Display for SevError {
         match self {
             SevError::BadCertChain(why) => write!(f, "certificate chain invalid: {why}"),
             SevError::BadReportSignature => write!(f, "attestation report signature invalid"),
-            SevError::MeasurementMismatch { .. } => write!(f, "launch measurement mismatch"),
+            SevError::MeasurementMismatch => write!(f, "launch measurement mismatch"),
             SevError::SecretUnsealFailed => write!(f, "launch secret failed to unseal"),
             SevError::UnsupportedApiVersion => write!(f, "unsupported SEV API version"),
             SevError::PolicyViolation(why) => write!(f, "launch policy violation: {why}"),
@@ -194,6 +189,26 @@ impl AmdRas {
     }
 }
 
+/// A launch measurement: the digest SEV takes over a guest image.
+///
+/// It has no `PartialEq`: launch integrity is decided by
+/// [`Measurement::ct_eq`], whose time does not depend on where two
+/// digests first differ, and `==` does not exist for it:
+///
+/// ```compile_fail
+/// let image = deta_sev_sim::GuestImage::new(b"firmware".to_vec(), b"workload".to_vec());
+/// let _ = image.measurement() == image.measurement();
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Measurement([u8; 32]);
+
+impl Measurement {
+    /// Constant-time equality.
+    pub fn ct_eq(&self, other: &Measurement) -> bool {
+        deta_crypto::ct_eq(&self.0, &other.0)
+    }
+}
+
 /// A guest image: the firmware (OVMF stand-in) plus the workload payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GuestImage {
@@ -216,15 +231,16 @@ impl GuestImage {
     /// firmware, and workload.
     ///
     /// Both the platform (at launch) and the verifier (from the reference
-    /// image) compute this; equality is the launch-integrity check.
-    pub fn measurement(&self) -> [u8; 32] {
-        sha256_concat(&[
+    /// image) compute this; [`Measurement::ct_eq`] of the two is the
+    /// launch-integrity check.
+    pub fn measurement(&self) -> Measurement {
+        Measurement(sha256_concat(&[
             b"sev-launch-measurement",
             &[SEV_API_VERSION.0, SEV_API_VERSION.1],
             &(self.firmware.len() as u64).to_le_bytes(),
             &self.firmware,
             &self.workload,
-        ])
+        ]))
     }
 }
 
@@ -238,7 +254,7 @@ pub struct AttestationReport {
     /// The guest launch policy in force.
     pub policy: GuestPolicy,
     /// Launch measurement of the guest image.
-    pub measurement: [u8; 32],
+    pub measurement: Measurement,
     /// Certificate chain: CEK certificate (signed by ASK).
     pub cek_cert: Certificate,
     /// Platform Diffie-Hellman public key for secret transport, with its
@@ -257,7 +273,7 @@ fn report_signed_bytes(
     chip_id: &str,
     api_version: (u8, u8),
     policy: &GuestPolicy,
-    measurement: &[u8; 32],
+    measurement: &Measurement,
     pdh_pub: &DhPublicKey,
     nonce: &[u8; 16],
 ) -> Vec<u8> {
@@ -267,7 +283,7 @@ fn report_signed_bytes(
     out.push(api_version.0);
     out.push(api_version.1);
     out.extend_from_slice(&policy.to_bytes());
-    out.extend_from_slice(measurement);
+    out.extend_from_slice(&measurement.0);
     out.extend_from_slice(&pdh_pub.to_bytes());
     out.extend_from_slice(nonce);
     out
@@ -328,14 +344,10 @@ impl AttestationReport {
         if !cek_key.verify(&self.signed_bytes(), &self.signature) {
             return Err(SevError::BadReportSignature);
         }
-        let want = expected.measurement();
         // Constant-time digest comparison: verification timing must not
         // reveal how close a forged measurement came to the reference.
-        if !deta_crypto::ct_eq(&want, &self.measurement) {
-            return Err(SevError::MeasurementMismatch {
-                expected: want,
-                reported: self.measurement,
-            });
+        if !expected.measurement().ct_eq(&self.measurement) {
+            return Err(SevError::MeasurementMismatch);
         }
         Ok(())
     }
@@ -693,7 +705,7 @@ mod tests {
         let (_ctx, report) = platform.launch_measure(&tampered);
         assert!(matches!(
             report.verify(&ras.root_certs(), &image),
-            Err(SevError::MeasurementMismatch { .. })
+            Err(SevError::MeasurementMismatch)
         ));
     }
 
@@ -701,7 +713,7 @@ mod tests {
     fn tampered_report_signature_rejected() {
         let (ras, mut platform, image, _) = setup();
         let (_ctx, mut report) = platform.launch_measure(&image);
-        report.measurement[0] ^= 1;
+        report.measurement.0[0] ^= 1;
         let err = report.verify(&ras.root_certs(), &image).unwrap_err();
         assert!(matches!(err, SevError::BadReportSignature), "got {err:?}");
     }

@@ -17,6 +17,11 @@
 //!    must leave final parameters unchanged (checked here by parity;
 //!    dedicated duplicate-only fixtures live in the test suite).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the privacy oracle re-derives permutations"
+)]
+
 use crate::fault::{FaultPlan, SimPolicy, Topology};
 use crate::tap::TapLog;
 use deta_core::aggregator::parse_breached_memory;

@@ -42,6 +42,9 @@
 //! [`hub_identity`], [`party_link_key`]); in a real deployment these
 //! forks stand in for operator PKI and the CVM attestation flow.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod frame;
 pub mod hub;
 pub mod node;

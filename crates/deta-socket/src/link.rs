@@ -321,6 +321,10 @@ impl Egress {
 /// A connection's writer: puts its queue on the socket until the queue
 /// is dropped ([`Egress::park`]) or a write fails with the connection.
 /// The one thread that writes to the socket once the link is split.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "drains until the queue's sender drops (Egress::park, or the egress with its seat); DESIGN.md §16"
+)]
 pub(crate) fn write_loop(mut sender: LinkSender, rx: Receiver<Arc<SocketFrame>>) {
     while let Ok(frame) = rx.recv() {
         if sender.send(&frame).is_err() {

@@ -9,6 +9,8 @@
 //! frame, or delivering frames out of order, is caught by the strict
 //! per-link window and rejected with an error naming the link.
 
+#![deny(clippy::cast_possible_truncation, clippy::iter_over_hash_type)]
+
 use deta_transport::wire::{put_bytes, put_len, put_str16, Malformed, Reader, TooLong};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -72,7 +74,7 @@ pub enum SocketFrame {
     /// ring as rendered JSONL, so the coordinator can merge every
     /// process's spans into one causal trace. Carries only the already
     /// secret-free telemetry schema — sealed payloads never appear in a
-    /// ring (lint rule 6).
+    /// ring (a `TelemetryValue` has no byte variant).
     TraceShip {
         /// The node whose ring this is.
         name: String,

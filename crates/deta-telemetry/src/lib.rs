@@ -14,7 +14,8 @@
 //!   closed [`TelemetryValue`] set (bool/int/float/short string);
 //!   sealed records, keys, and signatures have no conversion into it,
 //!   and a key (`deta_crypto::Secret`) gives up its bytes only through
-//!   `expose`, which deta-lint admits in a fixed list of files.
+//!   `expose`, which the workspace's `clippy.toml` disallows outside a
+//!   few files that compute with a key.
 //! * **Per-node attribution without plumbing.** Each node thread
 //!   attaches its [`FlightRecorder`] thread-locally ([`attach`]);
 //!   instrumentation deep inside `deta-core`/`deta-transport` lands in

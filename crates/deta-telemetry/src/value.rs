@@ -5,8 +5,9 @@
 //! else. There is deliberately no `From<&[u8]>`, no `From<Vec<u8>>`, and
 //! no conversion from any crypto type, so sealed records, keys, and
 //! signatures cannot reach a trace without an explicit re-encoding at
-//! the call site — which, for a key, starts at `Secret::expose`, a word
-//! deta-lint's `secret-expose` rule admits in a fixed list of files.
+//! the call site — which, for a key, starts at `Secret::expose`, a
+//! method the workspace's `clippy.toml` disallows outside a few files
+//! that compute with a key.
 
 /// One telemetry field value.
 #[derive(Clone, Debug, PartialEq)]

@@ -54,6 +54,9 @@
 //! assert_eq!(&bob.recv().unwrap().payload[..], b"hello");
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod secure;
 pub mod wire;
 

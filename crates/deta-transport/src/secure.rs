@@ -16,6 +16,11 @@
 //! [`SecureChannel::open_msg`] with per-direction sequence numbers, which
 //! gives confidentiality, integrity, and replay protection in order.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "derives the channel keys from the DH secret"
+)]
+
 use deta_crypto::aead::{open_in_place, seal_in_place};
 use deta_crypto::dh::{EphemeralSecret, PublicKey as DhPublicKey};
 use deta_crypto::poly1305::TAG_LEN;

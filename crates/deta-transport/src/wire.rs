@@ -14,6 +14,8 @@
 //! [`TooLong`] instead of truncating the prefix, and write nothing when
 //! they refuse.
 
+#![deny(clippy::cast_possible_truncation, clippy::iter_over_hash_type)]
+
 use std::fmt;
 
 /// The bytes are not an encoding of the expected message: truncated,

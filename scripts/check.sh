@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests (including the deta-lint clean check in
-# tests/lint_clean.rs: seven rules, an allowlist with no entry — that a
-# key is never printed, compared or copied is deta_crypto::Secret's
-# compile_fail doctests, not a lint), formatting, and clippy with
-# warnings as errors.
+# Full local gate: build, tests, formatting, and clippy with warnings as
+# errors — which is also where the threat-model rules run (clippy.toml
+# and the per-file lint levels, DESIGN.md §6; that a key is never
+# printed, compared or copied is deta_crypto::Secret's compile_fail
+# doctests, not a lint).
 # Run from anywhere inside the workspace; requires no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,9 +17,9 @@ echo "==> cargo test -q"
 # Every crate's tests, not just the root package's tests/: the cipher,
 # MAC and RNG known answers, the GEMM and aggregation-kernel properties,
 # the wire layer's and control-plane codec's rejection cases, the
-# framing / replay-window / resume properties, the lint fixtures, the
-# trace-merge properties, the simnet and drill suites and the CLI's
-# multi-process and cluster-fault drills all live in crates/.
+# framing / replay-window / resume properties, the trace-merge
+# properties, the simnet and drill suites and the CLI's multi-process
+# and cluster-fault drills all live in crates/.
 cargo test -q
 
 echo "==> deta-tensor under optimisation (the GEMM's vector body only exists there)"
@@ -220,21 +220,16 @@ echo "==> bench regression history (diff BENCH_*.json vs results/BENCH_history.j
 # snapshot policy above. CI uploads the report as an artifact.
 cargo run --release -q -p deta-bench --bin bench_report | tee results/bench-report.txt
 
-echo "==> deta-lint self-check (fixture coverage per rule, allowlist cap)"
-# Fails when any registered rule has fewer than two fixture references
-# or the allowlist exceeds MAX_ALLOW_ENTRIES.
-cargo run --release -q -p deta-lint -- --self-check
-
-echo "==> deta-lint JSON report -> results/lint-report.json"
-# Machine-readable lint report; CI uploads it as an artifact. The exit
-# code still gates: any unsuppressed violation fails the run.
-mkdir -p results
-cargo run --release -q -p deta-lint -- --json > results/lint-report.json
-
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (threat-model rules included)"
+# Besides the default lints this carries the threat-model rules: the
+# root clippy.toml disallows Secret::expose, Condvar::wait and a bare
+# mpsc recv, and the files that must not panic, truncate on the wire,
+# iterate a hash table or drop a protocol message in a wildcard deny
+# the lint that says so (DESIGN.md §6). A file that may read a key says
+# why in an `expect`, which fails here once it goes stale.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> all checks passed"
