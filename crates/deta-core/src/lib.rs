@@ -32,8 +32,10 @@
 //!   baseline used for every comparison in the paper's evaluation.
 //! * [`latency`] — the latency accounting model combining measured compute
 //!   with simulated network transfer.
-//! * [`round`] — the round ledger both session types own: cohort,
-//!   plans, completions, byte windows, timer deltas and metrics.
+//! * [`round`] — the round ledger: cohort, plans, completions, byte
+//!   windows, timer deltas and metrics.
+//! * [`supervise`] — the supervisor's decisions as one step (deadlines,
+//!   blame, party drop, failover), which both kinds of session run.
 //! * [`node`] / [`rtmsg`] — the one step every host drives a node with,
 //!   and the control plane it answers.
 
@@ -53,6 +55,7 @@ pub mod round;
 pub mod rtmsg;
 pub mod session;
 pub mod shuffle;
+pub mod supervise;
 pub mod transform;
 pub mod wire;
 

@@ -7,17 +7,18 @@
 //! thread; `deta-runtime` steps each node on a thread of its own, from
 //! its mailbox, and so does a `deta-socket` child process. A step
 //! *returns* the reports the node owes the supervisor (`Ready`, `Failed`,
-//! `PartyDone`, `AggDone`) instead of sending them: a thread encodes them
-//! to [`crate::rtmsg::SUPERVISOR`], the inline session absorbs them into
-//! its open round. When a party trains, skips, is ready or is done, and
-//! when an aggregator reports a round, is decided here and nowhere else.
+//! `PartyDone`, `AggDone`) instead of sending them; every host sends them
+//! to [`SUPERVISOR`] from the node's mailbox ([`report`]), and classifies
+//! what the mailbox holds the same way ([`Input::from_mailbox`]). When a
+//! party trains, skips, is ready or is done, and when an aggregator
+//! reports a round, is decided here and nowhere else.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::aggregator::{AggRole, AggregatorNode};
 use crate::party::Party;
-use crate::rtmsg::CtlMsg;
+use crate::rtmsg::{CtlMsg, SUPERVISOR};
 use deta_crypto::VerifyingKey;
 use deta_telemetry::TelemetryValue;
 use deta_transport::{Endpoint, Message};
@@ -58,6 +59,35 @@ pub enum Input {
     /// A frame from a peer. It comes by value, so that a sealed record is
     /// opened in the buffer it arrived in.
     Wire(Message),
+}
+
+impl Input {
+    /// What a frame from the node's mailbox is: a directive when
+    /// [`SUPERVISOR`] sent it, a peer's frame otherwise. A directive that
+    /// does not decode is counted and dropped (`None`).
+    pub fn from_mailbox(msg: Message) -> Option<Input> {
+        if &*msg.from != SUPERVISOR {
+            return Some(Input::Wire(msg));
+        }
+        match CtlMsg::decode(&msg.payload) {
+            Ok(ctl) => Some(Input::Ctl(ctl)),
+            Err(_) => {
+                deta_telemetry::metrics::counter_add("deta_ctl_ignored_total", "undecodable", 1);
+                None
+            }
+        }
+    }
+}
+
+/// Sends a node's reports to [`SUPERVISOR`] from its mailbox, in order.
+/// A failed send means the supervisor is gone (shutdown in progress),
+/// and the node's host sees its own exit condition shortly.
+pub fn report(endpoint: &Endpoint, reports: Vec<CtlMsg>) {
+    for msg in reports {
+        if let Ok(frame) = msg.encode() {
+            let _ = endpoint.send(SUPERVISOR, frame);
+        }
+    }
 }
 
 /// A node's protocol: how it boots and how it reacts to each input.

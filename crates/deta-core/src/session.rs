@@ -19,19 +19,21 @@ use crate::dp::LdpConfig;
 use crate::keybroker::KeyBroker;
 use crate::latency::{LatencyModel, RoundLatency};
 use crate::mapper::ModelMapper;
-use crate::node::{Actor, Input};
+use crate::node::{report, Actor, Input};
 use crate::paillier_fusion::{PaillierFusion, PaillierFusionConfig};
 use crate::party::{Party, PartyConfig, PartyError};
 use crate::recovery::RecoveryKit;
-use crate::round::RoundLedger;
-use crate::rtmsg::CtlMsg;
+use crate::rtmsg::{CtlMsg, SUPERVISOR};
+use crate::supervise::{Directive, Event, RuntimeConfig, RuntimeError, SessionView, Supervisor};
 use crate::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
 use deta_sev_sim::{BreachDump, Cvm, SevError};
-use deta_transport::{LinkModel, Network};
-use std::collections::{HashMap, HashSet};
+use deta_telemetry::Recorders;
+use deta_transport::{Endpoint, LinkModel, Network};
+use std::collections::{HashMap, VecDeque};
+use std::time::Duration;
 
 pub use crate::node::Node;
 
@@ -502,16 +504,39 @@ impl NodeParts {
     }
 }
 
-/// A fully bootstrapped FL session, every node driven inline: each is
-/// stepped in turn (see [`crate::node`]) until no mailbox holds a frame.
+/// Frames a session steps without going quiet before it calls the run a
+/// livelock: far past any round's traffic (~300 frames for 32 parties).
+const QUIET_WITHIN: usize = 1 << 20;
+
+/// A fully bootstrapped FL session on one thread and a virtual clock.
+///
+/// Every node is stepped in turn (see [`crate::node`]) — the aggregators,
+/// then the parties, by index, then any replacement aggregator — each on
+/// what its mailbox holds, until no mailbox holds a frame and the network
+/// holds none back. The control plane is the [`Supervisor`] step over the
+/// same mailboxes as on threads: its directives are frames from
+/// [`SUPERVISOR`], the nodes' reports frames to it, which it takes as soon
+/// as they arrive. Only when nothing is left to step does the virtual
+/// clock move, straight to the supervisor's next timer: stepping takes no
+/// virtual time, so a deadline costs nothing to wait out.
 pub struct DetaSession {
     /// The active configuration.
     pub config: DetaConfig,
     network: Network,
-    parties: Vec<Party>,
-    aggregators: Vec<AggregatorNode>,
-    broker: KeyBroker,
-    ledger: RoundLedger,
+    /// The supervisor's mailbox.
+    ctl: Endpoint,
+    supervisor: Supervisor,
+    /// Every node by name, retired ones included.
+    nodes: HashMap<String, Node>,
+    /// The order nodes are stepped in. A node whose mailbox is closed —
+    /// retired, or crashed — takes no more input.
+    order: Vec<String>,
+    /// The node stepped next, in `order`.
+    cursor: usize,
+    /// The virtual clock: time since the session started.
+    now: Duration,
+    /// Every node's flight recorder, when the session traces.
+    recorders: Option<Recorders>,
 }
 
 impl DetaSession {
@@ -530,74 +555,185 @@ impl DetaSession {
         model_builder: &dyn Fn(&mut DetRng) -> Sequential,
         party_data: Vec<LabeledData>,
     ) -> Result<DetaSession, SetupError> {
-        Self::bootstrap(SessionParts::build(config, model_builder, party_data)?)
+        let parts = SessionParts::build(config, model_builder, party_data)?;
+        let mut session = DetaSession::new(parts, RuntimeConfig::default());
+        match session.drive(Supervisor::setup) {
+            Ok(()) => Ok(session),
+            Err(RuntimeError::Setup(e)) => Err(e),
+            Err(_) => Err(SetupError::Party(
+                (session.order.iter())
+                    .find_map(|n| match &session.nodes[n] {
+                        Node::Party(p) => p.auth_failure(),
+                        Node::Aggregator(_) => None,
+                    })
+                    .map_or(PartyError::Protocol("registration incomplete"), |agg| {
+                        PartyError::AuthenticationFailed(agg.to_string())
+                    }),
+            )),
+        }
     }
 
-    /// Phase II over nodes already built (and perhaps instrumented —
-    /// a fault policy or tap on `parts.network`): every node is started,
-    /// then stepped until each party is `Ready`, registered with every
-    /// aggregator.
+    /// Phase II over nodes already built (and perhaps instrumented — a
+    /// fault policy or tap on `parts.network`), supervised under `rt`:
+    /// every node is started, then stepped until each one is `Ready`.
     ///
     /// # Errors
     ///
-    /// An aggregator that fails a party's authentication, or a
-    /// registration an aggregator never acknowledged.
-    pub fn bootstrap(parts: SessionParts) -> Result<DetaSession, SetupError> {
-        let party_names = parts.parties.iter().map(|p| p.name.clone()).collect();
-        let (network, latency) = (parts.network, parts.latency_model);
+    /// The supervisor's verdict on a bootstrap that did not complete: a
+    /// node that failed (a party refusing an aggregator's authentication)
+    /// or exited, or the setup deadline.
+    pub fn bootstrap(parts: SessionParts, rt: RuntimeConfig) -> Result<DetaSession, RuntimeError> {
+        let mut session = DetaSession::new(parts, rt);
+        session.drive(Supervisor::setup)?;
+        Ok(session)
+    }
+
+    /// Hands `parts` to a supervisor under `rt` and starts every node.
+    fn new(parts: SessionParts, rt: RuntimeConfig) -> DetaSession {
+        let (config, network) = (parts.config.clone(), parts.network.clone());
+        let ctl = network.register(SUPERVISOR);
+        let recorders = rt.telemetry.enabled.then(|| {
+            deta_telemetry::enable();
+            let (capacity, dir) = (rt.telemetry.ring_capacity, rt.telemetry.trace_dir.clone());
+            Recorders::new(SUPERVISOR, capacity, dir)
+        });
+        let (supervisor, parties, aggregators, _) = Supervisor::new(parts, rt, false);
+        let aggregators = aggregators.into_iter().map(Box::new).map(Node::Aggregator);
+        let parties = parties.into_iter().map(Box::new).map(Node::Party);
+        let nodes: Vec<Node> = aggregators.chain(parties).collect();
+        let order: Vec<String> = nodes.iter().map(|n| n.name().to_string()).collect();
         let mut session = DetaSession {
-            ledger: RoundLedger::new(&parts.config, network.clone(), latency, party_names),
-            config: parts.config,
+            config,
             network,
-            parties: parts.parties,
-            aggregators: parts.aggregators,
-            broker: parts.broker,
+            ctl,
+            supervisor,
+            nodes: order.iter().cloned().zip(nodes).collect(),
+            order,
+            cursor: 0,
+            now: Duration::ZERO,
+            recorders,
         };
-        let mut ready = HashSet::new();
-        let mut absorb = |from: &str, report: CtlMsg| {
-            if report == CtlMsg::Ready {
-                ready.insert(from.to_string());
-            }
-        };
-        for node in session.nodes() {
-            for report in node.start(&parts.tokens) {
-                absorb(node.endpoint().name(), report);
-            }
+        let tokens = session.view().tokens.clone();
+        for k in 0..session.order.len() {
+            session.on_node(k, |node| node.start(&tokens));
         }
-        session.settle(&mut absorb);
-        match session.parties.iter().find(|p| !ready.contains(&p.name)) {
-            None => Ok(session),
-            Some(p) => Err(SetupError::Party(match p.auth_failure() {
-                Some(agg) => PartyError::AuthenticationFailed(agg.to_string()),
-                None => PartyError::Protocol("registration incomplete"),
-            })),
-        }
+        session
     }
 
-    /// Every node, in the order a pass steps them: the aggregators, then
-    /// the parties, each by index.
-    fn nodes(&mut self) -> impl Iterator<Item = &mut dyn Actor> {
-        let aggregators = self.aggregators.iter_mut().map(|a| a as &mut dyn Actor);
-        aggregators.chain(self.parties.iter_mut().map(|p| p as &mut dyn Actor))
-    }
-
-    /// Steps every node on what its mailbox holds, pass after pass, until
-    /// no mailbox holds a frame; each report goes to `absorb` with the
-    /// name of the node that made it.
-    fn settle(&mut self, mut absorb: impl FnMut(&str, CtlMsg)) {
-        let mut quiet = false;
-        while !quiet {
-            quiet = true;
-            for node in self.nodes() {
-                let mailbox = node.endpoint();
-                while let Some(msg) = mailbox.recv() {
-                    quiet = false;
-                    for report in node.step(Input::Wire(msg)) {
-                        absorb(mailbox.name(), report);
+    /// Opens a phase with `open` and runs what follows — the supervisor's
+    /// directives, the nodes' steps, held frames, the clock — until the
+    /// phase is complete and nothing is left to step, or the session
+    /// fails.
+    fn drive(
+        &mut self,
+        open: fn(&mut Supervisor, Duration) -> Vec<Directive>,
+    ) -> Result<(), RuntimeError> {
+        let _own = (self.recorders.as_ref()).map(|r| deta_telemetry::attach(r.own()));
+        let mut todo = VecDeque::from(open(&mut self.supervisor, self.now));
+        let (mut done, mut busy) = (false, 0usize);
+        self.cursor = 0;
+        loop {
+            while let Some(directive) = todo.pop_front() {
+                match directive {
+                    Directive::Send(to, msg) => {
+                        if let Ok(frame) = msg.encode() {
+                            let _ = self.ctl.send(&to, frame);
+                        }
                     }
+                    Directive::Retire(node) => self.network.close(&node),
+                    Directive::Spawn(node) => {
+                        self.order.push(node.name.clone());
+                        self.nodes.insert(node.name.clone(), Node::Aggregator(node));
+                        let tokens = self.view().tokens.clone();
+                        self.on_node(self.order.len() - 1, |node| node.start(&tokens));
+                    }
+                    Directive::Done => done = true,
+                    Directive::Fail(err) => return Err(self.fail(err)),
                 }
             }
+            // The supervisor takes its mail first, while the phase lasts.
+            if let Some(msg) = (!done).then(|| self.ctl.recv()).flatten() {
+                if let Ok(report) = CtlMsg::decode(&msg.payload) {
+                    let from = msg.from.to_string();
+                    let event = Event::Report(from, report);
+                    todo.extend(self.supervisor.on(event, self.now));
+                }
+                continue;
+            }
+            if self.step_one() || self.network.release_held() {
+                busy += 1;
+                if busy > QUIET_WITHIN {
+                    let err = RuntimeError::Protocol("the session never went quiet");
+                    return Err(self.fail(err));
+                }
+                continue;
+            }
+            if done {
+                return Ok(());
+            }
+            (busy, self.cursor) = (0, 0);
+            // Quiet, and the phase still waits: first a node it waits on
+            // that exited, as a host reaps its threads...
+            let awaiting = self.supervisor.awaiting();
+            if let Some(node) = awaiting.into_iter().find(|n| self.network.is_closed(n)) {
+                let (node, panicked) = (node.to_string(), false);
+                todo.extend((self.supervisor).on(Event::Exited { node, panicked }, self.now));
+                continue;
+            }
+            // ...then the clock, straight to the next timer. A node still
+            // hosted is alive; a retired or exited one is silent.
+            let Some(at) = self.supervisor.next_timer() else {
+                return Err(self.fail(RuntimeError::Protocol("no phase to wait on")));
+            };
+            self.now = self.now.max(at);
+            for from in self.order.iter().filter(|n| !self.network.is_closed(n)) {
+                let (from, msg) = (from.clone(), CtlMsg::Heartbeat { seq: 0 });
+                self.supervisor.on(Event::Report(from, msg), self.now);
+            }
+            todo.extend(self.supervisor.on(Event::Timer, self.now));
         }
+    }
+
+    /// Steps one frame: the node under the cursor keeps it while its
+    /// mailbox holds frames, then the cursor moves on in order. `false`
+    /// once a whole cycle found nothing to step.
+    fn step_one(&mut self) -> bool {
+        for _ in 0..self.order.len() {
+            let k = self.cursor;
+            let mailbox = self
+                .nodes
+                .get_mut(&self.order[k])
+                .map(|n| n.actor().endpoint());
+            let msg = mailbox.filter(|m| !m.is_closed()).and_then(|m| m.recv());
+            if let Some(msg) = msg {
+                if let Some(input) = Input::from_mailbox(msg) {
+                    self.on_node(k, |node| node.step(input));
+                }
+                return true;
+            }
+            self.cursor = (k + 1) % self.order.len();
+        }
+        false
+    }
+
+    /// Runs `f` on the `k`-th node — its flight recorder attached when the
+    /// session traces — and sends what it reports to the supervisor.
+    fn on_node(&mut self, k: usize, f: impl FnOnce(&mut dyn Actor) -> Vec<CtlMsg>) {
+        let name = &self.order[k];
+        let _ring = (self.recorders.as_mut()).map(|r| deta_telemetry::attach(r.ring(name)));
+        if let Some(node) = self.nodes.get_mut(name).map(Node::actor) {
+            let reports = f(node);
+            report(&node.endpoint(), reports);
+        }
+    }
+
+    /// The session failed; the first failure of a traced session dumps
+    /// its flight recorders, blaming whom the error implicates.
+    fn fail(&mut self, err: RuntimeError) -> RuntimeError {
+        if let Some(r) = &mut self.recorders {
+            r.fault(err.kind(), &err.implicated());
+        }
+        err
     }
 
     /// Takes party `i` offline at a round boundary (cross-silo dropout).
@@ -610,79 +746,62 @@ impl DetaSession {
     ///
     /// Panics if this would leave no online parties, or mid-round.
     pub fn drop_party(&mut self, i: usize) {
-        assert!(i < self.parties.len(), "no such party");
+        assert!(i < self.config.n_parties, "no such party");
         assert!(
             self.online_parties() > 1,
             "cannot drop the last online party"
         );
-        let name = self.parties[i].name.clone();
-        self.ledger.leave(&name);
-        for a in &mut self.aggregators {
-            a.deregister(&name);
+        let name = self.party_mut(i).name.clone();
+        self.supervisor.leave(&name);
+        for node in self.nodes.values_mut() {
+            if let Node::Aggregator(a) = node {
+                a.deregister(&name);
+            }
         }
     }
 
     /// Number of currently online parties.
     pub fn online_parties(&self) -> usize {
-        self.ledger.online().len()
+        self.supervisor.online().len()
     }
 
     /// Runs all configured rounds, evaluating on `test` after each.
     pub fn run(&mut self, test: &LabeledData) -> Vec<RoundMetrics> {
-        let rounds = self.config.rounds;
-        let mut out = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            out.push(self.step(test));
-        }
-        out
+        (0..self.config.rounds).map(|_| self.step(test)).collect()
     }
 
-    /// Runs a single round and evaluates: every online party gets its
-    /// plan, the initiator the trigger, and the nodes are stepped until
-    /// the round is quiet. What the round selects and reports is the
-    /// ledger's.
+    /// Runs a single round and evaluates (see [`DetaSession::try_step`]).
     ///
     /// # Panics
     ///
-    /// Panics on protocol desynchronization (a bug, not an input error):
-    /// a node that fails, or one whose completion never came.
+    /// Panics when the round fails: without faults that is protocol
+    /// desynchronization (a bug, not an input error).
     pub fn step(&mut self, test: &LabeledData) -> RoundMetrics {
-        let mut open = self.ledger.open();
-        let round = open.round;
-        let plans = open.plans(false);
-        let mut absorb = |from: &str, report: CtlMsg| {
-            if let CtlMsg::Failed { reason } = &report {
-                panic!("{from} failed in round {round}: {reason}");
-            }
-            open.absorb(from, report);
-        };
-        for (i, plan) in plans {
-            let party = &mut self.parties[i];
-            for report in party.step(Input::Ctl(plan)) {
-                absorb(&party.name, report);
-            }
-        }
-        let training_id = self.broker.training_id(round);
-        let initiator = &mut self.aggregators[0];
-        for report in initiator.step(Input::Ctl(CtlMsg::Trigger { round, training_id })) {
-            absorb(&initiator.name, report);
-        }
-        self.settle(&mut absorb);
+        self.try_step(test).unwrap_or_else(|e| panic!("{e}"))
+    }
 
-        let agg_names: Vec<String> = self.aggregators.iter().map(|a| a.name.clone()).collect();
-        let missing = self.ledger.awaiting(&open, &agg_names);
-        assert!(
-            missing.is_empty(),
-            "round {round}: no completion from {missing:?}"
-        );
-        let (test_loss, test_accuracy) = self.parties[self.ledger.online()[0]].evaluate(test, 128);
-        self.ledger
-            .close(open, &agg_names, test_loss, test_accuracy)
+    /// Runs a single round and evaluates on the first online party: the
+    /// supervisor plans it, triggers it and decides when it is complete,
+    /// or how it failed; what the round selects and reports is the
+    /// ledger's.
+    ///
+    /// # Errors
+    ///
+    /// The supervisor's verdict on a round that did not complete (and
+    /// that its policy could not heal).
+    pub fn try_step(&mut self, test: &LabeledData) -> Result<RoundMetrics, RuntimeError> {
+        self.drive(Supervisor::round)?;
+        let Some(&evaluator) = self.supervisor.online().first() else {
+            return Err(RuntimeError::Protocol("no party left to evaluate on"));
+        };
+        let (test_loss, test_accuracy) = self.party_mut(evaluator).evaluate(test, 128);
+        let metrics = self.supervisor.close(test_loss, test_accuracy);
+        metrics.ok_or(RuntimeError::Protocol("no round to close"))
     }
 
     /// Number of completed rounds.
     pub fn completed_rounds(&self) -> u64 {
-        self.ledger.completed_rounds()
+        self.supervisor.completed_rounds()
     }
 
     /// The session's network (e.g. to install a tap).
@@ -690,27 +809,58 @@ impl DetaSession {
         &self.network
     }
 
+    /// The session's bookkeeping and every node, retired ones included.
+    pub fn view(&self) -> SessionView<'_> {
+        self.supervisor.view(&self.nodes)
+    }
+
+    /// The virtual clock: how long the session has waited on timers.
+    pub fn now(&self) -> Duration {
+        self.now
+    }
+
+    /// A traced session's flight-recorder dump: its first failure's, or
+    /// one written now.
+    pub fn trace(&mut self) -> Option<std::path::PathBuf> {
+        let recorders = self.recorders.as_mut()?;
+        let first = recorders.first_dump().map(std::path::Path::to_path_buf);
+        first.or_else(|| recorders.dump("trace", &[]))
+    }
+
     /// Flat parameters of party `i`'s model replica (for tests asserting
     /// replica consistency and for the attack harness).
     pub fn party_params(&self, i: usize) -> Vec<f32> {
-        self.parties[i].model.flat_params()
+        match &self.nodes[&self.order[self.config.n_aggregators + i]] {
+            Node::Party(p) => p.model.flat_params(),
+            Node::Aggregator(a) => panic!("{} is not a party", a.name),
+        }
     }
 
     /// Simulates a full breach of aggregator `j`'s CVM, returning the
     /// attacker's view (paper Section 6's worst-case assumption).
     pub fn breach_aggregator(&self, j: usize) -> BreachDump {
-        self.aggregators[j].cvm().breach()
+        match &self.nodes[&self.order[j]] {
+            Node::Aggregator(a) => a.cvm().breach(),
+            Node::Party(p) => panic!("{} is not an aggregator", p.name),
+        }
     }
 
     /// Access to a party (e.g. for the attack harness).
     pub fn party_mut(&mut self, i: usize) -> &mut Party {
-        &mut self.parties[i]
+        let name = &self.order[self.config.n_aggregators + i];
+        match self.nodes.get_mut(name) {
+            Some(Node::Party(p)) => p,
+            _ => panic!("{name} is not a party"),
+        }
     }
 
     /// Access to an aggregator node. Adversarial drills use this to act
     /// as a breached, actively malicious aggregator (replaying stale
     /// fragments through `AggregatorNode::drill_send_sealed`).
     pub fn aggregator_mut(&mut self, j: usize) -> &mut AggregatorNode {
-        &mut self.aggregators[j]
+        match self.nodes.get_mut(&self.order[j]) {
+            Some(Node::Aggregator(a)) => a,
+            _ => panic!("node {j} is not an aggregator"),
+        }
     }
 }

@@ -6,6 +6,7 @@
 use crate::common;
 use crate::Drill;
 use deta_core::session::{DetaConfig, DetaSession, SessionParts};
+use deta_core::supervise::RuntimeConfig;
 use deta_core::wire::Msg;
 use deta_nn::models::mlp;
 use deta_transport::{FaultPolicy, SendVerdict};
@@ -51,7 +52,8 @@ fn nodes(seed: u64, policy: Option<Arc<dyn FaultPolicy>>) -> Result<DetaSession,
     if let Some(policy) = policy {
         parts.network.set_fault_policy(policy);
     }
-    DetaSession::bootstrap(parts).map_err(|e| format!("Phase II failed: {e:?}"))
+    DetaSession::bootstrap(parts, RuntimeConfig::default())
+        .map_err(|e| format!("Phase II failed: {e:?}"))
 }
 
 fn upload_length_erasure() -> Result<String, String> {

@@ -1,14 +1,15 @@
 //! The mailbox loop a node thread runs.
 //!
 //! Every node (aggregator or party) runs [`serve`] on its own OS thread.
-//! The loop owns a clone of the node's mailbox [`Endpoint`] and is its
-//! *only* receiver: each queued frame — a supervisor directive when the
-//! sender is [`SUPERVISOR`], a peer's wire frame otherwise — is one
-//! [`deta_core::node::Actor::step`] of the node, and every report the step returns is
-//! encoded to the supervisor. What the node does is `deta_core::node`'s,
-//! the same step the inline session runs; a thread adds only what waiting
-//! on a mailbox needs: idle ticks emit heartbeats so the supervisor can
-//! tell a stalled node from a busy one, and an injected stall parks it.
+//! The loop owns a clone of the node's mailbox and is its *only*
+//! receiver: each queued frame — a supervisor directive or a peer's wire
+//! frame ([`Input::from_mailbox`]) — is one
+//! [`deta_core::node::Actor::step`] of the node, and every report the
+//! step returns is sent to the supervisor ([`report`]). What the node
+//! does is `deta_core::node`'s, the same step the inline session runs; a
+//! thread adds only what waiting on a mailbox needs: idle ticks emit
+//! heartbeats so the supervisor can tell a stalled node from a busy one,
+//! and an injected stall parks it.
 //!
 //! Exit conditions (all of them leave the node value intact for the
 //! supervisor to recover via the join handle):
@@ -17,12 +18,12 @@
 //! * a `Shutdown` control message arrives,
 //! * the mailbox is closed and drained (`RecvError::Closed`).
 
-use deta_core::node::{Input, Node};
-use deta_core::rtmsg::{CtlMsg, SUPERVISOR};
+use deta_core::node::{report, Input, Node};
+use deta_core::rtmsg::CtlMsg;
 use deta_core::wire::Msg;
 use deta_crypto::VerifyingKey;
 use deta_telemetry::{FlightRecorder, TelemetryValue};
-use deta_transport::{Endpoint, RecvError};
+use deta_transport::RecvError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,20 +69,10 @@ pub fn serve(
     report(&endpoint, actor.start(tokens));
     let mut hb_seq = 0u64;
     while !ctx.stopped() {
-        let input = match endpoint.recv_timeout(ctx.tick) {
-            Ok(msg) if &*msg.from == SUPERVISOR => match CtlMsg::decode(&msg.payload) {
-                Ok(CtlMsg::Shutdown) => break,
-                Ok(ctl) => Input::Ctl(ctl),
-                Err(_) => {
-                    deta_telemetry::metrics::counter_add(
-                        "deta_ctl_ignored_total",
-                        "undecodable",
-                        1,
-                    );
-                    continue;
-                }
-            },
-            Ok(msg) => Input::Wire(msg),
+        let input = match endpoint.recv_timeout(ctx.tick).map(Input::from_mailbox) {
+            Ok(Some(Input::Ctl(CtlMsg::Shutdown))) => break,
+            Ok(Some(input)) => input,
+            Ok(None) => continue,
             Err(RecvError::Timeout) => {
                 hb_seq += 1;
                 report(&endpoint, vec![CtlMsg::Heartbeat { seq: hb_seq }]);
@@ -100,17 +91,6 @@ pub fn serve(
         report(&endpoint, actor.step(input));
     }
     node
-}
-
-/// Encodes a node's reports to the supervisor. A failed send means the
-/// supervisor is gone (shutdown in progress); the actor will observe its
-/// own exit condition shortly.
-fn report(endpoint: &Endpoint, reports: Vec<CtlMsg>) {
-    for msg in reports {
-        if let Ok(frame) = msg.encode() {
-            let _ = endpoint.send(SUPERVISOR, frame);
-        }
-    }
 }
 
 /// The round `input` announces, if it is `at` or later: the supervisor's

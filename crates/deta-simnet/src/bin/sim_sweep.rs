@@ -16,10 +16,11 @@
 //! `--trace` is single-seed only: telemetry enablement is sticky
 //! process-wide, so tracing a whole sweep would contaminate every run.
 
-use deta_runtime::FailoverPolicy;
+use deta_core::supervise::FailoverPolicy;
 use deta_simnet::{FaultPlan, SeedReport, SimFleet, SimSpec};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 const DEFAULT_SEEDS: u64 = 200;
 const DEFAULT_JSON: &str = "results/SIM_SEEDS.json";
@@ -74,7 +75,10 @@ fn main() {
         println!("verdict: {} ({:?})", report.verdict.class(), report.verdict);
         println!("fired:   {:?}", report.fired_kinds);
         println!("error:   {:?}", report.error);
-        println!("elapsed: {:?}", report.elapsed);
+        println!(
+            "virtual: {:?} (time the run waited on timers)",
+            report.elapsed
+        );
         if let Some(path) = &report.trace_path {
             println!("trace:   {path}");
         }
@@ -84,29 +88,23 @@ fn main() {
         std::process::exit(if report.violations.is_empty() { 0 } else { 1 });
     }
 
-    // Full sweep: every seed twice, in parallel.
+    // Full sweep: every seed twice, in parallel. A run only computes — its
+    // deadlines pass on a virtual clock — so one worker per core.
+    let started = Instant::now();
     let todo: Vec<u64> = (0..seeds).flat_map(|s| [s, s]).collect();
-    let next = Mutex::new(0usize);
-    let results: Mutex<Vec<(u64, SeedReport)>> = Mutex::new(Vec::new());
-    // Failed runs spend their time sleeping on supervisor deadlines, not
-    // computing, so the worker count deliberately ignores the core count.
-    let workers = 8;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = {
-                    let mut n = next.lock().expect("sweep cursor");
-                    let i = *n;
-                    *n += 1;
-                    i
-                };
-                let Some(&seed) = todo.get(i) else { break };
-                let report = fleet.run_seed(seed);
-                results.lock().expect("sweep results").push((seed, report));
-            });
-        }
+    let next = AtomicUsize::new(0);
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut results: Vec<(u64, SeedReport)> = std::thread::scope(|scope| {
+        let worker = || {
+            let seeds = std::iter::from_fn(|| todo.get(next.fetch_add(1, Ordering::Relaxed)));
+            seeds.map(|&s| (s, fleet.run_seed(s))).collect::<Vec<_>>()
+        };
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker"))
+            .collect()
     });
-    let mut results = results.into_inner().expect("sweep results");
     results.sort_by_key(|(s, _)| *s);
 
     let mut failures = 0usize;
@@ -203,8 +201,9 @@ fn main() {
     let parity = corpus.iter().filter(|(_, c, _)| c == "parity").count();
     let recovered = corpus.iter().filter(|(_, c, _)| c == "recovered").count();
     println!(
-        "swept {seeds} seeds x2 on {workers} workers: {parity} parity, {recovered} recovered, \
-         {} failed, fired kinds {:?}",
+        "swept {seeds} seeds x2 on {workers} workers in {:.1} s: {parity} parity, \
+         {recovered} recovered, {} failed, fired kinds {:?}",
+        started.elapsed().as_secs_f64(),
         corpus.len() - parity - recovered,
         fired_union
     );

@@ -4,18 +4,19 @@
 //! `u64` seed via the in-repo PRNG: every fault names a directed
 //! data-plane link and the send-attempt index it strikes at. The
 //! matching [`SimPolicy`] implements `deta_transport::FaultPolicy` by
-//! counting send attempts per link — each link has exactly one sending
-//! thread, so the counter sequence (and therefore every verdict) is
-//! independent of thread scheduling. That is what makes a whole
-//! simulated deployment reproducible from one integer.
+//! counting send attempts per link — each link has exactly one sender,
+//! whose sends on it follow the protocol, so the counter sequence does
+//! not depend on how the nodes are scheduled (on one thread or on many).
+//! That is what makes a whole simulated deployment reproducible from one
+//! integer.
 //!
 //! The control plane (any frame to or from the supervisor) is exempt:
 //! supervision is the *oracle* that turns faults into structured errors,
-//! so faulting it would make the observed verdict depend on timing
-//! rather than on the plan.
+//! so faulting it would make the observed verdict depend on the
+//! supervisor's schedule rather than on the plan.
 
+use deta_core::rtmsg::SUPERVISOR;
 use deta_crypto::DetRng;
-use deta_runtime::SUPERVISOR;
 use deta_telemetry::TelemetryValue;
 use deta_transport::{FaultPolicy, SendVerdict};
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,12 +34,9 @@ pub enum FaultKind {
     Drop,
     /// Deliver one message twice.
     Duplicate,
-    /// Hold one message until `hold` further deliveries pass it on the
-    /// same link (reorder; lost if the link goes quiet first).
-    Delay {
-        /// Same-link deliveries to wait for before release.
-        hold: u32,
-    },
+    /// Hold one message until the clock releases it: everything sent
+    /// meanwhile overtakes it (a reorder), nothing is lost.
+    Delay,
     /// Flip one payload byte (frame corruption; AEAD rejects it).
     Corrupt,
     /// Sever the link from the strike index onward (one direction; the
@@ -49,11 +47,11 @@ pub enum FaultKind {
     Crash,
     /// Restart the link: for `after` send attempts starting at the
     /// strike index the link is down, and every frame sent during the
-    /// outage is held and retransmitted once traffic resumes — the
-    /// simulated analogue of `deta-socket`'s reconnect-and-replay (a
-    /// TCP sever heals, the resumed link replays its retransmit
-    /// buffer). Nothing is lost, so the run must stay bit-exact with
-    /// its fault-free twin.
+    /// outage is held and retransmitted, in order, when the clock
+    /// releases it — the simulated analogue of `deta-socket`'s
+    /// reconnect-and-replay (a TCP sever heals, the resumed link replays
+    /// its retransmit buffer). Nothing is lost, so the run must stay
+    /// bit-exact with its fault-free twin.
     LinkRestart {
         /// Send attempts the outage covers from the strike index on.
         after: u32,
@@ -66,7 +64,7 @@ impl FaultKind {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Duplicate => "duplicate",
-            FaultKind::Delay { .. } => "delay",
+            FaultKind::Delay => "delay",
             FaultKind::Corrupt => "corrupt",
             FaultKind::Partition => "partition",
             FaultKind::Crash => "crash",
@@ -153,63 +151,31 @@ impl FaultPlan {
             let kind = rng.gen_range(7);
             let (from, to) = links[rng.gen_range(links.len() as u64) as usize].clone();
             let at = rng.gen_range(6) as u32;
-            match kind {
-                0 => faults.push(Fault {
-                    kind: FaultKind::Drop,
-                    from,
-                    to,
-                    at,
-                }),
-                1 => faults.push(Fault {
-                    kind: FaultKind::Duplicate,
-                    from,
-                    to,
-                    at,
-                }),
-                2 => faults.push(Fault {
-                    kind: FaultKind::Delay {
-                        hold: 1 + rng.gen_range(3) as u32,
-                    },
-                    from,
-                    to,
-                    at,
-                }),
-                3 => faults.push(Fault {
-                    kind: FaultKind::Corrupt,
-                    from,
-                    to,
-                    at,
-                }),
-                4 => {
-                    // Partitions sever both directions at the same index.
-                    faults.push(Fault {
-                        kind: FaultKind::Partition,
-                        from: from.clone(),
-                        to: to.clone(),
-                        at,
-                    });
-                    faults.push(Fault {
-                        kind: FaultKind::Partition,
-                        from: to,
-                        to: from,
-                        at,
-                    });
+            let kind = match kind {
+                0 => FaultKind::Drop,
+                1 => FaultKind::Duplicate,
+                2 => {
+                    // The delay's length, drawn when deliveries released
+                    // a hold: drawn still, so later faults keep theirs.
+                    rng.gen_range(3);
+                    FaultKind::Delay
                 }
-                5 => faults.push(Fault {
-                    kind: FaultKind::LinkRestart {
-                        after: 1 + rng.gen_range(4) as u32,
-                    },
-                    from,
-                    to,
-                    at,
-                }),
-                _ => faults.push(Fault {
-                    kind: FaultKind::Crash,
-                    from,
-                    to,
-                    at,
-                }),
-            }
+                3 => FaultKind::Corrupt,
+                4 => FaultKind::Partition,
+                5 => FaultKind::LinkRestart {
+                    after: 1 + rng.gen_range(4) as u32,
+                },
+                _ => FaultKind::Crash,
+            };
+            // Partitions sever both directions at the same index.
+            let back = (kind == FaultKind::Partition).then(|| Fault {
+                kind,
+                from: to.clone(),
+                to: from.clone(),
+                at,
+            });
+            faults.push(Fault { kind, from, to, at });
+            faults.extend(back);
         }
         FaultPlan { seed, faults }
     }
@@ -330,13 +296,11 @@ impl FaultPolicy for SimPolicy {
                 if f.from == from && f.to == to && at >= f.at && at < f.at + after {
                     st.fired.insert(i);
                     note_fault("link_restart", from, to, at);
-                    // Network-scoped hold: the frame sits in the dead
-                    // link's retransmit buffer and replays autonomously
-                    // once anything anywhere flows (heartbeats tick every
-                    // few ms), mirroring the socket layer's
-                    // reconnect-and-replay — recovery must not depend on
-                    // the stalled sender producing more traffic.
-                    return SendVerdict::Hold { after: 2 };
+                    // The frame sits in the dead link's retransmit buffer
+                    // until the clock releases it, mirroring the socket
+                    // layer's reconnect-and-replay — recovery must not
+                    // depend on the stalled sender producing more traffic.
+                    return SendVerdict::Hold;
                 }
             }
         }
@@ -353,7 +317,7 @@ impl FaultPolicy for SimPolicy {
             return match f.kind {
                 FaultKind::Drop => SendVerdict::Drop,
                 FaultKind::Duplicate => SendVerdict::Duplicate,
-                FaultKind::Delay { hold } => SendVerdict::Delay { after: hold },
+                FaultKind::Delay => SendVerdict::Hold,
                 FaultKind::Corrupt => {
                     if payload.is_empty() {
                         SendVerdict::Drop
@@ -471,15 +435,9 @@ mod tests {
         let p = SimPolicy::new(&plan);
         assert_eq!(p.on_send("party-0", "agg-0", b"x"), SendVerdict::Deliver);
         // Attempts 1 and 2 fall in the outage: held, never lost, and
-        // released by background traffic rather than this link's own.
-        assert_eq!(
-            p.on_send("party-0", "agg-0", b"x"),
-            SendVerdict::Hold { after: 2 }
-        );
-        assert_eq!(
-            p.on_send("party-0", "agg-0", b"x"),
-            SendVerdict::Hold { after: 2 }
-        );
+        // released by the clock rather than by this link's own traffic.
+        assert_eq!(p.on_send("party-0", "agg-0", b"x"), SendVerdict::Hold);
+        assert_eq!(p.on_send("party-0", "agg-0", b"x"), SendVerdict::Hold);
         // The link has reconnected and replayed: back to normal.
         assert_eq!(p.on_send("party-0", "agg-0", b"x"), SendVerdict::Deliver);
         assert_eq!(

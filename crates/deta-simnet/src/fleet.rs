@@ -1,11 +1,12 @@
-//! The simulation fleet: runs the full threaded DeTA deployment under a
-//! fault plan and machine-checks three invariants per run.
+//! The simulation fleet: runs the DeTA deployment under a fault plan —
+//! every node stepped by the inline session on a virtual clock — and
+//! machine-checks three invariants per run.
 //!
-//! 1. **Termination** — every run ends within the supervisor's deadline
-//!    budget, either in bit-identical parity with the sequential
-//!    [`DetaSession`] or in a structured [`RuntimeError`] naming at
-//!    least one node incident to a fired fault. Never a hang, never an
-//!    anonymous error.
+//! 1. **Termination** — every run goes quiet and ends, either in
+//!    bit-identical parity with the fault-free [`DetaSession`] or in a
+//!    structured [`RuntimeError`] naming at least one node incident to a
+//!    fired fault. Never an anonymous error; a run that never goes quiet
+//!    is a violation, not a hang.
 //! 2. **Privacy** — replaying each aggregator's materialized state
 //!    (breached CVM memory plus pending uploads) proves it only ever
 //!    held, for each party and round, *exactly* the shuffled fragment of
@@ -25,29 +26,26 @@
 use crate::fault::{FaultPlan, SimPolicy, Topology};
 use crate::tap::TapLog;
 use deta_core::aggregator::parse_breached_memory;
+use deta_core::node::Node;
+use deta_core::rtmsg::SUPERVISOR;
 use deta_core::session::{DetaConfig, DetaSession, SessionParts};
 use deta_core::shuffle::RoundPermutation;
+use deta_core::supervise::{
+    base_name, FailoverPolicy, MapperEpoch, RuntimeConfig, RuntimeError, TelemetryConfig,
+};
 use deta_core::transform::Transformer;
 use deta_core::wire::Msg;
+use deta_crypto::poly1305::TAG_LEN;
 use deta_crypto::Secret;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
-use deta_runtime::{
-    base_name, FailoverPolicy, MapperEpoch, Node, RuntimeConfig, RuntimeError, TelemetryConfig,
-    ThreadedSession, SUPERVISOR,
-};
 use deta_transport::FaultPolicy;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// AEAD tag length of the secure channel's sealed records. `deta-crypto`
-/// keeps its `TAG_LEN` crate-private; the ChaCha20-Poly1305 tag is 16
-/// bytes by construction, so the tap replay hardcodes it.
-const AEAD_TAG_LEN: usize = 16;
-
-/// Shape and budget of one simulated deployment.
+/// Shape of one simulated deployment.
 #[derive(Clone, Debug)]
 pub struct SimSpec {
     /// Number of parties.
@@ -67,17 +65,11 @@ pub struct SimSpec {
     pub resolution: usize,
     /// Hidden layer width.
     pub hidden: usize,
-    /// Supervisor bootstrap deadline.
-    pub setup_deadline: Duration,
-    /// Supervisor per-round deadline.
-    pub round_deadline: Duration,
-    /// Actor poll tick.
-    pub tick: Duration,
     /// Capture a telemetry trace: enables the process-global sink and
-    /// has every run dump its flight recorders (on a fault verdict the
-    /// dump is automatic; healthy runs are force-dumped at the end).
-    /// Telemetry enablement is sticky process-wide, so leave this off
-    /// for sweeps and on only for single-seed drill-downs.
+    /// has every run dump its flight recorders (on a failure the dump is
+    /// automatic; healthy runs are force-dumped at the end). Telemetry
+    /// enablement is sticky process-wide, so leave this off for sweeps
+    /// and on only for single-seed drill-downs.
     pub trace: bool,
     /// What the supervisor does when a round fails with aggregators
     /// implicated. With a policy armed, seeds whose faults hit an
@@ -97,9 +89,6 @@ impl Default for SimSpec {
             test_samples: 24,
             resolution: 8,
             hidden: 8,
-            setup_deadline: Duration::from_secs(2),
-            round_deadline: Duration::from_secs(2),
-            tick: Duration::from_millis(5),
             trace: false,
             failover: FailoverPolicy::None,
         }
@@ -120,16 +109,11 @@ impl SimSpec {
         Topology::new(self.n_parties, self.n_aggregators)
     }
 
-    /// Runtime knobs for simulation: short deadlines (faults surface as
-    /// errors quickly) and a fast tick. Retries keep the default, past
-    /// the deadline horizon, so every round trigger is single-shot —
-    /// retries would make which send-attempt a fault strikes depend on
-    /// timing.
+    /// Session policy for simulation: the defaults — waiting out a
+    /// deadline on a virtual clock costs nothing, and a trigger is sent
+    /// once — plus the spec's failover and tracing.
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
-            setup_deadline: self.setup_deadline,
-            round_deadline: self.round_deadline,
-            tick: self.tick,
             telemetry: TelemetryConfig {
                 enabled: self.trace,
                 ..TelemetryConfig::default()
@@ -137,23 +121,6 @@ impl SimSpec {
             failover: self.failover,
             ..RuntimeConfig::default()
         }
-    }
-
-    /// Upper bound on one run's wall clock: every phase deadline plus
-    /// generous join/teardown slack, plus — when a failover policy is
-    /// armed — the full recovery budget (each failover costs at most one
-    /// extra failed round wait plus one re-bootstrap barrier). Exceeding
-    /// it is a termination violation (the deployment hung past its own
-    /// supervision budget).
-    pub fn termination_bound(&self) -> Duration {
-        let base = self.setup_deadline
-            + self.round_deadline * self.rounds as u32
-            + Duration::from_secs(10);
-        if self.failover == FailoverPolicy::None {
-            return base;
-        }
-        let max_failovers = (self.n_aggregators * 2) as u32;
-        base + (self.round_deadline + self.setup_deadline) * max_failovers
     }
 }
 
@@ -199,15 +166,17 @@ pub struct SeedReport {
     /// Invariant violations. **Empty on every healthy run** — any entry
     /// is a bug in the deployment (or a deliberately planted one).
     pub violations: Vec<String>,
-    /// Wall-clock duration of the threaded run.
+    /// Where the run's virtual clock stopped: the time it spent waiting
+    /// on timers (stepping nodes takes none), so a run that waited out a
+    /// deadline reads at least that deadline.
     pub elapsed: Duration,
     /// The flight-recorder dump (JSONL path) when the spec asked for a
     /// trace ([`SimSpec::trace`]); `None` otherwise.
     pub trace_path: Option<String>,
 }
 
-/// The harness: one sequential reference run, then any number of faulted
-/// threaded runs checked against it.
+/// The harness: one fault-free reference run, then any number of faulted
+/// runs checked against it.
 pub struct SimFleet {
     spec: SimSpec,
     topo: Topology,
@@ -220,7 +189,7 @@ pub struct SimFleet {
 }
 
 impl SimFleet {
-    /// Builds the fleet: generates data and runs the sequential
+    /// Builds the fleet: generates data and runs a fault-free
     /// [`DetaSession`] once to fix the parity reference.
     ///
     /// # Panics
@@ -271,8 +240,7 @@ impl SimFleet {
         report
     }
 
-    /// Runs one threaded deployment under `plan` and checks every
-    /// invariant.
+    /// Runs one deployment under `plan` and checks every invariant.
     pub fn run_plan(&self, plan: &FaultPlan) -> SeedReport {
         let policy = Arc::new(SimPolicy::new(plan));
         let incident = plan.incident_nodes();
@@ -310,7 +278,7 @@ impl SimFleet {
     /// (or none), the set of nodes the caller considers fault-incident,
     /// and an extra instrumentation hook (e.g. planting a misrouting).
     ///
-    /// Checks termination-bound, parity, and privacy; the caller judges
+    /// Checks quiescence, parity, and privacy; the caller judges
     /// `dark`/`fired` semantics (see [`SimFleet::run_plan`]).
     pub fn run_custom(
         &self,
@@ -319,95 +287,81 @@ impl SimFleet {
         instrument: impl FnOnce(&mut SessionParts),
     ) -> SeedReport {
         let tap = Arc::new(TapLog::new());
-        let tap_for_setup = tap.clone();
         let (dim, classes, hidden) = (self.dim, self.classes, self.spec.hidden);
         let mut violations = Vec::new();
         let mut trace_path = None;
+        let mut elapsed = Duration::ZERO;
         let dump_before = deta_telemetry::last_dump_path();
-        let start = Instant::now();
-        let setup = ThreadedSession::setup_with(
-            self.spec.config(),
-            &move |rng| mlp(&[dim, hidden, classes], rng),
-            self.shards.clone(),
-            self.spec.runtime(),
-            |parts| {
-                if let Some(p) = policy {
-                    parts.network.set_fault_policy(p);
-                }
-                parts.network.set_tap(tap_for_setup);
-                for party in &mut parts.parties {
-                    party.record_updates = true;
-                }
-                instrument(parts);
-            },
-        );
+        let model = move |rng: &mut _| mlp(&[dim, hidden, classes], rng);
+        let parts = SessionParts::build(self.spec.config(), &model, self.shards.clone());
+        let setup = parts.map_err(RuntimeError::from).and_then(|mut parts| {
+            if let Some(p) = policy {
+                parts.network.set_fault_policy(p);
+            }
+            parts.network.set_tap(tap.clone());
+            for party in &mut parts.parties {
+                party.record_updates = true;
+            }
+            instrument(&mut parts);
+            DetaSession::bootstrap(parts, self.spec.runtime())
+        });
+        let failed = |e: RuntimeError, violations: &mut Vec<String>| {
+            if let RuntimeError::Protocol(why) = e {
+                violations.push(format!("termination: {why}"));
+            }
+            let dark = intersect(&e.implicated(), incident);
+            (Verdict::Failed { dark }, Some(e.to_string()))
+        };
         let (verdict, error) = match setup {
             Err(e) => {
-                // Setup-phase failures drop the session before its dump
-                // path is readable, but the supervisor already wrote the
-                // fault dump; recover its location from the telemetry
-                // crate (only a dump newer than this run counts).
+                // A failed bootstrap drops the session before its dump
+                // path is readable, but the dump is written; recover its
+                // location from the telemetry crate (only a dump newer
+                // than this run counts).
                 if self.spec.trace {
                     trace_path = deta_telemetry::last_dump_path()
                         .filter(|p| dump_before.as_ref() != Some(p))
                         .map(|p| p.display().to_string());
                 }
-                let dark = intersect(&implicated(&e), incident);
-                (Verdict::Failed { dark }, Some(format!("{e}")))
-            }
-            Ok(mut thr) => {
-                let outcome = thr.run(&self.test);
-                if !thr.is_shut_down() {
-                    let _ = thr.shutdown();
+                // A bootstrap's clock moves only to its deadline.
+                if let RuntimeError::Timeout { waited, .. } = &e {
+                    elapsed = *waited;
                 }
-                let vd = match outcome {
+                failed(e, &mut violations)
+            }
+            Ok(mut session) => {
+                let rounds = (0..self.spec.rounds).map(|_| session.try_step(&self.test));
+                let vd = match rounds.collect::<Result<Vec<_>, _>>() {
                     Ok(_) => {
-                        let mut parity = true;
+                        let clean = violations.len();
                         for (i, reference) in self.reference.iter().enumerate() {
-                            let got = thr.party_params(i);
-                            if got.as_deref().map(bits) != Some(bits(reference)) {
-                                parity = false;
+                            if bits(&session.party_params(i)) != bits(reference) {
                                 violations.push(format!(
                                     "parity: party-{i} final parameters differ from the \
-                                     sequential reference"
+                                     fault-free reference"
                                 ));
                             }
                         }
-                        if !parity {
-                            (Verdict::Failed { dark: Vec::new() }, None)
-                        } else if thr.view().failovers > 0 {
-                            (Verdict::Recovered, None)
-                        } else {
-                            (Verdict::Parity, None)
-                        }
+                        let verdict = match (violations.len() > clean, session.view().failovers) {
+                            (true, _) => Verdict::Failed { dark: Vec::new() },
+                            (false, 0) => Verdict::Parity,
+                            (false, _) => Verdict::Recovered,
+                        };
+                        (verdict, None)
                     }
-                    Err(e) => {
-                        let dark = intersect(&implicated(&e), incident);
-                        (Verdict::Failed { dark }, Some(format!("{e}")))
-                    }
+                    Err(e) => failed(e, &mut violations),
                 };
                 // Privacy audits each aggregator's materialized state
-                // against recomputed entitlements; it needs the joined
-                // node states, which shutdown (on any path) recovered.
-                self.privacy_check(&thr, &tap, &mut violations);
+                // against recomputed entitlements, retired incarnations
+                // and stopped nodes included.
+                self.privacy_check(&session, &tap, &mut violations);
                 if self.spec.trace {
-                    // A fault verdict already wrote a dump; healthy runs
-                    // are force-dumped so the trace always exists.
-                    trace_path = thr
-                        .trace_dump_path()
-                        .map(|p| p.display().to_string())
-                        .or_else(|| thr.dump_trace().map(|p| p.display().to_string()));
+                    trace_path = session.trace().map(|p| p.display().to_string());
                 }
+                elapsed = session.now();
                 vd
             }
         };
-        let elapsed = start.elapsed();
-        if elapsed > self.spec.termination_bound() {
-            violations.push(format!(
-                "termination: run took {elapsed:?}, past the supervision budget {:?}",
-                self.spec.termination_bound()
-            ));
-        }
         SeedReport {
             seed: None,
             verdict,
@@ -430,29 +384,27 @@ impl SimFleet {
     /// known endpoint.
     ///
     /// The audit spans failovers: aggregator incarnations retired by a
-    /// failover are audited too (their threads were joined the moment
-    /// the failover killed them), and a round healed by re-partition is
+    /// failover are audited too (their final state is kept), and a round
+    /// healed by re-partition is
     /// checked against *both* of its epochs — its failed attempt
     /// legitimately left old-epoch fragments behind. What must never
     /// appear is a fragment matching no epoch the holder belonged to:
     /// that would mean some aggregator saw a slice of the model it was
     /// never entitled to under any partition of the session.
-    fn privacy_check(&self, thr: &ThreadedSession, tap: &TapLog, violations: &mut Vec<String>) {
-        let thr = thr.view();
-        let perm_key = thr.broker.permutation_key();
-        let party_names = thr.party_names;
-        let agg_names = thr.agg_names;
-        let epochs = thr.epochs;
+    fn privacy_check(&self, session: &DetaSession, tap: &TapLog, violations: &mut Vec<String>) {
+        let view = session.view();
+        let perm_key = view.broker.permutation_key();
+        let party_names = view.party_names;
+        let epochs = view.epochs;
         // Every incarnation that ever held uploads: the final aggregator
         // set plus everything a failover retired.
-        let incarnations: Vec<&str> = agg_names
-            .iter()
-            .chain(thr.retired_aggs)
+        let incarnations: Vec<&str> = (view.agg_names.iter())
+            .chain(view.retired_aggs)
             .map(String::as_str)
             .collect();
         for agg_name in &incarnations {
-            let Some(Node::Aggregator(agg)) = thr.node(agg_name) else {
-                continue; // panicked thread: state unrecoverable
+            let Some(Node::Aggregator(agg)) = view.node(agg_name) else {
+                continue;
             };
             let mut materialized: Vec<(String, u64, Vec<f32>)> =
                 parse_breached_memory(&agg.cvm().breach().memory);
@@ -466,8 +418,8 @@ impl SimFleet {
                     ));
                     continue;
                 }
-                let Some(Node::Party(node)) = thr.node(party) else {
-                    continue; // panicked thread: no log to audit against
+                let Some(Node::Party(node)) = view.node(party) else {
+                    continue;
                 };
                 let Some((_, update)) = node.update_log.iter().find(|(r, _)| r == round) else {
                     violations.push(format!(
@@ -484,7 +436,7 @@ impl SimFleet {
                     ));
                     continue;
                 }
-                let tid = thr.broker.training_id(*round);
+                let tid = view.broker.training_id(*round);
                 let entitled_somewhere = views.iter().any(|(j, transformer)| {
                     let entitled = entitled_fragment(transformer, update, *j, &tid, &perm_key);
                     bits(&entitled) == bits(frag)
@@ -586,22 +538,11 @@ fn sealed_upload_frame_len(round: u64, fragment: &[f32]) -> Option<usize> {
     .encode()
     .ok()?;
     let record = Msg::Record {
-        sealed: vec![0u8; inner.len() + AEAD_TAG_LEN],
+        sealed: vec![0u8; inner.len() + TAG_LEN],
     }
     .encode()
     .ok()?;
     Some(record.len())
-}
-
-/// The nodes a structured error points at.
-fn implicated(e: &RuntimeError) -> Vec<String> {
-    match e {
-        RuntimeError::NodeFailed { node, .. } | RuntimeError::NodePanicked { node } => {
-            vec![node.clone()]
-        }
-        RuntimeError::Timeout { missing, .. } => missing.clone(),
-        _ => Vec::new(),
-    }
 }
 
 fn intersect(named: &[String], incident: &BTreeSet<String>) -> Vec<String> {

@@ -1,8 +1,8 @@
 //! Fleet invariants under injected faults (debug-profile smoke; the
 //! 200-seed release sweep lives in `scripts/check.sh` via `sim_sweep`).
 
+use deta_core::rtmsg::SUPERVISOR;
 use deta_core::wire::Msg;
-use deta_runtime::SUPERVISOR;
 use deta_simnet::{FaultPlan, SimFleet, SimSpec, Verdict};
 use deta_transport::{FaultPolicy, SendVerdict};
 use std::collections::BTreeSet;
@@ -80,6 +80,21 @@ fn verdict_class_is_deterministic_across_reruns() {
         assert!(a.violations.is_empty(), "seed {seed}: {:?}", a.violations);
         assert!(b.violations.is_empty(), "seed {seed}: {:?}", b.violations);
     }
+}
+
+/// Seed 0 holds agg-2's sealed `RegisterAck` to party-2 back. Released
+/// by later traffic on its own link, it never arrived — that traffic
+/// waited on the bootstrap, which waited on it — and the seed failed;
+/// released by the clock once the session is quiet, it arrives late and
+/// the run is exact.
+#[test]
+fn seed_0_s_held_register_ack_arrives_and_the_run_ends_in_parity() {
+    let fleet = SimFleet::new(SimSpec::default());
+    let report = fleet.run_seed(0);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(report.verdict, Verdict::Parity, "{:?}", report.error);
+    let fired: Vec<&str> = report.fired_kinds.into_iter().collect();
+    assert_eq!(fired, ["delay"]);
 }
 
 /// A deliberately planted leak: party 0 swaps which aggregator gets

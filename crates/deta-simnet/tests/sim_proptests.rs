@@ -5,7 +5,6 @@ use deta_core::mapper::ModelMapper;
 use deta_core::transform::{TransformConfig, Transformer};
 use deta_proptest::{cases, shrink_set, Gen};
 use deta_simnet::{Fault, FaultKind, FaultPlan, SimFleet, SimSpec, Verdict};
-use std::time::Duration;
 
 /// Partition + shuffle must round-trip **bit-exactly** no matter how the
 /// network reorders or duplicates fragment deliveries: a receiver that
@@ -59,8 +58,6 @@ fn partition_shuffle_round_trips_under_reordering_and_duplication() {
 fn shrinker_minimizes_a_failing_fault_plan_to_the_fatal_fault() {
     let spec = SimSpec {
         rounds: 1,
-        setup_deadline: Duration::from_secs(1),
-        round_deadline: Duration::from_secs(1),
         ..SimSpec::default()
     };
     let fleet = SimFleet::new(spec);

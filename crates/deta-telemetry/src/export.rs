@@ -7,11 +7,11 @@
 //! `results/traces/README.md` for the schema.
 
 use crate::metrics;
-use crate::record::TelemetryRecord;
+use crate::record::{FlightRecorder, TelemetryRecord};
 use crate::value::json_escape;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static LAST_DUMP: Mutex<Option<PathBuf>> = Mutex::new(None);
 
@@ -85,6 +85,81 @@ pub fn trace_dump(
         *last = Some(jsonl.clone());
     }
     Ok(TraceDump { jsonl, prom })
+}
+
+/// One session's flight recorders — its supervisor's own ring first, then
+/// one per node — and the dump its first fault verdict wrote.
+pub struct Recorders {
+    dir: PathBuf,
+    capacity: usize,
+    rings: Vec<Arc<FlightRecorder>>,
+    first_dump: Option<PathBuf>,
+}
+
+impl Recorders {
+    /// Rings of `capacity` records dumped under `dir`; `own` names the
+    /// supervisor's ring.
+    pub fn new(own: &str, capacity: usize, dir: PathBuf) -> Recorders {
+        Recorders {
+            dir,
+            capacity,
+            rings: vec![FlightRecorder::new(own, capacity)],
+            first_dump: None,
+        }
+    }
+
+    /// The supervisor's own ring.
+    pub fn own(&self) -> Arc<FlightRecorder> {
+        Arc::clone(&self.rings[0])
+    }
+
+    /// The ring of `node`, made on first use and drained into every
+    /// dump from then on.
+    pub fn ring(&mut self, node: &str) -> Arc<FlightRecorder> {
+        if let Some(ring) = self.rings[1..].iter().find(|r| r.node() == node) {
+            return Arc::clone(ring);
+        }
+        let ring = FlightRecorder::new(node, self.capacity);
+        self.rings.push(Arc::clone(&ring));
+        ring
+    }
+
+    /// Records a fault verdict of `kind` on the own ring; the first one
+    /// also drains every ring into a dump whose `meta` line blames
+    /// `implicated`, so the dump holds the timeline up to the fault. A
+    /// no-op while the sink is disabled.
+    pub fn fault(&mut self, kind: &'static str, implicated: &[String]) {
+        if !crate::enabled() {
+            return;
+        }
+        self.rings[0].event("fault_verdict", &[("kind", kind.into())]);
+        if self.first_dump.is_none() {
+            self.dump("fault", implicated);
+        }
+    }
+
+    /// Drains every ring into a dump now; returns its JSONL path, `None`
+    /// while the sink is disabled or when the write fails.
+    pub fn dump(&mut self, prefix: &str, implicated: &[String]) -> Option<PathBuf> {
+        if !crate::enabled() {
+            return None;
+        }
+        let nodes: Vec<(String, Vec<TelemetryRecord>, u64)> = (self.rings.iter())
+            .map(|r| {
+                let (records, dropped) = r.drain();
+                (r.node().to_string(), records, dropped)
+            })
+            .collect();
+        let stem = unique_stem(prefix);
+        let jsonl = trace_dump(&self.dir, &stem, &nodes, implicated).ok()?.jsonl;
+        self.first_dump.get_or_insert_with(|| jsonl.clone());
+        Some(jsonl)
+    }
+
+    /// The first dump written, by a fault verdict or on demand.
+    pub fn first_dump(&self) -> Option<&Path> {
+        self.first_dump.as_deref()
+    }
 }
 
 /// The trailing dump line: implicated nodes and per-node overflow.

@@ -19,9 +19,9 @@
 //! * **Per-node attribution without plumbing.** Each node thread
 //!   attaches its [`FlightRecorder`] thread-locally ([`attach`]);
 //!   instrumentation deep inside `deta-core`/`deta-transport` lands in
-//!   the right ring with no extra parameters. The supervisor drains
-//!   every ring into a JSONL dump ([`trace_dump`]) whenever it
-//!   constructs a fault verdict.
+//!   the right ring with no extra parameters. A session keeps its
+//!   rings in [`Recorders`] and drains them into a JSONL dump
+//!   ([`trace_dump`]) when the session fails.
 //!
 //! Timestamps are monotonic nanoseconds since a process-wide epoch
 //! ([`now_ns`]) — wall-clock-free, so traces from deterministic runs
@@ -36,7 +36,7 @@ pub mod record;
 pub mod trace;
 pub mod value;
 
-pub use export::{last_dump_path, trace_dump, unique_stem, TraceDump};
+pub use export::{last_dump_path, trace_dump, unique_stem, Recorders, TraceDump};
 pub use record::{FlightRecorder, RecordKind, TelemetryRecord};
 pub use trace::TraceCtx;
 pub use value::TelemetryValue;

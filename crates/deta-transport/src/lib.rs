@@ -29,8 +29,9 @@
 //! (used by `deta-simnet` for deterministic fault injection):
 //!
 //! * a [`FaultPolicy`] rules on every send attempt with a
-//!   [`SendVerdict`] — deliver, drop, duplicate, corrupt, delay, or
-//!   crash the sender,
+//!   [`SendVerdict`] — deliver, drop, duplicate, corrupt, hold until the
+//!   clock's owner releases it ([`Network::release_held`]), or crash the
+//!   sender,
 //! * a [`NetTap`] observes every delivery and every loss, giving test
 //!   harnesses a complete per-link message log to replay.
 //!
@@ -187,27 +188,11 @@ pub enum SendVerdict {
     Duplicate,
     /// Deliver this payload instead of the original (frame corruption).
     Replace(Vec<u8>),
-    /// Hold the message back until `after` further messages have been
-    /// delivered on the same (from, to) link, then deliver it (a
-    /// deterministic reorder). If the link never carries `after` more
-    /// messages the held message is lost. `after == 0` delivers
-    /// immediately.
-    Delay {
-        /// How many subsequent same-link deliveries to wait for.
-        after: u32,
-    },
-    /// Hold the message back until `after` further messages have been
-    /// delivered *anywhere* on the network, then deliver it. Unlike
-    /// [`SendVerdict::Delay`], release does not depend on the stalled
-    /// link carrying more traffic — any background flow (heartbeats,
-    /// other links) drains it, so the hold is transient whenever the
-    /// system is live at all. This is the link-restart model: the
-    /// transport buffers the frame and autonomously replays it once the
-    /// link heals, without the application having to resend.
-    Hold {
-        /// How many subsequent network-wide deliveries to wait for.
-        after: u32,
-    },
+    /// Hold the message back until whoever owns the clock releases it
+    /// ([`Network::release_held`]): a frame in flight for a while. What
+    /// is sent meanwhile overtakes it; nothing is lost unless its
+    /// destination closes first.
+    Hold,
     /// Close the *sender's* endpoint (peer crash): the message is lost
     /// and the send fails with [`NetError::Closed`] naming the sender.
     /// The crashed node keeps its ability to send (its outgoing half is
@@ -282,17 +267,6 @@ impl Mailbox {
     }
 }
 
-/// A message held back by [`SendVerdict::Delay`] or
-/// [`SendVerdict::Hold`], waiting for `after` more deliveries on its
-/// (from, to) link (`any == false`) or anywhere (`any == true`).
-struct Held {
-    from: Arc<str>,
-    to: String,
-    payload: Vec<u8>,
-    after: u32,
-    any: bool,
-}
-
 #[derive(Default)]
 struct NetState {
     queues: HashMap<Arc<str>, Mailbox>,
@@ -305,7 +279,9 @@ struct NetState {
     link_bytes: BTreeMap<(Arc<str>, Arc<str>), u64>,
     policy: Option<Arc<dyn FaultPolicy>>,
     tap: Option<Arc<dyn NetTap>>,
-    held: Vec<Held>,
+    /// Messages held back by [`SendVerdict::Hold`]: sender, destination,
+    /// payload.
+    held: Vec<(Arc<str>, String, Vec<u8>)>,
 }
 
 impl NetState {
@@ -478,79 +454,64 @@ impl Network {
         self.send(&from, to, payload)
     }
 
+    /// Releases every held message, in the order they were held, as
+    /// deliveries (a destination closed meanwhile loses it). Whoever owns
+    /// the session's clock calls this when the frames were in flight long
+    /// enough; returns whether anything was held.
+    pub fn release_held(&self) -> bool {
+        let mut st = lock(&self.state);
+        let held = std::mem::take(&mut st.held);
+        let released = !held.is_empty();
+        for (from, to, payload) in held {
+            self.deliver_locked(&mut st, &from, &to, payload);
+        }
+        drop(st);
+        if released {
+            self.arrivals.notify_all();
+        }
+        released
+    }
+
     /// Delivers `payload` into `to`'s mailbox — or to its forwarder —
-    /// (stats + tap), then releases
-    /// any held messages whose same-link delivery countdown reaches zero.
-    /// Releases are themselves deliveries, so chained holds drain in FIFO
-    /// order — a bounded worklist, not recursion.
+    /// with stats, tap and per-link bytes.
     fn deliver_locked(&self, st: &mut NetState, from: &Arc<str>, to: &str, payload: Vec<u8>) {
-        let tap = st.tap.clone();
-        let mut work: VecDeque<(Arc<str>, String, Vec<u8>)> = VecDeque::new();
-        work.push_back((Arc::clone(from), to.to_string(), payload));
-        while let Some((from, to, payload)) = work.pop_front() {
-            let len = payload.len();
-            let deliverable = st.queues.get(to.as_str()).is_some_and(|mb| !mb.closed);
-            if !deliverable {
-                // A held message can outlive its destination.
-                st.lose(&from, &to, &payload);
-                continue;
+        let len = payload.len();
+        let Some(mb) = st.queues.get_mut(to).filter(|mb| !mb.closed) else {
+            // A held message can outlive its destination.
+            st.lose(from, to, &payload);
+            return;
+        };
+        if let Some(t) = &st.tap {
+            t.on_deliver(from, to, &payload);
+        }
+        let mut depth = 0usize;
+        match &mb.forwarder {
+            Some(f) => f.forward(from, to, payload),
+            None => {
+                mb.queue.push_back(Message {
+                    from: Arc::clone(from),
+                    payload,
+                });
+                depth = mb.queue.len();
             }
-            if let Some(t) = &tap {
-                t.on_deliver(&from, &to, &payload);
-            }
-            let mut depth = 0usize;
-            if let Some(mb) = st.queues.get_mut(to.as_str()) {
-                match &mb.forwarder {
-                    Some(f) => f.forward(&from, &to, payload),
-                    None => {
-                        mb.queue.push_back(Message {
-                            from: Arc::clone(&from),
-                            payload,
-                        });
-                        depth = mb.queue.len();
-                    }
-                }
-            }
-            st.stats.messages += 1;
-            st.stats.bytes += len as u64;
-            st.stats.transfer_time_s += self.link.transfer_time(len);
-            // Per-link ground truth for byte accounting; keys reuse the
-            // interned endpoint names, so steady state allocates nothing.
-            if let Some((to_key, _)) = st.queues.get_key_value(to.as_str()) {
-                let link = (Arc::clone(&from), Arc::clone(to_key));
-                *st.link_bytes.entry(link).or_insert(0) += len as u64;
-            }
-            // Gated observability at the same choke point the tap sees
-            // (the metrics registry takes no other lock, so observing
-            // under the network lock cannot deadlock).
-            if deta_telemetry::enabled() {
-                let link = format!("{from}->{to}");
-                deta_telemetry::metrics::counter_add("deta_net_frames_total", &link, 1);
-                deta_telemetry::metrics::counter_add("deta_net_bytes_total", &link, len as u64);
-                deta_telemetry::metrics::histogram_observe(
-                    "deta_net_queue_depth",
-                    &to,
-                    depth as f64,
-                );
-            }
-            // One more delivery happened on (from, to): advance held
-            // messages on that link — plus network-scoped holds, which
-            // count every delivery — and release the ripe ones, in the
-            // order they were held.
-            let mut i = 0;
-            while i < st.held.len() {
-                let matches = st.held[i].any
-                    || (st.held[i].from.as_ref() == from.as_ref() && st.held[i].to == to.as_str());
-                if matches {
-                    st.held[i].after = st.held[i].after.saturating_sub(1);
-                    if st.held[i].after == 0 {
-                        let h = st.held.remove(i);
-                        work.push_back((h.from, h.to, h.payload));
-                        continue;
-                    }
-                }
-                i += 1;
-            }
+        }
+        st.stats.messages += 1;
+        st.stats.bytes += len as u64;
+        st.stats.transfer_time_s += self.link.transfer_time(len);
+        // Per-link ground truth for byte accounting; keys reuse the
+        // interned endpoint names, so steady state allocates nothing.
+        if let Some((to_key, _)) = st.queues.get_key_value(to) {
+            let link = (Arc::clone(from), Arc::clone(to_key));
+            *st.link_bytes.entry(link).or_insert(0) += len as u64;
+        }
+        // Gated observability at the same choke point the tap sees
+        // (the metrics registry takes no other lock, so observing
+        // under the network lock cannot deadlock).
+        if deta_telemetry::enabled() {
+            let link = format!("{from}->{to}");
+            deta_telemetry::metrics::counter_add("deta_net_frames_total", &link, 1);
+            deta_telemetry::metrics::counter_add("deta_net_bytes_total", &link, len as u64);
+            deta_telemetry::metrics::histogram_observe("deta_net_queue_depth", to, depth as f64);
         }
     }
 
@@ -568,9 +529,7 @@ impl Network {
             None => SendVerdict::Deliver,
         };
         let result = match verdict {
-            SendVerdict::Deliver
-            | SendVerdict::Delay { after: 0 }
-            | SendVerdict::Hold { after: 0 } => {
+            SendVerdict::Deliver => {
                 self.deliver_locked(&mut st, from, to, payload);
                 Ok(())
             }
@@ -588,14 +547,8 @@ impl Network {
                 self.deliver_locked(&mut st, from, to, alt);
                 Ok(())
             }
-            hold @ (SendVerdict::Delay { after } | SendVerdict::Hold { after }) => {
-                st.held.push(Held {
-                    from: Arc::clone(from),
-                    to: to.to_string(),
-                    payload,
-                    after,
-                    any: matches!(hold, SendVerdict::Hold { .. }),
-                });
+            SendVerdict::Hold => {
+                st.held.push((Arc::clone(from), to.to_string(), payload));
                 Ok(())
             }
             SendVerdict::CrashSender => {
@@ -619,39 +572,23 @@ impl Network {
         let deadline = std::time::Instant::now() + timeout;
         let mut st = lock(&self.state);
         loop {
-            if let Some(mb) = st.queues.get_mut(name) {
-                if let Some(msg) = mb.queue.pop_front() {
-                    return Ok(msg);
-                }
-                if mb.closed {
-                    // Queue drained and no sender can ever refill it.
-                    return Err(RecvError::Closed);
-                }
-            } else {
+            let Some(mb) = st.queues.get_mut(name) else {
+                return Err(RecvError::Closed);
+            };
+            if let Some(msg) = mb.queue.pop_front() {
+                return Ok(msg);
+            }
+            if mb.closed {
+                // Queue drained and no sender can ever refill it.
                 return Err(RecvError::Closed);
             }
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             if remaining.is_zero() {
                 return Err(RecvError::Timeout);
             }
-            let (guard, result) = self
-                .arrivals
-                .wait_timeout(st, remaining)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-            if result.timed_out() {
-                // Re-check once: closure or an arrival may have raced the
-                // timeout.
-                if let Some(mb) = st.queues.get_mut(name) {
-                    if let Some(msg) = mb.queue.pop_front() {
-                        return Ok(msg);
-                    }
-                    if mb.closed {
-                        return Err(RecvError::Closed);
-                    }
-                }
-                return Err(RecvError::Timeout);
-            }
+            st = (self.arrivals.wait_timeout(st, remaining))
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
         }
     }
 }
@@ -1114,83 +1051,86 @@ mod tests {
         assert_eq!(lock(&tap.delivered)[0].2, b"bad".to_vec());
     }
 
+    fn payloads(messages: Vec<Message>) -> Vec<Vec<u8>> {
+        messages.into_iter().map(|m| m.payload).collect()
+    }
+
     #[test]
     fn fault_delay_reorders_within_link() {
-        let (net, _tap) = fault_net(vec![SendVerdict::Delay { after: 2 }]);
+        let (net, _tap) = fault_net(vec![SendVerdict::Hold]);
         let a = net.register("a");
         let b = net.register("b");
-        a.send("b", &b"1"[..]).unwrap(); // held until 2 more deliveries
+        a.send("b", &b"1"[..]).unwrap(); // held until the clock releases it
         a.send("b", &b"2"[..]).unwrap();
-        a.send("b", &b"3"[..]).unwrap(); // releases "1" right after
+        a.send("b", &b"3"[..]).unwrap();
+        assert!(net.release_held());
         a.send("b", &b"4"[..]).unwrap();
-        let order: Vec<Vec<u8>> = b.drain().into_iter().map(|m| m.payload).collect();
         assert_eq!(
-            order,
+            payloads(b.drain()),
             vec![b"2".to_vec(), b"3".to_vec(), b"1".to_vec(), b"4".to_vec()]
         );
     }
 
     #[test]
-    fn fault_delay_unreleased_message_is_lost() {
-        let (net, tap) = fault_net(vec![SendVerdict::Delay { after: 3 }]);
+    fn fault_hold_on_a_quiet_link_is_delivered_on_release() {
+        let (net, tap) = fault_net(vec![SendVerdict::Hold]);
         let a = net.register("a");
         let b = net.register("b");
         a.send("b", &b"held"[..]).unwrap();
         a.send("b", &b"only"[..]).unwrap();
-        let got = b.drain();
-        assert_eq!(got.len(), 1);
-        assert_eq!(&got[0].payload[..], b"only");
-        // Never released, never tapped as delivered.
-        assert_eq!(lock(&tap.delivered).len(), 1);
+        // The link never sends again; the frame is late, not lost.
+        assert_eq!(payloads(b.drain()), vec![b"only".to_vec()]);
+        assert!(net.release_held());
+        assert_eq!(payloads(b.drain()), vec![b"held".to_vec()]);
+        assert_eq!(lock(&tap.delivered).len(), 2);
+        assert!(lock(&tap.dropped).is_empty());
+        assert!(!net.release_held(), "nothing is held twice");
     }
 
     #[test]
-    fn fault_delay_only_counts_same_link_deliveries() {
-        let (net, _tap) = fault_net(vec![SendVerdict::Delay { after: 1 }]);
+    fn fault_hold_ignores_same_link_deliveries() {
+        let (net, _tap) = fault_net(vec![SendVerdict::Hold]);
+        let a = net.register("a");
+        let b = net.register("b");
+        a.send("b", &b"held"[..]).unwrap();
+        // Later frames on the held frame's own link overtake it.
+        a.send("b", &b"same"[..]).unwrap();
+        a.send("b", &b"again"[..]).unwrap();
+        assert_eq!(
+            payloads(b.drain()),
+            vec![b"same".to_vec(), b"again".to_vec()]
+        );
+        assert!(net.release_held());
+        assert_eq!(payloads(b.drain()), vec![b"held".to_vec()]);
+    }
+
+    #[test]
+    fn fault_hold_ignores_unrelated_traffic() {
+        let (net, _tap) = fault_net(vec![SendVerdict::Hold]);
         let a = net.register("a");
         let c = net.register("c");
         let b = net.register("b");
         a.send("b", &b"held"[..]).unwrap();
-        // Traffic on another link must not release it.
+        // Deliveries on another link release nothing either.
         c.send("b", &b"other"[..]).unwrap();
-        assert_eq!(b.drain().len(), 1);
-        // Same-link traffic does.
-        a.send("b", &b"trigger"[..]).unwrap();
-        let order: Vec<Vec<u8>> = b.drain().into_iter().map(|m| m.payload).collect();
-        assert_eq!(order, vec![b"trigger".to_vec(), b"held".to_vec()]);
-    }
-
-    #[test]
-    fn fault_hold_releases_on_unrelated_traffic() {
-        let (net, _tap) = fault_net(vec![SendVerdict::Hold { after: 1 }]);
-        let a = net.register("a");
-        let c = net.register("c");
-        let b = net.register("b");
-        a.send("b", &b"held"[..]).unwrap();
-        assert_eq!(b.drain().len(), 0);
-        // Any delivery anywhere drains a network-scoped hold — the
-        // stalled link itself never has to carry another frame.
-        c.send("b", &b"other"[..]).unwrap();
-        let order: Vec<Vec<u8>> = b.drain().into_iter().map(|m| m.payload).collect();
-        assert_eq!(order, vec![b"other".to_vec(), b"held".to_vec()]);
+        assert_eq!(payloads(b.drain()), vec![b"other".to_vec()]);
+        assert!(net.release_held());
+        assert_eq!(payloads(b.drain()), vec![b"held".to_vec()]);
     }
 
     #[test]
     fn fault_hold_preserves_link_fifo_among_held() {
-        let (net, _tap) = fault_net(vec![
-            SendVerdict::Hold { after: 2 },
-            SendVerdict::Hold { after: 2 },
-        ]);
+        let (net, _tap) = fault_net(vec![SendVerdict::Hold, SendVerdict::Hold]);
         let a = net.register("a");
         let c = net.register("c");
         let b = net.register("b");
         a.send("b", &b"1"[..]).unwrap();
         a.send("b", &b"2"[..]).unwrap();
-        // The release is itself a delivery, so one trigger cascades the
-        // whole buffer out in the order it was held.
         c.send("b", &b"x"[..]).unwrap();
         c.send("b", &b"y"[..]).unwrap();
-        let order: Vec<Vec<u8>> = b.drain().into_iter().map(|m| m.payload).collect();
+        // One release lets the whole buffer out in the order it was held.
+        net.release_held();
+        let order = payloads(b.drain());
         assert_eq!(
             order,
             vec![b"x".to_vec(), b"y".to_vec(), b"1".to_vec(), b"2".to_vec()]
@@ -1348,9 +1288,9 @@ mod tests {
             SendVerdict::Duplicate,
             SendVerdict::Replace(b"bad".to_vec()),
             SendVerdict::Drop,
-            SendVerdict::Delay { after: 2 },
+            SendVerdict::Hold,
             SendVerdict::Deliver,
-            SendVerdict::Hold { after: 1 },
+            SendVerdict::Hold,
         ]);
         let relay = Arc::new(Relay::default());
         let a = net.register("a");
@@ -1362,20 +1302,20 @@ mod tests {
         a.send("b", &b"twice"[..]).unwrap();
         a.send("b", &b"good"[..]).unwrap();
         a.send("b", &b"lost"[..]).unwrap();
-        a.send("b", &b"late"[..]).unwrap(); // held for two more on a->b
+        a.send("b", &b"late"[..]).unwrap(); // held
         a.send("b", &b"1"[..]).unwrap();
-        a.send("b", &b"held"[..]).unwrap(); // held for one more anywhere
-                                            // Releases "held" — a->b's second delivery, which releases "late".
+        a.send("b", &b"held"[..]).unwrap(); // held
         c.send("other", &b"elsewhere"[..]).unwrap();
         a.send("b", &b"2"[..]).unwrap();
+        net.release_held();
         let want: Vec<Vec<u8>> = [
             &b"twice"[..],
             b"twice",
             b"bad",
             b"1",
-            b"held",
-            b"late",
             b"2",
+            b"late",
+            b"held",
         ]
         .iter()
         .map(|p| p.to_vec())
@@ -1388,7 +1328,7 @@ mod tests {
 
     #[test]
     fn close_tells_a_forwarder_once_and_later_frames_are_losses() {
-        let (net, tap) = fault_net(vec![SendVerdict::Hold { after: 1 }]);
+        let (net, tap) = fault_net(vec![SendVerdict::Hold]);
         let relay = Arc::new(Relay::default());
         let a = net.register("a");
         let c = net.register("c");
@@ -1402,7 +1342,8 @@ mod tests {
             Err(NetError::Closed("b".to_string()))
         );
         // Released after its destination closed: lost, not forwarded.
-        a.send("c", &b"release"[..]).unwrap();
+        a.send("c", &b"other"[..]).unwrap();
+        assert!(net.release_held());
         assert_eq!(c.drain().len(), 1);
         assert!(relay.payloads().is_empty());
         assert_eq!(lock(&tap.dropped)[0].2, b"held".to_vec());

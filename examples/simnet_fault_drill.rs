@@ -1,6 +1,9 @@
-//! Fault drill: runs the full threaded DeTA deployment under a handful
-//! of seeded network-fault plans and prints, for each, the fault plan,
-//! the machine-checked verdict, and which invariants were audited.
+//! Fault drill: runs the DeTA deployment — every node stepped inline on a
+//! virtual clock, the supervisor's deadlines, blame and failover included
+//! — under a handful of seeded network-fault plans and prints, for each,
+//! the fault plan, the machine-checked verdict, and the virtual time the
+//! run spent waiting on timers (a failed seed shows the deadline it
+//! waited out; stepping nodes takes none).
 //!
 //! ```text
 //! cargo run --release --example simnet_fault_drill [seed...]
@@ -31,7 +34,7 @@ fn main() {
         }
     };
 
-    println!("building fleet (one sequential reference run)...");
+    println!("building fleet (one fault-free reference run)...");
     let fleet = SimFleet::new(SimSpec::default());
     let mut bad = 0usize;
     for seed in seeds {
@@ -49,16 +52,16 @@ fn main() {
         let report = fleet.run_seed(seed);
         match &report.verdict {
             Verdict::Parity => println!(
-                "   verdict: PARITY with the sequential session ({:?}, fired {:?})",
+                "   verdict: PARITY with the fault-free session (virtual {:?}, fired {:?})",
                 report.elapsed, report.fired_kinds
             ),
             Verdict::Recovered => println!(
                 "   verdict: RECOVERED — failover healed the round, parity holds \
-                 ({:?}, fired {:?})",
+                 (virtual {:?}, fired {:?})",
                 report.elapsed, report.fired_kinds
             ),
             Verdict::Failed { dark } => println!(
-                "   verdict: FAILED, dark node(s) {dark:?} ({:?})\n   error:   {}",
+                "   verdict: FAILED, dark node(s) {dark:?} (virtual {:?})\n   error:   {}",
                 report.elapsed,
                 report.error.as_deref().unwrap_or("-")
             ),

@@ -76,8 +76,10 @@ if [ -n "$FROZEN_EDITS" ]; then
 fi
 
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
-# Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);
-# the corpus in results/SIM_SEEDS.json is verified, not rewritten — set
+# Every run is one thread stepping its nodes on a virtual clock, so a
+# deadline costs nothing to wait out: the sweep is CPU-bound (one worker
+# per core, a few seconds) and its verdicts cannot depend on load. The
+# corpus in results/SIM_SEEDS.json is verified, not rewritten — set
 # DETA_SIM_REWRITE=1 after an intentional behaviour change.
 cargo run --release -q -p deta-simnet --bin sim_sweep
 

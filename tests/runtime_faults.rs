@@ -60,27 +60,6 @@ fn sim_rt() -> RuntimeConfig {
     }
 }
 
-/// The node(s) a structured error points at, mirroring the supervisor's
-/// dump attribution: a timeout blames the stalled subset when there is
-/// one, otherwise everything still missing.
-fn error_nodes(err: &RuntimeError) -> Vec<String> {
-    match err {
-        RuntimeError::NodeFailed { node, .. } | RuntimeError::NodePanicked { node } => {
-            vec![node.clone()]
-        }
-        RuntimeError::Timeout {
-            missing, stalled, ..
-        } => {
-            if stalled.is_empty() {
-                missing.clone()
-            } else {
-                stalled.clone()
-            }
-        }
-        _ => Vec::new(),
-    }
-}
-
 /// The fault verdict's flight-recorder dump must exist, parse as JSONL,
 /// implicate (in its trailing `meta` line) the same node(s) the error
 /// names, and carry timeline records for each implicated node.
@@ -102,7 +81,7 @@ fn assert_dump_matches(session: &ThreadedSession, err: &RuntimeError) {
         meta.contains("\"kind\":\"meta\""),
         "dump must end with a meta line, got: {meta}"
     );
-    let named = error_nodes(err);
+    let named = err.implicated();
     assert!(!named.is_empty(), "fault errors must name nodes: {err}");
     for node in &named {
         assert!(
@@ -349,9 +328,9 @@ fn partitioned_initiator_link_is_named() {
 // --- each terminal aggregator failure above into a completed session.
 
 /// The final flight-recorder dump must carry the failover event
-/// timeline. (The *first* fault verdict's automatic dump drains the
-/// rings before the failover runs, so the recovery events land in a
-/// fresh dump forced here.)
+/// timeline. (A fault the failover healed is not the session's failure
+/// and writes no dump of its own; the recovery events land in the dump
+/// forced here.)
 fn assert_failover_events(session: &mut ThreadedSession) {
     let path = session
         .dump_trace()
@@ -527,7 +506,7 @@ fn partitioned_initiator_link_heals_under_restart() {
 
 #[test]
 fn shutdown_after_failover_is_prompt() {
-    // Regression: `Supervisor::shutdown` closes every control channel
+    // Regression: `ThreadedSession::shutdown` closes every control channel
     // *before* joining, so no node — original or respawned mid-failover
     // — can extend shutdown by a blocking `recv_timeout` deadline. After
     // a heal, the deployment contains replacement threads; an explicit
