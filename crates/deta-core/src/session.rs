@@ -213,8 +213,9 @@ pub struct SessionParts {
     /// Token verifying keys published by the attestation proxy, keyed by
     /// aggregator name; parties need these to run Phase II.
     pub tokens: HashMap<String, VerifyingKey>,
-    /// A model replica identical to every party's starting model (for
-    /// driver-side evaluation without reaching into a party thread).
+    /// The session's one draw of the starting model (for driver-side
+    /// evaluation without reaching into a party thread); every party's
+    /// model is a [`Clone`] of it.
     pub eval_model: Sequential,
     /// The shared transform (mapper + permutation key) every party
     /// uploads through. Exposed so external checkers (deta-simnet's
@@ -236,6 +237,9 @@ pub struct SessionParts {
 /// [`SessionParts::build`] constructs every node from one and
 /// [`NodeParts::build`] exactly one — through the same constructors, so
 /// a node built alone is bit-identical to its twin in the full build.
+/// The model builder runs at most once per blueprint: the full build
+/// copies its one draw to every party, a party built alone draws its own
+/// and an aggregator none.
 struct Blueprint<'a> {
     config: DetaConfig,
     model_builder: &'a dyn Fn(&mut DetRng) -> Sequential,
@@ -333,7 +337,9 @@ impl<'a> Blueprint<'a> {
         Ok(self.recovery.node(name, cvm, endpoint, role, rng)?)
     }
 
-    /// The starting model: every call returns the same replica.
+    /// Draws the starting model from the seed's `model-init` fork. Callers
+    /// draw once and [`Clone`] the result for further replicas: a draw of
+    /// 10⁶ parameters costs tens of milliseconds, a copy a fraction.
     fn model(&self) -> Sequential {
         (self.model_builder)(&mut self.root.fork(b"model-init"))
     }
@@ -393,8 +399,12 @@ impl<'a> Blueprint<'a> {
 impl SessionParts {
     /// Builds every node of a session deterministically from the seed.
     ///
-    /// `model_builder` must be deterministic in its RNG; every party's
-    /// model is built from the same fork so replicas start identical.
+    /// `model_builder` runs exactly once, on the seed's `model-init` fork;
+    /// that draw is [`SessionParts::eval_model`] and every party starts
+    /// from a [`Clone`] of it, so in-process replicas start identical
+    /// whatever the builder does. It must still be deterministic in its
+    /// RNG for a node built alone in another process
+    /// ([`NodeParts::build`]) to match its twin here.
     ///
     /// # Errors
     ///
@@ -416,7 +426,7 @@ impl SessionParts {
         let parties = party_data
             .into_iter()
             .enumerate()
-            .map(|(i, data)| plan.party(i, plan.model(), data, transformer.clone()))
+            .map(|(i, data)| plan.party(i, eval_model.clone(), data, transformer.clone()))
             .collect();
 
         let config = plan.config;
@@ -462,6 +472,11 @@ impl NodeParts {
     /// nothing else: the other shards are dropped, no other model is
     /// initialised, nothing of the construction outlives the call. The
     /// node is bit-identical to its twin in the full build.
+    ///
+    /// A party draws its model here, one builder call of its own: the
+    /// process it stands for shares no memory with the one that holds
+    /// the full build, which is why `model_builder` must be
+    /// deterministic in its RNG. An aggregator calls the builder never.
     ///
     /// # Errors
     ///
@@ -543,8 +558,8 @@ impl DetaSession {
     /// Bootstraps a session: Phase I attestation, mapper/key generation,
     /// Phase II authentication and registration.
     ///
-    /// `model_builder` must be deterministic in its RNG; every party's
-    /// model is built from the same fork so replicas start identical.
+    /// `model_builder` runs once ([`SessionParts::build`]); every party
+    /// starts from a copy of that one draw.
     ///
     /// # Errors
     ///

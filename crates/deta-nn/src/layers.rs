@@ -114,6 +114,17 @@ impl Layer for Linear {
     fn frozen(&self) -> bool {
         self.frozen
     }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Linear {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            gw: Tensor::zeros(self.gw.shape()),
+            gb: Tensor::zeros(self.gb.shape()),
+            cached_input: None,
+            frozen: self.frozen,
+        })
+    }
 }
 
 /// A 2-D convolution layer (square kernel, NCHW layout, im2col lowering).
@@ -284,6 +295,19 @@ impl Layer for Conv2d {
     fn frozen(&self) -> bool {
         self.frozen
     }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Conv2d {
+            geom: self.geom,
+            out_c: self.out_c,
+            w: self.w.clone(),
+            b: self.b.clone(),
+            gw: Tensor::zeros(self.gw.shape()),
+            gb: Tensor::zeros(self.gb.shape()),
+            cached_cols: Vec::new(),
+            frozen: self.frozen,
+        })
+    }
 }
 
 /// ReLU activation.
@@ -338,6 +362,10 @@ impl Layer for Relu {
     fn name(&self) -> &'static str {
         "Relu"
     }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Relu::new())
+    }
 }
 
 /// Tanh activation (used by the attack-facing LeNet variant, which must be
@@ -387,6 +415,10 @@ impl Layer for Tanh {
 
     fn name(&self) -> &'static str {
         "Tanh"
+    }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Tanh::new())
     }
 }
 
@@ -495,6 +527,10 @@ impl Layer for MaxPool2d {
     fn name(&self) -> &'static str {
         "MaxPool2d"
     }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(MaxPool2d::new(self.c, self.h, self.w))
+    }
 }
 
 /// 2x2 average pooling with stride 2 over NCHW features.
@@ -596,6 +632,10 @@ impl Layer for AvgPool2d {
     fn name(&self) -> &'static str {
         "AvgPool2d"
     }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(AvgPool2d::new(self.c, self.h, self.w))
+    }
 }
 
 /// A no-op layer marking the conv-to-dense boundary.
@@ -637,6 +677,10 @@ impl Layer for Flatten {
 
     fn name(&self) -> &'static str {
         "Flatten"
+    }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Flatten)
     }
 }
 

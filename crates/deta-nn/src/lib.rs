@@ -67,6 +67,14 @@ pub trait Layer: Send {
     fn frozen(&self) -> bool {
         false
     }
+
+    /// A replica of the layer's starting state: every parameter copied
+    /// (frozen ones included), gradient buffers freshly zeroed and
+    /// allocated as a constructor allocates them, no cached activations,
+    /// the same frozen flag. A replica of a freshly built layer is the
+    /// layer a second build from the same RNG state would return, without
+    /// drawing it again.
+    fn replica(&self) -> Box<dyn Layer>;
 }
 
 /// A feed-forward stack of layers.
@@ -245,6 +253,16 @@ impl Sequential {
 impl Default for Sequential {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Clone for Sequential {
+    /// A replica of every layer ([`Layer::replica`]): the same parameters,
+    /// zeroed gradients, no cached activations.
+    fn clone(&self) -> Sequential {
+        Sequential {
+            layers: self.layers.iter().map(|l| l.replica()).collect(),
+        }
     }
 }
 

@@ -91,6 +91,13 @@ impl Layer for Residual {
     fn frozen(&self) -> bool {
         self.frozen
     }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Residual {
+            inner: self.inner.clone(),
+            frozen: self.frozen,
+        })
+    }
 }
 
 #[cfg(test)]
