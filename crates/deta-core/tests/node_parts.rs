@@ -153,7 +153,7 @@ fn each_of_the_seven_nodes_built_alone_is_its_twin_in_the_full_build() {
         let log = tap(&alone.network);
         alone
             .network
-            .send_as(from, to, hello.clone())
+            .send_as(from, to, hello.clone(), Default::default())
             .expect("own mailbox");
         twin.pump();
         assert_eq!(drain(&log)[1], replies[&agg.name], "{}", agg.name);

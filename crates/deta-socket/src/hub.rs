@@ -62,7 +62,7 @@ use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
 use deta_runtime::{DetachedNodes, FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
 use deta_telemetry::{FlightRecorder, TelemetryValue};
-use deta_transport::{Forwarder, NetError, Network};
+use deta_transport::{Forwarder, Message, NetError, Network};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -210,9 +210,9 @@ struct Seat {
 struct Seats(Mutex<HashMap<String, Seat>>);
 
 impl Forwarder for Seats {
-    fn forward(&self, from: &str, to: &str, payload: Vec<u8>) {
+    fn forward(&self, to: &str, msg: Message) {
         if let Some(seat) = lock(&self.0).get_mut(to) {
-            seat.egress.send(from, to, payload);
+            seat.egress.send(to, msg);
         }
     }
 
@@ -685,17 +685,16 @@ fn ingest(
         detail,
     };
     loop {
-        let next = match pending.take() {
-            Some(frame) => Some(frame),
-            None => receiver.recv(None, Some(&shared.stop))?,
+        let Some((frame, trace)) = receiver.recv_message(pending.take(), &shared.stop)? else {
+            return Ok(LinkEnd::Lost);
         };
-        match next {
-            Some(SocketFrame::Data {
+        match frame {
+            SocketFrame::Data {
                 src,
                 dst,
                 seq,
                 payload,
-            }) => {
+            } => {
                 if src != name {
                     return Err(spoofed("data frame with spoofed source name"));
                 }
@@ -705,7 +704,7 @@ fn ingest(
                 }
                 count_link("deta_socket_frames_total", &src, &dst, 1);
                 count_link("deta_socket_bytes_total", &src, &dst, payload.len() as u64);
-                match shared.network.send_as(&src, &dst, payload) {
+                match shared.network.send_as(&src, &dst, payload, trace) {
                     Ok(()) => {}
                     Err(NetError::UnknownEndpoint(_)) | Err(NetError::Closed(_)) => {
                         count_link("deta_socket_drops_total", &src, &dst, 1);
@@ -742,7 +741,7 @@ fn ingest(
                     receiver.sever();
                 }
             }
-            Some(SocketFrame::Ack { src, dst, next }) => {
+            SocketFrame::Ack { src, dst, next } => {
                 // Only the seat a link ends at can say what arrived
                 // there: anyone else's word would make the hub drop
                 // frames their real receiver may still need replayed.
@@ -755,15 +754,15 @@ fn ingest(
                     .with_seat(name, |seat| seat.egress.acknowledge(&src, &dst, next))
                     .unwrap_or(Ok(()))?;
             }
-            Some(SocketFrame::Bye) => return Ok(LinkEnd::Bye),
+            SocketFrame::Bye => return Ok(LinkEnd::Bye),
             // The hub is authoritative for closures; a child telling us
             // about one is harmless.
-            Some(SocketFrame::Close { .. }) => {}
-            Some(SocketFrame::TraceShip {
+            SocketFrame::Close { .. } => {}
+            SocketFrame::TraceShip {
                 name: ship_name,
                 dropped,
                 jsonl,
-            }) => {
+            } => {
                 // A node may only ship its own ring (same rule as Data
                 // source names).
                 if ship_name != name {
@@ -776,12 +775,11 @@ fn ingest(
             }
             // Includes a mid-session Resume: the exchange happens exactly
             // once, right after auth.
-            Some(_) => {
+            _ => {
                 return Err(SocketError::Malformed {
                     link: receiver.label().to_string(),
                 })
             }
-            None => return Ok(LinkEnd::Lost),
         }
     }
 }

@@ -32,6 +32,7 @@ use crate::SocketError;
 use deta_crypto::poly1305::TAG_LEN;
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use deta_transport::secure::{self, HandshakeInitiator, SecureChannel};
+use deta_transport::{Message, TraceCtx};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -77,7 +78,9 @@ const RETRANSMIT_MAX_BYTES: usize = 8 * 1024 * 1024;
 /// queued for a link writer are the same allocation.
 #[derive(Default)]
 pub struct RetransmitBuffer {
-    frames: VecDeque<Arc<SocketFrame>>,
+    /// Each frame beside the trace context it was sent with, so that a
+    /// replay sends its ids ahead of it again.
+    frames: VecDeque<(Arc<SocketFrame>, TraceCtx)>,
     /// Total buffered payload bytes (the byte-cap accounting).
     bytes: usize,
     /// Per-(src, dst) seq of the oldest frame still retransmittable; an
@@ -97,28 +100,29 @@ impl RetransmitBuffer {
         }
     }
 
-    /// Makes `payload` the next `Data` frame of the (src, dst) link and
-    /// retains it; the caller forwards the returned frame if its link is
-    /// live.
-    pub fn stamp(&mut self, src: String, dst: String, payload: Vec<u8>) -> Arc<SocketFrame> {
+    /// Makes `msg` the next `Data` frame of its link to `to` and retains
+    /// it with its trace context; the caller forwards the returned frame
+    /// if its link is live.
+    pub fn stamp(&mut self, to: &str, msg: Message) -> Arc<SocketFrame> {
+        let (src, dst) = (msg.from.to_string(), to.to_string());
         let seq = self.seqs.next(&src, &dst);
         let frame = Arc::new(SocketFrame::Data {
             src,
             dst,
             seq,
-            payload,
+            payload: msg.payload,
         });
-        self.push(Arc::clone(&frame));
+        self.push((Arc::clone(&frame), msg.trace));
         frame
     }
 
     /// Retains a stamped frame, evicting from the front and advancing
     /// the per-link floor while over either cap.
-    fn push(&mut self, frame: Arc<SocketFrame>) {
-        self.bytes += Self::payload_len(&frame);
-        self.frames.push_back(frame);
+    fn push(&mut self, retained: (Arc<SocketFrame>, TraceCtx)) {
+        self.bytes += Self::payload_len(&retained.0);
+        self.frames.push_back(retained);
         while self.frames.len() > RETRANSMIT_MAX_FRAMES || self.bytes > RETRANSMIT_MAX_BYTES {
-            let Some(old) = self.frames.pop_front() else {
+            let Some((old, _)) = self.frames.pop_front() else {
                 break;
             };
             self.bytes = self.bytes.saturating_sub(Self::payload_len(&old));
@@ -148,7 +152,7 @@ impl RetransmitBuffer {
             });
         }
         let mut freed = 0;
-        self.frames.retain(|f| match &**f {
+        self.frames.retain(|(f, _)| match &**f {
             SocketFrame::Data {
                 src: s,
                 dst: d,
@@ -186,7 +190,7 @@ impl RetransmitBuffer {
                 });
             }
         }
-        self.frames.retain(|f| match &**f {
+        self.frames.retain(|(f, _)| match &**f {
             SocketFrame::Data { src, dst, seq, .. } => {
                 let claimed = claims
                     .get(&(src.clone(), dst.clone()))
@@ -196,13 +200,13 @@ impl RetransmitBuffer {
             }
             _ => true,
         });
-        self.bytes = self.frames.iter().map(|f| Self::payload_len(f)).sum();
+        self.bytes = self.frames.iter().map(|(f, _)| Self::payload_len(f)).sum();
         Ok(())
     }
 
     /// The retained frames, oldest first.
     pub fn frames(&self) -> impl Iterator<Item = &Arc<SocketFrame>> {
-        self.frames.iter()
+        self.frames.iter().map(|(f, _)| f)
     }
 
     /// Number of retained frames.
@@ -254,12 +258,15 @@ impl Egress {
         }
     }
 
-    /// A message on its way out: stamped as the next `Data` frame of
-    /// (src, dst), retained, and queued for the writer if the link is
-    /// live — one allocation, shared.
-    pub fn send(&mut self, src: &str, dst: &str, payload: Vec<u8>) {
-        let frame = self.buffer.stamp(src.to_string(), dst.to_string(), payload);
-        self.control(frame);
+    /// A message for `to` on its way out: stamped as the next `Data` frame
+    /// of its link, retained, and queued for the writer if the link is
+    /// live — one allocation, shared — behind its ids, if it is traced.
+    pub fn send(&mut self, to: &str, msg: Message) {
+        let trace = msg.trace;
+        let frame = self.buffer.stamp(to, msg);
+        if let Some(tx) = &self.tx {
+            queue(tx, &frame, trace);
+        }
         self.buffer.observe_depth(&self.node);
     }
 
@@ -304,8 +311,8 @@ impl Egress {
     ) -> Result<Receiver<Arc<SocketFrame>>, SocketError> {
         self.buffer.prune(claims)?;
         let (tx, rx) = channel();
-        for frame in self.buffer.frames() {
-            let _ = tx.send(Arc::clone(frame));
+        for (frame, trace) in &self.buffer.frames {
+            queue(&tx, frame, *trace);
         }
         self.tx = Some(tx);
         Ok(rx)
@@ -316,6 +323,17 @@ impl Egress {
     pub fn park(&mut self) {
         self.tx = None;
     }
+}
+
+/// Queues a stamped `Data` frame for a writer — directly behind a
+/// [`SocketFrame::Trace`] with its ids when it was sent traced, on first
+/// sending and on every replay alike.
+fn queue(tx: &Sender<Arc<SocketFrame>>, frame: &Arc<SocketFrame>, trace: TraceCtx) {
+    if trace != TraceCtx::default() {
+        let (trace_id, msg_id) = (trace.trace_id, trace.parent);
+        let _ = tx.send(Arc::new(SocketFrame::Trace { trace_id, msg_id }));
+    }
+    let _ = tx.send(Arc::clone(frame));
 }
 
 /// A connection's writer: puts its queue on the socket until the queue
@@ -587,6 +605,35 @@ impl LinkReceiver {
         }
     }
 
+    /// The next frame (`pending`, if given), with the trace context a
+    /// `Trace` frame directly ahead of it carried — the default if none.
+    ///
+    /// # Errors
+    ///
+    /// As [`LinkReceiver::recv`], and [`SocketError::Malformed`] when a
+    /// `Trace` is followed by anything but a `Data` frame.
+    pub fn recv_message(
+        &mut self,
+        pending: Option<SocketFrame>,
+        stop: &AtomicBool,
+    ) -> Result<Option<(SocketFrame, TraceCtx)>, SocketError> {
+        let frame = pending.map_or_else(|| self.recv(None, Some(stop)), |f| Ok(Some(f)))?;
+        let Some(SocketFrame::Trace { trace_id, msg_id }) = frame else {
+            return Ok(frame.map(|frame| (frame, TraceCtx::default())));
+        };
+        let trace = TraceCtx {
+            trace_id,
+            parent: msg_id,
+        };
+        match self.recv(None, Some(stop))? {
+            Some(data @ SocketFrame::Data { .. }) => Ok(Some((data, trace))),
+            Some(_) => Err(SocketError::Malformed {
+                link: self.label().to_string(),
+            }),
+            None => Ok(None),
+        }
+    }
+
     /// The link label errors are reported under.
     pub fn label(&self) -> &str {
         &self.io.label
@@ -608,13 +655,23 @@ mod tests {
     use std::cell::Cell;
     use std::net::TcpListener;
 
-    fn data(dst: &str, seq: u64, len: usize) -> Arc<SocketFrame> {
-        Arc::new(SocketFrame::Data {
+    fn data(dst: &str, seq: u64, len: usize) -> (Arc<SocketFrame>, TraceCtx) {
+        let frame = SocketFrame::Data {
             src: "hub".to_string(),
             dst: dst.to_string(),
             seq,
             payload: vec![0; len],
-        })
+        };
+        (Arc::new(frame), TraceCtx::default())
+    }
+
+    fn untraced(from: &str, payload: Vec<u8>) -> Message {
+        let (from, trace) = (Arc::from(from), TraceCtx::default());
+        Message {
+            from,
+            payload,
+            trace,
+        }
     }
 
     fn seqs(buffer: &RetransmitBuffer) -> Vec<u64> {
@@ -682,8 +739,40 @@ mod tests {
     /// Stamps `n` frames of `len` bytes each on the hub -> `dst` link.
     fn stamp_n(buffer: &mut RetransmitBuffer, dst: &str, n: usize, len: usize) {
         for _ in 0..n {
-            buffer.stamp("hub".to_string(), dst.to_string(), vec![0; len]);
+            buffer.stamp(dst, untraced("hub", vec![0; len]));
         }
+    }
+
+    #[test]
+    fn a_traced_frame_goes_out_behind_its_ids_first_time_and_on_replay() {
+        let mut egress = Egress::new("hub");
+        let message = |payload: &[u8], trace_id, parent| Message {
+            from: Arc::from("party-0"),
+            payload: payload.to_vec(),
+            trace: TraceCtx { trace_id, parent },
+        };
+        let queued = |rx: &Receiver<Arc<SocketFrame>>| -> Vec<SocketFrame> {
+            rx.try_iter().map(|f| (*f).clone()).collect()
+        };
+        let ids = SocketFrame::Trace {
+            trace_id: 2,
+            msg_id: 9,
+        };
+        let frame = |seq, payload: &[u8]| SocketFrame::Data {
+            src: "party-0".into(),
+            dst: "agg-0".into(),
+            seq,
+            payload: payload.to_vec(),
+        };
+        let first = egress.resume(Vec::new()).expect("nothing evicted");
+        egress.send("agg-0", message(b"traced", 2, 9));
+        egress.send("agg-0", message(b"plain", 0, 0));
+        let sent = [ids, frame(0, b"traced"), frame(1, b"plain")];
+        assert_eq!(queued(&first), sent);
+        // The connection dies unacknowledged: a resume replays the same.
+        egress.park();
+        let replayed = egress.resume(Vec::new()).expect("nothing evicted");
+        assert_eq!(queued(&replayed), sent);
     }
 
     #[test]
@@ -905,7 +994,7 @@ mod tests {
                 for _ in 0..FRAMES {
                     let (src, dst, seq, payload) = data(hub_a_rx.recv(None, None).expect("recv"));
                     window.accept(&src, &dst, seq).expect("in order");
-                    let relayed = held(&at_hub).stamp(src.clone(), dst.clone(), payload);
+                    let relayed = held(&at_hub).stamp(&dst, untraced(&src, payload));
                     let next = seq + 1;
                     hub_a_tx
                         .send(&SocketFrame::Ack { src, dst, next })
@@ -944,8 +1033,7 @@ mod tests {
             }
             // Child A's writer, on this thread: what it allocates counts.
             for i in 0..FRAMES {
-                let frame =
-                    held(&at_a).stamp("party-0".into(), "agg-0".into(), vec![i as u8; PAYLOAD]);
+                let frame = held(&at_a).stamp("agg-0", untraced("party-0", vec![i as u8; PAYLOAD]));
                 let ((), cost) = allocated_by(|| a_tx.send(&frame).expect("send"));
                 // The first frame sized the wire buffer.
                 assert!(i == 0 || cost == 0, "sending frame {i} allocated {cost}");

@@ -54,7 +54,7 @@ use deta_nn::Sequential;
 use deta_runtime::actor::{self, ActorContext};
 use deta_runtime::{Node, SUPERVISOR};
 use deta_telemetry::FlightRecorder;
-use deta_transport::{Forwarder, Network};
+use deta_transport::{Forwarder, Message, Network};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -93,8 +93,8 @@ struct ChildLink {
 }
 
 impl Forwarder for ChildLink {
-    fn forward(&self, from: &str, to: &str, payload: Vec<u8>) {
-        lock(&self.egress).send(from, to, payload);
+    fn forward(&self, to: &str, msg: Message) {
+        lock(&self.egress).send(to, msg);
     }
 }
 
@@ -429,24 +429,27 @@ fn ingest(
     stop: &AtomicBool,
 ) -> Result<LinkEnd, SocketError> {
     loop {
-        match receiver.recv(None, Some(stop)) {
-            Ok(Some(SocketFrame::Data {
-                src,
-                dst,
-                seq,
-                payload,
-            })) => {
+        match receiver.recv_message(None, stop) {
+            Ok(Some((
+                SocketFrame::Data {
+                    src,
+                    dst,
+                    seq,
+                    payload,
+                },
+                trace,
+            ))) => {
                 reconnector.window.accept_named(&src, &dst, seq)?;
                 // Delivery failures mirror in-process semantics: a
                 // closed local mailbox means the actor is done.
-                let _ = network.send_as(&src, &dst, payload);
+                let _ = network.send_as(&src, &dst, payload, trace);
                 // Through the writer — this thread never waits on a
                 // socket write. On a parked link the acknowledgement is
                 // dropped: the resume's claims say the same with authority.
                 let next = seq + 1;
                 lock(&link.egress).control(SocketFrame::Ack { src, dst, next });
             }
-            Ok(Some(SocketFrame::Ack { src, dst, next })) => {
+            Ok(Some((SocketFrame::Ack { src, dst, next }, _))) => {
                 // The hub answers for what it took from this node and
                 // for nothing else.
                 if src != reconnector.name {
@@ -457,9 +460,9 @@ fn ingest(
                 }
                 lock(&link.egress).acknowledge(&src, &dst, next)?;
             }
-            Ok(Some(SocketFrame::Close { name })) => network.close(&name),
+            Ok(Some((SocketFrame::Close { name }, _))) => network.close(&name),
             // Orderly hub sign-off: nothing further can arrive.
-            Ok(Some(SocketFrame::Bye)) => return Ok(LinkEnd::Shutdown),
+            Ok(Some((SocketFrame::Bye, _))) => return Ok(LinkEnd::Shutdown),
             // EOF: a stop request reads as EOF too — that is the orderly
             // teardown; a real EOF is an abrupt loss.
             Ok(None) if stop.load(Ordering::Relaxed) => return Ok(LinkEnd::Shutdown),

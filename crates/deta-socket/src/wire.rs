@@ -118,6 +118,16 @@ pub enum SocketFrame {
         /// receiver will take.
         next: u64,
     },
+    /// The trace ids of the `Data` frame that directly follows, for a
+    /// message sent with telemetry on. Never stamped and never retained as
+    /// a frame: the ids wait beside their retained `Data`, and a resume
+    /// sends the pair again.
+    Trace {
+        /// The sender's round-scoped trace id (0 during set-up).
+        trace_id: u64,
+        /// The message's process-unique id.
+        msg_id: u64,
+    },
 }
 
 /// Domain separator for auth-proof signatures, so a signature produced
@@ -145,6 +155,7 @@ const TAG_TRACE_SHIP: u8 = 9;
 const TAG_RESUME: u8 = 10;
 const TAG_RESUME_ACK: u8 = 11;
 const TAG_ACK: u8 = 12;
+const TAG_TRACE: u8 = 13;
 
 fn put_windows(out: &mut Vec<u8>, windows: &[(String, String, u64)]) -> Result<(), TooLong> {
     put_len(out, windows.len())?;
@@ -266,6 +277,11 @@ impl SocketFrame {
                 put_str16(out, dst)?;
                 out.extend_from_slice(&next.to_le_bytes());
             }
+            SocketFrame::Trace { trace_id, msg_id } => {
+                out.push(TAG_TRACE);
+                out.extend_from_slice(&trace_id.to_le_bytes());
+                out.extend_from_slice(&msg_id.to_le_bytes());
+            }
         }
         Ok(())
     }
@@ -345,6 +361,10 @@ impl SocketFrame {
                 src: r.str16()?.to_string(),
                 dst: r.str16()?.to_string(),
                 next: r.u64()?,
+            },
+            TAG_TRACE => SocketFrame::Trace {
+                trace_id: r.u64()?,
+                msg_id: r.u64()?,
             },
             _ => return Err(Malformed),
         };

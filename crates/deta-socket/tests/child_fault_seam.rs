@@ -83,7 +83,7 @@ fn a_childs_fault_policy_and_tap_slots_are_free() {
     assert_eq!(next(), CtlMsg::Heartbeat { seq: 2 });
     let shutdown = CtlMsg::Shutdown.encode().expect("encode");
     hub_net
-        .send_as(SUPERVISOR, "agg-0", shutdown)
+        .send_as(SUPERVISOR, "agg-0", shutdown, Default::default())
         .expect("the seat is open");
     child.join().expect("child thread").expect("a clean run");
     assert!(hub.join().is_none());

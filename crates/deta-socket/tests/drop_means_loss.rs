@@ -75,7 +75,7 @@ fn a_healthy_frame_is_never_a_drop_and_a_dropped_one_is_the_only_drop() {
         let _attached = deta_telemetry::attach(Arc::clone(&own_ring));
         for _ in 0..3 {
             network
-                .send_as("party-0", "agg-0", b"upload".to_vec())
+                .send_as("party-0", "agg-0", b"upload".to_vec(), Default::default())
                 .expect("a drop is silent");
         }
     }

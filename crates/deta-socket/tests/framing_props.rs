@@ -1,6 +1,7 @@
 //! Property tests for the bridge's outer length-prefixed framing
 //! ([`FrameDecoder`]); the inner tagged frame codec's laws are in
-//! `tests/wire_laws.rs` at the workspace root.
+//! `tests/wire_laws.rs` at the workspace root. The last property carries
+//! real `SocketFrame`s: a traced message's `Trace` frame and its `Data`.
 //!
 //! The decoder sits directly on attacker-reachable bytes (a TCP peer
 //! controls them before any authentication), so the properties here are
@@ -8,7 +9,7 @@
 //! honest encodings must survive arbitrary re-chunking.
 
 use deta_proptest::{cases, Gen};
-use deta_socket::{encode_frame, FrameDecoder, MAX_FRAME};
+use deta_socket::{encode_frame, FrameDecoder, SocketFrame, MAX_FRAME};
 
 /// Drains every decodable frame, stopping at a framing error.
 fn drain(decoder: &mut FrameDecoder) -> Result<Vec<Vec<u8>>, usize> {
@@ -75,5 +76,47 @@ fn encode_then_rechunk_round_trips_exactly() {
         }
         assert_eq!(decoded, frames, "re-chunking must not alter frames");
         assert_eq!(decoder.buffered(), 0, "no bytes may be left behind");
+    });
+}
+
+#[test]
+fn traced_messages_survive_rechunking_as_trace_then_data() {
+    cases("socket/frame-rechunk-traced", 200, |g: &mut Gen| {
+        // A traced message is two frames on the stream: its ids, then it.
+        let mut frames = Vec::new();
+        for seq in 0..g.u64_in(1, 5) {
+            frames.push(SocketFrame::Trace {
+                trace_id: g.u64(),
+                msg_id: g.u64(),
+            });
+            frames.push(SocketFrame::Data {
+                src: "party-0".to_string(),
+                dst: "agg-0".to_string(),
+                seq,
+                payload: g.bytes(0, 300),
+            });
+        }
+        let wire: Vec<u8> = frames
+            .iter()
+            .flat_map(|f| encode_frame(&f.encode()))
+            .collect();
+        let mut decoder = FrameDecoder::new();
+        let mut decoded = Vec::new();
+        let mut rest = wire.as_slice();
+        while !rest.is_empty() {
+            let cut = g.usize_in(1, rest.len() + 1);
+            decoder.push(&rest[..cut]);
+            rest = &rest[cut..];
+            let bytes = drain(&mut decoder).expect("honest stream");
+            decoded.extend(
+                bytes
+                    .iter()
+                    .map(|b| SocketFrame::decode(b).expect("a frame")),
+            );
+        }
+        assert_eq!(
+            decoded, frames,
+            "each message's ids stay directly ahead of it"
+        );
     });
 }

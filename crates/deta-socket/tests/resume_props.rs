@@ -14,9 +14,19 @@
 
 use deta_proptest::{cases, Gen};
 use deta_socket::{ReplayWindow, RetransmitBuffer, SeqTracker, SocketFrame};
+use deta_transport::Message;
 
 const SRC: &str = "party-0";
 const DST: &str = "agg-0";
+
+/// `payload` from [`SRC`], sent untraced.
+fn from_src(payload: Vec<u8>) -> Message {
+    Message {
+        from: SRC.into(),
+        payload,
+        trace: Default::default(),
+    }
+}
 
 /// The receiver's resume claim for the modelled link: the next seq it
 /// will accept, exactly what a `Resume`/`ResumeAck` window entry says.
@@ -187,12 +197,12 @@ fn ack_pruning_between_outages_keeps_exactly_once_and_empties_a_quiet_link() {
         // nothing said about SRC -> DST may touch it.
         let bystanders = g.usize_in(0, 4);
         for _ in 0..bystanders {
-            buffer.stamp(SRC.to_string(), "agg-1".to_string(), vec![0xb5]);
+            buffer.stamp("agg-1", from_src(vec![0xb5]));
         }
         while produced < total || !retained(&buffer, DST).is_empty() {
             if produced < total {
                 for _ in 0..g.u64_in(1, total - produced + 1) {
-                    buffer.stamp(SRC.to_string(), DST.to_string(), vec![produced as u8]);
+                    buffer.stamp(DST, from_src(vec![produced as u8]));
                     produced += 1;
                 }
             }
@@ -243,7 +253,7 @@ fn ack_pruning_between_outages_keeps_exactly_once_and_empties_a_quiet_link() {
         // is quiet its sender holds nothing of it.
         let more = g.u64_in(1, 16);
         for seq in total..total + more {
-            buffer.stamp(SRC.to_string(), DST.to_string(), vec![seq as u8]);
+            buffer.stamp(DST, from_src(vec![seq as u8]));
             window.accept(SRC, DST, seq).expect("in order");
             if seq + 1 == total + more || g.bool() {
                 buffer

@@ -1,29 +1,16 @@
-//! Trace-context propagation: a round-scoped trace id plus parent
-//! message id that rides every transport payload as a small outer
-//! envelope, so spans emitted by any party/aggregator/supervisor —
-//! across threads *and* across `deta-socket` processes — stitch into
-//! one causal trace per round.
+//! Trace-context propagation: a round-scoped trace id plus the id of the
+//! message that caused the current work, so spans emitted by any node —
+//! across threads *and* across `deta-socket` processes — stitch into one
+//! causal trace per round (DESIGN.md §15).
 //!
-//! Design (DESIGN.md §15):
-//!
-//! * **Byte-level envelope, not a codec change.** The envelope wraps
-//!   the already-encoded payload: one marker byte ([`ENVELOPE_MARK`],
-//!   chosen to collide with no `Msg`/`CtlMsg` tag), then
-//!   `trace_id`/`msg_id`/`parent` as little-endian `u64`s, then the
-//!   payload verbatim. Both wire codecs, every actor dispatch loop,
-//!   and the socket bridge (which relays payloads verbatim) are
-//!   untouched.
-//! * **Secret-free by construction.** Only ids cross the boundary —
-//!   the sealed payload is carried opaquely and never inspected, so
-//!   telemetry stays secret-free at this layer by shape alone.
-//! * **Bit-exact when disabled.** The transport wraps only while the
-//!   global sink is enabled; with telemetry off the bytes on the wire
-//!   are identical to a build without this module.
-//!
-//! The thread-local [`TraceCtx`] is *adopted* on receive: unwrapping a
-//! message installs `{trace_id, parent: msg_id}` on the receiving
-//! thread before the actor handles it, so existing spans deep inside
-//! `deta-core` parent correctly with no call-site changes.
+//! The context rides *beside* each payload, never in it: a field of
+//! `deta_transport::Message` in process, a `SocketFrame::Trace` ahead of
+//! its `Data` over TCP. Only ids cross the boundary, so telemetry stays
+//! secret-free at this layer by shape alone, and a payload's bytes do not
+//! depend on whether tracing is on. The receiving thread *adopts* the
+//! context as its [`TraceCtx`] before its actor handles the message, so
+//! spans deep inside `deta-core` parent correctly with no call-site
+//! changes.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,64 +62,9 @@ pub fn next_msg_id() -> u64 {
     (u64::from(std::process::id()) << 40) | n.max(1)
 }
 
-/// First byte of a trace envelope. Chosen high so it can never collide
-/// with a `Msg`/`CtlMsg` tag byte (both codecs use small consecutive
-/// tags); any payload not starting with this byte passes through
-/// [`unwrap_envelope`] untouched.
-pub const ENVELOPE_MARK: u8 = 0xF7;
-
-/// Envelope size: marker + trace_id + msg_id + parent.
-pub const ENVELOPE_LEN: usize = 1 + 8 + 8 + 8;
-
-/// Wraps an encoded payload in a trace envelope.
-pub fn wrap_envelope(trace_id: u64, msg_id: u64, parent: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ENVELOPE_LEN + payload.len());
-    out.push(ENVELOPE_MARK);
-    out.extend_from_slice(&trace_id.to_le_bytes());
-    out.extend_from_slice(&msg_id.to_le_bytes());
-    out.extend_from_slice(&parent.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Splits a trace envelope into `(trace_id, msg_id, parent, payload)`.
-/// Total: returns `None` for anything that is not an envelope (wrong
-/// marker or too short), in which case the caller must treat the buffer
-/// as a bare payload.
-pub fn unwrap_envelope(buf: &[u8]) -> Option<(u64, u64, u64, &[u8])> {
-    if buf.len() < ENVELOPE_LEN || buf[0] != ENVELOPE_MARK {
-        return None;
-    }
-    let u = |at: usize| {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&buf[at..at + 8]);
-        u64::from_le_bytes(b)
-    };
-    Some((u(1), u(9), u(17), &buf[ENVELOPE_LEN..]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn envelope_roundtrips() {
-        let wrapped = wrap_envelope(3, 42, 7, b"payload");
-        let (trace_id, msg_id, parent, inner) =
-            unwrap_envelope(&wrapped).expect("wrapped buffer unwraps");
-        assert_eq!((trace_id, msg_id, parent), (3, 42, 7));
-        assert_eq!(inner, b"payload");
-    }
-
-    #[test]
-    fn bare_payloads_pass_through() {
-        // Every Msg/CtlMsg encoding starts with a small tag byte.
-        assert!(unwrap_envelope(&[1, 2, 3]).is_none());
-        // Marker byte but too short: not an envelope.
-        assert!(unwrap_envelope(&[ENVELOPE_MARK; 24]).is_none());
-        // Empty.
-        assert!(unwrap_envelope(&[]).is_none());
-    }
 
     #[test]
     fn msg_ids_are_unique_and_nonzero() {

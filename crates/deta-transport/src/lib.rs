@@ -61,6 +61,7 @@
 pub mod secure;
 pub mod wire;
 
+pub use deta_telemetry::TraceCtx;
 pub use secure::{HandshakeInitiator, SecureChannel, TransportError};
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -81,8 +82,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct Message {
     /// Sender endpoint name (shared, not cloned per recipient).
     pub from: Arc<str>,
-    /// Payload bytes.
+    /// Payload bytes: what the sender sent, traced or not.
     pub payload: Vec<u8>,
+    /// The context the receiver adopts: the sender's `trace_id`, and this
+    /// message's id as `parent`. The default for a message sent with
+    /// telemetry off.
+    pub trace: TraceCtx,
 }
 
 /// Link cost model: `time = base_s + bytes / bytes_per_s`.
@@ -238,11 +243,10 @@ pub trait NetTap: Send + Sync {
 /// been filled — same constraints as [`FaultPolicy`] and [`NetTap`]:
 /// fast, no IO, no call back into the network.
 pub trait Forwarder: Send + Sync {
-    /// `payload` from `from` is `to`'s: all of the delivery has happened
-    /// (verdict, tap, stats, per-link bytes) but the enqueue. Verbatim —
-    /// a trace envelope stays on: a relay adopts nothing, records no
-    /// `net_recv`.
-    fn forward(&self, from: &str, to: &str, payload: Vec<u8>);
+    /// `msg` is `to`'s: all of the delivery has happened (verdict, tap,
+    /// stats, per-link bytes) but the enqueue. Whole — its trace context
+    /// goes on with it: a relay adopts nothing, records no `net_recv`.
+    fn forward(&self, to: &str, msg: Message);
     /// `name` was closed: told once, after everything forwarded to it.
     fn closed(&self, _name: &str) {}
 }
@@ -279,9 +283,9 @@ struct NetState {
     link_bytes: BTreeMap<(Arc<str>, Arc<str>), u64>,
     policy: Option<Arc<dyn FaultPolicy>>,
     tap: Option<Arc<dyn NetTap>>,
-    /// Messages held back by [`SendVerdict::Hold`]: sender, destination,
-    /// payload.
-    held: Vec<(Arc<str>, String, Vec<u8>)>,
+    /// Messages held back by [`SendVerdict::Hold`], with their
+    /// destinations.
+    held: Vec<(String, Message)>,
 }
 
 impl NetState {
@@ -354,7 +358,7 @@ impl Network {
         let mut st = lock(&self.state);
         let mb = st.queues.entry(Arc::from(name)).or_default();
         for msg in mb.queue.drain(..) {
-            forwarder.forward(&msg.from, name, msg.payload);
+            forwarder.forward(name, msg);
         }
         mb.forwarder = Some(forwarder);
     }
@@ -437,13 +441,21 @@ impl Network {
     /// the frame exactly as if `from` had sent it in-process. The
     /// attributed sender does not need to be a registered endpoint
     /// (interned names are reused when it is); the destination rules are
-    /// identical to [`Endpoint::send`].
+    /// identical to [`Endpoint::send`]. `trace` is the context the frame
+    /// carried on its medium — the default for one sent untraced — and
+    /// rides beside the payload as [`Message::trace`].
     ///
     /// # Errors
     ///
     /// [`NetError::UnknownEndpoint`] / [`NetError::Closed`] exactly as
     /// for [`Endpoint::send`].
-    pub fn send_as(&self, from: &str, to: &str, payload: Vec<u8>) -> Result<(), NetError> {
+    pub fn send_as(
+        &self,
+        from: &str,
+        to: &str,
+        payload: Vec<u8>,
+        trace: TraceCtx,
+    ) -> Result<(), NetError> {
         let from: Arc<str> = {
             let st = lock(&self.state);
             match st.queues.get_key_value(from) {
@@ -451,7 +463,12 @@ impl Network {
                 None => Arc::from(from),
             }
         };
-        self.send(&from, to, payload)
+        let msg = Message {
+            from,
+            payload,
+            trace,
+        };
+        self.send(to, msg)
     }
 
     /// Releases every held message, in the order they were held, as
@@ -462,8 +479,8 @@ impl Network {
         let mut st = lock(&self.state);
         let held = std::mem::take(&mut st.held);
         let released = !held.is_empty();
-        for (from, to, payload) in held {
-            self.deliver_locked(&mut st, &from, &to, payload);
+        for (to, msg) in held {
+            self.deliver_locked(&mut st, &to, msg);
         }
         drop(st);
         if released {
@@ -472,26 +489,23 @@ impl Network {
         released
     }
 
-    /// Delivers `payload` into `to`'s mailbox — or to its forwarder —
-    /// with stats, tap and per-link bytes.
-    fn deliver_locked(&self, st: &mut NetState, from: &Arc<str>, to: &str, payload: Vec<u8>) {
-        let len = payload.len();
+    /// Delivers `msg` into `to`'s mailbox — or to its forwarder — with
+    /// stats, tap and per-link bytes.
+    fn deliver_locked(&self, st: &mut NetState, to: &str, msg: Message) {
+        let (from, len) = (Arc::clone(&msg.from), msg.payload.len());
         let Some(mb) = st.queues.get_mut(to).filter(|mb| !mb.closed) else {
             // A held message can outlive its destination.
-            st.lose(from, to, &payload);
+            st.lose(&from, to, &msg.payload);
             return;
         };
         if let Some(t) = &st.tap {
-            t.on_deliver(from, to, &payload);
+            t.on_deliver(&from, to, &msg.payload);
         }
         let mut depth = 0usize;
         match &mb.forwarder {
-            Some(f) => f.forward(from, to, payload),
+            Some(f) => f.forward(to, msg),
             None => {
-                mb.queue.push_back(Message {
-                    from: Arc::clone(from),
-                    payload,
-                });
+                mb.queue.push_back(msg);
                 depth = mb.queue.len();
             }
         }
@@ -501,7 +515,7 @@ impl Network {
         // Per-link ground truth for byte accounting; keys reuse the
         // interned endpoint names, so steady state allocates nothing.
         if let Some((to_key, _)) = st.queues.get_key_value(to) {
-            let link = (Arc::clone(from), Arc::clone(to_key));
+            let link = (Arc::clone(&from), Arc::clone(to_key));
             *st.link_bytes.entry(link).or_insert(0) += len as u64;
         }
         // Gated observability at the same choke point the tap sees
@@ -515,7 +529,7 @@ impl Network {
         }
     }
 
-    fn send(&self, from: &Arc<str>, to: &str, payload: Vec<u8>) -> Result<(), NetError> {
+    fn send(&self, to: &str, msg: Message) -> Result<(), NetError> {
         let mut st = lock(&self.state);
         // Destination errors come before fault verdicts so close/unknown
         // semantics are identical with and without a policy installed.
@@ -525,38 +539,38 @@ impl Network {
             Some(_) => {}
         }
         let verdict = match &st.policy {
-            Some(p) => p.on_send(from, to, &payload),
+            Some(p) => p.on_send(&msg.from, to, &msg.payload),
             None => SendVerdict::Deliver,
         };
         let result = match verdict {
             SendVerdict::Deliver => {
-                self.deliver_locked(&mut st, from, to, payload);
+                self.deliver_locked(&mut st, to, msg);
                 Ok(())
             }
             SendVerdict::Drop => {
-                st.lose(from, to, &payload);
+                st.lose(&msg.from, to, &msg.payload);
                 Ok(())
             }
             SendVerdict::Duplicate => {
-                self.deliver_locked(&mut st, from, to, payload.clone());
-                self.deliver_locked(&mut st, from, to, payload);
+                self.deliver_locked(&mut st, to, msg.clone());
+                self.deliver_locked(&mut st, to, msg);
                 Ok(())
             }
-            SendVerdict::Replace(alt) => {
-                st.lose(from, to, &payload);
-                self.deliver_locked(&mut st, from, to, alt);
+            SendVerdict::Replace(payload) => {
+                st.lose(&msg.from, to, &msg.payload);
+                self.deliver_locked(&mut st, to, Message { payload, ..msg });
                 Ok(())
             }
             SendVerdict::Hold => {
-                st.held.push((Arc::clone(from), to.to_string(), payload));
+                st.held.push((to.to_string(), msg));
                 Ok(())
             }
             SendVerdict::CrashSender => {
-                st.lose(from, to, &payload);
-                if let Some(mb) = st.queues.get_mut(from.as_ref()) {
-                    mb.close(from);
+                st.lose(&msg.from, to, &msg.payload);
+                if let Some(mb) = st.queues.get_mut(&msg.from) {
+                    mb.close(&msg.from);
                 }
-                Err(NetError::Closed(from.to_string()))
+                Err(NetError::Closed(msg.from.to_string()))
             }
         };
         drop(st);
@@ -593,6 +607,16 @@ impl Network {
     }
 }
 
+/// One end of a causal edge: `name` (`net_send` or `net_recv`) with the
+/// message's id and size. Ids and sizes only — no peer-name string field:
+/// this runs per message, and the other end's node attribution already
+/// names the peer in the merged trace.
+fn edge(name: &'static str, trace: TraceCtx, payload: &[u8]) {
+    use deta_telemetry::TelemetryValue;
+    let id = TelemetryValue::U64(trace.parent);
+    deta_telemetry::event(name, &[("msg_id", id), ("bytes", payload.len().into())]);
+}
+
 /// A named participant on the network.
 #[derive(Clone)]
 pub struct Endpoint {
@@ -608,40 +632,33 @@ impl Endpoint {
 
     /// Sends `payload` to the endpoint named `to`.
     ///
-    /// While the telemetry sink is enabled the payload is wrapped in a
-    /// trace envelope carrying the sending thread's trace context plus
-    /// a fresh message id, and a `net_send` edge event lands in the
-    /// sender's flight recorder. With telemetry disabled the bytes on
-    /// the wire are exactly the payload — deployments with the sink off
-    /// stay bit-identical to builds without tracing.
+    /// While the telemetry sink is enabled the message carries the
+    /// sending thread's trace id and a fresh message id beside the
+    /// payload ([`Message::trace`]), and a `net_send` edge event lands in
+    /// the sender's flight recorder. The payload is the same bytes either
+    /// way.
     pub fn send(&self, to: &str, payload: impl Into<Vec<u8>>) -> Result<(), NetError> {
         let payload = payload.into();
-        let payload = if deta_telemetry::enabled() {
-            let ctx = deta_telemetry::trace::current();
-            let msg_id = deta_telemetry::trace::next_msg_id();
-            // Ids and sizes only — no peer-name string field: this runs
-            // per message, and the `net_recv` twin's node attribution
-            // already names the destination in the merged trace.
-            deta_telemetry::event(
-                "net_send",
-                &[
-                    ("msg_id", deta_telemetry::TelemetryValue::U64(msg_id)),
-                    (
-                        "bytes",
-                        deta_telemetry::TelemetryValue::U64(payload.len() as u64),
-                    ),
-                ],
-            );
-            deta_telemetry::trace::wrap_envelope(ctx.trace_id, msg_id, ctx.parent, &payload)
-        } else {
-            payload
-        };
-        self.network.send(&self.name, to, payload)
+        let mut trace = TraceCtx::default();
+        if deta_telemetry::enabled() {
+            trace.trace_id = deta_telemetry::trace::current().trace_id;
+            trace.parent = deta_telemetry::trace::next_msg_id();
+            edge("net_send", trace, &payload);
+        }
+        let from = Arc::clone(&self.name);
+        self.network.send(
+            to,
+            Message {
+                from,
+                payload,
+                trace,
+            },
+        )
     }
 
     /// Receives the next queued message, if any.
     pub fn recv(&self) -> Option<Message> {
-        self.network.recv(&self.name).map(|m| self.arrive(m))
+        self.network.recv(&self.name).map(Endpoint::arrive)
     }
 
     /// Blocks (up to `timeout`) for the next message — the primitive that
@@ -651,36 +668,17 @@ impl Endpoint {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
         self.network
             .recv_timeout(&self.name, timeout)
-            .map(|m| self.arrive(m))
+            .map(Endpoint::arrive)
     }
 
-    /// Unwraps a trace envelope, if present, from an arrived message:
-    /// the carried context is adopted by the receiving thread (so spans
-    /// emitted while handling the message parent to it) and a
-    /// `net_recv` edge event lands in the receiver's flight recorder.
-    /// Bare payloads pass through untouched.
-    fn arrive(&self, mut msg: Message) -> Message {
-        if let Some((trace_id, msg_id, _parent, _inner)) =
-            deta_telemetry::trace::unwrap_envelope(&msg.payload)
-        {
-            deta_telemetry::trace::set_current(deta_telemetry::TraceCtx {
-                trace_id,
-                parent: msg_id,
-            });
-            // Strip the envelope in place (memmove within the existing
-            // allocation) rather than copying the payload out; this
-            // runs per message on the hot path.
-            msg.payload.drain(..deta_telemetry::trace::ENVELOPE_LEN);
-            deta_telemetry::event(
-                "net_recv",
-                &[
-                    ("msg_id", deta_telemetry::TelemetryValue::U64(msg_id)),
-                    (
-                        "bytes",
-                        deta_telemetry::TelemetryValue::U64(msg.payload.len() as u64),
-                    ),
-                ],
-            );
+    /// Adopts an arrived message's trace context, if it was sent traced:
+    /// the receiving thread takes it on (so spans emitted while handling
+    /// the message parent to it) and a `net_recv` edge event lands in the
+    /// receiver's flight recorder. The payload is never touched.
+    fn arrive(msg: Message) -> Message {
+        if msg.trace != TraceCtx::default() {
+            deta_telemetry::trace::set_current(msg.trace);
+            edge("net_recv", msg.trace, &msg.payload);
         }
         msg
     }
@@ -693,24 +691,6 @@ impl Endpoint {
     /// Whether this endpoint has been closed.
     pub fn is_closed(&self) -> bool {
         self.network.is_closed(&self.name)
-    }
-
-    /// Receives the next message, requiring it to come from `from`.
-    ///
-    /// Messages from other senders are left out-of-band (returned to the
-    /// back of the queue) — callers in this codebase drive strict
-    /// request/response flows, so a mismatch indicates a protocol bug and
-    /// is surfaced as `None` after requeueing.
-    pub fn recv_from(&self, from: &str) -> Option<Vec<u8>> {
-        let msg = self.network.recv(&self.name)?;
-        if &*msg.from == from {
-            Some(self.arrive(msg).payload)
-        } else {
-            // Requeue at the back (envelope intact) to avoid losing the
-            // message.
-            let _ = self.network.send(&msg.from, &self.name, msg.payload);
-            None
-        }
     }
 
     /// Drains all currently queued messages.
@@ -834,19 +814,22 @@ mod tests {
     }
 
     #[test]
-    fn recv_from_filters_and_requeues() {
+    fn a_payload_arrives_byte_for_byte_whatever_its_first_byte() {
+        // Telemetry is off in this binary: nothing rides beside these.
         let net = Network::new(LinkModel::lan());
         let a = net.register("a");
         let b = net.register("b");
-        let c = net.register("c");
-        c.send("a", &b"noise"[..]).unwrap();
-        b.send("a", &b"signal"[..]).unwrap();
-        // First attempt sees the message from c, requeues it.
-        assert!(a.recv_from("b").is_none());
-        // Now b's message is at the front.
-        assert_eq!(&a.recv_from("b").unwrap()[..], b"signal");
-        // The noise message is still there.
-        assert_eq!(&*a.recv().unwrap().from, "c");
+        for first in [0x00, 0x01, 0xF7, 0xFF] {
+            for len in [1, 24, 25, 41, 100] {
+                let payload: Vec<u8> = std::iter::once(first)
+                    .chain((1..len).map(|i| i as u8))
+                    .collect();
+                a.send("b", payload.clone()).unwrap();
+                let got = b.recv().unwrap();
+                assert_eq!(got.payload, payload, "{len} bytes led by {first:#04x}");
+                assert_eq!(got.trace, TraceCtx::default());
+            }
+        }
     }
 
     #[test]
@@ -1172,12 +1155,14 @@ mod tests {
         let net = Network::new(LinkModel::lan());
         let b = net.register("b");
         // "remote" is not a registered endpoint — a bridged sender.
-        net.send_as("remote", "b", b"x".to_vec()).unwrap();
+        net.send_as("remote", "b", b"x".to_vec(), TraceCtx::default())
+            .unwrap();
         let m = b.recv().unwrap();
         assert_eq!(&*m.from, "remote");
         // Registered senders reuse the interned name.
         let a = net.register("a");
-        net.send_as("a", "b", vec![0u8; 4]).unwrap();
+        net.send_as("a", "b", vec![0u8; 4], TraceCtx::default())
+            .unwrap();
         let m = b.recv().unwrap();
         let direct = {
             a.send("b", &b"y"[..]).unwrap();
@@ -1194,8 +1179,11 @@ mod tests {
     fn send_as_observed_by_policy_and_tap() {
         let (net, tap) = fault_net(vec![SendVerdict::Drop]);
         let _b = net.register("b");
-        net.send_as("remote", "b", b"lost".to_vec()).unwrap();
-        net.send_as("remote", "b", b"kept".to_vec()).unwrap();
+        let untraced = TraceCtx::default();
+        net.send_as("remote", "b", b"lost".to_vec(), untraced)
+            .unwrap();
+        net.send_as("remote", "b", b"kept".to_vec(), untraced)
+            .unwrap();
         assert_eq!(lock(&tap.dropped).len(), 1);
         assert_eq!(lock(&tap.delivered).len(), 1);
         assert_eq!(lock(&tap.delivered)[0].0, "remote");
@@ -1206,26 +1194,63 @@ mod tests {
         let net = Network::new(LinkModel::lan());
         let _b = net.register("b");
         net.close("b");
+        let untraced = TraceCtx::default();
         assert_eq!(
-            net.send_as("remote", "b", b"x".to_vec()),
+            net.send_as("remote", "b", b"x".to_vec(), untraced),
             Err(NetError::Closed("b".to_string()))
         );
         assert_eq!(
-            net.send_as("remote", "ghost", b"x".to_vec()),
+            net.send_as("remote", "ghost", b"x".to_vec(), untraced),
             Err(NetError::UnknownEndpoint("ghost".to_string()))
         );
+    }
+
+    #[test]
+    fn the_trace_context_rides_beside_the_payload_through_every_verdict() {
+        let (net, tap) = fault_net(vec![
+            SendVerdict::Duplicate,
+            SendVerdict::Replace(b"bad".to_vec()),
+            SendVerdict::Hold,
+        ]);
+        let relay = Arc::new(Relay::default());
+        let b = net.register("b");
+        net.forward("far", Arc::clone(&relay) as Arc<dyn Forwarder>);
+        let trace = TraceCtx {
+            trace_id: 3,
+            parent: 42,
+        };
+        for (to, payload) in [("b", "twice"), ("b", "good"), ("far", "late")] {
+            net.send_as("remote", to, payload.into(), trace).unwrap();
+        }
+        net.release_held();
+        let arrived: Vec<(Vec<u8>, TraceCtx)> = b
+            .drain()
+            .into_iter()
+            .map(|m| (m.payload, m.trace))
+            .collect();
+        let want = [&b"twice"[..], b"twice", b"bad"].map(|p| (p.to_vec(), trace));
+        assert_eq!(arrived, want);
+        assert_eq!(*lock(&relay.traces), [trace]);
+        // What the policy, the tap and the byte counters saw is the
+        // payload alone.
+        assert_eq!(relay.payloads(), [b"late".to_vec()]);
+        assert_eq!(lock(&tap.dropped)[0].2, b"good".to_vec());
+        let total: u64 = net.link_bytes().values().sum();
+        assert_eq!(total, (5 + 5 + 3 + 4) as u64);
     }
 
     /// A forwarder that keeps what it is handed, and what it is told.
     #[derive(Default)]
     struct Relay {
         forwarded: Mutex<Vec<(String, String, Vec<u8>)>>,
+        traces: Mutex<Vec<TraceCtx>>,
         closed: Mutex<Vec<String>>,
     }
 
     impl Forwarder for Relay {
-        fn forward(&self, from: &str, to: &str, payload: Vec<u8>) {
-            lock(&self.forwarded).push((from.into(), to.into(), payload));
+        fn forward(&self, to: &str, msg: Message) {
+            lock(&self.traces).push(msg.trace);
+            lock(&self.forwarded).push((msg.from.to_string(), to.into(), msg.payload));
         }
         fn closed(&self, name: &str) {
             lock(&self.closed).push(name.into());
@@ -1255,7 +1280,8 @@ mod tests {
             }
             a.send("b", vec![1u8; 7]).unwrap();
             a.send("c", vec![2u8; 3]).unwrap();
-            net.send_as("remote", "b", vec![3u8; 5]).unwrap();
+            net.send_as("remote", "b", vec![3u8; 5], TraceCtx::default())
+                .unwrap();
             c.send("b", vec![4u8; 2]).unwrap();
             let delivered = lock(&tap.delivered).clone();
             (net.stats(), net.link_bytes(), delivered, b.drain())
@@ -1364,7 +1390,7 @@ mod tests {
         assert!(b.recv().is_none());
         // `b` lives elsewhere and its frames come in through `send_as`.
         assert_eq!(
-            net.send_as("b", "a", b"dying".to_vec()),
+            net.send_as("b", "a", b"dying".to_vec(), TraceCtx::default()),
             Err(NetError::Closed("b".to_string()))
         );
         assert_eq!(*lock(&relay.closed), ["b"]);

@@ -180,7 +180,8 @@ echo "==> multi-process trace smoke (deta-cli trace: merged timeline + critical 
 # produce a non-empty merged JSONL + Perfetto trace plus the per-round
 # critical-path report. The run is fault-free and a bridged name is a
 # forwarded endpoint at both ends of its link, so the merged trace must
-# not hold a single net_drop: a drop means a loss. Outputs land in
+# not hold a single net_drop: a drop means a loss, and every net_send must
+# pair with its net_recv as a causal edge. Outputs land in
 # results/traces/ (gitignored; CI uploads them as artifacts).
 TRACE_CFG="$(mktemp /tmp/deta-trace-XXXXXX.cfg)"
 cat > "$TRACE_CFG" <<'CFG'
@@ -213,7 +214,16 @@ if grep -q '"net_drop"' "$MERGED_JSONL"; then
   echo "FAIL: a fault-free trace recorded $(grep -c '"net_drop"' "$MERGED_JSONL") net_drop event(s)" >&2
   exit 1
 fi
-echo "    merged trace ok: $(wc -l < "$MERGED_JSONL") records, no net_drop, perfetto $(wc -c < "$MERGED_PERFETTO") bytes"
+# Every send must find its receive: the trace ids ride beside the payload
+# (a `Trace` frame ahead of each traced `Data` over TCP), so a hop that
+# drops them shows up as fewer causal edges than net_send records.
+SENDS="$(grep -c '"name":"net_send"' "$MERGED_JSONL" || true)"
+EDGES="$(sed -n 's/.*causal edges \([0-9]*\).*/\1/p' /tmp/deta-trace-smoke.txt)"
+if [ "${EDGES:-0}" -lt "$SENDS" ]; then
+  echo "FAIL: the merged trace holds ${EDGES:-0} causal edges for $SENDS net_send records" >&2
+  exit 1
+fi
+echo "    merged trace ok: $(wc -l < "$MERGED_JSONL") records, $EDGES causal edges for $SENDS net_send, no net_drop, perfetto $(wc -c < "$MERGED_PERFETTO") bytes"
 
 echo "==> bench regression history (diff BENCH_*.json vs results/BENCH_history.jsonl)"
 # Warn-by-default: drift beyond tolerance prints loudly but does not

@@ -16,11 +16,13 @@
 //! * a delivery acknowledgement is honoured only from the seat its link
 //!   ends at, only up to what was sent on it, and only after auth — and
 //!   a refused one prunes nothing;
-//! * a seat's closure reaches a child that was resuming when it landed.
+//! * a seat's closure reaches a child that was resuming when it landed;
+//! * trace ids ride a `Trace` frame ahead of their `Data`, and a `Trace`
+//!   followed by anything else is malformed.
 
 use deta::crypto::{DetRng, SigningKey};
 use deta::socket::{SocketError, SocketFrame};
-use deta::transport::{FaultPolicy, NetError, RecvError, SendVerdict};
+use deta::transport::{FaultPolicy, NetError, RecvError, SendVerdict, TraceCtx};
 use deta_drills::socket::{start_hub, wait_error, Custody, Rogue};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -136,7 +138,7 @@ fn peer_disconnect_surfaces_as_closed() {
     }
     assert!(
         matches!(
-            network.send_as("agg-0", "party-0", b"hello?".to_vec()),
+            network.send_as("agg-0", "party-0", b"hello?".to_vec(), TraceCtx::default()),
             Err(NetError::Closed(_))
         ),
         "sends to a departed peer must observe Closed, as in the simulator"
@@ -202,6 +204,62 @@ fn fault_policy_applies_to_socket_frames() {
     );
     drop(rogue);
     hub.join();
+}
+
+/// A traced message crosses as two frames — its ids, then its `Data` —
+/// and arrives as one message carrying them beside a payload untouched.
+#[test]
+fn a_trace_frame_gives_the_next_data_frame_its_context() {
+    let (hub, _network, agg, key) = start_hub();
+    let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+    rogue.send(&SocketFrame::Trace {
+        trace_id: 3,
+        msg_id: 42,
+    });
+    rogue.send_data("agg-0", 0, b"traced");
+    rogue.send_data("agg-0", 1, b"plain");
+    let traced = agg.recv_timeout(Duration::from_secs(2)).expect("delivered");
+    assert_eq!(traced.payload, b"traced");
+    let trace = TraceCtx {
+        trace_id: 3,
+        parent: 42,
+    };
+    assert_eq!(traced.trace, trace);
+    let plain = agg.recv_timeout(Duration::from_secs(2)).expect("delivered");
+    assert_eq!(plain.payload, b"plain");
+    assert_eq!(plain.trace, TraceCtx::default(), "ids belong to one frame");
+    assert!(hub.first_error().is_none());
+    hub.join();
+}
+
+/// `Trace` is only ever the first half of a message: whatever else
+/// follows it is refused as malformed, naming the link, and nothing is
+/// delivered.
+#[test]
+fn a_trace_frame_followed_by_anything_but_data_is_malformed() {
+    let trace = SocketFrame::Trace {
+        trace_id: 1,
+        msg_id: 7,
+    };
+    for next in [ack(0), SocketFrame::Bye, trace.clone()] {
+        let (hub, _network, agg, key) = start_hub();
+        let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+        rogue.send(&trace);
+        rogue.send(&next);
+        rogue.send_data("agg-0", 0, b"upload");
+        match wait_error(&hub).expect("a structured error") {
+            SocketError::Malformed { link } => assert_eq!(link, "incoming", "after {next:?}"),
+            other => panic!("expected a malformed-frame rejection after {next:?}, got: {other}"),
+        }
+        assert!(
+            matches!(
+                agg.recv_timeout(Duration::from_millis(200)),
+                Err(RecvError::Timeout)
+            ),
+            "nothing behind a stray trace frame is delivered"
+        );
+        hub.join();
+    }
 }
 
 fn ack(next: u64) -> SocketFrame {

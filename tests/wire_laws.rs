@@ -405,7 +405,7 @@ impl Wire for CtlMsg {
 
 impl Wire for SocketFrame {
     const NAME: &'static str = "SocketFrame";
-    const VARIANTS: usize = 12;
+    const VARIANTS: usize = 13;
     const GOLDEN: &'static [(&'static str, &'static str)] = &[
         ("01070070617274792d3005006167672d31080706050403020103000000090807", "Data { src: \"party-0\", dst: \"agg-1\", seq: 72623859790382856, payload: [9, 8, 7] }"),
         ("0205006167672d31", "Close { name: \"agg-1\" }"),
@@ -419,6 +419,7 @@ impl Wire for SocketFrame {
         ("0a070070617274792d300200000005006167672d30070070617274792d30050000000000000005006167672d31070070617274792d300000000000000000", "Resume { src: \"party-0\", windows: [(\"agg-0\", \"party-0\", 5), (\"agg-1\", \"party-0\", 0)] }"),
         ("0b01000000070070617274792d3005006167672d300600000000000000", "ResumeAck { windows: [(\"party-0\", \"agg-0\", 6)] }"),
         ("0c070070617274792d3005006167672d310807060504030201", "Ack { src: \"party-0\", dst: \"agg-1\", next: 72623859790382856 }"),
+        ("0d03000000000000000807060504030201", "Trace { trace_id: 3, msg_id: 72623859790382856 }"),
     ];
 
     fn arbitrary(g: &mut Gen) -> SocketFrame {
@@ -454,10 +455,14 @@ impl Wire for SocketFrame {
             10 => SocketFrame::ResumeAck {
                 windows: windows(g),
             },
-            _ => SocketFrame::Ack {
+            11 => SocketFrame::Ack {
                 src: name(g),
                 dst: name(g),
                 next: g.u64(),
+            },
+            _ => SocketFrame::Trace {
+                trace_id: g.u64(),
+                msg_id: g.u64(),
             },
         }
     }
@@ -484,6 +489,7 @@ impl Wire for SocketFrame {
             SocketFrame::Resume { .. } => 9,
             SocketFrame::ResumeAck { .. } => 10,
             SocketFrame::Ack { .. } => 11,
+            SocketFrame::Trace { .. } => 12,
         }
     }
 }
