@@ -145,21 +145,6 @@ impl AggKind {
             AggKind::IterativeAveraging | AggKind::GradientSum | AggKind::CoordinateMedian => 1,
         }
     }
-
-    /// Whether the rule commutes with re-partitioning: its output at each
-    /// coordinate depends only on the parties' values at that coordinate,
-    /// never on whole-fragment geometry. Krum and FLAME-lite measure
-    /// distances between whole fragments, so a session running either
-    /// refuses `FailoverPolicy::Repartition`.
-    pub fn partition_commutative(&self) -> bool {
-        match self {
-            AggKind::Krum { .. } | AggKind::FlameLite => false,
-            AggKind::IterativeAveraging
-            | AggKind::GradientSum
-            | AggKind::CoordinateMedian
-            | AggKind::TrimmedMean { .. } => true,
-        }
-    }
 }
 
 /// The common length of `inputs`, one weight per input.

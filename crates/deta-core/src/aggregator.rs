@@ -194,7 +194,7 @@ impl AggregatorNode {
     }
 
     /// Replaces this node's synchronization role — the failover topology
-    /// update after an initiator dies or the aggregator set shrinks.
+    /// update after an aggregator is replaced.
     pub fn set_role(&mut self, role: AggRole) {
         self.role = role;
     }
@@ -202,19 +202,6 @@ impl AggregatorNode {
     /// Current synchronization role.
     pub fn role(&self) -> &AggRole {
         &self.role
-    }
-
-    /// Failover round replay: re-opens `round` so replayed uploads are
-    /// accepted again. Completed-round bookkeeping rolls back to
-    /// `round - 1` and any partial uploads for `round` or later are
-    /// dropped (they belong to the discarded attempt; under a
-    /// re-partition they may even have a different fragment length).
-    pub fn reopen_round(&mut self, round: u64) {
-        if round == 0 {
-            return;
-        }
-        self.completed_rounds = self.completed_rounds.min(round - 1);
-        self.pending.retain(|&r, _| r < round);
     }
 
     /// Every decrypted-but-not-yet-aggregated plain upload this node
@@ -514,9 +501,8 @@ impl AggregatorNode {
     /// from what *another* party holds for the round is refused: one odd
     /// (hostile, or stale) arrival must not cost the round the uploads it
     /// has. A party's own entry it may always replace — its channel is
-    /// ordered, so its latest word is its newest (a replayed new-epoch
-    /// upload overtaking its own old-epoch one, still in flight when
-    /// `reopen_round` emptied the slot).
+    /// ordered, so its latest word is its newest (a failover's replay
+    /// re-sends the bytes a survivor already holds).
     fn hold_upload(&mut self, from: &str, round: u64, upload: Upload) {
         let slot = self.pending.entry(round).or_default();
         let other = slot.iter().find(|(party, _)| *party != from);

@@ -209,29 +209,6 @@ impl ModelMapper {
             out[i as usize] = v;
         }
     }
-
-    /// Serializes the assignment (2 bytes per parameter, little-endian).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.assignment.len() * 2);
-        for &a in &self.assignment {
-            out.extend_from_slice(&a.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes an assignment produced by [`ModelMapper::to_bytes`].
-    ///
-    /// Returns `None` for odd-length input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<ModelMapper> {
-        if !bytes.len().is_multiple_of(2) {
-            return None;
-        }
-        let assignment: Vec<u16> = bytes
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes([c[0], c[1]]))
-            .collect();
-        Some(Self::from_assignment(assignment))
-    }
 }
 
 #[cfg(test)]
@@ -309,14 +286,6 @@ mod tests {
         let first_frag = m.fragment_positions(0);
         let contiguous = first_frag.windows(2).all(|w| w[1] == w[0] + 1);
         assert!(!contiguous, "assignment looks contiguous, not random");
-    }
-
-    #[test]
-    fn serialization_roundtrip() {
-        let m = ModelMapper::generate(33, 5, None, &mut rng());
-        let bytes = m.to_bytes();
-        assert_eq!(ModelMapper::from_bytes(&bytes), Some(m));
-        assert!(ModelMapper::from_bytes(&bytes[..bytes.len() - 1]).is_none());
     }
 
     #[test]

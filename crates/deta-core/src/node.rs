@@ -167,19 +167,6 @@ impl Actor for Party {
                 // again once every new channel verifies and re-registers.
                 self.control.ready = false;
             }
-            Input::Ctl(CtlMsg::Remap {
-                round,
-                mapper,
-                aggs,
-            }) => {
-                if !self.apply_remap(round, &mapper, &aggs) {
-                    return fail(self, "re-partition mapper rejected".to_string());
-                }
-                // Survivor channels persist, so readiness may already
-                // hold; it is reported again so that the supervisor's
-                // failover barrier sees this party.
-                self.control.ready = false;
-            }
             Input::Ctl(CtlMsg::Replay { round }) => {
                 self.replay_upload(round);
             }
@@ -267,11 +254,6 @@ impl Actor for AggregatorNode {
                     let reason = e.to_string();
                     out.push(CtlMsg::Failed { reason });
                 }
-            }
-            Input::Ctl(CtlMsg::Reopen { round }) => {
-                deta_telemetry::event("round_reopened", &[("round", round.into())]);
-                self.reopen_round(round);
-                self.reported = self.reported.min(round.saturating_sub(1));
             }
             Input::Ctl(CtlMsg::Topology { initiator, aggs }) => {
                 self.set_role(AggRole::among(&self.name, &initiator, &aggs));

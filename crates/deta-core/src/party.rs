@@ -19,7 +19,6 @@
 
 use crate::dp::{gaussian_mechanism, LdpConfig, PrivacyAccountant};
 use crate::latency::timed;
-use crate::mapper::ModelMapper;
 use crate::node::PartyControl;
 use crate::paillier_fusion::PaillierFusion;
 use crate::session::SyncMode;
@@ -372,46 +371,12 @@ impl Party {
         slot.say_hello(Some(token), &self.endpoint, &mut self.rng);
     }
 
-    /// Failover re-partition: swaps in a new mapper over the surviving
-    /// aggregator set `aggs` (keeping the session permutation key) and
-    /// drops every connection, ack, and collected fragment tied to
-    /// removed aggregators, plus any fragments collected for `round` or
-    /// later under the old partition (the failed round is discarded,
-    /// never merged — no survivor's old-epoch fragment is ever combined
-    /// with a new-epoch one).
-    ///
-    /// Returns `false` (leaving the party untouched) when the mapper
-    /// bytes are malformed or inconsistent with `aggs` / the model size.
-    pub fn apply_remap(&mut self, round: u64, mapper_bytes: &[u8], aggs: &[String]) -> bool {
-        let Some(mapper) = ModelMapper::from_bytes(mapper_bytes) else {
-            return false;
-        };
-        if mapper.n_aggregators() != aggs.len()
-            || mapper.n_params() != self.transformer.mapper().n_params()
-        {
-            return false;
-        }
-        self.transformer = self.transformer.with_mapper(mapper);
-        // Permutations of the old partition have the wrong lengths.
-        self.round_perms = None;
-        let mut old = std::mem::take(&mut self.aggregators);
-        self.aggregators = aggs
-            .iter()
-            .map(|name| match old.iter().position(|a| a.name == *name) {
-                Some(i) => old.swap_remove(i),
-                None => AggPeer::new(name),
-            })
-            .collect();
-        for agg in &mut self.aggregators {
-            agg.download.take_if(|(r, _)| *r >= round);
-        }
-        true
-    }
-
-    /// Replays the stored upload for `round` through the *current*
-    /// transformer and aggregator set — the idempotent re-upload step of
-    /// round replay after a failover. The update log is not re-appended
-    /// (one entry per trained round stays the audit ground truth).
+    /// Replays the stored upload for `round` to the current aggregator
+    /// set — the idempotent re-upload step of round replay after a
+    /// failover. The mapper is fixed at setup, so each fragment goes to
+    /// its slot's aggregator with the bytes of the first upload. The
+    /// update log is not re-appended (one entry per trained round stays
+    /// the audit ground truth).
     ///
     /// Returns `false` when this party has no stored upload for `round`
     /// (it skipped the round under partial participation, or never
@@ -648,8 +613,8 @@ impl Party {
     }
 
     /// Takes the held permutations if they belong to round `tid`, and
-    /// asks the transformer otherwise (first use in the round, a remap
-    /// since, or a round this party sat out), which derives them unless
+    /// asks the transformer otherwise (first use in the round, or a
+    /// round this party sat out), which derives them unless
     /// another party of the process still holds them.
     fn take_permutations(
         held: &mut Option<RoundPermutations>,
@@ -1053,41 +1018,32 @@ mod tests {
     }
 
     #[test]
-    fn replay_after_remap_matches_a_fresh_transformer() {
+    fn a_replay_resends_the_first_upload_from_the_held_set() {
+        // What `Restart` asks of a party: round 1 is open, party 0 has
+        // uploaded, and the round replays to the same mapper slots.
         let (mut s, _test) = session(2, None);
         open_round_and_upload(&mut s, 1, TID);
-        let update = s.party_mut(0).update_log[0].1.clone();
-        let old_lens: Vec<usize> = (0..3)
-            .map(|j| s.party_mut(0).transformer().mapper().fragment_len(j))
-            .collect();
-
-        // Aggregator 2 dies: the survivors take over under a fresh
-        // two-way partition and the round is replayed.
-        let survivors: Vec<String> = s.party_mut(0).aggregators[..2]
-            .iter()
-            .map(|a| a.name.clone())
-            .collect();
-        let remapped = ModelMapper::generate(update.len(), 2, None, &mut DetRng::from_u64(99));
-        // What a party that never saw the old mapper would upload.
-        let fresh = s.party_mut(0).transformer().with_mapper(remapped.clone());
-        let expected = fresh.transform(&update, &TID);
-        for j in 0..2 {
-            s.aggregator_mut(j).reopen_round(1);
-        }
+        let held = |s: &mut DetaSession| -> Vec<Vec<(u64, String, Vec<u32>)>> {
+            (0..3)
+                .map(|j| {
+                    let agg = s.aggregator_mut(j);
+                    agg.pump();
+                    let uploads = agg.pending_uploads().into_iter();
+                    let bits = |f: Vec<f32>| f.iter().map(|x| x.to_bits()).collect();
+                    uploads.map(|(r, p, f)| (r, p, bits(f))).collect()
+                })
+                .collect()
+        };
+        let first = held(&mut s);
         let p = s.party_mut(0);
-        assert!(p.apply_remap(1, &remapped.to_bytes(), &survivors));
-        assert!(p.round_perms.is_none(), "old-length permutations dropped");
-        assert!(p.replay_upload(1));
-        assert!(p.round_perms.is_some(), "re-derived for the open round");
-
-        for (j, want) in expected.iter().enumerate() {
-            s.aggregator_mut(j).pump();
-            let pending = s.aggregator_mut(j).pending_uploads();
-            assert_eq!(pending.len(), 1);
-            assert_eq!(pending[0].1, "party-0");
-            assert_ne!(want.len(), old_lens[j]);
-            assert_eq!(&pending[0].2, want, "fragment {j}");
+        let derived = derivations_in(|| assert!(p.replay_upload(1)));
+        assert_eq!(derived, 0, "the set held since the upload is reused");
+        let again = held(&mut s);
+        for (j, uploads) in again.iter().enumerate() {
+            assert_eq!(uploads.len(), 1, "aggregator {j} holds one entry");
+            assert_eq!((uploads[0].0, uploads[0].1.as_str()), (1, "party-0"));
         }
+        assert_eq!(again, first, "the replay is the first upload, bit for bit");
     }
 
     #[test]
@@ -1154,30 +1110,5 @@ mod tests {
             counts.iter().any(|c| c.1) && counts.iter().any(|c| !c.1),
             "{counts:?}"
         );
-    }
-
-    #[test]
-    fn a_replay_after_remap_derives_at_the_new_lengths() {
-        let (mut s, _test) = session(2, None);
-        assert_eq!(derivations_in(|| open_round_and_upload(&mut s, 1, TID)), 3);
-        let n = s.party_mut(0).update_log[0].1.len();
-        let survivors: Vec<String> = s.party_mut(0).aggregators[..2]
-            .iter()
-            .map(|a| a.name.clone())
-            .collect();
-        let remapped = ModelMapper::generate(n, 2, None, &mut DetRng::from_u64(99));
-        for j in 0..2 {
-            s.aggregator_mut(j).reopen_round(1);
-        }
-        let p = s.party_mut(0);
-        assert!(p.apply_remap(1, &remapped.to_bytes(), &survivors));
-        // The held set had the old lengths and went with the remap; the
-        // new transformer derives one permutation per new fragment.
-        assert_eq!(derivations_in(|| assert!(p.replay_upload(1))), 2);
-        for j in 0..2 {
-            s.aggregator_mut(j).pump();
-            let pending = s.aggregator_mut(j).pending_uploads();
-            assert_eq!(pending[0].2.len(), remapped.fragment_len(j));
-        }
     }
 }

@@ -115,27 +115,10 @@ pub enum CtlMsg {
         /// One entry per replaced aggregator.
         rebinds: Vec<RebindEntry>,
     },
-    /// Supervisor -> party: re-partition over the surviving aggregator
-    /// set before replaying `round` (the old epoch's fragments for that
-    /// round are discarded, never merged).
-    Remap {
-        /// The round being replayed under the new partition.
-        round: u64,
-        /// Serialized replacement `ModelMapper` assignment.
-        mapper: Vec<u8>,
-        /// Surviving aggregator endpoint names, index = fragment index.
-        aggs: Vec<String>,
-    },
     /// Supervisor -> party: re-upload the stored update for `round` (the
     /// idempotent round-replay step after a failover).
     Replay {
         /// Round to replay.
-        round: u64,
-    },
-    /// Supervisor -> aggregator: roll completed-round bookkeeping back
-    /// so replayed uploads for `round` are accepted again.
-    Reopen {
-        /// Round being replayed.
         round: u64,
     },
     /// Supervisor -> aggregator: the named party left the session
@@ -166,9 +149,10 @@ const TAG_PARTY_DONE: u8 = 6;
 const TAG_AGG_DONE: u8 = 7;
 const TAG_SHUTDOWN: u8 = 8;
 const TAG_REBIND: u8 = 9;
-const TAG_REMAP: u8 = 10;
+// Tags 10 and 12 are retired: they carried a mid-session re-partition,
+// which no session does any more. Decoding refuses them, and no new
+// variant takes them.
 const TAG_REPLAY: u8 = 11;
-const TAG_REOPEN: u8 = 12;
 const TAG_TOPOLOGY: u8 = 13;
 const TAG_DEREGISTER: u8 = 14;
 
@@ -235,9 +219,7 @@ impl CtlMsg {
             CtlMsg::AggDone { .. } => "AggDone",
             CtlMsg::Shutdown => "Shutdown",
             CtlMsg::Rebind { .. } => "Rebind",
-            CtlMsg::Remap { .. } => "Remap",
             CtlMsg::Replay { .. } => "Replay",
-            CtlMsg::Reopen { .. } => "Reopen",
             CtlMsg::Deregister { .. } => "Deregister",
             CtlMsg::Topology { .. } => "Topology",
         }
@@ -315,22 +297,8 @@ impl CtlMsg {
                     put_bytes(&mut out, &e.verifying_key)?;
                 }
             }
-            CtlMsg::Remap {
-                round,
-                mapper,
-                aggs,
-            } => {
-                out.push(TAG_REMAP);
-                out.extend_from_slice(&round.to_le_bytes());
-                put_bytes(&mut out, mapper)?;
-                put_names(&mut out, aggs)?;
-            }
             CtlMsg::Replay { round } => {
                 out.push(TAG_REPLAY);
-                out.extend_from_slice(&round.to_le_bytes());
-            }
-            CtlMsg::Reopen { round } => {
-                out.push(TAG_REOPEN);
                 out.extend_from_slice(&round.to_le_bytes());
             }
             CtlMsg::Topology { initiator, aggs } => {
@@ -396,13 +364,7 @@ impl CtlMsg {
                     .collect::<Result<Vec<_>, Malformed>>()?;
                 CtlMsg::Rebind { rebinds }
             }
-            TAG_REMAP => CtlMsg::Remap {
-                round: r.u64()?,
-                mapper: r.bytes()?.to_vec(),
-                aggs: names(&mut r)?,
-            },
             TAG_REPLAY => CtlMsg::Replay { round: r.u64()? },
-            TAG_REOPEN => CtlMsg::Reopen { round: r.u64()? },
             TAG_TOPOLOGY => CtlMsg::Topology {
                 initiator: r.str()?.to_string(),
                 aggs: names(&mut r)?,

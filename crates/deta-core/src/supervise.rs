@@ -17,23 +17,22 @@
 //! split into *stalled* (silent for over four ticks) and merely slow. A
 //! failed round is healed when the policy allows it (DESIGN.md §12, §16):
 //! parties are dropped to partial participation, or aggregators are
-//! respawned through [`RecoveryKit::respawn`] or re-partitioned away;
-//! anything else is terminal.
+//! respawned through [`RecoveryKit::respawn`] in their own mapper slots;
+//! anything else is terminal. The model partition is fixed at setup: a
+//! failover replaces an aggregator, it never hands its share to another.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::aggregator::{AggRole, AggregatorNode};
 use crate::keybroker::KeyBroker;
-use crate::mapper::ModelMapper;
 use crate::node::Node;
 use crate::party::Party;
 use crate::recovery::RecoveryKit;
 use crate::round::{OpenRound, RoundLedger};
 use crate::rtmsg::{CtlMsg, RebindEntry};
 use crate::session::{DetaConfig, RoundMetrics, SessionParts, SetupError};
-use crate::transform::Transformer;
-use deta_crypto::{DetRng, VerifyingKey};
+use deta_crypto::VerifyingKey;
 use deta_nn::Sequential;
 use deta_telemetry::TelemetryValue;
 use deta_transport::Network;
@@ -87,15 +86,11 @@ pub enum FailoverPolicy {
     #[default]
     None,
     /// Respawn each dead aggregator as a freshly attested CVM under a
-    /// new endpoint name, rebind every party to it (re-running the
-    /// Phase II challenge-response against the proxy's new token), and
-    /// replay the failed round from the parties' sealed uploads.
+    /// new endpoint name in its own mapper slot, rebind every party to it
+    /// (re-running the Phase II challenge-response against the proxy's
+    /// new token), and replay the failed round from the parties' sealed
+    /// uploads.
     Restart,
-    /// Drop the dead aggregators and rebuild the model partition over
-    /// the survivors: the failed round is discarded (never merged), a
-    /// deterministic replacement `ModelMapper` is generated over the
-    /// surviving set, and the round replays under the new epoch.
-    Repartition,
 }
 
 /// Session policy: deadlines, tick rate, retry backoff, fault injection,
@@ -283,24 +278,6 @@ impl From<SetupError> for RuntimeError {
     }
 }
 
-/// One model-partition epoch: the transformer (mapper + keyed shuffle)
-/// and aggregator set in effect from [`MapperEpoch::from_round`] until
-/// the next epoch begins.
-///
-/// A round healed by re-partition belongs to BOTH the epoch it started
-/// under and the epoch it completed under — its failed attempt put
-/// old-epoch fragments in flight, so auditors must accept either view
-/// for that round (and only that round).
-#[derive(Clone)]
-pub struct MapperEpoch {
-    /// First round this epoch applies to.
-    pub from_round: u64,
-    /// The party-side transformer of this epoch.
-    pub transformer: Transformer,
-    /// Aggregator endpoint names of this epoch, index 0 the initiator.
-    pub agg_names: Vec<String>,
-}
-
 /// The stable base of an aggregator name across reincarnations
 /// (`agg-1#r2` → `agg-1`).
 pub fn base_name(name: &str) -> &str {
@@ -345,12 +322,11 @@ enum Goal {
     /// The open round's completions.
     Round,
     /// A failover's readiness barrier over the parties and the
-    /// replacements; then `aggs` takes effect, `epoch` begins and the
-    /// parties replay the round.
+    /// replacements; then `aggs` takes effect and the parties replay the
+    /// round.
     Barrier {
         parties: Vec<String>,
         aggs: Vec<String>,
-        epoch: Option<MapperEpoch>,
     },
 }
 
@@ -376,9 +352,6 @@ pub struct SessionView<'a> {
     pub retired_aggs: &'a [String],
     /// Parties dropped to partial participation (or by the operator).
     pub dropped_parties: &'a HashSet<String>,
-    /// Every model-partition epoch so far, oldest first. A session that
-    /// never re-partitioned has exactly one.
-    pub epochs: &'a [MapperEpoch],
     /// Phase II token verifying keys by aggregator endpoint name, as the
     /// attestation proxy published them: a retired incarnation's key
     /// stays next to its replacement's, so drills can prove it dead.
@@ -399,8 +372,8 @@ impl<'a> SessionView<'a> {
     }
 }
 
-/// A session's control plane: its round ledger, aggregator set, mapper
-/// epochs, recovery budget and the phase it waits on.
+/// A session's control plane: its round ledger, aggregator set, recovery
+/// budget and the phase it waits on.
 pub struct Supervisor {
     cfg: RuntimeConfig,
     config: DetaConfig,
@@ -408,14 +381,12 @@ pub struct Supervisor {
     broker: KeyBroker,
     tokens: HashMap<String, VerifyingKey>,
     recovery: RecoveryKit,
-    transformer: Transformer,
     ledger: RoundLedger,
     /// Whether the first party of a round attaches its parameters to
     /// `PartyDone` (a session that evaluates on a replica of its own).
     report_params: bool,
     agg_names: Vec<String>,
     retired_aggs: Vec<String>,
-    epochs: Vec<MapperEpoch>,
     failovers: u64,
     /// Failovers consumed per aggregator *base* name (reincarnations
     /// share one allowance).
@@ -447,12 +418,6 @@ impl Supervisor {
             broker: parts.broker,
             tokens: parts.tokens,
             recovery: parts.recovery,
-            epochs: vec![MapperEpoch {
-                from_round: 1,
-                transformer: parts.transformer.clone(),
-                agg_names: agg_names.clone(),
-            }],
-            transformer: parts.transformer,
             report_params,
             agg_names,
             retired_aggs: Vec::new(),
@@ -608,7 +573,6 @@ impl Supervisor {
             agg_names: &self.agg_names,
             retired_aggs: &self.retired_aggs,
             dropped_parties: self.ledger.left(),
-            epochs: &self.epochs,
             tokens: &self.tokens,
             broker: &self.broker,
             failovers: self.failovers,
@@ -719,13 +683,8 @@ impl Supervisor {
     /// barrier falls and the round replays.
     fn complete(&mut self, now: Duration, out: &mut Vec<Directive>) {
         match self.wait.take().map(|w| w.goal) {
-            Some(Goal::Barrier {
-                parties,
-                aggs,
-                epoch,
-            }) => {
+            Some(Goal::Barrier { parties, aggs }) => {
                 self.agg_names = aggs;
-                self.epochs.extend(epoch);
                 let round = self.open.as_ref().map_or(0, |o| o.round);
                 for p in parties {
                     out.push(Directive::Send(p, CtlMsg::Replay { round }));
@@ -836,34 +795,32 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Heals a failed round with the failover policy, or returns the
-    /// fault: recoverable means a policy is configured, the fault
-    /// implicates at least one aggregator (parties own private data no
-    /// replacement could re-create), the Paillier path is off (a
-    /// replayed upload must be byte-identical, and re-encrypting would
-    /// consume party RNG state), and every target is within its budget.
+    /// Heals a failed round with `FailoverPolicy::Restart`, or returns the
+    /// fault: recoverable means the policy is on, the fault implicates at
+    /// least one aggregator (parties own private data no replacement
+    /// could re-create), the Paillier path is off (a replayed upload must
+    /// be byte-identical, and re-encrypting would consume party RNG
+    /// state), and every target is within its budget.
+    ///
+    /// Every dead aggregator respawns as a freshly attested CVM under a
+    /// new incarnation name in its own mapper slot, and the survivors
+    /// learn the new topology. Every party is told one batched `Rebind`,
+    /// to re-run Phase II against the proxy's new tokens; the round
+    /// replays once the parties and the replacements are ready.
     fn failover(
         &mut self,
         err: RuntimeError,
         now: Duration,
         out: &mut Vec<Directive>,
     ) -> Result<(), RuntimeError> {
-        let policy = self.cfg.failover;
         let implicated = err.implicated();
         let targets: Vec<String> = (self.agg_names.iter())
             .filter(|n| implicated.contains(n))
             .cloned()
             .collect();
-        let repartition = policy == FailoverPolicy::Repartition;
-        if policy == FailoverPolicy::None
+        if self.cfg.failover == FailoverPolicy::None
             || self.config.paillier.is_some()
             || targets.is_empty()
-            // Krum / FLAME-lite score whole fragments, so survivors
-            // re-aggregating under a new partition would select
-            // differently than the original epoch.
-            || (repartition && !self.config.algorithm.partition_commutative())
-            // Nobody would survive to absorb the dead partitions.
-            || (repartition && targets.len() >= self.agg_names.len())
         {
             return Err(err);
         }
@@ -886,10 +843,6 @@ impl Supervisor {
             "failover_started",
             &[
                 ("round", TelemetryValue::from(open.round)),
-                (
-                    "policy",
-                    TelemetryValue::from(format!("{policy:?}").to_lowercase()),
-                ),
                 ("targets", TelemetryValue::from(targets.len())),
             ],
         );
@@ -900,33 +853,6 @@ impl Supervisor {
             self.retire(t, out);
             self.retired_aggs.push(t.clone());
         }
-        let (aggs, told, fresh, epoch) = match repartition {
-            true => self.repartition(&targets, out)?,
-            false => self.restart(&targets, out)?,
-        };
-        // Every party re-proves readiness against the new aggregator set
-        // before the round replays: no replacement may aggregate over a
-        // partially re-registered party set.
-        let parties = self.active_parties();
-        for p in &parties {
-            out.push(Directive::Send(p.clone(), told.clone()));
-        }
-        let expected = parties.iter().chain(&fresh).cloned().collect();
-        let goal = Goal::Barrier {
-            parties,
-            aggs,
-            epoch,
-        };
-        self.arm(goal, expected, now, out);
-        Ok(())
-    }
-
-    /// `FailoverPolicy::Restart`: every dead aggregator respawns as a
-    /// freshly attested CVM under a new incarnation name (same mapper
-    /// slot) and the survivors learn the new topology. Every party is told
-    /// one batched `Rebind`, to re-run Phase II against the proxy's new
-    /// tokens; the replacements are waited for.
-    fn restart(&mut self, targets: &[String], out: &mut Vec<Directive>) -> Rearranged {
         let mut aggs = self.agg_names.clone();
         let mut rebinds: Vec<RebindEntry> = Vec::new();
         for (slot, name) in aggs.iter_mut().enumerate() {
@@ -965,52 +891,17 @@ impl Supervisor {
             let topology = CtlMsg::Topology { initiator, aggs };
             out.push(Directive::Send(survivor.clone(), topology));
         }
-        Ok((aggs, CtlMsg::Rebind { rebinds }, fresh, None))
-    }
-
-    /// `FailoverPolicy::Repartition`: the survivors discard the failed
-    /// round (never merged) and learn a possibly promoted initiator; every
-    /// party is told to `Remap` onto a deterministic replacement mapper
-    /// over them — a pure function of (seed, epoch), so a replay of the
-    /// session rebuilds it bit-exactly — whose epoch begins with the
-    /// round. Privacy argument: DESIGN.md §12.
-    fn repartition(&mut self, targets: &[String], out: &mut Vec<Directive>) -> Rearranged {
-        let survivors: Vec<String> = (self.agg_names.iter())
-            .filter(|n| !targets.contains(n))
-            .cloned()
-            .collect();
-        let (Some(initiator), Some(open)) = (survivors.first(), self.open.as_mut()) else {
-            let why = "no surviving aggregators to re-partition over";
-            return Err(RuntimeError::Protocol(why));
-        };
-        let round = open.round;
-        for s in &survivors {
-            let (initiator, aggs) = (initiator.clone(), survivors.clone());
-            out.push(Directive::Send(s.clone(), CtlMsg::Reopen { round }));
-            out.push(Directive::Send(
-                s.clone(),
-                CtlMsg::Topology { initiator, aggs },
-            ));
-            // Reopened survivors must re-complete the round.
-            open.expect_again(s);
+        // Every party re-proves readiness against the new aggregator set
+        // before the round replays: no replacement may aggregate over a
+        // partially re-registered party set.
+        let parties = self.active_parties();
+        let rebind = CtlMsg::Rebind { rebinds };
+        for p in &parties {
+            out.push(Directive::Send(p.clone(), rebind.clone()));
         }
-        let epoch = self.epochs.len() as u64;
-        let n_params = self.transformer.mapper().n_params();
-        let mut rng = DetRng::from_u64(self.config.seed).fork_indexed(b"mapper-epoch", epoch);
-        let mapper = ModelMapper::generate(n_params, survivors.len(), None, &mut rng);
-        let (bytes, aggs) = (mapper.to_bytes(), survivors.clone());
-        self.transformer = self.transformer.with_mapper(mapper);
-        let epoch = MapperEpoch {
-            from_round: round,
-            transformer: self.transformer.clone(),
-            agg_names: survivors.clone(),
-        };
-        let remap = CtlMsg::Remap {
-            round,
-            mapper: bytes,
-            aggs,
-        };
-        Ok((survivors, remap, Vec::new(), Some(epoch)))
+        let expected = parties.iter().chain(&fresh).cloned().collect();
+        self.arm(Goal::Barrier { parties, aggs }, expected, now, out);
+        Ok(())
     }
 
     /// Names of the parties still in the session, in index order.
@@ -1026,7 +917,3 @@ impl Supervisor {
         out.push(Directive::Retire(node.to_string()));
     }
 }
-
-/// A failover's new arrangement: the aggregator set, what every party is
-/// told, the replacements to wait for, and the mapper epoch it begins.
-type Rearranged = Result<(Vec<String>, CtlMsg, Vec<String>, Option<MapperEpoch>), RuntimeError>;

@@ -74,8 +74,8 @@ impl TransformConfig {
 #[derive(Clone)]
 pub struct Transformer {
     /// Shared: the table is two index vectors the size of the model, and
-    /// every party of a process holds a clone of the transformer. A
-    /// re-partition swaps the whole `Arc`.
+    /// every party of a process holds a clone of the transformer. It is
+    /// fixed for the session.
     mapper: Arc<ModelMapper>,
     perm_key: Secret<[u8; 32]>,
     config: TransformConfig,
@@ -123,21 +123,6 @@ impl Transformer {
     /// The underlying mapper.
     pub fn mapper(&self) -> &ModelMapper {
         &self.mapper
-    }
-
-    /// A transformer with the same permutation key and configuration but
-    /// a different mapper — the re-partition step of aggregator failover,
-    /// where survivors absorb a dead aggregator's parameters under a
-    /// freshly generated partition while the keyed shuffle stays bound to
-    /// the original session key. It starts a memo of its own: the
-    /// fragment lengths, and so the permutations, are new.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same single-aggregator constraint as
-    /// [`Transformer::new`].
-    pub fn with_mapper(&self, mapper: ModelMapper) -> Transformer {
-        Transformer::new(mapper, self.perm_key.clone(), self.config)
     }
 
     /// The active configuration.
@@ -470,22 +455,6 @@ mod tests {
         let again = t.permutations(&tid);
         assert_eq!(crate::shuffle::derivations() - before, 3, "derived again");
         assert_eq!(again.perms.len(), 3);
-    }
-
-    #[test]
-    fn with_mapper_never_returns_a_set_of_the_old_lengths() {
-        let t = transformer(90, 3, TransformConfig::full());
-        let tid = [8u8; 16];
-        let old = t.permutations(&tid);
-        let remapped = t.with_mapper(ModelMapper::generate(90, 2, None, &mut DetRng::from_u64(2)));
-        let new = remapped.permutations(&tid);
-        assert!(!new.shares_set_with(&old));
-        assert_eq!(new.perms.len(), 2);
-        for (j, perm) in new.perms.iter().enumerate() {
-            assert_eq!(perm.len(), remapped.mapper().fragment_len(j));
-        }
-        // The old transformer's clones still share the old set.
-        assert!(t.clone().permutations(&tid).shares_set_with(&old));
     }
 
     #[test]

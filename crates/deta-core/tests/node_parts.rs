@@ -122,10 +122,7 @@ fn each_of_the_seven_nodes_built_alone_is_its_twin_in_the_full_build() {
             "{}",
             party.name
         );
-        assert_eq!(
-            twin.transformer().mapper().to_bytes(),
-            party.transformer().mapper().to_bytes()
-        );
+        assert_eq!(twin.transformer().mapper(), party.transformer().mapper());
         let log = tap(&alone.network);
         twin.send_hellos(&alone.tokens);
         assert_eq!(drain(&log), hellos[&party.name], "{}", party.name);

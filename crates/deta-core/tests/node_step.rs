@@ -176,48 +176,3 @@ fn a_repeated_trigger_for_a_completed_round_reports_nothing() {
     assert!(parts.aggregators[0].step(Input::Ctl(trigger)).is_empty());
     assert!(settle(&mut parts).is_empty(), "no second AggDone");
 }
-
-#[test]
-fn a_rejected_remap_is_the_party_s_last_report() {
-    let mut parts = parts(None);
-    boot(&mut parts);
-    let aggs: Vec<String> = parts.aggregators.iter().map(|a| a.name.clone()).collect();
-    let remap = |mapper: Vec<u8>| {
-        let (round, aggs) = (1, aggs.clone());
-        Input::Ctl(CtlMsg::Remap {
-            round,
-            mapper,
-            aggs,
-        })
-    };
-    let party = &mut parts.parties[0];
-    let reason = "re-partition mapper rejected".to_string();
-    assert_eq!(
-        party.step(remap(vec![0xde, 0xad])),
-        [CtlMsg::Failed { reason }]
-    );
-    assert!(party.step(remap(vec![0xbe, 0xef])).is_empty());
-    let reports = round(&mut parts, 1, &[true, true]);
-    assert!(
-        reports.iter().all(|(node, _)| node != "party-0"),
-        "{reports:?}"
-    );
-}
-
-#[test]
-fn reopen_re_arms_agg_done_for_the_replayed_round() {
-    let mut parts = parts(None);
-    boot(&mut parts);
-    round(&mut parts, 1, &[true, true]);
-    for agg in &mut parts.aggregators {
-        assert!(agg.step(Input::Ctl(CtlMsg::Reopen { round: 1 })).is_empty());
-    }
-    for party in &mut parts.parties {
-        assert!(party
-            .step(Input::Ctl(CtlMsg::Replay { round: 1 }))
-            .is_empty());
-    }
-    let reports = settle(&mut parts);
-    assert_eq!(agg_done(&reports, 1), ["agg-0", "agg-1"]);
-    assert_eq!(reports.len(), 2, "the parties had synchronized round 1");
-}

@@ -345,59 +345,20 @@ fn an_exhausted_recovery_budget_is_terminal() {
 }
 
 #[test]
-fn repartition_discards_the_round_at_the_survivors_and_remaps_the_parties() {
+fn restart_is_refused_under_paillier() {
+    // A replayed upload must be byte-identical, and re-encrypting would
+    // draw fresh randomness: the failure stays terminal and attributed.
     let rt = RuntimeConfig {
-        failover: FailoverPolicy::Repartition,
+        failover: FailoverPolicy::Restart,
         ..RuntimeConfig::default()
     };
-    let mut sup = supervisor(2, rt, |_| {});
+    let mut sup = supervisor(2, rt, |c| {
+        c.paillier = Some(PaillierFusionConfig::default());
+    });
+    let err = failure(agg_1_lost(&mut sup));
+    assert_eq!(err.implicated(), ["agg-1"]);
     assert_eq!(
-        shown(&agg_1_lost(&mut sup)),
-        [
-            "retire agg-1",
-            "Reopen -> agg-0",
-            "Topology -> agg-0",
-            "Remap -> party-0",
-            "Remap -> party-1"
-        ]
+        roster(&sup),
+        (vec!["agg-0".to_string(), "agg-1".to_string()], vec![], 0)
     );
-    let now = RuntimeConfig::default().round_deadline;
-    assert_eq!(sup.awaiting(), ["party-0", "party-1"]);
-    report(&mut sup, "party-0", CtlMsg::Ready, now);
-    assert_eq!(
-        shown(&report(&mut sup, "party-1", CtlMsg::Ready, now)),
-        ["Replay -> party-0", "Replay -> party-1", "Trigger -> agg-0"]
-    );
-    assert_eq!(roster(&sup).0, ["agg-0"]);
-    let epochs: Vec<(u64, usize)> = with_view(&sup, |v| {
-        let epochs = v.epochs.iter();
-        epochs.map(|e| (e.from_round, e.agg_names.len())).collect()
-    });
-    assert_eq!(epochs, [(1, 2), (1, 1)], "round 1 belongs to both epochs");
-    assert_eq!(sup.awaiting(), ["agg-0", "party-0", "party-1"], "reopened");
-}
-
-#[test]
-fn repartition_is_refused_for_krum_and_flame_lite_and_any_failover_under_paillier() {
-    let refused = |policy: FailoverPolicy, cfg: fn(&mut DetaConfig)| {
-        let rt = RuntimeConfig {
-            failover: policy,
-            ..RuntimeConfig::default()
-        };
-        let mut sup = supervisor(2, rt, cfg);
-        let err = failure(agg_1_lost(&mut sup));
-        assert_eq!(err.implicated(), ["agg-1"]);
-        assert_eq!(roster(&sup).2, 0);
-    };
-    refused(FailoverPolicy::Repartition, |c| {
-        c.algorithm = AggKind::Krum { f: 0 };
-    });
-    refused(FailoverPolicy::Repartition, |c| {
-        c.algorithm = AggKind::FlameLite;
-    });
-    for policy in [FailoverPolicy::Restart, FailoverPolicy::Repartition] {
-        refused(policy, |c| {
-            c.paillier = Some(PaillierFusionConfig::default());
-        });
-    }
 }

@@ -30,8 +30,5 @@ fn mapper_roundtrip_arbitrary_proportions() {
         let mapper = ModelMapper::generate(n, k, Some(&raw_props), &mut DetRng::from_u64(g.u64()));
         let update: Vec<f32> = (0..n).map(|i| i as f32).collect();
         assert_eq!(mapper.merge(&mapper.partition(&update)), update);
-        // Serialization roundtrip too.
-        let back = ModelMapper::from_bytes(&mapper.to_bytes()).unwrap();
-        assert_eq!(back, mapper);
     });
 }

@@ -23,7 +23,7 @@ pub mod session;
 pub use deta_core::node::Node;
 pub use deta_core::rtmsg::{CtlMsg, RebindEntry, SUPERVISOR};
 pub use deta_core::supervise::{
-    base_name, FailoverPolicy, MapperEpoch, Phase, RuntimeConfig, RuntimeError, SessionView,
-    StallFault, TelemetryConfig,
+    base_name, FailoverPolicy, Phase, RuntimeConfig, RuntimeError, SessionView, StallFault,
+    TelemetryConfig,
 };
 pub use session::{DetachedNodes, ThreadedSession};

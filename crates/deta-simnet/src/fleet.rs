@@ -31,7 +31,7 @@ use deta_core::rtmsg::SUPERVISOR;
 use deta_core::session::{DetaConfig, DetaSession, SessionParts};
 use deta_core::shuffle::RoundPermutation;
 use deta_core::supervise::{
-    base_name, FailoverPolicy, MapperEpoch, RuntimeConfig, RuntimeError, TelemetryConfig,
+    base_name, FailoverPolicy, RuntimeConfig, RuntimeError, TelemetryConfig,
 };
 use deta_core::transform::Transformer;
 use deta_core::wire::Msg;
@@ -295,6 +295,8 @@ impl SimFleet {
         let model = move |rng: &mut _| mlp(&[dim, hidden, classes], rng);
         let parts = SessionParts::build(self.spec.config(), &model, self.shards.clone());
         let setup = parts.map_err(RuntimeError::from).and_then(|mut parts| {
+            // The partition every aggregator is entitled to, fixed at setup.
+            let transformer = parts.transformer.clone();
             if let Some(p) = policy {
                 parts.network.set_fault_policy(p);
             }
@@ -303,7 +305,7 @@ impl SimFleet {
                 party.record_updates = true;
             }
             instrument(&mut parts);
-            DetaSession::bootstrap(parts, self.spec.runtime())
+            DetaSession::bootstrap(parts, self.spec.runtime()).map(|s| (s, transformer))
         });
         let failed = |e: RuntimeError, violations: &mut Vec<String>| {
             if let RuntimeError::Protocol(why) = e {
@@ -329,7 +331,7 @@ impl SimFleet {
                 }
                 failed(e, &mut violations)
             }
-            Ok(mut session) => {
+            Ok((mut session, transformer)) => {
                 let rounds = (0..self.spec.rounds).map(|_| session.try_step(&self.test));
                 let vd = match rounds.collect::<Result<Vec<_>, _>>() {
                     Ok(_) => {
@@ -354,7 +356,7 @@ impl SimFleet {
                 // Privacy audits each aggregator's materialized state
                 // against recomputed entitlements, retired incarnations
                 // and stopped nodes included.
-                self.privacy_check(&session, &tap, &mut violations);
+                privacy_check(&session, &transformer, &tap, &mut violations);
                 if self.spec.trace {
                     trace_path = session.trace().map(|p| p.display().to_string());
                 }
@@ -372,108 +374,104 @@ impl SimFleet {
             trace_path,
         }
     }
+}
 
-    /// Invariant 2. For every fragment an aggregator materialized
-    /// (breached CVM memory + pending upload buffers), recompute — from
-    /// the producing party's raw update log, a mapper epoch covering
-    /// that round, and the round's permutation — the one fragment that
-    /// aggregator was entitled to, and demand bit-equality. Then replay
-    /// the tap: the fragment must be backed by a delivered frame on the
-    /// party→agg link whose size matches a sealed upload of exactly that
-    /// length, and every frame into the aggregator must come from a
-    /// known endpoint.
-    ///
-    /// The audit spans failovers: aggregator incarnations retired by a
-    /// failover are audited too (their final state is kept), and a round
-    /// healed by re-partition is
-    /// checked against *both* of its epochs — its failed attempt
-    /// legitimately left old-epoch fragments behind. What must never
-    /// appear is a fragment matching no epoch the holder belonged to:
-    /// that would mean some aggregator saw a slice of the model it was
-    /// never entitled to under any partition of the session.
-    fn privacy_check(&self, session: &DetaSession, tap: &TapLog, violations: &mut Vec<String>) {
-        let view = session.view();
-        let perm_key = view.broker.permutation_key();
-        let party_names = view.party_names;
-        let epochs = view.epochs;
-        // Every incarnation that ever held uploads: the final aggregator
-        // set plus everything a failover retired.
-        let incarnations: Vec<&str> = (view.agg_names.iter())
-            .chain(view.retired_aggs)
-            .map(String::as_str)
-            .collect();
-        for agg_name in &incarnations {
-            let Some(Node::Aggregator(agg)) = view.node(agg_name) else {
+/// Invariant 2. For every fragment an aggregator materialized (breached
+/// CVM memory + pending upload buffers), recompute — from the producing
+/// party's raw update log, the session's `transformer` and the round's
+/// permutation — the one fragment that aggregator was entitled to, and
+/// demand bit-equality. Then replay the tap: the fragment must be backed
+/// by a delivered frame on the party→agg link whose size matches a
+/// sealed upload of exactly that length, and every frame into the
+/// aggregator must come from a known endpoint.
+///
+/// The audit spans failovers: aggregator incarnations retired by a
+/// failover are audited too (their final state is kept). The mapper is
+/// fixed at setup and a replacement takes its predecessor's slot, so the
+/// slot comes from the holder's base name (`agg-1#r1` keeps `agg-1`'s).
+fn privacy_check(
+    session: &DetaSession,
+    transformer: &Transformer,
+    tap: &TapLog,
+    violations: &mut Vec<String>,
+) {
+    let view = session.view();
+    let perm_key = view.broker.permutation_key();
+    let party_names = view.party_names;
+    // Every incarnation that ever held uploads: the final aggregator set
+    // plus everything a failover retired.
+    let incarnations: Vec<&str> = (view.agg_names.iter())
+        .chain(view.retired_aggs)
+        .map(String::as_str)
+        .collect();
+    for agg_name in &incarnations {
+        let Some(Node::Aggregator(agg)) = view.node(agg_name) else {
+            continue;
+        };
+        let base = base_name(agg_name);
+        let slot = (view.agg_names.iter()).position(|n| base_name(n) == base);
+        let mut materialized: Vec<(String, u64, Vec<f32>)> =
+            parse_breached_memory(&agg.cvm().breach().memory);
+        for (round, party, frag) in agg.pending_uploads() {
+            materialized.push((party, round, frag));
+        }
+        for (party, round, frag) in &materialized {
+            if !party_names.contains(party) {
+                violations.push(format!(
+                    "privacy: {agg_name} holds a fragment from unknown sender {party:?}"
+                ));
+                continue;
+            }
+            let Some(Node::Party(node)) = view.node(party) else {
                 continue;
             };
-            let mut materialized: Vec<(String, u64, Vec<f32>)> =
-                parse_breached_memory(&agg.cvm().breach().memory);
-            for (round, party, frag) in agg.pending_uploads() {
-                materialized.push((party, round, frag));
+            let Some((_, update)) = node.update_log.iter().find(|(r, _)| r == round) else {
+                violations.push(format!(
+                    "privacy: {agg_name} holds a round-{round} fragment from {party}, \
+                     but {party} never produced a round-{round} update"
+                ));
+                continue;
+            };
+            let Some(j) = slot else {
+                violations.push(format!(
+                    "privacy: {agg_name} holds a round-{round} fragment but holds no \
+                     mapper slot"
+                ));
+                continue;
+            };
+            let tid = view.broker.training_id(*round);
+            let entitled = entitled_fragment(transformer, update, j, &tid, &perm_key);
+            if bits(&entitled) != bits(frag) {
+                violations.push(format!(
+                    "privacy: {agg_name} materialized a round-{round} fragment from \
+                     {party} that is not the shuffled partition of slot {j} it is \
+                     entitled to"
+                ));
+                continue;
             }
-            for (party, round, frag) in &materialized {
-                if !party_names.contains(party) {
+            if let Some(frame_len) = sealed_upload_frame_len(*round, frag) {
+                let backed = tap
+                    .delivered_on(party, agg_name)
+                    .iter()
+                    .any(|r| r.payload.len() == frame_len);
+                if !backed {
                     violations.push(format!(
-                        "privacy: {agg_name} holds a fragment from unknown sender {party:?}"
+                        "privacy: no tap-logged frame on {party}->{agg_name} matches \
+                         the round-{round} fragment {agg_name} materialized"
                     ));
-                    continue;
-                }
-                let Some(Node::Party(node)) = view.node(party) else {
-                    continue;
-                };
-                let Some((_, update)) = node.update_log.iter().find(|(r, _)| r == round) else {
-                    violations.push(format!(
-                        "privacy: {agg_name} holds a round-{round} fragment from {party}, \
-                         but {party} never produced a round-{round} update"
-                    ));
-                    continue;
-                };
-                let views = epoch_views(epochs, agg_name, *round);
-                if views.is_empty() {
-                    violations.push(format!(
-                        "privacy: {agg_name} holds a round-{round} fragment but belongs \
-                         to no mapper epoch covering round {round}"
-                    ));
-                    continue;
-                }
-                let tid = view.broker.training_id(*round);
-                let entitled_somewhere = views.iter().any(|(j, transformer)| {
-                    let entitled = entitled_fragment(transformer, update, *j, &tid, &perm_key);
-                    bits(&entitled) == bits(frag)
-                });
-                if !entitled_somewhere {
-                    violations.push(format!(
-                        "privacy: {agg_name} materialized a round-{round} fragment from \
-                         {party} that is not the shuffled partition it is entitled to \
-                         under any of its {} epoch view(s)",
-                        views.len()
-                    ));
-                    continue;
-                }
-                if let Some(frame_len) = sealed_upload_frame_len(*round, frag) {
-                    let backed = tap
-                        .delivered_on(party, agg_name)
-                        .iter()
-                        .any(|r| r.payload.len() == frame_len);
-                    if !backed {
-                        violations.push(format!(
-                            "privacy: no tap-logged frame on {party}->{agg_name} matches \
-                             the round-{round} fragment {agg_name} materialized"
-                        ));
-                    }
                 }
             }
-            for rec in tap.delivered_to(agg_name) {
-                let known = rec.from == SUPERVISOR
-                    || party_names.contains(&rec.from)
-                    || incarnations.iter().any(|n| *n == rec.from);
-                if !known {
-                    violations.push(format!(
-                        "privacy: {agg_name} received a frame from unregistered \
-                         endpoint {:?}",
-                        rec.from
-                    ));
-                }
+        }
+        for rec in tap.delivered_to(agg_name) {
+            let known = rec.from == SUPERVISOR
+                || party_names.contains(&rec.from)
+                || incarnations.iter().any(|n| *n == rec.from);
+            if !known {
+                violations.push(format!(
+                    "privacy: {agg_name} received a frame from unregistered \
+                     endpoint {:?}",
+                    rec.from
+                ));
             }
         }
     }
@@ -499,31 +497,6 @@ fn entitled_fragment(
     } else {
         entitled
     }
-}
-
-/// The (slot, transformer) views `agg_name` legitimately had of `round`:
-/// one per mapper epoch that covers the round and lists the aggregator.
-/// Slots are matched by base name (`agg-1#r1` inherits `agg-1`'s slot),
-/// and an epoch covers `[from_round, next.from_round]` — the boundary
-/// round belongs to *both* epochs, because a re-partition replays the
-/// round whose old-epoch fragments were already in flight.
-fn epoch_views<'a>(
-    epochs: &'a [MapperEpoch],
-    agg_name: &str,
-    round: u64,
-) -> Vec<(usize, &'a Transformer)> {
-    let base = base_name(agg_name);
-    let mut views = Vec::new();
-    for (e, epoch) in epochs.iter().enumerate() {
-        let upper = epochs.get(e + 1).map_or(u64::MAX, |next| next.from_round);
-        if round < epoch.from_round || round > upper {
-            continue;
-        }
-        if let Some(j) = epoch.agg_names.iter().position(|n| base_name(n) == base) {
-            views.push((j, &epoch.transformer));
-        }
-    }
-    views
 }
 
 /// Wire size of the sealed record that carries `fragment` for `round`:

@@ -16,6 +16,7 @@
 //! parses and whose `meta` line implicates the same node(s) as the
 //! structured error.
 
+use deta::core::paillier_fusion::PaillierFusionConfig;
 use deta::core::DetaConfig;
 use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
@@ -499,6 +500,61 @@ fn partitioned_initiator_link_heals_under_restart() {
                 at: 2,
             },
         ]),
+    );
+}
+
+/// The one failover refusal left: under Paillier fusion a replayed
+/// upload could not be byte-identical (re-encrypting draws fresh
+/// randomness), so a stalled follower stays terminal with `Restart` armed
+/// — attributed to it, nothing respawned, every thread joined.
+#[test]
+fn paillier_refuses_restart_and_names_the_stalled_aggregator() {
+    let (shards, test, dim, classes) = data(2);
+    let mut cfg = DetaConfig::deta(2, 2);
+    cfg.n_aggregators = 2;
+    cfg.seed = 33;
+    cfg.paillier = Some(PaillierFusionConfig {
+        n_bits: 256,
+        clip: 4.0,
+        value_bits: 20,
+    });
+    let rt = RuntimeConfig {
+        failover: FailoverPolicy::Restart,
+        stalls: vec![StallFault {
+            node: "agg-1".to_string(),
+            round: 1,
+        }],
+        ..sim_rt()
+    };
+    let mut session =
+        ThreadedSession::setup(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards, rt)
+            .expect("setup completes before the stall triggers");
+    let t0 = Instant::now();
+    let err = session
+        .run(&test)
+        .expect_err("an encrypted round cannot be replayed");
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "supervisor hung: {:?}",
+        t0.elapsed()
+    );
+    assert!(session.is_shut_down(), "threads leaked after the refusal");
+    match &err {
+        RuntimeError::Timeout {
+            phase: Phase::Round,
+            round: 1,
+            stalled,
+            ..
+        } => assert_eq!(stalled, &["agg-1"]),
+        other => panic!("expected a round timeout, got: {other}"),
+    }
+    assert_eq!(err.implicated(), ["agg-1"]);
+    assert_dump_matches(&session, &err);
+    let view = session.view();
+    assert_eq!(view.failovers, 0, "the refusal runs no failover");
+    assert!(
+        !view.tokens.contains_key("agg-1#r1"),
+        "no replacement was attested"
     );
 }
 
