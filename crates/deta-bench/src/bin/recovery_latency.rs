@@ -89,8 +89,8 @@ fn main() {
         .collect();
     let wall_baseline_s = deta_bench::median(&baseline);
 
-    // Faulted mode: a follower stalls when the mid-session round is
-    // announced; the supervisor must detect it (one round-deadline
+    // Faulted mode: a follower stalls when the first upload of the
+    // mid-session round reaches it; the supervisor must detect it (one round-deadline
     // wait), respawn it, and replay the round.
     let round_deadline = Duration::from_secs_f64((wall_baseline_s / rounds as f64 * 3.0) + 2.0);
     let faulted = RuntimeConfig {

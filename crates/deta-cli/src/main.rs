@@ -59,7 +59,8 @@ CONFIG KEYS (key = value; # comments):
     party_drop   true lets cluster runs drop a party whose link died
                  (partial participation) instead of failing the run
     chaos_severs cluster link chaos: `node@count,...` — sever the node's
-                 TCP connection after `count` total frames (no Bye)
+                 TCP connection after `count` total frames (no Bye);
+                 the run fails if a planned cut never happens
 ";
 
 fn main() -> ExitCode {
@@ -289,6 +290,7 @@ fn cmd_cluster(path: &str, inprocess: bool) -> Result<(), Box<dyn std::error::Er
     let (mut cluster, test) = launch_processes(path, prepared, rt, config.chaos_severs()?, false)?;
     let outcome = cluster.session.run(&test);
     reap_children(&mut cluster.hosts);
+    let unfired = cluster.hub.pending_severs();
     // Join the hub either way, but let the session outcome win: a dead
     // node process must surface as the supervisor's structured
     // RuntimeError (a timeout naming the node), never as the hub's
@@ -297,6 +299,11 @@ fn cmd_cluster(path: &str, inprocess: bool) -> Result<(), Box<dyn std::error::Er
     let metrics = outcome?;
     if let Some(e) = hub_err {
         return Err(Box::new(e));
+    }
+    // A run cannot be credited with surviving cuts that never happened:
+    // a threshold past the node's traffic would pass silently.
+    if unfired > 0 {
+        return Err(format!("{unfired} chaos sever(s) never fired").into());
     }
     print_rounds(&metrics);
     print_dropped(&cluster.session);

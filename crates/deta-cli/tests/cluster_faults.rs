@@ -8,6 +8,8 @@
 //! * Sever a party's TCP link twice via the hub's chaos plan and assert
 //!   the run's stdout is byte-for-byte that of the fault-free run —
 //!   link restarts must be observationally free.
+//! * Plan a sever past a party's traffic and assert the run fails,
+//!   naming the cut that never fired.
 //! * SIGKILL a *party* process under `party_drop = true` and assert the
 //!   run degrades to partial participation (one structured line, every
 //!   round finished) instead of hanging or failing.
@@ -264,6 +266,48 @@ fn chaos_severed_run_is_byte_identical_to_fault_free_run() {
         String::from_utf8_lossy(&chaos),
         String::from_utf8_lossy(&fault_free),
         "a double link sever must leave the run byte-identical"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A chaos plan whose cut never happens fails the run: a threshold past
+/// the node's traffic must not credit the run with surviving a sever
+/// that never came, so the coordinator exits non-zero and says how many
+/// cuts are left.
+#[test]
+fn unfired_chaos_sever_fails_the_run() {
+    let _serial = one_cluster();
+    const CFG: &str = "dataset            = mnist\n\
+                       resolution         = 8\n\
+                       model              = mlp\n\
+                       parties            = 3\n\
+                       aggregators        = 2\n\
+                       rounds             = 2\n\
+                       algorithm          = avg\n\
+                       seed               = 7\n\
+                       examples_per_party = 40\n\
+                       round_deadline_s   = 30\n\
+                       chaos_severs       = party-1@100000\n";
+    let dir = std::env::temp_dir().join(format!("deta-cluster-unfired-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let cfg_path = dir.join("unfired.cfg");
+    std::fs::write(&cfg_path, CFG).expect("write config");
+    let coordinator = Command::new(env!("CARGO_BIN_EXE_deta-cli"))
+        .args(["cluster", cfg_path.to_str().expect("utf-8 temp path")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cluster coordinator");
+    arm_watchdog(coordinator.id(), 120);
+    let out = coordinator.wait_with_output().expect("reap coordinator");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "a run whose planned cut never fired must fail; stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("1 chaos sever(s) never fired"),
+        "the failure must count the unfired cuts; stderr:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

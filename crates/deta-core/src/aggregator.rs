@@ -10,9 +10,12 @@
 //!   them in CVM guest memory (so a breach leaks exactly what the paper's
 //!   threat model says it leaks: fragmented, shuffled vectors),
 //! * runs the chosen coordinate-wise aggregation when all registered
-//!   parties have uploaded, and dispatches aggregated fragments back,
-//! * participates in inter-aggregator synchronization: one initiator node
-//!   announces rounds; followers acknowledge completion.
+//!   parties have uploaded, and dispatches aggregated fragments back.
+//!
+//! Aggregators never address one another. The paper's inter-aggregator
+//! synchronization reduces to one rule: the node the supervisor triggers
+//! announces each round to the parties, and every other node learns of
+//! the round from the uploads it receives (DESIGN.md §1).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -31,35 +34,6 @@ use deta_transport::wire::{put_bytes, Reader};
 use deta_transport::{secure, Endpoint, SecureChannel};
 use std::collections::BTreeMap;
 
-/// Role in inter-aggregator synchronization.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AggRole {
-    /// Coordinates rounds: notifies parties and followers.
-    Initiator {
-        /// Endpoint names of the follower aggregators.
-        followers: Vec<String>,
-    },
-    /// Waits for the initiator's round announcements.
-    Follower {
-        /// Endpoint name of the initiator.
-        initiator: String,
-    },
-}
-
-impl AggRole {
-    /// `name`'s role in the aggregator set `aggs` coordinated by
-    /// `initiator`.
-    pub fn among(name: &str, initiator: &str, aggs: &[String]) -> AggRole {
-        if name == initiator {
-            let followers = aggs.iter().filter(|a| *a != name).cloned().collect();
-            AggRole::Initiator { followers }
-        } else {
-            let initiator = initiator.to_string();
-            AggRole::Follower { initiator }
-        }
-    }
-}
-
 /// Errors from the aggregator runtime.
 #[derive(Debug)]
 pub enum AggError {
@@ -67,8 +41,6 @@ pub enum AggError {
     MissingToken,
     /// The token secret bytes are not a valid signing key.
     BadToken,
-    /// A round-coordination call was made on the wrong role.
-    NotInitiator,
 }
 
 impl std::fmt::Display for AggError {
@@ -76,7 +48,6 @@ impl std::fmt::Display for AggError {
         match self {
             AggError::MissingToken => write!(f, "CVM has no provisioned auth token"),
             AggError::BadToken => write!(f, "provisioned auth token is invalid"),
-            AggError::NotInitiator => write!(f, "round coordination requires the initiator role"),
         }
     }
 }
@@ -122,7 +93,6 @@ pub struct AggregatorNode {
     /// put the same frames on the network in the same sequence.
     parties: BTreeMap<String, PartyPeer>,
     algorithm: Box<dyn Aggregation>,
-    role: AggRole,
     /// Uploads waiting for their round to fill: round -> party -> upload.
     pending: BTreeMap<u64, BTreeMap<String, Upload>>,
     /// Paillier public key when running encrypted fusion.
@@ -150,7 +120,6 @@ impl AggregatorNode {
         cvm: Cvm,
         endpoint: Endpoint,
         algorithm: Box<dyn Aggregation>,
-        role: AggRole,
         rng: DetRng,
     ) -> Result<AggregatorNode, AggError> {
         let secret = cvm
@@ -166,7 +135,6 @@ impl AggregatorNode {
             rng,
             parties: BTreeMap::new(),
             algorithm,
-            role,
             pending: BTreeMap::new(),
             paillier_pk: None,
             completed_rounds: 0,
@@ -193,17 +161,6 @@ impl AggregatorNode {
         self.parties.values().filter(|p| p.weight.is_some()).count()
     }
 
-    /// Replaces this node's synchronization role — the failover topology
-    /// update after an aggregator is replaced.
-    pub fn set_role(&mut self, role: AggRole) {
-        self.role = role;
-    }
-
-    /// Current synchronization role.
-    pub fn role(&self) -> &AggRole {
-        &self.role
-    }
-
     /// Every decrypted-but-not-yet-aggregated plain upload this node
     /// holds, as `(round, party, fragment)` sorted by round then party.
     /// Together with the CVM breach log this is the complete plaintext
@@ -218,6 +175,11 @@ impl AggregatorNode {
             }
         }
         out
+    }
+
+    /// The highest round this node holds uploads for, if any.
+    pub fn latest_pending_round(&self) -> Option<u64> {
+        self.pending.keys().next_back().copied()
     }
 
     /// Deregisters a party (dropout handling): pending and future rounds
@@ -265,17 +227,15 @@ impl AggregatorNode {
         self.token.clone()
     }
 
-    /// Initiator only: announces a round to all parties and followers.
+    /// Announces a round to every registered party. The supervisor asks
+    /// one aggregator to do this; the others hear of the round only
+    /// through the uploads it brings them.
     ///
     /// # Errors
     ///
-    /// Fails with [`AggError::NotInitiator`] on a follower (a protocol
-    /// misuse the caller must surface, not a crash).
+    /// Never fails: any aggregator may announce a round. The `Result`
+    /// keeps the signature its callers already handle.
     pub fn begin_round(&mut self, round: u64, training_id: [u8; 16]) -> Result<(), AggError> {
-        let followers = match &self.role {
-            AggRole::Initiator { followers } => followers.clone(),
-            AggRole::Follower { .. } => return Err(AggError::NotInitiator),
-        };
         // Idempotence: a supervisor may retry a round announcement it
         // believes was lost. Re-announcing a completed round must be a
         // no-op, not a protocol restart. An in-flight round IS
@@ -284,18 +244,7 @@ impl AggregatorNode {
         if round <= self.completed_rounds {
             return Ok(());
         }
-        deta_telemetry::event(
-            "round_start",
-            &[
-                ("round", TelemetryValue::from(round)),
-                ("followers", TelemetryValue::from(followers.len())),
-            ],
-        );
-        for f in &followers {
-            if let Ok(frame) = (Msg::SyncRound { round, training_id }).encode() {
-                let _ = self.endpoint.send(f, frame);
-            }
-        }
+        deta_telemetry::event("round_start", &[("round", TelemetryValue::from(round))]);
         if let Ok(plain) = (Msg::RoundStart { round, training_id }).encode() {
             self.fan_out(&plain);
         }
@@ -389,19 +338,6 @@ impl AggregatorNode {
                     let _ = self.endpoint.send(from, reply);
                 }
             }
-            Msg::SyncRound { round, training_id } => {
-                // On a follower the training id is opaque (the permutation
-                // key never reaches aggregators) and there is nothing to
-                // do until uploads arrive. On the initiator this message
-                // is the operator's round trigger: fan it out.
-                deta_telemetry::event("round_sync", &[("round", TelemetryValue::from(round))]);
-                if matches!(self.role, AggRole::Initiator { .. }) {
-                    let _ = self.begin_round(round, training_id);
-                }
-            }
-            // A follower's completion ack. Nothing waits on it: whoever
-            // schedules the round reads `completed_rounds` (or `AggDone`).
-            Msg::SyncDone { .. } => {}
             // Party-bound replies and messages that must arrive inside a
             // sealed Record; the drop is deliberate and counted.
             other @ (Msg::HelloReply { .. }
@@ -488,9 +424,7 @@ impl AggregatorNode {
             | Msg::RegisterAck
             | Msg::RoundStart { .. }
             | Msg::Aggregated { .. }
-            | Msg::AggregatedEncrypted { .. }
-            | Msg::SyncRound { .. }
-            | Msg::SyncDone { .. }) => {
+            | Msg::AggregatedEncrypted { .. }) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
@@ -595,7 +529,6 @@ impl AggregatorNode {
         };
         self.fan_out(&plain);
         self.completed_rounds = self.completed_rounds.max(round);
-        self.notify_initiator(round);
     }
 
     /// A round whose uploads could not be aggregated: counted and named,
@@ -612,14 +545,6 @@ impl AggregatorNode {
                     ("cause", TelemetryValue::from(cause)),
                 ],
             );
-        }
-    }
-
-    fn notify_initiator(&mut self, round: u64) {
-        if let AggRole::Follower { initiator } = &self.role {
-            if let Ok(frame) = (Msg::SyncDone { round }).encode() {
-                let _ = self.endpoint.send(&initiator.clone(), frame);
-            }
         }
     }
 }

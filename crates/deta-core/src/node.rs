@@ -16,7 +16,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::aggregator::{AggRole, AggregatorNode};
+use crate::aggregator::AggregatorNode;
 use crate::party::Party;
 use crate::rtmsg::{CtlMsg, SUPERVISOR};
 use deta_crypto::VerifyingKey;
@@ -250,13 +250,8 @@ impl Actor for AggregatorNode {
         match input {
             Input::Wire(msg) => on_wire(msg, |from, payload| self.handle_wire(from, payload)),
             Input::Ctl(CtlMsg::Trigger { round, training_id }) => {
-                if let Err(e) = self.begin_round(round, training_id) {
-                    let reason = e.to_string();
-                    out.push(CtlMsg::Failed { reason });
-                }
-            }
-            Input::Ctl(CtlMsg::Topology { initiator, aggs }) => {
-                self.set_role(AggRole::among(&self.name, &initiator, &aggs));
+                // Cannot fail: any aggregator may announce a round.
+                let _ = self.begin_round(round, training_id);
             }
             Input::Ctl(CtlMsg::Deregister { party }) => {
                 let field = [("party", TelemetryValue::from(party.as_str()))];

@@ -214,8 +214,7 @@ pub struct Party {
     /// keyed derivation runs once per round rather than once per
     /// direction. The hold is also what keeps the set alive in the
     /// transformer's memo, so the other parties of this process borrow
-    /// it instead of deriving their own. Dropped whenever the mapper
-    /// changes.
+    /// it instead of deriving their own.
     round_perms: Option<RoundPermutations>,
     /// Parameters snapshot at round start (FedSGD applies deltas to it).
     round_base: Vec<f32>,
@@ -718,10 +717,7 @@ impl Party {
             self.transformer.inverse_with(&fragments, &perms)
         });
         self.apply_update(&merged);
-        deta_telemetry::event(
-            "round_synchronized",
-            &[("round", TelemetryValue::from(round))],
-        );
+        deta_telemetry::event("round_finished", &[("round", TelemetryValue::from(round))]);
         self.last_finished_round = self.last_finished_round.max(round);
         self.current_round = None;
         true
@@ -782,9 +778,7 @@ impl Party {
             | Msg::Upload { .. }
             | Msg::UploadEncrypted { .. }
             | Msg::Aggregated { .. }
-            | Msg::AggregatedEncrypted { .. }
-            | Msg::SyncRound { .. }
-            | Msg::SyncDone { .. }) => {
+            | Msg::AggregatedEncrypted { .. }) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
@@ -934,9 +928,7 @@ impl Party {
             | Msg::Upload { .. }
             | Msg::UploadEncrypted { .. }
             | Msg::Aggregated { .. }
-            | Msg::AggregatedEncrypted { .. }
-            | Msg::SyncRound { .. }
-            | Msg::SyncDone { .. }) => {
+            | Msg::AggregatedEncrypted { .. }) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }

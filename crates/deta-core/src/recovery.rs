@@ -16,7 +16,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::agg::AggKind;
-use crate::aggregator::{AggError, AggRole, AggregatorNode};
+use crate::aggregator::{AggError, AggregatorNode};
 use crate::proxy::{AttestationProxy, ProvisionedAggregator};
 use crate::session::{DetaConfig, SetupError};
 use deta_crypto::{DetRng, VerifyingKey};
@@ -80,10 +80,9 @@ impl RecoveryKit {
         name: &str,
         cvm: Cvm,
         endpoint: Endpoint,
-        role: AggRole,
         rng: DetRng,
     ) -> Result<AggregatorNode, AggError> {
-        let mut node = AggregatorNode::new(name, cvm, endpoint, self.algorithm.build(), role, rng)?;
+        let mut node = AggregatorNode::new(name, cvm, endpoint, self.algorithm.build(), rng)?;
         node.set_quorum(self.quorum);
         if let Some(pk) = &self.paillier_pk {
             node.set_paillier_key(pk.clone());
@@ -113,14 +112,13 @@ impl RecoveryKit {
         &mut self,
         name: &str,
         endpoint: Endpoint,
-        role: AggRole,
     ) -> Result<(AggregatorNode, VerifyingKey), SetupError> {
         let generation = self.respawned;
         self.respawned += 1;
         let mut rng = self.rng.fork_indexed(b"platform", generation);
         let prov = self.attest(&format!("EPYC-7642-r{generation:03}"), &mut rng)?;
         let rng = self.rng.fork_indexed(b"agg-rng-r", generation);
-        let node = self.node(name, prov.cvm, endpoint, role, rng)?;
+        let node = self.node(name, prov.cvm, endpoint, rng)?;
         Ok((node, prov.token_key))
     }
 }

@@ -287,8 +287,7 @@ impl OpenRound {
         true
     }
 
-    /// `node`'s completion no longer counts: it was retired, or it
-    /// reopened the round.
+    /// `node`'s completion no longer counts: it was retired.
     pub fn expect_again(&mut self, node: &str) {
         self.done.remove(node);
     }

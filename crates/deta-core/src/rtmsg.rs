@@ -129,15 +129,6 @@ pub enum CtlMsg {
         /// Endpoint name of the departed party.
         party: String,
     },
-    /// Supervisor -> aggregator: the post-failover synchronization
-    /// topology. The node named `initiator` adopts the initiator role
-    /// over the other listed aggregators; everyone else follows it.
-    Topology {
-        /// Endpoint name of the (possibly newly promoted) initiator.
-        initiator: String,
-        /// The full current aggregator set.
-        aggs: Vec<String>,
-    },
 }
 
 const TAG_READY: u8 = 1;
@@ -150,10 +141,10 @@ const TAG_AGG_DONE: u8 = 7;
 const TAG_SHUTDOWN: u8 = 8;
 const TAG_REBIND: u8 = 9;
 // Tags 10 and 12 are retired: they carried a mid-session re-partition,
-// which no session does any more. Decoding refuses them, and no new
-// variant takes them.
+// which no session does any more. Tag 13 is retired too: it told
+// aggregators who coordinates them, and aggregators no longer address
+// one another. Decoding refuses all three, and no new variant takes them.
 const TAG_REPLAY: u8 = 11;
-const TAG_TOPOLOGY: u8 = 13;
 const TAG_DEREGISTER: u8 = 14;
 
 /// Decode errors.
@@ -192,20 +183,6 @@ impl From<TooLong> for CtlEncodeError {
     }
 }
 
-fn put_names(out: &mut Vec<u8>, v: &[String]) -> Result<(), TooLong> {
-    put_len(out, v.len())?;
-    for s in v {
-        put_bytes(out, s.as_bytes())?;
-    }
-    Ok(())
-}
-
-fn names(r: &mut Reader<'_>) -> Result<Vec<String>, Malformed> {
-    // Each entry costs at least its own length prefix.
-    let n = r.count(4)?;
-    (0..n).map(|_| Ok(r.str()?.to_string())).collect()
-}
-
 impl CtlMsg {
     /// The variant's name, for counted-drop telemetry labels.
     pub fn name(&self) -> &'static str {
@@ -221,7 +198,6 @@ impl CtlMsg {
             CtlMsg::Rebind { .. } => "Rebind",
             CtlMsg::Replay { .. } => "Replay",
             CtlMsg::Deregister { .. } => "Deregister",
-            CtlMsg::Topology { .. } => "Topology",
         }
     }
 
@@ -301,11 +277,6 @@ impl CtlMsg {
                 out.push(TAG_REPLAY);
                 out.extend_from_slice(&round.to_le_bytes());
             }
-            CtlMsg::Topology { initiator, aggs } => {
-                out.push(TAG_TOPOLOGY);
-                put_bytes(&mut out, initiator.as_bytes())?;
-                put_names(&mut out, aggs)?;
-            }
             CtlMsg::Deregister { party } => {
                 out.push(TAG_DEREGISTER);
                 put_bytes(&mut out, party.as_bytes())?;
@@ -365,10 +336,6 @@ impl CtlMsg {
                 CtlMsg::Rebind { rebinds }
             }
             TAG_REPLAY => CtlMsg::Replay { round: r.u64()? },
-            TAG_TOPOLOGY => CtlMsg::Topology {
-                initiator: r.str()?.to_string(),
-                aggs: names(&mut r)?,
-            },
             TAG_DEREGISTER => CtlMsg::Deregister {
                 party: r.str()?.to_string(),
             },

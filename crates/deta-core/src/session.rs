@@ -14,7 +14,7 @@
 //! per round — the quantities plotted in the paper's Figures 5-7.
 
 use crate::agg::AggKind;
-use crate::aggregator::{AggError, AggRole, AggregatorNode};
+use crate::aggregator::{AggError, AggregatorNode};
 use crate::dp::LdpConfig;
 use crate::keybroker::KeyBroker;
 use crate::latency::{LatencyModel, RoundLatency};
@@ -332,9 +332,8 @@ impl<'a> Blueprint<'a> {
     fn aggregator(&self, j: usize, cvm: Cvm) -> Result<AggregatorNode, SetupError> {
         let name = &self.agg_names[j];
         let endpoint = self.network.register(name);
-        let role = AggRole::among(name, &self.agg_names[0], &self.agg_names);
         let rng = self.sev_rng.fork_indexed(b"agg-rng", j as u64);
-        Ok(self.recovery.node(name, cvm, endpoint, role, rng)?)
+        Ok(self.recovery.node(name, cvm, endpoint, rng)?)
     }
 
     /// Draws the starting model from the seed's `model-init` fork. Callers

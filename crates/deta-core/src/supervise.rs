@@ -24,7 +24,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::aggregator::{AggRole, AggregatorNode};
+use crate::aggregator::AggregatorNode;
 use crate::keybroker::KeyBroker;
 use crate::node::Node;
 use crate::party::Party;
@@ -67,13 +67,16 @@ impl Default for TelemetryConfig {
 }
 
 /// A deliberately injected stall, for fault-tolerance tests: the named
-/// aggregator stops servicing its mailbox the moment it sees the
-/// announcement of `round` (it stays joinable — shutdown still works).
+/// aggregator stops servicing its mailbox the moment it first sees
+/// `round` or a later one (it stays joinable — shutdown still works).
+/// The triggered aggregator sees a round in the supervisor's `Trigger`
+/// and parks before announcing it; any other sees it in its first
+/// upload of the round and parks holding that upload.
 #[derive(Clone, Debug)]
 pub struct StallFault {
     /// Aggregator endpoint name (e.g. `agg-1`).
     pub node: String,
-    /// First round whose announcement triggers the stall.
+    /// First round whose sight triggers the stall.
     pub round: u64,
 }
 
@@ -875,9 +878,8 @@ impl Supervisor {
         // Phase I for each replacement: attestation against the sev-sim
         // AP, token provisioning into the fresh CVM.
         for entry in &mut rebinds {
-            let role = AggRole::among(&entry.name, &aggs[0], &aggs);
             let endpoint = self.network.register(&entry.name);
-            let (node, token) = self.recovery.respawn(&entry.name, endpoint, role)?;
+            let (node, token) = self.recovery.respawn(&entry.name, endpoint)?;
             entry.verifying_key = token.to_bytes();
             self.tokens.insert(entry.name.clone(), token);
             out.push(Directive::Spawn(Box::new(node)));
@@ -886,11 +888,6 @@ impl Supervisor {
             deta_telemetry::event("reattested", &fields);
         }
         let fresh: Vec<String> = rebinds.iter().map(|e| e.name.clone()).collect();
-        for survivor in aggs.iter().filter(|n| !fresh.contains(n)) {
-            let (initiator, aggs) = (aggs[0].clone(), aggs.clone());
-            let topology = CtlMsg::Topology { initiator, aggs };
-            out.push(Directive::Send(survivor.clone(), topology));
-        }
         // Every party re-proves readiness against the new aggregator set
         // before the round replays: no replacement may aggregate over a
         // partially re-registered party set.

@@ -89,19 +89,6 @@ pub enum Msg {
         /// Number of party inputs summed (needed to decode offsets).
         summands: u64,
     },
-    /// Inter-aggregator synchronization: initiator tells followers the
-    /// round and training id.
-    SyncRound {
-        /// Round number.
-        round: u64,
-        /// Training identifier to broadcast.
-        training_id: [u8; 16],
-    },
-    /// Follower acknowledges a completed round to the initiator.
-    SyncDone {
-        /// Round number.
-        round: u64,
-    },
 }
 
 const TAG_HELLO: u8 = 1;
@@ -112,8 +99,10 @@ const TAG_REGISTER_ACK: u8 = 5;
 const TAG_ROUND_START: u8 = 6;
 const TAG_UPLOAD: u8 = 7;
 const TAG_AGGREGATED: u8 = 8;
-const TAG_SYNC_ROUND: u8 = 9;
-const TAG_SYNC_DONE: u8 = 10;
+// Tags 9 and 10 are retired: they carried an inter-aggregator round
+// announcement and its acknowledgement, and aggregators no longer
+// address one another. Decoding refuses them, and no new variant takes
+// them.
 const TAG_UPLOAD_ENC: u8 = 11;
 const TAG_AGGREGATED_ENC: u8 = 12;
 
@@ -302,8 +291,6 @@ impl Msg {
             Msg::UploadEncrypted { .. } => "UploadEncrypted",
             Msg::Aggregated { .. } => "Aggregated",
             Msg::AggregatedEncrypted { .. } => "AggregatedEncrypted",
-            Msg::SyncRound { .. } => "SyncRound",
-            Msg::SyncDone { .. } => "SyncDone",
         }
     }
 
@@ -393,15 +380,6 @@ impl Msg {
                 out.extend_from_slice(&summands.to_le_bytes());
                 put_vec_bytes(out, ciphertexts)?;
             }
-            Msg::SyncRound { round, training_id } => {
-                out.push(TAG_SYNC_ROUND);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(training_id);
-            }
-            Msg::SyncDone { round } => {
-                out.push(TAG_SYNC_DONE);
-                out.extend_from_slice(&round.to_le_bytes());
-            }
         }
         Ok(())
     }
@@ -447,11 +425,6 @@ impl Msg {
                 summands: r.u64()?,
                 ciphertexts: vec_bytes(&mut r)?,
             },
-            TAG_SYNC_ROUND => Msg::SyncRound {
-                round: r.u64()?,
-                training_id: r.array()?,
-            },
-            TAG_SYNC_DONE => Msg::SyncDone { round: r.u64()? },
             _ => return Err(DecodeError),
         };
         r.finish()?;

@@ -2,14 +2,14 @@
 //! feed `AggregatorNode` inner messages a real `Party` would never send.
 
 use deta_core::agg::AggKind;
-use deta_core::aggregator::{AggRole, AggregatorNode};
+use deta_core::aggregator::AggregatorNode;
 use deta_core::proxy::AttestationProxy;
 use deta_core::wire::Msg;
 use deta_crypto::DetRng;
 use deta_sev_sim::{AmdRas, GuestImage, Platform};
 use deta_transport::{Endpoint, HandshakeInitiator, Network, SecureChannel};
 
-/// `agg-0`, attested and provisioned, running `kind` as the initiator.
+/// `agg-0`, attested and provisioned, running `kind`.
 pub fn aggregator(net: &Network, kind: AggKind, rng: &mut DetRng) -> AggregatorNode {
     let ras = AmdRas::new(&mut rng.fork(b"ras"));
     let image = GuestImage::new(b"ovmf".to_vec(), b"agg".to_vec());
@@ -21,7 +21,6 @@ pub fn aggregator(net: &Network, kind: AggKind, rng: &mut DetRng) -> AggregatorN
         prov.cvm,
         net.register("agg-0"),
         kind.build(),
-        AggRole::Initiator { followers: vec![] },
         rng.fork(b"agg"),
     )
     .unwrap()

@@ -135,7 +135,6 @@ fn each_of_the_seven_nodes_built_alone_is_its_twin_in_the_full_build() {
             panic!("{} is an aggregator", agg.name);
         };
         assert_eq!(twin.name, agg.name);
-        assert_eq!(twin.role(), agg.role());
         assert_eq!(
             twin.link_signing_key().verifying_key(),
             full.tokens[&agg.name],

@@ -4,7 +4,7 @@
 
 use crate::Drill;
 use deta_core::agg::AggKind;
-use deta_core::aggregator::{AggRole, AggregatorNode};
+use deta_core::aggregator::AggregatorNode;
 use deta_core::mapper::ModelMapper;
 use deta_core::party::{Party, PartyConfig, PartyError};
 use deta_core::proxy::{AttestationProxy, TOKEN_SECRET_LABEL};
@@ -127,7 +127,6 @@ fn forged_token() -> Result<String, String> {
         rogue_cvm,
         net.register("agg-0"),
         AggKind::IterativeAveraging.build(),
-        AggRole::Initiator { followers: vec![] },
         rng.fork(b"agg"),
     )
     .map_err(|e| format!("rogue node failed to start: {e:?}"))?;

@@ -20,7 +20,6 @@
 
 use deta_core::node::{report, Input, Node};
 use deta_core::rtmsg::CtlMsg;
-use deta_core::wire::Msg;
 use deta_crypto::VerifyingKey;
 use deta_telemetry::{FlightRecorder, TelemetryValue};
 use deta_transport::RecvError;
@@ -54,7 +53,9 @@ impl ActorContext {
 /// (model parameters, breached memory) after the join. The node starts
 /// against `tokens` (a party says its Phase II hellos); a node given
 /// `stall_at_round` stops servicing its mailbox once it sees that round
-/// announced (fault injection). Every span and event the thread emits
+/// or a later one (fault injection): on the supervisor's `Trigger`, or,
+/// on an aggregator it does not trigger, after the step that left it
+/// holding an upload of that round. Every span and event the thread emits
 /// meanwhile (including deep inside deta-core) lands in `recorder`.
 pub fn serve(
     mut node: Node,
@@ -64,9 +65,8 @@ pub fn serve(
     recorder: Arc<FlightRecorder>,
 ) -> Node {
     let _telemetry = deta_telemetry::attach(recorder);
-    let actor = node.actor();
-    let endpoint = actor.endpoint();
-    report(&endpoint, actor.start(tokens));
+    let endpoint = node.actor().endpoint();
+    report(&endpoint, node.actor().start(tokens));
     let mut hb_seq = 0u64;
     while !ctx.stopped() {
         let input = match endpoint.recv_timeout(ctx.tick).map(Input::from_mailbox) {
@@ -80,7 +80,14 @@ pub fn serve(
             }
             Err(RecvError::Closed) => break,
         };
-        if let Some(round) = stall_at_round.and_then(|at| announces(&input, at)) {
+        let stall = match (stall_at_round, &input) {
+            (Some(at), Input::Ctl(CtlMsg::Trigger { round, .. })) if *round >= at => Some(*round),
+            _ => {
+                report(&endpoint, node.actor().step(input));
+                stall_at_round.and_then(|at| holds_round(&node, at))
+            }
+        };
+        if let Some(round) = stall {
             deta_telemetry::event("stall_injected", &[("round", TelemetryValue::from(round))]);
             // The mailbox is ignored but the thread stays joinable.
             while !ctx.stopped() {
@@ -88,22 +95,16 @@ pub fn serve(
             }
             break;
         }
-        report(&endpoint, actor.step(input));
     }
     node
 }
 
-/// The round `input` announces, if it is `at` or later: the supervisor's
-/// `Trigger` on the initiator, or the initiator's `SyncRound` fan-out on
-/// a follower.
-fn announces(input: &Input, at: u64) -> Option<u64> {
-    let round = match input {
-        Input::Ctl(CtlMsg::Trigger { round, .. }) => *round,
-        Input::Wire(msg) => match Msg::decode(&msg.payload) {
-            Ok(Msg::SyncRound { round, .. }) => round,
-            _ => return None,
-        },
-        Input::Ctl(_) => return None,
-    };
-    (round >= at).then_some(round)
+/// The round `at` or later that `node` holds an upload for, if it is an
+/// aggregator that does: how an aggregator the supervisor does not
+/// trigger first sees a round.
+fn holds_round(node: &Node, at: u64) -> Option<u64> {
+    match node {
+        Node::Aggregator(agg) => agg.latest_pending_round().filter(|round| *round >= at),
+        Node::Party(_) => None,
+    }
 }

@@ -92,7 +92,8 @@ pub struct Fault {
 pub struct Topology {
     /// Party endpoint names.
     pub parties: Vec<String>,
-    /// Aggregator endpoint names (index 0 is the initiator).
+    /// Aggregator endpoint names (index 0 is the one the supervisor
+    /// triggers).
     pub aggregators: Vec<String>,
 }
 
@@ -105,9 +106,12 @@ impl Topology {
         }
     }
 
-    /// Every directed data-plane link: party ↔ aggregator in both
-    /// directions, plus initiator ↔ follower sync links. Deterministic
-    /// order (the plan generator indexes into this).
+    /// Every directed link a plan may fault: party ↔ aggregator in both
+    /// directions, then aggregator 0 ↔ each other aggregator.
+    /// Aggregators never address one another, so a fault drawn on one of
+    /// the latter pairs never strikes; the pairs stay listed so that
+    /// every seed keeps the plan it has always drawn. Deterministic order
+    /// (the plan generator indexes into this).
     pub fn data_links(&self) -> Vec<(String, String)> {
         let mut links = Vec::new();
         for p in &self.parties {

@@ -2,7 +2,7 @@
 //! aggregator mid-session and heals it.
 //!
 //! A `StallFault` makes `agg-1` stop servicing its mailbox the moment
-//! round 2 is announced — the canonical "CVM went dark" failure. With
+//! the first round-2 upload reaches it — the canonical "CVM went dark" failure. With
 //! `FailoverPolicy::Restart` armed, the supervisor detects the dead
 //! node at the round deadline, respawns it as a freshly attested
 //! incarnation (`agg-1#r1`), rebinds every party to it, and replays the

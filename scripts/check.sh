@@ -151,7 +151,10 @@ echo "==> link-chaos smoke (hub severs a party's TCP link twice and an aggregato
 # over buffers that acknowledgements have been pruning. Reconnect +
 # resume must make the severs invisible — the stdout (every round's
 # metrics and byte counts) is diffed byte-for-byte against the
-# fault-free multi-process run.
+# fault-free multi-process run. agg-0's 3rd frame is a setup
+# `HelloReply`. `deta-cli cluster` exits non-zero when a planned sever
+# never fired, so a threshold past a node's traffic fails here instead
+# of passing without a cut.
 CHAOS_CFG="$(mktemp /tmp/deta-chaos-XXXXXX.cfg)"
 cat > "$CHAOS_CFG" <<'CFG'
 dataset            = mnist

@@ -2,7 +2,7 @@
 //! and cross-channel traffic without panicking or corrupting state.
 
 use deta::core::agg::AggKind;
-use deta::core::aggregator::{AggRole, AggregatorNode};
+use deta::core::aggregator::AggregatorNode;
 use deta::core::proxy::AttestationProxy;
 use deta::core::wire::Msg;
 use deta::crypto::DetRng;
@@ -21,7 +21,6 @@ fn aggregator(net: &Network, rng: &mut DetRng) -> AggregatorNode {
         prov.cvm,
         net.register("agg-0"),
         AggKind::IterativeAveraging.build(),
-        AggRole::Initiator { followers: vec![] },
         rng.fork(b"agg"),
     )
     .unwrap()
@@ -62,7 +61,7 @@ fn aggregator_survives_wellformed_but_unauthenticated_messages() {
             let mut rng = DetRng::from_u64(92);
             let mut agg = aggregator(&net, &mut rng);
             let attacker = net.register("attacker");
-            for msg in [
+            let mut frames: Vec<Vec<u8>> = [
                 Msg::Record {
                     sealed: fragment.iter().flat_map(|f| f.to_le_bytes()).collect(),
                 },
@@ -72,9 +71,16 @@ fn aggregator_survives_wellformed_but_unauthenticated_messages() {
                     fragment: fragment.clone(),
                 },
                 Msg::RegisterAck,
-                Msg::SyncDone { round },
-            ] {
-                attacker.send("agg-0", msg.encode().unwrap()).unwrap();
+            ]
+            .iter()
+            .map(|msg| msg.encode().unwrap())
+            .collect();
+            // The retired inter-aggregator tags 9 (round announcement,
+            // with a training id) and 10 (its acknowledgement).
+            frames.push([&[9][..], &round.to_le_bytes(), &[0x30; 16]].concat());
+            frames.push([&[10][..], &round.to_le_bytes()].concat());
+            for frame in frames {
+                attacker.send("agg-0", frame).unwrap();
             }
             agg.pump();
             assert_eq!(agg.registered_parties(), 0);

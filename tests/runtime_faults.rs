@@ -26,7 +26,7 @@ use deta::runtime::{
     ThreadedSession,
 };
 use deta::transport::{FaultPolicy, SendVerdict};
-use deta_simnet::{Fault, FaultKind, FaultPlan, SimPolicy};
+use deta_simnet::{Fault, FaultKind, FaultPlan, SimPolicy, TapLog};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -152,8 +152,9 @@ fn stalled_follower_aggregator_times_out_structured_and_joins() {
     cfg.n_aggregators = 2;
     cfg.seed = 5;
     let rt = RuntimeConfig {
-        // agg-1 stops servicing its mailbox the moment round 1 is
-        // announced: the canonical "follower went dark" failure.
+        // agg-1 stops servicing its mailbox the moment the first
+        // round-1 upload reaches it: the canonical "follower went dark"
+        // failure.
         stalls: vec![StallFault {
             node: "agg-1".to_string(),
             round: 1,
@@ -347,13 +348,16 @@ fn assert_failover_events(session: &mut ThreadedSession) {
 
 /// Runs the same deployment as [`run_faulted`] with
 /// `FailoverPolicy::Restart` armed: the session must heal, complete
-/// every configured round, and record the failover in its trace.
+/// every configured round, and record the failover in its trace. No
+/// frame, the replacement's included, goes from one aggregator to
+/// another.
 fn run_healed(seed: u64, plan: FaultPlan) {
     let (shards, test, dim, classes) = data(3);
     let mut cfg = DetaConfig::deta(3, 2);
     cfg.n_aggregators = 2;
     cfg.seed = seed;
     let policy = Arc::new(SimPolicy::new(&plan));
+    let tap = Arc::new(TapLog::new());
     let rt = RuntimeConfig {
         failover: FailoverPolicy::Restart,
         ..sim_rt()
@@ -363,7 +367,10 @@ fn run_healed(seed: u64, plan: FaultPlan) {
         &move |rng| mlp(&[dim, 12, classes], rng),
         shards,
         rt,
-        |parts| parts.network.set_fault_policy(policy),
+        |parts| {
+            parts.network.set_fault_policy(policy);
+            parts.network.set_tap(tap.clone());
+        },
     )
     .expect("faults strike after setup");
     let t0 = Instant::now();
@@ -380,6 +387,20 @@ fn run_healed(seed: u64, plan: FaultPlan) {
     );
     assert_failover_events(&mut session);
     session.shutdown().expect("clean shutdown after recovery");
+    let records = tap.delivered();
+    assert!(
+        records.iter().any(|r| r.from.contains("#r")),
+        "the replacement must have sent"
+    );
+    let is_agg = |name: &str| name.starts_with("agg-");
+    let between_aggs: Vec<(&str, &str)> = (records.iter())
+        .filter(|r| is_agg(&r.from) && is_agg(&r.to))
+        .map(|r| (r.from.as_str(), r.to.as_str()))
+        .collect();
+    assert!(
+        between_aggs.is_empty(),
+        "frames crossed between aggregators: {between_aggs:?}"
+    );
 }
 
 #[test]

@@ -137,13 +137,22 @@ fn threaded_equals_sequential_with_eight_parties_sharing_one_derivation() {
 /// per-link delivered-byte counters) must equal the sum of the payload
 /// sizes of the frames a `NetTap` observed on the party→aggregator
 /// (resp. aggregator→party) links over the same window — byte for byte,
-/// no control-plane or follower-sync traffic leaking into either figure.
+/// no control-plane traffic leaking into either figure. And no frame
+/// goes from one aggregator to another: aggregators share nothing.
 /// Setup traffic (hellos, handshakes, registration) is outside every
 /// round window, so `tap` must have gone in once setup was over.
 fn assert_metrics_match_tap(tap: &TapLog, metrics: &[RoundMetrics]) {
     let records = tap.delivered();
     let is_party = |name: &str| name.starts_with("party-");
     let is_agg = |name: &str| name.starts_with("agg-");
+    let between_aggs: Vec<(&str, &str)> = (records.iter())
+        .filter(|r| is_agg(&r.from) && is_agg(&r.to))
+        .map(|r| (r.from.as_str(), r.to.as_str()))
+        .collect();
+    assert!(
+        between_aggs.is_empty(),
+        "frames crossed between aggregators: {between_aggs:?}"
+    );
     let tap_upload: u64 = records
         .iter()
         .filter(|r| is_party(&r.from) && is_agg(&r.to))
@@ -171,26 +180,28 @@ fn assert_metrics_match_tap(tap: &TapLog, metrics: &[RoundMetrics]) {
 fn byte_accounting_matches_tap_observed_frames() {
     let n = 3;
     let (shards, test, dim, classes) = data(120, n);
-    let mut cfg = DetaConfig::deta(n, 3);
-    cfg.n_aggregators = 2;
-    cfg.seed = 21;
     let builder = move |rng: &mut deta::crypto::DetRng| mlp(&[dim, 16, classes], rng);
+    for k in [2, 3] {
+        let mut cfg = DetaConfig::deta(n, 3);
+        cfg.n_aggregators = k;
+        cfg.seed = 21;
 
-    let mut thr = ThreadedSession::setup(
-        cfg.clone(),
-        &builder,
-        shards.clone(),
-        RuntimeConfig::default(),
-    )
-    .expect("threaded setup");
-    let tap = Arc::new(TapLog::new());
-    thr.network().set_tap(tap.clone());
-    assert_metrics_match_tap(&tap, &thr.run(&test).expect("threaded run"));
+        let mut thr = ThreadedSession::setup(
+            cfg.clone(),
+            &builder,
+            shards.clone(),
+            RuntimeConfig::default(),
+        )
+        .expect("threaded setup");
+        let tap = Arc::new(TapLog::new());
+        thr.network().set_tap(tap.clone());
+        assert_metrics_match_tap(&tap, &thr.run(&test).expect("threaded run"));
 
-    let mut seq = DetaSession::setup(cfg, &builder, shards).expect("sequential setup");
-    let tap = Arc::new(TapLog::new());
-    seq.network().set_tap(tap.clone());
-    assert_metrics_match_tap(&tap, &seq.run(&test));
+        let mut seq = DetaSession::setup(cfg, &builder, shards.clone()).expect("sequential setup");
+        let tap = Arc::new(TapLog::new());
+        seq.network().set_tap(tap.clone());
+        assert_metrics_match_tap(&tap, &seq.run(&test));
+    }
 }
 
 #[test]
@@ -207,9 +218,9 @@ fn threaded_replicas_stay_consistent() {
 /// A round that outlasts a retry timer bills what the inline session
 /// does. Every party's upload is held back 300 ms; under the default
 /// runtime config a trigger is sent once, so no re-announced `RoundStart`
-/// (a sealed record to every party, and a `SyncRound` to the follower)
-/// lands inside the round's byte window. With a 100 ms retry the
-/// threaded `download_bytes` grew by one fan-out per resend.
+/// (a sealed record to every party) lands inside the round's byte
+/// window. With a 100 ms retry the threaded `download_bytes` grew by one
+/// fan-out per resend.
 #[test]
 fn a_slow_round_bills_the_bytes_of_the_inline_session() {
     let n = 3;

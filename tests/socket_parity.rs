@@ -220,12 +220,13 @@ fn socket_duplicated_uploads_are_idempotent() {
 
 /// Both directions of a resume over buffers that acknowledgements have
 /// been pruning. Counting each node's ingress frames at the hub (setup
-/// is about six from a party, nine from the initiator), party-1's seventh
-/// is its first upload of round 1 — its link dies with the second upload
-/// stamped or about to be — and agg-0's fifteenth is the second of three
-/// `Aggregated` it fans out, so the hub -> child direction is cut with a
-/// download in flight too. Heartbeats move the counts by a frame or two;
-/// wherever the cuts land, nothing may be lost, doubled or billed twice.
+/// is about six from a party, seven from the initiator), party-1's
+/// seventh is its first upload of round 1 — its link dies with the
+/// second upload stamped or about to be — and agg-0's twelfth, after
+/// three `RoundStart`, is the second of three `Aggregated` it fans out,
+/// so the hub -> child direction is cut with a download in flight too.
+/// Heartbeats move the counts by a frame or two; wherever the cuts land,
+/// nothing may be lost, doubled or billed twice.
 ///
 /// Both arms run the default retry policy, a trigger sent once: the
 /// bridge loses nothing, so a retry cannot help, and a supervisor that
@@ -250,7 +251,7 @@ fn severed_party_and_aggregator_links_resume_bit_exact() {
         run_socket_under(conditions, cfg, shards, &test, dim, classes, |_| {})
     };
     let (clean, _) = run(&[]);
-    let (severed, unfired) = run(&[("party-1", 7), ("agg-0", 15)]);
+    let (severed, unfired) = run(&[("party-1", 7), ("agg-0", 12)]);
     assert_eq!(unfired, 0, "both planned cuts must have happened");
     assert_eq!(
         fingerprint(&clean),

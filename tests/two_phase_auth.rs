@@ -2,7 +2,7 @@
 //! SEV simulator, attestation proxy, transport, and party runtimes.
 
 use deta::core::agg::AggKind;
-use deta::core::aggregator::{AggRole, AggregatorNode};
+use deta::core::aggregator::AggregatorNode;
 use deta::core::mapper::ModelMapper;
 use deta::core::party::{Party, PartyConfig};
 use deta::core::proxy::{AttestationProxy, TOKEN_SECRET_LABEL};
@@ -60,7 +60,6 @@ fn phase2_party_rejects_unattested_aggregator() {
         impostor_cvm,
         net.register("agg-0"),
         AggKind::IterativeAveraging.build(),
-        AggRole::Initiator { followers: vec![] },
         rng.fork(b"agg"),
     )
     .unwrap();
@@ -115,7 +114,6 @@ fn phase2_party_accepts_attested_aggregator() {
         prov.cvm,
         net.register("agg-0"),
         AggKind::IterativeAveraging.build(),
-        AggRole::Initiator { followers: vec![] },
         rng.fork(b"agg"),
     )
     .unwrap();

@@ -197,10 +197,6 @@ fn name(g: &mut Gen) -> String {
     g.string_of("abcdefghijklmnopqrstuvwxyz0123456789-#", 0, 24)
 }
 
-fn names(g: &mut Gen) -> Vec<String> {
-    g.vec_of(0, 6, name)
-}
-
 fn floats(g: &mut Gen) -> Vec<f32> {
     g.vec_of(0, 64, Gen::f32_any)
 }
@@ -215,7 +211,7 @@ fn windows(g: &mut Gen) -> Vec<(String, String, u64)> {
 
 impl Wire for Msg {
     const NAME: &'static str = "Msg";
-    const VARIANTS: usize = 12;
+    const VARIANTS: usize = 10;
     const GOLDEN: &'static [(&'static str, &'static str)] = &[
         ("0103000000010203", "Hello { handshake: [1, 2, 3] }"),
         ("02020000000405", "HelloReply { handshake: [4, 5] }"),
@@ -227,8 +223,6 @@ impl Wire for Msg {
         ("0b0200000000000000280000000000000003000000020000000102000000000100000003", "UploadEncrypted { round: 2, ciphertexts: [[1, 2], [], [3]], value_count: 40 }"),
         ("080900000000000000020000000000003f0000807f", "Aggregated { round: 9, fragment: [0.5, inf] }"),
         ("0c0300000000000000100000000000000004000000000000000100000004000000ffffffff", "AggregatedEncrypted { round: 3, ciphertexts: [[255, 255, 255, 255]], value_count: 16, summands: 4 }"),
-        ("09010000000000000030313233343536373839616263646566", "SyncRound { round: 1, training_id: [48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 97, 98, 99, 100, 101, 102] }"),
-        ("0affffffffffffffff", "SyncDone { round: 18446744073709551615 }"),
     ];
 
     fn arbitrary(g: &mut Gen) -> Msg {
@@ -264,17 +258,12 @@ impl Wire for Msg {
                 round: g.u64(),
                 fragment: floats(g),
             },
-            9 => Msg::AggregatedEncrypted {
+            _ => Msg::AggregatedEncrypted {
                 round: g.u64(),
                 ciphertexts: ciphertexts(g),
                 value_count: g.u64(),
                 summands: g.u64(),
             },
-            10 => Msg::SyncRound {
-                round: g.u64(),
-                training_id: g.array(),
-            },
-            _ => Msg::SyncDone { round: g.u64() },
         }
     }
 
@@ -298,15 +287,13 @@ impl Wire for Msg {
             Msg::UploadEncrypted { .. } => 7,
             Msg::Aggregated { .. } => 8,
             Msg::AggregatedEncrypted { .. } => 9,
-            Msg::SyncRound { .. } => 10,
-            Msg::SyncDone { .. } => 11,
         }
     }
 }
 
 impl Wire for CtlMsg {
     const NAME: &'static str = "CtlMsg";
-    const VARIANTS: usize = 12;
+    const VARIANTS: usize = 11;
     const GOLDEN: &'static [(&'static str, &'static str)] = &[
         ("01", "Ready"),
         ("020c0000006167672d31206661696c6564", "Failed { reason: \"agg-1 failed\" }"),
@@ -320,7 +307,6 @@ impl Wire for CtlMsg {
         ("090200000002000000080000006167672d32237231040000000102030400000000080000006167672d3023723300000000", "Rebind { rebinds: [RebindEntry { index: 2, name: \"agg-2#r1\", .. }, RebindEntry { index: 0, name: \"agg-0#r3\", .. }] }"),
         ("0b0500000000000000", "Replay { round: 5 }"),
         ("0e0700000070617274792d33", "Deregister { party: \"party-3\" }"),
-        ("0d050000006167672d3202000000050000006167672d32080000006167672d30237231", "Topology { initiator: \"agg-2\", aggs: [\"agg-2\", \"agg-0#r1\"] }"),
     ];
 
     fn arbitrary(g: &mut Gen) -> CtlMsg {
@@ -359,11 +345,7 @@ impl Wire for CtlMsg {
                 }),
             },
             9 => CtlMsg::Replay { round: g.u64() },
-            10 => CtlMsg::Deregister { party: name(g) },
-            _ => CtlMsg::Topology {
-                initiator: name(g),
-                aggs: names(g),
-            },
+            _ => CtlMsg::Deregister { party: name(g) },
         }
     }
 
@@ -388,7 +370,6 @@ impl Wire for CtlMsg {
             CtlMsg::Rebind { .. } => 8,
             CtlMsg::Replay { .. } => 9,
             CtlMsg::Deregister { .. } => 10,
-            CtlMsg::Topology { .. } => 11,
         }
     }
 }
@@ -487,16 +468,30 @@ impl Wire for SocketFrame {
 #[test]
 fn msg_golden_bytes() {
     check_golden::<Msg>();
+    // Tags 9 and 10 are retired: these were the golden rows of the
+    // inter-aggregator round announcement and its acknowledgement. They
+    // decode to nothing now.
+    for text in [
+        "09010000000000000030313233343536373839616263646566",
+        "0affffffffffffffff",
+    ] {
+        assert!(
+            Msg::decode(&unhex(text)).is_err(),
+            "retired tag accepted: {text}"
+        );
+    }
 }
 
 #[test]
 fn ctl_msg_golden_bytes() {
     check_golden::<CtlMsg>();
     // Tags 10 and 12 are retired: these were the golden rows of the two
-    // messages of a mid-session re-partition. They decode to nothing now.
+    // messages of a mid-session re-partition. Tag 13 was the post-failover
+    // topology of the inter-aggregator sync. They decode to nothing now.
     for text in [
         "0a05000000000000000600000000000100000002000000050000006167672d30050000006167672d32",
         "0c0600000000000000",
+        "0d050000006167672d3202000000050000006167672d32080000006167672d30237231",
     ] {
         assert!(
             CtlMsg::decode(&unhex(text)).is_err(),
