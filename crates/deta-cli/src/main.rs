@@ -30,7 +30,8 @@ USAGE:
     deta-cli cluster <config-file> run the threaded deployment with each node as
                                    its own OS process over TCP loopback
                                    (--inprocess runs the same deployment on
-                                   threads instead, for output comparison)
+                                   threads instead, for output comparison;
+                                   it refuses a config with chaos_severs)
     deta-cli trace <config-file>   cluster run with distributed tracing on:
                                    merges every process's flight recorder onto
                                    one clock-aligned timeline, writes JSONL +
@@ -275,7 +276,15 @@ fn cmd_cluster(path: &str, inprocess: bool) -> Result<(), Box<dyn std::error::Er
     let config = Config::parse(&text)?;
     let prepared = config.prepare()?;
     let rt = cluster_runtime(&config)?;
+    let chaos = config.chaos_severs()?;
     if inprocess {
+        // Threads share no TCP link to cut: a plan of cuts would pass
+        // without one.
+        if !chaos.is_empty() {
+            return Err("chaos_severs cuts TCP links and needs the TCP deployment: \
+                        run `cluster` without --inprocess"
+                .into());
+        }
         let mut session = ThreadedSession::setup(
             prepared.session,
             prepared.builder.as_ref(),
@@ -287,7 +296,7 @@ fn cmd_cluster(path: &str, inprocess: bool) -> Result<(), Box<dyn std::error::Er
         print_dropped(&session);
         return Ok(());
     }
-    let (mut cluster, test) = launch_processes(path, prepared, rt, config.chaos_severs()?, false)?;
+    let (mut cluster, test) = launch_processes(path, prepared, rt, chaos, false)?;
     let outcome = cluster.session.run(&test);
     reap_children(&mut cluster.hosts);
     let unfired = cluster.hub.pending_severs();
@@ -433,8 +442,8 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
     print_rounds(&metrics);
 
     // Side-by-side phase volumes: the same config run sequentially and
-    // threaded, both in this process — the measurement behind ROADMAP
-    // item #1 (threaded rounds/s trails sequential).
+    // threaded, both in this process, so the two deployments' phase
+    // costs can be compared on one workload.
     let seq = {
         let prepared = config.prepare()?;
         let rec = deta_telemetry::FlightRecorder::new("sequential", 1 << 16);

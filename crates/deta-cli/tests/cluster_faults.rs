@@ -9,7 +9,8 @@
 //!   the run's stdout is byte-for-byte that of the fault-free run —
 //!   link restarts must be observationally free.
 //! * Plan a sever past a party's traffic and assert the run fails,
-//!   naming the cut that never fired.
+//!   naming the cut that never fired; plan one for the threaded
+//!   deployment, which has no link to cut, and assert it is refused.
 //! * SIGKILL a *party* process under `party_drop = true` and assert the
 //!   run degrades to partial participation (one structured line, every
 //!   round finished) instead of hanging or failing.
@@ -308,6 +309,48 @@ fn unfired_chaos_sever_fails_the_run() {
     assert!(
         stderr.contains("1 chaos sever(s) never fired"),
         "the failure must count the unfired cuts; stderr:\n{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The threaded deployment has no TCP link to cut, so a config that plans
+/// cuts is refused there instead of passing without them: the run exits
+/// non-zero, runs no round, and says the cuts need the TCP deployment.
+#[test]
+fn inprocess_cluster_refuses_chaos_severs() {
+    const CFG: &str = "dataset            = mnist\n\
+                       resolution         = 8\n\
+                       model              = mlp\n\
+                       parties            = 3\n\
+                       aggregators        = 2\n\
+                       rounds             = 2\n\
+                       seed               = 7\n\
+                       examples_per_party = 40\n\
+                       chaos_severs       = party-1@2\n";
+    let dir = std::env::temp_dir().join(format!("deta-cluster-inproc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let cfg_path = dir.join("inprocess.cfg");
+    std::fs::write(&cfg_path, CFG).expect("write config");
+    let out = Command::new(env!("CARGO_BIN_EXE_deta-cli"))
+        .args([
+            "cluster",
+            cfg_path.to_str().expect("utf-8 temp path"),
+            "--inprocess",
+        ])
+        .output()
+        .expect("run the in-process cluster");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "planned cuts on threads must fail the run; stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("needs the TCP deployment"),
+        "the refusal must say where the cuts can run; stderr:\n{stderr}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("round "),
+        "no round may run under a refused plan"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,9 @@
 //! TCP-bridge drills: a hand-rolled rogue client (built from the public
 //! wire primitives, free to violate the discipline `run_node` enforces)
 //! replays frames, reorders frames, impersonates an aggregator seat and
-//! forges delivery acknowledgements against a live [`SocketHub`]. The client and its hub are public: the
-//! workspace's socket fault tests (`tests/socket_faults.rs`) misbehave
-//! through the same one.
+//! over-claims delivery acknowledgements against a live [`SocketHub`].
+//! The client and its hub are public: the workspace's socket fault tests
+//! (`tests/socket_faults.rs`) misbehave through the same one.
 
 use crate::Drill;
 use deta_crypto::{DetRng, SigningKey};
@@ -57,9 +57,10 @@ impl Custody {
         let hub = SocketHub::bind(network, vec![party_seat, agg_seat], SEED)
             .map_err(|e| format!("bind: {e}"))?;
         let mut agg = Rogue::connect(hub.addr(), "agg-0", &agg_link).ok_or("agg-0 auth refused")?;
-        agg.resume("agg-0");
+        agg.resume();
         let mut party =
             Rogue::connect(hub.addr(), "party-0", &party_link).ok_or("party-0 auth refused")?;
+        party.resume();
         for seq in 0..3 {
             party.send_data("agg-0", seq, b"upload");
         }
@@ -87,7 +88,7 @@ impl Custody {
         let _ = self.agg.stream.shutdown(std::net::Shutdown::Both);
         self.agg = Rogue::connect(self.hub.addr(), "agg-0", &self.agg_link)
             .ok_or("agg-0 could not resume")?;
-        self.agg.resume("agg-0");
+        self.agg.resume();
         self.agg.recv_relayed(n)
     }
 }
@@ -111,7 +112,8 @@ pub struct Rogue {
 
 impl Rogue {
     /// Handshakes and authenticates as `name`; `None` when the hub
-    /// refuses the auth proof.
+    /// refuses the auth proof. The hub takes no frame but a `Resume`
+    /// next ([`Rogue::resume`]).
     pub fn connect(addr: SocketAddr, name: &str, link: &SigningKey) -> Option<Rogue> {
         let mut rogue = Rogue::dial(addr, name);
         let Some(SocketFrame::Challenge { nonce }) = rogue.recv() else {
@@ -183,14 +185,11 @@ impl Rogue {
         });
     }
 
-    /// Opens (or reopens) the link as `name` with a `Resume` that claims
-    /// nothing delivered; the hub relays to a seat only once its child
-    /// has said where to resume from.
-    pub fn resume(&mut self, name: &str) {
-        self.send(&SocketFrame::Resume {
-            src: name.to_string(),
-            windows: Vec::new(),
-        });
+    /// Opens (or reopens) the link with a `Resume` that claims nothing
+    /// delivered: every connection leads with one, and the hub relays to
+    /// a seat only once its child has said where to resume from.
+    pub fn resume(&mut self) {
+        self.send(&SocketFrame::Resume { next: 0 });
     }
 
     /// Next frame from the hub, or `None` on EOF.
@@ -201,8 +200,8 @@ impl Rogue {
     }
 
     /// The sequence numbers of the next `n` `Data` frames the hub relays
-    /// on the `party-0 -> agg-0` link, skipping control frames (the
-    /// hub's acknowledgements, a `ResumeAck`, closures).
+    /// from `party-0`, skipping control frames (the hub's
+    /// acknowledgements, a `ResumeAck`, closures).
     ///
     /// # Errors
     ///
@@ -321,28 +320,30 @@ pub fn ack_drills() -> Vec<Drill> {
     vec![Drill {
         id: "socket-forged-ack",
         claim: "the hub stops retaining a relayed frame only on the word \
-                of the seat the frame is addressed to; no other \
-                authenticated peer can make it forget what that seat may \
-                still need replayed (deta-socket delivery acknowledgement)",
-        attack: "party-0, authenticated, acknowledges delivery of its own \
-                 three frames on the link party-0->agg-0 in agg-0's place; \
-                 agg-0, which acknowledged none of them, then loses its \
-                 connection and resumes",
+                of the seat it was relayed to: an acknowledgement speaks \
+                for the link it arrives on and never past what was sent \
+                there, so no other authenticated peer can make the hub \
+                forget what that seat may still need replayed (deta-socket \
+                delivery acknowledgement)",
+        attack: "party-0, authenticated, acknowledges three frames on its \
+                 own link although the hub has sent it none; agg-0, which \
+                 acknowledged none of the three frames relayed to it, then \
+                 loses its connection and resumes",
         run: forged_ack,
     }]
 }
 
 fn forged_ack() -> Result<String, String> {
     let mut held = Custody::start()?;
-    held.party.send(&SocketFrame::Ack {
-        src: "party-0".to_string(),
-        dst: "agg-0".to_string(),
-        next: 3,
-    });
+    held.party.send(&SocketFrame::Ack { next: 3 });
     let err = wait_error(&held.hub)?;
-    let observed = format!("SocketError::Auth — {err}");
+    let observed = format!("SocketError::Ack — {err}");
     match err {
-        SocketError::Auth { peer, .. } if peer == "party-0" => {}
+        SocketError::Ack {
+            link,
+            next: 3,
+            stamped: 0,
+        } if link == "hub->party-0" => {}
         other => return Err(format!("wrong rejection: {other}")),
     }
     // The hub owes agg-0 every frame nobody entitled has acknowledged.
@@ -358,6 +359,7 @@ fn forged_ack() -> Result<String, String> {
 fn frame_replay() -> Result<String, String> {
     let (hub, _network, agg, link) = start_hub();
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("auth refused")?;
+    rogue.resume();
     rogue.send_data("agg-0", 0, b"upload");
     agg.recv_timeout(Duration::from_secs(2))
         .map_err(|e| format!("honest frame not delivered: {e}"))?;
@@ -385,6 +387,7 @@ fn frame_replay() -> Result<String, String> {
 fn frame_reorder() -> Result<String, String> {
     let (hub, _network, agg, link) = start_hub();
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("auth refused")?;
+    rogue.resume();
     rogue.send_data("agg-0", 5, b"late");
     let err = wait_error(&hub)?;
     let observed = format!("SocketError::Replay — {err}");
@@ -409,6 +412,7 @@ fn frame_reorder() -> Result<String, String> {
 fn reconnect_impersonation() -> Result<String, String> {
     let (hub, network, agg, link) = start_hub();
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("auth refused")?;
+    rogue.resume();
     rogue.send_data("agg-0", 0, b"upload");
     agg.recv_timeout(Duration::from_secs(2))
         .map_err(|e| format!("honest frame not delivered: {e}"))?;
@@ -434,6 +438,7 @@ fn reconnect_impersonation() -> Result<String, String> {
     // reconnects and the link picks up at the next sequence number.
     let mut owner =
         Rogue::connect(hub.addr(), "party-0", &link).ok_or("the real owner could not resume")?;
+    owner.resume();
     owner.send_data("agg-0", 1, b"resumed");
     agg.recv_timeout(Duration::from_secs(2))
         .map_err(|e| format!("post-resume frame not delivered: {e}"))?;
@@ -444,6 +449,7 @@ fn reconnect_impersonation() -> Result<String, String> {
 fn resume_replay() -> Result<String, String> {
     let (hub, _network, agg, link) = start_hub();
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("auth refused")?;
+    rogue.resume();
     rogue.send_data("agg-0", 0, b"upload-0");
     rogue.send_data("agg-0", 1, b"upload-1");
     for seq in 0..2u64 {
@@ -455,17 +461,10 @@ fn resume_replay() -> Result<String, String> {
     drop(rogue);
     std::thread::sleep(Duration::from_millis(200));
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("reconnect auth refused")?;
-    rogue.resume("party-0");
+    rogue.resume();
     match rogue.recv() {
-        Some(SocketFrame::ResumeAck { windows }) => {
-            let expected = ("party-0".to_string(), "agg-0".to_string(), 2u64);
-            if !windows.contains(&expected) {
-                return Err(format!(
-                    "ResumeAck must report next=2 for party-0->agg-0, got {windows:?}"
-                ));
-            }
-        }
-        other => return Err(format!("expected a ResumeAck, got {other:?}")),
+        Some(SocketFrame::ResumeAck { next: 2 }) => {}
+        other => return Err(format!("expected ResumeAck {{ next: 2 }}, got {other:?}")),
     }
     // The attack: re-send the already-delivered first frame as if the
     // outage had reset the link's history.

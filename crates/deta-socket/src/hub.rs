@@ -6,7 +6,7 @@
 //! remote node is a *forwarded name* on that network
 //! ([`Network::forward`]). Traffic flows:
 //!
-//! * **ingress** — a child's frames arrive on its link; after the
+//! * **ingress** — a child's frames arrive on its link; after its seat's
 //!   replay window accepts them they are injected with
 //!   [`Network::send_as`], so verdicts, taps, and per-link byte counts
 //!   apply exactly as for an in-process sender;
@@ -28,19 +28,20 @@
 //! came from ([`SocketFrame::Ack`], queued on that seat's writer) and the
 //! child stops retaining it. The destination's child acknowledges in
 //! turn, and the seat's buffer drops the frame: on a healthy link a
-//! buffer holds what is in flight. An acknowledgement is honoured only
-//! from the seat its link ends at, and never past what was stamped on
-//! that link.
+//! buffer holds what is in flight. An acknowledgement speaks for the
+//! hub → child direction of the link it arrives on, and is never
+//! honoured past what was stamped there.
 //!
 //! ## Link lifecycle
 //!
 //! A seat is *connected* while a serve thread holds its link. A child
 //! that vanishes mid-session **without** sending [`SocketFrame::Bye`]
 //! does not kill the session: the seat is *parked* — egress keeps
-//! buffering, the global ingress [`ReplayWindow`] is retained — until
+//! buffering, the seat's ingress [`ReplayWindow`] is retained — until
 //! the child reconnects, re-proves the *same* identity, and exchanges
 //! [`SocketFrame::Resume`]/[`SocketFrame::ResumeAck`] so both sides
-//! retransmit exactly the frames the other never delivered. A resume
+//! retransmit exactly the frames the other never delivered. Every
+//! connection leads with `Resume`, a first one claiming 0. A resume
 //! that needs frames already evicted from the bounded buffer *retires*
 //! the seat (structured [`SocketError::Resync`], name closed): the
 //! gap cannot be hidden. Loss of a node that already said `Bye` stays
@@ -53,7 +54,7 @@
 //! (re)connectors — so each child mirrors the closure into its local
 //! replica.
 
-use crate::link::{count_link, lock, write_loop, Egress, LinkReceiver, LinkSender, SecureLink};
+use crate::link::{lock, write_loop, Egress, LinkReceiver, SecureLink};
 use crate::wire::{auth_transcript, ReplayWindow, SocketFrame};
 use crate::{drain_ring, hub_identity, party_link_key, SocketError};
 use deta_core::session::{DetaConfig, SetupError};
@@ -194,10 +195,15 @@ pub fn launch<H>(
     }
 }
 
-/// What the hub keeps per seat: the egress toward the seat's child and
-/// the connection history the lifecycle needs.
+/// What the hub keeps per seat: one end of each direction of the seat's
+/// link — the egress toward its child and the window of what came from
+/// it — and the connection history the lifecycle needs.
 struct Seat {
     egress: Egress,
+    /// Ingress window of the child → hub direction. It survives
+    /// reconnects, so a genuinely replayed old frame dies with
+    /// [`SocketError::Replay`] no matter how many resumes happened.
+    window: ReplayWindow,
     /// Whether any connection ever served this seat (a later
     /// connection is a *resume*, counted as a reconnect).
     ever_connected: bool,
@@ -234,10 +240,6 @@ struct HubShared {
     seats: Arc<Seats>,
     /// Every seat name, for re-announcing closures to (re)connectors.
     seat_names: Vec<String>,
-    /// Strict per-(src, dst) ingress window across all links — it
-    /// survives reconnects, so a genuinely replayed old frame dies with
-    /// [`SocketError::Replay`] no matter how many resumes happened.
-    window: Mutex<ReplayWindow>,
     /// First structured failure observed by any hub thread.
     error: Mutex<Option<SocketError>>,
     stop: AtomicBool,
@@ -316,7 +318,8 @@ impl SocketHub {
         let seat_names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
         let by_name = seat_names.iter().map(|name| {
             let seat = Seat {
-                egress: Egress::new(name),
+                egress: Egress::new(name, format!("hub->{name}")),
+                window: ReplayWindow::new(),
                 ever_connected: false,
             };
             (name.clone(), seat)
@@ -329,7 +332,6 @@ impl SocketHub {
             network,
             seats: seat_table,
             seat_names,
-            window: Mutex::new(ReplayWindow::new()),
             error: Mutex::new(None),
             stop: AtomicBool::new(false),
             conns: AtomicU64::new(0),
@@ -461,12 +463,9 @@ fn accept_loop(
 /// A connection whose peer proved a seat's key and said where to resume.
 struct Admitted {
     name: String,
-    sender: LinkSender,
-    receiver: LinkReceiver,
-    /// The peer's delivered-so-far claims (empty on a first connection).
-    claims: Vec<(String, String, u64)>,
-    /// A first frame that was not a `Resume`: normal ingress.
-    pending: Option<SocketFrame>,
+    link: SecureLink,
+    /// The next `seq` the peer's window takes (0 on a first connection).
+    claim: u64,
 }
 
 /// Takes a connection up to the point where it can be served: handshake,
@@ -506,42 +505,30 @@ fn admit(
         }
         std::thread::sleep(TICK);
     }
-    // Resume exchange. Every child leads with `Resume` (empty windows
-    // on a first connection); any other first frame is an implicit
-    // empty resume — a fresh-windowed peer expecting every link from
-    // seq 0 — and is then processed as normal ingress.
-    let (claims, pending) = match link.recv(None, Some(&shared.stop)) {
-        Ok(Some(SocketFrame::Resume { src, windows })) => {
-            if src != name {
-                return Err(SocketError::Auth {
-                    peer: name,
-                    detail: "resume with spoofed source name",
-                });
-            }
-            // The hub's delivered-so-far state for the peer's own links,
-            // so the peer prunes its retransmit buffer symmetrically.
-            // Must precede any retransmitted Data.
-            let delivered = lock(&shared.window).snapshot_from(&name);
-            if link
-                .send(&SocketFrame::ResumeAck { windows: delivered })
-                .is_err()
-            {
-                return Ok(None);
-            }
-            (windows, None)
+    // Resume exchange: every connection leads with `Resume`. The answer
+    // is what the seat's window took from the peer, so the peer prunes
+    // its retransmit buffer symmetrically; it precedes any retransmitted
+    // Data. No serve thread reads into the window while the seat is
+    // parked.
+    let claim = match link.rx.recv(None, Some(&shared.stop)) {
+        Ok(Some(SocketFrame::Resume { next })) => next,
+        Ok(Some(_)) => {
+            return Err(SocketError::Auth {
+                peer: name,
+                detail: "peer did not lead with a resume",
+            })
         }
-        Ok(Some(frame)) => (Vec::new(), Some(frame)),
         Ok(None) | Err(SocketError::Io(_)) => return Ok(None),
         Err(e) => return Err(e),
     };
-    let (sender, receiver) = link.split()?;
-    Ok(Some(Admitted {
-        name,
-        sender,
-        receiver,
-        claims,
-        pending,
-    }))
+    let delivered = shared.with_seat(&name, |seat| seat.window.next());
+    let ack = SocketFrame::ResumeAck {
+        next: delivered.unwrap_or(0),
+    };
+    if link.tx.send(&ack).is_err() {
+        return Ok(None);
+    }
+    Ok(Some(Admitted { name, link, claim }))
 }
 
 /// Serves one connection: admission, then the ingress loop (this thread)
@@ -560,15 +547,16 @@ fn serve(
     };
     let Admitted {
         name,
-        sender,
-        mut receiver,
-        claims,
-        pending,
+        link: SecureLink {
+            tx: sender,
+            rx: mut receiver,
+        },
+        claim,
     } = admitted;
     // Prune, replay and go live under one egress lock, so the forwarder
     // cannot land a fresh frame among the replayed ones.
     let taken_over = shared.with_seat(&name, |seat| {
-        let rx = seat.egress.resume(claims)?;
+        let rx = seat.egress.resume(claim)?;
         let resumed = std::mem::replace(&mut seat.ever_connected, true);
         Ok((rx, seat.egress.unacked() as u64, resumed))
     });
@@ -612,7 +600,7 @@ fn serve(
             ],
         );
     }
-    let end = ingest(&shared, &name, &mut receiver, pending);
+    let end = ingest(&shared, &name, &mut receiver);
     // EOF without Bye parks the seat for a resume — mid-session. At
     // shutdown, or for a seat whose name is already closed, it is the old
     // closure path.
@@ -667,8 +655,8 @@ enum LinkEnd {
     Lost,
 }
 
-/// Ingress of one connection: injects every frame the window accepts
-/// into the hub network as `name`'s, until the link ends.
+/// Ingress of one connection: injects every frame the seat's window
+/// accepts into the hub network as `name`'s, until the link ends.
 ///
 /// # Errors
 ///
@@ -678,14 +666,13 @@ fn ingest(
     shared: &HubShared,
     name: &str,
     receiver: &mut LinkReceiver,
-    mut pending: Option<SocketFrame>,
 ) -> Result<LinkEnd, SocketError> {
     let spoofed = |detail| SocketError::Auth {
         peer: name.to_string(),
         detail,
     };
     loop {
-        let Some((frame, trace)) = receiver.recv_message(pending.take(), &shared.stop)? else {
+        let Some((frame, trace)) = receiver.recv_message(&shared.stop)? else {
             return Ok(LinkEnd::Lost);
         };
         match frame {
@@ -698,7 +685,10 @@ fn ingest(
                 if src != name {
                     return Err(spoofed("data frame with spoofed source name"));
                 }
-                if let Err(e) = lock(&shared.window).accept_named(&src, &dst, seq) {
+                // The window is released before `send_as`: the network
+                // lock comes first, never under a seat's.
+                let accepted = shared.with_seat(name, |seat| seat.window.accept(&src, &dst, seq));
+                if let Some(Err(e)) = accepted {
                     count_link("deta_socket_rejects_total", &src, &dst, 1);
                     return Err(e);
                 }
@@ -715,11 +705,7 @@ fn ingest(
                 // the seat's writer — this thread never waits on a socket
                 // write.
                 shared.with_seat(name, |seat| {
-                    seat.egress.control(SocketFrame::Ack {
-                        src,
-                        dst,
-                        next: seq + 1,
-                    });
+                    seat.egress.control(SocketFrame::Ack { next: seq + 1 });
                 });
                 // Chaos: sever this node's connection abruptly once its
                 // cumulative accepted-frame count crosses the next planned
@@ -741,17 +727,10 @@ fn ingest(
                     receiver.sever();
                 }
             }
-            SocketFrame::Ack { src, dst, next } => {
-                // Only the seat a link ends at can say what arrived
-                // there: anyone else's word would make the hub drop
-                // frames their real receiver may still need replayed.
-                if dst != name {
-                    return Err(spoofed(
-                        "acknowledgement for a link that ends at another node",
-                    ));
-                }
+            // What this seat's child took from its own link.
+            SocketFrame::Ack { next } => {
                 shared
-                    .with_seat(name, |seat| seat.egress.acknowledge(&src, &dst, next))
+                    .with_seat(name, |seat| seat.egress.acknowledge(next))
                     .unwrap_or(Ok(()))?;
             }
             SocketFrame::Bye => return Ok(LinkEnd::Bye),
@@ -784,15 +763,24 @@ fn ingest(
     }
 }
 
+/// Counts `n` under `name{src->dst}`; the label is built only with the
+/// telemetry sink on.
+fn count_link(name: &'static str, src: &str, dst: &str, n: u64) {
+    if deta_telemetry::enabled() {
+        deta_telemetry::metrics::counter_add(name, &format!("{src}->{dst}"), n);
+    }
+}
+
 /// Clock-alignment probe/echo: estimates the peer's monotonic-clock
 /// offset (`child_ns - hub_ns`) at the round-trip midpoint. Runs right
 /// after `Welcome`, before any data flows, so the link is otherwise
 /// idle and the round trip is as tight as it gets.
 fn clock_exchange(link: &mut SecureLink, peer: &str) -> Result<i64, SocketError> {
     let t_send = deta_telemetry::now_ns();
-    link.send(&SocketFrame::ClockProbe { t_hub_ns: t_send })?;
+    link.tx
+        .send(&SocketFrame::ClockProbe { t_hub_ns: t_send })?;
     let deadline = Some(Instant::now() + AUTH_DEADLINE);
-    match link.recv(deadline, None)? {
+    match link.rx.recv(deadline, None)? {
         Some(SocketFrame::ClockEcho {
             t_hub_ns,
             t_peer_ns,
@@ -817,9 +805,9 @@ fn authenticate(
 ) -> Result<String, SocketError> {
     let mut nonce = [0u8; 32];
     rng.fill_bytes(&mut nonce);
-    link.send(&SocketFrame::Challenge { nonce })?;
+    link.tx.send(&SocketFrame::Challenge { nonce })?;
     let deadline = Some(Instant::now() + AUTH_DEADLINE);
-    match link.recv(deadline, None)? {
+    match link.rx.recv(deadline, None)? {
         Some(SocketFrame::AuthProof { name, sig }) => {
             let Some(key) = roster.get(&name) else {
                 return Err(SocketError::Auth {
@@ -839,7 +827,7 @@ fn authenticate(
                     detail: "signature does not verify against the node key",
                 });
             }
-            link.send(&SocketFrame::Welcome)?;
+            link.tx.send(&SocketFrame::Welcome)?;
             Ok(name)
         }
         Some(_) | None => Err(SocketError::Auth {

@@ -56,7 +56,7 @@ pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use hub::{launch, HubSeat, Launched, SocketHub, TraceHarvest};
 pub use link::RetransmitBuffer;
 pub use node::{host_node, run_node};
-pub use wire::{ReplayWindow, SeqTracker, SocketFrame};
+pub use wire::{ReplayWindow, SocketFrame};
 
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use std::fmt;
@@ -100,10 +100,11 @@ pub enum SocketError {
         /// Peer label.
         link: String,
     },
-    /// A data frame violated the strict per-link sequence window: a
-    /// replayed or reordered logical frame from an authenticated peer.
+    /// A data frame violated the strict sequence window of its
+    /// direction of the link: a replayed or reordered logical frame from
+    /// an authenticated peer.
     Replay {
-        /// The offending link as `src->dst`.
+        /// The offending frame's `src->dst`.
         link: String,
         /// The sequence number the frame carried.
         seq: u64,
@@ -121,24 +122,23 @@ pub enum SocketError {
     /// can no longer be guaranteed, so resuming would silently lose
     /// frames.
     Resync {
-        /// The unrecoverable link as `src->dst`.
+        /// The unrecoverable direction, as `hub->node` or `node->hub`.
         link: String,
         /// The seq the peer asked to resume from.
         wanted: u64,
         /// The oldest seq still held for retransmission.
         oldest: u64,
     },
-    /// A delivery acknowledgement claimed more than its link ever
-    /// carried: `next` is past the highest sequence number stamped on it.
-    /// Nothing is pruned and the link dies, as on any other sequence
-    /// violation. (An acknowledgement for a link the peer is not an end
-    /// of is an [`SocketError::Auth`] naming that peer.)
+    /// A delivery acknowledgement claimed more than its direction of the
+    /// link ever carried: `next` is past the highest sequence number
+    /// stamped on it. Nothing is pruned and the link dies, as on any
+    /// other sequence violation.
     Ack {
-        /// The acknowledged link as `src->dst`.
+        /// The acknowledged direction, as `hub->node` or `node->hub`.
         link: String,
         /// The count of delivered frames the acknowledgement claimed.
         next: u64,
-        /// The count of frames ever stamped on the link.
+        /// The count of frames ever stamped on the direction.
         stamped: u64,
     },
     /// The child could not rebuild its deterministic session replica.

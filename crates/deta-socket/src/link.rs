@@ -3,11 +3,11 @@
 //!
 //! A link is built in two steps. [`SecureLink::connect`] /
 //! [`SecureLink::accept`] run the handshake over raw frames (hello and
-//! response are self-authenticating; everything after is sealed). The
-//! caller then performs the challenge/auth exchange at the
-//! [`crate::wire::SocketFrame`] layer and finally [`SecureLink::split`]s
-//! the link into an independently-owned sender and receiver so one
-//! thread can write while another blocks reading.
+//! response are self-authenticating; everything after is sealed) and
+//! hand back its two halves, a [`LinkSender`] and a [`LinkReceiver`].
+//! The caller performs the challenge/auth exchange at the
+//! [`crate::wire::SocketFrame`] layer through them, then moves each to
+//! its own thread so one can write while the other blocks reading.
 //!
 //! All reads poll with a short OS timeout so reader threads can observe
 //! stop flags and deadlines instead of blocking forever in `read`.
@@ -27,13 +27,13 @@
 //! ([`write_loop`]) when there is one.
 
 use crate::frame::{encode_frame, write_frame_header, FrameDecoder, FRAME_HEADER};
-use crate::wire::{SeqTracker, SocketFrame};
+use crate::wire::SocketFrame;
 use crate::SocketError;
 use deta_crypto::poly1305::TAG_LEN;
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use deta_transport::secure::{self, HandshakeInitiator, SecureChannel};
 use deta_transport::{Message, TraceCtx};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,8 +52,8 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 /// bound their unacknowledged-frame buffers identically — which, since
 /// delivery is acknowledged, is a bound on what a *parked* seat or a
 /// stalled consumer accumulates; past either cap the oldest frames are
-/// evicted and the per-link floor advances, so a later resume needing
-/// them fails with a structured `Resync` error instead of a silent gap.
+/// evicted and the floor advances, so a later resume needing them fails
+/// with a structured `Resync` error instead of a silent gap.
 const RETRANSMIT_MAX_FRAMES: usize = 1024;
 
 /// Retransmit-buffer cap, in buffered payload bytes, per endpoint. The
@@ -61,38 +61,54 @@ const RETRANSMIT_MAX_FRAMES: usize = 1024;
 /// bound would happily pin hundreds of megabytes per seat.
 const RETRANSMIT_MAX_BYTES: usize = 8 * 1024 * 1024;
 
-/// Every `Data` frame one endpoint has sent and its peer has not yet
+/// Every `Data` frame one end of a link has sent and its peer has not yet
 /// acknowledged, oldest first — what is *in flight* on a healthy link,
 /// what accumulated during the outage on a parked one, bounded by
 /// `RETRANSMIT_MAX_FRAMES` and `RETRANSMIT_MAX_BYTES` (1024 frames,
-/// 8 MiB). The hub keeps one per seat, a child one for its link; it outlives connections, and
-/// it is always on — without it an abrupt TCP loss is unrecoverable.
+/// 8 MiB). The hub keeps one per seat, a child one for its link; it
+/// outlives connections, and it is always on — without it an abrupt TCP
+/// loss is unrecoverable.
 ///
 /// One frame's life is `stamp → retain → acknowledge → prune`, and all
-/// four are here: the buffer hands out the sequence numbers of the frames
-/// it retains ([`RetransmitBuffer::stamp`]), so it can refuse an
+/// four are here: the buffer numbers its direction of the link with one
+/// counter ([`RetransmitBuffer::stamp`]), so it can refuse an
 /// acknowledgement for frames it never sent
-/// ([`RetransmitBuffer::acknowledge`]), and a resume's claims prune what
-/// no acknowledgement reached it for ([`RetransmitBuffer::prune`]).
-/// Frames are held behind `Arc`, so the copy retained here and the one
-/// queued for a link writer are the same allocation.
-#[derive(Default)]
+/// ([`RetransmitBuffer::acknowledge`]), and a resume's claim prunes what
+/// no acknowledgement reached it for ([`RetransmitBuffer::prune`]). The
+/// retained frames are always the consecutive numbers below that counter,
+/// so each of those steps drops a prefix. Frames are held behind `Arc`,
+/// so the copy retained here and the one queued for a link writer are the
+/// same allocation.
 pub struct RetransmitBuffer {
+    /// The direction the buffer feeds, as `src->dst`, for errors and
+    /// telemetry.
+    link: String,
     /// Each frame beside the trace context it was sent with, so that a
     /// replay sends its ids ahead of it again.
     frames: VecDeque<(Arc<SocketFrame>, TraceCtx)>,
     /// Total buffered payload bytes (the byte-cap accounting).
     bytes: usize,
-    /// Per-(src, dst) seq of the oldest frame still retransmittable; an
-    /// entry appears only once eviction has discarded something on that
-    /// link.
-    floor: BTreeMap<(String, String), u64>,
-    /// The send counters. They outlive connections with the buffer, so a
-    /// retransmitted frame carries the seq of the original.
-    seqs: SeqTracker,
+    /// The seq of the oldest frame eviction has left retransmittable; a
+    /// claim below it cannot be honoured.
+    floor: u64,
+    /// The send counter: the next `seq` to stamp. It outlives connections
+    /// with the buffer, so a retransmitted frame carries the seq of the
+    /// original.
+    next: u64,
 }
 
 impl RetransmitBuffer {
+    /// An empty buffer for the direction named `link` (`src->dst`).
+    pub fn new(link: impl Into<String>) -> RetransmitBuffer {
+        RetransmitBuffer {
+            link: link.into(),
+            frames: VecDeque::new(),
+            bytes: 0,
+            floor: 0,
+            next: 0,
+        }
+    }
+
     fn payload_len(frame: &SocketFrame) -> usize {
         match frame {
             SocketFrame::Data { payload, .. } => payload.len(),
@@ -100,107 +116,78 @@ impl RetransmitBuffer {
         }
     }
 
-    /// Makes `msg` the next `Data` frame of its link to `to` and retains
-    /// it with its trace context; the caller forwards the returned frame
-    /// if its link is live.
+    /// Makes `msg` the next `Data` frame of the direction, for `to`, and
+    /// retains it with its trace context; the caller forwards the
+    /// returned frame if its link is live.
     pub fn stamp(&mut self, to: &str, msg: Message) -> Arc<SocketFrame> {
-        let (src, dst) = (msg.from.to_string(), to.to_string());
-        let seq = self.seqs.next(&src, &dst);
         let frame = Arc::new(SocketFrame::Data {
-            src,
-            dst,
-            seq,
+            src: msg.from.to_string(),
+            dst: to.to_string(),
+            seq: self.next,
             payload: msg.payload,
         });
-        self.push((Arc::clone(&frame), msg.trace));
+        self.next += 1;
+        self.bytes += Self::payload_len(&frame);
+        self.frames.push_back((Arc::clone(&frame), msg.trace));
+        while self.frames.len() > RETRANSMIT_MAX_FRAMES || self.bytes > RETRANSMIT_MAX_BYTES {
+            self.drop_below(self.oldest() + 1);
+            self.floor = self.oldest();
+        }
         frame
     }
 
-    /// Retains a stamped frame, evicting from the front and advancing
-    /// the per-link floor while over either cap.
-    fn push(&mut self, retained: (Arc<SocketFrame>, TraceCtx)) {
-        self.bytes += Self::payload_len(&retained.0);
-        self.frames.push_back(retained);
-        while self.frames.len() > RETRANSMIT_MAX_FRAMES || self.bytes > RETRANSMIT_MAX_BYTES {
-            let Some((old, _)) = self.frames.pop_front() else {
-                break;
-            };
-            self.bytes = self.bytes.saturating_sub(Self::payload_len(&old));
-            if let SocketFrame::Data { src, dst, seq, .. } = &*old {
-                self.floor.insert((src.clone(), dst.clone()), seq + 1);
-            }
+    /// The seq of the oldest retained frame (the counter when empty).
+    fn oldest(&self) -> u64 {
+        self.next - self.frames.len() as u64
+    }
+
+    /// Drops every retained frame below `next`.
+    fn drop_below(&mut self, next: u64) {
+        let n = usize::try_from(next.saturating_sub(self.oldest())).unwrap_or(usize::MAX);
+        for (frame, _) in self.frames.drain(..n.min(self.frames.len())) {
+            self.bytes -= Self::payload_len(&frame);
         }
     }
 
-    /// Honours a [`SocketFrame::Ack`]: drops every retained frame of the
-    /// (src, dst) link below `next`. Cumulative and idempotent — a stale
-    /// or repeated acknowledgement drops nothing. Other links, and every
-    /// eviction floor, are untouched. The caller has already checked that
-    /// the acknowledging peer is an end of the link.
+    /// Honours a [`SocketFrame::Ack`]: drops every retained frame below
+    /// `next`. Cumulative and idempotent — a stale or repeated
+    /// acknowledgement drops nothing. The eviction floor is untouched.
     ///
     /// # Errors
     ///
     /// [`SocketError::Ack`] when `next` is past every sequence number
-    /// stamped on the link; nothing is dropped.
-    pub fn acknowledge(&mut self, src: &str, dst: &str, next: u64) -> Result<(), SocketError> {
-        let stamped = self.seqs.issued(src, dst);
-        if next > stamped {
+    /// stamped; nothing is dropped.
+    pub fn acknowledge(&mut self, next: u64) -> Result<(), SocketError> {
+        if next > self.next {
             return Err(SocketError::Ack {
-                link: format!("{src}->{dst}"),
+                link: self.link.clone(),
                 next,
-                stamped,
+                stamped: self.next,
             });
         }
-        let mut freed = 0;
-        self.frames.retain(|(f, _)| match &**f {
-            SocketFrame::Data {
-                src: s,
-                dst: d,
-                seq,
-                payload,
-            } if s == src && d == dst && *seq < next => {
-                freed += payload.len();
-                false
-            }
-            _ => true,
-        });
-        self.bytes -= freed;
-        count_link("deta_socket_acks_total", src, dst, 1);
+        self.drop_below(next);
+        if deta_telemetry::enabled() {
+            deta_telemetry::metrics::counter_add("deta_socket_acks_total", &self.link, 1);
+        }
         Ok(())
     }
 
-    /// Prunes to the frames a resuming peer still needs, per the
-    /// delivered-so-far `windows` of its `Resume`/`ResumeAck` (absent
-    /// links claim 0).
+    /// Prunes to the frames a resuming peer still needs: `claim` is the
+    /// next `seq` its window takes, from its `Resume`/`ResumeAck`.
     ///
     /// # Errors
     ///
     /// [`SocketError::Resync`] when a needed frame was already evicted:
     /// the link cannot be resumed without a silent gap.
-    pub fn prune(&mut self, windows: Vec<(String, String, u64)>) -> Result<(), SocketError> {
-        let claims: BTreeMap<(String, String), u64> =
-            windows.into_iter().map(|(s, d, n)| ((s, d), n)).collect();
-        for (link, floor) in &self.floor {
-            let claimed = claims.get(link).copied().unwrap_or(0);
-            if claimed < *floor {
-                return Err(SocketError::Resync {
-                    link: format!("{}->{}", link.0, link.1),
-                    wanted: claimed,
-                    oldest: *floor,
-                });
-            }
+    pub fn prune(&mut self, claim: u64) -> Result<(), SocketError> {
+        if claim < self.floor {
+            return Err(SocketError::Resync {
+                link: self.link.clone(),
+                wanted: claim,
+                oldest: self.floor,
+            });
         }
-        self.frames.retain(|(f, _)| match &**f {
-            SocketFrame::Data { src, dst, seq, .. } => {
-                let claimed = claims
-                    .get(&(src.clone(), dst.clone()))
-                    .copied()
-                    .unwrap_or(0);
-                *seq >= claimed
-            }
-            _ => true,
-        });
-        self.bytes = self.frames.iter().map(|(f, _)| Self::payload_len(f)).sum();
+        self.drop_below(claim);
         Ok(())
     }
 
@@ -249,18 +236,19 @@ pub(crate) struct Egress {
 }
 
 impl Egress {
-    /// A parked egress with nothing sent, observed as `node`'s.
-    pub fn new(node: &str) -> Egress {
+    /// A parked egress with nothing sent, for the direction named `link`
+    /// (`src->dst`), observed as `node`'s.
+    pub fn new(node: &str, link: String) -> Egress {
         Egress {
             node: node.to_string(),
             tx: None,
-            buffer: RetransmitBuffer::default(),
+            buffer: RetransmitBuffer::new(link),
         }
     }
 
     /// A message for `to` on its way out: stamped as the next `Data` frame
-    /// of its link, retained, and queued for the writer if the link is
-    /// live — one allocation, shared — behind its ids, if it is traced.
+    /// of the direction, retained, and queued for the writer if the link
+    /// is live — one allocation, shared — behind its ids, if it is traced.
     pub fn send(&mut self, to: &str, msg: Message) {
         let trace = msg.trace;
         let frame = self.buffer.stamp(to, msg);
@@ -291,12 +279,12 @@ impl Egress {
     }
 
     /// See [`RetransmitBuffer::acknowledge`].
-    pub fn acknowledge(&mut self, src: &str, dst: &str, next: u64) -> Result<(), SocketError> {
-        self.buffer.acknowledge(src, dst, next)
+    pub fn acknowledge(&mut self, next: u64) -> Result<(), SocketError> {
+        self.buffer.acknowledge(next)
     }
 
-    /// A new connection takes over: prunes to what the peer's `claims`
-    /// say it still needs, queues that backlog ([`Egress::unacked`]
+    /// A new connection takes over: prunes to what the peer's `claim`
+    /// says it still needs, queues that backlog ([`Egress::unacked`]
     /// frames) and goes live — under the caller's one lock, so no fresh
     /// frame lands among the replayed. Returns the queue for the
     /// connection's [`write_loop`].
@@ -305,11 +293,8 @@ impl Egress {
     ///
     /// [`SocketError::Resync`], from [`RetransmitBuffer::prune`]; the
     /// egress stays parked.
-    pub fn resume(
-        &mut self,
-        claims: Vec<(String, String, u64)>,
-    ) -> Result<Receiver<Arc<SocketFrame>>, SocketError> {
-        self.buffer.prune(claims)?;
+    pub fn resume(&mut self, claim: u64) -> Result<Receiver<Arc<SocketFrame>>, SocketError> {
+        self.buffer.prune(claim)?;
         let (tx, rx) = channel();
         for (frame, trace) in &self.buffer.frames {
             queue(&tx, frame, *trace);
@@ -319,7 +304,7 @@ impl Egress {
     }
 
     /// Detaches the writer: it drains what is queued and exits. The
-    /// buffer, its floors and its counters stay for a resume.
+    /// buffer, its floor and its counter stay for a resume.
     pub fn park(&mut self) {
         self.tx = None;
     }
@@ -348,14 +333,6 @@ pub(crate) fn write_loop(mut sender: LinkSender, rx: Receiver<Arc<SocketFrame>>)
         if sender.send(&frame).is_err() {
             return;
         }
-    }
-}
-
-/// Counts `n` under `name{src->dst}`; the label is built only with the
-/// telemetry sink on.
-pub(crate) fn count_link(name: &'static str, src: &str, dst: &str, n: u64) {
-    if deta_telemetry::enabled() {
-        deta_telemetry::metrics::counter_add(name, &format!("{src}->{dst}"), n);
     }
 }
 
@@ -405,9 +382,6 @@ struct LinkIo {
     stream: TcpStream,
     decoder: FrameDecoder,
     label: String,
-    /// The outgoing frame buffer (see [`seal_frame`]); moves to the
-    /// [`LinkSender`] when the link splits.
-    wire: Vec<u8>,
 }
 
 impl LinkIo {
@@ -418,7 +392,6 @@ impl LinkIo {
             stream,
             decoder: FrameDecoder::new(),
             label,
-            wire: Vec::new(),
         })
     }
 
@@ -461,10 +434,15 @@ impl LinkIo {
     }
 }
 
-/// An established secure link (handshake done, records flowing).
+/// An established secure link (handshake done, records flowing) as its
+/// two halves, which the caller may move to threads of their own. The
+/// record counters stay shared, each direction strictly ordered by its
+/// single owning thread.
 pub(crate) struct SecureLink {
-    io: LinkIo,
-    channel: Arc<Mutex<SecureChannel>>,
+    /// The write half.
+    pub tx: LinkSender,
+    /// The read half.
+    pub rx: LinkReceiver,
 }
 
 impl SecureLink {
@@ -496,10 +474,7 @@ impl SecureLink {
                     link: label.to_string(),
                     source,
                 })?;
-        Ok(SecureLink {
-            io,
-            channel: Arc::new(Mutex::new(channel)),
-        })
+        SecureLink::established(io, channel)
     }
 
     /// Server side: run the handshake as responder over an accepted
@@ -527,53 +502,29 @@ impl SecureLink {
                 source,
             })?;
         io.write_frame(&response)?;
+        SecureLink::established(io, channel)
+    }
+
+    /// The two halves of a handshaken stream.
+    fn established(io: LinkIo, channel: SecureChannel) -> Result<SecureLink, SocketError> {
+        let channel = Arc::new(Mutex::new(channel));
+        let tx = LinkSender {
+            stream: io.stream.try_clone()?,
+            channel: Arc::clone(&channel),
+            wire: Vec::new(),
+        };
         Ok(SecureLink {
-            io,
-            channel: Arc::new(Mutex::new(channel)),
+            tx,
+            rx: LinkReceiver { io, channel },
         })
-    }
-
-    /// Seals and writes one frame.
-    pub fn send(&mut self, frame: &SocketFrame) -> Result<(), SocketError> {
-        seal_frame(&self.channel, frame, &mut self.io.wire);
-        self.io.stream.write_all(&self.io.wire)?;
-        Ok(())
-    }
-
-    /// Blocks until the next frame, EOF/stop (`None`), or a deadline.
-    pub fn recv(
-        &mut self,
-        deadline: Option<Instant>,
-        stop: Option<&AtomicBool>,
-    ) -> Result<Option<SocketFrame>, SocketError> {
-        match self.io.read_frame(deadline, stop)? {
-            None => Ok(None),
-            Some(record) => unseal_frame(&self.channel, &self.io.label, record).map(Some),
-        }
-    }
-
-    /// Splits into an independently-owned sender and receiver (the
-    /// record counters stay shared, each direction strictly ordered by
-    /// its single owning thread).
-    pub fn split(mut self) -> Result<(LinkSender, LinkReceiver), SocketError> {
-        let write_stream = self.io.stream.try_clone()?;
-        let sender = LinkSender {
-            stream: write_stream,
-            channel: Arc::clone(&self.channel),
-            wire: std::mem::take(&mut self.io.wire),
-        };
-        let receiver = LinkReceiver {
-            io: self.io,
-            channel: self.channel,
-        };
-        Ok((sender, receiver))
     }
 }
 
-/// Write half of a split link.
+/// Write half of a link.
 pub(crate) struct LinkSender {
     stream: TcpStream,
     channel: Arc<Mutex<SecureChannel>>,
+    /// The outgoing frame buffer (see [`seal_frame`]).
     wire: Vec<u8>,
 }
 
@@ -586,7 +537,7 @@ impl LinkSender {
     }
 }
 
-/// Read half of a split link.
+/// Read half of a link.
 pub(crate) struct LinkReceiver {
     io: LinkIo,
     channel: Arc<Mutex<SecureChannel>>,
@@ -605,8 +556,8 @@ impl LinkReceiver {
         }
     }
 
-    /// The next frame (`pending`, if given), with the trace context a
-    /// `Trace` frame directly ahead of it carried — the default if none.
+    /// The next frame, with the trace context a `Trace` frame directly
+    /// ahead of it carried — the default if none.
     ///
     /// # Errors
     ///
@@ -614,10 +565,9 @@ impl LinkReceiver {
     /// `Trace` is followed by anything but a `Data` frame.
     pub fn recv_message(
         &mut self,
-        pending: Option<SocketFrame>,
         stop: &AtomicBool,
     ) -> Result<Option<(SocketFrame, TraceCtx)>, SocketError> {
-        let frame = pending.map_or_else(|| self.recv(None, Some(stop)), |f| Ok(Some(f)))?;
+        let frame = self.recv(None, Some(stop))?;
         let Some(SocketFrame::Trace { trace_id, msg_id }) = frame else {
             return Ok(frame.map(|frame| (frame, TraceCtx::default())));
         };
@@ -655,16 +605,6 @@ mod tests {
     use std::cell::Cell;
     use std::net::TcpListener;
 
-    fn data(dst: &str, seq: u64, len: usize) -> (Arc<SocketFrame>, TraceCtx) {
-        let frame = SocketFrame::Data {
-            src: "hub".to_string(),
-            dst: dst.to_string(),
-            seq,
-            payload: vec![0; len],
-        };
-        (Arc::new(frame), TraceCtx::default())
-    }
-
     fn untraced(from: &str, payload: Vec<u8>) -> Message {
         let (from, trace) = (Arc::from(from), TraceCtx::default());
         Message {
@@ -684,68 +624,70 @@ mod tests {
             .collect()
     }
 
-    fn claim(dst: &str, next: u64) -> Vec<(String, String, u64)> {
-        vec![("hub".to_string(), dst.to_string(), next)]
-    }
-
-    #[test]
-    fn prune_keeps_exactly_the_undelivered_suffix() {
-        let mut buffer = RetransmitBuffer::default();
-        for seq in 0..5 {
-            buffer.push(data("a", seq, 10));
-        }
-        buffer.push(data("b", 0, 10));
-        buffer.prune(claim("a", 3)).expect("nothing evicted");
-        // Link b made no claim: everything on it is still owed.
-        assert_eq!(seqs(&buffer), [3, 4, 0]);
-        assert_eq!(buffer.bytes, 30);
-    }
-
-    #[test]
-    fn frame_cap_evicts_oldest_and_a_resume_below_the_floor_is_resync() {
-        let mut buffer = RetransmitBuffer::default();
-        let total = RETRANSMIT_MAX_FRAMES as u64 + 3;
-        for seq in 0..total {
-            buffer.push(data("a", seq, 1));
-        }
-        assert_eq!(buffer.len(), RETRANSMIT_MAX_FRAMES);
-        assert_eq!(seqs(&buffer)[0], 3);
-        match buffer.prune(claim("a", 2)) {
-            Err(SocketError::Resync {
-                link,
-                wanted,
-                oldest,
-            }) => assert_eq!((link.as_str(), wanted, oldest), ("hub->a", 2, 3)),
-            other => panic!("expected Resync, got {other:?}"),
-        }
-        // A peer that did receive the evicted frames resumes fine.
-        buffer.prune(claim("a", 3)).expect("floor honoured");
-        assert_eq!(buffer.len(), RETRANSMIT_MAX_FRAMES);
-    }
-
-    #[test]
-    fn byte_cap_evicts_before_the_frame_cap() {
-        let mut buffer = RetransmitBuffer::default();
-        let half = RETRANSMIT_MAX_BYTES / 2;
-        buffer.push(data("a", 0, half));
-        buffer.push(data("a", 1, half));
-        assert_eq!(seqs(&buffer), [0, 1]);
-        buffer.push(data("a", 2, 1));
-        assert_eq!(seqs(&buffer), [1, 2]);
-        assert_eq!(buffer.bytes, half + 1);
-        assert!(buffer.prune(Vec::new()).is_err(), "seq 0 is gone");
-    }
-
-    /// Stamps `n` frames of `len` bytes each on the hub -> `dst` link.
+    /// Stamps `n` frames of `len` bytes each from the hub for `dst`.
     fn stamp_n(buffer: &mut RetransmitBuffer, dst: &str, n: usize, len: usize) {
         for _ in 0..n {
             buffer.stamp(dst, untraced("hub", vec![0; len]));
         }
     }
 
+    fn hub_egress() -> RetransmitBuffer {
+        RetransmitBuffer::new("hub->child")
+    }
+
+    #[test]
+    fn prune_keeps_exactly_the_undelivered_suffix() {
+        let mut buffer = hub_egress();
+        stamp_n(&mut buffer, "a", 2, 10);
+        stamp_n(&mut buffer, "b", 1, 10);
+        stamp_n(&mut buffer, "a", 2, 10);
+        // One counter numbers the direction, whatever each frame's `dst`.
+        buffer.prune(3).expect("nothing evicted");
+        assert_eq!(seqs(&buffer), [3, 4]);
+        assert_eq!(buffer.bytes, 20);
+        let dsts: Vec<&str> = (buffer.frames())
+            .map(|f| match &**f {
+                SocketFrame::Data { dst, .. } => dst.as_str(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(dsts, ["a", "a"]);
+    }
+
+    #[test]
+    fn frame_cap_evicts_oldest_and_a_resume_below_the_floor_is_resync() {
+        let mut buffer = hub_egress();
+        stamp_n(&mut buffer, "a", RETRANSMIT_MAX_FRAMES + 3, 1);
+        assert_eq!(buffer.len(), RETRANSMIT_MAX_FRAMES);
+        assert_eq!(seqs(&buffer)[0], 3);
+        match buffer.prune(2) {
+            Err(SocketError::Resync {
+                link,
+                wanted,
+                oldest,
+            }) => assert_eq!((link.as_str(), wanted, oldest), ("hub->child", 2, 3)),
+            other => panic!("expected Resync, got {other:?}"),
+        }
+        // A peer that did receive the evicted frames resumes fine.
+        buffer.prune(3).expect("floor honoured");
+        assert_eq!(buffer.len(), RETRANSMIT_MAX_FRAMES);
+    }
+
+    #[test]
+    fn byte_cap_evicts_before_the_frame_cap() {
+        let mut buffer = hub_egress();
+        let half = RETRANSMIT_MAX_BYTES / 2;
+        stamp_n(&mut buffer, "a", 2, half);
+        assert_eq!(seqs(&buffer), [0, 1]);
+        stamp_n(&mut buffer, "b", 1, 1);
+        assert_eq!(seqs(&buffer), [1, 2]);
+        assert_eq!(buffer.bytes, half + 1);
+        assert!(buffer.prune(0).is_err(), "seq 0 is gone");
+    }
+
     #[test]
     fn a_traced_frame_goes_out_behind_its_ids_first_time_and_on_replay() {
-        let mut egress = Egress::new("hub");
+        let mut egress = Egress::new("hub", "hub->agg-0".to_string());
         let message = |payload: &[u8], trace_id, parent| Message {
             from: Arc::from("party-0"),
             payload: payload.to_vec(),
@@ -764,75 +706,76 @@ mod tests {
             seq,
             payload: payload.to_vec(),
         };
-        let first = egress.resume(Vec::new()).expect("nothing evicted");
+        let first = egress.resume(0).expect("nothing evicted");
         egress.send("agg-0", message(b"traced", 2, 9));
         egress.send("agg-0", message(b"plain", 0, 0));
         let sent = [ids, frame(0, b"traced"), frame(1, b"plain")];
         assert_eq!(queued(&first), sent);
         // The connection dies unacknowledged: a resume replays the same.
         egress.park();
-        let replayed = egress.resume(Vec::new()).expect("nothing evicted");
+        let replayed = egress.resume(0).expect("nothing evicted");
         assert_eq!(queued(&replayed), sent);
     }
 
     #[test]
     fn an_acknowledgement_drops_its_link_below_next_and_nothing_else() {
-        let mut buffer = RetransmitBuffer::default();
+        let mut buffer = hub_egress();
         stamp_n(&mut buffer, "a", 5, 10);
         stamp_n(&mut buffer, "b", 2, 7);
-        buffer.acknowledge("hub", "a", 3).expect("three were sent");
-        assert_eq!(seqs(&buffer), [3, 4, 0, 1]);
+        buffer.acknowledge(3).expect("three were sent");
+        assert_eq!(seqs(&buffer), [3, 4, 5, 6]);
         assert_eq!(buffer.bytes, 2 * 10 + 2 * 7);
         // Cumulative: said again, or said late, it drops nothing more.
-        buffer.acknowledge("hub", "a", 3).expect("idempotent");
-        buffer.acknowledge("hub", "a", 1).expect("stale");
-        assert_eq!(seqs(&buffer), [3, 4, 0, 1]);
+        buffer.acknowledge(3).expect("idempotent");
+        buffer.acknowledge(1).expect("stale");
+        assert_eq!(seqs(&buffer), [3, 4, 5, 6]);
         assert_eq!(buffer.bytes, 2 * 10 + 2 * 7);
-        buffer.acknowledge("hub", "a", 5).expect("all five");
-        buffer.acknowledge("hub", "b", 2).expect("both");
+        buffer.acknowledge(7).expect("all seven");
         assert!(buffer.is_empty());
         assert_eq!(buffer.bytes, 0);
-        // The counters are not the buffer's contents: the link goes on.
+        // The counter is not the buffer's contents: the direction goes on.
         stamp_n(&mut buffer, "a", 1, 4);
-        assert_eq!(seqs(&buffer), [5]);
+        assert_eq!(seqs(&buffer), [7]);
     }
 
     #[test]
     fn an_acknowledgement_past_what_was_stamped_is_refused_and_drops_nothing() {
-        let mut buffer = RetransmitBuffer::default();
-        stamp_n(&mut buffer, "a", 3, 10);
-        for (dst, claimed, sent) in [("a", 4, 3), ("a", u64::MAX, 3), ("never", 1, 0)] {
-            match buffer.acknowledge("hub", dst, claimed) {
+        let refused =
+            |buffer: &mut RetransmitBuffer, claimed, sent| match buffer.acknowledge(claimed) {
                 Err(SocketError::Ack {
                     link,
                     next,
                     stamped,
                 }) => assert_eq!(
-                    (link, next, stamped),
-                    (format!("hub->{dst}"), claimed, sent)
+                    (link.as_str(), next, stamped),
+                    ("hub->child", claimed, sent)
                 ),
                 other => panic!("expected an Ack refusal, got {other:?}"),
-            }
-        }
+            };
+        let mut buffer = hub_egress();
+        stamp_n(&mut buffer, "a", 3, 10);
+        refused(&mut buffer, 4, 3);
+        refused(&mut buffer, u64::MAX, 3);
+        refused(&mut hub_egress(), 1, 0);
         assert_eq!(seqs(&buffer), [0, 1, 2]);
         assert_eq!(buffer.bytes, 30);
     }
 
     #[test]
     fn an_acknowledgement_leaves_eviction_floors_where_they_were() {
-        let mut buffer = RetransmitBuffer::default();
+        let mut buffer = hub_egress();
         stamp_n(&mut buffer, "a", RETRANSMIT_MAX_FRAMES + 3, 1);
         assert_eq!(seqs(&buffer)[0], 3);
         // Below the floor there is nothing left to drop...
-        buffer.acknowledge("hub", "a", 2).expect("sent long ago");
+        buffer.acknowledge(2).expect("sent long ago");
         assert_eq!(buffer.len(), RETRANSMIT_MAX_FRAMES);
         // ...and above it the floor still records what eviction lost: a
         // peer resuming from under it was never sent those frames again.
-        buffer.acknowledge("hub", "a", 10).expect("sent");
+        buffer.acknowledge(10).expect("sent");
         assert_eq!(seqs(&buffer)[0], 10);
         assert_eq!(buffer.bytes, buffer.len());
         assert!(matches!(
-            buffer.prune(claim("a", 2)),
+            buffer.prune(2),
             Err(SocketError::Resync {
                 wanted: 2,
                 oldest: 3,
@@ -840,6 +783,7 @@ mod tests {
             })
         ));
     }
+
     // --- What crossing a link allocates. ---
 
     thread_local! {
@@ -938,10 +882,14 @@ mod tests {
         // child A -> hub -> child B, as two links.
         let (child_a, hub_a) = link_pair(10);
         let (hub_b, child_b) = link_pair(20);
-        let (mut a_tx, _a_rx) = child_a.split().expect("split");
-        let (_hub_a_tx, mut hub_a_rx) = hub_a.split().expect("split");
-        let (mut hub_b_tx, _hub_b_rx) = hub_b.split().expect("split");
-        let (_b_tx, mut b_rx) = child_b.split().expect("split");
+        let SecureLink { tx: mut a_tx, .. } = child_a;
+        let SecureLink {
+            rx: mut hub_a_rx, ..
+        } = hub_a;
+        let SecureLink {
+            tx: mut hub_b_tx, ..
+        } = hub_b;
+        let SecureLink { rx: mut b_rx, .. } = child_b;
 
         let first = fragment(0);
         let (at_hub, cost) = receive_counted(&mut a_tx, &mut hub_a_rx, &first);
@@ -981,11 +929,24 @@ mod tests {
         // acknowledges what its window accepts; each sender prunes on it.
         let (child_a, hub_a) = link_pair(30);
         let (hub_b, child_b) = link_pair(40);
-        let (mut a_tx, mut a_rx) = child_a.split().expect("split");
-        let (mut hub_a_tx, mut hub_a_rx) = hub_a.split().expect("split");
-        let (mut hub_b_tx, mut hub_b_rx) = hub_b.split().expect("split");
-        let (mut b_tx, mut b_rx) = child_b.split().expect("split");
-        let (at_a, at_hub) = (Mutex::default(), Mutex::default());
+        let SecureLink {
+            tx: mut a_tx,
+            rx: mut a_rx,
+        } = child_a;
+        let SecureLink {
+            tx: mut hub_a_tx,
+            rx: mut hub_a_rx,
+        } = hub_a;
+        let SecureLink {
+            tx: mut hub_b_tx,
+            rx: mut hub_b_rx,
+        } = hub_b;
+        let SecureLink {
+            tx: mut b_tx,
+            rx: mut b_rx,
+        } = child_b;
+        let at_a = Mutex::new(RetransmitBuffer::new("party-0->hub"));
+        let at_hub = Mutex::new(RetransmitBuffer::new("hub->agg-0"));
         let (last_ack_in, settled) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             // Hub: accept, acknowledge to A, take custody, relay to B.
@@ -995,9 +956,8 @@ mod tests {
                     let (src, dst, seq, payload) = data(hub_a_rx.recv(None, None).expect("recv"));
                     window.accept(&src, &dst, seq).expect("in order");
                     let relayed = held(&at_hub).stamp(&dst, untraced(&src, payload));
-                    let next = seq + 1;
                     hub_a_tx
-                        .send(&SocketFrame::Ack { src, dst, next })
+                        .send(&SocketFrame::Ack { next: seq + 1 })
                         .expect("ack");
                     hub_b_tx.send(&relayed).expect("relay");
                 }
@@ -1008,9 +968,7 @@ mod tests {
                 for _ in 0..FRAMES {
                     let (src, dst, seq, _) = data(b_rx.recv(None, None).expect("recv"));
                     window.accept(&src, &dst, seq).expect("in order");
-                    let next = seq + 1;
-                    b_tx.send(&SocketFrame::Ack { src, dst, next })
-                        .expect("ack");
+                    b_tx.send(&SocketFrame::Ack { next: seq + 1 }).expect("ack");
                 }
             });
             // Both senders' readers: honour acknowledgements up to the last.
@@ -1018,10 +976,8 @@ mod tests {
                 let last_ack_in = last_ack_in.clone();
                 s.spawn(move || loop {
                     match rx.recv(None, None).expect("recv") {
-                        Some(SocketFrame::Ack { src, dst, next }) => {
-                            held(buffer)
-                                .acknowledge(&src, &dst, next)
-                                .expect("honoured");
+                        Some(SocketFrame::Ack { next }) => {
+                            held(buffer).acknowledge(next).expect("honoured");
                             if next == FRAMES {
                                 last_ack_in.send(()).expect("the test is waiting");
                                 return;

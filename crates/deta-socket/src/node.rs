@@ -37,12 +37,13 @@
 //! re-proves the same node identity, and exchanges
 //! [`SocketFrame::Resume`]/[`SocketFrame::ResumeAck`] with the hub so
 //! both sides retransmit exactly the frames the other never delivered.
-//! The per-link sequence counters, the ingress [`ReplayWindow`], and
-//! the bounded retransmit buffer all outlive connections — which is
-//! why a resumed session stays bit-exact and a genuine replay still
-//! dies. A child that exhausts its reconnect budget retires the link
-//! with a structured [`SocketError::Disconnected`] and closes its own
-//! mailbox, so the hosted actor exits instead of hanging.
+//! The egress's sequence counter, the ingress [`ReplayWindow`] — one
+//! counter per direction of the link — and the bounded retransmit
+//! buffer all outlive connections, which is why a resumed session stays
+//! bit-exact and a genuine replay still dies. A child that exhausts its
+//! reconnect budget retires the link with a structured
+//! [`SocketError::Disconnected`] and closes its own mailbox, so the
+//! hosted actor exits instead of hanging.
 
 use crate::link::{lock, write_loop, Egress, LinkReceiver, SecureLink};
 use crate::wire::{auth_transcript, ReplayWindow, SocketFrame};
@@ -110,10 +111,11 @@ struct Reconnector {
     hub_key: VerifyingKey,
     link_key: SigningKey,
     rng: DetRng,
-    /// Ingress window: what a `Resume` claims. Connection-independent, so
-    /// a replay of an already-delivered frame still dies after any number
-    /// of resumes, and the reader's alone — the one thread that accepts
-    /// frames is the one that resumes.
+    /// Ingress window of the hub → child direction: what a `Resume`
+    /// claims. Connection-independent, so a replay of an
+    /// already-delivered frame still dies after any number of resumes,
+    /// and the reader's alone — the one thread that accepts frames is the
+    /// one that resumes.
     window: ReplayWindow,
 }
 
@@ -131,26 +133,26 @@ impl Reconnector {
             peer: self.name.clone(),
             detail,
         };
-        match link.recv(deadline, None)? {
+        match link.rx.recv(deadline, None)? {
             Some(SocketFrame::Challenge { nonce }) => {
                 let msg = auth_transcript(&nonce, &self.name);
-                link.send(&SocketFrame::AuthProof {
+                link.tx.send(&SocketFrame::AuthProof {
                     name: self.name.clone(),
                     sig: self.link_key.sign(&msg).to_bytes(),
                 })?;
             }
             _ => return Err(refused("hub did not issue a challenge")),
         }
-        match link.recv(deadline, None)? {
+        match link.rx.recv(deadline, None)? {
             Some(SocketFrame::Welcome) => {}
             _ => return Err(refused("hub did not accept the auth proof")),
         }
         // Clock alignment: echo the hub's probe with our own monotonic
         // timestamp so the coordinator can map this process's trace
         // timestamps onto its timeline.
-        match link.recv(deadline, None)? {
+        match link.rx.recv(deadline, None)? {
             Some(SocketFrame::ClockProbe { t_hub_ns }) => {
-                link.send(&SocketFrame::ClockEcho {
+                link.tx.send(&SocketFrame::ClockEcho {
                     t_hub_ns,
                     t_peer_ns: deta_telemetry::now_ns(),
                 })?;
@@ -159,18 +161,17 @@ impl Reconnector {
         }
         // Resume exchange. The egress is parked, so what the node sends
         // meanwhile is stamped and retained behind the backlog, in order.
-        link.send(&SocketFrame::Resume {
-            src: self.name.clone(),
-            windows: self.window.snapshot(),
+        link.tx.send(&SocketFrame::Resume {
+            next: self.window.next(),
         })?;
-        let claims = match link.recv(deadline, None)? {
-            Some(SocketFrame::ResumeAck { windows }) => windows,
+        let claim = match link.rx.recv(deadline, None)? {
+            Some(SocketFrame::ResumeAck { next }) => next,
             _ => return Err(refused("hub did not acknowledge the resume")),
         };
-        let (sender, receiver) = link.split()?;
-        let rx = lock(&child.egress).resume(claims)?;
-        let writer = std::thread::spawn(move || write_loop(sender, rx));
-        Ok((receiver, writer))
+        let SecureLink { tx, rx } = link;
+        let queue = lock(&child.egress).resume(claim)?;
+        let writer = std::thread::spawn(move || write_loop(tx, queue));
+        Ok((rx, writer))
     }
 }
 
@@ -240,7 +241,7 @@ pub fn host_node(
         window: ReplayWindow::new(),
     };
     let link = Arc::new(ChildLink {
-        egress: Mutex::new(Egress::new(name)),
+        egress: Mutex::new(Egress::new(name, format!("{name}->hub"))),
         retired: AtomicBool::new(false),
     });
     let connection = reconnector.connect(&link)?;
@@ -429,7 +430,7 @@ fn ingest(
     stop: &AtomicBool,
 ) -> Result<LinkEnd, SocketError> {
     loop {
-        match receiver.recv_message(None, stop) {
+        match receiver.recv_message(stop) {
             Ok(Some((
                 SocketFrame::Data {
                     src,
@@ -439,27 +440,17 @@ fn ingest(
                 },
                 trace,
             ))) => {
-                reconnector.window.accept_named(&src, &dst, seq)?;
+                reconnector.window.accept(&src, &dst, seq)?;
                 // Delivery failures mirror in-process semantics: a
                 // closed local mailbox means the actor is done.
                 let _ = network.send_as(&src, &dst, payload, trace);
                 // Through the writer — this thread never waits on a
                 // socket write. On a parked link the acknowledgement is
-                // dropped: the resume's claims say the same with authority.
-                let next = seq + 1;
-                lock(&link.egress).control(SocketFrame::Ack { src, dst, next });
+                // dropped: the resume's claim says the same with authority.
+                lock(&link.egress).control(SocketFrame::Ack { next: seq + 1 });
             }
-            Ok(Some((SocketFrame::Ack { src, dst, next }, _))) => {
-                // The hub answers for what it took from this node and
-                // for nothing else.
-                if src != reconnector.name {
-                    return Err(SocketError::Auth {
-                        peer: "hub".to_string(),
-                        detail: "acknowledgement for a link that starts at another node",
-                    });
-                }
-                lock(&link.egress).acknowledge(&src, &dst, next)?;
-            }
+            // What the hub took from this node.
+            Ok(Some((SocketFrame::Ack { next }, _))) => lock(&link.egress).acknowledge(next)?,
             Ok(Some((SocketFrame::Close { name }, _))) => network.close(&name),
             // Orderly hub sign-off: nothing further can arrive.
             Ok(Some((SocketFrame::Bye, _))) => return Ok(LinkEnd::Shutdown),

@@ -1,5 +1,5 @@
 //! Inner wire protocol: the frames carried inside the secure channel,
-//! plus the per-link sequencing that makes replay and reorder
+//! plus the per-direction sequencing that makes replay and reorder
 //! detectable above the record layer.
 //!
 //! The secure channel already binds each record to a send counter (the
@@ -7,26 +7,28 @@
 //! `seq` on [`SocketFrame::Data`] defends one layer up: an
 //! authenticated peer re-sending a *re-sealed* copy of an old logical
 //! frame, or delivering frames out of order, is caught by the strict
-//! per-link window and rejected with an error naming the link.
+//! window of that direction of the link and rejected with an error
+//! naming the frame's `src->dst`. Every child hosts one node, so one
+//! direction of its link has one source and the other one destination:
+//! one counter per direction numbers every `Data` frame, as TLS numbers
+//! its records.
 
 #![deny(clippy::cast_possible_truncation, clippy::iter_over_hash_type)]
 
-use deta_transport::wire::{put_bytes, put_len, put_str16, Malformed, Reader, TooLong};
-use std::collections::BTreeMap;
-use std::fmt;
+use deta_transport::wire::{put_bytes, put_str16, Malformed, Reader, TooLong};
 
 /// One logical message between bridge endpoints. `Data` carries
 /// simulator traffic; the rest are bridge control frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SocketFrame {
     /// A relayed network message: `src`'s payload for `dst`, the
-    /// `seq`-th frame on the (src, dst) link.
+    /// `seq`-th frame in its direction of the link it crosses.
     Data {
         /// Originating endpoint name.
         src: String,
         /// Destination endpoint name.
         dst: String,
-        /// Strictly increasing per-(src, dst) counter, from 0.
+        /// Strictly increasing per-direction counter, from 0.
         seq: u64,
         /// The simulator payload, verbatim.
         payload: Vec<u8>,
@@ -83,37 +85,30 @@ pub enum SocketFrame {
         /// UTF-8 JSONL, one record per line (schema v2).
         jsonl: Vec<u8>,
     },
-    /// Peer → hub, immediately after the clock echo: the reconnecting
-    /// peer's delivered-so-far state, one entry per (src, dst) link its
-    /// ingress window has seen. `next` is the count of frames delivered
-    /// in order — i.e. the next `seq` the peer will accept. Empty on a
-    /// first connection.
+    /// Peer → hub, immediately after the clock echo — the first frame of
+    /// every connection: the count of frames the peer's
+    /// [`ReplayWindow`] has accepted on the hub → peer direction, i.e.
+    /// the next `seq` it will take. 0 on a first connection.
     Resume {
-        /// The node name the peer hosts (must match the auth name).
-        src: String,
-        /// (link src, link dst, next expected seq) per known link.
-        windows: Vec<(String, String, u64)>,
+        /// Next expected `seq` on the hub → peer direction.
+        next: u64,
     },
-    /// Hub → peer: the hub's own delivered-so-far state for links
-    /// originating at the peer, so the peer can prune its retransmit
-    /// buffer to frames the hub never delivered. Sent before any
-    /// retransmitted `Data`.
+    /// Hub → peer: the same count for the peer → hub direction, so the
+    /// peer can prune its retransmit buffer to frames the hub never
+    /// accepted. Sent before any retransmitted `Data`.
     ResumeAck {
-        /// (link src, link dst, next expected seq) per known link.
-        windows: Vec<(String, String, u64)>,
+        /// Next expected `seq` on the peer → hub direction.
+        next: u64,
     },
-    /// Receiver → sender, on a live link: every frame of the (src, dst)
-    /// link below `next` has passed the receiver's [`ReplayWindow`], so
-    /// the sender may stop retaining it. Cumulative — a later
-    /// acknowledgement covers every earlier one, so a lost one costs
-    /// nothing but retention until the next (or until the next resume,
-    /// whose claims say the same thing with authority). A control frame:
-    /// never stamped, never retained, never injected into a `Network`.
+    /// Receiver → sender, on a live link: every `Data` frame the sender
+    /// sent on this link below `next` has passed the receiver's
+    /// [`ReplayWindow`], so the sender may stop retaining it. Cumulative
+    /// — a later acknowledgement covers every earlier one, so a lost one
+    /// costs nothing but retention until the next (or until the next
+    /// resume, whose claim says the same thing with authority). A control
+    /// frame: never stamped, never retained, never injected into a
+    /// `Network`.
     Ack {
-        /// Link source, as on the acknowledged `Data` frames.
-        src: String,
-        /// Link destination, as on the acknowledged `Data` frames.
-        dst: String,
         /// Count of frames accepted in order — the next `seq` the
         /// receiver will take.
         next: u64,
@@ -152,28 +147,13 @@ const TAG_BYE: u8 = 6;
 const TAG_CLOCK_PROBE: u8 = 7;
 const TAG_CLOCK_ECHO: u8 = 8;
 const TAG_TRACE_SHIP: u8 = 9;
-const TAG_RESUME: u8 = 10;
-const TAG_RESUME_ACK: u8 = 11;
-const TAG_ACK: u8 = 12;
+// Tags 10, 11 and 12 carried the per-(src, dst) `Resume`, `ResumeAck`
+// and `Ack`; they are retired, so a frame of the old layout never
+// decodes.
 const TAG_TRACE: u8 = 13;
-
-fn put_windows(out: &mut Vec<u8>, windows: &[(String, String, u64)]) -> Result<(), TooLong> {
-    put_len(out, windows.len())?;
-    for (src, dst, next) in windows {
-        put_str16(out, src)?;
-        put_str16(out, dst)?;
-        out.extend_from_slice(&next.to_le_bytes());
-    }
-    Ok(())
-}
-
-fn read_windows(r: &mut Reader<'_>) -> Result<Vec<(String, String, u64)>, Malformed> {
-    // Each entry costs at least two length prefixes plus the counter.
-    let n = r.count(12)?;
-    (0..n)
-        .map(|_| Ok((r.str16()?.to_string(), r.str16()?.to_string(), r.u64()?)))
-        .collect()
-}
+const TAG_RESUME: u8 = 14;
+const TAG_RESUME_ACK: u8 = 15;
+const TAG_ACK: u8 = 16;
 
 impl SocketFrame {
     /// Serializes the frame into a buffer of its own.
@@ -262,19 +242,16 @@ impl SocketFrame {
                 out.extend_from_slice(&dropped.to_le_bytes());
                 put_bytes(out, jsonl)?;
             }
-            SocketFrame::Resume { src, windows } => {
+            SocketFrame::Resume { next } => {
                 out.push(TAG_RESUME);
-                put_str16(out, src)?;
-                put_windows(out, windows)?;
+                out.extend_from_slice(&next.to_le_bytes());
             }
-            SocketFrame::ResumeAck { windows } => {
+            SocketFrame::ResumeAck { next } => {
                 out.push(TAG_RESUME_ACK);
-                put_windows(out, windows)?;
+                out.extend_from_slice(&next.to_le_bytes());
             }
-            SocketFrame::Ack { src, dst, next } => {
+            SocketFrame::Ack { next } => {
                 out.push(TAG_ACK);
-                put_str16(out, src)?;
-                put_str16(out, dst)?;
                 out.extend_from_slice(&next.to_le_bytes());
             }
             SocketFrame::Trace { trace_id, msg_id } => {
@@ -350,18 +327,9 @@ impl SocketFrame {
                 dropped: r.u64()?,
                 jsonl: r.bytes()?.to_vec(),
             },
-            TAG_RESUME => SocketFrame::Resume {
-                src: r.str16()?.to_string(),
-                windows: read_windows(&mut r)?,
-            },
-            TAG_RESUME_ACK => SocketFrame::ResumeAck {
-                windows: read_windows(&mut r)?,
-            },
-            TAG_ACK => SocketFrame::Ack {
-                src: r.str16()?.to_string(),
-                dst: r.str16()?.to_string(),
-                next: r.u64()?,
-            },
+            TAG_RESUME => SocketFrame::Resume { next: r.u64()? },
+            TAG_RESUME_ACK => SocketFrame::ResumeAck { next: r.u64()? },
+            TAG_ACK => SocketFrame::Ack { next: r.u64()? },
             TAG_TRACE => SocketFrame::Trace {
                 trace_id: r.u64()?,
                 msg_id: r.u64()?,
@@ -373,140 +341,49 @@ impl SocketFrame {
     }
 }
 
-/// Sender-side per-link counters: the next `seq` to stamp on a
-/// (src, dst) link.
-#[derive(Debug, Default)]
-pub struct SeqTracker {
-    next: BTreeMap<(String, String), u64>,
-}
-
-impl SeqTracker {
-    /// An empty tracker (every link starts at 0).
-    pub fn new() -> SeqTracker {
-        SeqTracker::default()
-    }
-
-    /// Returns the sequence number for the next frame on (src, dst) and
-    /// advances the counter.
-    pub fn next(&mut self, src: &str, dst: &str) -> u64 {
-        let entry = self
-            .next
-            .entry((src.to_string(), dst.to_string()))
-            .or_insert(0);
-        let seq = *entry;
-        *entry += 1;
-        seq
-    }
-
-    /// How many sequence numbers (src, dst) has been handed so far: every
-    /// `seq` ever stamped on the link is below it, which makes it the
-    /// most a delivery acknowledgement can truthfully claim.
-    pub fn issued(&self, src: &str, dst: &str) -> u64 {
-        self.next
-            .get(&(src.to_string(), dst.to_string()))
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
-/// A strict-ordering violation on one link: the frame's `seq` did not
-/// match the expected next value (a replay when low, a reorder or gap
-/// when high).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqViolation {
-    /// The sequence number the offending frame carried.
-    pub seq: u64,
-    /// The sequence number the window required.
-    pub expected: u64,
-}
-
-impl fmt::Display for SeqViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "got seq {} but expected {}", self.seq, self.expected)
-    }
-}
-
-/// Receiver-side replay/reorder window. The policy is strict in-order
-/// delivery per link: TCP already guarantees ordered bytes, so the only
-/// way a link's `seq` can deviate from 0, 1, 2, … is a peer replaying,
-/// reordering, or dropping logical frames above the transport — all of
-/// which must kill the link, not be smoothed over.
+/// Receiver-side replay/reorder window of one direction of a link. The
+/// policy is strict in-order delivery: TCP already guarantees ordered
+/// bytes, so the only way the direction's `seq` can deviate from 0, 1,
+/// 2, … is a peer replaying, reordering, or dropping logical frames above
+/// the transport — all of which must kill the link, not be smoothed over.
 #[derive(Debug, Default)]
 pub struct ReplayWindow {
-    next: BTreeMap<(String, String), u64>,
+    next: u64,
 }
 
 impl ReplayWindow {
-    /// An empty window (every link expects seq 0 first).
+    /// An empty window: the direction expects seq 0 first.
     pub fn new() -> ReplayWindow {
         ReplayWindow::default()
     }
 
-    /// Accepts the frame if `seq` is exactly the next expected value on
-    /// (src, dst), advancing the window.
-    ///
-    /// # Errors
-    ///
-    /// [`SeqViolation`] with the expected value on any deviation; the
-    /// window does not advance.
-    pub fn accept(&mut self, src: &str, dst: &str, seq: u64) -> Result<(), SeqViolation> {
-        let entry = self
-            .next
-            .entry((src.to_string(), dst.to_string()))
-            .or_insert(0);
-        if seq != *entry {
-            return Err(SeqViolation {
-                seq,
-                expected: *entry,
-            });
-        }
-        *entry += 1;
-        Ok(())
+    /// The count of frames accepted so far — the next `seq` the window
+    /// takes, and what a [`SocketFrame::Resume`] or
+    /// [`SocketFrame::ResumeAck`] claims.
+    pub fn next(&self) -> u64 {
+        self.next
     }
 
-    /// [`ReplayWindow::accept`] with full attribution: a violation comes
-    /// back as the structured [`SocketError::Replay`] naming the
-    /// offending link as `src->dst` — the exact error the hub reports,
-    /// so every reject is attributable by construction.
+    /// Accepts the frame `src -> dst` if `seq` is exactly the next
+    /// expected value, advancing the window.
     ///
     /// # Errors
     ///
-    /// [`SocketError::Replay`] on any sequence deviation; the window
-    /// does not advance.
+    /// [`SocketError::Replay`] on any deviation, naming the offending
+    /// frame as `src->dst` — the exact error the hub reports, so every
+    /// reject is attributable by construction. The window does not
+    /// advance.
     ///
     /// [`SocketError::Replay`]: crate::SocketError::Replay
-    pub fn accept_named(
-        &mut self,
-        src: &str,
-        dst: &str,
-        seq: u64,
-    ) -> Result<(), crate::SocketError> {
-        self.accept(src, dst, seq)
-            .map_err(|v| crate::SocketError::Replay {
+    pub fn accept(&mut self, src: &str, dst: &str, seq: u64) -> Result<(), crate::SocketError> {
+        if seq != self.next {
+            return Err(crate::SocketError::Replay {
                 link: format!("{src}->{dst}"),
-                seq: v.seq,
-                expected: v.expected,
-            })
-    }
-
-    /// Every (src, dst, next expected seq) entry the window has seen —
-    /// the payload of a [`SocketFrame::Resume`]. Deterministic order
-    /// (the window is a `BTreeMap`).
-    pub fn snapshot(&self) -> Vec<(String, String, u64)> {
-        self.next
-            .iter()
-            .map(|((s, d), n)| (s.clone(), d.clone(), *n))
-            .collect()
-    }
-
-    /// [`ReplayWindow::snapshot`] restricted to links originating at
-    /// `src` — the payload of a [`SocketFrame::ResumeAck`], which must
-    /// only disclose state about the reconnecting peer's own traffic.
-    pub fn snapshot_from(&self, src: &str) -> Vec<(String, String, u64)> {
-        self.next
-            .iter()
-            .filter(|((s, _), _)| s == src)
-            .map(|((s, d), n)| (s.clone(), d.clone(), *n))
-            .collect()
+                seq,
+                expected: self.next,
+            });
+        }
+        self.next += 1;
+        Ok(())
     }
 }

@@ -144,17 +144,23 @@ if ! diff /tmp/deta-smoke-local.txt /tmp/deta-smoke-remote.txt; then
 fi
 echo "    parity ok: $(grep -c '^round ' /tmp/deta-smoke-local.txt) rounds bit-identical"
 
-echo "==> link-chaos smoke (hub severs a party's TCP link twice and an aggregator's once; run must stay bit-identical)"
+echo "==> link-chaos smoke (hub severs a party's TCP link twice and an aggregator's twice; run must stay bit-identical)"
 # Same workload as the parity smoke plus a chaos plan: the hub cuts
 # party-1's connection abruptly (no Bye) after its 2nd and 5th ingress
-# frames and agg-0's after its 3rd, so a resume runs in both directions
-# over buffers that acknowledgements have been pruning. Reconnect +
-# resume must make the severs invisible — the stdout (every round's
-# metrics and byte counts) is diffed byte-for-byte against the
+# frames and agg-0's after its 3rd and 16th, so a resume runs in both
+# directions over buffers that acknowledgements have been pruning.
+# Reconnect + resume must make the severs invisible — the stdout (every
+# round's metrics and byte counts) is diffed byte-for-byte against the
 # fault-free multi-process run. agg-0's 3rd frame is a setup
-# `HelloReply`. `deta-cli cluster` exits non-zero when a planned sever
-# never fired, so a threshold past a node's traffic fails here instead
-# of passing without a cut.
+# `HelloReply`. Its 16th is a round-1 `RoundStart`, so round 1's uploads
+# reach agg-0 as a resumed backlog interleaving the parties on one
+# counter: setup here is 7 frames plus the heartbeats of agg-0's idle
+# ticks, which vary with timing (printing agg-0's frames at the hub over
+# six runs read 6 to 8 of them, so the 16th was always one of the three
+# `RoundStart`).
+# `deta-cli cluster` exits non-zero when a planned sever never fired, so
+# a threshold past a node's traffic fails here instead of passing
+# without a cut.
 CHAOS_CFG="$(mktemp /tmp/deta-chaos-XXXXXX.cfg)"
 cat > "$CHAOS_CFG" <<'CFG'
 dataset            = mnist
@@ -166,7 +172,7 @@ rounds             = 2
 algorithm          = avg
 seed               = 42
 examples_per_party = 40
-chaos_severs       = party-1@2,party-1@5,agg-0@3
+chaos_severs       = party-1@2,party-1@5,agg-0@3,agg-0@16
 CFG
 timeout 300 ./target/release/deta-cli cluster "$CHAOS_CFG" > /tmp/deta-chaos-smoke.txt
 rm -f "$CHAOS_CFG"
@@ -174,7 +180,7 @@ if ! diff /tmp/deta-smoke-remote.txt /tmp/deta-chaos-smoke.txt; then
   echo "FAIL: round metrics diverged under link chaos" >&2
   exit 1
 fi
-echo "    chaos ok: 2 severs of party-1 and 1 of agg-0 fully absorbed, output bit-identical"
+echo "    chaos ok: 2 severs of party-1 and 2 of agg-0 fully absorbed, output bit-identical"
 
 echo "==> multi-process trace smoke (deta-cli trace: merged timeline + critical path)"
 # The traced twin of the parity smoke at the paper's 4-party / k=2

@@ -6,16 +6,18 @@
 //!
 //! Covered here:
 //! * a replayed data frame is rejected with a structured error naming
-//!   the offending link;
+//!   the offending link — also when it reuses, for a second destination,
+//!   a number spent on the first: one counter numbers a child's
+//!   direction of its link;
 //! * a reordered (future-sequence) frame is rejected and not delivered;
 //! * an *abrupt* disconnect parks the seat for reconnection (no error,
 //!   mailbox open); only a graceful `Bye` surfaces as the simulator's
 //!   distinguishable [`NetError::Closed`];
 //! * a peer with the wrong key never gets past the auth challenge;
 //! * the `FaultPolicy` seam applies to socket-borne frames unchanged;
-//! * a delivery acknowledgement is honoured only from the seat its link
-//!   ends at, only up to what was sent on it, and only after auth — and
-//!   a refused one prunes nothing;
+//! * a delivery acknowledgement speaks for the link it arrives on, only
+//!   up to what was sent there, and only after auth — and a refused one
+//!   prunes nothing;
 //! * a seat's closure reaches a child that was resuming when it landed;
 //! * trace ids ride a `Trace` frame ahead of their `Data`, and a `Trace`
 //!   followed by anything else is malformed.
@@ -27,46 +29,56 @@ use deta_drills::socket::{start_hub, wait_error, Custody, Rogue};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+/// One counter numbers everything a child sends, so a number spent on
+/// `agg-0` is a replay whichever destination it comes back for.
 #[test]
 fn replayed_frame_rejected_with_link_name() {
-    let (hub, _network, agg, key) = start_hub();
-    let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
-    rogue.send_data("agg-0", 0, b"upload");
-    let msg = agg
-        .recv_timeout(Duration::from_secs(2))
-        .expect("first frame delivered");
-    assert_eq!(&*msg.from, "party-0");
-    assert_eq!(msg.payload, b"upload");
+    for again in ["agg-0", "agg-1"] {
+        let (hub, network, agg, key) = start_hub();
+        let other = network.register("agg-1");
+        let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+        rogue.resume();
+        rogue.send_data("agg-0", 0, b"upload");
+        let msg = agg
+            .recv_timeout(Duration::from_secs(2))
+            .expect("first frame delivered");
+        assert_eq!(&*msg.from, "party-0");
+        assert_eq!(msg.payload, b"upload");
 
-    // Same logical frame again, sealed as a fresh record: the secure
-    // channel accepts the bytes, the replay window must not.
-    rogue.send_data("agg-0", 0, b"upload");
-    match wait_error(&hub).expect("a structured error") {
-        SocketError::Replay {
-            link,
-            seq,
-            expected,
-        } => {
-            assert_eq!(link, "party-0->agg-0", "error must name the offending link");
-            assert_eq!(seq, 0);
-            assert_eq!(expected, 1);
+        // The same number again, sealed as a fresh record: the secure
+        // channel accepts the bytes, the replay window must not.
+        rogue.send_data(again, 0, b"upload");
+        match wait_error(&hub).expect("a structured error") {
+            SocketError::Replay {
+                link,
+                seq,
+                expected,
+            } => {
+                let named = format!("party-0->{again}");
+                assert_eq!(link, named, "error must name the offending frame");
+                assert_eq!(seq, 0);
+                assert_eq!(expected, 1);
+            }
+            other => panic!("expected a replay rejection, got: {other}"),
         }
-        other => panic!("expected a replay rejection, got: {other}"),
+        for endpoint in [&agg, &other] {
+            assert!(
+                matches!(
+                    endpoint.recv_timeout(Duration::from_millis(200)),
+                    Err(RecvError::Timeout)
+                ),
+                "the replayed frame must not be delivered"
+            );
+        }
+        hub.join();
     }
-    assert!(
-        matches!(
-            agg.recv_timeout(Duration::from_millis(200)),
-            Err(RecvError::Timeout)
-        ),
-        "the replayed frame must not be delivered"
-    );
-    hub.join();
 }
 
 #[test]
 fn reordered_frame_rejected_and_undelivered() {
     let (hub, _network, agg, key) = start_hub();
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+    rogue.resume();
     // First frame on the link claims sequence 5: a reorder (or a
     // truncation attack hiding frames 0..5).
     rogue.send_data("agg-0", 5, b"late");
@@ -101,6 +113,7 @@ fn reordered_frame_rejected_and_undelivered() {
 fn peer_disconnect_surfaces_as_closed() {
     let (hub, network, agg, key) = start_hub();
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+    rogue.resume();
     rogue.send_data("agg-0", 0, b"alive");
     agg.recv_timeout(Duration::from_secs(2))
         .expect("frame 0 delivered");
@@ -119,6 +132,7 @@ fn peer_disconnect_surfaces_as_closed() {
     // Reconnect under the same identity: the replay window survived the
     // outage, so the link picks up at the next sequence number.
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("re-auth");
+    rogue.resume();
     rogue.send_data("agg-0", 1, b"resumed");
     let msg = agg
         .recv_timeout(Duration::from_secs(2))
@@ -190,6 +204,7 @@ fn fault_policy_applies_to_socket_frames() {
     let (hub, network, agg, key) = start_hub();
     network.set_fault_policy(Arc::new(DropUploads));
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+    rogue.resume();
     rogue.send_data("agg-0", 0, b"dropped");
     assert!(
         matches!(
@@ -212,6 +227,7 @@ fn fault_policy_applies_to_socket_frames() {
 fn a_trace_frame_gives_the_next_data_frame_its_context() {
     let (hub, _network, agg, key) = start_hub();
     let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+    rogue.resume();
     rogue.send(&SocketFrame::Trace {
         trace_id: 3,
         msg_id: 42,
@@ -244,6 +260,7 @@ fn a_trace_frame_followed_by_anything_but_data_is_malformed() {
     for next in [ack(0), SocketFrame::Bye, trace.clone()] {
         let (hub, _network, agg, key) = start_hub();
         let mut rogue = Rogue::connect(hub.addr(), "party-0", &key).expect("auth");
+        rogue.resume();
         rogue.send(&trace);
         rogue.send(&next);
         rogue.send_data("agg-0", 0, b"upload");
@@ -263,44 +280,38 @@ fn a_trace_frame_followed_by_anything_but_data_is_malformed() {
 }
 
 fn ack(next: u64) -> SocketFrame {
-    SocketFrame::Ack {
-        src: "party-0".to_string(),
-        dst: "agg-0".to_string(),
-        next,
-    }
+    SocketFrame::Ack { next }
 }
 
-#[test]
-fn an_acknowledgement_for_another_seats_link_is_refused_and_prunes_nothing() {
-    let mut held = Custody::start().expect("three frames in custody");
-    // party-0 vouches for deliveries to agg-0.
-    held.party.send(&ack(3));
-    match wait_error(&held.hub).expect("a structured error") {
-        SocketError::Auth { peer, detail } => {
-            assert_eq!(peer, "party-0", "the error must name the forger");
-            assert!(detail.contains("acknowledgement"), "{detail}");
-        }
-        other => panic!("expected an attributed rejection, got: {other}"),
-    }
-    assert_eq!(held.agg_resumes(3).expect("replayed"), [0, 1, 2]);
-    held.hub.join();
-}
-
+/// An acknowledgement speaks for the hub's side of the link it arrives
+/// on, and never past what the hub sent there: neither the seat the
+/// frames were relayed to, claiming frames its link never carried, nor
+/// the seat that sent them, acknowledging on its own link, which carried
+/// nothing, makes the hub forget a frame `agg-0` is owed.
 #[test]
 fn an_acknowledgement_past_what_was_sent_is_refused_and_prunes_nothing() {
-    let mut held = Custody::start().expect("three frames in custody");
-    // The right seat, claiming frames the link never carried.
-    held.agg.send(&ack(9));
-    match wait_error(&held.hub).expect("a structured error") {
-        SocketError::Ack {
-            link,
-            next,
-            stamped,
-        } => assert_eq!((link.as_str(), next, stamped), ("party-0->agg-0", 9, 3)),
-        other => panic!("expected an Ack rejection, got: {other}"),
+    for (from_agg, claimed, refused) in [
+        (true, 9, ("hub->agg-0", 9, 3)),
+        (false, 3, ("hub->party-0", 3, 0)),
+    ] {
+        let mut held = Custody::start().expect("three frames in custody");
+        let claimant = if from_agg {
+            &mut held.agg
+        } else {
+            &mut held.party
+        };
+        claimant.send(&ack(claimed));
+        match wait_error(&held.hub).expect("a structured error") {
+            SocketError::Ack {
+                link,
+                next,
+                stamped,
+            } => assert_eq!((link.as_str(), next, stamped), refused),
+            other => panic!("expected an Ack rejection, got: {other}"),
+        }
+        assert_eq!(held.agg_resumes(3).expect("replayed"), [0, 1, 2]);
+        held.hub.join();
     }
-    assert_eq!(held.agg_resumes(3).expect("replayed"), [0, 1, 2]);
-    held.hub.join();
 }
 
 #[test]
@@ -352,12 +363,12 @@ fn a_closure_that_lands_around_a_resume_still_reaches_the_resuming_child() {
                     network.close("party-0");
                 });
                 go.wait();
-                party.resume("party-0");
+                party.resume();
             });
         } else {
             // Parked throughout: only the re-announcement can tell it.
             network.close("party-0");
-            party.resume("party-0");
+            party.resume();
         }
         loop {
             match party.recv().expect("the link outlives the closure") {
