@@ -37,7 +37,8 @@ USAGE:
                                    one clock-aligned timeline, writes JSONL +
                                    Perfetto files under results/traces/, and
                                    prints per-round critical paths
-                                   (--perfetto <file> overrides the export path)
+                                   (--perfetto <file> overrides the export path;
+                                   it refuses a config with chaos_severs)
     deta-cli attack [N]            run the DLG attack demo over N images (default 5)
     deta-cli help                  show this message
 
@@ -61,7 +62,8 @@ CONFIG KEYS (key = value; # comments):
                  (partial participation) instead of failing the run
     chaos_severs cluster link chaos: `node@count,...` — sever the node's
                  TCP connection after `count` total frames (no Bye);
-                 the run fails if a planned cut never happens
+                 the run fails if a planned cut never happens; only
+                 `cluster` without --inprocess runs it
 ";
 
 fn main() -> ExitCode {
@@ -349,9 +351,16 @@ fn reap_children(children: &mut [std::process::Child]) {
 /// that dies with the fault would be useless — before the error is
 /// surfaced.
 fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::error::Error>> {
-    deta_telemetry::enable();
     let text = std::fs::read_to_string(path)?;
     let config = Config::parse(&text)?;
+    // A traced run launches with no chaos plan: a plan of cuts would
+    // pass without one.
+    if !config.chaos_severs()?.is_empty() {
+        return Err("chaos_severs cuts TCP links and needs `cluster`: \
+                    `trace` runs no chaos plan"
+            .into());
+    }
+    deta_telemetry::enable();
     let prepared = config.prepare()?;
     let mut rt = cluster_runtime(&config)?;
     rt.telemetry.enabled = true;

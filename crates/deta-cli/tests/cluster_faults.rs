@@ -355,6 +355,46 @@ fn inprocess_cluster_refuses_chaos_severs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `trace` launches its cluster with no chaos plan, so a config that
+/// plans cuts is refused there too: the run exits non-zero before any
+/// node process starts, and says the cuts need `cluster`.
+#[test]
+fn trace_refuses_chaos_severs() {
+    let _serial = one_cluster();
+    const CFG: &str = "dataset            = mnist\n\
+                       resolution         = 8\n\
+                       model              = mlp\n\
+                       parties            = 3\n\
+                       aggregators        = 2\n\
+                       rounds             = 2\n\
+                       seed               = 7\n\
+                       examples_per_party = 40\n\
+                       chaos_severs       = party-1@2\n";
+    let dir = std::env::temp_dir().join(format!("deta-trace-chaos-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let cfg_path = dir.join("trace.cfg");
+    std::fs::write(&cfg_path, CFG).expect("write config");
+    let out = Command::new(env!("CARGO_BIN_EXE_deta-cli"))
+        .args(["trace", cfg_path.to_str().expect("utf-8 temp path")])
+        .current_dir(&dir)
+        .output()
+        .expect("run the traced cluster");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "planned cuts under `trace` must fail the run; stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("needs `cluster`"),
+        "the refusal must say where the cuts can run; stderr:\n{stderr}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("round "),
+        "no round may run under a refused plan"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Graceful degradation: a party process that dies and never comes
 /// back (its reconnect budget can never be spent — there is no process
 /// left to spend it) must not hang the run or fail it. With

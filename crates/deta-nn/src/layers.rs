@@ -73,14 +73,19 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dX = dY W.
+        grad_out.matmul(&self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .take()
             .expect("backward without forward(train=true)");
-        // dW = dY^T X, db = column sums of dY, dX = dY W.
+        // dW = dY^T X, db = column sums of dY.
         self.gw.axpy(1.0, &grad_out.matmul_tn(&x));
         self.gb.axpy(1.0, &grad_out.sum_rows());
-        grad_out.matmul(&self.w)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -229,6 +234,30 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        let batch = grad_out.shape()[0];
+        let (rows, cols_n) = (self.geom.rows(), self.geom.cols());
+        let feat = self.geom.in_c * self.geom.in_h * self.geom.in_w;
+        let mut grad_in = vec![0.0f32; batch * feat];
+        // One image's dCols, overwritten image after image.
+        let mut dcols = vec![0.0f32; rows * cols_n];
+        let per_image = grad_out
+            .data()
+            .chunks_exact(self.out_c * cols_n)
+            .zip(grad_in.chunks_exact_mut(feat));
+        for (gy, dimg) in per_image {
+            // dCols = W^T gy; dX = col2im(dCols).
+            gemm(
+                self.w.mat().t(),
+                Mat::new(gy, self.out_c, cols_n),
+                &mut dcols,
+            );
+            col2im_into(&dcols, &self.geom, dimg);
+        }
+        Tensor::from_vec(grad_in, &[batch, feat])
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let batch = grad_out.shape()[0];
         let (rows, cols_n) = (self.geom.rows(), self.geom.cols());
         let cols = std::mem::take(&mut self.cached_cols);
@@ -237,31 +266,22 @@ impl Layer for Conv2d {
             batch * rows * cols_n,
             "backward without matching forward(train=true)"
         );
-        let feat = self.geom.in_c * self.geom.in_h * self.geom.in_w;
-        let out_feat = self.out_c * cols_n;
-        let mut grad_in = vec![0.0f32; batch * feat];
-        // One image's dW and dCols, overwritten image after image.
+        // One image's dW, overwritten image after image.
         let mut dw = Tensor::zeros(&[self.out_c, rows]);
-        let mut dcols = vec![0.0f32; rows * cols_n];
         let per_image = grad_out
             .data()
-            .chunks_exact(out_feat)
-            .zip(cols.chunks_exact(rows * cols_n))
-            .zip(grad_in.chunks_exact_mut(feat));
-        for ((gy, cols), dimg) in per_image {
-            let gy_mat = Mat::new(gy, self.out_c, cols_n);
+            .chunks_exact(self.out_c * cols_n)
+            .zip(cols.chunks_exact(rows * cols_n));
+        for (gy, cols) in per_image {
             // dW += gy * cols^T, each image's product summed from zero.
+            let gy_mat = Mat::new(gy, self.out_c, cols_n);
             gemm(gy_mat, Mat::new(cols, rows, cols_n).t(), dw.data_mut());
             self.gw.axpy(1.0, &dw);
             // db += row sums of gy.
             for (g, gy_row) in self.gb.data_mut().iter_mut().zip(gy.chunks_exact(cols_n)) {
                 *g += gy_row.iter().sum::<f32>();
             }
-            // dCols = W^T gy; dX = col2im(dCols).
-            gemm(self.w.mat().t(), gy_mat, &mut dcols);
-            col2im_into(&dcols, &self.geom, dimg);
         }
-        Tensor::from_vec(grad_in, &[batch, feat])
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -466,21 +486,33 @@ impl Layer for MaxPool2d {
         let mut out = vec![0.0f32; batch * out_feat];
         let mut winners = vec![0usize; batch * out_feat];
         let data = input.data();
+        let has_nan = data.iter().fold(false, |seen, v| seen | v.is_nan());
         for bi in 0..batch {
             for c in 0..self.c {
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best_v = f32::NEG_INFINITY;
-                        let mut best_i = 0usize;
+                        // The window's own first element is the winner
+                        // to beat, so a window of -inf routes its
+                        // gradient inside the window.
+                        let first = bi * feat + (c * self.h + oy * 2) * self.w + ox * 2;
+                        let mut best_i = first;
+                        let mut best_v = data[first];
                         for dy in 0..2 {
                             for dx in 0..2 {
-                                let iy = oy * 2 + dy;
-                                let ix = ox * 2 + dx;
-                                let idx = bi * feat + (c * self.h + iy) * self.w + ix;
+                                let idx = first + dy * self.w + dx;
                                 if data[idx] > best_v {
                                     best_v = data[idx];
                                     best_i = idx;
                                 }
+                            }
+                        }
+                        // `>` never picks a NaN, so a window that holds
+                        // one is searched again: its first NaN wins.
+                        if has_nan {
+                            let window = [first, first + 1, first + self.w, first + self.w + 1];
+                            if let Some(&idx) = window.iter().find(|&&i| data[i].is_nan()) {
+                                best_v = data[idx];
+                                best_i = idx;
                             }
                         }
                         let oidx = bi * out_feat + (c * oh + oy) * ow + ox;
@@ -854,6 +886,25 @@ mod tests {
         assert_eq!(y.data(), &[5.0]);
         let g = p.backward(&Tensor::from_vec(vec![1.0], &[1, 1]));
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_keeps_each_window_gradient_in_its_image() {
+        // Image 1 holds an all-NaN window and an all-(-inf) window; the
+        // gradient of each must land inside that window, never on
+        // image 0.
+        let mut p = MaxPool2d::new(1, 2, 4);
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let image0 = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+        let image1 = [nan, nan, ninf, ninf, nan, nan, ninf, ninf];
+        let x = Tensor::from_vec([image0, image1].concat(), &[2, 8]);
+        let y = p.forward(&x, true);
+        assert_eq!(y.data()[..2], [6.0, 8.0]);
+        assert!(y.data()[2].is_nan(), "a NaN window must output NaN");
+        assert_eq!(y.data()[3], ninf);
+        let g = p.backward(&Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0], &[2, 2]));
+        assert_eq!(g.data()[..8], [0.0; 8], "image 0 took image 1's gradient");
+        assert_eq!(g.data()[8..], [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub use optim::Sgd;
 pub use residual::Residual;
 
 use deta_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A differentiable layer with explicit forward and backward passes.
 ///
@@ -40,6 +41,14 @@ pub trait Layer: Send {
     ///
     /// Must be called after a `forward` with `train = true`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Backpropagates `grad_out` into the parameter gradients only, for
+    /// a caller that would discard the input gradient. It must leave
+    /// every gradient [`Layer::backward`] leaves, bit for bit; layers
+    /// whose input gradient costs work of its own skip that work here.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
 
     /// Immutable views of the trainable parameters (may be empty).
     fn params(&self) -> Vec<&Tensor>;
@@ -130,6 +139,22 @@ impl Sequential {
             g = layer.backward(&g);
         }
         g
+    }
+
+    /// Runs the backward pass for the parameter gradients alone: every
+    /// layer but the first as [`Sequential::backward`] does, the first
+    /// through [`Layer::backward_params`], so no gradient with respect
+    /// to the model input is computed. The gradients it leaves are
+    /// [`Sequential::backward`]'s, bit for bit.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = Cow::Borrowed(grad_out);
+        for layer in rest.iter_mut().rev() {
+            g = Cow::Owned(layer.backward(&g));
+        }
+        first.backward_params(&g);
     }
 
     /// Clears all accumulated gradients.

@@ -49,6 +49,11 @@ impl Layer for Residual {
         inner_grad.add(grad_out)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        // The skip path holds no parameter.
+        self.inner.backward_params(grad_out);
+    }
+
     fn params(&self) -> Vec<&Tensor> {
         self.inner
             .layers()

@@ -95,7 +95,7 @@ pub fn train_local(
             let logits = model.forward(&x, true);
             let (loss, grad) = softmax_cross_entropy(&logits, y);
             model.zero_grad();
-            model.backward(&grad);
+            model.backward_params(&grad);
             opt.step(model);
             total_loss += loss as f64;
             total_acc += accuracy(&logits, y) as f64;
@@ -117,7 +117,7 @@ pub fn batch_gradient(model: &mut Sequential, x: &Tensor, labels: &[usize]) -> (
     let logits = model.forward(x, true);
     let (loss, grad) = softmax_cross_entropy(&logits, labels);
     model.zero_grad();
-    model.backward(&grad);
+    model.backward_params(&grad);
     (loss, model.flat_grads())
 }
 

@@ -1,5 +1,6 @@
 //! `Conv2d` allocates per call, not per image: its buffers are sized for
 //! the whole batch once, and the GEMM packs into thread-local scratch.
+//! A params-only backward pass allocates less than a full one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -37,15 +38,16 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations of the second training pass over a `batch`-image batch
-/// (the first pass grows the packing scratch to its final size).
-fn allocations_of_a_warm_pass(batch: usize) -> usize {
+/// (the first pass grows the packing scratch to its final size), with
+/// `backward` as the backward half of the pass.
+fn allocations_of_a_warm_pass(batch: usize, backward: fn(&mut Conv2d, &Tensor)) -> usize {
     let mut rng = DetRng::from_u64(0xa110c);
     let mut conv = Conv2d::new(3, 8, 16, 16, 3, 1, 1, &mut rng);
     let x = Tensor::randn(&[batch, 3 * 16 * 16], 1.0, &mut rng);
     let grad = Tensor::randn(&[batch, conv.out_features()], 1.0, &mut rng);
     let mut pass = || {
         conv.forward(&x, true);
-        conv.backward(&grad);
+        backward(&mut conv, &grad);
     };
     pass();
     let before = ALLOCS.with(Cell::get);
@@ -53,10 +55,31 @@ fn allocations_of_a_warm_pass(batch: usize) -> usize {
     ALLOCS.with(Cell::get) - before
 }
 
+fn full(conv: &mut Conv2d, grad: &Tensor) {
+    conv.backward(grad);
+}
+
+fn params_only(conv: &mut Conv2d, grad: &Tensor) {
+    conv.backward_params(grad);
+}
+
 #[test]
 fn conv_allocations_do_not_depend_on_batch_size() {
-    let small = allocations_of_a_warm_pass(4);
-    let large = allocations_of_a_warm_pass(32);
+    let small = allocations_of_a_warm_pass(4, full);
+    let large = allocations_of_a_warm_pass(32, full);
     assert_eq!(small, large, "allocations grew with the batch");
     assert!((1..=16).contains(&large), "{large} allocations in one pass");
+}
+
+#[test]
+fn a_params_only_conv_pass_allocates_less_than_a_full_one() {
+    // No input gradient: neither its buffer nor the per-image dCols.
+    let small = allocations_of_a_warm_pass(4, params_only);
+    let large = allocations_of_a_warm_pass(32, params_only);
+    assert_eq!(small, large, "allocations grew with the batch");
+    let whole = allocations_of_a_warm_pass(32, full);
+    assert!(
+        (1..whole).contains(&large),
+        "{large} allocations params-only against {whole} in a full pass"
+    );
 }

@@ -2,9 +2,11 @@
 //!
 //! [`gemm`] computes `out[i][j] = Σ_p a(i, p) · b(p, j)` over two strided
 //! operands, so the three `Tensor` products are three stride choices.
-//! It packs `a` into [`MR`]-row panels and `b` into [`NR`]-column panels
-//! (zero-padded at the edges) and runs an `MR × NR` register tile over
-//! them.
+//! It packs `a` into `R`-row panels and `b` into `C`-column panels
+//! (zero-padded at the edges, the `b` panel starting on a 64-byte
+//! boundary) and runs an `R × C` register tile over them: [`MR`] × [`NR`]
+//! in the portable and AVX2 bodies, [`MR_AVX512`] × [`NR_AVX512`] in the
+//! AVX-512F one.
 //!
 //! The tile fixes the rounding order, and the rounding order is a
 //! contract: every output element starts at `+0.0` and receives its
@@ -18,13 +20,22 @@
 
 use std::cell::RefCell;
 
-/// Rows of the register tile.
+/// Rows of the portable and AVX2 register tile.
 pub const MR: usize = 4;
-/// Columns of the register tile.
+/// Columns of the portable and AVX2 register tile.
 pub const NR: usize = 16;
-/// Rows of `a` packed at a time; bounds the packing scratch at
-/// `(MC + NR) · k` floats per thread.
+/// Rows of the AVX-512F register tile: one broadcast of `a` each.
+pub const MR_AVX512: usize = 8;
+/// Columns of the AVX-512F register tile: two 16-lane vectors.
+pub const NR_AVX512: usize = 32;
+/// Rows of `a` packed at a time, a multiple of every tile's rows.
 const MC: usize = 64;
+/// Rows of a column-strided `b` packed per pass down its columns: one
+/// cache line of each column when the rows are contiguous.
+const PACK_ROWS: usize = 16;
+/// Floats of slack in the scratch, enough to start the `b` panel of any
+/// 4-byte-aligned buffer on a 64-byte boundary.
+const ALIGN_SLACK: usize = 64 / size_of::<f32>() - 1;
 
 /// A borrowed strided matrix: element `(r, c)` is
 /// `data[r * row_stride + c * col_stride]`.
@@ -77,18 +88,20 @@ impl<'a> Mat<'a> {
 }
 
 thread_local! {
-    /// Packed `a` block followed by one packed `b` panel. It only grows,
-    /// so a thread stops allocating once it has seen its largest product.
+    /// Packed `a` block, at most 15 floats of padding, then one packed
+    /// `b` panel: at most `(MC + NR_AVX512) · k + 15` floats. It only
+    /// grows, to exactly what a product needs, so a thread stops
+    /// allocating once it has seen its largest product.
     static PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Writes the row-major `[a.rows(), b.cols()]` product `a · b` to `out`.
 ///
-/// There are exactly two bodies: the packed loop compiled with AVX2
-/// enabled, taken whenever the running CPU reports AVX2, and the same
-/// loop compiled for the build's baseline target everywhere else. Both
-/// give every element the rounding sequence described in the module
-/// docs, so which one ran is unobservable in the result.
+/// There are three bodies, and nothing but the running CPU picks one:
+/// [`gemm_avx512`] when it reports AVX-512F, else [`gemm_avx2`] when it
+/// reports AVX2, else [`gemm_portable`]. All three give every element
+/// the rounding sequence described in the module docs, so which one ran
+/// is unobservable in the result.
 ///
 /// A zero in `a` is multiplied like any other value: `0 × ±inf` and
 /// `0 × NaN` put NaN in the output.
@@ -97,20 +110,21 @@ thread_local! {
 ///
 /// Panics if the inner dimensions differ or `out` has the wrong length.
 pub fn gemm(a: Mat, b: Mat, out: &mut [f32]) {
-    if !gemm_avx2(a, b, out) {
+    if !gemm_avx512(a, b, out) && !gemm_avx2(a, b, out) {
         gemm_portable(a, b, out);
     }
 }
 
-/// [`gemm`]'s portable body, callable directly so tests can hold the two
+/// [`gemm`]'s portable body, callable directly so tests can hold the
 /// bodies against each other.
 pub fn gemm_portable(a: Mat, b: Mat, out: &mut [f32]) {
     check(a, b, out);
-    PACKED.with_borrow_mut(|packed| run(a, b, out, packed));
+    PACKED.with_borrow_mut(|packed| run(a, b, out, packed, tile_portable));
 }
 
-/// [`gemm`]'s AVX2 body. Returns `false`, leaving `out` untouched, when
-/// the CPU has no AVX2 (always, off x86-64).
+/// [`gemm`]'s AVX2 body: the portable loop compiled with AVX2 enabled.
+/// Returns `false`, leaving `out` untouched, when the CPU has no AVX2
+/// (always, off x86-64).
 pub fn gemm_avx2(a: Mat, b: Mat, out: &mut [f32]) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -126,10 +140,35 @@ pub fn gemm_avx2(a: Mat, b: Mat, out: &mut [f32]) -> bool {
     false
 }
 
+/// [`gemm`]'s AVX-512F body: the same packed loop around an explicit
+/// [`MR_AVX512`] × [`NR_AVX512`] tile of sixteen 16-lane accumulators.
+/// Returns `false`, leaving `out` untouched, when the CPU has no
+/// AVX-512F (always, off x86-64).
+pub fn gemm_avx512(a: Mat, b: Mat, out: &mut [f32]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        check(a, b, out);
+        PACKED.with_borrow_mut(|packed| {
+            // SAFETY: `run_avx512` requires AVX-512F, which the line above
+            // just observed on the CPU this thread is running on.
+            unsafe { run_avx512(a, b, out, packed) }
+        });
+        return true;
+    }
+    let _ = (a, b, out);
+    false
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn run_avx2(a: Mat, b: Mat, out: &mut [f32], packed: &mut Vec<f32>) {
-    run(a, b, out, packed);
+    run(a, b, out, packed, |a, b| tile_avx2(a, b));
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512(a: Mat, b: Mat, out: &mut [f32], packed: &mut Vec<f32>) {
+    run(a, b, out, packed, |a, b| avx512::tile(a, b));
 }
 
 fn check(a: Mat, b: Mat, out: &[f32]) {
@@ -141,31 +180,50 @@ fn check(a: Mat, b: Mat, out: &[f32]) {
     assert_eq!(out.len(), a.rows * b.cols, "output length mismatch");
 }
 
-/// The packed loop. Inlined into both bodies so each compiles it, tile
-/// included, for its own instruction set.
+/// The packed loop around an `R × C` tile. Inlined into every body so
+/// each compiles it for its own instruction set.
 #[inline(always)]
-fn run(a: Mat, b: Mat, out: &mut [f32], packed: &mut Vec<f32>) {
+fn run<const R: usize, const C: usize>(
+    a: Mat,
+    b: Mat,
+    out: &mut [f32],
+    packed: &mut Vec<f32>,
+    tile: impl Fn(&[f32], &[f32]) -> [[f32; C]; R],
+) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     if k == 0 {
         out.fill(0.0);
         return;
     }
-    let a_len = m.min(MC).next_multiple_of(MR) * k;
-    let need = a_len + NR * k;
+    let a_len = m.min(MC).next_multiple_of(R) * k;
+    let need = a_len + ALIGN_SLACK + C * k;
     if packed.len() < need {
+        // Exactly: doubling would hold up to twice the largest product's
+        // scratch for the thread's lifetime.
+        packed.reserve_exact(need - packed.len());
         packed.resize(need, 0.0);
     }
-    let (a_packed, b_panel) = packed[..need].split_at_mut(a_len);
+    // The `b` panel starts on a 64-byte boundary, so its rows straddle
+    // no more cache lines than they must (a speed matter, not a safety
+    // one: the tiles load unaligned).
+    let pad = packed[a_len..].as_ptr().align_offset(64).min(ALIGN_SLACK);
+    let (a_packed, rest) = packed.split_at_mut(a_len);
+    let b_panel = &mut rest[pad..pad + C * k];
     for i0 in (0..m).step_by(MC) {
         let mc = MC.min(m - i0);
-        let a_block = &mut a_packed[..mc.next_multiple_of(MR) * k];
-        pack_a(a, i0, mc, a_block);
-        for j0 in (0..n).step_by(NR) {
-            let nc = NR.min(n - j0);
-            pack_b(b, j0, nc, b_panel);
-            for (panel, a_panel) in a_block.chunks_exact(MR * k).enumerate() {
+        let a_block = &mut a_packed[..mc.next_multiple_of(R) * k];
+        // An `R`-row panel of `a`, laid out `[p][r]`, is an `R`-column
+        // panel of its transpose.
+        for (panel, dst) in a_block.chunks_exact_mut(R * k).enumerate() {
+            let r0 = panel * R;
+            pack::<R>(a.t(), i0 + r0, R.min(mc - r0), dst);
+        }
+        for j0 in (0..n).step_by(C) {
+            let nc = C.min(n - j0);
+            pack::<C>(b, j0, nc, b_panel);
+            for (panel, a_panel) in a_block.chunks_exact(R * k).enumerate() {
                 let acc = tile(a_panel, b_panel);
-                let r0 = panel * MR;
+                let r0 = panel * R;
                 for (r, acc_row) in acc.iter().enumerate().take(mc - r0) {
                     let at = (i0 + r0 + r) * n + j0;
                     out[at..at + nc].copy_from_slice(&acc_row[..nc]);
@@ -175,49 +233,41 @@ fn run(a: Mat, b: Mat, out: &mut [f32], packed: &mut Vec<f32>) {
     }
 }
 
-/// Packs rows `i0..i0 + mc` of `a` as `MR`-row panels, each laid out
-/// `[p][r]`; rows past the edge are zero.
-#[inline(always)]
-fn pack_a(a: Mat, i0: usize, mc: usize, dst: &mut [f32]) {
-    let k = a.cols;
-    for (panel, dst) in dst.chunks_exact_mut(MR * k).enumerate() {
-        let r0 = panel * MR;
-        let rows = MR.min(mc - r0);
-        for (p, quad) in dst.chunks_exact_mut(MR).enumerate() {
-            let base = (i0 + r0) * a.row_stride + p * a.col_stride;
-            for (r, v) in quad.iter_mut().enumerate() {
-                *v = if r < rows {
-                    a.data[base + r * a.row_stride]
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
 /// Packs columns `j0..j0 + nc` of `b` as one panel laid out `[p][c]`;
 /// columns past the edge are zero.
 #[inline(always)]
-fn pack_b(b: Mat, j0: usize, nc: usize, dst: &mut [f32]) {
-    if nc < NR {
+fn pack<const C: usize>(b: Mat, j0: usize, nc: usize, dst: &mut [f32]) {
+    if nc < C {
         dst.fill(0.0);
     }
-    for (p, row) in dst.chunks_exact_mut(NR).enumerate() {
-        let base = p * b.row_stride + j0 * b.col_stride;
-        if b.col_stride == 1 {
+    if b.col_stride == 1 {
+        for (p, row) in dst.chunks_exact_mut(C).enumerate() {
+            let base = p * b.row_stride + j0;
             row[..nc].copy_from_slice(&b.data[base..base + nc]);
-        } else {
-            for (c, v) in row[..nc].iter_mut().enumerate() {
-                *v = b.data[base + c * b.col_stride];
+        }
+        return;
+    }
+    // Otherwise `b` is the transpose of a row-major matrix (`Mat` has no
+    // other layout), so each of its columns is a contiguous run. Copy a
+    // block of rows at a time, column by column: one row at a time would
+    // read every column on a cache line of its own, and at a page-sized
+    // stride those lines all compete for one cache set.
+    debug_assert_eq!(b.row_stride, 1);
+    for (block, rows) in dst.chunks_mut(C * PACK_ROWS).enumerate() {
+        let p0 = block * PACK_ROWS;
+        for c in 0..nc {
+            let base = (j0 + c) * b.col_stride + p0;
+            let column = &b.data[base..base + rows.len() / C];
+            for (row, &v) in rows.chunks_exact_mut(C).zip(column) {
+                row[c] = v;
             }
         }
     }
 }
 
-/// The register tile, and the only multiply-add loop over `k` in the
-/// crate: `acc[r][c] = Σ_p a_panel[p][r] · b_panel[p][c]`, `p` upward,
-/// multiply then add, from `+0.0`. The compiler vectorises the `c` loop.
+/// The portable and AVX2 register tile: `acc[r][c] = Σ_p a_panel[p][r] ·
+/// b_panel[p][c]`, `p` upward, multiply then add, from `+0.0`. The
+/// compiler vectorises the `c` loop.
 #[inline(always)]
 fn tile(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
     let (a_steps, _) = a_panel.as_chunks::<MR>();
@@ -231,4 +281,66 @@ fn tile(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
         }
     }
     acc
+}
+
+/// [`tile`] for the build's baseline target. This and [`tile_avx2`] are
+/// kept out of line: inlined into the packed loop, the tile is no longer
+/// reliably vectorised.
+#[inline(never)]
+fn tile_portable(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
+    tile(a_panel, b_panel)
+}
+
+/// [`tile`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn tile_avx2(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
+    tile(a_panel, b_panel)
+}
+
+/// The AVX-512F register tile, written out in intrinsics so the sixteen
+/// accumulators stay in registers.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{MR_AVX512, NR_AVX512};
+    use core::arch::x86_64::*;
+
+    const HALF: usize = NR_AVX512 / 2;
+
+    /// [`super::tile`] at [`MR_AVX512`] × [`NR_AVX512`]: per `p`, two
+    /// loads of `b`, eight broadcasts of `a`, and for each accumulator a
+    /// `mul_ps` then an `add_ps` (never `fmadd_ps`), from `setzero_ps`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn tile(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR_AVX512]; MR_AVX512] {
+        let (a_steps, _) = a_panel.as_chunks::<MR_AVX512>();
+        let (b_steps, _) = b_panel.as_chunks::<NR_AVX512>();
+        let mut acc = [[_mm512_setzero_ps(); 2]; MR_AVX512];
+        for (a_step, b_step) in a_steps.iter().zip(b_steps) {
+            // SAFETY: `b_step` is 32 contiguous floats, so both 16-float
+            // unaligned loads read inside it.
+            let (b0, b1) = unsafe {
+                (
+                    _mm512_loadu_ps(b_step.as_ptr()),
+                    _mm512_loadu_ps(b_step.as_ptr().add(HALF)),
+                )
+            };
+            for (acc_row, &a) in acc.iter_mut().zip(a_step) {
+                let a = _mm512_set1_ps(a);
+                acc_row[0] = _mm512_add_ps(acc_row[0], _mm512_mul_ps(a, b0));
+                acc_row[1] = _mm512_add_ps(acc_row[1], _mm512_mul_ps(a, b1));
+            }
+        }
+        let mut out = [[0.0f32; NR_AVX512]; MR_AVX512];
+        for (row, acc_row) in out.iter_mut().zip(&acc) {
+            // SAFETY: `row` is 32 contiguous writable floats, so both
+            // 16-float unaligned stores write inside it.
+            unsafe {
+                _mm512_storeu_ps(row.as_mut_ptr(), acc_row[0]);
+                _mm512_storeu_ps(row.as_mut_ptr().add(HALF), acc_row[1]);
+            }
+        }
+        out
+    }
 }

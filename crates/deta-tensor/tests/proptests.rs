@@ -2,7 +2,7 @@
 
 use deta_crypto::DetRng;
 use deta_proptest::{cases, Gen};
-use deta_tensor::gemm::{gemm_avx2, gemm_portable, MR, NR};
+use deta_tensor::gemm::{gemm_avx2, gemm_avx512, gemm_portable, MR, MR_AVX512, NR, NR_AVX512};
 use deta_tensor::{col2im, im2col, ConvGeom, Tensor};
 
 fn close(a: f32, b: f32) -> bool {
@@ -160,6 +160,52 @@ fn portable_and_avx2_bodies_agree_bit_for_bit() {
             assert_eq!(bits(&portable), bits(&avx2));
         }
     });
+}
+
+#[test]
+fn avx512_body_matches_reference_bit_for_bit() {
+    // Both sides of the tile's 8-row and 32-column edges and of a packed
+    // block of rows, `k` from zero up, each with `a` and `b` once
+    // row-major and once as transposed (column-strided) views.
+    let (r, c) = (MR_AVX512, NR_AVX512);
+    let mut rng = DetRng::from_u64(0x512);
+    for m in [0, 1, r - 1, r, r + 1, 2 * r + 1, 63, 64, 65] {
+        for n in [0, 1, c - 1, c, c + 1, 2 * c + 1] {
+            for k in [0, 1, 2, 9] {
+                let a = sparse_randn(m, k, &mut rng);
+                let b = sparse_randn(k, n, &mut rng);
+                let (at, bt) = (a.transpose2(), b.transpose2());
+                let want = bits(&reference_product(&a, &b));
+                for (a, b) in [(a.mat(), b.mat()), (at.mat().t(), bt.mat().t())] {
+                    let mut got = vec![f32::NAN; m * n];
+                    if !gemm_avx512(a, b, &mut got) {
+                        return; // this CPU has no AVX-512F body
+                    }
+                    assert_eq!(bits(&got), want, "[{m}, {k}] x [{k}, {n}]");
+                }
+            }
+        }
+    }
+    // Signed zeros (the loop above has returned on a CPU without
+    // AVX-512F): every product is `-0.0` or `+0.0`, and a sum that starts
+    // at `+0.0` stays there.
+    let a = Tensor::from_vec(vec![-0.0, 0.0, -0.0], &[1, 3]);
+    let b = Tensor::from_vec([[-0.0; 33], [0.0; 33], [1.0; 33]].concat(), &[3, 33]);
+    let mut got = vec![f32::NAN; 33];
+    assert!(gemm_avx512(a.mat(), b.mat(), &mut got));
+    assert_eq!(bits(&got), bits(&reference_product(&a, &b)));
+    assert!(got.iter().all(|v| v.to_bits() == 0), "{got:?}");
+    // A zero times a non-finite is NaN, in the last column of the second
+    // column tile.
+    let a = Tensor::from_vec(vec![0.0, 1.0], &[1, 2]);
+    for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+        let mut b = Tensor::from_vec([[1.0; 33], [2.0; 33]].concat(), &[2, 33]);
+        b.data_mut()[32] = poison;
+        let mut got = vec![f32::NAN; 33];
+        assert!(gemm_avx512(a.mat(), b.mat(), &mut got));
+        assert_eq!(bits(&got[..32]), bits(&[2.0; 32]));
+        assert!(got[32].is_nan(), "0 x {poison}");
+    }
 }
 
 #[test]

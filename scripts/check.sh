@@ -22,11 +22,25 @@ echo "==> cargo test -q"
 # and cluster-fault drills all live in crates/.
 cargo test -q
 
-echo "==> deta-tensor under optimisation (the GEMM's vector body only exists there)"
-# The tile is plain arithmetic the compiler vectorises; a debug build
-# runs it scalar, so the AVX2-vs-portable and reference properties only
-# meet the real vector code in a release build.
+echo "==> deta-tensor and the GEMM known answers under optimisation (the GEMM bodies against their reference)"
+# Nothing but the CPU selects a GEMM body: an AVX-512F register tile in
+# intrinsics, else the portable tile compiled for AVX2, else the portable
+# tile for the baseline target. The portable tile is plain arithmetic the
+# compiler vectorises only under optimisation, so the bodies-against-
+# reference properties and the known answers (local training included)
+# meet the code that runs in a release build. Say which bodies this host
+# exercised, so a runner without AVX-512F cannot pass this stage silently.
+CPU_FLAGS=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | cut -d: -f2) "
+BODIES="portable"
+[[ "$CPU_FLAGS" == *" avx2 "* ]] && BODIES="$BODIES, avx2 (4 x 16 tile)"
+if [[ "$CPU_FLAGS" == *" avx512f "* ]]; then
+  echo "    GEMM bodies exercised on this host: $BODIES, avx512f (8 x 32 tile)"
+else
+  echo "    GEMM bodies exercised on this host: $BODIES"
+  echo "    8 x 32 AVX-512F tile not exercised: this CPU reports no avx512f"
+fi
 cargo test --release -q -p deta-tensor
+cargo test --release -q --test gemm_kat
 
 echo "==> deta-core under optimisation (the sorting network's vector body only exists there)"
 # The compare-exchange over a tile's lanes is a scalar loop in a debug
@@ -40,7 +54,6 @@ echo "==> deta-crypto under optimisation (the vector cipher and MAC bodies again
 # bodies-against-reference properties and the known answers exercise
 # only the bodies this host has. Say which, so a runner without
 # AVX-512F cannot pass this stage silently.
-CPU_FLAGS=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | cut -d: -f2) "
 BODIES="scalar"
 [[ "$CPU_FLAGS" == *" avx2 "* ]] && BODIES="$BODIES, avx2 (8-lane ChaCha20)"
 if [[ "$CPU_FLAGS" == *" avx512f "* ]]; then
