@@ -28,11 +28,12 @@ use crate::wire::{self, Msg, RecordFrame};
 use deta_bignum::BigUint;
 use deta_crypto::{DetRng, SigningKey};
 use deta_paillier::{Ciphertext, PublicKey as PaillierPk};
-use deta_sev_sim::Cvm;
+use deta_sev_sim::{Cvm, GuestMemory};
 use deta_telemetry::TelemetryValue;
 use deta_transport::wire::{put_bytes, Reader};
 use deta_transport::{secure, Endpoint, SecureChannel};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Errors from the aggregator runtime.
 #[derive(Debug)]
@@ -78,6 +79,23 @@ enum Upload {
     /// A Paillier-encrypted fragment: its ciphertexts, and the number of
     /// plaintext values they pack.
     Encrypted(Vec<Ciphertext>, u64),
+}
+
+/// The plain uploads of the round a node aggregated last, in party-name
+/// order: its guest memory. They are moved there as they were decoded,
+/// aggregated where they lie, and rendered as the records a breach reads
+/// ([`breach_records`]) only when the memory is read as bytes. Under
+/// Paillier fusion the node holds only ciphertexts, and this is empty.
+struct HeldRound {
+    round: u64,
+    names: Vec<String>,
+    fragments: Vec<Vec<f32>>,
+}
+
+impl GuestMemory for HeldRound {
+    fn render(&self) -> Vec<u8> {
+        breach_records(self.round, &self.names, &self.fragments)
+    }
 }
 
 /// One aggregator node.
@@ -245,9 +263,7 @@ impl AggregatorNode {
             return Ok(());
         }
         deta_telemetry::event("round_start", &[("round", TelemetryValue::from(round))]);
-        if let Ok(plain) = (Msg::RoundStart { round, training_id }).encode() {
-            self.fan_out(&plain);
-        }
+        let _ = self.fan_out(&Msg::RoundStart { round, training_id });
         Ok(())
     }
 
@@ -278,16 +294,24 @@ impl AggregatorNode {
         }
     }
 
-    /// Sends one encoded message to every registered party, in name
-    /// order: a fan-out encodes once, and the plaintext is copied into
-    /// each party's frame and sealed where it lies.
-    fn fan_out(&mut self, plain: &[u8]) {
-        let registered = self.parties.iter_mut().filter(|(_, p)| p.weight.is_some());
-        for (name, peer) in registered {
-            if let Ok(frame) = RecordFrame::of_encoded(plain) {
-                let _ = self.endpoint.send(name, frame.seal(&mut peer.channel));
+    /// Sends `msg` to every registered party, in name order. It is
+    /// encoded once, into the first party's frame; each next party's
+    /// frame is copied from the one before, before that one is sealed
+    /// where it lies and sent.
+    fn fan_out(&mut self, msg: &Msg) -> Result<(), wire::EncodeError> {
+        let mut frame = RecordFrame::of(msg)?;
+        let mut registered = (self.parties.iter_mut())
+            .filter(|(_, p)| p.weight.is_some())
+            .peekable();
+        while let Some((name, peer)) = registered.next() {
+            let next = registered.peek().map(|_| frame.copy());
+            let _ = self.endpoint.send(name, frame.seal(&mut peer.channel));
+            match next {
+                Some(next) => frame = next,
+                None => break,
             }
         }
+        Ok(())
     }
 
     /// Dispatches one raw wire frame. Public so an actor loop (which owns
@@ -492,9 +516,14 @@ impl AggregatorNode {
                 }
             }
         }
-        self.cvm
-            .guest()
-            .write(breach_records(round, &names, &fragments));
+        // The uploads move into guest memory, where a breach finds them,
+        // and are aggregated there.
+        let held = Arc::new(HeldRound {
+            round,
+            names,
+            fragments,
+        });
+        self.cvm.guest().hold(held.clone());
         let aggregated = timed(&mut self.aggregate_time_s, || {
             let span = deta_telemetry::span("aggregate")
                 .with_field("round", TelemetryValue::from(round))
@@ -503,9 +532,12 @@ impl AggregatorNode {
                 None => {
                     let _span = span;
                     let weight = |name| self.parties.get(name).and_then(|p| p.weight);
-                    let weights: Vec<f32> =
-                        names.iter().map(|n| weight(n).unwrap_or(1.0)).collect();
-                    let fragment = self.algorithm.aggregate(&fragments, &weights);
+                    let weights: Vec<f32> = held
+                        .names
+                        .iter()
+                        .map(|n| weight(n).unwrap_or(1.0))
+                        .collect();
+                    let fragment = self.algorithm.aggregate(&held.fragments, &weights);
                     fragment
                         .map(|fragment| Msg::Aggregated { round, fragment })
                         .map_err(|e| e.to_string())
@@ -522,12 +554,10 @@ impl AggregatorNode {
                 }
             }
         });
-        // One plaintext for the whole fan-out.
-        let plain = match aggregated.and_then(|msg| msg.encode().map_err(|e| e.to_string())) {
-            Ok(plain) => plain,
-            Err(cause) => return self.aggregate_failed(round, &cause),
-        };
-        self.fan_out(&plain);
+        let sent = aggregated.and_then(|msg| self.fan_out(&msg).map_err(|e| e.to_string()));
+        if let Err(cause) = sent {
+            return self.aggregate_failed(round, &cause);
+        }
         self.completed_rounds = self.completed_rounds.max(round);
     }
 
@@ -571,11 +601,11 @@ fn sum_ciphertexts(
     Ok((sums, *value_count))
 }
 
-/// What a breach of an aggregator about to aggregate the plain
-/// `fragments` of `names` leaks: length-prefixed records of (party name,
-/// `Upload` message) — under Paillier fusion, where the node holds only
-/// ciphertexts, nothing. Written into one buffer reserved for all the
-/// records: it is the aggregator's largest allocation.
+/// What a breach of an aggregator holding the plain `fragments` of
+/// `names` leaks: length-prefixed records of (party name, `Upload`
+/// message) — under Paillier fusion, where the node holds only
+/// ciphertexts, nothing. Rendered into one buffer reserved for all the
+/// records, and only when the memory is read as bytes ([`HeldRound`]).
 fn breach_records(round: u64, names: &[String], fragments: &[Vec<f32>]) -> Vec<u8> {
     let record_bytes = |(name, fragment): (&String, &Vec<f32>)| {
         8 + name.len() + wire::FRAGMENT_HEADER + 4 * fragment.len()

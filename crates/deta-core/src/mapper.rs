@@ -189,24 +189,36 @@ impl ModelMapper {
         );
         let mut out = vec![0.0f32; self.n_params()];
         for (j, frag) in fragments.iter().enumerate() {
-            self.scatter_fragment(j, frag, &mut out);
+            self.scatter_fragment(j, frag, &mut [&mut out]);
         }
         out
     }
 
-    /// Writes fragment `j`'s values back to their model positions in
-    /// `out`: the inverse of [`ModelMapper::fragment_values`].
+    /// Writes fragment `j`'s values back to their model positions: the
+    /// inverse of [`ModelMapper::fragment_values`]. The flat update is
+    /// given in `parts`, consecutive pieces of it (a model's parameter
+    /// tensors, or one flat vector). A fragment's positions ascend, so
+    /// each part's share of them is one run, split off where the part
+    /// ends by a binary search.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is not fragment `j`'s length or `out` not the
-    /// model's.
-    pub(crate) fn scatter_fragment(&self, j: usize, values: &[f32], out: &mut [f32]) {
+    /// Panics if `values` is not fragment `j`'s length or the parts do
+    /// not add up to the model's.
+    pub(crate) fn scatter_fragment(&self, j: usize, values: &[f32], parts: &mut [&mut [f32]]) {
         let pos = &self.positions[j];
         assert_eq!(values.len(), pos.len(), "fragment {j} length mismatch");
-        assert_eq!(out.len(), self.n_params(), "update length mismatch");
-        for (&i, &v) in pos.iter().zip(values) {
-            out[i as usize] = v;
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        assert_eq!(total, self.n_params(), "update length mismatch");
+        let (mut pos, mut values, mut offset) = (&pos[..], values, 0);
+        for part in parts.iter_mut() {
+            let end = offset + part.len();
+            let run = pos.partition_point(|&i| (i as usize) < end);
+            let (here, rest) = pos.split_at(run);
+            for (&i, &v) in here.iter().zip(values) {
+                part[i as usize - offset] = v;
+            }
+            (pos, values, offset) = (rest, &values[run..], end);
         }
     }
 }

@@ -467,6 +467,8 @@ impl Party {
         let Some((round, tid)) = self.current_round else {
             return Err(PartyError::Protocol("no active round"));
         };
+        // A new round cannot replay the last one's upload.
+        self.last_upload = None;
         self.snapshot_round_base();
         let mut update: Vec<f32> = timed(&mut self.timers.train_s, || {
             let _span = deta_telemetry::span("local_train")
@@ -598,6 +600,7 @@ impl Party {
         if self.current_round.is_none() {
             return Err(PartyError::Protocol("no active round"));
         }
+        self.last_upload = None;
         self.snapshot_round_base();
         Ok(())
     }
@@ -710,35 +713,39 @@ impl Party {
                 _ => None,
             })
             .collect();
-        let merged = timed(&mut self.timers.transform_s, || {
+        // The aggregate is un-shuffled straight into the model's parameter
+        // tensors: FedAvg's new parameters, or FedSGD's gradient for the
+        // step below to turn into parameters.
+        let mut params: Vec<&mut [f32]> = (self.model.params_mut().into_iter())
+            .map(|p| p.data_mut())
+            .collect();
+        timed(&mut self.timers.transform_s, || {
             let _span =
                 deta_telemetry::span("unshuffle").with_field("round", TelemetryValue::from(round));
             let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
-            self.transformer.inverse_with(&fragments, &perms)
+            self.transformer
+                .inverse_into(&fragments, &perms, &mut params);
         });
-        self.apply_update(&merged);
+        if self.cfg.mode == SyncMode::FedSgd {
+            self.step_from_round_base();
+        }
         deta_telemetry::event("round_finished", &[("round", TelemetryValue::from(round))]);
         self.last_finished_round = self.last_finished_round.max(round);
         self.current_round = None;
         true
     }
 
-    fn apply_update(&mut self, merged: &[f32]) {
-        match self.cfg.mode {
-            SyncMode::FedAvg => self.model.set_flat_params(merged),
-            SyncMode::FedSgd => {
-                // theta <- theta - lr * grad_scale * aggregated gradient.
-                // With iterative averaging the aggregate is already the
-                // mean (grad_scale = 1); with gradient-sum the session
-                // sets grad_scale = 1/N.
-                let step = self.cfg.lr * self.cfg.grad_scale;
-                let params: Vec<f32> = self
-                    .round_base
-                    .iter()
-                    .zip(merged.iter())
-                    .map(|(p, g)| p - step * g)
-                    .collect();
-                self.model.set_flat_params(&params);
+    /// FedSGD's step, with the aggregated gradient in the parameter
+    /// tensors: theta <- base - lr * grad_scale * gradient. With
+    /// iterative averaging the aggregate is already the mean
+    /// (grad_scale = 1); with gradient-sum the session sets
+    /// grad_scale = 1/N.
+    fn step_from_round_base(&mut self) {
+        let step = self.cfg.lr * self.cfg.grad_scale;
+        let mut base = self.round_base.iter();
+        for p in self.model.params_mut() {
+            for (w, b) in p.data_mut().iter_mut().zip(&mut base) {
+                *w = b - step * *w;
             }
         }
     }

@@ -138,6 +138,8 @@ impl RoundPermutation {
     pub(crate) fn invert_into(&self, shuffled: &[f32], out: &mut Vec<f32>) {
         assert_eq!(shuffled.len(), self.perm.len(), "length mismatch");
         out.clear();
+        // Exactly, as `Transformer::fragment_values` sizes its scratch.
+        out.reserve_exact(shuffled.len());
         out.resize(shuffled.len(), 0.0);
         for (t, &s) in self.perm.iter().enumerate() {
             out[s as usize] = shuffled[t];

@@ -222,8 +222,12 @@ impl Transformer {
         scratch: &'a mut Vec<f32>,
     ) -> impl ExactSizeIterator<Item = f32> + 'a {
         assert_eq!(perms.perms.len(), self.n_fragments(), "permutation count");
+        let values = self.mapper.fragment_values(update, j);
         scratch.clear();
-        scratch.extend(self.mapper.fragment_values(update, j));
+        // Exactly: grown by `extend`'s doubling, a scratch sized for one
+        // fragment would take twice the next, one value longer.
+        scratch.reserve_exact(values.len());
+        scratch.extend(values);
         perms.perms[j].permuted(scratch)
     }
 
@@ -243,6 +247,27 @@ impl Transformer {
     ///
     /// Panics if fragment counts/lengths or `perms` mismatch the mapper.
     pub fn inverse_with(&self, fragments: &[Vec<f32>], perms: &RoundPermutations) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.mapper.n_params()];
+        self.inverse_into(fragments, perms, &mut [&mut out]);
+        out
+    }
+
+    /// [`Transformer::inverse_with`] written where the merged update
+    /// goes: `parts` are consecutive pieces of it, such as a model's
+    /// parameter tensors in flat-parameter order, so a party merges into
+    /// its model without a model-sized buffer. Every element of `parts`
+    /// is overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fragment counts/lengths or `perms` mismatch the mapper,
+    /// or the parts' lengths do not add up to its parameter count.
+    pub(crate) fn inverse_into(
+        &self,
+        fragments: &[Vec<f32>],
+        perms: &RoundPermutations,
+        parts: &mut [&mut [f32]],
+    ) {
         assert_eq!(
             fragments.len(),
             perms.perms.len(),
@@ -255,13 +280,11 @@ impl Transformer {
         );
         // One scratch for every fragment, as in `fragment_values`: each is
         // un-shuffled into it and scattered straight to model positions.
-        let mut out = vec![0.0f32; self.mapper.n_params()];
         let mut scratch = Vec::new();
         for (j, (frag, perm)) in fragments.iter().zip(perms.perms.iter()).enumerate() {
             perm.invert_into(frag, &mut scratch);
-            self.mapper.scatter_fragment(j, &scratch, &mut out);
+            self.mapper.scatter_fragment(j, &scratch, parts);
         }
-        out
     }
 }
 
@@ -320,6 +343,35 @@ mod tests {
         let frags = t.transform(&u, &tid);
         assert_eq!(frags.len(), 3);
         assert_eq!(t.inverse(&frags, &tid), u);
+    }
+
+    #[test]
+    fn inverse_into_pieces_is_inverse_with() {
+        // Split points at the ends, empty pieces, pieces narrower than
+        // the gap between two positions of one fragment.
+        let t = transformer(100, 3, TransformConfig::full());
+        let tid = [6u8; 16];
+        let perms = t.permutations(&tid);
+        let frags = t.transform_with(&update(100), &perms);
+        let want = t.inverse_with(&frags, &perms);
+        for cuts in [
+            vec![],
+            vec![0, 0, 100],
+            vec![1, 2, 3, 50, 99],
+            vec![37, 37, 64],
+        ] {
+            let mut got = vec![f32::NAN; 100];
+            let mut rest = got.as_mut_slice();
+            let mut parts = Vec::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([100]) {
+                let (part, tail) = std::mem::take(&mut rest).split_at_mut(cut - at);
+                parts.push(part);
+                (rest, at) = (tail, cut);
+            }
+            t.inverse_into(&frags, &perms, &mut parts);
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

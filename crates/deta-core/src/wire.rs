@@ -186,8 +186,10 @@ pub const RECORD_HEADER: usize = 1 + 4;
 /// A [`Msg::Record`] in the making: the frame that will go on the wire,
 /// header written, with the inner message still in the clear behind it.
 /// The only thing it can become is sealed ([`RecordFrame::seal`], in
-/// place), so a fragment exists once on the sending side and a
-/// plaintext body cannot be handed to an endpoint by mistake.
+/// place) or copied for another recipient of the same message
+/// (`RecordFrame::copy`), so a fragment exists once per recipient on
+/// the sending side and a plaintext body cannot be handed to an endpoint
+/// by mistake.
 pub struct RecordFrame(Vec<u8>);
 
 impl RecordFrame {
@@ -213,13 +215,14 @@ impl RecordFrame {
         RecordFrame::build(msg.encoded_len_hint(), |out| msg.encode_into(out))
     }
 
-    /// A record of a message already encoded: a fan-out encodes once and
-    /// copies that plaintext into each recipient's frame.
-    pub fn of_encoded(plain: &[u8]) -> Result<RecordFrame, EncodeError> {
-        RecordFrame::build(plain.len(), |out| {
-            out.extend_from_slice(plain);
-            Ok(())
-        })
+    /// The same unsealed record, with the same room for its tag, for
+    /// another recipient: a fan-out encodes its message into the first
+    /// recipient's frame and copies each next frame from the one before
+    /// sealing that one.
+    pub(crate) fn copy(&self) -> RecordFrame {
+        let mut frame = Vec::with_capacity(self.0.len() + TAG_LEN);
+        frame.extend_from_slice(&self.0);
+        RecordFrame(frame)
     }
 
     /// A record of [`Msg::Upload`] whose values are written as `values`

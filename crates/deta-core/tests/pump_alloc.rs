@@ -1,9 +1,10 @@
-//! What one aggregating pump allocates: the round's `Aggregated`
-//! plaintext — or `AggregatedEncrypted`, under Paillier fusion — exists
-//! once, not once per party, the breach-memory records are written into
-//! one buffer reserved for all of them, and a fragment crossing the node
-//! costs one buffer per hop — its values decoded out of the record it
-//! arrived in, one sealed frame per recipient.
+//! What one aggregating pump allocates: the round's `Aggregated` message
+//! — or `AggregatedEncrypted`, under Paillier fusion — is encoded once,
+//! into the first party's frame, and copied frame to frame; the uploads
+//! move into guest memory as they were decoded, with no breach records
+//! rendered until somebody reads the memory; and a fragment crossing the
+//! node costs one buffer per hop — its values decoded out of the record
+//! it arrived in, one sealed frame per recipient.
 
 mod common;
 
@@ -49,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 #[test]
-fn an_aggregating_pump_allocates_one_plaintext_and_one_record_buffer() {
+fn an_aggregating_pump_allocates_the_mean_and_one_frame_per_party() {
     const PARTIES: usize = 8;
     const VALUES: usize = 16 * 1024;
     let fragment = 4 * VALUES;
@@ -87,16 +88,16 @@ fn an_aggregating_pump_allocates_one_plaintext_and_one_record_buffer() {
     let allocated = BYTES.with(Cell::get) - before;
     assert_eq!(agg.completed_rounds, 1);
 
-    // Aggregation proper: the record buffer holds every upload once, the
-    // weighted mean accumulates in `f64` (two fragments' worth) and
-    // returns one fragment, and one plaintext serves the whole fan-out.
-    let aggregation = (PARTIES + 4) * fragment;
+    // Aggregation proper: the weighted mean accumulates in `f64` (two
+    // fragments' worth) and returns one fragment. The uploads it reads
+    // are the decoded ones, moved into guest memory.
+    let aggregation = 3 * fragment;
     // The hops on either side of it: the last upload is opened in the
     // frame it arrived in and its values are decoded once (a `Vec<f32>`,
-    // for alignment); each party's frame is filled with the plaintext
-    // and sealed where it lies.
+    // for alignment); the aggregate is encoded into the first party's
+    // frame, and each party's frame is sealed where it lies.
     let hops = (1 + PARTIES) * fragment;
-    let small = 16 * 1024;
+    let small = 4 * 1024;
     assert!(
         allocated <= aggregation + hops + small,
         "{allocated} bytes allocated, {} more than budgeted",
@@ -161,10 +162,10 @@ fn an_encrypted_fan_out_allocates_its_plaintext_once() {
     // ciphertext behind a length of its own.
     let plaintext = 29 + CIPHERTEXTS * (4 + CIPHERTEXT);
     // The last upload's ciphertexts are decoded out of the record it
-    // arrived in and parsed into integers; the sums are serialized; one
-    // plaintext is encoded; each party's frame is filled with it and
+    // arrived in and parsed into integers; the sums are serialized and
+    // encoded into the first party's frame; each party's frame is
     // sealed where it lies.
-    let hops = (4 + PARTIES) * plaintext;
+    let hops = (3 + PARTIES) * plaintext;
     let small = 16 * 1024;
     assert!(
         allocated <= arithmetic + hops + small,

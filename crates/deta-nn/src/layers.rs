@@ -6,8 +6,43 @@
 
 use crate::Layer;
 use deta_crypto::DetRng;
-use deta_tensor::gemm::{gemm, Mat};
+use deta_tensor::gemm::{gemm, Mat, Store};
 use deta_tensor::{col2im_into, im2col_into, ConvGeom, Tensor};
+
+/// A weight-and-bias layer's gradients `[dW, db]`: `None` outside
+/// training, from construction (or [`Layer::release_grads`]) until
+/// [`Layer::zero_grad`].
+type Grads = Option<[Tensor; 2]>;
+
+/// [`Layer::zero_grad`] for a weight-and-bias layer: zeroes the
+/// gradients it holds, or allocates them zeroed, shaped like `w` and `b`.
+fn zero_grads(grads: &mut Grads, w: &Tensor, b: &Tensor) {
+    match grads {
+        // Not `scale_mut(0.0)`: NaN x 0 is NaN, and a gradient poisoned
+        // in one round must not outlive it.
+        Some(held) => held.iter_mut().for_each(|g| g.data_mut().fill(0.0)),
+        None => *grads = Some([Tensor::zeros(w.shape()), Tensor::zeros(b.shape())]),
+    }
+}
+
+/// The gradients a backward pass or an optimizer step of `layer` works
+/// on.
+///
+/// # Panics
+///
+/// Panics, naming `layer`, when they were released and no
+/// [`Layer::zero_grad`] has allocated them since: summing into, or
+/// stepping along, gradients that are not there would silently skip the
+/// update.
+fn held<'a>(grads: &'a mut Grads, layer: &str) -> &'a mut [Tensor; 2] {
+    match grads {
+        Some(held) => held,
+        None => panic!(
+            "{layer} holds no gradients: call zero_grad before a backward pass or an \
+             optimizer step (training releases them when it returns)"
+        ),
+    }
+}
 
 /// A fully connected layer `y = x W^T + b`.
 pub struct Linear {
@@ -15,8 +50,7 @@ pub struct Linear {
     w: Tensor,
     /// Bias, shape `[out]`.
     b: Tensor,
-    gw: Tensor,
-    gb: Tensor,
+    grads: Grads,
     cached_input: Option<Tensor>,
     frozen: bool,
 }
@@ -28,8 +62,7 @@ impl Linear {
         Linear {
             w: Tensor::randn(&[out_dim, in_dim], std, rng),
             b: Tensor::zeros(&[out_dim]),
-            gw: Tensor::zeros(&[out_dim, in_dim]),
-            gb: Tensor::zeros(&[out_dim]),
+            grads: None,
             cached_input: None,
             frozen: false,
         }
@@ -79,13 +112,14 @@ impl Layer for Linear {
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
+        let [gw, gb] = held(&mut self.grads, "Linear");
         let x = self
             .cached_input
             .take()
             .expect("backward without forward(train=true)");
-        // dW = dY^T X, db = column sums of dY.
-        self.gw.axpy(1.0, &grad_out.matmul_tn(&x));
-        self.gb.axpy(1.0, &grad_out.sum_rows());
+        // dW += dY^T X, added in the GEMM's store; db += column sums of dY.
+        gemm(grad_out.mat().t(), x.mat(), gw.data_mut(), Store::Add);
+        gb.axpy(1.0, &grad_out.sum_rows());
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -97,19 +131,21 @@ impl Layer for Linear {
     }
 
     fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.gw, &self.gb]
+        self.grads.iter().flatten().collect()
     }
 
     fn zero_grad(&mut self) {
-        // Not `scale_mut(0.0)`: NaN x 0 is NaN, and a gradient poisoned
-        // in one round must not outlive it.
-        self.gw.data_mut().fill(0.0);
-        self.gb.data_mut().fill(0.0);
+        zero_grads(&mut self.grads, &self.w, &self.b);
+    }
+
+    fn release_grads(&mut self) {
+        self.grads = None;
     }
 
     fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        f(&mut self.w, &self.gw);
-        f(&mut self.b, &self.gb);
+        let [gw, gb] = held(&mut self.grads, "Linear");
+        f(&mut self.w, gw);
+        f(&mut self.b, gb);
     }
 
     fn name(&self) -> &'static str {
@@ -124,8 +160,7 @@ impl Layer for Linear {
         Box::new(Linear {
             w: self.w.clone(),
             b: self.b.clone(),
-            gw: Tensor::zeros(self.gw.shape()),
-            gb: Tensor::zeros(self.gb.shape()),
+            grads: None,
             cached_input: None,
             frozen: self.frozen,
         })
@@ -140,8 +175,7 @@ pub struct Conv2d {
     w: Tensor,
     /// Bias, shape `[out_c]`.
     b: Tensor,
-    gw: Tensor,
-    gb: Tensor,
+    grads: Grads,
     /// The im2col matrices of the last training batch, image after image.
     cached_cols: Vec<f32>,
     frozen: bool,
@@ -175,8 +209,7 @@ impl Conv2d {
             out_c,
             w: Tensor::randn(&[out_c, fan_in], std, rng),
             b: Tensor::zeros(&[out_c]),
-            gw: Tensor::zeros(&[out_c, fan_in]),
-            gb: Tensor::zeros(&[out_c]),
+            grads: None,
             cached_cols: Vec::new(),
             frozen: false,
         }
@@ -220,7 +253,7 @@ impl Layer for Conv2d {
             let cols = &mut cols[bi * step..][..rows * cols_n];
             im2col_into(img, &self.geom, cols);
             // y = W * cols + b, shape [out_c, cols_n].
-            gemm(self.w.mat(), Mat::new(cols, rows, cols_n), y);
+            gemm(self.w.mat(), Mat::new(cols, rows, cols_n), y, Store::Write);
             for (y_row, &bias) in y.chunks_exact_mut(cols_n).zip(self.b.data()) {
                 for v in y_row {
                     *v += bias;
@@ -251,6 +284,7 @@ impl Layer for Conv2d {
                 self.w.mat().t(),
                 Mat::new(gy, self.out_c, cols_n),
                 &mut dcols,
+                Store::Write,
             );
             col2im_into(&dcols, &self.geom, dimg);
         }
@@ -258,6 +292,7 @@ impl Layer for Conv2d {
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
+        let [gw, gb] = held(&mut self.grads, "Conv2d");
         let batch = grad_out.shape()[0];
         let (rows, cols_n) = (self.geom.rows(), self.geom.cols());
         let cols = std::mem::take(&mut self.cached_cols);
@@ -266,19 +301,20 @@ impl Layer for Conv2d {
             batch * rows * cols_n,
             "backward without matching forward(train=true)"
         );
-        // One image's dW, overwritten image after image.
-        let mut dw = Tensor::zeros(&[self.out_c, rows]);
         let per_image = grad_out
             .data()
             .chunks_exact(self.out_c * cols_n)
             .zip(cols.chunks_exact(rows * cols_n));
         for (gy, cols) in per_image {
-            // dW += gy * cols^T, each image's product summed from zero.
-            let gy_mat = Mat::new(gy, self.out_c, cols_n);
-            gemm(gy_mat, Mat::new(cols, rows, cols_n).t(), dw.data_mut());
-            self.gw.axpy(1.0, &dw);
+            // dW += gy * cols^T: each image's product summed from zero,
+            // then added to dW in the GEMM's store.
+            let (gy_mat, cols_t) = (
+                Mat::new(gy, self.out_c, cols_n),
+                Mat::new(cols, rows, cols_n).t(),
+            );
+            gemm(gy_mat, cols_t, gw.data_mut(), Store::Add);
             // db += row sums of gy.
-            for (g, gy_row) in self.gb.data_mut().iter_mut().zip(gy.chunks_exact(cols_n)) {
+            for (g, gy_row) in gb.data_mut().iter_mut().zip(gy.chunks_exact(cols_n)) {
                 *g += gy_row.iter().sum::<f32>();
             }
         }
@@ -293,19 +329,21 @@ impl Layer for Conv2d {
     }
 
     fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.gw, &self.gb]
+        self.grads.iter().flatten().collect()
     }
 
     fn zero_grad(&mut self) {
-        // Not `scale_mut(0.0)`: NaN x 0 is NaN, and a gradient poisoned
-        // in one round must not outlive it.
-        self.gw.data_mut().fill(0.0);
-        self.gb.data_mut().fill(0.0);
+        zero_grads(&mut self.grads, &self.w, &self.b);
+    }
+
+    fn release_grads(&mut self) {
+        self.grads = None;
     }
 
     fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        f(&mut self.w, &self.gw);
-        f(&mut self.b, &self.gb);
+        let [gw, gb] = held(&mut self.grads, "Conv2d");
+        f(&mut self.w, gw);
+        f(&mut self.b, gb);
     }
 
     fn name(&self) -> &'static str {
@@ -322,8 +360,7 @@ impl Layer for Conv2d {
             out_c: self.out_c,
             w: self.w.clone(),
             b: self.b.clone(),
-            gw: Tensor::zeros(self.gw.shape()),
-            gb: Tensor::zeros(self.gb.shape()),
+            grads: None,
             cached_cols: Vec::new(),
             frozen: self.frozen,
         })
@@ -852,20 +889,74 @@ mod tests {
         let x = Tensor::randn(&[2, 16], 1.0, &mut rng);
 
         let mut linear = Linear::new(16, 3, &mut DetRng::from_u64(13));
-        plant(&mut linear.gw);
-        plant(&mut linear.gb);
+        linear.zero_grad();
+        linear.grads.iter_mut().flatten().for_each(plant);
         let got = grads_of_a_clean_step(&mut linear, &x);
         assert!(got.iter().all(|g| !g.has_non_finite()));
         let mut fresh = Linear::new(16, 3, &mut DetRng::from_u64(13));
         assert_eq!(got, grads_of_a_clean_step(&mut fresh, &x));
 
         let mut conv = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut DetRng::from_u64(14));
-        plant(&mut conv.gw);
-        plant(&mut conv.gb);
+        conv.zero_grad();
+        conv.grads.iter_mut().flatten().for_each(plant);
         let got = grads_of_a_clean_step(&mut conv, &x);
         assert!(got.iter().all(|g| !g.has_non_finite()));
         let mut fresh = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut DetRng::from_u64(14));
         assert_eq!(got, grads_of_a_clean_step(&mut fresh, &x));
+    }
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        match (err.downcast_ref::<String>(), err.downcast_ref::<&str>()) {
+            (Some(msg), _) => msg.clone(),
+            (None, Some(msg)) => msg.to_string(),
+            (None, None) => String::new(),
+        }
+    }
+
+    #[test]
+    fn released_gradients_refuse_a_backward_pass_and_a_step_by_name() {
+        // Before, a released gradient was an empty tensor: the step
+        // zipped over nothing and the update was skipped without a word.
+        let mut rng = DetRng::from_u64(15);
+        let x = Tensor::randn(&[2, 16], 1.0, &mut rng);
+        let data = crate::train::LabeledData::new(x.clone(), vec![0, 1]);
+        let build = |name| -> Box<dyn Layer> {
+            let rng = &mut DetRng::from_u64(16);
+            match name {
+                "Linear" => Box::new(Linear::new(16, 2, rng)),
+                _ => Box::new(Conv2d::new(1, 2, 4, 4, 3, 1, 1, rng)),
+            }
+        };
+        for name in ["Linear", "Conv2d"] {
+            let expected = format!("{name} holds no gradients");
+            // A built layer holds none.
+            let mut layer = build(name);
+            let y = layer.forward(&x, true);
+            let probe = Tensor::full(y.shape(), 1.0);
+            let msg = panic_message(|| layer.backward_params(&probe));
+            assert!(msg.contains(&expected), "{msg}");
+            // Nor does one whose training released them.
+            let mut layer = build(name);
+            layer.forward(&x, true);
+            layer.zero_grad();
+            layer.release_grads();
+            let msg = panic_message(|| drop(layer.backward(&probe)));
+            assert!(msg.contains(&expected), "{msg}");
+            let mut model = Sequential {
+                layers: vec![build(name)],
+            };
+            crate::train::train_local(&mut model, &data, 1, 2, 0.1);
+            let msg = panic_message(|| crate::Sgd::new(0.1).step(&mut model));
+            assert!(msg.contains(&expected), "{msg}");
+            let msg = panic_message(|| drop(model.flat_grads()));
+            assert!(msg.contains(&expected), "{msg}");
+            // `zero_grad` makes them again, and the step runs.
+            model.zero_grad();
+            crate::Sgd::new(0.1).step(&mut model);
+        }
     }
 
     #[test]

@@ -33,6 +33,13 @@ use std::borrow::Cow;
 /// `forward` caches whatever activations the backward pass needs;
 /// `backward` consumes the cached state, accumulates parameter gradients
 /// internally, and returns the gradient with respect to the layer input.
+///
+/// Parameter gradients live only while training needs them: a layer
+/// holds none when it is built or replicated, [`Layer::zero_grad`]
+/// allocates them, and [`Layer::release_grads`] frees them again, as
+/// [`train::train_local`] and [`train::batch_gradient`] do before they
+/// return. A backward pass or an optimizer step on a layer with
+/// parameters and no gradients panics, naming the layer.
 pub trait Layer: Send {
     /// Computes the layer output for a batch.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
@@ -57,11 +64,17 @@ pub trait Layer: Send {
     fn params_mut(&mut self) -> Vec<&mut Tensor>;
 
     /// Immutable views of the accumulated parameter gradients,
-    /// parallel to [`Layer::params`].
+    /// parallel to [`Layer::params`]; empty while the layer holds none.
     fn grads(&self) -> Vec<&Tensor>;
 
-    /// Clears accumulated gradients.
+    /// Clears accumulated gradients, allocating them zeroed when the
+    /// layer holds none.
     fn zero_grad(&mut self);
+
+    /// Frees the parameter gradients; the next [`Layer::zero_grad`]
+    /// allocates them again. Layers without parameters keep this
+    /// default.
+    fn release_grads(&mut self) {}
 
     /// Calls `f` on every parameter together with its gradient, in the
     /// order of [`Layer::params`], so an optimizer can update in place.
@@ -78,9 +91,8 @@ pub trait Layer: Send {
     }
 
     /// A replica of the layer's starting state: every parameter copied
-    /// (frozen ones included), gradient buffers freshly zeroed and
-    /// allocated as a constructor allocates them, no cached activations,
-    /// the same frozen flag. A replica of a freshly built layer is the
+    /// (frozen ones included), no gradients (a constructor allocates
+    /// none either), no cached activations, the same frozen flag. A replica of a freshly built layer is the
     /// layer a second build from the same RNG state would return, without
     /// drawing it again.
     fn replica(&self) -> Box<dyn Layer>;
@@ -157,10 +169,18 @@ impl Sequential {
         first.backward_params(&g);
     }
 
-    /// Clears all accumulated gradients.
+    /// Clears all accumulated gradients, allocating those a layer does
+    /// not hold.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
             layer.zero_grad();
+        }
+    }
+
+    /// Frees every layer's gradients ([`Layer::release_grads`]).
+    pub fn release_grads(&mut self) {
+        for layer in &mut self.layers {
+            layer.release_grads();
         }
     }
 
@@ -203,27 +223,43 @@ impl Sequential {
             "flat parameter length mismatch"
         );
         let mut off = 0;
-        for layer in &mut self.layers {
-            if layer.frozen() {
-                continue;
-            }
-            for p in layer.params_mut() {
-                let n = p.numel();
-                p.data_mut().copy_from_slice(&flat[off..off + n]);
-                off += n;
-            }
+        for p in self.params_mut() {
+            let n = p.numel();
+            p.data_mut().copy_from_slice(&flat[off..off + n]);
+            off += n;
         }
+    }
+
+    /// Every trainable parameter tensor, in [`Sequential::flat_params`]
+    /// order: the flat vector's pieces, where they lie, for a caller that
+    /// writes parameters in place rather than through a model-sized
+    /// vector and [`Sequential::set_flat_params`].
+    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        let trainable = self.layers.iter_mut().filter(|l| !l.frozen());
+        trainable.flat_map(|l| l.params_mut()).collect()
     }
 
     /// Serializes all accumulated gradients (trainable layers only) into a
     /// flat vector parallel to [`Sequential::flat_params`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the layer, if a trainable layer holds no gradients
+    /// (see [`Layer::release_grads`]).
     pub fn flat_grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
         for layer in &self.layers {
             if layer.frozen() {
                 continue;
             }
-            for g in layer.grads() {
+            let grads = layer.grads();
+            assert_eq!(
+                grads.len(),
+                layer.params().len(),
+                "{} holds no gradients: call zero_grad first",
+                layer.name()
+            );
+            for g in grads {
                 out.extend_from_slice(g.data());
             }
         }
@@ -354,10 +390,24 @@ mod tests {
         let mut m = tiny_model(&mut rng);
         let x = Tensor::randn(&[2, 4], 1.0, &mut rng);
         let y = m.forward(&x, true);
+        m.zero_grad();
         m.backward(&Tensor::full(y.shape(), 1.0));
         assert!(m.flat_grads().iter().any(|&g| g != 0.0));
         m.zero_grad();
         assert!(m.flat_grads().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn a_model_holds_gradients_from_zero_grad_until_they_are_released() {
+        let mut rng = DetRng::from_u64(6);
+        let mut m = tiny_model(&mut rng);
+        let holds = |m: &Sequential| m.layers().iter().any(|l| !l.grads().is_empty());
+        assert!(!holds(&m), "a built model holds no gradients");
+        m.zero_grad();
+        assert_eq!(m.flat_grads(), vec![0.0; m.param_count()]);
+        m.release_grads();
+        assert!(!holds(&m));
+        assert!(!holds(&m.clone()), "nor does a replica");
     }
 
     #[test]

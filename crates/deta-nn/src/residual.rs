@@ -85,6 +85,10 @@ impl Layer for Residual {
         self.inner.zero_grad();
     }
 
+    fn release_grads(&mut self) {
+        self.inner.release_grads();
+    }
+
     fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
         self.inner.update_params(f);
     }
@@ -129,6 +133,7 @@ mod tests {
         let mut block = Residual::new(inner);
         let x = Tensor::randn(&[2, 4], 1.0, &mut rng);
         let _y = block.forward(&x, true);
+        block.zero_grad();
         let g = block.backward(&Tensor::full(&[2, 4], 1.0));
         // Even if the inner gradient were zero, the skip contributes 1.
         assert!(g.data().iter().all(|&v| v.is_finite()));

@@ -68,7 +68,9 @@ pub struct TrainStats {
 
 /// Trains `model` on `data` for `epochs` epochs of minibatch SGD.
 ///
-/// Returns statistics averaged over all batches.
+/// Returns statistics averaged over all batches. The model's gradients
+/// exist only during the call: the first batch's `zero_grad` allocates
+/// them and they are released before it returns.
 ///
 /// # Panics
 ///
@@ -104,6 +106,7 @@ pub fn train_local(
             start = end;
         }
     }
+    model.release_grads();
     TrainStats {
         loss: (total_loss / batches as f64) as f32,
         accuracy: (total_acc / batches as f64) as f32,
@@ -112,13 +115,17 @@ pub fn train_local(
 }
 
 /// Computes the mean gradient of the loss on a single batch without
-/// updating the model (the FedSGD party-side computation).
+/// updating the model (the FedSGD party-side computation). The flat
+/// vector returned is the only copy of the gradients left: the model's
+/// own are released.
 pub fn batch_gradient(model: &mut Sequential, x: &Tensor, labels: &[usize]) -> (f32, Vec<f32>) {
     let logits = model.forward(x, true);
     let (loss, grad) = softmax_cross_entropy(&logits, labels);
     model.zero_grad();
     model.backward_params(&grad);
-    (loss, model.flat_grads())
+    let flat = model.flat_grads();
+    model.release_grads();
+    (loss, flat)
 }
 
 /// Evaluates mean loss and accuracy over a dataset.

@@ -61,6 +61,8 @@ fn backward_params_leaves_the_gradients_of_backward() {
             let mut params_only = full.clone();
             let batch = g.usize_in(1, 5);
             let mut rng = DetRng::from_u64(g.u64());
+            full.zero_grad();
+            params_only.zero_grad();
             // Two passes without a reset, so accumulation is compared too.
             for _ in 0..2 {
                 let x = Tensor::randn(&[batch, in_dim], 1.0, &mut rng);

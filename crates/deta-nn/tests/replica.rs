@@ -1,6 +1,6 @@
 //! A replica (`Sequential::clone`, through `Layer::replica`) is the model
-//! it copies: the same parameters, frozen ones included, zeroed
-//! gradients, and the same training from then on — but its own memory.
+//! it copies: the same parameters, frozen ones included, no gradients,
+//! and the same training from then on — but its own memory.
 
 use deta_crypto::DetRng;
 use deta_nn::models::{convnet23, convnet8, mlp, resnet_lite, vgg_lite};
@@ -38,6 +38,7 @@ fn check_replica(mut original: Sequential, in_dim: usize, classes: usize) {
     // Leave gradients and a cached activation behind in the original;
     // a replica carries neither.
     let y = original.forward(&x, true);
+    original.zero_grad();
     original.backward(&Tensor::full(y.shape(), 1.0));
     original.forward(&x, true);
     assert!(every_grad(&original).iter().any(|&g| g != 0.0));
@@ -47,9 +48,15 @@ fn check_replica(mut original: Sequential, in_dim: usize, classes: usize) {
     assert_eq!(bits(&replica.flat_params()), bits(&original.flat_params()));
     assert_eq!(every_param(&replica), every_param(&original));
     assert!(
+        every_grad(&replica).is_empty(),
+        "a replica holds no gradients"
+    );
+    replica.zero_grad();
+    assert!(
         every_grad(&replica).iter().all(|g| g.to_bits() == 0),
         "a replica's gradients start at +0.0"
     );
+    assert_eq!(every_grad(&replica).len(), every_grad(&original).len());
     assert_eq!(
         bits(replica.forward(&x, false).data()),
         bits(original.forward(&x, false).data())
@@ -58,6 +65,10 @@ fn check_replica(mut original: Sequential, in_dim: usize, classes: usize) {
     train_local(&mut original, &batch, 1, BATCH, 0.1);
     train_local(&mut replica, &batch, 1, BATCH, 0.1);
     assert_eq!(bits(&replica.flat_params()), bits(&original.flat_params()));
+    assert!(
+        every_grad(&original).is_empty() && every_grad(&replica).is_empty(),
+        "training releases the gradients it made"
+    );
 
     // Training the replica leaves the original's bits where they were.
     let before = every_param(&original);

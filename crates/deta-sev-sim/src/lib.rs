@@ -561,16 +561,34 @@ impl LaunchContext {
             asid: self.asid,
             vek: self.vek,
             inner: Arc::new(Mutex::new(CvmState {
-                memory: self.image.workload.clone(),
+                memory: Arc::new(self.image.workload.clone()),
                 secrets: self.secrets,
             })),
         }
     }
 }
 
+/// What a CVM's guest memory holds, in the form the guest keeps it.
+///
+/// Its bytes are rendered only when something reads the memory as bytes
+/// ([`Cvm::breach`], [`Cvm::host_memory_image`], [`GuestView::read`]),
+/// so a guest that keeps decoded values in memory does not also keep an
+/// encoded copy of them for a breach that may never come. Plain bytes
+/// (`Vec<u8>`) are memory that renders as itself.
+pub trait GuestMemory: Send + Sync {
+    /// The memory's plaintext bytes.
+    fn render(&self) -> Vec<u8>;
+}
+
+impl GuestMemory for Vec<u8> {
+    fn render(&self) -> Vec<u8> {
+        self.clone()
+    }
+}
+
 /// Plaintext state of a CVM, protected by the VEK in the memory model.
 struct CvmState {
-    memory: Vec<u8>,
+    memory: Arc<dyn GuestMemory>,
     secrets: HashMap<String, Vec<u8>>,
 }
 
@@ -608,16 +626,20 @@ impl Cvm {
         GuestView { cvm: self }
     }
 
-    /// Returns the hypervisor's view of guest memory: ciphertext under the
-    /// VEK. Two snapshots of identical memory differ only if memory
-    /// changed (deterministic nonce per snapshot length/asid).
+    /// Returns the hypervisor's view of guest memory: the rendered bytes
+    /// sealed under the VEK. Every snapshot of one CVM is sealed under
+    /// the same nonce, `Nonce::from_parts(asid, 0)`, whatever the
+    /// memory's length, so two snapshots of identical memory are
+    /// identical and a snapshot changes exactly when the memory does.
+    /// (A real SEV engine tweaks each block by its physical address
+    /// instead; the model's image is compared, never decrypted.)
     pub fn host_memory_image(&self) -> Vec<u8> {
         let state = lock(&self.inner);
         seal(
             &self.vek,
             &Nonce::from_parts(self.asid, 0),
             b"sev-memory",
-            &state.memory,
+            &state.memory.render(),
         )
     }
 
@@ -638,7 +660,7 @@ impl Cvm {
             .collect();
         secrets.sort();
         BreachDump {
-            memory: state.memory.clone(),
+            memory: state.memory.render(),
             secrets,
         }
     }
@@ -650,19 +672,29 @@ impl GuestView<'_> {
         lock(&self.cvm.inner).secrets.get(label).cloned()
     }
 
-    /// Reads guest memory.
+    /// Reads guest memory, rendered as bytes.
     pub fn read(&self) -> Vec<u8> {
-        lock(&self.cvm.inner).memory.clone()
+        lock(&self.cvm.inner).memory.render()
     }
 
     /// Replaces guest memory contents.
     pub fn write(&self, data: Vec<u8>) {
-        lock(&self.cvm.inner).memory = data;
+        self.hold(Arc::new(data));
+    }
+
+    /// Replaces guest memory contents with `memory`, kept as it is and
+    /// rendered only when read as bytes. The guest may keep a handle of
+    /// its own to what it holds: it is one memory, not a copy.
+    pub fn hold(&self, memory: Arc<dyn GuestMemory>) {
+        lock(&self.cvm.inner).memory = memory;
     }
 
     /// Appends to guest memory.
     pub fn append(&self, data: &[u8]) {
-        lock(&self.cvm.inner).memory.extend_from_slice(data);
+        let mut state = lock(&self.cvm.inner);
+        let mut bytes = state.memory.render();
+        bytes.extend_from_slice(data);
+        state.memory = Arc::new(bytes);
     }
 }
 
@@ -849,6 +881,31 @@ mod tests {
         assert_eq!(cvm.guest().read(), b"model-update-fragment");
         cvm.guest().append(b"-more");
         assert_eq!(cvm.guest().read(), b"model-update-fragment-more");
+    }
+
+    #[test]
+    fn held_memory_renders_only_when_read_and_as_written_bytes_would() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Memory that counts its renderings.
+        struct Counted(AtomicUsize);
+        impl GuestMemory for Counted {
+            fn render(&self) -> Vec<u8> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                b"decoded-fragments".to_vec()
+            }
+        }
+        let (_, mut platform, image, _) = setup();
+        let (ctx, _report) = platform.launch_measure(&image);
+        let cvm = ctx.finish();
+        let held = Arc::new(Counted(AtomicUsize::new(0)));
+        cvm.guest().hold(held.clone());
+        assert_eq!(held.0.load(Ordering::Relaxed), 0, "holding renders nothing");
+        let (dump, host) = (cvm.breach(), cvm.host_memory_image());
+        assert_eq!(held.0.load(Ordering::Relaxed), 2);
+        assert_eq!(dump.memory, b"decoded-fragments");
+        cvm.guest().write(b"decoded-fragments".to_vec());
+        assert_eq!(cvm.breach(), dump);
+        assert_eq!(cvm.host_memory_image(), host);
     }
 
     #[test]

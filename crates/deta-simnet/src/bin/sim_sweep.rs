@@ -20,12 +20,10 @@
 //! process-wide, so tracing a whole sweep would contaminate every run.
 
 use deta_core::supervise::FailoverPolicy;
-use deta_simnet::{FaultPlan, SeedReport, SimFleet, SimSpec};
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use deta_simnet::sweep::{self, Sweep};
+use deta_simnet::{FaultPlan, SimFleet, SimSpec};
 use std::time::Instant;
 
-const DEFAULT_SEEDS: u64 = 200;
 const DEFAULT_JSON: &str = "results/SIM_SEEDS.json";
 
 fn main() {
@@ -90,65 +88,21 @@ fn main() {
         std::process::exit(if report.violations.is_empty() { 0 } else { 1 });
     }
 
-    // The sweep: every seed twice, in parallel. A run only computes — its
-    // deadlines pass on a virtual clock — so one worker per core.
-    let (partial, seeds) = (seeds.is_some(), seeds.unwrap_or(DEFAULT_SEEDS));
+    // The sweep: every seed twice, in parallel, one worker per core.
+    let (partial, seeds) = (seeds.is_some(), seeds.unwrap_or(sweep::SEEDS));
     let started = Instant::now();
-    let todo: Vec<u64> = (0..seeds).flat_map(|s| [s, s]).collect();
-    let next = AtomicUsize::new(0);
     let workers = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut results: Vec<(u64, SeedReport)> = std::thread::scope(|scope| {
-        let worker = || {
-            let seeds = std::iter::from_fn(|| todo.get(next.fetch_add(1, Ordering::Relaxed)));
-            seeds.map(|&s| (s, fleet.run_seed(s))).collect::<Vec<_>>()
-        };
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker"))
-            .collect()
-    });
-    results.sort_by_key(|(s, _)| *s);
-
-    let mut failures = 0usize;
-    let mut fired_union: BTreeSet<&'static str> = BTreeSet::new();
-    let mut corpus: Vec<(u64, String, Vec<&'static str>)> = Vec::new();
-    for pair in results.chunks(2) {
-        let (seed, a) = &pair[0];
-        let (_, b) = &pair[1];
-        for r in [a, b] {
-            for v in &r.violations {
-                eprintln!("seed {seed}: VIOLATION: {v}");
-                failures += 1;
-            }
-        }
-        if a.verdict.class() != b.verdict.class() || a.fired_kinds != b.fired_kinds {
-            eprintln!(
-                "seed {seed}: NONDETERMINISTIC: run1 {}/{:?} vs run2 {}/{:?}",
-                a.verdict.class(),
-                a.fired_kinds,
-                b.verdict.class(),
-                b.fired_kinds
-            );
-            failures += 1;
-        }
-        fired_union.extend(a.fired_kinds.iter());
-        corpus.push((
-            *seed,
-            a.verdict.class().to_string(),
-            a.fired_kinds.iter().copied().collect(),
-        ));
+    let Sweep {
+        problems,
+        corpus,
+        fired: fired_union,
+    } = sweep::sweep(&fleet, seeds, workers);
+    for problem in &problems {
+        eprintln!("{problem}");
     }
+    let mut failures = problems.len();
     // Coverage is the full sweep's gate; a partial one only reports it.
-    for kind in [
-        "drop",
-        "duplicate",
-        "delay",
-        "corrupt",
-        "partition",
-        "crash",
-        "link_restart",
-    ] {
+    for kind in sweep::FAULT_KINDS {
         if !fired_union.contains(kind) {
             eprintln!("coverage: no seed in the sweep fired a {kind} fault");
             failures += usize::from(!partial);
@@ -177,19 +131,13 @@ fn main() {
         return;
     }
 
-    let json = render_corpus(&corpus);
+    let json = sweep::render_corpus(&corpus);
     let rewrite = std::env::var("DETA_SIM_REWRITE").is_ok_and(|v| v == "1");
     match std::fs::read_to_string(&json_path) {
         // A partial sweep checks a prefix of the corpus, and never writes it.
         Ok(existing) if !rewrite || partial => {
-            let entries = |text: &str| -> Vec<String> {
-                let lines = text.lines().map(|l| l.trim().trim_end_matches(','));
-                lines
-                    .filter(|l| l.starts_with('{'))
-                    .map(str::to_string)
-                    .collect()
-            };
-            let (committed, swept) = (entries(&existing), entries(&json));
+            let committed = sweep::corpus_entries(&existing);
+            let swept = sweep::corpus_entries(&json);
             let cover = if partial {
                 committed.get(..swept.len())
             } else {
@@ -238,25 +186,6 @@ fn main() {
         eprintln!("{failures} sweep failure(s)");
         std::process::exit(1);
     }
-}
-
-/// Hand-rolled corpus JSON (the workspace is dependency-free by policy):
-/// `[{"seed":0,"verdict":"parity","kinds":["drop"]}, ...]`.
-fn render_corpus(corpus: &[(u64, String, Vec<&'static str>)]) -> String {
-    let mut out = String::from("[\n");
-    for (i, (seed, class, kinds)) in corpus.iter().enumerate() {
-        let kinds_json = kinds
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!(
-            "  {{\"seed\":{seed},\"verdict\":\"{class}\",\"kinds\":[{kinds_json}]}}"
-        ));
-        out.push_str(if i + 1 < corpus.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
 }
 
 /// The value of `flag`, a number; a missing or unparsable one is a usage

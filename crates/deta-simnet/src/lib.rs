@@ -35,6 +35,7 @@
 
 pub mod fault;
 pub mod fleet;
+pub mod sweep;
 pub mod tap;
 
 pub use fault::{Fault, FaultKind, FaultPlan, SimPolicy, Topology};

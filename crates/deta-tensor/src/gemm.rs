@@ -17,6 +17,12 @@
 //! never reorders the sum of any one element. What the contract forbids:
 //! fused multiply-add or fast-math, partial sums over blocks of `k`, and
 //! accumulating into anything but a fresh `+0.0`.
+//!
+//! Under [`Store::Add`] the product is added to what `out` holds instead
+//! of overwriting it. The sum still starts at `+0.0`: each
+//! element's finished dot product is added to `out` once, as the tile is
+//! stored, so the result is the bits of the product written to a buffer
+//! of its own and then added to `out` element by element.
 
 use std::cell::RefCell;
 
@@ -87,6 +93,16 @@ impl<'a> Mat<'a> {
     }
 }
 
+/// What a product does with the output buffer it is given.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Store {
+    /// Overwrite it with the product.
+    Write,
+    /// Add the product to it: `out + Σ`, each element's sum complete
+    /// before it is added.
+    Add,
+}
+
 thread_local! {
     /// Packed `a` block, at most 15 floats of padding, then one packed
     /// `b` panel: at most `(MC + NR_AVX512) · k + 15` floats. It only
@@ -95,7 +111,10 @@ thread_local! {
     static PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Writes the row-major `[a.rows(), b.cols()]` product `a · b` to `out`.
+/// Stores the row-major `[a.rows(), b.cols()]` product `a · b` in `out`:
+/// writes it there ([`Store::Write`]), or adds it to what `out` holds
+/// ([`Store::Add`]), bit for bit what writing it to a buffer of its own
+/// and then `out[i] += product[i]` gives, without that buffer.
 ///
 /// There are three bodies, and nothing but the running CPU picks one:
 /// [`gemm_avx512`] when it reports AVX-512F, else [`gemm_avx2`] when it
@@ -109,34 +128,34 @@ thread_local! {
 /// # Panics
 ///
 /// Panics if the inner dimensions differ or `out` has the wrong length.
-pub fn gemm(a: Mat, b: Mat, out: &mut [f32]) {
-    if !gemm_avx512(a, b, out) && !gemm_avx2(a, b, out) {
-        gemm_portable(a, b, out);
+pub fn gemm(a: Mat, b: Mat, out: &mut [f32], store: Store) {
+    if !gemm_avx512(a, b, out, store) && !gemm_avx2(a, b, out, store) {
+        gemm_portable(a, b, out, store);
     }
 }
 
 /// [`gemm`]'s portable body, callable directly so tests can hold the
 /// bodies against each other.
-pub fn gemm_portable(a: Mat, b: Mat, out: &mut [f32]) {
+pub fn gemm_portable(a: Mat, b: Mat, out: &mut [f32], store: Store) {
     check(a, b, out);
-    PACKED.with_borrow_mut(|packed| run(a, b, out, packed, tile_portable));
+    PACKED.with_borrow_mut(|packed| run(a, b, out, store, packed, tile_portable));
 }
 
 /// [`gemm`]'s AVX2 body: the portable loop compiled with AVX2 enabled.
 /// Returns `false`, leaving `out` untouched, when the CPU has no AVX2
 /// (always, off x86-64).
-pub fn gemm_avx2(a: Mat, b: Mat, out: &mut [f32]) -> bool {
+pub fn gemm_avx2(a: Mat, b: Mat, out: &mut [f32], store: Store) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         check(a, b, out);
         PACKED.with_borrow_mut(|packed| {
             // SAFETY: `run_avx2` requires AVX2, which the line above just
             // observed on the CPU this thread is running on.
-            unsafe { run_avx2(a, b, out, packed) }
+            unsafe { run_avx2(a, b, out, store, packed) }
         });
         return true;
     }
-    let _ = (a, b, out);
+    let _ = (a, b, out, store);
     false
 }
 
@@ -144,31 +163,31 @@ pub fn gemm_avx2(a: Mat, b: Mat, out: &mut [f32]) -> bool {
 /// [`MR_AVX512`] × [`NR_AVX512`] tile of sixteen 16-lane accumulators.
 /// Returns `false`, leaving `out` untouched, when the CPU has no
 /// AVX-512F (always, off x86-64).
-pub fn gemm_avx512(a: Mat, b: Mat, out: &mut [f32]) -> bool {
+pub fn gemm_avx512(a: Mat, b: Mat, out: &mut [f32], store: Store) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx512f") {
         check(a, b, out);
         PACKED.with_borrow_mut(|packed| {
             // SAFETY: `run_avx512` requires AVX-512F, which the line above
             // just observed on the CPU this thread is running on.
-            unsafe { run_avx512(a, b, out, packed) }
+            unsafe { run_avx512(a, b, out, store, packed) }
         });
         return true;
     }
-    let _ = (a, b, out);
+    let _ = (a, b, out, store);
     false
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_avx2(a: Mat, b: Mat, out: &mut [f32], packed: &mut Vec<f32>) {
-    run(a, b, out, packed, |a, b| tile_avx2(a, b));
+fn run_avx2(a: Mat, b: Mat, out: &mut [f32], store: Store, packed: &mut Vec<f32>) {
+    run(a, b, out, store, packed, |a, b| tile_avx2(a, b));
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn run_avx512(a: Mat, b: Mat, out: &mut [f32], packed: &mut Vec<f32>) {
-    run(a, b, out, packed, |a, b| avx512::tile(a, b));
+fn run_avx512(a: Mat, b: Mat, out: &mut [f32], store: Store, packed: &mut Vec<f32>) {
+    run(a, b, out, store, packed, |a, b| avx512::tile(a, b));
 }
 
 fn check(a: Mat, b: Mat, out: &[f32]) {
@@ -187,12 +206,18 @@ fn run<const R: usize, const C: usize>(
     a: Mat,
     b: Mat,
     out: &mut [f32],
+    store: Store,
     packed: &mut Vec<f32>,
     tile: impl Fn(&[f32], &[f32]) -> [[f32; C]; R],
 ) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     if k == 0 {
-        out.fill(0.0);
+        // Every sum is empty, so `+0.0`; added, it still turns a `-0.0`
+        // into `+0.0`.
+        match store {
+            Store::Write => out.fill(0.0),
+            Store::Add => out.iter_mut().for_each(|o| *o += 0.0),
+        }
         return;
     }
     let a_len = m.min(MC).next_multiple_of(R) * k;
@@ -226,8 +251,21 @@ fn run<const R: usize, const C: usize>(
                 let r0 = panel * R;
                 for (r, acc_row) in acc.iter().enumerate().take(mc - r0) {
                     let at = (i0 + r0 + r) * n + j0;
-                    out[at..at + nc].copy_from_slice(&acc_row[..nc]);
+                    store_row(store, &mut out[at..at + nc], &acc_row[..nc]);
                 }
+            }
+        }
+    }
+}
+
+/// Stores finished sums into `out`, as `store` says.
+#[inline(always)]
+fn store_row(store: Store, out: &mut [f32], sums: &[f32]) {
+    match store {
+        Store::Write => out.copy_from_slice(sums),
+        Store::Add => {
+            for (o, &s) in out.iter_mut().zip(sums) {
+                *o += s;
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Element-wise operations, matrix products, and reductions.
 
-use crate::gemm::{gemm, Mat};
+use crate::gemm::{gemm, Mat, Store};
 use crate::Tensor;
 
 /// `a x b` as a fresh tensor; the three `matmul` variants differ only in
@@ -8,7 +8,7 @@ use crate::Tensor;
 fn product(a: Mat, b: Mat) -> Tensor {
     let shape = vec![a.rows(), b.cols()];
     let mut data = vec![0.0f32; a.rows() * b.cols()];
-    gemm(a, b, &mut data);
+    gemm(a, b, &mut data, Store::Write);
     Tensor { data, shape }
 }
 

@@ -2,7 +2,9 @@
 
 use deta_crypto::DetRng;
 use deta_proptest::{cases, Gen};
-use deta_tensor::gemm::{gemm_avx2, gemm_avx512, gemm_portable, MR, MR_AVX512, NR, NR_AVX512};
+use deta_tensor::gemm::{
+    gemm_avx2, gemm_avx512, gemm_portable, Mat, Store, MR, MR_AVX512, NR, NR_AVX512,
+};
 use deta_tensor::{col2im, im2col, ConvGeom, Tensor};
 
 fn close(a: f32, b: f32) -> bool {
@@ -152,9 +154,9 @@ fn portable_and_avx2_bodies_agree_bit_for_bit() {
         // packing walks run under both bodies.
         for b in [b.mat(), bt.mat().t()] {
             let mut portable = vec![f32::NAN; m * n];
-            gemm_portable(a.mat(), b, &mut portable);
+            gemm_portable(a.mat(), b, &mut portable, Store::Write);
             let mut avx2 = vec![f32::NAN; m * n];
-            if !gemm_avx2(a.mat(), b, &mut avx2) {
+            if !gemm_avx2(a.mat(), b, &mut avx2, Store::Write) {
                 return; // this CPU has only the portable body
             }
             assert_eq!(bits(&portable), bits(&avx2));
@@ -178,7 +180,7 @@ fn avx512_body_matches_reference_bit_for_bit() {
                 let want = bits(&reference_product(&a, &b));
                 for (a, b) in [(a.mat(), b.mat()), (at.mat().t(), bt.mat().t())] {
                     let mut got = vec![f32::NAN; m * n];
-                    if !gemm_avx512(a, b, &mut got) {
+                    if !gemm_avx512(a, b, &mut got, Store::Write) {
                         return; // this CPU has no AVX-512F body
                     }
                     assert_eq!(bits(&got), want, "[{m}, {k}] x [{k}, {n}]");
@@ -192,7 +194,7 @@ fn avx512_body_matches_reference_bit_for_bit() {
     let a = Tensor::from_vec(vec![-0.0, 0.0, -0.0], &[1, 3]);
     let b = Tensor::from_vec([[-0.0; 33], [0.0; 33], [1.0; 33]].concat(), &[3, 33]);
     let mut got = vec![f32::NAN; 33];
-    assert!(gemm_avx512(a.mat(), b.mat(), &mut got));
+    assert!(gemm_avx512(a.mat(), b.mat(), &mut got, Store::Write));
     assert_eq!(bits(&got), bits(&reference_product(&a, &b)));
     assert!(got.iter().all(|v| v.to_bits() == 0), "{got:?}");
     // A zero times a non-finite is NaN, in the last column of the second
@@ -202,10 +204,90 @@ fn avx512_body_matches_reference_bit_for_bit() {
         let mut b = Tensor::from_vec([[1.0; 33], [2.0; 33]].concat(), &[2, 33]);
         b.data_mut()[32] = poison;
         let mut got = vec![f32::NAN; 33];
-        assert!(gemm_avx512(a.mat(), b.mat(), &mut got));
+        assert!(gemm_avx512(a.mat(), b.mat(), &mut got, Store::Write));
         assert_eq!(bits(&got[..32]), bits(&[2.0; 32]));
         assert!(got[32].is_nan(), "0 x {poison}");
     }
+}
+
+/// A GEMM body as the tests call it: `false` when this CPU lacks it.
+type Body = fn(Mat, Mat, &mut [f32], Store) -> bool;
+
+/// The three bodies, by name.
+const BODIES: [(&str, Body); 3] = [
+    ("portable", |a, b, out, store| {
+        gemm_portable(a, b, out, store);
+        true
+    }),
+    ("avx2", gemm_avx2),
+    ("avx512", gemm_avx512),
+];
+
+/// A value that is often a signed zero, sometimes `±inf` or NaN, and
+/// otherwise Gaussian.
+fn special(rng: &mut DetRng) -> f32 {
+    match rng.gen_range(8) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => f32::NAN,
+        _ => rng.next_gaussian() as f32,
+    }
+}
+
+/// [`sparse_randn`] with one entry in 64 made `±inf` or NaN.
+fn poisoned(rows: usize, cols: usize, rng: &mut DetRng) -> Tensor {
+    let mut t = sparse_randn(rows, cols, rng);
+    for v in t.data_mut() {
+        if rng.gen_range(64) == 0 {
+            *v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.gen_range(3) as usize];
+        }
+    }
+    t
+}
+
+/// Equal bits, or NaN on both sides: the language leaves a NaN's
+/// payload unspecified, so only its being NaN is compared.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
+#[test]
+fn the_adding_store_is_product_then_add_bit_for_bit_on_every_body() {
+    cases(
+        "the_adding_store_is_product_then_add_bit_for_bit_on_every_body",
+        256,
+        |g| {
+            let (m, k, n) = (dim(g), g.usize_in(0, 12), dim(g));
+            let mut rng = DetRng::from_u64(g.u64());
+            let a = poisoned(m, k, &mut rng);
+            let b = poisoned(k, n, &mut rng);
+            let out: Vec<f32> = (0..m * n).map(|_| special(&mut rng)).collect();
+            let bt = b.transpose2();
+            // `b` once with unit column stride and once transposed, so both
+            // packing walks store under every body.
+            for b in [b.mat(), bt.mat().t()] {
+                for (body_name, body) in BODIES {
+                    let mut product = vec![f32::NAN; m * n];
+                    if !body(a.mat(), b, &mut product, Store::Write) {
+                        continue; // this CPU lacks the body
+                    }
+                    let want: Vec<f32> = out.iter().zip(&product).map(|(o, p)| o + p).collect();
+                    let mut got = out.clone();
+                    assert!(body(a.mat(), b, &mut got, Store::Add));
+                    assert!(
+                        same_bits(&got, &want),
+                        "{body_name} [{m}, {k}] x [{k}, {n}]: {got:?} against {want:?}"
+                    );
+                }
+            }
+        },
+    );
 }
 
 #[test]

@@ -19,51 +19,31 @@ echo "==> cargo test -q"
 # the wire layer's and control-plane codec's rejection cases, the
 # framing / replay-window / resume properties, the trace-merge
 # properties, the simnet and drill suites and the CLI's multi-process
-# and cluster-fault drills all live in crates/.
+# and cluster-fault drills all live in crates/. So do the 200-seed x2
+# sim corpus against results/SIM_SEEDS.json (deta-simnet/tests/corpus.rs;
+# DETA_SIM_REWRITE=1 sim_sweep regenerates it) and the drill report
+# against results/SECURITY_DRILLS.md, byte for byte
+# (deta-drills/tests/drills_pass.rs; security_drills --out refreshes it).
 cargo test -q
 
-echo "==> deta-tensor and the GEMM known answers under optimisation (the GEMM bodies against their reference)"
-# Nothing but the CPU selects a GEMM body: an AVX-512F register tile in
-# intrinsics, else the portable tile compiled for AVX2, else the portable
-# tile for the baseline target. The portable tile is plain arithmetic the
-# compiler vectorises only under optimisation, so the bodies-against-
-# reference properties and the known answers (local training included)
-# meet the code that runs in a release build. Say which bodies this host
-# exercised, so a runner without AVX-512F cannot pass this stage silently.
+echo "==> vector bodies this host exercised"
+# Nothing but the CPU selects a GEMM body (an AVX-512F 8 x 32 intrinsics
+# tile, else the portable 4 x 16 tile compiled for AVX2, else for the
+# baseline target) or a ChaCha20/Poly1305 body. `cargo test` above built
+# deta-tensor, deta-crypto, deta-core and deta-bignum at opt-level 3 (the
+# root Cargo.toml's test-profile overrides, debug assertions on), so the
+# bodies-against-reference properties and the known answers met the
+# vectorised code a release build runs. Say which bodies that was, so a
+# runner without AVX-512F cannot pass silently.
 CPU_FLAGS=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | cut -d: -f2) "
-BODIES="portable"
-[[ "$CPU_FLAGS" == *" avx2 "* ]] && BODIES="$BODIES, avx2 (4 x 16 tile)"
+BODIES="portable GEMM, scalar ChaCha20/Poly1305"
+[[ "$CPU_FLAGS" == *" avx2 "* ]] && BODIES="$BODIES, avx2 (4 x 16 GEMM tile, 8-lane ChaCha20)"
 if [[ "$CPU_FLAGS" == *" avx512f "* ]]; then
-  echo "    GEMM bodies exercised on this host: $BODIES, avx512f (8 x 32 tile)"
+  echo "    exercised: $BODIES, avx512f (8 x 32 GEMM tile, 16-lane ChaCha20, 8-lane Poly1305)"
 else
-  echo "    GEMM bodies exercised on this host: $BODIES"
-  echo "    8 x 32 AVX-512F tile not exercised: this CPU reports no avx512f"
+  echo "    exercised: $BODIES"
+  echo "    AVX-512F bodies not exercised: this CPU reports no avx512f"
 fi
-cargo test --release -q -p deta-tensor
-cargo test --release -q --test gemm_kat
-
-echo "==> deta-core under optimisation (the sorting network's vector body only exists there)"
-# The compare-exchange over a tile's lanes is a scalar loop in a debug
-# build; the reference properties and the known answers only meet the
-# vectorised kernel in a release build.
-cargo test --release -q -p deta-core
-cargo test --release -q --test agg_kat
-
-echo "==> deta-crypto under optimisation (the vector cipher and MAC bodies against their scalar references)"
-# Nothing but the CPU selects a ChaCha20 or Poly1305 body, so the
-# bodies-against-reference properties and the known answers exercise
-# only the bodies this host has. Say which, so a runner without
-# AVX-512F cannot pass this stage silently.
-BODIES="scalar"
-[[ "$CPU_FLAGS" == *" avx2 "* ]] && BODIES="$BODIES, avx2 (8-lane ChaCha20)"
-if [[ "$CPU_FLAGS" == *" avx512f "* ]]; then
-  echo "    bodies exercised on this host: $BODIES, avx512f (16-lane ChaCha20, 8-lane Poly1305)"
-else
-  echo "    bodies exercised on this host: $BODIES"
-  echo "    16-lane bodies not exercised: this CPU reports no avx512f"
-fi
-cargo test --release -q -p deta-crypto
-cargo test --release -q --test keystream_kat
 
 echo "==> frozen bench/ against this workspace (builds and runs its contract tests)"
 # bench/ is a workspace of its own (BENCHMARK.json forbids editing it),
@@ -88,14 +68,6 @@ if [ -n "$FROZEN_EDITS" ]; then
   exit 1
 fi
 
-echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
-# Every run is one thread stepping its nodes on a virtual clock, so a
-# deadline costs nothing to wait out: the sweep is CPU-bound (one worker
-# per core, a few seconds) and its verdicts cannot depend on load. The
-# corpus in results/SIM_SEEDS.json is verified, not rewritten — set
-# DETA_SIM_REWRITE=1 after an intentional behaviour change.
-cargo run --release -q -p deta-simnet --bin sim_sweep
-
 echo "==> telemetry overhead (4 parties x 4 aggregators, gate: <5% enabled, <1% disabled)"
 # Writes BENCH_telemetry.json to a temp dir (set DETA_BENCH_REWRITE=1 to
 # refresh the committed results/ copy); exits non-zero past either gate.
@@ -113,24 +85,6 @@ echo "==> reconnect latency (parity-gated TCP severs)"
 # injected TCP severs, asserting bit-exact metrics throughout, and
 # reports the recovery cost per reconnect.
 cargo run --release -q -p deta-bench --bin reconnect_latency
-
-echo "==> adversarial drills (>=10 attacks, each must be rejected with the right error)"
-# Regenerates the drill report to a temp path and diffs it against the
-# committed results/SECURITY_DRILLS.md: any FAIL row, any new drill, or
-# any changed rejection string shows up as a diff and fails the gate.
-# The report is deterministic by construction (structured errors only,
-# no timings or addresses). Run with DETA_BENCH_REWRITE unset — the
-# committed copy is refreshed by rerunning the binary with
-# --out results/SECURITY_DRILLS.md after an intentional change.
-DRILLS_OUT="$(mktemp /tmp/deta-drills-XXXXXX.md)"
-timeout 600 ./target/release/security_drills --out "$DRILLS_OUT"
-if ! diff "$DRILLS_OUT" results/SECURITY_DRILLS.md; then
-  echo "FAIL: regenerated drill report diverges from results/SECURITY_DRILLS.md" >&2
-  echo "      (rerun: cargo run --release -p deta-drills --bin security_drills -- --out results/SECURITY_DRILLS.md)" >&2
-  exit 1
-fi
-rm -f "$DRILLS_OUT"
-echo "    drill report deterministic and matches committed copy"
 
 echo "==> multi-process parity smoke (real OS processes over TCP loopback)"
 # One process per node via `deta-cli cluster`, fixed seed, round lines
