@@ -5,9 +5,9 @@
 //!   the dead node — not the socket hub's secondary disconnect fallout.
 //!   An in-process twin drives the same session with the runtime's own
 //!   stall fault and asserts the identical error shape.
-//! * Sever a party's TCP link twice via the hub's chaos plan and assert
-//!   the run's stdout is byte-for-byte that of the fault-free run —
-//!   link restarts must be observationally free.
+//! * Sever a party's and an aggregator's TCP link twice each via the
+//!   hub's chaos plan and assert the run's stdout is byte-for-byte that
+//!   of the fault-free run — link restarts must be observationally free.
 //! * Plan a sever past a party's traffic and assert the run fails,
 //!   naming the cut that never fired; plan one for the threaded
 //!   deployment, which has no link to cut, and assert it is refused.
@@ -214,11 +214,12 @@ fn arm_watchdog(pid: u32, secs: u64) {
     });
 }
 
-/// Tentpole proof: a cluster run whose `party-1` TCP link is abruptly
-/// severed *twice* by the hub's chaos plan produces byte-for-byte the
-/// stdout of the undisturbed run. The park/resume machinery must make
-/// a double link restart observationally free: same rounds, same
-/// losses, same byte counts, exit success.
+/// A cluster run whose `party-1` TCP link and whose `agg-0` link are
+/// each abruptly severed *twice* by the hub's chaos plan produces
+/// byte-for-byte the stdout of the undisturbed run. The park/resume
+/// machinery must make a double link restart on either side of the
+/// star observationally free: same rounds, same losses, same byte
+/// counts, exit success (a planned cut that never fired fails the run).
 #[test]
 fn chaos_severed_run_is_byte_identical_to_fault_free_run() {
     let _serial = one_cluster();
@@ -253,11 +254,19 @@ fn chaos_severed_run_is_byte_identical_to_fault_free_run() {
         out.stdout
     };
     let fault_free = run("fault-free.cfg", BASE);
-    // Thresholds 4 and 9 sit below one round's traffic, so both severs
-    // land early and the second interrupts an already-resumed link.
+    // Party thresholds 4 and 9 sit below one round's traffic, so both
+    // severs land early and the second interrupts an already-resumed
+    // link. agg-0's 3rd ingress frame is a setup `HelloReply`; its 16th
+    // is a round-1 `RoundStart`, so round 1's uploads reach agg-0 as a
+    // resumed backlog interleaving the parties on one counter: setup is
+    // 7 frames plus the heartbeats of agg-0's idle ticks, which vary with
+    // timing (printing agg-0's frames at the hub over six runs read 6 to
+    // 8 of them, so the 16th was always one of the three `RoundStart`).
+    // A resume so runs in both directions, over buffers that
+    // acknowledgements have been pruning.
     let chaos = run(
         "chaos.cfg",
-        &format!("{BASE}chaos_severs       = party-1@4,party-1@9\n"),
+        &format!("{BASE}chaos_severs       = party-1@4,party-1@9,agg-0@3,agg-0@16\n"),
     );
     assert!(
         String::from_utf8_lossy(&fault_free).contains("round 20 "),

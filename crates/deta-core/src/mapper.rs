@@ -30,10 +30,10 @@ use deta_crypto::DetRng;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelMapper {
-    /// `assignment[i]` = aggregator owning parameter `i`.
-    assignment: Vec<u16>,
     /// `positions[j][t]` = model index of slot `t` of aggregator `j`'s
-    /// fragment (fragment order is ascending model index).
+    /// fragment (fragment order is ascending model index). Every index
+    /// below the parameter count is in exactly one table; the assignment
+    /// they were built from is not kept.
     positions: Vec<Vec<u32>>,
 }
 
@@ -86,47 +86,41 @@ impl ModelMapper {
             assigned += 1;
             ri += 1;
         }
-        // Random interleaving with exact counts.
-        let mut assignment: Vec<u16> = Vec::with_capacity(n_params);
-        for (j, &s) in sizes.iter().enumerate() {
-            assignment.extend(std::iter::repeat_n(j as u16, s));
-        }
-        rng.shuffle(&mut assignment);
-        Self::from_assignment(assignment)
+        // Random interleaving with exact counts, labels one byte wide
+        // where they fit. Set-up measured slower with a `u16` label per
+        // parameter freed halfway through it (`fedavg_seq` `setup_s`
+        // +10 %, EXPERIMENTS.md "PR 37"); this form measured no slower
+        // than keeping that table for the session.
+        let positions = if n_aggregators <= 1 << u8::BITS {
+            interleave(&sizes, rng, |j| j as u8)
+        } else {
+            interleave(&sizes, rng, |j| j as u16)
+        };
+        ModelMapper { positions }
     }
 
-    /// Builds a mapper from an explicit assignment vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any aggregator in `0..=max` has an empty fragment would
-    /// not be an error, but an assignment referencing aggregator `j` must
-    /// be dense in the sense that fragments are indexed `0..=max(j)`.
+    /// Builds a mapper from an explicit assignment vector:
+    /// `assignment[i]` is the aggregator owning parameter `i`. Fragments
+    /// are indexed `0..=max(assignment)`; one that owns no parameter is
+    /// empty. Only the position tables are kept.
     pub fn from_assignment(assignment: Vec<u16>) -> ModelMapper {
         let k = assignment
             .iter()
             .copied()
             .max()
             .map_or(0, |m| m as usize + 1);
-        // Sized by a count first: grown by `push`, each table would end up
-        // with up to twice the capacity it needs, at model size.
         let mut sizes = vec![0usize; k];
         for &j in &assignment {
             sizes[j as usize] += 1;
         }
-        let mut positions: Vec<Vec<u32>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for (i, &j) in assignment.iter().enumerate() {
-            positions[j as usize].push(i as u32);
-        }
-        ModelMapper {
-            assignment,
-            positions,
-        }
+        let mut positions = tables(&sizes);
+        fill(&mut positions, &assignment);
+        ModelMapper { positions }
     }
 
     /// Number of parameters covered.
     pub fn n_params(&self) -> usize {
-        self.assignment.len()
+        self.positions.iter().map(Vec::len).sum()
     }
 
     /// Number of aggregators (fragments).
@@ -137,13 +131,6 @@ impl ModelMapper {
     /// Fragment length for aggregator `j`.
     pub fn fragment_len(&self, j: usize) -> usize {
         self.positions[j].len()
-    }
-
-    /// The aggregator owning parameter `i`, if `i` is in range — the
-    /// partition-ownership fact deta-simnet's privacy checker audits
-    /// against what each aggregator actually received.
-    pub fn owner_of(&self, i: usize) -> Option<u16> {
-        self.assignment.get(i).copied()
     }
 
     /// The model indices backing fragment `j`, in fragment order.
@@ -158,22 +145,40 @@ impl ModelMapper {
     /// Panics if `update.len()` differs from [`ModelMapper::n_params`].
     pub fn partition(&self, update: &[f32]) -> Vec<Vec<f32>> {
         (0..self.n_aggregators())
-            .map(|j| self.fragment_values(update, j).collect())
+            .map(|j| {
+                let mut fragment = Vec::new();
+                self.gather_fragment(j, &[update], &mut fragment);
+                fragment
+            })
             .collect()
     }
 
-    /// Fragment `j` of [`ModelMapper::partition`], value by value.
+    /// Gathers fragment `j`'s values, in fragment order, into `out`
+    /// (cleared, and reserved exactly: grown by `extend`'s doubling, a
+    /// buffer sized for one fragment would take twice the next, one
+    /// value longer). The mirror of [`ModelMapper::scatter_fragment`]:
+    /// the flat update is given in `parts`, consecutive pieces of it (a
+    /// model's parameter tensors, or one flat vector), and each part's
+    /// share of the fragment's ascending positions is one run, split off
+    /// where the part ends by a binary search.
     ///
     /// # Panics
     ///
-    /// Panics if `update.len()` differs from [`ModelMapper::n_params`].
-    pub fn fragment_values<'a>(
-        &'a self,
-        update: &'a [f32],
-        j: usize,
-    ) -> impl ExactSizeIterator<Item = f32> + 'a {
-        assert_eq!(update.len(), self.n_params(), "update length mismatch");
-        self.positions[j].iter().map(move |&i| update[i as usize])
+    /// Panics if the parts do not add up to the model's length.
+    pub(crate) fn gather_fragment(&self, j: usize, parts: &[&[f32]], out: &mut Vec<f32>) {
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        assert_eq!(total, self.n_params(), "update length mismatch");
+        let pos = &self.positions[j];
+        out.clear();
+        out.reserve_exact(pos.len());
+        let (mut pos, mut offset) = (&pos[..], 0);
+        for part in parts {
+            let end = offset + part.len();
+            let run = pos.partition_point(|&i| (i as usize) < end);
+            let (here, rest) = pos.split_at(run);
+            out.extend(here.iter().map(|&i| part[i as usize - offset]));
+            (pos, offset) = (rest, end);
+        }
     }
 
     /// Re-stitches fragments back into a flat update.
@@ -195,7 +200,7 @@ impl ModelMapper {
     }
 
     /// Writes fragment `j`'s values back to their model positions: the
-    /// inverse of [`ModelMapper::fragment_values`]. The flat update is
+    /// inverse of [`ModelMapper::gather_fragment`]. The flat update is
     /// given in `parts`, consecutive pieces of it (a model's parameter
     /// tensors, or one flat vector). A fragment's positions ascend, so
     /// each part's share of them is one run, split off where the part
@@ -221,6 +226,48 @@ impl ModelMapper {
             (pos, values, offset) = (rest, &values[run..], end);
         }
     }
+}
+
+/// Empty position tables, one per fragment, sized exactly: grown by
+/// `push`, each would end up with up to twice the capacity it needs, at
+/// model size.
+fn tables(sizes: &[usize]) -> Vec<Vec<u32>> {
+    sizes.iter().map(|&s| Vec::with_capacity(s)).collect()
+}
+
+/// Appends every index `i` to the table of its label `labels[i]`, so each
+/// table ascends.
+fn fill<T: Copy>(positions: &mut [Vec<u32>], labels: &[T])
+where
+    usize: From<T>,
+{
+    for (i, &j) in labels.iter().enumerate() {
+        positions[usize::from(j)].push(i as u32);
+    }
+}
+
+/// The position tables of a uniformly random interleaving of `sizes[j]`
+/// labels `j` each, drawn from `rng` by one Fisher-Yates shuffle of the
+/// labels written as `label` makes them. The shuffle's draws depend only
+/// on the count, so the width of a label does not change the mapper.
+/// The tables are allocated first, so the labels are freed where nothing
+/// was allocated after them.
+fn interleave<T: Copy>(
+    sizes: &[usize],
+    rng: &mut DetRng,
+    label: impl Fn(usize) -> T,
+) -> Vec<Vec<u32>>
+where
+    usize: From<T>,
+{
+    let mut positions = tables(sizes);
+    let mut labels: Vec<T> = Vec::with_capacity(sizes.iter().sum());
+    for (j, &s) in sizes.iter().enumerate() {
+        labels.extend(std::iter::repeat_n(label(j), s));
+    }
+    rng.shuffle(&mut labels);
+    fill(&mut positions, &labels);
+    positions
 }
 
 #[cfg(test)]
@@ -291,6 +338,24 @@ mod tests {
     }
 
     #[test]
+    fn the_width_of_a_label_does_not_change_the_mapper() {
+        let sizes = [40, 25, 35];
+        let narrow = interleave(&sizes, &mut rng(), |j| j as u8);
+        let wide = interleave(&sizes, &mut rng(), |j| j as u16);
+        assert_eq!(narrow, wide);
+        let mut labels = vec![0u16; 100];
+        for (j, table) in wide.iter().enumerate() {
+            assert_eq!(table.len(), sizes[j]);
+            for &i in table {
+                labels[i as usize] = j as u16;
+            }
+        }
+        assert_eq!(ModelMapper::from_assignment(labels).positions, wide);
+        let generated = ModelMapper::generate(100, 3, Some(&[0.4, 0.25, 0.35]), &mut rng());
+        assert_eq!(generated.positions, wide);
+    }
+
+    #[test]
     fn assignment_is_actually_random() {
         // A contiguous (non-random) split would put indices 0..25 all in
         // fragment 0; a shuffled one almost surely does not.
@@ -307,6 +372,106 @@ mod tests {
         let frags = m.partition(&update);
         assert_eq!(frags.len(), 1);
         assert_eq!(frags[0], update);
+    }
+
+    /// Fragment `j` gathered from `parts`.
+    fn gathered(m: &ModelMapper, j: usize, parts: &[&[f32]]) -> Vec<u32> {
+        let mut out = Vec::new();
+        m.gather_fragment(j, parts, &mut out);
+        assert_eq!(out.capacity(), m.fragment_len(j), "reserved exactly");
+        out.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Checks that gathering from `parts` is gathering from their
+    /// concatenation, bit for bit, for every fragment of a 3-way mapper.
+    fn gathers_like_one_vector(parts: &[&[f32]]) {
+        let flat = parts.concat();
+        let m = ModelMapper::generate(flat.len(), 3, None, &mut rng());
+        assert_eq!(m.n_aggregators(), 3);
+        for j in 0..3 {
+            assert_eq!(gathered(&m, j, parts), gathered(&m, j, &[&flat]), "{j}");
+        }
+        let bits = |f: &Vec<f32>| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let partition: Vec<Vec<u32>> = m.partition(&flat).iter().map(bits).collect();
+        assert_eq!(
+            partition,
+            (0..3).map(|j| gathered(&m, j, parts)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn gathering_from_pieces_cut_anywhere_is_gathering_from_the_whole() {
+        // NaN payloads and signed zeros travel as bits.
+        let update: Vec<f32> = (0..100)
+            .map(|i| match i % 5 {
+                0 => f32::from_bits(0x7fc0_0000 | i),
+                1 => -0.0,
+                2 => f32::NEG_INFINITY,
+                _ => i as f32 * 0.25,
+            })
+            .collect();
+        for cuts in [
+            vec![],
+            vec![0, 0, 100],
+            vec![1, 2, 3, 50, 99],
+            vec![37, 37, 64],
+        ] {
+            let mut parts = Vec::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([100]) {
+                parts.push(&update[at..cut]);
+                at = cut;
+            }
+            gathers_like_one_vector(&parts);
+        }
+    }
+
+    /// A model's trainable tensors, as `Sequential::params` yields them.
+    fn tensors(m: &deta_nn::Sequential) -> Vec<&[f32]> {
+        m.params().into_iter().map(|p| p.data()).collect()
+    }
+
+    #[test]
+    fn gathering_from_a_models_tensors_is_gathering_from_flat_params() {
+        use deta_nn::{Linear, Relu, Sequential};
+        let mut r = rng();
+        // Cuts at every tensor edge, a frozen layer `flat_params` skips,
+        // and one-value tensors narrower than the gap between two
+        // positions of one fragment.
+        let model = Sequential::new()
+            .push(Linear::new(6, 5, &mut r).freeze())
+            .push(Linear::new(5, 7, &mut r))
+            .push(Relu::new())
+            .push(Linear::new(7, 1, &mut r))
+            .push(Linear::new(1, 1, &mut r))
+            .push(Linear::new(1, 4, &mut r));
+        let flat = model.flat_params();
+        let parts = tensors(&model);
+        assert_eq!(parts.len(), 8);
+        assert_eq!(parts.concat(), flat);
+        let m = ModelMapper::generate(flat.len(), 3, None, &mut rng());
+        for j in 0..3 {
+            assert_eq!(gathered(&m, j, &parts), gathered(&m, j, &[&flat]), "{j}");
+        }
+        gathers_like_one_vector(&parts);
+    }
+
+    #[test]
+    fn an_empty_model_gathers_empty_fragments() {
+        let model = deta_nn::Sequential::new();
+        let m = ModelMapper::generate(0, 3, None, &mut rng());
+        assert_eq!((m.n_params(), m.n_aggregators()), (0, 3));
+        for j in 0..3 {
+            assert!(gathered(&m, j, &tensors(&model)).is_empty());
+            assert!(gathered(&m, j, &[&model.flat_params()]).is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "update length mismatch")]
+    fn gathering_from_parts_of_the_wrong_length_panics() {
+        let m = ModelMapper::generate(10, 2, None, &mut rng());
+        m.gather_fragment(0, &[&[0.0; 4], &[0.0; 5]], &mut Vec::new());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::aggregator::AggregatorNode;
-use crate::party::Party;
+use crate::party::{Party, ReplayRefused};
 use crate::rtmsg::{CtlMsg, SUPERVISOR};
 use deta_crypto::VerifyingKey;
 use deta_telemetry::TelemetryValue;
@@ -167,8 +167,10 @@ impl Actor for Party {
                 // again once every new channel verifies and re-registers.
                 self.control.ready = false;
             }
-            Input::Ctl(CtlMsg::Replay { round }) => {
-                self.replay_upload(round);
+            Input::Ctl(replay @ CtlMsg::Replay { round }) => {
+                if let Err(why) = self.replay_upload(round) {
+                    refused(&replay, round, why);
+                }
             }
             Input::Ctl(other) => ignored(&other),
         }
@@ -278,6 +280,19 @@ fn on_wire(msg: Message, handle: impl FnOnce(&str, Vec<u8>)) {
     let bytes = TelemetryValue::from(msg.payload.len());
     let _span = deta_telemetry::span("handle_wire").with_field("bytes", bytes);
     handle(&msg.from, msg.payload);
+}
+
+/// A `Replay` the party cannot serve ([`ReplayRefused`]): counted as an
+/// ignored directive, and recorded with the round and the reason.
+fn refused(replay: &CtlMsg, round: u64, why: ReplayRefused) {
+    ignored(replay);
+    deta_telemetry::event(
+        "replay_refused",
+        &[
+            ("round", TelemetryValue::from(round)),
+            ("reason", TelemetryValue::from(why.reason())),
+        ],
+    );
 }
 
 /// A directive this kind of node has no use for (a report, or the other

@@ -22,8 +22,9 @@ use crate::latency::timed;
 use crate::node::PartyControl;
 use crate::paillier_fusion::PaillierFusion;
 use crate::session::SyncMode;
+use crate::shuffle::Shuffled;
 use crate::transform::{RoundPermutations, Transformer};
-use crate::wire::{self, Msg, RecordFrame};
+use crate::wire::{self, AggregatedRecord, Msg, Opened, RecordFrame};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::{batch_gradient, train_local, LabeledData};
 use deta_nn::Sequential;
@@ -87,6 +88,31 @@ impl std::fmt::Display for PartyError {
 
 impl std::error::Error for PartyError {}
 
+/// Why a party cannot serve a failover's `Replay` of a round.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReplayRefused {
+    /// The session's failover policy never replays a round, so the party
+    /// kept no copy of its update past the upload.
+    NotKept,
+    /// The party holds no upload of that round: it sat the round out, or
+    /// never reached it.
+    NoUpload,
+    /// Paillier fusion is on: re-encrypting would consume fresh
+    /// randomness, so no replay could be byte-identical.
+    Paillier,
+}
+
+impl ReplayRefused {
+    /// The reason, as a telemetry field names it.
+    pub fn reason(self) -> &'static str {
+        match self {
+            ReplayRefused::NotKept => "not_kept",
+            ReplayRefused::NoUpload => "no_upload",
+            ReplayRefused::Paillier => "paillier",
+        }
+    }
+}
+
 /// An update-rewriting closure installed by [`Party::set_update_tamper`]:
 /// called with the round number and the post-LDP update about to upload.
 pub type UpdateTamper = Box<dyn FnMut(u64, &mut Vec<f32>) + Send>;
@@ -106,8 +132,9 @@ enum Link {
 /// holds is decided where downloads come in: plain values without
 /// Paillier material, ciphertexts with it.
 enum Download {
-    /// The aggregate, in transformed coordinates.
-    Plain(Vec<f32>),
+    /// The aggregate, in transformed coordinates, still in the record it
+    /// was opened in.
+    Plain(AggregatedRecord),
     /// Its homomorphic sum, to decrypt and average.
     Encrypted {
         ciphertexts: Vec<Ciphertext>,
@@ -184,6 +211,33 @@ impl AggPeer {
     }
 }
 
+/// The update a round uploads, as consecutive pieces of it: the flat
+/// vector the round made, or else the model's parameter tensors in
+/// flat-parameter order — one gather path, two sources.
+fn update_parts<'a>(flat: Option<&'a [f32]>, model: &'a Sequential) -> Vec<&'a [f32]> {
+    match flat {
+        Some(flat) => vec![flat],
+        None => model.params().into_iter().map(|p| p.data()).collect(),
+    }
+}
+
+/// An aggregated fragment ready to un-shuffle.
+enum Aggregate {
+    /// A plain aggregate, in the record it arrived in.
+    Opened(AggregatedRecord),
+    /// A homomorphic sum, decrypted and averaged.
+    Decrypted(Vec<f32>),
+}
+
+impl Aggregate {
+    fn shuffled(&self) -> Shuffled<'_> {
+        match self {
+            Aggregate::Opened(record) => Shuffled::Le(record.le_values()),
+            Aggregate::Decrypted(values) => Shuffled::Values(values),
+        }
+    }
+}
+
 /// One FL party.
 pub struct Party {
     /// Endpoint name.
@@ -235,11 +289,17 @@ pub struct Party {
     pub record_updates: bool,
     /// `(round, flat update)` log populated when `record_updates` is set.
     pub update_log: Vec<(u64, Vec<f32>)>,
+    /// Whether a failover can ask this party to replay a round: set by
+    /// [`crate::supervise::Supervisor::new`] under
+    /// [`crate::supervise::FailoverPolicy::Restart`], the one policy
+    /// that sends `Replay`. Off, the party keeps no copy of its update.
+    keeps_replay: bool,
     /// The last uploaded update `(round, training id, post-LDP values)`,
-    /// kept so a failed round can be replayed idempotently after an
-    /// aggregator failover without re-training (training consumes no
-    /// party randomness, so the stored update is bit-identical to what a
-    /// re-run would produce).
+    /// kept only while `keeps_replay` (and never under Paillier fusion,
+    /// which refuses replays), so a failed round can be replayed
+    /// idempotently after an aggregator failover without re-training
+    /// (training consumes no party randomness, so the stored update is
+    /// bit-identical to what a re-run would produce).
     last_upload: Option<(u64, [u8; 16], Vec<f32>)>,
     /// Adversarial-drill hook (see [`Party::set_update_tamper`]):
     /// mutates the post-LDP update before it is logged, retained, and
@@ -288,6 +348,7 @@ impl Party {
             privacy: PrivacyAccountant::default(),
             record_updates: false,
             update_log: Vec::new(),
+            keeps_replay: false,
             last_upload: None,
             update_tamper: None,
         }
@@ -370,32 +431,53 @@ impl Party {
         slot.say_hello(Some(token), &self.endpoint, &mut self.rng);
     }
 
+    /// Whether this party keeps a copy of each upload for a failover's
+    /// replay: the session's failover policy decides, through
+    /// [`crate::supervise::Supervisor::new`]. A party built without a
+    /// supervisor (one process per node, whose hub refuses failover)
+    /// keeps nothing.
+    pub(crate) fn keep_replays(&mut self, keep: bool) {
+        self.keeps_replay = keep;
+    }
+
     /// Replays the stored upload for `round` to the current aggregator
     /// set — the idempotent re-upload step of round replay after a
     /// failover. The mapper is fixed at setup, so each fragment goes to
-    /// its slot's aggregator with the bytes of the first upload. The
-    /// update log is not re-appended (one entry per trained round stays
-    /// the audit ground truth).
+    /// its slot's aggregator with the bytes of the first upload,
+    /// gathered again from the stored copy. The update log is not
+    /// re-appended (one entry per trained round stays the audit ground
+    /// truth).
     ///
-    /// Returns `false` when this party has no stored upload for `round`
-    /// (it skipped the round under partial participation, or never
-    /// reached it) or when Paillier fusion is active (re-encryption would
-    /// consume fresh randomness and break replay determinism).
-    pub fn replay_upload(&mut self, round: u64) -> bool {
-        let Some((r, tid, update)) = self.last_upload.clone() else {
-            return false;
-        };
-        if r != round || self.paillier.is_some() {
-            return false;
+    /// # Errors
+    ///
+    /// Why there is nothing to replay: Paillier fusion is active
+    /// (re-encryption would consume fresh randomness and break replay
+    /// determinism), the session's policy never replays so nothing was
+    /// kept, or this party holds no upload of `round` (it skipped the
+    /// round under partial participation, or never reached it).
+    pub fn replay_upload(&mut self, round: u64) -> Result<(), ReplayRefused> {
+        if self.paillier.is_some() {
+            return Err(ReplayRefused::Paillier);
         }
+        if !self.keeps_replay {
+            return Err(ReplayRefused::NotKept);
+        }
+        let (tid, update) = match self.last_upload.take() {
+            Some((r, tid, update)) if r == round => (tid, update),
+            held => {
+                self.last_upload = held;
+                return Err(ReplayRefused::NoUpload);
+            }
+        };
         let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
-        self.upload_fragments(round, &update, &perms, "upload_replayed");
+        self.upload_fragments(round, Some(&update), &perms, "upload_replayed");
+        self.last_upload = Some((round, tid, update));
         if self.current_round == Some((round, tid)) {
             // Still open: `finish_round` will want them. A replay of a
             // round already synchronized must not leave them behind.
             self.round_perms = Some(perms);
         }
-        true
+        Ok(())
     }
 
     /// Phase II step 2: completes handshakes from queued replies, then
@@ -470,7 +552,14 @@ impl Party {
         // A new round cannot replay the last one's upload.
         self.last_upload = None;
         self.snapshot_round_base();
-        let mut update: Vec<f32> = timed(&mut self.timers.train_s, || {
+        // Plain FedAvg uploads straight from the model's parameter
+        // tensors. A flat copy is made only for what reads or rewrites
+        // the update as one vector: LDP noise, a drill's tamper, the
+        // audit log, and the replay copy a failover may ask for.
+        let keep = self.keeps_replay && self.paillier.is_none();
+        let flat =
+            keep || self.cfg.ldp.is_some() || self.update_tamper.is_some() || self.record_updates;
+        let mut update: Option<Vec<f32>> = timed(&mut self.timers.train_s, || {
             let _span = deta_telemetry::span("local_train")
                 .with_field("round", TelemetryValue::from(round));
             match self.cfg.mode {
@@ -483,7 +572,7 @@ impl Party {
                         self.cfg.lr,
                     );
                     self.last_train_loss = stats.loss;
-                    self.model.flat_params()
+                    flat.then(|| self.model.flat_params())
                 }
                 SyncMode::FedSgd => {
                     // One batch per round, cycling deterministically.
@@ -494,89 +583,107 @@ impl Party {
                     let (x, y) = self.data.slice(start, end);
                     let (loss, grad) = batch_gradient(&mut self.model, &x, y);
                     self.last_train_loss = loss;
-                    grad
+                    Some(grad)
                 }
             }
         });
-        if let Some(ldp) = self.cfg.ldp {
-            // LDP perturbation happens on the party's device, before any
-            // transformation — aggregators only ever see noised values.
-            // The mechanism protects the party's *contribution*: for
-            // FedAvg that is the parameter delta against the shared round
-            // base (raw parameters have unbounded sensitivity), for
-            // FedSGD it is the gradient itself.
-            match self.cfg.mode {
-                SyncMode::FedAvg => {
-                    let mut delta: Vec<f32> = update
-                        .iter()
-                        .zip(self.round_base.iter())
-                        .map(|(n, b)| n - b)
-                        .collect();
-                    gaussian_mechanism(&mut delta, &ldp, &mut self.privacy, &mut self.rng);
-                    for (u, (b, d)) in update
-                        .iter_mut()
-                        .zip(self.round_base.iter().zip(delta.iter()))
-                    {
-                        *u = b + d;
-                    }
-                }
-                SyncMode::FedSgd => {
-                    gaussian_mechanism(&mut update, &ldp, &mut self.privacy, &mut self.rng);
-                }
+        if let Some(update) = update.as_mut() {
+            self.perturb(update);
+            if let Some(tamper) = self.update_tamper.as_mut() {
+                tamper(round, update);
             }
-        }
-        if let Some(tamper) = self.update_tamper.as_mut() {
-            tamper(round, &mut update);
-        }
-        if self.record_updates {
-            self.update_log.push((round, update.clone()));
+            if self.record_updates {
+                self.update_log.push((round, update.clone()));
+            }
         }
         let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
         if self.paillier.is_some() {
             let fragments = timed(&mut self.timers.transform_s, || {
                 let _span = deta_telemetry::span("transform")
                     .with_field("round", TelemetryValue::from(round));
-                self.transformer.transform_with(&update, &perms)
+                let parts = update_parts(update.as_deref(), &self.model);
+                self.transformer.transform_parts(&parts, &perms)
             });
             self.upload_encrypted(round, &fragments)?;
         } else {
-            self.upload_fragments(round, &update, &perms, "upload");
+            self.upload_fragments(round, update.as_deref(), &perms, "upload");
         }
         self.round_perms = Some(perms);
-        self.last_upload = Some((round, tid, update));
+        if keep {
+            self.last_upload = update.map(|update| (round, tid, update));
+        }
         Ok(())
+    }
+
+    /// LDP perturbation, on the party's device, before any
+    /// transformation — aggregators only ever see noised values. The
+    /// mechanism protects the party's *contribution*: for FedAvg that is
+    /// the parameter delta against the shared round base (raw parameters
+    /// have unbounded sensitivity), for FedSGD it is the gradient itself.
+    fn perturb(&mut self, update: &mut [f32]) {
+        let Some(ldp) = self.cfg.ldp else {
+            return;
+        };
+        match self.cfg.mode {
+            SyncMode::FedAvg => {
+                let mut delta: Vec<f32> = update
+                    .iter()
+                    .zip(self.round_base.iter())
+                    .map(|(n, b)| n - b)
+                    .collect();
+                gaussian_mechanism(&mut delta, &ldp, &mut self.privacy, &mut self.rng);
+                for (u, (b, d)) in update
+                    .iter_mut()
+                    .zip(self.round_base.iter().zip(delta.iter()))
+                {
+                    *u = b + d;
+                }
+            }
+            SyncMode::FedSgd => {
+                gaussian_mechanism(update, &ldp, &mut self.privacy, &mut self.rng);
+            }
+        }
     }
 
     /// `Trans(update)` and its upload: each fragment's permuted values
     /// are gathered straight into the `Record` frame that is then sealed
     /// where it lies and sent, so a fragment exists once on this side of
-    /// the wire. All frames are filled before the first is sealed, so the
-    /// transform keeps one span and one timer.
+    /// the wire. The update is `flat` when the round made one, and the
+    /// model's parameter tensors otherwise. All frames are filled before
+    /// the first is sealed, so the transform keeps one span and one
+    /// timer.
     fn upload_fragments(
         &mut self,
         round: u64,
-        update: &[f32],
+        flat: Option<&[f32]>,
         perms: &RoundPermutations,
         event: &'static str,
     ) {
-        let frames: Vec<_> = timed(&mut self.timers.transform_s, || {
+        let Party {
+            transformer,
+            model,
+            aggregators,
+            endpoint,
+            timers,
+            ..
+        } = self;
+        let frames: Vec<_> = timed(&mut timers.transform_s, || {
             let _span =
                 deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
+            let parts = update_parts(flat, model);
             let mut scratch = Vec::new();
-            (0..self.transformer.n_fragments())
+            (0..transformer.n_fragments())
                 .map(|j| {
-                    let values = self
-                        .transformer
-                        .fragment_values(update, perms, j, &mut scratch);
+                    let values = transformer.fragment_values(&parts, perms, j, &mut scratch);
                     (values.len(), RecordFrame::upload(round, values))
                 })
                 .collect()
         });
         // Record `j` is fragment `j`'s aggregator.
-        let routed = self.aggregators.iter_mut().zip(frames);
+        let routed = aggregators.iter_mut().zip(frames);
         for (j, (agg, (values, frame))) in routed.enumerate() {
             if let Ok(frame) = frame {
-                agg.seal_and_send(&self.endpoint, frame);
+                agg.seal_and_send(endpoint, frame);
             }
             deta_telemetry::event(
                 event,
@@ -691,9 +798,9 @@ impl Party {
             .aggregators
             .iter_mut()
             .filter_map(|a| a.download.take());
-        let fragments: Vec<Vec<f32>> = downloads
+        let aggregates: Vec<Aggregate> = downloads
             .filter_map(|(_, download)| match (download, paillier) {
-                (Download::Plain(fragment), None) => Some(fragment),
+                (Download::Plain(record), None) => Some(Aggregate::Opened(record)),
                 (
                     Download::Encrypted {
                         ciphertexts,
@@ -707,15 +814,17 @@ impl Party {
                         .codec
                         .decrypt_sum(&p.keys.private, &ciphertexts, values, summands);
                     // Equal-weight average of the homomorphic sum.
-                    sums.iter().map(|&s| s / summands as f32).collect()
+                    Aggregate::Decrypted(sums.iter().map(|&s| s / summands as f32).collect())
                 })),
                 // Refused where downloads come in.
                 _ => None,
             })
             .collect();
         // The aggregate is un-shuffled straight into the model's parameter
-        // tensors: FedAvg's new parameters, or FedSGD's gradient for the
-        // step below to turn into parameters.
+        // tensors, a plain one out of the bytes of the records it came in:
+        // FedAvg's new parameters, or FedSGD's gradient for the step
+        // below to turn into parameters.
+        let fragments: Vec<Shuffled<'_>> = aggregates.iter().map(Aggregate::shuffled).collect();
         let mut params: Vec<&mut [f32]> = (self.model.params_mut().into_iter())
             .map(|p| p.data_mut())
             .collect();
@@ -838,7 +947,7 @@ impl Party {
         let Link::Up(chan) = &mut agg.link else {
             return;
         };
-        let Some(inner) = wire::open_record(chan, frame) else {
+        let Some(opened) = wire::open_download(chan, frame) else {
             return;
         };
         // A download is checked against the fragment this aggregator owes
@@ -861,24 +970,16 @@ impl Party {
                 );
             }
         };
-        match inner {
-            Msg::RegisterAck => agg.acked = true,
-            Msg::RoundStart { round, training_id }
-                // Re-announcements of already-synchronized rounds are
-                // dropped so supervisor retries stay idempotent.
-                if round > self.last_finished_round =>
+        let inner = match opened {
+            // Guard against stale deliveries: aggregates for
+            // already-synchronized rounds are dropped; the live round's
+            // (or, transiently, the next round's) are kept, in the record
+            // they were opened in. So is the kind this party cannot read:
+            // plain values under Paillier fusion, ciphertexts without it.
+            Opened::Aggregated(record)
+                if record.round() > self.last_finished_round && self.paillier.is_none() =>
             {
-                self.current_round = Some((round, training_id));
-            }
-            Msg::Aggregated { round, fragment }
-                // Guard against stale deliveries: aggregates for
-                // already-synchronized rounds are dropped; the live
-                // round's (or, transiently, the next round's) are kept.
-                // So is the kind this party cannot read: plain values
-                // under Paillier fusion, ciphertexts without it.
-                if round > self.last_finished_round && self.paillier.is_none() =>
-            {
-                let values = fragment.len();
+                let (round, values) = (record.round(), record.len());
                 if values != fragment_len {
                     return refuse("Aggregated", round);
                 }
@@ -889,7 +990,23 @@ impl Party {
                         ("values", TelemetryValue::from(values)),
                     ],
                 );
-                agg.download = Some((round, Download::Plain(fragment)));
+                agg.download = Some((round, Download::Plain(record)));
+                return;
+            }
+            Opened::Aggregated(_) => {
+                deta_telemetry::metrics::counter_add("deta_wire_ignored_total", "Aggregated", 1);
+                return;
+            }
+            Opened::Msg(msg) => msg,
+        };
+        match inner {
+            Msg::RegisterAck => agg.acked = true,
+            Msg::RoundStart { round, training_id }
+                // Re-announcements of already-synchronized rounds are
+                // dropped so supervisor retries stay idempotent.
+                if round > self.last_finished_round =>
+            {
+                self.current_round = Some((round, training_id));
             }
             Msg::AggregatedEncrypted {
                 round,
@@ -926,7 +1043,8 @@ impl Party {
             // Out-of-protocol inner messages and guard-failed downloads
             // (a stale round's RoundStart or aggregate, an aggregate of
             // the wrong kind) land here; the drop is deliberate and
-            // counted.
+            // counted. (A plain aggregate never gets here: it is opened
+            // as `Opened::Aggregated`.)
             other @ (Msg::Hello { .. }
             | Msg::HelloReply { .. }
             | Msg::Record { .. }
@@ -950,21 +1068,37 @@ impl Party {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{DetaConfig, DetaSession};
+    use crate::session::{DetaConfig, DetaSession, SessionParts};
+    use crate::supervise::{FailoverPolicy, RuntimeConfig};
     use deta_datasets::{iid_partition, DatasetSpec};
     use deta_nn::models::mlp;
 
     const TID: [u8; 16] = [0x5a; 16];
 
     fn session(n_parties: usize, participation: Option<usize>) -> (DetaSession, LabeledData) {
+        session_under(FailoverPolicy::None, n_parties, participation)
+    }
+
+    /// A session under the failover `policy`: `Restart` is the one that
+    /// replays rounds.
+    fn session_under(
+        policy: FailoverPolicy,
+        n_parties: usize,
+        participation: Option<usize>,
+    ) -> (DetaSession, LabeledData) {
         let spec = DatasetSpec::mnist_like().at_resolution(8);
         let shards = iid_partition(&spec.generate(20 * n_parties, 1), n_parties, 2);
         let mut cfg = DetaConfig::deta(n_parties, 2);
         cfg.seed = 11;
         cfg.participation = participation;
         let (dim, classes) = (spec.dim(), spec.classes);
-        let s = DetaSession::setup(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards)
-            .expect("session sets up");
+        let builder = move |rng: &mut DetRng| mlp(&[dim, 12, classes], rng);
+        let parts = SessionParts::build(cfg, &builder, shards).expect("session builds");
+        let rt = RuntimeConfig {
+            failover: policy,
+            ..RuntimeConfig::default()
+        };
+        let s = DetaSession::bootstrap(parts, rt).expect("session sets up");
         (s, spec.generate(16, 9))
     }
 
@@ -1020,7 +1154,7 @@ mod tests {
     fn a_replay_resends_the_first_upload_from_the_held_set() {
         // What `Restart` asks of a party: round 1 is open, party 0 has
         // uploaded, and the round replays to the same mapper slots.
-        let (mut s, _test) = session(2, None);
+        let (mut s, _test) = session_under(FailoverPolicy::Restart, 2, None);
         open_round_and_upload(&mut s, 1, TID);
         let held = |s: &mut DetaSession| -> Vec<Vec<(u64, String, Vec<u32>)>> {
             (0..3)
@@ -1035,7 +1169,7 @@ mod tests {
         };
         let first = held(&mut s);
         let p = s.party_mut(0);
-        let derived = derivations_in(|| assert!(p.replay_upload(1)));
+        let derived = derivations_in(|| assert_eq!(p.replay_upload(1), Ok(())));
         assert_eq!(derived, 0, "the set held since the upload is reused");
         let again = held(&mut s);
         for (j, uploads) in again.iter().enumerate() {
@@ -1043,6 +1177,60 @@ mod tests {
             assert_eq!((uploads[0].0, uploads[0].1.as_str()), (1, "party-0"));
         }
         assert_eq!(again, first, "the replay is the first upload, bit for bit");
+    }
+
+    #[test]
+    fn a_party_keeps_its_update_only_when_a_failover_can_ask_for_it() {
+        for (policy, kept) in [
+            (FailoverPolicy::None, false),
+            (FailoverPolicy::Restart, true),
+        ] {
+            let (mut s, _test) = session_under(policy, 2, None);
+            open_round_and_upload(&mut s, 1, TID);
+            let p = s.party_mut(0);
+            assert_eq!(p.last_upload.is_some(), kept, "{policy:?}");
+            let logged = &p.update_log[0];
+            if let Some((round, tid, update)) = &p.last_upload {
+                assert_eq!((*round, tid, update), (1, &TID, &logged.1));
+            }
+            let replay = p.replay_upload(1);
+            assert_eq!(replay.is_ok(), kept, "{policy:?}: {replay:?}");
+            if !kept {
+                assert_eq!(replay, Err(ReplayRefused::NotKept));
+            }
+        }
+    }
+
+    #[test]
+    fn a_plain_fedavg_round_uploads_what_flat_params_would() {
+        // No flat copy under `None`, one under `Restart`: the fragments
+        // the aggregators hold are the same bits either way.
+        let held = |policy| {
+            let (mut s, _test) = session_under(policy, 2, None);
+            let tid = TID;
+            s.aggregator_mut(0).begin_round(1, tid).expect("initiator");
+            for j in 0..3 {
+                s.aggregator_mut(j).pump();
+            }
+            let p = s.party_mut(0);
+            assert_eq!(p.poll_round_start(), Some((1, tid)));
+            p.run_local_round().expect("announced round runs");
+            let want = p.transformer().transform(&p.model.flat_params(), &tid);
+            let got: Vec<Vec<u32>> = (0..3)
+                .map(|j| {
+                    let agg = s.aggregator_mut(j);
+                    agg.pump();
+                    let (_, _, f) = agg.pending_uploads().pop().expect("one upload");
+                    f.iter().map(|x| x.to_bits()).collect()
+                })
+                .collect();
+            let want: Vec<Vec<u32>> = (want.iter())
+                .map(|f| f.iter().map(|x| x.to_bits()).collect())
+                .collect();
+            assert_eq!(got, want, "{policy:?}");
+            got
+        };
+        assert_eq!(held(FailoverPolicy::None), held(FailoverPolicy::Restart));
     }
 
     #[test]
@@ -1091,15 +1279,14 @@ mod tests {
         // it finishes and drops the set before party-1 gets to it, so
         // party-1 derives again: 6.
         let (mut s, test) = session(2, Some(1));
+        s.party_mut(0).record_updates = true;
         let counts: Vec<(usize, bool)> = (0..4)
             .map(|_| {
                 let n = derivations_in(|| {
                     s.step(&test);
                 });
-                (
-                    n,
-                    s.party_mut(0).last_upload.as_ref().map(|u| u.0) == Some(s.completed_rounds()),
-                )
+                let log = &s.party_mut(0).update_log;
+                (n, log.last().map(|u| u.0) == Some(s.completed_rounds()))
             })
             .collect();
         for (n, party0_trained) in &counts {

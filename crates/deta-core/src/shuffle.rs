@@ -125,26 +125,48 @@ impl RoundPermutation {
     /// Panics on length mismatch.
     pub fn invert(&self, shuffled: &[f32]) -> Vec<f32> {
         let mut out = Vec::new();
-        self.invert_into(shuffled, &mut out);
+        self.invert_into(Shuffled::Values(shuffled), &mut out);
         out
     }
 
     /// [`RoundPermutation::invert`] into `out`, which a caller reuses from
-    /// one fragment to the next. Crate-private like the indices.
+    /// one fragment to the next, from values or from the bytes they
+    /// arrived as. Crate-private like the indices.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
-    pub(crate) fn invert_into(&self, shuffled: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(shuffled.len(), self.perm.len(), "length mismatch");
+    pub(crate) fn invert_into(&self, shuffled: Shuffled<'_>, out: &mut Vec<f32>) {
+        let n = self.perm.len();
         out.clear();
         // Exactly, as `Transformer::fragment_values` sizes its scratch.
-        out.reserve_exact(shuffled.len());
-        out.resize(shuffled.len(), 0.0);
-        for (t, &s) in self.perm.iter().enumerate() {
-            out[s as usize] = shuffled[t];
+        out.reserve_exact(n);
+        out.resize(n, 0.0);
+        match shuffled {
+            Shuffled::Values(values) => {
+                assert_eq!(values.len(), n, "length mismatch");
+                for (&s, &v) in self.perm.iter().zip(values) {
+                    out[s as usize] = v;
+                }
+            }
+            Shuffled::Le(bytes) => {
+                assert_eq!(bytes.len(), 4 * n, "length mismatch");
+                for (&s, b) in self.perm.iter().zip(bytes.chunks_exact(4)) {
+                    out[s as usize] = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+                }
+            }
         }
     }
+}
+
+/// A fragment in shuffled order, as a party holds it when it un-shuffles.
+#[derive(Clone, Copy)]
+pub(crate) enum Shuffled<'a> {
+    /// The values.
+    Values(&'a [f32]),
+    /// Little-endian `f32`s, as they lie in the record they arrived in;
+    /// read bit for bit, NaN payloads included.
+    Le(&'a [u8]),
 }
 
 #[cfg(test)]
@@ -211,6 +233,35 @@ mod tests {
         shuffled.sort_by(|a, b| a.partial_cmp(b).unwrap());
         orig.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(shuffled, orig);
+    }
+
+    #[test]
+    fn inverting_the_bytes_is_inverting_the_decoded_values_bit_for_bit() {
+        let p = RoundPermutation::derive(&KEY, &TID, 3, 64);
+        let values: Vec<f32> = (0..64u32)
+            .map(|i| match i % 6 {
+                0 => f32::from_bits(0x7f80_0001 + i), // signalling NaN payloads
+                1 => f32::from_bits(0xffc0_0000 | i), // negative quiet NaNs
+                2 => -0.0,
+                3 => f32::INFINITY,
+                4 => f32::NEG_INFINITY,
+                _ => f32::from_bits(i), // subnormals
+            })
+            .collect();
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let (mut from_values, mut from_bytes) = (Vec::new(), vec![1.0; 7]);
+        p.invert_into(Shuffled::Values(&values), &mut from_values);
+        p.invert_into(Shuffled::Le(&bytes), &mut from_bytes);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&from_bytes), bits(&from_values));
+        assert_eq!(bits(&p.apply(&from_bytes)), bits(&values));
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn bytes_that_are_not_the_fragment_are_refused() {
+        let p = RoundPermutation::derive(&KEY, &TID, 0, 4);
+        p.invert_into(Shuffled::Le(&[0; 15]), &mut Vec::new());
     }
 
     #[test]

@@ -405,6 +405,9 @@ impl Supervisor {
     /// hands back what the session hosts — the parties, the aggregators —
     /// and the model replica to evaluate on. With `report_params` the
     /// first party of each round reports its parameters for that replica.
+    /// This is where the parties meet the runtime policy: each is told
+    /// whether a failover may ask it to replay a round, and so whether it
+    /// keeps a copy of its update.
     pub fn new(
         parts: SessionParts,
         cfg: RuntimeConfig,
@@ -431,11 +434,17 @@ impl Supervisor {
             last_seen: HashMap::new(),
         };
         let SessionParts {
-            parties,
+            mut parties,
             aggregators,
             eval_model,
             ..
         } = parts;
+        // Only `Restart` ever sends a party `Replay`; under any other
+        // policy a party keeps no copy of its update past the upload.
+        let replays = supervisor.cfg.failover == FailoverPolicy::Restart;
+        for party in &mut parties {
+            party.keep_replays(replays);
+        }
         (supervisor, parties, aggregators, eval_model)
     }
 

@@ -12,7 +12,7 @@
 )]
 
 use crate::mapper::ModelMapper;
-use crate::shuffle::RoundPermutation;
+use crate::shuffle::{RoundPermutation, Shuffled};
 use deta_crypto::Secret;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
@@ -73,9 +73,9 @@ impl TransformConfig {
 /// ```
 #[derive(Clone)]
 pub struct Transformer {
-    /// Shared: the table is two index vectors the size of the model, and
-    /// every party of a process holds a clone of the transformer. It is
-    /// fixed for the session.
+    /// Shared: the position tables are a `u32` per parameter, and every
+    /// party of a process holds a clone of the transformer. It is fixed
+    /// for the session.
     mapper: Arc<ModelMapper>,
     perm_key: Secret<[u8; 32]>,
     config: TransformConfig,
@@ -193,10 +193,25 @@ impl Transformer {
     ///
     /// Panics if `update.len()` or `perms` mismatch the mapper.
     pub fn transform_with(&self, update: &[f32], perms: &RoundPermutations) -> Vec<Vec<f32>> {
+        self.transform_parts(&[update], perms)
+    }
+
+    /// [`Transformer::transform_with`] of the update whose consecutive
+    /// pieces are `parts`, such as a model's parameter tensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts' lengths do not add up to the mapper's, or
+    /// `perms` mismatch it.
+    pub(crate) fn transform_parts(
+        &self,
+        parts: &[&[f32]],
+        perms: &RoundPermutations,
+    ) -> Vec<Vec<f32>> {
         let mut scratch = Vec::new();
         (0..self.n_fragments())
             .map(|j| {
-                self.fragment_values(update, perms, j, &mut scratch)
+                self.fragment_values(parts, perms, j, &mut scratch)
                     .collect()
             })
             .collect()
@@ -205,29 +220,28 @@ impl Transformer {
     /// Fragment `j` of `Trans(update)`, value by value in upload order,
     /// for a caller that writes the values where they are going
     /// ([`crate::wire::RecordFrame::upload`]);
-    /// [`Transformer::transform_with`] collects exactly this. The
-    /// partition goes through `scratch`, which callers reuse from one
-    /// fragment to the next: permuting out of a fragment-sized buffer
+    /// [`Transformer::transform_with`] collects exactly this. The update
+    /// is given in `parts`, consecutive pieces of it: a model's parameter
+    /// tensors in flat-parameter order ([`deta_nn::Sequential::params`]),
+    /// so a party uploads without a model-sized copy, or one flat vector.
+    /// The partition is gathered into `scratch`, which callers reuse from
+    /// one fragment to the next: permuting out of a fragment-sized buffer
     /// stays in cache, which gathering through both index tables at once
     /// (half the speed, measured at 10⁶ parameters) does not.
     ///
     /// # Panics
     ///
-    /// Panics if `update.len()`, `perms` or `j` mismatch the mapper.
+    /// Panics if the parts' lengths do not add up to the mapper's, or
+    /// `perms` or `j` mismatch it.
     pub fn fragment_values<'a>(
         &'a self,
-        update: &[f32],
+        parts: &[&[f32]],
         perms: &'a RoundPermutations,
         j: usize,
         scratch: &'a mut Vec<f32>,
     ) -> impl ExactSizeIterator<Item = f32> + 'a {
         assert_eq!(perms.perms.len(), self.n_fragments(), "permutation count");
-        let values = self.mapper.fragment_values(update, j);
-        scratch.clear();
-        // Exactly: grown by `extend`'s doubling, a scratch sized for one
-        // fragment would take twice the next, one value longer.
-        scratch.reserve_exact(values.len());
-        scratch.extend(values);
+        self.mapper.gather_fragment(j, parts, scratch);
         perms.perms[j].permuted(scratch)
     }
 
@@ -248,7 +262,8 @@ impl Transformer {
     /// Panics if fragment counts/lengths or `perms` mismatch the mapper.
     pub fn inverse_with(&self, fragments: &[Vec<f32>], perms: &RoundPermutations) -> Vec<f32> {
         let mut out = vec![0.0f32; self.mapper.n_params()];
-        self.inverse_into(fragments, perms, &mut [&mut out]);
+        let fragments: Vec<Shuffled<'_>> = fragments.iter().map(|f| Shuffled::Values(f)).collect();
+        self.inverse_into(&fragments, perms, &mut [&mut out]);
         out
     }
 
@@ -256,7 +271,8 @@ impl Transformer {
     /// goes: `parts` are consecutive pieces of it, such as a model's
     /// parameter tensors in flat-parameter order, so a party merges into
     /// its model without a model-sized buffer. Every element of `parts`
-    /// is overwritten.
+    /// is overwritten. A fragment may be given as the bytes it arrived
+    /// in ([`Shuffled::Le`]), so a party decodes no download either.
     ///
     /// # Panics
     ///
@@ -264,7 +280,7 @@ impl Transformer {
     /// or the parts' lengths do not add up to its parameter count.
     pub(crate) fn inverse_into(
         &self,
-        fragments: &[Vec<f32>],
+        fragments: &[Shuffled<'_>],
         perms: &RoundPermutations,
         parts: &mut [&mut [f32]],
     ) {
@@ -281,7 +297,7 @@ impl Transformer {
         // One scratch for every fragment, as in `fragment_values`: each is
         // un-shuffled into it and scattered straight to model positions.
         let mut scratch = Vec::new();
-        for (j, (frag, perm)) in fragments.iter().zip(perms.perms.iter()).enumerate() {
+        for (j, (&frag, perm)) in fragments.iter().zip(perms.perms.iter()).enumerate() {
             perm.invert_into(frag, &mut scratch);
             self.mapper.scatter_fragment(j, &scratch, parts);
         }
@@ -369,7 +385,8 @@ mod tests {
                 parts.push(part);
                 (rest, at) = (tail, cut);
             }
-            t.inverse_into(&frags, &perms, &mut parts);
+            let shuffled: Vec<Shuffled<'_>> = frags.iter().map(|f| Shuffled::Values(f)).collect();
+            t.inverse_into(&shuffled, &perms, &mut parts);
             assert_eq!(got, want);
         }
     }

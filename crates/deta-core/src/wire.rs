@@ -258,12 +258,79 @@ pub fn is_record(frame: &[u8]) -> bool {
 /// once. `None` when `frame` is no record ([`is_record`]), the record
 /// does not open (tampered, replayed, out of order — `chan` has then not
 /// advanced) or the inner bytes are no message.
-pub fn open_record(chan: &mut SecureChannel, mut frame: Vec<u8>) -> Option<Msg> {
+pub fn open_record(chan: &mut SecureChannel, frame: Vec<u8>) -> Option<Msg> {
+    match open_download(chan, frame)? {
+        Opened::Msg(msg) => Some(msg),
+        Opened::Aggregated(record) => Msg::decode(&record.frame[RECORD_HEADER..]).ok(),
+    }
+}
+
+/// A record a party opened: an aggregated fragment stays in the buffer
+/// its record was opened in ([`AggregatedRecord`]); any other message is
+/// decoded.
+pub enum Opened {
+    /// A [`Msg::Aggregated`], its values not decoded.
+    Aggregated(AggregatedRecord),
+    /// Any other message.
+    Msg(Msg),
+}
+
+/// A [`Msg::Aggregated`] in the record it was opened in: the frame whose
+/// bytes after the two headers are the fragment's values, little-endian,
+/// checked to be exactly as many as the message says. A party un-shuffles
+/// them straight out of here, so a download is never decoded into a
+/// buffer of its own.
+pub struct AggregatedRecord {
+    frame: Vec<u8>,
+    round: u64,
+}
+
+impl AggregatedRecord {
+    /// Where the values start in the frame: behind the record's header
+    /// and the message's tag, round and count.
+    const VALUES: usize = RECORD_HEADER + FRAGMENT_HEADER;
+
+    /// The round aggregated.
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.le_values().len() / 4
+    }
+
+    /// Whether the fragment is empty.
+    pub fn is_empty(&self) -> bool {
+        self.le_values().is_empty()
+    }
+
+    /// The values as they arrived: little-endian `f32`s, four bytes each.
+    pub fn le_values(&self) -> &[u8] {
+        &self.frame[Self::VALUES..]
+    }
+}
+
+/// [`open_record`] for a party: the same checks, but a [`Msg::Aggregated`]
+/// is validated where it lies and handed back in its frame
+/// ([`Opened::Aggregated`]) instead of being decoded. `None` exactly
+/// when [`open_record`] returns `None`, which is this call with the
+/// aggregate decoded.
+pub fn open_download(chan: &mut SecureChannel, mut frame: Vec<u8>) -> Option<Opened> {
     if !is_record(&frame) {
         return None;
     }
     chan.open_in_place(&mut frame, RECORD_HEADER).ok()?;
-    Msg::decode(&frame[RECORD_HEADER..]).ok()
+    let mut r = Reader::new(&frame[RECORD_HEADER..]);
+    if r.u8() != Ok(TAG_AGGREGATED) {
+        return Msg::decode(&frame[RECORD_HEADER..]).ok().map(Opened::Msg);
+    }
+    // As `Msg::decode` reads it: round, count, that many values, no more.
+    let round = r.u64().ok()?;
+    let n = r.count(4).ok()?;
+    r.take(4 * n).ok()?;
+    r.finish().ok()?;
+    Some(Opened::Aggregated(AggregatedRecord { frame, round }))
 }
 
 fn put_vec_bytes(out: &mut Vec<u8>, v: &[Vec<u8>]) -> Result<(), TooLong> {
@@ -450,6 +517,91 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         assert_eq!(Msg::decode(&[0xAA]), Err(DecodeError));
+    }
+
+    /// An honestly established channel pair (initiator, responder).
+    fn channel_pair() -> (SecureChannel, SecureChannel) {
+        use deta_crypto::{DetRng, SigningKey};
+        use deta_transport::secure::{respond, HandshakeInitiator};
+        let rng = DetRng::from_u64(5);
+        let identity = SigningKey::generate(&mut rng.fork(b"identity"));
+        let init = HandshakeInitiator::new(&mut rng.fork(b"init"));
+        let (reply, responder) =
+            respond(init.hello(), &identity, &mut rng.fork(b"resp")).expect("hello");
+        let initiator = init.complete(&reply, &identity.verifying_key());
+        (initiator.expect("handshake"), responder)
+    }
+
+    #[test]
+    fn an_opened_download_is_what_decoding_the_record_gives() {
+        let (mut sender, mut receiver) = channel_pair();
+        let fragment: Vec<f32> = [f32::from_bits(0x7f80_0001), -0.0, f32::INFINITY, 1.5]
+            .into_iter()
+            .cycle()
+            .take(41)
+            .collect();
+        let raw = |body: Vec<u8>| {
+            RecordFrame::build(body.len(), |out| {
+                out.extend_from_slice(&body);
+                Ok(())
+            })
+        };
+        let mut short = Msg::Aggregated {
+            round: 3,
+            fragment: vec![1.0; 4],
+        }
+        .encode()
+        .expect("encodes");
+        short.truncate(short.len() - 1);
+        let mut long = Msg::Aggregated {
+            round: 3,
+            fragment: vec![],
+        }
+        .encode()
+        .expect("encodes");
+        long.push(0);
+        let frames = [
+            RecordFrame::of(&Msg::Aggregated {
+                round: 7,
+                fragment: fragment.clone(),
+            }),
+            RecordFrame::of(&Msg::Aggregated {
+                round: 8,
+                fragment: Vec::new(),
+            }),
+            RecordFrame::of(&Msg::RegisterAck),
+            raw(short),
+            raw(long),
+            raw(vec![TAG_AGGREGATED]),
+        ];
+        for (k, frame) in frames.into_iter().enumerate() {
+            let frame = frame.expect("frames");
+            let want = Msg::decode(&frame.0[RECORD_HEADER..]).ok();
+            match (open_download(&mut receiver, frame.seal(&mut sender)), want) {
+                (Some(Opened::Aggregated(got)), Some(Msg::Aggregated { round, fragment })) => {
+                    assert_eq!((got.round(), got.len()), (round, fragment.len()), "{k}");
+                    let bits: Vec<u32> = (got.le_values().chunks_exact(4))
+                        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                        .collect();
+                    let want: Vec<u32> = fragment.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(bits, want, "{k}");
+                }
+                (Some(Opened::Msg(got)), Some(want)) => assert_eq!(got, want, "{k}"),
+                (None, None) => {}
+                (_, want) => panic!("record {k}: decoding gives {want:?}"),
+            }
+        }
+        // A record that does not open is no download; the channel stays.
+        let sealed = RecordFrame::of(&Msg::RegisterAck)
+            .expect("frames")
+            .seal(&mut sender);
+        let mut tampered = sealed.clone();
+        tampered[RECORD_HEADER] ^= 1;
+        assert!(open_download(&mut receiver, tampered).is_none());
+        assert!(matches!(
+            open_download(&mut receiver, sealed),
+            Some(Opened::Msg(Msg::RegisterAck))
+        ));
     }
 
     #[test]

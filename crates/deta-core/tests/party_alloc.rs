@@ -1,18 +1,20 @@
 //! What one party's round allocates beyond its local training: the
-//! round's minimum set of model-sized buffers (DESIGN.md §13, "Buffers
-//! of one fragment"), and nothing more. Uploading makes the flat update
-//! (kept for a failover's replay), the round's permutations (derived by
-//! the first party of a process to ask, borrowed by the rest) and one
-//! sealed record per fragment, gathered straight from the update through
-//! one fragment-sized scratch. Finishing decodes each download out of the
-//! record it arrived in and un-shuffles it through one fragment-sized
-//! scratch straight into the model's parameter tensors: no model-sized
-//! merge buffer, no copy into the model.
+//! round's minimum set of model-sized buffers (DESIGN.md §13, "A party's
+//! round, at its minimum"), and nothing more. Uploading makes the round's
+//! permutations (derived by the first party of a process to ask, borrowed
+//! by the rest) and one sealed record per fragment, gathered straight
+//! from the model's parameter tensors through one fragment-sized scratch:
+//! no flat copy of the update, unless the session's failover policy can
+//! ask for a replay (`Restart`), and then exactly that one. Finishing
+//! un-shuffles each download out of the record it arrived in, through one
+//! fragment-sized scratch, straight into the model's parameter tensors:
+//! no decoded download, no merge buffer, no copy into the model.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use deta_core::{DetaConfig, DetaSession};
+use deta_core::supervise::{FailoverPolicy, RuntimeConfig};
+use deta_core::{DetaConfig, DetaSession, SessionParts};
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::train_local;
@@ -56,8 +58,20 @@ fn allocated_by(f: impl FnOnce()) -> usize {
 
 const TID: [u8; 16] = [0x5e; 16];
 
-#[test]
-fn a_party_round_allocates_its_update_permutations_records_and_downloads() {
+/// What one party's round allocated, and the sizes to judge it by.
+struct Round {
+    /// Bytes of the model's parameters.
+    model: usize,
+    /// Bytes of the largest fragment.
+    fragment: usize,
+    /// Uploading, beyond what the party's training allocates.
+    upload: usize,
+    /// Finishing.
+    download: usize,
+}
+
+/// Party 0's first round under the failover `policy`.
+fn party_round(policy: FailoverPolicy) -> Round {
     const AGGREGATORS: usize = 3;
     let spec = DatasetSpec::mnist_like().at_resolution(16);
     let shards = iid_partition(&spec.generate(64, 1), 2, 2);
@@ -67,7 +81,12 @@ fn a_party_round_allocates_its_update_permutations_records_and_downloads() {
     let (epochs, batch, lr) = (cfg.local_epochs, cfg.batch_size, cfg.lr);
     let (dim, classes) = (spec.dim(), spec.classes);
     let builder = move |rng: &mut _| mlp(&[dim, 64, classes], rng);
-    let mut session = DetaSession::setup(cfg, &builder, shards).expect("session sets up");
+    let parts = SessionParts::build(cfg, &builder, shards).expect("session builds");
+    let rt = RuntimeConfig {
+        failover: policy,
+        ..RuntimeConfig::default()
+    };
+    let mut session = DetaSession::bootstrap(parts, rt).expect("session sets up");
     let model = 4 * session.party_mut(0).model.param_count();
     let fragment = model.div_ceil(AGGREGATORS);
 
@@ -94,29 +113,60 @@ fn a_party_round_allocates_its_update_permutations_records_and_downloads() {
         session.aggregator_mut(j).pump();
     }
     let download = allocated_by(|| assert!(session.party_mut(0).try_finish_round()));
+    // Between rounds the party holds no gradient.
+    let party = session.party_mut(0);
+    assert!(party.model.layers().iter().all(|l| l.grads().is_empty()));
+    Round {
+        model,
+        fragment,
+        upload: upload - training,
+        download,
+    }
+}
 
+#[test]
+fn a_party_round_allocates_its_permutations_and_records_and_no_copy_of_the_update() {
+    let Round {
+        model,
+        fragment,
+        upload,
+        download,
+    } = party_round(FailoverPolicy::None);
     // Small change: the permutations' keyed derivation, the frames'
-    // headers and tags, the vectors of fragments and records (about
-    // 0.8 KiB uploading and 0.5 KiB finishing, at the writing).
+    // headers and tags, the vectors of fragments, records and parameter
+    // tensors (about 0.8 KiB uploading and 0.5 KiB finishing, at the
+    // writing).
     let small = 2 * 1024;
     assert!(
         model > 4 * small,
         "a model of {model} bytes is too small to tell"
     );
-    // The flat update, the permutations (a `u32` per parameter) and the
-    // sealed records, plus the gather scratch of at most one fragment.
-    let beyond_training = upload - training;
+    // The permutations (a `u32` per parameter) and the sealed records,
+    // plus the gather scratch of at most one fragment.
     assert!(
-        (3 * model..=3 * model + fragment + small).contains(&beyond_training),
-        "uploading allocated {beyond_training} bytes beyond training, for a {model}-byte model"
+        (2 * model..=2 * model + fragment + small).contains(&upload),
+        "uploading allocated {upload} bytes beyond training, for a {model}-byte model"
     );
-    // The decoded downloads, plus the un-shuffle scratch of at most one
-    // fragment.
+    // The un-shuffle scratch of at most one fragment.
     assert!(
-        (model..=model + fragment + small).contains(&download),
+        download <= fragment + small,
         "finishing allocated {download} bytes, for a {model}-byte model"
     );
-    // Between rounds the party holds no gradient.
-    let party = session.party_mut(0);
-    assert!(party.model.layers().iter().all(|l| l.grads().is_empty()));
+}
+
+#[test]
+fn under_restart_a_party_keeps_one_flat_update_more() {
+    let none = party_round(FailoverPolicy::None);
+    let restart = party_round(FailoverPolicy::Restart);
+    // One flat update, `Vec::with_capacity` of the model exactly. It
+    // stands in for the table of parameter tensors a gather from the
+    // model builds (a few pointers: 48 bytes less, at the writing).
+    let more = restart.upload - none.upload;
+    let table = 256;
+    assert!(
+        (none.model - table..=none.model).contains(&more),
+        "under Restart uploading allocated {more} bytes more, for a {}-byte model",
+        none.model
+    );
+    assert_eq!(restart.download, none.download);
 }

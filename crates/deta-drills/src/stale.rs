@@ -6,20 +6,33 @@
 use crate::common;
 use crate::Drill;
 use deta_core::node::Actor;
-use deta_core::session::{DetaConfig, DetaSession};
+use deta_core::session::{DetaConfig, DetaSession, SessionParts};
+use deta_core::supervise::{FailoverPolicy, RuntimeConfig};
 use deta_core::wire::Msg;
+use deta_crypto::DetRng;
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
 use std::time::Duration;
 
 /// A completed 3-party, 3-aggregator, 2-round session left live for
-/// post-hoc injection.
-fn finished_session(seed: u64) -> Result<(DetaSession, LabeledData), String> {
+/// post-hoc injection, under the failover `policy`: `Restart` is the one
+/// under which a party keeps its upload for a replay.
+fn finished_session(
+    seed: u64,
+    policy: FailoverPolicy,
+) -> Result<(DetaSession, LabeledData), String> {
     let (shards, test, dim, classes) = common::fl_data(3);
     let mut cfg = DetaConfig::deta(3, 2);
     cfg.seed = seed;
-    let mut session = DetaSession::setup(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards)
-        .map_err(|e| format!("setup failed: {e:?}"))?;
+    let builder = move |rng: &mut DetRng| mlp(&[dim, 12, classes], rng);
+    let parts =
+        SessionParts::build(cfg, &builder, shards).map_err(|e| format!("setup failed: {e:?}"))?;
+    let rt = RuntimeConfig {
+        failover: policy,
+        ..RuntimeConfig::default()
+    };
+    let mut session =
+        DetaSession::bootstrap(parts, rt).map_err(|e| format!("setup failed: {e:?}"))?;
     session.run(&test);
     Ok((session, test))
 }
@@ -50,7 +63,7 @@ pub fn drills() -> Vec<Drill> {
 }
 
 fn stale_aggregated_injection() -> Result<String, String> {
-    let (mut session, _test) = finished_session(11)?;
+    let (mut session, _test) = finished_session(11, FailoverPolicy::None)?;
     let before = session.party_params(0);
     // The compromised aggregator speaks over its genuine channel, so the
     // record decrypts fine — only the round guard stands.
@@ -86,9 +99,9 @@ fn stale_aggregated_injection() -> Result<String, String> {
 }
 
 fn stale_upload_replay() -> Result<String, String> {
-    let (mut session, _test) = finished_session(12)?;
+    let (mut session, _test) = finished_session(12, FailoverPolicy::Restart)?;
     let before = session.party_params(1);
-    if !session.party_mut(0).replay_upload(2) {
+    if session.party_mut(0).replay_upload(2).is_err() {
         return Err("party-0 held no stored upload for round 2".to_string());
     }
     let n_aggs = session.config.n_aggregators;

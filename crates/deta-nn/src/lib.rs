@@ -232,8 +232,15 @@ impl Sequential {
 
     /// Every trainable parameter tensor, in [`Sequential::flat_params`]
     /// order: the flat vector's pieces, where they lie, for a caller that
-    /// writes parameters in place rather than through a model-sized
-    /// vector and [`Sequential::set_flat_params`].
+    /// reads parameters in place rather than through a model-sized copy.
+    pub fn params(&self) -> Vec<&Tensor> {
+        let trainable = self.layers.iter().filter(|l| !l.frozen());
+        trainable.flat_map(|l| l.params()).collect()
+    }
+
+    /// [`Sequential::params`], writable: for a caller that writes
+    /// parameters in place rather than through a model-sized vector and
+    /// [`Sequential::set_flat_params`].
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         let trainable = self.layers.iter_mut().filter(|l| !l.frozen());
         trainable.flat_map(|l| l.params_mut()).collect()
@@ -408,6 +415,29 @@ mod tests {
         m.release_grads();
         assert!(!holds(&m));
         assert!(!holds(&m.clone()), "nor does a replica");
+    }
+
+    #[test]
+    fn params_are_the_flat_vector_in_params_mut_order() {
+        let mut rng = DetRng::from_u64(7);
+        let mut m = Sequential::new()
+            .push(Linear::new(4, 4, &mut rng).freeze())
+            .push(Relu::new())
+            .push(Linear::new(4, 8, &mut rng))
+            .push(Linear::new(8, 3, &mut rng));
+        let read: Vec<(*const f32, usize)> = (m.params().into_iter())
+            .map(|p| (p.data().as_ptr(), p.numel()))
+            .collect();
+        let written: Vec<(*const f32, usize)> = (m.params_mut().into_iter())
+            .map(|p| (p.data().as_ptr(), p.numel()))
+            .collect();
+        assert_eq!(read, written, "the same tensors, in the same order");
+        assert_eq!(read.len(), 4, "the frozen layer's two are skipped");
+        let concatenated: Vec<f32> = (m.params().into_iter())
+            .flat_map(|p| p.data().iter().copied())
+            .collect();
+        assert_eq!(concatenated, m.flat_params());
+        assert!(Sequential::new().params().is_empty());
     }
 
     #[test]

@@ -19,7 +19,11 @@ echo "==> cargo test -q"
 # the wire layer's and control-plane codec's rejection cases, the
 # framing / replay-window / resume properties, the trace-merge
 # properties, the simnet and drill suites and the CLI's multi-process
-# and cluster-fault drills all live in crates/. So do the 200-seed x2
+# and cluster-fault drills all live in crates/: the multi-process parity
+# run diffed whole against in-process and the traced cluster's merged
+# timeline (deta-cli/tests/multi_process.rs), and the chaos run whose
+# hub severs a party's link and an aggregator's twice each
+# (deta-cli/tests/cluster_faults.rs). So do the 200-seed x2
 # sim corpus against results/SIM_SEEDS.json (deta-simnet/tests/corpus.rs;
 # DETA_SIM_REWRITE=1 sim_sweep regenerates it) and the drill report
 # against results/SECURITY_DRILLS.md, byte for byte
@@ -85,121 +89,6 @@ echo "==> reconnect latency (parity-gated TCP severs)"
 # injected TCP severs, asserting bit-exact metrics throughout, and
 # reports the recovery cost per reconnect.
 cargo run --release -q -p deta-bench --bin reconnect_latency
-
-echo "==> multi-process parity smoke (real OS processes over TCP loopback)"
-# One process per node via `deta-cli cluster`, fixed seed, round lines
-# diffed byte-for-byte against the same run in-process. The hard
-# timeout turns any wedged child/coordinator into a loud failure.
-SMOKE_CFG="$(mktemp /tmp/deta-smoke-XXXXXX.cfg)"
-cat > "$SMOKE_CFG" <<'CFG'
-dataset            = mnist
-resolution         = 8
-model              = mlp
-parties            = 3
-aggregators        = 2
-rounds             = 2
-algorithm          = avg
-seed               = 42
-examples_per_party = 40
-CFG
-timeout 300 ./target/release/deta-cli cluster "$SMOKE_CFG" --inprocess > /tmp/deta-smoke-local.txt
-timeout 300 ./target/release/deta-cli cluster "$SMOKE_CFG"             > /tmp/deta-smoke-remote.txt
-rm -f "$SMOKE_CFG"
-if ! diff /tmp/deta-smoke-local.txt /tmp/deta-smoke-remote.txt; then
-  echo "FAIL: multi-process round metrics diverged from in-process" >&2
-  exit 1
-fi
-echo "    parity ok: $(grep -c '^round ' /tmp/deta-smoke-local.txt) rounds bit-identical"
-
-echo "==> link-chaos smoke (hub severs a party's TCP link twice and an aggregator's twice; run must stay bit-identical)"
-# Same workload as the parity smoke plus a chaos plan: the hub cuts
-# party-1's connection abruptly (no Bye) after its 2nd and 5th ingress
-# frames and agg-0's after its 3rd and 16th, so a resume runs in both
-# directions over buffers that acknowledgements have been pruning.
-# Reconnect + resume must make the severs invisible — the stdout (every
-# round's metrics and byte counts) is diffed byte-for-byte against the
-# fault-free multi-process run. agg-0's 3rd frame is a setup
-# `HelloReply`. Its 16th is a round-1 `RoundStart`, so round 1's uploads
-# reach agg-0 as a resumed backlog interleaving the parties on one
-# counter: setup here is 7 frames plus the heartbeats of agg-0's idle
-# ticks, which vary with timing (printing agg-0's frames at the hub over
-# six runs read 6 to 8 of them, so the 16th was always one of the three
-# `RoundStart`).
-# `deta-cli cluster` exits non-zero when a planned sever never fired, so
-# a threshold past a node's traffic fails here instead of passing
-# without a cut.
-CHAOS_CFG="$(mktemp /tmp/deta-chaos-XXXXXX.cfg)"
-cat > "$CHAOS_CFG" <<'CFG'
-dataset            = mnist
-resolution         = 8
-model              = mlp
-parties            = 3
-aggregators        = 2
-rounds             = 2
-algorithm          = avg
-seed               = 42
-examples_per_party = 40
-chaos_severs       = party-1@2,party-1@5,agg-0@3,agg-0@16
-CFG
-timeout 300 ./target/release/deta-cli cluster "$CHAOS_CFG" > /tmp/deta-chaos-smoke.txt
-rm -f "$CHAOS_CFG"
-if ! diff /tmp/deta-smoke-remote.txt /tmp/deta-chaos-smoke.txt; then
-  echo "FAIL: round metrics diverged under link chaos" >&2
-  exit 1
-fi
-echo "    chaos ok: 2 severs of party-1 and 2 of agg-0 fully absorbed, output bit-identical"
-
-echo "==> multi-process trace smoke (deta-cli trace: merged timeline + critical path)"
-# The traced twin of the parity smoke at the paper's 4-party / k=2
-# shape: spawns one traced process per node, harvests every
-# flight-recorder ring over the socket, clock-aligns them, and must
-# produce a non-empty merged JSONL + Perfetto trace plus the per-round
-# critical-path report. The run is fault-free and a bridged name is a
-# forwarded endpoint at both ends of its link, so the merged trace must
-# not hold a single net_drop: a drop means a loss, and every net_send must
-# pair with its net_recv as a causal edge. Outputs land in
-# results/traces/ (gitignored; CI uploads them as artifacts).
-TRACE_CFG="$(mktemp /tmp/deta-trace-XXXXXX.cfg)"
-cat > "$TRACE_CFG" <<'CFG'
-dataset            = mnist
-resolution         = 8
-model              = mlp
-parties            = 4
-aggregators        = 2
-rounds             = 3
-algorithm          = avg
-seed               = 42
-examples_per_party = 40
-CFG
-rm -f results/traces/merged-*
-timeout 300 ./target/release/deta-cli trace "$TRACE_CFG" > /tmp/deta-trace-smoke.txt
-rm -f "$TRACE_CFG"
-MERGED_JSONL="$(ls results/traces/merged-*.jsonl 2>/dev/null | head -1)"
-MERGED_PERFETTO="$(ls results/traces/merged-*.perfetto.json 2>/dev/null | head -1)"
-if [ ! -s "$MERGED_JSONL" ] || [ ! -s "$MERGED_PERFETTO" ]; then
-  echo "FAIL: deta-cli trace produced no merged trace under results/traces/" >&2
-  exit 1
-fi
-if ! grep -q '^round 1 ' /tmp/deta-trace-smoke.txt || \
-   ! grep -q 'critical path' /tmp/deta-trace-smoke.txt; then
-  echo "FAIL: trace smoke output is missing rounds or the critical-path report" >&2
-  cat /tmp/deta-trace-smoke.txt >&2
-  exit 1
-fi
-if grep -q '"net_drop"' "$MERGED_JSONL"; then
-  echo "FAIL: a fault-free trace recorded $(grep -c '"net_drop"' "$MERGED_JSONL") net_drop event(s)" >&2
-  exit 1
-fi
-# Every send must find its receive: the trace ids ride beside the payload
-# (a `Trace` frame ahead of each traced `Data` over TCP), so a hop that
-# drops them shows up as fewer causal edges than net_send records.
-SENDS="$(grep -c '"name":"net_send"' "$MERGED_JSONL" || true)"
-EDGES="$(sed -n 's/.*causal edges \([0-9]*\).*/\1/p' /tmp/deta-trace-smoke.txt)"
-if [ "${EDGES:-0}" -lt "$SENDS" ]; then
-  echo "FAIL: the merged trace holds ${EDGES:-0} causal edges for $SENDS net_send records" >&2
-  exit 1
-fi
-echo "    merged trace ok: $(wc -l < "$MERGED_JSONL") records, $EDGES causal edges for $SENDS net_send, no net_drop, perfetto $(wc -c < "$MERGED_PERFETTO") bytes"
 
 echo "==> bench regression history (diff BENCH_*.json vs results/BENCH_history.jsonl)"
 # Warn-by-default: drift beyond tolerance prints loudly but does not
