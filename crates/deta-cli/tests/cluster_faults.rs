@@ -223,19 +223,17 @@ fn arm_watchdog(pid: u32, secs: u64) {
 #[test]
 fn chaos_severed_run_is_byte_identical_to_fault_free_run() {
     let _serial = one_cluster();
-    const BASE: &str = "dataset            = mnist\n\
-                        resolution         = 8\n\
-                        model              = mlp\n\
-                        parties            = 3\n\
-                        aggregators        = 2\n\
-                        rounds             = 20\n\
-                        algorithm          = avg\n\
-                        seed               = 7\n\
-                        examples_per_party = 40\n\
-                        round_deadline_s   = 30\n";
+    const SHAPE: &str = "dataset            = mnist\n\
+                         resolution         = 8\n\
+                         model              = mlp\n\
+                         parties            = 3\n\
+                         aggregators        = 2\n\
+                         algorithm          = avg\n\
+                         examples_per_party = 40\n\
+                         round_deadline_s   = 30\n";
     let dir = std::env::temp_dir().join(format!("deta-cluster-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let run = |cfg_name: &str, cfg_text: &str| -> Vec<u8> {
+    let run = |cfg_name: &str, cfg_text: &str| -> String {
         let cfg_path = dir.join(cfg_name);
         std::fs::write(&cfg_path, cfg_text).expect("write config");
         let coordinator = Command::new(env!("CARGO_BIN_EXE_deta-cli"))
@@ -251,32 +249,39 @@ fn chaos_severed_run_is_byte_identical_to_fault_free_run() {
             "cluster run {cfg_name} failed; stderr:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        out.stdout
+        String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let fault_free = run("fault-free.cfg", BASE);
-    // Party thresholds 4 and 9 sit below one round's traffic, so both
-    // severs land early and the second interrupts an already-resumed
-    // link. agg-0's 3rd ingress frame is a setup `HelloReply`; its 16th
-    // is a round-1 `RoundStart`, so round 1's uploads reach agg-0 as a
+    // Two plans. In the first, 20 rounds long, party thresholds 4 and 9
+    // sit below one round's traffic, so both severs land early and the
+    // second interrupts an already-resumed link. The second is a 2-round
+    // run cutting party-1 after its 2nd and 5th ingress frames, earlier
+    // still. In both, agg-0's 3rd ingress frame is a setup
+    // `HelloReply`. Its 16th was read as a round-1 `RoundStart` on the
+    // 2-round run at seed 42, so round 1's uploads reach agg-0 as a
     // resumed backlog interleaving the parties on one counter: setup is
     // 7 frames plus the heartbeats of agg-0's idle ticks, which vary with
     // timing (printing agg-0's frames at the hub over six runs read 6 to
     // 8 of them, so the 16th was always one of the three `RoundStart`).
+    // The 20-round run has the same cluster shape, but there that
+    // landing was not read; every run checks only that each cut fired.
     // A resume so runs in both directions, over buffers that
     // acknowledgements have been pruning.
-    let chaos = run(
-        "chaos.cfg",
-        &format!("{BASE}chaos_severs       = party-1@4,party-1@9,agg-0@3,agg-0@16\n"),
-    );
-    assert!(
-        String::from_utf8_lossy(&fault_free).contains("round 20 "),
-        "the baseline run must reach its final round"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&chaos),
-        String::from_utf8_lossy(&fault_free),
-        "a double link sever must leave the run byte-identical"
-    );
+    for (seed, rounds, plan) in [
+        (7, 20, "party-1@4,party-1@9,agg-0@3,agg-0@16"),
+        (42, 2, "party-1@2,party-1@5,agg-0@3,agg-0@16"),
+    ] {
+        let base = format!("{SHAPE}rounds             = {rounds}\nseed               = {seed}\n");
+        let fault_free = run("fault-free.cfg", &base);
+        let chaos = run("chaos.cfg", &format!("{base}chaos_severs       = {plan}\n"));
+        assert!(
+            fault_free.contains(&format!("round {rounds} ")),
+            "the baseline run must reach its final round"
+        );
+        assert_eq!(
+            chaos, fault_free,
+            "a double link sever ({plan}) must leave the run byte-identical"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

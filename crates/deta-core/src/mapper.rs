@@ -86,16 +86,16 @@ impl ModelMapper {
             assigned += 1;
             ri += 1;
         }
-        // Random interleaving with exact counts, labels one byte wide
-        // where they fit. Set-up measured slower with a `u16` label per
-        // parameter freed halfway through it (`fedavg_seq` `setup_s`
-        // +10 %, EXPERIMENTS.md "PR 37"); this form measured no slower
-        // than keeping that table for the session.
-        let positions = if n_aggregators <= 1 << u8::BITS {
-            interleave(&sizes, rng, |j| j as u8)
-        } else {
-            interleave(&sizes, rng, |j| j as u16)
-        };
+        // Random interleaving with exact counts. The position tables are
+        // allocated before the labels, so the labels are freed from the
+        // top of the heap where nothing was allocated after them.
+        let mut positions = tables(&sizes);
+        let mut labels: Vec<u16> = Vec::with_capacity(n_params);
+        for (j, &s) in sizes.iter().enumerate() {
+            labels.extend(std::iter::repeat_n(j as u16, s));
+        }
+        rng.shuffle(&mut labels);
+        fill(&mut positions, &labels);
         ModelMapper { positions }
     }
 
@@ -237,37 +237,10 @@ fn tables(sizes: &[usize]) -> Vec<Vec<u32>> {
 
 /// Appends every index `i` to the table of its label `labels[i]`, so each
 /// table ascends.
-fn fill<T: Copy>(positions: &mut [Vec<u32>], labels: &[T])
-where
-    usize: From<T>,
-{
+fn fill(positions: &mut [Vec<u32>], labels: &[u16]) {
     for (i, &j) in labels.iter().enumerate() {
-        positions[usize::from(j)].push(i as u32);
+        positions[j as usize].push(i as u32);
     }
-}
-
-/// The position tables of a uniformly random interleaving of `sizes[j]`
-/// labels `j` each, drawn from `rng` by one Fisher-Yates shuffle of the
-/// labels written as `label` makes them. The shuffle's draws depend only
-/// on the count, so the width of a label does not change the mapper.
-/// The tables are allocated first, so the labels are freed where nothing
-/// was allocated after them.
-fn interleave<T: Copy>(
-    sizes: &[usize],
-    rng: &mut DetRng,
-    label: impl Fn(usize) -> T,
-) -> Vec<Vec<u32>>
-where
-    usize: From<T>,
-{
-    let mut positions = tables(sizes);
-    let mut labels: Vec<T> = Vec::with_capacity(sizes.iter().sum());
-    for (j, &s) in sizes.iter().enumerate() {
-        labels.extend(std::iter::repeat_n(label(j), s));
-    }
-    rng.shuffle(&mut labels);
-    fill(&mut positions, &labels);
-    positions
 }
 
 #[cfg(test)]
@@ -338,21 +311,17 @@ mod tests {
     }
 
     #[test]
-    fn the_width_of_a_label_does_not_change_the_mapper() {
+    fn a_generated_mapper_is_the_one_built_from_its_assignment() {
         let sizes = [40, 25, 35];
-        let narrow = interleave(&sizes, &mut rng(), |j| j as u8);
-        let wide = interleave(&sizes, &mut rng(), |j| j as u16);
-        assert_eq!(narrow, wide);
+        let generated = ModelMapper::generate(100, 3, Some(&[0.4, 0.25, 0.35]), &mut rng());
         let mut labels = vec![0u16; 100];
-        for (j, table) in wide.iter().enumerate() {
+        for (j, table) in generated.positions.iter().enumerate() {
             assert_eq!(table.len(), sizes[j]);
             for &i in table {
                 labels[i as usize] = j as u16;
             }
         }
-        assert_eq!(ModelMapper::from_assignment(labels).positions, wide);
-        let generated = ModelMapper::generate(100, 3, Some(&[0.4, 0.25, 0.35]), &mut rng());
-        assert_eq!(generated.positions, wide);
+        assert_eq!(ModelMapper::from_assignment(labels), generated);
     }
 
     #[test]
