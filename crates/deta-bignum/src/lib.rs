@@ -2,12 +2,19 @@
 //!
 //! This crate provides [`BigUint`], a little-endian limb vector of `u64`
 //! words, with the arithmetic needed by the DeTA reproduction: schoolbook
-//! multiplication, binary long division, modular exponentiation, extended
-//! GCD / modular inverse, and Miller-Rabin probabilistic primality testing.
+//! multiplication, Knuth's Algorithm D for division, windowed Montgomery
+//! exponentiation, extended GCD / modular inverse, and Miller-Rabin
+//! probabilistic primality testing.
 //!
-//! The implementation favours clarity and testability over raw speed: the
-//! Paillier cryptosystem built on top of it operates at simulation-grade key
-//! sizes (hundreds of bits), where these algorithms are comfortably fast.
+//! Every attestation, token signature, handshake and Paillier operation of
+//! a session runs on it, so the two hot paths work a word at a time:
+//! division is one pass of word products per quotient limb, and a
+//! Montgomery exponentiation multiplies into buffers it allocates once.
+//! Schoolbook multiplication stays, since the operands are hundreds of
+//! bits, not thousands. An exponentiation's sequence of products and
+//! table reads depends on the exponent's bit length only; a division
+//! still branches on its operands' values (see [`montgomery`] and the
+//! `div` module).
 //!
 //! # Examples
 //!

@@ -1,11 +1,33 @@
 //! Property-based tests for `BigUint` arithmetic invariants.
 
-use deta_bignum::BigUint;
+mod oracle;
+
+use deta_bignum::{BigUint, MontgomeryCtx};
 use deta_proptest::{cases, Gen};
 
 /// Draws a `BigUint` from up to 40 arbitrary big-endian bytes.
 fn biguint(g: &mut Gen) -> BigUint {
     BigUint::from_bytes_be(&g.bytes(0, 40))
+}
+
+/// Draws a value of `lo..hi` limbs. A limb is mostly uniform, but
+/// often 0, 1, all ones or a lone top bit: the values that put Algorithm
+/// D's quotient estimate at its edges.
+fn limbs(g: &mut Gen, lo: usize, hi: usize) -> BigUint {
+    let limbs = g.usize_in(lo, hi);
+    let limb = |g: &mut Gen| match g.u64_in(0, 8) {
+        0 => 0,
+        1 => 1,
+        2 => u64::MAX,
+        3 => 1 << 63,
+        _ => g.u64(),
+    };
+    let mut words: Vec<u64> = (0..limbs).map(|_| limb(g)).collect();
+    if let Some(top) = words.last_mut().filter(|top| **top == 0) {
+        *top = 1;
+    }
+    let bytes: Vec<u8> = words.iter().rev().flat_map(|w| w.to_be_bytes()).collect();
+    BigUint::from_bytes_be(&bytes)
 }
 
 /// Draws a non-zero `BigUint`.
@@ -62,10 +84,24 @@ fn mul_distributes() {
 #[test]
 fn div_rem_identity() {
     cases("div_rem_identity", 256, |g| {
-        let (a, d) = (biguint(g), biguint_nonzero(g));
+        let n = g.usize_in(1, 17);
+        let d = limbs(g, n, n + 1);
+        // From one limb short of the divisor to eight limbs past it.
+        let a = limbs(g, n.saturating_sub(1).max(1), n + 9);
         let (q, r) = a.div_rem(&d);
         assert!(r < d);
         assert_eq!(&(&q * &d) + &r, a);
+        assert_eq!((q, r), oracle::long_div(&a, &d));
+    });
+}
+
+#[test]
+fn mul_mod_matches_long_division() {
+    cases("mul_mod_matches_long_division", 256, |g| {
+        let n = g.usize_in(1, 13);
+        let m = limbs(g, n, n + 1);
+        let (a, b) = (limbs(g, 1, n + 1), limbs(g, 1, n + 1));
+        assert_eq!(a.mul_mod(&b, &m), oracle::mul_mod(&a, &b, &m));
     });
 }
 
@@ -108,19 +144,26 @@ fn gcd_lcm_product() {
 
 #[test]
 fn modpow_matches_naive() {
-    cases("modpow_matches_naive", 256, |g| {
-        let a = g.u64_in(0, 1000);
-        let e = g.u64_in(0, 20);
-        let m = g.u64_in(2, 10_000);
-        let expected = {
-            let mut acc: u128 = 1;
-            for _ in 0..e {
-                acc = acc * a as u128 % m as u128;
-            }
-            acc as u64
-        };
-        let got = BigUint::from_u64(a).modpow(&BigUint::from_u64(e), &BigUint::from_u64(m));
-        assert_eq!(got, BigUint::from_u64(expected));
+    cases("modpow_matches_naive", 64, |g| {
+        let n = g.usize_in(2, 13);
+        let mut m = limbs(g, n, n + 1);
+        // One modulus in eight stays even, on the fallback path; the rest
+        // are odd, for Montgomery.
+        let odd = g.u64_in(0, 8) != 0;
+        if odd == m.is_even() {
+            m = if odd {
+                &m + &BigUint::one()
+            } else {
+                &m - &BigUint::one()
+            };
+        }
+        let base = limbs(g, 1, n + 2);
+        let exp = limbs(g, 1, 3);
+        let want = oracle::modpow(&base, &exp, &m);
+        assert_eq!(base.modpow(&exp, &m), want);
+        if let Some(ctx) = MontgomeryCtx::new(&m) {
+            assert_eq!(ctx.modpow(&base, &exp), want);
+        }
     });
 }
 

@@ -344,8 +344,12 @@ impl AggregatorNode {
                     return;
                 }
                 // Phase II: sign the handshake transcript with the token.
-                let Ok((resp, channel)) = secure::respond(&handshake, &self.token, &mut self.rng)
-                else {
+                let span = deta_telemetry::span("handshake")
+                    .with_label("peer", from)
+                    .with_label("step", "respond");
+                let responded = secure::respond(&handshake, &self.token, &mut self.rng);
+                drop(span);
+                let Ok((resp, channel)) = responded else {
                     return;
                 };
                 if let Ok(reply) = (Msg::HelloReply { handshake: resp }).encode() {

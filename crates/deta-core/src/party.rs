@@ -178,6 +178,9 @@ impl AggPeer {
     /// Starts a challenge-response handshake with this aggregator, to be
     /// verified against `token`.
     fn say_hello(&mut self, token: Option<VerifyingKey>, endpoint: &Endpoint, rng: &mut DetRng) {
+        let _span = deta_telemetry::span("handshake")
+            .with_label("peer", &self.name)
+            .with_label("step", "hello");
         let hs = HandshakeInitiator::new(rng);
         let hello = Msg::Hello {
             handshake: hs.hello().to_vec(),
@@ -918,7 +921,12 @@ impl Party {
                 return;
             }
         };
-        let Some(chan) = token.and_then(|t| hs.complete(handshake, &t).ok()) else {
+        let span = deta_telemetry::span("handshake")
+            .with_label("peer", from)
+            .with_label("step", "complete");
+        let chan = token.and_then(|t| hs.complete(handshake, &t).ok());
+        drop(span);
+        let Some(chan) = chan else {
             self.auth_failure.get_or_insert_with(|| from.to_string());
             return;
         };

@@ -30,7 +30,7 @@ use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
 use deta_sev_sim::{BreachDump, Cvm, SevError};
-use deta_telemetry::Recorders;
+use deta_telemetry::{Recorders, TelemetryValue};
 use deta_transport::{Endpoint, LinkModel, Network};
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -340,18 +340,22 @@ impl<'a> Blueprint<'a> {
     /// draw once and [`Clone`] the result for further replicas: a draw of
     /// 10⁶ parameters costs tens of milliseconds, a copy a fraction.
     fn model(&self) -> Sequential {
+        let _span = deta_telemetry::span("model_draw");
         (self.model_builder)(&mut self.root.fork(b"model-init"))
     }
 
     /// The key broker and the transform every party uploads through,
     /// for a model of `n_params` parameters.
     fn transformer(&self, n_params: usize) -> (KeyBroker, Transformer) {
+        let span =
+            deta_telemetry::span("mapper").with_field("params", TelemetryValue::from(n_params));
         let mapper = ModelMapper::generate(
             n_params,
             self.config.n_aggregators,
             self.config.proportions.as_deref(),
             &mut self.root.fork(b"mapper"),
         );
+        drop(span);
         let broker = KeyBroker::new(&mut self.root.fork(b"keybroker"));
         let transformer = Transformer::new(mapper, broker.permutation_key(), self.config.transform);
         (broker, transformer)

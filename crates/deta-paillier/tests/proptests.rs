@@ -3,6 +3,9 @@
 //! Key generation is expensive, so one simulation-grade key pair is
 //! shared across all cases via a lazy static.
 
+#[path = "../../deta-bignum/tests/oracle/mod.rs"]
+mod oracle;
+
 use deta_bignum::BigUint;
 use deta_crypto::DetRng;
 use deta_paillier::{KeyPair, VectorCodec};
@@ -36,6 +39,28 @@ fn additive_homomorphism() {
         let want =
             (&BigUint::from_u64(a as u64) + &BigUint::from_u64(b as u64)).rem_ref(&kp.public.n);
         assert_eq!(kp.private.decrypt(&sum), want);
+    });
+}
+
+#[test]
+fn homomorphisms_match_the_bignum_oracles() {
+    cases("homomorphisms_match_the_bignum_oracles", 32, |g| {
+        let kp = keypair();
+        let n2 = &kp.public.n2;
+        let mut rng = DetRng::from_u64(g.u64());
+        let ca = kp
+            .public
+            .encrypt(&BigUint::from_u64(g.u32() as u64), &mut rng);
+        let cb = kp
+            .public
+            .encrypt(&BigUint::from_u64(g.u32() as u64), &mut rng);
+        let sum = ca.add(&cb, &kp.public);
+        assert_eq!(sum.0, oracle::mul_mod(&ca.0, &cb.0, n2));
+        let k = BigUint::from_u64(g.u64_in(1, 1 << 16));
+        assert_eq!(
+            ca.mul_scalar(&k, &kp.public).0,
+            oracle::modpow(&ca.0, &k, n2)
+        );
     });
 }
 

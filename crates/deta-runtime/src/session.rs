@@ -153,12 +153,17 @@ impl ThreadedSession {
         if rt.telemetry.enabled {
             deta_telemetry::enable();
         }
-        let mut parts = SessionParts::build(config, model_builder, party_data)?;
+        // The supervisor's ring is live before the build, so the build's
+        // set-up spans (attestation, model draw, mapper) land in it.
+        let (capacity, dir) = (rt.telemetry.ring_capacity, rt.telemetry.trace_dir.clone());
+        let recorders = Recorders::new(SUPERVISOR, capacity, dir);
+        let mut parts = {
+            let _trace_guard = deta_telemetry::attach(recorders.own());
+            SessionParts::build(config, model_builder, party_data)?
+        };
         instrument(&mut parts);
         let network = parts.network.clone();
         let ctl = network.register(SUPERVISOR);
-        let (capacity, dir) = (rt.telemetry.ring_capacity, rt.telemetry.trace_dir.clone());
-        let recorders = Recorders::new(SUPERVISOR, capacity, dir);
         let (supervisor, parties, aggregators, eval_model) =
             Supervisor::new(parts, rt.clone(), true);
         let mut session = ThreadedSession {

@@ -194,12 +194,29 @@ pub fn run_node(
     tick: Duration,
 ) -> Result<(), SocketError> {
     let seed = config.seed;
-    let parts = NodeParts::build(config, model_builder, party_data, name).map_err(|e| {
-        SocketError::Build {
-            detail: e.to_string(),
-        }
+    // The node's ring is live before the build, so the build's set-up
+    // spans (attestation, model draw, mapper) ship with the rest.
+    let recorder = node_recorder(name);
+    let parts = {
+        let _trace_guard = deta_telemetry::attach(Arc::clone(&recorder));
+        NodeParts::build(config, model_builder, party_data, name)
+    };
+    let parts = parts.map_err(|e| SocketError::Build {
+        detail: e.to_string(),
     })?;
-    host_node(addr, name, seed, parts, tick)
+    host(addr, name, seed, parts, tick, recorder)
+}
+
+/// The flight recorder of the hosted node `name`. With tracing on, the
+/// ring must hold a whole session's spans for shipping — overflow is
+/// reported but a deep ring avoids it.
+fn node_recorder(name: &str) -> Arc<FlightRecorder> {
+    let ring_cap = if deta_telemetry::enabled() {
+        65536
+    } else {
+        256
+    };
+    FlightRecorder::new(name, ring_cap)
 }
 
 /// [`run_node`] for a node already built (from a session of seed `seed`).
@@ -215,6 +232,18 @@ pub fn host_node(
     seed: u64,
     parts: NodeParts,
     tick: Duration,
+) -> Result<(), SocketError> {
+    host(addr, name, seed, parts, tick, node_recorder(name))
+}
+
+/// [`host_node`] into the given flight recorder.
+fn host(
+    addr: SocketAddr,
+    name: &str,
+    seed: u64,
+    parts: NodeParts,
+    tick: Duration,
+    recorder: Arc<FlightRecorder>,
 ) -> Result<(), SocketError> {
     let NodeParts {
         network,
@@ -254,14 +283,6 @@ pub fn host_node(
         network.forward(peer, Arc::clone(&link) as Arc<dyn Forwarder>);
     }
     network.forward(SUPERVISOR, Arc::clone(&link) as Arc<dyn Forwarder>);
-    // With tracing on, the ring must hold a whole session's spans for
-    // shipping — overflow is reported but a deep ring avoids it.
-    let ring_cap = if deta_telemetry::enabled() {
-        65536
-    } else {
-        256
-    };
-    let recorder = FlightRecorder::new(name, ring_cap);
     let ship = Arc::clone(&recorder);
     let reader_stop = Arc::new(AtomicBool::new(false));
     let reader = {

@@ -180,6 +180,16 @@ impl Span {
         }
         self
     }
+
+    /// Attaches a text field, copying `value` only while the span is
+    /// live: a disabled span still allocates nothing.
+    #[must_use]
+    pub fn with_label(self, name: &'static str, value: &str) -> Span {
+        if self.live {
+            return self.with_field(name, TelemetryValue::from(value));
+        }
+        self
+    }
 }
 
 impl Drop for Span {
