@@ -261,18 +261,25 @@ impl Config {
         Ok(cfg)
     }
 
-    /// Examples generated per party (`examples_per_party`).
+    /// Examples generated per party (`examples_per_party`); zero is
+    /// rejected, as a party with no examples cannot train.
     pub fn examples_per_party(&self) -> Result<usize, ConfigError> {
-        self.parse_as("examples_per_party", 200)
+        match self.parse_as("examples_per_party", 200)? {
+            0 => Err(ConfigError::BadValue {
+                key: "examples_per_party".to_string(),
+                value: "0".to_string(),
+            }),
+            n => Ok(n),
+        }
     }
 
     /// Supervisor round deadline in seconds for `cluster` runs
     /// (`round_deadline_s`). Fault drills shorten it so a killed node
-    /// process turns into a structured timeout quickly; zero and
-    /// negative values are rejected.
+    /// process turns into a structured timeout quickly; zero, negative
+    /// and values no `Duration` holds are rejected.
     pub fn round_deadline_s(&self) -> Result<f64, ConfigError> {
         let s: f64 = self.parse_as("round_deadline_s", 60.0)?;
-        if s <= 0.0 || !s.is_finite() {
+        if s <= 0.0 || std::time::Duration::try_from_secs_f64(s).is_err() {
             return Err(ConfigError::BadValue {
                 key: "round_deadline_s".to_string(),
                 value: s.to_string(),
@@ -471,6 +478,25 @@ mod tests {
         let cfg = Config::parse("round_deadline_s = 2.5").unwrap();
         assert_eq!(cfg.round_deadline_s().unwrap(), 2.5);
         let cfg = Config::parse("round_deadline_s = 0").unwrap();
+        assert!(matches!(
+            cfg.round_deadline_s(),
+            Err(ConfigError::BadValue { .. })
+        ));
+    }
+
+    #[test]
+    fn a_party_without_examples_is_rejected() {
+        let cfg = Config::parse("examples_per_party = 0").unwrap();
+        assert!(matches!(
+            cfg.examples_per_party(),
+            Err(ConfigError::BadValue { .. })
+        ));
+        assert!(cfg.prepare().is_err(), "refused before any data is split");
+    }
+
+    #[test]
+    fn round_deadline_rejects_what_no_duration_holds() {
+        let cfg = Config::parse("round_deadline_s = 1e20").unwrap();
         assert!(matches!(
             cfg.round_deadline_s(),
             Err(ConfigError::BadValue { .. })

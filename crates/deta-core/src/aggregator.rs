@@ -247,23 +247,30 @@ impl AggregatorNode {
 
     /// Announces a round to every registered party. The supervisor asks
     /// one aggregator to do this; the others hear of the round only
-    /// through the uploads it brings them.
-    ///
-    /// # Errors
-    ///
-    /// Never fails: any aggregator may announce a round. The `Result`
-    /// keeps the signature its callers already handle.
-    pub fn begin_round(&mut self, round: u64, training_id: [u8; 16]) -> Result<(), AggError> {
+    /// through the uploads it brings them. The announcement is the round
+    /// number alone: each party derives the round's training id itself.
+    pub fn announce(&mut self, round: u64) {
         // Idempotence: a supervisor may retry a round announcement it
         // believes was lost. Re-announcing a completed round must be a
         // no-op, not a protocol restart. An in-flight round IS
         // re-announced: the retry exists to recover a fan-out the
         // network swallowed, and parties dedupe repeated `RoundStart`s.
         if round <= self.completed_rounds {
-            return Ok(());
+            return;
         }
         deta_telemetry::event("round_start", &[("round", TelemetryValue::from(round))]);
-        let _ = self.fan_out(&Msg::RoundStart { round, training_id });
+        let _ = self.fan_out(&Msg::RoundStart { round });
+    }
+
+    /// [`AggregatorNode::announce`], under the signature a hand-driven
+    /// round in the round benchmark calls. The training id is ignored: no
+    /// aggregator holds one, the parties derive it.
+    ///
+    /// # Errors
+    ///
+    /// Never fails: any aggregator may announce a round.
+    pub fn begin_round(&mut self, round: u64, _training_id: [u8; 16]) -> Result<(), AggError> {
+        self.announce(round);
         Ok(())
     }
 
@@ -288,8 +295,19 @@ impl AggregatorNode {
         self.send_sealed(to, msg);
     }
 
+    /// Adversarial-drill hook, as [`AggregatorNode::drill_send_sealed`]
+    /// but for any inner bytes, no message of them needed: a breached
+    /// aggregator speaking a layout the protocol retired.
+    pub fn drill_send_sealed_bytes(&mut self, to: &str, inner: &[u8]) {
+        self.seal_and_send(to, RecordFrame::raw(inner));
+    }
+
     fn send_sealed(&mut self, to: &str, msg: &Msg) {
-        if let (Ok(frame), Some(peer)) = (RecordFrame::of(msg), self.parties.get_mut(to)) {
+        self.seal_and_send(to, RecordFrame::of(msg));
+    }
+
+    fn seal_and_send(&mut self, to: &str, frame: Result<RecordFrame, wire::EncodeError>) {
+        if let (Ok(frame), Some(peer)) = (frame, self.parties.get_mut(to)) {
             let _ = self.endpoint.send(to, frame.seal(&mut peer.channel));
         }
     }

@@ -25,8 +25,9 @@
 //! * [`aggregator`] / [`party`] — the runtime nodes; parties authenticate
 //!   aggregators by challenge-response against the provisioned token
 //!   (Phase II) and open TLS-like secure channels for all model traffic.
-//! * [`keybroker`] — the trusted key broker dispatching permutation keys
-//!   and per-round training identifiers.
+//! * [`keybroker`] — the trusted key broker dispatching the permutation
+//!   key and the session id each party derives per-round training
+//!   identifiers from.
 //! * [`session`] — end-to-end orchestration of the DeTA training life
 //!   cycle, and [`baseline`] — the single-central-aggregator "FFL"
 //!   baseline used for every comparison in the paper's evaluation.

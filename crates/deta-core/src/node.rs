@@ -195,7 +195,7 @@ fn settle(party: &mut Party) -> Result<Vec<CtlMsg>, String> {
         }
     }
     let (active, plan) = (party.control.active, party.control.plan);
-    if let (None, Some(plan), Some((round, _))) = (active, plan, party.current_round()) {
+    if let (None, Some(plan), Some(round)) = (active, plan, party.current_round()) {
         if round == plan.round {
             party.control.plan = None;
             let started = if plan.train {
@@ -251,10 +251,7 @@ impl Actor for AggregatorNode {
         let mut out = Vec::new();
         match input {
             Input::Wire(msg) => on_wire(msg, |from, payload| self.handle_wire(from, payload)),
-            Input::Ctl(CtlMsg::Trigger { round, training_id }) => {
-                // Cannot fail: any aggregator may announce a round.
-                let _ = self.begin_round(round, training_id);
-            }
+            Input::Ctl(CtlMsg::Trigger { round }) => self.announce(round),
             Input::Ctl(CtlMsg::Deregister { party }) => {
                 let field = [("party", TelemetryValue::from(party.as_str()))];
                 deta_telemetry::event("party_deregistered", &field);

@@ -6,8 +6,10 @@
 //! 1. verifies every aggregator via challenge-response against the token
 //!    keys published by the attestation proxy, and registers (Phase II),
 //! 2. on each round announcement, trains locally, applies
-//!    `Trans` (partition + shuffle) to its flat model update, and uploads
-//!    fragment `j` to aggregator `j` over its secure channel,
+//!    `Trans` (partition + shuffle, under the round's training id, which
+//!    it derives from the key broker's session id) to its flat model
+//!    update, and uploads fragment `j` to aggregator `j` over its secure
+//!    channel,
 //! 3. collects aggregated fragments from all aggregators, applies
 //!    `Trans^-1`, and synchronizes its local model.
 //!
@@ -18,6 +20,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::dp::{gaussian_mechanism, LdpConfig, PrivacyAccountant};
+use crate::keybroker;
 use crate::latency::timed;
 use crate::node::PartyControl;
 use crate::paillier_fusion::PaillierFusion;
@@ -25,7 +28,7 @@ use crate::session::SyncMode;
 use crate::shuffle::Shuffled;
 use crate::transform::{RoundPermutations, Transformer};
 use crate::wire::{self, AggregatedRecord, Msg, Opened, RecordFrame};
-use deta_crypto::{DetRng, VerifyingKey};
+use deta_crypto::{DetRng, Secret, VerifyingKey};
 use deta_nn::train::{batch_gradient, train_local, LabeledData};
 use deta_nn::Sequential;
 use deta_paillier::Ciphertext;
@@ -251,13 +254,17 @@ pub struct Party {
     pub(crate) control: PartyControl,
     rng: DetRng,
     transformer: Transformer,
+    /// The key broker's session id, from which the party derives every
+    /// round's training id ([`keybroker::training_id`]): an announcement
+    /// carries the round number only.
+    session_id: Secret<[u8; 16]>,
     /// The local model replica.
     pub model: Sequential,
     data: LabeledData,
     cfg: PartyConfig,
     /// The aggregators, index = fragment index.
     aggregators: Vec<AggPeer>,
-    current_round: Option<(u64, [u8; 16])>,
+    current_round: Option<u64>,
     /// Highest round this party has fully synchronized; stale
     /// re-announcements of completed rounds are ignored (idempotent
     /// retries from a supervisor).
@@ -297,13 +304,13 @@ pub struct Party {
     /// [`crate::supervise::FailoverPolicy::Restart`], the one policy
     /// that sends `Replay`. Off, the party keeps no copy of its update.
     keeps_replay: bool,
-    /// The last uploaded update `(round, training id, post-LDP values)`,
+    /// The last uploaded update `(round, post-LDP values)`,
     /// kept only while `keeps_replay` (and never under Paillier fusion,
     /// which refuses replays), so a failed round can be replayed
     /// idempotently after an aggregator failover without re-training
     /// (training consumes no party randomness, so the stored update is
     /// bit-identical to what a re-run would produce).
-    last_upload: Option<(u64, [u8; 16], Vec<f32>)>,
+    last_upload: Option<(u64, Vec<f32>)>,
     /// Adversarial-drill hook (see [`Party::set_update_tamper`]):
     /// mutates the post-LDP update before it is logged, retained, and
     /// transformed, turning this party into an active model-poisoning
@@ -312,7 +319,8 @@ pub struct Party {
 }
 
 impl Party {
-    /// Creates a party.
+    /// Creates a party. `transformer` holds the broker's permutation key
+    /// and `session_id` is the broker's session id.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
@@ -320,6 +328,7 @@ impl Party {
         model: Sequential,
         data: LabeledData,
         transformer: Transformer,
+        session_id: impl Into<Secret<[u8; 16]>>,
         aggregators: Vec<String>,
         cfg: PartyConfig,
         rng: DetRng,
@@ -335,6 +344,7 @@ impl Party {
             control: PartyControl::default(),
             rng,
             transformer,
+            session_id: session_id.into(),
             model,
             data,
             cfg,
@@ -465,17 +475,18 @@ impl Party {
         if !self.keeps_replay {
             return Err(ReplayRefused::NotKept);
         }
-        let (tid, update) = match self.last_upload.take() {
-            Some((r, tid, update)) if r == round => (tid, update),
+        let update = match self.last_upload.take() {
+            Some((r, update)) if r == round => update,
             held => {
                 self.last_upload = held;
                 return Err(ReplayRefused::NoUpload);
             }
         };
+        let tid = self.training_id(round);
         let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
         self.upload_fragments(round, Some(&update), &perms, "upload_replayed");
-        self.last_upload = Some((round, tid, update));
-        if self.current_round == Some((round, tid)) {
+        self.last_upload = Some((round, update));
+        if self.current_round == Some(round) {
             // Still open: `finish_round` will want them. A replay of a
             // round already synchronized must not leave them behind.
             self.round_perms = Some(perms);
@@ -526,13 +537,13 @@ impl Party {
     }
 
     /// Polls for a round announcement from the initiator.
-    pub fn poll_round_start(&mut self) -> Option<(u64, [u8; 16])> {
+    pub fn poll_round_start(&mut self) -> Option<u64> {
         self.drain_wire();
         self.current_round
     }
 
     /// The currently announced round, if any (no drain).
-    pub fn current_round(&self) -> Option<(u64, [u8; 16])> {
+    pub fn current_round(&self) -> Option<u64> {
         self.current_round
     }
 
@@ -549,7 +560,7 @@ impl Party {
     /// Fails if no round is active or required Paillier material is
     /// missing.
     pub fn run_local_round(&mut self) -> Result<(), PartyError> {
-        let Some((round, tid)) = self.current_round else {
+        let Some(round) = self.current_round else {
             return Err(PartyError::Protocol("no active round"));
         };
         // A new round cannot replay the last one's upload.
@@ -599,6 +610,7 @@ impl Party {
                 self.update_log.push((round, update.clone()));
             }
         }
+        let tid = self.training_id(round);
         let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
         if self.paillier.is_some() {
             let fragments = timed(&mut self.timers.transform_s, || {
@@ -613,7 +625,7 @@ impl Party {
         }
         self.round_perms = Some(perms);
         if keep {
-            self.last_upload = update.map(|update| (round, tid, update));
+            self.last_upload = update.map(|update| (round, update));
         }
         Ok(())
     }
@@ -724,6 +736,12 @@ impl Party {
         }
     }
 
+    /// The training id of `round`, derived from the session id: no
+    /// message carries one.
+    fn training_id(&self, round: u64) -> [u8; 16] {
+        keybroker::training_id(&self.session_id, round)
+    }
+
     /// Takes the held permutations if they belong to round `tid`, and
     /// asks the transformer otherwise (first use in the round, or a
     /// round this party sat out), which derives them unless
@@ -789,7 +807,7 @@ impl Party {
     /// that already routed every queued message through
     /// [`Party::handle_wire`].
     pub fn finish_round(&mut self) -> bool {
-        let Some((round, tid)) = self.current_round else {
+        let Some(round) = self.current_round else {
             return true;
         };
         let arrived = |a: &AggPeer| matches!(a.download, Some((r, _)) if r == round);
@@ -828,6 +846,7 @@ impl Party {
         // FedAvg's new parameters, or FedSGD's gradient for the step
         // below to turn into parameters.
         let fragments: Vec<Shuffled<'_>> = aggregates.iter().map(Aggregate::shuffled).collect();
+        let tid = self.training_id(round);
         let mut params: Vec<&mut [f32]> = (self.model.params_mut().into_iter())
             .map(|p| p.data_mut())
             .collect();
@@ -1009,12 +1028,12 @@ impl Party {
         };
         match inner {
             Msg::RegisterAck => agg.acked = true,
-            Msg::RoundStart { round, training_id }
+            Msg::RoundStart { round }
                 // Re-announcements of already-synchronized rounds are
                 // dropped so supervisor retries stay idempotent.
                 if round > self.last_finished_round =>
             {
-                self.current_round = Some((round, training_id));
+                self.current_round = Some(round);
             }
             Msg::AggregatedEncrypted {
                 round,
@@ -1081,8 +1100,6 @@ mod tests {
     use deta_datasets::{iid_partition, DatasetSpec};
     use deta_nn::models::mlp;
 
-    const TID: [u8; 16] = [0x5a; 16];
-
     fn session(n_parties: usize, participation: Option<usize>) -> (DetaSession, LabeledData) {
         session_under(FailoverPolicy::None, n_parties, participation)
     }
@@ -1110,17 +1127,15 @@ mod tests {
         (s, spec.generate(16, 9))
     }
 
-    /// Announces `round` under `tid` and lets party 0 train and upload.
-    fn open_round_and_upload(s: &mut DetaSession, round: u64, tid: [u8; 16]) {
-        s.aggregator_mut(0)
-            .begin_round(round, tid)
-            .expect("initiator");
+    /// Announces `round` and lets party 0 train and upload.
+    fn open_round_and_upload(s: &mut DetaSession, round: u64) {
+        s.aggregator_mut(0).announce(round);
         for j in 0..3 {
             s.aggregator_mut(j).pump();
         }
         let p = s.party_mut(0);
         p.record_updates = true;
-        assert_eq!(p.poll_round_start(), Some((round, tid)));
+        assert_eq!(p.poll_round_start(), Some(round));
         p.run_local_round().expect("announced round runs");
     }
 
@@ -1128,13 +1143,10 @@ mod tests {
     fn permutations_are_held_from_upload_to_finish_only() {
         let (mut s, _test) = session(2, None);
         assert!(s.party_mut(0).round_perms.is_none());
-        open_round_and_upload(&mut s, 1, TID);
-        let held = s
-            .party_mut(0)
-            .round_perms
-            .as_ref()
-            .expect("held after upload");
-        assert_eq!(held.training_id(), &TID);
+        open_round_and_upload(&mut s, 1);
+        let p = s.party_mut(0);
+        let held = p.round_perms.as_ref().expect("held after upload");
+        assert_eq!(held.training_id(), &p.training_id(1));
         // Nothing about the slot order is printable.
         assert_eq!(
             format!("{held:?}"),
@@ -1153,9 +1165,11 @@ mod tests {
         }
         assert_eq!(s.party_params(0), s.party_params(1));
         // The next round holds its own set, under its own training id.
-        open_round_and_upload(&mut s, 2, [0x33; 16]);
-        let held = s.party_mut(0).round_perms.as_ref().expect("held again");
-        assert_eq!(held.training_id(), &[0x33; 16]);
+        open_round_and_upload(&mut s, 2);
+        let p = s.party_mut(0);
+        let held = p.round_perms.as_ref().expect("held again");
+        assert_eq!(held.training_id(), &p.training_id(2));
+        assert_ne!(p.training_id(2), p.training_id(1));
     }
 
     #[test]
@@ -1163,7 +1177,7 @@ mod tests {
         // What `Restart` asks of a party: round 1 is open, party 0 has
         // uploaded, and the round replays to the same mapper slots.
         let (mut s, _test) = session_under(FailoverPolicy::Restart, 2, None);
-        open_round_and_upload(&mut s, 1, TID);
+        open_round_and_upload(&mut s, 1);
         let held = |s: &mut DetaSession| -> Vec<Vec<(u64, String, Vec<u32>)>> {
             (0..3)
                 .map(|j| {
@@ -1194,12 +1208,12 @@ mod tests {
             (FailoverPolicy::Restart, true),
         ] {
             let (mut s, _test) = session_under(policy, 2, None);
-            open_round_and_upload(&mut s, 1, TID);
+            open_round_and_upload(&mut s, 1);
             let p = s.party_mut(0);
             assert_eq!(p.last_upload.is_some(), kept, "{policy:?}");
             let logged = &p.update_log[0];
-            if let Some((round, tid, update)) = &p.last_upload {
-                assert_eq!((*round, tid, update), (1, &TID, &logged.1));
+            if let Some((round, update)) = &p.last_upload {
+                assert_eq!((*round, update), (1, &logged.1));
             }
             let replay = p.replay_upload(1);
             assert_eq!(replay.is_ok(), kept, "{policy:?}: {replay:?}");
@@ -1215,14 +1229,14 @@ mod tests {
         // the aggregators hold are the same bits either way.
         let held = |policy| {
             let (mut s, _test) = session_under(policy, 2, None);
-            let tid = TID;
-            s.aggregator_mut(0).begin_round(1, tid).expect("initiator");
+            s.aggregator_mut(0).announce(1);
             for j in 0..3 {
                 s.aggregator_mut(j).pump();
             }
             let p = s.party_mut(0);
-            assert_eq!(p.poll_round_start(), Some((1, tid)));
+            assert_eq!(p.poll_round_start(), Some(1));
             p.run_local_round().expect("announced round runs");
+            let tid = p.training_id(1);
             let want = p.transformer().transform(&p.model.flat_params(), &tid);
             let got: Vec<Vec<u32>> = (0..3)
                 .map(|j| {

@@ -57,7 +57,11 @@ pub struct OpenRound {
     aggregators: BTreeMap<String, f64>,
     /// Nodes whose completion of the round is in.
     done: HashSet<String>,
-    /// The parameter snapshot a `PartyDone` carried, for evaluation.
+    /// The one party asked for a parameter snapshot, by index, and the
+    /// number of values the snapshot must hold.
+    snapshot: Option<(usize, usize)>,
+    /// The parameter snapshot that party's `PartyDone` carried, for
+    /// evaluation.
     pub params: Option<Vec<f32>>,
 }
 
@@ -117,8 +121,9 @@ impl RoundLedger {
     /// a participation quorum `q` below their number, the round's cohort
     /// is the first `q` of a shuffle of their indices seeded by the
     /// session seed and the round number; otherwise everyone online
-    /// trains.
-    pub fn open(&mut self) -> OpenRound {
+    /// trains. With `snapshot_len`, the first of them is asked for a
+    /// snapshot of its parameters, which must hold that many values.
+    pub fn open(&mut self, snapshot_len: Option<usize>) -> OpenRound {
         let round = self.next_round;
         self.next_round += 1;
         let online = self.online();
@@ -133,6 +138,7 @@ impl RoundLedger {
         for i in cohort {
             trains[i] = true;
         }
+        let snapshot = snapshot_len.and_then(|len| Some((*online.first()?, len)));
         OpenRound {
             round,
             party_names: Arc::clone(&self.party_names),
@@ -142,6 +148,7 @@ impl RoundLedger {
             parties: vec![None; self.party_names.len()],
             aggregators: BTreeMap::new(),
             done: HashSet::new(),
+            snapshot,
             params: None,
         }
     }
@@ -238,24 +245,37 @@ impl RoundLedger {
 
 impl OpenRound {
     /// The `RoundPlan` of every party in the round, by party index: train
-    /// or only synchronize, and — when `report_params` — the first of
-    /// them attaches its parameters to `PartyDone`.
-    pub fn plans(&self, report_params: bool) -> Vec<(usize, CtlMsg)> {
-        let plan = |k: usize, i: usize| CtlMsg::RoundPlan {
+    /// or only synchronize, and whether to attach its parameters to
+    /// `PartyDone` (the one party asked for a snapshot).
+    pub fn plans(&self) -> Vec<(usize, CtlMsg)> {
+        let plan = |i: usize| CtlMsg::RoundPlan {
             round: self.round,
             train: self.trains[i],
-            report_params: report_params && k == 0,
+            report_params: self.snapshot.is_some_and(|(reporter, _)| reporter == i),
         };
-        let online = self.online.iter().enumerate();
-        online.map(|(k, &i)| (i, plan(k, i))).collect()
+        self.online.iter().map(|&i| (i, plan(i))).collect()
+    }
+
+    /// The party asked for this round's parameter snapshot, if any.
+    pub fn reporter(&self) -> Option<&str> {
+        let (i, _) = self.snapshot?;
+        Some(&self.party_names[i])
     }
 
     /// Takes in a node's report; returns whether it completed the
-    /// sender's part of the round — an `AggDone` for this round or a
-    /// later one, a `PartyDone` for this one.
-    pub fn absorb(&mut self, from: &str, report: CtlMsg) -> bool {
+    /// sender's part of the round — an aggregator's `AggDone` for this
+    /// round or a later one, a party's `PartyDone` for this one. A
+    /// parameter snapshot is kept only from the party asked for one, and
+    /// any other party's is ignored and counted.
+    ///
+    /// # Errors
+    ///
+    /// The reason the round fails on the sender: the party asked for the
+    /// snapshot sent one that is not the model's length.
+    pub fn absorb(&mut self, from: &str, report: CtlMsg) -> Result<bool, String> {
+        let party = self.party_names.iter().position(|n| n == from);
         match report {
-            CtlMsg::AggDone { round, aggregate_s } if round >= self.round => {
+            CtlMsg::AggDone { round, aggregate_s } if round >= self.round && party.is_none() => {
                 self.aggregators.insert(from.to_string(), aggregate_s);
             }
             CtlMsg::PartyDone {
@@ -267,24 +287,41 @@ impl OpenRound {
                 crypto_s,
                 params,
             } if round == self.round => {
-                let Some(i) = self.party_names.iter().position(|n| n == from) else {
-                    return false;
+                let Some(i) = party else {
+                    return Ok(false);
                 };
+                match (params, self.snapshot) {
+                    (Some(params), Some((reporter, len))) if reporter == i => {
+                        if params.len() != len {
+                            return Err(format!(
+                                "reported a parameter snapshot of {} values for a model of {len}",
+                                params.len()
+                            ));
+                        }
+                        self.params = Some(params);
+                    }
+                    (Some(_), _) => {
+                        deta_telemetry::metrics::counter_add(
+                            "deta_ctl_ignored_total",
+                            "snapshot",
+                            1,
+                        );
+                    }
+                    (None, _) => {}
+                }
                 let timers = PartyTimers {
                     train_s,
                     transform_s,
                     crypto_s,
                 };
                 self.parties[i] = Some((timers, trained.then_some(train_loss)));
-                if params.is_some() {
-                    self.params = params;
-                }
             }
-            // Not a handler: any other report, or a stale one, completes nothing.
-            _ => return false,
+            // Not a handler: any other report, a stale one, or one from a
+            // node that does not owe it, completes nothing.
+            _ => return Ok(false),
         }
         self.done.insert(from.to_string());
-        true
+        Ok(true)
     }
 
     /// `node`'s completion no longer counts: it was retired.
@@ -316,7 +353,7 @@ mod tests {
     }
 
     fn cohort(open: &OpenRound) -> Vec<usize> {
-        let plans = open.plans(false).into_iter();
+        let plans = open.plans().into_iter();
         let trains = |plan: &CtlMsg| matches!(plan, CtlMsg::RoundPlan { train: true, .. });
         plans.filter(|(_, p)| trains(p)).map(|(i, _)| i).collect()
     }
@@ -339,7 +376,7 @@ mod tests {
     #[test]
     fn cohort_is_the_pinned_draw() {
         let mut ledger = new_ledger(5, Some(3), 1234);
-        let drawn: Vec<Vec<usize>> = (0..3).map(|_| cohort(&ledger.open())).collect();
+        let drawn: Vec<Vec<usize>> = (0..3).map(|_| cohort(&ledger.open(None))).collect();
         assert_eq!(drawn, COHORTS_SEED_1234);
     }
 
@@ -348,14 +385,14 @@ mod tests {
         let mut ledger = new_ledger(4, Some(3), 31);
         ledger.leave("party-3");
         for _ in 0..20 {
-            assert_eq!(cohort(&ledger.open()), [0, 1, 2]);
+            assert_eq!(cohort(&ledger.open(None)), [0, 1, 2]);
         }
         let mut ledger = new_ledger(4, Some(2), 31);
         ledger.leave("party-1");
         for _ in 0..20 {
-            let open = ledger.open();
+            let open = ledger.open(Some(8));
             assert_eq!(cohort(&open).len(), 2);
-            assert!(open.plans(true).iter().all(|(i, _)| *i != 1));
+            assert!(open.plans().iter().all(|(i, _)| *i != 1));
         }
     }
 
@@ -373,20 +410,27 @@ mod tests {
         };
         send(0, "agg-0", 1_000); // before any round: in no window
 
-        let mut open = ledger.open();
+        let mut open = ledger.open(None);
         send(0, "agg-0", 10);
         send(1, "agg-1", 20);
         send(2, "party-0", 7);
         send(3, "agg-0", 100); // follower sync
         send(0, "supervisor", 500); // control plane
-        assert!(open.absorb("party-0", party_done(1, 1.5, Some(2.0))));
-        assert!(open.absorb("party-1", party_done(1, 0.0, None)));
+        assert_eq!(
+            open.absorb("party-0", party_done(1, 1.5, Some(2.0))),
+            Ok(true)
+        );
+        assert_eq!(open.absorb("party-1", party_done(1, 0.0, None)), Ok(true));
         let agg_done = CtlMsg::AggDone {
             round: 1,
             aggregate_s: 0.25,
         };
-        assert!(open.absorb("agg-0", agg_done));
-        assert!(!open.absorb("agg-1", CtlMsg::Ready), "not a completion");
+        assert_eq!(open.absorb("agg-0", agg_done), Ok(true));
+        assert_eq!(
+            open.absorb("agg-1", CtlMsg::Ready),
+            Ok(false),
+            "not a completion"
+        );
         let awaiting: Vec<String> = ledger.awaiting(&open, &aggs).into_iter().collect();
         assert_eq!(awaiting, ["agg-1"]);
         let m = ledger.close(open, &aggs, 0.5, 0.75);
@@ -403,13 +447,17 @@ mod tests {
         // Timers are cumulative: the next round sees only its own delta,
         // and a party that left reports nothing and counts for nothing.
         ledger.leave("party-1");
-        let mut open = ledger.open();
+        let mut open = ledger.open(None);
         send(0, "agg-0", 4);
-        assert!(
-            !open.absorb("party-0", party_done(1, 9.0, Some(9.0))),
+        assert_eq!(
+            open.absorb("party-0", party_done(1, 9.0, Some(9.0))),
+            Ok(false),
             "stale"
         );
-        assert!(open.absorb("party-0", party_done(2, 2.0, Some(3.0))));
+        assert_eq!(
+            open.absorb("party-0", party_done(2, 2.0, Some(3.0))),
+            Ok(true)
+        );
         assert!(!ledger.awaiting(&open, &[]).contains("party-1"));
         let m = ledger.close(open, &aggs, 0.0, 0.0);
         assert_eq!((m.round, m.upload_bytes, m.download_bytes), (2, 4, 0));

@@ -61,14 +61,13 @@ pub enum CtlMsg {
         /// Monotonic per-node sequence number.
         seq: u64,
     },
-    /// Supervisor -> initiator aggregator: trigger a round (the
-    /// operator's `begin_round` call, made message-driven). Idempotent:
-    /// re-delivery of an announced or completed round is harmless.
+    /// Supervisor -> initiator aggregator: announce a round. Idempotent:
+    /// re-delivery of an announced or completed round is harmless. It
+    /// carries no training id: the parties derive it (see
+    /// [`crate::keybroker::training_id`]).
     Trigger {
         /// Round number, starting at 1.
         round: u64,
-        /// Per-round training id from the key broker.
-        training_id: [u8; 16],
     },
     /// Supervisor -> party: this round's marching orders.
     RoundPlan {
@@ -134,7 +133,6 @@ pub enum CtlMsg {
 const TAG_READY: u8 = 1;
 const TAG_FAILED: u8 = 2;
 const TAG_HEARTBEAT: u8 = 3;
-const TAG_TRIGGER: u8 = 4;
 const TAG_ROUND_PLAN: u8 = 5;
 const TAG_PARTY_DONE: u8 = 6;
 const TAG_AGG_DONE: u8 = 7;
@@ -143,9 +141,12 @@ const TAG_REBIND: u8 = 9;
 // Tags 10 and 12 are retired: they carried a mid-session re-partition,
 // which no session does any more. Tag 13 is retired too: it told
 // aggregators who coordinates them, and aggregators no longer address
-// one another. Decoding refuses all three, and no new variant takes them.
+// one another. Tag 4 carried a trigger together with the round's
+// training id, which no supervisor holds any more. Decoding refuses all
+// four, and no new variant takes them.
 const TAG_REPLAY: u8 = 11;
 const TAG_DEREGISTER: u8 = 14;
+const TAG_TRIGGER: u8 = 15;
 
 /// Decode errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,10 +220,9 @@ impl CtlMsg {
                 out.push(TAG_HEARTBEAT);
                 out.extend_from_slice(&seq.to_le_bytes());
             }
-            CtlMsg::Trigger { round, training_id } => {
+            CtlMsg::Trigger { round } => {
                 out.push(TAG_TRIGGER);
                 out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(training_id);
             }
             CtlMsg::RoundPlan {
                 round,
@@ -298,10 +298,7 @@ impl CtlMsg {
                 reason: r.str()?.to_string(),
             },
             TAG_HEARTBEAT => CtlMsg::Heartbeat { seq: r.u64()? },
-            TAG_TRIGGER => CtlMsg::Trigger {
-                round: r.u64()?,
-                training_id: r.array()?,
-            },
+            TAG_TRIGGER => CtlMsg::Trigger { round: r.u64()? },
             TAG_ROUND_PLAN => CtlMsg::RoundPlan {
                 round: r.u64()?,
                 train: r.bool()?,

@@ -26,7 +26,7 @@ use crate::recovery::RecoveryKit;
 use crate::rtmsg::{CtlMsg, SUPERVISOR};
 use crate::supervise::{Directive, Event, RuntimeConfig, RuntimeError, SessionView, Supervisor};
 use crate::transform::{TransformConfig, Transformer};
-use deta_crypto::{DetRng, VerifyingKey};
+use deta_crypto::{DetRng, Secret, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
 use deta_sev_sim::{BreachDump, Cvm, SevError};
@@ -206,7 +206,9 @@ pub struct SessionParts {
     pub parties: Vec<Party>,
     /// Aggregator nodes (`agg-{j}`, index 0 is the initiator).
     pub aggregators: Vec<AggregatorNode>,
-    /// The key broker (per-round training ids).
+    /// The key broker. Every party holds its two secrets; the session's
+    /// supervisor and aggregators hold neither, so this is for the
+    /// callers that drive or audit rounds from outside the session.
     pub broker: KeyBroker,
     /// The latency model matching `cc_protected`.
     pub latency_model: LatencyModel,
@@ -265,10 +267,17 @@ impl<'a> Blueprint<'a> {
     fn new(
         config: DetaConfig,
         model_builder: &'a dyn Fn(&mut DetRng) -> Sequential,
-        party_shards: usize,
+        party_data: &[LabeledData],
     ) -> Result<Blueprint<'a>, SetupError> {
-        if party_shards != config.n_parties {
+        if party_data.len() != config.n_parties {
             return Err(SetupError::Config("party_data count != n_parties"));
+        }
+        // Local training asserts both, mid-run; refuse them here instead.
+        if config.batch_size == 0 {
+            return Err(SetupError::Config("batch_size must be positive"));
+        }
+        if party_data.iter().any(LabeledData::is_empty) {
+            return Err(SetupError::Config("every party needs at least one example"));
         }
         if config.n_aggregators == 0 {
             return Err(SetupError::Config("need at least one aggregator"));
@@ -361,13 +370,16 @@ impl<'a> Blueprint<'a> {
         (broker, transformer)
     }
 
-    /// Party `i` over `data`, with a model replica of its own.
+    /// Party `i` over `data`, with a model replica of its own, and the
+    /// key broker's two secrets: the permutation key inside `transformer`
+    /// and the `session_id` the party derives each round's id from.
     fn party(
         &self,
         i: usize,
         model: Sequential,
         data: LabeledData,
         transformer: Transformer,
+        session_id: Secret<[u8; 16]>,
     ) -> Party {
         let config = &self.config;
         let grad_scale = match config.algorithm {
@@ -390,6 +402,7 @@ impl<'a> Blueprint<'a> {
             model,
             data,
             transformer,
+            session_id,
             self.agg_names.clone(),
             party_cfg,
             self.root.fork_indexed(b"party-rng", i as u64),
@@ -418,7 +431,7 @@ impl SessionParts {
         model_builder: &dyn Fn(&mut DetRng) -> Sequential,
         party_data: Vec<LabeledData>,
     ) -> Result<SessionParts, SetupError> {
-        let mut plan = Blueprint::new(config, model_builder, party_data.len())?;
+        let mut plan = Blueprint::new(config, model_builder, &party_data)?;
         let aggregators = std::mem::take(&mut plan.cvms)
             .into_iter()
             .enumerate()
@@ -429,7 +442,10 @@ impl SessionParts {
         let parties = party_data
             .into_iter()
             .enumerate()
-            .map(|(i, data)| plan.party(i, eval_model.clone(), data, transformer.clone()))
+            .map(|(i, data)| {
+                let (model, session_id) = (eval_model.clone(), broker.session_id());
+                plan.party(i, model, data, transformer.clone(), session_id)
+            })
             .collect();
 
         let config = plan.config;
@@ -491,7 +507,7 @@ impl NodeParts {
         party_data: Vec<LabeledData>,
         name: &str,
     ) -> Result<NodeParts, SetupError> {
-        let mut plan = Blueprint::new(config, model_builder, party_data.len())?;
+        let mut plan = Blueprint::new(config, model_builder, &party_data)?;
         let parties = party_data.len();
         let mut shards = party_data.into_iter().enumerate();
         let node = if let Some(j) = plan.agg_names.iter().position(|a| a == name) {
@@ -499,8 +515,9 @@ impl NodeParts {
             Node::Aggregator(Box::new(plan.aggregator(j, cvm)?))
         } else if let Some((i, data)) = shards.find(|(i, _)| party_name(*i) == name) {
             let model = plan.model();
-            let (_, transformer) = plan.transformer(model.param_count());
-            Node::Party(Box::new(plan.party(i, model, data, transformer)))
+            let (broker, transformer) = plan.transformer(model.param_count());
+            let party = plan.party(i, model, data, transformer, broker.session_id());
+            Node::Party(Box::new(party))
         } else {
             return Err(SetupError::Config("no node of that name in the session"));
         };

@@ -25,7 +25,6 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::aggregator::AggregatorNode;
-use crate::keybroker::KeyBroker;
 use crate::node::Node;
 use crate::party::Party;
 use crate::recovery::RecoveryKit;
@@ -359,8 +358,6 @@ pub struct SessionView<'a> {
     /// attestation proxy published them: a retired incarnation's key
     /// stays next to its replacement's, so drills can prove it dead.
     pub tokens: &'a HashMap<String, VerifyingKey>,
-    /// The key broker (per-round training ids and the permutation key).
-    pub broker: &'a KeyBroker,
     /// Number of failovers performed so far.
     pub failovers: u64,
     nodes: &'a HashMap<String, Node>,
@@ -381,13 +378,13 @@ pub struct Supervisor {
     cfg: RuntimeConfig,
     config: DetaConfig,
     network: Network,
-    broker: KeyBroker,
     tokens: HashMap<String, VerifyingKey>,
     recovery: RecoveryKit,
     ledger: RoundLedger,
-    /// Whether the first party of a round attaches its parameters to
-    /// `PartyDone` (a session that evaluates on a replica of its own).
-    report_params: bool,
+    /// The model's parameter count when the first party of a round
+    /// attaches its parameters to `PartyDone` (a session that evaluates
+    /// on a replica of its own).
+    snapshot_len: Option<usize>,
     agg_names: Vec<String>,
     retired_aggs: Vec<String>,
     failovers: u64,
@@ -416,15 +413,15 @@ impl Supervisor {
         let party_names = parts.parties.iter().map(|p| p.name.clone()).collect();
         let agg_names: Vec<String> = parts.aggregators.iter().map(|a| a.name.clone()).collect();
         let (network, latency) = (parts.network, parts.latency_model);
+        let snapshot_len = report_params.then(|| parts.eval_model.param_count());
         let supervisor = Supervisor {
             ledger: RoundLedger::new(&parts.config, network.clone(), latency, party_names),
             cfg,
             config: parts.config,
             network,
-            broker: parts.broker,
             tokens: parts.tokens,
             recovery: parts.recovery,
-            report_params,
+            snapshot_len,
             agg_names,
             retired_aggs: Vec::new(),
             failovers: 0,
@@ -461,10 +458,10 @@ impl Supervisor {
     /// Opens the next round: each online party's `RoundPlan`, sent once,
     /// then the trigger to the initiator and a wait for every completion.
     pub fn round(&mut self, now: Duration) -> Vec<Directive> {
-        let open = self.ledger.open();
+        let open = self.ledger.open(self.snapshot_len);
         deta_telemetry::event("round_begin", &[("round", open.round.into())]);
         let names = self.ledger.party_names();
-        let plans = open.plans(self.report_params).into_iter();
+        let plans = open.plans().into_iter();
         let send = |(i, msg): (usize, CtlMsg)| Directive::Send(names[i].clone(), msg);
         let mut out = plans.map(send).collect();
         self.open = Some(open);
@@ -496,10 +493,13 @@ impl Supervisor {
                     CtlMsg::Ready if !matches!(wait.goal, Goal::Round) => true,
                     // Completions racing in during a failover barrier
                     // still count toward the round.
-                    msg => {
-                        let absorbed = self.open.as_mut().is_some_and(|o| o.absorb(&from, msg));
-                        absorbed && matches!(wait.goal, Goal::Round)
-                    }
+                    msg => match self.open.as_mut().map(|o| o.absorb(&from, msg)) {
+                        Some(Err(reason)) => {
+                            let err = RuntimeError::NodeFailed { node: from, reason };
+                            return self.fault(err, now);
+                        }
+                        absorbed => absorbed == Some(Ok(true)) && matches!(wait.goal, Goal::Round),
+                    },
                 };
                 if done {
                     wait.expected.remove(&from);
@@ -586,7 +586,6 @@ impl Supervisor {
             retired_aggs: &self.retired_aggs,
             dropped_parties: self.ledger.left(),
             tokens: &self.tokens,
-            broker: &self.broker,
             failovers: self.failovers,
             nodes,
         }
@@ -674,9 +673,8 @@ impl Supervisor {
     /// The open round's trigger, for the initiator in effect.
     fn trigger(&self) -> Option<(String, CtlMsg)> {
         let round = self.open.as_ref()?.round;
-        let training_id = self.broker.training_id(round);
         let initiator = self.agg_names.first()?.clone();
-        Some((initiator, CtlMsg::Trigger { round, training_id }))
+        Some((initiator, CtlMsg::Trigger { round }))
     }
 
     /// (Re-)enters the open round's completion wait: the trigger to the
@@ -772,13 +770,10 @@ impl Supervisor {
                 ),
             });
         }
-        // The first party still in the session is the one planned to
-        // report the parameter snapshot.
-        let reporter = online.first().filter(|_| self.report_params);
-        if let (None, Some(reporter)) = (&open.params, reporter) {
-            if lost.contains(reporter) {
+        if let (None, Some(reporter)) = (&open.params, open.reporter()) {
+            if lost.iter().any(|n| n == reporter) {
                 return Err(RuntimeError::NodeFailed {
-                    node: reporter.clone(),
+                    node: reporter.to_string(),
                     reason: "lost mid-round while designated to report the parameter \
                              snapshot; no survivor was planned to report it"
                         .to_string(),

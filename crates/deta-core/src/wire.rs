@@ -48,12 +48,13 @@ pub enum Msg {
     },
     /// Registration acknowledged.
     RegisterAck,
-    /// Round start announcement (initiator aggregator -> party).
+    /// Round start announcement (initiator aggregator -> party). It
+    /// carries no training id: each party derives the round's id from the
+    /// session id the key broker gave it, so an aggregator cannot choose
+    /// the shuffle the parties upload under.
     RoundStart {
         /// Round number, starting at 1.
         round: u64,
-        /// Per-round training identifier for the dynamic shuffle.
-        training_id: [u8; 16],
     },
     /// Transformed fragment upload (party -> aggregator).
     Upload {
@@ -96,15 +97,17 @@ const TAG_HELLO_REPLY: u8 = 2;
 const TAG_RECORD: u8 = 3;
 const TAG_REGISTER: u8 = 4;
 const TAG_REGISTER_ACK: u8 = 5;
-const TAG_ROUND_START: u8 = 6;
+// Tag 6 is retired: it carried a round announcement together with the
+// round's training id, which an aggregator could then choose.
 const TAG_UPLOAD: u8 = 7;
 const TAG_AGGREGATED: u8 = 8;
 // Tags 9 and 10 are retired: they carried an inter-aggregator round
 // announcement and its acknowledgement, and aggregators no longer
-// address one another. Decoding refuses them, and no new variant takes
-// them.
+// address one another. Decoding refuses them and tag 6, and no new
+// variant takes any of the three.
 const TAG_UPLOAD_ENC: u8 = 11;
 const TAG_AGGREGATED_ENC: u8 = 12;
+const TAG_ROUND_START: u8 = 13;
 
 /// Decode errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,6 +216,15 @@ impl RecordFrame {
     /// A record of `msg`.
     pub fn of(msg: &Msg) -> Result<RecordFrame, EncodeError> {
         RecordFrame::build(msg.encoded_len_hint(), |out| msg.encode_into(out))
+    }
+
+    /// A record of arbitrary inner bytes, for drills that seal what no
+    /// [`Msg`] encodes.
+    pub fn raw(inner: &[u8]) -> Result<RecordFrame, EncodeError> {
+        RecordFrame::build(inner.len(), |out| {
+            out.extend_from_slice(inner);
+            Ok(())
+        })
     }
 
     /// The same unsealed record, with the same room for its tag, for
@@ -417,10 +429,9 @@ impl Msg {
                 out.extend_from_slice(&weight.to_le_bytes());
             }
             Msg::RegisterAck => out.push(TAG_REGISTER_ACK),
-            Msg::RoundStart { round, training_id } => {
+            Msg::RoundStart { round } => {
                 out.push(TAG_ROUND_START);
                 out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(training_id);
             }
             Msg::Upload { round, fragment } => {
                 put_fragment(out, TAG_UPLOAD, *round, fragment.iter().copied())?;
@@ -472,10 +483,7 @@ impl Msg {
                 weight: r.f32()?,
             },
             TAG_REGISTER_ACK => Msg::RegisterAck,
-            TAG_ROUND_START => Msg::RoundStart {
-                round: r.u64()?,
-                training_id: r.array()?,
-            },
+            TAG_ROUND_START => Msg::RoundStart { round: r.u64()? },
             TAG_UPLOAD => Msg::Upload {
                 round: r.u64()?,
                 fragment: r.f32s()?,

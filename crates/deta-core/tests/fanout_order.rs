@@ -46,13 +46,10 @@ fn fan_outs_go_out_in_party_name_order_every_time() {
         let sent = Arc::new(Destinations::default());
         net.set_tap(Arc::clone(&sent) as Arc<dyn NetTap>);
 
-        agg.begin_round(1, [7; 16]).expect("the initiator");
+        agg.announce(1);
         assert_eq!(sent.drain(), by_name, "RoundStart fan-out");
         for party in &mut parties {
-            assert!(matches!(
-                party.recv(),
-                Some(Msg::RoundStart { round: 1, .. })
-            ));
+            assert!(matches!(party.recv(), Some(Msg::RoundStart { round: 1 })));
             party.send(&Msg::Upload {
                 round: 1,
                 fragment: vec![1.0; 4],

@@ -82,8 +82,7 @@ fn round(parts: &mut SessionParts, round: u64, train: &[bool]) -> Reports {
         };
         assert!(party.step(Input::Ctl(plan)).is_empty());
     }
-    let training_id = parts.broker.training_id(round);
-    let trigger = CtlMsg::Trigger { round, training_id };
+    let trigger = CtlMsg::Trigger { round };
     assert!(parts.aggregators[0].step(Input::Ctl(trigger)).is_empty());
     settle(parts)
 }
@@ -168,11 +167,7 @@ fn a_repeated_trigger_for_a_completed_round_reports_nothing() {
     boot(&mut parts);
     let reports = round(&mut parts, 1, &[true, true]);
     assert_eq!(agg_done(&reports, 1), ["agg-0", "agg-1"]);
-    let training_id = parts.broker.training_id(1);
-    let trigger = CtlMsg::Trigger {
-        round: 1,
-        training_id,
-    };
+    let trigger = CtlMsg::Trigger { round: 1 };
     assert!(parts.aggregators[0].step(Input::Ctl(trigger)).is_empty());
     assert!(settle(&mut parts).is_empty(), "no second AggDone");
 }

@@ -56,8 +56,6 @@ fn allocated_by(f: impl FnOnce()) -> usize {
     BYTES.with(Cell::get) - before
 }
 
-const TID: [u8; 16] = [0x5e; 16];
-
 /// What one party's round allocated, and the sizes to judge it by.
 struct Round {
     /// Bytes of the model's parameters.
@@ -100,12 +98,9 @@ fn party_round(policy: FailoverPolicy) -> Round {
         train_local(&mut replica, &data, epochs, batch, lr);
     });
 
-    session
-        .aggregator_mut(0)
-        .begin_round(1, TID)
-        .expect("any aggregator announces");
+    session.aggregator_mut(0).announce(1);
     for i in 0..2 {
-        assert_eq!(session.party_mut(i).poll_round_start(), Some((1, TID)));
+        assert_eq!(session.party_mut(i).poll_round_start(), Some(1));
     }
     let upload = allocated_by(|| session.party_mut(0).run_local_round().expect("round runs"));
     session.party_mut(1).run_local_round().expect("round runs");

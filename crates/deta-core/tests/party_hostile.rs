@@ -17,8 +17,6 @@ use deta_nn::models::mlp;
 use deta_telemetry::metrics::counter_value;
 use deta_telemetry::{FlightRecorder, TelemetryValue};
 
-const TID: [u8; 16] = [0x3c; 16];
-
 /// What the one aggregator of [`waiting_party`]'s session would have to
 /// send for party-0's fragment to be readable, for a case to bend.
 struct Honest {
@@ -48,12 +46,9 @@ fn waiting_party(seed: u64, paillier: bool) -> (DetaSession, Honest) {
     let (dim, classes) = (spec.dim(), spec.classes);
     let mut session = DetaSession::setup(cfg, &move |rng| mlp(&[dim, 2, classes], rng), shards)
         .expect("session sets up");
-    session
-        .aggregator_mut(0)
-        .begin_round(1, TID)
-        .expect("the only aggregator initiates");
+    session.aggregator_mut(0).announce(1);
     let party = session.party_mut(0);
-    assert_eq!(party.poll_round_start(), Some((1, TID)));
+    assert_eq!(party.poll_round_start(), Some(1));
     party.run_local_round().expect("announced round runs");
     let fragment_len = party.transformer().mapper().fragment_len(0);
     let fusion = party.paillier.as_ref();

@@ -85,13 +85,12 @@ fn under_no_failover_policy_a_party_kept_nothing_to_replay() {
 fn a_party_that_sat_the_round_out_has_no_upload_to_replay() {
     let _serial = serial();
     let (mut s, _test) = session(FailoverPolicy::Restart, false);
-    let tid = [0x21; 16];
-    s.aggregator_mut(0).begin_round(1, tid).expect("initiator");
+    s.aggregator_mut(0).announce(1);
     for j in 0..2 {
         s.aggregator_mut(j).pump();
     }
     for i in 0..2 {
-        assert_eq!(s.party_mut(i).poll_round_start(), Some((1, tid)));
+        assert_eq!(s.party_mut(i).poll_round_start(), Some(1));
     }
     s.party_mut(0).run_local_round().expect("party-0 trains");
     s.party_mut(1).skip_local_round().expect("party-1 sits out");

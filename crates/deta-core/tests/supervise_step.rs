@@ -10,12 +10,21 @@ use deta_core::session::{DetaConfig, SessionParts};
 use deta_core::supervise::{
     Directive, Event, FailoverPolicy, Phase, RuntimeConfig, RuntimeError, SessionView, Supervisor,
 };
+use deta_crypto::DetRng;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
+use deta_nn::Sequential;
+use deta_telemetry::metrics::counter_value;
 use std::collections::HashMap;
 use std::time::Duration;
 
 const T0: Duration = Duration::ZERO;
+
+/// The sessions' model.
+fn model(rng: &mut DetRng) -> Sequential {
+    let spec = DatasetSpec::mnist_like().at_resolution(8);
+    mlp(&[spec.dim(), 8, spec.classes], rng)
+}
 
 /// A session of `parties` parties and two aggregators, taken over by a
 /// supervisor under `rt`; the first party of a round reports parameters.
@@ -26,9 +35,7 @@ fn supervisor(parties: usize, rt: RuntimeConfig, cfg: impl FnOnce(&mut DetaConfi
     config.n_aggregators = 2;
     config.seed = 0x5afe;
     cfg(&mut config);
-    let (dim, classes) = (spec.dim(), spec.classes);
-    let parts = SessionParts::build(config, &move |rng| mlp(&[dim, 8, classes], rng), shards)
-        .expect("parts");
+    let parts = SessionParts::build(config, &model, shards).expect("parts");
     Supervisor::new(parts, rt, true).0
 }
 
@@ -90,7 +97,14 @@ fn agg_done(round: u64) -> CtlMsg {
     }
 }
 
+/// A `PartyDone` for `round`, with a parameter snapshot of the model's
+/// length when `params`.
 fn party_done(round: u64, params: bool) -> CtlMsg {
+    let len = model(&mut DetRng::from_u64(0)).param_count();
+    party_done_with(round, params.then(|| vec![0.5; len]))
+}
+
+fn party_done_with(round: u64, params: Option<Vec<f32>>) -> CtlMsg {
     CtlMsg::PartyDone {
         round,
         trained: true,
@@ -98,7 +112,7 @@ fn party_done(round: u64, params: bool) -> CtlMsg {
         train_s: 0.0,
         transform_s: 0.0,
         crypto_s: 0.0,
-        params: params.then(Vec::new),
+        params,
     }
 }
 
@@ -360,4 +374,63 @@ fn restart_is_refused_under_paillier() {
         roster(&sup),
         (vec!["agg-0".to_string(), "agg-1".to_string()], vec![], 0)
     );
+}
+
+/// Round 1 of a two-party session with both aggregators done.
+fn round_one_aggregated(sup: &mut Supervisor) {
+    round_one(sup);
+    for node in ["agg-0", "agg-1"] {
+        assert!(report(sup, node, agg_done(1), T0).is_empty());
+    }
+}
+
+#[test]
+fn a_snapshot_from_a_party_not_asked_for_one_is_ignored_and_counted() {
+    deta_telemetry::enable();
+    let mut sup = supervisor(2, RuntimeConfig::default(), |_| {});
+    round_one_aggregated(&mut sup);
+    let before = counter_value("deta_ctl_ignored_total", "snapshot");
+    assert!(report(&mut sup, "party-0", party_done(1, true), T0).is_empty());
+    let len = model(&mut DetRng::from_u64(0)).param_count();
+    let forged = party_done_with(1, Some(vec![9.0; len]));
+    // party-1 still completes its part of the round; only its snapshot
+    // is dropped.
+    assert_eq!(shown(&report(&mut sup, "party-1", forged, T0)), ["done"]);
+    assert_eq!(
+        counter_value("deta_ctl_ignored_total", "snapshot") - before,
+        1
+    );
+    assert_eq!(sup.params(), Some(vec![0.5; len]), "party-0's snapshot");
+}
+
+#[test]
+fn a_snapshot_of_the_wrong_length_fails_the_round_on_the_party_asked_for_it() {
+    let mut sup = supervisor(2, RuntimeConfig::default(), |_| {});
+    round_one_aggregated(&mut sup);
+    let short = party_done_with(1, Some(vec![1.0, 2.0, 3.0]));
+    let err = failure(report(&mut sup, "party-0", short, T0));
+    assert_eq!(err.implicated(), ["party-0"]);
+    match &err {
+        RuntimeError::NodeFailed { node, reason } => {
+            assert_eq!(node, "party-0");
+            assert!(reason.contains("snapshot of 3 values"), "{reason}");
+        }
+        other => panic!("expected NodeFailed, got {other}"),
+    }
+    assert_eq!(sup.params(), None, "nothing to evaluate on");
+}
+
+#[test]
+fn an_agg_done_from_a_party_completes_nothing() {
+    let mut sup = supervisor(2, RuntimeConfig::default(), |_| {});
+    round_one(&mut sup);
+    assert!(report(&mut sup, "party-1", agg_done(1), T0).is_empty());
+    assert_eq!(sup.awaiting(), ["agg-0", "agg-1", "party-0", "party-1"]);
+    for node in ["agg-0", "agg-1"] {
+        assert!(report(&mut sup, node, agg_done(1), T0).is_empty());
+    }
+    assert!(report(&mut sup, "party-0", party_done(1, true), T0).is_empty());
+    assert_eq!(sup.awaiting(), ["party-1"], "party-1 still owes PartyDone");
+    let done = report(&mut sup, "party-1", party_done(1, false), T0);
+    assert_eq!(shown(&done), ["done"]);
 }

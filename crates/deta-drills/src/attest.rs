@@ -142,6 +142,7 @@ fn forged_token() -> Result<String, String> {
         model,
         data,
         transformer,
+        [0u8; 16],
         vec!["agg-0".to_string()],
         PartyConfig {
             local_epochs: 1,

@@ -4,7 +4,8 @@
 //! Each [`Drill`] mounts one concrete attack from the paper's threat
 //! model — a tampered launch measurement, a replayed Phase II response,
 //! a re-sealed frame on the TCP bridge, a breached-and-retired token
-//! key, a model-poisoning party, an upload that erases a round —
+//! key, a model-poisoning party, an upload that erases a round, an
+//! announcement that pins the shuffle —
 //! against a *live* session or protocol
 //! object, and passes only when the system rejects the attack with the
 //! exact structured error the design promises. A drill that observes
@@ -23,6 +24,7 @@ pub mod failover;
 pub mod hostile;
 pub mod poisoning;
 pub mod registration;
+pub mod shuffle;
 pub mod socket;
 pub mod stale;
 
@@ -69,6 +71,7 @@ pub fn catalog() -> Vec<Drill> {
     out.extend(registration::drills());
     out.extend(socket::ack_drills());
     out.extend(hostile::drills());
+    out.extend(shuffle::drills());
     out
 }
 

@@ -26,6 +26,7 @@
 use crate::fault::{FaultPlan, SimPolicy, Topology};
 use crate::tap::TapLog;
 use deta_core::aggregator::parse_breached_memory;
+use deta_core::keybroker::KeyBroker;
 use deta_core::node::Node;
 use deta_core::rtmsg::SUPERVISOR;
 use deta_core::session::{DetaConfig, DetaSession, SessionParts};
@@ -295,8 +296,10 @@ impl SimFleet {
         let model = move |rng: &mut _| mlp(&[dim, hidden, classes], rng);
         let parts = SessionParts::build(self.spec.config(), &model, self.shards.clone());
         let setup = parts.map_err(RuntimeError::from).and_then(|mut parts| {
-            // The partition every aggregator is entitled to, fixed at setup.
-            let transformer = parts.transformer.clone();
+            // The partition every aggregator is entitled to, fixed at
+            // setup, and the broker that derives each round's shuffle:
+            // the session hands neither to its supervisor.
+            let oracle = (parts.transformer.clone(), parts.broker.clone());
             if let Some(p) = policy {
                 parts.network.set_fault_policy(p);
             }
@@ -305,7 +308,7 @@ impl SimFleet {
                 party.record_updates = true;
             }
             instrument(&mut parts);
-            DetaSession::bootstrap(parts, self.spec.runtime()).map(|s| (s, transformer))
+            DetaSession::bootstrap(parts, self.spec.runtime()).map(|s| (s, oracle))
         });
         let failed = |e: RuntimeError, violations: &mut Vec<String>| {
             if let RuntimeError::Protocol(why) = e {
@@ -331,7 +334,7 @@ impl SimFleet {
                 }
                 failed(e, &mut violations)
             }
-            Ok((mut session, transformer)) => {
+            Ok((mut session, (transformer, broker))) => {
                 let rounds = (0..self.spec.rounds).map(|_| session.try_step(&self.test));
                 let vd = match rounds.collect::<Result<Vec<_>, _>>() {
                     Ok(_) => {
@@ -356,7 +359,7 @@ impl SimFleet {
                 // Privacy audits each aggregator's materialized state
                 // against recomputed entitlements, retired incarnations
                 // and stopped nodes included.
-                privacy_check(&session, &transformer, &tap, &mut violations);
+                privacy_check(&session, &transformer, &broker, &tap, &mut violations);
                 if self.spec.trace {
                     trace_path = session.trace().map(|p| p.display().to_string());
                 }
@@ -379,7 +382,7 @@ impl SimFleet {
 /// Invariant 2. For every fragment an aggregator materialized (breached
 /// CVM memory + pending upload buffers), recompute — from the producing
 /// party's raw update log, the session's `transformer` and the round's
-/// permutation — the one fragment that aggregator was entitled to, and
+/// permutation, derived by the session's `broker` — the one fragment that aggregator was entitled to, and
 /// demand bit-equality. Then replay the tap: the fragment must be backed
 /// by a delivered frame on the party→agg link whose size matches a
 /// sealed upload of exactly that length, and every frame into the
@@ -392,11 +395,12 @@ impl SimFleet {
 fn privacy_check(
     session: &DetaSession,
     transformer: &Transformer,
+    broker: &KeyBroker,
     tap: &TapLog,
     violations: &mut Vec<String>,
 ) {
     let view = session.view();
-    let perm_key = view.broker.permutation_key();
+    let perm_key = broker.permutation_key();
     let party_names = view.party_names;
     // Every incarnation that ever held uploads: the final aggregator set
     // plus everything a failover retired.
@@ -439,7 +443,7 @@ fn privacy_check(
                 ));
                 continue;
             };
-            let tid = view.broker.training_id(*round);
+            let tid = broker.training_id(*round);
             let entitled = entitled_fragment(transformer, update, j, &tid, &perm_key);
             if bits(&entitled) != bits(frag) {
                 violations.push(format!(

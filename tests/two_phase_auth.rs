@@ -75,6 +75,7 @@ fn phase2_party_rejects_unattested_aggregator() {
         model,
         data,
         transformer,
+        [0u8; 16],
         vec!["agg-0".to_string()],
         PartyConfig {
             local_epochs: 1,
@@ -129,6 +130,7 @@ fn phase2_party_accepts_attested_aggregator() {
         model,
         data,
         transformer,
+        [0u8; 16],
         vec!["agg-0".to_string()],
         PartyConfig {
             local_epochs: 1,

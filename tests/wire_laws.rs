@@ -214,7 +214,7 @@ impl Wire for Msg {
         ("0304000000deadbeef", "Record { sealed: [222, 173, 190, 239] }"),
         ("040700000070617274792d370000c03f", "Register { party: \"party-7\", weight: 1.5 }"),
         ("05", "RegisterAck"),
-        ("06070000000000000030313233343536373839616263646566", "RoundStart { round: 7, training_id: [48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 97, 98, 99, 100, 101, 102] }"),
+        ("0d0700000000000000", "RoundStart { round: 7 }"),
         ("070807060504030201030000000000803f000020c000007040", "Upload { round: 72623859790382856, fragment: [1.0, -2.5, 3.75] }"),
         ("0b0200000000000000280000000000000003000000020000000102000000000100000003", "UploadEncrypted { round: 2, ciphertexts: [[1, 2], [], [3]], value_count: 40 }"),
         ("080900000000000000020000000000003f0000807f", "Aggregated { round: 9, fragment: [0.5, inf] }"),
@@ -237,10 +237,7 @@ impl Wire for Msg {
                 weight: g.f32_any(),
             },
             4 => Msg::RegisterAck,
-            5 => Msg::RoundStart {
-                round: g.u64(),
-                training_id: g.array(),
-            },
+            5 => Msg::RoundStart { round: g.u64() },
             6 => Msg::Upload {
                 round: g.u64(),
                 fragment: floats(g),
@@ -294,7 +291,7 @@ impl Wire for CtlMsg {
         ("01", "Ready"),
         ("020c0000006167672d31206661696c6564", "Failed { reason: \"agg-1 failed\" }"),
         ("032a00000000000000", "Heartbeat { seq: 42 }"),
-        ("04070000000000000030313233343536373839616263646566", "Trigger { round: 7, training_id: [48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 97, 98, 99, 100, 101, 102] }"),
+        ("0f0700000000000000", "Trigger { round: 7 }"),
         ("0503000000000000000100", "RoundPlan { round: 3, train: true, report_params: false }"),
         ("060300000000000000010000803e000000000000f83f000000000000c03f000000000000000001030000000000803f000020c000005040", "PartyDone { round: 3, trained: true, train_loss: 0.25, train_s: 1.5, transform_s: 0.125, crypto_s: 0.0, params: Some([1.0, -2.5, 3.25]) }"),
         ("060400000000000000000000000000000000000000000000000000000000000000000000000000", "PartyDone { round: 4, trained: false, train_loss: 0.0, train_s: 0.0, transform_s: 0.0, crypto_s: 0.0, params: None }"),
@@ -310,10 +307,7 @@ impl Wire for CtlMsg {
             0 => CtlMsg::Ready,
             1 => CtlMsg::Failed { reason: name(g) },
             2 => CtlMsg::Heartbeat { seq: g.u64() },
-            3 => CtlMsg::Trigger {
-                round: g.u64(),
-                training_id: g.array(),
-            },
+            3 => CtlMsg::Trigger { round: g.u64() },
             4 => CtlMsg::RoundPlan {
                 round: g.u64(),
                 train: g.bool(),
@@ -456,9 +450,11 @@ impl Wire for SocketFrame {
 fn msg_golden_bytes() {
     check_golden::<Msg>();
     // Tags 9 and 10 are retired: these were the golden rows of the
-    // inter-aggregator round announcement and its acknowledgement. They
-    // decode to nothing now.
+    // inter-aggregator round announcement and its acknowledgement. Tag 6
+    // was the round announcement that carried the round's training id.
+    // They decode to nothing now.
     for text in [
+        "06070000000000000030313233343536373839616263646566",
         "09010000000000000030313233343536373839616263646566",
         "0affffffffffffffff",
     ] {
@@ -474,8 +470,10 @@ fn ctl_msg_golden_bytes() {
     check_golden::<CtlMsg>();
     // Tags 10 and 12 are retired: these were the golden rows of the two
     // messages of a mid-session re-partition. Tag 13 was the post-failover
-    // topology of the inter-aggregator sync. They decode to nothing now.
+    // topology of the inter-aggregator sync, and tag 4 the trigger that
+    // carried the round's training id. They decode to nothing now.
     for text in [
+        "04070000000000000030313233343536373839616263646566",
         "0a05000000000000000600000000000100000002000000050000006167672d30050000006167672d32",
         "0c0600000000000000",
         "0d050000006167672d3202000000050000006167672d32080000006167672d30237231",
