@@ -24,6 +24,7 @@
 use crate::agg::Aggregation;
 use crate::latency::timed;
 use crate::proxy::TOKEN_SECRET_LABEL;
+use crate::recovery::Manifest;
 use crate::wire::{self, Msg, RecordFrame};
 use deta_bignum::BigUint;
 use deta_crypto::{DetRng, SigningKey};
@@ -42,6 +43,8 @@ pub enum AggError {
     MissingToken,
     /// The token secret bytes are not a valid signing key.
     BadToken,
+    /// The CVM was not launched from an aggregator manifest.
+    BadManifest,
 }
 
 impl std::fmt::Display for AggError {
@@ -49,6 +52,7 @@ impl std::fmt::Display for AggError {
         match self {
             AggError::MissingToken => write!(f, "CVM has no provisioned auth token"),
             AggError::BadToken => write!(f, "provisioned auth token is invalid"),
+            AggError::BadManifest => write!(f, "CVM was not launched from an aggregator manifest"),
         }
     }
 }
@@ -127,17 +131,17 @@ pub struct AggregatorNode {
 }
 
 impl AggregatorNode {
-    /// Creates a node from a provisioned CVM.
+    /// Creates a node from a provisioned CVM, aggregating as the measured
+    /// [`Manifest`] the CVM was launched with says.
     ///
     /// # Errors
     ///
     /// Fails if the CVM lacks a valid token secret (i.e. Phase I never
-    /// completed for this CVM).
+    /// completed for this CVM), or its memory holds no manifest.
     pub fn new(
         name: &str,
         cvm: Cvm,
         endpoint: Endpoint,
-        algorithm: Box<dyn Aggregation>,
         rng: DetRng,
     ) -> Result<AggregatorNode, AggError> {
         let secret = cvm
@@ -145,6 +149,7 @@ impl AggregatorNode {
             .secret(TOKEN_SECRET_LABEL)
             .ok_or(AggError::MissingToken)?;
         let token = SigningKey::from_bytes(&secret).ok_or(AggError::BadToken)?;
+        let manifest = Manifest::decode(&cvm.guest().read()).map_err(|_| AggError::BadManifest)?;
         Ok(AggregatorNode {
             name: name.to_string(),
             cvm,
@@ -152,26 +157,14 @@ impl AggregatorNode {
             endpoint,
             rng,
             parties: BTreeMap::new(),
-            algorithm,
+            algorithm: manifest.algorithm.build(),
             pending: BTreeMap::new(),
-            paillier_pk: None,
+            paillier_pk: manifest.paillier_pk,
             completed_rounds: 0,
             reported: 0,
             aggregate_time_s: 0.0,
-            quorum: None,
+            quorum: manifest.quorum,
         })
-    }
-
-    /// Enables the Paillier fusion path with the given public key.
-    pub fn set_paillier_key(&mut self, pk: PaillierPk) {
-        self.paillier_pk = Some(pk);
-    }
-
-    /// Sets a per-round upload quorum: aggregation fires once this many
-    /// parties have uploaded (partial participation). `None` waits for
-    /// all registered parties.
-    pub fn set_quorum(&mut self, quorum: Option<usize>) {
-        self.quorum = quorum;
     }
 
     /// Registered party count.
@@ -226,16 +219,6 @@ impl AggregatorNode {
     /// Access to the CVM (e.g. for breach experiments).
     pub fn cvm(&self) -> &Cvm {
         &self.cvm
-    }
-
-    /// Signs `msg` with the Phase II attestation token key provisioned
-    /// into this node's CVM — the same identity parties verify during
-    /// the challenge-response handshake. Deployed transports use this to
-    /// prove that a remote peer claiming this node's name holds the
-    /// attested token, so a socket endpoint carries exactly the identity
-    /// an in-process endpoint does.
-    pub fn sign_with_token(&self, msg: &[u8]) -> deta_crypto::Signature {
-        self.token.sign(msg)
     }
 
     /// A clone of the attestation token's signing key, for transports

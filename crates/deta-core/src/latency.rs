@@ -144,18 +144,15 @@ impl LatencyModel {
         // aggregators proceed in parallel, but each party's uplink is
         // shared, so bytes serialize while per-message base latency
         // overlaps: time = base + total_bytes / bandwidth.
-        let upload_s =
-            self.link.base_s + inputs.upload_bytes_per_party as f64 / self.link.bytes_per_s;
-        let download_s =
-            self.link.base_s + inputs.download_bytes_per_party as f64 / self.link.bytes_per_s;
+        let transfer_s = |bytes: u64| self.link.transfer_time(bytes as usize);
         RoundLatency {
             train_s: inputs.max_party_train_s,
             transform_s: inputs.max_party_transform_s,
             crypto_s: inputs.max_party_crypto_s * crypto_discount,
-            upload_s,
+            upload_s: transfer_s(inputs.upload_bytes_per_party),
             aggregate_s: inputs.max_aggregate_s * cc_factor,
             cc_overhead_s: cc_fixed,
-            download_s,
+            download_s: transfer_s(inputs.download_bytes_per_party),
         }
     }
 }

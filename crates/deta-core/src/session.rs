@@ -282,6 +282,17 @@ impl<'a> Blueprint<'a> {
         if config.n_aggregators == 0 {
             return Err(SetupError::Config("need at least one aggregator"));
         }
+        // The mapper asserts these, after Phase I; refuse them before it.
+        if config.n_aggregators > usize::from(u16::MAX) {
+            return Err(SetupError::Config("at most 65535 aggregators"));
+        }
+        if let Some(p) = &config.proportions {
+            if p.len() != config.n_aggregators || !p.iter().all(|x| x.is_finite() && *x > 0.0) {
+                return Err(SetupError::Config(
+                    "need one finite, positive proportion per aggregator",
+                ));
+            }
+        }
         if !config.transform.partition && config.n_aggregators != 1 {
             return Err(SetupError::Config(
                 "partitioning disabled requires exactly one aggregator",
@@ -297,6 +308,12 @@ impl<'a> Blueprint<'a> {
                 return Err(SetupError::Config(
                     "partial participation is not supported with Paillier fusion",
                 ));
+            }
+        }
+        // Every round of such a trimmed mean would fail with `OverTrim`.
+        if let AggKind::TrimmedMean { trim } = config.algorithm {
+            if trim.saturating_mul(2) >= config.participation.unwrap_or(config.n_parties) {
+                return Err(SetupError::Config("a trimmed mean must leave an upload"));
             }
         }
         let root = DetRng::from_u64(config.seed);
@@ -342,7 +359,7 @@ impl<'a> Blueprint<'a> {
         let name = &self.agg_names[j];
         let endpoint = self.network.register(name);
         let rng = self.sev_rng.fork_indexed(b"agg-rng", j as u64);
-        Ok(self.recovery.node(name, cvm, endpoint, rng)?)
+        Ok(AggregatorNode::new(name, cvm, endpoint, rng)?)
     }
 
     /// Draws the starting model from the seed's `model-init` fork. Callers

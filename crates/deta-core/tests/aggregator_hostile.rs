@@ -10,10 +10,11 @@
 
 mod common;
 
-use common::{aggregator, registered, RawParty};
+use common::{aggregator, plain_manifest, registered, RawParty};
 use deta_bignum::BigUint;
 use deta_core::agg::AggKind;
 use deta_core::paillier_fusion::PaillierFusionConfig;
+use deta_core::recovery::Manifest;
 use deta_core::wire::Msg;
 use deta_core::{DetaConfig, DetaSession};
 use deta_crypto::DetRng;
@@ -38,7 +39,7 @@ fn hostile_registrations_are_dropped_counted_and_attributed() {
     let _attached = deta_telemetry::attach(recorder.clone());
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0x4e6);
-    let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
+    let mut agg = aggregator(&net, &plain_manifest(AggKind::IterativeAveraging), &mut rng);
     let mut honest: Vec<RawParty> = (0..3)
         .map(|i| RawParty::join(&net, &mut agg, &format!("party-{i}"), &mut rng))
         .collect();
@@ -129,7 +130,11 @@ fn an_aggregation_the_inputs_cannot_support_fails_the_round_not_the_node() {
     let mut rng = DetRng::from_u64(0x4e7);
     // Trimming one value from each end needs three uploads; dropouts
     // left two registered parties.
-    let mut agg = aggregator(&net, AggKind::TrimmedMean { trim: 1 }, &mut rng);
+    let mut agg = aggregator(
+        &net,
+        &plain_manifest(AggKind::TrimmedMean { trim: 1 }),
+        &mut rng,
+    );
     let mut parties: Vec<RawParty> = (0..2)
         .map(|i| RawParty::join(&net, &mut agg, &format!("party-{i}"), &mut rng))
         .collect();
@@ -191,8 +196,11 @@ fn encrypted_uploads_that_disagree_fail_the_round_like_plain_ones() {
     let _attached = deta_telemetry::attach(recorder.clone());
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0x4e8);
-    let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
-    agg.set_paillier_key(paillier_key());
+    let manifest = Manifest {
+        paillier_pk: Some(paillier_key()),
+        ..plain_manifest(AggKind::IterativeAveraging)
+    };
+    let mut agg = aggregator(&net, &manifest, &mut rng);
     // The failure counter is labelled with the node's name; this node
     // takes one no other test of the binary counts under.
     agg.name = "agg-paillier".to_string();
@@ -249,10 +257,11 @@ fn an_upload_of_the_kind_a_node_does_not_aggregate_is_refused_at_the_door() {
         (None, &encrypted_upload(3, 12), &plain),
     ] {
         let net = Network::new(LinkModel::lan());
-        let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
-        if let Some(key) = key {
-            agg.set_paillier_key(key);
-        }
+        let manifest = Manifest {
+            paillier_pk: key,
+            ..plain_manifest(AggKind::IterativeAveraging)
+        };
+        let mut agg = aggregator(&net, &manifest, &mut rng);
         let mut party = registered(&net, &mut agg, 0..1, &mut rng).remove(0);
         party.send(refused);
         agg.pump();
@@ -276,7 +285,7 @@ fn an_upload_of_another_length_is_refused_and_erases_nothing(rng: &mut DetRng) {
     let recorder = FlightRecorder::new("agg-0", 64);
     let _attached = deta_telemetry::attach(recorder.clone());
     let net = Network::new(LinkModel::lan());
-    let mut agg = aggregator(&net, AggKind::IterativeAveraging, rng);
+    let mut agg = aggregator(&net, &plain_manifest(AggKind::IterativeAveraging), rng);
     let mut parties = registered(&net, &mut agg, 0..3, rng);
     let upload = |fragment: Vec<f32>| Msg::Upload { round: 1, fragment };
     parties[0].send(&upload(vec![1.0; 4]));

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{aggregator, registered};
+use common::{aggregator, plain_manifest, registered};
 use deta_core::agg::AggKind;
 use deta_core::aggregator::parse_breached_memory;
 use deta_core::wire::Msg;
@@ -57,7 +57,7 @@ fn a_breach_reads_the_records_the_eager_encoding_wrote() {
     const PARTIES: usize = 3;
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0xb4eac);
-    let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
+    let mut agg = aggregator(&net, &plain_manifest(AggKind::IterativeAveraging), &mut rng);
     // Joined out of name order: the records are in name order all the same.
     let order = [2, 0, 1];
     let mut parties = registered(&net, &mut agg, order.into_iter(), &mut rng);

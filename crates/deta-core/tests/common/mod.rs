@@ -4,26 +4,30 @@
 use deta_core::agg::AggKind;
 use deta_core::aggregator::AggregatorNode;
 use deta_core::proxy::AttestationProxy;
+use deta_core::recovery::Manifest;
 use deta_core::wire::Msg;
 use deta_crypto::DetRng;
-use deta_sev_sim::{AmdRas, GuestImage, Platform};
+use deta_sev_sim::{AmdRas, Platform};
 use deta_transport::{Endpoint, HandshakeInitiator, Network, SecureChannel};
 
-/// `agg-0`, attested and provisioned, running `kind`.
-pub fn aggregator(net: &Network, kind: AggKind, rng: &mut DetRng) -> AggregatorNode {
+/// The manifest of a plain-fusion aggregator running `kind` over every
+/// registered party.
+pub fn plain_manifest(kind: AggKind) -> Manifest {
+    Manifest {
+        algorithm: kind,
+        quorum: None,
+        paillier_pk: None,
+    }
+}
+
+/// `agg-0`, attested and provisioned, launched from `manifest`.
+pub fn aggregator(net: &Network, manifest: &Manifest, rng: &mut DetRng) -> AggregatorNode {
     let ras = AmdRas::new(&mut rng.fork(b"ras"));
-    let image = GuestImage::new(b"ovmf".to_vec(), b"agg".to_vec());
+    let image = manifest.image();
     let mut proxy = AttestationProxy::new(ras.root_certs(), image.clone(), rng.fork(b"ap"));
     let mut platform = Platform::genuine(&ras, "chip", &mut rng.fork(b"p"));
     let prov = proxy.verify_and_provision(&mut platform, &image).unwrap();
-    AggregatorNode::new(
-        "agg-0",
-        prov.cvm,
-        net.register("agg-0"),
-        kind.build(),
-        rng.fork(b"agg"),
-    )
-    .unwrap()
+    AggregatorNode::new("agg-0", prov.cvm, net.register("agg-0"), rng.fork(b"agg")).unwrap()
 }
 
 /// `party-{i}` for each `i` of `order`, joined to `agg` in that order and

@@ -7,7 +7,7 @@ mod common;
 
 use std::sync::{Arc, Mutex};
 
-use common::{aggregator, registered};
+use common::{aggregator, plain_manifest, registered};
 use deta_core::agg::AggKind;
 use deta_core::wire::Msg;
 use deta_crypto::DetRng;
@@ -40,7 +40,7 @@ fn fan_outs_go_out_in_party_name_order_every_time() {
     for _session in 0..2 {
         let net = Network::new(LinkModel::lan());
         let mut rng = DetRng::from_u64(7);
-        let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
+        let mut agg = aggregator(&net, &plain_manifest(AggKind::IterativeAveraging), &mut rng);
         // Joined last name first: not the order of arrival either.
         let mut parties = registered(&net, &mut agg, (0..PARTIES).rev(), &mut rng);
         let sent = Arc::new(Destinations::default());

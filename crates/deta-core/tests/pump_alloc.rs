@@ -11,9 +11,10 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use common::{aggregator, registered, RawParty};
+use common::{aggregator, plain_manifest, registered, RawParty};
 use deta_bignum::BigUint;
 use deta_core::agg::AggKind;
+use deta_core::recovery::Manifest;
 use deta_core::wire::Msg;
 use deta_crypto::DetRng;
 use deta_paillier::{Ciphertext, PublicKey};
@@ -56,7 +57,7 @@ fn an_aggregating_pump_allocates_the_mean_and_one_frame_per_party() {
     let fragment = 4 * VALUES;
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0xa110c);
-    let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
+    let mut agg = aggregator(&net, &plain_manifest(AggKind::IterativeAveraging), &mut rng);
     let mut parties: Vec<RawParty> = (0..PARTIES)
         .map(|i| RawParty::join(&net, &mut agg, &format!("party-{i}"), &mut rng))
         .collect();
@@ -122,11 +123,14 @@ fn an_encrypted_fan_out_allocates_its_plaintext_once() {
     const CIPHERTEXT: usize = 256;
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0xa110d);
-    let mut agg = aggregator(&net, AggKind::IterativeAveraging, &mut rng);
     // Summing needs no more of a key than its modulus.
     let n = BigUint::from_bytes_be(&[0xff; CIPHERTEXT / 2]);
     let pk = PublicKey { n2: &n * &n, n };
-    agg.set_paillier_key(pk.clone());
+    let manifest = Manifest {
+        paillier_pk: Some(pk.clone()),
+        ..plain_manifest(AggKind::IterativeAveraging)
+    };
+    let mut agg = aggregator(&net, &manifest, &mut rng);
     let mut parties = registered(&net, &mut agg, 0..PARTIES, &mut rng);
     let ciphertext = vec![0x7f; CIPHERTEXT];
     let upload = Msg::UploadEncrypted {

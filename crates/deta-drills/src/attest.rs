@@ -3,12 +3,12 @@
 //! replayed challenge responses.
 
 use crate::Drill;
-use deta_core::agg::AggKind;
 use deta_core::aggregator::AggregatorNode;
 use deta_core::mapper::ModelMapper;
 use deta_core::party::{Party, PartyConfig, PartyError};
 use deta_core::proxy::{AttestationProxy, TOKEN_SECRET_LABEL};
-use deta_core::session::SyncMode;
+use deta_core::recovery::Manifest;
+use deta_core::session::{DetaConfig, SyncMode};
 use deta_core::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, SigningKey};
 use deta_datasets::DatasetSpec;
@@ -18,9 +18,10 @@ use deta_transport::secure::{respond, HandshakeInitiator, TransportError};
 use deta_transport::{LinkModel, Network};
 use std::collections::HashMap;
 
-/// The reference aggregator image the proxy attests against.
+/// The reference aggregator image the proxy attests against: a FedAvg
+/// aggregator's manifest.
 fn image() -> GuestImage {
-    GuestImage::new(b"deta-ovmf-v1".to_vec(), b"deta-aggregator-v1".to_vec())
+    Manifest::of(&DetaConfig::deta(1, 1), None).image()
 }
 
 /// The Phase I / Phase II drill set.
@@ -122,14 +123,9 @@ fn forged_token() -> Result<String, String> {
     let rogue_cvm = ctx.finish();
 
     let net = Network::new(LinkModel::lan());
-    let mut rogue = AggregatorNode::new(
-        "agg-0",
-        rogue_cvm,
-        net.register("agg-0"),
-        AggKind::IterativeAveraging.build(),
-        rng.fork(b"agg"),
-    )
-    .map_err(|e| format!("rogue node failed to start: {e:?}"))?;
+    let mut rogue =
+        AggregatorNode::new("agg-0", rogue_cvm, net.register("agg-0"), rng.fork(b"agg"))
+            .map_err(|e| format!("rogue node failed to start: {e:?}"))?;
 
     let spec = DatasetSpec::mnist_like().at_resolution(8);
     let data = spec.generate(20, 1);

@@ -5,23 +5,25 @@
 //! model — a tampered launch measurement, a replayed Phase II response,
 //! a re-sealed frame on the TCP bridge, a breached-and-retired token
 //! key, a model-poisoning party, an upload that erases a round, an
-//! announcement that pins the shuffle —
+//! announcement that pins the shuffle, an aggregator launched for
+//! another algorithm —
 //! against a *live* session or protocol
 //! object, and passes only when the system rejects the attack with the
 //! exact structured error the design promises. A drill that observes
 //! the wrong error, or sees the attack succeed, FAILs.
 //!
 //! The `security_drills` binary renders the catalog into
-//! `results/SECURITY_DRILLS.md`; `scripts/check.sh` regenerates that
-//! report and diffs it against the committed copy, so any FAIL, any
-//! drift in the observed rejections, and any drop in the drill count
-//! breaks CI. The drill ↔ paper-claim mapping lives in `DESIGN.md` §14.
+//! `results/SECURITY_DRILLS.md`; the tier-1 test `tests/drills_pass.rs`
+//! runs the catalog and compares its report with the committed copy byte
+//! for byte, so any FAIL, any drift in the observed rejections, and any
+//! drop in the drill count fails the test suite. The drill ↔ paper-claim mapping lives in `DESIGN.md` §14.
 
 pub mod attest;
 pub mod channel;
 pub mod common;
 pub mod failover;
 pub mod hostile;
+pub mod manifest;
 pub mod poisoning;
 pub mod registration;
 pub mod shuffle;
@@ -72,6 +74,7 @@ pub fn catalog() -> Vec<Drill> {
     out.extend(socket::ack_drills());
     out.extend(hostile::drills());
     out.extend(shuffle::drills());
+    out.extend(manifest::drills());
     out
 }
 
@@ -113,9 +116,10 @@ pub fn render_markdown(reports: &[DrillReport]) -> String {
          session, protocol object, or the TCP bridge; PASS means the \
          attack was rejected with the structured error shown. The \
          drill ↔ paper-claim mapping is documented in `DESIGN.md` §14.\n\n\
-         Regenerated and diffed by `scripts/check.sh` (`drills` stage): \
-         any FAIL, any drift in an observed rejection, or a drop in the \
-         drill count fails the gate.\n\n",
+         Compared byte for byte by the tier-1 test \
+         `crates/deta-drills/tests/drills_pass.rs`: any FAIL, any drift \
+         in an observed rejection, or a drop in the drill count fails \
+         the test suite.\n\n",
     );
     md.push_str(&format!(
         "Verdict: **{passed}/{} drills PASS**.\n\n",

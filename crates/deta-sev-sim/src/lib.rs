@@ -209,6 +209,13 @@ impl Measurement {
     }
 }
 
+/// The digest in hex (`{:x}`), for reports and known answers.
+impl std::fmt::LowerHex for Measurement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.iter().try_for_each(|b| write!(f, "{b:02x}"))
+    }
+}
+
 /// A guest image: the firmware (OVMF stand-in) plus the workload payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GuestImage {

@@ -34,7 +34,7 @@
 //! After the channel is up the hub issues a [`wire::SocketFrame::Challenge`];
 //! the peer answers with a signature over the challenge transcript
 //! using its node's key: an aggregator signs with the Phase II
-//! attestation token (`AggregatorNode::sign_with_token`), verified
+//! attestation token (`AggregatorNode::link_signing_key`), verified
 //! against the token verifying key parties already hold, so a socket
 //! peer proves exactly the identity an in-process node does.
 //!

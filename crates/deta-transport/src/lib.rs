@@ -130,9 +130,6 @@ pub struct NetStats {
     pub messages: u64,
     /// Total payload bytes sent.
     pub bytes: u64,
-    /// Accumulated simulated transfer time (sum over messages; the
-    /// latency model decides how much of this overlaps).
-    pub transfer_time_s: f64,
 }
 
 /// Errors from network operations.
@@ -317,17 +314,16 @@ impl NetState {
 pub struct Network {
     state: Arc<Mutex<NetState>>,
     arrivals: Arc<Condvar>,
-    /// Link model applied to every transfer.
-    pub link: LinkModel,
 }
 
 impl Network {
-    /// Creates a network with the given link model.
-    pub fn new(link: LinkModel) -> Network {
+    /// Creates a network. The link model is not read: transfer times are
+    /// the latency model's ([`LinkModel::transfer_time`]), and the
+    /// parameter stays for callers that pass one.
+    pub fn new(_link: LinkModel) -> Network {
         Network {
             state: Arc::default(),
             arrivals: Arc::new(Condvar::new()),
-            link,
         }
     }
 
@@ -511,7 +507,6 @@ impl Network {
         }
         st.stats.messages += 1;
         st.stats.bytes += len as u64;
-        st.stats.transfer_time_s += self.link.transfer_time(len);
         // Per-link ground truth for byte accounting; keys reuse the
         // interned endpoint names, so steady state allocates nothing.
         if let Some((to_key, _)) = st.queues.get_key_value(to) {
@@ -763,7 +758,6 @@ mod tests {
         let st = net.stats();
         assert_eq!(st.messages, 2);
         assert_eq!(st.bytes, 30);
-        assert!((st.transfer_time_s - (1.0 + 2.0 + 1.0 + 1.0)).abs() < 1e-9);
         net.reset_stats();
         assert_eq!(net.stats(), NetStats::default());
     }

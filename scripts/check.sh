@@ -55,11 +55,13 @@ echo "==> frozen bench/ against this workspace (builds and runs its contract tes
 # by name: SecureChannel::{seal_msg,open_msg}, Msg::{encode,decode},
 # SocketFrame::{encode,decode}, encode_frame, FrameDecoder::{new,push,
 # try_next}, Transformer::{transform,inverse}, run_node, seats_for,
-# SocketHub::bind, setup_detached, SessionParts.eval_model and the
-# polling Party/AggregatorNode calls of level1.rs — which no session
-# calls any more (both step deta_core::node), so they are bench- and
-# test-only. A signature moved from under it fails here, not in the
-# driver after the PR is cut.
+# SocketHub::bind, setup_detached, SessionParts.eval_model,
+# GuestImage::new, AttestationProxy::{new,verify_and_provision} (its
+# attestation layer), Network::new's LinkModel parameter (which nothing
+# reads) and the polling Party/AggregatorNode calls of level1.rs — which
+# no session calls any more (both step deta_core::node), so they are
+# bench- and test-only. A signature moved from under it fails here, not
+# later when the benchmark is built.
 # Building it rewrites its (stale, frozen) Cargo.lock; put that back.
 # Anything else that differs from the commit under bench/ or in
 # BENCHMARK.json is an edit to the frozen harness: fail here, by name.

@@ -1,29 +1,23 @@
 //! Adversarial-input robustness: nodes must survive garbage, replayed,
 //! and cross-channel traffic without panicking or corrupting state.
 
-use deta::core::agg::AggKind;
 use deta::core::aggregator::AggregatorNode;
 use deta::core::proxy::AttestationProxy;
+use deta::core::recovery::Manifest;
+use deta::core::session::DetaConfig;
 use deta::core::wire::Msg;
 use deta::crypto::DetRng;
-use deta::sev_sim::{AmdRas, GuestImage, Platform};
+use deta::sev_sim::{AmdRas, Platform};
 use deta::transport::{LinkModel, Network};
 use deta_proptest::cases;
 
 fn aggregator(net: &Network, rng: &mut DetRng) -> AggregatorNode {
     let ras = AmdRas::new(&mut rng.fork(b"ras"));
-    let image = GuestImage::new(b"ovmf".to_vec(), b"agg".to_vec());
+    let image = Manifest::of(&DetaConfig::deta(1, 1), None).image();
     let mut proxy = AttestationProxy::new(ras.root_certs(), image.clone(), rng.fork(b"ap"));
     let mut platform = Platform::genuine(&ras, "chip", &mut rng.fork(b"p"));
     let prov = proxy.verify_and_provision(&mut platform, &image).unwrap();
-    AggregatorNode::new(
-        "agg-0",
-        prov.cvm,
-        net.register("agg-0"),
-        AggKind::IterativeAveraging.build(),
-        rng.fork(b"agg"),
-    )
-    .unwrap()
+    AggregatorNode::new("agg-0", prov.cvm, net.register("agg-0"), rng.fork(b"agg")).unwrap()
 }
 
 #[test]

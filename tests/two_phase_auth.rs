@@ -1,12 +1,12 @@
 //! Integration tests for the two-phase authentication protocol across the
 //! SEV simulator, attestation proxy, transport, and party runtimes.
 
-use deta::core::agg::AggKind;
 use deta::core::aggregator::AggregatorNode;
 use deta::core::mapper::ModelMapper;
 use deta::core::party::{Party, PartyConfig};
 use deta::core::proxy::{AttestationProxy, TOKEN_SECRET_LABEL};
-use deta::core::session::SyncMode;
+use deta::core::recovery::Manifest;
+use deta::core::session::{DetaConfig, SyncMode};
 use deta::core::transform::{TransformConfig, Transformer};
 use deta::crypto::{DetRng, SigningKey};
 use deta::datasets::DatasetSpec;
@@ -15,8 +15,9 @@ use deta::sev_sim::{AmdRas, GuestImage, Platform, SealedSecret, SevError};
 use deta::transport::{LinkModel, Network};
 use std::collections::HashMap;
 
+/// A FedAvg aggregator's image.
 fn image() -> GuestImage {
-    GuestImage::new(b"ovmf".to_vec(), b"deta-agg".to_vec())
+    Manifest::of(&DetaConfig::deta(1, 1), None).image()
 }
 
 #[test]
@@ -59,7 +60,6 @@ fn phase2_party_rejects_unattested_aggregator() {
         "agg-0",
         impostor_cvm,
         net.register("agg-0"),
-        AggKind::IterativeAveraging.build(),
         rng.fork(b"agg"),
     )
     .unwrap();
@@ -110,14 +110,8 @@ fn phase2_party_accepts_attested_aggregator() {
     let prov = proxy.verify_and_provision(&mut platform, &image()).unwrap();
 
     let net = Network::new(LinkModel::lan());
-    let mut agg = AggregatorNode::new(
-        "agg-0",
-        prov.cvm,
-        net.register("agg-0"),
-        AggKind::IterativeAveraging.build(),
-        rng.fork(b"agg"),
-    )
-    .unwrap();
+    let mut agg =
+        AggregatorNode::new("agg-0", prov.cvm, net.register("agg-0"), rng.fork(b"agg")).unwrap();
 
     let spec = DatasetSpec::mnist_like().at_resolution(8);
     let data = spec.generate(20, 1);
