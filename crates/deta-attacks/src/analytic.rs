@@ -68,7 +68,7 @@ pub fn reconstruct_first_layer(view: &BreachedView, layout: &FirstLayerLayout) -
 mod tests {
     use super::*;
     use crate::graphnet::MlpSpec;
-    use crate::harness::{breach_view, AttackTape, AttackView};
+    use crate::harness::{breach_view, victim_gradient, AttackView, GraphModel};
     use crate::metrics::mse;
     use deta_crypto::DetRng;
 
@@ -87,17 +87,7 @@ mod tests {
     }
 
     fn gradient(spec: &MlpSpec, params: &[f32], x: &[f32], label: usize) -> Vec<f32> {
-        let at = AttackTape::build(spec, spec.param_count());
-        let mut ev = at.tape.evaluator();
-        let xin: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        let inputs = at.pack_inputs(
-            &xin,
-            &at.hard_label_logits(label),
-            params,
-            &vec![0.0; spec.param_count()],
-        );
-        ev.eval(&at.tape, &inputs);
-        at.grads.iter().map(|&g| ev.value(g) as f32).collect()
+        victim_gradient(spec, params, x, &[label])
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! quality degrades as `B` grows — one more reason FedAvg-style batching
 //! already raises the attack bar before DeTA's transforms apply.
 
-use crate::autograd::{Tape, Var};
+use crate::dlg::l2_match;
 use crate::harness::{BreachedView, GraphModel};
 use crate::metrics::mse;
-use crate::optim::Lbfgs;
 use deta_crypto::DetRng;
 
 /// Batched attack configuration.
@@ -35,74 +34,9 @@ pub struct BatchDlgOutcome {
     pub final_objective: f64,
 }
 
-/// Builds a tape computing the *mean* per-example gradient of a batch of
-/// `b` examples w.r.t. the leading `k` parameters.
-struct BatchTape {
-    tape: Tape,
-    xs: Vec<Vec<Var>>,
-    label_logits: Vec<Vec<Var>>,
-    gstar: Vec<Var>,
-    mean_grads: Vec<Var>,
-}
-
-impl BatchTape {
-    fn build(model: &dyn GraphModel, b: usize, k: usize) -> BatchTape {
-        assert!(b > 0 && k > 0 && k <= model.param_count());
-        let mut tape = Tape::new();
-        let xs: Vec<Vec<Var>> = (0..b).map(|_| tape.inputs(model.input_dim())).collect();
-        let label_logits: Vec<Vec<Var>> = (0..b).map(|_| tape.inputs(model.classes())).collect();
-        let params = tape.inputs(model.param_count());
-        let gstar = tape.inputs(k);
-        // Mean loss over the batch, differentiated once w.r.t. params.
-        let losses: Vec<Var> = xs
-            .iter()
-            .zip(label_logits.iter())
-            .map(|(x, ll)| {
-                let logits = model.forward(&mut tape, x, &params);
-                crate::graphnet::soft_cross_entropy(&mut tape, &logits, ll)
-            })
-            .collect();
-        let total = tape.sum(&losses);
-        let mean_loss = tape.scale(total, 1.0 / b as f64);
-        let mean_grads = tape.grad(mean_loss, &params[..k]);
-        BatchTape {
-            tape,
-            xs,
-            label_logits,
-            gstar,
-            mean_grads,
-        }
-    }
-}
-
-/// Computes the mean gradient of a batch (the victim-side computation).
-pub fn batch_mean_gradient(
-    model: &dyn GraphModel,
-    params: &[f32],
-    images: &[Vec<f32>],
-    labels: &[usize],
-) -> Vec<f32> {
-    assert_eq!(images.len(), labels.len());
-    let b = images.len();
-    let bt = BatchTape::build(model, b, model.param_count());
-    let mut ev = bt.tape.evaluator();
-    let mut inputs = Vec::new();
-    for img in images {
-        inputs.extend(img.iter().map(|&v| v as f64));
-    }
-    for &l in labels {
-        for c in 0..model.classes() {
-            inputs.push(if c == l { 30.0 } else { -30.0 });
-        }
-    }
-    inputs.extend(params.iter().map(|&v| v as f64));
-    inputs.extend(std::iter::repeat_n(0.0, model.param_count()));
-    ev.eval(&bt.tape, &inputs);
-    bt.mean_grads.iter().map(|&g| ev.value(g) as f32).collect()
-}
-
-/// Runs batched DLG: jointly optimizes `b` dummy inputs and soft labels
-/// to match the visible (possibly DeTA-transformed) mean gradient.
+/// Runs batched DLG: jointly optimizes `b` dummy inputs and soft labels,
+/// the `b` rows of one attack tape, to match the visible (possibly
+/// DeTA-transformed) mean gradient.
 pub fn run_batch_dlg(
     model: &dyn GraphModel,
     params: &[f32],
@@ -110,49 +44,14 @@ pub fn run_batch_dlg(
     b: usize,
     cfg: &BatchDlgConfig,
 ) -> BatchDlgOutcome {
-    let k = view.visible.len();
-    let mut bt = BatchTape::build(model, b, k);
-    let objective = {
-        let grads = bt.mean_grads.clone();
-        let gstar = bt.gstar.clone();
-        bt.tape.sq_dist(&grads, &gstar)
-    };
-    let d = model.input_dim();
-    let c = model.classes();
-    let opt_vars: Vec<Var> = bt
-        .xs
-        .iter()
-        .flatten()
-        .chain(bt.label_logits.iter().flatten())
-        .copied()
-        .collect();
-    let opt_grads = bt.tape.grad(objective, &opt_vars);
-    let mut ev = bt.tape.evaluator();
-    let n_opt = opt_vars.len();
-    let pack = |vars: &[f64], params: &[f32], gstar: &[f32]| -> Vec<f64> {
-        let mut inputs = Vec::with_capacity(n_opt + params.len() + gstar.len());
-        inputs.extend_from_slice(&vars[..b * d]); // xs
-        inputs.extend_from_slice(&vars[b * d..]); // label logits
-        inputs.extend(params.iter().map(|&v| v as f64));
-        inputs.extend(gstar.iter().map(|&v| v as f64));
-        inputs
-    };
+    let mut minimize = l2_match(model, params, view, b, None);
+    let (d, c) = (model.input_dim(), model.classes());
     let mut best: Option<(f64, Vec<f64>)> = None;
     for r in 0..cfg.restarts.max(1) {
         let mut rng = DetRng::from_u64(cfg.seed).fork_indexed(b"batch-dlg", r as u64);
         let mut vars0: Vec<f64> = (0..b * d).map(|_| rng.next_f64()).collect();
         vars0.extend((0..b * c).map(|_| rng.next_gaussian() * 0.1));
-        let lbfgs = Lbfgs {
-            max_iter: cfg.iterations,
-            ..Default::default()
-        };
-        let (vars, fx) = lbfgs.minimize(vars0, |vars| {
-            let inputs = pack(vars, params, &view.visible);
-            ev.eval(&bt.tape, &inputs);
-            let value = ev.value(objective);
-            let grad: Vec<f64> = opt_grads.iter().map(|&g| ev.value(g)).collect();
-            (value, grad)
-        });
+        let (vars, fx) = minimize(vars0, cfg.iterations);
         if best.as_ref().is_none_or(|(bfx, _)| fx < *bfx) {
             best = Some((fx, vars));
         }
@@ -173,8 +72,6 @@ pub fn run_batch_dlg(
 pub fn best_assignment_mse(recons: &[Vec<f32>], truths: &[Vec<f32>]) -> f64 {
     assert_eq!(recons.len(), truths.len());
     let b = recons.len();
-    let mut used = vec![false; b];
-    let mut total = 0.0f64;
     // Greedy matching: repeatedly take the globally smallest remaining
     // pair. Exact for b = 1-2 and a close approximation for small b.
     let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
@@ -184,17 +81,12 @@ pub fn best_assignment_mse(recons: &[Vec<f32>], truths: &[Vec<f32>]) -> f64 {
         }
     }
     pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-    let mut r_used = vec![false; b];
-    let mut count = 0;
+    let (mut r_used, mut t_used) = (vec![false; b], vec![false; b]);
+    let mut total = 0.0f64;
     for (m, i, j) in pairs {
-        if !r_used[i] && !used[j] {
-            r_used[i] = true;
-            used[j] = true;
+        if !r_used[i] && !t_used[j] {
+            (r_used[i], t_used[j]) = (true, true);
             total += m;
-            count += 1;
-            if count == b {
-                break;
-            }
         }
     }
     total / b as f64
@@ -204,7 +96,17 @@ pub fn best_assignment_mse(recons: &[Vec<f32>], truths: &[Vec<f32>]) -> f64 {
 mod tests {
     use super::*;
     use crate::graphnet::MlpSpec;
-    use crate::harness::{breach_view, AttackView};
+    use crate::harness::{breach_view, victim_gradient, AttackView};
+
+    /// The mean gradient of a batch, as its victim shares it.
+    fn batch_mean_gradient(
+        spec: &MlpSpec,
+        params: &[f32],
+        images: &[Vec<f32>],
+        labels: &[usize],
+    ) -> Vec<f32> {
+        victim_gradient(spec, params, &images.concat(), labels)
+    }
 
     fn setup(b: usize) -> (MlpSpec, Vec<f32>, Vec<Vec<f32>>, Vec<usize>) {
         let spec = MlpSpec::new(&[12, 10, 4]);
@@ -223,18 +125,8 @@ mod tests {
     fn batch_of_one_matches_single_gradient() {
         let (spec, params, images, labels) = setup(1);
         let batch_g = batch_mean_gradient(&spec, &params, &images, &labels);
-        // Single-example gradient via the standard tape.
-        let at = crate::harness::AttackTape::build(&spec, spec.param_count());
-        let mut ev = at.tape.evaluator();
-        let xin: Vec<f64> = images[0].iter().map(|&v| v as f64).collect();
-        let inputs = at.pack_inputs(
-            &xin,
-            &at.hard_label_logits(labels[0]),
-            &params,
-            &vec![0.0; spec.param_count()],
-        );
-        ev.eval(&at.tape, &inputs);
-        let single: Vec<f32> = at.grads.iter().map(|&g| ev.value(g) as f32).collect();
+        // The single-example gradient, one row on the tape.
+        let single = victim_gradient(&spec, &params, &images[0], &labels[..1]);
         for (a, b) in batch_g.iter().zip(single.iter()) {
             assert!((a - b).abs() < 1e-5);
         }

@@ -4,14 +4,14 @@
 //! minimizing `|| grad_theta L(x', y') - g* ||^2` over a randomly
 //! initialized dummy input `x'` and soft label `y'`. Gradient steps on
 //! this objective require second derivatives of the loss, supplied by the
-//! graph-mode tape.
+//! tensor [`crate::tape`], which differentiates its own backward pass.
 //!
 //! As in the original implementation, the objective is minimized with
 //! L-BFGS (see [`crate::optim::Lbfgs`]), which handles the
 //! ill-conditioned gradient-matching landscape far better than
 //! first-order methods.
 
-use crate::harness::{AttackTape, BreachedView, GraphModel};
+use crate::harness::{hard_label_logits, AttackTape, BreachedView, GraphModel};
 use crate::optim::Lbfgs;
 use deta_crypto::DetRng;
 
@@ -20,24 +20,10 @@ use deta_crypto::DetRng;
 pub struct DlgConfig {
     /// L-BFGS iteration budget (the paper uses 300).
     pub iterations: usize,
-    /// Unused by L-BFGS (kept for harness compatibility; line search
-    /// chooses step sizes).
-    pub lr: f64,
     /// RNG seed for the dummy initialization.
     pub seed: u64,
     /// Random restarts; the result with the lowest final objective wins.
     pub restarts: usize,
-}
-
-impl Default for DlgConfig {
-    fn default() -> Self {
-        DlgConfig {
-            iterations: 300,
-            lr: 0.1,
-            seed: 0,
-            restarts: 1,
-        }
-    }
 }
 
 /// Attack outcome.
@@ -77,6 +63,46 @@ pub fn run_dlg_fixed_label(
     run_dlg_inner(model, params, view, cfg, Some(label))
 }
 
+/// Builds the squared L2 distance between the gradient of `rows` dummy
+/// inputs (under the attacker's alignment) and the visible fragment, and
+/// returns its L-BFGS minimizer: from a start (the dummy inputs, then the
+/// label logits unless `pinned` holds them) and an iteration budget, to
+/// the final variables and objective.
+pub(crate) fn l2_match<'a>(
+    model: &dyn GraphModel,
+    params: &'a [f32],
+    view: &'a BreachedView,
+    rows: usize,
+    pinned: Option<Vec<f32>>,
+) -> impl FnMut(Vec<f64>, usize) -> (Vec<f64>, f64) + 'a {
+    let mut at = AttackTape::build(model, rows, &view.positions());
+    let objective = at.tape.sq_dist(at.grads, at.gstar);
+    let wrt = match pinned {
+        Some(_) => vec![at.x],
+        None => vec![at.x, at.label_logits],
+    };
+    let wrt = at.tape.grad(objective, &wrt);
+    let mut ev = at.tape.evaluator();
+    let mut x = vec![0.0f32; rows * model.input_dim()];
+    let mut labels = pinned.unwrap_or_else(|| vec![0.0; rows * model.classes()]);
+    move |vars0, iterations| {
+        let lbfgs = Lbfgs {
+            max_iter: iterations,
+            ..Default::default()
+        };
+        lbfgs.minimize(vars0, |vars| {
+            // Pinned labels are not among the variables, so stay as they are.
+            for (d, &s) in x.iter_mut().chain(labels.iter_mut()).zip(vars) {
+                *d = s as f32;
+            }
+            at.eval(&mut ev, &x, &labels, params, &view.visible);
+            let value = f64::from(ev.value(objective)[0]);
+            let grad = wrt.iter().flat_map(|&g| ev.value(g));
+            (value, grad.map(|&v| f64::from(v)).collect())
+        })
+    }
+}
+
 fn run_dlg_inner(
     model: &dyn GraphModel,
     params: &[f32],
@@ -84,125 +110,53 @@ fn run_dlg_inner(
     cfg: &DlgConfig,
     fixed_label: Option<usize>,
 ) -> DlgOutcome {
+    let (d, c) = (model.input_dim(), model.classes());
+    let pinned = fixed_label.map(|l| hard_label_logits(c, &[l]));
+    let mut minimize = l2_match(model, params, view, 1, pinned.clone());
     let mut best: Option<DlgOutcome> = None;
     for r in 0..cfg.restarts.max(1) {
-        let sub = DlgConfig {
-            seed: cfg.seed.wrapping_add(1_000_003 * r as u64),
-            restarts: 1,
-            ..*cfg
+        // Dummy initialization.
+        let seed = cfg.seed.wrapping_add(1_000_003 * r as u64);
+        let mut rng = DetRng::from_u64(seed).fork(b"dlg-init");
+        let mut vars0: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();
+        if pinned.is_none() {
+            vars0.extend((0..c).map(|_| rng.next_gaussian() * 0.1));
+        }
+        let (vars, final_objective) = minimize(vars0, cfg.iterations);
+        let label_logits: Vec<f64> = match &pinned {
+            Some(p) => p.iter().map(|&v| f64::from(v)).collect(),
+            None => vars[d..].to_vec(),
         };
-        let out = run_dlg_once(model, params, view, &sub, fixed_label);
+        let max = label_logits
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = label_logits.iter().map(|&l| (l - max).exp()).collect();
+        let denom: f64 = exps.iter().sum();
         if best
             .as_ref()
-            .is_none_or(|b| out.final_objective < b.final_objective)
+            .is_none_or(|b| final_objective < b.final_objective)
         {
-            best = Some(out);
+            best = Some(DlgOutcome {
+                reconstruction: vars[..d].iter().map(|&v| v as f32).collect(),
+                label_probs: exps.iter().map(|&e| e / denom).collect(),
+                final_objective,
+            });
         }
     }
     best.unwrap()
 }
 
-fn run_dlg_once(
-    model: &dyn GraphModel,
-    params: &[f32],
-    view: &BreachedView,
-    cfg: &DlgConfig,
-    fixed_label: Option<usize>,
-) -> DlgOutcome {
-    let mut at = match &view.known_positions {
-        Some(pos) => AttackTape::build_with_positions(model, pos),
-        None => AttackTape::build(model, view.visible.len()),
-    };
-    // Objective: squared L2 distance between the dummy gradient (under
-    // the attacker's alignment) and the visible fragment.
-    let objective = {
-        let grads = at.grads.clone();
-        let gstar = at.gstar.clone();
-        at.tape.sq_dist(&grads, &gstar)
-    };
-    let d = model.input_dim();
-    let c = model.classes();
-    let optimize_label = fixed_label.is_none();
-    // Differentiate the objective w.r.t. the dummy input (and soft label).
-    let opt_vars: Vec<_> = if optimize_label {
-        at.x.iter().chain(at.label_logits.iter()).copied().collect()
-    } else {
-        at.x.clone()
-    };
-    let opt_grads = at.tape.grad(objective, &opt_vars);
-    let mut ev = at.tape.evaluator();
-
-    // Dummy initialization.
-    let mut rng = DetRng::from_u64(cfg.seed).fork(b"dlg-init");
-    let mut x: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();
-    let mut label_logits: Vec<f64> = match fixed_label {
-        Some(l) => at.hard_label_logits(l),
-        None => (0..c).map(|_| rng.next_gaussian() * 0.1).collect(),
-    };
-
-    let vars0: Vec<f64> = if optimize_label {
-        x.iter().chain(label_logits.iter()).copied().collect()
-    } else {
-        x.clone()
-    };
-    let lbfgs = Lbfgs {
-        max_iter: cfg.iterations,
-        ..Default::default()
-    };
-    let fixed_logits = label_logits.clone();
-    let (vars, final_objective) = lbfgs.minimize(vars0, |vars| {
-        let xv = &vars[..d];
-        let lv: &[f64] = if optimize_label {
-            &vars[d..]
-        } else {
-            &fixed_logits
-        };
-        let inputs = at.pack_inputs(xv, lv, params, &view.visible);
-        ev.eval(&at.tape, &inputs);
-        let value = ev.value(objective);
-        let grad: Vec<f64> = opt_grads.iter().map(|&g| ev.value(g)).collect();
-        (value, grad)
-    });
-    x.copy_from_slice(&vars[..d]);
-    if optimize_label {
-        label_logits.copy_from_slice(&vars[d..]);
-    }
-
-    let max = label_logits
-        .iter()
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = label_logits.iter().map(|&l| (l - max).exp()).collect();
-    let denom: f64 = exps.iter().sum();
-    DlgOutcome {
-        reconstruction: x.iter().map(|&v| v as f32).collect(),
-        label_probs: exps.iter().map(|&e| e / denom).collect(),
-        final_objective,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autograd::Tape;
     use crate::graphnet::MlpSpec;
-    use crate::harness::{breach_view, AttackView};
+    use crate::harness::{breach_view, victim_gradient, AttackView};
     use crate::metrics::mse;
     use deta_crypto::DetRng;
 
-    /// Computes the true single-example gradient via the graph (hard label).
     fn true_gradient(spec: &MlpSpec, params: &[f32], x: &[f32], label: usize) -> Vec<f32> {
-        let at = AttackTape::build(spec, spec.param_count());
-        let mut ev = at.tape.evaluator();
-        let xin: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        let inputs = at.pack_inputs(
-            &xin,
-            &at.hard_label_logits(label),
-            params,
-            &vec![0.0; spec.param_count()],
-        );
-        ev.eval(&at.tape, &inputs);
-        at.grads.iter().map(|&g| ev.value(g) as f32).collect()
+        victim_gradient(spec, params, x, &[label])
     }
 
     fn setup() -> (MlpSpec, Vec<f32>, Vec<f32>, usize) {
@@ -226,7 +180,6 @@ mod tests {
             &view,
             &DlgConfig {
                 iterations: 600,
-                lr: 0.05,
                 seed: 3,
                 restarts: 1,
             },
@@ -260,7 +213,6 @@ mod tests {
             &view,
             &DlgConfig {
                 iterations: 300,
-                lr: 0.05,
                 seed: 3,
                 restarts: 1,
             },
@@ -283,7 +235,6 @@ mod tests {
             &view,
             &DlgConfig {
                 iterations: 5,
-                lr: 0.05,
                 seed: 3,
                 restarts: 1,
             },
@@ -294,7 +245,6 @@ mod tests {
             &view,
             &DlgConfig {
                 iterations: 400,
-                lr: 0.05,
                 seed: 3,
                 restarts: 1,
             },
@@ -316,7 +266,6 @@ mod tests {
             &view,
             &DlgConfig {
                 iterations: 600,
-                lr: 0.05,
                 seed: 1,
                 restarts: 2,
             },
@@ -341,7 +290,6 @@ mod tests {
             &view,
             &DlgConfig {
                 iterations: 300,
-                lr: 0.05,
                 seed: 1,
                 restarts: 1,
             },
@@ -358,9 +306,9 @@ mod tests {
         // Building the tape twice for the same spec yields the same size
         // (determinism of the graph construction).
         let spec = MlpSpec::new(&[6, 5, 3]);
-        let a = AttackTape::build(&spec, 10);
-        let b = AttackTape::build(&spec, 10);
+        let positions: Vec<u32> = (0..10).collect();
+        let a = AttackTape::build(&spec, 1, &positions);
+        let b = AttackTape::build(&spec, 1, &positions);
         assert_eq!(a.tape.len(), b.tape.len());
-        let _ = Tape::new();
     }
 }

@@ -13,8 +13,9 @@
 //! paper evaluates (it may even query the unperturbed model as a black
 //! box; only the *target* gradients are transformed).
 
-use crate::autograd::{Tape, Var};
-use crate::graphnet::{loss_and_param_grad, ConvSpec, MlpSpec};
+use crate::graphnet::soft_cross_entropy;
+pub use crate::graphnet::GraphModel;
+use crate::tape::{Evaluator, Tape, Var};
 use deta_core::mapper::ModelMapper;
 use deta_core::shuffle::RoundPermutation;
 use deta_crypto::DetRng;
@@ -64,6 +65,44 @@ pub struct BreachedView {
     pub known_positions: Option<Vec<u32>>,
 }
 
+impl BreachedView {
+    /// The model positions the attacker matches `visible` against: the
+    /// known ones, else the leading coordinates.
+    pub fn positions(&self) -> Vec<u32> {
+        match &self.known_positions {
+            Some(pos) => pos.clone(),
+            None => (0..self.visible.len() as u32).collect(),
+        }
+    }
+}
+
+/// The first aggregator's fragment under a `factor` partition, and the
+/// model positions of its slots.
+fn fragment(gradient: &[f32], factor: f32, seed: u64) -> (Vec<f32>, Vec<u32>) {
+    assert!(factor > 0.0 && factor <= 1.0, "bad partition factor");
+    if factor >= 0.999 {
+        return (gradient.to_vec(), (0..gradient.len() as u32).collect());
+    }
+    let mapper = ModelMapper::generate(
+        gradient.len(),
+        2,
+        Some(&[factor, 1.0 - factor]),
+        &mut DetRng::from_u64(seed).fork(b"mapper"),
+    );
+    let frag = mapper.partition(gradient).swap_remove(0);
+    (frag, mapper.fragment_positions(0).to_vec())
+}
+
+/// A fragment under the round's keyed permutation.
+fn shuffle(fragment: &[f32], seed: u64, training_id: &[u8; 16]) -> Vec<f32> {
+    let perm_key: [u8; 32] = DetRng::from_u64(seed)
+        .fork(b"perm-key")
+        .derive_bytes(b"k", 32)
+        .try_into()
+        .unwrap();
+    RoundPermutation::derive(&perm_key, training_id, 0, fragment.len()).apply(fragment)
+}
+
 /// Applies DeTA's transformations to a gradient and returns what a breach
 /// of the first aggregator reveals.
 ///
@@ -79,36 +118,16 @@ pub fn breach_view(
     seed: u64,
     training_id: &[u8; 16],
 ) -> BreachedView {
-    let full_len = gradient.len();
-    let perm_key = DetRng::from_u64(seed)
-        .fork(b"perm-key")
-        .derive_bytes(b"k", 32);
-    let perm_key: [u8; 32] = perm_key.try_into().unwrap();
-    let fragment = |factor: f32| -> Vec<f32> {
-        assert!(factor > 0.0 && factor <= 1.0, "bad partition factor");
-        if factor >= 0.999 {
-            gradient.to_vec()
-        } else {
-            let mapper = ModelMapper::generate(
-                full_len,
-                2,
-                Some(&[factor, 1.0 - factor]),
-                &mut DetRng::from_u64(seed).fork(b"mapper"),
-            );
-            mapper.partition(gradient).swap_remove(0)
-        }
-    };
     let visible = match view {
         AttackView::Full => gradient.to_vec(),
-        AttackView::Partition { factor } => fragment(factor),
+        AttackView::Partition { factor } => fragment(gradient, factor, seed).0,
         AttackView::PartitionShuffle { factor } => {
-            let frag = fragment(factor);
-            RoundPermutation::derive(&perm_key, training_id, 0, frag.len()).apply(&frag)
+            shuffle(&fragment(gradient, factor, seed).0, seed, training_id)
         }
     };
     BreachedView {
         visible,
-        full_len,
+        full_len: gradient.len(),
         view,
         known_positions: None,
     }
@@ -129,126 +148,54 @@ pub fn oracle_breach_view(
     seed: u64,
     training_id: &[u8; 16],
 ) -> BreachedView {
-    assert!(factor > 0.0 && factor <= 1.0, "bad partition factor");
-    let full_len = gradient.len();
-    let (fragment, positions): (Vec<f32>, Vec<u32>) = if factor >= 0.999 {
-        (gradient.to_vec(), (0..full_len as u32).collect())
-    } else {
-        let mapper = ModelMapper::generate(
-            full_len,
-            2,
-            Some(&[factor, 1.0 - factor]),
-            &mut DetRng::from_u64(seed).fork(b"mapper"),
-        );
-        let frag = mapper.partition(gradient).swap_remove(0);
-        (frag, mapper.fragment_positions(0).to_vec())
-    };
-    let visible = if shuffled {
-        let perm_key: [u8; 32] = DetRng::from_u64(seed)
-            .fork(b"perm-key")
-            .derive_bytes(b"k", 32)
-            .try_into()
-            .unwrap();
+    let (fragment, positions) = fragment(gradient, factor, seed);
+    let (visible, view) = if shuffled {
         // The oracle knows pre-shuffle positions but NOT the permutation
         // key, so its position map no longer matches the data it holds.
-        RoundPermutation::derive(&perm_key, training_id, 0, fragment.len()).apply(&fragment)
+        (
+            shuffle(&fragment, seed, training_id),
+            AttackView::PartitionShuffle { factor },
+        )
     } else {
-        fragment
+        (fragment, AttackView::Partition { factor })
     };
     BreachedView {
         visible,
-        full_len,
-        view: if shuffled {
-            AttackView::PartitionShuffle { factor }
-        } else {
-            AttackView::Partition { factor }
-        },
+        full_len: gradient.len(),
+        view,
         known_positions: Some(positions),
     }
 }
 
-/// A differentiable single-example classifier usable on the attack tape.
-pub trait GraphModel {
-    /// Input dimension.
-    fn input_dim(&self) -> usize;
-    /// Number of classes.
-    fn classes(&self) -> usize;
-    /// Flat parameter count.
-    fn param_count(&self) -> usize;
-    /// Emits logits for one example.
-    fn forward(&self, tape: &mut Tape, x: &[Var], params: &[Var]) -> Vec<Var>;
-}
-
-impl GraphModel for MlpSpec {
-    fn input_dim(&self) -> usize {
-        MlpSpec::input_dim(self)
-    }
-    fn classes(&self) -> usize {
-        MlpSpec::classes(self)
-    }
-    fn param_count(&self) -> usize {
-        MlpSpec::param_count(self)
-    }
-    fn forward(&self, tape: &mut Tape, x: &[Var], params: &[Var]) -> Vec<Var> {
-        MlpSpec::forward(self, tape, x, params)
-    }
-}
-
-impl GraphModel for ConvSpec {
-    fn input_dim(&self) -> usize {
-        ConvSpec::input_dim(self)
-    }
-    fn classes(&self) -> usize {
-        self.classes
-    }
-    fn param_count(&self) -> usize {
-        ConvSpec::param_count(self)
-    }
-    fn forward(&self, tape: &mut Tape, x: &[Var], params: &[Var]) -> Vec<Var> {
-        ConvSpec::forward(self, tape, x, params)
-    }
-}
-
-/// The pre-built attack tape: dummy input, soft label, parameters, and
-/// the visible-prefix gradient nodes.
+/// The attack tape: the mean training loss of a batch of dummy inputs and
+/// its parameter gradient at the positions the attacker aligns the
+/// fragment with. Attacks append their objective to it.
 pub struct AttackTape {
-    /// The tape (attacks append their objective to it).
+    /// The tape.
     pub tape: Tape,
-    /// Dummy-input variables.
-    pub x: Vec<Var>,
-    /// Soft-label logit variables.
-    pub label_logits: Vec<Var>,
-    /// Model parameter variables.
-    pub params: Vec<Var>,
-    /// Target-gradient variables (length = visible fragment length).
-    pub gstar: Vec<Var>,
-    /// Gradient nodes `dL/dparams[i]` for `i < gstar.len()` — the
-    /// attacker's assumed alignment of the fragment.
-    pub grads: Vec<Var>,
-    /// The training loss node.
+    /// Dummy inputs, `[b, input_dim]` (input slot 0).
+    pub x: Var,
+    /// Soft-label logits, `[b, classes]` (slot 1).
+    pub label_logits: Var,
+    /// The flat model parameters, `[1, param_count]` (slot 2).
+    pub params: Var,
+    /// The target fragment, `[1, positions]` (slot 3).
+    pub gstar: Var,
+    /// `dL/dparams` at the aligned positions, `[1, positions]`.
+    pub grads: Var,
+    /// The training loss, the mean over the `b` rows.
     pub loss: Var,
 }
 
 impl AttackTape {
-    /// Builds the tape for matching a visible fragment of length `k`
-    /// under the attacker's leading-coordinate alignment.
+    /// Builds the tape for `rows` dummy inputs, matching a fragment whose
+    /// slots are the model parameters at `positions`.
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero or exceeds the model's parameter count.
-    pub fn build(model: &dyn GraphModel, k: usize) -> AttackTape {
-        assert!(k > 0 && k <= model.param_count(), "bad fragment length");
-        let positions: Vec<u32> = (0..k as u32).collect();
-        Self::build_with_positions(model, &positions)
-    }
-
-    /// Builds the tape for matching a fragment whose slots correspond to
-    /// the given model positions (the oracle attacker's alignment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if positions are empty or out of range.
-    pub fn build_with_positions(model: &dyn GraphModel, positions: &[u32]) -> AttackTape {
+    /// Panics if `rows` is zero, or positions are empty or out of range.
+    pub fn build(model: &dyn GraphModel, rows: usize, positions: &[u32]) -> AttackTape {
+        assert!(rows > 0, "no rows to attack");
         assert!(!positions.is_empty(), "no positions to match");
         let p = model.param_count();
         assert!(
@@ -256,13 +203,14 @@ impl AttackTape {
             "position out of range"
         );
         let mut tape = Tape::new();
-        let x = tape.inputs(model.input_dim());
-        let label_logits = tape.inputs(model.classes());
-        let params = tape.inputs(p);
-        let gstar = tape.inputs(positions.len());
-        let logits = model.forward(&mut tape, &x, &params);
-        let selected: Vec<Var> = positions.iter().map(|&i| params[i as usize]).collect();
-        let (loss, grads) = loss_and_param_grad(&mut tape, logits, &label_logits, &selected);
+        let x = tape.input(rows, model.input_dim());
+        let label_logits = tape.input(rows, model.classes());
+        let params = tape.input(1, p);
+        let gstar = tape.input(1, positions.len());
+        let logits = model.forward(&mut tape, x, params);
+        let loss = soft_cross_entropy(&mut tape, logits, label_logits);
+        let dparams = tape.grad(loss, &[params])[0];
+        let grads = tape.gather(dparams, positions, [1, positions.len()]);
         AttackTape {
             tape,
             x,
@@ -274,39 +222,49 @@ impl AttackTape {
         }
     }
 
-    /// Assembles the flat input vector for evaluation.
-    pub fn pack_inputs(
+    /// Evaluates every node at the given inputs.
+    pub fn eval(
         &self,
-        x: &[f64],
-        label_logits: &[f64],
+        ev: &mut Evaluator,
+        x: &[f32],
+        label_logits: &[f32],
         params: &[f32],
         gstar: &[f32],
-    ) -> Vec<f64> {
-        let mut out = Vec::with_capacity(
-            self.x.len() + self.label_logits.len() + self.params.len() + self.gstar.len(),
-        );
-        assert_eq!(x.len(), self.x.len());
-        assert_eq!(label_logits.len(), self.label_logits.len());
-        assert_eq!(params.len(), self.params.len());
-        assert_eq!(gstar.len(), self.gstar.len());
-        out.extend_from_slice(x);
-        out.extend_from_slice(label_logits);
-        out.extend(params.iter().map(|&v| v as f64));
-        out.extend(gstar.iter().map(|&v| v as f64));
-        out
+    ) {
+        ev.eval(&self.tape, &[x, label_logits, params, gstar]);
     }
+}
 
-    /// One-hot label logits with a large margin (pins the soft label).
-    pub fn hard_label_logits(&self, label: usize) -> Vec<f64> {
-        (0..self.label_logits.len())
-            .map(|c| if c == label { 30.0 } else { -30.0 })
-            .collect()
-    }
+/// One-hot label logits with a large margin, one row of `classes` per
+/// label (pins the soft label).
+pub fn hard_label_logits(classes: usize, labels: &[usize]) -> Vec<f32> {
+    labels
+        .iter()
+        .flat_map(|&l| (0..classes).map(move |c| if c == l { 30.0 } else { -30.0 }))
+        .collect()
+}
+
+/// The gradient a victim shares: the mean training-loss gradient over
+/// `images` (row-major, one row per label) under hard labels.
+pub fn victim_gradient(
+    model: &dyn GraphModel,
+    params: &[f32],
+    images: &[f32],
+    labels: &[usize],
+) -> Vec<f32> {
+    let p = model.param_count();
+    let all: Vec<u32> = (0..p as u32).collect();
+    let at = AttackTape::build(model, labels.len(), &all);
+    let mut ev = at.tape.evaluator();
+    let hard = hard_label_logits(model.classes(), labels);
+    at.eval(&mut ev, images, &hard, params, &vec![0.0; p]);
+    ev.value(at.grads).to_vec()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graphnet::MlpSpec;
 
     fn grad() -> Vec<f32> {
         (0..100).map(|i| (i as f32 * 0.1).sin()).collect()
@@ -393,26 +351,28 @@ mod tests {
     #[test]
     fn attack_tape_layout() {
         let spec = MlpSpec::new(&[4, 5, 3]);
-        let at = AttackTape::build(&spec, 10);
-        assert_eq!(at.x.len(), 4);
-        assert_eq!(at.label_logits.len(), 3);
-        assert_eq!(at.params.len(), spec.param_count());
-        assert_eq!(at.gstar.len(), 10);
-        assert_eq!(at.grads.len(), 10);
-        let inputs = at.pack_inputs(
-            &[0.0; 4],
-            &at.hard_label_logits(1),
+        let positions: Vec<u32> = (0..10).collect();
+        let at = AttackTape::build(&spec, 2, &positions);
+        assert_eq!(at.tape.shape(at.x), [2, 4]);
+        assert_eq!(at.tape.shape(at.label_logits), [2, 3]);
+        assert_eq!(at.tape.shape(at.params), [1, spec.param_count()]);
+        assert_eq!(at.tape.shape(at.gstar), [1, 10]);
+        assert_eq!(at.tape.shape(at.grads), [1, 10]);
+        assert_eq!(at.tape.shape(at.loss), [1, 1]);
+        let mut ev = at.tape.evaluator();
+        at.eval(
+            &mut ev,
+            &[0.0; 8],
+            &hard_label_logits(3, &[1, 2]),
             &vec![0.1; spec.param_count()],
             &[0.0; 10],
         );
-        assert_eq!(inputs.len(), at.tape.input_count());
+        assert!(ev.value(at.grads).iter().all(|g| g.is_finite()));
     }
 
     #[test]
     fn labels_pin_correctly() {
-        let spec = MlpSpec::new(&[4, 5, 3]);
-        let at = AttackTape::build(&spec, 5);
-        let l = at.hard_label_logits(2);
+        let l = hard_label_logits(3, &[2]);
         assert_eq!(l.len(), 3);
         assert!(l[2] > l[0] && l[2] > l[1]);
     }

@@ -67,22 +67,12 @@ pub fn run_idlg(
 mod tests {
     use super::*;
     use crate::graphnet::MlpSpec;
-    use crate::harness::{breach_view, AttackTape, AttackView};
+    use crate::harness::{breach_view, victim_gradient, AttackView};
     use crate::metrics::mse;
     use deta_crypto::DetRng;
 
     fn true_gradient(spec: &MlpSpec, params: &[f32], x: &[f32], label: usize) -> Vec<f32> {
-        let at = AttackTape::build(spec, spec.param_count());
-        let mut ev = at.tape.evaluator();
-        let xin: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        let inputs = at.pack_inputs(
-            &xin,
-            &at.hard_label_logits(label),
-            params,
-            &vec![0.0; spec.param_count()],
-        );
-        ev.eval(&at.tape, &inputs);
-        at.grads.iter().map(|&g| ev.value(g) as f32).collect()
+        victim_gradient(spec, params, x, &[label])
     }
 
     fn setup() -> (MlpSpec, Vec<f32>, Vec<f32>) {
@@ -152,7 +142,6 @@ mod tests {
             &view,
             &DlgConfig {
                 iterations: 600,
-                lr: 0.05,
                 seed: 4,
                 restarts: 1,
             },
@@ -173,7 +162,6 @@ mod tests {
             &view,
             &DlgConfig {
                 iterations: 300,
-                lr: 0.05,
                 seed: 4,
                 restarts: 1,
             },

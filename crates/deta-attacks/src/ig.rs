@@ -10,10 +10,10 @@
 //! converged (reconstruction succeeds); against DeTA's partitioned and
 //! shuffled views it stalls far above that.
 
-use crate::autograd::Var;
-use crate::harness::{AttackTape, BreachedView, GraphModel};
+use crate::harness::{hard_label_logits, AttackTape, BreachedView, GraphModel};
 use crate::metrics::cosine_distance;
 use crate::optim::Adam;
+use crate::tape::{Tape, Var};
 use deta_crypto::DetRng;
 
 /// IG attack configuration.
@@ -44,32 +44,33 @@ pub struct IgOutcome {
     pub final_cosine: f64,
 }
 
-/// Emits the total-variation prior over an image laid out CHW.
-fn tv_prior(tape: &mut crate::autograd::Tape, x: &[Var], shape: (usize, usize, usize)) -> Var {
+/// Emits the total-variation prior `Σ sqrt(d² + 1e-8)` over the
+/// horizontal and vertical neighbour differences `d` of one CHW image
+/// `x` (`[1, c·h·w]`).
+fn tv_prior(tape: &mut Tape, x: Var, shape: (usize, usize, usize)) -> Var {
     let (c, h, w) = shape;
-    assert_eq!(x.len(), c * h * w, "image shape mismatch");
-    let eps = tape.constant(1e-8);
-    let mut terms = Vec::new();
-    for ch in 0..c {
-        for y in 0..h {
-            for xx in 0..w {
-                let idx = (ch * h + y) * w + xx;
-                if xx + 1 < w {
-                    let d = tape.sub(x[idx + 1], x[idx]);
-                    let d2 = tape.mul(d, d);
-                    let s = tape.add(d2, eps);
-                    terms.push(tape.sqrt(s));
-                }
-                if y + 1 < h {
-                    let d = tape.sub(x[idx + w], x[idx]);
-                    let d2 = tape.mul(d, d);
-                    let s = tape.add(d2, eps);
-                    terms.push(tape.sqrt(s));
-                }
-            }
+    assert_eq!(tape.shape(x), [1, c * h * w], "image shape mismatch");
+    let (mut here, mut next) = (Vec::new(), Vec::new());
+    for i in 0..(c * h * w) as u32 {
+        let (y, xx) = ((i as usize / w) % h, i as usize % w);
+        if xx + 1 < w {
+            here.push(i);
+            next.push(i + 1);
+        }
+        if y + 1 < h {
+            here.push(i);
+            next.push(i + w as u32);
         }
     }
-    tape.sum(&terms)
+    let shape = [1, here.len()];
+    let a = tape.gather(x, next, shape);
+    let b = tape.gather(x, here, shape);
+    let d = tape.sub(a, b);
+    let d2 = tape.mul(d, d);
+    let eps = tape.constant(1, shape[1], 1e-8);
+    let s = tape.add(d2, eps);
+    let r = tape.sqrt(s);
+    tape.sum(r)
 }
 
 /// Runs the IG attack against a breached view.
@@ -79,56 +80,59 @@ pub fn run_ig(
     view: &BreachedView,
     cfg: &IgConfig,
 ) -> IgOutcome {
-    let k = view.visible.len();
-    let mut at = AttackTape::build(model, k);
+    let mut at = AttackTape::build(model, 1, &view.positions());
     // Cosine objective: 1 - <g, g*> / (|g| |g*|), plus the TV prior.
     let objective = {
-        let grads = at.grads.clone();
-        let gstar = at.gstar.clone();
-        let dot = at.tape.dot(&grads, &gstar);
-        let gg = at.tape.dot(&grads, &grads);
-        let ss = at.tape.dot(&gstar, &gstar);
-        let eps = at.tape.constant(1e-12);
-        let gg_e = at.tape.add(gg, eps);
-        let ss_e = at.tape.add(ss, eps);
-        let ng = at.tape.sqrt(gg_e);
-        let ns = at.tape.sqrt(ss_e);
-        let denom = at.tape.mul(ng, ns);
-        let cos_sim = at.tape.div(dot, denom);
-        let one = at.tape.constant(1.0);
-        let cos_dist = at.tape.sub(one, cos_sim);
-        let x_vars = at.x.clone();
-        let tv = tv_prior(&mut at.tape, &x_vars, cfg.image_shape);
-        let tv_scaled = at.tape.scale(tv, cfg.tv_weight);
-        at.tape.add(cos_dist, tv_scaled)
+        let t = &mut at.tape;
+        let dot = t.dot(at.grads, at.gstar);
+        let gg = t.dot(at.grads, at.grads);
+        let ss = t.dot(at.gstar, at.gstar);
+        let eps = t.constant(1, 1, 1e-12);
+        let gg_e = t.add(gg, eps);
+        let ss_e = t.add(ss, eps);
+        let norms2 = t.mul(gg_e, ss_e);
+        let norms = t.sqrt(norms2);
+        let inv = t.recip(norms);
+        let cos_sim = t.mul(dot, inv);
+        let one = t.constant(1, 1, 1.0);
+        let cos_dist = t.sub(one, cos_sim);
+        let tv = tv_prior(t, at.x, cfg.image_shape);
+        let tv_scaled = t.scale(tv, cfg.tv_weight as f32);
+        t.add(cos_dist, tv_scaled)
     };
-    let opt_grads = at.tape.grad(objective, &at.x.clone());
+    let opt_grad = at.tape.grad(objective, &[at.x])[0];
     let mut ev = at.tape.evaluator();
 
-    let label_logits = at.hard_label_logits(cfg.label);
+    let label_logits = hard_label_logits(model.classes(), &[cfg.label]);
     let d = model.input_dim();
+    let mut xf = vec![0.0f32; d];
     let mut best: Option<(f64, Vec<f32>)> = None;
     for restart in 0..cfg.restarts.max(1) {
         let mut rng = DetRng::from_u64(cfg.seed).fork_indexed(b"ig-restart", restart as u64);
         let mut x: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();
         let mut adam = Adam::new(d, cfg.lr).with_signed().with_bounds(0.0, 1.0);
+        let mut grad = vec![0.0f64; d];
         for _ in 0..cfg.iterations {
-            let inputs = at.pack_inputs(&x, &label_logits, params, &view.visible);
-            ev.eval(&at.tape, &inputs);
-            let grad: Vec<f64> = opt_grads.iter().map(|&g| ev.value(g)).collect();
+            for (f, &v) in xf.iter_mut().zip(&x) {
+                *f = v as f32;
+            }
+            at.eval(&mut ev, &xf, &label_logits, params, &view.visible);
+            for (g, &v) in grad.iter_mut().zip(ev.value(opt_grad)) {
+                *g = f64::from(v);
+            }
             if grad.iter().any(|v| !v.is_finite()) {
                 break;
             }
             adam.step(&mut x, &grad);
         }
         // Score with the pure cosine distance (no TV) on the final iterate.
-        let inputs = at.pack_inputs(&x, &label_logits, params, &view.visible);
-        ev.eval(&at.tape, &inputs);
-        let dummy_grad: Vec<f32> = at.grads.iter().map(|&g| ev.value(g) as f32).collect();
-        let cos = cosine_distance(&dummy_grad, &view.visible);
-        let xf: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+        for (f, &v) in xf.iter_mut().zip(&x) {
+            *f = v as f32;
+        }
+        at.eval(&mut ev, &xf, &label_logits, params, &view.visible);
+        let cos = cosine_distance(ev.value(at.grads), &view.visible);
         if best.as_ref().is_none_or(|(b, _)| cos < *b) {
-            best = Some((cos, xf));
+            best = Some((cos, xf.clone()));
         }
     }
     let (final_cosine, reconstruction) = best.unwrap();
@@ -142,21 +146,11 @@ pub fn run_ig(
 mod tests {
     use super::*;
     use crate::graphnet::ConvSpec;
-    use crate::harness::{breach_view, AttackView};
+    use crate::harness::{breach_view, victim_gradient, AttackView};
     use crate::metrics::mse;
 
     fn true_gradient(spec: &ConvSpec, params: &[f32], x: &[f32], label: usize) -> Vec<f32> {
-        let at = AttackTape::build(spec, spec.param_count());
-        let mut ev = at.tape.evaluator();
-        let xin: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        let inputs = at.pack_inputs(
-            &xin,
-            &at.hard_label_logits(label),
-            params,
-            &vec![0.0; spec.param_count()],
-        );
-        ev.eval(&at.tape, &inputs);
-        at.grads.iter().map(|&g| ev.value(g) as f32).collect()
+        victim_gradient(spec, params, x, &[label])
     }
 
     fn setup() -> (ConvSpec, Vec<f32>, Vec<f32>, usize) {
@@ -238,17 +232,17 @@ mod tests {
     #[test]
     fn tv_prior_penalizes_noise() {
         // TV of a constant image is ~0; of a checkerboard it is large.
-        let mut tape = crate::autograd::Tape::new();
-        let x = tape.inputs(16);
-        let tv = tv_prior(&mut tape, &x, (1, 4, 4));
+        let mut tape = Tape::new();
+        let x = tape.input(1, 16);
+        let tv = tv_prior(&mut tape, x, (1, 4, 4));
         let mut ev = tape.evaluator();
-        ev.eval(&tape, &[0.5; 16]);
-        let flat = ev.value(tv);
-        let checker: Vec<f64> = (0..16)
+        ev.eval(&tape, &[&[0.5; 16]]);
+        let flat = ev.value(tv)[0];
+        let checker: Vec<f32> = (0..16)
             .map(|i| if (i / 4 + i % 4) % 2 == 0 { 1.0 } else { 0.0 })
             .collect();
-        ev.eval(&tape, &checker);
-        let noisy = ev.value(tv);
+        ev.eval(&tape, &[&checker]);
+        let noisy = ev.value(tv)[0];
         assert!(noisy > flat + 10.0, "{noisy} vs {flat}");
     }
 }

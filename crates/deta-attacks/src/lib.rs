@@ -13,8 +13,10 @@
 //!   Adam, box constraint.
 //!
 //! All three differentiate *through* the network's gradient computation,
-//! which is why they run on the higher-order [`autograd`] tape via the
-//! graph builders in [`graphnet`].
+//! which is why they run on the [`tape`]: `f32` tensor operations on
+//! `deta-tensor`'s kernels whose gradient is more tape, so it can be
+//! differentiated again. [`graphnet`] writes the victim networks in its
+//! operations.
 //!
 //! [`harness`] wires the attacks to DeTA's defenses: it produces exactly
 //! the view an adversary obtains by breaching one CC-protected aggregator
@@ -24,7 +26,8 @@
 //! IG uses signed-gradient Adam as its paper specifies. Image
 //! resolutions and iteration counts are scaled to CPU budgets (see
 //! `DESIGN.md`); neither changes who wins — only how long runs take.
-//! [`batch`] extends DLG to mini-batch mean gradients.
+//! [`batch`] extends DLG to mini-batch mean gradients, as `b` rows of the
+//! same tape.
 //!
 //! [`poison`] adds the *active* adversary: untargeted model-poisoning
 //! generators (sign-flip, scaled update, collusion) that the
@@ -32,7 +35,6 @@
 //! robust aggregation rules reject them (DESIGN.md §14).
 
 pub mod analytic;
-pub mod autograd;
 pub mod batch;
 pub mod dlg;
 pub mod graphnet;
@@ -42,6 +44,7 @@ pub mod ig;
 pub mod metrics;
 pub mod optim;
 pub mod poison;
+pub mod tape;
 
 pub use harness::{AttackView, BreachedView};
 pub use metrics::{cosine_distance, mse};
@@ -50,5 +53,5 @@ pub use poison::PoisonKind;
 // Mounted at the crate root, where the tape's tests keep the names they
 // are known by (`tests::…`) from when the tape was a crate of its own.
 #[cfg(test)]
-#[path = "autograd_tests.rs"]
+#[path = "tape_tests.rs"]
 mod tests;

@@ -12,13 +12,11 @@
 //! cargo run --release -p deta-bench --bin ablation_batch
 //! ```
 
-use deta_attacks::batch::{
-    batch_mean_gradient, best_assignment_mse, run_batch_dlg, BatchDlgConfig,
-};
+use deta_attacks::batch::{best_assignment_mse, run_batch_dlg, BatchDlgConfig};
 use deta_attacks::graphnet::MlpSpec;
-use deta_attacks::harness::{breach_view, AttackView};
+use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
+use deta_bench::tables::random_params;
 use deta_bench::{write_csv, Args};
-use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
@@ -30,10 +28,7 @@ fn main() {
     let dim = data_spec.dim();
     let classes = 10usize;
     let model = MlpSpec::new(&[dim, 24, classes]);
-    let mut rng = DetRng::from_u64(12);
-    let params: Vec<f32> = (0..model.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
+    let params = random_params(&model, 12);
 
     let mut rows: Vec<String> = Vec::new();
     println!(
@@ -60,7 +55,7 @@ fn main() {
                     })
                     .collect();
                 let labels: Vec<usize> = (0..b).map(|i| (t * b + i) % classes).collect();
-                let g = batch_mean_gradient(&model, &params, &images, &labels);
+                let g = victim_gradient(&model, &params, &images.concat(), &labels);
                 let bv = breach_view(&g, view.unwrap(), 31, &[(t % 251) as u8; 16]);
                 let out = run_batch_dlg(
                     &model,

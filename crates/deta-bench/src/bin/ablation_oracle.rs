@@ -15,10 +15,10 @@
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
 use deta_attacks::graphnet::MlpSpec;
-use deta_attacks::harness::{breach_view, oracle_breach_view, AttackView};
+use deta_attacks::harness::{breach_view, oracle_breach_view, victim_gradient, AttackView};
 use deta_attacks::metrics::{bucket_percentages, mse, mse_bucket, MSE_BUCKET_LABELS};
+use deta_bench::tables::random_params;
 use deta_bench::{print_bucket_table, write_csv, Args};
-use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
@@ -31,13 +31,7 @@ fn main() {
     let dim = data_spec.dim();
     let classes = data_spec.classes;
     let model = MlpSpec::new(&[dim, 24, classes]);
-    let mut rng = DetRng::from_u64(9);
-    let params: Vec<f32> = (0..model.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
-
-    let grad_tape = deta_attacks::harness::AttackTape::build(&model, model.param_count());
-    let mut ev = grad_tape.tape.evaluator();
+    let params = random_params(&model, 9);
 
     // Columns: standard attacker vs oracle attacker, each against
     // partition-only and partition+shuffle.
@@ -56,19 +50,7 @@ fn main() {
             let label = (img * 13) % classes;
             let sample = data_spec.generate_class(label, 1, img as u64 + 700);
             let image: Vec<f32> = sample.features.data().to_vec();
-            let xin: Vec<f64> = image.iter().map(|&v| v as f64).collect();
-            let inputs = grad_tape.pack_inputs(
-                &xin,
-                &grad_tape.hard_label_logits(label),
-                &params,
-                &vec![0.0; model.param_count()],
-            );
-            ev.eval(&grad_tape.tape, &inputs);
-            let gradient: Vec<f32> = grad_tape
-                .grads
-                .iter()
-                .map(|&g| ev.value(g) as f32)
-                .collect();
+            let gradient = victim_gradient(&model, &params, &image, &[label]);
             let tid = [(img % 251) as u8; 16];
             let bv = if oracle {
                 oracle_breach_view(&gradient, factor, shuffled, 77, &tid)
@@ -86,7 +68,6 @@ fn main() {
                 &bv,
                 &DlgConfig {
                     iterations,
-                    lr: 0.1,
                     seed: img as u64,
                     restarts: 1,
                 },

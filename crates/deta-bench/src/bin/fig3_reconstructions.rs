@@ -10,39 +10,15 @@
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::{ConvSpec, MlpSpec};
-use deta_attacks::harness::{breach_view, AttackTape, AttackView, GraphModel};
+use deta_attacks::graphnet::{ConvSpec, GraphModel, MlpSpec};
+use deta_attacks::harness::{breach_view, victim_gradient};
 use deta_attacks::idlg::run_idlg;
 use deta_attacks::ig::{run_ig, IgConfig};
 use deta_attacks::metrics::{mse, write_pnm};
 use deta_bench::results_dir;
+use deta_bench::tables::VIEWS;
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
-
-fn gradient_of(model: &dyn GraphModel, params: &[f32], image: &[f32], label: usize) -> Vec<f32> {
-    let at = AttackTape::build(model, model.param_count());
-    let mut ev = at.tape.evaluator();
-    let xin: Vec<f64> = image.iter().map(|&v| v as f64).collect();
-    let inputs = at.pack_inputs(
-        &xin,
-        &at.hard_label_logits(label),
-        params,
-        &vec![0.0; model.param_count()],
-    );
-    ev.eval(&at.tape, &inputs);
-    at.grads.iter().map(|&g| ev.value(g) as f32).collect()
-}
-
-fn views() -> [AttackView; 6] {
-    [
-        AttackView::Full,
-        AttackView::Partition { factor: 0.6 },
-        AttackView::Partition { factor: 0.2 },
-        AttackView::PartitionShuffle { factor: 1.0 },
-        AttackView::PartitionShuffle { factor: 0.6 },
-        AttackView::PartitionShuffle { factor: 0.2 },
-    ]
-}
 
 fn main() {
     let dir = results_dir().join("fig3");
@@ -58,10 +34,10 @@ fn main() {
     let label = 13usize;
     let image8: Vec<f32> = data8.generate_class(label, 1, 77).features.data().to_vec();
     write_pnm(&dir.join("ground_truth_8x8.ppm"), &image8, 3, 8, 8).unwrap();
-    let g8 = gradient_of(&mlp, &mlp_params, &image8, label);
+    let g8 = victim_gradient(&mlp, &mlp_params, &image8, &[label]);
 
     println!("{:<8} {:<16} {:>12}", "attack", "view", "MSE");
-    for view in views() {
+    for view in VIEWS {
         let bv = breach_view(&g8, view, 50, &[9u8; 16]);
         let dlg = run_dlg(
             &mlp,
@@ -69,7 +45,6 @@ fn main() {
             &bv,
             &DlgConfig {
                 iterations: 300,
-                lr: 0.1,
                 seed: 1,
                 restarts: 1,
             },
@@ -95,7 +70,6 @@ fn main() {
             &bv,
             &DlgConfig {
                 iterations: 300,
-                lr: 0.1,
                 seed: 2,
                 restarts: 1,
             },
@@ -136,8 +110,8 @@ fn main() {
         .data()
         .to_vec();
     write_pnm(&dir.join("ground_truth_16x16.ppm"), &image16, 3, hw, hw).unwrap();
-    let g16 = gradient_of(&conv, &conv_params, &image16, ig_label);
-    for view in views() {
+    let g16 = victim_gradient(&conv, &conv_params, &image16, &[ig_label]);
+    for view in VIEWS {
         let bv = breach_view(&g16, view, 51, &[9u8; 16]);
         let ig = run_ig(
             &conv,

@@ -11,10 +11,10 @@
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
 use deta_attacks::graphnet::MlpSpec;
-use deta_attacks::harness::{breach_view, AttackTape, AttackView};
+use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
 use deta_attacks::metrics::mse;
+use deta_bench::tables::random_params;
 use deta_bench::{write_csv, Args};
-use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
@@ -26,12 +26,7 @@ fn main() {
     let dim = data_spec.dim();
     let classes = 20usize;
     let model = MlpSpec::new(&[dim, 24, classes]);
-    let mut rng = DetRng::from_u64(21);
-    let params: Vec<f32> = (0..model.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
-    let grad_tape = AttackTape::build(&model, model.param_count());
-    let mut ev = grad_tape.tape.evaluator();
+    let params = random_params(&model, 21);
 
     let factors = [1.0f32, 0.95, 0.9, 0.8, 0.7, 0.6, 0.4, 0.2];
     let mut rows = Vec::new();
@@ -46,19 +41,7 @@ fn main() {
                 let label = img % classes;
                 let sample = data_spec.generate_class(label, 1, img as u64 + 300);
                 let image: Vec<f32> = sample.features.data().to_vec();
-                let xin: Vec<f64> = image.iter().map(|&v| v as f64).collect();
-                let inputs = grad_tape.pack_inputs(
-                    &xin,
-                    &grad_tape.hard_label_logits(label),
-                    &params,
-                    &vec![0.0; model.param_count()],
-                );
-                ev.eval(&grad_tape.tape, &inputs);
-                let gradient: Vec<f32> = grad_tape
-                    .grads
-                    .iter()
-                    .map(|&g| ev.value(g) as f32)
-                    .collect();
+                let gradient = victim_gradient(&model, &params, &image, &[label]);
                 let view = if shuffled {
                     AttackView::PartitionShuffle { factor }
                 } else if factor >= 0.999 {
@@ -73,7 +56,6 @@ fn main() {
                     &bv,
                     &DlgConfig {
                         iterations,
-                        lr: 0.1,
                         seed: img as u64,
                         restarts: 1,
                     },

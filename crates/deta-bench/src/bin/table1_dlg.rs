@@ -10,84 +10,26 @@
 //! cargo run --release -p deta-bench --bin table1_dlg [-- --images 100]
 //! ```
 
-use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::MlpSpec;
-use deta_attacks::harness::{breach_view, AttackTape, AttackView};
-use deta_attacks::metrics::{bucket_percentages, mse, mse_bucket, MSE_BUCKET_LABELS};
+use deta_attacks::metrics::{bucket_percentages, mse_bucket, MSE_BUCKET_LABELS};
+use deta_bench::tables::{Table1, VIEWS};
 use deta_bench::{print_bucket_table, write_csv, Args};
-use deta_crypto::DetRng;
-use deta_datasets::DatasetSpec;
 
 fn main() {
     let args = Args::parse();
     let n_images: usize = args.get("images", 60);
-    let iterations: usize = args.get("iterations", 300);
-
-    let data_spec = DatasetSpec::cifar100_like().at_resolution(8);
-    let dim = data_spec.dim();
-    let classes = data_spec.classes;
-    let model = MlpSpec::new(&[dim, 24, classes]);
-
-    // Randomly initialized victim model, as in the DLG evaluation.
-    let mut rng = DetRng::from_u64(1);
-    let params: Vec<f32> = (0..model.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
-
-    // Precompute per-image true gradients via the attack tape.
-    let grad_tape = AttackTape::build(&model, model.param_count());
-    let mut ev = grad_tape.tape.evaluator();
-
-    let views = [
-        AttackView::Full,
-        AttackView::Partition { factor: 0.6 },
-        AttackView::Partition { factor: 0.2 },
-        AttackView::PartitionShuffle { factor: 1.0 },
-        AttackView::PartitionShuffle { factor: 0.6 },
-        AttackView::PartitionShuffle { factor: 0.2 },
-    ];
+    let iterations: usize = args.get("iterations", Table1::ITERATIONS);
+    let table = Table1::new();
 
     let mut columns: Vec<Vec<f64>> = Vec::new();
     let mut rows: Vec<String> = Vec::new();
     eprintln!(
         "table1_dlg: {n_images} images x {} views, {iterations} iters",
-        views.len()
+        VIEWS.len()
     );
-    for view in views {
+    for view in VIEWS {
         let mut mses = Vec::with_capacity(n_images);
         for img in 0..n_images {
-            let label = (img * 7) % classes;
-            let sample = data_spec.generate_class(label, 1, img as u64 + 100);
-            let image: Vec<f32> = sample.features.data().to_vec();
-            // The gradient the victim shares for this sample.
-            let xin: Vec<f64> = image.iter().map(|&v| v as f64).collect();
-            let inputs = grad_tape.pack_inputs(
-                &xin,
-                &grad_tape.hard_label_logits(label),
-                &params,
-                &vec![0.0; model.param_count()],
-            );
-            ev.eval(&grad_tape.tape, &inputs);
-            let gradient: Vec<f32> = grad_tape
-                .grads
-                .iter()
-                .map(|&g| ev.value(g) as f32)
-                .collect();
-            // The attacker's view after DeTA's transformations.
-            let tid = [(img % 251) as u8; 16];
-            let bv = breach_view(&gradient, view, 42, &tid);
-            let out = run_dlg(
-                &model,
-                &params,
-                &bv,
-                &DlgConfig {
-                    iterations,
-                    lr: 0.1,
-                    seed: img as u64,
-                    restarts: 1,
-                },
-            );
-            let err = mse(&out.reconstruction, &image);
+            let err = table.mse(view, img, iterations);
             mses.push(err);
             rows.push(format!("{},{},{:.6e}", view.label(), img, err));
         }
@@ -95,7 +37,7 @@ fn main() {
         eprintln!("  {} done", view.label());
     }
 
-    let col_labels: Vec<String> = views.iter().map(|v| v.label()).collect();
+    let col_labels: Vec<String> = VIEWS.iter().map(|v| v.label()).collect();
     print_bucket_table(
         "Table 1: DLG reconstruction MSE distribution",
         &MSE_BUCKET_LABELS,

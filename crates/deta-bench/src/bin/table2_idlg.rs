@@ -8,11 +8,11 @@
 
 use deta_attacks::dlg::DlgConfig;
 use deta_attacks::graphnet::MlpSpec;
-use deta_attacks::harness::{breach_view, AttackTape, AttackView};
+use deta_attacks::harness::{breach_view, victim_gradient};
 use deta_attacks::idlg::run_idlg;
 use deta_attacks::metrics::{bucket_percentages, mse, mse_bucket, MSE_BUCKET_LABELS};
+use deta_bench::tables::{random_params, VIEWS};
 use deta_bench::{print_bucket_table, write_csv, Args};
-use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
@@ -25,50 +25,23 @@ fn main() {
     let classes = data_spec.classes;
     let model = MlpSpec::new(&[dim, 24, classes]);
 
-    let mut rng = DetRng::from_u64(2);
-    let params: Vec<f32> = (0..model.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
-
-    let grad_tape = AttackTape::build(&model, model.param_count());
-    let mut ev = grad_tape.tape.evaluator();
-
-    let views = [
-        AttackView::Full,
-        AttackView::Partition { factor: 0.6 },
-        AttackView::Partition { factor: 0.2 },
-        AttackView::PartitionShuffle { factor: 1.0 },
-        AttackView::PartitionShuffle { factor: 0.6 },
-        AttackView::PartitionShuffle { factor: 0.2 },
-    ];
+    let params = random_params(&model, 2);
 
     let mut columns: Vec<Vec<f64>> = Vec::new();
     let mut label_acc: Vec<f64> = Vec::new();
     let mut rows: Vec<String> = Vec::new();
     eprintln!(
         "table2_idlg: {n_images} images x {} views, {iterations} iters",
-        views.len()
+        VIEWS.len()
     );
-    for view in views {
+    for view in VIEWS {
         let mut mses = Vec::with_capacity(n_images);
         let mut labels_right = 0usize;
         for img in 0..n_images {
             let label = (img * 11) % classes;
             let sample = data_spec.generate_class(label, 1, img as u64 + 500);
             let image: Vec<f32> = sample.features.data().to_vec();
-            let xin: Vec<f64> = image.iter().map(|&v| v as f64).collect();
-            let inputs = grad_tape.pack_inputs(
-                &xin,
-                &grad_tape.hard_label_logits(label),
-                &params,
-                &vec![0.0; model.param_count()],
-            );
-            ev.eval(&grad_tape.tape, &inputs);
-            let gradient: Vec<f32> = grad_tape
-                .grads
-                .iter()
-                .map(|&g| ev.value(g) as f32)
-                .collect();
+            let gradient = victim_gradient(&model, &params, &image, &[label]);
             let tid = [(img % 251) as u8; 16];
             let bv = breach_view(&gradient, view, 43, &tid);
             let out = run_idlg(
@@ -77,7 +50,6 @@ fn main() {
                 &bv,
                 &DlgConfig {
                     iterations,
-                    lr: 0.1,
                     seed: img as u64,
                     // Label inference frees the label dimensions; spend
                     // the saved budget on a restart (matches the paper's
@@ -104,7 +76,7 @@ fn main() {
         eprintln!("  {} done", view.label());
     }
 
-    let col_labels: Vec<String> = views.iter().map(|v| v.label()).collect();
+    let col_labels: Vec<String> = VIEWS.iter().map(|v| v.label()).collect();
     print_bucket_table(
         "Table 2: iDLG reconstruction MSE distribution",
         &MSE_BUCKET_LABELS,

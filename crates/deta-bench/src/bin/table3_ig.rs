@@ -11,97 +11,35 @@
 //! cargo run --release -p deta-bench --bin table3_ig
 //! ```
 
-use deta_attacks::graphnet::ConvSpec;
-use deta_attacks::harness::{breach_view, AttackTape, AttackView};
-use deta_attacks::ig::{run_ig, IgConfig};
 use deta_attacks::metrics::{bucket_percentages, cosine_bucket, COSINE_BUCKET_LABELS};
+use deta_bench::tables::{Table3, VIEWS};
 use deta_bench::{print_bucket_table, write_csv, Args};
-use deta_crypto::DetRng;
-use deta_datasets::DatasetSpec;
 
 fn main() {
     let args = Args::parse();
     let n_images: usize = args.get("images", 30);
-    let iterations: usize = args.get("iterations", 600);
-    let restarts: usize = args.get("restarts", 2);
-
-    let hw = 16usize;
-    let data_spec = DatasetSpec::imagenet_like().at_resolution(hw);
-    let classes = 10usize; // Attack label space (paper infers via iDLG).
-    let model = ConvSpec {
-        in_c: 3,
-        hw,
-        out_c: 4,
-        k: 3,
-        classes,
-    };
-
-    let mut rng = DetRng::from_u64(3);
-    let params: Vec<f32> = (0..model.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
-
-    let grad_tape = AttackTape::build(&model, model.param_count());
-    let mut ev = grad_tape.tape.evaluator();
-
-    let views = [
-        AttackView::Full,
-        AttackView::Partition { factor: 0.6 },
-        AttackView::Partition { factor: 0.2 },
-        AttackView::PartitionShuffle { factor: 1.0 },
-        AttackView::PartitionShuffle { factor: 0.6 },
-        AttackView::PartitionShuffle { factor: 0.2 },
-    ];
+    let iterations: usize = args.get("iterations", Table3::ITERATIONS);
+    let restarts: usize = args.get("restarts", Table3::RESTARTS);
+    let table = Table3::new();
 
     let mut columns: Vec<Vec<f64>> = Vec::new();
     let mut rows: Vec<String> = Vec::new();
     eprintln!(
         "table3_ig: {n_images} images x {} views, {iterations} iters x {restarts} restarts",
-        views.len()
+        VIEWS.len()
     );
-    for view in views {
+    for view in VIEWS {
         let mut cosines = Vec::with_capacity(n_images);
         for img in 0..n_images {
-            let label = (img * 3) % classes;
-            let sample = data_spec.generate_class(label, 1, img as u64 + 900);
-            let image: Vec<f32> = sample.features.data().to_vec();
-            let xin: Vec<f64> = image.iter().map(|&v| v as f64).collect();
-            let inputs = grad_tape.pack_inputs(
-                &xin,
-                &grad_tape.hard_label_logits(label),
-                &params,
-                &vec![0.0; model.param_count()],
-            );
-            ev.eval(&grad_tape.tape, &inputs);
-            let gradient: Vec<f32> = grad_tape
-                .grads
-                .iter()
-                .map(|&g| ev.value(g) as f32)
-                .collect();
-            let tid = [(img % 251) as u8; 16];
-            let bv = breach_view(&gradient, view, 44, &tid);
-            let out = run_ig(
-                &model,
-                &params,
-                &bv,
-                &IgConfig {
-                    iterations,
-                    lr: 0.05,
-                    tv_weight: 1e-4,
-                    restarts,
-                    seed: img as u64,
-                    image_shape: (3, hw, hw),
-                    label,
-                },
-            );
-            cosines.push(out.final_cosine);
-            rows.push(format!("{},{},{:.6}", view.label(), img, out.final_cosine));
+            let cos = table.cosine(view, img, iterations, restarts);
+            cosines.push(cos);
+            rows.push(format!("{},{},{:.6}", view.label(), img, cos));
         }
         columns.push(bucket_percentages(&cosines, cosine_bucket, 6));
         eprintln!("  {} done", view.label());
     }
 
-    let col_labels: Vec<String> = views.iter().map(|v| v.label()).collect();
+    let col_labels: Vec<String> = VIEWS.iter().map(|v| v.label()).collect();
     print_bucket_table(
         "Table 3: IG final cosine distance distribution",
         &COSINE_BUCKET_LABELS,

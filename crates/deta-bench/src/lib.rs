@@ -14,6 +14,7 @@
 //! | `fig6_cifar`  | Figure 6 — CIFAR-10, 4 vs 8 parties |
 //! | `fig7_rvlcdip`| Figure 7 — RVL-CDIP non-IID transfer learning |
 
+pub mod tables;
 pub mod timing;
 
 use std::fmt::Write as _;

@@ -10,8 +10,8 @@
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::MlpSpec;
-use deta_attacks::harness::{breach_view, AttackTape, AttackView};
+use deta_attacks::graphnet::{GraphModel, MlpSpec};
+use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
 use deta_attacks::metrics::mse;
 use deta_cli::Config;
 use deta_core::baseline::run_ffl;
@@ -591,8 +591,6 @@ fn cmd_attack(n_images: usize) {
     let params: Vec<f32> = (0..model.param_count())
         .map(|_| rng.next_gaussian() as f32 * 0.3)
         .collect();
-    let tape = AttackTape::build(&model, model.param_count());
-    let mut ev = tape.tape.evaluator();
     let views = [
         AttackView::Full,
         AttackView::Partition { factor: 0.6 },
@@ -605,15 +603,7 @@ fn cmd_attack(n_images: usize) {
             let label = img % 20;
             let sample = spec_data.generate_class(label, 1, img as u64);
             let image: Vec<f32> = sample.features.data().to_vec();
-            let xin: Vec<f64> = image.iter().map(|&v| v as f64).collect();
-            let inputs = tape.pack_inputs(
-                &xin,
-                &tape.hard_label_logits(label),
-                &params,
-                &vec![0.0; model.param_count()],
-            );
-            ev.eval(&tape.tape, &inputs);
-            let gradient: Vec<f32> = tape.grads.iter().map(|&g| ev.value(g) as f32).collect();
+            let gradient = victim_gradient(&model, &params, &image, &[label]);
             let bv = breach_view(&gradient, view, 7, &[img as u8; 16]);
             let out = run_dlg(
                 &model,
@@ -621,7 +611,6 @@ fn cmd_attack(n_images: usize) {
                 &bv,
                 &DlgConfig {
                     iterations: 300,
-                    lr: 0.1,
                     seed: img as u64,
                     restarts: 1,
                 },

@@ -10,10 +10,9 @@
 //!   the systems substrate.
 //! * [`runtime`] — the threaded actor deployment (concurrent nodes).
 //! * [`telemetry`] — tracing, metrics, and per-node flight recorders.
-//! * [`attacks`], [`autograd`] — the gradient-inversion attack suite.
+//! * [`attacks`] — the gradient-inversion attack suite.
 
 pub use deta_attacks as attacks;
-pub use deta_attacks::autograd;
 pub use deta_bignum as bignum;
 pub use deta_core as core;
 pub use deta_crypto as crypto;

@@ -4,7 +4,7 @@
 //! training input; with it on, it does not.
 
 use deta::attacks::dlg::{run_dlg, DlgConfig};
-use deta::attacks::graphnet::MlpSpec;
+use deta::attacks::graphnet::{GraphModel, MlpSpec};
 use deta::attacks::harness::{AttackView, BreachedView};
 use deta::attacks::metrics::mse;
 use deta::core::aggregator::parse_breached_memory;
@@ -83,7 +83,6 @@ fn attack(params: &[f32], fragment: Vec<f32>, full_len: usize, dim: usize) -> Ve
         &view,
         &DlgConfig {
             iterations: 500,
-            lr: 0.05,
             seed: 2,
             restarts: 1,
         },
