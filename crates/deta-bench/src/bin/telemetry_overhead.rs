@@ -1,9 +1,7 @@
 //! Telemetry overhead gate: wall-clock cost of the `deta-telemetry`
 //! sink on the threaded deployment, disabled and enabled, at the
-//! 4-party / 4-aggregator configuration. Emits
-//! `BENCH_telemetry.json` (to a temp directory; into the committed
-//! `results/` tree only under `DETA_BENCH_REWRITE=1`) and exits
-//! non-zero when the enabled overhead exceeds 5% (or the disabled
+//! 4-party / 4-aggregator configuration. Prints both overheads and
+//! exits non-zero when the enabled overhead exceeds 5% (or the disabled
 //! bound exceeds 1%).
 //!
 //! ```text
@@ -29,13 +27,12 @@
 //! baseline wall time. That bound is what the <1% acceptance gate
 //! checks.
 
-use deta_bench::{bench_output_dir, Args};
+use deta_bench::Args;
 use deta_core::DetaConfig;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
 use deta_runtime::{RuntimeConfig, TelemetryConfig, ThreadedSession};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Calls the disabled event sink in a tight loop and returns the mean
@@ -151,36 +148,6 @@ fn main() {
     println!(
         "disabled overhead bound:   {overhead_disabled_pct:8.5}%  (gate {gate_disabled_pct}%)"
     );
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"benchmark\": \"telemetry_overhead\",");
-    let _ = writeln!(json, "  \"parties\": {parties},");
-    let _ = writeln!(json, "  \"aggregators\": {aggregators},");
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
-    let _ = writeln!(json, "  \"examples_per_party\": {per_party},");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"runs_per_mode\": {runs},");
-    let _ = writeln!(json, "  \"retried\": {retried},");
-    let _ = writeln!(json, "  \"wall_disabled_s\": {wall_disabled_s:.6},");
-    let _ = writeln!(json, "  \"wall_enabled_s\": {wall_enabled_s:.6},");
-    let _ = writeln!(
-        json,
-        "  \"overhead_enabled_pct\": {overhead_enabled_pct:.4},"
-    );
-    let _ = writeln!(json, "  \"disabled_call_ns\": {call_ns:.4},");
-    let _ = writeln!(json, "  \"emits_per_run\": {emits_per_run},");
-    let _ = writeln!(
-        json,
-        "  \"overhead_disabled_pct\": {overhead_disabled_pct:.6},"
-    );
-    let _ = writeln!(json, "  \"gate_enabled_pct\": {gate_enabled_pct},");
-    let _ = writeln!(json, "  \"gate_disabled_pct\": {gate_disabled_pct},");
-    let _ = writeln!(json, "  \"pass\": {pass}");
-    let _ = writeln!(json, "}}");
-    let path = bench_output_dir().join("BENCH_telemetry.json");
-    std::fs::write(&path, json).expect("write BENCH_telemetry.json");
-    println!("[json] {}", path.display());
 
     if !pass {
         eprintln!("telemetry overhead gate FAILED");

@@ -50,12 +50,6 @@ impl Args {
             .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --{name}: {e:?}")))
             .unwrap_or(default)
     }
-
-    /// Returns whether a bare `--name` flag is present.
-    pub fn flag(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.raw.iter().any(|a| a == &flag)
-    }
 }
 
 /// Returns (and creates) the results directory.
@@ -63,20 +57,6 @@ pub fn results_dir() -> PathBuf {
     let dir = Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");
     dir.to_path_buf()
-}
-
-/// Returns (and creates) the directory benchmark JSON artifacts go to:
-/// a per-process temp directory by default, so a gate run (`check.sh`)
-/// leaves `git status` clean, and the committed `results/` tree only
-/// when `DETA_BENCH_REWRITE=1` explicitly asks for a rewrite.
-pub fn bench_output_dir() -> PathBuf {
-    let rewrite = std::env::var_os("DETA_BENCH_REWRITE").is_some_and(|v| v == "1");
-    if rewrite {
-        return results_dir();
-    }
-    let dir = std::env::temp_dir().join(format!("deta-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create bench output dir");
-    dir
 }
 
 /// Writes rows as CSV under `results/`.

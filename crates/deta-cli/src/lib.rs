@@ -179,6 +179,12 @@ impl Config {
     /// Builds the session configuration.
     pub fn session_config(&self) -> Result<DetaConfig, ConfigError> {
         let n_parties: usize = self.parse_as("parties", 4)?;
+        if n_parties == 0 {
+            return Err(ConfigError::BadValue {
+                key: "parties".to_string(),
+                value: "0".to_string(),
+            });
+        }
         let rounds: usize = self.parse_as("rounds", 5)?;
         let mut cfg = DetaConfig::deta(n_parties, rounds);
         cfg.n_aggregators = self.parse_as("aggregators", 3)?;
@@ -489,6 +495,16 @@ mod tests {
         let cfg = Config::parse("examples_per_party = 0").unwrap();
         assert!(matches!(
             cfg.examples_per_party(),
+            Err(ConfigError::BadValue { .. })
+        ));
+        assert!(cfg.prepare().is_err(), "refused before any data is split");
+    }
+
+    #[test]
+    fn a_session_without_parties_is_rejected() {
+        let cfg = Config::parse("parties = 0").unwrap();
+        assert!(matches!(
+            cfg.session_config(),
             Err(ConfigError::BadValue { .. })
         ));
         assert!(cfg.prepare().is_err(), "refused before any data is split");

@@ -5,7 +5,7 @@
 //! deta-cli run <config>            run a DeTA session (and FFL baseline)
 //! deta-cli cluster <config>        multi-process run: one OS process per node
 //! deta-cli trace <config>          traced multi-process run + merged analysis
-//! deta-cli attack [--images N]     DLG attack across defense configurations
+//! deta-cli attack [N]              DLG attack across defense configurations
 //! deta-cli help                    this message
 //! ```
 
@@ -13,12 +13,12 @@ use deta_attacks::dlg::{run_dlg, DlgConfig};
 use deta_attacks::graphnet::{GraphModel, MlpSpec};
 use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
 use deta_attacks::metrics::mse;
-use deta_cli::Config;
+use deta_cli::{Config, Prepared};
 use deta_core::baseline::run_ffl;
 use deta_core::session::RoundMetrics;
 use deta_core::DetaSession;
 use deta_crypto::DetRng;
-use deta_datasets::{iid_partition, noniid_skew_partition, DatasetSpec};
+use deta_datasets::DatasetSpec;
 use deta_runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -124,7 +124,14 @@ fn main() -> ExitCode {
             }
         },
         Some("attack") => {
-            let n = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(5usize);
+            let n = match args.get(1).map(|v| (v, v.parse::<usize>())) {
+                None => 5,
+                Some((_, Ok(n))) if n > 0 => n,
+                Some((v, _)) => {
+                    eprintln!("error: `attack` needs a positive image count, got {v:?}\n\n{HELP}");
+                    return ExitCode::FAILURE;
+                }
+            };
             cmd_attack(n);
             ExitCode::SUCCESS
         }
@@ -143,28 +150,22 @@ fn cmd_run(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)?;
     let config = Config::parse(&text)?;
     let spec = config.dataset()?;
-    let session_cfg = config.session_config()?;
-    let per_party = config.examples_per_party()?;
-    let n_parties = session_cfg.n_parties;
+    let Prepared {
+        session: session_cfg,
+        builder,
+        shards,
+        test,
+    } = config.prepare()?;
 
     println!(
         "dataset {} at {}x{}, {} parties x {} examples, model {}",
         spec.name,
         spec.height,
         spec.width,
-        n_parties,
-        per_party,
+        session_cfg.n_parties,
+        config.examples_per_party()?,
         config.get("model").unwrap_or("mlp"),
     );
-    let train = spec.generate(per_party * n_parties, session_cfg.seed.wrapping_add(1));
-    let test = spec.generate((per_party / 2).max(50), session_cfg.seed.wrapping_add(2));
-    let shards = if config.noniid()? {
-        noniid_skew_partition(&train, n_parties, 0.9, session_cfg.seed.wrapping_add(3))
-    } else {
-        iid_partition(&train, n_parties, session_cfg.seed.wrapping_add(3))
-    };
-    let builder = config.model_builder(&spec)?;
-
     println!(
         "\n== DeTA: {} aggregators, partition={} shuffle={} algorithm={} ==",
         session_cfg.n_aggregators,
@@ -249,7 +250,7 @@ type Cluster = deta_socket::Launched<std::process::Child>;
 /// test set next to the deployment.
 fn launch_processes(
     path: &str,
-    prepared: deta_cli::Prepared,
+    prepared: Prepared,
     rt: RuntimeConfig,
     chaos: std::collections::HashMap<String, Vec<u64>>,
     trace: bool,

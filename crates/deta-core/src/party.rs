@@ -47,8 +47,6 @@ pub struct PartyConfig {
     pub lr: f32,
     /// FedAvg (parameter upload) or FedSGD (gradient upload).
     pub mode: SyncMode,
-    /// Total number of participating parties (used to scale FedSGD sums).
-    pub n_parties: usize,
     /// Scale applied to the aggregated gradient before the FedSGD step
     /// (1.0 when the aggregator averages; 1/N when it sums).
     pub grad_scale: f32,

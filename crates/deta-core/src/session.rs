@@ -408,7 +408,6 @@ impl<'a> Blueprint<'a> {
             batch_size: config.batch_size,
             lr: config.lr,
             mode: config.mode,
-            n_parties: config.n_parties,
             grad_scale,
             ldp: config.ldp,
         };

@@ -145,7 +145,6 @@ fn forged_token() -> Result<String, String> {
             batch_size: 8,
             lr: 0.1,
             mode: SyncMode::FedAvg,
-            n_parties: 1,
             grad_scale: 1.0,
             ldp: None,
         },

@@ -75,29 +75,9 @@ if [ -n "$FROZEN_EDITS" ]; then
 fi
 
 echo "==> telemetry overhead (4 parties x 4 aggregators, gate: <5% enabled, <1% disabled)"
-# Writes BENCH_telemetry.json to a temp dir (set DETA_BENCH_REWRITE=1 to
-# refresh the committed results/ copy); exits non-zero past either gate.
+# Prints both overheads and exits non-zero past either gate; no other
+# test checks this bound.
 cargo run --release -q -p deta-bench --bin telemetry_overhead
-
-echo "==> recovery latency (4 parties x 4 aggregators, gate: a stalled follower heals)"
-# Writes BENCH_recovery.json to a temp dir (DETA_BENCH_REWRITE=1 to
-# refresh results/): one stalled follower must heal under
-# FailoverPolicy::Restart; reports the healing latency.
-cargo run --release -q -p deta-bench --bin recovery_latency
-
-echo "==> reconnect latency (parity-gated TCP severs)"
-# Writes BENCH_reconnect.json to a temp dir (DETA_BENCH_REWRITE=1 to
-# refresh results/); runs the bridged session fault-free and under
-# injected TCP severs, asserting bit-exact metrics throughout, and
-# reports the recovery cost per reconnect.
-cargo run --release -q -p deta-bench --bin reconnect_latency
-
-echo "==> bench regression history (diff BENCH_*.json vs results/BENCH_history.jsonl)"
-# Warn-by-default: drift beyond tolerance prints loudly but does not
-# fail the gate (pass --strict on release branches). The committed
-# history only gains lines under DETA_BENCH_REWRITE=1, mirroring the
-# snapshot policy above. CI uploads the report as an artifact.
-cargo run --release -q -p deta-bench --bin bench_report | tee results/bench-report.txt
 
 echo "==> cargo fmt --check"
 cargo fmt --check

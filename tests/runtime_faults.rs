@@ -403,32 +403,38 @@ fn run_healed(seed: u64, plan: FaultPlan) {
     );
 }
 
+/// A follower stalled under `Restart` heals, whether it stalls in the
+/// first round of two aggregators or mid-session, after a completed
+/// round, as one of four.
 #[test]
 fn stalled_follower_heals_under_restart() {
-    let (shards, test, dim, classes) = data(3);
-    let mut cfg = DetaConfig::deta(3, 2);
-    cfg.n_aggregators = 2;
-    cfg.seed = 5;
-    let rt = RuntimeConfig {
-        stalls: vec![StallFault {
-            node: "agg-1".to_string(),
-            round: 1,
-        }],
-        failover: FailoverPolicy::Restart,
-        ..sim_rt()
-    };
-    let mut session =
-        ThreadedSession::setup(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards, rt)
-            .expect("setup completes before the stall triggers");
-    // The stall is keyed to the original endpoint name, so the respawned
-    // incarnation services its mailbox and the round replays to
-    // completion.
-    let metrics = session
-        .run(&test)
-        .expect("restart heals a stalled follower");
-    assert_eq!(metrics.len(), 2);
-    assert!(session.view().failovers > 0);
-    assert_failover_events(&mut session);
+    for (aggregators, stall_round) in [(2, 1), (4, 2)] {
+        let (shards, test, dim, classes) = data(3);
+        let rounds = stall_round as usize + 1;
+        let mut cfg = DetaConfig::deta(3, rounds);
+        cfg.n_aggregators = aggregators;
+        cfg.seed = 5;
+        let rt = RuntimeConfig {
+            stalls: vec![StallFault {
+                node: "agg-1".to_string(),
+                round: stall_round,
+            }],
+            failover: FailoverPolicy::Restart,
+            ..sim_rt()
+        };
+        let mut session =
+            ThreadedSession::setup(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards, rt)
+                .expect("setup completes before the stall triggers");
+        // The stall is keyed to the original endpoint name, so the
+        // respawned incarnation services its mailbox and the round
+        // replays to completion.
+        let metrics = session
+            .run(&test)
+            .expect("restart heals a stalled follower");
+        assert_eq!(metrics.len(), rounds, "{aggregators} aggregators");
+        assert!(session.view().failovers > 0, "{aggregators} aggregators");
+        assert_failover_events(&mut session);
+    }
 }
 
 #[test]

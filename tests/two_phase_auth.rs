@@ -82,7 +82,6 @@ fn phase2_party_rejects_unattested_aggregator() {
             batch_size: 8,
             lr: 0.1,
             mode: SyncMode::FedAvg,
-            n_parties: 1,
             grad_scale: 1.0,
             ldp: None,
         },
@@ -131,7 +130,6 @@ fn phase2_party_accepts_attested_aggregator() {
             batch_size: 8,
             lr: 0.1,
             mode: SyncMode::FedAvg,
-            n_parties: 1,
             grad_scale: 1.0,
             ldp: None,
         },
