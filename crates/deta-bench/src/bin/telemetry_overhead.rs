@@ -5,26 +5,30 @@
 //! bound exceeds 1%).
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin telemetry_overhead
+//! cargo run --release -p deta-bench --bin telemetry_overhead [--pairs 10]
 //! ```
 //!
-//! Measurement order matters because telemetry enablement is sticky
-//! process-wide: every disabled-sink measurement (the baseline runs and
-//! the disabled-call microbenchmark) happens before the first
-//! `enable()`. Each mode takes the *median* of `--runs` wall times —
-//! on a loaded single-CPU CI box one descheduled run can double a
-//! sample, which a minimum merely hides on the baseline side while the
-//! enabled side still eats it; the median shrugs it off symmetrically.
-//! If the enabled gate still trips, the enabled phase (the only
-//! re-runnable one, given sticky enablement) is retried once and the
-//! better median wins.
+//! Telemetry enablement is sticky process-wide, so every timed run is a
+//! child process of this binary (`--child disabled` or `--child
+//! enabled`) with one mode for its whole life. A child runs one
+//! unmeasured session, then times sessions back to back for at least
+//! [`RUN_S`], and reports its median session. Runs
+//! come in `--pairs` pairs, disabled then enabled and enabled then
+//! disabled by turns, so load that drifts over the measurement lands on
+//! both modes alike. The enabled overhead is the median of the paired
+//! ratios `enabled / disabled`, printed with every ratio and their
+//! interquartile range: two children of one mode differ by a few
+//! percent (layout, scheduling), and the IQR says how far apart a pair
+//! can land by that alone. If the median is past the gate, a second set
+//! of pairs runs once and the lower median stands.
 //!
 //! The disabled overhead is not measured as a wall-clock delta — at
 //! sub-1% it would drown in scheduler noise. Instead it is *bounded*:
 //! the microbenchmarked cost of one disabled sink call (a branch plus a
-//! relaxed atomic load) times the number of emissions an enabled run
-//! actually performs (`deta_telemetry::emits()`), divided by the
-//! baseline wall time. That bound is what the <1% acceptance gate
+//! relaxed atomic load, measured in each disabled child after its timed
+//! sessions) times the number of emissions an enabled session actually
+//! performs (`deta_telemetry::emits()`), divided by the disabled
+//! session's wall time. That bound is what the <1% acceptance gate
 //! checks.
 
 use deta_bench::Args;
@@ -33,10 +37,11 @@ use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
 use deta_runtime::{RuntimeConfig, TelemetryConfig, ThreadedSession};
+use std::process::Command;
 use std::time::Instant;
 
 /// Calls the disabled event sink in a tight loop and returns the mean
-/// nanoseconds per call. Must run before the first `enable()`.
+/// nanoseconds per call. Must run in a process that never enabled it.
 fn disabled_call_ns(iters: u64) -> f64 {
     assert!(
         !deta_telemetry::enabled(),
@@ -55,96 +60,213 @@ fn disabled_call_ns(iters: u64) -> f64 {
 /// the sink.
 const HIDDEN: usize = 256;
 
-/// One full threaded run; returns the wall time in seconds.
-fn run_once(
-    cfg: &DetaConfig,
-    shards: &[LabeledData],
-    test: &LabeledData,
+/// Seconds of timed sessions in one child run: several sessions, so one
+/// descheduled slice is a small share of the run.
+const RUN_S: f64 = 0.5;
+
+/// The session every run repeats.
+struct Workload {
+    cfg: DetaConfig,
+    shards: Vec<LabeledData>,
+    test: LabeledData,
     dim: usize,
     classes: usize,
-    enabled: bool,
-) -> f64 {
-    let rt = RuntimeConfig {
-        telemetry: TelemetryConfig {
-            enabled,
-            ..TelemetryConfig::default()
-        },
-        ..RuntimeConfig::default()
+}
+
+impl Workload {
+    fn new(args: &Args) -> Workload {
+        let parties: usize = args.get("parties", 4);
+        let per_party: usize = args.get("examples", 240);
+        let spec = DatasetSpec::mnist_like().at_resolution(10);
+        let train = spec.generate(per_party * parties, 1);
+        let mut cfg = DetaConfig::deta(parties, args.get("rounds", 10));
+        cfg.n_aggregators = args.get("aggregators", 4);
+        cfg.seed = args.get("seed", 42);
+        Workload {
+            cfg,
+            shards: iid_partition(&train, parties, 3),
+            test: spec.generate(200, 2),
+            dim: spec.dim(),
+            classes: spec.classes,
+        }
+    }
+
+    /// One full threaded session.
+    fn run(&self, enabled: bool) {
+        let rt = RuntimeConfig {
+            telemetry: TelemetryConfig {
+                enabled,
+                ..TelemetryConfig::default()
+            },
+            ..RuntimeConfig::default()
+        };
+        let (dim, classes) = (self.dim, self.classes);
+        let build = move |rng: &mut deta_crypto::DetRng| mlp(&[dim, HIDDEN, classes], rng);
+        let mut session =
+            ThreadedSession::setup(self.cfg.clone(), &build, self.shards.to_vec(), rt)
+                .expect("threaded setup");
+        session.run(&self.test).expect("threaded run");
+    }
+}
+
+/// What one child run reports: its median session time, emissions per
+/// session (enabled) and nanoseconds per disabled sink call (disabled).
+struct Report {
+    session_s: f64,
+    emits: u64,
+    call_ns: f64,
+}
+
+/// The child's side: one unmeasured session, then timed sessions for at
+/// least [`RUN_S`], then (sink disabled) the microbenchmark; prints one
+/// `Report` line.
+fn child(args: &Args, mode: &str) {
+    let enabled = match mode {
+        "enabled" => true,
+        "disabled" => false,
+        other => panic!("bad --child {other:?}: disabled or enabled"),
     };
-    let build = move |rng: &mut deta_crypto::DetRng| mlp(&[dim, HIDDEN, classes], rng);
+    let work = Workload::new(args);
+    work.run(enabled);
+    let emits_before = deta_telemetry::emits();
     let t0 = Instant::now();
-    let mut session =
-        ThreadedSession::setup(cfg.clone(), &build, shards.to_vec(), rt).expect("threaded setup");
-    session.run(test).expect("threaded run");
-    t0.elapsed().as_secs_f64()
+    let mut samples = Vec::new();
+    while t0.elapsed().as_secs_f64() < RUN_S {
+        let start = Instant::now();
+        work.run(enabled);
+        samples.push(start.elapsed().as_secs_f64());
+    }
+    let emits = (deta_telemetry::emits() - emits_before) / samples.len() as u64;
+    let call_ns = if enabled {
+        0.0
+    } else {
+        disabled_call_ns(args.get("micro-iters", 20_000_000))
+    };
+    let session_s = deta_bench::median(&samples);
+    println!("report {session_s} {emits} {call_ns}");
+}
+
+/// Runs this binary as a child in `mode` and parses its report.
+fn spawn(mode: &str) -> Report {
+    let exe = std::env::current_exe().expect("own executable");
+    let out = Command::new(exe)
+        .args(std::env::args().skip(1))
+        .args(["--child", mode])
+        .output()
+        .expect("spawn a child run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().find_map(|l| l.strip_prefix("report "));
+    let Some(line) = line.filter(|_| out.status.success()) else {
+        eprintln!("{mode} child run failed ({}):", out.status);
+        eprintln!("{}", String::from_utf8_lossy(&out.stderr));
+        std::process::exit(1);
+    };
+    let fields: Vec<&str> = line.split(' ').collect();
+    let field = |i: usize| fields.get(i).copied().unwrap_or_default();
+    Report {
+        session_s: field(0).parse().expect("session seconds"),
+        emits: field(1).parse().expect("emissions"),
+        call_ns: field(2).parse().expect("call nanoseconds"),
+    }
+}
+
+/// One set of `pairs` alternating pairs: the disabled and enabled
+/// reports, in pair order.
+fn measure(pairs: usize) -> (Vec<Report>, Vec<Report>) {
+    let (mut disabled, mut enabled) = (Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        if pair % 2 == 0 {
+            disabled.push(spawn("disabled"));
+            enabled.push(spawn("enabled"));
+        } else {
+            enabled.push(spawn("enabled"));
+            disabled.push(spawn("disabled"));
+        }
+    }
+    (disabled, enabled)
+}
+
+/// The lower and upper quartiles: the medians of the lower and upper
+/// halves of the sorted samples (the middle one excluded when odd).
+fn quartiles(samples: &[f64]) -> (f64, f64) {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let half = sorted.len() / 2;
+    if half == 0 {
+        return (sorted[0], sorted[0]);
+    }
+    (
+        deta_bench::median(&sorted[..half]),
+        deta_bench::median(&sorted[sorted.len() - half..]),
+    )
+}
+
+fn ratios(disabled: &[Report], enabled: &[Report]) -> Vec<f64> {
+    disabled
+        .iter()
+        .zip(enabled)
+        .map(|(d, e)| e.session_s / d.session_s)
+        .collect()
 }
 
 fn main() {
     let args = Args::parse();
+    let mode: String = args.get("child", String::new());
+    if !mode.is_empty() {
+        return child(&args, &mode);
+    }
     let parties: usize = args.get("parties", 4);
     let aggregators: usize = args.get("aggregators", 4);
     let rounds: usize = args.get("rounds", 10);
-    let per_party: usize = args.get("examples", 240);
-    let seed: u64 = args.get("seed", 42);
-    let runs: usize = args.get("runs", 5);
-    let micro_iters: u64 = args.get("micro-iters", 20_000_000);
+    let pairs: usize = args.get("pairs", 10);
+    assert!(pairs > 0, "--pairs must be at least 1");
 
-    let spec = DatasetSpec::mnist_like().at_resolution(10);
-    let train = spec.generate(per_party * parties, 1);
-    let test = spec.generate(200, 2);
-    let shards = iid_partition(&train, parties, 3);
-    let (dim, classes) = (spec.dim(), spec.classes);
-
-    let mut cfg = DetaConfig::deta(parties, rounds);
-    cfg.n_aggregators = aggregators;
-    cfg.seed = seed;
-
-    // Phase 1: everything that needs the sink OFF. One unmeasured
-    // warm-up run, then the timed baselines and the microbenchmark.
-    run_once(&cfg, &shards, &test, dim, classes, false);
-    let disabled_samples: Vec<f64> = (0..runs)
-        .map(|_| run_once(&cfg, &shards, &test, dim, classes, false))
-        .collect();
-    let wall_disabled_s = deta_bench::median(&disabled_samples);
-    let call_ns = disabled_call_ns(micro_iters);
-
-    // Phase 2: enabled runs (enablement is sticky from here on).
-    let emits_before = deta_telemetry::emits();
-    let enabled_samples: Vec<f64> = (0..runs)
-        .map(|_| run_once(&cfg, &shards, &test, dim, classes, true))
-        .collect();
-    let emits_per_run = (deta_telemetry::emits() - emits_before) / runs as u64;
-    let mut wall_enabled_s = deta_bench::median(&enabled_samples);
-
-    // One retry, enabled phase only: the disabled measurements cannot
-    // be reproduced once the sink is on, but a load spike can only
-    // inflate the enabled median — so a second batch is a fair second
-    // opinion, and the lower of the two medians stands.
+    let (mut disabled, mut enabled) = measure(pairs);
+    let mut ratio = ratios(&disabled, &enabled);
     let gate_enabled_pct = 5.0;
+    // One retry: a load spike inside a pair can inflate its ratio, and a
+    // second set of pairs is a fair second opinion; the lower median of
+    // the two sets stands.
     let mut retried = false;
-    if (wall_enabled_s / wall_disabled_s - 1.0) * 100.0 > gate_enabled_pct {
+    if (deta_bench::median(&ratio) - 1.0) * 100.0 > gate_enabled_pct {
         retried = true;
-        let retry_samples: Vec<f64> = (0..runs)
-            .map(|_| run_once(&cfg, &shards, &test, dim, classes, true))
-            .collect();
-        wall_enabled_s = wall_enabled_s.min(deta_bench::median(&retry_samples));
+        let (d, e) = measure(pairs);
+        let second = ratios(&d, &e);
+        if deta_bench::median(&second) < deta_bench::median(&ratio) {
+            (disabled, enabled, ratio) = (d, e, second);
+        }
     }
 
-    let overhead_enabled_pct = (wall_enabled_s / wall_disabled_s - 1.0) * 100.0;
+    let seconds = |reports: &[Report]| {
+        deta_bench::median(&reports.iter().map(|r| r.session_s).collect::<Vec<_>>())
+    };
+    let (wall_disabled_s, wall_enabled_s) = (seconds(&disabled), seconds(&enabled));
+    let median_ratio = deta_bench::median(&ratio);
+    let (q1, q3) = quartiles(&ratio);
+    let call_ns = deta_bench::median(&disabled.iter().map(|r| r.call_ns).collect::<Vec<_>>());
+    let emits_per_run = enabled.iter().map(|r| r.emits).max().unwrap_or(0);
+
+    let overhead_enabled_pct = (median_ratio - 1.0) * 100.0;
     let overhead_disabled_pct = (call_ns * emits_per_run as f64) / (wall_disabled_s * 1e9) * 100.0;
     let gate_disabled_pct = 1.0;
     let pass =
         overhead_enabled_pct <= gate_enabled_pct && overhead_disabled_pct <= gate_disabled_pct;
 
     println!("\n=== telemetry overhead ({parties} parties, k={aggregators}, {rounds} rounds) ===");
-    println!("baseline (sink disabled):  {wall_disabled_s:8.3}s  (median of {runs})");
     println!(
-        "enabled  (sink enabled):   {wall_enabled_s:8.3}s  (median of {runs}{})",
-        if retried { ", retried once" } else { "" }
+        "runs: {pairs} alternating pairs of child processes{}, each at least {RUN_S} s of sessions",
+        if retried { ", retried once" } else { "" },
+    );
+    println!("paired ratios: {ratio:.4?}");
+    println!("baseline (sink disabled):  {wall_disabled_s:8.4}s per session (median)");
+    println!("enabled  (sink enabled):   {wall_enabled_s:8.4}s per session (median)");
+    println!(
+        "paired ratio enabled/disabled: median {median_ratio:.4}, IQR {q1:.4} .. {q3:.4} ({:.4})",
+        q3 - q1
     );
     println!("enabled overhead:          {overhead_enabled_pct:8.3}%  (gate {gate_enabled_pct}%)");
-    println!("disabled sink call:        {call_ns:8.3} ns  ({micro_iters} iters)");
-    println!("emissions per enabled run: {emits_per_run}");
+    println!("disabled sink call:        {call_ns:8.3} ns  (median of {pairs} children)");
+    println!("emissions per enabled session: {emits_per_run}");
     println!(
         "disabled overhead bound:   {overhead_disabled_pct:8.5}%  (gate {gate_disabled_pct}%)"
     );

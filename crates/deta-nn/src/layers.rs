@@ -44,6 +44,34 @@ fn held<'a>(grads: &'a mut Grads, layer: &str) -> &'a mut [Tensor; 2] {
     }
 }
 
+/// Rows of [`add_row_sums`] summed side by side.
+const FOLDS: usize = 8;
+
+/// Adds the sum of each `len`-float row of `rows` to its element of
+/// `sums`, each row summed as `row.iter().sum::<f32>()` sums it: from
+/// `-0.0`, left to right. [`FOLDS`] rows at a time are folded as
+/// independent chains, each add of one row waiting only on that row's
+/// last, and the rows left over one by one.
+fn add_row_sums(sums: &mut [f32], rows: &[f32], len: usize) {
+    let (groups, rest) = sums.as_chunks_mut::<FOLDS>();
+    let (group_rows, rest_rows) = rows.split_at(groups.len() * FOLDS * len);
+    for (sums, rows) in groups.iter_mut().zip(group_rows.chunks_exact(FOLDS * len)) {
+        let rows: [&[f32]; FOLDS] = std::array::from_fn(|i| &rows[i * len..(i + 1) * len]);
+        let mut acc = [-0.0f32; FOLDS];
+        for t in 0..len {
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                *acc += row[t];
+            }
+        }
+        for (sum, acc) in sums.iter_mut().zip(acc) {
+            *sum += acc;
+        }
+    }
+    for (sum, row) in rest.iter_mut().zip(rest_rows.chunks_exact(len)) {
+        *sum += row.iter().sum::<f32>();
+    }
+}
+
 /// A fully connected layer `y = x W^T + b`.
 pub struct Linear {
     /// Weights, shape `[out, in]`.
@@ -314,9 +342,7 @@ impl Layer for Conv2d {
             );
             gemm(gy_mat, cols_t, gw.data_mut(), Store::Add);
             // db += row sums of gy.
-            for (g, gy_row) in gb.data_mut().iter_mut().zip(gy.chunks_exact(cols_n)) {
-                *g += gy_row.iter().sum::<f32>();
-            }
+            add_row_sums(gb.data_mut(), gy, cols_n);
         }
     }
 
@@ -1022,6 +1048,54 @@ mod tests {
         let c = Conv2d::new(3, 16, 32, 32, 3, 1, 1, &mut rng);
         assert_eq!(c.out_dims(), (16, 32, 32));
         assert_eq!(c.out_features(), 16 * 32 * 32);
+    }
+
+    #[test]
+    fn row_sums_fold_each_row_as_iter_sum_does() {
+        // Each kind of row is put at every position, so it lands in a
+        // group of side-by-side folds and among the rows left over.
+        let mut rng = DetRng::from_u64(0xb1a5);
+        let gaussian = |rng: &mut DetRng, len| -> Vec<f32> {
+            (0..len).map(|_| rng.next_gaussian() as f32).collect()
+        };
+        let kinds: [fn(&mut [f32]); 5] = [
+            |row| row.fill(-0.0),
+            |row| row[row.len() / 2] = f32::NAN,
+            |row| row[0] = f32::INFINITY,
+            |row| *row.last_mut().unwrap() = f32::NEG_INFINITY,
+            |row| {
+                row[0] = f32::INFINITY;
+                *row.last_mut().unwrap() = f32::NEG_INFINITY;
+            },
+        ];
+        for out_c in [1, 3, 4, 5, 8, 9, 16, 17] {
+            for len in [1, 7, 256] {
+                for (kind, special) in kinds.iter().enumerate() {
+                    for at in 0..out_c {
+                        let mut rows: Vec<Vec<f32>> =
+                            (0..out_c).map(|_| gaussian(&mut rng, len)).collect();
+                        special(&mut rows[at]);
+                        let mut sums = gaussian(&mut rng, out_c);
+                        sums[0] = -0.0;
+                        let want: Vec<f32> = sums
+                            .iter()
+                            .zip(&rows)
+                            .map(|(sum, row)| sum + row.iter().sum::<f32>())
+                            .collect();
+                        add_row_sums(&mut sums, &rows.concat(), len);
+                        for (got, want) in sums.iter().zip(&want) {
+                            // A NaN's payload is unspecified: only that
+                            // it is NaN is compared.
+                            assert!(
+                                got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(),
+                                "out_c {out_c}, len {len}, kind {kind} at row {at}: \
+                                 {got} against {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

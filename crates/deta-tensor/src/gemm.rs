@@ -272,14 +272,18 @@ fn store_row(store: Store, out: &mut [f32], sums: &[f32]) {
 }
 
 /// Packs columns `j0..j0 + nc` of `b` as one panel laid out `[p][c]`;
-/// columns past the edge are zero.
+/// columns past the edge are zero. A partial panel (`nc < C`) zeroes a
+/// row, or a block of rows, just before filling it, so the panel is
+/// written in one pass while its lines are in cache: zeroing the whole
+/// panel first wrote it twice, and zeroing only the padding columns cost
+/// a `memset` call a row, which was slower still for a thin panel.
 #[inline(always)]
 fn pack<const C: usize>(b: Mat, j0: usize, nc: usize, dst: &mut [f32]) {
-    if nc < C {
-        dst.fill(0.0);
-    }
     if b.col_stride == 1 {
-        for (p, row) in dst.chunks_exact_mut(C).enumerate() {
+        for (p, row) in dst.as_chunks_mut::<C>().0.iter_mut().enumerate() {
+            if nc < C {
+                *row = [0.0; C];
+            }
             let base = p * b.row_stride + j0;
             row[..nc].copy_from_slice(&b.data[base..base + nc]);
         }
@@ -287,20 +291,75 @@ fn pack<const C: usize>(b: Mat, j0: usize, nc: usize, dst: &mut [f32]) {
     }
     // Otherwise `b` is the transpose of a row-major matrix (`Mat` has no
     // other layout), so each of its columns is a contiguous run. Copy a
-    // block of rows at a time, column by column: one row at a time would
-    // read every column on a cache line of its own, and at a page-sized
-    // stride those lines all compete for one cache set.
+    // block of rows at a time: one row at a time would read every column
+    // on a cache line of its own, and at a page-sized stride those lines
+    // all compete for one cache set. Within a block, four columns by four
+    // rows at a time go through a register transpose; what is left over
+    // at the edges is copied one value at a time.
     debug_assert_eq!(b.row_stride, 1);
+    let column = |c: usize, p0: usize, len: usize| {
+        let base = (j0 + c) * b.col_stride + p0;
+        &b.data[base..base + len]
+    };
+    let whole = nc - nc % 4;
     for (block, rows) in dst.chunks_mut(C * PACK_ROWS).enumerate() {
-        let p0 = block * PACK_ROWS;
-        for c in 0..nc {
-            let base = (j0 + c) * b.col_stride + p0;
-            let column = &b.data[base..base + rows.len() / C];
-            for (row, &v) in rows.chunks_exact_mut(C).zip(column) {
+        let (p0, len) = (block * PACK_ROWS, rows.len() / C);
+        if nc < C {
+            rows.fill(0.0);
+        }
+        let quad_rows = len - len % 4;
+        for c in (0..whole).step_by(4) {
+            let cols: [&[f32]; 4] = std::array::from_fn(|i| column(c + i, p0, len));
+            for p in (0..quad_rows).step_by(4) {
+                let quads = cols.map(|col| col[p..p + 4].try_into().expect("4 floats"));
+                for (r, values) in transpose4(quads).iter().enumerate() {
+                    let at = (p + r) * C + c;
+                    rows[at..at + 4].copy_from_slice(values);
+                }
+            }
+            for p in quad_rows..len {
+                for (i, col) in cols.iter().enumerate() {
+                    rows[p * C + c + i] = col[p];
+                }
+            }
+        }
+        for c in whole..nc {
+            for (row, &v) in rows.chunks_exact_mut(C).zip(column(c, p0, len)) {
                 row[c] = v;
             }
         }
     }
+}
+
+/// The transpose of a 4 × 4 block: `out[r][c] = block[c][r]`. On x86-64
+/// it is four unpacks and four half-register moves of SSE, which every
+/// x86-64 CPU has; written as plain indexing, it compiles to sixteen
+/// scalar moves.
+#[inline(always)]
+fn transpose4(block: [[f32; 4]; 4]) -> [[f32; 4]; 4] {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE is part of the x86-64 baseline, so every CPU this code
+    // runs on has it; each load reads, and each store writes, the 4
+    // contiguous floats of one row.
+    unsafe {
+        use core::arch::x86_64::*;
+        let [a, b, c, d] = block.map(|row| _mm_loadu_ps(row.as_ptr()));
+        let (ab_lo, cd_lo) = (_mm_unpacklo_ps(a, b), _mm_unpacklo_ps(c, d));
+        let (ab_hi, cd_hi) = (_mm_unpackhi_ps(a, b), _mm_unpackhi_ps(c, d));
+        let columns = [
+            _mm_movelh_ps(ab_lo, cd_lo),
+            _mm_movehl_ps(cd_lo, ab_lo),
+            _mm_movelh_ps(ab_hi, cd_hi),
+            _mm_movehl_ps(cd_hi, ab_hi),
+        ];
+        columns.map(|column| {
+            let mut row = [0.0; 4];
+            _mm_storeu_ps(row.as_mut_ptr(), column);
+            row
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    std::array::from_fn(|r| std::array::from_fn(|c| block[c][r]))
 }
 
 /// The portable and AVX2 register tile: `acc[r][c] = Σ_p a_panel[p][r] ·

@@ -143,6 +143,41 @@ fn products_match_reference_at_every_tile_remainder() {
 }
 
 #[test]
+fn transposed_operands_match_reference_at_every_transpose_block_edge() {
+    // A column-strided operand is packed in 4 x 4 blocks with a scalar
+    // edge, so each of `m`, `k` and `n` crosses a block edge on both sides
+    // of 4, 8, 16 and 32 (every tile's rows and columns). Each operand is
+    // given once row-major and once as the transposed view of its
+    // transpose, on every body this CPU has.
+    const EDGES: [usize; 14] = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33];
+    let mut rng = DetRng::from_u64(0x7b10c);
+    for m in EDGES {
+        for k in EDGES {
+            for n in EDGES {
+                let a = sparse_randn(m, k, &mut rng);
+                let b = sparse_randn(k, n, &mut rng);
+                let (at, bt) = (a.transpose2(), b.transpose2());
+                let want = bits(&reference_product(&a, &b));
+                for (a_layout, a) in [("row-major", a.mat()), ("transposed", at.mat().t())] {
+                    for (b_layout, b) in [("row-major", b.mat()), ("transposed", bt.mat().t())] {
+                        for (body_name, body) in BODIES {
+                            let mut got = vec![f32::NAN; m * n];
+                            if body(a, b, &mut got, Store::Write) {
+                                assert_eq!(
+                                    bits(&got),
+                                    want,
+                                    "{body_name} [{m}, {k}] {a_layout} x [{k}, {n}] {b_layout}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn portable_and_avx2_bodies_agree_bit_for_bit() {
     cases("portable_and_avx2_bodies_agree_bit_for_bit", 256, |g| {
         let (m, k, n) = (dim(g), dim(g), dim(g));

@@ -14,6 +14,7 @@ use deta::crypto::sha256::sha256;
 use deta::crypto::DetRng;
 use deta::nn::models::{convnet8, mlp};
 use deta::nn::train::{evaluate, train_local, LabeledData};
+use deta::tensor::gemm::{gemm_avx2, gemm_avx512, gemm_portable, Mat, Store};
 use deta::tensor::Tensor;
 
 fn hex(bytes: &[u8]) -> String {
@@ -102,6 +103,55 @@ fn matmul_nt_mlp_forward_shapes() {
         digest(test.matmul_nt(&w).data()),
         "826079356d2c6fd6bf6bb1d96ad4e28603ef7e281d2bc8d5b92cd93eb3c4e097"
     );
+}
+
+/// A GEMM body as the tests call it: `false` when this CPU lacks it.
+type Body = fn(Mat, Mat, &mut [f32], Store) -> bool;
+
+/// Asserts that every GEMM body this CPU has writes the product `a · b`
+/// with the digest `want`.
+fn assert_every_body(a: Mat, b: Mat, want: &str) {
+    let bodies: [(&str, Body); 3] = [
+        ("portable", |a, b, out, store| {
+            gemm_portable(a, b, out, store);
+            true
+        }),
+        ("avx2", gemm_avx2),
+        ("avx512", gemm_avx512),
+    ];
+    for (name, body) in bodies {
+        let mut out = vec![f32::NAN; a.rows() * b.cols()];
+        if body(a, b, &mut out, Store::Write) {
+            assert_eq!(digest(&out), want, "{name}");
+        }
+    }
+}
+
+#[test]
+fn matmul_nt_conv1_dw_shape() {
+    // dY [8, 1024] x cols [27, 1024]^T: ConvNet-8's first layer's dW,
+    // one image. Both operands are packed from their transposes, and the
+    // 27 columns fill no tile.
+    let mut rng = DetRng::from_u64(0x6e53);
+    let a = relu_randn(&[8, 1024], &mut rng);
+    let b = Tensor::randn(&[27, 1024], 1.0, &mut rng);
+    assert!((0.3..0.7).contains(&zero_share(&a)));
+    let want = "24fcd4c48486d8ea77a1595cd9a785fc9df0a0b9b4f613a71af574f16c5be1dd";
+    assert_eq!(digest(a.matmul_nt(&b).data()), want);
+    assert_every_body(a.mat(), b.mat().t(), want);
+}
+
+#[test]
+fn matmul_nt_mlp_forward_shape_on_every_body() {
+    // X [16, 784] x W [1280, 784]^T: the 1.0M-parameter MLP's first
+    // layer on a training batch, through each body directly.
+    let mut rng = DetRng::from_u64(0x6e54);
+    let w = Tensor::randn(&[1280, 784], 0.05, &mut rng);
+    let x = relu_randn(&[16, 784], &mut rng);
+    assert!((0.3..0.7).contains(&zero_share(&x)));
+    let want = "077d49c25a0868b7853910939c1a0cebecceefcda4d913c81e17c423d5a8e898";
+    assert_eq!(digest(x.matmul_nt(&w).data()), want);
+    assert_every_body(x.mat(), w.mat().t(), want);
 }
 
 #[test]
