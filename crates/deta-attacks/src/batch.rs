@@ -111,9 +111,9 @@ mod tests {
     fn setup(b: usize) -> (MlpSpec, Vec<f32>, Vec<Vec<f32>>, Vec<usize>) {
         let spec = MlpSpec::new(&[12, 10, 4]);
         let mut rng = DetRng::from_u64(51);
-        let params: Vec<f32> = (0..spec.param_count())
-            .map(|_| rng.next_gaussian() as f32 * 0.3)
-            .collect();
+        let mut params = vec![0.0f32; spec.param_count()];
+        rng.fill_gaussian(&mut params);
+        params.iter_mut().for_each(|v| *v *= 0.3);
         let images: Vec<Vec<f32>> = (0..b)
             .map(|_| (0..12).map(|_| rng.next_f32()).collect())
             .collect();

@@ -313,9 +313,9 @@ mod tests {
             .push(Flatten::new())
             .push(Linear::new(spec.feature_dim(), spec.classes, &mut rng));
         assert_eq!(model.param_count(), spec.param_count());
-        let params: Vec<f32> = (0..spec.param_count())
-            .map(|_| rng.next_gaussian() as f32 * 0.3)
-            .collect();
+        let mut params = vec![0.0f32; spec.param_count()];
+        rng.fill_gaussian(&mut params);
+        params.iter_mut().for_each(|v| *v *= 0.3);
         model.set_flat_params(&params);
         let x: Vec<f32> = (0..spec.input_dim()).map(|_| rng.next_f32()).collect();
         let logits = logits_of(&spec, &x, &params);
@@ -357,12 +357,12 @@ mod tests {
             classes: 3,
         };
         let mut rng = DetRng::from_u64(5);
-        let mut x: Vec<f32> = (0..spec.input_dim())
-            .map(|_| rng.next_gaussian() as f32 * 0.3)
-            .collect();
-        let params: Vec<f32> = (0..spec.param_count())
-            .map(|_| rng.next_gaussian() as f32 * 0.3)
-            .collect();
+        let mut x = vec![0.0f32; spec.input_dim()];
+        rng.fill_gaussian(&mut x);
+        x.iter_mut().for_each(|v| *v *= 0.3);
+        let mut params = vec![0.0f32; spec.param_count()];
+        rng.fill_gaussian(&mut params);
+        params.iter_mut().for_each(|v| *v *= 0.3);
         let l0 = logits_of(&spec, &x, &params);
         assert_eq!(l0.len(), 3);
         assert!(l0.iter().all(|v| v.is_finite()));
@@ -383,8 +383,12 @@ mod tests {
         let all: Vec<u32> = (0..spec.param_count() as u32).collect();
         let at = AttackTape::build(&spec, 1, &all);
         let mut rng = DetRng::from_u64(7);
-        let mut draw =
-            |n: usize| -> Vec<f32> { (0..n).map(|_| rng.next_gaussian() as f32 * 0.5).collect() };
+        let mut draw = |n: usize| -> Vec<f32> {
+            let mut v = vec![0.0f32; n];
+            rng.fill_gaussian(&mut v);
+            v.iter_mut().for_each(|x| *x *= 0.5);
+            v
+        };
         let (x, labels, params) = (draw(36), draw(2), draw(spec.param_count()));
         let mut ev = at.tape.evaluator();
         let mut loss_at = |p: &[f32]| {
@@ -419,7 +423,9 @@ mod tests {
     fn dlg_objective_x_gradient_matches_central_differences(model: &dyn GraphModel, seed: u64) {
         let mut rng = DetRng::from_u64(seed);
         let p = model.param_count();
-        let params: Vec<f32> = (0..p).map(|_| rng.next_gaussian() as f32 * 0.3).collect();
+        let mut params = vec![0.0f32; p];
+        rng.fill_gaussian(&mut params);
+        params.iter_mut().for_each(|v| *v *= 0.3);
         let target: Vec<f32> = (0..model.input_dim()).map(|_| rng.next_f32()).collect();
         let gstar = victim_gradient(model, &params, &target, &[1]);
         let all: Vec<u32> = (0..p as u32).collect();

@@ -78,9 +78,9 @@ mod tests {
     fn setup() -> (MlpSpec, Vec<f32>, Vec<f32>) {
         let spec = MlpSpec::new(&[16, 12, 5]);
         let mut rng = DetRng::from_u64(21);
-        let params: Vec<f32> = (0..spec.param_count())
-            .map(|_| rng.next_gaussian() as f32 * 0.3)
-            .collect();
+        let mut params = vec![0.0f32; spec.param_count()];
+        rng.fill_gaussian(&mut params);
+        params.iter_mut().for_each(|v| *v *= 0.3);
         let x: Vec<f32> = (0..16).map(|_| rng.next_f32()).collect();
         (spec, params, x)
     }

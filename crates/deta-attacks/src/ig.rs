@@ -162,9 +162,9 @@ mod tests {
             classes: 4,
         };
         let mut rng = DetRng::from_u64(31);
-        let params: Vec<f32> = (0..spec.param_count())
-            .map(|_| rng.next_gaussian() as f32 * 0.3)
-            .collect();
+        let mut params = vec![0.0f32; spec.param_count()];
+        rng.fill_gaussian(&mut params);
+        params.iter_mut().for_each(|v| *v *= 0.3);
         // A smooth image in [0,1].
         let x: Vec<f32> = (0..64)
             .map(|i| {

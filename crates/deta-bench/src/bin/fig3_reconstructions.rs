@@ -28,9 +28,9 @@ fn main() {
     let data8 = DatasetSpec::cifar100_like().at_resolution(8);
     let mlp = MlpSpec::new(&[data8.dim(), 24, data8.classes]);
     let mut rng = DetRng::from_u64(10);
-    let mlp_params: Vec<f32> = (0..mlp.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
+    let mut mlp_params = vec![0.0f32; mlp.param_count()];
+    rng.fill_gaussian(&mut mlp_params);
+    mlp_params.iter_mut().for_each(|v| *v *= 0.3);
     let label = 13usize;
     let image8: Vec<f32> = data8.generate_class(label, 1, 77).features.data().to_vec();
     write_pnm(&dir.join("ground_truth_8x8.ppm"), &image8, 3, 8, 8).unwrap();
@@ -100,9 +100,9 @@ fn main() {
         k: 3,
         classes: 10,
     };
-    let conv_params: Vec<f32> = (0..conv.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
+    let mut conv_params = vec![0.0f32; conv.param_count()];
+    rng.fill_gaussian(&mut conv_params);
+    conv_params.iter_mut().for_each(|v| *v *= 0.3);
     let ig_label = 4usize;
     let image16: Vec<f32> = data16
         .generate_class(ig_label, 1, 88)

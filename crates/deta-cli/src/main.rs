@@ -589,9 +589,9 @@ fn cmd_attack(n_images: usize) {
     let dim = spec_data.dim();
     let model = MlpSpec::new(&[dim, 24, 20]);
     let mut rng = DetRng::from_u64(1);
-    let params: Vec<f32> = (0..model.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
+    let mut params = vec![0.0f32; model.param_count()];
+    rng.fill_gaussian(&mut params);
+    params.iter_mut().for_each(|v| *v *= 0.3);
     let views = [
         AttackView::Full,
         AttackView::Partition { factor: 0.6 },

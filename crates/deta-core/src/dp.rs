@@ -73,6 +73,11 @@ pub fn clip_l2(update: &mut [f32], clip_norm: f64) -> f64 {
 
 /// Applies the Gaussian mechanism: clip then add noise, recording the
 /// spend in `accountant`.
+///
+/// The noise is drawn one `next_gaussian` at a time, not through
+/// `DetRng::fill_gaussian`: it is scaled by σ in `f64` before the cast
+/// to `f32`, and the batched draw's rounding guard vouches only for the
+/// unscaled draw cast to `f32`.
 pub fn gaussian_mechanism(
     update: &mut [f32],
     cfg: &LdpConfig,

@@ -6,8 +6,8 @@
 //! AVX-512F body behind [`xor_keystream16`]. Each vector body is a module
 //! of its own that holds all of its `unsafe` (loads, stores and the call
 //! into a `#[target_feature]` function), and is selected only by what the
-//! running CPU reports. (`poly1305` has the crate's only other `unsafe`,
-//! in the same shape.)
+//! running CPU reports. (`poly1305` and `rng`'s Gaussian fill have the
+//! crate's only other `unsafe`, in the same shape.)
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;

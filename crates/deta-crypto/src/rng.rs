@@ -8,6 +8,8 @@
 use crate::chacha;
 use crate::sha256::{hkdf, hmac_sha256, sha256};
 
+mod gaussian;
+
 /// A deterministic random number generator.
 ///
 /// The keystream is ChaCha20 under a 256-bit seed key with an all-zero
@@ -148,7 +150,7 @@ impl DetRng {
 
     /// Returns a uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        gaussian::unit_f64(self.next_u64())
     }
 
     /// Returns a uniform `f32` in `[0, 1)`.
@@ -158,10 +160,46 @@ impl DetRng {
 
     /// Returns a standard normal sample (Box-Muller).
     pub fn next_gaussian(&mut self) -> f64 {
-        // Draw u1 in (0, 1] to avoid ln(0).
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        let w1 = self.next_u64();
+        let w2 = self.next_u64();
+        gaussian::box_muller(w1, w2)
+    }
+
+    /// Fills `out` with standard normal samples: each element is
+    /// `self.next_gaussian() as f32` bit for bit, and the generator ends
+    /// where that many `next_gaussian` calls leave it, from any position
+    /// in the stream.
+    ///
+    /// Eight draws at a time go through polynomial `ln` and `cos` kernels
+    /// under a rounding guard (DESIGN.md §5, "Gaussian draws"). There are
+    /// two bodies, and nothing but the running CPU picks one:
+    /// [`DetRng::fill_gaussian_avx512`] when it reports AVX-512F, else
+    /// [`DetRng::fill_gaussian_portable`].
+    pub fn fill_gaussian(&mut self, out: &mut [f32]) {
+        if !self.fill_gaussian_avx512(out) {
+            self.fill_gaussian_portable(out);
+        }
+    }
+
+    /// [`DetRng::fill_gaussian`]'s body for the build's baseline target,
+    /// callable directly so tests can hold the bodies against each other.
+    pub fn fill_gaussian_portable(&mut self, out: &mut [f32]) {
+        gaussian::fill(self, out);
+    }
+
+    /// [`DetRng::fill_gaussian`]'s body compiled for AVX-512F. Returns
+    /// `false`, leaving `out` and the generator untouched, when the CPU
+    /// has no AVX-512F (always, off x86-64).
+    pub fn fill_gaussian_avx512(&mut self, out: &mut [f32]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `fill_avx512` requires AVX-512F, which the line
+            // above just observed on the CPU this thread is running on.
+            unsafe { fill_avx512(self, out) };
+            return true;
+        }
+        let _ = out;
+        false
     }
 
     /// Returns `true` with probability `p`.
@@ -189,6 +227,13 @@ impl DetRng {
     pub fn derive_bytes(&self, info: &[u8], out_len: usize) -> Vec<u8> {
         hkdf(b"deta-rng-derive", &self.key, info, out_len)
     }
+}
+
+/// [`gaussian::fill`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fill_avx512(rng: &mut DetRng, out: &mut [f32]) {
+    gaussian::fill(rng, out);
 }
 
 impl deta_bignum::prime::RandomSource for DetRng {

@@ -285,3 +285,80 @@ fn rng_forks_are_independent() {
         assert_ne!(a, b);
     });
 }
+
+/// Every `fill_gaussian` body the host has, by name: the portable one
+/// always, the AVX-512F one when the CPU reports AVX-512F.
+fn gaussian_bodies(rng: &DetRng, len: usize) -> Vec<(&'static str, Vec<f32>, DetRng)> {
+    let mut bodies = Vec::new();
+    let (mut portable, mut out) = (rng.clone(), vec![f32::NAN; len]);
+    portable.fill_gaussian_portable(&mut out);
+    bodies.push(("portable", out, portable));
+    let (mut avx512, mut out) = (rng.clone(), vec![f32::NAN; len]);
+    if avx512.fill_gaussian_avx512(&mut out) {
+        bodies.push(("avx512", out, avx512));
+    }
+    let (mut chosen, mut out) = (rng.clone(), vec![f32::NAN; len]);
+    chosen.fill_gaussian(&mut out);
+    bodies.push(("dispatched", out, chosen));
+    bodies
+}
+
+#[test]
+fn gaussian_fill_is_the_scalar_draws_from_any_stream_position() {
+    const LENGTHS: [usize; 13] = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 3072, 100_000];
+    cases(
+        "gaussian_fill_is_the_scalar_draws_from_any_stream_position",
+        64,
+        |g| {
+            let mut rng = DetRng::from_u64(g.u64());
+            // Half the cases start a few words before a refill, so the
+            // first group of eight straddles it; `next_u32` leaves the
+            // stream 4 bytes off a draw's 16.
+            if g.bool() {
+                let mut skip = vec![0u8; g.usize_in(1024 - 160, 1023)];
+                rng.fill_bytes(&mut skip);
+            }
+            for _ in 0..g.usize_in(0, 15) {
+                if g.bool() {
+                    rng.next_u64();
+                } else {
+                    rng.next_u32();
+                }
+            }
+            let len = LENGTHS[g.usize_in(0, LENGTHS.len() - 1)];
+            let mut scalar = rng.clone();
+            let want: Vec<u32> = (0..len)
+                .map(|_| (scalar.next_gaussian() as f32).to_bits())
+                .collect();
+            let next = scalar.next_u64();
+            for (body, out, mut after) in gaussian_bodies(&rng, len) {
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "{body}: draws differ at length {len}");
+                assert_eq!(after.next_u64(), next, "{body}: stream position");
+            }
+        },
+    );
+}
+
+#[test]
+fn gaussian_fill_at_every_listed_length() {
+    // The property above picks one length a case; here every length
+    // runs, from a 4-byte offset, on every body.
+    for (seed, len) in [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 3072, 100_000]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = DetRng::from_u64(seed as u64);
+        rng.next_u32();
+        let mut scalar = rng.clone();
+        let want: Vec<u32> = (0..len)
+            .map(|_| (scalar.next_gaussian() as f32).to_bits())
+            .collect();
+        let next = scalar.next_u64();
+        for (body, out, mut after) in gaussian_bodies(&rng, len) {
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert!(got == want, "{body}: draws differ at length {len}");
+            assert_eq!(after.next_u64(), next, "{body}: stream position");
+        }
+    }
+}

@@ -187,15 +187,15 @@ impl DatasetSpec {
         let templates: Vec<Vec<f32>> = (0..self.classes).map(|c| self.class_template(c)).collect();
         let mut rng = DetRng::from_u64(seed).fork(b"dataset-samples");
         let dim = self.dim();
-        let mut feats = Vec::with_capacity(n * dim);
+        let mut feats = vec![0.0f32; n * dim];
         let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
+        for example in feats.chunks_exact_mut(dim) {
             let class = rng.gen_range(self.classes as u64) as usize;
             let brightness = (rng.next_f32() - 0.5) * 0.2;
-            let template = &templates[class];
-            for &t in template.iter() {
-                let noise = rng.next_gaussian() as f32 * 0.1;
-                feats.push((t + noise + brightness).clamp(0.0, 1.0));
+            rng.fill_gaussian(example);
+            for (v, &t) in example.iter_mut().zip(&templates[class]) {
+                let noise = *v * 0.1;
+                *v = (t + noise + brightness).clamp(0.0, 1.0);
             }
             labels.push(class);
         }
@@ -213,12 +213,11 @@ impl DatasetSpec {
         let template = self.class_template(class);
         let mut rng = DetRng::from_u64(seed).fork_indexed(b"dataset-class", class as u64);
         let dim = self.dim();
-        let mut feats = Vec::with_capacity(n * dim);
-        for _ in 0..n {
-            for &t in template.iter() {
-                let noise = rng.next_gaussian() as f32 * 0.05;
-                feats.push((t + noise).clamp(0.0, 1.0));
-            }
+        let mut feats = vec![0.0f32; n * dim];
+        rng.fill_gaussian(&mut feats);
+        for (v, &t) in feats.iter_mut().zip(template.iter().cycle()) {
+            let noise = *v * 0.05;
+            *v = (t + noise).clamp(0.0, 1.0);
         }
         LabeledData::new(Tensor::from_vec(feats, &[n, dim]), vec![class; n])
     }

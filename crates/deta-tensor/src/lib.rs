@@ -77,7 +77,9 @@ impl Tensor {
     /// Samples i.i.d. Gaussian entries with the given standard deviation.
     pub fn randn(shape: &[usize], std: f32, rng: &mut DetRng) -> Tensor {
         let n: usize = shape.iter().product();
-        let data = (0..n).map(|_| rng.next_gaussian() as f32 * std).collect();
+        let mut data = vec![0.0; n];
+        rng.fill_gaussian(&mut data);
+        data.iter_mut().for_each(|v| *v *= std);
         Tensor {
             data,
             shape: shape.to_vec(),

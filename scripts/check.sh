@@ -33,17 +33,19 @@ cargo test -q
 echo "==> vector bodies this host exercised"
 # Nothing but the CPU selects a GEMM body (an AVX-512F 8 x 32 intrinsics
 # tile, else the portable 4 x 16 tile compiled for AVX2, else for the
-# baseline target) or a ChaCha20/Poly1305 body. `cargo test` above built
+# baseline target), a ChaCha20/Poly1305 body or a Gaussian-sampler body
+# (DetRng::fill_gaussian: the eight-lane ln/cos kernel compiled for
+# AVX-512F, else for the baseline target). `cargo test` above built
 # deta-tensor, deta-crypto, deta-core and deta-bignum at opt-level 3 (the
 # root Cargo.toml's test-profile overrides, debug assertions on), so the
 # bodies-against-reference properties and the known answers met the
 # vectorised code a release build runs. Say which bodies that was, so a
 # runner without AVX-512F cannot pass silently.
 CPU_FLAGS=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | cut -d: -f2) "
-BODIES="portable GEMM, scalar ChaCha20/Poly1305"
+BODIES="portable GEMM, scalar ChaCha20/Poly1305, portable Gaussian sampler"
 [[ "$CPU_FLAGS" == *" avx2 "* ]] && BODIES="$BODIES, avx2 (4 x 16 GEMM tile, 8-lane ChaCha20)"
 if [[ "$CPU_FLAGS" == *" avx512f "* ]]; then
-  echo "    exercised: $BODIES, avx512f (8 x 32 GEMM tile, 16-lane ChaCha20, 8-lane Poly1305)"
+  echo "    exercised: $BODIES, avx512f (8 x 32 GEMM tile, 16-lane ChaCha20, 8-lane Poly1305, 8-lane Gaussian sampler)"
 else
   echo "    exercised: $BODIES"
   echo "    AVX-512F bodies not exercised: this CPU reports no avx512f"
