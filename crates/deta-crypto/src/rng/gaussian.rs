@@ -20,24 +20,24 @@
 //! a `cos` argument within `2⁻³⁰` of a zero of `cos`, where the
 //! two-constant reduction by `π/2` loses the relative accuracy the bound
 //! needs. A rejected lane is recomputed by [`box_muller`], the scalar
-//! formula itself: 29 lanes of 10⁶ drawn in the tests.
+//! formula itself: 685 lanes of 3·10⁷ drawn (2.3·10⁻⁵).
 
 use super::DetRng;
 
 /// Draws computed side by side.
-pub(super) const LANES: usize = 8;
+const LANES: usize = 8;
 /// Stream bytes one draw consumes: the `u64` for `u1`, then the one for
 /// `u2`.
 const DRAW_BYTES: usize = 16;
 /// Stream bytes [`draw8`] consumes.
-pub(super) const GROUP_BYTES: usize = LANES * DRAW_BYTES;
+const GROUP_BYTES: usize = LANES * DRAW_BYTES;
 
 /// A lane is kept only if its value times `1 ± SLACK` rounds to the same
 /// `f32`: `2⁻⁴⁰`.
-pub(super) const SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+const SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 /// A `cos` argument whose distance to `π/2` or `3π/2`, after reduction,
 /// is below this is rejected: `2⁻³⁰`.
-pub(super) const NEAR_ZERO: f64 = 1.0 / (1u64 << 30) as f64;
+const NEAR_ZERO: f64 = 1.0 / (1u64 << 30) as f64;
 
 /// `(w >> 11) · 2⁻⁵³`: the uniform `f64` in `[0, 1)` a stream word gives.
 #[inline(always)]
@@ -71,7 +71,7 @@ pub(super) fn fill(rng: &mut DetRng, out: &mut [f32]) {
 /// Eight draws from [`GROUP_BYTES`] stream bytes, each `box_muller(..) as
 /// f32` bit for bit.
 #[inline(always)]
-pub(super) fn draw8(bytes: &[u8; GROUP_BYTES]) -> [f32; LANES] {
+fn draw8(bytes: &[u8; GROUP_BYTES]) -> [f32; LANES] {
     let words: [[u64; 2]; LANES] = std::array::from_fn(|i| {
         let at = i * DRAW_BYTES;
         [word(bytes, at), word(bytes, at + 8)]
@@ -108,7 +108,7 @@ fn word(bytes: &[u8; GROUP_BYTES], at: usize) -> u64 {
 /// One draw with the polynomial kernels: its `f32`, and whether the
 /// guard keeps it.
 #[inline(always)]
-pub(super) fn lane(w1: u64, w2: u64) -> (f32, bool) {
+fn lane(w1: u64, w2: u64) -> (f32, bool) {
     let u1 = 1.0 - unit(w1);
     let x = 2.0 * std::f64::consts::PI * unit(w2);
     let (c, y, odd) = cos(x);
@@ -121,13 +121,15 @@ pub(super) fn lane(w1: u64, w2: u64) -> (f32, bool) {
 const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
 /// `2⁻⁵³`, the weight of a stream word's bit 11 in [`unit_f64`].
 const LAST_BIT: f64 = 1.0 / (1u64 << 53) as f64;
-/// `2⁵²`: adding it to a non-negative `f64` below `2⁵¹` rounds that value
-/// to an integer held in the low mantissa bits.
+/// `2⁵²`, the `f64` whose last mantissa bit is worth 1: a small integer
+/// or'd into its mantissa, or a value added to `1.5 · 2⁵²`, is held as an
+/// integer in the low mantissa bits.
 const TWO_52: f64 = (1u64 << 52) as f64;
 
 /// [`unit_f64`] without a 64-bit integer conversion, which AVX-512F does
-/// not have: the top 52 of the 53 bits through the mantissa of a number
-/// in `[1, 2)`, then the 53rd. Both steps are exact, since the sum is a
+/// not have (through the conversion, the AVX-512F body took 12.5 ns a
+/// draw instead of 10.5): the top 52 of the 53 bits through the mantissa
+/// of a number in `[1, 2)`, then the 53rd. Both steps are exact, since the sum is a
 /// 53-bit integer times `2⁻⁵³`.
 #[inline(always)]
 fn unit(w: u64) -> f64 {
@@ -136,11 +138,13 @@ fn unit(w: u64) -> f64 {
     top + last
 }
 
-/// `ln x` for a normal `x > 0`: fdlibm's `__ieee754_log` with both of
-/// its polynomial forms evaluated and one picked per lane, as its branch
-/// would.
+/// `ln x` for a normal `x > 0`: fdlibm's `__ieee754_log` in its
+/// `hfsq` form for every `f`. (fdlibm takes a shorter form outside a
+/// middle band of `f`; against glibc's `log` either form alone, or the
+/// two picked per lane as fdlibm's branch would, measures within 1 ulp
+/// on the tests' inputs, and this one is off by one on the fewest.)
 #[inline(always)]
-pub(super) fn ln(x: f64) -> f64 {
+fn ln(x: f64) -> f64 {
     const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
     const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
     const LG1: f64 = f64::from_bits(0x3fe5_5555_5555_5593);
@@ -167,15 +171,9 @@ pub(super) fn ln(x: f64) -> f64 {
     let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
     let r = t2 + t1;
     let hfsq = 0.5 * f * f;
-    // With k = 0 the `dk` terms are zeros and each form is fdlibm's
-    // k = 0 form exactly: `0 - (a - f)` rounds as `f - a`.
-    let hfsq_form = dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f);
-    let plain_form = dk * LN2_HI - ((s * (f - r) - dk * LN2_LO) - f);
-    if (0x6147a..=0x6b851).contains(&hx) {
-        hfsq_form
-    } else {
-        plain_form
-    }
+    // With k = 0 the `dk` terms are zeros and this is fdlibm's k = 0
+    // form exactly: `0 - (a - f)` rounds as `f - a`.
+    dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f)
 }
 
 /// `cos x` for `x` in `[0, 2π)`: fdlibm's medium-range reduction by `π/2`
@@ -183,7 +181,7 @@ pub(super) fn ln(x: f64) -> f64 {
 /// Also returns the reduced argument `y` and whether `x` was reduced by
 /// an odd multiple of `π/2`, where `cos x` is `∓sin y`.
 #[inline(always)]
-pub(super) fn cos(x: f64) -> (f64, f64, bool) {
+fn cos(x: f64) -> (f64, f64, bool) {
     const INV_PIO2: f64 = f64::from_bits(0x3fe4_5f30_6dc9_c883);
     const PIO2_1: f64 = f64::from_bits(0x3ff9_21fb_5440_0000);
     const PIO2_1T: f64 = f64::from_bits(0x3dd0_b461_1a62_6331);
