@@ -90,17 +90,6 @@ fn cos_stays_within_kernel_ulps_of_libm_outside_the_rejected_band() {
     assert!(rejected > 2 * 40_000, "{rejected}");
 }
 
-#[test]
-fn the_reduced_argument_is_within_a_quarter_turn() {
-    for x in cos_inputs() {
-        let (_, y, _) = cos(x);
-        assert!(
-            y.abs() <= std::f64::consts::FRAC_PI_4 * (1.0 + 1e-15),
-            "{x:e}"
-        );
-    }
-}
-
 /// `w2` words putting the `cos` factor at exactly `+1` (`u2 = 0`) and at
 /// exactly `-1` (`u2 = 1/2`, `cos(fl(π))` rounds to `-1`).
 const PLUS_ONE: u64 = 0;

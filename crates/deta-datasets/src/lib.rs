@@ -189,9 +189,10 @@ impl DatasetSpec {
         let dim = self.dim();
         let mut feats = vec![0.0f32; n * dim];
         let mut labels = Vec::with_capacity(n);
-        for example in feats.chunks_exact_mut(dim) {
+        for i in 0..n {
             let class = rng.gen_range(self.classes as u64) as usize;
             let brightness = (rng.next_f32() - 0.5) * 0.2;
+            let example = &mut feats[i * dim..(i + 1) * dim];
             rng.fill_gaussian(example);
             for (v, &t) in example.iter_mut().zip(&templates[class]) {
                 let noise = *v * 0.1;
