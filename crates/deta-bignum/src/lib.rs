@@ -3,8 +3,9 @@
 //! This crate provides [`BigUint`], a little-endian limb vector of `u64`
 //! words, with the arithmetic needed by the DeTA reproduction: schoolbook
 //! multiplication, Knuth's Algorithm D for division, windowed Montgomery
-//! exponentiation, extended GCD / modular inverse, and Miller-Rabin
-//! probabilistic primality testing.
+//! exponentiation (and fixed-base tables for a base used again and
+//! again), extended GCD / modular inverse, the Jacobi symbol, and
+//! Miller-Rabin probabilistic primality testing.
 //!
 //! Every attestation, token signature, handshake and Paillier operation of
 //! a session runs on it, so the two hot paths work a word at a time:
@@ -12,9 +13,9 @@
 //! Montgomery exponentiation multiplies into buffers it allocates once.
 //! Schoolbook multiplication stays, since the operands are hundreds of
 //! bits, not thousands. An exponentiation's sequence of products and
-//! table reads depends on the exponent's bit length only; a division
-//! still branches on its operands' values (see [`montgomery`] and the
-//! `div` module).
+//! table reads depends on the exponent's bit length only, or only on a
+//! stated width; a division and the Jacobi symbol still branch on their
+//! operands' values (see [`montgomery`] and the `div` module).
 //!
 //! # Examples
 //!

@@ -81,6 +81,52 @@ impl BigUint {
         }
     }
 
+    /// Computes the Jacobi symbol `(self / n)` for odd `n`: `1`, `-1`, or
+    /// `0` when the two share a factor. For a prime `n` it is the
+    /// Legendre symbol, `self^((n - 1) / 2) mod n` read as `1`, `-1` or
+    /// `0`, found without an exponentiation.
+    ///
+    /// Binary algorithm on two limb buffers of `n`'s width: strip the
+    /// factors of two (each flips the sign when `n ≡ ±3 mod 8`), swap
+    /// under quadratic reciprocity (a flip when both are `3 mod 4`), and
+    /// subtract. It branches on both operands' values, so it is for
+    /// public inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is even.
+    pub fn jacobi(&self, n: &BigUint) -> i8 {
+        assert!(!n.is_even(), "Jacobi symbol modulo an even number");
+        let mut a = self.rem_ref(n).limbs;
+        a.resize(n.limbs.len(), 0);
+        let mut n = n.limbs.clone();
+        let mut sign = 1i8;
+        loop {
+            let Some(zeros) = limbs_trailing_zeros(&a) else {
+                let one = n[0] == 1 && n[1..].iter().all(|&l| l == 0);
+                return if one { sign } else { 0 };
+            };
+            limbs_shr(&mut a, zeros);
+            if zeros % 2 == 1 && matches!(n[0] & 7, 3 | 5) {
+                sign = -sign;
+            }
+            if a.iter().rev().cmp(n.iter().rev()) == std::cmp::Ordering::Less {
+                std::mem::swap(&mut a, &mut n);
+                if a[0] & 3 == 3 && n[0] & 3 == 3 {
+                    sign = -sign;
+                }
+            }
+            // a ≥ n, both odd: a - n is even, and (a - n / n) = (a / n).
+            let mut borrow = false;
+            for (x, &y) in a.iter_mut().zip(&n) {
+                let (d, b1) = x.overflowing_sub(y);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                *x = d;
+                borrow = b1 | b2;
+            }
+        }
+    }
+
     /// Returns the least common multiple.
     pub fn lcm(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
@@ -92,12 +138,7 @@ impl BigUint {
 
     /// Counts trailing zero bits (zero input yields 0).
     pub fn trailing_zeros(&self) -> usize {
-        for (i, &limb) in self.limbs.iter().enumerate() {
-            if limb != 0 {
-                return i * 64 + limb.trailing_zeros() as usize;
-            }
-        }
-        0
+        limbs_trailing_zeros(&self.limbs).unwrap_or(0)
     }
 
     /// Computes the modular inverse of `self` modulo `m`, if it exists.
@@ -128,6 +169,27 @@ impl BigUint {
         let (mag, neg) = s0;
         let mag = &mag % m;
         Some(if neg && !mag.is_zero() { m - &mag } else { mag })
+    }
+}
+
+/// Trailing zero bits of little-endian limbs, `None` if all are zero.
+fn limbs_trailing_zeros(limbs: &[u64]) -> Option<usize> {
+    let i = limbs.iter().position(|&l| l != 0)?;
+    Some(i * 64 + limbs[i].trailing_zeros() as usize)
+}
+
+/// Shifts little-endian limbs right by `bits` in place.
+fn limbs_shr(limbs: &mut [u64], bits: usize) {
+    let (words, bits) = (bits / 64, bits % 64);
+    let len = limbs.len();
+    for i in 0..len {
+        let lo = limbs.get(i + words).copied().unwrap_or(0);
+        let hi = limbs.get(i + words + 1).copied().unwrap_or(0);
+        limbs[i] = if bits == 0 {
+            lo
+        } else {
+            (lo >> bits) | (hi << (64 - bits))
+        };
     }
 }
 
@@ -233,6 +295,43 @@ mod tests {
         let a = b(0xdead_beef_1234_5678);
         let inv = a.modinv(&m).unwrap();
         assert_eq!(a.mul_mod(&inv, &m), b(1));
+    }
+
+    #[test]
+    fn jacobi_matches_euler_on_a_small_prime() {
+        // Euler's criterion: (a / p) = a^((p - 1) / 2) mod p.
+        let p = 1_000_003u128;
+        for a in (0..200u128).chain([p - 1, p, p + 2, 3 * p + 7]) {
+            let euler = match b(a).modpow(&b((p - 1) / 2), &b(p)).to_u128() {
+                Some(1) => 1,
+                Some(0) => 0,
+                _ => -1,
+            };
+            assert_eq!(b(a).jacobi(&b(p)), euler, "a={a}");
+        }
+    }
+
+    #[test]
+    fn jacobi_of_composites() {
+        // (2 / 15) = (2 / 3)(2 / 5) = 1; (7 / 15) = (7 / 3)(7 / 5) = -1;
+        // a shared factor gives 0; (a / 1) = 1.
+        assert_eq!(b(2).jacobi(&b(15)), 1);
+        assert_eq!(b(7).jacobi(&b(15)), -1);
+        assert_eq!(b(6).jacobi(&b(15)), 0);
+        assert_eq!(b(0).jacobi(&b(1)), 1);
+        assert_eq!(b(5).jacobi(&b(1)), 1);
+        // Multi-limb: 2^127 - 1 is a prime = 7 mod 8, so 2 is a residue,
+        // and = 3 mod 4, so -1 is not.
+        let m = &b(1u128 << 127) - &b(1);
+        assert_eq!(b(2).jacobi(&m), 1);
+        assert_eq!((&m - &b(1)).jacobi(&m), -1);
+        assert_eq!(b(1u128 << 100).jacobi(&m), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "even")]
+    fn jacobi_refuses_an_even_modulus() {
+        let _ = b(3).jacobi(&b(10));
     }
 
     #[test]

@@ -168,6 +168,27 @@ fn modpow_matches_naive() {
 }
 
 #[test]
+fn jacobi_is_multiplicative_in_both_arguments() {
+    // (ab / n) = (a / n)(b / n) and (a / mn) = (a / m)(a / n): the two
+    // laws that make the symbol, at every limb count and for composite
+    // moduli, whose factors the binary algorithm never sees.
+    cases("jacobi_is_multiplicative_in_both_arguments", 128, |g| {
+        let odd = |g: &mut Gen| {
+            let n = limbs(g, 1, 5);
+            if n.is_even() {
+                &n + &BigUint::one()
+            } else {
+                n
+            }
+        };
+        let (m, n) = (odd(g), odd(g));
+        let (a, b) = (limbs(g, 1, 6), limbs(g, 1, 6));
+        assert_eq!((&a * &b).jacobi(&n), a.jacobi(&n) * b.jacobi(&n));
+        assert_eq!(a.jacobi(&(&m * &n)), a.jacobi(&m) * a.jacobi(&n));
+    });
+}
+
+#[test]
 fn modinv_is_inverse() {
     cases("modinv_is_inverse", 256, |g| {
         let (a, m) = (biguint_nonzero(g), biguint_nonzero(g));

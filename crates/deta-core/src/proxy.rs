@@ -88,7 +88,7 @@ impl AttestationProxy {
             TOKEN_SECRET_LABEL,
             &token.to_bytes(),
             &mut self.rng,
-        )?;
+        );
         ctx.inject_secret(&blob, &report.nonce)?;
         let cvm = ctx.finish();
         let token_key = token.verifying_key();

@@ -14,6 +14,7 @@ use crate::rng::DetRng;
 use crate::secret::Secret;
 use crate::sha256::hkdf;
 use deta_bignum::BigUint;
+use std::convert::Infallible;
 
 /// An ephemeral DH secret.
 pub struct EphemeralSecret {
@@ -21,24 +22,22 @@ pub struct EphemeralSecret {
     public: BigUint,
 }
 
-/// A DH public value (a group element).
+/// A DH public value: an element of the order-`q` subgroup other than
+/// the identity.
+///
+/// Valid by construction: one is made only by
+/// [`EphemeralSecret::public_key`] or by [`PublicKey::from_bytes`], which
+/// checks membership, so [`EphemeralSecret::agree`] does not check again.
+/// Its field is private, so no unchecked value (here the identity, which
+/// would force a known shared secret) can be wrapped:
+///
+/// ```compile_fail
+/// use deta_bignum::BigUint;
+/// use deta_crypto::dh::PublicKey;
+/// let _ = PublicKey(BigUint::one());
+/// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PublicKey(pub BigUint);
-
-/// Errors from key agreement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DhError {
-    /// The peer's public value is not a valid subgroup element.
-    InvalidPeerKey,
-}
-
-impl std::fmt::Display for DhError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid peer public key")
-    }
-}
-
-impl std::error::Error for DhError {}
+pub struct PublicKey(BigUint);
 
 impl EphemeralSecret {
     /// Generates a fresh ephemeral secret.
@@ -60,12 +59,14 @@ impl EphemeralSecret {
     /// The shared group element is symmetric in the two parties, so both
     /// sides derive identical keys for identical `context`. The element,
     /// its encoding and the HKDF output live in [`Secret`]s of their own
-    /// and are wiped when this returns, as is the consumed exponent.
-    pub fn agree(self, peer: &PublicKey, context: &[u8]) -> Result<Secret<[u8; 32]>, DhError> {
+    /// and are wiped when this returns, as is the consumed exponent. The
+    /// exponentiation runs at `q`'s full width whatever the exponent.
+    ///
+    /// `peer` was checked when it was made ([`PublicKey`]), so agreement
+    /// cannot fail: the error type is [`Infallible`], and a caller binds
+    /// the key with `let Ok(key) = ..`.
+    pub fn agree(self, peer: &PublicKey, context: &[u8]) -> Result<Secret<[u8; 32]>, Infallible> {
         let g = group();
-        if !g.is_valid_element(&peer.0) {
-            return Err(DhError::InvalidPeerKey);
-        }
         let shared = Secret::new(g.pow(&peer.0, self.a.expose()));
         let ikm = Secret::new(g.element_to_bytes(shared.expose()));
         let okm = Secret::new(hkdf(b"deta-dh-v1", ikm.expose(), context, 32));
@@ -141,11 +142,23 @@ mod tests {
 
     #[test]
     fn invalid_peer_rejected() {
-        let mut rng = DetRng::from_u64(4);
-        let alice = EphemeralSecret::generate(&mut rng);
-        // The identity element would force a trivial shared secret.
-        let bad = PublicKey(BigUint::one());
-        assert_eq!(alice.agree(&bad, b"c").err(), Some(DhError::InvalidPeerKey));
+        // A peer's value becomes a `PublicKey` only through `from_bytes`,
+        // which refuses every non-member: the identity (it would force a
+        // trivial shared secret), 0, p - 1 (order 2) and p itself.
+        let g = group();
+        let one = BigUint::one();
+        for (what, bad) in [
+            ("identity", one.clone()),
+            ("0", BigUint::zero()),
+            ("p - 1", &g.p - &one),
+            ("p", g.p.clone()),
+        ] {
+            let bytes = bad.to_bytes_be_padded(g.element_len());
+            assert_eq!(PublicKey::from_bytes(&bytes), None, "{what}");
+        }
+        // And a member gets through.
+        let good = EphemeralSecret::generate(&mut DetRng::from_u64(4)).public_key();
+        assert_eq!(PublicKey::from_bytes(&good.to_bytes()), Some(good));
     }
 
     #[test]

@@ -68,10 +68,23 @@ pub struct SigningKey {
 }
 
 /// A verifying (public) key.
+///
+/// Valid by construction: one comes only from
+/// [`SigningKey::verifying_key`] or from [`VerifyingKey::from_bytes`],
+/// which checks subgroup membership, and [`VerifyingKey::verify`] trusts
+/// that. Its element is private, so no unchecked key can be built: under
+/// `y = p - 1` (order 2) a forger's `(e, s)` would pass whenever `e` is
+/// odd.
+///
+/// ```compile_fail
+/// use deta_bignum::BigUint;
+/// use deta_crypto::VerifyingKey;
+/// let _ = VerifyingKey { y: BigUint::one() };
+/// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifyingKey {
     /// The group element `y = g^x`.
-    pub y: BigUint,
+    y: BigUint,
 }
 
 impl SigningKey {

@@ -1,8 +1,10 @@
 //! Property-based tests for the cryptographic primitives.
 
+use deta_bignum::BigUint;
 use deta_crypto::aead::{open_in_place, seal_in_place};
 use deta_crypto::chacha;
 use deta_crypto::dh::EphemeralSecret;
+use deta_crypto::group::group;
 use deta_crypto::poly1305::{poly1305, Poly1305};
 use deta_crypto::sha256::{hkdf, hmac_sha256, sha256};
 use deta_crypto::{open, seal, AeadError, AeadKey, DetRng, Nonce, Signature, SigningKey};
@@ -246,6 +248,76 @@ fn dh_agreement_symmetric() {
         let ka = alice.agree(&pb, &ctx).unwrap();
         let kb = bob.agree(&pa, &ctx).unwrap();
         assert!(ka.ct_eq(&kb));
+    });
+}
+
+/// A scalar of up to 256 bits from 32 drawn bytes.
+fn scalar(g: &mut deta_proptest::Gen) -> BigUint {
+    BigUint::from_bytes_be(&g.array::<32>())
+}
+
+#[test]
+fn group_powers_match_modpow() {
+    // `BigUint::modpow` (a Montgomery context built per call, windows of
+    // the exponent's own width) is the oracle for the fixed-base table
+    // and for the full-width variable-base power.
+    let gr = group();
+    let one = BigUint::one();
+    let mut edges = vec![
+        BigUint::zero(),
+        one.clone(),
+        &gr.q - &one,
+        &one.shl_bits(256) - &one,
+    ];
+    // One set bit in every window, at each of the four offsets.
+    for offset in 0..4 {
+        let mut e = BigUint::zero();
+        for w in 0..64 {
+            e = &e + &one.shl_bits(4 * w + offset);
+        }
+        edges.push(e);
+    }
+    let base = gr.pow_g(&BigUint::from_u64(0xde7a));
+    for e in &edges {
+        assert_eq!(gr.pow_g(e), gr.g.modpow(e, &gr.p), "pow_g({e})");
+        assert_eq!(gr.pow(&base, e), base.modpow(e, &gr.p), "pow(_, {e})");
+    }
+    cases("group_powers_match_modpow", 48, |g| {
+        let e = scalar(g);
+        // A scalar of any width up to 256 bits, not just the full one.
+        let e = e.shr_bits(g.usize_in(0, 256));
+        assert_eq!(gr.pow_g(&e), gr.g.modpow(&e, &gr.p), "pow_g({e})");
+        let b = scalar(g);
+        assert_eq!(gr.pow(&b, &e), b.modpow(&e, &gr.p), "pow({b}, {e})");
+    });
+}
+
+#[test]
+fn legendre_membership_matches_the_subgroup_power() {
+    // The old check, kept as the oracle: `y` in `[2, p)` with `y^q = 1`.
+    let gr = group();
+    let oracle =
+        |y: &BigUint| !y.is_zero() && !y.is_one() && y < &gr.p && y.modpow(&gr.q, &gr.p).is_one();
+    let one = BigUint::one();
+    // 11 is a non-residue mod p (so is 2, since p = 3 mod 8).
+    let eleven = BigUint::from_u64(11);
+    assert!(!eleven.modpow(&gr.q, &gr.p).is_one());
+    for y in [
+        BigUint::zero(),
+        one.clone(),
+        BigUint::from_u64(2),
+        BigUint::from_u64(4),
+        &gr.p - &one,
+        gr.p.clone(),
+        eleven,
+    ] {
+        assert_eq!(gr.is_valid_element(&y), oracle(&y), "y = {y}");
+    }
+    cases("legendre_membership_matches_the_subgroup_power", 128, |g| {
+        // Half the draws are squares, so both verdicts are met often.
+        let y = scalar(g);
+        let y = if g.bool() { y.mul_mod(&y, &gr.p) } else { y };
+        assert_eq!(gr.is_valid_element(&y), oracle(&y), "y = {y}");
     });
 }
 

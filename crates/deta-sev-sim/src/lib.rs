@@ -496,29 +496,24 @@ impl SealedSecret {
     /// transport key to the report nonce.
     ///
     /// This is what the attestation proxy does after verifying a report
-    /// (the paper's "launch blob with a packaged secret").
-    ///
-    /// # Errors
-    ///
-    /// Fails if the report's PDH public key is not a valid group element
-    /// (a malformed or malicious report).
+    /// (the paper's "launch blob with a packaged secret"). The report's
+    /// PDH key is a [`DhPublicKey`], a subgroup member by construction, so
+    /// sealing cannot fail.
     pub fn seal_to(
         report: &AttestationReport,
         label: &str,
         secret: &[u8],
         rng: &mut DetRng,
-    ) -> Result<SealedSecret, SevError> {
+    ) -> SealedSecret {
         let eph = EphemeralSecret::generate(rng);
         let sender_pub = eph.public_key();
-        let key = eph
-            .agree(&report.pdh_pub, &report.nonce)
-            .map_err(|_| SevError::BadCertChain("report PDH key invalid"))?;
+        let Ok(key) = eph.agree(&report.pdh_pub, &report.nonce);
         let sealed = seal(&key, &Nonce::from_parts(0x5ec, 0), label.as_bytes(), secret);
-        Ok(SealedSecret {
+        SealedSecret {
             label: label.to_string(),
             sender_pub,
             sealed,
-        })
+        }
     }
 }
 
@@ -548,9 +543,7 @@ impl LaunchContext {
         // The platform-side PDH secret is consumed by the agreement; a
         // second injection requires a fresh launch (matching SEV, where
         // LAUNCH_SECRET is a launch-time one-shot per blob).
-        let key = pdh
-            .agree(&blob.sender_pub, report_nonce)
-            .map_err(|_| SevError::SecretUnsealFailed)?;
+        let Ok(key) = pdh.agree(&blob.sender_pub, report_nonce);
         let secret = open(
             &key,
             &Nonce::from_parts(0x5ec, 0),
@@ -836,8 +829,7 @@ mod tests {
         let (ras, mut platform, image, mut rng) = setup();
         let (mut ctx, report) = platform.launch_measure(&image);
         report.verify(&ras.root_certs(), &image).unwrap();
-        let blob =
-            SealedSecret::seal_to(&report, "auth-token", b"ecdsa-key-bytes", &mut rng).unwrap();
+        let blob = SealedSecret::seal_to(&report, "auth-token", b"ecdsa-key-bytes", &mut rng);
         ctx.inject_secret(&blob, &report.nonce).unwrap();
         let cvm = ctx.finish();
         // Guest sees the secret.
@@ -856,7 +848,7 @@ mod tests {
     fn tampered_secret_blob_rejected() {
         let (_, mut platform, image, mut rng) = setup();
         let (mut ctx, report) = platform.launch_measure(&image);
-        let mut blob = SealedSecret::seal_to(&report, "auth-token", b"secret", &mut rng).unwrap();
+        let mut blob = SealedSecret::seal_to(&report, "auth-token", b"secret", &mut rng);
         blob.sealed[0] ^= 1;
         assert_eq!(
             ctx.inject_secret(&blob, &report.nonce),
@@ -871,7 +863,7 @@ mod tests {
         let (_, mut platform, image, mut rng) = setup();
         let (_ctx_a, report_a) = platform.launch_measure(&image);
         let (mut ctx_b, report_b) = platform.launch_measure(&image);
-        let blob = SealedSecret::seal_to(&report_a, "auth-token", b"secret", &mut rng).unwrap();
+        let blob = SealedSecret::seal_to(&report_a, "auth-token", b"secret", &mut rng);
         assert_eq!(
             ctx_b.inject_secret(&blob, &report_b.nonce),
             Err(SevError::SecretUnsealFailed)
@@ -920,7 +912,7 @@ mod tests {
         let (ras, mut platform, image, mut rng) = setup();
         let (mut ctx, report) = platform.launch_measure(&image);
         report.verify(&ras.root_certs(), &image).unwrap();
-        let blob = SealedSecret::seal_to(&report, "auth-token", b"token-123", &mut rng).unwrap();
+        let blob = SealedSecret::seal_to(&report, "auth-token", b"token-123", &mut rng);
         ctx.inject_secret(&blob, &report.nonce).unwrap();
         let cvm = ctx.finish();
         cvm.guest().write(b"fragmented-shuffled-update".to_vec());

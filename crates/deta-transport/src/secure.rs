@@ -159,10 +159,7 @@ impl HandshakeInitiator {
         if !expected_peer.verify(&transcript, &sig) {
             return Err(TransportError::BadAuthentication);
         }
-        let secret = self
-            .eph
-            .agree(&peer_pub, &transcript)
-            .map_err(|_| TransportError::BadKeyExchange)?;
+        let Ok(secret) = self.eph.agree(&peer_pub, &transcript);
         Ok(derive_channel(&secret, &self.nonce, true))
     }
 }
@@ -190,9 +187,7 @@ pub fn respond(
     let transcript = transcript_hash(hello, &response[..40]);
     let sig = identity.sign(&transcript);
     response.extend_from_slice(&sig.to_bytes());
-    let secret = eph
-        .agree(&peer_pub, &transcript)
-        .map_err(|_| TransportError::BadKeyExchange)?;
+    let Ok(secret) = eph.agree(&peer_pub, &transcript);
     Ok((response, derive_channel(&secret, &nonce, false)))
 }
 

@@ -50,8 +50,7 @@ fn phase2_party_rejects_unattested_aggregator() {
     // injected outside the attestation flow.
     let (mut ctx, report) = platform.launch_measure(&image());
     let forged = SigningKey::generate(&mut rng.fork(b"forged"));
-    let blob =
-        SealedSecret::seal_to(&report, TOKEN_SECRET_LABEL, &forged.to_bytes(), &mut rng).unwrap();
+    let blob = SealedSecret::seal_to(&report, TOKEN_SECRET_LABEL, &forged.to_bytes(), &mut rng);
     ctx.inject_secret(&blob, &report.nonce).unwrap();
     let impostor_cvm = ctx.finish();
 
