@@ -62,7 +62,9 @@ pub mod wire;
 
 pub use agg::{AggKind, AggregateError, Aggregation};
 pub use mapper::ModelMapper;
-pub use session::{DetaConfig, DetaSession, RoundMetrics, SessionParts, SyncMode};
+pub use session::{
+    CoordinatorParts, DetaConfig, DetaSession, RoundMetrics, SessionParts, SyncMode,
+};
 pub use transform::{TransformConfig, Transformer};
 
 /// A flat model update (parameters or gradients) as exchanged in FL.

@@ -12,6 +12,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::iter_over_hash_type)]
 
+use crate::shuffle::assert_u32_slots;
 use deta_crypto::DetRng;
 
 /// A shared random assignment of parameter indices to aggregators.
@@ -50,13 +51,15 @@ impl ModelMapper {
     /// # Panics
     ///
     /// Panics if `n_aggregators == 0`, exceeds `u16::MAX`, if proportions
-    /// are not positive, or if their count mismatches `n_aggregators`.
+    /// are not positive, if their count mismatches `n_aggregators`, or if
+    /// `n_params` exceeds 2³² ([`assert_u32_slots`]).
     pub fn generate(
         n_params: usize,
         n_aggregators: usize,
         proportions: Option<&[f32]>,
         rng: &mut DetRng,
     ) -> ModelMapper {
+        assert_u32_slots(n_params, "a mapper");
         assert!(n_aggregators > 0, "need at least one aggregator");
         assert!(n_aggregators <= u16::MAX as usize, "too many aggregators");
         let props: Vec<f64> = match proportions {
@@ -95,26 +98,33 @@ impl ModelMapper {
             labels.extend(std::iter::repeat_n(j as u16, s));
         }
         rng.shuffle(&mut labels);
-        fill(&mut positions, &labels);
+        fill(&mut positions, labels);
         ModelMapper { positions }
     }
 
-    /// Builds a mapper from an explicit assignment vector:
-    /// `assignment[i]` is the aggregator owning parameter `i`. Fragments
-    /// are indexed `0..=max(assignment)`; one that owns no parameter is
-    /// empty. Only the position tables are kept.
-    pub fn from_assignment(assignment: Vec<u16>) -> ModelMapper {
-        let k = assignment
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |m| m as usize + 1);
+    /// Builds a mapper from an explicit assignment: the `i`-th label is
+    /// the aggregator owning parameter `i`. Fragments are indexed
+    /// `0..=max(assignment)`; one that owns no parameter is empty. Only
+    /// the position tables are kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assignment has more than 2³² labels
+    /// ([`assert_u32_slots`]).
+    pub fn from_assignment<I>(assignment: I) -> ModelMapper
+    where
+        I: IntoIterator<Item = u16>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let assignment = assignment.into_iter();
+        assert_u32_slots(assignment.len(), "a mapper");
+        let k = assignment.clone().max().map_or(0, |m| m as usize + 1);
         let mut sizes = vec![0usize; k];
-        for &j in &assignment {
+        for j in assignment.clone() {
             sizes[j as usize] += 1;
         }
         let mut positions = tables(&sizes);
-        fill(&mut positions, &assignment);
+        fill(&mut positions, assignment);
         ModelMapper { positions }
     }
 
@@ -235,10 +245,10 @@ fn tables(sizes: &[usize]) -> Vec<Vec<u32>> {
     sizes.iter().map(|&s| Vec::with_capacity(s)).collect()
 }
 
-/// Appends every index `i` to the table of its label `labels[i]`, so each
+/// Appends every index `i` to the table of the `i`-th label, so each
 /// table ascends.
-fn fill(positions: &mut [Vec<u32>], labels: &[u16]) {
-    for (i, &j) in labels.iter().enumerate() {
+fn fill(positions: &mut [Vec<u32>], labels: impl IntoIterator<Item = u16>) {
+    for (i, j) in labels.into_iter().enumerate() {
         positions[j as usize].push(i as u32);
     }
 }
@@ -448,6 +458,18 @@ mod tests {
     fn wrong_update_length_panics() {
         let m = ModelMapper::generate(10, 2, None, &mut rng());
         m.partition(&[0.0; 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a mapper of 4294967297 slots")]
+    fn a_generated_mapper_past_u32_indices_is_refused() {
+        ModelMapper::generate(u32::MAX as usize + 2, 3, None, &mut rng());
+    }
+
+    #[test]
+    #[should_panic(expected = "a mapper of 4294967297 slots")]
+    fn an_assignment_past_u32_indices_is_refused() {
+        ModelMapper::from_assignment(std::iter::repeat_n(0, u32::MAX as usize + 2));
     }
 
     #[test]

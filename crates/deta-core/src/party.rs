@@ -298,7 +298,7 @@ pub struct Party {
     /// `(round, flat update)` log populated when `record_updates` is set.
     pub update_log: Vec<(u64, Vec<f32>)>,
     /// Whether a failover can ask this party to replay a round: set by
-    /// [`crate::supervise::Supervisor::new`] under
+    /// [`crate::session::SessionParts::split`] under
     /// [`crate::supervise::FailoverPolicy::Restart`], the one policy
     /// that sends `Replay`. Off, the party keeps no copy of its update.
     keeps_replay: bool,
@@ -444,9 +444,8 @@ impl Party {
 
     /// Whether this party keeps a copy of each upload for a failover's
     /// replay: the session's failover policy decides, through
-    /// [`crate::supervise::Supervisor::new`]. A party built without a
-    /// supervisor (one process per node, whose hub refuses failover)
-    /// keeps nothing.
+    /// [`crate::session::SessionParts::split`]. A party built alone (one
+    /// process per node, whose hub refuses failover) keeps nothing.
     pub(crate) fn keep_replays(&mut self, keep: bool) {
         self.keeps_replay = keep;
     }

@@ -24,7 +24,9 @@ use crate::paillier_fusion::{PaillierFusion, PaillierFusionConfig};
 use crate::party::{Party, PartyConfig, PartyError};
 use crate::recovery::RecoveryKit;
 use crate::rtmsg::{CtlMsg, SUPERVISOR};
-use crate::supervise::{Directive, Event, RuntimeConfig, RuntimeError, SessionView, Supervisor};
+use crate::supervise::{
+    Directive, Event, FailoverPolicy, RuntimeConfig, RuntimeError, SessionView, Supervisor,
+};
 use crate::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, Secret, VerifyingKey};
 use deta_nn::train::LabeledData;
@@ -231,17 +233,45 @@ pub struct SessionParts {
     pub recovery: RecoveryKit,
 }
 
+/// What a session's coordinator holds, whether it hosts the nodes or
+/// not: the configuration, the network every node's name is registered
+/// on, Phase I's token directory and trust pipeline, and the session's
+/// one draw of the starting model to evaluate on. No node, mapper or key
+/// broker: [`CoordinatorParts::build`] is what a coordinator whose nodes
+/// run elsewhere builds, and [`SessionParts::split`] cuts the same share
+/// off a full build.
+pub struct CoordinatorParts {
+    /// The session configuration.
+    pub config: DetaConfig,
+    /// The shared network; every node's name has an endpoint on it.
+    pub network: Network,
+    /// The latency model matching `cc_protected`.
+    pub latency_model: LatencyModel,
+    /// Token verifying keys published by the attestation proxy, keyed by
+    /// aggregator name.
+    pub tokens: HashMap<String, VerifyingKey>,
+    /// The session's one draw of the starting model.
+    pub eval_model: Sequential,
+    /// Attestation material for mid-session aggregator failover.
+    pub recovery: RecoveryKit,
+    /// Every party's name, in index order (`party-{i}`).
+    pub parties: Vec<String>,
+    /// Every aggregator's name, index 0 the initiator (`agg-{j}`).
+    pub aggregators: Vec<String>,
+}
+
 /// What every process of a session derives identically from the seed
 /// before it builds a single node: the checked configuration, Phase I
 /// for every aggregator (the proxy's challenge stream is sequential, so
 /// the token directory only comes out the same if everyone attests the
 /// whole fleet), the network, and the RNG forks the nodes are cut from.
-/// [`SessionParts::build`] constructs every node from one and
-/// [`NodeParts::build`] exactly one — through the same constructors, so
-/// a node built alone is bit-identical to its twin in the full build.
-/// The model builder runs at most once per blueprint: the full build
-/// copies its one draw to every party, a party built alone draws its own
-/// and an aggregator none.
+/// [`SessionParts::build`] constructs every node from one,
+/// [`NodeParts::build`] exactly one and [`CoordinatorParts::build`] none
+/// — through the same constructors, so a node built alone is
+/// bit-identical to its twin in the full build. The model builder runs
+/// at most once per blueprint: the full build copies its one draw to
+/// every party, a party built alone draws its own, the coordinator alone
+/// draws one to evaluate on and an aggregator none.
 struct Blueprint<'a> {
     config: DetaConfig,
     model_builder: &'a dyn Fn(&mut DetRng) -> Sequential,
@@ -387,6 +417,27 @@ impl<'a> Blueprint<'a> {
         (broker, transformer)
     }
 
+    /// The coordinator's share, once the nodes are cut: everything the
+    /// blueprint holds but the CVMs, the start model `eval_model`, and
+    /// the names of `parties` parties.
+    fn into_coordinator(self, eval_model: Sequential, parties: usize) -> CoordinatorParts {
+        let latency_model = if self.config.cc_protected {
+            LatencyModel::deta_default(self.config.link)
+        } else {
+            LatencyModel::ffl_default(self.config.link)
+        };
+        CoordinatorParts {
+            config: self.config,
+            network: self.network,
+            latency_model,
+            tokens: self.tokens,
+            eval_model,
+            recovery: self.recovery,
+            parties: (0..parties).map(party_name).collect(),
+            aggregators: self.agg_names,
+        }
+    }
+
     /// Party `i` over `data`, with a model replica of its own, and the
     /// key broker's two secrets: the permutation key inside `transformer`
     /// and the `session_id` the party derives each round's id from.
@@ -455,7 +506,7 @@ impl SessionParts {
             .collect::<Result<Vec<_>, _>>()?;
         let eval_model = plan.model();
         let (broker, transformer) = plan.transformer(eval_model.param_count());
-        let parties = party_data
+        let parties: Vec<Party> = party_data
             .into_iter()
             .enumerate()
             .map(|(i, data)| {
@@ -463,25 +514,93 @@ impl SessionParts {
                 plan.party(i, model, data, transformer.clone(), session_id)
             })
             .collect();
-
-        let config = plan.config;
-        let latency_model = if config.cc_protected {
-            LatencyModel::deta_default(config.link)
-        } else {
-            LatencyModel::ffl_default(config.link)
-        };
+        let CoordinatorParts {
+            config,
+            network,
+            latency_model,
+            tokens,
+            eval_model,
+            recovery,
+            ..
+        } = plan.into_coordinator(eval_model, parties.len());
         Ok(SessionParts {
             config,
-            network: plan.network,
+            network,
             parties,
             aggregators,
             broker,
             latency_model,
-            tokens: plan.tokens,
+            tokens,
             eval_model,
             transformer,
-            recovery: plan.recovery,
+            recovery,
         })
+    }
+
+    /// Splits the parts into the coordinator's share and the nodes it
+    /// hosts. This is where the parties meet the runtime policy: each is
+    /// told whether `failover` may ask it to replay a round, and so
+    /// whether it keeps a copy of its update. The key broker and the
+    /// transformer stay behind: every party holds what it needs of them.
+    pub fn split(
+        self,
+        failover: FailoverPolicy,
+    ) -> (CoordinatorParts, Vec<Party>, Vec<AggregatorNode>) {
+        let SessionParts {
+            config,
+            network,
+            mut parties,
+            aggregators,
+            latency_model,
+            tokens,
+            eval_model,
+            recovery,
+            ..
+        } = self;
+        // Only `Restart` ever sends a party `Replay`; under any other
+        // policy a party keeps no copy of its update past the upload.
+        for party in &mut parties {
+            party.keep_replays(failover == FailoverPolicy::Restart);
+        }
+        let coordinator = CoordinatorParts {
+            config,
+            network,
+            latency_model,
+            tokens,
+            eval_model,
+            recovery,
+            parties: parties.iter().map(|p| p.name.clone()).collect(),
+            aggregators: aggregators.iter().map(|a| a.name.clone()).collect(),
+        };
+        (coordinator, parties, aggregators)
+    }
+}
+
+impl CoordinatorParts {
+    /// Builds the coordinator's share of the session
+    /// [`SessionParts::build`] would build from the same arguments, and
+    /// builds no node: Phase I for the whole fleet, the one `model-init`
+    /// draw it evaluates on, and an endpoint for every node's name on
+    /// the network (a bridge forwards each to wherever its node runs).
+    /// No party replica, mapper or key broker is made: a process hosting
+    /// a node builds its own ([`NodeParts::build`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionParts::build`], less what only a node's own
+    /// construction can refuse.
+    pub fn build(
+        config: DetaConfig,
+        model_builder: &dyn Fn(&mut DetRng) -> Sequential,
+        party_data: &[LabeledData],
+    ) -> Result<CoordinatorParts, SetupError> {
+        let plan = Blueprint::new(config, model_builder, party_data)?;
+        let names = plan.agg_names.iter().cloned();
+        for name in names.chain((0..party_data.len()).map(party_name)) {
+            let _ = plan.network.register(&name);
+        }
+        let eval_model = plan.model();
+        Ok(plan.into_coordinator(eval_model, party_data.len()))
     }
 }
 
@@ -648,7 +767,8 @@ impl DetaSession {
             let (capacity, dir) = (rt.telemetry.ring_capacity, rt.telemetry.trace_dir.clone());
             Recorders::new(SUPERVISOR, capacity, dir)
         });
-        let (supervisor, parties, aggregators, _) = Supervisor::new(parts, rt, false);
+        let (coordinator, parties, aggregators) = parts.split(rt.failover);
+        let (supervisor, _) = Supervisor::new(coordinator, rt, false);
         let aggregators = aggregators.into_iter().map(Box::new).map(Node::Aggregator);
         let parties = parties.into_iter().map(Box::new).map(Node::Party);
         let nodes: Vec<Node> = aggregators.chain(parties).collect();

@@ -30,6 +30,18 @@ pub(crate) fn derivations() -> usize {
     DERIVATIONS.with(std::cell::Cell::get)
 }
 
+/// Refuses, naming `what`, a table of more than 2³² slots: the slot and
+/// model indices are `u32`s, and past that count `as u32` would wrap and
+/// silently repeat them. Checked before anything is allocated.
+pub(crate) fn assert_u32_slots(slots: usize, what: &str) {
+    assert!(
+        slots
+            .checked_sub(1)
+            .is_none_or(|last| u32::try_from(last).is_ok()),
+        "{what} of {slots} slots: u32 indices reach 2^32 slots"
+    );
+}
+
 /// A per-round, per-fragment keyed permutation.
 ///
 /// # Examples
@@ -56,6 +68,10 @@ impl RoundPermutation {
     ///
     /// Deterministic in all arguments: every party derives the identical
     /// permutation, and distinct rounds/fragments get independent ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds 2³² (`DetRng::permutation`).
     pub fn derive(
         perm_key: &[u8; 32],
         training_id: &[u8; 16],
@@ -78,9 +94,14 @@ impl RoundPermutation {
     }
 
     /// The identity permutation (shuffling disabled).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds 2³² ([`assert_u32_slots`]).
     pub fn identity(len: usize) -> RoundPermutation {
+        assert_u32_slots(len, "an identity permutation");
         RoundPermutation {
-            perm: (0..len as u32).collect(),
+            perm: (0..len).map(|s| s as u32).collect(),
         }
     }
 
@@ -262,6 +283,18 @@ mod tests {
     fn bytes_that_are_not_the_fragment_are_refused() {
         let p = RoundPermutation::derive(&KEY, &TID, 0, 4);
         p.invert_into(Shuffled::Le(&[0; 15]), &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "an identity permutation of 4294967297 slots")]
+    fn an_identity_past_u32_indices_is_refused() {
+        RoundPermutation::identity(u32::MAX as usize + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "a permutation of 4294967297 slots")]
+    fn a_derivation_past_u32_indices_is_refused() {
+        RoundPermutation::derive(&KEY, &TID, 0, u32::MAX as usize + 2);
     }
 
     #[test]

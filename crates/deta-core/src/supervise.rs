@@ -26,11 +26,10 @@
 
 use crate::aggregator::AggregatorNode;
 use crate::node::Node;
-use crate::party::Party;
 use crate::recovery::RecoveryKit;
 use crate::round::{OpenRound, RoundLedger};
 use crate::rtmsg::{CtlMsg, RebindEntry};
-use crate::session::{DetaConfig, RoundMetrics, SessionParts, SetupError};
+use crate::session::{CoordinatorParts, DetaConfig, RoundMetrics, SetupError};
 use deta_crypto::VerifyingKey;
 use deta_nn::Sequential;
 use deta_telemetry::TelemetryValue;
@@ -398,31 +397,35 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Takes charge of the session `parts` built, under policy `cfg`;
-    /// hands back what the session hosts — the parties, the aggregators —
-    /// and the model replica to evaluate on. With `report_params` the
-    /// first party of each round reports its parameters for that replica.
-    /// This is where the parties meet the runtime policy: each is told
-    /// whether a failover may ask it to replay a round, and so whether it
-    /// keeps a copy of its update.
+    /// Takes charge of the session `coordinator` holds the share of,
+    /// under policy `cfg`; hands back the model replica to evaluate on.
+    /// With `report_params` the first party of each round reports its
+    /// parameters for that replica.
     pub fn new(
-        parts: SessionParts,
+        coordinator: CoordinatorParts,
         cfg: RuntimeConfig,
         report_params: bool,
-    ) -> (Supervisor, Vec<Party>, Vec<AggregatorNode>, Sequential) {
-        let party_names = parts.parties.iter().map(|p| p.name.clone()).collect();
-        let agg_names: Vec<String> = parts.aggregators.iter().map(|a| a.name.clone()).collect();
-        let (network, latency) = (parts.network, parts.latency_model);
-        let snapshot_len = report_params.then(|| parts.eval_model.param_count());
-        let supervisor = Supervisor {
-            ledger: RoundLedger::new(&parts.config, network.clone(), latency, party_names),
-            cfg,
-            config: parts.config,
+    ) -> (Supervisor, Sequential) {
+        let CoordinatorParts {
+            config,
             network,
-            tokens: parts.tokens,
-            recovery: parts.recovery,
+            latency_model,
+            tokens,
+            eval_model,
+            recovery,
+            parties,
+            aggregators,
+        } = coordinator;
+        let snapshot_len = report_params.then(|| eval_model.param_count());
+        let supervisor = Supervisor {
+            ledger: RoundLedger::new(&config, network.clone(), latency_model, parties),
+            cfg,
+            config,
+            network,
+            tokens,
+            recovery,
             snapshot_len,
-            agg_names,
+            agg_names: aggregators,
             retired_aggs: Vec::new(),
             failovers: 0,
             budget_used: HashMap::new(),
@@ -430,19 +433,7 @@ impl Supervisor {
             wait: None,
             last_seen: HashMap::new(),
         };
-        let SessionParts {
-            mut parties,
-            aggregators,
-            eval_model,
-            ..
-        } = parts;
-        // Only `Restart` ever sends a party `Replay`; under any other
-        // policy a party keeps no copy of its update past the upload.
-        let replays = supervisor.cfg.failover == FailoverPolicy::Restart;
-        for party in &mut parties {
-            party.keep_replays(replays);
-        }
-        (supervisor, parties, aggregators, eval_model)
+        (supervisor, eval_model)
     }
 
     /// Opens the bootstrap: a wait, under the setup deadline, for every

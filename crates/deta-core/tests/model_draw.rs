@@ -1,10 +1,12 @@
 //! A session build draws its starting model once and copies it to every
 //! party; a node built alone draws one if it is a party and none if it is
-//! an aggregator.
+//! an aggregator; a coordinator built alone draws the one it evaluates
+//! on, and is the share of a full build.
 
 use std::cell::Cell;
 
-use deta_core::session::{DetaConfig, Node, NodeParts, SessionParts};
+use deta_core::session::{CoordinatorParts, DetaConfig, Node, NodeParts, SessionParts};
+use deta_core::supervise::FailoverPolicy;
 use deta_crypto::DetRng;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
@@ -67,6 +69,29 @@ fn a_node_built_alone_draws_once_if_a_party_and_never_if_an_aggregator() {
         assert_eq!(is_party, name.starts_with("party-"), "{name}");
         assert_eq!(calls.get(), usize::from(is_party), "{name}");
     }
+}
+
+#[test]
+fn a_coordinator_built_alone_draws_once_and_is_the_share_of_a_full_build() {
+    let calls = Cell::new(0);
+    let counting = |rng: &mut DetRng| {
+        calls.set(calls.get() + 1);
+        small_model(rng)
+    };
+    let alone = CoordinatorParts::build(config(4), &counting, &shards(4)).expect("build");
+    assert_eq!(calls.get(), 1);
+    let full = SessionParts::build(config(4), &small_model, shards(4)).expect("build");
+    let (share, parties, aggregators) = full.split(FailoverPolicy::None);
+    assert_eq!(bits(&alone.eval_model), bits(&share.eval_model));
+    assert_eq!(alone.tokens, share.tokens);
+    assert_eq!(alone.parties, share.parties);
+    assert_eq!(alone.aggregators, share.aggregators);
+    assert_eq!(share.parties, ["party-0", "party-1", "party-2", "party-3"]);
+    assert_eq!(share.aggregators.len(), aggregators.len());
+    assert_eq!(parties.len(), 4);
+    // Every node's name has an endpoint, for a bridge to forward.
+    assert_eq!(alone.network.names(), share.network.names());
+    assert_eq!(alone.network.names().len(), 4 + aggregators.len());
 }
 
 #[test]

@@ -36,7 +36,8 @@ fn supervisor(parties: usize, rt: RuntimeConfig, cfg: impl FnOnce(&mut DetaConfi
     config.seed = 0x5afe;
     cfg(&mut config);
     let parts = SessionParts::build(config, &model, shards).expect("parts");
-    Supervisor::new(parts, rt, true).0
+    let (coordinator, _, _) = parts.split(rt.failover);
+    Supervisor::new(coordinator, rt, true).0
 }
 
 /// What a directive does, in a line.

@@ -134,16 +134,9 @@ impl DetRng {
     /// Panics if `bound == 0`.
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range with zero bound");
-        // Lemire-style rejection on the widening multiply: reject when
-        // the low word is below `2^64 mod bound`. That threshold is itself
-        // below `bound`, so the divide is only needed for a low word that
-        // small.
         loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            let low = m as u64;
-            if low >= bound || low >= bound.wrapping_neg() % bound {
-                return (m >> 64) as u64;
+            if let Some(v) = lemire(self.next_u64(), bound) {
+                return v;
             }
         }
     }
@@ -207,17 +200,47 @@ impl DetRng {
         self.next_f64() < p
     }
 
-    /// Shuffles a slice in place (Fisher-Yates).
+    /// Shuffles a slice in place (Fisher-Yates): for `i` from the last
+    /// index down to 1, swaps `slice[i]` with `slice[gen_range(i + 1)]`.
+    ///
+    /// The words come [`SHUFFLE_BATCH`] at a time straight out of the
+    /// refill buffer, each through [`lemire`] in stream order; a rejected
+    /// word is skipped, as `gen_range` skips it. Every step reads at
+    /// least one word, so a batch is only taken while at least that many
+    /// steps are left: it never reads past where `gen_range` stops, and
+    /// the last steps go through `gen_range` itself. The swaps and the
+    /// generator's position afterwards are those of the loop above.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            slice.swap(i, j);
+        // Elements not yet placed: the next step swaps into `unplaced - 1`.
+        let mut unplaced = slice.len();
+        while unplaced > SHUFFLE_BATCH {
+            let bytes = self.next_array::<{ SHUFFLE_BATCH * 8 }>();
+            for word in bytes.as_chunks::<8>().0 {
+                if let Some(j) = lemire(u64::from_le_bytes(*word), unplaced as u64) {
+                    unplaced -= 1;
+                    slice.swap(unplaced, j as usize);
+                }
+            }
+        }
+        while unplaced > 1 {
+            let j = self.gen_range(unplaced as u64);
+            unplaced -= 1;
+            slice.swap(unplaced, j as usize);
         }
     }
 
     /// Returns a random permutation of `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds 2³², past which a `u32` repeats.
     pub fn permutation(&mut self, n: usize) -> Vec<u32> {
-        let mut p: Vec<u32> = (0..n as u32).collect();
+        assert!(
+            n.checked_sub(1)
+                .is_none_or(|last| u32::try_from(last).is_ok()),
+            "a permutation of {n} slots: u32 indices reach 2^32 slots"
+        );
+        let mut p: Vec<u32> = (0..n).map(|i| i as u32).collect();
         self.shuffle(&mut p);
         p
     }
@@ -227,6 +250,21 @@ impl DetRng {
     pub fn derive_bytes(&self, info: &[u8], out_len: usize) -> Vec<u8> {
         hkdf(b"deta-rng-derive", &self.key, info, out_len)
     }
+}
+
+/// Stream words one batch of [`DetRng::shuffle`] reads.
+const SHUFFLE_BATCH: usize = 16;
+
+/// Lemire's rule on one stream word: the word's widening product with
+/// `bound` yields `⌊word · bound / 2⁶⁴⌋`, uniform in `[0, bound)`, unless
+/// its low half is below `2⁶⁴ mod bound`, where the word is rejected
+/// (`None`) and the next one drawn. That threshold is itself below
+/// `bound`, so the divide is only needed for a low half that small.
+#[inline(always)]
+fn lemire(word: u64, bound: u64) -> Option<u64> {
+    let m = u128::from(word) * u128::from(bound);
+    let low = m as u64;
+    (low >= bound || low >= bound.wrapping_neg() % bound).then_some((m >> 64) as u64)
 }
 
 /// [`gaussian::fill`] compiled for AVX-512F.
@@ -426,6 +464,31 @@ mod tests {
             }
             assert_eq!(fast.next_u64(), reference.next_u64(), "same draw count");
         }
+    }
+
+    #[test]
+    fn lemire_rejects_the_words_below_the_threshold() {
+        // 2^64 mod 3 = 1: of the words whose product with 3 has a low half
+        // below 3, only word 0 (low half 0) falls under it.
+        assert_eq!(lemire(0, 3), None);
+        assert_eq!(lemire(1, 3), Some(0));
+        assert_eq!(lemire(u64::MAX, 3), Some(2));
+        // 2^64 mod (2^63 + 1) = 2^63 - 1: word 2 leaves a low half of 2.
+        let bound = (1 << 63) + 1;
+        assert_eq!(lemire(2, bound), None);
+        assert_eq!(lemire(1, bound), Some(0));
+        assert_eq!(lemire(u64::MAX, bound), Some(bound - 1));
+        // A bound of 1 or 2^k rejects nothing.
+        for word in [0, 1, u64::MAX] {
+            assert_eq!(lemire(word, 1), Some(0));
+            assert_eq!(lemire(word, 1 << 32), Some(word >> 32));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a permutation of 4294967297 slots")]
+    fn a_permutation_past_u32_indices_is_refused() {
+        DetRng::from_u64(5).permutation(u32::MAX as usize + 2);
     }
 
     #[test]

@@ -412,3 +412,57 @@ fn gaussian_fill_is_the_scalar_draws_from_any_stream_position() {
         },
     );
 }
+
+/// The Fisher–Yates loop `DetRng::shuffle` must reproduce: one
+/// `gen_range` per step, from the last index down.
+fn shuffle_oracle<T>(rng: &mut DetRng, slice: &mut [T]) {
+    for i in (1..slice.len()).rev() {
+        let j = rng.gen_range(i as u64 + 1) as usize;
+        slice.swap(i, j);
+    }
+}
+
+#[test]
+fn shuffle_is_the_gen_range_loop_from_any_stream_position() {
+    // Around the batch (16 words), a refill (128 words) and two.
+    const LENGTHS: [usize; 14] = [0, 1, 2, 16, 17, 18, 33, 127, 128, 129, 255, 256, 257, 3000];
+    cases(
+        "shuffle_is_the_gen_range_loop_from_any_stream_position",
+        32,
+        |g| {
+            let mut rng = DetRng::from_u64(g.u64());
+            // Half the cases start a few words before a refill, so a batch
+            // straddles it; draws of 4 bytes and of 1–7 leave the stream
+            // off a word's 8.
+            if g.bool() {
+                let mut skip = vec![0u8; g.usize_in(1024 - 160, 1023)];
+                rng.fill_bytes(&mut skip);
+            }
+            for _ in 0..g.usize_in(0, 15) {
+                let mut bytes = [0u8; 8];
+                let width = [8, 4, g.usize_in(1, 7)][g.usize_in(0, 2)];
+                rng.fill_bytes(&mut bytes[..width]);
+            }
+            let any = g.usize_in(0, 100_000);
+            for len in LENGTHS.into_iter().chain([any]) {
+                let mut oracle = rng.clone();
+                let mut want: Vec<u32> = (0..len as u32).collect();
+                shuffle_oracle(&mut oracle, &mut want);
+                let next = oracle.next_u64();
+
+                let mut batched = rng.clone();
+                assert!(batched.permutation(len) == want, "permutation of {len}");
+                assert_eq!(batched.next_u64(), next, "stream position after {len}");
+
+                // The mapper's case: labels with repeats, two bytes each.
+                let labels: Vec<u16> = (0..len).map(|i| (i % 3) as u16).collect();
+                let (mut oracle, mut batched) = (rng.clone(), rng.clone());
+                let (mut want, mut got) = (labels.clone(), labels);
+                shuffle_oracle(&mut oracle, &mut want);
+                batched.shuffle(&mut got);
+                assert!(got == want, "labels of {len}");
+                assert_eq!(batched.next_u64(), oracle.next_u64(), "labels of {len}");
+            }
+        },
+    );
+}

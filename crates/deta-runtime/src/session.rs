@@ -6,9 +6,8 @@
 
 use crate::actor::{self, ActorContext};
 use crate::{CtlMsg, Node, RuntimeConfig, RuntimeError, SUPERVISOR};
-use deta_core::aggregator::AggregatorNode;
 use deta_core::party::Party;
-use deta_core::session::{DetaConfig, RoundMetrics, SessionParts};
+use deta_core::session::{CoordinatorParts, DetaConfig, RoundMetrics, SessionParts, SetupError};
 use deta_core::supervise::{Directive, Event, SessionView, Supervisor};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
@@ -89,29 +88,40 @@ impl ThreadedSession {
         rt: RuntimeConfig,
         instrument: impl FnOnce(&mut SessionParts),
     ) -> Result<ThreadedSession, RuntimeError> {
-        let place = |session: &mut ThreadedSession, nodes: DetachedNodes| {
-            for agg in nodes.aggregators {
-                session.spawn(Node::Aggregator(Box::new(agg)), &nodes.tokens)?;
+        let failover = rt.failover;
+        let build = || {
+            let mut parts = SessionParts::build(config, model_builder, party_data)?;
+            instrument(&mut parts);
+            let (coordinator, parties, aggregators) = parts.split(failover);
+            Ok((coordinator, (parties, aggregators)))
+        };
+        let place = |session: &mut ThreadedSession, (parties, aggregators): (Vec<Party>, _)| {
+            let tokens = session.view().tokens.clone();
+            for agg in aggregators {
+                session.spawn(Node::Aggregator(Box::new(agg)), &tokens)?;
             }
-            for party in nodes.parties {
-                session.spawn(Node::Party(Box::new(party)), &nodes.tokens)?;
+            for party in parties {
+                session.spawn(Node::Party(Box::new(party)), &tokens)?;
             }
             Ok(())
         };
-        Self::bootstrap(config, model_builder, party_data, rt, instrument, place)
+        Self::bootstrap(rt, build, place)
     }
 
-    /// [`ThreadedSession::setup`] for externally hosted nodes: the nodes
-    /// are built deterministically as usual, but instead of spawning one
-    /// thread per node, every node is handed to `host` — a transport
-    /// bridge that runs them elsewhere (another OS process over a
-    /// socket, a remote machine) and relays their traffic through this
-    /// session's [`Network`]. The supervisor then waits for every node
-    /// to report `Ready` over the bridge exactly as it would for thread
-    /// hosting, and the returned session drives rounds unchanged.
+    /// [`ThreadedSession::setup`] for externally hosted nodes: this
+    /// process builds only the coordinator's share of the session
+    /// ([`CoordinatorParts::build`]: Phase I, the model it evaluates on,
+    /// an endpoint per node name) and no node at all. Instead of
+    /// spawning one thread per node, it hands the session's roster to
+    /// `host` — a transport bridge that runs the nodes elsewhere (another
+    /// OS process over a socket, a remote machine), each built there from
+    /// the same seed, and relays their traffic through this session's
+    /// [`Network`]. The supervisor then waits for every node to report
+    /// `Ready` over the bridge exactly as it would for thread hosting,
+    /// and the returned session drives rounds unchanged.
     ///
-    /// `host` receives the built nodes (it may drop them when the remote
-    /// side rebuilds its own copy from the same seed) plus the session
+    /// `host` receives the roster (every node's name, and the token keys
+    /// that check a peer claiming an aggregator name) plus the session
     /// network, and must arrange for each node's frames to flow through
     /// that network — [`Network::send_as`] is the injection seam.
     ///
@@ -130,25 +140,31 @@ impl ThreadedSession {
         rt: RuntimeConfig,
         host: impl FnOnce(DetachedNodes, &Network) -> Result<(), RuntimeError>,
     ) -> Result<ThreadedSession, RuntimeError> {
+        let build = || {
+            let coordinator = CoordinatorParts::build(config, model_builder, &party_data)?;
+            let roster = DetachedNodes {
+                parties: coordinator.parties.clone(),
+                aggregators: coordinator.aggregators.clone(),
+                tokens: coordinator.tokens.clone(),
+            };
+            Ok((coordinator, roster))
+        };
         let place = |session: &mut ThreadedSession, nodes: DetachedNodes| {
-            let names = nodes.aggregators.iter().map(|a| &a.name);
-            let names = names.chain(nodes.parties.iter().map(|p| &p.name));
+            let names = nodes.aggregators.iter().chain(&nodes.parties);
             session.remote.extend(names.cloned());
             host(nodes, &session.network)
         };
-        Self::bootstrap(config, model_builder, party_data, rt, |_| {}, place)
+        Self::bootstrap(rt, build, place)
     }
 
-    /// The bootstrap every `setup*` shares: build, instrument, hand the
-    /// nodes to `place` (spawn them here, or adopt them and let a bridge
-    /// host them), then wait for every node's `Ready`.
-    fn bootstrap(
-        config: DetaConfig,
-        model_builder: &dyn Fn(&mut DetRng) -> Sequential,
-        party_data: Vec<LabeledData>,
+    /// The bootstrap every `setup*` shares: `build` the coordinator's
+    /// share and what this process hosts of the nodes, hand those to
+    /// `place` (spawn them here, or let a bridge host them elsewhere),
+    /// then wait for every node's `Ready`.
+    fn bootstrap<N>(
         rt: RuntimeConfig,
-        instrument: impl FnOnce(&mut SessionParts),
-        place: impl FnOnce(&mut ThreadedSession, DetachedNodes) -> Result<(), RuntimeError>,
+        build: impl FnOnce() -> Result<(CoordinatorParts, N), SetupError>,
+        place: impl FnOnce(&mut ThreadedSession, N) -> Result<(), RuntimeError>,
     ) -> Result<ThreadedSession, RuntimeError> {
         if rt.telemetry.enabled {
             deta_telemetry::enable();
@@ -157,15 +173,13 @@ impl ThreadedSession {
         // set-up spans (attestation, model draw, mapper) land in it.
         let (capacity, dir) = (rt.telemetry.ring_capacity, rt.telemetry.trace_dir.clone());
         let recorders = Recorders::new(SUPERVISOR, capacity, dir);
-        let mut parts = {
+        let (coordinator, nodes) = {
             let _trace_guard = deta_telemetry::attach(recorders.own());
-            SessionParts::build(config, model_builder, party_data)?
+            build()?
         };
-        instrument(&mut parts);
-        let network = parts.network.clone();
+        let network = coordinator.network.clone();
         let ctl = network.register(SUPERVISOR);
-        let (supervisor, parties, aggregators, eval_model) =
-            Supervisor::new(parts, rt.clone(), true);
+        let (supervisor, eval_model) = Supervisor::new(coordinator, rt.clone(), true);
         let mut session = ThreadedSession {
             supervisor,
             network,
@@ -178,12 +192,6 @@ impl ThreadedSession {
             remote: HashSet::new(),
             recovered: HashMap::new(),
             recorders,
-        };
-        let tokens = session.view().tokens.clone();
-        let nodes = DetachedNodes {
-            parties,
-            aggregators,
-            tokens,
         };
         let ready = place(&mut session, nodes).and_then(|()| {
             let _trace_guard = deta_telemetry::attach(session.recorders.own());
@@ -485,17 +493,17 @@ impl Drop for ThreadedSession {
     }
 }
 
-/// The deterministically built nodes of a deployment whose hosting is
-/// delegated to a transport bridge (see
-/// [`ThreadedSession::setup_detached`]). The token map is the Phase II
-/// verification material parties need; a bridge also uses it to check
-/// that a remote peer claiming an aggregator name can sign with the
-/// attested token key.
+/// The roster of a deployment whose hosting is delegated to a transport
+/// bridge (see [`ThreadedSession::setup_detached`]): which nodes to
+/// seat, by name, and nothing of the nodes themselves — every host builds
+/// its own. The token map is the Phase II verification material; a
+/// bridge uses it to check that a remote peer claiming an aggregator
+/// name can sign with the attested token key.
 pub struct DetachedNodes {
-    /// Every party node, in index order.
-    pub parties: Vec<Party>,
-    /// Every aggregator node, index 0 the initiator.
-    pub aggregators: Vec<AggregatorNode>,
+    /// Every party's name, in index order.
+    pub parties: Vec<String>,
+    /// Every aggregator's name, index 0 the initiator.
+    pub aggregators: Vec<String>,
     /// Aggregator token verification keys by endpoint name.
     pub tokens: HashMap<String, VerifyingKey>,
 }

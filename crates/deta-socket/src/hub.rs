@@ -94,25 +94,25 @@ pub struct HubSeat {
     pub key: VerifyingKey,
 }
 
-/// Builds the seat list for every node of a detached session:
+/// Builds the seat list for every node on a detached session's roster:
 /// aggregators are keyed by their attestation token (the same key
 /// parties verify in Phase II), parties by their derived link key.
 pub fn seats_for(nodes: &DetachedNodes, seed: u64) -> Vec<HubSeat> {
     let mut seats = Vec::new();
-    for agg in &nodes.aggregators {
+    for name in &nodes.aggregators {
         // Every aggregator's token key is registered at build time; a
         // missing entry would mean the session itself is unusable.
-        if let Some(key) = nodes.tokens.get(&agg.name) {
+        if let Some(key) = nodes.tokens.get(name) {
             seats.push(HubSeat {
-                name: agg.name.clone(),
+                name: name.clone(),
                 key: key.clone(),
             });
         }
     }
-    for party in &nodes.parties {
+    for name in &nodes.parties {
         seats.push(HubSeat {
-            name: party.name.clone(),
-            key: party_link_key(seed, &party.name).verifying_key(),
+            name: name.clone(),
+            key: party_link_key(seed, name).verifying_key(),
         });
     }
     seats
@@ -131,7 +131,9 @@ pub struct Launched<H> {
 }
 
 /// Launches a session whose every node runs behind a [`SocketHub`]:
-/// builds the nodes, seats them, binds the hub on the session network
+/// builds the coordinator's share of the session and no node (each host
+/// builds its own from the seed), seats the roster, binds the hub on the
+/// session network
 /// (under `chaos`, see [`SocketHub::bind_chaos`]; empty for none), calls
 /// `host(name, hub address)` once per seat to start whatever will
 /// [`run_node`](crate::run_node) it, and waits for every node's `Ready`.
@@ -166,8 +168,6 @@ pub fn launch<H>(
         ThreadedSession::setup_detached(config, model_builder, party_data, rt, |nodes, network| {
             let seats = seats_for(&nodes, seed);
             let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            // Every host rebuilds its own node from the seed.
-            drop(nodes);
             let hub = SocketHub::bind_chaos(network.clone(), seats, seed, chaos)
                 .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
             let (hub, hosts) = bound.insert((hub, Vec::new()));

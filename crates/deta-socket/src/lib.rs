@@ -11,8 +11,10 @@
 //! The coordinator process runs the [`deta_runtime::ThreadedSession`]
 //! driver and a [`hub::SocketHub`] — [`launch`] sets up both — one TCP
 //! listener plus, per node, a name *forwarded* on the session network
-//! ([`deta_transport::Network::forward`]) into that node's seat. Each
-//! child process hosts exactly one node — it builds that
+//! ([`deta_transport::Network::forward`]) into that node's seat. The
+//! coordinator builds no node (`CoordinatorParts::build`: Phase I and
+//! the model it evaluates on). Each child process hosts exactly one
+//! node — it builds that
 //! node alone from the shared seed (`NodeParts::build`: a party its
 //! model, transformer and shard, an aggregator no model at all) and
 //! connects back to the hub ([`node::run_node`]).

@@ -35,7 +35,6 @@ fn the_hub_costs_one_thread_to_bind_and_two_per_connected_seat() {
         |nodes, network| {
             let seats = seats_for(&nodes, seed);
             let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
             let before = threads();
             let hub = SocketHub::bind(network.clone(), seats, seed)
                 .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;

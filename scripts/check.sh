@@ -57,7 +57,9 @@ echo "==> frozen bench/ against this workspace (builds and runs its contract tes
 # by name: SecureChannel::{seal_msg,open_msg}, Msg::{encode,decode},
 # SocketFrame::{encode,decode}, encode_frame, FrameDecoder::{new,push,
 # try_next}, Transformer::{transform,inverse}, run_node, seats_for,
-# SocketHub::bind, setup_detached, SessionParts.eval_model,
+# SocketHub::bind, setup_detached (whose DetachedNodes is a roster: the
+# nodes' names and the aggregators' token keys, no node, since the
+# coordinator builds none), SessionParts.eval_model,
 # GuestImage::new, AttestationProxy::{new,verify_and_provision} (its
 # attestation layer), Network::new's LinkModel parameter (which nothing
 # reads) and the polling Party/AggregatorNode calls of level1.rs — which

@@ -1,12 +1,17 @@
-//! Known answers for what the Gaussian sampler draws: model weights and
-//! synthetic pixels.
+//! Known answers for what the keyed draws produce: model weights and
+//! synthetic pixels from the Gaussian sampler, and the shuffles behind
+//! the model mapper and the round permutations.
 //!
-//! The constants were recorded while every draw went through
+//! The Gaussian constants were recorded while every draw went through
 //! `DetRng::next_gaussian` one at a time (libm `ln` and `cos`, then the
-//! cast to `f32`). Whatever computes the draws now must reproduce these
-//! bytes exactly: every model, golden file and parity suite in the
-//! repository starts from them.
+//! cast to `f32`); the shuffle constants while every Fisher–Yates step
+//! drew its index through `DetRng::gen_range`, one `next_u64` at a time.
+//! Whatever computes the draws now must reproduce these bytes exactly:
+//! every model, mapper, golden file and parity suite in the repository
+//! starts from them.
 
+use deta::core::mapper::ModelMapper;
+use deta::core::shuffle::RoundPermutation;
 use deta::crypto::sha256::sha256;
 use deta::crypto::DetRng;
 use deta::datasets::DatasetSpec;
@@ -103,4 +108,92 @@ fn generated_classes() {
         assert_eq!(data.labels, vec![3; 5]);
         assert_eq!(digest(data.features.data()), features, "{}", spec.name);
     }
+}
+
+/// The position tables of a mapper, table after table, as `u32`s.
+fn digest_positions(mapper: &ModelMapper) -> String {
+    let tables: Vec<u32> = (0..mapper.n_aggregators())
+        .flat_map(|j| mapper.fragment_positions(j).iter().copied())
+        .collect();
+    digest_slots(&tables)
+}
+
+fn digest_slots(slots: &[u32]) -> String {
+    let bytes: Vec<u8> = slots.iter().flat_map(|s| s.to_le_bytes()).collect();
+    hex(&sha256(&bytes))
+}
+
+#[test]
+fn mapper_positions() {
+    // `fedavg_seq`'s model over three aggregators, and one a tenth of it
+    // with uneven shares, each from the session's `mapper` fork.
+    for (params, proportions, want) in [
+        (
+            1_017_610,
+            None,
+            "437a8fdf95084efc3e19a2e6f3e8e0834bb79fecdaee35a3cac29f7dadcb83cc",
+        ),
+        (
+            101_770,
+            Some(&[0.5f32, 0.3, 0.2][..]),
+            "6281b4d08c38fa1f60dbcde098ce4d32eb23dc0802f1bec15a392d468595d2ff",
+        ),
+    ] {
+        let mut rng = DetRng::from_u64(42).fork(b"mapper");
+        let mapper = ModelMapper::generate(params, 3, proportions, &mut rng);
+        assert_eq!(mapper.n_params(), params);
+        assert_eq!(digest_positions(&mapper), want, "{params} parameters");
+    }
+}
+
+#[test]
+fn round_permutation_slots() {
+    // 339 204 slots is a third of `fedavg_seq`'s model; 127, 128 and 129
+    // straddle one refill of the generator (128 words).
+    let (key, training_id) = ([7u8; 32], [9u8; 16]);
+    for (fragment, len, want) in [
+        (
+            0,
+            339_204,
+            "ad4d07617c5c39a295e325590e08405a23627662aa3f5275f7d739052dfd76dc",
+        ),
+        (
+            1,
+            127,
+            "44bd93ed02985373d93134122b8a87769f5ea4b5eade79ea2e2b13afe1f6705c",
+        ),
+        (
+            2,
+            128,
+            "b7ee1ab17ae72d6d36fb55dfa6c27eafacfbaab9966e20472a27a34ccbe027e7",
+        ),
+        (
+            2,
+            129,
+            "0b51d229da7fce26f2cc1ed7db49ca8095b9f628c192f35c8d470c5b6f09ba0a",
+        ),
+    ] {
+        let perm = RoundPermutation::derive(&key, &training_id, fragment, len);
+        let slots: Vec<f32> = (0..len).map(|s| s as f32).collect();
+        let order: Vec<u32> = perm.apply(&slots).iter().map(|&s| s as u32).collect();
+        assert_eq!(digest_slots(&order), want, "{len} slots");
+    }
+}
+
+#[test]
+fn permutation_after_a_half_word() {
+    // One `next_u32` first, so every later word starts 4 bytes into an
+    // 8-byte one; 3 000 slots cross two refills.
+    let mut rng = DetRng::from_u64(42);
+    let _ = rng.next_u32();
+    let perm = rng.permutation(3_000);
+    assert_eq!(
+        digest_slots(&perm),
+        "64e8126fb8ee0ddb6ce1d6eb01ad6aa0aff51e4994e7cb16dc76e42591c64916"
+    );
+    assert_eq!(
+        rng.next_u64(),
+        0x9353_4179_5de9_d74d,
+        "the stream ends where it did"
+    );
 }
