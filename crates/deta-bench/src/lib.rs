@@ -15,7 +15,6 @@
 //! | `fig7_rvlcdip`| Figure 7 — RVL-CDIP non-IID transfer learning |
 
 pub mod tables;
-pub mod timing;
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

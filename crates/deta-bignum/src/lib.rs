@@ -163,11 +163,6 @@ impl BigUint {
         (self.limbs[limb] >> (i % 64)) & 1 == 1
     }
 
-    /// Returns the low 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// Converts to `u64` if the value fits.
     pub fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {

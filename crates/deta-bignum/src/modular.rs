@@ -3,12 +3,6 @@
 use crate::BigUint;
 
 impl BigUint {
-    /// Returns `(self + other) mod m`.
-    pub fn add_mod(&self, other: &BigUint, m: &BigUint) -> BigUint {
-        let s = self + other;
-        &s % m
-    }
-
     /// Returns `(self * other) mod m`.
     pub fn mul_mod(&self, other: &BigUint, m: &BigUint) -> BigUint {
         let p = self * other;

@@ -233,11 +233,11 @@ impl AggregatorNode {
     /// through the uploads it brings them. The announcement is the round
     /// number alone: each party derives the round's training id itself.
     pub fn announce(&mut self, round: u64) {
-        // Idempotence: a supervisor may retry a round announcement it
-        // believes was lost. Re-announcing a completed round must be a
-        // no-op, not a protocol restart. An in-flight round IS
-        // re-announced: the retry exists to recover a fan-out the
-        // network swallowed, and parties dedupe repeated `RoundStart`s.
+        // Idempotence: a trigger can arrive twice (a duplicated frame,
+        // or a failover's re-trigger of the open round). Re-announcing a
+        // completed round must be a no-op, not a protocol restart. An
+        // in-flight round IS re-announced, and parties dedupe repeated
+        // `RoundStart`s.
         if round <= self.completed_rounds {
             return;
         }

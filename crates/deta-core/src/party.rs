@@ -264,8 +264,8 @@ pub struct Party {
     aggregators: Vec<AggPeer>,
     current_round: Option<u64>,
     /// Highest round this party has fully synchronized; stale
-    /// re-announcements of completed rounds are ignored (idempotent
-    /// retries from a supervisor).
+    /// re-announcements of completed rounds are ignored (a duplicated
+    /// frame, or a failover's re-trigger).
     last_finished_round: u64,
     /// Whether `Register` has been sent to every aggregator.
     registration_sent: bool,
@@ -524,7 +524,7 @@ impl Party {
     }
 
     /// Whether a secure channel is up with every aggregator (no drain).
-    pub fn handshakes_complete(&self) -> bool {
+    fn handshakes_complete(&self) -> bool {
         !self.aggregators.is_empty() && self.aggregators.iter().all(AggPeer::is_up)
     }
 
@@ -1027,7 +1027,7 @@ impl Party {
             Msg::RegisterAck => agg.acked = true,
             Msg::RoundStart { round }
                 // Re-announcements of already-synchronized rounds are
-                // dropped so supervisor retries stay idempotent.
+                // dropped so a duplicated announcement stays idempotent.
                 if round > self.last_finished_round =>
             {
                 self.current_round = Some(round);

@@ -14,12 +14,12 @@
 //! the nodes' reports into the [`OpenRound`] until nobody is awaited,
 //! and closes it.
 
-use crate::latency::{LatencyModel, RoundInputs};
+use crate::latency::{self, RoundInputs};
 use crate::party::PartyTimers;
 use crate::rtmsg::CtlMsg;
 use crate::session::{DetaConfig, RoundMetrics};
 use deta_crypto::DetRng;
-use deta_transport::Network;
+use deta_transport::{LinkModel, Network};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -30,7 +30,8 @@ pub struct RoundLedger {
     seed: u64,
     participation: Option<usize>,
     network: Network,
-    latency_model: LatencyModel,
+    link: LinkModel,
+    cc_protected: bool,
     party_names: Arc<[String]>,
     /// Parties that left the session: in no later cohort, awaited by no
     /// completion wait.
@@ -68,17 +69,13 @@ pub struct OpenRound {
 impl RoundLedger {
     /// A ledger for the session `config` describes, over the parties
     /// named in index order.
-    pub fn new(
-        config: &DetaConfig,
-        network: Network,
-        latency_model: LatencyModel,
-        party_names: Vec<String>,
-    ) -> RoundLedger {
+    pub fn new(config: &DetaConfig, network: Network, party_names: Vec<String>) -> RoundLedger {
         RoundLedger {
             seed: config.seed,
             participation: config.participation,
             network,
-            latency_model,
+            link: config.link,
+            cc_protected: config.cc_protected,
             party_timers: vec![PartyTimers::default(); party_names.len()],
             party_names: party_names.into(),
             left: HashSet::new(),
@@ -218,7 +215,7 @@ impl RoundLedger {
         // Per-party bytes and the loss average over the parties that
         // finished (resp. trained in) the round: one lost mid-round
         // contributed to neither.
-        let latency = self.latency_model.round(&RoundInputs {
+        let inputs = RoundInputs {
             max_party_train_s: train_s,
             max_party_transform_s: transform_s,
             max_party_crypto_s: crypto_s,
@@ -226,7 +223,8 @@ impl RoundLedger {
             download_bytes_per_party: download_bytes / finished.max(1),
             max_aggregate_s: aggregate_s,
             n_aggregators: agg_names.len(),
-        });
+        };
+        let latency = latency::round(self.link, self.cc_protected, &inputs);
         let round_latency_s = latency.total();
         self.cumulative_latency_s += round_latency_s;
         RoundMetrics {
@@ -333,7 +331,6 @@ impl OpenRound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deta_transport::LinkModel;
 
     fn new_ledger(parties: usize, participation: Option<usize>, seed: u64) -> RoundLedger {
         ledger_on(Network::new(LinkModel::lan()), parties, participation, seed)
@@ -344,12 +341,7 @@ mod tests {
         config.participation = q;
         config.seed = seed;
         let names = (0..parties).map(|i| format!("party-{i}")).collect();
-        RoundLedger::new(
-            &config,
-            net,
-            LatencyModel::deta_default(LinkModel::lan()),
-            names,
-        )
+        RoundLedger::new(&config, net, names)
     }
 
     fn cohort(open: &OpenRound) -> Vec<usize> {

@@ -17,7 +17,7 @@ use crate::agg::AggKind;
 use crate::aggregator::{AggError, AggregatorNode};
 use crate::dp::LdpConfig;
 use crate::keybroker::KeyBroker;
-use crate::latency::{LatencyModel, RoundLatency};
+use crate::latency::RoundLatency;
 use crate::mapper::ModelMapper;
 use crate::node::{report, Actor, Input};
 use crate::paillier_fusion::{PaillierFusion, PaillierFusionConfig};
@@ -212,8 +212,6 @@ pub struct SessionParts {
     /// supervisor and aggregators hold neither, so this is for the
     /// callers that drive or audit rounds from outside the session.
     pub broker: KeyBroker,
-    /// The latency model matching `cc_protected`.
-    pub latency_model: LatencyModel,
     /// Token verifying keys published by the attestation proxy, keyed by
     /// aggregator name; parties need these to run Phase II.
     pub tokens: HashMap<String, VerifyingKey>,
@@ -245,8 +243,6 @@ pub struct CoordinatorParts {
     pub config: DetaConfig,
     /// The shared network; every node's name has an endpoint on it.
     pub network: Network,
-    /// The latency model matching `cc_protected`.
-    pub latency_model: LatencyModel,
     /// Token verifying keys published by the attestation proxy, keyed by
     /// aggregator name.
     pub tokens: HashMap<String, VerifyingKey>,
@@ -421,15 +417,9 @@ impl<'a> Blueprint<'a> {
     /// blueprint holds but the CVMs, the start model `eval_model`, and
     /// the names of `parties` parties.
     fn into_coordinator(self, eval_model: Sequential, parties: usize) -> CoordinatorParts {
-        let latency_model = if self.config.cc_protected {
-            LatencyModel::deta_default(self.config.link)
-        } else {
-            LatencyModel::ffl_default(self.config.link)
-        };
         CoordinatorParts {
             config: self.config,
             network: self.network,
-            latency_model,
             tokens: self.tokens,
             eval_model,
             recovery: self.recovery,
@@ -517,7 +507,6 @@ impl SessionParts {
         let CoordinatorParts {
             config,
             network,
-            latency_model,
             tokens,
             eval_model,
             recovery,
@@ -529,7 +518,6 @@ impl SessionParts {
             parties,
             aggregators,
             broker,
-            latency_model,
             tokens,
             eval_model,
             transformer,
@@ -551,7 +539,6 @@ impl SessionParts {
             network,
             mut parties,
             aggregators,
-            latency_model,
             tokens,
             eval_model,
             recovery,
@@ -565,7 +552,6 @@ impl SessionParts {
         let coordinator = CoordinatorParts {
             config,
             network,
-            latency_model,
             tokens,
             eval_model,
             recovery,

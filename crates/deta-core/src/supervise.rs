@@ -11,14 +11,14 @@
 //! reads a clock; `now` is whatever the session says it is, measured from
 //! the start of the session.
 //!
-//! A phase is a wait: the set of nodes it expects, a deadline, and for a
-//! round a trigger retried with capped exponential backoff. Every node's
-//! report counts as a sign of life, so at the deadline the missing nodes
-//! split into *stalled* (silent for over four ticks) and merely slow. A
-//! failed round is healed when the policy allows it (DESIGN.md §12, §16):
-//! parties are dropped to partial participation, or aggregators are
-//! respawned through [`RecoveryKit::respawn`] in their own mapper slots;
-//! anything else is terminal. The model partition is fixed at setup: a
+//! A phase is a wait: the set of nodes it expects and a deadline; a
+//! round's trigger is sent once, when the wait opens (DESIGN.md §7).
+//! Every node's report counts as a sign of life, so at the deadline the
+//! missing nodes split into *stalled* (silent for over four ticks) and
+//! merely slow. A failed round is healed when the policy allows it
+//! (DESIGN.md §12, §16): parties are dropped to partial participation,
+//! or aggregators are respawned through [`RecoveryKit::respawn`] in
+//! their own mapper slots; anything else is terminal. The model partition is fixed at setup: a
 //! failover replaces an aggregator, it never hands its share to another.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -94,8 +94,7 @@ pub enum FailoverPolicy {
     Restart,
 }
 
-/// Session policy: deadlines, tick rate, retry backoff, fault injection,
-/// and failover.
+/// Session policy: deadlines, tick rate, fault injection, and failover.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Deadline for Phase II bootstrap (attested channels + registration
@@ -106,11 +105,10 @@ pub struct RuntimeConfig {
     /// Actor mailbox poll tick; idle actors heartbeat at this cadence and
     /// the supervisor polls completion at this granularity.
     pub tick: Duration,
-    /// Initial retry backoff for idempotent round triggers. The default,
-    /// an hour, is past every deadline: these transports lose no frame,
-    /// and a load-timed resend would re-fan `RoundStart` into the round.
+    /// Not read: a round's trigger is sent once. Kept for callers that
+    /// still name it in a struct literal.
     pub retry_initial: Duration,
-    /// Backoff cap (doubling stops here).
+    /// Not read, like `retry_initial`.
     pub retry_max: Duration,
     /// Injected stalls (empty in production use).
     pub stalls: Vec<StallFault>,
@@ -337,8 +335,6 @@ struct Wait {
     start: Duration,
     deadline: Duration,
     expected: HashSet<String>,
-    /// A round's trigger retry: when it is due, and the backoff.
-    retry: Option<(Duration, Duration)>,
 }
 
 /// A read-only view of a session's bookkeeping and — once their hosts
@@ -409,7 +405,6 @@ impl Supervisor {
         let CoordinatorParts {
             config,
             network,
-            latency_model,
             tokens,
             eval_model,
             recovery,
@@ -418,7 +413,7 @@ impl Supervisor {
         } = coordinator;
         let snapshot_len = report_params.then(|| eval_model.param_count());
         let supervisor = Supervisor {
-            ledger: RoundLedger::new(&config, network.clone(), latency_model, parties),
+            ledger: RoundLedger::new(&config, network.clone(), parties),
             cfg,
             config,
             network,
@@ -505,7 +500,7 @@ impl Supervisor {
                     reason: "exited before completing the phase".to_string(),
                 },
             }),
-            Event::Timer => self.timer(now, &mut out),
+            Event::Timer => self.timer(now),
         };
         match fault {
             Some(err) => return self.fault(err, now),
@@ -517,14 +512,10 @@ impl Supervisor {
         out
     }
 
-    /// When the phase in progress next needs the clock: its deadline, or
-    /// an earlier retry. `None` outside a phase.
+    /// When the phase in progress next needs the clock: its deadline.
+    /// `None` outside a phase.
     pub fn next_timer(&self) -> Option<Duration> {
-        let wait = self.wait.as_ref()?;
-        Some(
-            wait.retry
-                .map_or(wait.deadline, |(at, _)| at.min(wait.deadline)),
-        )
+        self.wait.as_ref().map(|w| w.deadline)
     }
 
     /// The nodes the phase in progress still waits on, sorted.
@@ -582,55 +573,38 @@ impl Supervisor {
         }
     }
 
-    /// The deadline, which ends the wait with the missing/stalled split,
-    /// or the trigger retry, which re-sends and backs off.
-    fn timer(&mut self, now: Duration, out: &mut Vec<Directive>) -> Option<RuntimeError> {
-        let wait = self.wait.as_ref()?;
+    /// The deadline, which ends the wait with the missing/stalled split.
+    fn timer(&self, now: Duration) -> Option<RuntimeError> {
+        let wait = self.wait.as_ref().filter(|w| now >= w.deadline)?;
         let round = self.open.as_ref().map_or(0, |o| o.round);
-        if now >= wait.deadline {
-            let mut missing: Vec<String> = wait.expected.iter().cloned().collect();
-            missing.sort();
-            let stale_after = self.cfg.tick * 4;
-            let silent = |n: &&String| {
-                let seen = self.last_seen.get(*n);
-                seen.is_none_or(|t| now.saturating_sub(*t) > stale_after)
-            };
-            let stalled: Vec<String> = missing.iter().filter(silent).cloned().collect();
-            deta_telemetry::event(
-                "deadline_expired",
-                &[
-                    ("round", TelemetryValue::from(round)),
-                    ("missing", TelemetryValue::from(missing.len())),
-                    ("stalled", TelemetryValue::from(stalled.len())),
-                ],
-            );
-            let round_wait = matches!(wait.goal, Goal::Round);
-            return Some(RuntimeError::Timeout {
-                phase: if round_wait {
-                    Phase::Round
-                } else {
-                    Phase::Setup
-                },
-                round,
-                missing,
-                stalled,
-                waited: now.saturating_sub(wait.start),
-            });
-        }
-        let (_, backoff) = wait.retry.filter(|(at, _)| now >= *at)?;
-        let (to, trigger) = self.trigger()?;
-        if deta_telemetry::enabled() {
-            deta_telemetry::metrics::counter_add("deta_supervisor_retries_total", &to, 1);
-            let backoff_ms = u64::try_from(backoff.as_millis()).unwrap_or(u64::MAX);
-            let fields = [("round", round.into()), ("backoff_ms", backoff_ms.into())];
-            deta_telemetry::event("retry", &fields);
-        }
-        out.push(Directive::Send(to, trigger));
-        let backoff = backoff.saturating_mul(2).min(self.cfg.retry_max);
-        if let Some(wait) = self.wait.as_mut() {
-            wait.retry = Some((now.saturating_add(backoff), backoff));
-        }
-        None
+        let mut missing: Vec<String> = wait.expected.iter().cloned().collect();
+        missing.sort();
+        let stale_after = self.cfg.tick * 4;
+        let silent = |n: &&String| {
+            let seen = self.last_seen.get(*n);
+            seen.is_none_or(|t| now.saturating_sub(*t) > stale_after)
+        };
+        let stalled: Vec<String> = missing.iter().filter(silent).cloned().collect();
+        deta_telemetry::event(
+            "deadline_expired",
+            &[
+                ("round", TelemetryValue::from(round)),
+                ("missing", TelemetryValue::from(missing.len())),
+                ("stalled", TelemetryValue::from(stalled.len())),
+            ],
+        );
+        let round_wait = matches!(wait.goal, Goal::Round);
+        Some(RuntimeError::Timeout {
+            phase: if round_wait {
+                Phase::Round
+            } else {
+                Phase::Setup
+            },
+            round,
+            missing,
+            stalled,
+            waited: now.saturating_sub(wait.start),
+        })
     }
 
     /// Waits on `expected` for `goal`; an empty set completes at once.
@@ -641,12 +615,10 @@ impl Supervisor {
         now: Duration,
         out: &mut Vec<Directive>,
     ) {
-        let round_wait = matches!(goal, Goal::Round);
-        let (initial, cfg) = (self.cfg.retry_initial, &self.cfg);
-        let deadline = if round_wait {
-            cfg.round_deadline
+        let deadline = if matches!(goal, Goal::Round) {
+            self.cfg.round_deadline
         } else {
-            cfg.setup_deadline
+            self.cfg.setup_deadline
         };
         let empty = expected.is_empty();
         self.wait = Some(Wait {
@@ -654,29 +626,22 @@ impl Supervisor {
             start: now,
             deadline: now.saturating_add(deadline),
             expected,
-            retry: round_wait.then(|| (now.saturating_add(initial), initial)),
         });
         if empty {
             self.complete(now, out);
         }
     }
 
-    /// The open round's trigger, for the initiator in effect.
-    fn trigger(&self) -> Option<(String, CtlMsg)> {
-        let round = self.open.as_ref()?.round;
-        let initiator = self.agg_names.first()?.clone();
-        Some((initiator, CtlMsg::Trigger { round }))
-    }
-
-    /// (Re-)enters the open round's completion wait: the trigger to the
-    /// initiator, retried while the round waits on anyone.
+    /// (Re-)enters the open round's completion wait: the trigger, sent
+    /// once, to the initiator in effect.
     fn await_round(&mut self, now: Duration, out: &mut Vec<Directive>) {
-        let (Some(open), Some((to, trigger))) = (&self.open, self.trigger()) else {
+        let (Some(open), Some(initiator)) = (&self.open, self.agg_names.first()) else {
             let err = RuntimeError::Protocol("no aggregators deployed");
             return out.push(Directive::Fail(err));
         };
         let expected = self.ledger.awaiting(open, &self.agg_names);
-        out.push(Directive::Send(to, trigger));
+        let trigger = CtlMsg::Trigger { round: open.round };
+        out.push(Directive::Send(initiator.clone(), trigger));
         self.arm(Goal::Round, expected, now, out);
     }
 

@@ -435,3 +435,35 @@ fn an_agg_done_from_a_party_completes_nothing() {
     let done = report(&mut sup, "party-1", party_done(1, false), T0);
     assert_eq!(shown(&done), ["done"]);
 }
+
+#[test]
+fn a_round_is_triggered_once_whatever_the_retry_fields_say() {
+    let rt = RuntimeConfig {
+        retry_initial: Duration::from_millis(100),
+        retry_max: Duration::from_millis(100),
+        ..RuntimeConfig::default()
+    };
+    let mut sup = supervisor(2, rt.clone(), |_| {});
+    let opened = round_one(&mut sup);
+    assert_eq!(opened.last().map(String::as_str), Some("Trigger -> agg-0"));
+    assert_eq!(
+        opened.iter().filter(|l| l.starts_with("Trigger")).count(),
+        1
+    );
+    // The only timer a round arms is its deadline.
+    assert_eq!(sup.next_timer(), Some(rt.round_deadline));
+    // The completions come in long after the retry fields' 100 ms; a
+    // timer firing in between re-sends nothing.
+    for ms in [100, 200, 1_000] {
+        let out = sup.on(Event::Timer, Duration::from_millis(ms));
+        assert!(out.is_empty(), "at {ms} ms: {:?}", shown(&out));
+        assert_eq!(sup.next_timer(), Some(rt.round_deadline));
+    }
+    let late = Duration::from_secs(2);
+    for node in ["agg-0", "agg-1"] {
+        assert!(report(&mut sup, node, agg_done(1), late).is_empty());
+    }
+    assert!(report(&mut sup, "party-0", party_done(1, true), late).is_empty());
+    let done = report(&mut sup, "party-1", party_done(1, false), late);
+    assert_eq!(shown(&done), ["done"]);
+}

@@ -975,13 +975,13 @@ mod tests {
                 layers: vec![build(name)],
             };
             crate::train::train_local(&mut model, &data, 1, 2, 0.1);
-            let msg = panic_message(|| crate::Sgd::new(0.1).step(&mut model));
+            let msg = panic_message(|| crate::sgd_step(&mut model, 0.1));
             assert!(msg.contains(&expected), "{msg}");
             let msg = panic_message(|| drop(model.flat_grads()));
             assert!(msg.contains(&expected), "{msg}");
             // `zero_grad` makes them again, and the step runs.
             model.zero_grad();
-            crate::Sgd::new(0.1).step(&mut model);
+            crate::sgd_step(&mut model, 0.1);
         }
     }
 

@@ -22,7 +22,7 @@ pub mod train;
 
 pub use layers::{AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Tanh};
 pub use loss::softmax_cross_entropy;
-pub use optim::Sgd;
+pub use optim::sgd_step;
 pub use residual::Residual;
 
 use deta_tensor::Tensor;

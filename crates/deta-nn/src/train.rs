@@ -5,7 +5,7 @@
 //! the resulting model update.
 
 use crate::loss::{accuracy, softmax_cross_entropy};
-use crate::{Sequential, Sgd};
+use crate::{sgd_step, Sequential};
 use deta_tensor::Tensor;
 
 /// A labeled dataset with flat features.
@@ -84,7 +84,6 @@ pub fn train_local(
 ) -> TrainStats {
     assert!(batch_size > 0, "batch_size must be positive");
     assert!(!data.is_empty(), "cannot train on an empty dataset");
-    let mut opt = Sgd::new(lr);
     let mut total_loss = 0.0f64;
     let mut total_acc = 0.0f64;
     let mut batches = 0usize;
@@ -98,7 +97,7 @@ pub fn train_local(
             let (loss, grad) = softmax_cross_entropy(&logits, y);
             model.zero_grad();
             model.backward_params(&grad);
-            opt.step(model);
+            sgd_step(model, lr);
             total_loss += loss as f64;
             total_acc += accuracy(&logits, y) as f64;
             batches += 1;

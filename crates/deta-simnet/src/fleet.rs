@@ -14,8 +14,8 @@
 //!    party's raw update log via `ModelMapper::partition` and
 //!    [`RoundPermutation::derive`] — and that each such fragment is
 //!    backed by a tap-logged frame of the right size on the right link.
-//! 3. **Idempotence** — duplicated triggers and replayed sealed records
-//!    must leave final parameters unchanged (checked here by parity;
+//! 3. **Idempotence** — duplicated round announcements and replayed
+//!    sealed records must leave final parameters unchanged (checked here by parity;
 //!    dedicated duplicate-only fixtures live in the test suite).
 
 #![expect(
@@ -111,8 +111,8 @@ impl SimSpec {
     }
 
     /// Session policy for simulation: the defaults — waiting out a
-    /// deadline on a virtual clock costs nothing, and a trigger is sent
-    /// once — plus the spec's failover and tracing.
+    /// deadline on a virtual clock costs nothing — plus the spec's
+    /// failover and tracing.
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
             telemetry: TelemetryConfig {

@@ -17,12 +17,12 @@
 //! 2. **Privacy** — each aggregator's materialized state holds exactly
 //!    the shuffled fragments of its own mapper partition, recomputed
 //!    independently from party update logs and backed by tap frames.
-//! 3. **Idempotence** — duplicated triggers and replayed records leave
-//!    final parameters unchanged.
+//! 3. **Idempotence** — duplicated round announcements and replayed
+//!    records leave final parameters unchanged.
 //!
 //! Determinism: fault decisions are keyed on per-link send-attempt
-//! counters, the control plane is exempt from faults, round triggers are
-//! single-shot, and the executor steps nodes in a fixed order and moves
+//! counters, the control plane is exempt from faults, the supervisor
+//! sends each round's trigger once (it has no retry), and the executor steps nodes in a fixed order and moves
 //! its clock only when nothing is left to step. A seed therefore always
 //! yields the same verdict, however loaded the machine.
 //!

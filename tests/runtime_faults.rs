@@ -42,9 +42,9 @@ fn data(parties: usize) -> (Vec<LabeledData>, LabeledData, usize, usize) {
     )
 }
 
-/// Short deadlines (retries stay at the default, past them, so every
-/// round trigger is single-shot — fault strike indices then count send
-/// attempts deterministically). Telemetry is on, with dumps kept out of the repo
+/// Short deadlines (every round trigger is single-shot — the supervisor
+/// has no retry — so fault strike indices count send attempts
+/// deterministically). Telemetry is on, with dumps kept out of the repo
 /// tree (the temp dir; unique per process so parallel test runs never
 /// collide).
 fn sim_rt() -> RuntimeConfig {

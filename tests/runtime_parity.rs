@@ -215,12 +215,11 @@ fn threaded_replicas_stay_consistent() {
     }
 }
 
-/// A round that outlasts a retry timer bills what the inline session
-/// does. Every party's upload is held back 300 ms; under the default
-/// runtime config a trigger is sent once, so no re-announced `RoundStart`
-/// (a sealed record to every party) lands inside the round's byte
-/// window. With a 100 ms retry the threaded `download_bytes` grew by one
-/// fan-out per resend.
+/// A slow round bills what the inline session does. Every party's upload
+/// is held back 300 ms; a trigger is sent once, so no re-announced
+/// `RoundStart` (a sealed record to every party) lands inside the round's
+/// byte window. When the supervisor still retried triggers, a 100 ms
+/// retry grew the threaded `download_bytes` by one fan-out per resend.
 #[test]
 fn a_slow_round_bills_the_bytes_of_the_inline_session() {
     let n = 3;

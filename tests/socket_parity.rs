@@ -238,8 +238,8 @@ fn socket_duplicated_uploads_are_idempotent() {
 /// in most runs, two when the last upload came after the resume), and the
 /// resume replays them to agg-0 in whatever order they came.
 ///
-/// Both arms run the default retry policy, a trigger sent once: the
-/// bridge loses nothing, so a retry cannot help, and a supervisor that
+/// In both arms the supervisor sends each round's trigger once: the
+/// bridge loses nothing, so a retry could not help, and a supervisor that
 /// re-triggered a round because an outage outlasted a timer would have
 /// the initiator fan `RoundStart` out again — honest bytes that are the
 /// timer's doing, not the link's.
