@@ -9,11 +9,18 @@
 //! starts at `+0.0` — so any faster kernel has to reproduce these bytes
 //! exactly: every model, golden file and parity suite in the repository
 //! is a function of them.
+//!
+//! The training answers for `vgg_lite` (a frozen backbone), `resnet_lite`
+//! (residual blocks) and `convnet23` were recorded while every layer
+//! still kept its own parameter bookkeeping, before the parameters of a
+//! layer became one `deta_nn::Params` record: walking the records must
+//! not move a bit of them.
 
 use deta::crypto::sha256::sha256;
 use deta::crypto::DetRng;
-use deta::nn::models::{convnet8, mlp};
-use deta::nn::train::{evaluate, train_local, LabeledData};
+use deta::nn::models::{convnet23, convnet8, mlp, resnet_lite, vgg_lite};
+use deta::nn::train::{batch_gradient, evaluate, train_local, LabeledData};
+use deta::nn::Sequential;
 use deta::tensor::gemm::{gemm_avx2, gemm_avx512, gemm_portable, Mat, Store};
 use deta::tensor::Tensor;
 
@@ -183,4 +190,70 @@ fn train_local_and_evaluate_on_the_1m_mlp() {
     let (loss, accuracy) = evaluate(&mut model, &test, 64);
     assert_eq!(loss.to_bits(), 0x40285f0b, "loss {loss}");
     assert_eq!(accuracy.to_bits(), 0x3d400000, "accuracy {accuracy}");
+}
+
+/// The digests of three training paths through `model`, on 32 examples
+/// of `in_dim` features drawn from `rng`: the flat gradient of one batch
+/// (FedSGD's path), the flat parameters after an epoch of local training
+/// (FedAvg's), and the logits of an evaluation pass after it, which run
+/// through the frozen weights the flat vector leaves out.
+fn training_digests(
+    mut model: Sequential,
+    in_dim: usize,
+    classes: u64,
+    rng: &mut DetRng,
+) -> [String; 3] {
+    let data = labeled(32, in_dim, classes, rng);
+    let (x, labels) = data.slice(0, 16);
+    let (_, gradient) = batch_gradient(&mut model, &x, labels);
+    assert_eq!(gradient.len(), model.param_count());
+    train_local(&mut model, &data, 1, 8, 0.05);
+    let logits = model.forward(&data.features, false);
+    [
+        digest_finite(&gradient),
+        digest_finite(&model.flat_params()),
+        digest_finite(logits.data()),
+    ]
+}
+
+#[test]
+fn training_through_vgg_lites_frozen_backbone() {
+    let mut rng = DetRng::from_u64(0x6e55);
+    let model = vgg_lite(3, 8, 4, &mut rng);
+    assert_eq!(
+        training_digests(model, 3 * 64, 4, &mut rng),
+        [
+            "3db1ea428f93330437cd37dd33bb89868f0a22a3627b1bc02bba6e14db7537a4",
+            "ce94ec640667eef547cb8147644e33b249f685e3b83c3de79ff27d3ec46470bb",
+            "7416a611dc8344d418021e635bdbed57d36928ae5d73fdc70c9c55aaf97462b9",
+        ]
+    );
+}
+
+#[test]
+fn training_through_resnet_lites_residual_blocks() {
+    let mut rng = DetRng::from_u64(0x6e56);
+    let model = resnet_lite(1, 8, 3, &mut rng);
+    assert_eq!(
+        training_digests(model, 64, 3, &mut rng),
+        [
+            "92a884034c8e8770d6f44f4020ae15f159a1e35dba2536010264a40cd8daccad",
+            "097122fe29d7be2eecbfa58a099bb42d1b901aac610046ee7d8710762ac3f5b7",
+            "44a1b252ae1daf1f0d62181b961bd4eb54baca05c75ff861d14e0dae5d6d7ba3",
+        ]
+    );
+}
+
+#[test]
+fn training_through_convnet23() {
+    let mut rng = DetRng::from_u64(0x6e57);
+    let model = convnet23(3, 8, 4, &mut rng);
+    assert_eq!(
+        training_digests(model, 3 * 64, 4, &mut rng),
+        [
+            "c5eb4749967b8e8d375f26ea43f5c3795a665180f1db2f61f57211e7ffa365b5",
+            "11a65ebb94f615fea4ef6524364f176f92fe59656890e213bee384c05c4d0787",
+            "2400de15cd4e5f0b5babacfdb5c325bec96461eb4715875579fa060e79bfbb48",
+        ]
+    );
 }
