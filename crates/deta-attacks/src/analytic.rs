@@ -5,7 +5,7 @@
 //! `dL/db1[i] = delta_i`, so the input is recovered **exactly** — no
 //! optimization at all — as `x = gradW1[i] / gradb1[i]` for any row with
 //! a non-zero bias gradient. This is the mechanism behind the "curious
-//! abandon honesty" class of attacks the paper cites ([8] Boenisch et
+//! abandon honesty" class of attacks the paper cites (\[8\] Boenisch et
 //! al.): a strong-but-simple adversary that makes leakage from a central
 //! aggregator *trivial*.
 //!

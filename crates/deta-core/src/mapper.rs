@@ -52,7 +52,7 @@ impl ModelMapper {
     ///
     /// Panics if `n_aggregators == 0`, exceeds `u16::MAX`, if proportions
     /// are not positive, if their count mismatches `n_aggregators`, or if
-    /// `n_params` exceeds 2³² ([`assert_u32_slots`]).
+    /// `n_params` exceeds 2³² (`assert_u32_slots`).
     pub fn generate(
         n_params: usize,
         n_aggregators: usize,
@@ -110,7 +110,7 @@ impl ModelMapper {
     /// # Panics
     ///
     /// Panics if the assignment has more than 2³² labels
-    /// ([`assert_u32_slots`]).
+    /// (`assert_u32_slots`).
     pub fn from_assignment<I>(assignment: I) -> ModelMapper
     where
         I: IntoIterator<Item = u16>,

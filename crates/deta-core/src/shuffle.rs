@@ -97,7 +97,7 @@ impl RoundPermutation {
     ///
     /// # Panics
     ///
-    /// Panics if `len` exceeds 2³² ([`assert_u32_slots`]).
+    /// Panics if `len` exceeds 2³² (`assert_u32_slots`).
     pub fn identity(len: usize) -> RoundPermutation {
         assert_u32_slots(len, "an identity permutation");
         RoundPermutation {

@@ -110,7 +110,9 @@ fn party_round(policy: FailoverPolicy) -> Round {
     let download = allocated_by(|| assert!(session.party_mut(0).try_finish_round()));
     // Between rounds the party holds no gradient.
     let party = session.party_mut(0);
-    assert!(party.model.layers().iter().all(|l| l.grads().is_empty()));
+    let mut holds = false;
+    party.model.records(&mut |p| holds |= p.grads().is_some());
+    assert!(!holds);
     Round {
         model,
         fragment,

@@ -203,8 +203,8 @@ impl DetRng {
     /// Shuffles a slice in place (Fisher-Yates): for `i` from the last
     /// index down to 1, swaps `slice[i]` with `slice[gen_range(i + 1)]`.
     ///
-    /// The words come [`SHUFFLE_BATCH`] at a time straight out of the
-    /// refill buffer, each through [`lemire`] in stream order; a rejected
+    /// The words come `SHUFFLE_BATCH` at a time straight out of the
+    /// refill buffer, each through `lemire` in stream order; a rejected
     /// word is skipped, as `gen_range` skips it. Every step reads at
     /// least one word, so a batch is only taken while at least that many
     /// steps are left: it never reads past where `gen_range` stops, and

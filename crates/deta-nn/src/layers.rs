@@ -9,39 +9,122 @@ use deta_crypto::DetRng;
 use deta_tensor::gemm::{gemm, Mat, Store};
 use deta_tensor::{col2im_into, im2col_into, ConvGeom, Tensor};
 
-/// A weight-and-bias layer's gradients `[dW, db]`: `None` outside
-/// training, from construction (or [`Layer::release_grads`]) until
-/// [`Layer::zero_grad`].
-type Grads = Option<[Tensor; 2]>;
+/// A trainable layer's parameters: the weights `w` and bias `b`, their
+/// gradients while training needs them, and whether the layer is frozen.
+///
+/// The gradients `[dW, db]` exist only from [`Params::zero_grad`] until
+/// [`Params::release_grads`]: a record is built and replicated without
+/// them, and [`crate::train::train_local`] and
+/// [`crate::train::batch_gradient`] release them before they return. A
+/// backward pass, an optimizer step or [`crate::Sequential::flat_grads`]
+/// on a record that holds none panics, naming the layer. A frozen record
+/// still holds and accumulates gradients; it is left out of the flat
+/// parameter vector, the parameter count and the optimizer step.
+pub struct Params {
+    w: Tensor,
+    b: Tensor,
+    grads: Option<[Tensor; 2]>,
+    frozen: bool,
+    /// The owning layer's [`Layer::name`], for the panics.
+    layer: &'static str,
+}
 
-/// [`Layer::zero_grad`] for a weight-and-bias layer: zeroes the
-/// gradients it holds, or allocates them zeroed, shaped like `w` and `b`.
-fn zero_grads(grads: &mut Grads, w: &Tensor, b: &Tensor) {
-    match grads {
-        // Not `scale_mut(0.0)`: NaN x 0 is NaN, and a gradient poisoned
-        // in one round must not outlive it.
-        Some(held) => held.iter_mut().for_each(|g| g.data_mut().fill(0.0)),
-        None => *grads = Some([Tensor::zeros(w.shape()), Tensor::zeros(b.shape())]),
+impl Params {
+    fn new(layer: &'static str, w: Tensor, b: Tensor) -> Params {
+        Params {
+            w,
+            b,
+            grads: None,
+            frozen: false,
+            layer,
+        }
+    }
+
+    /// The weights and the bias, in flat-vector order.
+    pub fn tensors(&self) -> [&Tensor; 2] {
+        [&self.w, &self.b]
+    }
+
+    /// [`Params::tensors`], writable.
+    pub fn tensors_mut(&mut self) -> [&mut Tensor; 2] {
+        [&mut self.w, &mut self.b]
+    }
+
+    /// The gradients `[dW, db]`, parallel to [`Params::tensors`]; `None`
+    /// while the record holds none.
+    pub fn grads(&self) -> Option<&[Tensor; 2]> {
+        self.grads.as_ref()
+    }
+
+    /// Whether the layer is frozen (excluded from updates and from the
+    /// flat parameter vector). Used for transfer learning.
+    pub fn frozen(&self) -> bool {
+        self.frozen
+    }
+
+    /// Marks the record frozen.
+    pub(crate) fn freeze(&mut self) {
+        self.frozen = true;
+    }
+
+    /// Zeroes the gradients held, or allocates them zeroed, shaped like
+    /// `w` and `b`.
+    pub fn zero_grad(&mut self) {
+        match &mut self.grads {
+            // Not `scale_mut(0.0)`: NaN x 0 is NaN, and a gradient poisoned
+            // in one round must not outlive it.
+            Some(held) => held.iter_mut().for_each(|g| g.data_mut().fill(0.0)),
+            None => {
+                self.grads = Some([Tensor::zeros(self.w.shape()), Tensor::zeros(self.b.shape())])
+            }
+        }
+    }
+
+    /// Frees the gradients; the next [`Params::zero_grad`] allocates them
+    /// again.
+    pub fn release_grads(&mut self) {
+        self.grads = None;
+    }
+
+    /// The gradients [`Sequential::flat_grads`](crate::Sequential::flat_grads)
+    /// reads; panics like [`Params::held`].
+    pub(crate) fn expect_grads(&self) -> &[Tensor; 2] {
+        self.grads.as_ref().unwrap_or_else(|| no_grads(self.layer))
+    }
+
+    /// The parameters, with the gradients a backward pass or an optimizer
+    /// step works on.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the layer, when they were released and no
+    /// [`Params::zero_grad`] has allocated them since: summing into, or
+    /// stepping along, gradients that are not there would silently skip
+    /// the update.
+    pub(crate) fn held(&mut self) -> ([&mut Tensor; 2], &mut [Tensor; 2]) {
+        let Some(grads) = &mut self.grads else {
+            no_grads(self.layer)
+        };
+        ([&mut self.w, &mut self.b], grads)
+    }
+
+    /// The parameters and the frozen flag, without gradients.
+    fn replica(&self) -> Params {
+        Params {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            grads: None,
+            frozen: self.frozen,
+            layer: self.layer,
+        }
     }
 }
 
-/// The gradients a backward pass or an optimizer step of `layer` works
-/// on.
-///
-/// # Panics
-///
-/// Panics, naming `layer`, when they were released and no
-/// [`Layer::zero_grad`] has allocated them since: summing into, or
-/// stepping along, gradients that are not there would silently skip the
-/// update.
-fn held<'a>(grads: &'a mut Grads, layer: &str) -> &'a mut [Tensor; 2] {
-    match grads {
-        Some(held) => held,
-        None => panic!(
-            "{layer} holds no gradients: call zero_grad before a backward pass or an \
-             optimizer step (training releases them when it returns)"
-        ),
-    }
+fn no_grads(layer: &str) -> ! {
+    panic!(
+        "{layer} holds no gradients: call zero_grad before a backward pass, an optimizer \
+         step or flat_grads (training releases them when it returns)"
+    )
 }
 
 /// Rows of [`add_row_sums`] summed side by side.
@@ -74,42 +157,36 @@ fn add_row_sums(sums: &mut [f32], rows: &[f32], len: usize) {
 
 /// A fully connected layer `y = x W^T + b`.
 pub struct Linear {
-    /// Weights, shape `[out, in]`.
-    w: Tensor,
-    /// Bias, shape `[out]`.
-    b: Tensor,
-    grads: Grads,
+    /// Weights of shape `[out, in]`, bias of shape `[out]`.
+    params: Params,
     cached_input: Option<Tensor>,
-    frozen: bool,
 }
 
 impl Linear {
     /// Creates a layer with Kaiming-style initialization.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut DetRng) -> Linear {
         let std = (2.0 / in_dim as f32).sqrt();
+        let w = Tensor::randn(&[out_dim, in_dim], std, rng);
         Linear {
-            w: Tensor::randn(&[out_dim, in_dim], std, rng),
-            b: Tensor::zeros(&[out_dim]),
-            grads: None,
+            params: Params::new("Linear", w, Tensor::zeros(&[out_dim])),
             cached_input: None,
-            frozen: false,
         }
     }
 
     /// Marks the layer as frozen (excluded from training).
     pub fn freeze(mut self) -> Linear {
-        self.frozen = true;
+        self.params.freeze();
         self
     }
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.w.shape()[1]
+        self.params.w.shape()[1]
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.w.shape()[0]
+        self.params.w.shape()[0]
     }
 }
 
@@ -121,10 +198,10 @@ impl Layer for Linear {
             self.cached_input = Some(input.clone());
         }
         // y = x W^T + b.
-        let mut y = input.matmul_nt(&self.w);
+        let mut y = input.matmul_nt(&self.params.w);
         let (batch, out) = (y.shape()[0], y.shape()[1]);
         let yd = y.data_mut();
-        let bd = self.b.data();
+        let bd = self.params.b.data();
         for r in 0..batch {
             for c in 0..out {
                 yd[r * out + c] += bd[c];
@@ -136,11 +213,11 @@ impl Layer for Linear {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         self.backward_params(grad_out);
         // dX = dY W.
-        grad_out.matmul(&self.w)
+        grad_out.matmul(&self.params.w)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
-        let [gw, gb] = held(&mut self.grads, "Linear");
+        let (_, [gw, gb]) = self.params.held();
         let x = self
             .cached_input
             .take()
@@ -150,47 +227,22 @@ impl Layer for Linear {
         gb.axpy(1.0, &grad_out.sum_rows());
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.w, &self.b]
+    fn records<'a>(&'a self, f: &mut dyn FnMut(&'a Params)) {
+        f(&self.params);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.w, &mut self.b]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        self.grads.iter().flatten().collect()
-    }
-
-    fn zero_grad(&mut self) {
-        zero_grads(&mut self.grads, &self.w, &self.b);
-    }
-
-    fn release_grads(&mut self) {
-        self.grads = None;
-    }
-
-    fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        let [gw, gb] = held(&mut self.grads, "Linear");
-        f(&mut self.w, gw);
-        f(&mut self.b, gb);
+    fn records_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Params)) {
+        f(&mut self.params);
     }
 
     fn name(&self) -> &'static str {
         "Linear"
     }
 
-    fn frozen(&self) -> bool {
-        self.frozen
-    }
-
     fn replica(&self) -> Box<dyn Layer> {
         Box::new(Linear {
-            w: self.w.clone(),
-            b: self.b.clone(),
-            grads: None,
+            params: self.params.replica(),
             cached_input: None,
-            frozen: self.frozen,
         })
     }
 }
@@ -199,14 +251,10 @@ impl Layer for Linear {
 pub struct Conv2d {
     geom: ConvGeom,
     out_c: usize,
-    /// Weights, shape `[out_c, in_c * k * k]`.
-    w: Tensor,
-    /// Bias, shape `[out_c]`.
-    b: Tensor,
-    grads: Grads,
+    /// Weights of shape `[out_c, in_c * k * k]`, bias of shape `[out_c]`.
+    params: Params,
     /// The im2col matrices of the last training batch, image after image.
     cached_cols: Vec<f32>,
-    frozen: bool,
 }
 
 impl Conv2d {
@@ -232,31 +280,24 @@ impl Conv2d {
         };
         let fan_in = in_c * k * k;
         let std = (2.0 / fan_in as f32).sqrt();
+        let w = Tensor::randn(&[out_c, fan_in], std, rng);
         Conv2d {
             geom,
             out_c,
-            w: Tensor::randn(&[out_c, fan_in], std, rng),
-            b: Tensor::zeros(&[out_c]),
-            grads: None,
+            params: Params::new("Conv2d", w, Tensor::zeros(&[out_c])),
             cached_cols: Vec::new(),
-            frozen: false,
         }
     }
 
     /// Marks the layer as frozen (excluded from training).
     pub fn freeze(mut self) -> Conv2d {
-        self.frozen = true;
+        self.params.freeze();
         self
     }
 
     /// Output feature count per image (`out_c * out_h * out_w`).
     pub fn out_features(&self) -> usize {
         self.out_c * self.geom.cols()
-    }
-
-    /// Output spatial dimensions `(out_c, out_h, out_w)`.
-    pub fn out_dims(&self) -> (usize, usize, usize) {
-        (self.out_c, self.geom.out_h(), self.geom.out_w())
     }
 }
 
@@ -281,8 +322,13 @@ impl Layer for Conv2d {
             let cols = &mut cols[bi * step..][..rows * cols_n];
             im2col_into(img, &self.geom, cols);
             // y = W * cols + b, shape [out_c, cols_n].
-            gemm(self.w.mat(), Mat::new(cols, rows, cols_n), y, Store::Write);
-            for (y_row, &bias) in y.chunks_exact_mut(cols_n).zip(self.b.data()) {
+            gemm(
+                self.params.w.mat(),
+                Mat::new(cols, rows, cols_n),
+                y,
+                Store::Write,
+            );
+            for (y_row, &bias) in y.chunks_exact_mut(cols_n).zip(self.params.b.data()) {
                 for v in y_row {
                     *v += bias;
                 }
@@ -309,7 +355,7 @@ impl Layer for Conv2d {
         for (gy, dimg) in per_image {
             // dCols = W^T gy; dX = col2im(dCols).
             gemm(
-                self.w.mat().t(),
+                self.params.w.mat().t(),
                 Mat::new(gy, self.out_c, cols_n),
                 &mut dcols,
                 Store::Write,
@@ -320,7 +366,7 @@ impl Layer for Conv2d {
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
-        let [gw, gb] = held(&mut self.grads, "Conv2d");
+        let (_, [gw, gb]) = self.params.held();
         let batch = grad_out.shape()[0];
         let (rows, cols_n) = (self.geom.rows(), self.geom.cols());
         let cols = std::mem::take(&mut self.cached_cols);
@@ -346,49 +392,24 @@ impl Layer for Conv2d {
         }
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.w, &self.b]
+    fn records<'a>(&'a self, f: &mut dyn FnMut(&'a Params)) {
+        f(&self.params);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.w, &mut self.b]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        self.grads.iter().flatten().collect()
-    }
-
-    fn zero_grad(&mut self) {
-        zero_grads(&mut self.grads, &self.w, &self.b);
-    }
-
-    fn release_grads(&mut self) {
-        self.grads = None;
-    }
-
-    fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        let [gw, gb] = held(&mut self.grads, "Conv2d");
-        f(&mut self.w, gw);
-        f(&mut self.b, gb);
+    fn records_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Params)) {
+        f(&mut self.params);
     }
 
     fn name(&self) -> &'static str {
         "Conv2d"
     }
 
-    fn frozen(&self) -> bool {
-        self.frozen
-    }
-
     fn replica(&self) -> Box<dyn Layer> {
         Box::new(Conv2d {
             geom: self.geom,
             out_c: self.out_c,
-            w: self.w.clone(),
-            b: self.b.clone(),
-            grads: None,
+            params: self.params.replica(),
             cached_cols: Vec::new(),
-            frozen: self.frozen,
         })
     }
 }
@@ -427,20 +448,6 @@ impl Layer for Relu {
             .collect();
         Tensor::from_vec(data, grad_out.shape())
     }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn zero_grad(&mut self) {}
 
     fn name(&self) -> &'static str {
         "Relu"
@@ -481,20 +488,6 @@ impl Layer for Tanh {
             .expect("backward without forward(train=true)");
         grad_out.zip_with(&y, |g, t| g * (1.0 - t * t))
     }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn zero_grad(&mut self) {}
 
     fn name(&self) -> &'static str {
         "Tanh"
@@ -605,20 +598,6 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(grad_in, &[batch, feat])
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn zero_grad(&mut self) {}
-
     fn name(&self) -> &'static str {
         "MaxPool2d"
     }
@@ -710,20 +689,6 @@ impl Layer for AvgPool2d {
         Tensor::from_vec(grad_in, &[batch, feat])
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn zero_grad(&mut self) {}
-
     fn name(&self) -> &'static str {
         "AvgPool2d"
     }
@@ -755,20 +720,6 @@ impl Layer for Flatten {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         grad_out.clone()
     }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn zero_grad(&mut self) {}
 
     fn name(&self) -> &'static str {
         "Flatten"
@@ -895,10 +846,12 @@ mod tests {
 
     /// Gradients of one `zero_grad` + `forward` + `backward` on `x`.
     fn grads_of_a_clean_step(layer: &mut dyn Layer, x: &Tensor) -> Vec<Tensor> {
-        layer.zero_grad();
+        layer.records_mut(&mut Params::zero_grad);
         let y = layer.forward(x, true);
         layer.backward(&Tensor::full(y.shape(), 1.0));
-        layer.grads().into_iter().cloned().collect()
+        let mut grads = Vec::new();
+        layer.records(&mut |p| grads.extend(p.grads().into_iter().flatten().cloned()));
+        grads
     }
 
     #[test]
@@ -915,16 +868,16 @@ mod tests {
         let x = Tensor::randn(&[2, 16], 1.0, &mut rng);
 
         let mut linear = Linear::new(16, 3, &mut DetRng::from_u64(13));
-        linear.zero_grad();
-        linear.grads.iter_mut().flatten().for_each(plant);
+        linear.params.zero_grad();
+        linear.params.grads.iter_mut().flatten().for_each(plant);
         let got = grads_of_a_clean_step(&mut linear, &x);
         assert!(got.iter().all(|g| !g.has_non_finite()));
         let mut fresh = Linear::new(16, 3, &mut DetRng::from_u64(13));
         assert_eq!(got, grads_of_a_clean_step(&mut fresh, &x));
 
         let mut conv = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut DetRng::from_u64(14));
-        conv.zero_grad();
-        conv.grads.iter_mut().flatten().for_each(plant);
+        conv.params.zero_grad();
+        conv.params.grads.iter_mut().flatten().for_each(plant);
         let got = grads_of_a_clean_step(&mut conv, &x);
         assert!(got.iter().all(|g| !g.has_non_finite()));
         let mut fresh = Conv2d::new(1, 2, 4, 4, 3, 1, 1, &mut DetRng::from_u64(14));
@@ -967,8 +920,8 @@ mod tests {
             // Nor does one whose training released them.
             let mut layer = build(name);
             layer.forward(&x, true);
-            layer.zero_grad();
-            layer.release_grads();
+            layer.records_mut(&mut Params::zero_grad);
+            layer.records_mut(&mut Params::release_grads);
             let msg = panic_message(|| drop(layer.backward(&probe)));
             assert!(msg.contains(&expected), "{msg}");
             let mut model = Sequential {
@@ -1046,7 +999,6 @@ mod tests {
     fn conv_output_dims() {
         let mut rng = DetRng::from_u64(9);
         let c = Conv2d::new(3, 16, 32, 32, 3, 1, 1, &mut rng);
-        assert_eq!(c.out_dims(), (16, 32, 32));
         assert_eq!(c.out_features(), 16 * 32 * 32);
     }
 

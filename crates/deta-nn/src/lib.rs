@@ -20,26 +20,23 @@ pub mod optim;
 pub mod residual;
 pub mod train;
 
-pub use layers::{AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Tanh};
+pub use layers::{AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Params, Relu, Tanh};
 pub use loss::softmax_cross_entropy;
 pub use optim::sgd_step;
 pub use residual::Residual;
 
 use deta_tensor::Tensor;
 use std::borrow::Cow;
+use std::ops::Deref;
 
 /// A differentiable layer with explicit forward and backward passes.
 ///
 /// `forward` caches whatever activations the backward pass needs;
 /// `backward` consumes the cached state, accumulates parameter gradients
-/// internally, and returns the gradient with respect to the layer input.
-///
-/// Parameter gradients live only while training needs them: a layer
-/// holds none when it is built or replicated, [`Layer::zero_grad`]
-/// allocates them, and [`Layer::release_grads`] frees them again, as
-/// [`train::train_local`] and [`train::batch_gradient`] do before they
-/// return. A backward pass or an optimizer step on a layer with
-/// parameters and no gradients panics, naming the layer.
+/// into the layer's [`Params`] records, and returns the gradient with
+/// respect to the layer input. A record holds gradients only from
+/// [`Params::zero_grad`] until [`Params::release_grads`]; a backward pass
+/// without them panics, naming the layer.
 pub trait Layer: Send {
     /// Computes the layer output for a batch.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
@@ -57,45 +54,33 @@ pub trait Layer: Send {
         self.backward(grad_out);
     }
 
-    /// Immutable views of the trainable parameters (may be empty).
-    fn params(&self) -> Vec<&Tensor>;
+    /// Calls `f` on each of the layer's parameter records, in
+    /// flat-vector order, frozen ones included. Layers without
+    /// parameters keep this default.
+    fn records<'a>(&'a self, _f: &mut dyn FnMut(&'a Params)) {}
 
-    /// Mutable views of the trainable parameters.
-    fn params_mut(&mut self) -> Vec<&mut Tensor>;
-
-    /// Immutable views of the accumulated parameter gradients,
-    /// parallel to [`Layer::params`]; empty while the layer holds none.
-    fn grads(&self) -> Vec<&Tensor>;
-
-    /// Clears accumulated gradients, allocating them zeroed when the
-    /// layer holds none.
-    fn zero_grad(&mut self);
-
-    /// Frees the parameter gradients; the next [`Layer::zero_grad`]
-    /// allocates them again. Layers without parameters keep this
-    /// default.
-    fn release_grads(&mut self) {}
-
-    /// Calls `f` on every parameter together with its gradient, in the
-    /// order of [`Layer::params`], so an optimizer can update in place.
-    /// Layers without parameters keep this default.
-    fn update_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &Tensor)) {}
+    /// [`Layer::records`], writable.
+    fn records_mut<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut Params)) {}
 
     /// Human-readable layer name for diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Whether the parameters are frozen (excluded from updates and from
-    /// the flat parameter vector). Used for transfer learning.
-    fn frozen(&self) -> bool {
-        false
-    }
-
     /// A replica of the layer's starting state: every parameter copied
     /// (frozen ones included), no gradients (a constructor allocates
-    /// none either), no cached activations, the same frozen flag. A replica of a freshly built layer is the
-    /// layer a second build from the same RNG state would return, without
-    /// drawing it again.
+    /// none either), no cached activations, the same frozen flags. A
+    /// replica of a freshly built layer is the layer a second build from
+    /// the same RNG state would return, without drawing it again.
     fn replica(&self) -> Box<dyn Layer>;
+}
+
+/// `f`, skipped for frozen records: the one place a frozen record leaves
+/// the flat vector, the parameter count and the optimizer step.
+fn unfrozen<P: Deref<Target = Params>>(mut f: impl FnMut(P)) -> impl FnMut(P) {
+    move |p| {
+        if !p.frozen() {
+            f(p);
+        }
+    }
 }
 
 /// A feed-forward stack of layers.
@@ -169,45 +154,60 @@ impl Sequential {
         first.backward_params(&g);
     }
 
-    /// Clears all accumulated gradients, allocating those a layer does
-    /// not hold.
-    pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
+    /// Calls `f` on every layer's parameter records ([`Layer::records`]),
+    /// in flat-vector order, frozen ones included.
+    pub fn records<'a>(&'a self, f: &mut dyn FnMut(&'a Params)) {
+        for layer in &self.layers {
+            layer.records(f);
         }
     }
 
-    /// Frees every layer's gradients ([`Layer::release_grads`]).
-    pub fn release_grads(&mut self) {
+    /// [`Sequential::records`], writable.
+    pub fn records_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Params)) {
         for layer in &mut self.layers {
-            layer.release_grads();
+            layer.records_mut(f);
         }
+    }
+
+    /// [`Sequential::records`] without the frozen ones.
+    fn trainable<'a>(&'a self, f: impl FnMut(&'a Params)) {
+        self.records(&mut unfrozen(f));
+    }
+
+    /// [`Sequential::records_mut`] without the frozen ones.
+    pub(crate) fn trainable_mut<'a>(&'a mut self, f: impl FnMut(&'a mut Params)) {
+        self.records_mut(&mut unfrozen(f));
+    }
+
+    /// Clears all accumulated gradients, allocating those a record does
+    /// not hold; frozen records included.
+    pub fn zero_grad(&mut self) {
+        self.records_mut(&mut Params::zero_grad);
+    }
+
+    /// Frees every record's gradients ([`Params::release_grads`]).
+    pub fn release_grads(&mut self) {
+        self.records_mut(&mut Params::release_grads);
     }
 
     /// Total number of trainable (non-frozen) parameters.
     pub fn param_count(&self) -> usize {
-        self.layers
-            .iter()
-            .filter(|l| !l.frozen())
-            .flat_map(|l| l.params())
-            .map(|p| p.numel())
-            .sum()
+        let mut count = 0;
+        self.trainable(|p| count += p.tensors().iter().map(|t| t.numel()).sum::<usize>());
+        count
     }
 
     /// Serializes all trainable parameters into one flat vector.
     ///
-    /// The order is deterministic: layers in sequence, each layer's
-    /// parameters in its declared order, row-major within each tensor.
+    /// The order is deterministic: layers in sequence, each record's
+    /// weights before its bias, row-major within each tensor.
     pub fn flat_params(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            if layer.frozen() {
-                continue;
+        self.trainable(|p| {
+            for t in p.tensors() {
+                out.extend_from_slice(t.data());
             }
-            for p in layer.params() {
-                out.extend_from_slice(p.data());
-            }
-        }
+        });
         out
     }
 
@@ -234,42 +234,34 @@ impl Sequential {
     /// order: the flat vector's pieces, where they lie, for a caller that
     /// reads parameters in place rather than through a model-sized copy.
     pub fn params(&self) -> Vec<&Tensor> {
-        let trainable = self.layers.iter().filter(|l| !l.frozen());
-        trainable.flat_map(|l| l.params()).collect()
+        let mut out = Vec::new();
+        self.trainable(|p| out.extend(p.tensors()));
+        out
     }
 
     /// [`Sequential::params`], writable: for a caller that writes
     /// parameters in place rather than through a model-sized vector and
     /// [`Sequential::set_flat_params`].
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        let trainable = self.layers.iter_mut().filter(|l| !l.frozen());
-        trainable.flat_map(|l| l.params_mut()).collect()
+        let mut out = Vec::new();
+        self.trainable_mut(|p| out.extend(p.tensors_mut()));
+        out
     }
 
-    /// Serializes all accumulated gradients (trainable layers only) into a
-    /// flat vector parallel to [`Sequential::flat_params`].
+    /// Serializes all accumulated gradients (trainable records only) into
+    /// a flat vector parallel to [`Sequential::flat_params`].
     ///
     /// # Panics
     ///
-    /// Panics, naming the layer, if a trainable layer holds no gradients
-    /// (see [`Layer::release_grads`]).
+    /// Panics, naming the layer, if a trainable record holds no gradients
+    /// (see [`Params::release_grads`]).
     pub fn flat_grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            if layer.frozen() {
-                continue;
-            }
-            let grads = layer.grads();
-            assert_eq!(
-                grads.len(),
-                layer.params().len(),
-                "{} holds no gradients: call zero_grad first",
-                layer.name()
-            );
-            for g in grads {
+        self.trainable(|p| {
+            for g in p.expect_grads() {
                 out.extend_from_slice(g.data());
             }
-        }
+        });
         out
     }
 
@@ -285,36 +277,18 @@ impl Sequential {
             "flat gradient length mismatch"
         );
         let mut off = 0;
-        for layer in &mut self.layers {
-            if layer.frozen() {
-                continue;
+        for p in self.params_mut() {
+            let n = p.numel();
+            for (w, g) in p.data_mut().iter_mut().zip(&flat[off..off + n]) {
+                *w -= lr * g;
             }
-            for p in layer.params_mut() {
-                let n = p.numel();
-                for (w, g) in p.data_mut().iter_mut().zip(&flat[off..off + n]) {
-                    *w -= lr * g;
-                }
-                off += n;
-            }
-        }
-    }
-
-    /// Calls `f` on every trainable parameter together with its
-    /// accumulated gradient, in [`Sequential::flat_params`] order.
-    pub fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        for layer in self.layers.iter_mut().filter(|l| !l.frozen()) {
-            layer.update_params(f);
+            off += n;
         }
     }
 
     /// Iterates over layers (for inspection).
     pub fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
-    }
-
-    /// Mutable access to layers.
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
     }
 }
 
@@ -326,7 +300,7 @@ impl Default for Sequential {
 
 impl Clone for Sequential {
     /// A replica of every layer ([`Layer::replica`]): the same parameters,
-    /// zeroed gradients, no cached activations.
+    /// no gradients, no cached activations.
     fn clone(&self) -> Sequential {
         Sequential {
             layers: self.layers.iter().map(|l| l.replica()).collect(),
@@ -408,7 +382,11 @@ mod tests {
     fn a_model_holds_gradients_from_zero_grad_until_they_are_released() {
         let mut rng = DetRng::from_u64(6);
         let mut m = tiny_model(&mut rng);
-        let holds = |m: &Sequential| m.layers().iter().any(|l| !l.grads().is_empty());
+        let holds = |m: &Sequential| {
+            let mut holds = false;
+            m.records(&mut |p| holds |= p.grads().is_some());
+            holds
+        };
         assert!(!holds(&m), "a built model holds no gradients");
         m.zero_grad();
         assert_eq!(m.flat_grads(), vec![0.0; m.param_count()]);

@@ -3,12 +3,15 @@
 use crate::Sequential;
 
 /// One step of plain stochastic gradient descent, `w -= lr * g`, from the
-/// model's accumulated gradients, parameter tensor by parameter tensor,
-/// without gathering them.
+/// model's accumulated gradients, record by trainable record, without
+/// gathering them.
 pub fn sgd_step(model: &mut Sequential, lr: f32) {
-    model.update_params(&mut |p, g| {
-        for (w, g) in p.data_mut().iter_mut().zip(g.data()) {
-            *w -= lr * g;
+    model.trainable_mut(|p| {
+        let (params, grads) = p.held();
+        for (p, g) in params.into_iter().zip(grads.iter()) {
+            for (w, g) in p.data_mut().iter_mut().zip(g.data()) {
+                *w -= lr * g;
+            }
         }
     });
 }

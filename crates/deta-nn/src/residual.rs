@@ -6,27 +6,23 @@
 //! `y = x + f(x)` where `f` is an inner [`Sequential`] whose output shape
 //! must equal its input shape.
 
-use crate::{Layer, Sequential};
+use crate::{Layer, Params, Sequential};
 use deta_tensor::Tensor;
 
 /// A residual block: `y = x + inner(x)`.
 pub struct Residual {
     inner: Sequential,
-    frozen: bool,
 }
 
 impl Residual {
     /// Wraps an inner stack whose output shape equals its input shape.
     pub fn new(inner: Sequential) -> Residual {
-        Residual {
-            inner,
-            frozen: false,
-        }
+        Residual { inner }
     }
 
-    /// Marks the whole block as frozen.
+    /// Marks the whole block as frozen: every record of its inner stack.
     pub fn freeze(mut self) -> Residual {
-        self.frozen = true;
+        self.inner.records_mut(&mut Params::freeze);
         self
     }
 }
@@ -54,57 +50,21 @@ impl Layer for Residual {
         self.inner.backward_params(grad_out);
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        self.inner
-            .layers()
-            .iter()
-            .filter(|l| !l.frozen())
-            .flat_map(|l| l.params())
-            .collect()
+    fn records<'a>(&'a self, f: &mut dyn FnMut(&'a Params)) {
+        self.inner.records(f);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.inner
-            .layers_mut()
-            .iter_mut()
-            .filter(|l| !l.frozen())
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        self.inner
-            .layers()
-            .iter()
-            .filter(|l| !l.frozen())
-            .flat_map(|l| l.grads())
-            .collect()
-    }
-
-    fn zero_grad(&mut self) {
-        self.inner.zero_grad();
-    }
-
-    fn release_grads(&mut self) {
-        self.inner.release_grads();
-    }
-
-    fn update_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        self.inner.update_params(f);
+    fn records_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Params)) {
+        self.inner.records_mut(f);
     }
 
     fn name(&self) -> &'static str {
         "Residual"
     }
 
-    fn frozen(&self) -> bool {
-        self.frozen
-    }
-
     fn replica(&self) -> Box<dyn Layer> {
         Box::new(Residual {
             inner: self.inner.clone(),
-            frozen: self.frozen,
         })
     }
 }
@@ -133,7 +93,7 @@ mod tests {
         let mut block = Residual::new(inner);
         let x = Tensor::randn(&[2, 4], 1.0, &mut rng);
         let _y = block.forward(&x, true);
-        block.zero_grad();
+        block.records_mut(&mut Params::zero_grad);
         let g = block.backward(&Tensor::full(&[2, 4], 1.0));
         // Even if the inner gradient were zero, the skip contributes 1.
         assert!(g.data().iter().all(|&v| v.is_finite()));
@@ -228,10 +188,26 @@ mod tests {
     fn frozen_block_excluded_from_params() {
         let mut rng = DetRng::from_u64(6);
         let inner = Sequential::new().push(Linear::new(4, 4, &mut rng));
-        let model = Sequential::new()
+        let mut model = Sequential::new()
             .push(Residual::new(inner).freeze())
             .push(Linear::new(4, 2, &mut rng));
         assert_eq!(model.param_count(), 4 * 2 + 2);
+        // The block's record is frozen, yet it still takes gradients:
+        // only the flat vector, the count and the step pass it by.
+        let mut frozen = Vec::new();
+        model.records(&mut |p| frozen.push(p.frozen()));
+        assert_eq!(frozen, [true, false]);
+        let x = Tensor::randn(&[2, 4], 1.0, &mut rng);
+        let y = model.forward(&x, true);
+        model.zero_grad();
+        model.backward(&Tensor::full(y.shape(), 1.0));
+        let mut moved = Vec::new();
+        model.records(&mut |p| {
+            let dw = p.grads().map(|[dw, _]| dw.data());
+            moved.push(dw.is_some_and(|dw| dw.iter().any(|&g| g != 0.0)));
+        });
+        assert_eq!(moved, [true, true]);
+        assert_eq!(model.flat_grads().len(), model.param_count());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use deta_crypto::DetRng;
-use deta_nn::{Conv2d, Layer};
+use deta_nn::{Conv2d, Layer, Params};
 use deta_tensor::Tensor;
 
 thread_local! {
@@ -45,7 +45,7 @@ fn allocations_of_a_warm_pass(batch: usize, backward: fn(&mut Conv2d, &Tensor)) 
     let mut conv = Conv2d::new(3, 8, 16, 16, 3, 1, 1, &mut rng);
     let x = Tensor::randn(&[batch, 3 * 16 * 16], 1.0, &mut rng);
     let grad = Tensor::randn(&[batch, conv.out_features()], 1.0, &mut rng);
-    conv.zero_grad();
+    conv.records_mut(&mut Params::zero_grad);
     let mut pass = || {
         conv.forward(&x, true);
         backward(&mut conv, &grad);

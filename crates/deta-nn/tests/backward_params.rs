@@ -12,10 +12,15 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Every gradient buffer of every layer, frozen layers included.
+/// Every gradient buffer of every record, frozen records included.
 fn every_grad(model: &Sequential) -> Vec<u32> {
-    let grads = model.layers().iter().flat_map(|l| l.grads());
-    grads.flat_map(|g| bits(g.data())).collect()
+    let mut out = Vec::new();
+    model.records(&mut |p| {
+        for g in p.grads().into_iter().flatten() {
+            out.extend(bits(g.data()));
+        }
+    });
+    out
 }
 
 /// The zoo entry `which`, drawn from `seed`, with its input width.

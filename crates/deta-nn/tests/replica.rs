@@ -5,7 +5,7 @@
 use deta_crypto::DetRng;
 use deta_nn::models::{convnet23, convnet8, mlp, resnet_lite, vgg_lite};
 use deta_nn::train::{train_local, LabeledData};
-use deta_nn::Sequential;
+use deta_nn::{Layer, Sequential};
 use deta_tensor::Tensor;
 
 const BATCH: usize = 4;
@@ -14,21 +14,44 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Every parameter of every layer, frozen layers included.
+/// Every parameter of every record, frozen records included.
 fn every_param(model: &Sequential) -> Vec<u32> {
-    let params = model.layers().iter().flat_map(|l| l.params());
-    params.flat_map(|p| bits(p.data())).collect()
+    let mut out = Vec::new();
+    model.records(&mut |p| {
+        for t in p.tensors() {
+            out.extend(bits(t.data()));
+        }
+    });
+    out
 }
 
-/// Every gradient buffer of every layer, frozen layers included.
+/// Every gradient buffer of every record, frozen records included.
 fn every_grad(model: &Sequential) -> Vec<f32> {
-    let grads = model.layers().iter().flat_map(|l| l.grads());
-    grads.flat_map(|g| g.data().to_vec()).collect()
+    let mut out = Vec::new();
+    model.records(&mut |p| {
+        for g in p.grads().into_iter().flatten() {
+            out.extend_from_slice(g.data());
+        }
+    });
+    out
 }
 
-fn layer_kinds(model: &Sequential) -> Vec<(&'static str, bool)> {
+/// Each layer's name with the frozen flag of each of its records.
+fn layer_kinds(model: &Sequential) -> Vec<(&'static str, Vec<bool>)> {
     let layers = model.layers().iter();
-    layers.map(|l| (l.name(), l.frozen())).collect()
+    let frozen = |l: &Box<dyn Layer>| {
+        let mut flags = Vec::new();
+        l.records(&mut |p| flags.push(p.frozen()));
+        flags
+    };
+    layers.map(|l| (l.name(), frozen(l))).collect()
+}
+
+/// How many of `model`'s records are frozen.
+fn frozen_records(model: &Sequential) -> usize {
+    let mut frozen = 0;
+    model.records(&mut |p| frozen += usize::from(p.frozen()));
+    frozen
 }
 
 fn check_replica(mut original: Sequential, in_dim: usize, classes: usize) {
@@ -95,8 +118,7 @@ fn a_replica_of_convnet23_is_convnet23() {
 #[test]
 fn a_replica_of_vgg_lite_keeps_its_frozen_backbone() {
     let model = vgg_lite(3, 8, 4, &mut DetRng::from_u64(4));
-    let frozen = model.layers().iter().filter(|l| l.frozen()).count();
-    assert_eq!(frozen, 2, "two frozen convolutions");
+    assert_eq!(frozen_records(&model), 2, "two frozen convolutions");
     check_replica(model, 3 * 64, 4);
 }
 

@@ -8,7 +8,7 @@
 //! * [`record`] — parse the workspace's trace schema back into owned
 //!   records (a narrow, total JSON reader in [`json`]; no external
 //!   dependencies, like everything else here).
-//! * [`merge`] — put every process on one timeline: apply the socket
+//! * [`mod@merge`] — put every process on one timeline: apply the socket
 //!   handshake's probe/echo clock offsets, then enforce causality
 //!   (`net_send` before its `net_recv`) via longest-path relaxation of
 //!   the per-process shift, so the merged order respects every causal

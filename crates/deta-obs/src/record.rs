@@ -14,7 +14,7 @@ use crate::json::Json;
 #[derive(Clone, Debug, PartialEq)]
 pub struct ObsRecord {
     /// Timestamp in nanoseconds. Raw per-process monotonic time at
-    /// parse; rebased onto the merged timeline by [`crate::merge`].
+    /// parse; rebased onto the merged timeline by [`fn@crate::merge`].
     /// Signed so clock alignment can shift it below zero before the
     /// final normalization.
     pub t_ns: i64,

@@ -86,18 +86,6 @@ impl Tensor {
         }
     }
 
-    /// Samples i.i.d. uniform entries in `[-bound, bound]`.
-    pub fn rand_uniform(shape: &[usize], bound: f32, rng: &mut DetRng) -> Tensor {
-        let n: usize = shape.iter().product();
-        let data = (0..n)
-            .map(|_| (rng.next_f32() * 2.0 - 1.0) * bound)
-            .collect();
-        Tensor {
-            data,
-            shape: shape.to_vec(),
-        }
-    }
-
     /// Returns the shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -116,24 +104,6 @@ impl Tensor {
     /// Mutably borrows the flat data buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        assert_eq!(
-            self.numel(),
-            shape.iter().product::<usize>(),
-            "cannot reshape {:?} to {shape:?}",
-            self.shape
-        );
-        Tensor {
-            data: self.data.clone(),
-            shape: shape.to_vec(),
-        }
     }
 
     /// 2-D element accessor.
@@ -180,20 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let r = t.reshape(&[3, 2]);
-        assert_eq!(r.shape(), &[3, 2]);
-        assert_eq!(r.data(), t.data());
-    }
-
-    #[test]
-    #[should_panic]
-    fn reshape_wrong_count_panics() {
-        Tensor::zeros(&[2, 3]).reshape(&[5]);
-    }
-
-    #[test]
     fn randn_is_deterministic_per_seed() {
         let mut r1 = DetRng::from_u64(1);
         let mut r2 = DetRng::from_u64(1);
@@ -208,13 +164,6 @@ mod tests {
         let t = Tensor::randn(&[10_000], 0.1, &mut rng);
         let var: f32 = t.data().iter().map(|v| v * v).sum::<f32>() / t.numel() as f32;
         assert!((var - 0.01).abs() < 0.002, "var={var}");
-    }
-
-    #[test]
-    fn uniform_within_bound() {
-        let mut rng = DetRng::from_u64(3);
-        let t = Tensor::rand_uniform(&[1000], 0.5, &mut rng);
-        assert!(t.data().iter().all(|&v| (-0.5..=0.5).contains(&v)));
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Tensor {
         }
     }
 
-    /// Squared L2 norm.
-    pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum()
-    }
-
     /// Index of the maximum element (first on ties).
     ///
     /// # Panics
@@ -305,7 +300,6 @@ mod tests {
         let a = t2(&[1.0, 2.0, 3.0, 4.0], 2, 2);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
-        assert_eq!(a.sq_norm(), 30.0);
         assert_eq!(a.argmax(), 3);
         assert_eq!(a.sum_rows().data(), &[4.0, 6.0]);
     }
