@@ -135,6 +135,24 @@ fn cluster_processes_match_inprocess_bit_for_bit() {
 /// drop means a loss). The trace ids ride beside the payload (a `Trace`
 /// frame ahead of each traced `Data` over TCP), so a hop that dropped
 /// them would show as fewer causal edges than `net_send` records.
+/// The `msg_id` of a merged-trace record, if it carries one.
+fn msg_id(record: &str) -> Option<&str> {
+    let rest = record.split("\"msg_id\":").nth(1)?;
+    rest.split([',', '}']).next()
+}
+
+/// Every `net_send` record of `jsonl` whose message no `net_recv` record
+/// names.
+fn unmatched_sends(jsonl: &str) -> Vec<&str> {
+    let of = |name: &'static str| {
+        (jsonl.lines()).filter(move |l| l.contains(&format!("\"name\":\"{name}\"")))
+    };
+    let received: std::collections::HashSet<&str> = of("net_recv").filter_map(msg_id).collect();
+    of("net_send")
+        .filter(|l| msg_id(l).is_some_and(|id| !received.contains(id)))
+        .collect()
+}
+
 #[test]
 fn a_traced_cluster_merges_a_lossless_timeline() {
     let _serial = one_cluster();
@@ -191,7 +209,9 @@ fn a_traced_cluster_merges_a_lossless_timeline() {
         .unwrap_or_else(|| panic!("no causal-edge count in the output:\n{out}"));
     assert!(
         edges >= sends,
-        "the merged trace holds {edges} causal edges for {sends} net_send records"
+        "the merged trace holds {edges} causal edges for {sends} net_send records; \
+         the sends no net_recv matches:\n{}",
+        unmatched_sends(&jsonl).join("\n")
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

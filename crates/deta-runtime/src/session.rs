@@ -427,7 +427,7 @@ impl ThreadedSession {
         }
         // Drop any control messages still queued for us (a late
         // `PartyDone` can hold a whole parameter snapshot).
-        self.ctl.drain();
+        self.drain_ctl();
         match panicked {
             Some(node) => Err(self.record_failure(RuntimeError::NodePanicked { node })),
             None => Ok(()),
@@ -478,8 +478,22 @@ impl ThreadedSession {
     /// trace-capture runs that want a timeline even on success. Returns
     /// the JSONL path, or `None` while telemetry is disabled or when the
     /// write fails.
+    ///
+    /// Control frames still queued for the supervisor are taken first:
+    /// a bridged child's last heartbeats reach the mailbox until its
+    /// `Bye`, after [`ThreadedSession::shutdown`] has drained it, and each
+    /// must meet its `net_send` in a merged trace.
     pub fn dump_trace(&mut self) -> Option<PathBuf> {
+        self.drain_ctl();
         self.recorders.dump("trace", &[])
+    }
+
+    /// Drops every control frame queued for the supervisor, received
+    /// under its flight recorder so each traced one records its
+    /// `net_recv`.
+    fn drain_ctl(&self) {
+        let _trace_guard = deta_telemetry::attach(self.recorders.own());
+        self.ctl.drain();
     }
 }
 

@@ -83,6 +83,11 @@ echo "==> telemetry overhead (4 parties x 4 aggregators, gate: <5% enabled, <1% 
 # test checks this bound.
 cargo run --release -q -p deta-bench --bin telemetry_overhead
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# A doc link to an item that was removed, made private or became
+# ambiguous fails here rather than rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
