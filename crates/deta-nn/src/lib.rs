@@ -12,6 +12,12 @@
 //! into one `Vec<f32>` in a deterministic order, and
 //! [`Sequential::set_flat_params`] restores it. DeTA's model mapper
 //! partitions and shuffles exactly this vector.
+//!
+//! A trainable layer keeps its weights, bias, gradients and frozen flag
+//! in one [`Params`] record ([`Layer::records`]). [`Sequential`] walks
+//! the records in layer order: the flat vector is every record that is
+//! not frozen, its weights before its bias, and gradients exist only
+//! from [`Sequential::zero_grad`] until [`Sequential::release_grads`].
 
 pub mod layers;
 pub mod loss;

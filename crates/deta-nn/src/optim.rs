@@ -6,8 +6,8 @@ use crate::Sequential;
 /// model's accumulated gradients, record by trainable record, without
 /// gathering them.
 pub fn sgd_step(model: &mut Sequential, lr: f32) {
-    model.trainable_mut(|p| {
-        let (params, grads) = p.held();
+    model.trainable_mut(|record| {
+        let (params, grads) = record.held();
         for (p, g) in params.into_iter().zip(grads.iter()) {
             for (w, g) in p.data_mut().iter_mut().zip(g.data()) {
                 *w -= lr * g;

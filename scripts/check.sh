@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests, formatting, and clippy with warnings as
-# errors — which is also where the threat-model rules run (clippy.toml
-# and the per-file lint levels, DESIGN.md §6; that a key is never
-# printed, compared or copied is deta_crypto::Secret's compile_fail
+# Full local gate: build, tests, rustdoc, formatting, and clippy with
+# warnings as errors — which is also where the threat-model rules run
+# (clippy.toml and the per-file lint levels, DESIGN.md §6; that a key is
+# never printed, compared or copied is deta_crypto::Secret's compile_fail
 # doctests, not a lint).
 # Run from anywhere inside the workspace; requires no network.
 set -euo pipefail
