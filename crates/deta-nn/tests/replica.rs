@@ -38,13 +38,13 @@ fn every_grad(model: &Sequential) -> Vec<f32> {
 
 /// Each layer's name with the frozen flag of each of its records.
 fn layer_kinds(model: &Sequential) -> Vec<(&'static str, Vec<bool>)> {
-    let layers = model.layers().iter();
-    let frozen = |l: &Box<dyn Layer>| {
+    let frozen = |l: &dyn Layer| {
         let mut flags = Vec::new();
         l.records(&mut |p| flags.push(p.frozen()));
         flags
     };
-    layers.map(|l| (l.name(), frozen(l))).collect()
+    let layers = model.layers().iter();
+    layers.map(|l| (l.name(), frozen(l.as_ref()))).collect()
 }
 
 /// How many of `model`'s records are frozen.
