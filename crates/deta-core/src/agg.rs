@@ -1,7 +1,9 @@
 //! Model aggregation algorithms (paper Section 3.1 and 7.1).
 //!
-//! All algorithms here operate on a slice of per-party update vectors of
-//! equal length and produce one aggregated vector of that length. Because
+//! All algorithms here read per-party update rows of equal length where
+//! they lie ([`Rows`]: owned vectors, or an aggregator's uploads in the
+//! records they were opened in) and emit one aggregated row of that
+//! length, a tile at a time. Because
 //! each is coordinate-wise (or, for Krum/FLAME, distance-based in a way
 //! that partitioning and permutation preserve — permutations are
 //! isometries of the L2 norm), they compute identical results on whole
@@ -55,6 +57,35 @@ impl std::fmt::Display for AggregateError {
 
 impl std::error::Error for AggregateError {}
 
+/// The inputs of an aggregation, read where they lie: `count()` rows
+/// (one per party) of values, loaded a tile at a time. Owned vectors are
+/// one source (`&[Vec<f32>]`); an aggregator's uploads, still in the
+/// records they were opened in, are another.
+pub trait Rows {
+    /// Number of rows.
+    fn count(&self) -> usize;
+
+    /// Number of values in row `i`.
+    fn row_len(&self, i: usize) -> usize;
+
+    /// Copies values `start..start + out.len()` of row `i` into `out`.
+    fn load(&self, i: usize, start: usize, out: &mut [f32]);
+}
+
+impl Rows for &[Vec<f32>] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn row_len(&self, i: usize) -> usize {
+        self[i].len()
+    }
+
+    fn load(&self, i: usize, start: usize, out: &mut [f32]) {
+        out.copy_from_slice(&self[i][start..start + out.len()]);
+    }
+}
+
 /// A model aggregation algorithm.
 ///
 /// # Examples
@@ -70,14 +101,36 @@ pub trait Aggregation: Send + Sync {
     /// Algorithm name for reports.
     fn name(&self) -> &'static str;
 
-    /// Aggregates `inputs[party][coord]` with per-party weights.
+    /// Aggregates `rows` with per-row weights and hands the result to
+    /// `emit`, in coordinate order, a few values at a time. Nothing is
+    /// emitted when the call is refused.
     ///
     /// # Errors
     ///
-    /// [`AggregateError`] if `inputs` is empty, lengths differ,
-    /// `weights.len() != inputs.len()`, or the algorithm cannot run on
-    /// this many inputs or these weights.
-    fn aggregate(&self, inputs: &[Vec<f32>], weights: &[f32]) -> Result<Vec<f32>, AggregateError>;
+    /// [`AggregateError`] if there are no rows, lengths differ,
+    /// `weights.len() != rows.count()`, or the algorithm cannot run on
+    /// this many rows or these weights.
+    fn aggregate_into(
+        &self,
+        rows: &dyn Rows,
+        weights: &[f32],
+        emit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), AggregateError>;
+
+    /// Aggregates `inputs[party][coord]` with per-party weights, into a
+    /// vector of its own ([`Aggregation::aggregate_into`] over owned
+    /// rows).
+    ///
+    /// # Errors
+    ///
+    /// As [`Aggregation::aggregate_into`].
+    fn aggregate(&self, inputs: &[Vec<f32>], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
+        let mut out = Vec::with_capacity(inputs.first().map_or(0, Vec::len));
+        self.aggregate_into(&inputs, weights, &mut |values| {
+            out.extend_from_slice(values)
+        })?;
+        Ok(out)
+    }
 }
 
 /// Selects an aggregation algorithm.
@@ -147,19 +200,23 @@ impl AggKind {
     }
 }
 
-/// The common length of `inputs`, one weight per input.
-fn validate(inputs: &[Vec<f32>], weights: &[f32]) -> Result<usize, AggregateError> {
-    let len = inputs.first().ok_or(AggregateError::Empty)?.len();
-    if weights.len() != inputs.len() {
+/// The common length of `rows`, one weight per row.
+fn validate(rows: &dyn Rows, weights: &[f32]) -> Result<usize, AggregateError> {
+    let n = rows.count();
+    if n == 0 {
+        return Err(AggregateError::Empty);
+    }
+    let len = rows.row_len(0);
+    if weights.len() != n {
         return Err(AggregateError::WeightCount);
     }
-    match inputs.iter().position(|v| v.len() != len) {
+    match (0..n).find(|&i| rows.row_len(i) != len) {
         Some(index) => Err(AggregateError::Ragged { index }),
         None => Ok(len),
     }
 }
 
-/// Coordinates sorted together: one tile is `n` rows of this many keys.
+/// Coordinates read together: a tile is `n` rows of this many values.
 const LANES: usize = 64;
 
 /// What `Iterator::sum` starts an `f64` sum from: `-0.0 + x` is `x` for
@@ -167,8 +224,52 @@ const LANES: usize = 64;
 /// holds exactly the bits `iter.sum()` would.
 const SUM_IDENTITY: f64 = -0.0;
 
-/// One party's slice of a tile.
+/// One party's slice of a sorted tile.
 type Row = [i32; LANES];
+
+/// The tiles of `len` coordinates, as `(start, width)`.
+fn tiles(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len)
+        .step_by(LANES)
+        .map(move |start| (start, LANES.min(len - start)))
+}
+
+/// Emits row `i` of `rows`, `len` values, as it lies.
+fn emit_row(rows: &dyn Rows, i: usize, len: usize, emit: &mut dyn FnMut(&[f32])) {
+    let mut values = [0.0f32; LANES];
+    for (start, width) in tiles(len) {
+        rows.load(i, start, &mut values[..width]);
+        emit(&values[..width]);
+    }
+}
+
+/// Per coordinate, `0.0` plus `term(factor, v)` for each `(row, factor)`
+/// of `picked` in that order, `v` being the row's value; then `finish`
+/// of the sum. The sums live on the stack, one tile at a time, and each
+/// tile's results go to `emit`.
+fn sum_rows(
+    rows: &dyn Rows,
+    len: usize,
+    picked: &[(usize, f64)],
+    term: impl Fn(f64, f32) -> f64,
+    finish: impl Fn(f64) -> f32,
+    emit: &mut dyn FnMut(&[f32]),
+) {
+    let (mut values, mut out) = ([0.0f32; LANES], [0.0f32; LANES]);
+    for (start, width) in tiles(len) {
+        let mut sums = [0.0f64; LANES];
+        for &(i, factor) in picked {
+            rows.load(i, start, &mut values[..width]);
+            for (sum, &v) in sums.iter_mut().zip(&values[..width]) {
+                *sum += term(factor, v);
+            }
+        }
+        for (o, &sum) in out.iter_mut().zip(&sums[..width]) {
+            *o = finish(sum);
+        }
+        emit(&out[..width]);
+    }
+}
 
 /// The integer whose order is `f32::total_cmp`'s: the magnitude bits of
 /// a negative value are flipped, so that more negative sorts lower, and
@@ -190,7 +291,11 @@ fn unkey(k: i32) -> f32 {
 /// compare-exchanges in execution order; valid for every `n`, not only
 /// powers of two (191 exchanges at 32).
 fn sorting_network(n: usize) -> Vec<(usize, usize)> {
-    let mut net = Vec::new();
+    // Room for `n·b(b+1)/4` exchanges, `b = ⌈log₂ n⌉`: no fewer than the
+    // network has for every power of two and every `n` up to 4096, so
+    // the table is allocated once.
+    let b = n.next_power_of_two().trailing_zeros() as usize;
+    let mut net = Vec::with_capacity(n * b * (b + 1) / 4);
     let mut p = 1;
     while p < n {
         let mut k = p;
@@ -211,21 +316,23 @@ fn sorting_network(n: usize) -> Vec<(usize, usize)> {
     net
 }
 
-/// Sorts every column of `inputs` ascending in `f32::total_cmp` order and
-/// hands the result to `emit` a tile at a time: `rows[r][l]` is the key
-/// of the `r`-th smallest value of coordinate `start + l`, for the first
-/// `width` lanes (the rest of a last, partial tile is stale).
+/// Sorts every column of `rows` ascending in `f32::total_cmp` order and
+/// hands the result to `emit` a tile at a time: `sorted[r][l]` is the key
+/// of the `r`-th smallest value of the tile's coordinate `l`, for the
+/// first `width` lanes (the rest of a last, partial tile is stale).
 ///
 /// The sort is a fixed sequence of lane-wise `min`/`max` pairs, so what
 /// the kernel executes and touches depends on `(n, len)` and never on a
 /// value a party sent.
-fn for_each_sorted_tile(inputs: &[Vec<f32>], len: usize, mut emit: impl FnMut(&[Row], usize)) {
-    let net = sorting_network(inputs.len());
-    let mut tile = vec![[0i32; LANES]; inputs.len()];
-    for start in (0..len).step_by(LANES) {
-        let width = LANES.min(len - start);
-        for (row, input) in tile.iter_mut().zip(inputs) {
-            for (k, &v) in row.iter_mut().zip(&input[start..start + width]) {
+fn for_each_sorted_tile(rows: &dyn Rows, len: usize, mut emit: impl FnMut(&[Row], usize)) {
+    let n = rows.count();
+    let net = sorting_network(n);
+    let mut tile = vec![[0i32; LANES]; n];
+    let mut values = [0.0f32; LANES];
+    for (start, width) in tiles(len) {
+        for (i, row) in tile.iter_mut().enumerate() {
+            rows.load(i, start, &mut values[..width]);
+            for (k, &v) in row.iter_mut().zip(&values[..width]) {
                 *k = key(v);
             }
         }
@@ -247,20 +354,29 @@ impl Aggregation for IterativeAveraging {
         "iterative-averaging"
     }
 
-    fn aggregate(&self, inputs: &[Vec<f32>], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
-        let len = validate(inputs, weights)?;
+    fn aggregate_into(
+        &self,
+        rows: &dyn Rows,
+        weights: &[f32],
+        emit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), AggregateError> {
+        let len = validate(rows, weights)?;
         let total: f64 = weights.iter().map(|&w| w as f64).sum();
         if total.is_nan() || total <= 0.0 {
             return Err(AggregateError::NonPositiveWeight);
         }
-        let mut out = vec![0.0f64; len];
-        for (input, &w) in inputs.iter().zip(weights.iter()) {
-            let w = w as f64 / total;
-            for (o, &v) in out.iter_mut().zip(input.iter()) {
-                *o += w * v as f64;
-            }
-        }
-        Ok(out.into_iter().map(|v| v as f32).collect())
+        let picked: Vec<(usize, f64)> = (weights.iter().enumerate())
+            .map(|(i, &w)| (i, w as f64 / total))
+            .collect();
+        sum_rows(
+            rows,
+            len,
+            &picked,
+            |w, v| w * v as f64,
+            |sum| sum as f32,
+            emit,
+        );
+        Ok(())
     }
 }
 
@@ -272,36 +388,41 @@ impl Aggregation for GradientSum {
         "gradient-sum"
     }
 
-    fn aggregate(&self, inputs: &[Vec<f32>], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
-        let len = validate(inputs, weights)?;
-        let mut out = vec![0.0f64; len];
-        for input in inputs {
-            for (o, &v) in out.iter_mut().zip(input.iter()) {
-                *o += v as f64;
-            }
-        }
-        Ok(out.into_iter().map(|v| v as f32).collect())
+    fn aggregate_into(
+        &self,
+        rows: &dyn Rows,
+        weights: &[f32],
+        emit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), AggregateError> {
+        let len = validate(rows, weights)?;
+        let picked: Vec<(usize, f64)> = (0..rows.count()).map(|i| (i, 1.0)).collect();
+        sum_rows(rows, len, &picked, |_, v| v as f64, |sum| sum as f32, emit);
+        Ok(())
     }
 }
 
 /// Coordinate-wise median (Yin et al., 2018); weights are ignored.
 pub struct CoordinateMedian;
 
-/// The median of every coordinate of `len`-long `inputs` (at least one):
+/// The median of every coordinate of `len`-long `rows` (at least one):
 /// the middle row of the sorted tile, or the `f32` mean of the middle two.
-fn coordinate_median(inputs: &[Vec<f32>], len: usize) -> Vec<f32> {
-    let n = inputs.len();
-    let mut out = Vec::with_capacity(len);
-    for_each_sorted_tile(inputs, len, |rows, width| {
-        let upper = rows[n / 2][..width].iter().map(|&k| unkey(k));
+fn coordinate_median(rows: &dyn Rows, len: usize, emit: &mut dyn FnMut(&[f32])) {
+    let n = rows.count();
+    let mut out = [0.0f32; LANES];
+    for_each_sorted_tile(rows, len, |sorted, width| {
+        let upper = sorted[n / 2].iter().map(|&k| unkey(k));
         if n % 2 == 1 {
-            out.extend(upper);
+            for (o, v) in out.iter_mut().zip(upper) {
+                *o = v;
+            }
         } else {
-            let lower = rows[n / 2 - 1][..width].iter().map(|&k| unkey(k));
-            out.extend(lower.zip(upper).map(|(a, b)| (a + b) / 2.0));
+            let lower = sorted[n / 2 - 1].iter().map(|&k| unkey(k));
+            for (o, (a, b)) in out.iter_mut().zip(lower.zip(upper)) {
+                *o = (a + b) / 2.0;
+            }
         }
+        emit(&out[..width]);
     });
-    out
 }
 
 impl Aggregation for CoordinateMedian {
@@ -309,9 +430,15 @@ impl Aggregation for CoordinateMedian {
         "coordinate-median"
     }
 
-    fn aggregate(&self, inputs: &[Vec<f32>], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
-        let len = validate(inputs, weights)?;
-        Ok(coordinate_median(inputs, len))
+    fn aggregate_into(
+        &self,
+        rows: &dyn Rows,
+        weights: &[f32],
+        emit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), AggregateError> {
+        let len = validate(rows, weights)?;
+        coordinate_median(rows, len, emit);
+        Ok(())
     }
 }
 
@@ -330,30 +457,38 @@ pub struct Krum {
 /// independent `f64` addition chains, each in coordinate order.
 const KRUM_GROUP: usize = 4;
 
-/// `dist[i * n + j]`, the squared L2 distance between updates `i` and
-/// `j`, each pair computed once: `(x - y)²` and `(y - x)²` are the same
-/// bits, and every pair's sum runs over the coordinates in order.
-fn pairwise_sq_dists(inputs: &[Vec<f32>]) -> Vec<f64> {
-    let n = inputs.len();
-    let mut dist = vec![0.0f64; n * n];
-    for (i, x) in inputs.iter().enumerate() {
-        let row = &mut dist[i * n + i + 1..(i + 1) * n];
-        for (dists, group) in row
-            .chunks_mut(KRUM_GROUP)
-            .zip(inputs[i + 1..].chunks(KRUM_GROUP))
-        {
-            // A short last group repeats its last update, so that its
-            // sums are not one latency-bound chain each.
-            let ys: [&[f32]; KRUM_GROUP] =
-                std::array::from_fn(|g| &group[g.min(group.len() - 1)][..x.len()]);
-            let mut sums = [SUM_IDENTITY; KRUM_GROUP];
-            for (c, &a) in x.iter().enumerate() {
-                for (sum, y) in sums.iter_mut().zip(ys) {
-                    let d = a as f64 - y[c] as f64;
-                    *sum += d * d;
+/// `dist[i * n + j]`, the squared L2 distance between rows `i` and `j`,
+/// each pair computed once: `(x - y)²` and `(y - x)²` are the same bits,
+/// and every pair's sum runs over the coordinates in order, a tile of
+/// every row at a time.
+fn pairwise_sq_dists(rows: &dyn Rows, len: usize) -> Vec<f64> {
+    let n = rows.count();
+    let mut dist = vec![SUM_IDENTITY; n * n];
+    let mut tile = vec![[0.0f32; LANES]; n];
+    for (start, width) in tiles(len) {
+        for (i, row) in tile.iter_mut().enumerate() {
+            rows.load(i, start, &mut row[..width]);
+        }
+        for (i, x) in tile.iter().enumerate() {
+            let row = &mut dist[i * n + i + 1..(i + 1) * n];
+            for (dists, group) in row
+                .chunks_mut(KRUM_GROUP)
+                .zip(tile[i + 1..].chunks(KRUM_GROUP))
+            {
+                // A short last group repeats its last row, so that its
+                // sums are not one latency-bound chain each.
+                let ys: [&[f32; LANES]; KRUM_GROUP] =
+                    std::array::from_fn(|g| &group[g.min(group.len() - 1)]);
+                let mut sums = [SUM_IDENTITY; KRUM_GROUP];
+                sums[..dists.len()].copy_from_slice(dists);
+                for (c, &a) in x[..width].iter().enumerate() {
+                    for (sum, y) in sums.iter_mut().zip(ys) {
+                        let d = a as f64 - y[c] as f64;
+                        *sum += d * d;
+                    }
                 }
+                dists.copy_from_slice(&sums[..dists.len()]);
             }
-            dists.copy_from_slice(&sums[..dists.len()]);
         }
     }
     for i in 0..n {
@@ -364,11 +499,11 @@ fn pairwise_sq_dists(inputs: &[Vec<f32>]) -> Vec<f64> {
     dist
 }
 
-/// Krum's score of every update: the sum of its `k` smallest squared
+/// Krum's score of every row: the sum of its `k` smallest squared
 /// distances to the others.
-fn krum_scores(inputs: &[Vec<f32>], k: usize) -> Vec<f64> {
-    let n = inputs.len();
-    let dist = pairwise_sq_dists(inputs);
+fn krum_scores(rows: &dyn Rows, len: usize, k: usize) -> Vec<f64> {
+    let n = rows.count();
+    let dist = pairwise_sq_dists(rows, len);
     (0..n)
         .map(|i| {
             let mut dists: Vec<f64> = (0..n)
@@ -386,19 +521,25 @@ impl Aggregation for Krum {
         "krum"
     }
 
-    fn aggregate(&self, inputs: &[Vec<f32>], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
-        validate(inputs, weights)?;
+    fn aggregate_into(
+        &self,
+        rows: &dyn Rows,
+        weights: &[f32],
+        emit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), AggregateError> {
+        let len = validate(rows, weights)?;
         // Krum's neighbourhood size: n - f - 2 (at least 1).
-        let k = inputs.len().saturating_sub(self.f + 2).max(1);
+        let k = rows.count().saturating_sub(self.f + 2).max(1);
         let mut best_score = f64::INFINITY;
         let mut best_idx = 0usize;
-        for (i, &score) in krum_scores(inputs, k).iter().enumerate() {
+        for (i, &score) in krum_scores(rows, len, k).iter().enumerate() {
             if score < best_score {
                 best_score = score;
                 best_idx = i;
             }
         }
-        Ok(inputs[best_idx].clone())
+        emit_row(rows, best_idx, len, emit);
+        Ok(())
     }
 }
 
@@ -415,17 +556,27 @@ impl Aggregation for FlameLite {
         "flame-lite"
     }
 
-    fn aggregate(&self, inputs: &[Vec<f32>], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
-        let len = validate(inputs, weights)?;
-        let n = inputs.len();
+    fn aggregate_into(
+        &self,
+        rows: &dyn Rows,
+        weights: &[f32],
+        emit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), AggregateError> {
+        let len = validate(rows, weights)?;
+        let n = rows.count();
         if n <= 2 {
             // Too few parties to filter; fall back to the mean.
-            return IterativeAveraging.aggregate(inputs, &vec![1.0; n]);
+            return IterativeAveraging.aggregate_into(rows, &vec![1.0; n], emit);
         }
         // Reference direction: the coordinate-wise median update.
-        let median = coordinate_median(inputs, len);
+        let mut median = Vec::with_capacity(len);
+        coordinate_median(rows, len, &mut |values| median.extend_from_slice(values));
         // Cosine distance of each update to the reference.
-        let dists: Vec<f64> = inputs.iter().map(|u| cosine_distance(u, &median)).collect();
+        let (dots, squares) = dots_and_squares(rows, len, &median);
+        let reference_norm = l2(&median);
+        let dists: Vec<f64> = (dots.iter().zip(&squares))
+            .map(|(&dot, &square)| cosine_distance(dot, square.sqrt(), reference_norm))
+            .collect();
         let mut sorted = dists.clone();
         sorted.sort_by(f64::total_cmp);
         let med_dist = sorted[n / 2];
@@ -437,22 +588,27 @@ impl Aggregation for FlameLite {
             // Half the distances or more are NaN (non-finite updates, or a
             // reference that overflowed): no update can be told from an
             // outlier, and the reference is the one robust answer left.
-            return Ok(median);
+            emit(&median);
+            return Ok(());
         }
         // Clip accepted updates to the median L2 norm.
-        let norms: Vec<f64> = accepted.iter().map(|&i| l2(&inputs[i])).collect();
+        let norms: Vec<f64> = accepted.iter().map(|&i| squares[i].sqrt()).collect();
         let mut sorted_norms = norms.clone();
         sorted_norms.sort_by(f64::total_cmp);
         let clip = sorted_norms[sorted_norms.len() / 2].max(1e-12);
-        let mut out = vec![0.0f64; len];
-        for (&i, &norm) in accepted.iter().zip(norms.iter()) {
-            let scale = if norm > clip { clip / norm } else { 1.0 };
-            for (o, &v) in out.iter_mut().zip(inputs[i].iter()) {
-                *o += v as f64 * scale;
-            }
-        }
+        let picked: Vec<(usize, f64)> = (accepted.iter().zip(&norms))
+            .map(|(&i, &norm)| (i, if norm > clip { clip / norm } else { 1.0 }))
+            .collect();
         let inv = 1.0 / accepted.len() as f64;
-        Ok(out.into_iter().map(|v| (v * inv) as f32).collect())
+        sum_rows(
+            rows,
+            len,
+            &picked,
+            |scale, v| v as f64 * scale,
+            |sum| (sum * inv) as f32,
+            emit,
+        );
+        Ok(())
     }
 }
 
@@ -469,40 +625,62 @@ impl Aggregation for TrimmedMean {
         "trimmed-mean"
     }
 
-    fn aggregate(&self, inputs: &[Vec<f32>], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
-        let len = validate(inputs, weights)?;
-        let (n, trim) = (inputs.len(), self.trim);
+    fn aggregate_into(
+        &self,
+        rows: &dyn Rows,
+        weights: &[f32],
+        emit: &mut dyn FnMut(&[f32]),
+    ) -> Result<(), AggregateError> {
+        let len = validate(rows, weights)?;
+        let (n, trim) = (rows.count(), self.trim);
         if trim.saturating_mul(2) >= n {
             return Err(AggregateError::OverTrim { trim, n });
         }
         let keep = (n - 2 * trim) as f64;
-        let mut out = Vec::with_capacity(len);
-        for_each_sorted_tile(inputs, len, |rows, width| {
+        let mut out = [0.0f32; LANES];
+        for_each_sorted_tile(rows, len, |sorted, width| {
             // The kept values are added in ascending order.
             let mut sums = [SUM_IDENTITY; LANES];
-            for row in &rows[trim..n - trim] {
+            for row in &sorted[trim..n - trim] {
                 for (sum, &k) in sums.iter_mut().zip(row) {
                     *sum += unkey(k) as f64;
                 }
             }
-            out.extend(sums[..width].iter().map(|&sum| (sum / keep) as f32));
+            for (o, &sum) in out.iter_mut().zip(&sums) {
+                *o = (sum / keep) as f32;
+            }
+            emit(&out[..width]);
         });
-        Ok(out)
+        Ok(())
     }
+}
+
+/// Per row of `rows`, its dot product with `reference` and its squared
+/// L2 norm, each summed over the coordinates in order as `Iterator::sum`
+/// would.
+fn dots_and_squares(rows: &dyn Rows, len: usize, reference: &[f32]) -> (Vec<f64>, Vec<f64>) {
+    let n = rows.count();
+    let (mut dots, mut squares) = (vec![SUM_IDENTITY; n], vec![SUM_IDENTITY; n]);
+    let mut values = [0.0f32; LANES];
+    for (start, width) in tiles(len) {
+        let reference = &reference[start..start + width];
+        for (i, (dot, square)) in dots.iter_mut().zip(&mut squares).enumerate() {
+            rows.load(i, start, &mut values[..width]);
+            for (&x, &y) in values[..width].iter().zip(reference) {
+                *dot += x as f64 * y as f64;
+                *square += x as f64 * x as f64;
+            }
+        }
+    }
+    (dots, squares)
 }
 
 fn l2(a: &[f32]) -> f64 {
     a.iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt()
 }
 
-fn cosine_distance(a: &[f32], b: &[f32]) -> f64 {
-    let dot: f64 = a
-        .iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x as f64 * y as f64)
-        .sum();
-    let na = l2(a);
-    let nb = l2(b);
+/// `1 - dot / (na · nb)`, or 1 when either norm is zero.
+fn cosine_distance(dot: f64, na: f64, nb: f64) -> f64 {
     if na == 0.0 || nb == 0.0 {
         return 1.0;
     }
@@ -797,6 +975,9 @@ mod tests {
                 run_network(n, &mut wires);
                 assert_eq!(wires, sorted, "n {n}");
             });
+            // The table never outgrew what was reserved for it.
+            let b = n.next_power_of_two().trailing_zeros() as usize;
+            assert_eq!(sorting_network(n).capacity(), n * b * (b + 1) / 4, "n {n}");
         }
         assert_eq!(sorting_network(32).len(), 191);
     }
@@ -845,7 +1026,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let table = krum_scores(&inputs, k);
+            let table = krum_scores(&inputs.as_slice(), len, k);
             let reference = per_candidate_scores(&inputs, k);
             for (a, b) in table.iter().zip(&reference) {
                 assert!(

@@ -21,11 +21,11 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![deny(clippy::iter_over_hash_type)]
 
-use crate::agg::Aggregation;
+use crate::agg::{Aggregation, Rows};
 use crate::latency::timed;
 use crate::proxy::TOKEN_SECRET_LABEL;
 use crate::recovery::Manifest;
-use crate::wire::{self, Msg, RecordFrame};
+use crate::wire::{self, FragmentRecord, Msg, Opened, RecordFrame};
 use deta_bignum::BigUint;
 use deta_crypto::{DetRng, SigningKey};
 use deta_paillier::{Ciphertext, PublicKey as PaillierPk};
@@ -34,6 +34,7 @@ use deta_telemetry::TelemetryValue;
 use deta_transport::wire::{put_bytes, Reader};
 use deta_transport::{secure, Endpoint, SecureChannel};
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::sync::Arc;
 
 /// Errors from the aggregator runtime.
@@ -78,27 +79,56 @@ struct PartyPeer {
 /// node holds is decided where uploads come in: plain fragments without
 /// a Paillier key, ciphertexts with one, never both.
 enum Upload {
-    /// A transformed fragment.
-    Plain(Vec<f32>),
+    /// A transformed fragment, in the record it was opened in.
+    Plain(FragmentRecord),
     /// A Paillier-encrypted fragment: its ciphertexts, and the number of
     /// plaintext values they pack.
     Encrypted(Vec<Ciphertext>, u64),
 }
 
 /// The plain uploads of the round a node aggregated last, in party-name
-/// order: its guest memory. They are moved there as they were decoded,
-/// aggregated where they lie, and rendered as the records a breach reads
-/// ([`breach_records`]) only when the memory is read as bytes. Under
-/// Paillier fusion the node holds only ciphertexts, and this is empty.
+/// order: its guest memory. They are moved there in the records they
+/// were opened in, aggregated straight out of those records' bytes (the
+/// rows of [`Rows`]), and rendered as the records a breach reads only
+/// when the memory is read as bytes. Under Paillier fusion the node
+/// holds only ciphertexts, and this is empty.
 struct HeldRound {
-    round: u64,
     names: Vec<String>,
-    fragments: Vec<Vec<f32>>,
+    records: Vec<FragmentRecord>,
 }
 
 impl GuestMemory for HeldRound {
+    /// What a breach leaks: length-prefixed records of (party name,
+    /// `Upload` message) — each message the plaintext its record opened
+    /// to — rendered into one buffer reserved for all of them.
     fn render(&self) -> Vec<u8> {
-        breach_records(self.round, &self.names, &self.fragments)
+        let records = || self.names.iter().zip(&self.records);
+        let bytes =
+            |(name, record): (&String, &FragmentRecord)| 8 + name.len() + record.message().len();
+        let mut mem = Vec::with_capacity(records().map(bytes).sum());
+        for (name, record) in records() {
+            let record_start = mem.len();
+            if put_bytes(&mut mem, name.as_bytes()).is_err()
+                || put_bytes(&mut mem, record.message()).is_err()
+            {
+                mem.truncate(record_start);
+            }
+        }
+        mem
+    }
+}
+
+impl Rows for HeldRound {
+    fn count(&self) -> usize {
+        self.records.len()
+    }
+
+    fn row_len(&self, i: usize) -> usize {
+        self.records[i].len()
+    }
+
+    fn load(&self, i: usize, start: usize, out: &mut [f32]) {
+        self.records[i].load(start, out);
     }
 }
 
@@ -173,15 +203,18 @@ impl AggregatorNode {
     }
 
     /// Every decrypted-but-not-yet-aggregated plain upload this node
-    /// holds, as `(round, party, fragment)` sorted by round then party.
-    /// Together with the CVM breach log this is the complete plaintext
-    /// view of an aggregator — deta-simnet's privacy checker audits both.
+    /// holds, as `(round, party, fragment)` sorted by round then party,
+    /// each decoded from its record for the caller. Together with the
+    /// CVM breach log this is the complete plaintext view of an
+    /// aggregator — deta-simnet's privacy checker audits both.
     pub fn pending_uploads(&self) -> Vec<(u64, String, Vec<f32>)> {
         let mut out: Vec<(u64, String, Vec<f32>)> = Vec::new();
         for (&round, uploads) in &self.pending {
             for (party, upload) in uploads {
-                if let Upload::Plain(frag) = upload {
-                    out.push((round, party.clone(), frag.clone()));
+                if let Upload::Plain(record) = upload {
+                    let mut fragment = vec![0.0; record.len()];
+                    record.load(0, &mut fragment);
+                    out.push((round, party.clone(), fragment));
                 }
             }
         }
@@ -242,7 +275,9 @@ impl AggregatorNode {
             return;
         }
         deta_telemetry::event("round_start", &[("round", TelemetryValue::from(round))]);
-        let _ = self.fan_out(&Msg::RoundStart { round });
+        if let Ok(frame) = RecordFrame::of(&Msg::RoundStart { round }) {
+            self.fan_out(frame);
+        }
     }
 
     /// [`AggregatorNode::announce`], under the signature a hand-driven
@@ -295,12 +330,11 @@ impl AggregatorNode {
         }
     }
 
-    /// Sends `msg` to every registered party, in name order. It is
-    /// encoded once, into the first party's frame; each next party's
-    /// frame is copied from the one before, before that one is sealed
-    /// where it lies and sent.
-    fn fan_out(&mut self, msg: &Msg) -> Result<(), wire::EncodeError> {
-        let mut frame = RecordFrame::of(msg)?;
+    /// Sends the message of `frame` — the first party's — to every
+    /// registered party, in name order: each next party's frame is copied
+    /// from the one before, before that one is sealed where it lies and
+    /// sent.
+    fn fan_out(&mut self, mut frame: RecordFrame) {
         let mut registered = (self.parties.iter_mut())
             .filter(|(_, p)| p.weight.is_some())
             .peekable();
@@ -312,7 +346,6 @@ impl AggregatorNode {
                 None => break,
             }
         }
-        Ok(())
     }
 
     /// Dispatches one raw wire frame. Public so an actor loop (which owns
@@ -325,8 +358,17 @@ impl AggregatorNode {
             let Some(peer) = self.parties.get_mut(from) else {
                 return;
             };
-            if let Some(inner) = wire::open_record(&mut peer.channel, payload) {
-                self.handle_inner(from, inner);
+            match wire::open(&mut peer.channel, payload) {
+                Some(Opened::Upload(record)) => self.receive_upload(from, record),
+                Some(Opened::Msg(inner)) => self.handle_inner(from, inner),
+                Some(Opened::Aggregated(_)) => {
+                    deta_telemetry::metrics::counter_add(
+                        "deta_wire_ignored_total",
+                        "Aggregated",
+                        1,
+                    );
+                }
+                None => {}
             }
             return;
         }
@@ -410,16 +452,6 @@ impl AggregatorNode {
                 }
                 self.send_sealed(from, &Msg::RegisterAck);
             }
-            Msg::Upload { round, fragment } if self.paillier_pk.is_none() => {
-                deta_telemetry::event(
-                    "upload_received",
-                    &[
-                        ("round", TelemetryValue::from(round)),
-                        ("values", TelemetryValue::from(fragment.len())),
-                    ],
-                );
-                self.hold_upload(from, round, Upload::Plain(fragment));
-            }
             Msg::UploadEncrypted {
                 round,
                 ciphertexts,
@@ -439,24 +471,44 @@ impl AggregatorNode {
                     .collect();
                 self.hold_upload(from, round, Upload::Encrypted(ciphertexts, value_count));
             }
-            // An upload of the kind this node does not aggregate — plain
-            // to a node with a Paillier key, encrypted to one without —
-            // would wait in `pending` for a round that can never use it.
-            other @ (Msg::Upload { .. } | Msg::UploadEncrypted { .. }) => {
+            // An encrypted upload to a node without a Paillier key would
+            // wait in `pending` for a round that can never use it.
+            other @ Msg::UploadEncrypted { .. } => {
                 deta_telemetry::metrics::counter_add("deta_wire_rejected_total", other.name(), 1);
             }
             // Inner frames other than registration and uploads are
             // out-of-protocol for the sealed channel; count each drop.
+            // (A plain upload or aggregate never gets here: it is opened
+            // as `Opened::Upload` or `Opened::Aggregated`.)
             other @ (Msg::Hello { .. }
             | Msg::HelloReply { .. }
             | Msg::Record { .. }
             | Msg::RegisterAck
             | Msg::RoundStart { .. }
+            | Msg::Upload { .. }
             | Msg::Aggregated { .. }
             | Msg::AggregatedEncrypted { .. }) => {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
+    }
+
+    /// A plain upload, in the record it was opened in. A node with a
+    /// Paillier key refuses it: it would wait in `pending` for a round
+    /// that can never use it.
+    fn receive_upload(&mut self, from: &str, record: FragmentRecord) {
+        if self.paillier_pk.is_some() {
+            deta_telemetry::metrics::counter_add("deta_wire_rejected_total", "Upload", 1);
+            return;
+        }
+        deta_telemetry::event(
+            "upload_received",
+            &[
+                ("round", TelemetryValue::from(record.round())),
+                ("values", TelemetryValue::from(record.len())),
+            ],
+        );
+        self.hold_upload(from, record.round(), Upload::Plain(record));
     }
 
     /// Holds `from`'s upload for `round`, and aggregates the round if it
@@ -509,12 +561,12 @@ impl AggregatorNode {
             return;
         };
         let count = uploads.len();
-        let (mut names, mut fragments, mut encrypted) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut names, mut records, mut encrypted) = (Vec::new(), Vec::new(), Vec::new());
         for (name, upload) in uploads {
             match upload {
-                Upload::Plain(fragment) => {
+                Upload::Plain(record) => {
                     names.push(name);
-                    fragments.push(fragment);
+                    records.push(record);
                 }
                 Upload::Encrypted(ciphertexts, value_count) => {
                     encrypted.push((ciphertexts, value_count));
@@ -522,46 +574,46 @@ impl AggregatorNode {
             }
         }
         // The uploads move into guest memory, where a breach finds them,
-        // and are aggregated there.
-        let held = Arc::new(HeldRound {
-            round,
-            names,
-            fragments,
-        });
+        // and are aggregated there; the result is written into the first
+        // party's frame.
+        let held = Arc::new(HeldRound { names, records });
         self.cvm.guest().hold(held.clone());
-        let aggregated = timed(&mut self.aggregate_time_s, || {
-            let span = deta_telemetry::span("aggregate")
-                .with_field("round", TelemetryValue::from(round))
-                .with_field("uploads", TelemetryValue::from(count));
-            match &self.paillier_pk {
-                None => {
-                    let _span = span;
-                    let weight = |name| self.parties.get(name).and_then(|p| p.weight);
-                    let weights: Vec<f32> = held
-                        .names
-                        .iter()
-                        .map(|n| weight(n).unwrap_or(1.0))
-                        .collect();
-                    let fragment = self.algorithm.aggregate(&held.fragments, &weights);
-                    fragment
-                        .map(|fragment| Msg::Aggregated { round, fragment })
-                        .map_err(|e| e.to_string())
+        let aggregated = timed(
+            &mut self.aggregate_time_s,
+            || -> Result<_, Box<dyn Error>> {
+                let span = deta_telemetry::span("aggregate")
+                    .with_field("round", TelemetryValue::from(round))
+                    .with_field("uploads", TelemetryValue::from(count));
+                match &self.paillier_pk {
+                    None => {
+                        let _span = span;
+                        let weight = |name| self.parties.get(name).and_then(|p| p.weight);
+                        let weights: Vec<f32> = held
+                            .names
+                            .iter()
+                            .map(|n| weight(n).unwrap_or(1.0))
+                            .collect();
+                        let len = held.records.first().map_or(0, FragmentRecord::len);
+                        RecordFrame::aggregated(round, len, |emit| {
+                            Ok(self.algorithm.aggregate_into(&*held, &weights, emit)?)
+                        })
+                    }
+                    Some(pk) => {
+                        let _span = span.with_field("encrypted", TelemetryValue::from(true));
+                        let (sums, value_count) = sum_ciphertexts(pk, &encrypted)?;
+                        Ok(RecordFrame::of(&Msg::AggregatedEncrypted {
+                            round,
+                            ciphertexts: sums.iter().map(|c| c.0.to_bytes_be()).collect(),
+                            value_count,
+                            summands: n as u64,
+                        })?)
+                    }
                 }
-                Some(pk) => {
-                    let _span = span.with_field("encrypted", TelemetryValue::from(true));
-                    let (sums, value_count) = sum_ciphertexts(pk, &encrypted)?;
-                    Ok(Msg::AggregatedEncrypted {
-                        round,
-                        ciphertexts: sums.iter().map(|c| c.0.to_bytes_be()).collect(),
-                        value_count,
-                        summands: n as u64,
-                    })
-                }
-            }
-        });
-        let sent = aggregated.and_then(|msg| self.fan_out(&msg).map_err(|e| e.to_string()));
-        if let Err(cause) = sent {
-            return self.aggregate_failed(round, &cause);
+            },
+        );
+        match aggregated {
+            Ok(frame) => self.fan_out(frame),
+            Err(cause) => return self.aggregate_failed(round, &cause.to_string()),
         }
         self.completed_rounds = self.completed_rounds.max(round);
     }
@@ -606,33 +658,11 @@ fn sum_ciphertexts(
     Ok((sums, *value_count))
 }
 
-/// What a breach of an aggregator holding the plain `fragments` of
-/// `names` leaks: length-prefixed records of (party name, `Upload`
-/// message) — under Paillier fusion, where the node holds only
-/// ciphertexts, nothing. Rendered into one buffer reserved for all the
-/// records, and only when the memory is read as bytes ([`HeldRound`]).
-fn breach_records(round: u64, names: &[String], fragments: &[Vec<f32>]) -> Vec<u8> {
-    let record_bytes = |(name, fragment): (&String, &Vec<f32>)| {
-        8 + name.len() + wire::FRAGMENT_HEADER + 4 * fragment.len()
-    };
-    let records = || names.iter().zip(fragments);
-    let mut mem = Vec::with_capacity(records().map(record_bytes).sum());
-    for (name, fragment) in records() {
-        let record_start = mem.len();
-        if put_bytes(&mut mem, name.as_bytes()).is_err()
-            || wire::put_upload(&mut mem, round, fragment).is_err()
-        {
-            mem.truncate(record_start);
-        }
-    }
-    mem
-}
-
 /// Parses a breached aggregator's guest memory into the model-update
 /// fragments it held: `(party name, round, fragment)` records.
 ///
-/// This is the attacker-side counterpart of the record format
-/// `breach_records` writes; malformed trailing bytes are ignored.
+/// This is the attacker-side counterpart of the records an aggregator's
+/// held round renders; malformed trailing bytes are ignored.
 pub fn parse_breached_memory(memory: &[u8]) -> Vec<(String, u64, Vec<f32>)> {
     let mut out = Vec::new();
     let mut r = Reader::new(memory);

@@ -27,7 +27,7 @@ use crate::paillier_fusion::PaillierFusion;
 use crate::session::SyncMode;
 use crate::shuffle::Shuffled;
 use crate::transform::{RoundPermutations, Transformer};
-use crate::wire::{self, AggregatedRecord, Msg, Opened, RecordFrame};
+use crate::wire::{self, FragmentRecord, Msg, Opened, RecordFrame};
 use deta_crypto::{DetRng, Secret, VerifyingKey};
 use deta_nn::train::{batch_gradient, train_local, LabeledData};
 use deta_nn::Sequential;
@@ -135,7 +135,7 @@ enum Link {
 enum Download {
     /// The aggregate, in transformed coordinates, still in the record it
     /// was opened in.
-    Plain(AggregatedRecord),
+    Plain(FragmentRecord),
     /// Its homomorphic sum, to decrypt and average.
     Encrypted {
         ciphertexts: Vec<Ciphertext>,
@@ -228,7 +228,7 @@ fn update_parts<'a>(flat: Option<&'a [f32]>, model: &'a Sequential) -> Vec<&'a [
 /// An aggregated fragment ready to un-shuffle.
 enum Aggregate {
     /// A plain aggregate, in the record it arrived in.
-    Opened(AggregatedRecord),
+    Opened(FragmentRecord),
     /// A homomorphic sum, decrypted and averaged.
     Decrypted(Vec<f32>),
 }
@@ -971,7 +971,7 @@ impl Party {
         let Link::Up(chan) = &mut agg.link else {
             return;
         };
-        let Some(opened) = wire::open_download(chan, frame) else {
+        let Some(opened) = wire::open(chan, frame) else {
             return;
         };
         // A download is checked against the fragment this aggregator owes
@@ -1021,6 +1021,10 @@ impl Party {
                 deta_telemetry::metrics::counter_add("deta_wire_ignored_total", "Aggregated", 1);
                 return;
             }
+            Opened::Upload(_) => {
+                deta_telemetry::metrics::counter_add("deta_wire_ignored_total", "Upload", 1);
+                return;
+            }
             Opened::Msg(msg) => msg,
         };
         match inner {
@@ -1067,8 +1071,8 @@ impl Party {
             // Out-of-protocol inner messages and guard-failed downloads
             // (a stale round's RoundStart or aggregate, an aggregate of
             // the wrong kind) land here; the drop is deliberate and
-            // counted. (A plain aggregate never gets here: it is opened
-            // as `Opened::Aggregated`.)
+            // counted. (A plain aggregate or upload never gets here: it is
+            // opened as `Opened::Aggregated` or `Opened::Upload`.)
             other @ (Msg::Hello { .. }
             | Msg::HelloReply { .. }
             | Msg::Record { .. }

@@ -162,26 +162,6 @@ fn put_fragment(
     put_f32s_from(out, values)
 }
 
-/// Appends the encoding of [`Msg::Upload`] behind a `u32` length prefix
-/// — the form a breach-memory record holds it in — straight from a
-/// borrowed fragment, with no buffer of its own. Writes nothing when it
-/// refuses.
-pub fn put_upload(out: &mut Vec<u8>, round: u64, fragment: &[f32]) -> Result<(), EncodeError> {
-    // A length that fits the prefix bounds the value count below its own.
-    let encoded = fragment
-        .len()
-        .checked_mul(4)
-        .and_then(|values| values.checked_add(FRAGMENT_HEADER))
-        .ok_or(EncodeError)?;
-    put_len(out, encoded)?;
-    Ok(put_fragment(
-        out,
-        TAG_UPLOAD,
-        round,
-        fragment.iter().copied(),
-    )?)
-}
-
 /// Bytes a [`Msg::Record`] spends before its sealed payload: tag and
 /// length prefix.
 pub const RECORD_HEADER: usize = 1 + 4;
@@ -199,10 +179,10 @@ impl RecordFrame {
     /// Reserves the whole frame — header, `body_len` bytes of inner
     /// message, tag — lets `body` append the inner message, and writes
     /// the header for what it appended.
-    fn build(
+    fn build<E: From<EncodeError>>(
         body_len: usize,
-        body: impl FnOnce(&mut Vec<u8>) -> Result<(), EncodeError>,
-    ) -> Result<RecordFrame, EncodeError> {
+        body: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<RecordFrame, E> {
         let mut frame = Vec::with_capacity(RECORD_HEADER + body_len + TAG_LEN);
         frame.push(TAG_RECORD);
         frame.extend_from_slice(&[0; 4]);
@@ -249,6 +229,34 @@ impl RecordFrame {
         })
     }
 
+    /// A record of [`Msg::Aggregated`] whose values are written as `fill`
+    /// hands them to the writer it is given — an aggregator writes its
+    /// result straight into the first party's frame. Room is reserved
+    /// for `len` values; the count written is what `fill` handed over.
+    /// `fill`'s error is returned as it is, and the frame dropped.
+    pub fn aggregated<E: From<EncodeError>>(
+        round: u64,
+        len: usize,
+        fill: impl FnOnce(&mut dyn FnMut(&[f32])) -> Result<(), E>,
+    ) -> Result<RecordFrame, E> {
+        RecordFrame::build(FRAGMENT_HEADER + 4 * len, |out| {
+            out.push(TAG_AGGREGATED);
+            out.extend_from_slice(&round.to_le_bytes());
+            let count_at = out.len();
+            out.extend_from_slice(&[0; 4]);
+            fill(&mut |values| {
+                let at = out.len();
+                out.resize(at + 4 * values.len(), 0);
+                for (slot, x) in out[at..].chunks_exact_mut(4).zip(values) {
+                    slot.copy_from_slice(&x.to_le_bytes());
+                }
+            })?;
+            let count = u32::try_from((out.len() - count_at - 4) / 4).map_err(|_| EncodeError)?;
+            out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+            Ok(())
+        })
+    }
+
     /// Seals the inner message where it lies, as `chan`'s next record,
     /// and returns the finished frame.
     pub fn seal(mut self, chan: &mut SecureChannel) -> Vec<u8> {
@@ -264,45 +272,36 @@ pub fn is_record(frame: &[u8]) -> bool {
     r.u8() == Ok(TAG_RECORD) && r.bytes().is_ok() && r.finish().is_ok()
 }
 
-/// Opens a [`Msg::Record`] frame where it arrived, as `chan`'s next
-/// record, and decodes the message inside: no copy of the sealed bytes,
-/// none of the plaintext, and a fragment's values are read out of it
-/// once. `None` when `frame` is no record ([`is_record`]), the record
-/// does not open (tampered, replayed, out of order — `chan` has then not
-/// advanced) or the inner bytes are no message.
-pub fn open_record(chan: &mut SecureChannel, frame: Vec<u8>) -> Option<Msg> {
-    match open_download(chan, frame)? {
-        Opened::Msg(msg) => Some(msg),
-        Opened::Aggregated(record) => Msg::decode(&record.frame[RECORD_HEADER..]).ok(),
-    }
-}
-
-/// A record a party opened: an aggregated fragment stays in the buffer
-/// its record was opened in ([`AggregatedRecord`]); any other message is
-/// decoded.
+/// A record opened where it arrived. A fragment — an upload or an
+/// aggregate — stays in the buffer it was opened in ([`FragmentRecord`]);
+/// any other message is decoded.
 pub enum Opened {
+    /// A [`Msg::Upload`], its values not decoded.
+    Upload(FragmentRecord),
     /// A [`Msg::Aggregated`], its values not decoded.
-    Aggregated(AggregatedRecord),
+    Aggregated(FragmentRecord),
     /// Any other message.
     Msg(Msg),
 }
 
-/// A [`Msg::Aggregated`] in the record it was opened in: the frame whose
-/// bytes after the two headers are the fragment's values, little-endian,
-/// checked to be exactly as many as the message says. A party un-shuffles
-/// them straight out of here, so a download is never decoded into a
-/// buffer of its own.
-pub struct AggregatedRecord {
+/// A [`Msg::Upload`] or [`Msg::Aggregated`] in the record it was opened
+/// in: the frame whose bytes after the record's header are the message's
+/// encoding, and after the message's tag, round and count the fragment's
+/// values, little-endian, checked to be exactly as many as the message
+/// says. An aggregator aggregates uploads straight out of here, and a
+/// party un-shuffles its download out of here, so no fragment is ever
+/// decoded into a buffer of its own.
+pub struct FragmentRecord {
     frame: Vec<u8>,
     round: u64,
 }
 
-impl AggregatedRecord {
+impl FragmentRecord {
     /// Where the values start in the frame: behind the record's header
     /// and the message's tag, round and count.
     const VALUES: usize = RECORD_HEADER + FRAGMENT_HEADER;
 
-    /// The round aggregated.
+    /// The round of the fragment.
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -317,32 +316,49 @@ impl AggregatedRecord {
         self.le_values().is_empty()
     }
 
+    /// The message as it was opened: exactly its encoding.
+    pub fn message(&self) -> &[u8] {
+        &self.frame[RECORD_HEADER..]
+    }
+
     /// The values as they arrived: little-endian `f32`s, four bytes each.
     pub fn le_values(&self) -> &[u8] {
         &self.frame[Self::VALUES..]
     }
+
+    /// Copies values `start..start + out.len()` into `out`.
+    pub fn load(&self, start: usize, out: &mut [f32]) {
+        let bytes = &self.le_values()[4 * start..4 * (start + out.len())];
+        for (v, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
+    }
 }
 
-/// [`open_record`] for a party: the same checks, but a [`Msg::Aggregated`]
-/// is validated where it lies and handed back in its frame
-/// ([`Opened::Aggregated`]) instead of being decoded. `None` exactly
-/// when [`open_record`] returns `None`, which is this call with the
-/// aggregate decoded.
-pub fn open_download(chan: &mut SecureChannel, mut frame: Vec<u8>) -> Option<Opened> {
+/// Opens a [`Msg::Record`] frame where it arrived, as `chan`'s next
+/// record: no copy of the sealed bytes and none of the plaintext. An
+/// upload or an aggregate is checked where it lies, as [`Msg::decode`]
+/// reads it, and handed back in its frame; any other message is decoded.
+/// `None` when `frame` is no record ([`is_record`]), the record does not
+/// open (tampered, replayed, out of order — `chan` has then not
+/// advanced) or the inner bytes are no message.
+pub fn open(chan: &mut SecureChannel, mut frame: Vec<u8>) -> Option<Opened> {
     if !is_record(&frame) {
         return None;
     }
     chan.open_in_place(&mut frame, RECORD_HEADER).ok()?;
     let mut r = Reader::new(&frame[RECORD_HEADER..]);
-    if r.u8() != Ok(TAG_AGGREGATED) {
-        return Msg::decode(&frame[RECORD_HEADER..]).ok().map(Opened::Msg);
-    }
+    let kind: fn(FragmentRecord) -> Opened = match r.u8() {
+        Ok(TAG_UPLOAD) => Opened::Upload,
+        Ok(TAG_AGGREGATED) => Opened::Aggregated,
+        _ => return Msg::decode(&frame[RECORD_HEADER..]).ok().map(Opened::Msg),
+    };
     // As `Msg::decode` reads it: round, count, that many values, no more.
     let round = r.u64().ok()?;
     let n = r.count(4).ok()?;
     r.take(4 * n).ok()?;
     r.finish().ok()?;
-    Some(Opened::Aggregated(AggregatedRecord { frame, round }))
+    Some(kind(FragmentRecord { frame, round }))
 }
 
 fn put_vec_bytes(out: &mut Vec<u8>, v: &[Vec<u8>]) -> Result<(), TooLong> {
@@ -568,6 +584,14 @@ mod tests {
         .encode()
         .expect("encodes");
         long.push(0);
+        // An upload whose count says one value more than it holds.
+        let mut miscounted = Msg::Upload {
+            round: 3,
+            fragment: vec![1.0; 2],
+        }
+        .encode()
+        .expect("encodes");
+        miscounted[9] += 1;
         let frames = [
             RecordFrame::of(&Msg::Aggregated {
                 round: 7,
@@ -577,20 +601,32 @@ mod tests {
                 round: 8,
                 fragment: Vec::new(),
             }),
+            RecordFrame::upload(9, fragment.iter().copied()),
+            RecordFrame::upload(10, std::iter::empty()),
+            RecordFrame::aggregated(11, fragment.len(), |emit| {
+                emit(&fragment[..40]);
+                emit(&fragment[40..]);
+                Ok::<_, EncodeError>(())
+            }),
             RecordFrame::of(&Msg::RegisterAck),
             raw(short),
             raw(long),
+            raw(miscounted),
             raw(vec![TAG_AGGREGATED]),
+            raw(vec![TAG_UPLOAD]),
         ];
         for (k, frame) in frames.into_iter().enumerate() {
             let frame = frame.expect("frames");
-            let want = Msg::decode(&frame.0[RECORD_HEADER..]).ok();
-            match (open_download(&mut receiver, frame.seal(&mut sender)), want) {
-                (Some(Opened::Aggregated(got)), Some(Msg::Aggregated { round, fragment })) => {
+            let plaintext = frame.0[RECORD_HEADER..].to_vec();
+            let want = Msg::decode(&plaintext).ok();
+            match (open(&mut receiver, frame.seal(&mut sender)), want) {
+                (Some(Opened::Aggregated(got)), Some(Msg::Aggregated { round, fragment }))
+                | (Some(Opened::Upload(got)), Some(Msg::Upload { round, fragment })) => {
                     assert_eq!((got.round(), got.len()), (round, fragment.len()), "{k}");
-                    let bits: Vec<u32> = (got.le_values().chunks_exact(4))
-                        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                        .collect();
+                    assert_eq!(got.message(), plaintext, "{k}");
+                    let mut values = vec![0.0; got.len()];
+                    got.load(0, &mut values);
+                    let bits: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
                     let want: Vec<u32> = fragment.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(bits, want, "{k}");
                 }
@@ -599,15 +635,15 @@ mod tests {
                 (_, want) => panic!("record {k}: decoding gives {want:?}"),
             }
         }
-        // A record that does not open is no download; the channel stays.
+        // A record that does not open is nothing; the channel stays.
         let sealed = RecordFrame::of(&Msg::RegisterAck)
             .expect("frames")
             .seal(&mut sender);
         let mut tampered = sealed.clone();
         tampered[RECORD_HEADER] ^= 1;
-        assert!(open_download(&mut receiver, tampered).is_none());
+        assert!(open(&mut receiver, tampered).is_none());
         assert!(matches!(
-            open_download(&mut receiver, sealed),
+            open(&mut receiver, sealed),
             Some(Opened::Msg(Msg::RegisterAck))
         ));
     }

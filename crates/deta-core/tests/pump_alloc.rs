@@ -1,17 +1,19 @@
-//! What one aggregating pump allocates: the round's `Aggregated` message
-//! — or `AggregatedEncrypted`, under Paillier fusion — is encoded once,
-//! into the first party's frame, and copied frame to frame; the uploads
-//! move into guest memory as they were decoded, with no breach records
-//! rendered until somebody reads the memory; and a fragment crossing the
-//! node costs one buffer per hop — its values decoded out of the record
-//! it arrived in, one sealed frame per recipient.
+//! What one aggregating pump allocates. A plain upload stays in the
+//! record it was opened in and moves into guest memory there, with no
+//! breach records rendered until somebody reads the memory; the rule
+//! (mean, median or trimmed mean alike) reads the records where they lie
+//! and writes the round's `Aggregated` message into the first party's
+//! frame, which is copied frame to frame. So a plain round costs the
+//! node one frame per party and at most 4 KiB besides. Under Paillier
+//! fusion the `AggregatedEncrypted` message is encoded once, into the
+//! first party's frame, and copied the same way.
 
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use common::{aggregator, plain_manifest, registered, RawParty};
+use common::{aggregator, plain_manifest, registered};
 use deta_bignum::BigUint;
 use deta_core::agg::AggKind;
 use deta_core::recovery::Manifest;
@@ -50,31 +52,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn an_aggregating_pump_allocates_the_mean_and_one_frame_per_party() {
+/// Runs one round of `kind` over eight parties on a hand-built node and
+/// checks that the pump which opens the last upload, aggregates and fans
+/// out allocates one frame per party and at most 4 KiB more.
+fn an_aggregating_pump_allocates_one_frame_per_party(kind: AggKind) {
     const PARTIES: usize = 8;
     const VALUES: usize = 16 * 1024;
     let fragment = 4 * VALUES;
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0xa110c);
-    let mut agg = aggregator(&net, &plain_manifest(AggKind::IterativeAveraging), &mut rng);
-    let mut parties: Vec<RawParty> = (0..PARTIES)
-        .map(|i| RawParty::join(&net, &mut agg, &format!("party-{i}"), &mut rng))
-        .collect();
-    for (i, party) in parties.iter_mut().enumerate() {
-        party.send(&Msg::Register {
-            party: format!("party-{i}"),
-            weight: 1.0,
-        });
-    }
-    agg.pump();
+    let mut agg = aggregator(&net, &plain_manifest(kind), &mut rng);
+    let mut parties = registered(&net, &mut agg, 0..PARTIES, &mut rng);
     let upload = Msg::Upload {
         round: 1,
         fragment: vec![0.5; VALUES],
     };
     let (last, rest) = parties.split_last_mut().expect("eight parties");
     for party in rest.iter_mut() {
-        assert_eq!(party.recv(), Some(Msg::RegisterAck));
         party.send(&upload);
     }
     agg.pump();
@@ -82,27 +76,24 @@ fn an_aggregating_pump_allocates_the_mean_and_one_frame_per_party() {
 
     // The pump measured is the one that opens the last upload,
     // aggregates and fans out.
-    assert_eq!(last.recv(), Some(Msg::RegisterAck));
     last.send(&upload);
     let before = BYTES.with(Cell::get);
     agg.pump();
     let allocated = BYTES.with(Cell::get) - before;
     assert_eq!(agg.completed_rounds, 1);
 
-    // Aggregation proper: the weighted mean accumulates in `f64` (two
-    // fragments' worth) and returns one fragment. The uploads it reads
-    // are the decoded ones, moved into guest memory.
-    let aggregation = 3 * fragment;
-    // The hops on either side of it: the last upload is opened in the
-    // frame it arrived in and its values are decoded once (a `Vec<f32>`,
-    // for alignment); the aggregate is encoded into the first party's
-    // frame, and each party's frame is sealed where it lies.
-    let hops = (1 + PARTIES) * fragment;
+    // The last upload is opened in the frame it arrived in and held
+    // there; the rule reads every upload where it lies, a tile at a time,
+    // and writes its result into the first party's frame; each next
+    // party's frame is copied from the one before and sealed where it
+    // lies.
+    let hops = PARTIES * fragment;
     let small = 4 * 1024;
     assert!(
-        allocated <= aggregation + hops + small,
-        "{allocated} bytes allocated, {} more than budgeted",
-        allocated - aggregation - hops
+        allocated <= hops + small,
+        "{}: {allocated} bytes allocated, {} more than budgeted",
+        kind.name(),
+        allocated - hops
     );
     for party in &mut parties {
         assert_eq!(
@@ -113,6 +104,21 @@ fn an_aggregating_pump_allocates_the_mean_and_one_frame_per_party() {
             })
         );
     }
+}
+
+#[test]
+fn an_averaging_pump_allocates_one_frame_per_party() {
+    an_aggregating_pump_allocates_one_frame_per_party(AggKind::IterativeAveraging);
+}
+
+#[test]
+fn a_median_pump_allocates_one_frame_per_party() {
+    an_aggregating_pump_allocates_one_frame_per_party(AggKind::CoordinateMedian);
+}
+
+#[test]
+fn a_trimmed_mean_pump_allocates_one_frame_per_party() {
+    an_aggregating_pump_allocates_one_frame_per_party(AggKind::TrimmedMean { trim: 2 });
 }
 
 #[test]

@@ -183,11 +183,6 @@ impl Linear {
     pub fn in_dim(&self) -> usize {
         self.params.w.shape()[1]
     }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.params.w.shape()[0]
-    }
 }
 
 impl Layer for Linear {

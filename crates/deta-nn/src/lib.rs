@@ -271,27 +271,6 @@ impl Sequential {
         out
     }
 
-    /// Applies an SGD-style update `p -= lr * g` from a flat gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn apply_flat_grads(&mut self, flat: &[f32], lr: f32) {
-        assert_eq!(
-            flat.len(),
-            self.param_count(),
-            "flat gradient length mismatch"
-        );
-        let mut off = 0;
-        for p in self.params_mut() {
-            let n = p.numel();
-            for (w, g) in p.data_mut().iter_mut().zip(&flat[off..off + n]) {
-                *w -= lr * g;
-            }
-            off += n;
-        }
-    }
-
     /// Iterates over layers (for inspection).
     pub fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
@@ -356,19 +335,6 @@ mod tests {
         let x = Tensor::zeros(&[5, 4]);
         let y = m.forward(&x, false);
         assert_eq!(y.shape(), &[5, 3]);
-    }
-
-    #[test]
-    fn apply_flat_grads_updates() {
-        let mut rng = DetRng::from_u64(3);
-        let mut m = tiny_model(&mut rng);
-        let before = m.flat_params();
-        let grads = vec![1.0f32; before.len()];
-        m.apply_flat_grads(&grads, 0.5);
-        let after = m.flat_params();
-        for (b, a) in before.iter().zip(after.iter()) {
-            assert!((b - 0.5 - a).abs() < 1e-6);
-        }
     }
 
     #[test]

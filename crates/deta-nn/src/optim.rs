@@ -76,8 +76,12 @@ mod tests {
                 model.backward(&Tensor::full(y.shape(), 1.0));
             }
             sgd_step(&mut stepped, 0.1);
+            // Gather, step, scatter.
             let grads = reference.flat_grads();
-            reference.apply_flat_grads(&grads, 0.1);
+            let flat: Vec<f32> = (reference.flat_params().iter().zip(&grads))
+                .map(|(w, g)| w - 0.1 * g)
+                .collect();
+            reference.set_flat_params(&flat);
             assert_eq!(stepped.flat_params(), reference.flat_params());
         }
     }

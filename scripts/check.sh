@@ -61,7 +61,9 @@ echo "==> frozen bench/ against this workspace (builds and runs its contract tes
 # nodes' names and the aggregators' token keys, no node, since the
 # coordinator builds none), SessionParts.eval_model,
 # GuestImage::new, AttestationProxy::{new,verify_and_provision} (its
-# attestation layer), Network::new's LinkModel parameter (which nothing
+# attestation layer), Aggregation::aggregate(&[Vec<f32>], &[f32]) (its
+# kernel layer; the node aggregates through aggregate_into), Network::new's
+# LinkModel parameter (which nothing
 # reads) and the polling Party/AggregatorNode calls of level1.rs — which
 # no session calls any more (both step deta_core::node), so they are
 # bench- and test-only. A signature moved from under it fails here, not
