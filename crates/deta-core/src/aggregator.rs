@@ -154,7 +154,9 @@ pub struct AggregatorNode {
     /// The last round this node reported done to the supervisor (see
     /// [`crate::node`]).
     pub(crate) reported: u64,
-    /// Measured aggregation compute seconds (for the latency model).
+    /// Measured aggregation compute seconds (for the latency model): the
+    /// rule, which writes its result into the first party's frame as it
+    /// computes it, or the homomorphic sum and its encoding.
     pub aggregate_time_s: f64,
     /// Per-round upload quorum (None = wait for every registered party).
     quorum: Option<usize>,
