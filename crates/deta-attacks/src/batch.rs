@@ -10,9 +10,11 @@
 //! already raises the attack bar before DeTA's transforms apply.
 
 use crate::dlg::l2_match;
-use crate::harness::{BreachedView, GraphModel};
+use crate::harness::{AttackTape, BreachedView};
+use crate::lower::{widths, LowerError};
 use crate::metrics::mse;
 use deta_crypto::DetRng;
+use deta_nn::Sequential;
 
 /// Batched attack configuration.
 #[derive(Clone, Copy, Debug)]
@@ -38,14 +40,14 @@ pub struct BatchDlgOutcome {
 /// the `b` rows of one attack tape, to match the visible (possibly
 /// DeTA-transformed) mean gradient.
 pub fn run_batch_dlg(
-    model: &dyn GraphModel,
-    params: &[f32],
+    model: &Sequential,
     view: &BreachedView,
     b: usize,
     cfg: &BatchDlgConfig,
-) -> BatchDlgOutcome {
-    let mut minimize = l2_match(model, params, view, b, None);
-    let (d, c) = (model.input_dim(), model.classes());
+) -> Result<BatchDlgOutcome, LowerError> {
+    let at = AttackTape::build(model, b, &view.positions())?;
+    let mut minimize = l2_match(at, model, view, None);
+    let (d, c) = widths(model);
     let mut best: Option<(f64, Vec<f64>)> = None;
     for r in 0..cfg.restarts.max(1) {
         let mut rng = DetRng::from_u64(cfg.seed).fork_indexed(b"batch-dlg", r as u64);
@@ -60,10 +62,10 @@ pub fn run_batch_dlg(
     let reconstructions = (0..b)
         .map(|i| vars[i * d..(i + 1) * d].iter().map(|&v| v as f32).collect())
         .collect();
-    BatchDlgOutcome {
+    Ok(BatchDlgOutcome {
         reconstructions,
         final_objective,
-    }
+    })
 }
 
 /// Scores a batched reconstruction against the true batch with the best
@@ -95,38 +97,30 @@ pub fn best_assignment_mse(recons: &[Vec<f32>], truths: &[Vec<f32>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphnet::MlpSpec;
-    use crate::harness::{breach_view, victim_gradient, AttackView};
+    use crate::harness::{breach_view, random_victim, victim_gradient, AttackView};
+    use deta_nn::models::mlp;
 
     /// The mean gradient of a batch, as its victim shares it.
-    fn batch_mean_gradient(
-        spec: &MlpSpec,
-        params: &[f32],
-        images: &[Vec<f32>],
-        labels: &[usize],
-    ) -> Vec<f32> {
-        victim_gradient(spec, params, &images.concat(), labels)
+    fn batch_mean_gradient(model: &Sequential, images: &[Vec<f32>], labels: &[usize]) -> Vec<f32> {
+        victim_gradient(model, &images.concat(), labels).unwrap()
     }
 
-    fn setup(b: usize) -> (MlpSpec, Vec<f32>, Vec<Vec<f32>>, Vec<usize>) {
-        let spec = MlpSpec::new(&[12, 10, 4]);
+    fn setup(b: usize) -> (Sequential, Vec<Vec<f32>>, Vec<usize>) {
         let mut rng = DetRng::from_u64(51);
-        let mut params = vec![0.0f32; spec.param_count()];
-        rng.fill_gaussian(&mut params);
-        params.iter_mut().for_each(|v| *v *= 0.3);
+        let model = random_victim(|r| mlp(&[12, 10, 4], r), &mut rng);
         let images: Vec<Vec<f32>> = (0..b)
             .map(|_| (0..12).map(|_| rng.next_f32()).collect())
             .collect();
         let labels: Vec<usize> = (0..b).map(|i| i % 4).collect();
-        (spec, params, images, labels)
+        (model, images, labels)
     }
 
     #[test]
     fn batch_of_one_matches_single_gradient() {
-        let (spec, params, images, labels) = setup(1);
-        let batch_g = batch_mean_gradient(&spec, &params, &images, &labels);
+        let (model, images, labels) = setup(1);
+        let batch_g = batch_mean_gradient(&model, &images, &labels);
         // The single-example gradient, one row on the tape.
-        let single = victim_gradient(&spec, &params, &images[0], &labels[..1]);
+        let single = victim_gradient(&model, &images[0], &labels[..1]).unwrap();
         for (a, b) in batch_g.iter().zip(single.iter()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -134,11 +128,11 @@ mod tests {
 
     #[test]
     fn mean_gradient_is_mean_of_singles() {
-        let (spec, params, images, labels) = setup(3);
-        let batch_g = batch_mean_gradient(&spec, &params, &images, &labels);
-        let mut acc = vec![0.0f32; spec.param_count()];
+        let (model, images, labels) = setup(3);
+        let batch_g = batch_mean_gradient(&model, &images, &labels);
+        let mut acc = vec![0.0f32; model.param_count()];
         for (img, &l) in images.iter().zip(labels.iter()) {
-            let g = batch_mean_gradient(&spec, &params, std::slice::from_ref(img), &[l]);
+            let g = batch_mean_gradient(&model, std::slice::from_ref(img), &[l]);
             for (a, v) in acc.iter_mut().zip(g.iter()) {
                 *a += v / 3.0;
             }
@@ -150,12 +144,11 @@ mod tests {
 
     #[test]
     fn batch_dlg_reconstructs_pairs() {
-        let (spec, params, images, labels) = setup(2);
-        let g = batch_mean_gradient(&spec, &params, &images, &labels);
+        let (model, images, labels) = setup(2);
+        let g = batch_mean_gradient(&model, &images, &labels);
         let view = breach_view(&g, AttackView::Full, 1, &[0u8; 16]);
         let out = run_batch_dlg(
-            &spec,
-            &params,
+            &model,
             &view,
             2,
             &BatchDlgConfig {
@@ -163,15 +156,16 @@ mod tests {
                 seed: 3,
                 restarts: 2,
             },
-        );
+        )
+        .unwrap();
         let err = best_assignment_mse(&out.reconstructions, &images);
         assert!(err < 0.05, "B=2 full-view batch DLG should work, mse={err}");
     }
 
     #[test]
     fn batch_dlg_fails_under_deta() {
-        let (spec, params, images, labels) = setup(2);
-        let g = batch_mean_gradient(&spec, &params, &images, &labels);
+        let (model, images, labels) = setup(2);
+        let g = batch_mean_gradient(&model, &images, &labels);
         let view = breach_view(
             &g,
             AttackView::PartitionShuffle { factor: 0.6 },
@@ -179,8 +173,7 @@ mod tests {
             &[4u8; 16],
         );
         let out = run_batch_dlg(
-            &spec,
-            &params,
+            &model,
             &view,
             2,
             &BatchDlgConfig {
@@ -188,7 +181,8 @@ mod tests {
                 seed: 3,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         let err = best_assignment_mse(&out.reconstructions, &images);
         assert!(err > 0.02, "DeTA must defeat batched DLG too, mse={err}");
     }

@@ -11,9 +11,11 @@
 //! ill-conditioned gradient-matching landscape far better than
 //! first-order methods.
 
-use crate::harness::{hard_label_logits, AttackTape, BreachedView, GraphModel};
+use crate::harness::{hard_label_logits, AttackTape, BreachedView};
+use crate::lower::{widths, LowerError};
 use crate::optim::Lbfgs;
 use deta_crypto::DetRng;
+use deta_nn::Sequential;
 
 /// DLG attack configuration.
 #[derive(Clone, Copy, Debug)]
@@ -39,43 +41,40 @@ pub struct DlgOutcome {
 
 /// Runs DLG against a breached view of one example's gradient.
 ///
-/// `params` are the victim model's weights — the relaxed threat model in
-/// the paper's Section 6 grants the attacker black-box access to the
+/// The attack runs under `model`'s own weights — the relaxed threat model
+/// in the paper's Section 6 grants the attacker black-box access to the
 /// unperturbed model, which for gradient matching is equivalent to
 /// knowing the weights; only the *target* gradient is transformed.
 pub fn run_dlg(
-    model: &dyn GraphModel,
-    params: &[f32],
+    model: &Sequential,
     view: &BreachedView,
     cfg: &DlgConfig,
-) -> DlgOutcome {
-    run_dlg_inner(model, params, view, cfg, None)
+) -> Result<DlgOutcome, LowerError> {
+    run_dlg_inner(model, view, cfg, None)
 }
 
 /// DLG with a pinned label (used by iDLG after label inference).
 pub fn run_dlg_fixed_label(
-    model: &dyn GraphModel,
-    params: &[f32],
+    model: &Sequential,
     view: &BreachedView,
     cfg: &DlgConfig,
     label: usize,
-) -> DlgOutcome {
-    run_dlg_inner(model, params, view, cfg, Some(label))
+) -> Result<DlgOutcome, LowerError> {
+    run_dlg_inner(model, view, cfg, Some(label))
 }
 
-/// Builds the squared L2 distance between the gradient of `rows` dummy
-/// inputs (under the attacker's alignment) and the visible fragment, and
-/// returns its L-BFGS minimizer: from a start (the dummy inputs, then the
-/// label logits unless `pinned` holds them) and an iteration budget, to
-/// the final variables and objective.
+/// Appends to `at` the squared L2 distance between the gradient of its
+/// dummy inputs (under the attacker's alignment) and the visible
+/// fragment, and returns its L-BFGS minimizer under `model`'s weights:
+/// from a start (the dummy inputs, then the label logits unless `pinned`
+/// holds them) and an iteration budget, to the final variables and
+/// objective.
 pub(crate) fn l2_match<'a>(
-    model: &dyn GraphModel,
-    params: &'a [f32],
+    mut at: AttackTape,
+    model: &Sequential,
     view: &'a BreachedView,
-    rows: usize,
     pinned: Option<Vec<f32>>,
 ) -> impl FnMut(Vec<f64>, usize) -> (Vec<f64>, f64) + 'a {
-    let mut at = AttackTape::build(model, rows, &view.positions());
     let objective = at.tape.sq_dist(at.grads, at.gstar);
     let wrt = match pinned {
         Some(_) => vec![at.x],
@@ -83,8 +82,10 @@ pub(crate) fn l2_match<'a>(
     };
     let wrt = at.tape.grad(objective, &wrt);
     let mut ev = at.tape.evaluator();
-    let mut x = vec![0.0f32; rows * model.input_dim()];
-    let mut labels = pinned.unwrap_or_else(|| vec![0.0; rows * model.classes()]);
+    let params = model.flat_params();
+    let len = |v| at.tape.shape(v).iter().product();
+    let mut x = vec![0.0f32; len(at.x)];
+    let mut labels = pinned.unwrap_or_else(|| vec![0.0; len(at.label_logits)]);
     move |vars0, iterations| {
         let lbfgs = Lbfgs {
             max_iter: iterations,
@@ -95,7 +96,7 @@ pub(crate) fn l2_match<'a>(
             for (d, &s) in x.iter_mut().chain(labels.iter_mut()).zip(vars) {
                 *d = s as f32;
             }
-            at.eval(&mut ev, &x, &labels, params, &view.visible);
+            at.eval(&mut ev, &x, &labels, &params, &view.visible);
             let value = f64::from(ev.value(objective)[0]);
             let grad = wrt.iter().flat_map(|&g| ev.value(g));
             (value, grad.map(|&v| f64::from(v)).collect())
@@ -104,15 +105,15 @@ pub(crate) fn l2_match<'a>(
 }
 
 fn run_dlg_inner(
-    model: &dyn GraphModel,
-    params: &[f32],
+    model: &Sequential,
     view: &BreachedView,
     cfg: &DlgConfig,
     fixed_label: Option<usize>,
-) -> DlgOutcome {
-    let (d, c) = (model.input_dim(), model.classes());
+) -> Result<DlgOutcome, LowerError> {
+    let (d, c) = widths(model);
     let pinned = fixed_label.map(|l| hard_label_logits(c, &[l]));
-    let mut minimize = l2_match(model, params, view, 1, pinned.clone());
+    let at = AttackTape::build(model, 1, &view.positions())?;
+    let mut minimize = l2_match(at, model, view, pinned.clone());
     let mut best: Option<DlgOutcome> = None;
     for r in 0..cfg.restarts.max(1) {
         // Dummy initialization.
@@ -144,46 +145,43 @@ fn run_dlg_inner(
             });
         }
     }
-    best.unwrap()
+    Ok(best.unwrap())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphnet::MlpSpec;
-    use crate::harness::{breach_view, victim_gradient, AttackView};
+    use crate::harness::{breach_view, random_victim, victim_gradient, AttackView};
     use crate::metrics::mse;
     use deta_crypto::DetRng;
+    use deta_nn::models::mlp;
 
-    fn true_gradient(spec: &MlpSpec, params: &[f32], x: &[f32], label: usize) -> Vec<f32> {
-        victim_gradient(spec, params, x, &[label])
+    fn true_gradient(model: &Sequential, x: &[f32], label: usize) -> Vec<f32> {
+        victim_gradient(model, x, &[label]).unwrap()
     }
 
-    fn setup() -> (MlpSpec, Vec<f32>, Vec<f32>, usize) {
-        let spec = MlpSpec::new(&[16, 12, 4]);
+    fn setup() -> (Sequential, Vec<f32>, usize) {
         let mut rng = DetRng::from_u64(11);
-        let mut params = vec![0.0f32; spec.param_count()];
-        rng.fill_gaussian(&mut params);
-        params.iter_mut().for_each(|v| *v *= 0.3);
+        let model = random_victim(|r| mlp(&[16, 12, 4], r), &mut rng);
         let x: Vec<f32> = (0..16).map(|_| rng.next_f32()).collect();
-        (spec, params, x, 2)
+        (model, x, 2)
     }
 
     #[test]
     fn dlg_reconstructs_with_full_view() {
-        let (spec, params, x, label) = setup();
-        let g = true_gradient(&spec, &params, &x, label);
+        let (model, x, label) = setup();
+        let g = true_gradient(&model, &x, label);
         let view = breach_view(&g, AttackView::Full, 1, &[0u8; 16]);
         let out = run_dlg(
-            &spec,
-            &params,
+            &model,
             &view,
             &DlgConfig {
                 iterations: 600,
                 seed: 3,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         let err = mse(&out.reconstruction, &x);
         assert!(err < 1e-2, "full-view DLG should reconstruct, mse={err}");
         // The recovered label should be correct.
@@ -199,8 +197,8 @@ mod tests {
 
     #[test]
     fn dlg_fails_with_shuffled_view() {
-        let (spec, params, x, label) = setup();
-        let g = true_gradient(&spec, &params, &x, label);
+        let (model, x, label) = setup();
+        let g = true_gradient(&model, &x, label);
         let view = breach_view(
             &g,
             AttackView::PartitionShuffle { factor: 1.0 },
@@ -208,15 +206,15 @@ mod tests {
             &[5u8; 16],
         );
         let out = run_dlg(
-            &spec,
-            &params,
+            &model,
             &view,
             &DlgConfig {
                 iterations: 300,
                 seed: 3,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         let err = mse(&out.reconstruction, &x);
         assert!(
             err > 0.02,
@@ -226,29 +224,29 @@ mod tests {
 
     #[test]
     fn objective_decreases_with_full_view() {
-        let (spec, params, x, label) = setup();
-        let g = true_gradient(&spec, &params, &x, label);
+        let (model, x, label) = setup();
+        let g = true_gradient(&model, &x, label);
         let view = breach_view(&g, AttackView::Full, 1, &[0u8; 16]);
         let short = run_dlg(
-            &spec,
-            &params,
+            &model,
             &view,
             &DlgConfig {
                 iterations: 5,
                 seed: 3,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         let long = run_dlg(
-            &spec,
-            &params,
+            &model,
             &view,
             &DlgConfig {
                 iterations: 400,
                 seed: 3,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         assert!(long.final_objective < short.final_objective);
     }
 
@@ -257,19 +255,19 @@ mod tests {
         // Defense-in-depth: an attacker who learned the model mapper can
         // align a partition-only fragment and reconstruct...
         use crate::harness::oracle_breach_view;
-        let (spec, params, x, label) = setup();
-        let g = true_gradient(&spec, &params, &x, label);
+        let (model, x, label) = setup();
+        let g = true_gradient(&model, &x, label);
         let view = oracle_breach_view(&g, 0.6, false, 3, &[2u8; 16]);
         let out = run_dlg(
-            &spec,
-            &params,
+            &model,
             &view,
             &DlgConfig {
                 iterations: 600,
                 seed: 1,
                 restarts: 2,
             },
-        );
+        )
+        .unwrap();
         let err = mse(&out.reconstruction, &x);
         assert!(
             err < 0.02,
@@ -281,19 +279,19 @@ mod tests {
     fn oracle_attacker_still_fails_against_shuffle() {
         // ...but the keyed shuffle holds even against the oracle.
         use crate::harness::oracle_breach_view;
-        let (spec, params, x, label) = setup();
-        let g = true_gradient(&spec, &params, &x, label);
+        let (model, x, label) = setup();
+        let g = true_gradient(&model, &x, label);
         let view = oracle_breach_view(&g, 0.6, true, 3, &[2u8; 16]);
         let out = run_dlg(
-            &spec,
-            &params,
+            &model,
             &view,
             &DlgConfig {
                 iterations: 300,
                 seed: 1,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         let err = mse(&out.reconstruction, &x);
         assert!(
             err > 0.02,
@@ -303,12 +301,12 @@ mod tests {
 
     #[test]
     fn tape_reuse_is_consistent() {
-        // Building the tape twice for the same spec yields the same size
+        // Building the tape twice for the same model yields the same size
         // (determinism of the graph construction).
-        let spec = MlpSpec::new(&[6, 5, 3]);
+        let model = mlp(&[6, 5, 3], &mut DetRng::from_u64(1));
         let positions: Vec<u32> = (0..10).collect();
-        let a = AttackTape::build(&spec, 1, &positions);
-        let b = AttackTape::build(&spec, 1, &positions);
+        let a = AttackTape::build(&model, 1, &positions).unwrap();
+        let b = AttackTape::build(&model, 1, &positions).unwrap();
         assert_eq!(a.tape.len(), b.tape.len());
     }
 }

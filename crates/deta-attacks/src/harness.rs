@@ -13,12 +13,12 @@
 //! paper evaluates (it may even query the unperturbed model as a black
 //! box; only the *target* gradients are transformed).
 
-use crate::graphnet::soft_cross_entropy;
-pub use crate::graphnet::GraphModel;
+use crate::lower::{lower, widths, LowerError};
 use crate::tape::{Evaluator, Tape, Var};
 use deta_core::mapper::ModelMapper;
 use deta_core::shuffle::RoundPermutation;
 use deta_crypto::DetRng;
+use deta_nn::Sequential;
 
 /// Which defense layers stand between the gradient and the attacker.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -188,13 +188,18 @@ pub struct AttackTape {
 }
 
 impl AttackTape {
-    /// Builds the tape for `rows` dummy inputs, matching a fragment whose
-    /// slots are the model parameters at `positions`.
+    /// Builds the tape for `rows` dummy inputs to `model`, matching a
+    /// fragment whose slots are the model's parameters at `positions`;
+    /// refuses a model [`lower`] refuses.
     ///
     /// # Panics
     ///
     /// Panics if `rows` is zero, or positions are empty or out of range.
-    pub fn build(model: &dyn GraphModel, rows: usize, positions: &[u32]) -> AttackTape {
+    pub fn build(
+        model: &Sequential,
+        rows: usize,
+        positions: &[u32],
+    ) -> Result<AttackTape, LowerError> {
         assert!(rows > 0, "no rows to attack");
         assert!(!positions.is_empty(), "no positions to match");
         let p = model.param_count();
@@ -202,16 +207,17 @@ impl AttackTape {
             positions.iter().all(|&i| (i as usize) < p),
             "position out of range"
         );
+        let (input, classes) = widths(model);
         let mut tape = Tape::new();
-        let x = tape.input(rows, model.input_dim());
-        let label_logits = tape.input(rows, model.classes());
+        let x = tape.input(rows, input);
+        let label_logits = tape.input(rows, classes);
         let params = tape.input(1, p);
         let gstar = tape.input(1, positions.len());
-        let logits = model.forward(&mut tape, x, params);
+        let logits = lower(model, &mut tape, x, params)?;
         let loss = soft_cross_entropy(&mut tape, logits, label_logits);
         let dparams = tape.grad(loss, &[params])[0];
         let grads = tape.gather(dparams, positions, [1, positions.len()]);
-        AttackTape {
+        Ok(AttackTape {
             tape,
             x,
             label_logits,
@@ -219,7 +225,7 @@ impl AttackTape {
             gstar,
             grads,
             loss,
-        }
+        })
     }
 
     /// Evaluates every node at the given inputs.
@@ -244,27 +250,61 @@ pub fn hard_label_logits(classes: usize, labels: &[usize]) -> Vec<f32> {
         .collect()
 }
 
-/// The gradient a victim shares: the mean training-loss gradient over
-/// `images` (row-major, one row per label) under hard labels.
+/// Softmax cross-entropy of each row of `logits` against the soft label
+/// `softmax(label_logits)`, `-Σ_c q_c log p_c`, averaged over the rows.
+///
+/// Both softmaxes subtract their row maximum, so unbounded label logits
+/// (DLG's are free L-BFGS variables) neither overflow nor lose the hard
+/// cross-entropy they tend to.
+pub fn soft_cross_entropy(tape: &mut Tape, logits: Var, label_logits: Var) -> Var {
+    assert_eq!(
+        tape.shape(logits),
+        tape.shape(label_logits),
+        "class count mismatch"
+    );
+    let log_p = tape.log_softmax(logits);
+    let q = tape.softmax(label_logits);
+    let total = tape.dot(q, log_p);
+    tape.scale(total, -1.0 / tape.shape(logits)[0] as f32)
+}
+
+/// The gradient a victim shares: the mean training-loss gradient of
+/// `model` over `images` (row-major, one row per label) under hard
+/// labels.
 pub fn victim_gradient(
-    model: &dyn GraphModel,
-    params: &[f32],
+    model: &Sequential,
     images: &[f32],
     labels: &[usize],
-) -> Vec<f32> {
+) -> Result<Vec<f32>, LowerError> {
     let p = model.param_count();
     let all: Vec<u32> = (0..p as u32).collect();
-    let at = AttackTape::build(model, labels.len(), &all);
+    let at = AttackTape::build(model, labels.len(), &all)?;
     let mut ev = at.tape.evaluator();
-    let hard = hard_label_logits(model.classes(), labels);
-    at.eval(&mut ev, images, &hard, params, &vec![0.0; p]);
-    ev.value(at.grads).to_vec()
+    let hard = hard_label_logits(widths(model).1, labels);
+    at.eval(&mut ev, images, &hard, &model.flat_params(), &vec![0.0; p]);
+    Ok(ev.value(at.grads).to_vec())
+}
+
+/// A randomly initialized victim, the model of the DLG evaluation:
+/// `build`'s architecture with every trainable weight drawn
+/// `N(0, 0.3²)` from `rng`. The architecture is built from a generator of
+/// its own, so `rng`'s stream holds the victim's weights alone.
+pub fn random_victim(
+    build: impl FnOnce(&mut DetRng) -> Sequential,
+    rng: &mut DetRng,
+) -> Sequential {
+    let mut model = build(&mut DetRng::from_u64(0));
+    let mut params = vec![0.0f32; model.param_count()];
+    rng.fill_gaussian(&mut params);
+    params.iter_mut().for_each(|v| *v *= 0.3);
+    model.set_flat_params(&params);
+    model
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphnet::MlpSpec;
+    use deta_nn::models::mlp;
 
     fn grad() -> Vec<f32> {
         (0..100).map(|i| (i as f32 * 0.1).sin()).collect()
@@ -350,12 +390,12 @@ mod tests {
 
     #[test]
     fn attack_tape_layout() {
-        let spec = MlpSpec::new(&[4, 5, 3]);
+        let model = mlp(&[4, 5, 3], &mut DetRng::from_u64(1));
         let positions: Vec<u32> = (0..10).collect();
-        let at = AttackTape::build(&spec, 2, &positions);
+        let at = AttackTape::build(&model, 2, &positions).unwrap();
         assert_eq!(at.tape.shape(at.x), [2, 4]);
         assert_eq!(at.tape.shape(at.label_logits), [2, 3]);
-        assert_eq!(at.tape.shape(at.params), [1, spec.param_count()]);
+        assert_eq!(at.tape.shape(at.params), [1, model.param_count()]);
         assert_eq!(at.tape.shape(at.gstar), [1, 10]);
         assert_eq!(at.tape.shape(at.grads), [1, 10]);
         assert_eq!(at.tape.shape(at.loss), [1, 1]);
@@ -364,7 +404,7 @@ mod tests {
             &mut ev,
             &[0.0; 8],
             &hard_label_logits(3, &[1, 2]),
-            &vec![0.1; spec.param_count()],
+            &vec![0.1; model.param_count()],
             &[0.0; 10],
         );
         assert!(ev.value(at.grads).iter().all(|g| g.is_finite()));
@@ -375,5 +415,50 @@ mod tests {
         let l = hard_label_logits(3, &[2]);
         assert_eq!(l.len(), 3);
         assert!(l[2] > l[0] && l[2] > l[1]);
+    }
+
+    #[test]
+    fn soft_label_one_hot_limit() {
+        // With a huge margin, soft CE equals hard CE.
+        let mut tape = Tape::new();
+        let logits = tape.input(1, 3);
+        let label_logits = tape.input(1, 3);
+        let loss = soft_cross_entropy(&mut tape, logits, label_logits);
+        let mut ev = tape.evaluator();
+        ev.eval(&tape, &[&[1.0, 2.0, 0.5], &[-50.0, 50.0, -50.0]]);
+        // Hard CE for label 1: -log softmax(logits)[1].
+        let z = [1.0f64, 2.0, 0.5];
+        let denom: f64 = z.iter().map(|v| v.exp()).sum();
+        let want = -(z[1].exp() / denom).ln();
+        assert!((f64::from(ev.value(loss)[0]) - want).abs() < 1e-6);
+    }
+
+    #[test]
+    fn soft_cross_entropy_is_finite_at_unbounded_logits() {
+        // DLG's label logits are free L-BFGS variables: past ~88 a plain
+        // `exp` overflows in f32 and `∞ · 0` turns the loss into NaN.
+        let mut tape = Tape::new();
+        let logits = tape.input(2, 3);
+        let label_logits = tape.input(2, 3);
+        let loss = soft_cross_entropy(&mut tape, logits, label_logits);
+        let mut ev = tape.evaluator();
+        ev.eval(
+            &tape,
+            &[
+                &[1.0, 2.0, 0.5, 1000.0, 0.0, -1000.0],
+                &[1000.0, 0.0, -1000.0, -1000.0, 1000.0, 0.0],
+            ],
+        );
+        // Hard CE, label 0 on the first row and 1 on the second, averaged:
+        // -log softmax(1, 2, 0.5)[0] and 1000 - 0 + log(1 + e^-1000 + e^-2000).
+        let z = [1.0f64, 2.0, 0.5];
+        let denom: f64 = z.iter().map(|v| v.exp()).sum();
+        let want = (-(z[0].exp() / denom).ln() + 1000.0) / 2.0;
+        let got = ev.value(loss)[0];
+        assert!(got.is_finite(), "loss {got}");
+        assert!(
+            (f64::from(got) - want).abs() < 1e-4 * want,
+            "{got} vs {want}"
+        );
     }
 }

@@ -14,7 +14,9 @@
 //! just as DLG's does.
 
 use crate::dlg::{run_dlg_fixed_label, DlgConfig, DlgOutcome};
-use crate::harness::{BreachedView, GraphModel};
+use crate::harness::BreachedView;
+use crate::lower::{widths, LowerError};
+use deta_nn::Sequential;
 
 /// Infers the ground-truth label from the visible gradient fragment.
 ///
@@ -50,46 +52,42 @@ pub struct IdlgOutcome {
 
 /// Runs iDLG: label inference followed by fixed-label gradient matching.
 pub fn run_idlg(
-    model: &dyn GraphModel,
-    params: &[f32],
+    model: &Sequential,
     view: &BreachedView,
     cfg: &DlgConfig,
-) -> IdlgOutcome {
-    let inferred_label = infer_label(view, model.classes()).unwrap_or(0);
-    let dlg = run_dlg_fixed_label(model, params, view, cfg, inferred_label);
-    IdlgOutcome {
+) -> Result<IdlgOutcome, LowerError> {
+    let inferred_label = infer_label(view, widths(model).1).unwrap_or(0);
+    let dlg = run_dlg_fixed_label(model, view, cfg, inferred_label)?;
+    Ok(IdlgOutcome {
         dlg,
         inferred_label,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphnet::MlpSpec;
-    use crate::harness::{breach_view, victim_gradient, AttackView};
+    use crate::harness::{breach_view, random_victim, victim_gradient, AttackView};
     use crate::metrics::mse;
     use deta_crypto::DetRng;
+    use deta_nn::models::mlp;
 
-    fn true_gradient(spec: &MlpSpec, params: &[f32], x: &[f32], label: usize) -> Vec<f32> {
-        victim_gradient(spec, params, x, &[label])
+    fn true_gradient(model: &Sequential, x: &[f32], label: usize) -> Vec<f32> {
+        victim_gradient(model, x, &[label]).unwrap()
     }
 
-    fn setup() -> (MlpSpec, Vec<f32>, Vec<f32>) {
-        let spec = MlpSpec::new(&[16, 12, 5]);
+    fn setup() -> (Sequential, Vec<f32>) {
         let mut rng = DetRng::from_u64(21);
-        let mut params = vec![0.0f32; spec.param_count()];
-        rng.fill_gaussian(&mut params);
-        params.iter_mut().for_each(|v| *v *= 0.3);
+        let model = random_victim(|r| mlp(&[16, 12, 5], r), &mut rng);
         let x: Vec<f32> = (0..16).map(|_| rng.next_f32()).collect();
-        (spec, params, x)
+        (model, x)
     }
 
     #[test]
     fn label_inference_correct_on_full_view() {
-        let (spec, params, x) = setup();
+        let (model, x) = setup();
         for label in 0..5 {
-            let g = true_gradient(&spec, &params, &x, label);
+            let g = true_gradient(&model, &x, label);
             let view = breach_view(&g, AttackView::Full, 1, &[0u8; 16]);
             assert_eq!(infer_label(&view, 5), Some(label), "label {label}");
         }
@@ -99,10 +97,10 @@ mod tests {
     fn label_inference_unreliable_when_shuffled() {
         // Over all 5 labels, shuffled views should misinfer at least once
         // (the bias block is dispersed).
-        let (spec, params, x) = setup();
+        let (model, x) = setup();
         let mut wrong = 0;
         for label in 0..5 {
-            let g = true_gradient(&spec, &params, &x, label);
+            let g = true_gradient(&model, &x, label);
             let view = breach_view(
                 &g,
                 AttackView::PartitionShuffle { factor: 1.0 },
@@ -132,20 +130,20 @@ mod tests {
 
     #[test]
     fn idlg_reconstructs_with_full_view() {
-        let (spec, params, x) = setup();
+        let (model, x) = setup();
         let label = 3usize;
-        let g = true_gradient(&spec, &params, &x, label);
+        let g = true_gradient(&model, &x, label);
         let view = breach_view(&g, AttackView::Full, 1, &[0u8; 16]);
         let out = run_idlg(
-            &spec,
-            &params,
+            &model,
             &view,
             &DlgConfig {
                 iterations: 600,
                 seed: 4,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         assert_eq!(out.inferred_label, label);
         let err = mse(&out.dlg.reconstruction, &x);
         assert!(err < 1e-2, "full-view iDLG should reconstruct, mse={err}");
@@ -153,19 +151,19 @@ mod tests {
 
     #[test]
     fn idlg_fails_with_partitioned_view() {
-        let (spec, params, x) = setup();
-        let g = true_gradient(&spec, &params, &x, 3);
+        let (model, x) = setup();
+        let g = true_gradient(&model, &x, 3);
         let view = breach_view(&g, AttackView::Partition { factor: 0.2 }, 1, &[0u8; 16]);
         let out = run_idlg(
-            &spec,
-            &params,
+            &model,
             &view,
             &DlgConfig {
                 iterations: 300,
                 seed: 4,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         let err = mse(&out.dlg.reconstruction, &x);
         assert!(err > 0.02, "partitioned view must fail, mse={err}");
     }

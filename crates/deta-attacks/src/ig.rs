@@ -10,11 +10,13 @@
 //! converged (reconstruction succeeds); against DeTA's partitioned and
 //! shuffled views it stalls far above that.
 
-use crate::harness::{hard_label_logits, AttackTape, BreachedView, GraphModel};
+use crate::harness::{hard_label_logits, AttackTape, BreachedView};
+use crate::lower::{widths, LowerError};
 use crate::metrics::cosine_distance;
 use crate::optim::Adam;
 use crate::tape::{Tape, Var};
 use deta_crypto::DetRng;
+use deta_nn::Sequential;
 
 /// IG attack configuration.
 #[derive(Clone, Copy, Debug)]
@@ -73,14 +75,14 @@ fn tv_prior(tape: &mut Tape, x: Var, shape: (usize, usize, usize)) -> Var {
     tape.sum(r)
 }
 
-/// Runs the IG attack against a breached view.
+/// Runs the IG attack against a breached view, under `model`'s own
+/// weights.
 pub fn run_ig(
-    model: &dyn GraphModel,
-    params: &[f32],
+    model: &Sequential,
     view: &BreachedView,
     cfg: &IgConfig,
-) -> IgOutcome {
-    let mut at = AttackTape::build(model, 1, &view.positions());
+) -> Result<IgOutcome, LowerError> {
+    let mut at = AttackTape::build(model, 1, &view.positions())?;
     // Cosine objective: 1 - <g, g*> / (|g| |g*|), plus the TV prior.
     let objective = {
         let t = &mut at.tape;
@@ -103,8 +105,9 @@ pub fn run_ig(
     let opt_grad = at.tape.grad(objective, &[at.x])[0];
     let mut ev = at.tape.evaluator();
 
-    let label_logits = hard_label_logits(model.classes(), &[cfg.label]);
-    let d = model.input_dim();
+    let (d, classes) = widths(model);
+    let label_logits = hard_label_logits(classes, &[cfg.label]);
+    let params = model.flat_params();
     let mut xf = vec![0.0f32; d];
     let mut best: Option<(f64, Vec<f32>)> = None;
     for restart in 0..cfg.restarts.max(1) {
@@ -116,7 +119,7 @@ pub fn run_ig(
             for (f, &v) in xf.iter_mut().zip(&x) {
                 *f = v as f32;
             }
-            at.eval(&mut ev, &xf, &label_logits, params, &view.visible);
+            at.eval(&mut ev, &xf, &label_logits, &params, &view.visible);
             for (g, &v) in grad.iter_mut().zip(ev.value(opt_grad)) {
                 *g = f64::from(v);
             }
@@ -129,42 +132,41 @@ pub fn run_ig(
         for (f, &v) in xf.iter_mut().zip(&x) {
             *f = v as f32;
         }
-        at.eval(&mut ev, &xf, &label_logits, params, &view.visible);
+        at.eval(&mut ev, &xf, &label_logits, &params, &view.visible);
         let cos = cosine_distance(ev.value(at.grads), &view.visible);
         if best.as_ref().is_none_or(|(b, _)| cos < *b) {
             best = Some((cos, xf.clone()));
         }
     }
     let (final_cosine, reconstruction) = best.unwrap();
-    IgOutcome {
+    Ok(IgOutcome {
         reconstruction,
         final_cosine,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphnet::ConvSpec;
-    use crate::harness::{breach_view, victim_gradient, AttackView};
+    use crate::harness::{breach_view, random_victim, victim_gradient, AttackView};
     use crate::metrics::mse;
+    use deta_nn::layers::{Conv2d, Flatten, Linear, Tanh};
 
-    fn true_gradient(spec: &ConvSpec, params: &[f32], x: &[f32], label: usize) -> Vec<f32> {
-        victim_gradient(spec, params, x, &[label])
+    fn true_gradient(model: &Sequential, x: &[f32], label: usize) -> Vec<f32> {
+        victim_gradient(model, x, &[label]).unwrap()
     }
 
-    fn setup() -> (ConvSpec, Vec<f32>, Vec<f32>, usize) {
-        let spec = ConvSpec {
-            in_c: 1,
-            hw: 8,
-            out_c: 2,
-            k: 3,
-            classes: 4,
-        };
-        let mut rng = DetRng::from_u64(31);
-        let mut params = vec![0.0f32; spec.param_count()];
-        rng.fill_gaussian(&mut params);
-        params.iter_mut().for_each(|v| *v *= 0.3);
+    fn setup() -> (Sequential, Vec<f32>, usize) {
+        let model = random_victim(
+            |r| {
+                Sequential::new()
+                    .push(Conv2d::new(1, 2, 8, 8, 3, 2, 1, r))
+                    .push(Tanh::new())
+                    .push(Flatten::new())
+                    .push(Linear::new(2 * 4 * 4, 4, r))
+            },
+            &mut DetRng::from_u64(31),
+        );
         // A smooth image in [0,1].
         let x: Vec<f32> = (0..64)
             .map(|i| {
@@ -172,7 +174,7 @@ mod tests {
                 0.5 + 0.4 * ((y as f32 * 0.7).sin() * (xx as f32 * 0.5).cos())
             })
             .collect();
-        (spec, params, x, 1)
+        (model, x, 1)
     }
 
     fn cfg(label: usize) -> IgConfig {
@@ -189,10 +191,10 @@ mod tests {
 
     #[test]
     fn ig_converges_with_full_view() {
-        let (spec, params, x, label) = setup();
-        let g = true_gradient(&spec, &params, &x, label);
+        let (model, x, label) = setup();
+        let g = true_gradient(&model, &x, label);
         let view = breach_view(&g, AttackView::Full, 1, &[0u8; 16]);
-        let out = run_ig(&spec, &params, &view, &cfg(label));
+        let out = run_ig(&model, &view, &cfg(label)).unwrap();
         assert!(
             out.final_cosine < 0.05,
             "full-view IG should converge, cos={}",
@@ -204,15 +206,15 @@ mod tests {
 
     #[test]
     fn ig_stalls_with_shuffled_view() {
-        let (spec, params, x, label) = setup();
-        let g = true_gradient(&spec, &params, &x, label);
+        let (model, x, label) = setup();
+        let g = true_gradient(&model, &x, label);
         let view = breach_view(
             &g,
             AttackView::PartitionShuffle { factor: 0.6 },
             1,
             &[3u8; 16],
         );
-        let out = run_ig(&spec, &params, &view, &cfg(label));
+        let out = run_ig(&model, &view, &cfg(label)).unwrap();
         assert!(
             out.final_cosine > 0.3,
             "shuffled view must stall IG, cos={}",
@@ -222,10 +224,10 @@ mod tests {
 
     #[test]
     fn reconstruction_respects_box_constraint() {
-        let (spec, params, x, label) = setup();
-        let g = true_gradient(&spec, &params, &x, label);
+        let (model, x, label) = setup();
+        let g = true_gradient(&model, &x, label);
         let view = breach_view(&g, AttackView::Full, 1, &[0u8; 16]);
-        let out = run_ig(&spec, &params, &view, &cfg(label));
+        let out = run_ig(&model, &view, &cfg(label)).unwrap();
         assert!(out.reconstruction.iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 

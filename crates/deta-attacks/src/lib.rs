@@ -15,8 +15,9 @@
 //! All three differentiate *through* the network's gradient computation,
 //! which is why they run on the [`tape`]: `f32` tensor operations on
 //! `deta-tensor`'s kernels whose gradient is more tape, so it can be
-//! differentiated again. [`graphnet`] writes the victim networks in its
-//! operations.
+//! differentiated again. [`lower`] puts the victim there: the
+//! `deta_nn::Sequential` the parties train, lowered layer by layer under
+//! its own weights.
 //!
 //! [`harness`] wires the attacks to DeTA's defenses: it produces exactly
 //! the view an adversary obtains by breaching one CC-protected aggregator
@@ -37,10 +38,10 @@
 pub mod analytic;
 pub mod batch;
 pub mod dlg;
-pub mod graphnet;
 pub mod harness;
 pub mod idlg;
 pub mod ig;
+pub mod lower;
 pub mod metrics;
 pub mod optim;
 pub mod poison;

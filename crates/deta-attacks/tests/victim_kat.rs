@@ -10,11 +10,12 @@
 //! moves a single bit of these outputs fails here.
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::{ConvSpec, GraphModel, MlpSpec};
-use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
+use deta_attacks::harness::{breach_view, random_victim, victim_gradient, AttackView};
 use deta_attacks::ig::{run_ig, IgConfig};
 use deta_crypto::sha256::sha256;
 use deta_crypto::DetRng;
+use deta_nn::models::mlp;
+use deta_nn::{Conv2d, Flatten, Linear, Sequential, Tanh};
 
 /// Hex SHA-256 of the values' bits, little-endian.
 fn digest(values: &[f32]) -> String {
@@ -25,28 +26,21 @@ fn digest(values: &[f32]) -> String {
     sha256(&bytes).iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Table 1's victim and its weights.
-fn mlp_victim() -> (MlpSpec, Vec<f32>) {
-    let model = MlpSpec::new(&[192, 24, 100]);
-    let mut params = vec![0.0f32; model.param_count()];
-    DetRng::from_u64(1).fill_gaussian(&mut params);
-    params.iter_mut().for_each(|v| *v *= 0.3);
-    (model, params)
+/// Table 1's victim.
+fn mlp_victim() -> Sequential {
+    random_victim(|r| mlp(&[192, 24, 100], r), &mut DetRng::from_u64(1))
 }
 
-/// Table 3's victim and its weights.
-fn conv_victim() -> (ConvSpec, Vec<f32>) {
-    let model = ConvSpec {
-        in_c: 3,
-        hw: 16,
-        out_c: 4,
-        k: 3,
-        classes: 10,
+/// Table 3's victim.
+fn conv_victim() -> Sequential {
+    let build = |r: &mut DetRng| {
+        Sequential::new()
+            .push(Conv2d::new(3, 4, 16, 16, 3, 2, 1, r))
+            .push(Tanh::new())
+            .push(Flatten::new())
+            .push(Linear::new(4 * 8 * 8, 10, r))
     };
-    let mut params = vec![0.0f32; model.param_count()];
-    DetRng::from_u64(3).fill_gaussian(&mut params);
-    params.iter_mut().for_each(|v| *v *= 0.3);
-    (model, params)
+    random_victim(build, &mut DetRng::from_u64(3))
 }
 
 /// Image `img` of a victim with `dim` inputs.
@@ -77,7 +71,7 @@ fn ig(image_shape: (usize, usize, usize), label: usize) -> IgConfig {
 
 #[test]
 fn mlp_victim_gradients() {
-    let (model, params) = mlp_victim();
+    let model = mlp_victim();
     let want = [
         "cdd6a1eb936162f0472f7e2c5b06568f294239148477b0807e9fee7f94f4dea2",
         "13566b7483704e2afe3beffb48987ac5b9237933bf9034c2630c620e837c6341",
@@ -85,15 +79,15 @@ fn mlp_victim_gradients() {
     for (img, want) in want.iter().enumerate() {
         let label = (img * 7) % 100;
         let x = image(192, img as u64);
-        let g = victim_gradient(&model, &params, &x, &[label]);
+        let g = victim_gradient(&model, &x, &[label]).unwrap();
         assert_eq!(digest(&g), *want, "image {img}");
     }
 }
 
 #[test]
 fn conv_victim_gradient() {
-    let (model, params) = conv_victim();
-    let g = victim_gradient(&model, &params, &image(768, 0), &[0]);
+    let model = conv_victim();
+    let g = victim_gradient(&model, &image(768, 0), &[0]).unwrap();
     assert_eq!(
         digest(&g),
         "5d1979925faecfcec3fdff1e6bb52ae9c2b33bd10fde2ea08c2c6284bfa0a1b9"
@@ -102,15 +96,15 @@ fn conv_victim_gradient() {
 
 #[test]
 fn mlp_victim_reconstructions() {
-    let (model, params) = mlp_victim();
-    let g = victim_gradient(&model, &params, &image(192, 0), &[0]);
+    let model = mlp_victim();
+    let g = victim_gradient(&model, &image(192, 0), &[0]).unwrap();
     let view = breach_view(&g, AttackView::Full, 42, &[0; 16]);
-    let dlg = run_dlg(&model, &params, &view, &dlg(5));
+    let dlg = run_dlg(&model, &view, &dlg(5)).unwrap();
     assert_eq!(
         digest(&dlg.reconstruction),
         "ee12ed379abb1065d36c824d5f11b78402b2e02eb818ed1982f8da5648e80a92"
     );
-    let ig = run_ig(&model, &params, &view, &ig((3, 8, 8), 0));
+    let ig = run_ig(&model, &view, &ig((3, 8, 8), 0)).unwrap();
     assert_eq!(
         digest(&ig.reconstruction),
         "b7d7a44101c9b0d7200124e59f5ae89714fa46cf51e2a56254521d0f30fe3707"
@@ -119,15 +113,15 @@ fn mlp_victim_reconstructions() {
 
 #[test]
 fn conv_victim_reconstructions() {
-    let (model, params) = conv_victim();
-    let g = victim_gradient(&model, &params, &image(768, 0), &[0]);
+    let model = conv_victim();
+    let g = victim_gradient(&model, &image(768, 0), &[0]).unwrap();
     let view = breach_view(&g, AttackView::Full, 44, &[0; 16]);
-    let dlg = run_dlg(&model, &params, &view, &dlg(5));
+    let dlg = run_dlg(&model, &view, &dlg(5)).unwrap();
     assert_eq!(
         digest(&dlg.reconstruction),
         "3b8f52ae1e6c96189088db8d78bc5d0072f1e622a006dabe5171fd5be141e76c"
     );
-    let ig = run_ig(&model, &params, &view, &ig((3, 16, 16), 0));
+    let ig = run_ig(&model, &view, &ig((3, 16, 16), 0)).unwrap();
     assert_eq!(
         digest(&ig.reconstruction),
         "c7bf83bd7826573385e303191cd9d5ac47c222feaf72b99ee9d25fdbf596a0db"

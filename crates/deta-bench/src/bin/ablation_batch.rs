@@ -13,10 +13,10 @@
 //! ```
 
 use deta_attacks::batch::{best_assignment_mse, run_batch_dlg, BatchDlgConfig};
-use deta_attacks::graphnet::MlpSpec;
 use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
-use deta_bench::tables::random_params;
+use deta_bench::tables::mlp_victim;
 use deta_bench::{write_csv, Args};
+use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
@@ -25,10 +25,8 @@ fn main() {
     let iterations: usize = args.get("iterations", 600);
 
     let data_spec = DatasetSpec::cifar100_like().at_resolution(8);
-    let dim = data_spec.dim();
     let classes = 10usize;
-    let model = MlpSpec::new(&[dim, 24, classes]);
-    let params = random_params(&model, 12);
+    let model = mlp_victim(data_spec.dim(), classes, &mut DetRng::from_u64(12));
 
     let mut rows: Vec<String> = Vec::new();
     println!(
@@ -55,11 +53,10 @@ fn main() {
                     })
                     .collect();
                 let labels: Vec<usize> = (0..b).map(|i| (t * b + i) % classes).collect();
-                let g = victim_gradient(&model, &params, &images.concat(), &labels);
+                let g = victim_gradient(&model, &images.concat(), &labels).unwrap();
                 let bv = breach_view(&g, view.unwrap(), 31, &[(t % 251) as u8; 16]);
                 let out = run_batch_dlg(
                     &model,
-                    &params,
                     &bv,
                     b,
                     &BatchDlgConfig {
@@ -67,7 +64,8 @@ fn main() {
                         seed: t as u64,
                         restarts: 1,
                     },
-                );
+                )
+                .unwrap();
                 let err = best_assignment_mse(&out.reconstructions, &images);
                 mses.push(err);
                 rows.push(format!("{b},{vname},{t},{err:.6e}"));

@@ -14,11 +14,11 @@
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::MlpSpec;
 use deta_attacks::harness::{breach_view, oracle_breach_view, victim_gradient, AttackView};
 use deta_attacks::metrics::{bucket_percentages, mse, mse_bucket, MSE_BUCKET_LABELS};
-use deta_bench::tables::random_params;
+use deta_bench::tables::mlp_victim;
 use deta_bench::{print_bucket_table, write_csv, Args};
+use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
@@ -28,10 +28,8 @@ fn main() {
     let factor = 0.6f32;
 
     let data_spec = DatasetSpec::cifar100_like().at_resolution(8);
-    let dim = data_spec.dim();
     let classes = data_spec.classes;
-    let model = MlpSpec::new(&[dim, 24, classes]);
-    let params = random_params(&model, 9);
+    let model = mlp_victim(data_spec.dim(), classes, &mut DetRng::from_u64(9));
 
     // Columns: standard attacker vs oracle attacker, each against
     // partition-only and partition+shuffle.
@@ -50,7 +48,7 @@ fn main() {
             let label = (img * 13) % classes;
             let sample = data_spec.generate_class(label, 1, img as u64 + 700);
             let image: Vec<f32> = sample.features.data().to_vec();
-            let gradient = victim_gradient(&model, &params, &image, &[label]);
+            let gradient = victim_gradient(&model, &image, &[label]).unwrap();
             let tid = [(img % 251) as u8; 16];
             let bv = if oracle {
                 oracle_breach_view(&gradient, factor, shuffled, 77, &tid)
@@ -64,14 +62,14 @@ fn main() {
             };
             let out = run_dlg(
                 &model,
-                &params,
                 &bv,
                 &DlgConfig {
                     iterations,
                     seed: img as u64,
                     restarts: 1,
                 },
-            );
+            )
+            .unwrap();
             let err = mse(&out.reconstruction, &image);
             mses.push(err);
             rows.push(format!("{name},{img},{err:.6e}"));

@@ -10,13 +10,12 @@
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::{ConvSpec, GraphModel, MlpSpec};
 use deta_attacks::harness::{breach_view, victim_gradient};
 use deta_attacks::idlg::run_idlg;
 use deta_attacks::ig::{run_ig, IgConfig};
 use deta_attacks::metrics::{mse, write_pnm};
 use deta_bench::results_dir;
-use deta_bench::tables::VIEWS;
+use deta_bench::tables::{conv_victim, mlp_victim, VIEWS};
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
@@ -26,29 +25,27 @@ fn main() {
 
     // --- DLG and iDLG rows (Figure 3): MLP on 8x8 CIFAR-100-like. ---
     let data8 = DatasetSpec::cifar100_like().at_resolution(8);
-    let mlp = MlpSpec::new(&[data8.dim(), 24, data8.classes]);
+    // Both victims draw their weights from one stream.
     let mut rng = DetRng::from_u64(10);
-    let mut mlp_params = vec![0.0f32; mlp.param_count()];
-    rng.fill_gaussian(&mut mlp_params);
-    mlp_params.iter_mut().for_each(|v| *v *= 0.3);
+    let mlp = mlp_victim(data8.dim(), data8.classes, &mut rng);
     let label = 13usize;
     let image8: Vec<f32> = data8.generate_class(label, 1, 77).features.data().to_vec();
     write_pnm(&dir.join("ground_truth_8x8.ppm"), &image8, 3, 8, 8).unwrap();
-    let g8 = victim_gradient(&mlp, &mlp_params, &image8, &[label]);
+    let g8 = victim_gradient(&mlp, &image8, &[label]).unwrap();
 
     println!("{:<8} {:<16} {:>12}", "attack", "view", "MSE");
     for view in VIEWS {
         let bv = breach_view(&g8, view, 50, &[9u8; 16]);
         let dlg = run_dlg(
             &mlp,
-            &mlp_params,
             &bv,
             &DlgConfig {
                 iterations: 300,
                 seed: 1,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         println!(
             "{:<8} {:<16} {:>12.5}",
             "DLG",
@@ -66,14 +63,14 @@ fn main() {
 
         let idlg = run_idlg(
             &mlp,
-            &mlp_params,
             &bv,
             &DlgConfig {
                 iterations: 300,
                 seed: 2,
                 restarts: 1,
             },
-        );
+        )
+        .unwrap();
         println!(
             "{:<8} {:<16} {:>12.5}",
             "iDLG",
@@ -93,16 +90,7 @@ fn main() {
     // --- IG rows (Figure 4): conv model on 16x16 ImageNet-like. ---
     let hw = 16usize;
     let data16 = DatasetSpec::imagenet_like().at_resolution(hw);
-    let conv = ConvSpec {
-        in_c: 3,
-        hw,
-        out_c: 4,
-        k: 3,
-        classes: 10,
-    };
-    let mut conv_params = vec![0.0f32; conv.param_count()];
-    rng.fill_gaussian(&mut conv_params);
-    conv_params.iter_mut().for_each(|v| *v *= 0.3);
+    let conv = conv_victim(&mut rng);
     let ig_label = 4usize;
     let image16: Vec<f32> = data16
         .generate_class(ig_label, 1, 88)
@@ -110,12 +98,11 @@ fn main() {
         .data()
         .to_vec();
     write_pnm(&dir.join("ground_truth_16x16.ppm"), &image16, 3, hw, hw).unwrap();
-    let g16 = victim_gradient(&conv, &conv_params, &image16, &[ig_label]);
+    let g16 = victim_gradient(&conv, &image16, &[ig_label]).unwrap();
     for view in VIEWS {
         let bv = breach_view(&g16, view, 51, &[9u8; 16]);
         let ig = run_ig(
             &conv,
-            &conv_params,
             &bv,
             &IgConfig {
                 iterations: 600,
@@ -126,7 +113,8 @@ fn main() {
                 image_shape: (3, hw, hw),
                 label: ig_label,
             },
-        );
+        )
+        .unwrap();
         println!(
             "{:<8} {:<16} {:>12.5}  (cos {:.4})",
             "IG",

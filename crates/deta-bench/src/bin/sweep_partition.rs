@@ -10,11 +10,11 @@
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::MlpSpec;
 use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
 use deta_attacks::metrics::mse;
-use deta_bench::tables::random_params;
+use deta_bench::tables::mlp_victim;
 use deta_bench::{write_csv, Args};
+use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
@@ -23,10 +23,8 @@ fn main() {
     let iterations: usize = args.get("iterations", 300);
 
     let data_spec = DatasetSpec::cifar100_like().at_resolution(8);
-    let dim = data_spec.dim();
     let classes = 20usize;
-    let model = MlpSpec::new(&[dim, 24, classes]);
-    let params = random_params(&model, 21);
+    let model = mlp_victim(data_spec.dim(), classes, &mut DetRng::from_u64(21));
 
     let factors = [1.0f32, 0.95, 0.9, 0.8, 0.7, 0.6, 0.4, 0.2];
     let mut rows = Vec::new();
@@ -41,7 +39,7 @@ fn main() {
                 let label = img % classes;
                 let sample = data_spec.generate_class(label, 1, img as u64 + 300);
                 let image: Vec<f32> = sample.features.data().to_vec();
-                let gradient = victim_gradient(&model, &params, &image, &[label]);
+                let gradient = victim_gradient(&model, &image, &[label]).unwrap();
                 let view = if shuffled {
                     AttackView::PartitionShuffle { factor }
                 } else if factor >= 0.999 {
@@ -52,14 +50,14 @@ fn main() {
                 let bv = breach_view(&gradient, view, 22, &[(img % 251) as u8; 16]);
                 let out = run_dlg(
                     &model,
-                    &params,
                     &bv,
                     &DlgConfig {
                         iterations,
                         seed: img as u64,
                         restarts: 1,
                     },
-                );
+                )
+                .unwrap();
                 let err = mse(&out.reconstruction, &image);
                 mses.push(err);
                 rows.push(format!("{factor},{shuffled},{img},{err:.6e}"));

@@ -7,12 +7,12 @@
 //! ```
 
 use deta_attacks::dlg::DlgConfig;
-use deta_attacks::graphnet::MlpSpec;
 use deta_attacks::harness::{breach_view, victim_gradient};
 use deta_attacks::idlg::run_idlg;
 use deta_attacks::metrics::{bucket_percentages, mse, mse_bucket, MSE_BUCKET_LABELS};
-use deta_bench::tables::{random_params, VIEWS};
+use deta_bench::tables::{mlp_victim, VIEWS};
 use deta_bench::{print_bucket_table, write_csv, Args};
+use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
@@ -21,11 +21,8 @@ fn main() {
     let iterations: usize = args.get("iterations", 300);
 
     let data_spec = DatasetSpec::cifar100_like().at_resolution(8);
-    let dim = data_spec.dim();
     let classes = data_spec.classes;
-    let model = MlpSpec::new(&[dim, 24, classes]);
-
-    let params = random_params(&model, 2);
+    let model = mlp_victim(data_spec.dim(), classes, &mut DetRng::from_u64(2));
 
     let mut columns: Vec<Vec<f64>> = Vec::new();
     let mut label_acc: Vec<f64> = Vec::new();
@@ -41,12 +38,11 @@ fn main() {
             let label = (img * 11) % classes;
             let sample = data_spec.generate_class(label, 1, img as u64 + 500);
             let image: Vec<f32> = sample.features.data().to_vec();
-            let gradient = victim_gradient(&model, &params, &image, &[label]);
+            let gradient = victim_gradient(&model, &image, &[label]).unwrap();
             let tid = [(img % 251) as u8; 16];
             let bv = breach_view(&gradient, view, 43, &tid);
             let out = run_idlg(
                 &model,
-                &params,
                 &bv,
                 &DlgConfig {
                     iterations,
@@ -56,7 +52,8 @@ fn main() {
                     // iDLG > DLG fidelity ordering).
                     restarts: 2,
                 },
-            );
+            )
+            .unwrap();
             if out.inferred_label == label {
                 labels_right += 1;
             }

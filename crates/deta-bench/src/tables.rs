@@ -4,12 +4,14 @@
 //! exactly these rows.
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::{ConvSpec, GraphModel, MlpSpec};
-use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
+use deta_attacks::harness::{breach_view, random_victim, victim_gradient, AttackView};
 use deta_attacks::ig::{run_ig, IgConfig};
+use deta_attacks::lower::widths;
 use deta_attacks::metrics::mse;
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
+use deta_nn::models::mlp;
+use deta_nn::{Conv2d, Flatten, Linear, Sequential, Tanh};
 
 /// The six columns of Tables 1-3: no DeTA, partitioning at 0.6 and 0.2,
 /// then partitioning at 1.0, 0.6 and 0.2 with the keyed shuffle.
@@ -22,20 +24,32 @@ pub const VIEWS: [AttackView; 6] = [
     AttackView::PartitionShuffle { factor: 0.2 },
 ];
 
-/// A victim's weights: `N(0, 0.3²)` draws from `seed`, the randomly
-/// initialized model of the DLG evaluation.
-pub fn random_params(model: &dyn GraphModel, seed: u64) -> Vec<f32> {
-    let mut params = vec![0.0f32; model.param_count()];
-    DetRng::from_u64(seed).fill_gaussian(&mut params);
-    params.iter_mut().for_each(|v| *v *= 0.3);
-    params
+/// The MLP victim of Tables 1 and 2 and of the DLG extensions: a Tanh
+/// MLP from `dim` inputs through 24 hidden units to `classes`, its
+/// weights drawn from `rng` ([`random_victim`]).
+pub fn mlp_victim(dim: usize, classes: usize, rng: &mut DetRng) -> Sequential {
+    random_victim(|r| mlp(&[dim, 24, classes], r), rng)
+}
+
+/// The conv victim of Table 3 and Figure 4: one strided Tanh convolution
+/// (3 to 4 channels, 3x3 kernel, stride 2, padding 1) over a 16x16x3
+/// image and a linear head to 10 classes, its weights drawn from `rng`.
+pub fn conv_victim(rng: &mut DetRng) -> Sequential {
+    let hw = Table3::HW;
+    let build = |r: &mut DetRng| {
+        Sequential::new()
+            .push(Conv2d::new(3, 4, hw, hw, 3, 2, 1, r))
+            .push(Tanh::new())
+            .push(Flatten::new())
+            .push(Linear::new(4 * (hw / 2) * (hw / 2), 10, r))
+    };
+    random_victim(build, rng)
 }
 
 /// Table 1: DLG against a Tanh MLP on 8x8 CIFAR-100-like images.
 pub struct Table1 {
     data: DatasetSpec,
-    model: MlpSpec,
-    params: Vec<f32>,
+    model: Sequential,
 }
 
 impl Table1 {
@@ -45,13 +59,8 @@ impl Table1 {
     /// The table's victim.
     pub fn new() -> Table1 {
         let data = DatasetSpec::cifar100_like().at_resolution(8);
-        let model = MlpSpec::new(&[data.dim(), 24, data.classes]);
-        let params = random_params(&model, 1);
-        Table1 {
-            data,
-            model,
-            params,
-        }
+        let model = mlp_victim(data.dim(), data.classes, &mut DetRng::from_u64(1));
+        Table1 { data, model }
     }
 
     /// Reconstruction MSE of image `img` under `view`.
@@ -59,7 +68,7 @@ impl Table1 {
         let label = (img * 7) % self.data.classes;
         let sample = self.data.generate_class(label, 1, img as u64 + 100);
         let image = sample.features.data();
-        let gradient = victim_gradient(&self.model, &self.params, image, &[label]);
+        let gradient = victim_gradient(&self.model, image, &[label]).unwrap();
         // The attacker's view after DeTA's transformations.
         let bv = breach_view(&gradient, view, 42, &[(img % 251) as u8; 16]);
         let cfg = DlgConfig {
@@ -67,10 +76,8 @@ impl Table1 {
             seed: img as u64,
             restarts: 1,
         };
-        mse(
-            &run_dlg(&self.model, &self.params, &bv, &cfg).reconstruction,
-            image,
-        )
+        let dlg = run_dlg(&self.model, &bv, &cfg).unwrap();
+        mse(&dlg.reconstruction, image)
     }
 }
 
@@ -85,8 +92,7 @@ impl Default for Table1 {
 /// infers the label with iDLG).
 pub struct Table3 {
     data: DatasetSpec,
-    model: ConvSpec,
-    params: Vec<f32>,
+    model: Sequential,
 }
 
 impl Table3 {
@@ -100,27 +106,16 @@ impl Table3 {
     /// The table's victim.
     pub fn new() -> Table3 {
         let data = DatasetSpec::imagenet_like().at_resolution(Self::HW);
-        let model = ConvSpec {
-            in_c: 3,
-            hw: Self::HW,
-            out_c: 4,
-            k: 3,
-            classes: 10,
-        };
-        let params = random_params(&model, 3);
-        Table3 {
-            data,
-            model,
-            params,
-        }
+        let model = conv_victim(&mut DetRng::from_u64(3));
+        Table3 { data, model }
     }
 
     /// Final cosine distance of image `img` under `view`.
     pub fn cosine(&self, view: AttackView, img: usize, iterations: usize, restarts: usize) -> f64 {
-        let label = (img * 3) % self.model.classes;
+        let label = (img * 3) % widths(&self.model).1;
         let sample = self.data.generate_class(label, 1, img as u64 + 900);
         let image = sample.features.data();
-        let gradient = victim_gradient(&self.model, &self.params, image, &[label]);
+        let gradient = victim_gradient(&self.model, image, &[label]).unwrap();
         let bv = breach_view(&gradient, view, 44, &[(img % 251) as u8; 16]);
         let cfg = IgConfig {
             iterations,
@@ -131,7 +126,7 @@ impl Table3 {
             image_shape: (3, Self::HW, Self::HW),
             label,
         };
-        run_ig(&self.model, &self.params, &bv, &cfg).final_cosine
+        run_ig(&self.model, &bv, &cfg).unwrap().final_cosine
     }
 }
 

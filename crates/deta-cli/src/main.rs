@@ -10,8 +10,7 @@
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::graphnet::{GraphModel, MlpSpec};
-use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
+use deta_attacks::harness::{breach_view, random_victim, victim_gradient, AttackView};
 use deta_attacks::metrics::mse;
 use deta_cli::{Config, Prepared};
 use deta_core::baseline::run_ffl;
@@ -19,6 +18,7 @@ use deta_core::session::RoundMetrics;
 use deta_core::DetaSession;
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
+use deta_nn::models::mlp;
 use deta_runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -587,11 +587,7 @@ fn cmd_node(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_attack(n_images: usize) {
     let spec_data = DatasetSpec::cifar100_like().at_resolution(8);
     let dim = spec_data.dim();
-    let model = MlpSpec::new(&[dim, 24, 20]);
-    let mut rng = DetRng::from_u64(1);
-    let mut params = vec![0.0f32; model.param_count()];
-    rng.fill_gaussian(&mut params);
-    params.iter_mut().for_each(|v| *v *= 0.3);
+    let model = random_victim(|r| mlp(&[dim, 24, 20], r), &mut DetRng::from_u64(1));
     let views = [
         AttackView::Full,
         AttackView::Partition { factor: 0.6 },
@@ -604,18 +600,18 @@ fn cmd_attack(n_images: usize) {
             let label = img % 20;
             let sample = spec_data.generate_class(label, 1, img as u64);
             let image: Vec<f32> = sample.features.data().to_vec();
-            let gradient = victim_gradient(&model, &params, &image, &[label]);
+            let gradient = victim_gradient(&model, &image, &[label]).expect("an MLP lowers");
             let bv = breach_view(&gradient, view, 7, &[img as u8; 16]);
             let out = run_dlg(
                 &model,
-                &params,
                 &bv,
                 &DlgConfig {
                     iterations: 300,
                     seed: img as u64,
                     restarts: 1,
                 },
-            );
+            )
+            .expect("an MLP lowers");
             mses.push(mse(&out.reconstruction, &image));
         }
         mses.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -4,7 +4,7 @@
 //! `[batch, features]`, where convolutional layers interpret `features` as
 //! NCHW `C * H * W` according to their stored geometry.
 
-use crate::Layer;
+use crate::{Layer, LayerSpec};
 use deta_crypto::DetRng;
 use deta_tensor::gemm::{gemm, Mat, Store};
 use deta_tensor::{col2im_into, im2col_into, ConvGeom, Tensor};
@@ -25,7 +25,7 @@ pub struct Params {
     b: Tensor,
     grads: Option<[Tensor; 2]>,
     frozen: bool,
-    /// The owning layer's [`Layer::name`], for the panics.
+    /// The owning layer's kind, for the panics.
     layer: &'static str,
 }
 
@@ -178,17 +178,12 @@ impl Linear {
         self.params.freeze();
         self
     }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.params.w.shape()[1]
-    }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         debug_assert_eq!(input.shape().len(), 2);
-        debug_assert_eq!(input.shape()[1], self.in_dim());
+        debug_assert_eq!(input.shape()[1], self.params.w.shape()[1]);
         if train {
             self.cached_input = Some(input.clone());
         }
@@ -230,8 +225,12 @@ impl Layer for Linear {
         f(&mut self.params);
     }
 
-    fn name(&self) -> &'static str {
-        "Linear"
+    fn spec(&self) -> LayerSpec {
+        let w = self.params.w.shape();
+        LayerSpec::Linear {
+            in_dim: w[1],
+            out_dim: w[0],
+        }
     }
 
     fn replica(&self) -> Box<dyn Layer> {
@@ -395,8 +394,11 @@ impl Layer for Conv2d {
         f(&mut self.params);
     }
 
-    fn name(&self) -> &'static str {
-        "Conv2d"
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Conv2d {
+            geom: self.geom,
+            out_c: self.out_c,
+        }
     }
 
     fn replica(&self) -> Box<dyn Layer> {
@@ -444,8 +446,8 @@ impl Layer for Relu {
         Tensor::from_vec(data, grad_out.shape())
     }
 
-    fn name(&self) -> &'static str {
-        "Relu"
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Other("Relu")
     }
 
     fn replica(&self) -> Box<dyn Layer> {
@@ -484,8 +486,8 @@ impl Layer for Tanh {
         grad_out.zip_with(&y, |g, t| g * (1.0 - t * t))
     }
 
-    fn name(&self) -> &'static str {
-        "Tanh"
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Tanh
     }
 
     fn replica(&self) -> Box<dyn Layer> {
@@ -593,8 +595,8 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(grad_in, &[batch, feat])
     }
 
-    fn name(&self) -> &'static str {
-        "MaxPool2d"
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Other("MaxPool2d")
     }
 
     fn replica(&self) -> Box<dyn Layer> {
@@ -684,8 +686,8 @@ impl Layer for AvgPool2d {
         Tensor::from_vec(grad_in, &[batch, feat])
     }
 
-    fn name(&self) -> &'static str {
-        "AvgPool2d"
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Other("AvgPool2d")
     }
 
     fn replica(&self) -> Box<dyn Layer> {
@@ -716,8 +718,8 @@ impl Layer for Flatten {
         grad_out.clone()
     }
 
-    fn name(&self) -> &'static str {
-        "Flatten"
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Flatten
     }
 
     fn replica(&self) -> Box<dyn Layer> {

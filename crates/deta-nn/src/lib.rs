@@ -31,7 +31,7 @@ pub use loss::softmax_cross_entropy;
 pub use optim::sgd_step;
 pub use residual::Residual;
 
-use deta_tensor::Tensor;
+use deta_tensor::{ConvGeom, Tensor};
 use std::borrow::Cow;
 use std::ops::Deref;
 
@@ -68,8 +68,8 @@ pub trait Layer: Send {
     /// [`Layer::records`], writable.
     fn records_mut<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut Params)) {}
 
-    /// Human-readable layer name for diagnostics.
-    fn name(&self) -> &'static str;
+    /// The layer's kind and dimensions, as plain data.
+    fn spec(&self) -> LayerSpec;
 
     /// A replica of the layer's starting state: every parameter copied
     /// (frozen ones included), no gradients (a constructor allocates
@@ -77,6 +77,25 @@ pub trait Layer: Send {
     /// replica of a freshly built layer is the layer a second build from
     /// the same RNG state would return, without drawing it again.
     fn replica(&self) -> Box<dyn Layer>;
+}
+
+/// What a layer is ([`Layer::spec`]): its kind, with the dimensions of
+/// the kinds a reader outside this crate rebuilds, such as the attacks'
+/// tape. The weights stay in the layer's [`Params`] records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LayerSpec {
+    /// [`Linear`]: weights `[out_dim, in_dim]`, bias `[out_dim]`.
+    Linear { in_dim: usize, out_dim: usize },
+    /// [`Conv2d`]: `out_c` channels over the input image, kernel, stride
+    /// and padding of `geom`; weights `[out_c, in_c·k·k]`, bias `[out_c]`,
+    /// output `[out_c, out_h, out_w]` per image.
+    Conv2d { geom: ConvGeom, out_c: usize },
+    /// [`Tanh`].
+    Tanh,
+    /// [`Flatten`].
+    Flatten,
+    /// Any other layer, by name.
+    Other(&'static str),
 }
 
 /// `f`, skipped for frozen records: the one place a frozen record leaves

@@ -6,7 +6,7 @@
 //! `y = x + f(x)` where `f` is an inner [`Sequential`] whose output shape
 //! must equal its input shape.
 
-use crate::{Layer, Params, Sequential};
+use crate::{Layer, LayerSpec, Params, Sequential};
 use deta_tensor::Tensor;
 
 /// A residual block: `y = x + inner(x)`.
@@ -58,8 +58,8 @@ impl Layer for Residual {
         self.inner.records_mut(f);
     }
 
-    fn name(&self) -> &'static str {
-        "Residual"
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Other("Residual")
     }
 
     fn replica(&self) -> Box<dyn Layer> {

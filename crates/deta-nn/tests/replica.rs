@@ -5,7 +5,7 @@
 use deta_crypto::DetRng;
 use deta_nn::models::{convnet23, convnet8, mlp, resnet_lite, vgg_lite};
 use deta_nn::train::{train_local, LabeledData};
-use deta_nn::{Layer, Sequential};
+use deta_nn::{Layer, LayerSpec, Sequential};
 use deta_tensor::Tensor;
 
 const BATCH: usize = 4;
@@ -36,15 +36,15 @@ fn every_grad(model: &Sequential) -> Vec<f32> {
     out
 }
 
-/// Each layer's name with the frozen flag of each of its records.
-fn layer_kinds(model: &Sequential) -> Vec<(&'static str, Vec<bool>)> {
+/// Each layer's spec with the frozen flag of each of its records.
+fn layer_kinds(model: &Sequential) -> Vec<(LayerSpec, Vec<bool>)> {
     let frozen = |l: &dyn Layer| {
         let mut flags = Vec::new();
         l.records(&mut |p| flags.push(p.frozen()));
         flags
     };
     let layers = model.layers().iter();
-    layers.map(|l| (l.name(), frozen(l.as_ref()))).collect()
+    layers.map(|l| (l.spec(), frozen(l.as_ref()))).collect()
 }
 
 /// How many of `model`'s records are frozen.

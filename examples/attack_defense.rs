@@ -9,30 +9,27 @@
 //! Reconstructed images land in `results/reconstructions/`.
 
 use deta::attacks::dlg::{run_dlg, DlgConfig};
-use deta::attacks::graphnet::{GraphModel, MlpSpec};
-use deta::attacks::harness::{breach_view, victim_gradient, AttackView};
+use deta::attacks::harness::{breach_view, random_victim, victim_gradient, AttackView};
 use deta::attacks::metrics::{mse, write_pnm};
 use deta::crypto::DetRng;
 use deta::datasets::DatasetSpec;
+use deta::nn::models::mlp;
 
 fn main() {
     let spec_data = DatasetSpec::cifar100_like().at_resolution(8);
     let (c, h, w) = (spec_data.channels, 8usize, 8usize);
     let dim = spec_data.dim();
     let classes = 10usize;
-    let model = MlpSpec::new(&[dim, 24, classes]);
 
-    // Victim model weights and one training image.
-    let mut rng = DetRng::from_u64(7);
-    let params: Vec<f32> = (0..model.param_count())
-        .map(|_| rng.next_gaussian() as f32 * 0.3)
-        .collect();
+    // The victim model, its weights drawn from seed 7, and one training
+    // image.
+    let model = random_victim(|r| mlp(&[dim, 24, classes], r), &mut DetRng::from_u64(7));
     let label = 3usize;
     let victim = spec_data.generate_class(label, 1, 11);
     let image: Vec<f32> = victim.features.data().to_vec();
 
     // The gradient the victim would share.
-    let gradient = victim_gradient(&model, &params, &image, &[label]);
+    let gradient = victim_gradient(&model, &image, &[label]).expect("an MLP lowers");
 
     let out_dir = std::path::Path::new("results/reconstructions");
     std::fs::create_dir_all(out_dir).expect("create results dir");
@@ -52,14 +49,14 @@ fn main() {
         let bv = breach_view(&gradient, view, 99, &[1u8; 16]);
         let out = run_dlg(
             &model,
-            &params,
             &bv,
             &DlgConfig {
                 iterations: 300,
                 seed: 5,
                 restarts: 1,
             },
-        );
+        )
+        .expect("an MLP lowers");
         let err = mse(&out.reconstruction, &image);
         println!(
             "{:<16} {:>12.5} {:>14}",

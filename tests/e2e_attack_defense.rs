@@ -4,11 +4,11 @@
 //! training input; with it on, it does not.
 
 use deta::attacks::dlg::{run_dlg, DlgConfig};
-use deta::attacks::graphnet::{GraphModel, MlpSpec};
 use deta::attacks::harness::{AttackView, BreachedView};
 use deta::attacks::metrics::mse;
 use deta::core::aggregator::parse_breached_memory;
 use deta::core::{DetaConfig, DetaSession, SyncMode, TransformConfig};
+use deta::crypto::DetRng;
 use deta::datasets::DatasetSpec;
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
@@ -69,8 +69,10 @@ fn breach_one_round(
 }
 
 fn attack(params: &[f32], fragment: Vec<f32>, full_len: usize, dim: usize) -> Vec<f32> {
-    let spec = MlpSpec::new(&[dim, 16, 10]);
-    assert_eq!(spec.param_count(), full_len);
+    // The parties' architecture, under the weights the round started from.
+    let mut model = mlp(&[dim, 16, 10], &mut DetRng::from_u64(0));
+    model.set_flat_params(params);
+    assert_eq!(model.param_count(), full_len);
     let view = BreachedView {
         visible: fragment,
         full_len,
@@ -78,8 +80,7 @@ fn attack(params: &[f32], fragment: Vec<f32>, full_len: usize, dim: usize) -> Ve
         known_positions: None,
     };
     run_dlg(
-        &spec,
-        params,
+        &model,
         &view,
         &DlgConfig {
             iterations: 500,
@@ -87,6 +88,7 @@ fn attack(params: &[f32], fragment: Vec<f32>, full_len: usize, dim: usize) -> Ve
             restarts: 1,
         },
     )
+    .unwrap()
     .reconstruction
 }
 
