@@ -454,7 +454,7 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
     // Side-by-side phase volumes: the same config run sequentially and
     // threaded, both in this process, so the two deployments' phase
     // costs can be compared on one workload.
-    let seq = {
+    let seq: Vec<deta_obs::ObsRecord> = {
         let prepared = config.prepare()?;
         let rec = deta_telemetry::FlightRecorder::new("sequential", 1 << 16);
         let _guard = deta_telemetry::attach(std::sync::Arc::clone(&rec));
@@ -463,11 +463,7 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
         let _ = s.run(&prepared.test);
         drop(_guard);
         let (records, _) = rec.drain();
-        let jsonl: String = records
-            .iter()
-            .map(|r| r.to_json("sequential") + "\n")
-            .collect();
-        deta_obs::parse_jsonl(&jsonl).records
+        records.iter().map(|r| r.to_obs("sequential")).collect()
     };
     let thr = {
         let prepared = config.prepare()?;

@@ -792,11 +792,7 @@ impl DetaSession {
         loop {
             while let Some(directive) = todo.pop_front() {
                 match directive {
-                    Directive::Send(to, msg) => {
-                        if let Ok(frame) = msg.encode() {
-                            let _ = self.ctl.send(&to, frame);
-                        }
-                    }
+                    Directive::Send(to, msg) => self.send(&to, &msg),
                     Directive::Retire(node) => self.network.close(&node),
                     Directive::Spawn(node) => {
                         self.order.push(node.name.clone());
@@ -851,6 +847,13 @@ impl DetaSession {
         }
     }
 
+    /// Sends `msg` to `to` from the supervisor's mailbox.
+    fn send(&self, to: &str, msg: &CtlMsg) {
+        if let Ok(frame) = msg.encode() {
+            let _ = self.ctl.send(to, frame);
+        }
+    }
+
     /// Steps one frame: the node under the cursor keeps it while its
     /// mailbox holds frames, then the cursor moves on in order. `false`
     /// once a whole cycle found nothing to step.
@@ -895,9 +898,10 @@ impl DetaSession {
 
     /// Takes party `i` offline at a round boundary (cross-silo dropout).
     ///
-    /// The party is deregistered from every aggregator; subsequent rounds
-    /// aggregate over the remaining parties. At least one party must stay
-    /// online.
+    /// The supervisor's `Deregister` directives go out through its
+    /// mailbox, ahead of the next round's trigger and uploads; subsequent
+    /// rounds aggregate over the remaining parties. At least one party
+    /// must stay online.
     ///
     /// # Panics
     ///
@@ -909,10 +913,9 @@ impl DetaSession {
             "cannot drop the last online party"
         );
         let name = self.party_mut(i).name.clone();
-        self.supervisor.leave(&name);
-        for node in self.nodes.values_mut() {
-            if let Node::Aggregator(a) = node {
-                a.deregister(&name);
+        for directive in self.supervisor.leave(&name) {
+            if let Directive::Send(to, msg) = directive {
+                self.send(&to, &msg);
             }
         }
     }

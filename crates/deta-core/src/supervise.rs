@@ -544,10 +544,15 @@ impl Supervisor {
         &self.config
     }
 
-    /// `party` leaves the session at a round boundary (an operator's
-    /// dropout, not a fault).
-    pub fn leave(&mut self, party: &str) {
+    /// `party` leaves the session: no later round plans for it, and the
+    /// returned directives tell every aggregator to deregister it.
+    pub fn leave(&mut self, party: &str) -> Vec<Directive> {
         self.ledger.leave(party);
+        let party = party.to_string();
+        let msg = CtlMsg::Deregister { party };
+        (self.agg_names.iter())
+            .map(|agg| Directive::Send(agg.clone(), msg.clone()))
+            .collect()
     }
 
     /// Ascending indices of the parties still in the session.
@@ -739,13 +744,7 @@ impl Supervisor {
         let round = open.round;
         for party in &lost {
             self.retire(party, out);
-            self.ledger.leave(party);
-            for agg in &self.agg_names {
-                let msg = CtlMsg::Deregister {
-                    party: party.clone(),
-                };
-                out.push(Directive::Send(agg.clone(), msg));
-            }
+            out.extend(self.leave(party));
             deta_telemetry::event(
                 "party_dropped",
                 &[

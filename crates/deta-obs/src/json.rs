@@ -125,8 +125,7 @@ impl Json {
     }
 }
 
-/// Escapes a string for inclusion inside a JSON string literal
-/// (mirrors the telemetry emitter's escaping).
+/// Escapes a string for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -5,9 +5,12 @@
 //! own rings on its own monotonic clock. This crate turns that pile of
 //! per-process JSONL into answers (see DESIGN.md §15):
 //!
-//! * [`record`] — parse the workspace's trace schema back into owned
-//!   records (a narrow, total JSON reader in [`json`]; no external
-//!   dependencies, like everything else here).
+//! * [`record`] — the trace schema's one owner: its record
+//!   ([`ObsRecord`]), its JSON ([`json`], a narrow, total reader and a
+//!   compact renderer), its writer ([`render_jsonl`], [`meta_line`]) and
+//!   its reader ([`parse_jsonl`]). deta-telemetry converts its rings into
+//!   `ObsRecord`s and writes every dump through here. No external
+//!   dependencies, like everything else here.
 //! * [`mod@merge`] — put every process on one timeline: apply the socket
 //!   handshake's probe/echo clock offsets, then enforce causality
 //!   (`net_send` before its `net_recv`) via longest-path relaxation of
@@ -36,5 +39,5 @@ pub mod report;
 pub use json::Json;
 pub use merge::{merge, Edge, MergedTrace, ProcessTrace};
 pub use perfetto::chrome_trace;
-pub use record::{parse_jsonl, ObsRecord, ParsedTrace};
+pub use record::{meta_line, parse_jsonl, render_jsonl, ObsRecord, ParsedTrace};
 pub use report::{fmt_ns, phase_of, phase_totals, round_reports, RoundReport, IDLE, TRANSPORT};

@@ -17,7 +17,7 @@
 //! share a clock), so Bellman–Ford-style passes converge in at most
 //! `processes` rounds.
 
-use crate::record::ObsRecord;
+use crate::record::{meta_line, render_jsonl, ObsRecord};
 use std::collections::HashMap;
 
 /// One process's drained ring, plus its handshake clock offset.
@@ -177,30 +177,8 @@ impl MergedTrace {
     /// `meta` line naming `implicated` nodes and per-node ring
     /// overflow counts.
     pub fn to_jsonl(&self, implicated: &[String], overflow: &[(String, u64)]) -> String {
-        let mut out = String::new();
-        for rec in &self.records {
-            out.push_str(&rec.to_json());
-            out.push('\n');
-        }
         let last = self.records.last().map_or(0, ObsRecord::end_ns);
-        out.push_str(&format!(
-            "{{\"t_ns\":{last},\"kind\":\"meta\",\"implicated\":["
-        ));
-        for (i, n) in implicated.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", crate::json::escape(n)));
-        }
-        out.push_str("],\"ring_overflow\":{");
-        for (i, (node, count)) in overflow.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{count}", crate::json::escape(node)));
-        }
-        out.push_str("}}\n");
-        out
+        render_jsonl(&self.records) + &meta_line(last, implicated, overflow)
     }
 }
 

@@ -1,12 +1,11 @@
-//! Owned trace records parsed back from flight-recorder JSONL.
+//! The trace schema's record, and its writer and reader.
 //!
-//! The telemetry crate's in-memory [`TelemetryRecord`] uses `&'static
-//! str` names, so records that crossed a process boundary (shipped as
-//! rendered JSONL over the socket bridge) cannot be reconstructed as
-//! that type. [`ObsRecord`] is the owned equivalent the analysis layer
-//! works on.
-//!
-//! [`TelemetryRecord`]: ../../deta_telemetry/struct.TelemetryRecord.html
+//! [`ObsRecord`] is the one owned record of the JSONL schema
+//! (`results/traces/README.md`). Every line of it is written here:
+//! a flight recorder's ring is converted into `ObsRecord`s
+//! (`deta_telemetry::TelemetryRecord::to_obs`) and rendered by
+//! [`render_jsonl`]; a dump closes with [`meta_line`]; [`parse_jsonl`]
+//! reads both back.
 
 use crate::json::Json;
 
@@ -81,6 +80,39 @@ impl ObsRecord {
         out.push('}');
         out
     }
+}
+
+/// Renders `records` as JSONL, one line each, every line ended by a
+/// newline — the schema's one document writer (a dump closes it with
+/// [`meta_line`]).
+pub fn render_jsonl(records: &[ObsRecord]) -> String {
+    records.iter().map(|rec| rec.to_json() + "\n").collect()
+}
+
+/// The `meta` line that closes a dump, newline included: the time it
+/// was written, the node(s) a fault verdict implicates, and how many
+/// records each node's ring overwrote.
+pub fn meta_line(t_ns: i64, implicated: &[String], overflow: &[(String, u64)]) -> String {
+    let meta = Json::Obj(vec![
+        ("t_ns".to_string(), Json::Num(t_ns.to_string())),
+        ("kind".to_string(), Json::Str("meta".to_string())),
+        (
+            "implicated".to_string(),
+            Json::Arr(implicated.iter().cloned().map(Json::Str).collect()),
+        ),
+        (
+            "ring_overflow".to_string(),
+            Json::Obj(
+                (overflow.iter())
+                    .map(|(n, c)| (n.clone(), Json::Num(c.to_string())))
+                    .collect(),
+            ),
+        ),
+    ]);
+    let mut out = String::new();
+    meta.render(&mut out);
+    out.push('\n');
+    out
 }
 
 /// Everything a trace dump file (or shipped ring) parses into.

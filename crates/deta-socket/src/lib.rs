@@ -287,10 +287,10 @@ impl SocketError {
 /// records its ring overwrote; `None` when there is nothing to report.
 pub(crate) fn drain_ring(recorder: &deta_telemetry::FlightRecorder) -> Option<(String, u64)> {
     let (records, dropped) = recorder.drain();
-    let jsonl: String = (records.iter())
-        .map(|rec| rec.to_json(recorder.node()) + "\n")
+    let records: Vec<_> = (records.iter())
+        .map(|rec| rec.to_obs(recorder.node()))
         .collect();
-    (!records.is_empty() || dropped > 0).then_some((jsonl, dropped))
+    (!records.is_empty() || dropped > 0).then(|| (deta_obs::render_jsonl(&records), dropped))
 }
 
 /// The hub's responder identity, derived deterministically from the

@@ -8,7 +8,7 @@
 
 use crate::metrics;
 use crate::record::{FlightRecorder, TelemetryRecord};
-use crate::value::json_escape;
+use deta_obs::ObsRecord;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,21 +61,15 @@ pub fn trace_dump(
     implicated: &[String],
 ) -> std::io::Result<TraceDump> {
     std::fs::create_dir_all(dir)?;
-    let mut lines: Vec<(u64, String)> = Vec::new();
-    for (node, records, _) in nodes {
-        for rec in records {
-            lines.push((rec.t_ns, rec.to_json(node)));
-        }
-    }
-    lines.sort_by_key(|(t, _)| *t);
-
-    let mut out = String::new();
-    for (_, line) in &lines {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.push_str(&meta_line(nodes, implicated));
-    out.push('\n');
+    let mut records: Vec<ObsRecord> = (nodes.iter())
+        .flat_map(|(node, records, _)| records.iter().map(|rec| rec.to_obs(node)))
+        .collect();
+    records.sort_by_key(|rec| rec.t_ns);
+    let overflow: Vec<(String, u64)> = (nodes.iter())
+        .map(|(node, _, dropped)| (node.clone(), *dropped))
+        .collect();
+    let t_ns = i64::try_from(crate::now_ns()).unwrap_or(i64::MAX);
+    let out = deta_obs::render_jsonl(&records) + &deta_obs::meta_line(t_ns, implicated, &overflow);
 
     let jsonl = dir.join(format!("{stem}.jsonl"));
     std::fs::write(&jsonl, out)?;
@@ -160,25 +154,6 @@ impl Recorders {
     pub fn first_dump(&self) -> Option<&Path> {
         self.first_dump.as_deref()
     }
-}
-
-/// The trailing dump line: implicated nodes and per-node overflow.
-fn meta_line(nodes: &[(String, Vec<TelemetryRecord>, u64)], implicated: &[String]) -> String {
-    let implicated_json = implicated
-        .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let overflow_json = nodes
-        .iter()
-        .map(|(n, _, dropped)| format!("\"{}\":{dropped}", json_escape(n)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"t_ns\":{},\"kind\":\"meta\",\"implicated\":[{implicated_json}],\
-         \"ring_overflow\":{{{overflow_json}}}}}",
-        crate::now_ns()
-    )
 }
 
 #[cfg(test)]

@@ -1,5 +1,11 @@
-//! deta-telemetry: zero-dependency tracing, metrics, and per-node
-//! flight recorders for the DeTA deployment.
+//! deta-telemetry: tracing, metrics, and per-node flight recorders for
+//! the DeTA deployment.
+//!
+//! Its one dependency is `deta-obs`, which owns the JSONL trace schema:
+//! a dump converts each ring record into a `deta_obs::ObsRecord`
+//! ([`TelemetryRecord::to_obs`]) and deta-obs writes every line, so a
+//! single-process dump, a shipped ring and a merged trace share one
+//! writer.
 //!
 //! Design constraints (see DESIGN.md §9):
 //!

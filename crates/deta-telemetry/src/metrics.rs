@@ -179,11 +179,15 @@ pub fn quantile_estimate(buckets: &[u64; BUCKET_BOUNDS.len() + 1], count: u64, q
 }
 
 /// Renders the `{label="...",extra}` suffix; empty labels and extras
-/// collapse away.
+/// collapse away. The label value is escaped as the Prometheus text
+/// format asks: backslash, double quote and newline, and nothing else.
 fn label_part(label: &str, extra: &str) -> String {
     let mut parts = Vec::new();
     if !label.is_empty() {
-        parts.push(format!("label=\"{}\"", crate::value::json_escape(label)));
+        let escaped = (label.replace('\\', "\\\\"))
+            .replace('"', "\\\"")
+            .replace('\n', "\\n");
+        parts.push(format!("label=\"{escaped}\""));
     }
     if !extra.is_empty() {
         parts.push(extra.to_string());
@@ -226,6 +230,19 @@ mod tests {
         assert!(snap.contains("le=\"0.1\"} 1"));
         reset();
         assert_eq!(counter_value("deta_test_frames_total", "a->b"), 0);
+    }
+
+    #[test]
+    fn labels_escape_backslash_quote_and_newline_only() {
+        assert_eq!(
+            label_part("a\\b\"c\nd\te\r\u{1}", ""),
+            "{label=\"a\\\\b\\\"c\\nd\te\r\u{1}\"}"
+        );
+        assert_eq!(
+            label_part("party-0->agg-1", "le=\"1\""),
+            "{label=\"party-0->agg-1\",le=\"1\"}"
+        );
+        assert_eq!(label_part("", ""), "");
     }
 
     #[test]

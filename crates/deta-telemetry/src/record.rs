@@ -8,7 +8,8 @@
 //! a fault verdict always ships with the last-N-events history of the
 //! implicated node *and* its peers.
 
-use crate::value::{json_escape, TelemetryValue};
+use crate::value::TelemetryValue;
+use deta_obs::{Json, ObsRecord};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -23,16 +24,6 @@ pub enum RecordKind {
     Span,
     /// An instantaneous occurrence.
     Event,
-}
-
-impl RecordKind {
-    /// Stable lowercase name used in the JSONL schema.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RecordKind::Span => "span",
-            RecordKind::Event => "event",
-        }
-    }
 }
 
 /// One span or event, as stored in a flight-recorder ring.
@@ -58,36 +49,23 @@ pub struct TelemetryRecord {
 }
 
 impl TelemetryRecord {
-    /// Renders one JSONL line, attributing the record to `node`.
-    pub fn to_json(&self, node: &str) -> String {
-        let mut out = format!(
-            "{{\"t_ns\":{},\"node\":\"{}\",\"kind\":\"{}\",\"name\":\"{}\"",
-            self.t_ns,
-            json_escape(node),
-            self.kind.as_str(),
-            json_escape(self.name)
-        );
-        if let Some(d) = self.dur_ns {
-            out.push_str(&format!(",\"dur_ns\":{d}"));
+    /// The record as the schema's owned record, attributed to `node`:
+    /// the one conversion a ring record takes on its way to a JSONL line,
+    /// which deta-obs writes. A span carries its `dur_ns` (0 if it has
+    /// none), an event none.
+    pub fn to_obs(&self, node: &str) -> ObsRecord {
+        ObsRecord {
+            t_ns: i64::try_from(self.t_ns).unwrap_or(i64::MAX),
+            node: node.to_string(),
+            span: self.kind == RecordKind::Span,
+            name: self.name.to_string(),
+            dur_ns: self.dur_ns.unwrap_or(0),
+            trace_id: self.trace_id,
+            parent: self.parent,
+            fields: (self.fields.iter())
+                .map(|(k, v)| (k.to_string(), Json::from(v)))
+                .collect(),
         }
-        if self.trace_id != 0 {
-            out.push_str(&format!(",\"trace_id\":{}", self.trace_id));
-            if self.parent != 0 {
-                out.push_str(&format!(",\"parent\":{}", self.parent));
-            }
-        }
-        if !self.fields.is_empty() {
-            out.push_str(",\"fields\":{");
-            for (i, (k, v)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", json_escape(k), v.to_json()));
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -211,7 +189,7 @@ mod tests {
         let mut r = rec(7, "upload");
         r.fields.push(("round", TelemetryValue::U64(3)));
         assert_eq!(
-            r.to_json("party-1"),
+            r.to_obs("party-1").to_json(),
             "{\"t_ns\":7,\"node\":\"party-1\",\"kind\":\"event\",\
              \"name\":\"upload\",\"fields\":{\"round\":3}}"
         );
@@ -225,7 +203,7 @@ mod tests {
             fields: Vec::new(),
         };
         assert_eq!(
-            span.to_json("agg-0"),
+            span.to_obs("agg-0").to_json(),
             "{\"t_ns\":5,\"node\":\"agg-0\",\"kind\":\"span\",\"name\":\"aggregate\",\"dur_ns\":11}"
         );
     }
@@ -236,7 +214,7 @@ mod tests {
         r.trace_id = 4;
         r.parent = 1099511627777;
         assert_eq!(
-            r.to_json("agg-0"),
+            r.to_obs("agg-0").to_json(),
             "{\"t_ns\":9,\"node\":\"agg-0\",\"kind\":\"event\",\"name\":\"net_send\",\
              \"trace_id\":4,\"parent\":1099511627777}"
         );
@@ -244,7 +222,7 @@ mod tests {
         let mut root = rec(2, "round_begin");
         root.trace_id = 4;
         assert_eq!(
-            root.to_json("supervisor"),
+            root.to_obs("supervisor").to_json(),
             "{\"t_ns\":2,\"node\":\"supervisor\",\"kind\":\"event\",\
              \"name\":\"round_begin\",\"trace_id\":4}"
         );

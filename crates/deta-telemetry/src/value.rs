@@ -9,6 +9,8 @@
 //! method the workspace's `clippy.toml` disallows outside a few files
 //! that compute with a key.
 
+use deta_obs::Json;
+
 /// One telemetry field value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TelemetryValue {
@@ -24,17 +26,19 @@ pub enum TelemetryValue {
     Str(String),
 }
 
-impl TelemetryValue {
-    /// Renders the value as a JSON fragment (non-finite floats become
-    /// `null`, which keeps every emitted line valid JSON).
-    pub fn to_json(&self) -> String {
-        match self {
-            TelemetryValue::Bool(b) => b.to_string(),
-            TelemetryValue::U64(v) => v.to_string(),
-            TelemetryValue::I64(v) => v.to_string(),
-            TelemetryValue::F64(v) if v.is_finite() => format!("{v}"),
-            TelemetryValue::F64(_) => "null".to_string(),
-            TelemetryValue::Str(s) => format!("\"{}\"", json_escape(s)),
+/// The schema's value for a field: integers as their decimal text,
+/// finite floats as their `{}` text, non-finite floats as `null` (which
+/// keeps every written line valid JSON), strings and booleans as they
+/// are.
+impl From<&TelemetryValue> for Json {
+    fn from(v: &TelemetryValue) -> Json {
+        match v {
+            TelemetryValue::Bool(b) => Json::Bool(*b),
+            TelemetryValue::U64(v) => Json::Num(v.to_string()),
+            TelemetryValue::I64(v) => Json::Num(v.to_string()),
+            TelemetryValue::F64(v) if v.is_finite() => Json::Num(format!("{v}")),
+            TelemetryValue::F64(_) => Json::Null,
+            TelemetryValue::Str(s) => Json::Str(s.clone()),
         }
     }
 }
@@ -93,46 +97,30 @@ impl From<String> for TelemetryValue {
     }
 }
 
-/// Escapes a string for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn render(v: TelemetryValue) -> String {
+        let mut out = String::new();
+        Json::from(&v).render(&mut out);
+        out
+    }
+
     #[test]
     fn values_render_as_json() {
-        assert_eq!(TelemetryValue::from(true).to_json(), "true");
-        assert_eq!(TelemetryValue::from(42u64).to_json(), "42");
-        assert_eq!(TelemetryValue::from(-3i64).to_json(), "-3");
-        assert_eq!(TelemetryValue::from(0.5f64).to_json(), "0.5");
-        assert_eq!(TelemetryValue::F64(f64::NAN).to_json(), "null");
-        assert_eq!(
-            TelemetryValue::from("agg-0").to_json(),
-            "\"agg-0\"".to_string()
-        );
+        assert_eq!(render(true.into()), "true");
+        assert_eq!(render(42u64.into()), "42");
+        assert_eq!(render((-3i64).into()), "-3");
+        assert_eq!(render(0.5f64.into()), "0.5");
+        assert_eq!(render(TelemetryValue::F64(f64::NAN)), "null");
+        assert_eq!(render("agg-0".into()), "\"agg-0\"".to_string());
     }
 
     #[test]
     fn strings_escape_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(render("a\"b\\c".into()), "\"a\\\"b\\\\c\"");
+        assert_eq!(render("x\ny".into()), "\"x\\ny\"");
+        assert_eq!(render("\u{1}".into()), "\"\\u0001\"");
     }
 }

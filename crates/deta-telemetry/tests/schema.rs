@@ -13,7 +13,7 @@ use deta_telemetry::{trace_dump, unique_stem, RecordKind, TelemetryRecord, Telem
 
 /// The one rendering call every known answer goes through.
 fn line(node: &str, rec: &TelemetryRecord) -> String {
-    rec.to_json(node)
+    rec.to_obs(node).to_json()
 }
 
 fn record(
