@@ -52,7 +52,9 @@ impl TelemetryRecord {
     /// The record as the schema's owned record, attributed to `node`:
     /// the one conversion a ring record takes on its way to a JSONL line,
     /// which deta-obs writes. A span carries its `dur_ns` (0 if it has
-    /// none), an event none.
+    /// none), an event none. An untraced record keeps no `parent`: the
+    /// line omits it, so the record is exactly what its line parses back
+    /// into.
     pub fn to_obs(&self, node: &str) -> ObsRecord {
         ObsRecord {
             t_ns: i64::try_from(self.t_ns).unwrap_or(i64::MAX),
@@ -61,7 +63,7 @@ impl TelemetryRecord {
             name: self.name.to_string(),
             dur_ns: self.dur_ns.unwrap_or(0),
             trace_id: self.trace_id,
-            parent: self.parent,
+            parent: if self.trace_id == 0 { 0 } else { self.parent },
             fields: (self.fields.iter())
                 .map(|(k, v)| (k.to_string(), Json::from(v)))
                 .collect(),

@@ -5,9 +5,11 @@
 //! and untraced — is rendered line by line, as a `trace_dump` document
 //! and as a merged trace, and each output is pinned byte for byte. The
 //! round trip checks that the reader and the writer agree: a rendered
-//! line parsed back and rendered again is the same bytes.
+//! line parsed back and rendered again is the same bytes, and a
+//! rendered document parses back into exactly the records, implicated
+//! nodes and overflow counts it was rendered from.
 
-use deta_obs::{merge, parse_jsonl, ProcessTrace};
+use deta_obs::{merge, parse_jsonl, render_jsonl, ObsRecord, ProcessTrace};
 use deta_proptest::{cases, Gen};
 use deta_telemetry::{trace_dump, unique_stem, RecordKind, TelemetryRecord, TelemetryValue};
 
@@ -153,6 +155,17 @@ fn trace_dump_writes_the_pinned_document() {
     let dump = trace_dump(&dir, &unique_stem("schema"), &nodes, &implicated).expect("dump writes");
     let text = std::fs::read_to_string(&dump.jsonl).expect("dump readable");
     let _ = std::fs::remove_dir_all(&dir);
+    let mut records: Vec<ObsRecord> = (nodes.iter())
+        .flat_map(|(node, recs, _)| recs.iter().map(|r| r.to_obs(node)))
+        .collect();
+    records.sort_by_key(|r| r.t_ns);
+    let parsed = parse_jsonl(&text);
+    assert_eq!(parsed.records, records);
+    assert_eq!(parsed.implicated, implicated);
+    let overflow: Vec<(String, u64)> = (nodes.iter())
+        .map(|(node, _, dropped)| (node.clone(), *dropped))
+        .collect();
+    assert_eq!(parsed.overflow, overflow);
     // The meta line's timestamp is the clock at dump time: mask it.
     let (timeline, meta) = text.trim_end().rsplit_once('\n').expect("a meta line");
     let after = meta
@@ -233,6 +246,9 @@ fn rendered_lines_parse_back_and_render_the_same_bytes() {
             .collect::<Vec<_>>()
     });
     let mut lines: Vec<String> = fixed.collect();
+    let mut obs: Vec<ObsRecord> = (rings().into_iter())
+        .flat_map(|(node, recs)| recs.iter().map(|r| r.to_obs(&node)).collect::<Vec<_>>())
+        .collect();
     cases("schema lines round-trip", 256, |g: &mut Gen| {
         let kind = if g.bool() {
             RecordKind::Span
@@ -251,8 +267,11 @@ fn rendered_lines_parse_back_and_render_the_same_bytes() {
                 (NAMES[g.usize_in(0, NAMES.len())], arbitrary_value(g))
             }),
         };
-        lines.push(line(&g.string_of(ALPHABET, 0, 12), &rec));
+        let node = g.string_of(ALPHABET, 0, 12);
+        lines.push(line(&node, &rec));
+        obs.push(rec.to_obs(&node));
     });
+    assert_eq!(parse_jsonl(&render_jsonl(&obs)).records, obs);
     for l in &lines {
         let parsed = parse_jsonl(l);
         assert_eq!((parsed.records.len(), parsed.skipped), (1, 0), "{l}");
