@@ -1,4 +1,4 @@
-//! Telemetry overhead gate: wall-clock cost of the `deta-telemetry`
+//! Telemetry overhead gate: wall-clock cost of the `deta-obs`
 //! sink on the threaded deployment, disabled and enabled, at the
 //! 4-party / 4-aggregator configuration. Prints both overheads and
 //! exits non-zero when the enabled overhead exceeds 5% (or the disabled
@@ -27,7 +27,7 @@
 //! the microbenchmarked cost of one disabled sink call (a branch plus a
 //! relaxed atomic load, measured in each disabled child after its timed
 //! sessions) times the number of emissions an enabled session actually
-//! performs (`deta_telemetry::emits()`), divided by the disabled
+//! performs (`deta_obs::emits()`), divided by the disabled
 //! session's wall time. That bound is what the <1% acceptance gate
 //! checks.
 
@@ -44,12 +44,12 @@ use std::time::Instant;
 /// nanoseconds per call. Must run in a process that never enabled it.
 fn disabled_call_ns(iters: u64) -> f64 {
     assert!(
-        !deta_telemetry::enabled(),
+        !deta_obs::enabled(),
         "microbenchmark must run before enable()"
     );
     let t0 = Instant::now();
     for _ in 0..iters {
-        deta_telemetry::event("bench_noop", &[]);
+        deta_obs::event("bench_noop", &[]);
     }
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
@@ -128,7 +128,7 @@ fn child(args: &Args, mode: &str) {
     };
     let work = Workload::new(args);
     work.run(enabled);
-    let emits_before = deta_telemetry::emits();
+    let emits_before = deta_obs::emits();
     let t0 = Instant::now();
     let mut samples = Vec::new();
     while t0.elapsed().as_secs_f64() < RUN_S {
@@ -136,7 +136,7 @@ fn child(args: &Args, mode: &str) {
         work.run(enabled);
         samples.push(start.elapsed().as_secs_f64());
     }
-    let emits = (deta_telemetry::emits() - emits_before) / samples.len() as u64;
+    let emits = (deta_obs::emits() - emits_before) / samples.len() as u64;
     let call_ns = if enabled {
         0.0
     } else {

@@ -361,7 +361,7 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
                     `trace` runs no chaos plan"
             .into());
     }
-    deta_telemetry::enable();
+    deta_obs::enable();
     let prepared = config.prepare()?;
     let mut rt = cluster_runtime(&config)?;
     rt.telemetry.enabled = true;
@@ -377,41 +377,33 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
     let (hub_err, harvest) = cluster.hub.join_harvest();
 
     // Coordinator rings: on a fault the supervisor already dumped them
-    // (with the implicated nodes in the meta line); otherwise force a
-    // dump now.
-    let coord_path = match session.trace_dump_path() {
-        Some(p) => p.to_path_buf(),
-        None => session
-            .dump_trace()
-            .ok_or("coordinator flight-recorder dump failed")?,
-    };
-    let coord = deta_obs::parse_jsonl(&std::fs::read_to_string(&coord_path)?);
-    let mut overflow = coord.overflow.clone();
+    // (with the implicated nodes in the meta line); otherwise a dump now.
+    let coord = session
+        .trace()
+        .ok_or("coordinator flight-recorder dump failed")?;
+    let mut overflow = coord.overflow;
     let mut skipped = coord.skipped;
     let mut procs = vec![deta_obs::ProcessTrace {
         label: "coordinator".to_string(),
         offset_ns: 0,
         records: coord.records,
     }];
-    let mut shipped: Vec<(String, (String, u64))> = harvest.traces.into_iter().collect();
+    let mut shipped: Vec<(String, deta_obs::ParsedTrace)> = harvest.traces.into_iter().collect();
     shipped.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, (jsonl, dropped)) in shipped {
-        let parsed = deta_obs::parse_jsonl(&jsonl);
-        skipped += parsed.skipped;
-        if dropped > 0 {
-            overflow.push((name.clone(), dropped));
-        }
+    for (name, trace) in shipped {
+        skipped += trace.skipped;
+        overflow.extend(trace.overflow.into_iter().filter(|&(_, n)| n > 0));
         procs.push(deta_obs::ProcessTrace {
             offset_ns: harvest.offsets.get(&name).copied().unwrap_or(0),
             label: name,
-            records: parsed.records,
+            records: trace.records,
         });
     }
 
     let nprocs = procs.len();
     let merged = deta_obs::merge(procs);
     std::fs::create_dir_all(&trace_dir)?;
-    let stem = deta_telemetry::unique_stem("merged");
+    let stem = deta_obs::unique_stem("merged");
     let merged_path = trace_dir.join(format!("{stem}.jsonl"));
     std::fs::write(&merged_path, merged.to_jsonl(&coord.implicated, &overflow))?;
     let perfetto_path = perfetto
@@ -456,8 +448,8 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
     // costs can be compared on one workload.
     let seq: Vec<deta_obs::ObsRecord> = {
         let prepared = config.prepare()?;
-        let rec = deta_telemetry::FlightRecorder::new("sequential", 1 << 16);
-        let _guard = deta_telemetry::attach(std::sync::Arc::clone(&rec));
+        let rec = deta_obs::FlightRecorder::new("sequential", 1 << 16);
+        let _guard = deta_obs::attach(std::sync::Arc::clone(&rec));
         let mut s =
             DetaSession::setup(prepared.session, prepared.builder.as_ref(), prepared.shards)?;
         let _ = s.run(&prepared.test);
@@ -477,11 +469,9 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
             rt,
         )?;
         let run = s.run(&prepared.test);
-        let dump = s
-            .dump_trace()
-            .ok_or("threaded flight-recorder dump failed")?;
+        let trace = s.trace().ok_or("threaded flight-recorder dump failed")?;
         run?;
-        deta_obs::parse_jsonl(&std::fs::read_to_string(dump)?).records
+        trace.records
     };
     println!("\n== phase volume: sequential vs threaded (in-process) ==");
     let seq_phases = deta_obs::phase_totals(&seq);
@@ -559,7 +549,7 @@ fn cmd_node(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--addr" => addr = it.next().cloned(),
             // Passed by `trace` coordinators: record spans/events and
             // ship the ring back over the link at teardown.
-            "--trace" => deta_telemetry::enable(),
+            "--trace" => deta_obs::enable(),
             other => path = Some(other.to_string()),
         }
     }

@@ -28,9 +28,9 @@ use crate::recovery::Manifest;
 use crate::wire::{self, FragmentRecord, Msg, Opened, RecordFrame};
 use deta_bignum::BigUint;
 use deta_crypto::{DetRng, SigningKey};
+use deta_obs::TelemetryValue;
 use deta_paillier::{Ciphertext, PublicKey as PaillierPk};
 use deta_sev_sim::{Cvm, GuestMemory};
-use deta_telemetry::TelemetryValue;
 use deta_transport::wire::{put_bytes, Reader};
 use deta_transport::{secure, Endpoint, SecureChannel};
 use std::collections::BTreeMap;
@@ -276,7 +276,7 @@ impl AggregatorNode {
         if round <= self.completed_rounds {
             return;
         }
-        deta_telemetry::event("round_start", &[("round", TelemetryValue::from(round))]);
+        deta_obs::event("round_start", &[("round", TelemetryValue::from(round))]);
         if let Ok(frame) = RecordFrame::of(&Msg::RoundStart { round }) {
             self.fan_out(frame);
         }
@@ -364,11 +364,7 @@ impl AggregatorNode {
                 Some(Opened::Upload(record)) => self.receive_upload(from, record),
                 Some(Opened::Msg(inner)) => self.handle_inner(from, inner),
                 Some(Opened::Aggregated(_)) => {
-                    deta_telemetry::metrics::counter_add(
-                        "deta_wire_ignored_total",
-                        "Aggregated",
-                        1,
-                    );
+                    deta_obs::metrics::counter_add("deta_wire_ignored_total", "Aggregated", 1);
                 }
                 None => {}
             }
@@ -389,7 +385,7 @@ impl AggregatorNode {
                     return;
                 }
                 // Phase II: sign the handshake transcript with the token.
-                let span = deta_telemetry::span("handshake")
+                let span = deta_obs::span("handshake")
                     .with_label("peer", from)
                     .with_label("step", "respond");
                 let responded = secure::respond(&handshake, &self.token, &mut self.rng);
@@ -422,7 +418,7 @@ impl AggregatorNode {
             | Msg::UploadEncrypted { .. }
             | Msg::Aggregated { .. }
             | Msg::AggregatedEncrypted { .. }) => {
-                deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
+                deta_obs::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
     }
@@ -436,9 +432,9 @@ impl AggregatorNode {
                 // forever; and the weight goes straight into the weighted
                 // mean, where one NaN or non-positive sum spoils the round.
                 if party != from || !weight.is_finite() || weight <= 0.0 {
-                    deta_telemetry::metrics::counter_add("deta_wire_rejected_total", "Register", 1);
-                    if deta_telemetry::enabled() {
-                        deta_telemetry::event(
+                    deta_obs::metrics::counter_add("deta_wire_rejected_total", "Register", 1);
+                    if deta_obs::enabled() {
+                        deta_obs::event(
                             "register_rejected",
                             &[
                                 ("from", TelemetryValue::from(from)),
@@ -459,7 +455,7 @@ impl AggregatorNode {
                 ciphertexts,
                 value_count,
             } if self.paillier_pk.is_some() => {
-                deta_telemetry::event(
+                deta_obs::event(
                     "upload_received",
                     &[
                         ("round", TelemetryValue::from(round)),
@@ -476,7 +472,7 @@ impl AggregatorNode {
             // An encrypted upload to a node without a Paillier key would
             // wait in `pending` for a round that can never use it.
             other @ Msg::UploadEncrypted { .. } => {
-                deta_telemetry::metrics::counter_add("deta_wire_rejected_total", other.name(), 1);
+                deta_obs::metrics::counter_add("deta_wire_rejected_total", other.name(), 1);
             }
             // Inner frames other than registration and uploads are
             // out-of-protocol for the sealed channel; count each drop.
@@ -490,7 +486,7 @@ impl AggregatorNode {
             | Msg::Upload { .. }
             | Msg::Aggregated { .. }
             | Msg::AggregatedEncrypted { .. }) => {
-                deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
+                deta_obs::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
     }
@@ -500,10 +496,10 @@ impl AggregatorNode {
     /// that can never use it.
     fn receive_upload(&mut self, from: &str, record: FragmentRecord) {
         if self.paillier_pk.is_some() {
-            deta_telemetry::metrics::counter_add("deta_wire_rejected_total", "Upload", 1);
+            deta_obs::metrics::counter_add("deta_wire_rejected_total", "Upload", 1);
             return;
         }
-        deta_telemetry::event(
+        deta_obs::event(
             "upload_received",
             &[
                 ("round", TelemetryValue::from(record.round())),
@@ -525,9 +521,9 @@ impl AggregatorNode {
         let other = slot.iter().find(|(party, _)| *party != from);
         if let (Upload::Plain(arriving), Some((_, Upload::Plain(held)))) = (&upload, other) {
             if held.len() != arriving.len() {
-                deta_telemetry::metrics::counter_add("deta_wire_rejected_total", "Upload", 1);
-                if deta_telemetry::enabled() {
-                    deta_telemetry::event(
+                deta_obs::metrics::counter_add("deta_wire_rejected_total", "Upload", 1);
+                if deta_obs::enabled() {
+                    deta_obs::event(
                         "upload_rejected",
                         &[
                             ("party", TelemetryValue::from(from)),
@@ -583,7 +579,7 @@ impl AggregatorNode {
         let aggregated = timed(
             &mut self.aggregate_time_s,
             || -> Result<_, Box<dyn Error>> {
-                let span = deta_telemetry::span("aggregate")
+                let span = deta_obs::span("aggregate")
                     .with_field("round", TelemetryValue::from(round))
                     .with_field("uploads", TelemetryValue::from(count));
                 match &self.paillier_pk {
@@ -625,9 +621,9 @@ impl AggregatorNode {
     /// open; the supervisor's recovery budget decides whether it is
     /// replayed or given up.
     fn aggregate_failed(&self, round: u64, cause: &str) {
-        deta_telemetry::metrics::counter_add("deta_aggregate_failed_total", &self.name, 1);
-        if deta_telemetry::enabled() {
-            deta_telemetry::event(
+        deta_obs::metrics::counter_add("deta_aggregate_failed_total", &self.name, 1);
+        if deta_obs::enabled() {
+            deta_obs::event(
                 "aggregate_failed",
                 &[
                     ("round", TelemetryValue::from(round)),

@@ -20,7 +20,7 @@ use crate::aggregator::AggregatorNode;
 use crate::party::{Party, ReplayRefused};
 use crate::rtmsg::{CtlMsg, SUPERVISOR};
 use deta_crypto::VerifyingKey;
-use deta_telemetry::TelemetryValue;
+use deta_obs::TelemetryValue;
 use deta_transport::{Endpoint, Message};
 use std::collections::HashMap;
 
@@ -72,7 +72,7 @@ impl Input {
         match CtlMsg::decode(&msg.payload) {
             Ok(ctl) => Some(Input::Ctl(ctl)),
             Err(_) => {
-                deta_telemetry::metrics::counter_add("deta_ctl_ignored_total", "undecodable", 1);
+                deta_obs::metrics::counter_add("deta_ctl_ignored_total", "undecodable", 1);
                 None
             }
         }
@@ -254,7 +254,7 @@ impl Actor for AggregatorNode {
             Input::Ctl(CtlMsg::Trigger { round }) => self.announce(round),
             Input::Ctl(CtlMsg::Deregister { party }) => {
                 let field = [("party", TelemetryValue::from(party.as_str()))];
-                deta_telemetry::event("party_deregistered", &field);
+                deta_obs::event("party_deregistered", &field);
                 self.deregister(&party);
             }
             Input::Ctl(other) => ignored(&other),
@@ -275,7 +275,7 @@ impl Actor for AggregatorNode {
 /// outside the node's own compute spans.
 fn on_wire(msg: Message, handle: impl FnOnce(&str, Vec<u8>)) {
     let bytes = TelemetryValue::from(msg.payload.len());
-    let _span = deta_telemetry::span("handle_wire").with_field("bytes", bytes);
+    let _span = deta_obs::span("handle_wire").with_field("bytes", bytes);
     handle(&msg.from, msg.payload);
 }
 
@@ -283,7 +283,7 @@ fn on_wire(msg: Message, handle: impl FnOnce(&str, Vec<u8>)) {
 /// ignored directive, and recorded with the round and the reason.
 fn refused(replay: &CtlMsg, round: u64, why: ReplayRefused) {
     ignored(replay);
-    deta_telemetry::event(
+    deta_obs::event(
         "replay_refused",
         &[
             ("round", TelemetryValue::from(round)),
@@ -296,5 +296,5 @@ fn refused(replay: &CtlMsg, round: u64, why: ReplayRefused) {
 /// kind's directive): dropped and counted, so discarded control traffic
 /// stays observable.
 fn ignored(msg: &CtlMsg) {
-    deta_telemetry::metrics::counter_add("deta_ctl_ignored_total", msg.name(), 1);
+    deta_obs::metrics::counter_add("deta_ctl_ignored_total", msg.name(), 1);
 }

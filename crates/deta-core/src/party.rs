@@ -31,8 +31,8 @@ use crate::wire::{self, FragmentRecord, Msg, Opened, RecordFrame};
 use deta_crypto::{DetRng, Secret, VerifyingKey};
 use deta_nn::train::{batch_gradient, train_local, LabeledData};
 use deta_nn::Sequential;
+use deta_obs::TelemetryValue;
 use deta_paillier::Ciphertext;
-use deta_telemetry::TelemetryValue;
 use deta_transport::{Endpoint, HandshakeInitiator, SecureChannel};
 use std::collections::HashMap;
 
@@ -179,7 +179,7 @@ impl AggPeer {
     /// Starts a challenge-response handshake with this aggregator, to be
     /// verified against `token`.
     fn say_hello(&mut self, token: Option<VerifyingKey>, endpoint: &Endpoint, rng: &mut DetRng) {
-        let _span = deta_telemetry::span("handshake")
+        let _span = deta_obs::span("handshake")
             .with_label("peer", &self.name)
             .with_label("step", "hello");
         let hs = HandshakeInitiator::new(rng);
@@ -208,7 +208,7 @@ impl AggPeer {
         let Link::Up(chan) = &mut self.link else {
             return;
         };
-        let seal_span = deta_telemetry::span("seal");
+        let seal_span = deta_obs::span("seal");
         let frame = frame.seal(chan);
         drop(seal_span);
         let _ = endpoint.send(&self.name, frame);
@@ -571,8 +571,8 @@ impl Party {
         let flat =
             keep || self.cfg.ldp.is_some() || self.update_tamper.is_some() || self.record_updates;
         let mut update: Option<Vec<f32>> = timed(&mut self.timers.train_s, || {
-            let _span = deta_telemetry::span("local_train")
-                .with_field("round", TelemetryValue::from(round));
+            let _span =
+                deta_obs::span("local_train").with_field("round", TelemetryValue::from(round));
             match self.cfg.mode {
                 SyncMode::FedAvg => {
                     let stats = train_local(
@@ -611,8 +611,8 @@ impl Party {
         let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
         if self.paillier.is_some() {
             let fragments = timed(&mut self.timers.transform_s, || {
-                let _span = deta_telemetry::span("transform")
-                    .with_field("round", TelemetryValue::from(round));
+                let _span =
+                    deta_obs::span("transform").with_field("round", TelemetryValue::from(round));
                 let parts = update_parts(update.as_deref(), &self.model);
                 self.transformer.transform_parts(&parts, &perms)
             });
@@ -681,7 +681,7 @@ impl Party {
         } = self;
         let frames: Vec<_> = timed(&mut timers.transform_s, || {
             let _span =
-                deta_telemetry::span("transform").with_field("round", TelemetryValue::from(round));
+                deta_obs::span("transform").with_field("round", TelemetryValue::from(round));
             let parts = update_parts(flat, model);
             let mut scratch = Vec::new();
             (0..transformer.n_fragments())
@@ -697,7 +697,7 @@ impl Party {
             if let Ok(frame) = frame {
                 agg.seal_and_send(endpoint, frame);
             }
-            deta_telemetry::event(
+            deta_obs::event(
                 event,
                 &[
                     ("round", TelemetryValue::from(round)),
@@ -777,7 +777,7 @@ impl Party {
                 value_count,
             };
             agg.send_sealed(&self.endpoint, &upload);
-            deta_telemetry::event(
+            deta_obs::event(
                 "upload",
                 &[
                     ("round", TelemetryValue::from(round)),
@@ -849,7 +849,7 @@ impl Party {
             .collect();
         timed(&mut self.timers.transform_s, || {
             let _span =
-                deta_telemetry::span("unshuffle").with_field("round", TelemetryValue::from(round));
+                deta_obs::span("unshuffle").with_field("round", TelemetryValue::from(round));
             let perms = Self::take_permutations(&mut self.round_perms, &self.transformer, &tid);
             self.transformer
                 .inverse_into(&fragments, &perms, &mut params);
@@ -857,7 +857,7 @@ impl Party {
         if self.cfg.mode == SyncMode::FedSgd {
             self.step_from_round_base();
         }
-        deta_telemetry::event("round_finished", &[("round", TelemetryValue::from(round))]);
+        deta_obs::event("round_finished", &[("round", TelemetryValue::from(round))]);
         self.last_finished_round = self.last_finished_round.max(round);
         self.current_round = None;
         true
@@ -914,7 +914,7 @@ impl Party {
             | Msg::UploadEncrypted { .. }
             | Msg::Aggregated { .. }
             | Msg::AggregatedEncrypted { .. }) => {
-                deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
+                deta_obs::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
     }
@@ -937,7 +937,7 @@ impl Party {
                 return;
             }
         };
-        let span = deta_telemetry::span("handshake")
+        let span = deta_obs::span("handshake")
             .with_label("peer", from)
             .with_label("step", "complete");
         let chan = token.and_then(|t| hs.complete(handshake, &t).ok());
@@ -982,9 +982,9 @@ impl Party {
         // aggregator.
         let fragment_len = self.transformer.mapper().fragment_len(j);
         let refuse = |kind: &str, round: u64| {
-            deta_telemetry::metrics::counter_add("deta_wire_rejected_total", kind, 1);
-            if deta_telemetry::enabled() {
-                deta_telemetry::event(
+            deta_obs::metrics::counter_add("deta_wire_rejected_total", kind, 1);
+            if deta_obs::enabled() {
+                deta_obs::event(
                     "download_rejected",
                     &[
                         ("from", TelemetryValue::from(from)),
@@ -1007,7 +1007,7 @@ impl Party {
                 if values != fragment_len {
                     return refuse("Aggregated", round);
                 }
-                deta_telemetry::event(
+                deta_obs::event(
                     "download",
                     &[
                         ("round", TelemetryValue::from(round)),
@@ -1018,11 +1018,11 @@ impl Party {
                 return;
             }
             Opened::Aggregated(_) => {
-                deta_telemetry::metrics::counter_add("deta_wire_ignored_total", "Aggregated", 1);
+                deta_obs::metrics::counter_add("deta_wire_ignored_total", "Aggregated", 1);
                 return;
             }
             Opened::Upload(_) => {
-                deta_telemetry::metrics::counter_add("deta_wire_ignored_total", "Upload", 1);
+                deta_obs::metrics::counter_add("deta_wire_ignored_total", "Upload", 1);
                 return;
             }
             Opened::Msg(msg) => msg,
@@ -1053,7 +1053,7 @@ impl Party {
                 if !readable {
                     return refuse("AggregatedEncrypted", round);
                 }
-                deta_telemetry::event(
+                deta_obs::event(
                     "download",
                     &[
                         ("round", TelemetryValue::from(round)),
@@ -1082,7 +1082,7 @@ impl Party {
             | Msg::UploadEncrypted { .. }
             | Msg::Aggregated { .. }
             | Msg::AggregatedEncrypted { .. }) => {
-                deta_telemetry::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
+                deta_obs::metrics::counter_add("deta_wire_ignored_total", other.name(), 1);
             }
         }
     }

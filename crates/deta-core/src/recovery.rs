@@ -154,7 +154,7 @@ impl RecoveryKit {
         chip: &str,
         rng: &mut DetRng,
     ) -> Result<ProvisionedAggregator, SevError> {
-        let _span = deta_telemetry::span("attest").with_label("chip", chip);
+        let _span = deta_obs::span("attest").with_label("chip", chip);
         let mut platform = Platform::genuine(&self.ras, chip, rng);
         self.proxy.verify_and_provision(&mut platform, &self.image)
     }

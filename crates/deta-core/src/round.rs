@@ -299,11 +299,7 @@ impl OpenRound {
                         self.params = Some(params);
                     }
                     (Some(_), _) => {
-                        deta_telemetry::metrics::counter_add(
-                            "deta_ctl_ignored_total",
-                            "snapshot",
-                            1,
-                        );
+                        deta_obs::metrics::counter_add("deta_ctl_ignored_total", "snapshot", 1);
                     }
                     (None, _) => {}
                 }

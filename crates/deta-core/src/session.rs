@@ -31,8 +31,8 @@ use crate::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, Secret, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
+use deta_obs::{Recorders, TelemetryValue};
 use deta_sev_sim::{BreachDump, Cvm, SevError};
-use deta_telemetry::{Recorders, TelemetryValue};
 use deta_transport::{Endpoint, LinkModel, Network};
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -392,15 +392,14 @@ impl<'a> Blueprint<'a> {
     /// draw once and [`Clone`] the result for further replicas: a draw of
     /// 10⁶ parameters costs tens of milliseconds, a copy a fraction.
     fn model(&self) -> Sequential {
-        let _span = deta_telemetry::span("model_draw");
+        let _span = deta_obs::span("model_draw");
         (self.model_builder)(&mut self.root.fork(b"model-init"))
     }
 
     /// The key broker and the transform every party uploads through,
     /// for a model of `n_params` parameters.
     fn transformer(&self, n_params: usize) -> (KeyBroker, Transformer) {
-        let span =
-            deta_telemetry::span("mapper").with_field("params", TelemetryValue::from(n_params));
+        let span = deta_obs::span("mapper").with_field("params", TelemetryValue::from(n_params));
         let mapper = ModelMapper::generate(
             n_params,
             self.config.n_aggregators,
@@ -749,7 +748,7 @@ impl DetaSession {
         let (config, network) = (parts.config.clone(), parts.network.clone());
         let ctl = network.register(SUPERVISOR);
         let recorders = rt.telemetry.enabled.then(|| {
-            deta_telemetry::enable();
+            deta_obs::enable();
             let (capacity, dir) = (rt.telemetry.ring_capacity, rt.telemetry.trace_dir.clone());
             Recorders::new(SUPERVISOR, capacity, dir)
         });
@@ -785,7 +784,7 @@ impl DetaSession {
         &mut self,
         open: fn(&mut Supervisor, Duration) -> Vec<Directive>,
     ) -> Result<(), RuntimeError> {
-        let _own = (self.recorders.as_ref()).map(|r| deta_telemetry::attach(r.own()));
+        let _own = (self.recorders.as_ref()).map(|r| deta_obs::attach(r.own()));
         let mut todo = VecDeque::from(open(&mut self.supervisor, self.now));
         let (mut done, mut busy) = (false, 0usize);
         self.cursor = 0;
@@ -880,7 +879,7 @@ impl DetaSession {
     /// session traces — and sends what it reports to the supervisor.
     fn on_node(&mut self, k: usize, f: impl FnOnce(&mut dyn Actor) -> Vec<CtlMsg>) {
         let name = &self.order[k];
-        let _ring = (self.recorders.as_mut()).map(|r| deta_telemetry::attach(r.ring(name)));
+        let _ring = (self.recorders.as_mut()).map(|r| deta_obs::attach(r.ring(name)));
         if let Some(node) = self.nodes.get_mut(name).map(Node::actor) {
             let reports = f(node);
             report(&node.endpoint(), reports);

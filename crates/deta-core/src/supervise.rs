@@ -32,13 +32,13 @@ use crate::rtmsg::{CtlMsg, RebindEntry};
 use crate::session::{CoordinatorParts, DetaConfig, RoundMetrics, SetupError};
 use deta_crypto::VerifyingKey;
 use deta_nn::Sequential;
-use deta_telemetry::TelemetryValue;
+use deta_obs::TelemetryValue;
 use deta_transport::Network;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Telemetry wiring for a supervised session (see `deta-telemetry` and
+/// Telemetry wiring for a supervised session (see `deta-obs` and
 /// DESIGN.md §9).
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
@@ -445,7 +445,7 @@ impl Supervisor {
     /// then the trigger to the initiator and a wait for every completion.
     pub fn round(&mut self, now: Duration) -> Vec<Directive> {
         let open = self.ledger.open(self.snapshot_len);
-        deta_telemetry::event("round_begin", &[("round", open.round.into())]);
+        deta_obs::event("round_begin", &[("round", open.round.into())]);
         let names = self.ledger.party_names();
         let plans = open.plans().into_iter();
         let send = |(i, msg): (usize, CtlMsg)| Directive::Send(names[i].clone(), msg);
@@ -466,10 +466,10 @@ impl Supervisor {
                 let previous = self.last_seen.insert(from.clone(), now);
                 let done = match msg {
                     CtlMsg::Heartbeat { .. } => {
-                        if let (true, Some(t)) = (deta_telemetry::enabled(), previous) {
+                        if let (true, Some(t)) = (deta_obs::enabled(), previous) {
                             let gap = now.saturating_sub(t).as_secs_f64();
                             let metric = "deta_heartbeat_gap_seconds";
-                            deta_telemetry::metrics::histogram_observe(metric, &from, gap);
+                            deta_obs::metrics::histogram_observe(metric, &from, gap);
                         }
                         false
                     }
@@ -590,7 +590,7 @@ impl Supervisor {
             seen.is_none_or(|t| now.saturating_sub(*t) > stale_after)
         };
         let stalled: Vec<String> = missing.iter().filter(silent).cloned().collect();
-        deta_telemetry::event(
+        deta_obs::event(
             "deadline_expired",
             &[
                 ("round", TelemetryValue::from(round)),
@@ -660,7 +660,7 @@ impl Supervisor {
                 for p in parties {
                     out.push(Directive::Send(p, CtlMsg::Replay { round }));
                 }
-                deta_telemetry::event("round_replayed", &[("round", round.into())]);
+                deta_obs::event("round_replayed", &[("round", round.into())]);
                 self.await_round(now, out);
             }
             _ => out.push(Directive::Done),
@@ -745,7 +745,7 @@ impl Supervisor {
         for party in &lost {
             self.retire(party, out);
             out.extend(self.leave(party));
-            deta_telemetry::event(
+            deta_obs::event(
                 "party_dropped",
                 &[
                     ("round", TelemetryValue::from(round)),
@@ -801,7 +801,7 @@ impl Supervisor {
             return Err(err);
         };
         self.failovers += 1;
-        deta_telemetry::event(
+        deta_obs::event(
             "failover_started",
             &[
                 ("round", TelemetryValue::from(open.round)),
@@ -844,7 +844,7 @@ impl Supervisor {
             out.push(Directive::Spawn(Box::new(node)));
             let node = TelemetryValue::from(entry.name.as_str());
             let fields = [("node", node), ("round", TelemetryValue::from(round))];
-            deta_telemetry::event("reattested", &fields);
+            deta_obs::event("reattested", &fields);
         }
         let fresh: Vec<String> = rebinds.iter().map(|e| e.name.clone()).collect();
         // Every party re-proves readiness against the new aggregator set

@@ -20,9 +20,9 @@ use deta_core::{DetaConfig, DetaSession};
 use deta_crypto::DetRng;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
+use deta_obs::metrics::counter_value;
+use deta_obs::{FlightRecorder, TelemetryValue};
 use deta_paillier::PublicKey;
-use deta_telemetry::metrics::counter_value;
-use deta_telemetry::{FlightRecorder, TelemetryValue};
 use deta_transport::{LinkModel, Network};
 
 fn register(party: &str, weight: f32) -> Msg {
@@ -34,9 +34,9 @@ fn register(party: &str, weight: f32) -> Msg {
 
 #[test]
 fn hostile_registrations_are_dropped_counted_and_attributed() {
-    deta_telemetry::enable();
+    deta_obs::enable();
     let recorder = FlightRecorder::new("agg-0", 256);
-    let _attached = deta_telemetry::attach(recorder.clone());
+    let _attached = deta_obs::attach(recorder.clone());
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0x4e6);
     let mut agg = aggregator(&net, &plain_manifest(AggKind::IterativeAveraging), &mut rng);
@@ -83,7 +83,7 @@ fn hostile_registrations_are_dropped_counted_and_attributed() {
         .filter(|r| r.name == "register_rejected")
         .collect();
     assert_eq!(rejections.len(), attacks.len() + 1);
-    let field = |r: &deta_telemetry::TelemetryRecord, key: &str| {
+    let field = |r: &deta_obs::TelemetryRecord, key: &str| {
         r.fields
             .iter()
             .find(|(k, _)| *k == key)
@@ -123,9 +123,9 @@ fn hostile_registrations_are_dropped_counted_and_attributed() {
 
 #[test]
 fn an_aggregation_the_inputs_cannot_support_fails_the_round_not_the_node() {
-    deta_telemetry::enable();
+    deta_obs::enable();
     let recorder = FlightRecorder::new("agg-0", 256);
-    let _attached = deta_telemetry::attach(recorder.clone());
+    let _attached = deta_obs::attach(recorder.clone());
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0x4e7);
     // Trimming one value from each end needs three uploads; dropouts
@@ -191,9 +191,9 @@ fn encrypted_upload(ciphertexts: usize, value_count: u64) -> Msg {
 
 #[test]
 fn encrypted_uploads_that_disagree_fail_the_round_like_plain_ones() {
-    deta_telemetry::enable();
+    deta_obs::enable();
     let recorder = FlightRecorder::new("agg-0", 256);
-    let _attached = deta_telemetry::attach(recorder.clone());
+    let _attached = deta_obs::attach(recorder.clone());
     let net = Network::new(LinkModel::lan());
     let mut rng = DetRng::from_u64(0x4e8);
     let manifest = Manifest {
@@ -244,7 +244,7 @@ fn encrypted_uploads_that_disagree_fail_the_round_like_plain_ones() {
 
 #[test]
 fn an_upload_of_the_kind_a_node_does_not_aggregate_is_refused_at_the_door() {
-    deta_telemetry::enable();
+    deta_obs::enable();
     let mut rng = DetRng::from_u64(0x4e9);
     let plain = Msg::Upload {
         round: 1,
@@ -283,7 +283,7 @@ fn an_upload_of_the_kind_a_node_does_not_aggregate_is_refused_at_the_door() {
 /// One party's odd upload must not cost a round the uploads it holds.
 fn an_upload_of_another_length_is_refused_and_erases_nothing(rng: &mut DetRng) {
     let recorder = FlightRecorder::new("agg-0", 64);
-    let _attached = deta_telemetry::attach(recorder.clone());
+    let _attached = deta_obs::attach(recorder.clone());
     let net = Network::new(LinkModel::lan());
     let mut agg = aggregator(&net, &plain_manifest(AggKind::IterativeAveraging), rng);
     let mut parties = registered(&net, &mut agg, 0..3, rng);
@@ -328,7 +328,7 @@ fn an_upload_of_another_length_is_refused_and_erases_nothing(rng: &mut DetRng) {
 
 #[test]
 fn a_stale_aggregate_of_either_kind_is_counted_by_the_party_that_drops_it() {
-    deta_telemetry::enable();
+    deta_obs::enable();
     let spec = DatasetSpec::mnist_like().at_resolution(8);
     let shards = iid_partition(&spec.generate(16, 1), 2, 2);
     let mut cfg = DetaConfig::deta(2, 1);

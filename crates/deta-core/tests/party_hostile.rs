@@ -14,8 +14,8 @@ use deta_core::wire::Msg;
 use deta_core::{DetaConfig, DetaSession};
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
-use deta_telemetry::metrics::counter_value;
-use deta_telemetry::{FlightRecorder, TelemetryValue};
+use deta_obs::metrics::counter_value;
+use deta_obs::{FlightRecorder, TelemetryValue};
 
 /// What the one aggregator of [`waiting_party`]'s session would have to
 /// send for party-0's fragment to be readable, for a case to bend.
@@ -32,7 +32,7 @@ struct Honest {
 /// stopped where party-0 has uploaded for round 1 and waits for that
 /// aggregator's download alone.
 fn waiting_party(seed: u64, paillier: bool) -> (DetaSession, Honest) {
-    deta_telemetry::enable();
+    deta_obs::enable();
     let spec = DatasetSpec::mnist_like().at_resolution(8);
     let shards = iid_partition(&spec.generate(16, 1), 2, 2);
     let mut cfg = DetaConfig::deta(2, 1);
@@ -80,7 +80,7 @@ fn aggregate(ciphertexts: Vec<Vec<u8>>, value_count: u64) -> Msg {
 /// put right.
 fn refused_then(mut session: DetaSession, hostile: Msg, readable: Msg) {
     let recorder = FlightRecorder::new("party-0", 64);
-    let _attached = deta_telemetry::attach(recorder.clone());
+    let _attached = deta_obs::attach(recorder.clone());
     let before = counter_value("deta_wire_rejected_total", hostile.name());
     session
         .aggregator_mut(0)

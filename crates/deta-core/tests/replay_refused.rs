@@ -15,8 +15,8 @@ use deta_crypto::DetRng;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
-use deta_telemetry::metrics::counter_value;
-use deta_telemetry::{FlightRecorder, TelemetryValue};
+use deta_obs::metrics::counter_value;
+use deta_obs::{FlightRecorder, TelemetryValue};
 
 /// The counter is process-wide: one case at a time counts under it.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -52,11 +52,11 @@ fn session(policy: FailoverPolicy, paillier: bool) -> (DetaSession, LabeledData)
 /// were counted as ignored, and the `(round, reason)` of every
 /// `replay_refused` event the step recorded.
 fn replay(s: &mut DetaSession, i: usize, round: u64) -> (u64, Vec<(u64, String)>) {
-    deta_telemetry::enable();
+    deta_obs::enable();
     let recorder = FlightRecorder::new("test", 64);
     let before = counter_value("deta_ctl_ignored_total", "Replay");
     {
-        let _attached = deta_telemetry::attach(recorder.clone());
+        let _attached = deta_obs::attach(recorder.clone());
         let reports = s.party_mut(i).step(Input::Ctl(CtlMsg::Replay { round }));
         assert!(reports.is_empty(), "a replay reports nothing");
     }

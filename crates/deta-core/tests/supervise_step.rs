@@ -14,7 +14,7 @@ use deta_crypto::DetRng;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::Sequential;
-use deta_telemetry::metrics::counter_value;
+use deta_obs::metrics::counter_value;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -387,7 +387,7 @@ fn round_one_aggregated(sup: &mut Supervisor) {
 
 #[test]
 fn a_snapshot_from_a_party_not_asked_for_one_is_ignored_and_counted() {
-    deta_telemetry::enable();
+    deta_obs::enable();
     let mut sup = supervisor(2, RuntimeConfig::default(), |_| {});
     round_one_aggregated(&mut sup);
     let before = counter_value("deta_ctl_ignored_total", "snapshot");

@@ -135,7 +135,7 @@ impl Rogue {
         };
         rogue.send(&SocketFrame::ClockEcho {
             t_hub_ns,
-            t_peer_ns: deta_telemetry::now_ns(),
+            t_peer_ns: deta_obs::now_ns(),
         });
         Some(rogue)
     }

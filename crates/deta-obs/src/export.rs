@@ -7,8 +7,8 @@
 //! `results/traces/README.md` for the schema.
 
 use crate::metrics;
-use crate::record::{FlightRecorder, TelemetryRecord};
-use deta_obs::ObsRecord;
+use crate::ring::{FlightRecorder, TelemetryRecord};
+use crate::{meta_line, render_jsonl, ObsRecord, ParsedTrace};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,16 +60,34 @@ pub fn trace_dump(
     nodes: &[(String, Vec<TelemetryRecord>, u64)],
     implicated: &[String],
 ) -> std::io::Result<TraceDump> {
-    std::fs::create_dir_all(dir)?;
+    write_dump(dir, stem, &gather(nodes, implicated))
+}
+
+/// Drained rings as one trace: every node's records as the schema's
+/// records, sorted by time, the node(s) `implicated`, and each ring's
+/// overflow count.
+fn gather(nodes: &[(String, Vec<TelemetryRecord>, u64)], implicated: &[String]) -> ParsedTrace {
     let mut records: Vec<ObsRecord> = (nodes.iter())
         .flat_map(|(node, records, _)| records.iter().map(|rec| rec.to_obs(node)))
         .collect();
     records.sort_by_key(|rec| rec.t_ns);
-    let overflow: Vec<(String, u64)> = (nodes.iter())
+    let overflow = (nodes.iter())
         .map(|(node, _, dropped)| (node.clone(), *dropped))
         .collect();
+    ParsedTrace {
+        records,
+        implicated: implicated.to_vec(),
+        overflow,
+        skipped: 0,
+    }
+}
+
+/// Writes `trace` as `<dir>/<stem>.jsonl`, closed by its `meta` line,
+/// and the metrics snapshot as `<dir>/<stem>.prom`.
+fn write_dump(dir: &Path, stem: &str, trace: &ParsedTrace) -> std::io::Result<TraceDump> {
+    std::fs::create_dir_all(dir)?;
     let t_ns = i64::try_from(crate::now_ns()).unwrap_or(i64::MAX);
-    let out = deta_obs::render_jsonl(&records) + &deta_obs::meta_line(t_ns, implicated, &overflow);
+    let out = render_jsonl(&trace.records) + &meta_line(t_ns, &trace.implicated, &trace.overflow);
 
     let jsonl = dir.join(format!("{stem}.jsonl"));
     std::fs::write(&jsonl, out)?;
@@ -82,12 +100,12 @@ pub fn trace_dump(
 }
 
 /// One session's flight recorders — its supervisor's own ring first, then
-/// one per node — and the dump its first fault verdict wrote.
+/// one per node — and the first dump written, its path and its trace.
 pub struct Recorders {
     dir: PathBuf,
     capacity: usize,
     rings: Vec<Arc<FlightRecorder>>,
-    first_dump: Option<PathBuf>,
+    first: Option<(PathBuf, ParsedTrace)>,
 }
 
 impl Recorders {
@@ -98,7 +116,7 @@ impl Recorders {
             dir,
             capacity,
             rings: vec![FlightRecorder::new(own, capacity)],
-            first_dump: None,
+            first: None,
         }
     }
 
@@ -127,7 +145,7 @@ impl Recorders {
             return;
         }
         self.rings[0].event("fault_verdict", &[("kind", kind.into())]);
-        if self.first_dump.is_none() {
+        if self.first.is_none() {
             self.dump("fault", implicated);
         }
     }
@@ -144,29 +162,34 @@ impl Recorders {
                 (r.node().to_string(), records, dropped)
             })
             .collect();
-        let stem = unique_stem(prefix);
-        let jsonl = trace_dump(&self.dir, &stem, &nodes, implicated).ok()?.jsonl;
-        self.first_dump.get_or_insert_with(|| jsonl.clone());
+        let trace = gather(&nodes, implicated);
+        let jsonl = write_dump(&self.dir, &unique_stem(prefix), &trace)
+            .ok()?
+            .jsonl;
+        self.first.get_or_insert_with(|| (jsonl.clone(), trace));
         Some(jsonl)
     }
 
     /// The first dump written, by a fault verdict or on demand.
     pub fn first_dump(&self) -> Option<&Path> {
-        self.first_dump.as_deref()
+        self.first.as_ref().map(|(jsonl, _)| jsonl.as_path())
+    }
+
+    /// The first dump's trace, as the records its file holds.
+    pub fn first_trace(&self) -> Option<&ParsedTrace> {
+        self.first.as_ref().map(|(_, trace)| trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordKind;
 
     #[test]
     fn dump_merges_sorts_and_appends_meta() {
-        let dir = std::env::temp_dir().join(format!("deta-telemetry-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("deta-obs-test-{}", std::process::id()));
         let rec = |t: u64, name: &'static str| TelemetryRecord {
             t_ns: t,
-            kind: RecordKind::Event,
             name,
             dur_ns: None,
             trace_id: 0,

@@ -115,10 +115,10 @@ pub fn merge(procs: Vec<ProcessTrace>) -> MergedTrace {
             if ps == pr {
                 continue;
             }
-            let t_send = records[e.send].t_ns + shift[ps];
-            let t_recv = records[e.recv].t_ns + shift[pr];
+            let t_send = records[e.send].t_ns.saturating_add(shift[ps]);
+            let t_recv = records[e.recv].t_ns.saturating_add(shift[pr]);
             if t_send > t_recv {
-                shift[pr] += t_send - t_recv;
+                shift[pr] = shift[pr].saturating_add(t_send.saturating_sub(t_recv));
                 changed = true;
             }
         }
@@ -127,14 +127,14 @@ pub fn merge(procs: Vec<ProcessTrace>) -> MergedTrace {
         }
     }
     for (i, rec) in records.iter_mut().enumerate() {
-        rec.t_ns += shift[proc_of[i]];
+        rec.t_ns = rec.t_ns.saturating_add(shift[proc_of[i]]);
     }
 
     // Normalize so the merged timeline starts at zero, then sort.
     // Sorting must keep edge indices valid, so sort a permutation.
     let t0 = records.iter().map(|r| r.t_ns).min().unwrap_or(0);
     for rec in &mut records {
-        rec.t_ns -= t0;
+        rec.t_ns = rec.t_ns.saturating_sub(t0);
     }
     let mut order: Vec<usize> = (0..records.len()).collect();
     order.sort_by_key(|&i| (records[i].t_ns, proc_of[i], i));

@@ -85,21 +85,6 @@ pub fn counter_value(name: &str, label: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Total observation count of the histogram `name{label}`.
-pub fn histogram_count(name: &str, label: &str) -> u64 {
-    let reg = lock(registry());
-    reg.histograms
-        .get(&(name.to_string(), label.to_string()))
-        .map_or(0, |h| h.count)
-}
-
-/// Clears every counter and histogram (test isolation helper).
-pub fn reset() {
-    let mut reg = lock(registry());
-    reg.counters.clear();
-    reg.histograms.clear();
-}
-
 /// Renders the registry in the Prometheus text exposition format, in
 /// deterministic (sorted) order.
 pub fn prometheus_snapshot() -> String {
@@ -202,6 +187,21 @@ fn label_part(label: &str, extra: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total observation count of the histogram `name{label}`.
+    fn histogram_count(name: &str, label: &str) -> u64 {
+        let reg = lock(registry());
+        reg.histograms
+            .get(&(name.to_string(), label.to_string()))
+            .map_or(0, |h| h.count)
+    }
+
+    /// Clears every counter and histogram.
+    fn reset() {
+        let mut reg = lock(registry());
+        reg.counters.clear();
+        reg.histograms.clear();
+    }
 
     /// The registry is process-global and `reset` wipes it, so tests
     /// touching it must not interleave.

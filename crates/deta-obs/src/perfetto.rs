@@ -58,7 +58,7 @@ pub fn chrome_trace(m: &MergedTrace) -> String {
                 "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"ts\":{},\"dur\":{},\
                  \"name\":\"{}\"{args}}}",
                 us(rec.t_ns),
-                us(rec.dur_ns as i64),
+                us(i64::try_from(rec.dur_ns).unwrap_or(i64::MAX)),
                 escape(&rec.name)
             )
         } else {

@@ -3,7 +3,7 @@
 //! [`ObsRecord`] is the one owned record of the JSONL schema
 //! (`results/traces/README.md`). Every line of it is written here:
 //! a flight recorder's ring is converted into `ObsRecord`s
-//! (`deta_telemetry::TelemetryRecord::to_obs`) and rendered by
+//! ([`crate::TelemetryRecord::to_obs`]) and rendered by
 //! [`render_jsonl`]; a dump closes with [`meta_line`]; [`parse_jsonl`]
 //! reads both back.
 
@@ -36,7 +36,8 @@ pub struct ObsRecord {
 impl ObsRecord {
     /// Span end time (equals `t_ns` for events).
     pub fn end_ns(&self) -> i64 {
-        self.t_ns.saturating_add(self.dur_ns as i64)
+        self.t_ns
+            .saturating_add(i64::try_from(self.dur_ns).unwrap_or(i64::MAX))
     }
 
     /// An unsigned-integer field, if present.
@@ -209,6 +210,23 @@ not json\n\
         assert_eq!(ev.field_u64("msg_id"), Some(12));
         assert_eq!(ev.field_str("to"), Some("agg-0"));
         assert_eq!(ev.parent, 7);
+    }
+
+    #[test]
+    fn a_span_never_ends_before_it_starts() {
+        let span = |t_ns, dur_ns| ObsRecord {
+            t_ns,
+            node: "party-0".to_string(),
+            span: true,
+            name: "local_train".to_string(),
+            dur_ns,
+            trace_id: 0,
+            parent: 0,
+            fields: Vec::new(),
+        };
+        assert_eq!(span(1, u64::MAX).end_ns(), i64::MAX);
+        assert_eq!(span(i64::MIN, u64::MAX).end_ns(), -1);
+        assert_eq!(span(-5, 7).end_ns(), 2);
     }
 
     #[test]

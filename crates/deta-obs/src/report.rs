@@ -61,12 +61,9 @@ impl RoundReport {
         if self.wall_ns == 0 {
             return 1.0;
         }
-        let idle: u64 = self
-            .critical
-            .iter()
+        let idle = (self.critical.iter())
             .filter(|(k, _)| k == IDLE)
-            .map(|(_, v)| *v)
-            .sum();
+            .fold(0u64, |sum, (_, v)| sum.saturating_add(*v));
         1.0 - idle as f64 / self.wall_ns as f64
     }
 }
@@ -121,7 +118,8 @@ fn round_report(m: &MergedTrace, trace_id: u64) -> RoundReport {
     let mut buckets: HashMap<String, u64> = HashMap::new();
     let add = |buckets: &mut HashMap<String, u64>, label: &str, ns: i64| {
         if ns > 0 {
-            *buckets.entry(label.to_string()).or_insert(0) += ns as u64;
+            let bucket = buckets.entry(label.to_string()).or_insert(0);
+            *bucket = bucket.saturating_add(ns as u64);
         }
     };
 
@@ -151,10 +149,10 @@ fn round_report(m: &MergedTrace, trace_id: u64) -> RoundReport {
         let Some(send) = recv.field_u64("msg_id").and_then(|id| send_by_id.get(&id)) else {
             // Sender outside the round (e.g. control traffic from an
             // untraced context): charge the remaining head to idle.
-            add(&mut buckets, IDLE, seg_lo - start);
+            add(&mut buckets, IDLE, seg_lo.saturating_sub(start));
             break;
         };
-        add(&mut buckets, TRANSPORT, recv.t_ns - send.t_ns);
+        add(&mut buckets, TRANSPORT, recv.t_ns.saturating_sub(send.t_ns));
         if send.t_ns >= cursor && send.node == node {
             break; // no progress possible; avoid a zero-width spin
         }
@@ -165,16 +163,7 @@ fn round_report(m: &MergedTrace, trace_id: u64) -> RoundReport {
 
     // Phase volume: every span, all nodes, clipped to nothing (spans
     // already sit inside the round via their trace id).
-    let mut phases: HashMap<&'static str, u64> = HashMap::new();
-    for r in &recs {
-        if r.span {
-            if let Some(p) = phase_of(&r.name) {
-                *phases.entry(p).or_insert(0) += r.dur_ns;
-            }
-        }
-    }
-    let mut phases: Vec<(&'static str, u64)> = phases.into_iter().collect();
-    phases.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    let phases = phase_totals(recs.iter().copied());
 
     let mut critical: Vec<(String, u64)> = buckets.into_iter().collect();
     critical.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -182,7 +171,7 @@ fn round_report(m: &MergedTrace, trace_id: u64) -> RoundReport {
     RoundReport {
         round: trace_id.saturating_sub(1),
         start_ns: start,
-        wall_ns: (end - start).max(0) as u64,
+        wall_ns: end.saturating_sub(start).max(0) as u64,
         critical,
         phases,
         hops,
@@ -209,27 +198,30 @@ fn attribute_interval(spans: &[&ObsRecord], lo: i64, hi: i64, add: &mut dyn FnMu
     cuts.dedup();
     for w in cuts.windows(2) {
         let (a, b) = (w[0], w[1]);
-        let mid = a + (b - a) / 2;
+        let mid = a + b.saturating_sub(a) / 2;
         // Innermost covering span = the one that started latest.
         let covering = spans
             .iter()
             .filter(|s| s.t_ns <= mid && mid < s.end_ns())
             .max_by_key(|s| (s.t_ns, std::cmp::Reverse(s.dur_ns)));
         match covering {
-            Some(s) => add(&s.name, b - a),
-            None => add(IDLE, b - a),
+            Some(s) => add(&s.name, b.saturating_sub(a)),
+            None => add(IDLE, b.saturating_sub(a)),
         }
     }
 }
 
 /// Span-volume totals per phase over an entire trace (all rounds) —
 /// used to put sequential and threaded deployments side by side.
-pub fn phase_totals(records: &[ObsRecord]) -> Vec<(&'static str, u64)> {
+pub fn phase_totals<'a>(
+    records: impl IntoIterator<Item = &'a ObsRecord>,
+) -> Vec<(&'static str, u64)> {
     let mut phases: HashMap<&'static str, u64> = HashMap::new();
     for r in records {
         if r.span {
             if let Some(p) = phase_of(&r.name) {
-                *phases.entry(p).or_insert(0) += r.dur_ns;
+                let total = phases.entry(p).or_insert(0);
+                *total = total.saturating_add(r.dur_ns);
             }
         }
     }
@@ -366,6 +358,45 @@ mod tests {
                 ("seal+upload", 100),
             ]
         );
+    }
+
+    /// Lines a child could ship: two spans of the largest duration, and a
+    /// message sent and received at the two ends of the timestamp range,
+    /// in two processes whose clocks the merge must reconcile.
+    #[test]
+    fn extreme_lines_merge_report_and_export_without_a_panic() {
+        let text = "\
+{\"t_ns\":1,\"node\":\"party-0\",\"kind\":\"span\",\"name\":\"local_train\",\"dur_ns\":18446744073709551615,\"trace_id\":1}\n\
+{\"t_ns\":2,\"node\":\"party-0\",\"kind\":\"span\",\"name\":\"local_train\",\"dur_ns\":18446744073709551615,\"trace_id\":1}\n\
+{\"t_ns\":9223372036854775807,\"node\":\"party-0\",\"kind\":\"event\",\"name\":\"net_send\",\"trace_id\":1,\"fields\":{\"msg_id\":5}}\n\
+{\"t_ns\":-9223372036854775808,\"node\":\"agg-0\",\"kind\":\"event\",\"name\":\"net_recv\",\"trace_id\":1,\"fields\":{\"msg_id\":5}}\n\
+{\"t_ns\":-9223372036854775808,\"node\":\"agg-0\",\"kind\":\"event\",\"name\":\"net_send\",\"trace_id\":1,\"fields\":{\"msg_id\":6}}\n";
+        let parsed = crate::record::parse_jsonl(text);
+        assert_eq!((parsed.records.len(), parsed.skipped), (5, 0));
+        let forwards = |recs: &[ObsRecord]| (recs.iter()).all(|r| r.end_ns() >= r.t_ns);
+        assert!(forwards(&parsed.records));
+        assert_eq!(phase_totals(&parsed.records), [("local train", u64::MAX)]);
+        let (party, agg) = parsed.records.split_at(3);
+        let merged = merge(vec![
+            ProcessTrace {
+                label: "coordinator".into(),
+                offset_ns: i64::MIN,
+                records: party.to_vec(),
+            },
+            ProcessTrace {
+                label: "agg-0".into(),
+                offset_ns: i64::MAX,
+                records: agg.to_vec(),
+            },
+        ]);
+        assert_eq!(merged.records.len(), 5);
+        assert!(forwards(&merged.records));
+        let reports = round_reports(&merged);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].phases, [("local train", u64::MAX)]);
+        assert!(reports[0].attributed_fraction().is_finite());
+        assert!(crate::chrome_trace(&merged).contains("\"local_train\""));
+        let _ = merged.to_jsonl(&[], &[]);
     }
 
     #[test]

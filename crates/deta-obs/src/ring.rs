@@ -9,21 +9,12 @@
 //! implicated node *and* its peers.
 
 use crate::value::TelemetryValue;
-use deta_obs::{Json, ObsRecord};
+use crate::{Json, ObsRecord};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Whether a record is a completed timed span or a point-in-time event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A timed operation; `dur_ns` holds its duration.
-    Span,
-    /// An instantaneous occurrence.
-    Event,
 }
 
 /// One span or event, as stored in a flight-recorder ring.
@@ -32,11 +23,10 @@ pub struct TelemetryRecord {
     /// Monotonic nanoseconds since the process telemetry epoch (span
     /// start time for spans).
     pub t_ns: u64,
-    /// Span or event.
-    pub kind: RecordKind,
     /// Static record name (e.g. `local_train`, `fault_injected`).
     pub name: &'static str,
-    /// Span duration in nanoseconds; `None` for events.
+    /// `Some(duration in nanoseconds)` for a span, `None` for an event:
+    /// the one field that says which the record is.
     pub dur_ns: Option<u64>,
     /// Round-scoped trace id (schema v2); 0 = untraced, omitted from
     /// the rendered JSON.
@@ -51,15 +41,14 @@ pub struct TelemetryRecord {
 impl TelemetryRecord {
     /// The record as the schema's owned record, attributed to `node`:
     /// the one conversion a ring record takes on its way to a JSONL line,
-    /// which deta-obs writes. A span carries its `dur_ns` (0 if it has
-    /// none), an event none. An untraced record keeps no `parent`: the
+    /// which [`crate::render_jsonl`] writes. An untraced record keeps no `parent`: the
     /// line omits it, so the record is exactly what its line parses back
     /// into.
     pub fn to_obs(&self, node: &str) -> ObsRecord {
         ObsRecord {
             t_ns: i64::try_from(self.t_ns).unwrap_or(i64::MAX),
             node: node.to_string(),
-            span: self.kind == RecordKind::Span,
+            span: self.dur_ns.is_some(),
             name: self.name.to_string(),
             dur_ns: self.dur_ns.unwrap_or(0),
             trace_id: self.trace_id,
@@ -123,23 +112,12 @@ impl FlightRecorder {
         let ctx = crate::trace::current();
         self.push(TelemetryRecord {
             t_ns: crate::now_ns(),
-            kind: RecordKind::Event,
             name,
             dur_ns: None,
             trace_id: ctx.trace_id,
             parent: ctx.parent,
             fields: fields.to_vec(),
         });
-    }
-
-    /// Number of records currently buffered.
-    pub fn len(&self) -> usize {
-        lock(&self.ring).buf.len()
-    }
-
-    /// True when no records are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Takes every buffered record (oldest first) plus the count of
@@ -160,7 +138,6 @@ mod tests {
     fn rec(t: u64, name: &'static str) -> TelemetryRecord {
         TelemetryRecord {
             t_ns: t,
-            kind: RecordKind::Event,
             name,
             dur_ns: None,
             trace_id: 0,
@@ -181,7 +158,7 @@ mod tests {
             records.iter().map(|r| r.name).collect::<Vec<_>>(),
             vec!["b", "c"]
         );
-        assert!(fr.is_empty());
+        assert!(lock(&fr.ring).buf.is_empty());
         let (_, dropped_again) = fr.drain();
         assert_eq!(dropped_again, 0);
     }
@@ -197,7 +174,6 @@ mod tests {
         );
         let span = TelemetryRecord {
             t_ns: 5,
-            kind: RecordKind::Span,
             name: "aggregate",
             dur_ns: Some(11),
             trace_id: 0,

@@ -9,7 +9,7 @@
 //! method the workspace's `clippy.toml` disallows outside a few files
 //! that compute with a key.
 
-use deta_obs::Json;
+use crate::Json;
 
 /// One telemetry field value.
 #[derive(Clone, Debug, PartialEq)]

@@ -33,11 +33,11 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn a_disabled_span_with_a_label_allocates_nothing() {
-    assert!(!deta_telemetry::enabled());
+    assert!(!deta_obs::enabled());
     let peer = String::from("agg-0");
     let before = BYTES.with(Cell::get);
     for round in 0..100u64 {
-        let _span = deta_telemetry::span("handshake")
+        let _span = deta_obs::span("handshake")
             .with_label("peer", &peer)
             .with_field("round", round.into());
     }

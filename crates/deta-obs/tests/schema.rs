@@ -10,26 +10,32 @@
 //! nodes and overflow counts it was rendered from.
 
 use deta_obs::{merge, parse_jsonl, render_jsonl, ObsRecord, ProcessTrace};
+use deta_obs::{trace_dump, unique_stem, TelemetryRecord, TelemetryValue};
 use deta_proptest::{cases, Gen};
-use deta_telemetry::{trace_dump, unique_stem, RecordKind, TelemetryRecord, TelemetryValue};
 
 /// The one rendering call every known answer goes through.
 fn line(node: &str, rec: &TelemetryRecord) -> String {
     rec.to_obs(node).to_json()
 }
 
+/// Whether [`record`] builds a span (with a duration) or an event.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Span,
+    Event,
+}
+
 fn record(
     t_ns: u64,
-    kind: RecordKind,
+    kind: Kind,
     name: &'static str,
     trace: (u64, u64),
     fields: Vec<(&'static str, TelemetryValue)>,
 ) -> TelemetryRecord {
     TelemetryRecord {
         t_ns,
-        kind,
         name,
-        dur_ns: (kind == RecordKind::Span).then_some(t_ns / 2),
+        dur_ns: (kind == Kind::Span).then_some(t_ns / 2),
         trace_id: trace.0,
         parent: trace.1,
         fields,
@@ -40,7 +46,7 @@ fn record(
 /// every value variant at its edges, spans and events, `trace_id` and
 /// `parent` zero and non-zero, and timestamps that tie across nodes.
 fn rings() -> Vec<(String, Vec<TelemetryRecord>)> {
-    use RecordKind::{Event, Span};
+    use Kind::{Event, Span};
     use TelemetryValue::{Bool, Str, F64, I64, U64};
     let first = vec![
         record(0, Event, "upload", (0, 0), vec![]),
@@ -146,7 +152,7 @@ const DUMP: &str = r#"{"t_ns":0,"node":"agg \"1\"\\\u0007","kind":"event","name"
 
 #[test]
 fn trace_dump_writes_the_pinned_document() {
-    let dir = std::env::temp_dir().join(format!("deta-telemetry-schema-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("deta-obs-schema-{}", std::process::id()));
     let nodes: Vec<(String, Vec<TelemetryRecord>, u64)> = (rings().into_iter())
         .zip([0, 12])
         .map(|((node, recs), dropped)| (node, recs, dropped))
@@ -250,17 +256,12 @@ fn rendered_lines_parse_back_and_render_the_same_bytes() {
         .flat_map(|(node, recs)| recs.iter().map(|r| r.to_obs(&node)).collect::<Vec<_>>())
         .collect();
     cases("schema lines round-trip", 256, |g: &mut Gen| {
-        let kind = if g.bool() {
-            RecordKind::Span
-        } else {
-            RecordKind::Event
-        };
+        let kind = if g.bool() { Kind::Span } else { Kind::Event };
         let zero_or = |g: &mut Gen| if g.bool() { 0 } else { g.u64() };
         let rec = TelemetryRecord {
             t_ns: g.u64_in(0, i64::MAX as u64),
-            kind,
             name: NAMES[g.usize_in(0, NAMES.len())],
-            dur_ns: (kind == RecordKind::Span).then(|| g.u64()),
+            dur_ns: (kind == Kind::Span).then(|| g.u64()),
             trace_id: zero_or(g),
             parent: zero_or(g),
             fields: g.vec_of(0, 5, |g| {

@@ -21,7 +21,7 @@
 use deta_core::node::{report, Input, Node};
 use deta_core::rtmsg::CtlMsg;
 use deta_crypto::VerifyingKey;
-use deta_telemetry::{FlightRecorder, TelemetryValue};
+use deta_obs::{FlightRecorder, TelemetryValue};
 use deta_transport::RecvError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,7 +64,7 @@ pub fn serve(
     ctx: &ActorContext,
     recorder: Arc<FlightRecorder>,
 ) -> Node {
-    let _telemetry = deta_telemetry::attach(recorder);
+    let _telemetry = deta_obs::attach(recorder);
     let endpoint = node.actor().endpoint();
     report(&endpoint, node.actor().start(tokens));
     let mut hb_seq = 0u64;
@@ -88,7 +88,7 @@ pub fn serve(
             }
         };
         if let Some(round) = stall {
-            deta_telemetry::event("stall_injected", &[("round", TelemetryValue::from(round))]);
+            deta_obs::event("stall_injected", &[("round", TelemetryValue::from(round))]);
             // The mailbox is ignored but the thread stays joinable.
             while !ctx.stopped() {
                 std::thread::sleep(ctx.tick);

@@ -12,7 +12,7 @@ use deta_core::supervise::{Directive, Event, SessionView, Supervisor};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
-use deta_telemetry::{Recorders, TelemetryValue};
+use deta_obs::{ParsedTrace, Recorders, TelemetryValue};
 use deta_transport::{Endpoint, Network, RecvError};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -167,14 +167,14 @@ impl ThreadedSession {
         place: impl FnOnce(&mut ThreadedSession, N) -> Result<(), RuntimeError>,
     ) -> Result<ThreadedSession, RuntimeError> {
         if rt.telemetry.enabled {
-            deta_telemetry::enable();
+            deta_obs::enable();
         }
         // The supervisor's ring is live before the build, so the build's
         // set-up spans (attestation, model draw, mapper) land in it.
         let (capacity, dir) = (rt.telemetry.ring_capacity, rt.telemetry.trace_dir.clone());
         let recorders = Recorders::new(SUPERVISOR, capacity, dir);
         let (coordinator, nodes) = {
-            let _trace_guard = deta_telemetry::attach(recorders.own());
+            let _trace_guard = deta_obs::attach(recorders.own());
             build()?
         };
         let network = coordinator.network.clone();
@@ -194,7 +194,7 @@ impl ThreadedSession {
             recorders,
         };
         let ready = place(&mut session, nodes).and_then(|()| {
-            let _trace_guard = deta_telemetry::attach(session.recorders.own());
+            let _trace_guard = deta_obs::attach(session.recorders.own());
             session.drive(Supervisor::setup)
         });
         if let Err(e) = ready {
@@ -235,8 +235,8 @@ impl ThreadedSession {
         // Round-scoped trace: everything this driver thread sends from
         // here on carries trace id `round + 1` (0 means untraced), and
         // its transport edge events land in the supervisor's ring.
-        deta_telemetry::trace::begin(round + 1);
-        let _trace_guard = deta_telemetry::attach(self.recorders.own());
+        deta_obs::trace::begin(round + 1);
+        let _trace_guard = deta_obs::attach(self.recorders.own());
         self.drive(Supervisor::round)?;
         let Some(params) = self.supervisor.params() else {
             let err = RuntimeError::Protocol("missing parameter snapshot");
@@ -247,7 +247,7 @@ impl ThreadedSession {
         // idle.
         let (test_loss, test_accuracy) = {
             let _eval_span =
-                deta_telemetry::span("eval").with_field("round", TelemetryValue::from(round));
+                deta_obs::span("eval").with_field("round", TelemetryValue::from(round));
             self.eval_model.set_flat_params(&params);
             deta_nn::train::evaluate(&mut self.eval_model, test, 128)
         };
@@ -404,7 +404,7 @@ impl ThreadedSession {
         // trace context so Shutdown frames (and the recvs they cause on
         // remote nodes) don't inflate the last round's wall time in a
         // merged trace.
-        deta_telemetry::trace::begin(0);
+        deta_obs::trace::begin(0);
         self.stop.store(true, Ordering::Relaxed);
         for (halt, _) in self.threads.values() {
             halt.store(true, Ordering::Relaxed);
@@ -488,11 +488,23 @@ impl ThreadedSession {
         self.recorders.dump("trace", &[])
     }
 
+    /// The session's trace as records, by the rule
+    /// [`ThreadedSession::trace_dump_path`] follows for a path: the first
+    /// dump's trace, or else the one [`ThreadedSession::dump_trace`]
+    /// drains now. `None` while telemetry is disabled or when the dump
+    /// cannot be written.
+    pub fn trace(&mut self) -> Option<ParsedTrace> {
+        if self.recorders.first_dump().is_none() {
+            self.dump_trace()?;
+        }
+        self.recorders.first_trace().cloned()
+    }
+
     /// Drops every control frame queued for the supervisor, received
     /// under its flight recorder so each traced one records its
     /// `net_recv`.
     fn drain_ctl(&self) {
-        let _trace_guard = deta_telemetry::attach(self.recorders.own());
+        let _trace_guard = deta_obs::attach(self.recorders.own());
         self.ctl.drain();
     }
 }

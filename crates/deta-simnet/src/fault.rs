@@ -17,7 +17,7 @@
 
 use deta_core::rtmsg::SUPERVISOR;
 use deta_crypto::DetRng;
-use deta_telemetry::TelemetryValue;
+use deta_obs::TelemetryValue;
 use deta_transport::{FaultPolicy, SendVerdict};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard};
@@ -258,8 +258,8 @@ impl SimPolicy {
 /// the node the fault strikes from). Gated here because the from/to
 /// fields allocate.
 fn note_fault(kind: &'static str, from: &str, to: &str, at: u32) {
-    if deta_telemetry::enabled() {
-        deta_telemetry::event(
+    if deta_obs::enabled() {
+        deta_obs::event(
             "fault_injected",
             &[
                 ("kind", TelemetryValue::from(kind)),

@@ -292,7 +292,7 @@ impl SimFleet {
         let mut violations = Vec::new();
         let mut trace_path = None;
         let mut elapsed = Duration::ZERO;
-        let dump_before = deta_telemetry::last_dump_path();
+        let dump_before = deta_obs::last_dump_path();
         let model = move |rng: &mut _| mlp(&[dim, hidden, classes], rng);
         let parts = SessionParts::build(self.spec.config(), &model, self.shards.clone());
         let setup = parts.map_err(RuntimeError::from).and_then(|mut parts| {
@@ -324,7 +324,7 @@ impl SimFleet {
                 // location from the telemetry crate (only a dump newer
                 // than this run counts).
                 if self.spec.trace {
-                    trace_path = deta_telemetry::last_dump_path()
+                    trace_path = deta_obs::last_dump_path()
                         .filter(|p| dump_before.as_ref() != Some(p))
                         .map(|p| p.display().to_string());
                 }

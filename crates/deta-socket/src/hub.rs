@@ -61,8 +61,8 @@ use deta_core::session::{DetaConfig, SetupError};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
+use deta_obs::{parse_jsonl, FlightRecorder, ParsedTrace, TelemetryValue};
 use deta_runtime::{DetachedNodes, FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
-use deta_telemetry::{FlightRecorder, TelemetryValue};
 use deta_transport::{Forwarder, Message, NetError, Network};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -248,9 +248,9 @@ struct HubShared {
     /// Per-node clock offsets from the post-auth probe/echo exchange:
     /// `child_ns - hub_ns` at the round-trip midpoint.
     offsets: Mutex<HashMap<String, i64>>,
-    /// Per-node shipped flight-recorder rings (JSONL text + overflow
-    /// count), delivered by `TraceShip` just before each child's `Bye`.
-    traces: Mutex<HashMap<String, (String, u64)>>,
+    /// Per-node shipped flight-recorder rings, parsed where they arrive,
+    /// delivered by `TraceShip` just before each child's `Bye`.
+    traces: Mutex<HashMap<String, ParsedTrace>>,
     /// Chaos plan: per node, the accepted ingress `Data` frames seen from
     /// it so far (across all its connections) and the ascending counts
     /// after which the hub abruptly severs its connection.
@@ -387,10 +387,11 @@ impl SocketHub {
     }
 
     /// [`SocketHub::join`] plus the observability harvest: every child's
-    /// shipped flight-recorder ring and its clock offset, collected once
-    /// all bridge threads have drained, plus the hub's own link-lifecycle
-    /// ring under the name `hub`. The trace merger (`deta-obs`) aligns
-    /// the shipped timestamps with these offsets.
+    /// shipped flight-recorder ring, as the records it parsed into, and
+    /// its clock offset, collected once all bridge threads have drained,
+    /// plus the hub's own link-lifecycle ring under the name `hub`. The
+    /// trace merger (`deta_obs::merge`) aligns the shipped timestamps
+    /// with these offsets.
     pub fn join_harvest(self) -> (Option<SocketError>, TraceHarvest) {
         let SocketHub {
             shared, acceptor, ..
@@ -405,8 +406,13 @@ impl SocketHub {
         let _ = acceptor.join();
         let offsets = lock(&shared.offsets).clone();
         let mut traces = std::mem::take(&mut *lock(&shared.traces));
-        if let Some(ring) = drain_ring(&shared.recorder) {
-            traces.insert("hub".to_string(), ring);
+        if let Some((records, dropped)) = drain_ring(&shared.recorder) {
+            let trace = ParsedTrace {
+                records,
+                overflow: vec![("hub".to_string(), dropped)],
+                ..ParsedTrace::default()
+            };
+            traces.insert("hub".to_string(), trace);
         }
         let harvest = TraceHarvest { offsets, traces };
         let first_error = lock(&shared.error).take();
@@ -422,9 +428,9 @@ pub struct TraceHarvest {
     /// `child_ns - hub_ns` per node, estimated at the link round-trip
     /// midpoint.
     pub offsets: HashMap<String, i64>,
-    /// Per-node shipped ring: rendered JSONL (schema v2) plus the count
-    /// of records lost to ring overflow.
-    pub traces: HashMap<String, (String, u64)>,
+    /// Per-node ring: its records, its overflow count under the node's
+    /// name, and the count of shipped lines that did not parse.
+    pub traces: HashMap<String, ParsedTrace>,
 }
 
 /// Accepts connections until stopped; each connection is served on its
@@ -585,11 +591,11 @@ fn serve(
             });
         }
     }
-    if deta_telemetry::enabled() {
+    if deta_obs::enabled() {
         if resumed {
-            deta_telemetry::metrics::counter_add("deta_socket_reconnects_total", &name, 1);
+            deta_obs::metrics::counter_add("deta_socket_reconnects_total", &name, 1);
         }
-        deta_telemetry::metrics::counter_add("deta_socket_resync_replayed_frames", &name, replayed);
+        deta_obs::metrics::counter_add("deta_socket_resync_replayed_frames", &name, replayed);
     }
     if resumed {
         shared.recorder.event(
@@ -617,12 +623,8 @@ fn serve(
         let depth = shared
             .with_seat(&name, |seat| seat.egress.unacked())
             .unwrap_or(0);
-        if deta_telemetry::enabled() {
-            deta_telemetry::metrics::histogram_observe(
-                "deta_socket_parked_depth",
-                &name,
-                depth as f64,
-            );
+        if deta_obs::enabled() {
+            deta_obs::metrics::histogram_observe("deta_socket_parked_depth", &name, depth as f64);
         }
         shared.recorder.event(
             "link_down",
@@ -750,7 +752,11 @@ fn ingest(
                 let text = String::from_utf8(jsonl).map_err(|_| SocketError::Malformed {
                     link: receiver.label().to_string(),
                 })?;
-                lock(&shared.traces).insert(ship_name, (text, dropped));
+                let trace = ParsedTrace {
+                    overflow: vec![(ship_name.clone(), dropped)],
+                    ..parse_jsonl(&text)
+                };
+                lock(&shared.traces).insert(ship_name, trace);
             }
             // Includes a mid-session Resume: the exchange happens exactly
             // once, right after auth.
@@ -766,8 +772,8 @@ fn ingest(
 /// Counts `n` under `name{src->dst}`; the label is built only with the
 /// telemetry sink on.
 fn count_link(name: &'static str, src: &str, dst: &str, n: u64) {
-    if deta_telemetry::enabled() {
-        deta_telemetry::metrics::counter_add(name, &format!("{src}->{dst}"), n);
+    if deta_obs::enabled() {
+        deta_obs::metrics::counter_add(name, &format!("{src}->{dst}"), n);
     }
 }
 
@@ -776,7 +782,7 @@ fn count_link(name: &'static str, src: &str, dst: &str, n: u64) {
 /// after `Welcome`, before any data flows, so the link is otherwise
 /// idle and the round trip is as tight as it gets.
 fn clock_exchange(link: &mut SecureLink, peer: &str) -> Result<i64, SocketError> {
-    let t_send = deta_telemetry::now_ns();
+    let t_send = deta_obs::now_ns();
     link.tx
         .send(&SocketFrame::ClockProbe { t_hub_ns: t_send })?;
     let deadline = Some(Instant::now() + AUTH_DEADLINE);
@@ -785,7 +791,7 @@ fn clock_exchange(link: &mut SecureLink, peer: &str) -> Result<i64, SocketError>
             t_hub_ns,
             t_peer_ns,
         }) if t_hub_ns == t_send => {
-            let t_recv = deta_telemetry::now_ns();
+            let t_recv = deta_obs::now_ns();
             let midpoint = (t_send / 2).wrapping_add(t_recv / 2);
             Ok(t_peer_ns as i64 - midpoint as i64)
         }

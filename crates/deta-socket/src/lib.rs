@@ -61,6 +61,7 @@ pub use node::{host_node, run_node};
 pub use wire::{ReplayWindow, SocketFrame};
 
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
+use deta_obs::ObsRecord;
 use std::fmt;
 
 /// Structured bridge failures. Variants that implicate one link name it
@@ -283,14 +284,14 @@ impl SocketError {
     }
 }
 
-/// Drains `recorder` into rendered JSONL (schema v2) plus the count of
-/// records its ring overwrote; `None` when there is nothing to report.
-pub(crate) fn drain_ring(recorder: &deta_telemetry::FlightRecorder) -> Option<(String, u64)> {
+/// Drains `recorder` into the schema's records plus the count of records
+/// its ring overwrote; `None` when there is nothing to report.
+pub(crate) fn drain_ring(recorder: &deta_obs::FlightRecorder) -> Option<(Vec<ObsRecord>, u64)> {
     let (records, dropped) = recorder.drain();
     let records: Vec<_> = (records.iter())
         .map(|rec| rec.to_obs(recorder.node()))
         .collect();
-    (!records.is_empty() || dropped > 0).then(|| (deta_obs::render_jsonl(&records), dropped))
+    (!records.is_empty() || dropped > 0).then_some((records, dropped))
 }
 
 /// The hub's responder identity, derived deterministically from the

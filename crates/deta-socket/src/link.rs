@@ -166,8 +166,8 @@ impl RetransmitBuffer {
             });
         }
         self.drop_below(next);
-        if deta_telemetry::enabled() {
-            deta_telemetry::metrics::counter_add("deta_socket_acks_total", &self.link, 1);
+        if deta_obs::enabled() {
+            deta_obs::metrics::counter_add("deta_socket_acks_total", &self.link, 1);
         }
         Ok(())
     }
@@ -210,8 +210,8 @@ impl RetransmitBuffer {
     /// that a consumer falling behind shows as a rising depth before its
     /// seat ever parks. Nothing without the telemetry sink.
     fn observe_depth(&self, node: &str) {
-        if deta_telemetry::enabled() {
-            deta_telemetry::metrics::histogram_observe(
+        if deta_obs::enabled() {
+            deta_obs::metrics::histogram_observe(
                 "deta_socket_unacked_depth",
                 node,
                 self.frames.len() as f64,

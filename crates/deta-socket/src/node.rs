@@ -52,9 +52,9 @@ use deta_core::session::{DetaConfig, NodeParts};
 use deta_crypto::{DetRng, SigningKey, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
+use deta_obs::FlightRecorder;
 use deta_runtime::actor::{self, ActorContext};
 use deta_runtime::{Node, SUPERVISOR};
-use deta_telemetry::FlightRecorder;
 use deta_transport::{Forwarder, Message, Network};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -154,7 +154,7 @@ impl Reconnector {
             Some(SocketFrame::ClockProbe { t_hub_ns }) => {
                 link.tx.send(&SocketFrame::ClockEcho {
                     t_hub_ns,
-                    t_peer_ns: deta_telemetry::now_ns(),
+                    t_peer_ns: deta_obs::now_ns(),
                 })?;
             }
             _ => return Err(refused("hub did not send a clock probe")),
@@ -198,7 +198,7 @@ pub fn run_node(
     // spans (attestation, model draw, mapper) ship with the rest.
     let recorder = node_recorder(name);
     let parts = {
-        let _trace_guard = deta_telemetry::attach(Arc::clone(&recorder));
+        let _trace_guard = deta_obs::attach(Arc::clone(&recorder));
         NodeParts::build(config, model_builder, party_data, name)
     };
     let parts = parts.map_err(|e| SocketError::Build {
@@ -211,11 +211,7 @@ pub fn run_node(
 /// ring must hold a whole session's spans for shipping — overflow is
 /// reported but a deep ring avoids it.
 fn node_recorder(name: &str) -> Arc<FlightRecorder> {
-    let ring_cap = if deta_telemetry::enabled() {
-        65536
-    } else {
-        256
-    };
+    let ring_cap = if deta_obs::enabled() { 65536 } else { 256 };
     FlightRecorder::new(name, ring_cap)
 }
 
@@ -315,13 +311,11 @@ fn host(
 /// complete, since the actor loop has exited — then `Bye`. It needs a
 /// live link; a parked one may resume any moment, so it waits briefly.
 fn sign_off(link: &ChildLink, recorder: &FlightRecorder) {
-    let ring = deta_telemetry::enabled()
-        .then(|| drain_ring(recorder))
-        .flatten();
-    let ship = ring.map(|(jsonl, dropped)| SocketFrame::TraceShip {
+    let ring = deta_obs::enabled().then(|| drain_ring(recorder)).flatten();
+    let ship = ring.map(|(records, dropped)| SocketFrame::TraceShip {
         name: recorder.node().to_string(),
         dropped,
-        jsonl: jsonl.into_bytes(),
+        jsonl: deta_obs::render_jsonl(&records).into_bytes(),
     });
     let deadline = Instant::now() + SIGNOFF_WAIT;
     loop {

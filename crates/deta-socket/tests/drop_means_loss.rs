@@ -8,9 +8,9 @@
 mod common;
 
 use common::{child, config, data, model, SEATS};
+use deta_obs::FlightRecorder;
 use deta_runtime::{RuntimeConfig, RuntimeError};
 use deta_socket::launch;
-use deta_telemetry::FlightRecorder;
 use deta_transport::{FaultPolicy, SendVerdict};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ impl FaultPolicy for DeliverAll {
 
 /// The `deta_net_drops_total` lines of the registry's snapshot.
 fn drop_series() -> Vec<String> {
-    deta_telemetry::metrics::prometheus_snapshot()
+    deta_obs::metrics::prometheus_snapshot()
         .lines()
         .filter(|line| line.starts_with("deta_net_drops_total"))
         .map(str::to_string)
@@ -72,7 +72,7 @@ fn a_healthy_frame_is_never_a_drop_and_a_dropped_one_is_the_only_drop() {
     let network = bridged.session.network().clone();
     network.set_fault_policy(Arc::new(DropUploads));
     {
-        let _attached = deta_telemetry::attach(Arc::clone(&own_ring));
+        let _attached = deta_obs::attach(Arc::clone(&own_ring));
         for _ in 0..3 {
             network
                 .send_as("party-0", "agg-0", b"upload".to_vec(), Default::default())
@@ -80,7 +80,7 @@ fn a_healthy_frame_is_never_a_drop_and_a_dropped_one_is_the_only_drop() {
         }
     }
     network.set_fault_policy(Arc::new(DeliverAll));
-    let lost = |records: &[deta_telemetry::TelemetryRecord]| {
+    let lost = |records: &[deta_obs::TelemetryRecord]| {
         records.iter().filter(|r| r.name == "net_drop").count()
     };
     assert_eq!(lost(&own_ring.drain().0), 3);
@@ -97,7 +97,8 @@ fn a_healthy_frame_is_never_a_drop_and_a_dropped_one_is_the_only_drop() {
     // Every child shipped its ring (and the hub adds its own when it has
     // something to say); the coordinator's is dumped on request.
     assert!(harvest.traces.len() >= SEATS, "{:?}", harvest.traces.keys());
-    for (node, (jsonl, _)) in &harvest.traces {
+    for (node, trace) in &harvest.traces {
+        let jsonl = deta_obs::render_jsonl(&trace.records);
         assert!(jsonl.contains("net_send"), "{node} shipped no traffic");
         assert!(!jsonl.contains("net_drop"), "{node} recorded a drop");
     }

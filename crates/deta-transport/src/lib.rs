@@ -61,7 +61,7 @@
 pub mod secure;
 pub mod wire;
 
-pub use deta_telemetry::TraceCtx;
+pub use deta_obs::TraceCtx;
 pub use secure::{HandshakeInitiator, SecureChannel, TransportError};
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -294,16 +294,16 @@ impl NetState {
         if let Some(t) = &self.tap {
             t.on_drop(from, to, payload);
         }
-        if !deta_telemetry::enabled() {
+        if !deta_obs::enabled() {
             return;
         }
         let link = format!("{from}->{to}");
-        deta_telemetry::metrics::counter_add("deta_net_drops_total", &link, 1);
-        deta_telemetry::event(
+        deta_obs::metrics::counter_add("deta_net_drops_total", &link, 1);
+        deta_obs::event(
             "net_drop",
             &[
-                ("link", deta_telemetry::TelemetryValue::from(link.as_str())),
-                ("bytes", deta_telemetry::TelemetryValue::from(payload.len())),
+                ("link", deta_obs::TelemetryValue::from(link.as_str())),
+                ("bytes", deta_obs::TelemetryValue::from(payload.len())),
             ],
         );
     }
@@ -383,7 +383,7 @@ impl Network {
             mb.close(name);
         }
         drop(st);
-        deta_telemetry::metrics::counter_add("deta_net_closes_total", name, 1);
+        deta_obs::metrics::counter_add("deta_net_closes_total", name, 1);
         self.arrivals.notify_all();
     }
 
@@ -516,11 +516,11 @@ impl Network {
         // Gated observability at the same choke point the tap sees
         // (the metrics registry takes no other lock, so observing
         // under the network lock cannot deadlock).
-        if deta_telemetry::enabled() {
+        if deta_obs::enabled() {
             let link = format!("{from}->{to}");
-            deta_telemetry::metrics::counter_add("deta_net_frames_total", &link, 1);
-            deta_telemetry::metrics::counter_add("deta_net_bytes_total", &link, len as u64);
-            deta_telemetry::metrics::histogram_observe("deta_net_queue_depth", to, depth as f64);
+            deta_obs::metrics::counter_add("deta_net_frames_total", &link, 1);
+            deta_obs::metrics::counter_add("deta_net_bytes_total", &link, len as u64);
+            deta_obs::metrics::histogram_observe("deta_net_queue_depth", to, depth as f64);
         }
     }
 
@@ -607,9 +607,9 @@ impl Network {
 /// this runs per message, and the other end's node attribution already
 /// names the peer in the merged trace.
 fn edge(name: &'static str, trace: TraceCtx, payload: &[u8]) {
-    use deta_telemetry::TelemetryValue;
+    use deta_obs::TelemetryValue;
     let id = TelemetryValue::U64(trace.parent);
-    deta_telemetry::event(name, &[("msg_id", id), ("bytes", payload.len().into())]);
+    deta_obs::event(name, &[("msg_id", id), ("bytes", payload.len().into())]);
 }
 
 /// A named participant on the network.
@@ -635,9 +635,9 @@ impl Endpoint {
     pub fn send(&self, to: &str, payload: impl Into<Vec<u8>>) -> Result<(), NetError> {
         let payload = payload.into();
         let mut trace = TraceCtx::default();
-        if deta_telemetry::enabled() {
-            trace.trace_id = deta_telemetry::trace::current().trace_id;
-            trace.parent = deta_telemetry::trace::next_msg_id();
+        if deta_obs::enabled() {
+            trace.trace_id = deta_obs::trace::current().trace_id;
+            trace.parent = deta_obs::trace::next_msg_id();
             edge("net_send", trace, &payload);
         }
         let from = Arc::clone(&self.name);
@@ -672,7 +672,7 @@ impl Endpoint {
     /// receiver's flight recorder. The payload is never touched.
     fn arrive(msg: Message) -> Message {
         if msg.trace != TraceCtx::default() {
-            deta_telemetry::trace::set_current(msg.trace);
+            deta_obs::trace::set_current(msg.trace);
             edge("net_recv", msg.trace, &msg.payload);
         }
         msg

@@ -64,7 +64,7 @@ fn main() {
     }
 
     println!("\n== metrics snapshot (excerpt) ==");
-    for line in deta::telemetry::metrics::prometheus_snapshot()
+    for line in deta::obs::metrics::prometheus_snapshot()
         .lines()
         .filter(|l| l.contains("deta_net_bytes_total") || l.contains("deta_net_frames_total"))
         .take(12)
@@ -73,6 +73,6 @@ fn main() {
     }
     println!(
         "\n{} telemetry records/observations were emitted in total",
-        deta::telemetry::emits()
+        deta::obs::emits()
     );
 }

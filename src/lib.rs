@@ -9,7 +9,8 @@
 //! * [`sev_sim`], [`transport`], [`crypto`], [`bignum`], [`paillier`] —
 //!   the systems substrate.
 //! * [`runtime`] — the threaded actor deployment (concurrent nodes).
-//! * [`telemetry`] — tracing, metrics, and per-node flight recorders.
+//! * [`obs`] — tracing, metrics, per-node flight recorders, and the
+//!   analysis of the traces they write.
 //! * [`attacks`] — the gradient-inversion attack suite.
 
 pub use deta_attacks as attacks;
@@ -18,10 +19,10 @@ pub use deta_core as core;
 pub use deta_crypto as crypto;
 pub use deta_datasets as datasets;
 pub use deta_nn as nn;
+pub use deta_obs as obs;
 pub use deta_paillier as paillier;
 pub use deta_runtime as runtime;
 pub use deta_sev_sim as sev_sim;
 pub use deta_socket as socket;
-pub use deta_telemetry as telemetry;
 pub use deta_tensor as tensor;
 pub use deta_transport as transport;
