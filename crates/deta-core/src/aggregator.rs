@@ -208,7 +208,7 @@ impl AggregatorNode {
     /// holds, as `(round, party, fragment)` sorted by round then party,
     /// each decoded from its record for the caller. Together with the
     /// CVM breach log this is the complete plaintext view of an
-    /// aggregator — deta-simnet's privacy checker audits both.
+    /// aggregator — `deta_drills::sim`'s privacy checker audits both.
     pub fn pending_uploads(&self) -> Vec<(u64, String, Vec<f32>)> {
         let mut out: Vec<(u64, String, Vec<f32>)> = Vec::new();
         for (&round, uploads) in &self.pending {

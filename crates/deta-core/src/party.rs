@@ -290,7 +290,7 @@ pub struct Party {
     /// Cumulative privacy spend when LDP is enabled.
     pub privacy: PrivacyAccountant,
     /// When set, every uploaded update (post-LDP, pre-transform) is
-    /// appended to [`Party::update_log`]. Test harnesses (deta-simnet's
+    /// appended to [`Party::update_log`]. Test harnesses (`deta_drills::sim`'s
     /// privacy checker) use the log as ground truth for what each
     /// aggregator's fragment *should* contain; off by default so
     /// production runs never retain plaintext updates.
@@ -394,7 +394,7 @@ impl Party {
     /// Swaps the destination aggregators of fragments `a` and `b`: after
     /// this, fragment `a` is uploaded to aggregator `b` and vice versa —
     /// a deliberate violation of the paper's partition/aggregator
-    /// correspondence. Test-harness hook: deta-simnet plants it to prove
+    /// correspondence. Test-harness hook: `deta_drills::sim` plants it to prove
     /// the privacy checker catches misrouted fragments. No-op when out of
     /// range or `a == b`.
     pub fn swap_fragment_routes(&mut self, a: usize, b: usize) {

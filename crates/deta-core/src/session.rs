@@ -220,7 +220,7 @@ pub struct SessionParts {
     /// model is a [`Clone`] of it.
     pub eval_model: Sequential,
     /// The shared transform (mapper + permutation key) every party
-    /// uploads through. Exposed so external checkers (deta-simnet's
+    /// uploads through. Exposed so external checkers (`deta_drills::sim`'s
     /// privacy auditor) can recompute which shuffled partition each
     /// aggregator is entitled to see.
     pub transformer: Transformer,

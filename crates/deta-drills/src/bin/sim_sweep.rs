@@ -10,7 +10,6 @@
 //!   sim_sweep --seeds 50       # sweep and verify the first 50 seeds
 //!   sim_sweep --json PATH      # corpus location (default results/SIM_SEEDS.json)
 //!   sim_sweep --failover none  # supervisor policy (default restart)
-//!   sim_sweep --only-class recovered  # list matching seeds, skip corpus verify
 //!   DETA_SIM_REWRITE=1 sim_sweep   # regenerate the corpus instead of verifying
 //!
 //! Only the full sweep writes the corpus: `--seeds N` compares its N
@@ -20,8 +19,8 @@
 //! process-wide, so tracing a whole sweep would contaminate every run.
 
 use deta_core::supervise::FailoverPolicy;
-use deta_simnet::sweep::{self, Sweep};
-use deta_simnet::{FaultPlan, SimFleet, SimSpec};
+use deta_drills::sim::sweep::{self, Sweep};
+use deta_drills::sim::{FaultPlan, SimFleet, SimSpec};
 use std::time::Instant;
 
 const DEFAULT_JSON: &str = "results/SIM_SEEDS.json";
@@ -32,7 +31,6 @@ fn main() {
     let mut single: Option<u64> = None;
     let mut trace = false;
     let mut failover = FailoverPolicy::Restart;
-    let mut only_class: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -50,7 +48,6 @@ fn main() {
                     }
                 }
             }
-            "--only-class" => only_class = args.next(),
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
@@ -107,28 +104,6 @@ fn main() {
             eprintln!("coverage: no seed in the sweep fired a {kind} fault");
             failures += usize::from(!partial);
         }
-    }
-
-    if let Some(class) = &only_class {
-        // Exploration mode: list the matching seeds (e.g. every
-        // `recovered` seed to drill into) and skip corpus verification —
-        // a filtered view must not overwrite or judge the full corpus.
-        let mut matched = 0usize;
-        for (seed, c, kinds) in &corpus {
-            if c == class {
-                println!("seed {seed}: {c} {kinds:?}");
-                matched += 1;
-            }
-        }
-        println!(
-            "swept {seeds} seeds x2: {matched} seed(s) in class {class:?} \
-             (corpus verification skipped)"
-        );
-        if failures > 0 {
-            eprintln!("{failures} sweep failure(s)");
-            std::process::exit(1);
-        }
-        return;
     }
 
     let json = sweep::render_corpus(&corpus);

@@ -29,7 +29,7 @@ pub fn drills() -> Vec<Drill> {
 }
 
 fn retired_token_is_dead() -> Result<String, String> {
-    let (shards, test, dim, classes) = common::fl_data(3);
+    let (shards, test, dim, classes) = common::fl_data(3, 80, 40);
     let mut cfg = DetaConfig::deta(3, 2);
     cfg.n_aggregators = 2;
     cfg.seed = 5;

@@ -4,13 +4,13 @@
 //! round, or the session its setup.
 
 use crate::common;
+use crate::sim::{Fault, FaultKind, FaultPlan, SimPolicy};
 use crate::Drill;
 use deta_core::session::{DetaConfig, DetaSession, SessionParts};
 use deta_core::supervise::RuntimeConfig;
 use deta_core::wire::Msg;
 use deta_nn::models::mlp;
-use deta_transport::{FaultPolicy, SendVerdict};
-use std::sync::atomic::{AtomicBool, Ordering};
+use deta_transport::FaultPolicy;
 use std::sync::Arc;
 
 const PARTIES: usize = 3;
@@ -44,7 +44,7 @@ pub fn drills() -> Vec<Drill> {
 
 /// The session after Phase II — run over `policy`, if any.
 fn nodes(seed: u64, policy: Option<Arc<dyn FaultPolicy>>) -> Result<DetaSession, String> {
-    let (shards, _test, dim, classes) = common::fl_data(PARTIES);
+    let (shards, _test, dim, classes) = common::fl_data(PARTIES, 80, 40);
     let mut cfg = DetaConfig::deta(PARTIES, 1);
     cfg.seed = seed;
     let parts = SessionParts::build(cfg, &move |rng| mlp(&[dim, 12, classes], rng), shards)
@@ -95,24 +95,16 @@ fn upload_length_erasure() -> Result<String, String> {
     ))
 }
 
-/// Delivers the first frame party-0 sends agg-0 — its `Hello` — twice.
-#[derive(Default)]
-struct DuplicateFirstHello(AtomicBool);
-
-impl FaultPolicy for DuplicateFirstHello {
-    fn on_send(&self, from: &str, to: &str, _payload: &[u8]) -> SendVerdict {
-        if from == "party-0" && to == "agg-0" && !self.0.swap(true, Ordering::Relaxed) {
-            SendVerdict::Duplicate
-        } else {
-            SendVerdict::Deliver
-        }
-    }
-}
-
 fn handshake_duplicate() -> Result<String, String> {
-    let policy = Arc::new(DuplicateFirstHello::default());
+    // The first frame party-0 sends agg-0 is its `Hello`.
+    let policy = Arc::new(SimPolicy::new(&FaultPlan::from_faults(vec![Fault {
+        kind: FaultKind::Duplicate,
+        from: "party-0".into(),
+        to: "agg-0".into(),
+        at: 0,
+    }])));
     nodes(22, Some(Arc::clone(&policy) as _))?;
-    if !policy.0.load(Ordering::Relaxed) {
+    if !policy.fired_kinds().contains("duplicate") {
         return Err("no Hello was duplicated".to_string());
     }
     Ok(format!(

@@ -17,6 +17,13 @@
 //! runs the catalog and compares its report with the committed copy byte
 //! for byte, so any FAIL, any drift in the observed rejections, and any
 //! drop in the drill count fails the test suite. The drill ↔ paper-claim mapping lives in `DESIGN.md` §14.
+//!
+//! [`sim`] mounts the network's share of the threat model: seeded link
+//! faults under a full deployment, every run checked for termination,
+//! privacy and idempotence. Its `sim_sweep` binary verifies the seed
+//! corpus `results/SIM_SEEDS.json`.
+
+#![forbid(unsafe_code)]
 
 pub mod attest;
 pub mod channel;
@@ -27,6 +34,7 @@ pub mod manifest;
 pub mod poisoning;
 pub mod registration;
 pub mod shuffle;
+pub mod sim;
 pub mod socket;
 pub mod stale;
 

@@ -32,11 +32,7 @@ fn run_fl(
     poisoners: &[usize],
     poison: Option<PoisonKind>,
 ) -> Result<RunOutcome, String> {
-    let spec = deta_datasets::DatasetSpec::mnist_like().at_resolution(8);
-    let train = spec.generate(240, 1);
-    let test = spec.generate(80, 2);
-    let shards = deta_datasets::iid_partition(&train, PARTIES, 3);
-    let (dim, classes) = (spec.dim(), spec.classes);
+    let (shards, test, dim, classes) = common::fl_data(PARTIES, 240, 80);
     let mut cfg = DetaConfig::deta(PARTIES, 3);
     cfg.algorithm = algorithm;
     cfg.seed = SEED;

@@ -32,7 +32,7 @@ pub fn drills() -> Vec<Drill> {
 /// Runs the 2-round deployment and returns an honest replica's final
 /// parameters; `hostile` lets party-0 send its registrations first.
 fn run_fl(hostile: bool) -> Result<Vec<f32>, String> {
-    let (shards, test, dim, classes) = common::fl_data(PARTIES);
+    let (shards, test, dim, classes) = common::fl_data(PARTIES, 80, 40);
     let mut cfg = DetaConfig::deta(PARTIES, 2);
     cfg.seed = SEED;
     let n_aggs = cfg.n_aggregators;

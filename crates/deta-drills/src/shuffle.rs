@@ -6,7 +6,8 @@
 //! carries the round number alone, and each party derives the id from
 //! the key broker's session id, which no aggregator holds.
 
-use crate::common;
+use crate::common::{self, bits};
+use crate::sim::fleet::entitled_fragment;
 use crate::Drill;
 use deta_core::aggregator::parse_breached_memory;
 use deta_core::session::{DetaConfig, DetaSession, SessionParts};
@@ -68,7 +69,7 @@ fn correlation(a: &[f32], b: &[f32]) -> f64 {
 }
 
 fn static_shuffle_pin() -> Result<String, String> {
-    let (shards, test, dim, classes) = common::fl_data(PARTIES);
+    let (shards, test, dim, classes) = common::fl_data(PARTIES, 80, 40);
     let mut cfg = DetaConfig::deta(PARTIES, 2);
     cfg.seed = SEED;
     let builder = move |rng: &mut DetRng| mlp(&[dim, 12, classes], rng);
@@ -117,15 +118,14 @@ fn static_shuffle_pin() -> Result<String, String> {
     session.aggregator_mut(0).pump();
     let round_2 = held(&session, 2)?;
 
-    let tid = broker.training_id(2);
+    let (tid, perm_key) = (broker.training_id(2), broker.permutation_key());
     let mut pinned = Vec::new();
     for (i, fragment) in round_2.iter().enumerate() {
         let log = &session.party_mut(i).update_log;
         let Some((_, update)) = log.iter().find(|(r, _)| *r == 2) else {
             return Err(format!("party-{i} logged no round-2 update"));
         };
-        let entitled = transformer.transform(update, &tid).swap_remove(0);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let entitled = entitled_fragment(&transformer, update, 0, &tid, &perm_key);
         if bits(&entitled) != bits(fragment) {
             pinned.push(format!("party-{i}"));
         }

@@ -15,16 +15,13 @@
 //! so faulting it would make the observed verdict depend on the
 //! supervisor's schedule rather than on the plan.
 
+use crate::common::lock;
 use deta_core::rtmsg::SUPERVISOR;
 use deta_crypto::DetRng;
 use deta_obs::TelemetryValue;
 use deta_transport::{FaultPolicy, SendVerdict};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, MutexGuard};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::Mutex;
 
 /// The injectable fault types (the ISSUE's six: drop, duplicate,
 /// delay/reorder, corrupt-frame, partition, peer-crash).
@@ -246,11 +243,6 @@ impl SimPolicy {
             .filter_map(|&i| self.faults.get(i).map(|f| f.kind.as_str()))
             .collect()
     }
-
-    /// Nodes crashed so far.
-    pub fn crashed_nodes(&self) -> BTreeSet<String> {
-        lock(&self.state).crashed.clone()
-    }
 }
 
 /// Emits a `fault_injected` event on the *sending* thread's flight
@@ -379,18 +371,39 @@ mod tests {
 
     #[test]
     fn policy_counts_per_link_and_fires_once() {
-        let plan = FaultPlan::from_faults(vec![Fault {
-            kind: FaultKind::Drop,
-            from: "party-0".into(),
-            to: "agg-0".into(),
-            at: 1,
-        }]);
-        let p = SimPolicy::new(&plan);
-        assert_eq!(p.on_send("party-0", "agg-0", b"x"), SendVerdict::Deliver);
-        assert_eq!(p.on_send("party-1", "agg-0", b"x"), SendVerdict::Deliver);
-        assert_eq!(p.on_send("party-0", "agg-0", b"x"), SendVerdict::Drop);
-        assert_eq!(p.on_send("party-0", "agg-0", b"x"), SendVerdict::Deliver);
-        assert_eq!(p.fired_kinds().into_iter().collect::<Vec<_>>(), ["drop"]);
+        use SendVerdict::{Deliver, Drop, Duplicate};
+        let cases = [
+            (
+                FaultKind::Drop,
+                1,
+                vec![
+                    ("party-0", Deliver),
+                    ("party-1", Deliver),
+                    ("party-0", Drop),
+                    ("party-0", Deliver),
+                ],
+                "drop",
+            ),
+            (
+                FaultKind::Duplicate,
+                0,
+                vec![("party-0", Duplicate), ("party-0", Deliver)],
+                "duplicate",
+            ),
+        ];
+        for (kind, at, sends, fired) in cases {
+            let plan = FaultPlan::from_faults(vec![Fault {
+                kind,
+                from: "party-0".into(),
+                to: "agg-0".into(),
+                at,
+            }]);
+            let p = SimPolicy::new(&plan);
+            for (from, verdict) in sends {
+                assert_eq!(p.on_send(from, "agg-0", b"x"), verdict, "{fired}");
+            }
+            assert_eq!(p.fired_kinds().into_iter().collect::<Vec<_>>(), [fired]);
+        }
     }
 
     #[test]
@@ -425,7 +438,6 @@ mod tests {
         // Data plane and control plane alike.
         assert_eq!(p.on_send("agg-2", "party-0", b"x"), SendVerdict::Drop);
         assert_eq!(p.on_send("agg-2", SUPERVISOR, b"x"), SendVerdict::Drop);
-        assert_eq!(p.crashed_nodes().into_iter().collect::<Vec<_>>(), ["agg-2"]);
     }
 
     #[test]

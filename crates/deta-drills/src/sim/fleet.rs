@@ -23,8 +23,9 @@
     reason = "the privacy oracle re-derives permutations"
 )]
 
-use crate::fault::{FaultPlan, SimPolicy, Topology};
-use crate::tap::TapLog;
+use super::fault::{FaultPlan, SimPolicy, Topology};
+use super::tap::TapLog;
+use crate::common::{self, bits};
 use deta_core::aggregator::parse_breached_memory;
 use deta_core::keybroker::KeyBroker;
 use deta_core::node::Node;
@@ -38,7 +39,6 @@ use deta_core::transform::Transformer;
 use deta_core::wire::Msg;
 use deta_crypto::poly1305::TAG_LEN;
 use deta_crypto::Secret;
-use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
 use deta_transport::FaultPolicy;
@@ -46,26 +46,25 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Number of parties.
+const N_PARTIES: usize = 3;
+/// The FL session seed (model init, mapper, keys) — *not* the fault
+/// seed; the two vary independently.
+const FL_SEED: u64 = 42;
+/// Training examples across all parties.
+const TRAIN_SAMPLES: usize = 48;
+/// Test examples.
+const TEST_SAMPLES: usize = 24;
+/// Hidden layer width.
+const HIDDEN: usize = 8;
+
 /// Shape of one simulated deployment.
 #[derive(Clone, Debug)]
 pub struct SimSpec {
-    /// Number of parties.
-    pub n_parties: usize,
     /// Number of aggregators (index 0 is the initiator).
     pub n_aggregators: usize,
     /// Training rounds per run.
     pub rounds: usize,
-    /// The FL session seed (model init, mapper, keys) — *not* the fault
-    /// seed; the two vary independently.
-    pub fl_seed: u64,
-    /// Training examples across all parties.
-    pub train_samples: usize,
-    /// Test examples.
-    pub test_samples: usize,
-    /// Synthetic image resolution (dim = resolution²).
-    pub resolution: usize,
-    /// Hidden layer width.
-    pub hidden: usize,
     /// Capture a telemetry trace: enables the process-global sink and
     /// has every run dump its flight recorders (on a failure the dump is
     /// automatic; healthy runs are force-dumped at the end). Telemetry
@@ -82,14 +81,8 @@ pub struct SimSpec {
 impl Default for SimSpec {
     fn default() -> SimSpec {
         SimSpec {
-            n_parties: 3,
             n_aggregators: 3,
             rounds: 2,
-            fl_seed: 42,
-            train_samples: 48,
-            test_samples: 24,
-            resolution: 8,
-            hidden: 8,
             trace: false,
             failover: FailoverPolicy::None,
         }
@@ -99,15 +92,15 @@ impl Default for SimSpec {
 impl SimSpec {
     /// The session configuration this spec deploys.
     pub fn config(&self) -> DetaConfig {
-        let mut cfg = DetaConfig::deta(self.n_parties, self.rounds);
+        let mut cfg = DetaConfig::deta(N_PARTIES, self.rounds);
         cfg.n_aggregators = self.n_aggregators;
-        cfg.seed = self.fl_seed;
+        cfg.seed = FL_SEED;
         cfg
     }
 
     /// The deployment's node names.
     pub fn topology(&self) -> Topology {
-        Topology::new(self.n_parties, self.n_aggregators)
+        Topology::new(N_PARTIES, self.n_aggregators)
     }
 
     /// Session policy for simulation: the defaults — waiting out a
@@ -198,19 +191,15 @@ impl SimFleet {
     /// Panics if the fault-free sequential session itself cannot run —
     /// that is broken infrastructure, not a simulation outcome.
     pub fn new(spec: SimSpec) -> SimFleet {
-        let ds = DatasetSpec::mnist_like().at_resolution(spec.resolution);
-        let train = ds.generate(spec.train_samples, 1);
-        let test = ds.generate(spec.test_samples, 2);
-        let shards = iid_partition(&train, spec.n_parties, 3);
-        let (dim, classes, hidden) = (ds.dim(), ds.classes, spec.hidden);
+        let (shards, test, dim, classes) = common::fl_data(N_PARTIES, TRAIN_SAMPLES, TEST_SAMPLES);
         let mut seq = DetaSession::setup(
             spec.config(),
-            &move |rng| mlp(&[dim, hidden, classes], rng),
+            &move |rng| mlp(&[dim, HIDDEN, classes], rng),
             shards.clone(),
         )
         .expect("fault-free sequential setup");
         seq.run(&test);
-        let reference = (0..spec.n_parties).map(|i| seq.party_params(i)).collect();
+        let reference = (0..N_PARTIES).map(|i| seq.party_params(i)).collect();
         let topo = spec.topology();
         SimFleet {
             spec,
@@ -288,12 +277,12 @@ impl SimFleet {
         instrument: impl FnOnce(&mut SessionParts),
     ) -> SeedReport {
         let tap = Arc::new(TapLog::new());
-        let (dim, classes, hidden) = (self.dim, self.classes, self.spec.hidden);
+        let (dim, classes) = (self.dim, self.classes);
         let mut violations = Vec::new();
         let mut trace_path = None;
         let mut elapsed = Duration::ZERO;
         let dump_before = deta_obs::last_dump_path();
-        let model = move |rng: &mut _| mlp(&[dim, hidden, classes], rng);
+        let model = move |rng: &mut _| mlp(&[dim, HIDDEN, classes], rng);
         let parts = SessionParts::build(self.spec.config(), &model, self.shards.clone());
         let setup = parts.map_err(RuntimeError::from).and_then(|mut parts| {
             // The partition every aggregator is entitled to, fixed at
@@ -483,7 +472,7 @@ fn privacy_check(
 
 /// The one fragment slot `j` of `transformer` entitles an aggregator to,
 /// recomputed independently from the party's raw update.
-fn entitled_fragment(
+pub(crate) fn entitled_fragment(
     transformer: &Transformer,
     update: &[f32],
     j: usize,
@@ -530,9 +519,4 @@ fn intersect(named: &[String], incident: &BTreeSet<String>) -> Vec<String> {
         .collect();
     out.sort();
     out
-}
-
-/// f32 slices compared exactly, NaN-safe.
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
 }

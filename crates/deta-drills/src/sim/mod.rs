@@ -1,5 +1,5 @@
-//! deta-simnet: seeded, deterministic fault injection for the full DeTA
-//! deployment, with a machine-checked invariant fleet.
+//! Seeded, deterministic fault injection for the full DeTA deployment,
+//! with a machine-checked invariant fleet.
 //!
 //! The paper's protocol is evaluated here the way a deployment runs it —
 //! every node takes the step it takes on a thread or in a process of its
@@ -27,10 +27,8 @@
 //! yields the same verdict, however loaded the machine.
 //!
 //! Reproduce a sweep failure locally with
-//! `cargo run -p deta-simnet --bin sim_sweep -- --seed <n>` or
-//! `DETA_SIM_SEED=<n> cargo test -p deta-simnet seed_from_env`.
+//! `cargo run -p deta-drills --bin sim_sweep -- --seed <n>`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;

@@ -3,7 +3,7 @@
 //! committed corpus (`results/SIM_SEEDS.json`). `sim_sweep` runs it from
 //! the command line and `tests/corpus.rs` runs it in the test suite.
 
-use crate::{SeedReport, SimFleet};
+use super::{SeedReport, SimFleet};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 

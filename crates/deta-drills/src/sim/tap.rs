@@ -1,4 +1,4 @@
-//! Per-link tap: records every frame a node receives (or loses).
+//! Per-link tap: records every frame a node receives.
 //!
 //! The tap sits inside the network lock, so the recorded order on any
 //! single link is exactly the delivery order that link's receiver
@@ -7,12 +7,9 @@
 //! frame sizes consistent with its own fragment of the model — nothing
 //! more.
 
+use crate::common::lock;
 use deta_transport::NetTap;
-use std::sync::{Mutex, MutexGuard};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::Mutex;
 
 /// One observed frame.
 #[derive(Clone, Debug)]
@@ -26,11 +23,10 @@ pub struct TapRecord {
     pub payload: Vec<u8>,
 }
 
-/// A `NetTap` accumulating every delivered and dropped frame.
+/// A `NetTap` accumulating every delivered frame.
 #[derive(Default)]
 pub struct TapLog {
     delivered: Mutex<Vec<TapRecord>>,
-    dropped: Mutex<Vec<TapRecord>>,
 }
 
 impl TapLog {
@@ -42,12 +38,6 @@ impl TapLog {
     /// Everything delivered so far, in global delivery order.
     pub fn delivered(&self) -> Vec<TapRecord> {
         lock(&self.delivered).clone()
-    }
-
-    /// Everything faulted away (dropped, corrupted originals, crashed
-    /// or dead-destination sends).
-    pub fn dropped(&self) -> Vec<TapRecord> {
-        lock(&self.dropped).clone()
     }
 
     /// Delivered frames on one directed link, in delivery order.
@@ -77,14 +67,6 @@ impl NetTap for TapLog {
             payload: payload.to_vec(),
         });
     }
-
-    fn on_drop(&self, from: &str, to: &str, payload: &[u8]) {
-        lock(&self.dropped).push(TapRecord {
-            from: from.to_string(),
-            to: to.to_string(),
-            payload: payload.to_vec(),
-        });
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +83,5 @@ mod tests {
         assert_eq!(tap.delivered().len(), 3);
         assert_eq!(tap.delivered_on("a", "b").len(), 1);
         assert_eq!(tap.delivered_to("c").len(), 2);
-        assert_eq!(tap.dropped().len(), 1);
-        assert_eq!(tap.dropped()[0].payload, b"4");
     }
 }

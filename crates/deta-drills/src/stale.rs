@@ -21,7 +21,7 @@ fn finished_session(
     seed: u64,
     policy: FailoverPolicy,
 ) -> Result<(DetaSession, LabeledData), String> {
-    let (shards, test, dim, classes) = common::fl_data(3);
+    let (shards, test, dim, classes) = common::fl_data(3, 80, 40);
     let mut cfg = DetaConfig::deta(3, 2);
     cfg.seed = seed;
     let builder = move |rng: &mut DetRng| mlp(&[dim, 12, classes], rng);

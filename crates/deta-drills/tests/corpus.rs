@@ -5,12 +5,12 @@
 //! the two runs of each seed agreeing, every fault kind firing in some
 //! run, and the verdicts equal to `results/SIM_SEEDS.json`, entry for
 //! entry. After an intended change of behaviour,
-//! `DETA_SIM_REWRITE=1 cargo run --release -p deta-simnet --bin sim_sweep`
+//! `DETA_SIM_REWRITE=1 cargo run --release -p deta-drills --bin sim_sweep`
 //! regenerates the corpus.
 
 use deta_core::supervise::FailoverPolicy;
-use deta_simnet::sweep::{self, Sweep};
-use deta_simnet::{SimFleet, SimSpec};
+use deta_drills::sim::sweep::{self, Sweep};
+use deta_drills::sim::{SimFleet, SimSpec};
 
 const COMMITTED: &str = include_str!("../../../results/SIM_SEEDS.json");
 

@@ -1,9 +1,9 @@
 //! Fleet invariants under injected faults (debug-profile smoke; the
-//! 200-seed release sweep lives in `scripts/check.sh` via `sim_sweep`).
+//! 200-seed sweep lives in `tests/corpus.rs` and `sim_sweep`).
 
 use deta_core::rtmsg::SUPERVISOR;
 use deta_core::wire::Msg;
-use deta_simnet::{FaultPlan, SimFleet, SimSpec, Verdict};
+use deta_drills::sim::{FaultPlan, SimFleet, SimSpec, Verdict};
 use deta_transport::{FaultPolicy, SendVerdict};
 use std::collections::BTreeSet;
 
@@ -178,19 +178,4 @@ fn replayed_fragment_uploads_are_idempotent() {
         "replayed sealed records must not change final parameters ({:?})",
         report.error
     );
-}
-
-/// Local repro hook: `DETA_SIM_SEED=<n> cargo test -p deta-simnet
-/// seed_from_env -- --nocapture` re-runs one sweep seed with full
-/// verbosity. No-op when the variable is unset.
-#[test]
-fn seed_from_env() {
-    let Ok(seed) = std::env::var("DETA_SIM_SEED") else {
-        return;
-    };
-    let seed: u64 = seed.parse().expect("DETA_SIM_SEED must be a u64");
-    let fleet = SimFleet::new(SimSpec::default());
-    let report = fleet.run_seed(seed);
-    println!("seed {seed}: {report:#?}");
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
 }

@@ -3,8 +3,8 @@
 
 use deta_core::mapper::ModelMapper;
 use deta_core::transform::{TransformConfig, Transformer};
+use deta_drills::sim::{Fault, FaultKind, FaultPlan, SimFleet, SimSpec, Verdict};
 use deta_proptest::{cases, shrink_set, Gen};
-use deta_simnet::{Fault, FaultKind, FaultPlan, SimFleet, SimSpec, Verdict};
 
 /// Partition + shuffle must round-trip **bit-exactly** no matter how the
 /// network reorders or duplicates fragment deliveries: a receiver that

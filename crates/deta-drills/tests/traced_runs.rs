@@ -6,7 +6,7 @@
 //! is sticky for the process: every untraced run goes first.
 
 use deta_core::supervise::FailoverPolicy;
-use deta_simnet::{SeedReport, SimFleet, SimSpec};
+use deta_drills::sim::{SeedReport, SimFleet, SimSpec};
 
 /// A fault-free seed, a partition healed by failover, a delay, and two
 /// corruptions, whose byte must land in a payload whether or not the

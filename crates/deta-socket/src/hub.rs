@@ -300,7 +300,7 @@ impl SocketHub {
     /// [`SocketHub::bind`] with a chaos plan: for each named node, an
     /// ascending list of cumulative ingress `Data`-frame counts after
     /// which the hub severs that node's TCP connection abruptly (no
-    /// `Bye`) — the real-socket analogue of the simnet `LinkRestart`
+    /// `Bye`) — the real-socket analogue of the simulator's `LinkRestart`
     /// fault, exercising the park/resume machinery end to end.
     ///
     /// # Errors

@@ -23,7 +23,7 @@
 //! `Network` via [`deta_transport::Network::send_as`], so the fault
 //! seam — `FaultPolicy` verdicts, `NetTap` observation, per-link byte
 //! accounting, `deta_net_*` telemetry — applies to socket traffic
-//! unchanged. `deta-simnet`-style invariants (termination, privacy
+//! unchanged. `deta_drills::sim`'s invariants (termination, privacy
 //! audit, idempotence) therefore run over sockets with zero changes.
 //! The bridge occupies neither slot, at the hub or in a child: a frame
 //! leaves a process as a delivery to a forwarded name, so a `net_drop`

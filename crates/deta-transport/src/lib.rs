@@ -26,7 +26,7 @@
 //! forever while its peer is gone.
 //!
 //! Two optional hooks make the network a testable *hostile* network
-//! (used by `deta-simnet` for deterministic fault injection):
+//! (used by `deta_drills::sim` for deterministic fault injection):
 //!
 //! * a [`FaultPolicy`] rules on every send attempt with a
 //!   [`SendVerdict`] — deliver, drop, duplicate, corrupt, hold until the
@@ -208,7 +208,7 @@ pub enum SendVerdict {
 ///
 /// Called with the network lock held: implementations must be fast and
 /// must not call back into the network (deadlock). Determinism is the
-/// implementor's job — `deta-simnet` keys decisions on per-link send
+/// implementor's job — `deta_drills::sim` keys decisions on per-link send
 /// counters so thread scheduling cannot change a verdict.
 pub trait FaultPolicy: Send + Sync {
     /// Decides the fate of one message from `from` to `to`.

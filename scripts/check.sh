@@ -18,14 +18,15 @@ echo "==> cargo test -q"
 # MAC and RNG known answers, the GEMM and aggregation-kernel properties,
 # the wire layer's and control-plane codec's rejection cases, the
 # framing / replay-window / resume properties, the trace-merge
-# properties, the simnet and drill suites and the CLI's multi-process
+# properties, the simulator and drill suites and the CLI's multi-process
 # and cluster-fault drills all live in crates/: the multi-process parity
 # run diffed whole against in-process and the traced cluster's merged
 # timeline (deta-cli/tests/multi_process.rs), and the chaos run whose
 # hub severs a party's link and an aggregator's twice each
 # (deta-cli/tests/cluster_faults.rs). So do the 200-seed x2
-# sim corpus against results/SIM_SEEDS.json (deta-simnet/tests/corpus.rs;
-# DETA_SIM_REWRITE=1 sim_sweep regenerates it) and the drill report
+# sim corpus against results/SIM_SEEDS.json (deta-drills/tests/corpus.rs;
+# DETA_SIM_REWRITE=1 cargo run --release -p deta-drills --bin sim_sweep
+# regenerates it) and the drill report
 # against results/SECURITY_DRILLS.md, byte for byte
 # (deta-drills/tests/drills_pass.rs; security_drills --out refreshes it).
 cargo test -q

@@ -26,7 +26,7 @@ use deta::runtime::{
     ThreadedSession,
 };
 use deta::transport::{FaultPolicy, SendVerdict};
-use deta_simnet::{Fault, FaultKind, FaultPlan, SimPolicy, TapLog};
+use deta_drills::sim::{Fault, FaultKind, FaultPlan, SimPolicy, TapLog};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

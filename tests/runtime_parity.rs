@@ -14,7 +14,7 @@ use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
 use deta::runtime::{RuntimeConfig, ThreadedSession};
-use deta_simnet::TapLog;
+use deta_drills::sim::TapLog;
 use std::sync::Arc;
 use std::time::Duration;
 
