@@ -9,20 +9,20 @@
 //! the combined effect with DeTA's transforms.
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin ablation_batch
+//! cargo run --release -p deta-cli --bin ablation_batch
 //! ```
 
 use deta_attacks::batch::{best_assignment_mse, run_batch_dlg, BatchDlgConfig};
 use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
-use deta_bench::tables::mlp_victim;
-use deta_bench::{write_csv, Args};
+use deta_cli::bench::tables::mlp_victim;
+use deta_cli::bench::{write_csv, Args};
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
-    let args = Args::parse();
-    let trials: usize = args.get("trials", 8);
-    let iterations: usize = args.get("iterations", 600);
+    let args = Args::parse(&["trials", "iterations"]);
+    let trials = args.count("trials", 8);
+    let iterations = args.count("iterations", 600);
 
     let data_spec = DatasetSpec::cifar100_like().at_resolution(8);
     let classes = 10usize;

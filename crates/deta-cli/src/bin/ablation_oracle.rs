@@ -10,21 +10,21 @@
 //! defense-in-depth argument: each layer covers the other's failure mode.
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin ablation_oracle
+//! cargo run --release -p deta-cli --bin ablation_oracle
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
 use deta_attacks::harness::{breach_view, oracle_breach_view, victim_gradient, AttackView};
 use deta_attacks::metrics::{bucket_percentages, mse, mse_bucket, MSE_BUCKET_LABELS};
-use deta_bench::tables::mlp_victim;
-use deta_bench::{print_bucket_table, write_csv, Args};
+use deta_cli::bench::tables::mlp_victim;
+use deta_cli::bench::{print_bucket_table, write_csv, Args};
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
-    let args = Args::parse();
-    let n_images: usize = args.get("images", 30);
-    let iterations: usize = args.get("iterations", 300);
+    let args = Args::parse(&["images", "iterations"]);
+    let n_images = args.count("images", 30);
+    let iterations = args.count("iterations", 300);
     let factor = 0.6f32;
 
     let data_spec = DatasetSpec::cifar100_like().at_resolution(8);

@@ -6,7 +6,7 @@
 //! are written to `results/fig3/`.
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin fig3_reconstructions
+//! cargo run --release -p deta-cli --bin fig3_reconstructions
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
@@ -14,12 +14,14 @@ use deta_attacks::harness::{breach_view, victim_gradient};
 use deta_attacks::idlg::run_idlg;
 use deta_attacks::ig::{run_ig, IgConfig};
 use deta_attacks::metrics::{mse, write_pnm};
-use deta_bench::results_dir;
-use deta_bench::tables::{conv_victim, mlp_victim, VIEWS};
+use deta_cli::bench::tables::{conv_victim, mlp_victim, VIEWS};
+use deta_cli::bench::{results_dir, Args};
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
+    // Takes no flags: refuse any before the first image is written.
+    Args::parse(&[]);
     let dir = results_dir().join("fig3");
     std::fs::create_dir_all(&dir).expect("results dir");
 

@@ -9,39 +9,22 @@
 //! (`--paillier-bits`, default 512).
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin fig5_mnist
+//! cargo run --release -p deta-cli --bin fig5_mnist
 //! ```
 
-use deta_bench::{overhead, write_csv, Args};
+use deta_cli::bench::{overhead, print_series, write_csv, Args};
 use deta_core::baseline::run_ffl;
 use deta_core::paillier_fusion::PaillierFusionConfig;
-use deta_core::{AggKind, DetaConfig, DetaSession, RoundMetrics};
+use deta_core::{AggKind, DetaConfig, DetaSession};
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::convnet8;
 
-fn print_series(tag: &str, metrics: &[RoundMetrics], rows: &mut Vec<String>) {
-    for m in metrics {
-        println!(
-            "{tag:<24} round {:2}  loss {:.4}  acc {:5.1}%  latency {:7.3}s  cum {:8.3}s",
-            m.round,
-            m.test_loss,
-            m.test_accuracy * 100.0,
-            m.round_latency_s,
-            m.cumulative_latency_s
-        );
-        rows.push(format!(
-            "{tag},{},{:.6},{:.6},{:.6},{:.6}",
-            m.round, m.test_loss, m.test_accuracy, m.round_latency_s, m.cumulative_latency_s
-        ));
-    }
-}
-
 fn main() {
-    let args = Args::parse();
-    let per_party: usize = args.get("examples", 300);
-    let rounds: usize = args.get("rounds", 10);
-    let paillier_rounds: usize = args.get("paillier-rounds", 3);
-    let paillier_bits: usize = args.get("paillier-bits", 512);
+    let args = Args::parse(&["examples", "rounds", "paillier-rounds", "paillier-bits"]);
+    let per_party = args.count("examples", 300);
+    let rounds = args.count("rounds", 10);
+    let paillier_rounds = args.count("paillier-rounds", 3);
+    let paillier_bits = args.count("paillier-bits", 512);
     let hw = 12usize;
 
     let spec = DatasetSpec::mnist_like().at_resolution(hw);
@@ -89,10 +72,10 @@ fn main() {
         let mut session =
             DetaSession::setup(cfg.clone(), &builder, shards.clone()).expect("DeTA session setup");
         let deta_metrics = session.run(&test);
-        print_series(&format!("DETA-{name}"), &deta_metrics, &mut rows);
+        rows.extend(print_series(&format!("DETA-{name}"), 24, &deta_metrics));
 
         let ffl_metrics = run_ffl(cfg, &builder, shards.clone(), &test).expect("FFL baseline");
-        print_series(&format!("FFL-{name}"), &ffl_metrics, &mut rows);
+        rows.extend(print_series(&format!("FFL-{name}"), 24, &ffl_metrics));
 
         let d = deta_metrics.last().unwrap().cumulative_latency_s;
         let f = ffl_metrics.last().unwrap().cumulative_latency_s;

@@ -9,36 +9,19 @@
 //! synthetic documents, `--examples` per party (default 150).
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin fig7_rvlcdip
+//! cargo run --release -p deta-cli --bin fig7_rvlcdip
 //! ```
 
-use deta_bench::{overhead, write_csv, Args};
+use deta_cli::bench::{overhead, print_series, write_csv, Args};
 use deta_core::baseline::run_ffl;
-use deta_core::{DetaConfig, DetaSession, RoundMetrics};
+use deta_core::{DetaConfig, DetaSession};
 use deta_datasets::{noniid_skew_partition, DatasetSpec};
 use deta_nn::models::vgg_lite;
 
-fn print_series(tag: &str, metrics: &[RoundMetrics], rows: &mut Vec<String>) {
-    for m in metrics {
-        println!(
-            "{tag:<16} round {:2}  loss {:.4}  acc {:5.1}%  latency {:7.3}s  cum {:8.3}s",
-            m.round,
-            m.test_loss,
-            m.test_accuracy * 100.0,
-            m.round_latency_s,
-            m.cumulative_latency_s
-        );
-        rows.push(format!(
-            "{tag},{},{:.6},{:.6},{:.6},{:.6}",
-            m.round, m.test_loss, m.test_accuracy, m.round_latency_s, m.cumulative_latency_s
-        ));
-    }
-}
-
 fn main() {
-    let args = Args::parse();
-    let per_party: usize = args.get("examples", 150);
-    let rounds: usize = args.get("rounds", 30);
+    let args = Args::parse(&["examples", "rounds"]);
+    let per_party = args.count("examples", 150);
+    let rounds = args.count("rounds", 30);
     let n_parties = 8usize;
     let hw = 16usize;
 
@@ -73,10 +56,10 @@ fn main() {
     let mut session =
         DetaSession::setup(cfg.clone(), &builder, shards.clone()).expect("DeTA session setup");
     let deta_metrics = session.run(&test);
-    print_series("DETA", &deta_metrics, &mut rows);
+    rows.extend(print_series("DETA", 16, &deta_metrics));
 
     let ffl_metrics = run_ffl(cfg, &builder, shards, &test).expect("FFL baseline");
-    print_series("Simulated-FFL", &ffl_metrics, &mut rows);
+    rows.extend(print_series("Simulated-FFL", 16, &ffl_metrics));
 
     let d = deta_metrics.last().unwrap().cumulative_latency_s;
     let f = ffl_metrics.last().unwrap().cumulative_latency_s;

@@ -6,21 +6,21 @@
 //! success rate (MSE < 1e-3) and median MSE at each factor.
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin sweep_partition
+//! cargo run --release -p deta-cli --bin sweep_partition
 //! ```
 
 use deta_attacks::dlg::{run_dlg, DlgConfig};
 use deta_attacks::harness::{breach_view, victim_gradient, AttackView};
 use deta_attacks::metrics::mse;
-use deta_bench::tables::mlp_victim;
-use deta_bench::{write_csv, Args};
+use deta_cli::bench::tables::mlp_victim;
+use deta_cli::bench::{write_csv, Args};
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
-    let args = Args::parse();
-    let n_images: usize = args.get("images", 12);
-    let iterations: usize = args.get("iterations", 300);
+    let args = Args::parse(&["images", "iterations"]);
+    let n_images = args.count("images", 12);
+    let iterations = args.count("iterations", 300);
 
     let data_spec = DatasetSpec::cifar100_like().at_resolution(8);
     let classes = 20usize;

@@ -7,17 +7,17 @@
 //! (`--images N` to change), 300 L-BFGS iterations.
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin table1_dlg [-- --images 100]
+//! cargo run --release -p deta-cli --bin table1_dlg [-- --images 100]
 //! ```
 
 use deta_attacks::metrics::{bucket_percentages, mse_bucket, MSE_BUCKET_LABELS};
-use deta_bench::tables::{Table1, VIEWS};
-use deta_bench::{print_bucket_table, write_csv, Args};
+use deta_cli::bench::tables::{Table1, VIEWS};
+use deta_cli::bench::{print_bucket_table, write_csv, Args};
 
 fn main() {
-    let args = Args::parse();
-    let n_images: usize = args.get("images", 60);
-    let iterations: usize = args.get("iterations", Table1::ITERATIONS);
+    let args = Args::parse(&["images", "iterations"]);
+    let n_images = args.count("images", 60);
+    let iterations = args.count("iterations", Table1::ITERATIONS);
     let table = Table1::new();
 
     let mut columns: Vec<Vec<f64>> = Vec::new();

@@ -3,22 +3,22 @@
 //! inference accuracy that distinguishes iDLG from DLG.
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin table2_idlg [-- --images 100]
+//! cargo run --release -p deta-cli --bin table2_idlg [-- --images 100]
 //! ```
 
 use deta_attacks::dlg::DlgConfig;
 use deta_attacks::harness::{breach_view, victim_gradient};
 use deta_attacks::idlg::run_idlg;
 use deta_attacks::metrics::{bucket_percentages, mse, mse_bucket, MSE_BUCKET_LABELS};
-use deta_bench::tables::{mlp_victim, VIEWS};
-use deta_bench::{print_bucket_table, write_csv, Args};
+use deta_cli::bench::tables::{mlp_victim, VIEWS};
+use deta_cli::bench::{print_bucket_table, write_csv, Args};
 use deta_crypto::DetRng;
 use deta_datasets::DatasetSpec;
 
 fn main() {
-    let args = Args::parse();
-    let n_images: usize = args.get("images", 60);
-    let iterations: usize = args.get("iterations", 300);
+    let args = Args::parse(&["images", "iterations"]);
+    let n_images = args.count("images", 60);
+    let iterations = args.count("iterations", 300);
 
     let data_spec = DatasetSpec::cifar100_like().at_resolution(8);
     let classes = data_spec.classes;

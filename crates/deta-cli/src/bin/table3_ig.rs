@@ -8,18 +8,18 @@
 //! (`--images`, `--iterations` to change).
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin table3_ig
+//! cargo run --release -p deta-cli --bin table3_ig
 //! ```
 
 use deta_attacks::metrics::{bucket_percentages, cosine_bucket, COSINE_BUCKET_LABELS};
-use deta_bench::tables::{Table3, VIEWS};
-use deta_bench::{print_bucket_table, write_csv, Args};
+use deta_cli::bench::tables::{Table3, VIEWS};
+use deta_cli::bench::{print_bucket_table, write_csv, Args};
 
 fn main() {
-    let args = Args::parse();
-    let n_images: usize = args.get("images", 30);
-    let iterations: usize = args.get("iterations", Table3::ITERATIONS);
-    let restarts: usize = args.get("restarts", Table3::RESTARTS);
+    let args = Args::parse(&["images", "iterations", "restarts"]);
+    let n_images = args.count("images", 30);
+    let iterations = args.count("iterations", Table3::ITERATIONS);
+    let restarts = args.count("restarts", Table3::RESTARTS);
     let table = Table3::new();
 
     let mut columns: Vec<Vec<f64>> = Vec::new();

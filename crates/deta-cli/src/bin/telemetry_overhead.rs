@@ -5,7 +5,7 @@
 //! bound exceeds 1%).
 //!
 //! ```text
-//! cargo run --release -p deta-bench --bin telemetry_overhead [--pairs 10]
+//! cargo run --release -p deta-cli --bin telemetry_overhead [--pairs 10]
 //! ```
 //!
 //! Telemetry enablement is sticky process-wide, so every timed run is a
@@ -31,7 +31,7 @@
 //! session's wall time. That bound is what the <1% acceptance gate
 //! checks.
 
-use deta_bench::Args;
+use deta_cli::bench::{median, Args};
 use deta_core::DetaConfig;
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
@@ -42,7 +42,7 @@ use std::time::Instant;
 
 /// Calls the disabled event sink in a tight loop and returns the mean
 /// nanoseconds per call. Must run in a process that never enabled it.
-fn disabled_call_ns(iters: u64) -> f64 {
+fn disabled_call_ns(iters: usize) -> f64 {
     assert!(
         !deta_obs::enabled(),
         "microbenchmark must run before enable()"
@@ -75,12 +75,12 @@ struct Workload {
 
 impl Workload {
     fn new(args: &Args) -> Workload {
-        let parties: usize = args.get("parties", 4);
-        let per_party: usize = args.get("examples", 240);
+        let parties = args.count("parties", 4);
+        let per_party = args.count("examples", 240);
         let spec = DatasetSpec::mnist_like().at_resolution(10);
         let train = spec.generate(per_party * parties, 1);
-        let mut cfg = DetaConfig::deta(parties, args.get("rounds", 10));
-        cfg.n_aggregators = args.get("aggregators", 4);
+        let mut cfg = DetaConfig::deta(parties, args.count("rounds", 10));
+        cfg.n_aggregators = args.count("aggregators", 4);
         cfg.seed = args.get("seed", 42);
         Workload {
             cfg,
@@ -140,9 +140,9 @@ fn child(args: &Args, mode: &str) {
     let call_ns = if enabled {
         0.0
     } else {
-        disabled_call_ns(args.get("micro-iters", 20_000_000))
+        disabled_call_ns(args.count("micro-iters", 20_000_000))
     };
-    let session_s = deta_bench::median(&samples);
+    let session_s = median(&samples);
     println!("report {session_s} {emits} {call_ns}");
 }
 
@@ -196,8 +196,8 @@ fn quartiles(samples: &[f64]) -> (f64, f64) {
         return (sorted[0], sorted[0]);
     }
     (
-        deta_bench::median(&sorted[..half]),
-        deta_bench::median(&sorted[sorted.len() - half..]),
+        median(&sorted[..half]),
+        median(&sorted[sorted.len() - half..]),
     )
 }
 
@@ -210,16 +210,23 @@ fn ratios(disabled: &[Report], enabled: &[Report]) -> Vec<f64> {
 }
 
 fn main() {
-    let args = Args::parse();
-    let mode: String = args.get("child", String::new());
-    if !mode.is_empty() {
-        return child(&args, &mode);
+    let args = Args::parse(&[
+        "parties",
+        "examples",
+        "rounds",
+        "aggregators",
+        "seed",
+        "micro-iters",
+        "pairs",
+        "child",
+    ]);
+    if let Some(mode) = args.value("child") {
+        return child(&args, mode);
     }
-    let parties: usize = args.get("parties", 4);
-    let aggregators: usize = args.get("aggregators", 4);
-    let rounds: usize = args.get("rounds", 10);
-    let pairs: usize = args.get("pairs", 10);
-    assert!(pairs > 0, "--pairs must be at least 1");
+    let parties = args.count("parties", 4);
+    let aggregators = args.count("aggregators", 4);
+    let rounds = args.count("rounds", 10);
+    let pairs = args.count("pairs", 10);
 
     let (mut disabled, mut enabled) = measure(pairs);
     let mut ratio = ratios(&disabled, &enabled);
@@ -228,22 +235,21 @@ fn main() {
     // second set of pairs is a fair second opinion; the lower median of
     // the two sets stands.
     let mut retried = false;
-    if (deta_bench::median(&ratio) - 1.0) * 100.0 > gate_enabled_pct {
+    if (median(&ratio) - 1.0) * 100.0 > gate_enabled_pct {
         retried = true;
         let (d, e) = measure(pairs);
         let second = ratios(&d, &e);
-        if deta_bench::median(&second) < deta_bench::median(&ratio) {
+        if median(&second) < median(&ratio) {
             (disabled, enabled, ratio) = (d, e, second);
         }
     }
 
-    let seconds = |reports: &[Report]| {
-        deta_bench::median(&reports.iter().map(|r| r.session_s).collect::<Vec<_>>())
-    };
+    let seconds =
+        |reports: &[Report]| median(&reports.iter().map(|r| r.session_s).collect::<Vec<_>>());
     let (wall_disabled_s, wall_enabled_s) = (seconds(&disabled), seconds(&enabled));
-    let median_ratio = deta_bench::median(&ratio);
+    let median_ratio = median(&ratio);
     let (q1, q3) = quartiles(&ratio);
-    let call_ns = deta_bench::median(&disabled.iter().map(|r| r.call_ns).collect::<Vec<_>>());
+    let call_ns = median(&disabled.iter().map(|r| r.call_ns).collect::<Vec<_>>());
     let emits_per_run = enabled.iter().map(|r| r.emits).max().unwrap_or(0);
 
     let overhead_enabled_pct = (median_ratio - 1.0) * 100.0;

@@ -1,4 +1,5 @@
-//! Configuration parsing and session assembly for the `deta-cli` binary.
+//! Configuration parsing and session assembly for the `deta-cli` binary,
+//! and the harness of the evaluation binaries ([`bench`](mod@bench)).
 //!
 //! The config format is deliberately minimal — `key = value` lines with
 //! `#` comments — so the CLI has no parser dependencies:
@@ -29,9 +30,46 @@ use deta_nn::Sequential;
 use deta_transport::LinkModel;
 use std::collections::HashMap;
 
+pub mod bench;
+
 /// A deterministic model constructor, as [`Config::model_builder`]
 /// returns it.
 pub type ModelBuilder = Box<dyn Fn(&mut DetRng) -> Sequential>;
+
+/// Every key a configuration may set: the ones [`Config`]'s accessors
+/// read.
+pub const KEYS: [&str; 30] = [
+    "dataset",
+    "resolution",
+    "model",
+    "hidden",
+    "parties",
+    "aggregators",
+    "rounds",
+    "local_epochs",
+    "batch_size",
+    "lr",
+    "seed",
+    "partition",
+    "shuffle",
+    "cc_protected",
+    "mode",
+    "algorithm",
+    "krum_f",
+    "trim",
+    "paillier",
+    "paillier_bits",
+    "ldp_epsilon",
+    "ldp_delta",
+    "ldp_clip",
+    "participation",
+    "link",
+    "examples_per_party",
+    "round_deadline_s",
+    "noniid",
+    "party_drop",
+    "chaos_severs",
+];
 
 /// A parsed `key = value` configuration.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -44,6 +82,20 @@ pub struct Config {
 pub enum ConfigError {
     /// A line was not `key = value` or a comment.
     BadLine(usize),
+    /// A line set a key no accessor reads (not in [`KEYS`]).
+    UnknownKey {
+        /// The offending line, from 1.
+        line: usize,
+        /// The key it set.
+        key: String,
+    },
+    /// A line set a key an earlier line already set.
+    RepeatedKey {
+        /// The repeating line, from 1.
+        line: usize,
+        /// The key it set again.
+        key: String,
+    },
     /// A value failed to parse.
     BadValue {
         /// The offending key.
@@ -66,6 +118,10 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::BadLine(n) => write!(f, "line {n}: expected `key = value`"),
+            ConfigError::UnknownKey { line, key } => write!(f, "line {line}: unknown key {key:?}"),
+            ConfigError::RepeatedKey { line, key } => {
+                write!(f, "line {line}: key {key:?} is already set")
+            }
             ConfigError::BadValue { key, value } => {
                 write!(f, "bad value for {key}: {value:?}")
             }
@@ -87,7 +143,9 @@ impl Config {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::BadLine`] for malformed lines.
+    /// Returns [`ConfigError::BadLine`] for malformed lines,
+    /// [`ConfigError::UnknownKey`] for a key not in [`KEYS`] and
+    /// [`ConfigError::RepeatedKey`] for a key set twice.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut entries = HashMap::new();
         for (i, raw) in text.lines().enumerate() {
@@ -98,28 +156,36 @@ impl Config {
             let Some((k, v)) = line.split_once('=') else {
                 return Err(ConfigError::BadLine(i + 1));
             };
-            entries.insert(k.trim().to_string(), v.trim().to_string());
+            let key = k.trim().to_string();
+            if !KEYS.contains(&key.as_str()) {
+                return Err(ConfigError::UnknownKey { line: i + 1, key });
+            }
+            if entries.contains_key(&key) {
+                return Err(ConfigError::RepeatedKey { line: i + 1, key });
+            }
+            entries.insert(key, v.trim().to_string());
         }
         Ok(Config { entries })
     }
 
-    /// Raw string lookup.
+    /// Raw string lookup of one of [`KEYS`].
     pub fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(KEYS.contains(&key), "{key:?} is missing from KEYS");
         self.entries.get(key).map(String::as_str)
     }
 
     fn parse_as<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ConfigError> {
-        match self.entries.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ConfigError::BadValue {
                 key: key.to_string(),
-                value: v.clone(),
+                value: v.to_string(),
             }),
         }
     }
 
     fn parse_bool(&self, key: &str, default: bool) -> Result<bool, ConfigError> {
-        match self.entries.get(key).map(String::as_str) {
+        match self.get(key) {
             None => Ok(default),
             Some("true" | "yes" | "1" | "on") => Ok(true),
             Some("false" | "no" | "0" | "off") => Ok(false),
@@ -236,22 +302,15 @@ impl Config {
                 ..Default::default()
             });
         }
-        if let Some(eps) = self.entries.get("ldp_epsilon") {
-            let epsilon: f64 = eps.parse().map_err(|_| ConfigError::BadValue {
-                key: "ldp_epsilon".to_string(),
-                value: eps.clone(),
-            })?;
+        if self.get("ldp_epsilon").is_some() {
             cfg.ldp = Some(LdpConfig {
-                epsilon,
+                epsilon: self.parse_as("ldp_epsilon", 0.0)?,
                 delta: self.parse_as("ldp_delta", 1e-5f64)?,
                 clip_norm: self.parse_as("ldp_clip", 1.0f64)?,
             });
         }
-        if let Some(p) = self.entries.get("participation") {
-            cfg.participation = Some(p.parse().map_err(|_| ConfigError::BadValue {
-                key: "participation".to_string(),
-                value: p.clone(),
-            })?);
+        if self.get("participation").is_some() {
+            cfg.participation = Some(self.parse_as("participation", 0)?);
         }
         cfg.link = match self.get("link").unwrap_or("lan") {
             "lan" => LinkModel::lan(),
@@ -543,6 +602,85 @@ mod tests {
         let cfg = Config::parse("partition = false\naggregators = 3").unwrap();
         let sc = cfg.session_config().unwrap();
         assert_eq!(sc.n_aggregators, 1);
+    }
+
+    #[test]
+    fn rejects_unknown_and_repeated_keys() {
+        assert_eq!(
+            Config::parse("dataset = mnist\npartys = 8"),
+            Err(ConfigError::UnknownKey {
+                line: 2,
+                key: "partys".to_string()
+            })
+        );
+        assert_eq!(
+            Config::parse("parties = 8\n# a comment\nparties = 2"),
+            Err(ConfigError::RepeatedKey {
+                line: 3,
+                key: "parties".to_string()
+            })
+        );
+        let err = Config::parse("partys = 8").unwrap_err().to_string();
+        assert!(
+            err.contains("line 1") && err.contains("\"partys\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn every_shipped_config_parses_and_prepares() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "cfg") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let cfg = Config::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                cfg.prepare().unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                seen += 1;
+            }
+        }
+        assert!(seen >= 4, "found {seen} configs in {dir}");
+    }
+
+    #[test]
+    fn overhead_math() {
+        assert!((bench::overhead(1.4, 1.0) - 0.4).abs() < 1e-12);
+        assert!((bench::overhead(0.96, 1.0) + 0.04).abs() < 1e-12);
+        assert_eq!(bench::overhead(1.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn median_resists_one_outlier() {
+        use bench::median;
+        assert_eq!(median(&[3.0]), 3.0);
+        assert_eq!(median(&[1.0, 2.0, 100.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        // The property the perf gates rely on: one wild sample moves a
+        // sum by its full magnitude but the median not at all.
+        assert_eq!(median(&[0.5, 0.5, 0.5, 0.5, 50.0]), 0.5);
+    }
+
+    #[test]
+    fn args_take_only_the_declared_flags() {
+        let args = |raw: &[&str]| {
+            bench::Args::from_args(raw.iter().map(|a| a.to_string()), &["images"], &["fast"])
+        };
+        let ok = args(&["--fast", "--images", "7"]).unwrap();
+        assert!(ok.switch("fast"));
+        assert_eq!(ok.get("images", 60usize), 7);
+        assert_eq!(ok.value("iterations"), None);
+        assert_eq!(args(&[]).unwrap().count("images", 60), 60);
+        for (raw, named) in [
+            (&["--image", "7"][..], "\"--image\""),
+            (&["--images"], "\"--images\""),
+            (&["--images", "--fast"], "\"--images\""),
+            (&["--images", "1", "--images", "2"], "\"--images\""),
+            (&["--fast", "7"], "\"7\""),
+        ] {
+            let err = args(raw).unwrap_err();
+            assert!(err.contains(named), "{raw:?}: {err}");
+        }
     }
 
     #[test]

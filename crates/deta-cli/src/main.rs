@@ -5,20 +5,18 @@
 //! deta-cli run <config>            run a DeTA session (and FFL baseline)
 //! deta-cli cluster <config>        multi-process run: one OS process per node
 //! deta-cli trace <config>          traced multi-process run + merged analysis
-//! deta-cli attack [N]              DLG attack across defense configurations
+//! deta-cli attack [N]              Table 1's DLG rows across three views
 //! deta-cli help                    this message
 //! ```
 
-use deta_attacks::dlg::{run_dlg, DlgConfig};
-use deta_attacks::harness::{breach_view, random_victim, victim_gradient, AttackView};
-use deta_attacks::metrics::mse;
+use deta_attacks::harness::AttackView;
+use deta_attacks::metrics::mse_bucket;
+use deta_cli::bench::tables::Table1;
+use deta_cli::bench::{median, overhead, print_series, Args};
 use deta_cli::{Config, Prepared};
 use deta_core::baseline::run_ffl;
 use deta_core::session::RoundMetrics;
 use deta_core::DetaSession;
-use deta_crypto::DetRng;
-use deta_datasets::DatasetSpec;
-use deta_nn::models::mlp;
 use deta_runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -39,7 +37,9 @@ USAGE:
                                    prints per-round critical paths
                                    (--perfetto <file> overrides the export path;
                                    it refuses a config with chaos_severs)
-    deta-cli attack [N]            run the DLG attack demo over N images (default 5)
+    deta-cli attack [N]            Table 1's DLG rows for its first N images (default 5)
+                                   under no DeTA, partitioning, and partitioning
+                                   with the keyed shuffle
     deta-cli help                  show this message
 
 CONFIG KEYS (key = value; # comments):
@@ -66,64 +66,49 @@ CONFIG KEYS (key = value; # comments):
                  `cluster` without --inprocess runs it
 ";
 
+/// Runs a config-file command, `args` being `[command, config, ..]`: what
+/// follows the config must be among the command's `flags` (`--name
+/// value`) and `switches` (`--name`). Any error exits with status 1.
+fn with_config(
+    args: &[String],
+    flags: &[&str],
+    switches: &[&str],
+    cmd: impl FnOnce(&str, Args) -> Result<(), Box<dyn std::error::Error>>,
+) -> ExitCode {
+    let Some(path) = args.get(1).filter(|p| !p.starts_with("--")) else {
+        eprintln!("error: `{}` needs a config file\n\n{HELP}", args[0]);
+        return ExitCode::FAILURE;
+    };
+    let run = Args::from_args(args[2..].iter().cloned(), flags, switches)
+        .map_err(Into::into)
+        .and_then(|flags| cmd(path, flags));
+    match run {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("run") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("error: `run` needs a config file\n\n{HELP}");
-                return ExitCode::FAILURE;
-            };
-            match cmd_run(path) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("cluster") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("error: `cluster` needs a config file\n\n{HELP}");
-                return ExitCode::FAILURE;
-            };
-            let inprocess = args.iter().any(|a| a == "--inprocess");
-            match cmd_cluster(path, inprocess) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("trace") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("error: `trace` needs a config file\n\n{HELP}");
-                return ExitCode::FAILURE;
-            };
-            let perfetto = args
-                .iter()
-                .position(|a| a == "--perfetto")
-                .and_then(|i| args.get(i + 1))
-                .cloned();
-            match cmd_trace(path, perfetto) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        Some("run") => with_config(&args, &[], &[], |path, _| cmd_run(path)),
+        Some("cluster") => with_config(&args, &[], &["inprocess"], |path, flags| {
+            cmd_cluster(path, flags.switch("inprocess"))
+        }),
+        Some("trace") => with_config(&args, &["perfetto"], &[], |path, flags| {
+            cmd_trace(path, flags.value("perfetto"))
+        }),
         // Internal: one hosted node of a `cluster` run. Spawned by the
         // coordinator, not meant for direct use.
-        Some("node") => match cmd_node(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        Some("node") => with_config(&args, &["name", "addr"], &["trace"], cmd_node),
         Some("attack") => {
+            if let Some(extra) = args.get(2) {
+                eprintln!("error: unexpected argument {extra:?}\n\n{HELP}");
+                return ExitCode::FAILURE;
+            }
             let n = match args.get(1).map(|v| (v, v.parse::<usize>())) {
                 None => 5,
                 Some((_, Ok(n))) if n > 0 => n,
@@ -175,33 +160,15 @@ fn cmd_run(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut session = DetaSession::setup(session_cfg.clone(), builder.as_ref(), shards.clone())?;
     let deta = session.run(&test);
-    for m in &deta {
-        println!(
-            "round {:2}  loss {:.4}  acc {:5.1}%  latency {:7.3}s  cum {:8.3}s",
-            m.round,
-            m.test_loss,
-            m.test_accuracy * 100.0,
-            m.round_latency_s,
-            m.cumulative_latency_s
-        );
-    }
+    print_series("", 0, &deta);
 
     println!("\n== FFL baseline ==");
     let ffl = run_ffl(session_cfg, builder.as_ref(), shards, &test)?;
-    for m in &ffl {
-        println!(
-            "round {:2}  loss {:.4}  acc {:5.1}%  latency {:7.3}s  cum {:8.3}s",
-            m.round,
-            m.test_loss,
-            m.test_accuracy * 100.0,
-            m.round_latency_s,
-            m.cumulative_latency_s
-        );
-    }
+    print_series("", 0, &ffl);
     let d = deta.last().map(|m| m.cumulative_latency_s).unwrap_or(0.0);
     let f = ffl.last().map(|m| m.cumulative_latency_s).unwrap_or(0.0);
     if f > 0.0 {
-        println!("\nDeTA/FFL latency overhead: {:+.2}x", d / f - 1.0);
+        println!("\nDeTA/FFL latency overhead: {:+.2}x", overhead(d, f));
     }
     Ok(())
 }
@@ -351,7 +318,7 @@ fn reap_children(children: &mut [std::process::Child]) {
 /// `RuntimeError` the merged trace is still written — a fault trace
 /// that dies with the fault would be useless — before the error is
 /// surfaced.
-fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_trace(path: &str, perfetto: Option<&str>) -> Result<(), Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)?;
     let config = Config::parse(&text)?;
     // A traced run launches with no chaos plan: a plan of cuts would
@@ -538,30 +505,21 @@ fn print_round_reports(reports: &[deta_obs::RoundReport]) {
     }
 }
 
-fn cmd_node(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut path = None;
-    let mut name = None;
-    let mut addr = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--name" => name = it.next().cloned(),
-            "--addr" => addr = it.next().cloned(),
-            // Passed by `trace` coordinators: record spans/events and
-            // ship the ring back over the link at teardown.
-            "--trace" => deta_obs::enable(),
-            other => path = Some(other.to_string()),
-        }
-    }
-    let (Some(path), Some(name), Some(addr)) = (path, name, addr) else {
+fn cmd_node(path: &str, flags: Args) -> Result<(), Box<dyn std::error::Error>> {
+    let (Some(name), Some(addr)) = (flags.value("name"), flags.value("addr")) else {
         return Err("node needs <config> --name <node> --addr <host:port>".into());
     };
+    // Passed by `trace` coordinators: record spans/events and ship the
+    // ring back over the link at teardown.
+    if flags.switch("trace") {
+        deta_obs::enable();
+    }
     let text = std::fs::read_to_string(path)?;
     let config = Config::parse(&text)?;
     let prepared = config.prepare()?;
     deta_socket::run_node(
         addr.parse()?,
-        &name,
+        name,
         prepared.session,
         prepared.builder.as_ref(),
         prepared.shards,
@@ -570,10 +528,11 @@ fn cmd_node(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Table 1's rows for its first `n_images` images under three of its
+/// views: how many reconstruct (MSE in the lowest bucket) and the median
+/// MSE.
 fn cmd_attack(n_images: usize) {
-    let spec_data = DatasetSpec::cifar100_like().at_resolution(8);
-    let dim = spec_data.dim();
-    let model = random_victim(|r| mlp(&[dim, 24, 20], r), &mut DetRng::from_u64(1));
+    let table = Table1::new();
     let views = [
         AttackView::Full,
         AttackView::Partition { factor: 0.6 },
@@ -581,33 +540,16 @@ fn cmd_attack(n_images: usize) {
     ];
     println!("{:<16} {:>10} {:>14}", "view", "success", "median MSE");
     for view in views {
-        let mut mses: Vec<f64> = Vec::new();
-        for img in 0..n_images {
-            let label = img % 20;
-            let sample = spec_data.generate_class(label, 1, img as u64);
-            let image: Vec<f32> = sample.features.data().to_vec();
-            let gradient = victim_gradient(&model, &image, &[label]).expect("an MLP lowers");
-            let bv = breach_view(&gradient, view, 7, &[img as u8; 16]);
-            let out = run_dlg(
-                &model,
-                &bv,
-                &DlgConfig {
-                    iterations: 300,
-                    seed: img as u64,
-                    restarts: 1,
-                },
-            )
-            .expect("an MLP lowers");
-            mses.push(mse(&out.reconstruction, &image));
-        }
-        mses.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let success = mses.iter().filter(|&&m| m < 1e-3).count();
+        let mses: Vec<f64> = (0..n_images)
+            .map(|img| table.mse(view, img, Table1::ITERATIONS))
+            .collect();
+        let success = mses.iter().filter(|&&m| mse_bucket(m) == 0).count();
         println!(
-            "{:<16} {:>7}/{:<2} {:>14.5}",
+            "{:<16} {:>7}/{:<2} {:>14.6e}",
             view.label(),
             success,
             n_images,
-            mses[n_images / 2]
+            median(&mses)
         );
     }
 }

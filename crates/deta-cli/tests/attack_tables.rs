@@ -3,11 +3,11 @@
 //! their table's seeds and iterations, and each must land in the bucket
 //! of its committed row. An attack, tape or optimizer change that moves a
 //! table fails here until the binaries are re-run and the CSVs replaced
-//! (`cargo run --release -p deta-bench --bin table1_dlg`, `--bin table3_ig`).
+//! (`cargo run --release -p deta-cli --bin table1_dlg`, `--bin table3_ig`).
 
 use deta_attacks::harness::AttackView;
 use deta_attacks::metrics::{cosine_bucket, mse_bucket};
-use deta_bench::tables::{Table1, Table3, VIEWS};
+use deta_cli::bench::tables::{Table1, Table3, VIEWS};
 
 const TABLE1: &str = include_str!("../../../results/table1_dlg.csv");
 const TABLE3: &str = include_str!("../../../results/table3_ig.csv");

@@ -604,97 +604,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// 2x2 average pooling with stride 2 over NCHW features.
-pub struct AvgPool2d {
-    c: usize,
-    h: usize,
-    w: usize,
-}
-
-impl AvgPool2d {
-    /// Creates a pooling layer for inputs of shape `[C, H, W]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` or `w` is odd.
-    pub fn new(c: usize, h: usize, w: usize) -> AvgPool2d {
-        assert!(
-            h.is_multiple_of(2) && w.is_multiple_of(2),
-            "AvgPool2d requires even H and W"
-        );
-        AvgPool2d { c, h, w }
-    }
-
-    /// Output feature count per image.
-    pub fn out_features(&self) -> usize {
-        self.c * (self.h / 2) * (self.w / 2)
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let batch = input.shape()[0];
-        let feat = self.c * self.h * self.w;
-        debug_assert_eq!(input.shape()[1], feat);
-        let (oh, ow) = (self.h / 2, self.w / 2);
-        let out_feat = self.c * oh * ow;
-        let mut out = vec![0.0f32; batch * out_feat];
-        let data = input.data();
-        for bi in 0..batch {
-            for c in 0..self.c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let iy = oy * 2 + dy;
-                                let ix = ox * 2 + dx;
-                                acc += data[bi * feat + (c * self.h + iy) * self.w + ix];
-                            }
-                        }
-                        out[bi * out_feat + (c * oh + oy) * ow + ox] = acc / 4.0;
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[batch, out_feat])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let batch = grad_out.shape()[0];
-        let feat = self.c * self.h * self.w;
-        let (oh, ow) = (self.h / 2, self.w / 2);
-        let out_feat = self.c * oh * ow;
-        let mut grad_in = vec![0.0f32; batch * feat];
-        let god = grad_out.data();
-        for bi in 0..batch {
-            for c in 0..self.c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = god[bi * out_feat + (c * oh + oy) * ow + ox] / 4.0;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let iy = oy * 2 + dy;
-                                let ix = ox * 2 + dx;
-                                grad_in[bi * feat + (c * self.h + iy) * self.w + ix] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(grad_in, &[batch, feat])
-    }
-
-    fn spec(&self) -> LayerSpec {
-        LayerSpec::Other("AvgPool2d")
-    }
-
-    fn replica(&self) -> Box<dyn Layer> {
-        Box::new(AvgPool2d::new(self.c, self.h, self.w))
-    }
-}
-
 /// A no-op layer marking the conv-to-dense boundary.
 ///
 /// The flat NCHW layout makes flattening a no-op; this layer exists so
@@ -832,15 +741,6 @@ mod tests {
         gradient_check(m, 16);
     }
 
-    #[test]
-    fn avgpool_gradient_check() {
-        let mut rng = DetRng::from_u64(7);
-        let m = Sequential::new()
-            .push(AvgPool2d::new(1, 4, 4))
-            .push(Linear::new(4, 2, &mut rng));
-        gradient_check(m, 16);
-    }
-
     /// Gradients of one `zero_grad` + `forward` + `backward` on `x`.
     fn grads_of_a_clean_step(layer: &mut dyn Layer, x: &Tensor) -> Vec<Tensor> {
         layer.records_mut(&mut Params::zero_grad);
@@ -972,14 +872,6 @@ mod tests {
         let g = p.backward(&Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0], &[2, 2]));
         assert_eq!(g.data()[..8], [0.0; 8], "image 0 took image 1's gradient");
         assert_eq!(g.data()[8..], [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn avgpool_averages() {
-        let mut p = AvgPool2d::new(1, 2, 2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 6.0], &[1, 4]);
-        let y = p.forward(&x, false);
-        assert_eq!(y.data(), &[3.0]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod optim;
 pub mod residual;
 pub mod train;
 
-pub use layers::{AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Params, Relu, Tanh};
+pub use layers::{Conv2d, Flatten, Linear, MaxPool2d, Params, Relu, Tanh};
 pub use loss::softmax_cross_entropy;
 pub use optim::sgd_step;
 pub use residual::Residual;

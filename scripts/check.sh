@@ -84,7 +84,7 @@ fi
 echo "==> telemetry overhead (4 parties x 4 aggregators, gate: <5% enabled, <1% disabled)"
 # Prints both overheads and exits non-zero past either gate; no other
 # test checks this bound.
-cargo run --release -q -p deta-bench --bin telemetry_overhead
+cargo run --release -q -p deta-cli --bin telemetry_overhead
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 # A doc link to an item that was removed, made private or became
